@@ -31,7 +31,7 @@ import statistics
 import pytest
 
 from repro.assay.catalog import BUNDLED_ASSAYS, build_assay
-from repro.fault.models import FAULT_MODELS
+from repro.fault.models import FAULT_MODELS, scenario_events
 from repro.placement.annealer import AnnealingParams
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.recovery import (
@@ -40,7 +40,6 @@ from repro.recovery import (
     OnlineRecoveryEngine,
 )
 from repro.recovery.engine import pick_fault_cell
-from repro.recovery.sweep import scenario_events
 from repro.synthesis.flow import SynthesisFlow
 from repro.testing import CapacitiveSensor
 from repro.util.rng import ensure_rng

@@ -16,7 +16,8 @@ that rewrite:
 3. **Sweep speedup.** The simulation work of a Monte-Carlo recovery
    grid — checkpoint + resume per scenario — must clear the same bar:
    the event engine checkpoints by log truncation where the stepped
-   reference replays.
+   reference replays. The end-to-end wall of one recovery campaign per
+   engine is reported alongside.
 
 Results are written machine-readably to ``BENCH_sim.json``; CI runs
 this file under ``REPRO_BENCH_FAST=1`` and uploads the JSON artifact.
@@ -32,11 +33,11 @@ import pytest
 from repro.assay.catalog import BUNDLED_ASSAYS, build_assay
 from repro.placement.annealer import AnnealingParams
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
-from repro.recovery.sweep import MonteCarloRecoverySweep
 from repro.sim.engine import BiochipSimulator
 from repro.synthesis.flow import SynthesisFlow
 from repro.util.errors import SimulationError
 from repro.util.tables import format_table
+from repro.workload.campaign import CampaignConfig, CampaignRunner
 
 FAST = os.environ.get("REPRO_BENCH_FAST", "").lower() in ("1", "true", "yes")
 #: Parity is a correctness gate — every bundled assay, in both modes.
@@ -270,17 +271,14 @@ def test_monte_carlo_sweep_sim_speedup(report, bench_json):
 
     sweep_walls = {}
     for engine in ("event", "stepped"):
-        sweep = MonteCarloRecoverySweep(
-            assays=("pcr",),
-            time_fractions=(0.5,),
-            targets=("pending-module",),
-            annealing=AnnealingParams.fast(),
-            recovery_annealing=AnnealingParams.fast(),
-            seed=SEED,
-            sim_engine=engine,
-        )
+        config = CampaignConfig.from_dict({
+            "campaign": {"name": f"sweep-{engine}", "seed": SEED,
+                         "max_parked": None},
+            "grid": [{"generators": ["pcr"], "fault_models": ["permanent"],
+                      "arrivals": [0.5], "engines": [engine]}],
+        })
         t0 = time.perf_counter()
-        sweep_report = sweep.run()
+        sweep_report = CampaignRunner(config).run(None)
         sweep_walls[engine] = time.perf_counter() - t0
         assert sweep_report.records
 

@@ -45,9 +45,6 @@ from repro.modules.kinds import ModuleKind
 from repro.modules.library import ModuleLibrary, standard_library
 from repro.modules.module import ModuleSpec
 from repro.pipeline import (
-    BatchReport,
-    BatchScenarioRunner,
-    FaultPattern,
     Pipeline,
     PortfolioResult,
     PortfolioSpec,
@@ -57,10 +54,9 @@ from repro.pipeline import (
     run_portfolio,
 )
 from repro.recovery import (
-    MonteCarloRecoverySweep,
+    ClosedLoopController,
     OnlineRecoveryEngine,
     RecoveryOutcome,
-    RecoverySweepReport,
     SimCheckpoint,
 )
 from repro.placement.annealer import AnnealingParams, SimulatedAnnealing
@@ -101,21 +97,22 @@ from repro.util.errors import (
     WorkerCrashError,
     WorkerTimeoutError,
 )
+from repro.workload.campaign import CampaignConfig, CampaignRunner
 
 __version__ = "1.0.0"
 
 __all__ = [
     "AnnealingParams",
     "AreaCost",
-    "BatchReport",
-    "BatchScenarioRunner",
     "BiochipSimulator",
     "Binding",
     "BindingError",
     "Box",
+    "CampaignConfig",
     "CampaignJournal",
+    "CampaignRunner",
+    "ClosedLoopController",
     "ExecutionError",
-    "FaultPattern",
     "FTIReport",
     "FaultAwareCost",
     "FaultInjector",
@@ -126,7 +123,6 @@ __all__ = [
     "ModuleKind",
     "ModuleLibrary",
     "ModuleSpec",
-    "MonteCarloRecoverySweep",
     "CrossCheckTimeGrid",
     "Net",
     "OnlineRecoveryEngine",
@@ -151,7 +147,6 @@ __all__ = [
     "ReconfigurationPlan",
     "RecoveryOutcome",
     "RecoveryStage",
-    "RecoverySweepReport",
     "Rect",
     "ReproError",
     "ResourceBinder",

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Ten commands cover the library's day-to-day uses without writing code:
+Eleven commands cover the library's day-to-day uses without writing code:
 
 * ``flow`` — synthesize a built-in protocol end to end and print the
   schedule, placement, and FTI analysis.
@@ -14,11 +14,14 @@ Ten commands cover the library's day-to-day uses without writing code:
   reference), reporting wall time and events/sec.
 * ``portfolio`` — best-of-N seeded pipeline instances (in parallel with
   ``--jobs``), winner selected by ``--objective``.
-* ``batch`` — sweep an (assay x fault pattern) scenario grid through
-  the staged pipeline; ``--json`` emits the machine-readable report.
+* ``batch`` — the (assay x design-time defect pattern) preset grid of
+  the campaign engine; ``--json`` emits the machine-readable report.
 * ``recover`` — inject a mid-assay fault and recover online: checkpoint
   the live state, re-place the pending modules, re-route the suffix,
-  resume; ``--sweep`` fans the Monte-Carlo recovery grid instead.
+  resume; ``--sweep`` runs the (assay x fault arrival x fault site)
+  preset grid of the campaign engine instead.
+* ``campaign`` — run a declarative scenario grid from a TOML/JSON
+  config into a structured JSONL log.
 * ``sweep`` — the Table 2 beta sweep.
 * ``experiments`` — the full paper-vs-measured report.
 * ``explore`` — architectural design-space exploration (binding
@@ -35,9 +38,10 @@ Exit codes are distinct and scriptable:
   retry budget.
 * ``5`` — a worker process crashed and the retry budget is exhausted.
 
-Parallel commands (``portfolio``, ``batch``, ``recover``) run on the
-supervised execution layer (:mod:`repro.exec`): ``--task-timeout`` and
-``--max-retries`` bound each task, and ``batch``/``recover --sweep``
+Parallel commands (``portfolio``, ``batch``, ``recover``, ``campaign``)
+run on the supervised execution layer (:mod:`repro.exec`):
+``--task-timeout`` and ``--max-retries`` bound each task, and the
+campaign-engine commands (``campaign``, ``batch``, ``recover --sweep``)
 support crash-safe ``--journal`` files and ``--resume``.
 """
 
@@ -441,37 +445,16 @@ def cmd_portfolio(args: argparse.Namespace) -> int:
     return code
 
 
-def cmd_batch(args: argparse.Namespace) -> int:
-    from repro.pipeline import BUILTIN_FAULT_PATTERNS, BatchScenarioRunner
+def _run_preset(args: argparse.Namespace, config, outcome: str) -> int:
+    """Run a preset campaign grid (``batch``, ``recover --sweep``).
 
-    protocols = [p.strip() for p in args.protocols.split(",") if p.strip()]
-    unknown = [
-        p for p in protocols if p not in PROTOCOLS and not is_generator_spec(p)
-    ]
-    if unknown:
-        raise UsageError(
-            f"unknown protocol(s) {unknown}; choose from {sorted(PROTOCOLS)} "
-            "or generator specs like 'gen:panel:n=64:seed=1'"
-        )
-    faults = [f.strip() for f in args.faults.split(",") if f.strip()]
-    bad = [f for f in faults if f not in BUILTIN_FAULT_PATTERNS]
-    if bad:
-        raise UsageError(
-            f"unknown fault pattern(s) {bad}; "
-            f"choose from {sorted(BUILTIN_FAULT_PATTERNS)}"
-        )
-    runner = BatchScenarioRunner(
-        assays={name: build_assay(name) for name in protocols},
-        fault_patterns=[BUILTIN_FAULT_PATTERNS[f] for f in faults],
-        annealing=_params(args.fast),
-        max_concurrent_ops=args.max_concurrent,
-        max_parked=_max_parked(args, *protocols),
-        route=args.route,
-        verify=args.verify,
-        seed=args.seed,
-        sim_engine=args.sim_engine,
-    )
-    report = runner.run(
+    A scenario whose closed loop ran but did not complete counts as
+    infeasible; lost-worker statuses pass through unchanged.
+    """
+    from repro.workload.campaign import CampaignRunner
+
+    report = CampaignRunner(config).run(
+        None,
         jobs=args.jobs,
         task_timeout=args.task_timeout,
         max_retries=args.max_retries,
@@ -481,13 +464,35 @@ def cmd_batch(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
-        print(report.table_text())
+        print(report.scenario_table())
         print()
         print(
-            f"{report.ok_count}/{len(report.records)} scenarios ok "
-            f"(jobs={report.jobs}, {report.wall_s:.1f} s wall)"
+            f"{report.completed_count}/{len(report.records)} scenarios "
+            f"{outcome} (jobs={report.jobs}, {report.wall_s:.1f} s wall)"
         )
-    return _exit_code(r.status for r in report.records)
+    return _exit_code(
+        STATUS_INFEASIBLE if r.ok and not r.completed else r.status
+        for r in report.records
+    )
+
+
+def cmd_batch(args: argparse.Namespace) -> int:
+    from repro.workload.campaign import batch_preset
+
+    protocols = [p.strip() for p in args.protocols.split(",") if p.strip()]
+    if not protocols:
+        raise UsageError("batch needs at least one assay")
+    faults = [f.strip() for f in args.faults.split(",") if f.strip()]
+    config = batch_preset(
+        protocols,
+        faults,
+        seed=args.seed,
+        fast=args.fast,
+        max_concurrent=args.max_concurrent,
+        max_parked=_max_parked(args, *protocols),
+        engine=args.sim_engine,
+    )
+    return _run_preset(args, config, "ok")
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
@@ -551,7 +556,7 @@ def _recovery_timeline(outcome) -> str:
 
 def cmd_recover(args: argparse.Namespace) -> int:
     from repro.placement.annealer import AnnealingParams
-    from repro.recovery import MonteCarloRecoverySweep, OnlineRecoveryEngine
+    from repro.recovery import OnlineRecoveryEngine
     from repro.recovery.engine import FAULT_TARGETS, pick_fault_cell
     from repro.synthesis.flow import SynthesisFlow
 
@@ -579,55 +584,33 @@ def cmd_recover(args: argparse.Namespace) -> int:
         )
 
     if args.sweep:
+        from repro.workload.campaign import recovery_sweep_preset
+
         if args.cell:
             raise UsageError(
                 "--cell pins explicit faults; it cannot be "
                 "combined with --sweep (use --target/--fault-time to "
                 "narrow the grid instead)"
             )
-        sweep = MonteCarloRecoverySweep(
-            assays=protocols,
-            time_fractions=(
-                tuple(f for f, _ in pairs) if pairs else (0.25, 0.5, 0.75)
-            ),
-            targets=(
+        config = recovery_sweep_preset(
+            protocols,
+            arrivals=[f for f, _ in pairs] or (0.25, 0.5, 0.75),
+            sites=(
                 (args.target,) if args.target is not None
                 else ("pending-module", "street")
             ),
-            annealing=_params(args.fast),
-            recovery_annealing=(
-                AnnealingParams.fast() if args.fast
-                else AnnealingParams.low_temperature()
-            ),
-            max_parked=_max_parked(args, *protocols),
-            seed=args.seed,
-            sim_engine=args.sim_engine,
             fault_model=args.fault_model,
-            detection="closed-loop" if args.closed_loop else "oracle",
-            sensor_fpr=args.sensor_fpr,
-            sensor_fnr=args.sensor_fnr,
-            sensor_latency_s=args.sensor_latency,
+            sensor=(
+                f"fpr={args.sensor_fpr},fnr={args.sensor_fnr},"
+                f"latency={args.sensor_latency}"
+            ),
+            seed=args.seed,
+            fast=args.fast,
+            max_concurrent=args.max_concurrent,
+            max_parked=_max_parked(args, *protocols),
+            engine=args.sim_engine,
         )
-        report = sweep.run(
-            jobs=args.jobs,
-            task_timeout=args.task_timeout,
-            max_retries=args.max_retries,
-            journal_path=args.journal,
-            resume_from=args.resume,
-        )
-        if args.json:
-            print(json.dumps(report.to_dict(), indent=2))
-        else:
-            print(report.table_text())
-            print()
-            print(report.summary())
-        # An unrecovered scenario the engine *decided* counts as
-        # infeasible; lost-worker statuses pass through unchanged.
-        return _exit_code(
-            STATUS_INFEASIBLE if not r.recovered and r.status == STATUS_OK
-            else r.status
-            for r in report.records
-        )
+        return _run_preset(args, config, "recovered")
 
     target = args.target if args.target is not None else "pending-module"
     engine = OnlineRecoveryEngine(
@@ -704,7 +687,7 @@ def _recover_closed_loop(
     """
     from repro.geometry import Point
     from repro.recovery import ClosedLoopController, pick_fault_cell
-    from repro.recovery.sweep import scenario_events
+    from repro.fault.models import scenario_events
     from repro.synthesis.flow import SynthesisFlow
     from repro.testing.detector import CapacitiveSensor
     from repro.util.rng import ensure_rng
@@ -938,7 +921,8 @@ def build_parser() -> argparse.ArgumentParser:
     portfolio.set_defaults(func=cmd_portfolio)
 
     batch = sub.add_parser(
-        "batch", help="sweep an (assay x fault pattern) scenario grid"
+        "batch",
+        help="campaign preset: (assay x design-time defect pattern) grid",
     )
     batch.add_argument(
         "--protocols", type=str, default="pcr,dilution,ivd",
@@ -946,20 +930,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--faults", type=str, default="none,center",
-        help="comma-separated fault patterns "
-             "(none, center, corner, pair, cluster)",
-    )
-    batch.add_argument(
-        "--route", action=argparse.BooleanOptionalAction, default=True,
-        help="include the droplet-routing stage per scenario",
-    )
-    batch.add_argument(
-        "--verify", action=argparse.BooleanOptionalAction, default=False,
-        help="replay each scenario on the droplet-level simulator",
+        help="comma-separated design-time defect patterns "
+             "(none, center, corner, pair, cluster); each is routed "
+             "around and replayed dead from t=0",
     )
     batch.add_argument(
         "--sim-engine", choices=("event", "stepped"), default="event",
-        help="simulation driver for --verify (event fast path / "
+        help="simulation driver for the replay (event fast path / "
              "stepped reference)",
     )
     batch.add_argument("--max-concurrent", type=int, default=3)
@@ -1059,7 +1036,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--target", type=str, default=None,
         help="fault-cell kind: pending-module, in-flight-module, center, "
              "street (default pending-module; with --sweep, narrows the "
-             "pattern grid)",
+             "fault-site grid)",
     )
     recover.add_argument(
         "--cell", action="append", nargs=2, type=int, metavar=("X", "Y"),
@@ -1094,8 +1071,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     recover.add_argument(
         "--sweep", action="store_true",
-        help="run the Monte-Carlo recovery sweep "
-             "(assay x fault-arrival x fault-pattern) instead of one demo fault",
+        help="run the recovery sweep preset campaign "
+             "(assay x fault arrival x fault site) instead of one demo fault",
     )
     recover.add_argument(
         "--sim-engine", choices=("event", "stepped"), default="event",

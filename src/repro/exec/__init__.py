@@ -1,7 +1,7 @@
 """Supervised parallel execution for synthesis campaigns.
 
-``repro.exec`` is the hardened substrate the portfolio executor, the
-batch scenario runner, and the Monte-Carlo recovery sweep all run on:
+``repro.exec`` is the hardened substrate the portfolio executor and the
+campaign engine (:mod:`repro.workload.campaign`) run on:
 
 * :class:`~repro.exec.supervised.SupervisedPool` — a
   ``ProcessPoolExecutor`` wrapper with per-task deadlines (a watchdog
@@ -14,7 +14,7 @@ batch scenario runner, and the Monte-Carlo recovery sweep all run on:
   so campaigns return partial results instead of raising.
 * :class:`~repro.exec.journal.CampaignJournal` — crash-safe JSONL
   journaling (append + fsync, one record per completed scenario) that
-  makes batch and sweep campaigns ``kill -9``-safe: resuming from a
+  makes campaigns ``kill -9``-safe: resuming from a
   journal skips already-journaled scenario keys.
 
 The determinism contract (see DESIGN.md, "supervised execution"): a

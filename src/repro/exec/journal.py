@@ -1,6 +1,7 @@
 """Crash-safe JSONL campaign journaling (6tisch ``SimLog`` style).
 
-A campaign (batch scenario grid, Monte-Carlo recovery sweep) appends
+A campaign (:mod:`repro.workload.campaign`, including the ``batch``
+and ``recover --sweep`` presets) appends
 one JSON line per *completed* scenario — ``write``, ``flush``,
 ``fsync`` — so a ``kill -9``, OOM kill, or power cut loses at most the
 line being written, never a completed result. Resuming a campaign
@@ -14,12 +15,12 @@ Record schema (one JSON object per line)::
     {"v": 1, "kind": "<record kind>", "key": "<scenario key>",
      "record": {<the scenario's to_dict()>}}
 
-``kind`` namespaces producers sharing a file (``batch-scenario``,
-``recovery-scenario``); ``key`` is the producer's stable scenario
-identity (e.g. ``pcr|auto|center``). A truncated *final* line is the
-expected kill signature and is skipped on load; corruption anywhere
-else raises :class:`~repro.util.errors.JournalError` — that file is
-not a journal.
+``kind`` namespaces producers sharing a file (the campaign engine
+writes ``campaign-scenario``); ``key`` is the producer's stable
+scenario identity (e.g. ``pcr|auto|none|ideal|event``). A truncated
+*final* line is the expected kill signature and is skipped on load;
+corruption anywhere else raises :class:`~repro.util.errors.JournalError`
+— that file is not a journal.
 """
 
 from __future__ import annotations

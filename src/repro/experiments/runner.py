@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import time
 
-from repro.assay.catalog import build_assay
 from repro.experiments import paper_constants as paper
 from repro.experiments.fig2 import demonstrate_3d_reduction
 from repro.experiments.fig4 import run_reconfiguration_example
@@ -20,33 +19,23 @@ from repro.experiments.fig8 import run_enhanced_experiment
 from repro.experiments.pcr import pcr_case_study, verify_table1
 from repro.experiments.table2 import run_beta_sweep
 from repro.fault.fti import compute_fti
-from repro.pipeline import BUILTIN_FAULT_PATTERNS, BatchScenarioRunner
 from repro.placement.annealer import AnnealingParams
 from repro.util.tables import format_table
 from repro.viz.ascii_art import render_fti_map, render_gantt, render_placement
+from repro.workload.campaign import CampaignRunner, batch_preset
 
 
-def run_scenario_grid(
-    seed: int = 7, params: AnnealingParams | None = None, jobs: int = 1
-):
+def run_scenario_grid(seed: int = 7, fast: bool = True, jobs: int = 1):
     """The standard fault-scenario grid over the bundled assays.
 
-    Three assays x (fault-free, center-fault) through the staged
-    pipeline with routing — the batch extension the paper's Section 7
-    anticipates ("defect/fault scenarios layered on the flow"). Kept as
-    its own entry point so the benchmark harness can time it.
+    Three assays x (fault-free, center defect) as the ``batch`` campaign
+    preset: routed around the defect and replayed — the batch extension
+    the paper's Section 7 anticipates ("defect/fault scenarios layered
+    on the flow"). Kept as its own entry point so the benchmark harness
+    can time it.
     """
-    runner = BatchScenarioRunner(
-        assays={name: build_assay(name) for name in ("pcr", "dilution", "ivd")},
-        fault_patterns=[
-            BUILTIN_FAULT_PATTERNS["none"],
-            BUILTIN_FAULT_PATTERNS["center"],
-        ],
-        annealing=params if params is not None else AnnealingParams.fast(),
-        route=True,
-        seed=seed,
-    )
-    return runner.run(jobs=jobs)
+    config = batch_preset(("pcr", "dilution", "ivd"), seed=seed, fast=fast)
+    return CampaignRunner(config).run(None, jobs=jobs)
 
 
 def run_all_experiments(seed: int = 7, fast: bool = True, jobs: int = 1) -> str:
@@ -120,11 +109,11 @@ def run_all_experiments(seed: int = 7, fast: bool = True, jobs: int = 1) -> str:
     )
 
     sections.append("\n\n## Fault-scenario grid (pipeline extension)\n")
-    grid = run_scenario_grid(seed=seed, params=params, jobs=jobs)
-    sections.append(grid.table_text())
+    grid = run_scenario_grid(seed=seed, fast=fast, jobs=jobs)
+    sections.append(grid.scenario_table())
     sections.append(
-        f"\n{grid.ok_count}/{len(grid.records)} scenarios synthesized and "
-        f"routed; upstream bind/schedule/place stages reused across fault "
+        f"\n{grid.completed_count}/{len(grid.records)} scenarios synthesized, "
+        f"routed and replayed; bind/schedule/place shared across defect "
         f"patterns ({grid.wall_s:.1f} s wall, jobs={grid.jobs})"
     )
 

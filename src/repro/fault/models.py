@@ -30,10 +30,11 @@ this), which is what makes closed-loop recovery campaigns reproducible for
 any ``--jobs``.
 
 Cells are in **placement coordinates** (1-based, ``(1, 1)`` .. ``(width,
-height)``) — the same convention as :class:`~repro.pipeline.batch.FaultPattern`,
-whose resolved patterns are exactly the degenerate :class:`PermanentStuckAt`
-case (see :meth:`PermanentStuckAt.from_cells`). Simulator callers translate
-to simulator coordinates via ``BiochipSimulator.sim_cell``.
+height)``) — the same convention as the design-time defect patterns of
+:func:`defect_cells`, which are exactly the degenerate
+:class:`PermanentStuckAt` case (see :meth:`PermanentStuckAt.from_cells`).
+Simulator callers translate to simulator coordinates via
+``BiochipSimulator.sim_cell``.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.geometry import Point
+from repro.util.errors import RecoveryError
 from repro.util.rng import ensure_rng
 
 if TYPE_CHECKING:  # placement/routing import fault's cost hooks; avoid cycles
@@ -174,7 +176,7 @@ class PermanentStuckAt(FaultProcess):
     """Explicit timed permanent faults — the degenerate, deterministic case.
 
     This is the bridge from the existing fault plumbing: a resolved
-    :class:`~repro.pipeline.batch.FaultPattern` (cells, no times) or the
+    defect pattern (:func:`defect_cells`: cells, no times) or the
     CLI's paired ``--cell``/``--fault-time`` flags become a
     ``PermanentStuckAt`` whose :meth:`events` ignores the RNG entirely.
     """
@@ -200,7 +202,7 @@ class PermanentStuckAt(FaultProcess):
         horizon_s: float,
         time_s: float = 0.0,
     ) -> PermanentStuckAt:
-        """Lift an untimed cell set (e.g. a resolved ``FaultPattern``) to
+        """Lift an untimed cell set (e.g. a resolved defect pattern) to
         a process with every fault arriving at *time_s*."""
         return cls(width, height, horizon_s, [(time_s, Point(*c)) for c in cells])
 
@@ -452,6 +454,98 @@ FAULT_MODELS: dict[str, Callable[..., FaultProcess]] = {
     "wearout": WearOutProcess,
     "cluster": ClusteredFaults,
 }
+
+
+#: Design-time defect patterns: electrodes known dead before the assay
+#: runs, placed relative to the final array (see :func:`defect_cells`).
+DEFECT_PATTERNS = ("none", "center", "corner", "pair", "cluster")
+
+
+def defect_cells(pattern: str, width: int, height: int) -> tuple[Point, ...]:
+    """The dead cells of a named defect pattern on a ``width x height``
+    placed array: ``none``; one cell at the ``center`` or the origin
+    ``corner``; the ``pair`` of both; or a ``cluster`` burst realized
+    from :class:`ClusteredFaults` under a fixed seed, so it lands on
+    the same cells for a given array size in every process."""
+    center = Point((width + 1) // 2, (height + 1) // 2)
+    corner = Point(1, 1)
+    if pattern == "none":
+        return ()
+    if pattern == "center":
+        return (center,)
+    if pattern == "corner":
+        return (corner,)
+    if pattern == "pair":
+        return (corner, center) if corner != center else (center,)
+    if pattern == "cluster":
+        process = ClusteredFaults(width, height, horizon_s=1.0)
+        return tuple({e.cell: None for e in process.realize(2005) if e.kind == FAIL})
+    raise ValueError(
+        f"unknown fault pattern {pattern!r}; choose from {DEFECT_PATTERNS}"
+    )
+
+
+def scenario_events(
+    model: str,
+    cell: Point,
+    fault_time: float,
+    makespan: float,
+    width: int,
+    height: int,
+    rng,
+) -> tuple[FaultEvent, ...]:
+    """Realize one scenario's fault timeline, pinned for comparability.
+
+    Every model anchors its (first) fault at the scenario's arrival
+    instant and target cell, so success rates and latencies are
+    comparable across models — the *process* differs, not the grid:
+    ``permanent`` is the degenerate single fail, ``transient``
+    self-clears after 15% of the makespan, ``intermittent``
+    duty-cycles with a 20%-makespan period until the horizon,
+    ``wearout`` is a permanent fail whose cause records the hazard
+    mechanism, and ``cluster`` additionally kills up to two random
+    Chebyshev-adjacent neighbors at the same instant.
+    """
+    def mk(t: float, kind: str, cause: str) -> FaultEvent:
+        return FaultEvent(time_s=t, cell=cell, kind=kind, cause=cause)
+    if model == "permanent":
+        return (mk(fault_time, FAIL, "permanent"),)
+    if model == "wearout":
+        return (mk(fault_time, FAIL, "wearout"),)
+    if model == "transient":
+        clear = fault_time + 0.15 * makespan
+        events = [mk(fault_time, FAIL, "transient")]
+        if clear < makespan:
+            events.append(mk(clear, CLEAR, "transient"))
+        return tuple(events)
+    if model == "intermittent":
+        period = max(0.2 * makespan, 1e-9)
+        events, t, kind = [], fault_time, FAIL
+        while t < makespan:
+            events.append(mk(t, kind, "intermittent"))
+            t += period / 2.0
+            kind = CLEAR if kind == FAIL else FAIL
+        return tuple(events) or (mk(fault_time, FAIL, "intermittent"),)
+    if model == "cluster":
+        neighborhood = sorted(
+            Point(x, y)
+            for x in range(max(1, cell.x - 1), min(width, cell.x + 1) + 1)
+            for y in range(max(1, cell.y - 1), min(height, cell.y + 1) + 1)
+            if (x, y) != (cell.x, cell.y)
+        )
+        extras = (
+            rng.sample(neighborhood, min(2, len(neighborhood)))
+            if neighborhood
+            else []
+        )
+        cells = [cell] + sorted(extras)
+        return tuple(
+            FaultEvent(time_s=fault_time, cell=c, kind=FAIL, cause="cluster")
+            for c in cells
+        )
+    raise RecoveryError(
+        f"unknown fault model {model!r}; choose from {sorted(FAULT_MODELS)}"
+    )
 
 
 def build_fault_process(

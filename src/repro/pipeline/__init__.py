@@ -1,4 +1,4 @@
-"""Staged synthesis pipeline, portfolio search, and batch scenario runs.
+"""Staged synthesis pipeline and portfolio search.
 
 The paper's top-down flow — behavioral model, architectural-level
 synthesis, geometry-level synthesis, routing, verification — lives here
@@ -13,20 +13,11 @@ as composable pieces:
   :func:`build_default_pipeline`.
 * :mod:`repro.pipeline.portfolio` — best-of-N seeded instances in
   parallel via ``ProcessPoolExecutor``, deterministic winner selection.
-* :mod:`repro.pipeline.batch` — (assay x array size x fault pattern)
-  grid sweeps with upstream-stage reuse and JSON-ready reports.
 
 :class:`repro.synthesis.flow.SynthesisFlow` remains the one-call
 facade; it assembles and runs exactly this pipeline.
 """
 
-from repro.pipeline.batch import (
-    BUILTIN_FAULT_PATTERNS,
-    BatchReport,
-    BatchScenarioRunner,
-    FaultPattern,
-    ScenarioRecord,
-)
 from repro.pipeline.context import SynthesisContext, normalize_faulty_cells
 from repro.pipeline.pipeline import Pipeline, build_default_pipeline
 from repro.pipeline.portfolio import (
@@ -49,11 +40,7 @@ from repro.pipeline.stages import (
 )
 
 __all__ = [
-    "BUILTIN_FAULT_PATTERNS",
-    "BatchReport",
-    "BatchScenarioRunner",
     "BindStage",
-    "FaultPattern",
     "InstanceOutcome",
     "OBJECTIVES",
     "Pipeline",
@@ -62,7 +49,6 @@ __all__ = [
     "PortfolioSpec",
     "RecoveryStage",
     "RouteStage",
-    "ScenarioRecord",
     "ScheduleStage",
     "SimVerifyStage",
     "Stage",

@@ -5,8 +5,8 @@ graph, explicit binding, known-faulty cells) and accumulates stage
 products (binding, schedule, placement, FTI report, routing plan,
 simulation report) as the pipeline advances. It is deliberately a plain
 data holder — every field is picklable, so a context can cross a
-process boundary for portfolio search, and :meth:`fork` lets the batch
-runner reuse an upstream prefix for many downstream scenarios without
+process boundary for portfolio search, and :meth:`fork` lets a caller
+reuse an upstream prefix for many downstream scenarios without
 re-deriving it.
 """
 
@@ -93,8 +93,8 @@ class SynthesisContext:
         Stage products are shared by reference — they are immutable from
         the pipeline's point of view — while the timing dict is copied
         so the fork accumulates its own downstream timings. This is the
-        batch runner's reuse primitive: fork the post-placement context
-        once per fault scenario and run only the downstream stages.
+        prefix-reuse primitive: fork the post-placement context once per
+        fault scenario and run only the downstream stages.
         """
         clone = dataclasses.replace(self, **changes)
         if "stage_timings" not in changes:

@@ -3,9 +3,9 @@
 ``Pipeline([...]).run(context)`` drives each stage over the shared
 :class:`~repro.pipeline.context.SynthesisContext` and times it. The
 class also knows how to split itself at the fault boundary
-(:meth:`Pipeline.split_on_faults`), which is what lets the batch
-scenario runner compute the fault-independent prefix once and replay
-only the downstream stages per fault pattern.
+(:meth:`Pipeline.split_on_faults`), which lets a caller compute the
+fault-independent prefix once and replay only the downstream stages per
+fault pattern.
 
 :func:`build_default_pipeline` assembles the paper's top-down flow —
 bind -> schedule -> place (-> route -> verify-by-sim) — from the same

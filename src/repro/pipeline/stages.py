@@ -12,8 +12,8 @@ flow.
 
 ``uses_faults`` marks whether the stage's output depends on the
 context's ``faulty_cells``. Stages that do not (bind, schedule, place)
-form a reusable prefix: the batch scenario runner computes them once
-per assay/array combination and forks the context per fault pattern.
+form a reusable prefix (see :meth:`Pipeline.split_on_faults`) that can
+be computed once and forked per fault pattern.
 """
 
 from __future__ import annotations
@@ -228,8 +228,7 @@ class SimVerifyStage:
     coordinates — so a defect scenario is genuinely exercised (module
     health checks, reconfiguration, fault-avoiding reroutes), not just
     threaded through. ``strict=False`` by default so an unroutable
-    corner case surfaces as a failed report in batch output instead of
-    aborting a whole sweep.
+    corner case surfaces as a failed report instead of raising.
     """
 
     name = "verify"

@@ -1,6 +1,5 @@
 """Online fault recovery: mid-assay checkpointing, incremental
-re-synthesis of the not-yet-started suffix, and Monte-Carlo recovery
-sweeps.
+re-synthesis of the not-yet-started suffix, and closed-loop detection.
 
 This package composes the prior subsystems into the paper's actual
 story — a chip that keeps executing after a cell dies mid-run:
@@ -16,9 +15,9 @@ story — a chip that keeps executing after a cell dies mid-run:
   (:mod:`repro.testing`), confirmed detections climb the rung ladder,
   missed faults fall to the stuck-droplet watchdog, and an ``oracle``
   mode keeps the perfect-knowledge reference path.
-* :class:`MonteCarloRecoverySweep` — fan (assay x fault-arrival x
-  fault-pattern) scenarios over worker processes and report
-  recovery-success rate, makespan penalty, and re-synthesis latency.
+* Recovery sweeps over (assay x fault arrival x fault site) grids run
+  on the campaign engine
+  (:func:`repro.workload.campaign.recovery_sweep_preset`).
 * :class:`~repro.sim.engine.SimCheckpoint` — the simulator-level live
   snapshot (re-exported from :mod:`repro.sim.engine`).
 """
@@ -38,11 +37,6 @@ from repro.recovery.engine import (
     RecoveryOutcome,
     pick_fault_cell,
 )
-from repro.recovery.sweep import (
-    MonteCarloRecoverySweep,
-    RecoveryRecord,
-    RecoverySweepReport,
-)
 from repro.sim.engine import SimCheckpoint
 
 __all__ = [
@@ -54,11 +48,8 @@ __all__ = [
     "Detection",
     "FaultAvoidanceCost",
     "LadderStep",
-    "MonteCarloRecoverySweep",
     "OnlineRecoveryEngine",
     "RecoveryOutcome",
-    "RecoveryRecord",
-    "RecoverySweepReport",
     "SimCheckpoint",
     "pick_fault_cell",
 ]

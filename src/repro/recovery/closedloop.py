@@ -300,14 +300,18 @@ class ClosedLoopController:
         faults: FaultProcess | tuple[FaultEvent, ...] | list[FaultEvent],
         seed: int | random.Random | None = None,
         mode: str = "closed-loop",
+        known_faults=(),
     ) -> ClosedLoopOutcome:
         """Execute *result*'s assay under *faults*, recovering as needed.
 
         *faults* is a :class:`~repro.fault.models.FaultProcess` (realized
         here from a seed spawned off *seed*) or an already-realized
-        event tuple (what sweeps pass, for jobs-invariance). *mode* is
+        event tuple (what campaigns pass, for jobs-invariance). *mode* is
         ``"closed-loop"`` (detections only via sensing) or ``"oracle"``
-        (the retained perfect-knowledge reference).
+        (the retained perfect-knowledge reference). *known_faults* are
+        design-time defects (placement coordinates) the nominal plan
+        already routes around: they are dead from t=0 and believed from
+        the start, so they are never detections.
         """
         if mode not in DETECTION_MODES:
             raise RecoveryError(
@@ -318,7 +322,9 @@ class ClosedLoopController:
             events = faults.realize(spawn_seed(rng))
         else:
             events = tuple(faults)
-        state = _RunState(result=result)
+        known = [Point(*c) for c in known_faults]
+        events = (*(FaultEvent(0.0, c, FAIL, "defect") for c in known), *events)
+        state = _RunState(result=result, believed=known)
 
         # Zero-error, zero-latency sensing with single-vote probes *is*
         # continuous monitoring: the controller learns of every fault

@@ -11,9 +11,9 @@ FTI-scored — and, when requested, fully routed — configuration.
 :class:`~repro.pipeline.pipeline.Pipeline` (bind -> schedule -> place
 [-> route]) and runs it over a
 :class:`~repro.pipeline.context.SynthesisContext`. Callers who need
-stage-level control — inserting custom stages, portfolio search, batch
-scenario sweeps — use :mod:`repro.pipeline` directly; for a fixed seed
-both entry points produce identical results.
+stage-level control — inserting custom stages, portfolio search,
+prefix reuse across fault patterns — use :mod:`repro.pipeline`
+directly; for a fixed seed both entry points produce identical results.
 """
 
 from __future__ import annotations
@@ -89,8 +89,7 @@ class SynthesisResult:
         """JSON-safe summary of every stage's product.
 
         Only primitives, lists, and dicts — ``json.dumps`` accepts the
-        result unchanged, which is what the batch runner and the CLI's
-        ``--json`` mode emit.
+        result unchanged.
         """
         width, height = self.placement_result.array_dims
         return {

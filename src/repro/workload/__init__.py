@@ -11,12 +11,14 @@ reproduction into a scenario corpus:
   and addressable anywhere a bundled protocol name is (spec strings
   like ``gen:dilution-ladder:n=128:seed=7`` resolve through
   :mod:`repro.assay.catalog`).
-* :mod:`repro.workload.campaign` — a declarative campaign runner: one
+* :mod:`repro.workload.campaign` — the one scenario engine: one
   TOML/JSON config declares a grid of (generator params x array sizes x
-  fault models x sensor fidelity x engines), expanded deterministically
-  into seeded scenarios, fanned out on the supervised pool with
-  crash-safe journal/resume, and logged as one append-only structured
-  JSONL stream (versioned record schema, jobs-invariant content).
+  defect patterns x fault models x arrivals x fault sites x sensor
+  fidelity x engines), expanded deterministically into seeded
+  scenarios, fanned out on the supervised pool with crash-safe
+  journal/resume, and logged as one append-only structured JSONL
+  stream (versioned record schema, jobs-invariant content). The
+  ``batch`` and ``recover --sweep`` commands are preset grids over it.
 """
 
 from repro.workload.campaign import (
@@ -27,6 +29,8 @@ from repro.workload.campaign import (
     CampaignReport,
     CampaignRunner,
     CampaignScenario,
+    batch_preset,
+    recovery_sweep_preset,
     validate_log,
 )
 from repro.workload.generator import (
@@ -46,7 +50,9 @@ __all__ = [
     "GENERATOR_FAMILIES",
     "GeneratorSpec",
     "RECORD_SCHEMA_VERSION",
+    "batch_preset",
     "check_invariants",
     "generate",
+    "recovery_sweep_preset",
     "validate_log",
 ]

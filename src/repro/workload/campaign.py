@@ -1,11 +1,14 @@
 """Declarative campaign sweeps: one config, one structured JSONL log.
 
 A campaign config (TOML or JSON) declares a grid of
-(generator specs x array sizes x fault models x sensor fidelities x
-simulation engines). :class:`CampaignConfig` expands it — purely
+(generator specs x array sizes x design-time defect patterns x fault
+models x fault arrivals x fault sites x sensor fidelities x simulation
+engines). :class:`CampaignConfig` expands it — purely
 deterministically — into seeded :class:`CampaignScenario`\\ s, and
-:class:`CampaignRunner` fans them out on the supervised pool with the
-same journal/resume crash-safety the batch runner uses.
+:class:`CampaignRunner` fans them out on the supervised pool with
+journal/resume crash-safety. This is the repo's one scenario engine:
+``repro batch`` and ``repro recover --sweep`` are preset grids
+(:func:`batch_preset`, :func:`recovery_sweep_preset`) over it.
 
 The product is an append-only JSONL log with a versioned record
 schema: one ``campaign-meta`` line, then exactly one ``campaign-record``
@@ -29,12 +32,14 @@ Seed-derivation contract (the reason records are jobs-invariant):
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import itertools
 import json
 import os
 import time
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro.exec import (
@@ -109,7 +114,8 @@ class SensorSpec:
     @classmethod
     def parse(cls, raw: object) -> SensorSpec:
         """Parse a config entry: ``"ideal"``, ``"fpr=0.05,fnr=0.1"``,
-        or a mapping with ``fpr``/``fnr``/``latency`` keys."""
+        or a mapping with ``fpr``/``fnr``/``latency`` keys. ``latency_s``
+        is accepted for ``latency``, so :meth:`to_dict` round-trips."""
         if isinstance(raw, Mapping):
             raw = ",".join(f"{k}={v}" for k, v in raw.items())
         if not isinstance(raw, str):
@@ -119,7 +125,7 @@ class SensorSpec:
         fields = {"fpr": 0.0, "fnr": 0.0, "latency": 0.0}
         for part in raw.split(","):
             k, sep, v = part.partition("=")
-            k = k.strip()
+            k = "latency" if k.strip() == "latency_s" else k.strip()
             if not sep or k not in fields:
                 raise UsageError(
                     f"bad sensor spec {raw!r}: expected comma-joined "
@@ -161,6 +167,10 @@ def parse_array(raw: str) -> tuple[int, int] | None:
     return dims
 
 
+#: The fault site scenarios aim at unless a grid declares ``fault_sites``.
+DEFAULT_SITE = "pending-module"
+
+
 @dataclass(frozen=True)
 class CampaignScenario:
     """One fully-specified point of the expanded grid."""
@@ -171,14 +181,29 @@ class CampaignScenario:
     sensor: SensorSpec
     engine: str  # simulation driver for the closed loop
     index: int  # position in grid order (== log order)
+    #: Design-time defect pattern (a DEFECT_PATTERNS name): dead from
+    #: t=0, routed around by the design, known to the controller.
+    defects: str = "none"
+    #: Fault arrival as a fraction of the makespan; ``None`` draws it
+    #: uniformly from [0.3, 0.7) with the scenario seed.
+    arrival: float | None = None
+    #: Where the fault lands (a FAULT_TARGETS kind).
+    site: str = DEFAULT_SITE
 
     @property
     def key(self) -> str:
-        """The scenario's stable journal/log/seed identity."""
-        return "|".join(
-            (self.spec, array_key(self.array), self.fault_model,
-             self.sensor.key, self.engine)
-        )
+        """The scenario's stable journal/log/seed identity. Dimensions
+        left at their defaults add nothing, so a grid that declares
+        none of them keeps the keys (and seeds) it always had."""
+        parts = [self.spec, array_key(self.array), self.fault_model,
+                 self.sensor.key, self.engine]
+        if self.defects != "none":
+            parts.append(f"defects={self.defects}")
+        if self.arrival is not None:
+            parts.append(f"at={self.arrival:g}")
+        if self.site != DEFAULT_SITE:
+            parts.append(f"site={self.site}")
+        return "|".join(parts)
 
     @property
     def unit_key(self) -> str:
@@ -245,6 +270,15 @@ class CampaignConfig:
                 f"campaign config: [campaign].max_parked must be an int or "
                 f"absent, got {raw_parked!r}"
             )
+        # A zero cap deadlocks the list scheduler in every worker; say
+        # so at load time instead of logging every scenario infeasible.
+        for key, value in (("max_concurrent", max_concurrent),
+                           ("max_parked", raw_parked)):
+            if value is not None and value < 1:
+                raise UsageError(
+                    f"campaign config: [campaign].{key} must be >= 1, "
+                    f"got {value}"
+                )
         fast = campaign.get("fast", True)
         if not isinstance(fast, bool):
             raise UsageError(
@@ -287,7 +321,8 @@ class CampaignConfig:
     def expand(self) -> list[CampaignScenario]:
         """The full deterministic scenario list, in grid order."""
         from repro.assay.catalog import BUNDLED_ASSAYS, is_generator_spec
-        from repro.fault.models import FAULT_MODELS
+        from repro.fault.models import DEFECT_PATTERNS, FAULT_MODELS
+        from repro.recovery.engine import FAULT_TARGETS
         from repro.workload.generator import GeneratorSpec
 
         scenarios: list[CampaignScenario] = []
@@ -326,31 +361,102 @@ class CampaignConfig:
                     raise UsageError(
                         f"{where}: unknown engine {e!r}; choose from {SIM_ENGINES}"
                     )
+            defects = _str_list(grid, "defects", where, ["none"])
+            for d in defects:
+                if d not in DEFECT_PATTERNS:
+                    raise UsageError(
+                        f"{where}: unknown fault pattern {d!r} in defects; "
+                        f"choose from {DEFECT_PATTERNS}"
+                    )
+            sites = _str_list(grid, "fault_sites", where, [DEFAULT_SITE])
+            for site in sites:
+                if site not in FAULT_TARGETS:
+                    raise UsageError(
+                        f"{where}: unknown fault site {site!r}; "
+                        f"choose from {FAULT_TARGETS}"
+                    )
+            arrivals = grid.get("arrivals", [None])
+            if "arrivals" in grid and (
+                not isinstance(arrivals, list) or not arrivals
+                or not all(isinstance(a, (int, float))
+                           and not isinstance(a, bool) and 0 <= a < 1
+                           for a in arrivals)
+            ):
+                raise UsageError(
+                    f"{where}.arrivals must be a non-empty list of makespan "
+                    f"fractions in [0, 1), got {arrivals!r}"
+                )
             unknown = set(grid) - {
-                "generators", "arrays", "fault_models", "sensors", "engines"
+                "generators", "arrays", "defects", "fault_models", "arrivals",
+                "fault_sites", "sensors", "engines",
             }
             if unknown:
                 raise UsageError(
                     f"{where}: unknown key(s) {sorted(unknown)}"
                 )
-            for spec in specs:
-                for array in arrays:
-                    for model in models:
-                        for sensor in sensors:
-                            for engine in engines:
-                                sc = CampaignScenario(
-                                    spec=spec, array=array, fault_model=model,
-                                    sensor=sensor, engine=engine,
-                                    index=len(scenarios),
-                                )
-                                if sc.key in seen:
-                                    raise UsageError(
-                                        f"{where}: scenario {sc.key!r} already "
-                                        f"declared by [[grid]] #{seen[sc.key] + 1}"
-                                    )
-                                seen[sc.key] = i
-                                scenarios.append(sc)
+            for spec, array, defect, model, arrival, site, sensor, engine in \
+                    itertools.product(specs, arrays, defects, models, arrivals,
+                                      sites, sensors, engines):
+                sc = CampaignScenario(
+                    spec=spec, array=array, fault_model=model, sensor=sensor,
+                    engine=engine, index=len(scenarios), defects=defect,
+                    arrival=None if arrival is None else float(arrival),
+                    site=site,
+                )
+                if sc.key in seen:
+                    raise UsageError(
+                        f"{where}: scenario {sc.key!r} already "
+                        f"declared by [[grid]] #{seen[sc.key] + 1}"
+                    )
+                seen[sc.key] = i
+                scenarios.append(sc)
         return scenarios
+
+
+def _preset(name: str, grid: dict, *, seed: int, fast: bool,
+            max_concurrent: int, max_parked: int | None) -> CampaignConfig:
+    return CampaignConfig.from_dict({
+        "campaign": {"name": name, "seed": seed, "fast": fast,
+                     "max_concurrent": max_concurrent,
+                     "max_parked": max_parked},
+        "grid": [grid],
+    }, source=name)
+
+
+def batch_preset(
+    protocols, defects=("none", "center"), *, seed: int = 7,
+    fast: bool = True, max_concurrent: int = 3,
+    max_parked: int | None = None, engine: str = "event",
+) -> CampaignConfig:
+    """The ``repro batch`` grid: (assay x design-time defect pattern).
+
+    Each assay is synthesized once and routed once per defect pattern;
+    the fault-free closed loop then replays every design against its
+    defects, which are dead from t=0."""
+    return _preset("batch", {
+        "generators": list(protocols), "defects": list(defects),
+        "engines": [engine],
+    }, seed=seed, fast=fast, max_concurrent=max_concurrent,
+        max_parked=max_parked)
+
+
+def recovery_sweep_preset(
+    protocols, arrivals=(0.25, 0.5, 0.75),
+    sites=("pending-module", "street"), fault_model: str = "permanent",
+    sensor: str = "ideal", *, seed: int = 7, fast: bool = True,
+    max_concurrent: int = 3, max_parked: int | None = None,
+    engine: str = "event",
+) -> CampaignConfig:
+    """The ``repro recover --sweep`` grid: (assay x fault arrival x
+    fault site) under one fault model and one sensor spec string (see
+    :meth:`SensorSpec.parse`). With the ideal sensor the closed loop
+    short-circuits to oracle detection."""
+    return _preset("recovery-sweep", {
+        "generators": list(protocols), "fault_models": [fault_model],
+        "arrivals": list(arrivals), "fault_sites": list(sites),
+        "sensors": [sensor], "engines": [engine],
+    }, seed=seed, fast=fast, max_concurrent=max_concurrent,
+        max_parked=max_parked)
 
 
 # -- records -----------------------------------------------------------------
@@ -376,9 +482,14 @@ class CampaignRecord:
     synthesis: dict | None = None
     #: Closed-loop execution metrics (None when the scenario never ran).
     recovery: dict | None = None
+    #: Optional grid dimensions; written only when they differ from the
+    #: defaults, so grids that never declare them keep their bytes.
+    defects: str = "none"
+    arrival: float | None = None
+    site: str = DEFAULT_SITE
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "v": RECORD_SCHEMA_VERSION,
             "kind": RECORD_KIND,
             "key": self.key,
@@ -396,16 +507,17 @@ class CampaignRecord:
             "synthesis": self.synthesis,
             "recovery": self.recovery,
         }
+        for name, default in _OPTIONAL_FIELDS.items():
+            if getattr(self, name) != default:
+                out[name] = getattr(self, name)
+        return out
 
     @classmethod
     def from_dict(cls, data: Mapping) -> CampaignRecord:
-        return cls(**{
-            f: data.get(f) for f in (
-                "key", "index", "spec", "family", "n", "array", "fault_model",
-                "sensor", "engine", "seed", "status", "error", "synthesis",
-                "recovery",
-            )
-        })
+        return cls(
+            **{f: data.get(f) for f in _RECORD_FIELD_TYPES},
+            **{f: data.get(f, d) for f, d in _OPTIONAL_FIELDS.items()},
+        )
 
     @property
     def ok(self) -> bool:
@@ -433,21 +545,16 @@ _RECORD_FIELD_TYPES: dict[str, tuple[type, ...]] = {
     "synthesis": (dict, type(None)),
     "recovery": (dict, type(None)),
 }
+#: Optional record fields and their defaults (absent = default).
+_OPTIONAL_FIELDS = {"defects": "none", "arrival": None, "site": DEFAULT_SITE}
+_OPTIONAL_FIELD_TYPES: dict[str, tuple[type, ...]] = {
+    "defects": (str,),
+    "arrival": (float, int),
+    "site": (str,),
+}
 
 
 # -- the execution unit (module level: must pickle into pool workers) --------
-
-
-@dataclass(frozen=True)
-class _SuffixSpec:
-    """One scenario of a unit: the fault-dependent part."""
-
-    key: str
-    index: int
-    fault_model: str
-    sensor: SensorSpec
-    engine: str
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -457,7 +564,8 @@ class _UnitSpec:
     spec: str
     array: tuple[int, int] | None
     synth_seed: int
-    suffixes: tuple[_SuffixSpec, ...]
+    #: (scenario, scenario seed) pairs: the fault-dependent suffixes.
+    suffixes: tuple[tuple[CampaignScenario, int], ...]
     max_concurrent: int
     max_parked: int | None
     fast: bool
@@ -465,6 +573,18 @@ class _UnitSpec:
     @property
     def key(self) -> str:
         return f"{self.spec}|{array_key(self.array)}"
+
+    def record(
+        self, sc: CampaignScenario, seed: int, **kwargs
+    ) -> CampaignRecord:
+        """*sc*'s log record, with *kwargs* as its outcome fields."""
+        family, n = _spec_meta(self.spec)
+        return CampaignRecord(
+            key=sc.key, index=sc.index, spec=self.spec, family=family, n=n,
+            array=array_key(self.array), fault_model=sc.fault_model,
+            sensor=sc.sensor.to_dict(), engine=sc.engine, seed=seed,
+            defects=sc.defects, arrival=sc.arrival, site=sc.site, **kwargs,
+        )
 
 
 def _spec_meta(spec: str) -> tuple[str | None, int | None]:
@@ -513,28 +633,19 @@ def _recovery_summary(outcome) -> dict:
 
 
 def _run_unit(unit: _UnitSpec) -> list[CampaignRecord]:
-    """Synthesize once, then run every fault suffix on the result."""
+    """Synthesize once, route once per defect pattern, then run every
+    fault suffix on its pattern's design."""
     from repro.assay.catalog import build_assay
+    from repro.fault.models import defect_cells, scenario_events
     from repro.placement.annealer import AnnealingParams
     from repro.placement.sa_placer import SimulatedAnnealingPlacer
     from repro.recovery import ClosedLoopController, OnlineRecoveryEngine
     from repro.recovery.engine import pick_fault_cell
-    from repro.recovery.sweep import scenario_events
     from repro.synthesis.flow import SynthesisFlow
     from repro.testing.detector import CapacitiveSensor
     from repro.util.rng import ensure_rng
 
-    family, n = _spec_meta(unit.spec)
     params = AnnealingParams.fast() if unit.fast else AnnealingParams.balanced()
-
-    def record(suffix: _SuffixSpec, **kwargs) -> CampaignRecord:
-        return CampaignRecord(
-            key=suffix.key, index=suffix.index, spec=unit.spec, family=family,
-            n=n, array=array_key(unit.array), fault_model=suffix.fault_model,
-            sensor=suffix.sensor.to_dict(), engine=suffix.engine,
-            seed=suffix.seed, **kwargs,
-        )
-
     core_w, core_h = unit.array if unit.array else (None, None)
     try:
         graph, binding = build_assay(unit.spec)
@@ -552,51 +663,69 @@ def _run_unit(unit: _UnitSpec) -> list[CampaignRecord]:
     except ReproError as exc:
         error = f"{type(exc).__name__}: {exc}"
         return [
-            record(s, status="infeasible", error=error) for s in unit.suffixes
+            unit.record(sc, seed, status="infeasible", error=error)
+            for sc, seed in unit.suffixes
         ]
 
-    synthesis = _synthesis_summary(result)
     makespan = result.schedule.makespan
     width, height = result.placement_result.placement.array_dims()
+    # defect pattern -> (its design, its dead cells, its summary); the
+    # fault-free design is the flow's own result.
+    designs = {"none": (result, (), _synthesis_summary(result))}
 
     records = []
-    for suffix in unit.suffixes:
-        rng = ensure_rng(suffix.seed)
+    for sc, seed in unit.suffixes:
+        rng = ensure_rng(seed)
         engine = OnlineRecoveryEngine(
-            annealing=params if unit.fast else None, sim_engine=suffix.engine
+            annealing=params if unit.fast else None, sim_engine=sc.engine
         )
         controller = ClosedLoopController(
             engine=engine,
             sensor=CapacitiveSensor(
-                false_positive_rate=suffix.sensor.false_positive_rate,
-                false_negative_rate=suffix.sensor.false_negative_rate,
-                latency_s=suffix.sensor.latency_s,
+                false_positive_rate=sc.sensor.false_positive_rate,
+                false_negative_rate=sc.sensor.false_negative_rate,
+                latency_s=sc.sensor.latency_s,
             ),
         )
+        synthesis = designs["none"][2]
         try:
-            if suffix.fault_model == "none":
+            if sc.defects not in designs:
+                cells = defect_cells(sc.defects, width, height)
+                plan = flow.routing_synthesizer.synthesize(
+                    graph, result.schedule, result.placement_result.placement,
+                    faulty_cells=cells,
+                )
+                design = replace(result, routing_plan=plan)
+                designs[sc.defects] = (
+                    design, cells, _synthesis_summary(design)
+                )
+            design, cells, synthesis = designs[sc.defects]
+            if sc.fault_model == "none":
                 events: tuple = ()
             else:
-                fault_time = rng.uniform(0.3, 0.7) * makespan
-                checkpoint = engine.checkpoint_of(result, fault_time)
-                cell = pick_fault_cell(
-                    result, checkpoint, "pending-module", rng=rng
+                arrival = (
+                    rng.uniform(0.3, 0.7) if sc.arrival is None
+                    else sc.arrival
                 )
+                fault_time = arrival * makespan
+                checkpoint = engine.checkpoint_of(design, fault_time, cells)
+                cell = pick_fault_cell(design, checkpoint, sc.site, rng=rng)
                 events = scenario_events(
-                    suffix.fault_model, cell, fault_time, makespan,
+                    sc.fault_model, cell, fault_time, makespan,
                     width, height, rng,
                 )
             outcome = controller.run(
-                result, events, seed=suffix.seed, mode="closed-loop"
+                design, events, seed=seed, mode="closed-loop",
+                known_faults=cells,
             )
         except ReproError as exc:
-            records.append(record(
-                suffix, status="infeasible",
+            records.append(unit.record(
+                sc, seed, status="infeasible",
                 error=f"{type(exc).__name__}: {exc}", synthesis=synthesis,
             ))
             continue
-        records.append(record(
-            suffix, status="ok", synthesis=synthesis,
+        records.append(unit.record(
+            sc, seed, status="ok", synthesis=synthesis,
             recovery=_recovery_summary(outcome),
         ))
     return records
@@ -612,7 +741,7 @@ class CampaignReport:
     name: str
     seed: int
     jobs: int
-    log_path: str
+    log_path: str | None
     wall_s: float = 0.0
     resumed: int = 0
     records: list[CampaignRecord] = field(default_factory=list)
@@ -650,6 +779,7 @@ class CampaignReport:
             "resumed": self.resumed,
             "scenario_count": len(self.records),
             "status_counts": self.status_counts,
+            "ok_count": self.ok_count,
             "completed_count": self.completed_count,
             "mean_routability": self.mean_routability,
             "records": [r.to_dict() for r in self.records],
@@ -674,6 +804,31 @@ class CampaignReport:
             ))
         return format_table(
             ("spec", "array", "scenarios", "ok", "completed", "routability"),
+            rows,
+        )
+
+    def scenario_table(self) -> str:
+        """One row per scenario: its key and closed-loop outcome."""
+        rows = []
+        for r in self.records:
+            rec = r.recovery or {}
+            synthesis = r.synthesis or {}
+            if not r.ok:
+                outcome = f"FAILED {r.status} ({r.error})"
+            elif r.completed:
+                outcome = "completed"
+            else:
+                outcome = f"FAILED ({rec.get('reason')})"
+            routability = synthesis.get("routability")
+            rows.append((
+                r.key, outcome, rec.get("final_rung") or "-",
+                f"{rec['makespan_penalty_s']:g}" if rec else "-",
+                synthesis.get("area_cells", "-"),
+                "-" if routability is None else f"{routability:.0%}",
+            ))
+        return format_table(
+            ("scenario", "outcome", "rung", "penalty s", "cells",
+             "routability"),
             rows,
         )
 
@@ -704,23 +859,17 @@ class CampaignRunner:
         records. Unit order follows first appearance in grid order."""
         seed = str(self.config.seed)
         resumed: list[CampaignRecord] = []
-        grouped: dict[str, list[_SuffixSpec]] = {}
-        arrays: dict[str, tuple[int, int] | None] = {}
-        specs: dict[str, str] = {}
+        grouped: dict[str, list[tuple[CampaignScenario, int]]] = {}
         for sc in scenarios:
             if sc.key in done:
                 resumed.append(CampaignRecord.from_dict(done[sc.key]))
                 continue
-            grouped.setdefault(sc.unit_key, []).append(_SuffixSpec(
-                key=sc.key, index=sc.index, fault_model=sc.fault_model,
-                sensor=sc.sensor, engine=sc.engine,
-                seed=derive_seed(seed, "scenario", sc.key),
-            ))
-            arrays[sc.unit_key] = sc.array
-            specs[sc.unit_key] = sc.spec
+            grouped.setdefault(sc.unit_key, []).append(
+                (sc, derive_seed(seed, "scenario", sc.key))
+            )
         units = [
             _UnitSpec(
-                spec=specs[k], array=arrays[k],
+                spec=suffixes[0][0].spec, array=suffixes[0][0].array,
                 synth_seed=derive_seed(seed, "synthesis", k),
                 suffixes=tuple(suffixes),
                 max_concurrent=self.config.max_concurrent,
@@ -733,7 +882,7 @@ class CampaignRunner:
 
     def run(
         self,
-        log_path: str | os.PathLike,
+        log_path: str | os.PathLike | None,
         jobs: int = 1,
         *,
         task_timeout: float | None = None,
@@ -742,14 +891,15 @@ class CampaignRunner:
         journal_path: str | os.PathLike | None = None,
         resume_from: str | os.PathLike | None = None,
     ) -> CampaignReport:
-        """Execute the campaign, streaming the log to *log_path*.
+        """Execute the campaign, streaming the log to *log_path* (``None``
+        keeps the records in the returned report only).
 
-        *journal_path* / *resume_from* carry crash-safety exactly as in
-        the batch runner: every **decided** scenario (terminal ok or
-        infeasible) is journaled as its unit finishes; a resume skips
-        decided scenarios and re-runs crashed/timed-out ones. The log
-        file itself is rewritten from scratch each run — it is the
-        deterministic product, the journal is the incremental state.
+        *journal_path* / *resume_from* carry crash-safety: every
+        **decided** scenario (terminal ok or infeasible) is journaled as
+        its unit finishes; a resume skips decided scenarios and re-runs
+        crashed/timed-out ones. The log file itself is rewritten from
+        scratch each run — it is the deterministic product, the journal
+        is the incremental state.
         """
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -768,14 +918,17 @@ class CampaignRunner:
             "scenario_count": len(scenarios),
         }
 
-        with open(log_path, "w", encoding="utf-8") as fh, \
-                (CampaignJournal(journal_path) if journal_path
-                 else NullJournal()) as journal:
-            # The log is written strictly in scenario-index order; one
-            # "position" per unit, claimed in unit order, plus a final
-            # flush position for the grid-order assembly below.
-            fh.write(json.dumps(meta, sort_keys=True) + "\n")
-            fh.flush()
+        with contextlib.ExitStack() as stack:
+            # The log is truncated to its header up front, so a killed
+            # run never leaves a stale log that still validates.
+            fh = None
+            if log_path is not None:
+                fh = stack.enter_context(open(log_path, "w", encoding="utf-8"))
+                fh.write(json.dumps(meta, sort_keys=True) + "\n")
+                fh.flush()
+            journal = stack.enter_context(
+                CampaignJournal(journal_path) if journal_path else NullJournal()
+            )
 
             def on_outcome(out) -> None:
                 unit = units[out.index]
@@ -788,16 +941,9 @@ class CampaignRunner:
                             CAMPAIGN_JOURNAL_KIND, rec.key, rec.to_dict()
                         )
                 else:
-                    family, n = _spec_meta(unit.spec)
                     records = [
-                        CampaignRecord(
-                            key=s.key, index=s.index, spec=unit.spec,
-                            family=family, n=n, array=array_key(unit.array),
-                            fault_model=s.fault_model,
-                            sensor=s.sensor.to_dict(), engine=s.engine,
-                            seed=s.seed, status=out.status, error=out.error,
-                        )
-                        for s in unit.suffixes
+                        unit.record(sc, seed, status=out.status, error=out.error)
+                        for sc, seed in unit.suffixes
                     ]
                 for rec in records:
                     by_key[rec.key] = rec
@@ -827,15 +973,17 @@ class CampaignRunner:
                 if rec.status not in RECORD_STATUSES:
                     rec.status = "crashed"
                 records.append(rec)
-                fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+            if fh is not None:
+                for rec in records:
+                    fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+                fh.flush()
+                os.fsync(fh.fileno())
 
         return CampaignReport(
             name=self.config.name,
             seed=self.config.seed,
             jobs=jobs,
-            log_path=os.fspath(log_path),
+            log_path=None if log_path is None else os.fspath(log_path),
             wall_s=time.perf_counter() - t0,
             resumed=len(resumed),
             records=records,
@@ -866,7 +1014,8 @@ def read_log(path: str | os.PathLike) -> tuple[dict, list[CampaignRecord]]:
 
 
 def validate_log(path: str | os.PathLike) -> list[str]:
-    """Validate every line of a campaign log against the record schema.
+    """Validate every line of a campaign log against the record schema
+    and the grid-order contract: the i-th record carries ``index`` i.
 
     Returns a list of human-readable problems (empty = valid). A
     missing file raises :class:`UsageError` — that is a usage mistake,
@@ -907,10 +1056,11 @@ def validate_log(path: str | os.PathLike) -> list[str]:
             if kind != RECORD_KIND:
                 errors.append(f"line {lineno}: unknown kind {kind!r}")
                 continue
-            n_records += 1
-            for fname, types in _RECORD_FIELD_TYPES.items():
+            for fname, types in (*_RECORD_FIELD_TYPES.items(),
+                                 *_OPTIONAL_FIELD_TYPES.items()):
                 if fname not in entry:
-                    errors.append(f"line {lineno}: missing field {fname!r}")
+                    if fname in _RECORD_FIELD_TYPES:
+                        errors.append(f"line {lineno}: missing field {fname!r}")
                 elif not isinstance(entry[fname], types) or (
                     isinstance(entry[fname], bool) and bool not in types
                 ):
@@ -919,6 +1069,13 @@ def validate_log(path: str | os.PathLike) -> list[str]:
                         f"{type(entry[fname]).__name__}, expected "
                         f"{'/'.join(t.__name__ for t in types)}"
                     )
+            index = entry.get("index")
+            if isinstance(index, int) and index != n_records:
+                errors.append(
+                    f"line {lineno}: index {index} out of grid order "
+                    f"(record #{n_records} must carry index {n_records})"
+                )
+            n_records += 1
             status = entry.get("status")
             if isinstance(status, str) and status not in RECORD_STATUSES:
                 errors.append(

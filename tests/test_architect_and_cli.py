@@ -190,13 +190,6 @@ class TestBatchCommand:
         with pytest.raises(SystemExit):
             main(["batch", "--protocols", "pcr", "--faults", "meteor", "--fast"])
 
-    def test_batch_rejects_vacuous_fault_sweep_cleanly(self):
-        # --no-route without --verify leaves no stage that consumes the
-        # faults; must exit with a message, not a traceback or a false ok.
-        with pytest.raises(SystemExit, match="fault-consuming"):
-            main(["batch", "--protocols", "pcr", "--faults", "none,center",
-                  "--no-route", "--fast"])
-
     def test_batch_rejects_empty_protocol_list_cleanly(self):
         with pytest.raises(SystemExit, match="at least one assay"):
             main(["batch", "--protocols", ",", "--fast"])

@@ -11,7 +11,7 @@ The acceptance properties this file pins:
   abort a fault-free run;
 * a fault every probe missed is caught by the stuck-droplet watchdog
   after the verdict replay exposes it;
-* ladder traces follow the rung order and the Monte-Carlo sweep's
+* ladder traces follow the rung order and the recovery sweep preset's
   closed-loop records are jobs-invariant.
 """
 
@@ -31,13 +31,13 @@ from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.recovery import (
     RECOVERY_RUNGS,
     ClosedLoopController,
-    MonteCarloRecoverySweep,
     OnlineRecoveryEngine,
 )
 from repro.recovery.engine import pick_fault_cell
 from repro.synthesis.flow import SynthesisFlow
 from repro.testing import CapacitiveSensor
-from repro.util.errors import RecoveryError
+from repro.util.errors import RecoveryError, UsageError
+from repro.workload.campaign import CampaignRunner, recovery_sweep_preset
 
 #: Wall-clock fields: everything else in the outcome dicts must be
 #: bit-identical between the oracle and the zero-noise closed loop.
@@ -224,56 +224,31 @@ class TestLadder:
 
 class TestSweepClosedLoop:
     def test_closed_loop_records_are_jobs_invariant(self):
-        """Structural record fields must be identical for any --jobs;
-        only wall-clock timings may differ."""
+        """Records of the recovery sweep preset are identical for any
+        --jobs: they carry no wall-clock fields at all."""
         def run(jobs: int):
-            sweep = MonteCarloRecoverySweep(
-                assays=("pcr",),
-                time_fractions=(0.5,),
-                targets=("street", "pending-module"),
-                annealing=AnnealingParams.fast(),
-                recovery_annealing=AnnealingParams.fast(),
-                seed=13,
-                detection="closed-loop",
-                fault_model="permanent",
-                sensor_fpr=0.05,
-                sensor_fnr=0.1,
+            config = recovery_sweep_preset(
+                ("pcr",), arrivals=(0.5,), sites=("street", "pending-module"),
+                sensor="fpr=0.05,fnr=0.1", seed=13,
             )
-            return sweep.run(jobs=jobs)
+            return [r.to_dict() for r in CampaignRunner(config).run(
+                None, jobs=jobs).records]
 
-        serial, parallel = run(1), run(2)
-        stripped = [
-            [
-                {
-                    k: v
-                    for k, v in r.to_dict().items()
-                    if k not in _TIMING_KEYS
-                }
-                for r in report.records
-            ]
-            for report in (serial, parallel)
-        ]
-        assert stripped[0] == stripped[1]
-        assert serial.rung_frequencies == parallel.rung_frequencies
+        assert run(1) == run(2)
 
     def test_rung_frequencies_cover_recovered_records(self):
-        sweep = MonteCarloRecoverySweep(
-            assays=("pcr",),
-            time_fractions=(0.5,),
-            targets=("street",),
-            annealing=AnnealingParams.fast(),
-            recovery_annealing=AnnealingParams.fast(),
-            seed=13,
-            detection="closed-loop",
-            fault_model="intermittent",
+        config = recovery_sweep_preset(
+            ("pcr",), arrivals=(0.5,), sites=("street",),
+            fault_model="intermittent", seed=13,
         )
-        report = sweep.run(jobs=1)
-        recovered = sum(1 for r in report.records if r.recovered)
-        assert sum(report.rung_frequencies.values()) == recovered
-        assert set(report.rung_frequencies) <= set(RECOVERY_RUNGS) | {"abort"}
+        report = CampaignRunner(config).run(None, jobs=1)
+        rungs = [r.recovery["final_rung"] for r in report.records]
+        recovered = [r for r in report.records if r.recovery["recoveries"]]
+        assert len([g for g in rungs if g is not None]) == len(recovered)
+        assert set(rungs) - {None} <= set(RECOVERY_RUNGS) | {"abort"}
 
     def test_invalid_axes_rejected(self):
-        with pytest.raises(RecoveryError, match="fault model"):
-            MonteCarloRecoverySweep(assays=("pcr",), fault_model="meteor")
-        with pytest.raises(RecoveryError, match="detection"):
-            MonteCarloRecoverySweep(assays=("pcr",), detection="telepathy")
+        with pytest.raises(UsageError, match="fault model"):
+            recovery_sweep_preset(("pcr",), fault_model="meteor")
+        with pytest.raises(UsageError, match="fault site"):
+            recovery_sweep_preset(("pcr",), sites=("telepathy",))

@@ -32,10 +32,10 @@ from repro.fault.models import (
     WearOutProcess,
     actuation_counts,
     build_fault_process,
+    defect_cells,
     wearout_weight_fn,
 )
 from repro.geometry import Point
-from repro.pipeline.batch import FaultPattern
 from repro.placement.annealer import AnnealingParams
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.sim.engine import BiochipSimulator
@@ -164,10 +164,10 @@ class TestCluster:
 
 class TestPermanentBridge:
     def test_fault_pattern_lifts_to_process(self):
-        """A resolved batch FaultPattern is the degenerate permanent
+        """A resolved defect pattern is the degenerate permanent
         process: same cells, all failing at the requested instant,
         independent of the RNG."""
-        cells = FaultPattern.pair().resolve(9, 9)
+        cells = defect_cells("pair", 9, 9)
         process = PermanentStuckAt.from_cells(cells, 9, 9, horizon_s=10.0, time_s=2.5)
         for seed in (0, 1, 999):
             events = process.realize(seed)
@@ -175,9 +175,8 @@ class TestPermanentBridge:
             assert all(e.time_s == 2.5 and e.kind == FAIL for e in events)
 
     def test_cluster_pattern_matches_process(self):
-        pattern = FaultPattern.cluster()
-        cells = pattern.resolve(10, 10)
-        assert cells == pattern.resolve(10, 10)  # deterministic
+        cells = defect_cells("cluster", 10, 10)
+        assert cells == defect_cells("cluster", 10, 10)  # deterministic
         realized = {
             e.cell
             for e in ClusteredFaults(10, 10, horizon_s=1.0).realize(2005)

@@ -1,71 +1,98 @@
-"""Tests for the batch scenario runner: grids, reuse, JSON output."""
+"""Tests for the ``batch`` campaign preset: (assay x design-time defect
+pattern) grids with a shared synthesis prefix, and their journals."""
 
 import json
 
 import pytest
 
-from repro.assay.protocols.dilution import build_serial_dilution_graph
-from repro.assay.protocols.pcr import PCR_BINDING, build_pcr_mixing_graph
-from repro.assay.synthetic import build_mix_tree
+from repro.exec import load_journal
+from repro.fault.models import DEFECT_PATTERNS, defect_cells
 from repro.geometry import Point
-from repro.pipeline import (
-    BUILTIN_FAULT_PATTERNS,
-    BatchScenarioRunner,
-    FaultPattern,
+from repro.recovery import ClosedLoopController
+from repro.routing import RoutingSynthesizer
+from repro.synthesis.flow import SynthesisFlow
+from repro.util.errors import UsageError
+from repro.workload.campaign import (
+    CAMPAIGN_JOURNAL_KIND,
+    CampaignRunner,
+    batch_preset,
 )
-from repro.placement.annealer import AnnealingParams
-from repro.util.errors import PipelineError
 
 
-def grid_runner(**kwargs):
-    defaults = dict(
-        assays={
-            "pcr": (build_pcr_mixing_graph(), PCR_BINDING),
-            "dilution": (build_serial_dilution_graph(3), None),
-            "tree8": (build_mix_tree(8), None),
-        },
-        fault_patterns=[FaultPattern.none(), FaultPattern.center()],
-        annealing=AnnealingParams.fast(),
-        route=True,
-        seed=7,
-    )
-    defaults.update(kwargs)
-    return BatchScenarioRunner(**defaults)
+def grid_config(protocols=("pcr", "dilution", "tree8"), **kwargs):
+    return batch_preset(protocols, **kwargs)
+
+
+def log_bytes(config, path, **kwargs):
+    CampaignRunner(config).run(path, **kwargs)
+    return path.read_bytes()
 
 
 @pytest.fixture(scope="module")
-def report():
-    # The acceptance grid: 3 assays x 2 fault patterns.
-    return grid_runner().run(jobs=1)
+def spied():
+    """The acceptance grid (3 assays x {none, center}) run in-process,
+    with the synthesis, routing and closed-loop calls recorded."""
+    calls = {"flow": 0, "routes": [], "loops": []}
+    mp = pytest.MonkeyPatch()
+    flow_run = SynthesisFlow.run
+    synthesize = RoutingSynthesizer.synthesize
+    loop_run = ClosedLoopController.run
+
+    def spy_flow(self, *args, **kwargs):
+        calls["flow"] += 1
+        return flow_run(self, *args, **kwargs)
+
+    def spy_route(self, graph, schedule, placement, faulty_cells=(), **kw):
+        plan = synthesize(self, graph, schedule, placement,
+                          faulty_cells=faulty_cells, **kw)
+        calls["routes"].append((graph.name, tuple(faulty_cells), placement, plan))
+        return plan
+
+    def spy_loop(self, result, events, *args, **kwargs):
+        outcome = loop_run(self, result, events, *args, **kwargs)
+        calls["loops"].append(outcome)
+        return outcome
+
+    mp.setattr(SynthesisFlow, "run", spy_flow)
+    mp.setattr(RoutingSynthesizer, "synthesize", spy_route)
+    mp.setattr(ClosedLoopController, "run", spy_loop)
+    try:
+        report = CampaignRunner(grid_config()).run(None, jobs=1)
+    finally:
+        mp.undo()
+    return report, calls
+
+
+@pytest.fixture(scope="module")
+def report(spied):
+    return spied[0]
 
 
 class TestFaultPatterns:
     def test_builtin_registry(self):
-        assert set(BUILTIN_FAULT_PATTERNS) == {
+        assert set(DEFECT_PATTERNS) == {
             "none", "center", "corner", "pair", "cluster",
         }
 
     def test_resolution_against_array_dims(self):
-        assert FaultPattern.none().resolve(7, 9) == ()
-        assert FaultPattern.center().resolve(7, 9) == (Point(4, 5),)
-        assert FaultPattern.corner().resolve(7, 9) == (Point(1, 1),)
-        assert FaultPattern.pair().resolve(7, 9) == (Point(1, 1), Point(4, 5))
+        assert defect_cells("none", 7, 9) == ()
+        assert defect_cells("center", 7, 9) == (Point(4, 5),)
+        assert defect_cells("corner", 7, 9) == (Point(1, 1),)
+        assert defect_cells("pair", 7, 9) == (Point(1, 1), Point(4, 5))
 
     def test_pair_degenerates_on_a_unit_array(self):
-        assert FaultPattern.pair().resolve(1, 1) == (Point(1, 1),)
-
-    def test_explicit_cells(self):
-        p = FaultPattern.explicit("mine", [(2, 3), Point(4, 4)])
-        assert p.resolve(10, 10) == (Point(2, 3), Point(4, 4))
+        assert defect_cells("pair", 1, 1) == (Point(1, 1),)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown fault pattern kind"):
-            FaultPattern("bad", kind="diagonal")
+        with pytest.raises(ValueError, match="unknown fault pattern"):
+            defect_cells("diagonal", 5, 5)
+        with pytest.raises(UsageError, match="unknown fault pattern"):
+            grid_config(defects=("diagonal",))
 
 
 class TestGridShape:
     def test_full_grid_covered(self, report):
-        combos = {(r.assay, r.fault_pattern) for r in report.records}
+        combos = {(r.spec, r.defects) for r in report.records}
         assert combos == {
             (a, f)
             for a in ("pcr", "dilution", "tree8")
@@ -73,58 +100,56 @@ class TestGridShape:
         }
 
     def test_all_scenarios_synthesized(self, report):
-        assert report.ok_count == len(report.records) == 6
+        assert report.ok_count == report.completed_count == 6
         for r in report.records:
-            assert r.result is not None
-            assert r.result.routing_plan is not None
+            assert r.synthesis["routability"] is not None
 
     def test_fault_free_scenarios_have_no_cells(self, report):
+        # The default pattern adds nothing to the key or the record.
         for r in report.records:
-            if r.fault_pattern == "none":
-                assert r.faulty_cells == ()
+            d = r.to_dict()
+            if r.defects == "none":
+                assert "defects" not in d and "defects=" not in r.key
             else:
-                assert len(r.faulty_cells) == 1
+                assert d["defects"] == "center"
+                assert r.key.endswith("|defects=center")
 
-    def test_routed_plans_avoid_the_faulty_cells(self, report):
-        for r in report.records:
-            if not r.faulty_cells or r.result is None:
-                continue
-            plan = r.result.routing_plan
-            shifted = {
-                Point(p.x + plan.margin, p.y + plan.margin) for p in r.faulty_cells
-            }
+    def test_routed_plans_avoid_the_faulty_cells(self, spied):
+        _, calls = spied
+        faulty = [c for c in calls["routes"] if c[1]]
+        assert len(faulty) == 3
+        for name, cells, placement, plan in faulty:
+            assert cells == defect_cells("center", *placement.array_dims())
+            shifted = {Point(p.x + plan.margin, p.y + plan.margin) for p in cells}
             for rn in plan.nets:
                 assert not shifted.intersection(rn.cells), (
-                    f"{r.assay}/{r.fault_pattern}: net {rn.net.net_id} "
-                    f"crosses a faulty cell"
+                    f"{name}: net {rn.net.net_id} crosses a faulty cell"
                 )
 
 
 class TestUpstreamReuse:
-    def test_prefix_computed_once_per_assay(self, report):
-        for assay in ("pcr", "dilution", "tree8"):
-            recs = [r for r in report.records if r.assay == assay]
-            assert [r.upstream_reused for r in recs] == [False, True]
+    def test_prefix_computed_once_per_assay(self, spied):
+        _, calls = spied
+        # One synthesis per assay; one extra route per defect pattern.
+        assert calls["flow"] == 3
+        assert [bool(c[1]) for c in calls["routes"]] == [False, True] * 3
 
-    def test_reused_scenarios_share_identical_placements(self, report):
+    def test_reused_scenarios_share_identical_placements(self, spied):
+        report, calls = spied
+        routes = calls["routes"]
+        for nominal, defect in zip(routes[::2], routes[1::2]):
+            assert nominal[2] is defect[2]  # the same placement object
         for assay in ("pcr", "dilution", "tree8"):
-            recs = [r for r in report.records if r.assay == assay]
-            placements = [
-                {
-                    pm.op_id: (pm.x, pm.y)
-                    for pm in r.result.placement_result.placement
-                }
-                for r in recs
-            ]
-            assert placements[0] == placements[1]
-            # Reuse is by reference — the same PlacementResult object.
-            assert (
-                recs[0].result.placement_result is recs[1].result.placement_result
-            )
+            recs = [r for r in report.records if r.spec == assay]
+            shared = ("modules", "makespan_s", "width", "height",
+                      "area_cells", "fti")
+            assert [{k: r.synthesis[k] for k in shared} for r in recs[1:]] \
+                == [{k: recs[0].synthesis[k] for k in shared}]
 
-    def test_downstream_products_are_per_scenario(self, report):
-        recs = [r for r in report.records if r.assay == "pcr"]
-        assert recs[0].result.routing_plan is not recs[1].result.routing_plan
+    def test_downstream_products_are_per_scenario(self, spied):
+        _, calls = spied
+        pcr = [c for c in calls["routes"] if c[0] == calls["routes"][0][0]]
+        assert pcr[0][3] is not pcr[1][3]
 
 
 class TestJsonOutput:
@@ -133,18 +158,19 @@ class TestJsonOutput:
         assert json.loads(json.dumps(d)) == d
         assert d["scenario_count"] == 6
         assert d["ok_count"] == 6
-        assert len(d["scenarios"]) == 6
+        assert len(d["records"]) == 6
 
     def test_scenario_dict_contents(self, report):
-        s = report.to_dict()["scenarios"][0]
-        assert s["assay"] == "pcr"
-        assert s["fault_pattern"] == "none"
-        assert s["ok"] is True
-        assert s["result"]["routing"]["routability"] == 1.0
-        assert s["result"]["fti"] is not None
+        s = report.to_dict()["records"][0]
+        assert s["spec"] == "pcr"
+        assert "defects" not in s
+        assert s["status"] == "ok"
+        assert s["recovery"]["completed"] is True
+        assert s["synthesis"]["routability"] == 1.0
+        assert s["synthesis"]["fti"] is not None
 
     def test_table_text_renders_every_row(self, report):
-        text = report.table_text()
+        text = report.scenario_table()
         for assay in ("pcr", "dilution", "tree8"):
             assert assay in text
         assert "100%" in text
@@ -152,92 +178,58 @@ class TestJsonOutput:
 
 class TestParallelDeterminism:
     def test_jobs_do_not_change_the_records(self, report):
-        parallel = grid_runner().run(jobs=2)
-
-        def key(rep):
-            return [
-                (
-                    r.assay,
-                    r.fault_pattern,
-                    r.ok,
-                    r.result.area_cells if r.result else None,
-                    r.result.total_route_steps if r.result else None,
-                )
-                for r in rep.records
-            ]
-
-        assert key(parallel) == key(report)
+        parallel = CampaignRunner(grid_config()).run(None, jobs=2)
+        assert [r.to_dict() for r in parallel.records] == [
+            r.to_dict() for r in report.records
+        ]
 
 
 class TestValidation:
     def test_empty_assays_rejected(self):
-        with pytest.raises(PipelineError, match="at least one assay"):
-            grid_runner(assays={})
+        with pytest.raises(UsageError, match="generators"):
+            grid_config(protocols=())
 
     def test_empty_patterns_rejected(self):
-        with pytest.raises(PipelineError, match="at least one fault pattern"):
-            grid_runner(fault_patterns=[])
+        with pytest.raises(UsageError, match="defects"):
+            grid_config(defects=())
 
     def test_duplicate_pattern_names_rejected(self):
-        with pytest.raises(PipelineError, match="duplicate"):
-            grid_runner(
-                fault_patterns=[FaultPattern.none(), FaultPattern.none()]
-            )
+        with pytest.raises(UsageError, match="already declared"):
+            grid_config(defects=("none", "none"))
 
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
-            grid_runner().run(jobs=0)
-
-    def test_fault_patterns_without_consuming_stage_rejected(self):
-        # route=False, verify=False would report defect scenarios "ok"
-        # without ever exercising them — refuse the configuration.
-        with pytest.raises(PipelineError, match="fault-consuming stage"):
-            grid_runner(route=False, verify=False)
+            CampaignRunner(grid_config()).run(None, jobs=0)
 
     def test_fault_free_sweep_allowed_without_fault_stages(self):
-        runner = grid_runner(
-            route=False, verify=False, fault_patterns=[FaultPattern.none()]
-        )
-        report = runner.run(jobs=1)
-        assert report.ok_count == len(report.records) == 3
+        report = CampaignRunner(
+            grid_config(protocols=("pcr",), defects=("none",))
+        ).run(None, jobs=1)
+        assert report.completed_count == len(report.records) == 1
 
-    def test_verify_only_sweep_exercises_faults(self):
-        runner = grid_runner(
-            assays={"pcr": (build_pcr_mixing_graph(), PCR_BINDING)},
-            route=False,
-            verify=True,
-        )
-        report = runner.run(jobs=1)
-        by_pattern = {r.fault_pattern: r for r in report.records}
-        assert by_pattern["center"].result.sim_report is not None
-        assert by_pattern["center"].result.sim_report.events_of_kind("fault")
-        assert not by_pattern["none"].result.sim_report.events_of_kind("fault")
+    def test_verify_only_sweep_exercises_faults(self, spied):
+        # Every scenario's closed loop replays the design against its
+        # defects: dead from t=0, known up front, never a detection.
+        _, calls = spied
+        loops = calls["loops"][:2]  # pcr: none, center
+        assert not loops[0].verdict.events_of_kind("fault")
+        assert loops[1].verdict.events_of_kind("fault")
+        assert [e.cause for e in loops[1].fault_events] == ["defect"]
+        assert loops[1].detections == ()
 
 
 # -- supervised execution: failure records, chaos, journal/resume -------------
 
-_TIMING_KEYS = frozenset(
-    {"wall_s", "runtime_s", "stage_timings", "anneal_s", "proposals_per_s"}
-)
+
+def small_config():
+    return grid_config(protocols=("pcr", "dilution"))
 
 
-def _stable(node):
-    """A report dict with the wall-clock-noise fields stripped."""
-    if isinstance(node, dict):
-        return {k: _stable(v) for k, v in node.items() if k not in _TIMING_KEYS}
-    if isinstance(node, list):
-        return [_stable(v) for v in node]
-    return node
-
-
-def small_runner(**kwargs):
-    return grid_runner(
-        assays={
-            "pcr": (build_pcr_mixing_graph(), PCR_BINDING),
-            "dilution": (build_serial_dilution_graph(3), None),
-        },
-        **kwargs,
-    )
+KEYS = {
+    "pcr|auto|none|ideal|event", "pcr|auto|none|ideal|event|defects=center",
+    "dilution|auto|none|ideal|event",
+    "dilution|auto|none|ideal|event|defects=center",
+}
 
 
 class TestStructuredFailures:
@@ -245,88 +237,90 @@ class TestStructuredFailures:
         from repro.exec import STATUS_CRASHED
         from repro.testing.chaos import ChaosPolicy
 
-        # Combo 0 (pcr) fails on every attempt with an exception the
-        # result pipe cannot pickle (task-scoped, so combo 1 is
+        # Unit 0 (pcr) fails on every attempt with an exception the
+        # result pipe cannot pickle (task-scoped, so unit 1 is
         # unharmed); the lost scenarios must surface as keyed failure
         # records instead of vanishing from the report.
         chaos = ChaosPolicy.explicit_plan(
             {(0, a): "unpicklable" for a in range(2)}
         )
-        report = small_runner().run(jobs=2, max_retries=1, chaos=chaos)
+        report = CampaignRunner(small_config()).run(
+            None, jobs=2, max_retries=1, chaos=chaos
+        )
         assert len(report.records) == 4  # nothing silently dropped
-        failed = [r for r in report.records if r.assay == "pcr"]
+        failed = [r for r in report.records if r.spec == "pcr"]
         assert len(failed) == 2
         for r in failed:
             assert not r.ok
             assert r.status == STATUS_CRASHED
             assert r.error
-            assert r.key in ("pcr|auto|none", "pcr|auto|center")
-        assert all(r.ok for r in report.records if r.assay == "dilution")
-        assert "FAILED" in report.table_text()
+            assert r.key in KEYS
+        assert all(r.completed for r in report.records if r.spec == "dilution")
+        assert "FAILED" in report.scenario_table()
 
-    def test_retried_run_is_bit_identical_to_clean_run(self):
+    def test_retried_run_is_bit_identical_to_clean_run(self, tmp_path):
         from repro.testing.chaos import ChaosPolicy
 
-        clean = small_runner().run(jobs=2)
+        clean = log_bytes(small_config(), tmp_path / "clean.jsonl", jobs=2)
         chaos = ChaosPolicy.explicit_plan({(1, 0): "worker-kill"})
-        stormy = small_runner().run(jobs=2, max_retries=2, chaos=chaos)
-        assert _stable(stormy.to_dict()) == _stable(clean.to_dict())
+        stormy = log_bytes(
+            small_config(), tmp_path / "stormy.jsonl", jobs=2,
+            max_retries=2, chaos=chaos,
+        )
+        assert stormy == clean
 
 
 class TestJournalResume:
     def test_journal_records_every_decided_scenario(self, tmp_path):
-        from repro.exec import load_journal
-        from repro.pipeline.batch import JOURNAL_KIND
-
-        journal = tmp_path / "batch.jsonl"
-        small_runner().run(jobs=1, journal_path=journal)
-        done = load_journal(journal, kind=JOURNAL_KIND)
-        assert set(done) == {
-            "pcr|auto|none", "pcr|auto|center",
-            "dilution|auto|none", "dilution|auto|center",
-        }
-        assert all(rec["ok"] for rec in done.values())
+        journal = tmp_path / "batch.journal"
+        CampaignRunner(small_config()).run(None, jobs=1, journal_path=journal)
+        done = load_journal(journal, kind=CAMPAIGN_JOURNAL_KIND)
+        assert set(done) == KEYS
+        assert all(rec["status"] == "ok" for rec in done.values())
 
     def test_full_resume_is_bit_identical_and_recomputes_nothing(self, tmp_path):
-        journal = tmp_path / "batch.jsonl"
-        original = small_runner().run(jobs=1, journal_path=journal)
-        resumed = small_runner().run(jobs=1, resume_from=journal)
-        assert _stable(resumed.to_dict()) == _stable(original.to_dict())
-        # Reloaded records carry the raw result dict, not a live result.
-        assert all(r.result is None for r in resumed.records)
-        assert all(r.result_dict is not None for r in resumed.records)
+        journal = tmp_path / "batch.journal"
+        original = log_bytes(
+            small_config(), tmp_path / "a.jsonl", jobs=1, journal_path=journal
+        )
+        report = CampaignRunner(small_config()).run(
+            tmp_path / "b.jsonl", jobs=1, resume_from=journal
+        )
+        assert report.resumed == 4
+        assert (tmp_path / "b.jsonl").read_bytes() == original
 
     def test_resume_after_crash_completes_the_campaign(self, tmp_path):
-        from repro.exec import load_journal
-        from repro.pipeline.batch import JOURNAL_KIND
         from repro.testing.chaos import ChaosPolicy
 
-        clean = small_runner().run(jobs=1)
-        journal = tmp_path / "batch.jsonl"
-        # First attempt: the pcr combo is lost past the retry budget, so
+        clean = log_bytes(small_config(), tmp_path / "clean.jsonl", jobs=1)
+        journal = tmp_path / "batch.journal"
+        # First attempt: the pcr unit is lost past the retry budget, so
         # only dilution's scenarios reach the journal (crash/timeout
         # records must never be journaled — a resume has to retry them).
         chaos = ChaosPolicy.explicit_plan(
             {(0, a): "unpicklable" for a in range(2)}
         )
-        first = small_runner().run(
-            jobs=2, max_retries=1, chaos=chaos, journal_path=journal
+        first = CampaignRunner(small_config()).run(
+            None, jobs=2, max_retries=1, chaos=chaos, journal_path=journal
         )
         assert first.ok_count == 2
-        assert set(load_journal(journal, kind=JOURNAL_KIND)) == {
-            "dilution|auto|none", "dilution|auto|center",
+        assert set(load_journal(journal, kind=CAMPAIGN_JOURNAL_KIND)) == {
+            k for k in KEYS if k.startswith("dilution")
         }
-        # Resume without chaos: only pcr is recomputed, the report is
-        # bit-identical to an uninterrupted run, the journal now full.
-        resumed = small_runner().run(
-            jobs=1, journal_path=journal, resume_from=journal
+        # Resume without chaos: only pcr is recomputed, the log is
+        # byte-identical to an uninterrupted run, the journal now full.
+        resumed = log_bytes(
+            small_config(), tmp_path / "resumed.jsonl", jobs=1,
+            journal_path=journal, resume_from=journal,
         )
-        assert _stable(resumed.to_dict()) == _stable(clean.to_dict())
-        assert len(load_journal(journal, kind=JOURNAL_KIND)) == 4
+        assert resumed == clean
+        assert len(load_journal(journal, kind=CAMPAIGN_JOURNAL_KIND)) == 4
 
     def test_resume_with_journal_into_same_file_appends_nothing_new(self, tmp_path):
-        journal = tmp_path / "batch.jsonl"
-        small_runner().run(jobs=1, journal_path=journal)
+        journal = tmp_path / "batch.journal"
+        CampaignRunner(small_config()).run(None, jobs=1, journal_path=journal)
         lines_before = journal.read_text().count("\n")
-        small_runner().run(jobs=1, journal_path=journal, resume_from=journal)
+        CampaignRunner(small_config()).run(
+            None, jobs=1, journal_path=journal, resume_from=journal
+        )
         assert journal.read_text().count("\n") == lines_before

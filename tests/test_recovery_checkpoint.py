@@ -5,8 +5,8 @@ deterministic replay, so checkpointing at *any* instant and resuming
 with no new fault must reproduce the original simulation trace **bit
 for bit** — same events (droplet ids included), same realized finishes,
 same transport accounting. Property-tested over random checkpoint
-instants; plus the Monte-Carlo sweep's jobs-invariance (records are
-identical for any worker count, timing fields excepted).
+instants; plus the recovery sweep preset's jobs-invariance and resume
+equivalence (its log is byte-identical for any worker count).
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 from repro.assay.catalog import build_assay
 from repro.placement.annealer import AnnealingParams
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
-from repro.recovery import MonteCarloRecoverySweep
 from repro.sim.engine import BiochipSimulator
 from repro.synthesis.flow import SynthesisFlow
 from repro.util.errors import SimulationError
+from repro.workload.campaign import CampaignRunner, recovery_sweep_preset
 
 
 @pytest.fixture(scope="module", params=["pcr", "dilution"])
@@ -267,95 +267,76 @@ class TestCheckpointValidation:
 
 # -- sweep determinism across --jobs ------------------------------------------
 
-_TIMING_KEYS = ("replace_s", "reroute_s", "recovery_s")
+def sweep_config(assays=("pcr",), sites=("pending-module", "street")):
+    return recovery_sweep_preset(assays, arrivals=(0.5,), sites=sites, seed=11)
 
 
-def _stable(report_dict: dict) -> dict:
-    """The deterministic portion of a sweep report (timings stripped)."""
-    out = {k: v for k, v in report_dict.items() if k not in ("wall_s", "jobs")}
-    out["mean_recovery_s"] = None
-    out["scenarios"] = [
-        {k: v for k, v in rec.items() if k not in _TIMING_KEYS}
-        for rec in report_dict["scenarios"]
-    ]
-    return out
+def sweep_log(path, assays=("pcr",), sites=("pending-module", "street"), **kw):
+    CampaignRunner(sweep_config(assays, sites)).run(path, **kw)
+    return path.read_bytes()
 
 
-def test_sweep_results_identical_across_jobs():
-    def run(jobs: int) -> dict:
-        sweep = MonteCarloRecoverySweep(
-            assays=("pcr", "dilution"),
-            time_fractions=(0.5,),
-            targets=("pending-module",),
-            annealing=AnnealingParams.fast(),
-            recovery_annealing=AnnealingParams.fast(),
-            seed=11,
+def test_sweep_results_identical_across_jobs(tmp_path):
+    def run(jobs: int) -> bytes:
+        return sweep_log(
+            tmp_path / f"j{jobs}.jsonl", ("pcr", "dilution"),
+            ("pending-module",), jobs=jobs,
         )
-        return sweep.run(jobs=jobs).to_dict()
 
-    serial = _stable(run(1))
-    parallel = _stable(run(2))
-    assert serial == parallel
+    assert run(1) == run(2)
 
 
 # -- sweep journaling, resume, and structured failures ------------------------
 
 
-def small_sweep(assays=("pcr",)):
-    return MonteCarloRecoverySweep(
-        assays=assays,
-        time_fractions=(0.5,),
-        targets=("pending-module", "street"),
-        annealing=AnnealingParams.fast(),
-        recovery_annealing=AnnealingParams.fast(),
-        seed=11,
-    )
-
-
 def test_sweep_journal_and_full_resume_bit_identical(tmp_path):
     from repro.exec import load_journal
-    from repro.recovery.sweep import JOURNAL_KIND
+    from repro.workload.campaign import CAMPAIGN_JOURNAL_KIND
 
-    journal = tmp_path / "sweep.jsonl"
-    original = small_sweep().run(jobs=1, journal_path=journal)
-    assert set(load_journal(journal, kind=JOURNAL_KIND)) == {
-        "pcr|0.5|pending-module", "pcr|0.5|street",
+    journal = tmp_path / "sweep.journal"
+    original = sweep_log(tmp_path / "a.jsonl", jobs=1, journal_path=journal)
+    assert set(load_journal(journal, kind=CAMPAIGN_JOURNAL_KIND)) == {
+        "pcr|auto|permanent|ideal|event|at=0.5",
+        "pcr|auto|permanent|ideal|event|at=0.5|site=street",
     }
-    resumed = small_sweep().run(jobs=1, resume_from=journal)
-    assert _stable(resumed.to_dict()) == _stable(original.to_dict())
+    resumed = sweep_log(tmp_path / "b.jsonl", jobs=1, resume_from=journal)
+    assert resumed == original
 
 
 def test_sweep_partial_resume_preserves_the_seed_stream(tmp_path):
     # Only the first scenario is journaled; the recomputed rest must
-    # draw exactly the seeds an uninterrupted run would (skipped
-    # scenarios still consume their pre-derived seeds positionally).
-    journal = tmp_path / "sweep.jsonl"
-    original = small_sweep().run(jobs=1, journal_path=journal)
+    # draw exactly the seeds an uninterrupted run would (each scenario
+    # seed hashes the campaign seed with the scenario key).
+    journal = tmp_path / "sweep.journal"
+    original = sweep_log(tmp_path / "a.jsonl", jobs=1, journal_path=journal)
     lines = journal.read_text().splitlines(keepends=True)
-    partial = tmp_path / "partial.jsonl"
+    partial = tmp_path / "partial.journal"
     partial.write_text(lines[0])
-    resumed = small_sweep().run(jobs=1, resume_from=partial)
-    assert _stable(resumed.to_dict()) == _stable(original.to_dict())
+    resumed = sweep_log(tmp_path / "b.jsonl", jobs=1, resume_from=partial)
+    assert resumed == original
 
 
 def test_sweep_crashed_block_yields_structured_failure_records():
     from repro.exec import STATUS_CRASHED
     from repro.testing.chaos import ChaosPolicy
 
-    # The pcr block fails with a task-scoped unpicklable exception on
+    # The pcr unit fails with a task-scoped unpicklable exception on
     # its only attempt; its scenarios must appear as keyed failure
-    # records while the dilution block is unharmed.
+    # records while the dilution unit is unharmed.
     chaos = ChaosPolicy.explicit_plan({(0, 0): "unpicklable"})
-    report = small_sweep(assays=("pcr", "dilution")).run(
-        jobs=2, max_retries=0, chaos=chaos
+    report = CampaignRunner(sweep_config(("pcr", "dilution"))).run(
+        None, jobs=2, max_retries=0, chaos=chaos
     )
     assert len(report.records) == 4
-    failed = [r for r in report.records if r.assay == "pcr"]
+    failed = [r for r in report.records if r.spec == "pcr"]
     assert len(failed) == 2
     for r in failed:
         assert r.status == STATUS_CRASHED
-        assert not r.recovered
-        assert r.reason
-        assert r.key in ("pcr|0.5|pending-module", "pcr|0.5|street")
-    assert all(r.status == "ok" for r in report.records if r.assay == "dilution")
-    assert "FAILED" in report.table_text()
+        assert not r.completed
+        assert r.error
+        assert r.key in (
+            "pcr|auto|permanent|ideal|event|at=0.5",
+            "pcr|auto|permanent|ideal|event|at=0.5|site=street",
+        )
+    assert all(r.status == "ok" for r in report.records if r.spec == "dilution")
+    assert "FAILED" in report.scenario_table()

@@ -74,6 +74,12 @@ class TestConfigParsing:
             ({"generators": ["pcr"], "engines": ["warp"]}, "unknown engine"),
             ({"generators": ["pcr"], "arrays": ["12by12"]}, "bad array size"),
             ({"generators": ["pcr"], "typo": [1]}, "unknown key"),
+            ({"generators": ["pcr"], "defects": ["meteor"]},
+             "unknown fault pattern"),
+            ({"generators": ["pcr"], "fault_sites": ["moon"]},
+             "unknown fault site"),
+            ({"generators": ["pcr"], "arrivals": [1.0]}, "arrivals"),
+            ({"generators": ["pcr"], "arrivals": ["half"]}, "arrivals"),
         ],
     )
     def test_bad_grids_fail_at_load_time(self, grid, match):
@@ -81,6 +87,22 @@ class TestConfigParsing:
             CampaignConfig.from_dict(
                 {"campaign": {"name": "x"}, "grid": [grid]}
             )
+
+    @pytest.mark.parametrize(
+        "campaign, match",
+        [
+            ({"max_concurrent": 0}, "max_concurrent must be >= 1"),
+            ({"max_parked": 0}, "max_parked must be >= 1"),
+            ({"max_parked": "two"}, "max_parked must be an int"),
+            ({"fast": "yes"}, "fast must be a boolean"),
+        ],
+    )
+    def test_bad_campaign_tables_fail_at_load_time(self, campaign, match):
+        with pytest.raises(UsageError, match=match):
+            CampaignConfig.from_dict({
+                "campaign": {"name": "x", **campaign},
+                "grid": [{"generators": ["pcr"]}],
+            })
 
     def test_duplicate_scenarios_rejected(self):
         with pytest.raises(UsageError, match="already declared"):
@@ -109,6 +131,22 @@ class TestExpansion:
             "gen:panel:n=8:seed=1|auto|permanent|ideal|event",
             "gen:mix-tree:n=8:seed=2|auto|none|ideal|event",
             "gen:mix-tree:n=8:seed=2|auto|permanent|ideal|event",
+        ]
+
+    def test_declared_dimensions_extend_the_key(self):
+        cfg = CampaignConfig.from_dict({
+            "campaign": {"name": "x"},
+            "grid": [{
+                "generators": ["pcr"], "defects": ["none", "pair"],
+                "fault_models": ["permanent"], "arrivals": [0.25],
+                "fault_sites": ["pending-module", "street"],
+            }],
+        })
+        assert [s.key for s in cfg.expand()] == [
+            "pcr|auto|permanent|ideal|event|at=0.25",
+            "pcr|auto|permanent|ideal|event|at=0.25|site=street",
+            "pcr|auto|permanent|ideal|event|defects=pair|at=0.25",
+            "pcr|auto|permanent|ideal|event|defects=pair|at=0.25|site=street",
         ]
 
     def test_expansion_is_deterministic(self):
@@ -154,6 +192,10 @@ class TestHelpers:
             SensorSpec.parse("fpr=2.0")
         with pytest.raises(UsageError):
             SensorSpec.parse("warp=1")
+
+    def test_sensor_spec_round_trips_through_to_dict(self):
+        for spec in (SensorSpec(), SensorSpec(0.05, 0.1, 0.5)):
+            assert SensorSpec.parse(spec.to_dict()) == spec
 
 
 class TestRunnerEndToEnd:
@@ -204,6 +246,27 @@ class TestRunnerEndToEnd:
         )
         assert report.resumed == 2
         assert resumed.read_bytes() == full.read_bytes()
+
+    def test_defects_are_known_not_detected(self, tmp_path):
+        # A design-time defect pattern is routed around and dead from
+        # t=0; the closed loop believes it up front, so the only
+        # detection is the mid-assay fault.
+        cfg = CampaignConfig.from_dict({
+            "campaign": {"name": "defects", "seed": 5},
+            "grid": [{
+                "generators": ["pcr"], "defects": ["pair"],
+                "fault_models": ["permanent"], "arrivals": [0.5],
+            }],
+        })
+        log = tmp_path / "c.jsonl"
+        CampaignRunner(cfg).run(log, jobs=1)
+        assert validate_log(log) == []
+        _, (record,) = read_log(log)
+        assert record.completed
+        assert record.recovery["detections"] == 1
+        entry = json.loads(log.read_text().splitlines()[1])
+        assert (entry["defects"], entry["arrival"]) == ("pair", 0.5)
+        assert "site" not in entry
 
     def test_infeasible_scenarios_still_logged(self, tmp_path):
         # An 8x8 core cannot hold gen:mix-tree modules side by side;
@@ -273,8 +336,75 @@ class TestLogValidation:
         problems = validate_log(log)
         assert any("duplicate key" in e for e in problems)
 
+    def test_swapped_records_detected(self, tmp_path):
+        log = self.run_tiny(tmp_path)
+        lines = log.read_text().splitlines(keepends=True)
+        lines[1], lines[2] = lines[2], lines[1]
+        log.write_text("".join(lines))
+        problems = validate_log(log)
+        assert any("out of grid order" in e for e in problems)
+
+    def test_index_gap_detected(self, tmp_path):
+        log = self.run_tiny(tmp_path)
+        lines = log.read_text().splitlines()
+        entry = json.loads(lines[2])
+        entry["index"] = 5
+        lines[2] = json.dumps(entry, sort_keys=True)
+        log.write_text("\n".join(lines) + "\n")
+        assert any("index 5 out of grid order" in e for e in validate_log(log))
+
     def test_read_log_raises_on_invalid(self, tmp_path):
         log = self.run_tiny(tmp_path)
         log.write_text(log.read_text() + "{not json\n")
         with pytest.raises(ReproError, match="invalid campaign log"):
             read_log(log)
+
+
+class TestStructuredFailures:
+    def test_unpicklable_unit_yields_keyed_crashed_records(self, tmp_path):
+        from repro.testing.chaos import ChaosPolicy
+
+        # Unit 0 fails on every attempt with an exception the result
+        # pipe cannot pickle (task-scoped, so unit 1 is unharmed): its
+        # scenarios must be logged as keyed crashed records.
+        chaos = ChaosPolicy.explicit_plan(
+            {(0, a): "unpicklable" for a in range(2)}
+        )
+        log = tmp_path / "c.jsonl"
+        report = CampaignRunner(tiny_config()).run(
+            log, jobs=2, max_retries=1, chaos=chaos
+        )
+        assert validate_log(log) == []
+        _, records = read_log(log)
+        assert [r.key for r in records] == [
+            s.key for s in tiny_config().expand()
+        ]
+        assert [r.status for r in records] == ["crashed"] * 2 + ["ok"] * 2
+        assert all(r.error for r in records[:2])
+        assert report.status_counts == {"crashed": 2, "ok": 2}
+
+    def test_worker_kill_retry_is_byte_identical(self, tmp_path):
+        from repro.testing.chaos import ChaosPolicy
+
+        clean, stormy = tmp_path / "clean.jsonl", tmp_path / "stormy.jsonl"
+        CampaignRunner(tiny_config()).run(clean, jobs=2)
+        chaos = ChaosPolicy.explicit_plan({(1, 0): "worker-kill"})
+        CampaignRunner(tiny_config()).run(
+            stormy, jobs=2, max_retries=2, chaos=chaos
+        )
+        assert stormy.read_bytes() == clean.read_bytes()
+
+    def test_partial_resume_is_byte_identical(self, tmp_path):
+        full, journal = tmp_path / "full.jsonl", tmp_path / "c.journal"
+        CampaignRunner(tiny_config()).run(full, jobs=1, journal_path=journal)
+        # Keep one journaled scenario of the first unit: the resume
+        # recomputes its sibling on the shared prefix and every other
+        # unit, each from its own key-derived seed.
+        partial = tmp_path / "partial.journal"
+        partial.write_text(journal.read_text().splitlines(keepends=True)[0])
+        resumed = tmp_path / "resumed.jsonl"
+        report = CampaignRunner(tiny_config()).run(
+            resumed, jobs=2, resume_from=partial
+        )
+        assert report.resumed == 1
+        assert resumed.read_bytes() == full.read_bytes()
