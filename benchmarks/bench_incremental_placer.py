@@ -6,8 +6,9 @@ placement engine (``repro.placement.incremental``). Two claims:
 1. **Throughput.** On the paper's published annealing schedule
    (T0=10000, alpha=0.9, Na=400) over an assay with >= 10 placed
    modules, the incremental path must deliver >= 4x proposals/sec over
-   the full-recompute reference. (Both paths run the identical move
-   stream — the generator consumes the same RNG draws either way.)
+   the full-recompute reference (``oracles.FullRecomputeCost`` in
+   ``tests/oracles/``). (Both paths run the identical move stream — the
+   generator consumes the same RNG draws either way.)
 2. **Quality parity.** Across the bundled assay catalog at fixed
    seeds, the incremental path's median bounding-array area must be
    equal or better per assay — the speedup cannot cost placement
@@ -26,11 +27,13 @@ import os
 import statistics
 
 import pytest
+from oracles import CheckedCost, FullRecomputeCost
 
 from repro.assay.catalog import BUNDLED_ASSAYS
 from repro.pipeline.context import SynthesisContext
 from repro.pipeline.stages import BindStage, ScheduleStage
 from repro.placement.annealer import AnnealingParams
+from repro.placement.cost import AreaCost
 from repro.placement.greedy import build_placed_modules
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.util.tables import format_table
@@ -39,6 +42,8 @@ FAST = os.environ.get("REPRO_BENCH_FAST", "").lower() in ("1", "true", "yes")
 SPEEDUP_BAR = 2.0 if FAST else 4.0
 THROUGHPUT_ASSAY = "tree16"  # 31 placed modules — well past the >=10 floor
 PARITY_SEEDS = (7,) if FAST else (2, 7, 11)
+#: The full-recompute baseline: the area cost with its delta hidden.
+FULL_RECOMPUTE = FullRecomputeCost(AreaCost())
 
 
 def _paper_schedule() -> AnnealingParams:
@@ -65,9 +70,11 @@ def _modules_for(assay: str):
     return build_placed_modules(context.schedule, context.binding)
 
 
-def _place(modules, seed: int, incremental: bool, params: AnnealingParams):
+def _place(modules, seed: int, params: AnnealingParams, cost=None):
+    """Anneal with *cost* (default: the incremental path's area cost)."""
     placer = SimulatedAnnealingPlacer(
-        params=params, seed=seed, incremental=incremental, record_history=False
+        params=params, seed=seed, cost=cost if cost is not None else AreaCost(),
+        record_history=False,
     )
     return placer.place_modules(modules)
 
@@ -77,8 +84,8 @@ def test_throughput_paper_schedule(report, bench_json):
     assert len(modules) >= 10, "the throughput bar is defined for >= 10 modules"
     params = _paper_schedule()
 
-    full = _place(modules, seed=7, incremental=False, params=params)
-    inc = _place(modules, seed=7, incremental=True, params=params)
+    full = _place(modules, seed=7, params=params, cost=FULL_RECOMPUTE)
+    inc = _place(modules, seed=7, params=params)
     speedup = inc.proposals_per_s / full.proposals_per_s
 
     text = format_table(
@@ -131,11 +138,11 @@ def test_area_parity_across_catalog(report, bench_json):
     for assay in sorted(BUNDLED_ASSAYS):
         modules = _modules_for(assay)
         full_areas = [
-            _place(modules, seed=s, incremental=False, params=params).area_cells
+            _place(modules, seed=s, params=params, cost=FULL_RECOMPUTE).area_cells
             for s in PARITY_SEEDS
         ]
         inc_areas = [
-            _place(modules, seed=s, incremental=True, params=params).area_cells
+            _place(modules, seed=s, params=params).area_cells
             for s in PARITY_SEEDS
         ]
         med_full = statistics.median(full_areas)
@@ -172,10 +179,8 @@ def test_cross_check_overhead_is_reported(report):
     """Cross-check mode is a verification tool; report what it costs."""
     modules = _modules_for("pcr")
     params = AnnealingParams.fast()
-    plain = _place(modules, seed=7, incremental=True, params=params)
-    checked = SimulatedAnnealingPlacer(
-        params=params, seed=7, cross_check=True, record_history=False
-    ).place_modules(modules)
+    plain = _place(modules, seed=7, params=params)
+    checked = _place(modules, seed=7, params=params, cost=CheckedCost(AreaCost()))
     assert checked.area_cells == plain.area_cells
     report(
         "Cross-check mode overhead (pcr, fast schedule)",

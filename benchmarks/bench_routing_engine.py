@@ -8,7 +8,8 @@ padded routing area marked defective at a fixed seed):
 
 1. **Throughput.** Routing synthesis on the packed engine must deliver
    >= 4x routed-nets/sec over the reference path (the original
-   Point-dict grid, generic A*, and full-round negotiation), aggregated
+   Point-dict grid, generic A*, and full-round negotiation, kept as
+   ``oracles.ReferenceSynthesizer`` in ``tests/oracles/``), aggregated
    over the five bundled assays.
 2. **Plan identity.** At fixed seeds the packed engine must produce
    *bit-identical* routing plans — every epoch, every trajectory, every
@@ -34,6 +35,7 @@ import os
 import time
 
 import pytest
+from oracles import ReferenceSynthesizer
 
 from repro.assay.catalog import BUNDLED_ASSAYS
 from repro.fault.injection import sample_street_faults
@@ -74,7 +76,9 @@ def _prepare(assay: str):
 
 def _timed_synthesis(reference: bool, graph, schedule, placement, faults):
     """Best-of-REPS synthesis wall time plus the (deterministic) plan."""
-    synthesizer = RoutingSynthesizer(reference=reference)
+    synthesizer = (
+        ReferenceSynthesizer(reference=True) if reference else RoutingSynthesizer()
+    )
     best = float("inf")
     plan = None
     for _ in range(REPS):

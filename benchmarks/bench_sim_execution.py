@@ -2,8 +2,9 @@
 
 The simulator's replay loop was rebuilt on a heap-ordered discrete-event
 engine (``repro.sim.eventengine``); the fixed-timestep driver stays as
-the bit-identical reference. This benchmark is the proof obligation of
-that rewrite:
+the bit-identical reference (``oracles.SteppedSimulator`` in
+``tests/oracles/``). This benchmark is the proof obligation of that
+rewrite:
 
 1. **Parity.** On every bundled assay — nominal and through a +/-10%
    mid-assay fault grid — the two engines must produce bit-identical
@@ -25,10 +26,12 @@ this file under ``REPRO_BENCH_FAST=1`` and uploads the JSON artifact.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 
 import pytest
+from oracles import SteppedSimulator, stepped_replays
 
 from repro.assay.catalog import BUNDLED_ASSAYS, build_assay
 from repro.placement.annealer import AnnealingParams
@@ -67,13 +70,13 @@ def _synthesized(assay: str):
 
 def _simulator(assay: str, engine: str) -> BiochipSimulator:
     result = _synthesized(assay)
-    return BiochipSimulator(
+    simulator = SteppedSimulator if engine == "stepped" else BiochipSimulator
+    return simulator(
         result.graph,
         result.schedule,
         result.binding,
         result.placement_result.placement,
         strict=False,
-        engine=engine,
     )
 
 
@@ -270,17 +273,23 @@ def test_monte_carlo_sweep_sim_speedup(report, bench_json):
     speedup = total_stepped / total_event
 
     sweep_walls = {}
+    config = CampaignConfig.from_dict({
+        "campaign": {"name": "sweep", "seed": SEED, "max_parked": None},
+        "grid": [{"generators": ["pcr"], "fault_models": ["permanent"],
+                  "arrivals": [0.5]}],
+    })
+    sweep_logs = {}
     for engine in ("event", "stepped"):
-        config = CampaignConfig.from_dict({
-            "campaign": {"name": f"sweep-{engine}", "seed": SEED,
-                         "max_parked": None},
-            "grid": [{"generators": ["pcr"], "fault_models": ["permanent"],
-                      "arrivals": [0.5], "engines": [engine]}],
-        })
+        # jobs=1 runs in-process, so the stepped pass really replays on
+        # the oracle.
+        replays = stepped_replays() if engine == "stepped" else contextlib.nullcontext()
         t0 = time.perf_counter()
-        sweep_report = CampaignRunner(config).run(None)
+        with replays:
+            sweep_report = CampaignRunner(config).run(None, jobs=1)
         sweep_walls[engine] = time.perf_counter() - t0
         assert sweep_report.records
+        sweep_logs[engine] = [r.to_dict() for r in sweep_report.records]
+    assert sweep_logs["event"] == sweep_logs["stepped"], "sweep records diverged"
 
     table = format_table(
         ("assay", "scenarios", "stepped ms", "event ms", "speedup"), rows

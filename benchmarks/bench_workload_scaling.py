@@ -13,6 +13,9 @@ campaign runner (:mod:`repro.workload`):
    how routability degrades (or doesn't) out to 500 modules.
 3. **The closed loop survives the grid.** Fault scenarios run
    detection-driven recovery; per-family completion rates are recorded.
+4. **Replay parity at scale.** On ``gen:mixed:n=100`` the event-driven
+   replay matches the stepped simulator oracle bit for bit, nominal and
+   under a mid-assay fault.
 
 Synthesis-time scaling is measured separately on one family (mix-tree)
 so the curve is not confounded by family mix.
@@ -29,8 +32,12 @@ import os
 import time
 
 from conftest import write_bench_json
+from oracles import SteppedSimulator
 
 from repro.assay.catalog import build_assay
+from repro.placement.annealer import AnnealingParams
+from repro.placement.sa_placer import SimulatedAnnealingPlacer
+from repro.sim.engine import BiochipSimulator
 from repro.synthesis.flow import SynthesisFlow
 from repro.util.tables import format_table
 from repro.workload.campaign import CampaignConfig, CampaignRunner, validate_log
@@ -71,12 +78,6 @@ def _campaign_config() -> CampaignConfig:
                 "generators": [_spec("panel", 64), _spec("dilution-ladder", 64)],
                 "sensors": ["ideal", "fpr=0.05,fnr=0.1"],
                 "fault_models": ["permanent", "intermittent"],
-            },
-            # Engine cross-check at a mid scale.
-            {
-                "generators": [_spec("mixed", 100)],
-                "engines": ["event", "stepped"],
-                "fault_models": ["none", "permanent"],
             },
         ]
     return CampaignConfig.from_dict(
@@ -210,3 +211,31 @@ def test_synthesis_time_scaling(report):
         {"fast": FAST, "family": "mix-tree", "samples": samples},
         default="BENCH_campaign.json",
     )
+
+
+def test_event_replay_matches_stepped_oracle():
+    """Gate 4: event-driven replay vs the stepped oracle on a 100-module
+    generated design, nominal and with a fault at mid-assay aimed at
+    the first module still pending."""
+    graph, binding = build_assay(_spec("mixed", 100))
+    result = SynthesisFlow(
+        placer=SimulatedAnnealingPlacer(params=AnnealingParams.fast(), seed=7),
+        max_parked=2, seed=7, route=True,
+    ).run(graph, explicit_binding=binding)
+    sims = [
+        simulator(
+            result.graph, result.schedule, result.binding,
+            result.placement_result.placement,
+            routing_plan=result.routing_plan, strict=False,
+        )
+        for simulator in (BiochipSimulator, SteppedSimulator)
+    ]
+    fault_t = 0.5 * result.schedule.makespan
+    pending = sorted(
+        op for op in result.placement_result.placement.op_ids()
+        if result.schedule.start(op) > fault_t
+    )
+    assert pending, "no module pending at mid-assay"
+    for faults in ([], [(fault_t, sims[0].module_cell(pending[0]))]):
+        event, stepped = (sim.run(faults=faults) for sim in sims)
+        assert (event.to_dict(), event.events) == (stepped.to_dict(), stepped.events)

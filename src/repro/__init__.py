@@ -67,10 +67,8 @@ from repro.placement.sa_placer import PlacementResult, SimulatedAnnealingPlacer
 from repro.placement.transport import TransportAwareCost
 from repro.placement.two_stage import TwoStagePlacer, TwoStageResult
 from repro.routing import (
-    CrossCheckTimeGrid,
     Net,
     PrioritizedRouter,
-    ReferenceTimeGrid,
     RoutedNet,
     RoutingEpoch,
     RoutingPlan,
@@ -123,7 +121,6 @@ __all__ = [
     "ModuleKind",
     "ModuleLibrary",
     "ModuleSpec",
-    "CrossCheckTimeGrid",
     "Net",
     "OnlineRecoveryEngine",
     "OccupancyGrid",
@@ -142,7 +139,6 @@ __all__ = [
     "PortfolioResult",
     "PortfolioSpec",
     "PrioritizedRouter",
-    "ReferenceTimeGrid",
     "ReconfigurationError",
     "ReconfigurationPlan",
     "RecoveryOutcome",

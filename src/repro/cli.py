@@ -10,8 +10,7 @@ Eleven commands cover the library's day-to-day uses without writing code:
 * ``route`` — synthesize with the concurrent droplet-routing stage and
   print the verified per-net routing plan.
 * ``simulate`` — droplet-level replay of a synthesized assay on the
-  discrete-event engine (``--stepped`` selects the fixed-timestep
-  reference), reporting wall time and events/sec.
+  discrete-event engine, reporting wall time and events/sec.
 * ``portfolio`` — best-of-N seeded pipeline instances (in parallel with
   ``--jobs``), winner selected by ``--objective``.
 * ``batch`` — the (assay x design-time defect pattern) preset grid of
@@ -156,18 +155,11 @@ def _placer(args: argparse.Namespace):
     from repro.placement.sa_placer import SimulatedAnnealingPlacer
     from repro.placement.two_stage import TwoStagePlacer
 
-    extra = {}
-    if getattr(args, "incremental", None) is not None:
-        extra["incremental"] = args.incremental
-    if getattr(args, "cross_check", False):
-        extra["cross_check"] = True
     if getattr(args, "beta", None) is not None:
         return TwoStagePlacer(
-            beta=args.beta, stage1_params=_params(args.fast), seed=args.seed, **extra
+            beta=args.beta, stage1_params=_params(args.fast), seed=args.seed
         )
-    return SimulatedAnnealingPlacer(
-        params=_params(args.fast), seed=args.seed, **extra
-    )
+    return SimulatedAnnealingPlacer(params=_params(args.fast), seed=args.seed)
 
 
 def _profiled(enabled: bool, fn):
@@ -193,11 +185,6 @@ def cmd_place(args: argparse.Namespace) -> int:
     from repro.pipeline.stages import BindStage, ScheduleStage
     from repro.viz.ascii_art import render_placement
 
-    if args.cross_check and not args.incremental:
-        raise UsageError(
-            "--cross-check verifies the incremental path and "
-            "cannot be combined with --no-incremental"
-        )
     graph, binding = build_assay(args.protocol)
     context = SynthesisContext(graph=graph, explicit_binding=binding)
     BindStage().run(context)
@@ -215,33 +202,24 @@ def cmd_place(args: argparse.Namespace) -> int:
     print()
     w, h = result.array_dims
     stats = result.stats
-    mode = "full-recompute"
-    if getattr(placer, "incremental", False):
-        mode = "incremental" + (" + cross-check" if placer.cross_check else "")
     print(f"placement: {w}x{h} = {result.area_cells} cells "
           f"({result.area_mm2:.2f} mm^2), {stats.stop_reason}")
-    print(f"annealer [{mode}]: {stats.evaluations} proposals in "
+    print(f"annealer: {stats.evaluations} proposals in "
           f"{result.runtime_s:.2f} s = {result.proposals_per_s:,.0f} proposals/s, "
           f"acceptance {stats.acceptance_ratio:.1%}")
     return 0
 
 
 def cmd_route(args: argparse.Namespace) -> int:
-    from repro.routing import RoutingSynthesizer
     from repro.synthesis.flow import SynthesisFlow
     from repro.util.errors import RoutingError
 
-    if args.reference and args.cross_check:
-        raise UsageError("--reference and --cross-check are mutually exclusive")
     graph, binding = build_assay(args.protocol)
     flow = SynthesisFlow(
         placer=_placer(args),
         max_concurrent_ops=args.max_concurrent,
         max_parked=_max_parked(args),
         route=True,
-        routing_synthesizer=RoutingSynthesizer(
-            reference=args.reference, cross_check=args.cross_check
-        ),
     )
     result = _profiled(
         args.profile,
@@ -263,13 +241,10 @@ def cmd_route(args: argparse.Namespace) -> int:
         return EXIT_INFEASIBLE
     print()
     print(result.summary())
-    mode = "reference" if args.reference else (
-        "cross-check" if args.cross_check else "packed"
-    )
     route_s = result.stage_timings.get("route", 0.0)
     throughput = plan.routed_count / route_s if route_s > 0 else float("inf")
     print()
-    print(f"router [{mode}]: {plan.routed_count} nets in {route_s:.3f} s = "
+    print(f"router: {plan.routed_count} nets in {route_s:.3f} s = "
           f"{throughput:,.0f} nets/s")
     if plan.failed_count:
         # The routed subset verified, but the plan is incomplete — make
@@ -318,7 +293,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.sim.engine import BiochipSimulator
     from repro.synthesis.flow import SynthesisFlow
 
-    engine = "stepped" if args.stepped else "event"
+    if args.reps < 1:
+        raise UsageError(f"--reps must be >= 1, got {args.reps}")
     pairs = _paired_faults(args)
     graph, binding = build_assay(args.protocol)
     flow = SynthesisFlow(
@@ -335,7 +311,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         result.placement_result.placement,
         routing_plan=result.routing_plan,
         strict=False,
-        engine=engine,
     )
 
     faults: list[tuple[float, tuple[int, int]]] = []
@@ -359,22 +334,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     report = _profiled(args.profile, lambda: sim.run(faults=faults))
     best = float("inf")
-    for _ in range(max(1, args.reps)):
+    for _ in range(args.reps):
         t0 = time.perf_counter()
         report = sim.run(faults=faults)
         best = min(best, time.perf_counter() - t0)
-    # A failed event replay returns its report before the engine stats
-    # exist; fall back to the report's own event count.
+    # A failed replay returns its report before the queue stats exist;
+    # fall back to the report's own event count.
     stats = getattr(sim, "_event_stats", None)
-    queue_events = (
-        stats["processed"] if engine == "event" and stats
-        else max(1, len(report.events))
-    )
+    queue_events = stats["processed"] if stats else max(1, len(report.events))
     if args.json:
         print(
             json.dumps(
                 {
-                    "engine": engine,
                     "report": report.to_dict(),
                     "wall_ms": best * 1000,
                     "events_per_s": queue_events / best,
@@ -386,7 +357,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(report.summary())
         print()
         print(
-            f"engine [{engine}]: best of {max(1, args.reps)} runs "
+            f"replay: best of {args.reps} runs "
             f"{best * 1000:.2f} ms = {queue_events / best:,.0f} events/s"
         )
     return EXIT_OK if report.completed else EXIT_INFEASIBLE
@@ -490,7 +461,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
         fast=args.fast,
         max_concurrent=args.max_concurrent,
         max_parked=_max_parked(args, *protocols),
-        engine=args.sim_engine,
     )
     return _run_preset(args, config, "ok")
 
@@ -608,7 +578,6 @@ def cmd_recover(args: argparse.Namespace) -> int:
             fast=args.fast,
             max_concurrent=args.max_concurrent,
             max_parked=_max_parked(args, *protocols),
-            engine=args.sim_engine,
         )
         return _run_preset(args, config, "recovered")
 
@@ -618,7 +587,6 @@ def cmd_recover(args: argparse.Namespace) -> int:
             AnnealingParams.fast() if args.fast
             else AnnealingParams.low_temperature()
         ),
-        sim_engine=args.sim_engine,
     )
     closed = (
         args.closed_loop or args.fault_model != "permanent" or len(pairs) > 1
@@ -837,15 +805,6 @@ def build_parser() -> argparse.ArgumentParser:
         "place",
         help="bind + schedule + place only, reporting annealer throughput",
     )
-    place.add_argument(
-        "--incremental", action=argparse.BooleanOptionalAction, default=True,
-        help="drive the O(time-neighbors) delta-cost annealing path "
-             "(--no-incremental selects the full-recompute reference)",
-    )
-    place.add_argument(
-        "--cross-check", action="store_true",
-        help="verify every incremental delta against the full recompute",
-    )
     place.set_defaults(func=cmd_place)
 
     route = sub.add_parser(
@@ -855,32 +814,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--faulty", action="append", nargs=2, type=int, metavar=("X", "Y"),
         help="known-defective cell the routing plan must avoid (repeatable)",
     )
-    route.add_argument(
-        "--reference", action="store_true",
-        help="route on the original Point-dict engine with full-round "
-             "negotiation (the packed engine's perf baseline)",
-    )
-    route.add_argument(
-        "--cross-check", action="store_true",
-        help="shadow every grid query with the reference grid and compare "
-             "both negotiation shapes (slow; pinpoints divergences)",
-    )
     route.set_defaults(func=cmd_route)
 
     simulate = sub.add_parser(
         "simulate",
-        help="droplet-level replay on the discrete-event (or stepped) engine",
+        help="droplet-level replay on the discrete-event engine",
     )
-    eng = simulate.add_mutually_exclusive_group()
-    eng.add_argument(
-        "--event", dest="stepped", action="store_false",
-        help="run on the discrete-event engine (default)",
-    )
-    eng.add_argument(
-        "--stepped", dest="stepped", action="store_true",
-        help="run on the fixed-timestep reference engine",
-    )
-    simulate.set_defaults(stepped=False)
     simulate.add_argument(
         "--fault-time", action="append", type=float, default=None,
         metavar="FRACTION",
@@ -897,7 +836,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--reps", type=int, default=3,
-        help="timing repetitions (wall time reports the best)",
+        help="timing repetitions, >= 1 (wall time reports the best)",
     )
     simulate.add_argument(
         "--json", action="store_true",
@@ -933,11 +872,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated design-time defect patterns "
              "(none, center, corner, pair, cluster); each is routed "
              "around and replayed dead from t=0",
-    )
-    batch.add_argument(
-        "--sim-engine", choices=("event", "stepped"), default="event",
-        help="simulation driver for the replay (event fast path / "
-             "stepped reference)",
     )
     batch.add_argument("--max-concurrent", type=int, default=3)
     batch.add_argument(
@@ -1073,10 +1007,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sweep", action="store_true",
         help="run the recovery sweep preset campaign "
              "(assay x fault arrival x fault site) instead of one demo fault",
-    )
-    recover.add_argument(
-        "--sim-engine", choices=("event", "stepped"), default="event",
-        help="simulation driver for checkpoint/verify replays",
     )
     recover.add_argument("--max-concurrent", type=int, default=3)
     recover.add_argument(

@@ -5,14 +5,11 @@ graph, explicit binding, known-faulty cells) and accumulates stage
 products (binding, schedule, placement, FTI report, routing plan,
 simulation report) as the pipeline advances. It is deliberately a plain
 data holder — every field is picklable, so a context can cross a
-process boundary for portfolio search, and :meth:`fork` lets a caller
-reuse an upstream prefix for many downstream scenarios without
-re-deriving it.
+process boundary for portfolio search.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -64,8 +61,8 @@ class SynthesisContext:
     stage_timings: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # Canonicalize on every construction path (including fork), so
-        # stages can rely on Point coordinates.
+        # Canonicalize on every construction path, so stages can rely
+        # on Point coordinates.
         self.faulty_cells = normalize_faulty_cells(self.faulty_cells)
 
     @property
@@ -86,20 +83,6 @@ class SynthesisContext:
                 f"stage prerequisites missing from context: {', '.join(missing)} "
                 "(is the pipeline missing an upstream stage?)"
             )
-
-    def fork(self, **changes) -> SynthesisContext:
-        """A shallow copy with *changes* applied.
-
-        Stage products are shared by reference — they are immutable from
-        the pipeline's point of view — while the timing dict is copied
-        so the fork accumulates its own downstream timings. This is the
-        prefix-reuse primitive: fork the post-placement context once per
-        fault scenario and run only the downstream stages.
-        """
-        clone = dataclasses.replace(self, **changes)
-        if "stage_timings" not in changes:
-            clone.stage_timings = dict(self.stage_timings)
-        return clone
 
     def result(self) -> SynthesisResult:
         """Bundle the accumulated products into a :class:`SynthesisResult`.

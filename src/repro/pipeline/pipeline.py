@@ -1,11 +1,7 @@
 """The staged synthesis pipeline: an ordered run of pluggable stages.
 
 ``Pipeline([...]).run(context)`` drives each stage over the shared
-:class:`~repro.pipeline.context.SynthesisContext` and times it. The
-class also knows how to split itself at the fault boundary
-(:meth:`Pipeline.split_on_faults`), which lets a caller compute the
-fault-independent prefix once and replay only the downstream stages per
-fault pattern.
+:class:`~repro.pipeline.context.SynthesisContext` and times it.
 
 :func:`build_default_pipeline` assembles the paper's top-down flow —
 bind -> schedule -> place (-> route -> verify-by-sim) — from the same
@@ -75,28 +71,6 @@ class Pipeline:
             context.stage_timings[stage.name] = time.perf_counter() - t0
         return context
 
-    def split_on_faults(self) -> tuple[Pipeline, Pipeline | None]:
-        """Split into (fault-independent prefix, fault-dependent suffix).
-
-        The prefix is the longest leading run of stages with
-        ``uses_faults=False`` — everything whose products can be shared
-        across fault scenarios. The suffix is ``None`` when no stage
-        depends on faults at all.
-        """
-        cut = len(self._stages)
-        for i, stage in enumerate(self._stages):
-            if stage.uses_faults:
-                cut = i
-                break
-        if cut == 0:
-            raise PipelineError(
-                "pipeline starts with a fault-dependent stage; "
-                "nothing upstream can be reused across scenarios"
-            )
-        prefix = Pipeline(self._stages[:cut])
-        suffix = Pipeline(self._stages[cut:]) if cut < len(self._stages) else None
-        return prefix, suffix
-
     def __len__(self) -> int:
         return len(self._stages)
 
@@ -117,15 +91,13 @@ def build_default_pipeline(
     routing_synthesizer: RoutingSynthesizer | None = None,
     verify: bool = False,
     binder: ResourceBinder | None = None,
-    sim_engine: str = "event",
 ) -> Pipeline:
     """The paper's top-down flow as a pipeline.
 
     Mirrors ``SynthesisFlow``'s constructor knob for knob (the facade
     delegates here), plus ``verify=True`` to append the droplet-level
     replay stage the flow never had. An explicit *binder* overrides
-    *library*. *sim_engine* picks the verify stage's simulation driver
-    ("event" fast path, "stepped" reference).
+    *library*.
     """
     rng = ensure_rng(seed)
     if placer is None:
@@ -144,7 +116,7 @@ def build_default_pipeline(
     if route:
         stages.append(RouteStage(routing_synthesizer))
     if verify:
-        stages.append(SimVerifyStage(engine=sim_engine))
+        stages.append(SimVerifyStage())
     return Pipeline(stages)
 
 

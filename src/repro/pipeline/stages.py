@@ -4,16 +4,11 @@ verify-by-sim, and online fault recovery.
 Each stage is a small configured transform over a
 :class:`~repro.pipeline.context.SynthesisContext`: it reads the
 products of upstream stages, computes its own, and writes them back.
-The :class:`Stage` protocol is structural — anything with a ``name``,
-a ``uses_faults`` flag, and a ``run(context)`` method slots into a
+The :class:`Stage` protocol is structural — anything with a ``name``
+and a ``run(context)`` method slots into a
 :class:`~repro.pipeline.pipeline.Pipeline`, so experiments can insert
 custom analyses (or replace a stage wholesale) without touching the
 flow.
-
-``uses_faults`` marks whether the stage's output depends on the
-context's ``faulty_cells``. Stages that do not (bind, schedule, place)
-form a reusable prefix (see :meth:`Pipeline.split_on_faults`) that can
-be computed once and forked per fault pattern.
 """
 
 from __future__ import annotations
@@ -36,8 +31,6 @@ class Stage(Protocol):
 
     #: Unique name within a pipeline; keys the per-stage timings.
     name: str
-    #: True if the stage's output depends on ``context.faulty_cells``.
-    uses_faults: bool
 
     def run(self, context: SynthesisContext) -> None:
         """Consume upstream products from *context* and write our own."""
@@ -48,7 +41,6 @@ class BindStage:
     """Behavioral -> architectural: map operations to module specs."""
 
     name = "bind"
-    uses_faults = False
 
     def __init__(
         self,
@@ -68,7 +60,6 @@ class ScheduleStage:
     """Resource-constrained list scheduling on the bound graph."""
 
     name = "schedule"
-    uses_faults = False
 
     def __init__(
         self,
@@ -102,7 +93,6 @@ class PlaceStage:
     """Geometry-level synthesis: module placement plus FTI analysis."""
 
     name = "place"
-    uses_faults = False
 
     def __init__(
         self,
@@ -129,28 +119,13 @@ class PlaceStage:
 
 
 class RouteStage:
-    """Concurrent droplet-routing synthesis over the placed assay.
-
-    ``reference=True`` routes on the original Point-dict engine with
-    full-round negotiation (the perf baseline); ``cross_check=True``
-    shadows every grid query with the reference grid and compares both
-    negotiation shapes — slow, but pinpoints any packed-engine
-    divergence at the exact query or batch that disagreed.
-    """
+    """Concurrent droplet-routing synthesis over the placed assay."""
 
     name = "route"
-    uses_faults = True
 
-    def __init__(
-        self,
-        synthesizer: RoutingSynthesizer | None = None,
-        reference: bool = False,
-        cross_check: bool = False,
-    ) -> None:
+    def __init__(self, synthesizer: RoutingSynthesizer | None = None) -> None:
         self.synthesizer = (
-            synthesizer
-            if synthesizer is not None
-            else RoutingSynthesizer(reference=reference, cross_check=cross_check)
+            synthesizer if synthesizer is not None else RoutingSynthesizer()
         )
 
     def run(self, context: SynthesisContext) -> None:
@@ -178,7 +153,6 @@ class RecoveryStage:
     """
 
     name = "recover"
-    uses_faults = True
 
     def __init__(
         self,
@@ -232,16 +206,10 @@ class SimVerifyStage:
     """
 
     name = "verify"
-    uses_faults = True
 
-    def __init__(
-        self, margin: int = 2, strict: bool = False, engine: str = "event"
-    ) -> None:
+    def __init__(self, margin: int = 2, strict: bool = False) -> None:
         self.margin = margin
         self.strict = strict
-        #: Simulation driver ("event" fast path / "stepped" reference);
-        #: validated by BiochipSimulator itself.
-        self.engine = engine
 
     def run(self, context: SynthesisContext) -> None:
         context.require("binding", "schedule", "placement_result")
@@ -255,7 +223,6 @@ class SimVerifyStage:
             margin=self.margin,
             strict=self.strict,
             routing_plan=context.routing_plan,
-            engine=self.engine,
         )
         faults = [(0.0, simulator.sim_cell(p)) for p in context.faulty_cells]
         context.sim_report = simulator.run(faults=faults)

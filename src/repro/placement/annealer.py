@@ -213,8 +213,6 @@ class SimulatedAnnealing:
         propose_move_fn,
         inner_iterations: int,
         record_history: bool = True,
-        cross_check: bool = False,
-        cross_check_tolerance: float = 1e-6,
     ):
         """Delta-cost annealing over an incremental evaluator.
 
@@ -226,15 +224,9 @@ class SimulatedAnnealing:
         so one proposal costs O(time-neighbors) instead of the O(n^2)
         full recompute. RNG consumption matches :meth:`optimize` driven
         by ``MoveGenerator.propose`` draw for draw, so both paths walk
-        the same trajectory from the same seed.
-
-        With ``cross_check=True`` every accepted *and* rejected move is
-        verified against the full-recompute reference (``cost(placement)``)
-        within *cross_check_tolerance*, and rejected moves exercise the
-        apply/revert round-trip; a mismatch raises
-        :class:`~repro.placement.incremental.CrossCheckError`. The
-        running cost is resynced from the evaluator every temperature
-        round, so float drift never survives a round boundary.
+        the same trajectory from the same seed. The running cost is
+        resynced from the evaluator every temperature round, so float
+        drift never survives a round boundary.
 
         Returns ``(best_placement_copy, stats)``.
         """
@@ -260,10 +252,6 @@ class SimulatedAnnealing:
             for _ in range(inner_iterations):
                 move = propose_move_fn(placement, temperature)
                 delta = delta_fn(evaluator, move)
-                if cross_check:
-                    self._cross_check_move(
-                        evaluator, cost, move, delta, cross_check_tolerance
-                    )
                 if delta < 0 or rand() < exp(-delta / temperature):
                     apply_fn(move)
                     current_cost += delta
@@ -325,28 +313,3 @@ class SimulatedAnnealing:
             stats.stop_reason = "min-temp"
             return temperature, frozen_streak, False
         return temperature, frozen_streak, True
-
-    @staticmethod
-    def _cross_check_move(evaluator, cost, move, delta, tolerance) -> None:
-        """Verify one delta against the full recompute, via apply/revert."""
-        from repro.placement.incremental import CrossCheckError
-
-        full_before = cost(evaluator.placement)
-        inverse = evaluator.apply(move)
-        full_after = cost(evaluator.placement)
-        evaluator.check_consistency(tolerance)
-        error = abs((full_after - full_before) - delta)
-        if error > tolerance:
-            evaluator.apply(inverse)
-            raise CrossCheckError(
-                f"incremental delta {delta!r} disagrees with full recompute "
-                f"{full_after - full_before!r} (|error| {error:g} > {tolerance:g}) "
-                f"for move {move}"
-            )
-        evaluator.apply(inverse)
-        restored = cost(evaluator.placement)
-        if abs(restored - full_before) > tolerance:
-            raise CrossCheckError(
-                f"apply/revert did not restore the prior cost: "
-                f"{full_before!r} -> {restored!r} for move {move}"
-            )

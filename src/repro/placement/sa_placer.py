@@ -105,29 +105,17 @@ def run_annealing(
     mover: MoveGenerator,
     initial: Placement,
     inner_iterations: int,
-    incremental: bool = True,
-    cross_check: bool = False,
     record_history: bool = True,
 ) -> tuple[Placement, AnnealingStats]:
     """Dispatch one placement anneal to the right engine path.
 
-    The incremental delta-cost path when enabled and the cost supports
-    it, the generic full-recompute path otherwise. Shared by the
+    The incremental delta-cost path when the cost supports it, the
+    generic full-recompute path otherwise (a cost that customizes
+    ``__call__`` without a matching ``delta``). Shared by the
     fault-oblivious placer and the two-stage LTSA refinement so the
     dispatch policy lives in exactly one place.
-
-    ``cross_check`` is a request for per-move verification, which only
-    exists on the incremental path — honoring it silently with zero
-    verification would defeat its purpose, so asking for it on the
-    full-recompute path is an error.
     """
-    if cross_check and not (incremental and cost.supports_incremental()):
-        raise ValueError(
-            "cross_check=True requires the incremental path: enable "
-            "incremental and use a cost that supports_incremental() "
-            "(the full-recompute path has nothing to cross-check against)"
-        )
-    if incremental and cost.supports_incremental():
+    if cost.supports_incremental():
         evaluator = IncrementalCostEvaluator(initial)
         return engine.optimize_incremental(
             evaluator,
@@ -135,7 +123,6 @@ def run_annealing(
             mover.propose_move,
             inner_iterations,
             record_history=record_history,
-            cross_check=cross_check,
         )
     return engine.optimize(
         initial, cost, mover.propose, inner_iterations,
@@ -178,8 +165,6 @@ class SimulatedAnnealingPlacer:
         p_rotate: float = 0.5,
         allow_rotation: bool = True,
         seed: int | random.Random | None = None,
-        incremental: bool = True,
-        cross_check: bool = False,
         record_history: bool = True,
     ) -> None:
         self.params = params if params is not None else AnnealingParams.balanced()
@@ -189,21 +174,16 @@ class SimulatedAnnealingPlacer:
         self.p_single = p_single
         self.p_rotate = p_rotate
         self.allow_rotation = allow_rotation
-        #: Drive the O(time-neighbors) delta-cost path (default); the
-        #: generic full-recompute path remains as reference/fallback.
-        self.incremental = incremental
-        #: Verify every incremental delta against the full recompute.
-        self.cross_check = cross_check
         self.record_history = record_history
         self._rng = ensure_rng(seed)
 
     def uses_incremental(self) -> bool:
         """True when this placer will drive the delta-cost path.
 
-        False when disabled, or when the cost customizes ``__call__``
-        without a matching ``delta`` (see ``AreaCost.supports_incremental``).
+        False when the cost customizes ``__call__`` without a matching
+        ``delta`` (see ``AreaCost.supports_incremental``).
         """
-        return self.incremental and self.cost.supports_incremental()
+        return self.cost.supports_incremental()
 
     # -- entry points ---------------------------------------------------------------
 
@@ -233,8 +213,6 @@ class SimulatedAnnealingPlacer:
         t_anneal = time.perf_counter()
         best, stats = run_annealing(
             engine, self.cost, mover, initial, inner,
-            incremental=self.incremental,
-            cross_check=self.cross_check,
             record_history=self.record_history,
         )
         anneal_s = time.perf_counter() - t_anneal

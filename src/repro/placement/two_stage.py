@@ -112,8 +112,6 @@ class TwoStagePlacer:
         allow_rotation: bool = True,
         p_single: float = 0.8,
         seed: int | random.Random | None = None,
-        incremental: bool = True,
-        cross_check: bool = False,
         record_history: bool = True,
     ) -> None:
         if expansion < 1.0:
@@ -129,8 +127,6 @@ class TwoStagePlacer:
         self.fti_method = fti_method
         self.allow_rotation = allow_rotation
         self.p_single = p_single
-        self.incremental = incremental
-        self.cross_check = cross_check
         self.record_history = record_history
         self._rng = ensure_rng(seed)
 
@@ -142,14 +138,12 @@ class TwoStagePlacer:
         # ---- stage 1: fault-oblivious minimum area -------------------------
         stage1_placer = SimulatedAnnealingPlacer(
             params=self.stage1_params,
-            cost=AreaCost(alpha=self.alpha),
+            cost=self.stage1_cost(),
             core_width=self.core_width,
             core_height=self.core_height,
             p_single=self.p_single,
             allow_rotation=self.allow_rotation,
             seed=self._rng,
-            incremental=self.incremental,
-            cross_check=self.cross_check,
             record_history=self.record_history,
         )
         stage1 = stage1_placer.place_modules(modules)
@@ -177,6 +171,20 @@ class TwoStagePlacer:
 
     # -- internals --------------------------------------------------------------------
 
+    def stage1_cost(self) -> AreaCost:
+        """The stage-1 objective: area plus the overlap penalty."""
+        return AreaCost(alpha=self.alpha)
+
+    def stage2_cost(self) -> FaultAwareCost:
+        """The stage-2 (LTSA) objective: area traded against FTI."""
+        return FaultAwareCost(
+            beta=self.beta,
+            alpha=self.alpha,
+            ft_gamma=self.ft_gamma,
+            fti_method=self.fti_method,
+            allow_rotation=self.allow_rotation,
+        )
+
     def _recenter(self, placement: Placement) -> Placement:
         """Copy *placement* into an enlarged core, centered, so LTSA can
         drift modules outward in every direction."""
@@ -194,13 +202,7 @@ class TwoStagePlacer:
     def _refine(self, stage1_placement: Placement) -> PlacementResult:
         t0 = time.perf_counter()
         start = self._recenter(stage1_placement)
-        cost = FaultAwareCost(
-            beta=self.beta,
-            alpha=self.alpha,
-            ft_gamma=self.ft_gamma,
-            fti_method=self.fti_method,
-            allow_rotation=self.allow_rotation,
-        )
+        cost = self.stage2_cost()
         window = self.stage2_params.make_window(
             max_span=max(3, max(start.core_width, start.core_height) // 3)
         )
@@ -216,8 +218,6 @@ class TwoStagePlacer:
         t_anneal = time.perf_counter()
         best, stats = run_annealing(
             engine, cost, mover, start, inner,
-            incremental=self.incremental,
-            cross_check=self.cross_check,
             record_history=self.record_history,
         )
         anneal_s = time.perf_counter() - t_anneal

@@ -8,28 +8,23 @@ obstacles, a compaction post-pass squeezes out avoidable stalls, and
 the plan's verifier proves the result conflict-free. The simulator can
 replay a plan instead of routing each droplet alone.
 
-The default engine is packed: flat integer cell indices, per-cell
-static byte masks, and flat reservation dicts with O(path) reserve and
-incremental rip-up negotiation. :class:`ReferenceTimeGrid` preserves
-the original Point-dict engine as the equivalence oracle and benchmark
-baseline, and :class:`CrossCheckTimeGrid` runs both side by side,
-asserting identical answers on every query.
+The engine is packed: flat integer cell indices, per-cell static byte
+masks, and flat reservation dicts with O(path) reserve and incremental
+rip-up negotiation. The test suite keeps the original Point-dict
+engine as its equivalence oracle (``tests/oracles/``).
 """
 
 from repro.routing.compact import CompactionReport, NetImprovement, compact_routes
 from repro.routing.plan import Net, RoutedNet, RoutingEpoch, RoutingPlan, chebyshev
 from repro.routing.prioritized import PrioritizedRouter
-from repro.routing.reference import CrossCheckTimeGrid, ReferenceTimeGrid
 from repro.routing.synthesis import RoutingSynthesizer
 from repro.routing.timegrid import TimeGrid
 
 __all__ = [
     "CompactionReport",
-    "CrossCheckTimeGrid",
     "Net",
     "NetImprovement",
     "PrioritizedRouter",
-    "ReferenceTimeGrid",
     "RoutedNet",
     "RoutingEpoch",
     "RoutingPlan",

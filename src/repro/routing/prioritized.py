@@ -18,29 +18,17 @@ is re-routed in the new order, up to ``max_rounds`` times. A net that
 still fails either raises :class:`~repro.util.errors.RoutingError`
 (``strict``) or is reported as failed alongside the routed rest.
 
-Two negotiation shapes exist:
+Negotiation is incremental: after the first full round, only the
+failed nets and their boosted trappers are ripped up and re-routed
+against the surviving reservations; the final budgeted round falls back
+to a full re-route as a last resort. When the first round routes
+everything (the overwhelmingly common case) this is exactly one round.
 
-* **incremental** (default) — after the first full round, only the
-  failed nets and their boosted trappers are ripped up and re-routed
-  against the surviving reservations; the final budgeted round falls
-  back to a full re-route as a last resort. When the first round
-  routes everything (the overwhelmingly common case) this is exactly
-  one round, bit-identical to the reference path.
-* **reference** (``reference=True``) — the original shape: every round
-  clears all reservations and re-routes the whole batch in the aged
-  order.
-
-``cross_check=True`` runs both shapes on every batch and asserts they
-produce identical plans whenever the reference path finished in one
-round (the regime where the two are equivalent by construction); under
-genuine multi-round negotiation the shapes may legitimately diverge
-and only both results' validity is required.
-
-The search itself has two implementations selected per grid: a packed
-hot path over flat integer indices (``grid.packed_api``) and a generic
-``Point``-based path used by the reference and cross-checking grids.
-Both expand states in the same canonical order and therefore return
-identical trajectories.
+The search runs over the packed :class:`~repro.routing.timegrid.TimeGrid`
+with flat integer states. The test suite keeps the original
+full-round negotiation and a generic ``Point``-based search over the
+original grid as oracles (``tests/oracles/``); both expand states in
+the same canonical order and return identical trajectories.
 """
 
 from __future__ import annotations
@@ -113,16 +101,12 @@ class PrioritizedRouter:
         max_rounds: int = 4,
         aging: float = DEFAULT_AGING,
         strict: bool = True,
-        reference: bool = False,
-        cross_check: bool = False,
     ) -> None:
         if max_rounds < 1:
             raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
         self.max_rounds = max_rounds
         self.aging = aging
         self.strict = strict
-        self.reference = reference
-        self.cross_check = cross_check
         #: Negotiation rounds the last route_all() actually ran.
         self.last_rounds = 0
 
@@ -157,45 +141,14 @@ class PrioritizedRouter:
         if horizon is None:
             horizon = self.default_horizon(grid, nets)
 
-        if self.cross_check:
-            routed, failed = self._route_all_cross_checked(nets, grid, horizon)
-        else:
-            failures = dict.fromkeys(ids, 0)
-            trappers = self._source_adjacency(nets)
-            negotiate = (
-                self._negotiate_reference if self.reference
-                else self._negotiate_incremental
-            )
-            routed, failed = negotiate(nets, grid, horizon, failures, trappers)
+        routed, failed = self._negotiate(
+            nets, grid, horizon, dict.fromkeys(ids, 0), self._source_adjacency(nets)
+        )
         if failed and strict:
             names = ", ".join(n.net_id for n in failed)
             raise RoutingError(
                 f"{len(failed)} net(s) unroutable after {self.max_rounds} "
                 f"negotiation rounds: {names}"
-            )
-        return routed, failed
-
-    def _route_all_cross_checked(
-        self, nets: list[Net], grid, horizon: int
-    ) -> tuple[list[RoutedNet], list[Net]]:
-        """Run the reference and incremental negotiation shapes back to
-        back on the same grid and compare where equivalence is owed."""
-        trappers = self._source_adjacency(nets)
-        ref_routed, ref_failed = self._negotiate_reference(
-            nets, grid, horizon, dict.fromkeys((n.net_id for n in nets), 0), trappers
-        )
-        ref_rounds = self.last_rounds
-        routed, failed = self._negotiate_incremental(
-            nets, grid, horizon, dict.fromkeys((n.net_id for n in nets), 0), trappers
-        )
-        if ref_rounds == 1 and (
-            routed != ref_routed
-            or [n.net_id for n in failed] != [n.net_id for n in ref_failed]
-        ):
-            raise RoutingError(
-                "cross-check: incremental negotiation diverged from the "
-                "reference path on a single-round batch "
-                f"({len(routed)}/{len(ref_routed)} routed)"
             )
         return routed, failed
 
@@ -228,36 +181,7 @@ class PrioritizedRouter:
 
         return key
 
-    def _negotiate_reference(
-        self,
-        nets: list[Net],
-        grid,
-        horizon: int,
-        failures: dict[str, int],
-        trappers: dict[str, tuple[str, ...]],
-    ) -> tuple[list[RoutedNet], list[Net]]:
-        """The original negotiation: every round clears the grid and
-        re-routes the whole batch in aged-priority order."""
-        key = self._order_key(failures)
-        best: tuple[list[RoutedNet], list[Net]] | None = None
-        for rounds in range(1, self.max_rounds + 1):
-            order = sorted(nets, key=key)
-            routed, failed = self._route_round(order, grid, horizon)
-            self.last_rounds = rounds
-            if not failed:
-                return routed, []
-            if best is None or len(failed) < len(best[1]):
-                best = (routed, failed)
-            self._age(failed, failures, trappers)
-        assert best is not None
-        routed, failed = best
-        # Leave the grid consistent with the round being returned —
-        # rebuild the reservations directly rather than re-running
-        # every A* search of the best round.
-        self._rebuild(grid, routed, failed, horizon)
-        return routed, failed
-
-    def _negotiate_incremental(
+    def _negotiate(
         self,
         nets: list[Net],
         grid,
@@ -414,18 +338,15 @@ class PrioritizedRouter:
                 f"net {net.net_id}: goal {goal} is statically blocked "
                 "(faulty cell, parked-droplet halo, or foreign module)"
             )
-        if getattr(grid, "packed_api", False):
-            return self._route_one_packed(net, grid, horizon)
-        return self._route_one_generic(net, grid, horizon)
+        return self._search(net, grid, horizon)
 
-    def _route_one_packed(self, net: Net, grid, horizon: int) -> RoutedNet:
+    def _search(self, net: Net, grid, horizon: int) -> RoutedNet:
         """The hot path: flat integer states over the packed grid.
 
         A state is ``step*area + idx`` — the same key the grid uses for
         its halo entries, so each reservation probe is one dict lookup.
-        Expansion order matches :meth:`_route_one_generic` exactly
-        (wait, +x, -x, +y, -y), so both searches pop equal-cost states
-        in the same order and return identical trajectories.
+        States expand in the canonical order (wait, +x, -x, +y, -y) and
+        equal-cost ties pop in push order.
         """
         start, goal = net.source, net.goal
         width, height, area = grid.width, grid.height, grid.area
@@ -557,65 +478,4 @@ class PrioritizedRouter:
         while state in came_from:
             state = came_from[state]
             path.append(points[state % area])
-        return tuple(reversed(path))
-
-    def _route_one_generic(self, net: Net, grid, horizon: int) -> RoutedNet:
-        """Point-based search for grids without the packed API (the
-        reference and cross-checking grids); every occupancy probe goes
-        through the grid's public ``blocked()``."""
-        start, goal = net.source, net.goal
-        open_heap: list[tuple[int, int, int, Point]] = [
-            (start.manhattan_distance(goal), 0, 0, start)
-        ]
-        came_from: dict[tuple[Point, int], tuple[Point, int]] = {}
-        seen: set[tuple[Point, int]] = {(start, 0)}
-        pushes = 1
-        while open_heap:
-            _, step, _, cell = heapq.heappop(open_heap)
-            if cell == goal and self._tail_free(grid, net, goal, step, horizon):
-                return RoutedNet(net, self._reconstruct(came_from, cell, step))
-            if step >= horizon:
-                continue
-            for nxt in (cell, *cell.neighbors4()):
-                state = (nxt, step + 1)
-                if state in seen or not grid.in_bounds(nxt):
-                    continue
-                if grid.blocked(nxt, step + 1, net):
-                    continue
-                seen.add(state)
-                came_from[state] = (cell, step)
-                heapq.heappush(
-                    open_heap,
-                    (
-                        step + 1 + nxt.manhattan_distance(goal),
-                        step + 1,
-                        pushes,
-                        nxt,
-                    ),
-                )
-                pushes += 1
-        raise RoutingError(
-            f"net {net.net_id}: no trajectory {start} -> {goal} within "
-            f"{horizon} steps on {grid}"
-        )
-
-    @staticmethod
-    def _tail_free(grid, net: Net, goal: Point, step: int, horizon: int) -> bool:
-        """After arrival the droplet parks at its goal; the cell must
-        stay clear of other reservations through the horizon."""
-        return all(
-            not grid.reserved_blocked(goal, s, net) for s in range(step + 1, horizon + 1)
-        )
-
-    @staticmethod
-    def _reconstruct(
-        came_from: dict[tuple[Point, int], tuple[Point, int]],
-        cell: Point,
-        step: int,
-    ) -> tuple[Point, ...]:
-        path = [cell]
-        state = (cell, step)
-        while state in came_from:
-            state = came_from[state]
-            path.append(state[0])
         return tuple(reversed(path))

@@ -26,9 +26,8 @@ from repro.geometry import Point, Rect
 from repro.placement.model import Placement
 from repro.placement.transport import dependency_edges
 from repro.routing.compact import CompactionReport, compact_routes
-from repro.routing.plan import Net, RoutingEpoch, RoutingPlan, chebyshev
+from repro.routing.plan import Net, RoutingEpoch, RoutingPlan
 from repro.routing.prioritized import PrioritizedRouter
-from repro.routing.reference import CrossCheckTimeGrid, ReferenceTimeGrid
 from repro.routing.timegrid import FAULTY, MODULE, TimeGrid
 
 if TYPE_CHECKING:  # synthesis.flow imports this module; avoid the cycle
@@ -39,43 +38,21 @@ if TYPE_CHECKING:  # synthesis.flow imports this module; avoid the cycle
 class RoutingSynthesizer:
     """Builds a :class:`RoutingPlan` for one synthesized configuration."""
 
+    #: Occupancy grid built per epoch, ``grid_factory(width, height)``.
+    grid_factory = TimeGrid
+
     def __init__(
         self,
         router: PrioritizedRouter | None = None,
         compact: bool = True,
         max_passes: int = 3,
         margin: int = 2,
-        reference: bool = False,
-        cross_check: bool = False,
     ) -> None:
         if margin < 0:
             raise ValueError(f"margin must be >= 0, got {margin}")
-        if reference and cross_check:
-            raise ValueError("reference and cross_check are mutually exclusive")
-        if router is not None and (reference or cross_check):
-            # Half-applied modes are worse than none: the flags must
-            # configure both the grid factory and the router's
-            # negotiation shape, and silently overriding a caller's
-            # router (or only swapping the grid) would mix semantics.
-            raise ValueError(
-                "pass reference/cross_check on the router itself when "
-                "supplying a custom router"
-            )
         #: Non-strict by default: an unroutable net is reported through
         #: the plan's routability instead of aborting the whole flow.
-        #: ``reference=True`` selects the original engine end to end
-        #: (Point-dict grid + full-round negotiation); ``cross_check``
-        #: runs the packed grid shadowed by the reference grid and both
-        #: negotiation shapes, asserting agreement.
-        self.router = router if router is not None else PrioritizedRouter(
-            strict=False, reference=reference, cross_check=cross_check
-        )
-        if reference:
-            self.grid_factory = ReferenceTimeGrid
-        elif cross_check:
-            self.grid_factory = CrossCheckTimeGrid
-        else:
-            self.grid_factory = TimeGrid
+        self.router = router if router is not None else PrioritizedRouter(strict=False)
         self.compact = compact
         self.max_passes = max_passes
         #: Boundary-lane width around the core area — the chip's free
@@ -309,8 +286,8 @@ class RoutingSynthesizer:
             for s in graph.successors(op_id)
         )
 
-    @staticmethod
     def _parked_products(
+        self,
         graph: SequencingGraph,
         schedule: Schedule,
         placement: Placement,
@@ -343,13 +320,11 @@ class RoutingSynthesizer:
                 continue  # its plug location is a net (or hold) source
             if op_id not in schedule or schedule.stop(op_id) > t:
                 continue
-            if not RoutingSynthesizer._has_later_consumer(graph, schedule, op_id, t):
+            if not self._has_later_consumer(graph, schedule, op_id, t):
                 continue
             cell = placement.get(op_id).functional_region.center
             if grid.static_blocked(cell) or cell in keep_clear:
-                relocated = RoutingSynthesizer._nearest_parking(
-                    grid, cell, parked, keep_clear
-                )
+                relocated = self._nearest_parking(grid, cell, parked, keep_clear)
                 cell = relocated if relocated is not None else cell
             parked.add(cell)
         return parked
@@ -369,62 +344,20 @@ class RoutingSynthesizer:
         droplets over closeness to the original spot: clustered parking
         fuses adjacent fluidic halos into walls that disconnect the
         array, which costs far more routability than a slightly longer
-        evacuation haul.
-        """
-        if getattr(grid, "packed_api", False):
-            return RoutingSynthesizer._nearest_parking_packed(
-                grid, start, parked, keep_clear
-            )
-        legal: list[Point] = []
-        for x in range(1, grid.width + 1):
-            for y in range(1, grid.height + 1):
-                cell = Point(x, y)
-                if cell == start or cell in keep_clear:
-                    continue
-                if grid.static_blocked(cell):
-                    continue
-                spacing = min(
-                    (chebyshev(cell, q) for q in parked), default=99
-                )
-                if spacing > 1:
-                    legal.append(cell)
-        if not legal:
-            return None
+        evacuation haul. Never wall off the array: take the best-scored
+        candidate whose halo leaves the remaining free space in one
+        connected piece (checked lazily in preference order, so a
+        couple of flood fills instead of one per legal cell).
 
-        def key(cell: Point) -> tuple[int, int]:
-            spacing = min((chebyshev(cell, q) for q in parked), default=99)
-            # Spacing saturates at 4 (halos no longer interact), so
-            # beyond that the shorter evacuation wins.
-            return (min(spacing, 4), -start.manhattan_distance(cell))
-
-        # Never wall off the array: take the best-scored candidate
-        # whose halo leaves the remaining free space in one connected
-        # piece. Checking lazily in preference order keeps this to a
-        # couple of BFS runs instead of one per legal cell.
-        legal.sort(key=key, reverse=True)
-        for cell in legal:
-            if RoutingSynthesizer._keeps_connected(grid, cell, parked):
-                return cell
-        return legal[0]
-
-    @staticmethod
-    def _nearest_parking_packed(
-        grid: TimeGrid,
-        start: Point,
-        parked: set[Point],
-        keep_clear: set[Point],
-    ) -> Point | None:
-        """Packed-grid parking search: one multi-source Chebyshev BFS
-        replaces the per-cell min-over-parked scans, and connectivity
-        runs over byte masks. Candidate order, tie-breaking, and the
-        returned cell are identical to the generic implementation.
+        The search is one multi-source Chebyshev BFS for the spacing
+        key, and connectivity runs over byte masks.
         """
         w, h, area = grid.width, grid.height, grid.area
         static = grid._static
         # Exact min Chebyshev distance to any parked droplet, saturated
-        # at 5: the preference key caps at 4 and legality needs > 1, so
-        # 5 is indistinguishable from the generic code's "no parked
-        # droplet anywhere" default of 99.
+        # at 5: the preference key caps at 4 (halos no longer interact
+        # beyond it, so the shorter evacuation wins) and legality needs
+        # > 1.
         spacing = [5] * area
         if parked:
             frontier = [grid.pack(q) for q in parked]
@@ -474,42 +407,9 @@ class RoutingSynthesizer:
     @staticmethod
     def _keeps_connected(grid: TimeGrid, candidate: Point, parked: set[Point]) -> bool:
         """True if parking at *candidate* leaves the free cells (off
-        modules, faults, and all parked halos) 4-connected."""
-        if getattr(grid, "packed_api", False):
-            return RoutingSynthesizer._keeps_connected_packed(grid, candidate, parked)
-        halos = set(parked)
-        halos.add(candidate)
-
-        def free(cell: Point) -> bool:
-            if grid.static_blocked(cell, ignore_parked_halo=True):
-                return False
-            return all(chebyshev(cell, q) > 1 for q in halos)
-
-        free_cells = [
-            Point(x, y)
-            for x in range(1, grid.width + 1)
-            for y in range(1, grid.height + 1)
-            if free(Point(x, y))
-        ]
-        if not free_cells:
-            return False
-        seen = {free_cells[0]}
-        queue = deque([free_cells[0]])
-        while queue:
-            cell = queue.popleft()
-            for nxt in cell.neighbors4():
-                if nxt not in seen and grid.in_bounds(nxt) and free(nxt):
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return len(seen) == len(free_cells)
-
-    @staticmethod
-    def _keeps_connected_packed(
-        grid: TimeGrid, candidate: Point, parked: set[Point]
-    ) -> bool:
-        """Byte-mask flood fill with the same seed cell (first free cell
-        in column-major order) and the same free predicate as the
-        generic implementation."""
+        modules, faults, and all parked halos) 4-connected: a byte-mask
+        flood fill seeded at the first free cell in column-major
+        order."""
         w, h, area = grid.width, grid.height, grid.area
         static = grid._static
         hard = FAULTY | MODULE

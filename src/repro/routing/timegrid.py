@@ -48,10 +48,9 @@ search states, so one multiply-add answers an occupancy probe with no
   instead of the whole horizon.
 
 Answers are defined on the array: off-array cells report statically
-blocked (a droplet can never leave the chip), and queries are only
-compared against the reference grid on in-bounds cells. Semantics on
-the array are bit-identical to
-:class:`~repro.routing.reference.ReferenceTimeGrid` for every step a
+blocked (a droplet can never leave the chip). On the array the
+semantics are bit-identical to the original Point-dict grid the test
+suite keeps as an oracle (``tests/oracles/``) for every step a
 reservation's horizon covers; the tail keeps a parked droplet blocking
 *beyond* the horizon too, which no search ever asks about.
 """
@@ -71,9 +70,6 @@ MODULE = 4
 
 class TimeGrid:
     """Packed per-timestep obstacle sets over a ``width x height`` array."""
-
-    #: The prioritized router keys its packed fast path off this flag.
-    packed_api = True
 
     def __init__(self, width: int, height: int) -> None:
         if width < 1 or height < 1:
@@ -133,7 +129,7 @@ class TimeGrid:
         """Per-cell expansion table for the time-expanded search: the
         cell itself (wait-in-place) followed by its in-bounds 4-
         neighbors, in the router's canonical ``(wait, +x, -x, +y, -y)``
-        order so packed and reference searches tie-break identically."""
+        order."""
         if self._neighbors is None:
             w, h = self.width, self.height
             table: list[tuple[int, ...]] = []

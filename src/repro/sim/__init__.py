@@ -14,17 +14,14 @@ from repro.sim.electrowetting import ElectrowettingModel
 from repro.sim.engine import BiochipSimulator, SimEvent, SimulationReport
 from repro.sim.eventengine import DiscreteEventEngine
 from repro.sim.fastgrid import FastRoute, PackedDropletRouter
-from repro.sim.router import DropletRouter, Route
 
 __all__ = [
     "BiochipSimulator",
     "DiscreteEventEngine",
     "Droplet",
-    "DropletRouter",
     "ElectrowettingModel",
     "FastRoute",
     "PackedDropletRouter",
-    "Route",
     "SimEvent",
     "SimulationReport",
 ]

@@ -18,22 +18,16 @@ unroutable transport, or a failed relocation all surface as
 :class:`~repro.util.errors.SimulationError` (or a failed report when
 ``strict=False``).
 
-Two interchangeable drivers execute the replay (``engine=``):
-
-* ``"event"`` (default) — the discrete-event fast path: fault
-  injections and operation dispatches are events on a heap-ordered
-  :class:`~repro.sim.eventengine.DiscreteEventEngine` (tag-keyed
-  cancellation slides a dispatch when a fault delays its operation),
-  transports run on the packed-integer
-  :class:`~repro.sim.fastgrid.PackedDropletRouter`, the pristine array
-  is reused across runs, and completed runs feed a log cache that
-  turns :meth:`BiochipSimulator.checkpoint` into a log truncation.
-* ``"stepped"`` — the original sequential reference loop, kept
-  bit-identical as the cross-check (the pattern
-  ``routing/reference.py`` established): a fixed seed produces the
-  identical :class:`SimulationReport` — events, timings, per-droplet
-  position log — from both engines (property-tested in
-  ``tests/test_sim_eventengine.py``).
+The replay runs on a discrete-event core: fault injections and
+operation dispatches are events on a heap-ordered
+:class:`~repro.sim.eventengine.DiscreteEventEngine` (tag-keyed
+cancellation slides a dispatch when a fault delays its operation),
+transports run on the packed-integer
+:class:`~repro.sim.fastgrid.PackedDropletRouter`, the pristine array is
+reused across runs, and completed runs feed a log cache that turns
+:meth:`BiochipSimulator.checkpoint` into a log truncation. The test
+suite keeps the original fixed-timestep driver as an oracle
+(``tests/oracles/``) and asserts bit-identical reports against it.
 """
 
 from __future__ import annotations
@@ -54,7 +48,6 @@ from repro.sim.droplet import Droplet
 from repro.sim.electrowetting import ElectrowettingModel
 from repro.sim.eventengine import DiscreteEventEngine
 from repro.sim.fastgrid import PackedDropletRouter
-from repro.sim.router import DropletRouter
 from repro.util.errors import (
     ReconfigurationError,
     RecoveryError,
@@ -150,9 +143,9 @@ class _OpState:
 
 
 # Event-time phases: every timeline-realization (fault) event precedes
-# every replay (dispatch) event on the queue's time axis, encoding the
-# reference engine's realize-then-replay semantics in the event order
-# (see DESIGN.md, "Event-driven simulation core").
+# every replay (dispatch) event on the queue's time axis, encoding
+# realize-then-replay semantics in the event order (see DESIGN.md,
+# "Event-driven simulation core").
 _PHASE_REALIZE = 0
 _PHASE_REPLAY = 1
 
@@ -367,15 +360,9 @@ class BiochipSimulator:
         strict: bool = True,
         routing_plan: RoutingPlan | None = None,
         plan_covers_faults: Iterable[Point | tuple[int, int]] = (),
-        engine: str = "event",
     ) -> None:
         if margin < 1:
             raise ValueError(f"margin must be >= 1 (droplets need route lanes), got {margin}")
-        if engine not in ("event", "stepped"):
-            raise ValueError(
-                f"unknown simulation engine {engine!r}; choose 'event' or 'stepped'"
-            )
-        self.engine = engine
         self.graph = graph
         self.schedule = schedule
         self.binding = binding
@@ -411,17 +398,13 @@ class BiochipSimulator:
         #: The constructed configuration every run() starts from —
         #: reconfigurations reassign self.placement but never mutate it.
         self._initial_placement = self.placement
-        self.router = DropletRouter(self.width, self.height)
-        #: Packed transport kernel; the event engine routes on it, the
-        #: stepped reference keeps the original per-Point A*.
-        self._fast_router = (
-            PackedDropletRouter(self.width, self.height) if engine == "event" else None
-        )
+        #: Packed transport kernel every ad-hoc transport routes on.
+        self.router = PackedDropletRouter(self.width, self.height)
         #: Completed-run logs, keyed by the run's fault list; consulted
-        #: by :meth:`checkpoint` (event engine only).
+        #: by :meth:`checkpoint`.
         self._log_cache: OrderedDict[tuple, _RunLog] = OrderedDict()
-        #: Parking ring-search memo (event engine only): obstacle
-        #: signature -> nearest safe cell.
+        #: Parking ring-search memo: obstacle signature -> nearest safe
+        #: cell.
         self._park_memo: dict[tuple, Point] = {}
         self.array: MicrofluidicArray | None = None
         self._marked_faulty: list[Point] = []
@@ -434,26 +417,27 @@ class BiochipSimulator:
         re-entrant: a pristine array (no accumulated fault marks), the
         initial placement, the reservoir rotation at its first port,
         and droplet ids restarting at 1. This is what makes
-        checkpoint/resume an exact deterministic replay.
-
-        The event engine reuses the array object across runs (repairing
-        the cells the previous run marked — O(#faults), not O(area));
-        the stepped reference rebuilds it, as the seed engine did."""
+        checkpoint/resume an exact deterministic replay."""
         self.placement = self._initial_placement
-        if self.engine == "event" and self.array is not None:
-            for cell in self._marked_faulty:
-                self.array.repair(cell)
-            self._marked_faulty.clear()
-            self._next_port = 0
-        else:
-            self.array = MicrofluidicArray(self.width, self.height)
-            self._install_ports()
-            self._marked_faulty = []
+        self._reset_array()
         self._droplet_ids = itertools.count(1)
         #: (time, producer op, cell-or-None) transitions of durable
         #: droplet positions, appended in replay order; the checkpoint
         #: derives "what sits where at time t" from this log.
         self._position_log: list[tuple[float, str, Point | None]] = []
+
+    def _reset_array(self) -> None:
+        """A pristine array with its ports. Built once, then reused
+        across runs: repairing the cells the previous run marked costs
+        O(#faults), not O(area)."""
+        if self.array is None:
+            self.array = MicrofluidicArray(self.width, self.height)
+            self._install_ports()
+            return
+        for cell in self._marked_faulty:
+            self.array.repair(cell)
+        self._marked_faulty.clear()
+        self._next_port = 0
 
     def _install_ports(self) -> None:
         """Reservoirs along the left edge, waste/output on the right."""
@@ -508,13 +492,7 @@ class BiochipSimulator:
         fault_list = _normalize_faults(faults)
 
         try:
-            if self.engine == "event":
-                states, product, transport = self._execute_event(
-                    fault_list, events, relocations
-                )
-            else:
-                states = self._realize_timeline(fault_list, events, relocations)
-                product, transport = self._replay_droplets(states, fault_list, events)
+            states, product, transport = self._execute(fault_list, events, relocations)
         except (RoutingError, ReconfigurationError, SimulationError) as exc:
             if self.strict:
                 raise SimulationError(str(exc)) from exc
@@ -570,6 +548,16 @@ class BiochipSimulator:
         while len(self._log_cache) > _LOG_CACHE_SIZE:
             self._log_cache.popitem(last=False)
 
+    def _cached_log(self, key: tuple) -> _RunLog | None:
+        """Checkpoint-as-log-truncation: a deterministic replay under a
+        fixed fault list always produces the same log, so any retained
+        completed run under these faults can be truncated at the
+        checkpoint instant directly — no replay prefix."""
+        log = self._log_cache.get(key)
+        if log is not None:
+            self._log_cache.move_to_end(key)
+        return log
+
     def module_cell(self, op_id: str) -> Point:
         """A functional-region cell of *op_id*'s module (fault targeting)."""
         pm = self.placement.get(op_id)
@@ -595,16 +583,9 @@ class BiochipSimulator:
             raise ValueError(
                 f"checkpoint at t={time_s:g} cannot include future faults: {late}"
             )
-        # Checkpoint-as-log-truncation: a deterministic replay under a
-        # fixed fault list always produces the same log, so any retained
-        # completed run under these faults can be truncated at `time_s`
-        # directly — no replay prefix. The stepped reference always
-        # re-runs (it is the cross-check); the event engine reuses.
         key = tuple(fault_list)
-        log = self._log_cache.get(key) if self.engine == "event" else None
-        if log is not None:
-            self._log_cache.move_to_end(key)
-        else:
+        log = self._cached_log(key)
+        if log is None:
             strict, self.strict = self.strict, False
             try:
                 report = self.run(faults=fault_list)
@@ -686,27 +667,11 @@ class BiochipSimulator:
             states[op.id] = _OpState(op.id, module, iv.start, iv.stop)
         return states
 
-    def _realize_timeline(
-        self,
-        faults: list[FaultEntry],
-        events: list[SimEvent],
-        relocations: list[Relocation],
-    ) -> dict[str, _OpState]:
-        """Derive realized op intervals under faults + reconfiguration."""
-        states = self._initial_states()
-        for fault_time, cell, kind in faults:
-            if kind == "fail":
-                self._apply_fault(fault_time, cell, states, faults, events, relocations)
-            else:
-                self._apply_clear(fault_time, cell, events)
-        return states
-
     def _apply_clear(self, clear_time: float, cell: Point, events: list[SimEvent]) -> None:
         """A transient fault self-recovers: the cell routes again from
         ``clear_time`` on (via the active-fault timeline); relocations
         and delays its ``fail`` already caused are *not* rolled back —
-        the controller could not have known the fault would clear.
-        Shared by both engines, like :meth:`_apply_fault`."""
+        the controller could not have known the fault would clear."""
         events.append(
             SimEvent(clear_time, "repair", f"cell {cell} recovered (transient fault cleared)")
         )
@@ -724,9 +689,7 @@ class BiochipSimulator:
         relocations: list[Relocation],
     ) -> None:
         """Inject one fault: mark the cell, rescue affected modules via
-        partial reconfiguration, and propagate the delays. Shared by
-        both engines — the event driver fires it from a fault event,
-        the stepped driver from its realize loop."""
+        partial reconfiguration, and propagate the delays."""
         events.append(
             SimEvent(fault_time, "fault", f"cell {cell} failed", None)
         )
@@ -801,27 +764,6 @@ class BiochipSimulator:
 
     # -- phase 2: droplet replay ---------------------------------------------------------
 
-    def _replay_droplets(
-        self,
-        states: dict[str, _OpState],
-        faults: list[FaultEntry],
-        events: list[SimEvent],
-    ) -> tuple[Droplet | None, int]:
-        droplet_of: dict[str, Droplet] = {}
-        self._begin_replay(states)
-        transport_cells = 0
-        product: Droplet | None = None
-
-        for op_id in sorted(states, key=lambda o: (states[o].start, o)):
-            cells, out = self._execute_op(op_id, states, faults, events, droplet_of)
-            transport_cells += cells
-            if out is not None:
-                product = out
-
-        if product is None:
-            product = self._sink_product(droplet_of)
-        return product, transport_cells
-
     def _begin_replay(self, states: dict[str, _OpState]) -> None:
         self._shares_taken: dict[str, int] = {}
         self._reservoir_queue: set[str] = set()
@@ -845,9 +787,8 @@ class BiochipSimulator:
     ) -> tuple[int, Droplet | None]:
         """Execute one operation at its realized start: collect inputs,
         transport, merge, hold, park. Returns ``(transport cells, assay
-        product or None)``. Both engines dispatch every operation
-        through here, in the same total order — that is the bit-identity
-        argument's core (see DESIGN.md)."""
+        product or None)``. Every dispatch goes through here, in the
+        total order ``(realized start, op id)`` (see DESIGN.md)."""
         op = self.graph.operation(op_id)
         state = states[op_id]
         t = state.start
@@ -933,7 +874,7 @@ class BiochipSimulator:
 
     # -- event-driven execution ----------------------------------------------------------
 
-    def _execute_event(
+    def _execute(
         self,
         faults: list[FaultEntry],
         events: list[SimEvent],
@@ -944,9 +885,9 @@ class BiochipSimulator:
         Fault injections are scheduled at ``(_PHASE_REALIZE, t)`` and
         operation dispatches at ``(_PHASE_REPLAY, realized start)`` with
         ``priority=op_id`` — so every fault fires before any dispatch
-        (encoding the reference's realize-then-replay semantics on the
-        time axis) and same-instant dispatches fire in op-id order
-        (the reference's ``sorted(states, key=(start, op_id))``). A
+        (realize-then-replay semantics, encoded on the time axis) and
+        same-instant dispatches fire in op-id order
+        (``sorted(states, key=(start, op_id))``). A
         fault handler that shifts an operation's realized start slides
         its pending dispatch via tag replacement; since propagation
         only ever delays and every affected op starts after the fault,
@@ -1075,26 +1016,11 @@ class BiochipSimulator:
         # parking aligned with the plan model is what lets those
         # transports replay instead of falling back to ad-hoc A*.
         goal = self._plan_parking_cell(op_id, consumers, safe)
-        if goal is None and self._fast_router is not None:
-            # The ring search is pure in (start, obstacle signature);
-            # the event engine memoizes it — Monte-Carlo sweeps and
-            # checkpoint replays repeat the same searches run after run.
-            park_key = (
-                droplet.position,
-                frozenset(parked),
-                tuple(faulty),
-                tuple(claiming),
+        if goal is None:
+            goal = self._park_goal(
+                (droplet.position, frozenset(parked), tuple(faulty), tuple(claiming)),
+                safe,
             )
-            goal = self._park_memo.get(park_key)
-            if goal is None:
-                goal = self._nearest_safe_cell(droplet.position, safe)
-                if goal is not None:
-                    if len(self._park_memo) >= 65536:
-                        self._park_memo.clear()
-                    self._park_memo[park_key] = goal
-        elif goal is None:
-            # BFS ring search for the nearest safe parking cell.
-            goal = self._nearest_safe_cell(droplet.position, safe)
         if goal is None:
             raise SimulationError(
                 f"no safe parking cell for {op_id}'s product at t={finish:g}"
@@ -1136,7 +1062,22 @@ class BiochipSimulator:
                 return cell
         return None
 
+    def _park_goal(self, key: tuple, safe) -> Point | None:
+        """The nearest safe parking cell for the search keyed by
+        ``(start, parked, faulty, claiming)``. The ring search is pure
+        in that key, so it is memoized — Monte-Carlo sweeps and
+        checkpoint replays repeat the same searches run after run."""
+        goal = self._park_memo.get(key)
+        if goal is None:
+            goal = self._nearest_safe_cell(key[0], safe)
+            if goal is not None:
+                if len(self._park_memo) >= 65536:
+                    self._park_memo.clear()
+                self._park_memo[key] = goal
+        return goal
+
     def _nearest_safe_cell(self, start: Point, safe) -> Point | None:
+        """BFS ring search for the nearest cell *safe* accepts."""
         seen = {start}
         queue = deque([start])
         while queue:
@@ -1271,10 +1212,7 @@ class BiochipSimulator:
             and s.op_id != op_id
             and s.start <= query_t < s.finish
         ]
-        # The event engine routes on the packed BFS kernel (identical
-        # lengths/endpoints by construction; failures delegate back to
-        # the reference for byte-identical errors).
-        router = self._fast_router if self._fast_router is not None else self.router
+        router = self.router
         try:
             route = router.route(
                 droplet.position,
@@ -1317,8 +1255,7 @@ class BiochipSimulator:
                     )
                 except RoutingError as exc:
                     route = self._route_after_handover(
-                        router, droplet, goal, query_t, faulty_now,
-                        events, op_id, exc,
+                        droplet, goal, query_t, faulty_now, events, op_id, exc,
                     )
         seconds = self.ew.transport_time_s(route.length, self.drive_voltage)
         events.append(
@@ -1335,7 +1272,6 @@ class BiochipSimulator:
 
     def _route_after_handover(
         self,
-        router,
         droplet: Droplet,
         goal: Point,
         query_t: float,
@@ -1374,7 +1310,7 @@ class BiochipSimulator:
                 and s.start <= release < s.finish
             ]
             try:
-                route = router.route(
+                route = self.router.route(
                     droplet.position,
                     goal,
                     blocked_rects=active,

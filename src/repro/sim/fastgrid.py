@@ -1,25 +1,23 @@
-"""Packed-integer transport kernel for the event-driven replay.
+"""Packed-integer transport kernel for the simulator's replay.
 
-:class:`PackedDropletRouter` answers the same queries as
-:class:`repro.sim.router.DropletRouter` — shortest droplet path length
-under module footprints, faulty cells, and the one-cell fluidic
-inflation ring — but on a flat integer grid: cells are
-``(y - 1) * width + (x - 1)`` indices into stamped scratch arrays, the
-blocked set is marked through precomputed per-rect index lists and
-per-cell neighbor tables, and the search is a plain breadth-first wave
-(unit edge costs make BFS and A* agree on length, and the replay layer
-only consumes lengths and endpoints, never the cell sequence). Stamped
-arrays make per-query setup O(marked cells), not O(area): bumping one
-integer invalidates every previous mark.
+:class:`PackedDropletRouter` answers the one query ad-hoc droplet
+transport needs — shortest droplet path length under module
+footprints, faulty cells, and the one-cell fluidic inflation ring — on
+a flat integer grid: cells are ``(y - 1) * width + (x - 1)`` indices
+into stamped scratch arrays, the blocked set is marked through
+precomputed per-rect index lists and per-cell neighbor tables, and the
+search is a plain breadth-first wave (unit edge costs make its depth
+the shortest path length, and the replay layer only consumes lengths
+and endpoints, never the cell sequence). Stamped arrays make per-query
+setup O(marked cells), not O(area): bumping one integer invalidates
+every previous mark.
 
-The blocked-set semantics mirror the reference router bit for bit —
-same goal-adjacent merge exemption, same start/goal discards, same
-``inflate`` degradation — so a query is routable on one engine iff it
-is routable on the other. The one asymmetry is failure: an unroutable
-query is delegated to the reference router so the raised
-:class:`~repro.util.errors.RoutingError` carries the exact reference
-message (the simulator's strict mode surfaces that text in failure
-reports, which must stay identical across engines).
+An unroutable query raises :class:`~repro.util.errors.RoutingError`
+naming the endpoints, the array and the number of blocked in-bounds
+cells; the simulator's non-strict mode surfaces that text as a failure
+reason. The test suite keeps a per-``Point`` A* router
+(``tests/oracles/``) with the same obstacle semantics and the same
+failure text, and asserts the two agree query for query.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.geometry import Point, Rect
-from repro.sim.router import DropletRouter
 from repro.util.errors import RoutingError
 
 __all__ = ["FastRoute", "PackedDropletRouter"]
@@ -36,12 +33,8 @@ __all__ = ["FastRoute", "PackedDropletRouter"]
 
 @dataclass(frozen=True)
 class FastRoute:
-    """A shortest transport: endpoints and actuation-step count.
-
-    Interface-compatible with the slice of
-    :class:`~repro.sim.router.Route` the replay layer uses (``start``,
-    ``end``, ``length``); the cell sequence is never materialized.
-    """
+    """A shortest transport: endpoints and actuation-step count (the
+    cell sequence is never materialized)."""
 
     start: Point
     end: Point
@@ -49,7 +42,7 @@ class FastRoute:
 
 
 class PackedDropletRouter:
-    """Flat-integer BFS drop-in for :class:`DropletRouter`."""
+    """Flat-integer BFS router with fluidic spacing."""
 
     def __init__(self, width: int, height: int) -> None:
         if width < 1 or height < 1:
@@ -93,14 +86,12 @@ class PackedDropletRouter:
         self._rect_idxs: dict[tuple[int, int, int, int], list[int]] = {}
         #: Queries memoized by full obstacle signature — sound because
         #: a query is pure: the outcome depends only on the arguments.
-        #: Successes store the route; failures store the reference
-        #: router's error message (str), re-raised verbatim. Monte-Carlo
+        #: Successes store the route; failures store the error message
+        #: (str), re-raised verbatim. Monte-Carlo
         #: sweeps and checkpoint/resume replay the same transports —
         #: including the same degradation-ladder failures — run after
         #: run.
         self._memo: dict[tuple, FastRoute | str] = {}
-        #: Reference router, for failure-path parity.
-        self._reference = DropletRouter(width, height)
 
     def _idx(self, p: Point) -> int:
         return (p[1] - 1) * self.width + (p[0] - 1)
@@ -137,8 +128,19 @@ class PackedDropletRouter:
     ) -> FastRoute:
         """Shortest path length from *start* to *goal*.
 
-        Same obstacle semantics as :meth:`DropletRouter.route`; raises
-        the reference router's :class:`RoutingError` when unroutable.
+        * *blocked_rects* — footprints of concurrently operating modules
+          (the route may not enter any of their cells).
+        * *blocked_cells* — faulty cells and other point obstacles.
+        * *other_droplets* — parked droplets; each blocks its cell and,
+          with *inflate*, its 8-neighbor ring (the static fluidic
+          constraint). The droplet sitting on *goal* is exempt when
+          *allow_goal_adjacent_merge* — merging is the point. Passing
+          ``inflate=False`` models a controller that momentarily
+          shuffles parked droplets half a pitch aside.
+
+        *start* and *goal* are never blocked. Raises
+        :class:`RoutingError` when an endpoint is off the array or no
+        path exists.
         """
         key = (
             start,
@@ -158,13 +160,7 @@ class PackedDropletRouter:
         in_start = 1 <= start[0] <= self.width and 1 <= start[1] <= self.height
         in_goal = 1 <= goal[0] <= self.width and 1 <= goal[1] <= self.height
         if not in_start or not in_goal:
-            # Out-of-bounds endpoints: the reference raises with its
-            # own message; delegate for the identical error.
-            self._reference.route(
-                start, goal, blocked_rects, blocked_cells, other_droplets,
-                allow_goal_adjacent_merge, inflate,
-            )
-            raise AssertionError("reference router accepted an OOB endpoint")
+            raise RoutingError(f"route endpoints {start}->{goal} outside the array")
 
         self._stamp += 1
         stamp = self._stamp
@@ -190,8 +186,7 @@ class PackedDropletRouter:
                         blocked[n] = stamp
             elif inflate:
                 # An out-of-bounds parked droplet still shadows its
-                # in-bounds ring cells (the reference inflates before
-                # bounds-checking).
+                # in-bounds ring cells.
                 for dx in (-1, 0, 1):
                     for dy in (-1, 0, 1):
                         nx, ny = x + dx, y + dy
@@ -206,7 +201,7 @@ class PackedDropletRouter:
             return self._remember(key, FastRoute(start=start, end=goal, length=0))
 
         # Two-list BFS wave; unit costs make its depth the shortest
-        # path length (identical to the reference A*'s).
+        # path length.
         visited = self._visited
         nbr4 = self._nbr4
         visited[start_idx] = stamp
@@ -226,18 +221,11 @@ class PackedDropletRouter:
                     visited[n] = stamp
                     nxt.append(n)
             frontier = nxt
-        # Unroutable: delegate so the error message (including the
-        # reference's blocked-cell count) is byte-identical; memoize it
-        # so replays of the same failing query skip both searches.
-        try:
-            self._reference.route(
-                start, goal, blocked_rects, blocked_cells, other_droplets,
-                allow_goal_adjacent_merge, inflate,
-            )
-        except RoutingError as exc:
-            self._remember(key, str(exc))
-            raise
-        raise AssertionError(
-            f"packed router found no path {start} -> {goal} but the "
-            "reference router did"
+        # Unroutable: memoize the message so replays of the same
+        # failing query skip the search.
+        message = (
+            f"no droplet path {start} -> {goal} on {width}x{height} "
+            f"array with {blocked.count(stamp)} blocked cells"
         )
+        self._remember(key, message)
+        raise RoutingError(message)

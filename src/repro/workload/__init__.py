@@ -14,7 +14,7 @@ reproduction into a scenario corpus:
 * :mod:`repro.workload.campaign` — the one scenario engine: one
   TOML/JSON config declares a grid of (generator params x array sizes x
   defect patterns x fault models x arrivals x fault sites x sensor
-  fidelity x engines), expanded deterministically into seeded
+  fidelity), expanded deterministically into seeded
   scenarios, fanned out on the supervised pool with crash-safe
   journal/resume, and logged as one append-only structured JSONL
   stream (versioned record schema, jobs-invariant content). The

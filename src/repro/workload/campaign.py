@@ -2,8 +2,8 @@
 
 A campaign config (TOML or JSON) declares a grid of
 (generator specs x array sizes x design-time defect patterns x fault
-models x fault arrivals x fault sites x sensor fidelities x simulation
-engines). :class:`CampaignConfig` expands it — purely
+models x fault arrivals x fault sites x sensor fidelities).
+:class:`CampaignConfig` expands it — purely
 deterministically — into seeded :class:`CampaignScenario`\\ s, and
 :class:`CampaignRunner` fans them out on the supervised pool with
 journal/resume crash-safety. This is the repo's one scenario engine:
@@ -66,7 +66,10 @@ META_KIND = "campaign-meta"
 #: ``kind`` under which decided scenarios land in a --journal file.
 CAMPAIGN_JOURNAL_KIND = "campaign-scenario"
 
-SIM_ENGINES = ("event", "stepped")
+#: The simulation driver every scenario replays on. Scenario keys and
+#: records still carry it (the ``|event`` key part and the ``engine``
+#: record field), so derived seeds and v1 log bytes stay stable.
+SIM_ENGINE = "event"
 
 #: Terminal statuses a log record may carry. ``retried-then-ok``
 #: normalizes to ``ok`` on the way into the log: retry counts are
@@ -179,7 +182,6 @@ class CampaignScenario:
     array: tuple[int, int] | None
     fault_model: str  # "none" or a FAULT_MODELS name
     sensor: SensorSpec
-    engine: str  # simulation driver for the closed loop
     index: int  # position in grid order (== log order)
     #: Design-time defect pattern (a DEFECT_PATTERNS name): dead from
     #: t=0, routed around by the design, known to the controller.
@@ -196,7 +198,7 @@ class CampaignScenario:
         left at their defaults add nothing, so a grid that declares
         none of them keeps the keys (and seeds) it always had."""
         parts = [self.spec, array_key(self.array), self.fault_model,
-                 self.sensor.key, self.engine]
+                 self.sensor.key, SIM_ENGINE]
         if self.defects != "none":
             parts.append(f"defects={self.defects}")
         if self.arrival is not None:
@@ -355,12 +357,6 @@ class CampaignConfig:
                 SensorSpec.parse(s)
                 for s in _str_list(grid, "sensors", where, ["ideal"])
             ]
-            engines = _str_list(grid, "engines", where, ["event"])
-            for e in engines:
-                if e not in SIM_ENGINES:
-                    raise UsageError(
-                        f"{where}: unknown engine {e!r}; choose from {SIM_ENGINES}"
-                    )
             defects = _str_list(grid, "defects", where, ["none"])
             for d in defects:
                 if d not in DEFECT_PATTERNS:
@@ -388,18 +384,18 @@ class CampaignConfig:
                 )
             unknown = set(grid) - {
                 "generators", "arrays", "defects", "fault_models", "arrivals",
-                "fault_sites", "sensors", "engines",
+                "fault_sites", "sensors",
             }
             if unknown:
                 raise UsageError(
                     f"{where}: unknown key(s) {sorted(unknown)}"
                 )
-            for spec, array, defect, model, arrival, site, sensor, engine in \
+            for spec, array, defect, model, arrival, site, sensor in \
                     itertools.product(specs, arrays, defects, models, arrivals,
-                                      sites, sensors, engines):
+                                      sites, sensors):
                 sc = CampaignScenario(
                     spec=spec, array=array, fault_model=model, sensor=sensor,
-                    engine=engine, index=len(scenarios), defects=defect,
+                    index=len(scenarios), defects=defect,
                     arrival=None if arrival is None else float(arrival),
                     site=site,
                 )
@@ -426,7 +422,7 @@ def _preset(name: str, grid: dict, *, seed: int, fast: bool,
 def batch_preset(
     protocols, defects=("none", "center"), *, seed: int = 7,
     fast: bool = True, max_concurrent: int = 3,
-    max_parked: int | None = None, engine: str = "event",
+    max_parked: int | None = None,
 ) -> CampaignConfig:
     """The ``repro batch`` grid: (assay x design-time defect pattern).
 
@@ -435,7 +431,6 @@ def batch_preset(
     defects, which are dead from t=0."""
     return _preset("batch", {
         "generators": list(protocols), "defects": list(defects),
-        "engines": [engine],
     }, seed=seed, fast=fast, max_concurrent=max_concurrent,
         max_parked=max_parked)
 
@@ -445,7 +440,6 @@ def recovery_sweep_preset(
     sites=("pending-module", "street"), fault_model: str = "permanent",
     sensor: str = "ideal", *, seed: int = 7, fast: bool = True,
     max_concurrent: int = 3, max_parked: int | None = None,
-    engine: str = "event",
 ) -> CampaignConfig:
     """The ``repro recover --sweep`` grid: (assay x fault arrival x
     fault site) under one fault model and one sensor spec string (see
@@ -454,7 +448,7 @@ def recovery_sweep_preset(
     return _preset("recovery-sweep", {
         "generators": list(protocols), "fault_models": [fault_model],
         "arrivals": list(arrivals), "fault_sites": list(sites),
-        "sensors": [sensor], "engines": [engine],
+        "sensors": [sensor],
     }, seed=seed, fast=fast, max_concurrent=max_concurrent,
         max_parked=max_parked)
 
@@ -582,7 +576,7 @@ class _UnitSpec:
         return CampaignRecord(
             key=sc.key, index=sc.index, spec=self.spec, family=family, n=n,
             array=array_key(self.array), fault_model=sc.fault_model,
-            sensor=sc.sensor.to_dict(), engine=sc.engine, seed=seed,
+            sensor=sc.sensor.to_dict(), engine=SIM_ENGINE, seed=seed,
             defects=sc.defects, arrival=sc.arrival, site=sc.site, **kwargs,
         )
 
@@ -676,9 +670,7 @@ def _run_unit(unit: _UnitSpec) -> list[CampaignRecord]:
     records = []
     for sc, seed in unit.suffixes:
         rng = ensure_rng(seed)
-        engine = OnlineRecoveryEngine(
-            annealing=params if unit.fast else None, sim_engine=sc.engine
-        )
+        engine = OnlineRecoveryEngine(annealing=params if unit.fast else None)
         controller = ClosedLoopController(
             engine=engine,
             sensor=CapacitiveSensor(

@@ -1,22 +1,15 @@
-"""Per-droplet routing on the microfluidic array (simulation fallback).
+"""Per-``Point`` A* droplet router: the oracle for the packed kernel.
 
-What the simulator needs is a *correct* router: shortest droplet paths
-that avoid faulty cells, stay off concurrently operating modules'
-footprints, and respect the static fluidic constraint — an in-transit
-droplet must keep one empty cell between itself and any unrelated
-droplet, or the two would spontaneously merge.
-
-A* over the cell grid with unit step cost handles all of this; the
-fluidic spacing constraint is folded into the obstacle set by inflating
-each parked droplet by one cell.
-
-This router moves one droplet at a time against a *static* snapshot of
-the array. For synthesis-time routing — many droplets in flight at
-once, per-timestep obstacles, wait/detour negotiation, and a verified
-conflict-free plan — use :mod:`repro.routing` (the flow's optional
-fourth stage); the simulator replays such a
-:class:`~repro.routing.plan.RoutingPlan` when one is supplied and falls
-back to this router for everything the plan does not cover.
+The simulator's ad-hoc transports run on
+:class:`repro.sim.fastgrid.PackedDropletRouter`, a flat-integer BFS.
+This is the straightforward implementation it replaced: shortest
+droplet paths that avoid faulty cells, stay off concurrently operating
+modules' footprints, and respect the static fluidic constraint (each
+parked droplet is inflated by one cell), found by A* over ``Point``
+cells with unit step cost. Same obstacle semantics, same failure text
+(the blocked count is in-bounds cells) — so the stepped simulator
+oracle built on it must reproduce the production replay bit for bit,
+failure reports included.
 """
 
 from __future__ import annotations
@@ -132,9 +125,10 @@ class DropletRouter:
                         open_heap,
                         (tentative + nxt.manhattan_distance(goal), tentative, nxt),
                     )
+        in_bounds = sum(1 for p in blocked if self._in_bounds(p))
         raise RoutingError(
             f"no droplet path {start} -> {goal} on {self.width}x{self.height} "
-            f"array with {len(blocked)} blocked cells"
+            f"array with {in_bounds} blocked cells"
         )
 
     def _in_bounds(self, p: Point) -> bool:

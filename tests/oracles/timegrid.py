@@ -1,4 +1,4 @@
-"""Reference occupancy grid: the original dict-of-``Point`` TimeGrid.
+"""Reference occupancy grids: the oracles for the packed TimeGrid.
 
 :class:`ReferenceTimeGrid` is the straightforward implementation the
 packed :class:`~repro.routing.timegrid.TimeGrid` replaced on the hot
@@ -11,8 +11,8 @@ bit semantics included — for three jobs:
   same obstacle/reservation soup and assert identical ``blocked()`` /
   ``static_blocked()`` answers on every in-bounds cell;
 * the **benchmark baseline**: ``bench_routing_engine.py`` measures the
-  packed engine's routed-nets/sec against this grid plus the router's
-  full-round ``reference=True`` negotiation;
+  packed engine's routed-nets/sec against this grid plus the full-round
+  negotiation of :class:`oracles.routing.ReferenceRouter`;
 * the shadow inside :class:`CrossCheckTimeGrid`, which mirrors every
   mutation into both grids and asserts parity on every single query.
 
@@ -27,6 +27,7 @@ from collections.abc import Iterable
 
 from repro.geometry import Point, Rect
 from repro.routing.plan import Net, RoutedNet
+from repro.routing.timegrid import TimeGrid
 from repro.util.errors import RoutingError
 
 
@@ -37,9 +38,6 @@ class ReferenceTimeGrid:
     plain ``Point``-keyed dictionaries (no packing, no incremental
     tail bookkeeping).
     """
-
-    #: The prioritized router keys its fast path off this flag.
-    packed_api = False
 
     def __init__(self, width: int, height: int) -> None:
         if width < 1 or height < 1:
@@ -267,16 +265,12 @@ class CrossCheckTimeGrid:
     Every mutation is mirrored into both grids; every occupancy query is
     answered by both and the answers compared — a divergence raises
     :class:`~repro.util.errors.RoutingError` at the exact query that
-    disagreed. ``packed_api`` is False so the router takes its generic
-    ``blocked()``-calling path and every A* expansion goes through the
-    comparison.
+    disagreed. It is not a packed grid, so the reference router takes
+    its generic ``blocked()``-calling search and every A* expansion
+    goes through the comparison.
     """
 
-    packed_api = False
-
     def __init__(self, width: int, height: int) -> None:
-        from repro.routing.timegrid import TimeGrid
-
         self._packed = TimeGrid(width, height)
         self._shadow = ReferenceTimeGrid(width, height)
         self.width = width

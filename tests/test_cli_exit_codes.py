@@ -178,6 +178,13 @@ class TestRealUsageErrors:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_simulate_reps_below_one(self, capsys, reps):
+        # Used to run once and exit 0, silently ignoring the value.
+        code, _ = run_cli(["simulate", "--reps", reps])
+        assert code == EXIT_USAGE
+        assert "--reps must be >= 1" in capsys.readouterr().err
+
 
 class TestUnknownProtocolEverywhere:
     """Every --protocol-taking subcommand maps an unknown name to exit

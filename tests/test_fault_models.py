@@ -9,7 +9,7 @@ Three properties carry the closed-loop story:
    alternating fail/clear per cell (no double-fail, no clear of a
    healthy cell).
 3. **Engine invariance** — a realized fail/clear timeline replayed on
-   the discrete-event engine and the stepped reference produces
+   the discrete-event engine and the stepped oracle produces
    bit-identical simulation reports.
 """
 
@@ -20,6 +20,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import SteppedSimulator
 
 from repro.assay.catalog import build_assay
 from repro.fault.models import (
@@ -187,7 +188,7 @@ class TestPermanentBridge:
 
 # ---------------------------------------------------------------------------
 # Engine invariance: realized fail/clear timelines replay identically
-# on the discrete-event engine and the stepped reference.
+# on the discrete-event engine and the stepped oracle.
 # ---------------------------------------------------------------------------
 
 
@@ -202,13 +203,13 @@ def _synthesized(assay: str):
 
 def _simulator(assay: str, engine: str) -> BiochipSimulator:
     result = _synthesized(assay)
-    return BiochipSimulator(
+    simulator = SteppedSimulator if engine == "stepped" else BiochipSimulator
+    return simulator(
         result.graph,
         result.schedule,
         result.binding,
         result.placement_result.placement,
         strict=False,
-        engine=engine,
     )
 
 

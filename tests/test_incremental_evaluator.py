@@ -6,7 +6,8 @@ float tolerance, every delta equals the full-cost difference, and
 apply -> revert restores the exact prior state. The hypothesis section
 drives that contract over random schedules and random move sequences;
 the cross-check section drives the real annealer over every bundled
-assay with per-move verification enabled.
+assay with per-move verification (the :class:`oracles.CheckedCost`
+wrapper).
 """
 
 import random
@@ -14,6 +15,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import CheckedCost, CheckedTwoStagePlacer, FullRecomputeCost
 
 from repro.assay.catalog import BUNDLED_ASSAYS
 from repro.modules.kinds import ModuleKind
@@ -32,8 +34,7 @@ from repro.placement.incremental import (
 from repro.placement.model import PlacedModule, Placement
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.placement.transport import TransportAwareCost
-from repro.placement.two_stage import TwoStagePlacer
-from repro.util.errors import PlacementError
+from repro.util.errors import CrossCheckError, PlacementError
 
 TOL = 1e-6
 
@@ -221,20 +222,36 @@ class TestCostProtocols:
         assert not placer.uses_incremental()
 
     def test_incremental_disabled_by_flag(self):
-        placer = SimulatedAnnealingPlacer(incremental=False)
+        """The cost's ``supports_incremental()`` flag alone picks the
+        path: the full-recompute oracle clears it."""
+        placer = SimulatedAnnealingPlacer(cost=FullRecomputeCost(AreaCost()))
         assert not placer.uses_incremental()
 
+
     def test_cross_check_without_incremental_rejected(self):
-        """cross_check is a verification request — never silently a no-op."""
+        """Per-move verification is never silently a no-op: a cost that
+        anneals on the full-recompute path has no delta to check."""
+
+        class Custom(AreaCost):
+            def __call__(self, placement):
+                return super().__call__(placement) + 1.0
+
+        with pytest.raises(ValueError, match="no delta"):
+            CheckedCost(Custom())
+
+    def test_checked_cost_catches_a_wrong_delta(self):
+        class Skewed(AreaCost):
+            def delta(self, evaluator, move):
+                return super().delta(evaluator, move) + 0.5
+
         graph, binding = BUNDLED_ASSAYS["pcr"]()
         context = SynthesisContext(graph=graph, explicit_binding=binding)
         BindStage().run(context)
         ScheduleStage().run(context)
         placer = SimulatedAnnealingPlacer(
-            params=AnnealingParams.fast(), seed=1,
-            incremental=False, cross_check=True,
+            params=AnnealingParams.fast(), seed=1, cost=CheckedCost(Skewed())
         )
-        with pytest.raises(ValueError, match="cross_check"):
+        with pytest.raises(CrossCheckError, match="disagrees with full recompute"):
             placer.place(context.schedule, context.binding)
 
     def test_fault_aware_delta_matches_full(self):
@@ -314,8 +331,8 @@ class TestIncrementalEngine:
         the (integer-valued) bundled schedules the two paths agree
         bit-for-bit, not just in area.
         """
-        inc = self.place(incremental=True)
-        full = self.place(incremental=False)
+        inc = self.place()
+        full = self.place(cost=FullRecomputeCost(AreaCost()))
         assert {m.op_id: (m.x, m.y, m.rotated) for m in inc.placement} == {
             m.op_id: (m.x, m.y, m.rotated) for m in full.placement
         }
@@ -356,7 +373,7 @@ def test_cross_check_all_bundled_assays(assay):
         initial_temp=500.0, cooling=0.8, iterations_per_module=12,
         freeze_rounds=2, window_gamma=0.37, max_rounds=6,
     )
-    placer = SimulatedAnnealingPlacer(params=params, seed=13, cross_check=True)
+    placer = SimulatedAnnealingPlacer(params=params, seed=13, cost=CheckedCost(AreaCost()))
     result = placer.place(context.schedule, context.binding)
     result.placement.validate()
 
@@ -371,8 +388,8 @@ def test_cross_check_two_stage_pcr():
         initial_temp=200.0, cooling=0.8, iterations_per_module=8,
         freeze_rounds=2, window_gamma=0.37, max_rounds=4,
     )
-    placer = TwoStagePlacer(
-        stage1_params=params, stage2_params=params, seed=13, cross_check=True
+    placer = CheckedTwoStagePlacer(
+        stage1_params=params, stage2_params=params, seed=13
     )
     result = placer.place(context.schedule, context.binding)
     result.placement.validate()

@@ -1,6 +1,7 @@
 """Tests for the staged pipeline: stages, context, facade equivalence."""
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -53,21 +54,6 @@ class TestPipelineAssembly:
     def test_builtin_stages_satisfy_protocol(self):
         for stage in build_default_pipeline(route=True, verify=True, seed=1).stages:
             assert isinstance(stage, Stage)
-
-    def test_split_on_faults(self):
-        p = build_default_pipeline(route=True, seed=1)
-        prefix, suffix = p.split_on_faults()
-        assert prefix.stage_names == ("bind", "schedule", "place")
-        assert suffix is not None and suffix.stage_names == ("route",)
-
-    def test_split_without_fault_stages(self):
-        prefix, suffix = build_default_pipeline(seed=1).split_on_faults()
-        assert prefix.stage_names == ("bind", "schedule", "place")
-        assert suffix is None
-
-    def test_split_rejects_fault_dependent_head(self):
-        with pytest.raises(PipelineError, match="fault-dependent stage"):
-            Pipeline([RouteStage()]).split_on_faults()
 
 
 class TestStagePrerequisites:
@@ -149,25 +135,11 @@ class TestContext:
         assert clone.routing_plan is not None
         assert clone.result().area_cells == ctx.result().area_cells
 
-    def test_fork_shares_products_and_copies_timings(self):
-        ctx = SynthesisContext(graph=build_pcr_mixing_graph())
-        prefix, _ = build_default_pipeline(
-            placer=fast_placer(1), route=True
-        ).split_on_faults()
-        prefix.run(ctx)
-        fork = ctx.fork(faulty_cells=((1, 1),))
-        assert fork.placement_result is ctx.placement_result
-        assert fork.binding is ctx.binding
-        assert fork.stage_timings == ctx.stage_timings
-        fork.stage_timings["route"] = 0.1
-        assert "route" not in ctx.stage_timings
-
     def test_custom_stage_slots_in(self):
         class PeakDemandStage:
             """A user analysis stage: annotate peak cell demand."""
 
             name = "peak-demand"
-            uses_faults = False
 
             def __init__(self):
                 self.peak = None
@@ -241,4 +213,4 @@ class TestSimVerifyStage:
             graph=build_pcr_mixing_graph(), faulty_cells=[(2, 3)]
         )
         assert ctx.faulty_cells == (Point(2, 3),)
-        assert ctx.fork(faulty_cells=[(1, 1)]).faulty_cells == (Point(1, 1),)
+        assert replace(ctx, faulty_cells=[(1, 1)]).faulty_cells == (Point(1, 1),)

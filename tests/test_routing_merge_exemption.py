@@ -12,8 +12,8 @@ inside the zone and grants the exemption only when both sides are.
 The fault scenarios pinned here are the exact (placement seed, fault
 seed) pairs that produced verifier-rejected plans before the fix: pcr
 at placement seeds 0 and 7 under 10% street-fault grids. They must now
-route fully and verify, identically on the packed and reference
-engines.
+route fully and verify, identically on the packed engine and the
+reference engine kept in ``tests/oracles/``.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from oracles import ReferenceSynthesizer, ReferenceTimeGrid
 
 from repro.assay.catalog import build_assay
 from repro.fault.injection import sample_street_faults
@@ -29,7 +30,6 @@ from repro.pipeline.context import SynthesisContext
 from repro.pipeline.stages import BindStage, PlaceStage, ScheduleStage
 from repro.routing import RoutingSynthesizer
 from repro.routing.plan import Net, RoutedNet
-from repro.routing.reference import ReferenceTimeGrid
 from repro.routing.timegrid import TimeGrid
 
 
@@ -63,12 +63,13 @@ def test_previously_rejected_fault_patterns_now_verify(assay, pseed, fseed):
 
 @pytest.mark.parametrize("assay,pseed,fseed", PREVIOUSLY_REJECTED[:2])
 def test_reference_engine_stays_bit_identical(assay, pseed, fseed):
-    """The same two-sided fix lives in routing/reference.py, so packed
-    and reference plans stay bit-identical on the pinned scenarios."""
+    """The same two-sided fix lives in the reference grid oracle, so
+    packed and reference plans stay bit-identical on the pinned
+    scenarios."""
     graph, schedule, placement = _place(assay, pseed)
     faults = sample_street_faults(placement, fseed)
     packed = RoutingSynthesizer().synthesize(graph, schedule, placement, faults)
-    reference = RoutingSynthesizer(reference=True).synthesize(
+    reference = ReferenceSynthesizer(reference=True).synthesize(
         graph, schedule, placement, faults
     )
     assert packed == reference

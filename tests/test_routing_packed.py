@@ -1,8 +1,8 @@
 """Equivalence tests for the packed routing engine.
 
 The packed :class:`TimeGrid` and the original
-:class:`ReferenceTimeGrid` must be observationally identical on the
-array: same ``static_blocked``/``reserved_blocked``/``blocked`` answers
+:class:`ReferenceTimeGrid` (kept in ``tests/oracles/``) must be
+observationally identical on the array: same ``static_blocked``/``reserved_blocked``/``blocked`` answers
 over arbitrary obstacle/reservation soups, and — through the router —
 bit-identical routing plans at fixed seeds, with and without fault
 injection. The incremental negotiation must degrade gracefully to the
@@ -14,6 +14,12 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (
+    CrossCheckTimeGrid,
+    ReferenceRouter,
+    ReferenceSynthesizer,
+    ReferenceTimeGrid,
+)
 
 from repro.assay.catalog import BUNDLED_ASSAYS
 from repro.geometry import Point, Rect
@@ -22,10 +28,8 @@ from repro.pipeline.stages import BindStage, PlaceStage, ScheduleStage
 from repro.placement.annealer import AnnealingParams
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.routing import (
-    CrossCheckTimeGrid,
     Net,
     PrioritizedRouter,
-    ReferenceTimeGrid,
     RoutedNet,
     RoutingSynthesizer,
     TimeGrid,
@@ -140,7 +144,7 @@ class TestGridParity:
     @given(st.integers(0, 10**9))
     def test_route_one_identical_over_random_soups(self, seed):
         packed, reference, horizon, probes = _build_soup(seed)
-        router = PrioritizedRouter()
+        router = ReferenceRouter()
         from repro.util.errors import RoutingError
 
         for net in probes:
@@ -187,7 +191,7 @@ class TestPlanIdentity:
             packed_plan = RoutingSynthesizer().synthesize(
                 graph, schedule, placement, faults
             )
-            ref_plan = RoutingSynthesizer(reference=True).synthesize(
+            ref_plan = ReferenceSynthesizer(reference=True).synthesize(
                 graph, schedule, placement, faults
             )
             assert packed_plan == ref_plan
@@ -197,22 +201,14 @@ class TestPlanIdentity:
     def test_cross_check_mode_matches_default(self):
         graph, schedule, placement = _synthesis_inputs("pcr")
         default_plan = RoutingSynthesizer().synthesize(graph, schedule, placement)
-        checked_plan = RoutingSynthesizer(cross_check=True).synthesize(
+        checked_plan = ReferenceSynthesizer(cross_check=True).synthesize(
             graph, schedule, placement
         )
         assert checked_plan == default_plan
 
     def test_reference_and_cross_check_are_exclusive(self):
         with pytest.raises(ValueError):
-            RoutingSynthesizer(reference=True, cross_check=True)
-
-    def test_custom_router_rejects_engine_flags(self):
-        # The flags configure grid factory AND negotiation shape; with
-        # a caller-supplied router only half would apply.
-        with pytest.raises(ValueError, match="custom router"):
-            RoutingSynthesizer(router=PrioritizedRouter(), reference=True)
-        with pytest.raises(ValueError, match="custom router"):
-            RoutingSynthesizer(router=PrioritizedRouter(), cross_check=True)
+            ReferenceSynthesizer(reference=True, cross_check=True)
 
 
 class TestCrossCheckGrid:
@@ -265,7 +261,7 @@ class TestIncrementalNegotiation:
         grid_a, nets = self._trapped_batch()
         routed_inc, failed_inc = PrioritizedRouter().route_all(nets, grid_a)
         grid_b, nets = self._trapped_batch()
-        routed_ref, failed_ref = PrioritizedRouter(reference=True).route_all(
+        routed_ref, failed_ref = ReferenceRouter(reference=True).route_all(
             nets, grid_b
         )
         assert not failed_inc and not failed_ref
@@ -279,7 +275,7 @@ class TestIncrementalNegotiation:
             Net("a", Point(1, 1), Point(10, 1), priority=2.0),
             Net("b", Point(1, 10), Point(10, 10)),
         ]
-        routed, failed = PrioritizedRouter(cross_check=True).route_all(nets, grid)
+        routed, failed = ReferenceRouter(cross_check=True).route_all(nets, grid)
         assert not failed
         assert {rn.net.net_id for rn in routed} == {"a", "b"}
 

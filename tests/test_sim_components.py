@@ -1,12 +1,15 @@
 """Tests for the simulator substrate: electrowetting model, droplets,
-and the A* router."""
+the packed transport kernel, and the A* router oracle it must match."""
+
+import random
 
 import pytest
+from oracles import DropletRouter
 
 from repro.geometry import Point, Rect
 from repro.sim.droplet import Droplet
 from repro.sim.electrowetting import ElectrowettingModel
-from repro.sim.router import DropletRouter
+from repro.sim.fastgrid import PackedDropletRouter
 from repro.util.errors import RoutingError
 
 
@@ -167,3 +170,78 @@ class TestDropletRouter:
     def test_invalid_dims(self):
         with pytest.raises(ValueError):
             DropletRouter(0, 4)
+
+
+def _route_outcome(router, *args, **kwargs):
+    """``(start, end, length)`` of a route, or the error text."""
+    try:
+        route = router.route(*args, **kwargs)
+    except RoutingError as exc:
+        return str(exc)
+    return (route.start, route.end, route.length)
+
+
+class TestPackedDropletRouter:
+    def test_unroutable_text_counts_in_bounds_cells(self):
+        # The parked droplet's ring spills off the 1-wide array: only
+        # its 3 in-bounds cells count as blocked.
+        router = PackedDropletRouter(1, 5)
+        with pytest.raises(RoutingError) as exc:
+            router.route(Point(1, 1), Point(1, 5), other_droplets=[Point(1, 3)])
+        assert str(exc.value) == (
+            "no droplet path Point(x=1, y=1) -> Point(x=1, y=5) on 1x5 "
+            "array with 3 blocked cells"
+        )
+        assert str(exc.value) == _route_outcome(
+            DropletRouter(1, 5), Point(1, 1), Point(1, 5),
+            other_droplets=[Point(1, 3)],
+        )
+
+    def test_out_of_bounds_endpoint_text(self):
+        router = PackedDropletRouter(4, 4)
+        with pytest.raises(RoutingError) as exc:
+            router.route(Point(0, 1), Point(2, 2))
+        assert str(exc.value) == (
+            "route endpoints Point(x=0, y=1)->Point(x=2, y=2) outside the array"
+        )
+        assert str(exc.value) == _route_outcome(
+            DropletRouter(4, 4), Point(0, 1), Point(2, 2)
+        )
+
+    def test_memoized_failure_reraises_identical_text(self):
+        router = PackedDropletRouter(8, 8)
+        wall = [Rect(4, 1, 1, 8)]
+        first = _route_outcome(router, Point(1, 1), Point(8, 1), blocked_rects=wall)
+        assert isinstance(first, str) and len(router._memo) == 1
+        again = _route_outcome(router, Point(1, 1), Point(8, 1), blocked_rects=wall)
+        assert again == first
+        assert len(router._memo) == 1  # answered from the memo
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_a_star_oracle(self, seed):
+        """Same lengths, endpoints and failure texts as the per-Point
+        A* router over random obstacle soups, including parked
+        droplets and module footprints hanging off the array."""
+        rng = random.Random(seed)
+        for _ in range(60):
+            w, h = rng.randint(1, 9), rng.randint(1, 9)
+
+            def cell(slack=0):
+                return Point(rng.randint(1 - slack, w + slack),
+                             rng.randint(1 - slack, h + slack))
+
+            rects = [
+                Rect(rng.randint(0, w), rng.randint(0, h),
+                     rng.randint(1, 3), rng.randint(1, 3))
+                for _ in range(rng.randint(0, 3))
+            ]
+            args = (cell(slack=1 if rng.random() < 0.1 else 0), cell())
+            kwargs = dict(
+                blocked_rects=rects,
+                blocked_cells=[cell(slack=1) for _ in range(rng.randint(0, 4))],
+                other_droplets=[cell(slack=1) for _ in range(rng.randint(0, 3))],
+                allow_goal_adjacent_merge=rng.random() < 0.8,
+                inflate=rng.random() < 0.7,
+            )
+            assert _route_outcome(PackedDropletRouter(w, h), *args, **kwargs) == \
+                _route_outcome(DropletRouter(w, h), *args, **kwargs)

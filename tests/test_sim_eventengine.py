@@ -9,10 +9,11 @@ Two layers of guarantees:
 2. Engine parity properties — the event-driven replay in
    :class:`~repro.sim.engine.BiochipSimulator` is a *performance*
    rewrite, not a semantic one: for any bundled assay and fault
-   scenario, ``engine="event"`` and ``engine="stepped"`` must produce
-   bit-identical :class:`SimulationReport`\\ s (events, realized
-   intervals, transport accounting — everything), and checkpoints taken
-   from the event log must equal the stepped reference's replayed ones.
+   scenario, it and the stepped oracle
+   (:class:`oracles.SteppedSimulator`) must produce bit-identical
+   :class:`SimulationReport`\\ s (events, realized intervals, transport
+   accounting — everything), and checkpoints taken from the event log
+   must equal the stepped oracle's replayed ones.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import SteppedSimulator
 
 from repro.assay.catalog import build_assay
 from repro.placement.annealer import AnnealingParams
@@ -182,13 +184,13 @@ def _synthesized(assay: str):
 
 def _simulator(assay: str, engine: str) -> BiochipSimulator:
     result = _synthesized(assay)
-    return BiochipSimulator(
+    simulator = SteppedSimulator if engine == "stepped" else BiochipSimulator
+    return simulator(
         result.graph,
         result.schedule,
         result.binding,
         result.placement_result.placement,
         strict=False,
-        engine=engine,
     )
 
 
@@ -240,17 +242,6 @@ class TestEngineParity:
         nominal = sim.run()
         assert _comparable(first) == _comparable(again)
         assert nominal.completed and nominal.delay_s == 0.0
-
-    def test_unknown_engine_rejected(self):
-        result = _synthesized("pcr")
-        with pytest.raises(ValueError, match="unknown simulation engine"):
-            BiochipSimulator(
-                result.graph,
-                result.schedule,
-                result.binding,
-                result.placement_result.placement,
-                engine="warp",
-            )
 
 
 class TestCheckpointOnEventLog:

@@ -71,7 +71,7 @@ class TestConfigParsing:
             ({"generators": ["gen:warp:n=9"]}, "unknown generator family"),
             ({"generators": ["pcr"], "fault_models": ["meteor"]},
              "unknown fault model"),
-            ({"generators": ["pcr"], "engines": ["warp"]}, "unknown engine"),
+            ({"generators": ["pcr"], "engines": ["event"]}, "unknown key"),
             ({"generators": ["pcr"], "arrays": ["12by12"]}, "bad array size"),
             ({"generators": ["pcr"], "typo": [1]}, "unknown key"),
             ({"generators": ["pcr"], "defects": ["meteor"]},
