@@ -1,4 +1,4 @@
-"""Closed-loop fault tolerance under realistic fault processes.
+"""Closed-loop fault tolerance under the five pinned fault models.
 
 Not a paper artifact — the acceptance gate of the closed-loop layer
 (:mod:`repro.recovery.closedloop` + :mod:`repro.fault.models`):

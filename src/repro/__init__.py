@@ -31,7 +31,6 @@ from repro.assay.protocols.pcr import (
 from repro.assay.synthetic import build_mix_tree, random_assay
 from repro.exec import CampaignJournal, SupervisedPool, TaskOutcome, load_journal
 from repro.fault.fti import FTIReport, compute_fti
-from repro.fault.injection import FaultInjector, estimate_survival_probability
 from repro.fault.tolerance import ToleranceAnalyzer
 from repro.fault.mer import (
     brute_force_maximal_empty_rectangles,
@@ -48,7 +47,6 @@ from repro.pipeline import (
     Pipeline,
     PortfolioResult,
     PortfolioSpec,
-    RecoveryStage,
     SynthesisContext,
     build_default_pipeline,
     run_portfolio,
@@ -113,7 +111,6 @@ __all__ = [
     "ExecutionError",
     "FTIReport",
     "FaultAwareCost",
-    "FaultInjector",
     "GreedyPlacer",
     "Interval",
     "MicrofluidicArray",
@@ -142,7 +139,6 @@ __all__ = [
     "ReconfigurationError",
     "ReconfigurationPlan",
     "RecoveryOutcome",
-    "RecoveryStage",
     "Rect",
     "ReproError",
     "ResourceBinder",
@@ -182,7 +178,6 @@ __all__ = [
     "build_pcr_mixing_graph",
     "build_serial_dilution_graph",
     "compute_fti",
-    "estimate_survival_probability",
     "find_maximal_empty_rectangles",
     "list_schedule",
     "load_journal",

@@ -648,7 +648,7 @@ def _recover_closed_loop(
     """One closed-loop (or multi-fault oracle) run per protocol.
 
     Each ``--cell``/``--fault-time`` pair seeds the configured
-    ``--fault-model`` process at that arrival and cell (auto-picked by
+    ``--fault-model`` timeline at that arrival and cell (auto-picked by
     ``--target`` when no cell is pinned); detections happen via the
     noisy-sensor probe loop under ``--closed-loop``, or from ground
     truth otherwise.
@@ -981,7 +981,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     recover.add_argument(
         "--fault-model", choices=sorted(FAULT_MODELS), default="permanent",
-        help="fault process realized at each --cell/--fault-time pair: "
+        help="fault timeline realized at each --cell/--fault-time pair: "
              "permanent stuck-at, transient self-clearing, intermittent "
              "duty-cycled, wear-out, or a spatially-clustered burst",
     )

@@ -14,29 +14,20 @@ package provides:
   with three interchangeable algorithms;
 * :mod:`repro.fault.reconfigure` — the on-line partial reconfiguration
   engine;
-* :mod:`repro.fault.injection` — fault injection and Monte-Carlo
-  survival estimation;
-* :mod:`repro.fault.models` — the fault taxonomy: seeded, deterministic
-  arrival processes (permanent, transient, intermittent, wear-out,
-  clustered) driving the closed-loop recovery controller.
+* :mod:`repro.fault.injection` — seeded street-fault sampling for
+  routing scenarios;
+* :mod:`repro.fault.models` — the fault layer: the timed
+  :class:`FaultEvent` timelines of the five pinned fault models
+  (permanent, transient, intermittent, wear-out, clustered) that drive
+  the closed-loop recovery controller, and the design-time defect
+  patterns.
+
+The Monte-Carlo survival estimate that cross-checks the FTI is
+:meth:`ToleranceAnalyzer.multi_fault_survival` with ``max_faults=1``.
 """
 
 from repro.fault.fti import FTIReport, ModuleRelocatability, compute_fti
-from repro.fault.injection import FaultInjector, estimate_survival_probability
-from repro.fault.models import (
-    FAULT_MODELS,
-    ClusteredFaults,
-    FaultEvent,
-    FaultProcess,
-    IntermittentFault,
-    PermanentStuckAt,
-    RandomPermanentFaults,
-    TransientFaults,
-    WearOutProcess,
-    actuation_counts,
-    build_fault_process,
-    wearout_weight_fn,
-)
+from repro.fault.models import FAULT_MODELS, FaultEvent
 from repro.fault.mer import (
     brute_force_maximal_empty_rectangles,
     find_maximal_empty_rectangles,
@@ -54,16 +45,8 @@ from repro.fault.tolerance import (
 __all__ = [
     "FAULT_MODELS",
     "FTIReport",
-    "ClusteredFaults",
     "FaultEvent",
-    "FaultInjector",
-    "FaultProcess",
-    "IntermittentFault",
     "ModuleCriticality",
-    "PermanentStuckAt",
-    "RandomPermanentFaults",
-    "TransientFaults",
-    "WearOutProcess",
     "ModuleRelocatability",
     "MultiFaultResult",
     "PartialReconfigurer",
@@ -73,12 +56,8 @@ __all__ = [
     "Staircase",
     "Step",
     "ToleranceAnalyzer",
-    "actuation_counts",
     "brute_force_maximal_empty_rectangles",
-    "build_fault_process",
     "compute_fti",
-    "estimate_survival_probability",
     "find_maximal_empty_rectangles",
     "fits_any_rectangle",
-    "wearout_weight_fn",
 ]

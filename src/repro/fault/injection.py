@@ -1,72 +1,19 @@
-"""Fault injection and Monte-Carlo survival estimation.
+"""Seeded street-fault sampling for routing scenarios.
 
-The paper assumes every cell has the same failure probability (Section
-5.2, justified by the absence of field-failure statistics for early
-biochips). Under that model the probability that a *random* single
-fault is survivable equals the FTI exactly — :func:`
-estimate_survival_probability` verifies this correspondence empirically
-and gives designers a hook for plugging in non-uniform failure models
-once statistical data exists.
+:func:`sample_street_faults` draws a fixed share of the cells a routed
+design leaves free for droplet transport. The routing-engine benchmark
+and the merge-exemption regression tests use it as their fault grid.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
 from typing import TYPE_CHECKING
 
-from repro.fault.reconfigure import PartialReconfigurer
-from repro.geometry import Point
-from repro.grid.array import MicrofluidicArray
-from repro.util.errors import ReconfigurationError
 from repro.util.rng import ensure_rng
 
 if TYPE_CHECKING:  # placement imports fault's cost hooks; avoid the cycle
     from repro.placement.model import Placement
-
-
-class FaultInjector:
-    """Samples faulty cells according to a failure model.
-
-    The default model is the paper's uniform one; pass *weight_fn* to
-    bias failures (e.g. toward high-duty-cycle cells, the natural next
-    model once electrode-degradation data exists).
-    """
-
-    def __init__(
-        self,
-        seed: int | random.Random | None = None,
-        weight_fn: Callable[[Point], float] | None = None,
-    ) -> None:
-        self._rng = ensure_rng(seed)
-        self._weight_fn = weight_fn
-
-    def random_cell(self, width: int, height: int) -> Point:
-        """Draw one faulty cell on a ``width x height`` array."""
-        if width < 1 or height < 1:
-            raise ValueError(f"array dimensions must be >= 1, got {width}x{height}")
-        if self._weight_fn is None:
-            return Point(self._rng.randint(1, width), self._rng.randint(1, height))
-        cells = [Point(x, y) for y in range(1, height + 1) for x in range(1, width + 1)]
-        weights = [self._weight_fn(p) for p in cells]
-        if min(weights) < 0:
-            raise ValueError("failure weights must be non-negative")
-        return self._rng.choices(cells, weights=weights, k=1)[0]
-
-    def inject(self, array: MicrofluidicArray) -> Point:
-        """Mark a random *healthy* cell of *array* faulty and return it."""
-        healthy = [
-            Point(c.x, c.y) for c in array.cells() if not c.is_faulty
-        ]
-        if not healthy:
-            raise ValueError("array has no healthy cells left to fail")
-        if self._weight_fn is None:
-            cell = self._rng.choice(healthy)
-        else:
-            weights = [self._weight_fn(p) for p in healthy]
-            cell = self._rng.choices(healthy, weights=weights, k=1)[0]
-        array.mark_faulty(cell)
-        return cell
 
 
 def sample_street_faults(
@@ -96,35 +43,3 @@ def sample_street_faults(
     )
     rng = ensure_rng(seed)
     return rng.sample(streets, max(1, round(rate * len(streets))))
-
-
-def estimate_survival_probability(
-    placement: Placement,
-    trials: int = 1000,
-    seed: int | random.Random | None = None,
-    reconfigurer: PartialReconfigurer | None = None,
-) -> float:
-    """Monte-Carlo estimate of P(single random fault is survivable).
-
-    Draws uniform faulty cells on the placement's bounding array and
-    attempts partial reconfiguration for each. Under the paper's uniform
-    failure model this converges to the FTI; the test suite checks the
-    agreement, and :func:`repro.fault.fti.compute_fti` is the exact
-    (non-sampled) computation.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = ensure_rng(seed)
-    normalized = placement.normalized()
-    width, height = normalized.array_dims()
-    injector = FaultInjector(seed=rng)
-    engine = reconfigurer if reconfigurer is not None else PartialReconfigurer()
-    survived = 0
-    for _ in range(trials):
-        fault = injector.random_cell(width, height)
-        try:
-            engine.apply(normalized, fault)
-        except ReconfigurationError:
-            continue
-        survived += 1
-    return survived / trials

@@ -32,7 +32,6 @@ from repro.pipeline.portfolio import (
 from repro.pipeline.stages import (
     BindStage,
     PlaceStage,
-    RecoveryStage,
     RouteStage,
     ScheduleStage,
     SimVerifyStage,
@@ -47,7 +46,6 @@ __all__ = [
     "PlaceStage",
     "PortfolioResult",
     "PortfolioSpec",
-    "RecoveryStage",
     "RouteStage",
     "ScheduleStage",
     "SimVerifyStage",

@@ -21,7 +21,6 @@ from repro.util.errors import PipelineError
 if TYPE_CHECKING:
     from repro.fault.fti import FTIReport
     from repro.placement.sa_placer import PlacementResult
-    from repro.recovery.engine import RecoveryOutcome
     from repro.routing.plan import RoutingPlan
     from repro.sim.engine import SimulationReport
     from repro.synthesis.binder import Binding
@@ -54,8 +53,6 @@ class SynthesisContext:
     fti_report: FTIReport | None = None
     routing_plan: RoutingPlan | None = None
     sim_report: SimulationReport | None = None
-    #: Product of the online fault-recovery stage, when one ran.
-    recovery_outcome: RecoveryOutcome | None = None
 
     #: Wall-clock seconds per completed stage, in execution order.
     stage_timings: dict[str, float] = field(default_factory=dict)

@@ -1,5 +1,5 @@
-"""Pluggable pipeline stages: bind, schedule, place, route,
-verify-by-sim, and online fault recovery.
+"""Pluggable pipeline stages: bind, schedule, place, route, and
+verify-by-sim.
 
 Each stage is a small configured transform over a
 :class:`~repro.pipeline.context.SynthesisContext`: it reads the
@@ -136,60 +136,6 @@ class RouteStage:
             context.schedule,
             context.placement_result.placement,
             faulty_cells=context.faulty_cells,
-        )
-
-
-class RecoveryStage:
-    """Online fault-recovery demonstration over the synthesized assay.
-
-    Injects one mid-assay fault — at ``fault_time_fraction`` of the
-    nominal makespan, aimed by ``target`` (see
-    :data:`repro.recovery.engine.FAULT_TARGETS`) — and drives the
-    checkpoint -> incremental re-synthesis -> resume loop. The
-    context's ``faulty_cells`` are treated as design-time defects the
-    nominal plan already avoids; the online fault is new on top of
-    them. Writes the :class:`~repro.recovery.engine.RecoveryOutcome`
-    to ``context.recovery_outcome``.
-    """
-
-    name = "recover"
-
-    def __init__(
-        self,
-        fault_time_fraction: float = 0.5,
-        target: str = "pending-module",
-        engine=None,
-        seed: int | random.Random | None = None,
-    ) -> None:
-        if not 0.0 <= fault_time_fraction < 1.0:
-            raise ValueError(
-                f"fault_time_fraction must be in [0, 1), got {fault_time_fraction}"
-            )
-        self.fault_time_fraction = fault_time_fraction
-        self.target = target
-        self.engine = engine
-        self.seed = seed
-
-    def run(self, context: SynthesisContext) -> None:
-        from repro.recovery.engine import OnlineRecoveryEngine, pick_fault_cell
-        from repro.util.rng import ensure_rng
-
-        context.require("binding", "schedule", "placement_result", "routing_plan")
-        engine = self.engine if self.engine is not None else OnlineRecoveryEngine()
-        result = context.result()
-        rng = ensure_rng(self.seed)
-        fault_time = self.fault_time_fraction * result.schedule.makespan
-        checkpoint = engine.checkpoint_of(
-            result, fault_time, known_faults=context.faulty_cells
-        )
-        cell = pick_fault_cell(result, checkpoint, self.target, rng=rng)
-        context.recovery_outcome = engine.recover(
-            result,
-            [cell],
-            fault_time,
-            seed=rng,
-            checkpoint=checkpoint,
-            known_faults=context.faulty_cells,
         )
 
 

@@ -48,7 +48,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 
-from repro.fault.models import FAIL, FaultEvent, FaultProcess
+from repro.fault.models import FAIL, FaultEvent
 from repro.geometry import Point
 from repro.grid.array import MicrofluidicArray
 from repro.recovery.engine import (
@@ -297,33 +297,33 @@ class ClosedLoopController:
     def run(
         self,
         result: SynthesisResult,
-        faults: FaultProcess | tuple[FaultEvent, ...] | list[FaultEvent],
+        faults: tuple[FaultEvent, ...] | list[FaultEvent],
         seed: int | random.Random | None = None,
         mode: str = "closed-loop",
         known_faults=(),
     ) -> ClosedLoopOutcome:
         """Execute *result*'s assay under *faults*, recovering as needed.
 
-        *faults* is a :class:`~repro.fault.models.FaultProcess` (realized
-        here from a seed spawned off *seed*) or an already-realized
-        event tuple (what campaigns pass, for jobs-invariance). *mode* is
-        ``"closed-loop"`` (detections only via sensing) or ``"oracle"``
-        (the retained perfect-knowledge reference). *known_faults* are
-        design-time defects (placement coordinates) the nominal plan
-        already routes around: they are dead from t=0 and believed from
-        the start, so they are never detections.
+        *faults* is a realized event timeline (see
+        :func:`~repro.fault.models.scenario_events`), in any order: it
+        is sorted by time on entry, stably, so simultaneous events keep
+        their given order. *mode* is ``"closed-loop"`` (detections only
+        via sensing) or ``"oracle"`` (the retained perfect-knowledge
+        reference). *known_faults* are design-time defects (placement
+        coordinates) the nominal plan already routes around: they are
+        dead from t=0 and believed from the start, so they are never
+        detections.
         """
         if mode not in DETECTION_MODES:
             raise RecoveryError(
                 f"unknown detection mode {mode!r}; choose from {DETECTION_MODES}"
             )
         rng = ensure_rng(seed)
-        if isinstance(faults, FaultProcess):
-            events = faults.realize(spawn_seed(rng))
-        else:
-            events = tuple(faults)
         known = [Point(*c) for c in known_faults]
-        events = (*(FaultEvent(0.0, c, FAIL, "defect") for c in known), *events)
+        events = (
+            *(FaultEvent(0.0, c, FAIL, "defect") for c in known),
+            *sorted(faults, key=lambda e: e.time_s),
+        )
         state = _RunState(result=result, believed=known)
 
         # Zero-error, zero-latency sensing with single-vote probes *is*

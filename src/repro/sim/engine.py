@@ -161,7 +161,7 @@ def _normalize_faults(faults) -> list[FaultEntry]:
 
     Accepts the historical ``(time, cell)`` pairs (kind defaults to
     ``"fail"`` — permanent faults) alongside explicit triples, so every
-    existing caller keeps working while fault processes inject
+    existing caller keeps working while fault models inject
     self-clearing timelines. The sort is stable: same-instant entries
     keep their given order (a caller listing ``fail`` before ``clear``
     at one instant means exactly that).
@@ -473,7 +473,7 @@ class BiochipSimulator:
 
         Entries are ``(time, cell)`` pairs (permanent faults, the
         historical form) or ``(time, cell, kind)`` triples with kind
-        ``"fail"`` or ``"clear"`` — the form fault processes emit for
+        ``"fail"`` or ``"clear"`` — the form fault models emit for
         transient/intermittent faults. Fault cells are given in the
         *simulator's* coordinates (the placement shifted by
         ``margin``); use :meth:`module_cell` to aim at a particular

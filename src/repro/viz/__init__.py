@@ -10,7 +10,6 @@ examples; the SVG writer produces standalone files for reports
 from repro.viz.ascii_art import (
     render_fti_map,
     render_gantt,
-    render_occupancy,
     render_placement,
 )
 from repro.viz.svg import (
@@ -27,7 +26,6 @@ __all__ = [
     "placement_to_svg",
     "render_fti_map",
     "render_gantt",
-    "render_occupancy",
     "render_placement",
     "save_svg",
     "schedule_to_svg",

@@ -70,15 +70,6 @@ def render_placement(
     return "\n".join(lines)
 
 
-def render_occupancy(grid_str_source) -> str:
-    """Render an OccupancyGrid (``#`` occupied, ``.`` free), top row last.
-
-    Accepts anything with the OccupancyGrid string contract; exists so
-    callers need not know the grid's internal orientation.
-    """
-    return str(grid_str_source)
-
-
 def render_gantt(schedule: Schedule, width: int = 60) -> str:
     """Render a schedule as an ASCII Gantt chart (paper Figure 6)."""
     makespan = schedule.makespan

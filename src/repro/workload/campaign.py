@@ -38,7 +38,7 @@ import itertools
 import json
 import os
 import time
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -1090,11 +1090,3 @@ def validate_log(path: str | os.PathLike) -> list[str]:
             f"log carries {n_records} records (lost scenarios?)"
         )
     return errors
-
-
-def iter_log_payloads(path: str | os.PathLike) -> Iterable[dict]:
-    """Raw JSON objects of a log, line order, no validation."""
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                yield json.loads(line)

@@ -222,6 +222,29 @@ class TestLadder:
         assert outcome.detection_latencies == (0.0,)
 
 
+class TestTimelineOrder:
+    def test_unsorted_timeline_runs_as_sorted(self):
+        """Regression: pcr, two permanent faults at 0.3 and 0.6 of the
+        makespan. Handed over latest-first, the controller used to
+        recover at 11.4 s and then again at 5.7 s, on a plan it had
+        already rewritten; it now sorts the timeline on entry."""
+        result = _routed("pcr")
+        makespan = result.makespan
+        events = (
+            FaultEvent(0.3 * makespan, Point(3, 5), FAIL),
+            FaultEvent(0.6 * makespan, Point(5, 5), FAIL),
+        )
+        controller = ClosedLoopController(engine=_engine())
+        ordered = controller.run(result, events, seed=7)
+        reversed_ = controller.run(result, events[::-1], seed=7)
+        assert [d.detected_at_s for d in ordered.detections] == [
+            0.3 * makespan, 0.6 * makespan,
+        ]
+        assert _strip_timing(reversed_.to_dict()) == _strip_timing(
+            ordered.to_dict()
+        )
+
+
 class TestSweepClosedLoop:
     def test_closed_loop_records_are_jobs_invariant(self):
         """Records of the recovery sweep preset are identical for any

@@ -1,10 +1,11 @@
-"""The fault taxonomy's hard contracts.
+"""The fault layer's hard contracts, on :func:`scenario_events` — the
+generator every campaign, ``repro recover`` run and benchmark realizes
+its faults through.
 
 Three properties carry the closed-loop story:
 
 1. **Reproducibility** — the same seed yields the bit-identical event
-   stream, from the same process instance or a freshly-built twin.
-   This is what makes sweeps jobs-invariant.
+   stream. This is what makes sweeps jobs-invariant.
 2. **Stream invariants** — sorted times, in-bounds cells, strictly
    alternating fail/clear per cell (no double-fail, no clear of a
    healthy cell).
@@ -15,6 +16,7 @@ Three properties carry the closed-loop story:
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 
 import pytest
@@ -27,20 +29,17 @@ from repro.fault.models import (
     CLEAR,
     FAIL,
     FAULT_MODELS,
-    ClusteredFaults,
     FaultEvent,
-    PermanentStuckAt,
-    WearOutProcess,
-    actuation_counts,
-    build_fault_process,
     defect_cells,
-    wearout_weight_fn,
+    scenario_events,
 )
 from repro.geometry import Point
 from repro.placement.annealer import AnnealingParams
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
+from repro.recovery import ClosedLoopController
 from repro.sim.engine import BiochipSimulator
 from repro.synthesis.flow import SynthesisFlow
+from repro.util.errors import RecoveryError
 
 
 class TestFaultEvent:
@@ -63,41 +62,45 @@ class TestFaultEvent:
 
 
 class TestBuildRegistry:
-    def test_unknown_model_is_a_value_error(self):
-        with pytest.raises(ValueError, match="unknown fault model"):
-            build_fault_process("meteor", 8, 8, 10.0)
-
     @pytest.mark.parametrize("name", sorted(FAULT_MODELS))
     def test_every_model_realizes(self, name):
-        events = build_fault_process(name, 8, 8, 20.0).realize(3)
+        events = scenario_events(
+            name, Point(4, 4), 5.0, 20.0, 8, 8, random.Random(3)
+        )
         assert all(isinstance(e, FaultEvent) for e in events)
+        first = events[0]
+        assert (first.time_s, first.cell, first.kind) == (5.0, Point(4, 4), FAIL)
+        assert {e.cause for e in events} == {name}
 
 
 @st.composite
-def _processes(draw):
+def _scenarios(draw):
+    """One scenario's arguments: model, target cell, arrival, makespan
+    and array, the way campaigns draw them."""
     name = draw(st.sampled_from(sorted(FAULT_MODELS)))
-    width = draw(st.integers(min_value=3, max_value=12))
-    height = draw(st.integers(min_value=3, max_value=12))
-    horizon = draw(st.floats(min_value=1.0, max_value=100.0))
-    return name, width, height, horizon
+    width = draw(st.integers(min_value=1, max_value=12))
+    height = draw(st.integers(min_value=1, max_value=12))
+    cell = Point(
+        draw(st.integers(min_value=1, max_value=width)),
+        draw(st.integers(min_value=1, max_value=height)),
+    )
+    makespan = draw(st.floats(min_value=1.0, max_value=100.0))
+    fault_time = draw(st.floats(min_value=0.0, max_value=1.0)) * makespan
+    return name, cell, fault_time, makespan, width, height
 
 
 class TestReproducibility:
-    @given(spec=_processes(), seed=st.integers(min_value=0, max_value=2**31))
+    @given(spec=_scenarios(), seed=st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=60, deadline=None)
     def test_same_seed_bit_identical_stream(self, spec, seed):
-        name, width, height, horizon = spec
-        process = build_fault_process(name, width, height, horizon)
-        twin = build_fault_process(name, width, height, horizon)
-        first = process.realize(seed)
-        assert first == process.realize(seed)
-        assert first == twin.realize(seed)
+        first = scenario_events(*spec, random.Random(seed))
+        assert first == scenario_events(*spec, random.Random(seed))
 
-    @given(spec=_processes(), seed=st.integers(min_value=0, max_value=2**31))
+    @given(spec=_scenarios(), seed=st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=60, deadline=None)
     def test_stream_invariants(self, spec, seed):
-        name, width, height, horizon = spec
-        events = build_fault_process(name, width, height, horizon).realize(seed)
+        *_, width, height = spec
+        events = scenario_events(*spec, random.Random(seed))
         assert list(events) == sorted(events, key=lambda e: e.time_s)
         failed: set[Point] = set()
         for e in events:
@@ -110,80 +113,117 @@ class TestReproducibility:
                 failed.discard(e.cell)
 
 
-class TestWearOut:
-    def test_hazard_biases_toward_actuated_cells(self):
-        """With all the actuation on one cell, that cell must dominate
-        the failure draws — deterministically, over a fixed seed range."""
-        hot = Point(2, 2)
-        process = WearOutProcess(
-            5, 5, horizon_s=50.0,
-            actuation_counts={hot: 500},
-            hazard_scale=5.0,
+class TestScenarioEdgeCases:
+    @pytest.mark.parametrize(
+        ("fault_time", "expected"),
+        [
+            (2.0, [(2.0, FAIL), (3.5, CLEAR)]),
+            (8.5, [(8.5, FAIL)]),  # the clear would land exactly at 10.0
+            (9.0, [(9.0, FAIL)]),
+        ],
+    )
+    def test_transient_clear_only_before_the_makespan(self, fault_time, expected):
+        events = scenario_events(
+            "transient", Point(2, 2), fault_time, 10.0, 5, 5, random.Random(0)
         )
-        picks = [e.cell for s in range(60) for e in process.realize(s)]
-        assert picks, "hazard_scale=5 should realize at least some failures"
-        assert picks.count(hot) / len(picks) > 0.8
+        assert [(e.time_s, e.kind) for e in events] == expected
 
-    def test_empty_realization_is_valid(self):
-        # Tiny hazard: the exponential draw lands past the horizon.
-        process = WearOutProcess(5, 5, horizon_s=1.0, hazard_scale=1e-6)
-        assert process.realize(1) == ()
+    @pytest.mark.parametrize(
+        ("fault_time", "expected"),
+        [
+            (6.0, [(6.0, FAIL), (7.0, CLEAR), (8.0, FAIL), (9.0, CLEAR)]),
+            (10.0, [(10.0, FAIL)]),
+            (12.5, [(12.5, FAIL)]),
+        ],
+    )
+    def test_intermittent_flips_every_tenth_until_the_makespan(
+        self, fault_time, expected
+    ):
+        """Flips every 10% of the makespan from the arrival; an arrival
+        at or past the makespan is a single fail."""
+        events = scenario_events(
+            "intermittent", Point(3, 1), fault_time, 10.0, 5, 5, random.Random(0)
+        )
+        assert [e.kind for e in events] == [kind for _, kind in expected]
+        assert [e.time_s for e in events] == pytest.approx(
+            [t for t, _ in expected]
+        )
 
-    def test_counts_from_placement_and_plan(self, sa_result):
-        counts = actuation_counts(sa_result.placement)
-        assert counts and all(v >= 1 for v in counts.values())
-        # Every counted cell is under some module footprint.
-        covered = {
-            (c.x, c.y)
-            for pm in sa_result.placement
-            for c in pm.footprint.cells()
-        }
-        assert {(p.x, p.y) for p in counts} <= covered
+    def test_wearout_is_a_pinned_permanent_fail(self):
+        events = scenario_events(
+            "wearout", Point(2, 3), 4.0, 10.0, 5, 5, random.Random(0)
+        )
+        assert events == (FaultEvent(4.0, Point(2, 3), FAIL, "wearout"),)
 
-    def test_weight_fn_lifts_counts(self):
-        fn = wearout_weight_fn({Point(1, 1): 9}, baseline=1.0)
-        assert fn(Point(1, 1)) == 10.0
-        assert fn(Point(3, 3)) == 1.0
-        with pytest.raises(ValueError, match="baseline"):
-            wearout_weight_fn({}, baseline=-1.0)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_cluster_at_the_corner_samples_the_clipped_ring(self, seed):
+        events = scenario_events(
+            "cluster", Point(1, 1), 3.0, 10.0, 6, 6, random.Random(seed)
+        )
+        cells = [e.cell for e in events]
+        assert cells[0] == Point(1, 1) and len(cells) == len(set(cells)) == 3
+        assert set(cells[1:]) <= {Point(1, 2), Point(2, 1), Point(2, 2)}
+
+    def test_unknown_model_raises_recovery_error(self):
+        with pytest.raises(RecoveryError, match="unknown fault model") as info:
+            scenario_events("meteor", Point(1, 1), 1.0, 10.0, 8, 8, random.Random(0))
+        for name in FAULT_MODELS:
+            assert name in str(info.value)
 
 
 class TestCluster:
-    @given(seed=st.integers(min_value=0, max_value=500))
+    @given(
+        seed=st.integers(min_value=0, max_value=500),
+        x=st.integers(min_value=1, max_value=10),
+        y=st.integers(min_value=1, max_value=10),
+    )
     @settings(max_examples=40, deadline=None)
-    def test_cluster_is_simultaneous_and_tight(self, seed):
-        process = ClusteredFaults(10, 10, horizon_s=30.0, cluster_size=3, radius=1)
-        events = process.realize(seed)
+    def test_cluster_is_simultaneous_and_tight(self, seed, x, y):
+        events = scenario_events(
+            "cluster", Point(x, y), 7.5, 30.0, 10, 10, random.Random(seed)
+        )
         assert 1 <= len(events) <= 3
         assert len({e.time_s for e in events}) == 1
         cells = [e.cell for e in events]
         spread = max(
             max(abs(a.x - b.x), abs(a.y - b.y)) for a in cells for b in cells
         )
-        assert spread <= 2  # everyone within radius 1 of the seed cell
+        assert spread <= 2  # everyone within radius 1 of the target cell
 
 
 class TestPermanentBridge:
     def test_fault_pattern_lifts_to_process(self):
-        """A resolved defect pattern is the degenerate permanent
-        process: same cells, all failing at the requested instant,
-        independent of the RNG."""
+        """A resolved defect pattern enters the controller's timeline as
+        permanent fails at t=0: same cells, same order, independent of
+        the RNG seed."""
         cells = defect_cells("pair", 9, 9)
-        process = PermanentStuckAt.from_cells(cells, 9, 9, horizon_s=10.0, time_s=2.5)
+        controller = ClosedLoopController()
         for seed in (0, 1, 999):
-            events = process.realize(seed)
-            assert [e.cell for e in events] == list(cells)
-            assert all(e.time_s == 2.5 and e.kind == FAIL for e in events)
+            outcome = controller.run(
+                _synthesized("pcr"), (), seed=seed, mode="oracle",
+                known_faults=cells,
+            )
+            assert outcome.fault_events == tuple(
+                FaultEvent(0.0, c, FAIL, "defect") for c in cells
+            )
+            assert not outcome.detections
 
     def test_cluster_pattern_matches_process(self):
-        cells = defect_cells("cluster", 10, 10)
-        assert cells == defect_cells("cluster", 10, 10)  # deterministic
-        realized = {
-            e.cell
-            for e in ClusteredFaults(10, 10, horizon_s=1.0).realize(2005)
-            if e.kind == FAIL
+        """The cluster pattern's burst is pinned: these are the cells
+        the seed-2005 draw has always produced for these array sizes."""
+        pinned = {
+            (1, 1): [(1, 1)],
+            (1, 2): [(1, 1), (1, 2)],
+            (2, 1): [(2, 1), (1, 1)],
+            (2, 2): [(2, 1), (1, 1), (1, 2)],
+            (3, 7): [(2, 1), (1, 2), (3, 1)],
+            (10, 10): [(8, 1), (7, 2), (9, 1)],
+            (40, 40): [(29, 1), (28, 2), (30, 1)],
         }
-        assert set(cells) == realized
+        for (width, height), cells in pinned.items():
+            assert defect_cells("cluster", width, height) == tuple(
+                Point(*c) for c in cells
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +271,14 @@ class TestEngineInvariance:
         event_sim = _simulator("pcr", "event")
         stepped_sim = _simulator("pcr", "stepped")
         width, height = event_sim.placement.array_dims()
-        horizon = event_sim.schedule.makespan
-        process = build_fault_process(model, width, height, horizon)
+        makespan = event_sim.schedule.makespan
+        rng = random.Random(seed)
+        cell = Point(rng.randint(1, width), rng.randint(1, height))
+        events = scenario_events(
+            model, cell, rng.uniform(0.0, makespan), makespan, width, height, rng
+        )
         timeline = [
-            (e.time_s, event_sim.sim_cell(e.cell), e.kind)
-            for e in process.realize(seed)
+            (e.time_s, event_sim.sim_cell(e.cell), e.kind) for e in events
         ]
         event_report = event_sim.run(faults=timeline)
         stepped_report = stepped_sim.run(faults=timeline)

@@ -131,8 +131,13 @@ class TestFaultStoryConsistency:
     def test_two_placements_ranked_consistently(self, pcr):
         """If placement A has higher FTI than B, A's Monte-Carlo
         survival should not be materially worse."""
-        from repro.fault.injection import estimate_survival_probability
+        from repro.fault.tolerance import ToleranceAnalyzer
         from repro.placement.two_stage import TwoStagePlacer
+
+        def survival(placement) -> float:
+            return ToleranceAnalyzer().multi_fault_survival(
+                placement, trials=150, max_faults=1, seed=3
+            ).survival_probability(1)
 
         min_area = SimulatedAnnealingPlacer(
             params=AnnealingParams.fast(), seed=2
@@ -143,9 +148,7 @@ class TestFaultStoryConsistency:
         fti_a = compute_fti(aware).fti
         fti_b = compute_fti(min_area).fti
         if fti_a > fti_b + 0.1:
-            surv_a = estimate_survival_probability(aware, trials=150, seed=3)
-            surv_b = estimate_survival_probability(min_area, trials=150, seed=3)
-            assert surv_a > surv_b - 0.1
+            assert survival(aware) > survival(min_area) - 0.1
 
 
 class TestScheduleCapacityInteraction:

@@ -6,8 +6,6 @@ import pytest
 
 from repro.assay.catalog import build_assay
 from repro.geometry import Point
-from repro.pipeline import Pipeline, RecoveryStage, SynthesisContext
-from repro.pipeline.pipeline import build_default_pipeline
 from repro.placement.annealer import AnnealingParams
 from repro.placement.incremental import IncrementalCostEvaluator
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
@@ -155,25 +153,6 @@ def test_movable_filter_restricts_moves(routed_pcr):
     for _ in range(50):
         move = mover.propose_move(placement, 50.0)
         assert {u.op_id for u in move.updates} <= movable
-
-
-def test_recovery_stage_in_pipeline():
-    graph, binding = build_assay("dilution")
-    base = build_default_pipeline(
-        placer=SimulatedAnnealingPlacer(params=AnnealingParams.fast(), seed=7),
-        route=True,
-    )
-    stage = RecoveryStage(
-        fault_time_fraction=0.5,
-        engine=OnlineRecoveryEngine(annealing=AnnealingParams.fast()),
-        seed=11,
-    )
-    pipeline = Pipeline([*base.stages, stage])
-    context = SynthesisContext(graph=graph, explicit_binding=binding)
-    pipeline.run(context)
-    assert context.recovery_outcome is not None
-    assert context.recovery_outcome.recovered, context.recovery_outcome.reason
-    assert "recover" in context.stage_timings
 
 
 def test_outcome_to_dict_is_json_safe(routed_pcr, engine):
