@@ -27,7 +27,7 @@ class OperationType(enum.Enum):
     STORE = "store"
     #: Optical / electrochemical measurement of a droplet.
     DETECT = "detect"
-    #: Move the droplet to an output port / waste.
+    #: Transport the droplet to an output port / waste.
     OUTPUT = "output"
 
     @property

@@ -107,7 +107,7 @@ def _supervised_call(fn, task, index: int, attempt: int, chaos: ChaosPolicy | No
 
 
 @dataclass
-class _Pending:
+class _TaskState:
     """Book-keeping for one task not yet finalized."""
 
     index: int
@@ -240,11 +240,11 @@ class SupervisedPool:
 
     def _map_parallel(self, fn, tasks, keys, finalize) -> None:
         max_workers = min(self.jobs, len(tasks))
-        queue: deque[_Pending] = deque(_Pending(i) for i in range(len(tasks)))
-        in_flight: dict[Future, tuple[_Pending, float]] = {}  # -> (task, submitted)
+        queue: deque[_TaskState] = deque(_TaskState(i) for i in range(len(tasks)))
+        in_flight: dict[Future, tuple[_TaskState, float]] = {}  # -> (task, submitted)
         executor: ProcessPoolExecutor | None = None
 
-        def exhaust(p: _Pending, status: str, reason: str) -> None:
+        def exhaust(p: _TaskState, status: str, reason: str) -> None:
             finalize(
                 TaskOutcome(
                     p.index, keys[p.index], status, p.attempt + 1, error=reason,
@@ -252,7 +252,7 @@ class SupervisedPool:
                 )
             )
 
-        def lost(p: _Pending, status_if_exhausted: str, reason: str) -> None:
+        def lost(p: _TaskState, status_if_exhausted: str, reason: str) -> None:
             """A lost execution: retry with backoff or finalize."""
             if p.attempt >= self.max_retries:
                 exhaust(p, status_if_exhausted, reason)
@@ -263,7 +263,7 @@ class SupervisedPool:
             p.attempt += 1
             queue.append(p)
 
-        def handle_done(fut: Future, p: _Pending) -> bool:
+        def handle_done(fut: Future, p: _TaskState) -> bool:
             """Finalize one completed future; True if the pool broke."""
             try:
                 value = fut.result()

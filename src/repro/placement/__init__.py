@@ -23,10 +23,6 @@ from repro.placement.greedy import GreedyPlacer
 from repro.placement.incremental import (
     CrossCheckError,
     IncrementalCostEvaluator,
-    Move,
-    MoveDelta,
-    ModuleUpdate,
-    apply_move,
 )
 from repro.placement.initial import constructive_initial_placement
 from repro.placement.model import PlacedModule, Placement
@@ -46,9 +42,6 @@ __all__ = [
     "FaultAwareCost",
     "GreedyPlacer",
     "IncrementalCostEvaluator",
-    "Move",
-    "MoveDelta",
-    "ModuleUpdate",
     "MoveGenerator",
     "PlacedModule",
     "Placement",
@@ -57,6 +50,5 @@ __all__ = [
     "SimulatedAnnealingPlacer",
     "TwoStagePlacer",
     "TwoStageResult",
-    "apply_move",
     "constructive_initial_placement",
 ]

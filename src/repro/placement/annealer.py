@@ -210,35 +210,38 @@ class SimulatedAnnealing:
         self,
         evaluator,
         cost,
-        propose_move_fn,
+        mover,
         inner_iterations: int,
         record_history: bool = True,
     ):
         """Delta-cost annealing over an incremental evaluator.
 
-        The fast twin of :meth:`optimize` for placement states: the
-        *evaluator* (an :class:`~repro.placement.incremental.
-        IncrementalCostEvaluator`) owns the mutating placement,
-        ``propose_move_fn(placement, T)`` emits lightweight moves, and
-        *cost* prices them through its ``delta``/``current`` protocol —
-        so one proposal costs O(time-neighbors) instead of the O(n^2)
-        full recompute. RNG consumption matches :meth:`optimize` driven
-        by ``MoveGenerator.propose`` draw for draw, so both paths walk
-        the same trajectory from the same seed. The running cost is
-        resynced from the evaluator every temperature round, so float
-        drift never survives a round boundary.
+        The fast twin of :meth:`optimize` for placement states: one loop
+        proposes a move tuple (the kernel of ``mover.bind``), prices it
+        through *cost*'s ``delta``/``current`` protocol and applies it
+        in place on the *evaluator* (an :class:`~repro.placement.
+        incremental.IncrementalCostEvaluator`) — so one proposal costs
+        O(time-neighbors) instead of the O(n^2) full recompute, and
+        builds no placement object. RNG consumption matches
+        :meth:`optimize` driven by ``MoveGenerator.propose`` draw for
+        draw, so both paths walk the same trajectory from the same seed.
+        The running cost is resynced from the evaluator every
+        temperature round, so float drift never survives a round
+        boundary.
 
-        Returns ``(best_placement_copy, stats)``.
+        Returns ``(best_placement, stats)``; the best placement is
+        materialized once, from a snapshot of the index records.
         """
         if inner_iterations < 1:
             raise ValueError(f"inner_iterations must be >= 1, got {inner_iterations}")
         p = self.params
         stats = AnnealingStats()
-        placement = evaluator.placement
         current_cost = cost.current(evaluator)
-        best, best_cost = placement.copy(), current_cost
+        best, best_cost = evaluator.snapshot(), current_cost
         stats.initial_cost = current_cost
 
+        propose = mover.bind(evaluator)
+        span_at = mover.window.span
         rand = self._rng.random
         exp = math.exp
         delta_fn = cost.delta
@@ -249,8 +252,9 @@ class SimulatedAnnealing:
         frozen_streak = 0
         while True:
             stats.rounds += 1
+            span = span_at(temperature)
             for _ in range(inner_iterations):
-                move = propose_move_fn(placement, temperature)
+                move = propose(span)
                 delta = delta_fn(evaluator, move)
                 if delta < 0 or rand() < exp(-delta / temperature):
                     apply_fn(move)
@@ -266,7 +270,7 @@ class SimulatedAnnealing:
                         evaluator.resync()
                         current_cost = cost.current(evaluator)
                         if current_cost < best_cost:
-                            best, best_cost = placement.copy(), current_cost
+                            best, best_cost = evaluator.snapshot(), current_cost
                             improvements += 1
             stats.evaluations += inner_iterations
             # Round-boundary resync: rebuild the running sums and the
@@ -286,7 +290,7 @@ class SimulatedAnnealing:
         stats.improvements = improvements
         stats.best_cost = best_cost
         stats.final_temp = temperature
-        return best, stats
+        return evaluator.placement_of(best), stats
 
     def _advance(
         self, stats: AnnealingStats, temperature: float, frozen_streak: int

@@ -19,8 +19,10 @@ Every cost here speaks two protocols:
 * the incremental protocol, ``cost.current(evaluator)`` and
   ``cost.delta(evaluator, move)``, which combine the component deltas
   of an :class:`~repro.placement.incremental.IncrementalCostEvaluator`
-  into this cost's objective so a proposal is priced in
-  O(time-neighbors) instead of O(n^2).
+  into this cost's objective so a proposal (a move tuple over module
+  indices) is priced in O(time-neighbors) instead of O(n^2). A cost
+  with terms beyond the evaluator's components binds them to the
+  evaluator's per-index data once per evaluator, never per proposal.
 
 A subclass that overrides ``__call__`` without supplying a matching
 ``delta`` is detected by :meth:`AreaCost.supports_incremental` and the
@@ -36,7 +38,7 @@ from repro.fault.fti import FTIReport, compute_fti
 from repro.placement.model import Placement
 
 if TYPE_CHECKING:
-    from repro.placement.incremental import IncrementalCostEvaluator, Move
+    from repro.placement.incremental import IncrementalCostEvaluator
 
 #: Calibration constant mapping normalized FTI into mm^2-comparable
 #: units so that beta in [10, 60] spans the area/fault-tolerance knee.
@@ -124,12 +126,12 @@ class AreaCost:
             cost += self.pull_weight * evaluator.pull_sum
         return cost
 
-    def delta(self, evaluator: IncrementalCostEvaluator, move: Move) -> float:
+    def delta(self, evaluator: IncrementalCostEvaluator, move: tuple) -> float:
         """Change in this cost if *move* were applied."""
-        c = evaluator.delta_components(move)
-        d = self.alpha * c.d_area_mm2 + self.overlap_weight * c.d_overlap
+        d_area_mm2, d_overlap, d_pull, _ = evaluator.components(move)
+        d = self.alpha * d_area_mm2 + self.overlap_weight * d_overlap
         if self.pull_weight:
-            d += self.pull_weight * c.d_pull
+            d += self.pull_weight * d_pull
         return d
 
 
@@ -205,11 +207,11 @@ class FaultAwareCost(AreaCost):
         )
         return base - self.beta * self.ft_gamma * fti
 
-    def delta(self, evaluator: IncrementalCostEvaluator, move: Move) -> float:
-        # delta_components is cached on the evaluator, so the second
-        # call inside super().delta() is free.
+    def delta(self, evaluator: IncrementalCostEvaluator, move: tuple) -> float:
+        # components() is cached on the evaluator, so the second call
+        # (the first is inside super().delta()) is free.
         d = super().delta(evaluator, move)
-        c = evaluator.delta_components(move)
+        d_conflict_pairs = evaluator.components(move)[3]
         scale = self.beta * self.ft_gamma
         if scale:
             old_term = 0.0
@@ -218,7 +220,7 @@ class FaultAwareCost(AreaCost):
                     evaluator, evaluator.signature(), lambda: evaluator.placement
                 )
             new_term = 0.0
-            if evaluator.conflict_pairs + c.d_conflict_pairs == 0:
+            if evaluator.conflict_pairs + d_conflict_pairs == 0:
                 new_term = scale * self._memoized_fti(
                     evaluator,
                     evaluator.candidate_signature(move),

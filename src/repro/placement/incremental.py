@@ -9,32 +9,40 @@ spans are **fixed by the schedule** — to make a single-module move,
 rotate, or pair interchange cost O(time-neighbors) to delta-evaluate
 and O(1) amortized to apply:
 
+* **Flat per-index state.** Module ``i`` (the placement's insertion
+  order) lives in parallel int lists ``x1/y1/x2/y2/rot``; its
+  footprint dims per orientation and its square flag sit in static
+  lists beside them. No :class:`~repro.placement.model.PlacedModule`
+  or :class:`~repro.geometry.Rect` is built per proposal or per
+  accepted move.
 * **Static time-neighbor lists.** Whether two modules can ever conflict
   is decided by their (schedule-fixed) time spans. The evaluator
-  precomputes, once, the list of time-overlapping partners of every
-  module together with the pair's shared duration ``dt``; a move only
-  re-examines those partners.
-* **Edge multisets.** The bounding box is maintained as four sorted
-  multisets over the modules' x1/x2/y1/y2 footprint edges; a candidate
-  box after a move is found by peeking past at most the moved modules'
-  own edges, without touching the other n-1 modules.
+  precomputes, once, the ``(index, dt)`` list of time-overlapping
+  partners of every module (``dt`` is the shared duration); a move
+  only re-examines those partners.
+* **Edge histograms.** The bounding box is maintained with four
+  histograms counting the modules at each x1/x2/y1/y2 footprint edge
+  coordinate; a candidate box after a move is found by stepping past
+  at most the moved modules' own edges, without touching the other n-1
+  modules.
 * **Running sums.** The total overlap volume, an *integer* count of
   conflicting pairs (the exact feasibility gate — immune to float
   drift), and the integer corner-pull sum are maintained under apply;
   :meth:`IncrementalCostEvaluator.resync` rebuilds them from scratch on
   a fixed cadence so float error cannot accumulate across millions of
   applies.
+* **A lazy placement view.** :attr:`IncrementalCostEvaluator.placement`
+  is brought up to date from the index records only when something
+  reads it (an FTI memo miss, a cross-check, the end of an anneal).
 
-Proposals travel as lightweight :class:`Move` objects (op id + new
-origin/orientation per touched module) instead of copied placements;
-the cost classes in :mod:`repro.placement.cost` combine the evaluator's
-component deltas into their own objective deltas.
+A move is a plain tuple: ``(i, x, y, rot)`` displaces and/or rotates
+module ``i`` to origin ``(x, y)``; ``(i, x, y, rot, j, x2, y2, rot2)``
+updates two modules at once (a pair interchange). The cost classes in
+:mod:`repro.placement.cost` combine the evaluator's component deltas
+into their own objective deltas.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left, insort
-from dataclasses import dataclass
 
 from repro.placement.model import PlacedModule, Placement
 from repro.util.errors import CrossCheckError, PlacementError
@@ -42,122 +50,61 @@ from repro.util.errors import CrossCheckError, PlacementError
 __all__ = [
     "CrossCheckError",  # re-exported; the class lives in repro.util.errors
     "IncrementalCostEvaluator",
-    "ModuleUpdate",
-    "Move",
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class ModuleUpdate:
-    """One module's new origin and orientation inside a :class:`Move`."""
-
-    op_id: str
-    x: int
-    y: int
-    rotated: bool
+def _counts(values: list[int], size: int) -> list[int]:
+    """Histogram of *values* over ``range(size)``."""
+    out = [0] * size
+    for v in values:
+        out[v] += 1
+    return out
 
 
-@dataclass(frozen=True, slots=True)
-class Move:
-    """A proposed state change: one update (displace/rotate) or two (swap)."""
-
-    updates: tuple[ModuleUpdate, ...]
-
-    def __post_init__(self) -> None:
-        if not self.updates:
-            raise ValueError("a Move needs at least one module update")
-
-
-@dataclass(frozen=True, slots=True)
-class MoveDelta:
-    """Component-wise effect of a :class:`Move` on the evaluator's state.
-
-    The cost classes weigh these into an objective delta; keeping the
-    components raw lets several costs share one evaluation.
-    """
-
-    d_area_mm2: float
-    d_overlap: float
-    #: Integer corner-pull change, sum of (x2 + y2) deltas.
-    d_pull: int
-    #: Integer change in the number of space-and-time conflicting pairs.
-    d_conflict_pairs: int
-
-
-class _Rec:
-    """Mutable per-module footprint record (coordinates + orientation)."""
-
-    __slots__ = ("x1", "y1", "x2", "y2", "rotated")
-
-    def __init__(self, x1: int, y1: int, x2: int, y2: int, rotated: bool) -> None:
-        self.x1 = x1
-        self.y1 = y1
-        self.x2 = x2
-        self.y2 = y2
-        self.rotated = rotated
-
-
-def _remove_sorted(lst: list[int], value: int) -> None:
-    """Remove one occurrence of *value* from the sorted list *lst*."""
-    i = bisect_left(lst, value)
-    if i >= len(lst) or lst[i] != value:
-        raise PlacementError(f"edge multiset desync: {value} not present")
-    lst.pop(i)
-
-
-def _min_after(lst: list[int], removed: list[int], added: list[int]) -> int:
-    """Minimum of the multiset *lst* with *removed* taken out and *added*
-    put in, without mutating anything.
-
-    ``removed`` holds at most two values (one per moved module), so the
-    front scan terminates after a handful of elements.
-    """
-    best = min(added)
-    rem = list(removed)
-    for v in lst:
-        if v >= best:
-            break
-        try:
-            rem.remove(v)
-        except ValueError:
-            return min(v, best)
+def _min_after(cnt: list[int], v: int, r1: int | None, r2: int | None, best: int) -> int:
+    """Minimum of the edge histogram *cnt* (whose minimum is *v*) with one
+    edge each at *r1* and *r2* taken out and edges of minimum *best* put
+    in, without mutating anything. Some edge must remain below *best* or
+    the scan stops at *best*; callers with no unmoved module skip it."""
+    while v < best:
+        c = cnt[v]
+        if c:
+            if v == r1:
+                c -= 1
+            if v == r2:
+                c -= 1
+            if c:
+                return v
+        v += 1
     return best
 
 
-def _max_after(lst: list[int], removed: list[int], added: list[int]) -> int:
+def _max_after(cnt: list[int], v: int, r1: int | None, r2: int | None, best: int) -> int:
     """Mirror of :func:`_min_after` for the maximum edge."""
-    best = max(added)
-    rem = list(removed)
-    for v in reversed(lst):
-        if v <= best:
-            break
-        try:
-            rem.remove(v)
-        except ValueError:
-            return max(v, best)
+    while v > best:
+        c = cnt[v]
+        if c:
+            if v == r1:
+                c -= 1
+            if v == r2:
+                c -= 1
+            if c:
+                return v
+        v -= 1
     return best
-
-
-class _Pending:
-    """Cache of one delta evaluation so apply() never recomputes it."""
-
-    __slots__ = ("move", "components", "new_coords")
-
-    def __init__(self, move, components, new_coords) -> None:
-        self.move = move
-        self.components = components
-        self.new_coords = new_coords
 
 
 class IncrementalCostEvaluator:
     """Maintains O(1)-queryable cost components of a mutating placement.
 
     The evaluator *owns* the placement it is given: :meth:`apply`
-    mutates it in place (module records, edge multisets, and running
-    sums all stay in lock-step), while :meth:`delta_components` is pure
-    — it prices a :class:`Move` without touching any state, caching the
-    evaluation so an immediately following :meth:`apply` of the same
-    move is free.
+    mutates the index records, edge histograms and running sums in
+    lock-step, and :attr:`placement` (the same object that was passed
+    in) is brought up to date from the records whenever it is read —
+    not before, so callers read it through the evaluator.
+    :meth:`components` is pure — it prices a move without touching any
+    state, caching the evaluation so an immediately following
+    :meth:`apply` of the same move is free.
 
     Invariants (see DESIGN.md for the full argument):
 
@@ -181,66 +128,78 @@ class IncrementalCostEvaluator:
             raise PlacementError("cannot evaluate an empty placement")
         if resync_every < 1:
             raise ValueError(f"resync_every must be >= 1, got {resync_every}")
-        self.placement = placement
+        self._placement = placement
+        #: Per-cost data bound to this evaluator's indices, keyed by
+        #: the cost object (a cost's extra terms, built once per anneal).
+        self.bound: dict = {}
+        #: True while :attr:`placement` lags behind the index records.
+        self._stale = False
         self.resync_every = resync_every
-
+        self.core_width = placement.core_width
+        self.core_height = placement.core_height
         pitch = placement.pitch_mm
         self._pitch2 = pitch * pitch
 
-        self._recs: dict[str, _Rec] = {}
-        for pm in placement:
-            fp = pm.footprint
-            self._recs[pm.op_id] = _Rec(fp.x, fp.y, fp.x2, fp.y2, pm.rotated)
+        modules = placement.modules()
+        #: Op id of every index, in the placement's insertion order.
+        self.ops = [pm.op_id for pm in modules]
+        self.index = {op: i for i, op in enumerate(self.ops)}
+        self._sig_order = sorted(range(len(self.ops)), key=self.ops.__getitem__)
 
-        if warm_from is not None and self._warm_compatible(warm_from, placement):
+        if warm_from is not None and self._warm_compatible(warm_from, modules):
             # Same operation set, spans, specs, and pitch: every
             # schedule-fixed structure (the O(n^2) time-neighbor lists,
-            # the per-pair durations, the dims cache) and the FTI memo
-            # (keyed by translation-normalized signature — position- and
-            # fault-independent) carry over verbatim. Only the
-            # position-dependent records, edge multisets, and running
-            # sums below are rebuilt. The shared structures are never
-            # mutated after construction, so aliasing them is safe.
-            self._specs = warm_from._specs
-            self._spans = warm_from._spans
-            self._dims = warm_from._dims
-            self._nbrs = warm_from._nbrs
-            self._pair_dt = warm_from._pair_dt
-            self.memo = warm_from.memo
+            # the per-pair durations, the dims) and the FTI memo (keyed
+            # by translation-normalized signature — position- and
+            # fault-independent) carry over. Only the position-dependent
+            # records, edge histograms, and running sums below are
+            # rebuilt. The shared structures are never mutated after
+            # construction, so aliasing them is safe.
+            self._adopt(warm_from)
         else:
             #: Scratch space for cost-side memoization (FTI by signature).
             self.memo = {}
-            self._specs = {}
-            self._spans = {}
-            #: Per-op ``(normal_dims, rotated_dims)`` — dims() is a hot call.
-            self._dims = {}
-            for pm in placement:
-                self._specs[pm.op_id] = pm.spec
-                self._spans[pm.op_id] = (pm.start, pm.stop)
-                self._dims[pm.op_id] = (pm.spec.dims(False), pm.spec.dims(True))
-
+            self.specs = [pm.spec for pm in modules]
+            self.spans = [(pm.start, pm.stop) for pm in modules]
+            #: Per index: footprint ``(w, h)`` indexed by orientation.
+            self.dims = [(s.dims(False), s.dims(True)) for s in self.specs]
+            self.square = [s.is_square for s in self.specs]
             # Static time-overlap structure: fixed by the schedule forever.
-            ids = list(self._recs)
-            self._nbrs = {op: [] for op in ids}
+            n = len(modules)
+            self.nbrs = [[] for _ in range(n)]
             self._pair_dt = {}
-            for i, a in enumerate(ids):
-                a_start, a_stop = self._spans[a]
-                for b in ids[i + 1:]:
-                    b_start, b_stop = self._spans[b]
+            for a in range(n):
+                a_start, a_stop = self.spans[a]
+                for b in range(a + 1, n):
+                    b_start, b_stop = self.spans[b]
                     dt = min(a_stop, b_stop) - max(a_start, b_start)
                     if dt > 0:
-                        self._nbrs[a].append((b, dt))
-                        self._nbrs[b].append((a, dt))
-                        self._pair_dt[(a, b)] = dt
-                        self._pair_dt[(b, a)] = dt
+                        self.nbrs[a].append((b, dt))
+                        self.nbrs[b].append((a, dt))
+                        self._pair_dt[a, b] = dt
+                        self._pair_dt[b, a] = dt
 
-        # Edge multisets (sorted, with duplicates) for the bounding box.
-        self._x1s = sorted(r.x1 for r in self._recs.values())
-        self._x2s = sorted(r.x2 for r in self._recs.values())
-        self._y1s = sorted(r.y1 for r in self._recs.values())
-        self._y2s = sorted(r.y2 for r in self._recs.values())
+        self.x1 = [pm.x for pm in modules]
+        self.y1 = [pm.y for pm in modules]
+        self.rot = [pm.rotated for pm in modules]
+        dims = self.dims
+        self.x2 = [x + dims[i][r][0] - 1 for i, (x, r) in enumerate(zip(self.x1, self.rot))]
+        self.y2 = [y + dims[i][r][1] - 1 for i, (y, r) in enumerate(zip(self.y1, self.rot))]
+        # Edge histograms (count of modules per edge coordinate) and the
+        # bounding box they define.
+        size_x = max(self.core_width, *self.x2) + 2
+        size_y = max(self.core_height, *self.y2) + 2
+        self._cx1 = _counts(self.x1, size_x)
+        self._cx2 = _counts(self.x2, size_x)
+        self._cy1 = _counts(self.y1, size_y)
+        self._cy2 = _counts(self.y2, size_y)
+        self._bx1, self._by1 = min(self.x1), min(self.y1)
+        self._bx2, self._by2 = max(self.x2), max(self.y2)
 
-        self._pending: _Pending | None = None
+        # The last priced move: (move, components, new per-update records).
+        self._pend_move: tuple | None = None
+        self._pend_comp: tuple = ()
+        self._pend_new: tuple = ()
         self._sig: tuple | None = None
         self._applies_since_resync = 0
         self.overlap_total = 0.0
@@ -248,33 +207,107 @@ class IncrementalCostEvaluator:
         self.pull_sum = 0
         self._rebuild_sums()
 
-    @staticmethod
     def _warm_compatible(
-        warm: IncrementalCostEvaluator, placement: Placement
+        self, warm: IncrementalCostEvaluator, modules: list[PlacedModule]
     ) -> bool:
-        """True when *warm*'s schedule-fixed structures apply verbatim:
-        identical op set, module specs (by identity), time spans, and
-        pitch. Placements that differ only in module positions — the
-        recovery sweep's per-scenario layouts — qualify."""
-        if warm._pitch2 != placement.pitch_mm * placement.pitch_mm:
+        """True when *warm*'s schedule-fixed structures apply: identical
+        op set, module specs (by identity), time spans, and pitch.
+        Placements that differ only in module positions — the recovery
+        sweep's per-scenario layouts — qualify."""
+        if warm._pitch2 != self._pitch2 or len(warm.ops) != len(modules):
             return False
-        if len(warm._specs) != len(placement):
-            return False
-        for pm in placement:
-            if warm._specs.get(pm.op_id) is not pm.spec:
+        for pm in modules:
+            t = warm.index.get(pm.op_id)
+            if t is None or warm.specs[t] is not pm.spec:
                 return False
-            if warm._spans[pm.op_id] != (pm.start, pm.stop):
+            if warm.spans[t] != (pm.start, pm.stop):
                 return False
         return True
+
+    def _adopt(self, warm: IncrementalCostEvaluator) -> None:
+        """Share *warm*'s static structures, keyed by op id. When the
+        module order differs they are re-indexed into exactly what a
+        cold build would produce (neighbor lists in ascending index
+        order), so the order cannot change a result."""
+        self.memo = warm.memo
+        if warm.ops == self.ops:
+            self.specs, self.spans = warm.specs, warm.spans
+            self.dims, self.square = warm.dims, warm.square
+            self.nbrs, self._pair_dt = warm.nbrs, warm._pair_dt
+            return
+        order = [warm.index[op] for op in self.ops]
+        new_of = [0] * len(order)
+        for i, t in enumerate(order):
+            new_of[t] = i
+        self.specs = [warm.specs[t] for t in order]
+        self.spans = [warm.spans[t] for t in order]
+        self.dims = [warm.dims[t] for t in order]
+        self.square = [warm.square[t] for t in order]
+        self.nbrs = [sorted((new_of[u], dt) for u, dt in warm.nbrs[t]) for t in order]
+        self._pair_dt = {
+            (new_of[a], new_of[b]): dt for (a, b), dt in warm._pair_dt.items()
+        }
+
+    # -- the placement view ----------------------------------------------------------
+
+    @property
+    def placement(self) -> Placement:
+        """The owned placement, brought up to date with the records."""
+        if self._stale:
+            modules = self._placement._modules
+            x1, y1, rot = self.x1, self.y1, self.rot
+            for i, op in enumerate(self.ops):
+                pm = modules[op]
+                if pm.x != x1[i] or pm.y != y1[i] or pm.rotated != rot[i]:
+                    modules[op] = self._placed(i, x1[i], y1[i], rot[i])
+            self._stale = False
+        return self._placement
+
+    def _placed(self, i: int, x: int, y: int, rotated: bool) -> PlacedModule:
+        start, stop = self.spans[i]
+        return PlacedModule(
+            op_id=self.ops[i], spec=self.specs[i], x=x, y=y,
+            start=start, stop=stop, rotated=rotated,
+        )
+
+    def snapshot(self) -> tuple[list[int], list[int], list[bool]]:
+        """A copy of the origin/orientation records (the best-state
+        snapshot of an anneal); :meth:`placement_of` materializes it."""
+        return self.x1[:], self.y1[:], self.rot[:]
+
+    def placement_of(self, snapshot: tuple[list[int], list[int], list[bool]]) -> Placement:
+        """A fresh :class:`Placement` holding a :meth:`snapshot`."""
+        x1, y1, rot = snapshot
+        out = Placement(
+            self.core_width, self.core_height, pitch_mm=self._placement.pitch_mm
+        )
+        for i, op in enumerate(self.ops):
+            out._modules[op] = self._placed(i, x1[i], y1[i], rot[i])
+        return out
+
+    def move(self, *updates: tuple[str, int, int, bool]) -> tuple:
+        """The move tuple for one or two ``(op_id, x, y, rotated)``
+        updates (the annealers build index tuples directly)."""
+        if not updates:
+            raise ValueError("a move needs at least one module update")
+        if len(updates) > 2:
+            raise ValueError(f"a move updates one or two modules, got {len(updates)}")
+        out: list = []
+        for op, x, y, rotated in updates:
+            i = self.index.get(op)
+            if i is None:
+                raise PlacementError(f"no placed module for op {op!r}")
+            out += (i, x, y, bool(rotated))
+        if len(updates) == 2 and out[0] == out[4]:
+            raise PlacementError(f"move updates op {updates[0][0]!r} twice")
+        return tuple(out)
 
     # -- component queries --------------------------------------------------------
 
     @property
     def area_cells(self) -> int:
-        """Bounding-array area in cells (exact, from the edge multisets)."""
-        return (self._x2s[-1] - self._x1s[0] + 1) * (
-            self._y2s[-1] - self._y1s[0] + 1
-        )
+        """Bounding-array area in cells (exact, from the edge histograms)."""
+        return (self._bx2 - self._bx1 + 1) * (self._by2 - self._by1 + 1)
 
     @property
     def area_mm2(self) -> float:
@@ -288,7 +321,7 @@ class IncrementalCostEvaluator:
 
     def bounding_box(self) -> tuple[int, int, int, int]:
         """Current ``(x1, y1, x2, y2)`` of the bounding array."""
-        return self._x1s[0], self._y1s[0], self._x2s[-1], self._y2s[-1]
+        return self._bx1, self._by1, self._bx2, self._by2
 
     def signature(self) -> tuple:
         """Translation-normalized identity of the current configuration.
@@ -299,73 +332,76 @@ class IncrementalCostEvaluator:
         applies — the LTSA loop asks for it on every feasible proposal.
         """
         if self._sig is None:
-            dx, dy = self._x1s[0], self._y1s[0]
-            self._sig = tuple(sorted(
-                (op, r.x1 - dx, r.y1 - dy, r.rotated)
-                for op, r in self._recs.items()
-            ))
+            self._sig = self._signature_of(
+                self.x1, self.y1, self.rot, self._bx1, self._by1
+            )
         return self._sig
 
-    def candidate_signature(self, move: Move) -> tuple:
-        """The signature the placement would have after *move*."""
-        pend = self._evaluated(move)
-        moved = pend.new_coords
-        x1s = [c[0] for c in moved.values()]
-        y1s = [c[1] for c in moved.values()]
-        removed_x = [self._recs[op].x1 for op in moved]
-        removed_y = [self._recs[op].y1 for op in moved]
-        dx = _min_after(self._x1s, removed_x, x1s)
-        dy = _min_after(self._y1s, removed_y, y1s)
-        rows = []
-        for op, r in self._recs.items():
-            c = moved.get(op)
-            if c is None:
-                rows.append((op, r.x1 - dx, r.y1 - dy, r.rotated))
-            else:
-                rows.append((op, c[0] - dx, c[1] - dy, c[4]))
-        return tuple(sorted(rows))
+    def _signature_of(self, x1, y1, rot, dx: int, dy: int) -> tuple:
+        ops = self.ops
+        return tuple(
+            (ops[i], x1[i] - dx, y1[i] - dy, rot[i]) for i in self._sig_order
+        )
 
-    def candidate_placement(self, move: Move) -> Placement:
+    def candidate_signature(self, move: tuple) -> tuple:
+        """The signature the placement would have after *move*."""
+        self.components(move)
+        new = self._pend_new
+        x1, y1, rot = self.x1[:], self.y1[:], self.rot[:]
+        # The moved modules' current edges leave the histograms (one or
+        # two of them; None pads the single-module case).
+        old_x = [x1[r[0]] for r in new] + [None]
+        old_y = [y1[r[0]] for r in new] + [None]
+        dx = min(r[1] for r in new)
+        dy = min(r[2] for r in new)
+        if len(new) < len(self.ops):
+            dx = _min_after(self._cx1, self._bx1, old_x[0], old_x[1], dx)
+            dy = _min_after(self._cy1, self._by1, old_y[0], old_y[1], dy)
+        for i, nx1, ny1, _nx2, _ny2, r in new:
+            x1[i], y1[i], rot[i] = nx1, ny1, r
+        return self._signature_of(x1, y1, rot, dx, dy)
+
+    def candidate_placement(self, move: tuple) -> Placement:
         """A fresh :class:`Placement` with *move* applied (for FTI runs)."""
         out = self.placement.copy()
-        for u in move.updates:
-            out.replace(out.get(u.op_id).moved_to(u.x, u.y, rotated=u.rotated))
+        for k in range(0, len(move), 4):
+            i, x, y, rotated = move[k:k + 4]
+            out.replace(out.get(self.ops[i]).moved_to(x, y, rotated=rotated))
         return out
 
     # -- delta evaluation ---------------------------------------------------------
 
-    def delta_components(self, move: Move) -> MoveDelta:
-        """Price *move* in O(time-neighbors) without mutating anything."""
-        return self._evaluated(move).components
+    def components(self, move: tuple) -> tuple[float, float, int, int]:
+        """Price *move* in O(time-neighbors) without mutating anything.
 
-    def _evaluated(self, move: Move) -> _Pending:
-        pending = self._pending
-        if pending is not None and pending.move is move:
-            return pending
-        updates = move.updates
-        if len(updates) == 1:
-            return self._eval_single(move, updates[0])
-        return self._eval_multi(move)
-
-    def _eval_single(self, move: Move, u: ModuleUpdate) -> _Pending:
-        """Specialized hot path: one module displaced and/or rotated."""
-        op = u.op_id
-        recs = self._recs
-        old = recs.get(op)
-        if old is None:
-            raise PlacementError(f"no placed module for op {op!r}")
-        w, h = self._dims[op][1 if u.rotated else 0]
-        nx1 = u.x
-        ny1 = u.y
+        Returns ``(d_area_mm2, d_overlap, d_pull, d_conflict_pairs)``:
+        the change in bounding-array area, in overlap volume, in the
+        integer corner-pull sum (x2 + y2 over modules), and in the
+        integer number of space-and-time conflicting pairs. The cost
+        classes weigh these into an objective delta.
+        """
+        if move is self._pend_move:
+            return self._pend_comp
+        if len(move) != 4:
+            return self._components_pair(move)
+        # Specialized hot path: one module displaced and/or rotated.
+        i, nx1, ny1, r = move
+        w, h = self.dims[i][r]
         nx2 = nx1 + w - 1
         ny2 = ny1 + h - 1
-        ox1, oy1, ox2, oy2 = old.x1, old.y1, old.x2, old.y2
+        X1, Y1, X2, Y2 = self.x1, self.y1, self.x2, self.y2
+        ox1 = X1[i]
+        oy1 = Y1[i]
+        ox2 = X2[i]
+        oy2 = Y2[i]
 
         d_overlap = 0.0
         d_pairs = 0
-        for other, dt in self._nbrs[op]:
-            b = recs[other]
-            bx1, by1, bx2, by2 = b.x1, b.y1, b.x2, b.y2
+        for j, dt in self.nbrs[i]:
+            bx1 = X1[j]
+            by1 = Y1[j]
+            bx2 = X2[j]
+            by2 = Y2[j]
             ox = (ox2 if ox2 < bx2 else bx2) - (ox1 if ox1 > bx1 else bx1) + 1
             if ox > 0:
                 oy = (oy2 if oy2 < by2 else by2) - (oy1 if oy1 > by1 else by1) + 1
@@ -379,177 +415,194 @@ class IncrementalCostEvaluator:
                     d_overlap += ox * oy * dt
                     d_pairs += 1
 
-        # O(1) bounding-box peek: only this module's own edges can leave.
-        x1s, x2s, y1s, y2s = self._x1s, self._x2s, self._y1s, self._y2s
-        bx1 = x1s[0]
-        if ox1 == bx1:
-            bx1 = x1s[1] if len(x1s) > 1 else nx1
-        if nx1 < bx1:
+        # Bounding-box peek: only an edge this module alone defines can
+        # recede (to the next edge in its histogram).
+        bx1 = self._bx1
+        by1 = self._by1
+        bx2 = self._bx2
+        by2 = self._by2
+        area_cells = (bx2 - bx1 + 1) * (by2 - by1 + 1)
+        alone = len(X1) == 1
+        if ox1 == bx1 and self._cx1[bx1] == 1:
+            bx1 = nx1 if alone else _min_after(self._cx1, bx1, ox1, None, nx1)
+        elif nx1 < bx1:
             bx1 = nx1
-        by1 = y1s[0]
-        if oy1 == by1:
-            by1 = y1s[1] if len(y1s) > 1 else ny1
-        if ny1 < by1:
+        if oy1 == by1 and self._cy1[by1] == 1:
+            by1 = ny1 if alone else _min_after(self._cy1, by1, oy1, None, ny1)
+        elif ny1 < by1:
             by1 = ny1
-        bx2 = x2s[-1]
-        if ox2 == bx2:
-            bx2 = x2s[-2] if len(x2s) > 1 else nx2
-        if nx2 > bx2:
+        if ox2 == bx2 and self._cx2[bx2] == 1:
+            bx2 = nx2 if alone else _max_after(self._cx2, bx2, ox2, None, nx2)
+        elif nx2 > bx2:
             bx2 = nx2
-        by2 = y2s[-1]
-        if oy2 == by2:
-            by2 = y2s[-2] if len(y2s) > 1 else ny2
-        if ny2 > by2:
+        if oy2 == by2 and self._cy2[by2] == 1:
+            by2 = ny2 if alone else _max_after(self._cy2, by2, oy2, None, ny2)
+        elif ny2 > by2:
             by2 = ny2
-        new_area_cells = (bx2 - bx1 + 1) * (by2 - by1 + 1)
-        d_area_mm2 = new_area_cells * self._pitch2 - self.area_cells * self._pitch2
-
-        components = MoveDelta(
-            d_area_mm2=d_area_mm2,
-            d_overlap=d_overlap,
-            d_pull=nx2 + ny2 - ox2 - oy2,
-            d_conflict_pairs=d_pairs,
+        pitch2 = self._pitch2
+        comp = (
+            (bx2 - bx1 + 1) * (by2 - by1 + 1) * pitch2 - area_cells * pitch2,
+            d_overlap,
+            nx2 + ny2 - ox2 - oy2,
+            d_pairs,
         )
-        self._pending = _Pending(
-            move, components, {op: (nx1, ny1, nx2, ny2, u.rotated)}
+        self._pend_move = move
+        self._pend_comp = comp
+        self._pend_new = ((i, nx1, ny1, nx2, ny2, r),)
+        return comp
+
+    def _components_pair(self, move: tuple) -> tuple[float, float, int, int]:
+        """Two modules updated at once (a pair interchange)."""
+        if len(move) != 8:
+            raise ValueError(
+                f"a move is (i, x, y, rot) or two of those, got {len(move)} fields"
+            )
+        a, ax1, ay1, ra, b, bx1, by1, rb = move
+        if a == b:
+            raise PlacementError(f"move updates op {self.ops[a]!r} twice")
+        X1, Y1, X2, Y2 = self.x1, self.y1, self.x2, self.y2
+        wa, ha = self.dims[a][ra]
+        wb, hb = self.dims[b][rb]
+        new = (
+            (a, ax1, ay1, ax1 + wa - 1, ay1 + ha - 1, ra),
+            (b, bx1, by1, bx1 + wb - 1, by1 + hb - 1, rb),
         )
-        return self._pending
-
-    def _eval_multi(self, move: Move) -> _Pending:
-        recs = self._recs
-
-        # New footprint coordinates per moved module.
-        new_coords: dict[str, tuple[int, int, int, int, bool]] = {}
-        for u in move.updates:
-            if u.op_id in new_coords:
-                raise PlacementError(f"move updates op {u.op_id!r} twice")
-            dims = self._dims.get(u.op_id)
-            if dims is None:
-                raise PlacementError(f"no placed module for op {u.op_id!r}")
-            w, h = dims[1 if u.rotated else 0]
-            new_coords[u.op_id] = (u.x, u.y, u.x + w - 1, u.y + h - 1, u.rotated)
 
         d_overlap = 0.0
         d_pairs = 0
         d_pull = 0
-        for op, (nx1, ny1, nx2, ny2, _rot) in new_coords.items():
-            old = recs[op]
-            d_pull += nx2 + ny2 - old.x2 - old.y2
-            for other, dt in self._nbrs[op]:
-                if other in new_coords:
-                    continue  # moved-moved pairs handled once, below
-                b = recs[other]
+        for i, nx1, ny1, nx2, ny2, _r in new:
+            ox1, oy1, ox2, oy2 = X1[i], Y1[i], X2[i], Y2[i]
+            d_pull += nx2 + ny2 - ox2 - oy2
+            for j, dt in self.nbrs[i]:
+                if j == a or j == b:
+                    continue  # the moved pair is handled once, below
+                qx1, qy1, qx2, qy2 = X1[j], Y1[j], X2[j], Y2[j]
                 # old contribution
-                ox = (old.x2 if old.x2 < b.x2 else b.x2) - (
-                    old.x1 if old.x1 > b.x1 else b.x1
-                ) + 1
+                ox = (ox2 if ox2 < qx2 else qx2) - (ox1 if ox1 > qx1 else qx1) + 1
                 if ox > 0:
-                    oy = (old.y2 if old.y2 < b.y2 else b.y2) - (
-                        old.y1 if old.y1 > b.y1 else b.y1
-                    ) + 1
+                    oy = (oy2 if oy2 < qy2 else qy2) - (oy1 if oy1 > qy1 else qy1) + 1
                     if oy > 0:
                         d_overlap -= ox * oy * dt
                         d_pairs -= 1
                 # new contribution
-                ox = (nx2 if nx2 < b.x2 else b.x2) - (
-                    nx1 if nx1 > b.x1 else b.x1
-                ) + 1
+                ox = (nx2 if nx2 < qx2 else qx2) - (nx1 if nx1 > qx1 else qx1) + 1
                 if ox > 0:
-                    oy = (ny2 if ny2 < b.y2 else b.y2) - (
-                        ny1 if ny1 > b.y1 else b.y1
-                    ) + 1
+                    oy = (ny2 if ny2 < qy2 else qy2) - (ny1 if ny1 > qy1 else qy1) + 1
                     if oy > 0:
                         d_overlap += ox * oy * dt
                         d_pairs += 1
 
-        # Pairs where both endpoints moved (the swap case).
-        moved_ids = list(new_coords)
-        for i, a in enumerate(moved_ids):
-            for b in moved_ids[i + 1:]:
-                dt = self._pair_dt.get((a, b))
-                if dt is None:
-                    continue
-                ra, rb = recs[a], recs[b]
-                ox = min(ra.x2, rb.x2) - max(ra.x1, rb.x1) + 1
-                oy = min(ra.y2, rb.y2) - max(ra.y1, rb.y1) + 1
-                if ox > 0 and oy > 0:
-                    d_overlap -= ox * oy * dt
-                    d_pairs -= 1
-                na, nb = new_coords[a], new_coords[b]
-                ox = min(na[2], nb[2]) - max(na[0], nb[0]) + 1
-                oy = min(na[3], nb[3]) - max(na[1], nb[1]) + 1
-                if ox > 0 and oy > 0:
-                    d_overlap += ox * oy * dt
-                    d_pairs += 1
+        # The pair itself, if the two modules share time.
+        dt = self._pair_dt.get((a, b))
+        if dt is not None:
+            ox = min(X2[a], X2[b]) - max(X1[a], X1[b]) + 1
+            oy = min(Y2[a], Y2[b]) - max(Y1[a], Y1[b]) + 1
+            if ox > 0 and oy > 0:
+                d_overlap -= ox * oy * dt
+                d_pairs -= 1
+            na, nb = new
+            ox = min(na[3], nb[3]) - max(na[1], nb[1]) + 1
+            oy = min(na[4], nb[4]) - max(na[2], nb[2]) + 1
+            if ox > 0 and oy > 0:
+                d_overlap += ox * oy * dt
+                d_pairs += 1
 
-        # Candidate bounding box via the edge multisets.
-        rem_x1 = [recs[op].x1 for op in new_coords]
-        rem_x2 = [recs[op].x2 for op in new_coords]
-        rem_y1 = [recs[op].y1 for op in new_coords]
-        rem_y2 = [recs[op].y2 for op in new_coords]
-        add = list(new_coords.values())
-        nx1 = _min_after(self._x1s, rem_x1, [c[0] for c in add])
-        ny1 = _min_after(self._y1s, rem_y1, [c[1] for c in add])
-        nx2 = _max_after(self._x2s, rem_x2, [c[2] for c in add])
-        ny2 = _max_after(self._y2s, rem_y2, [c[3] for c in add])
-        new_area_cells = (nx2 - nx1 + 1) * (ny2 - ny1 + 1)
-        d_area_mm2 = new_area_cells * self._pitch2 - self.area_cells * self._pitch2
-
-        components = MoveDelta(
-            d_area_mm2=d_area_mm2,
-            d_overlap=d_overlap,
-            d_pull=d_pull,
-            d_conflict_pairs=d_pairs,
+        # Candidate bounding box via the edge histograms.
+        na, nb = new
+        nx1 = min(na[1], nb[1])
+        ny1 = min(na[2], nb[2])
+        nx2 = max(na[3], nb[3])
+        ny2 = max(na[4], nb[4])
+        if len(X1) > 2:
+            nx1 = _min_after(self._cx1, self._bx1, X1[a], X1[b], nx1)
+            ny1 = _min_after(self._cy1, self._by1, Y1[a], Y1[b], ny1)
+            nx2 = _max_after(self._cx2, self._bx2, X2[a], X2[b], nx2)
+            ny2 = _max_after(self._cy2, self._by2, Y2[a], Y2[b], ny2)
+        pitch2 = self._pitch2
+        comp = (
+            (nx2 - nx1 + 1) * (ny2 - ny1 + 1) * pitch2 - self.area_cells * pitch2,
+            d_overlap,
+            d_pull,
+            d_pairs,
         )
-        self._pending = _Pending(move, components, new_coords)
-        return self._pending
+        self._pend_move = move
+        self._pend_comp = comp
+        self._pend_new = new
+        return comp
 
     # -- state transitions --------------------------------------------------------
 
-    def apply(self, move: Move) -> Move:
+    def apply(self, move: tuple) -> tuple:
         """Commit *move*; returns the inverse move (for exact revert)."""
-        pend = self._evaluated(move)
-        placement = self.placement
-        modules = placement._modules
-        core_w, core_h = placement.core_width, placement.core_height
-        inverse = Move(updates=tuple(
-            ModuleUpdate(op, self._recs[op].x1, self._recs[op].y1,
-                         self._recs[op].rotated)
-            for op in pend.new_coords
-        ))
-        for op, (x1, y1, x2, y2, _rot) in pend.new_coords.items():
+        if move is not self._pend_move:
+            self.components(move)
+        new = self._pend_new
+        core_w, core_h = self.core_width, self.core_height
+        for i, x1, y1, x2, y2, _r in new:
             if x1 < 1 or y1 < 1 or x2 > core_w or y2 > core_h:
-                self._pending = None
+                self._pend_move = None
                 raise PlacementError(
-                    f"move puts op {op!r} at ({x1},{y1})..({x2},{y2}), outside "
-                    f"the {core_w}x{core_h} core area"
+                    f"move puts op {self.ops[i]!r} at ({x1},{y1})..({x2},{y2}), "
+                    f"outside the {core_w}x{core_h} core area"
                 )
-        for op, (x1, y1, x2, y2, rotated) in pend.new_coords.items():
-            rec = self._recs[op]
-            _remove_sorted(self._x1s, rec.x1)
-            _remove_sorted(self._x2s, rec.x2)
-            _remove_sorted(self._y1s, rec.y1)
-            _remove_sorted(self._y2s, rec.y2)
-            insort(self._x1s, x1)
-            insort(self._x2s, x2)
-            insort(self._y1s, y1)
-            insort(self._y2s, y2)
-            rec.x1, rec.y1, rec.x2, rec.y2, rec.rotated = x1, y1, x2, y2, rotated
-            # Direct record swap: the in-core check above is replace()'s
-            # precondition, and building the footprint Rect eagerly (as
-            # replace would) is wasted work for a state the annealer may
-            # leave within a microsecond.
-            start, stop = self._spans[op]
-            modules[op] = PlacedModule(
-                op_id=op, spec=self._specs[op], x=x1, y=y1,
-                start=start, stop=stop, rotated=rotated,
-            )
-        c = pend.components
-        self.overlap_total += c.d_overlap
-        self.conflict_pairs += c.d_conflict_pairs
-        self.pull_sum += c.d_pull
-        self._pending = None
+        X1, Y1, X2, Y2, R = self.x1, self.y1, self.x2, self.y2, self.rot
+        i = move[0]
+        if len(move) == 4:
+            inverse = (i, X1[i], Y1[i], R[i])
+        else:
+            j = move[4]
+            inverse = (i, X1[i], Y1[i], R[i], j, X1[j], Y1[j], R[j])
+        cx1, cy1, cx2, cy2 = self._cx1, self._cy1, self._cx2, self._cy2
+        bx1, by1, bx2, by2 = self._bx1, self._by1, self._bx2, self._by2
+        for i, x1, y1, x2, y2, r in new:
+            # Shift each changed edge to its new histogram bin.
+            old = X1[i]
+            if old != x1:
+                cx1[old] -= 1
+                cx1[x1] += 1
+                X1[i] = x1
+                if x1 < bx1:
+                    bx1 = x1
+            old = Y1[i]
+            if old != y1:
+                cy1[old] -= 1
+                cy1[y1] += 1
+                Y1[i] = y1
+                if y1 < by1:
+                    by1 = y1
+            old = X2[i]
+            if old != x2:
+                cx2[old] -= 1
+                cx2[x2] += 1
+                X2[i] = x2
+                if x2 > bx2:
+                    bx2 = x2
+            old = Y2[i]
+            if old != y2:
+                cy2[old] -= 1
+                cy2[y2] += 1
+                Y2[i] = y2
+                if y2 > by2:
+                    by2 = y2
+            R[i] = r
+        # A box edge whose last module left recedes to the next edge.
+        while not cx1[bx1]:
+            bx1 += 1
+        while not cy1[by1]:
+            by1 += 1
+        while not cx2[bx2]:
+            bx2 -= 1
+        while not cy2[by2]:
+            by2 -= 1
+        self._bx1, self._by1, self._bx2, self._by2 = bx1, by1, bx2, by2
+        comp = self._pend_comp
+        self.overlap_total += comp[1]
+        self.conflict_pairs += comp[3]
+        self.pull_sum += comp[2]
+        self._pend_move = None
         self._sig = None
+        self._stale = True
         self._applies_since_resync += 1
         if self._applies_since_resync >= self.resync_every:
             self.resync()
@@ -564,28 +617,25 @@ class IncrementalCostEvaluator:
         return abs(before - self.overlap_total)
 
     def _rebuild_sums(self) -> None:
-        recs = self._recs
+        X1, Y1, X2, Y2 = self.x1, self.y1, self.x2, self.y2
         total = 0.0
         pairs = 0
-        seen = set()
-        for a, nbrs in self._nbrs.items():
-            ra = recs[a]
+        for a, nbrs in enumerate(self.nbrs):
+            ax1, ay1, ax2, ay2 = X1[a], Y1[a], X2[a], Y2[a]
             for b, dt in nbrs:
-                if (b, a) in seen:
-                    continue
-                seen.add((a, b))
-                rb = recs[b]
-                ox = min(ra.x2, rb.x2) - max(ra.x1, rb.x1) + 1
+                if b < a:
+                    continue  # each pair once, at its lower index
+                ox = min(ax2, X2[b]) - max(ax1, X1[b]) + 1
                 if ox <= 0:
                     continue
-                oy = min(ra.y2, rb.y2) - max(ra.y1, rb.y1) + 1
+                oy = min(ay2, Y2[b]) - max(ay1, Y1[b]) + 1
                 if oy <= 0:
                     continue
                 total += ox * oy * dt
                 pairs += 1
         self.overlap_total = total
         self.conflict_pairs = pairs
-        self.pull_sum = sum(r.x2 + r.y2 for r in recs.values())
+        self.pull_sum = sum(X2) + sum(Y2)
 
     # -- cross-check support -------------------------------------------------------
 
@@ -595,7 +645,15 @@ class IncrementalCostEvaluator:
         Used by the cross-check mode and the property tests; raises
         :class:`CrossCheckError` on any disagreement.
         """
-        reference = self.placement.overlap_volume()
+        placement = self.placement
+        for i, op in enumerate(self.ops):
+            pm = placement.get(op)
+            fp = pm.footprint
+            if (fp.x, fp.y, fp.x2, fp.y2, pm.rotated) != (
+                self.x1[i], self.y1[i], self.x2[i], self.y2[i], self.rot[i]
+            ):
+                raise CrossCheckError(f"record desync for op {op!r}")
+        reference = placement.overlap_volume()
         if abs(self.overlap_total - reference) > tolerance:
             raise CrossCheckError(
                 f"overlap drift {abs(self.overlap_total - reference):g} "
@@ -607,31 +665,20 @@ class IncrementalCostEvaluator:
                 f"conflict-pair counter ({self.conflict_pairs}) disagrees "
                 f"with reference overlap {reference!r}"
             )
-        bb = self.placement.bounding_box()
+        for name, cnt, coords in (
+            ("x1", self._cx1, self.x1), ("y1", self._cy1, self.y1),
+            ("x2", self._cx2, self.x2), ("y2", self._cy2, self.y2),
+        ):
+            if cnt != _counts(coords, len(cnt)):
+                raise CrossCheckError(f"{name} edge histogram desync")
+        bb = placement.bounding_box()
         if (bb.x, bb.y, bb.x2, bb.y2) != self.bounding_box():
             raise CrossCheckError(
-                f"bounding box desync: multisets say {self.bounding_box()}, "
+                f"bounding box desync: histograms say {self.bounding_box()}, "
                 f"placement says {(bb.x, bb.y, bb.x2, bb.y2)}"
             )
-        pull = sum(pm.footprint.x2 + pm.footprint.y2 for pm in self.placement)
+        pull = sum(pm.footprint.x2 + pm.footprint.y2 for pm in placement)
         if pull != self.pull_sum:
             raise CrossCheckError(
                 f"pull-sum desync: running {self.pull_sum}, reference {pull}"
             )
-        for op, rec in self._recs.items():
-            fp = self.placement.get(op).footprint
-            if (fp.x, fp.y, fp.x2, fp.y2) != (rec.x1, rec.y1, rec.x2, rec.y2):
-                raise CrossCheckError(f"record desync for op {op!r}")
-
-
-def apply_move(placement: Placement, move: Move) -> Placement:
-    """Return a copy of *placement* with *move* applied.
-
-    The slow-path twin of :meth:`IncrementalCostEvaluator.apply`, used
-    by the generic (full-recompute) annealing path and the tests.
-    """
-    out = placement.copy()
-    for u in move.updates:
-        pm: PlacedModule = out.get(u.op_id)
-        out.replace(pm.moved_to(u.x, u.y, rotated=u.rotated))
-    return out

@@ -12,27 +12,23 @@ moves (iii/iv) with ``1 - p``; the effective ratio is experimentally
 determined (paper), defaulting to 0.8 here. Displacements respect the
 controlling window and all moves keep footprints inside the core area.
 
-Proposals are emitted as lightweight :class:`~repro.placement.
-incremental.Move` objects (op id + new origin/orientation per touched
-module); :meth:`MoveGenerator.propose` wraps that in a copied placement
-for the generic full-recompute path, consuming the *identical* RNG
-sequence, so the incremental and reference annealing paths explore the
-same trajectory for the same seed.
+Proposals are plain move tuples over module indices (see
+:mod:`repro.placement.incremental`): :meth:`MoveGenerator.bind` returns
+the proposal kernel the incremental annealer calls once per proposal,
+and :meth:`MoveGenerator.propose` runs the same kernel over a copied
+placement for the generic full-recompute path. Both consume the
+*identical* RNG sequence, so the incremental and reference annealing
+paths explore the same trajectory for the same seed.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Collection
+from collections.abc import Callable, Collection
 
-from repro.placement.incremental import Move, ModuleUpdate, apply_move
-from repro.placement.model import PlacedModule, Placement
+from repro.placement.model import Placement
 from repro.placement.window import ControllingWindow
 from repro.util.rng import ensure_rng
-
-
-def _clamp(v: int, lo: int, hi: int) -> int:
-    return max(lo, min(hi, v))
 
 
 class MoveGenerator:
@@ -66,90 +62,128 @@ class MoveGenerator:
 
     # -- public API -----------------------------------------------------------------
 
-    def propose_move(self, placement: Placement, temperature: float) -> Move:
-        """Return a :class:`Move` one step away from *placement*."""
-        candidates = self._candidates(placement)
-        if not candidates:
-            raise ValueError("cannot propose moves: no movable modules")
-        use_single = (
-            self.single_only
-            or len(candidates) < 2
-            or self._rng.random() < self.p_single
-        )
-        if use_single:
-            return self._displace(placement, candidates, temperature)
-        return self._interchange(placement, candidates)
+    def bind(self, evaluator) -> Callable[[int], tuple]:
+        """The proposal kernel over *evaluator*'s live index records.
 
-    def _candidates(self, placement: Placement) -> list[PlacedModule]:
-        """The modules a move may touch, in the placement's stable order."""
-        modules = placement.modules()
-        if self.movable is None:
-            return modules
-        return [pm for pm in modules if pm.op_id in self.movable]
+        ``propose(span)`` returns a move tuple one step away from the
+        evaluator's current state, displacing within ``span`` cells
+        (the controlling window's span at the round's temperature).
+        The candidate list — the movable modules' indices, in the
+        placement's order — is built here, once.
+        """
+        return self._kernel(
+            evaluator.ops, evaluator.x1, evaluator.y1, evaluator.rot,
+            evaluator.dims, evaluator.square,
+            evaluator.core_width, evaluator.core_height,
+        )
 
     def propose(self, placement: Placement, temperature: float) -> Placement:
         """Return a new placement one move away from *placement*."""
-        return apply_move(placement, self.propose_move(placement, temperature))
+        modules = placement.modules()
+        ops = [pm.op_id for pm in modules]
+        propose = self._kernel(
+            ops,
+            [pm.x for pm in modules],
+            [pm.y for pm in modules],
+            [pm.rotated for pm in modules],
+            [(pm.spec.dims(False), pm.spec.dims(True)) for pm in modules],
+            [pm.spec.is_square for pm in modules],
+            placement.core_width,
+            placement.core_height,
+        )
+        move = propose(self.window.span(temperature))
+        out = placement.copy()
+        for k in range(0, len(move), 4):
+            i, x, y, rotated = move[k:k + 4]
+            out.replace(out.get(ops[i]).moved_to(x, y, rotated=rotated))
+        return out
 
-    # -- move implementations -----------------------------------------------------------
+    # -- the kernel -----------------------------------------------------------------------
 
-    def _fits(self, placement: Placement, pm: PlacedModule, rotated: bool) -> bool:
-        w, h = pm.spec.dims(rotated)
-        return w <= placement.core_width and h <= placement.core_height
+    def _kernel(self, ops, x1, y1, rot, dims, square, core_w, core_h):
+        """Build ``propose(span) -> move`` over the given index records.
 
-    def _random_origin_near(
-        self, placement: Placement, pm: PlacedModule, rotated: bool, span: int
-    ) -> tuple[int, int]:
-        """Uniform origin within the controlling window, clamped to core."""
-        w, h = pm.spec.dims(rotated)
-        max_x = placement.core_width - w + 1
-        max_y = placement.core_height - h + 1
-        nx = _clamp(pm.x + self._rng.randint(-span, span), 1, max_x)
-        ny = _clamp(pm.y + self._rng.randint(-span, span), 1, max_y)
-        return nx, ny
+        The draws are those of the four generation functions written
+        with the ``random.Random`` conveniences, draw for draw:
+        ``choice(seq)`` is ``randrange(len(seq))``, ``randint(a, b)`` is
+        ``a + randrange(b - a + 1)``, and ``sample(seq, 2)`` is
+        ``sample(range(len(seq)), 2)`` matched by position.
+        """
+        movable = self.movable
+        cands = [i for i, op in enumerate(ops) if movable is None or op in movable]
+        if not cands:
+            raise ValueError("cannot propose moves: no movable modules")
+        n = len(cands)
+        pool = range(n)
+        # Largest in-core origin per index and orientation (the clamp's
+        # upper bounds); an orientation fits when both are >= 1.
+        lim = [
+            ((core_w - w0 + 1, core_h - h0 + 1), (core_w - w1 + 1, core_h - h1 + 1))
+            for (w0, h0), (w1, h1) in dims
+        ]
+        fits = [
+            (mx0 >= 1 and my0 >= 1, mx1 >= 1 and my1 >= 1)
+            for (mx0, my0), (mx1, my1) in lim
+        ]
+        rng = self._rng
+        random = rng.random
+        randrange = rng.randrange
+        sample = rng.sample
+        p_single = self.p_single
+        p_rotate = self.p_rotate
+        single_only = self.single_only or n < 2
 
-    def _displace(
-        self, placement: Placement, candidates: list[PlacedModule], temperature: float
-    ) -> Move:
-        """Move types (i) and (ii)."""
-        pm = self._rng.choice(candidates)
-        rotated = pm.rotated
-        if (
-            not pm.spec.is_square
-            and self._rng.random() < self.p_rotate
-            and self._fits(placement, pm, not rotated)
-        ):
-            rotated = not rotated  # type (ii)
-        span = self.window.span(temperature)
-        nx, ny = self._random_origin_near(placement, pm, rotated, span)
-        return Move(updates=(ModuleUpdate(pm.op_id, nx, ny, rotated),))
+        def propose(span: int) -> tuple:
+            if single_only or random() < p_single:
+                # Generation functions (i) and (ii): displace, maybe re-orient.
+                i = cands[randrange(n)]
+                r = rot[i]
+                if not square[i] and random() < p_rotate and fits[i][not r]:
+                    r = not r  # type (ii)
+                mx, my = lim[i][r]
+                width = span + span + 1
+                v = x1[i] - span + randrange(width)
+                nx = v if v < mx else mx
+                if nx < 1:
+                    nx = 1
+                v = y1[i] - span + randrange(width)
+                ny = v if v < my else my
+                if ny < 1:
+                    ny = 1
+                return (i, nx, ny, r)
+            # Generation functions (iii) and (iv): swap two modules' origins.
+            pa, pb = sample(pool, 2)
+            a = cands[pa]
+            b = cands[pb]
+            ra = rot[a]
+            rb = rot[b]
+            if random() < p_rotate:
+                # Type (iv): at least one of the pair changes orientation.
+                if random() < 0.5:
+                    if not square[a] and fits[a][not ra]:
+                        ra = not ra
+                elif not square[b] and fits[b][not rb]:
+                    rb = not rb
+            # Swap origins; clamp each so the (possibly rotated)
+            # footprint stays inside the core area.
+            mx, my = lim[a][ra]
+            v = x1[b]
+            ax = v if v < mx else mx
+            if ax < 1:
+                ax = 1
+            v = y1[b]
+            ay = v if v < my else my
+            if ay < 1:
+                ay = 1
+            mx, my = lim[b][rb]
+            v = x1[a]
+            bx = v if v < mx else mx
+            if bx < 1:
+                bx = 1
+            v = y1[a]
+            by = v if v < my else my
+            if by < 1:
+                by = 1
+            return (a, ax, ay, ra, b, bx, by, rb)
 
-    def _interchange(
-        self, placement: Placement, candidates: list[PlacedModule]
-    ) -> Move:
-        """Move types (iii) and (iv): swap two modules' origins."""
-        a, b = self._rng.sample(candidates, 2)
-        rot_a, rot_b = a.rotated, b.rotated
-        if self._rng.random() < self.p_rotate:
-            # Type (iv): at least one of the pair changes orientation.
-            flip_a = self._rng.random() < 0.5
-            target = a if flip_a else b
-            if not target.spec.is_square and self._fits(placement, target, not target.rotated):
-                if flip_a:
-                    rot_a = not rot_a
-                else:
-                    rot_b = not rot_b
-        # Swap origins; clamp each so the (possibly rotated) footprint
-        # stays inside the core area.
-        return Move(updates=(
-            self._update_at(placement, a, b.x, b.y, rot_a),
-            self._update_at(placement, b, a.x, a.y, rot_b),
-        ))
-
-    def _update_at(
-        self, placement: Placement, pm: PlacedModule, x: int, y: int, rotated: bool
-    ) -> ModuleUpdate:
-        w, h = pm.spec.dims(rotated)
-        nx = _clamp(x, 1, placement.core_width - w + 1)
-        ny = _clamp(y, 1, placement.core_height - h + 1)
-        return ModuleUpdate(pm.op_id, nx, ny, rotated)
+        return propose

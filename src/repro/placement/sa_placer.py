@@ -120,7 +120,7 @@ def run_annealing(
         return engine.optimize_incremental(
             evaluator,
             cost,
-            mover.propose_move,
+            mover,
             inner_iterations,
             record_history=record_history,
         )

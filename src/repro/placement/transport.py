@@ -28,7 +28,7 @@ from repro.placement.cost import (
 
 if TYPE_CHECKING:
     from repro.assay.graph import SequencingGraph
-    from repro.placement.incremental import IncrementalCostEvaluator, Move
+    from repro.placement.incremental import IncrementalCostEvaluator
     from repro.placement.model import Placement
 
 #: Default weight per cell of producer->consumer distance, in mm^2
@@ -91,33 +91,68 @@ class TransportAwareCost(AreaCost):
 
     # -- incremental protocol -----------------------------------------------------
 
+    def _bound(self, evaluator: "IncrementalCostEvaluator") -> tuple:
+        """The edges and functional-center offsets by module index,
+        built once per evaluator: ``(edges, incident, offsets)``."""
+        bound = evaluator.bound.get(self)
+        if bound is not None:
+            return bound
+        index = evaluator.index
+        edges = [
+            (index[producer], index[consumer])
+            for producer, consumer in self._edges
+            if producer in index and consumer in index
+        ]
+        incident: list[list[int]] = [[] for _ in evaluator.ops]
+        for e, (a, b) in enumerate(edges):
+            incident[a].append(e)
+            incident[b].append(e)
+        # Functional center = origin + a per-orientation offset.
+        offsets = []
+        for spec in evaluator.specs:
+            normal = spec.functional_at(0, 0, False).center
+            rotated = spec.functional_at(0, 0, True).center
+            offsets.append(((normal.x, normal.y), (rotated.x, rotated.y)))
+        bound = evaluator.bound[self] = (edges, incident, offsets)
+        return bound
+
+    def _distance(self, evaluator: "IncrementalCostEvaluator") -> int:
+        edges, _, offsets = self._bound(evaluator)
+        x1, y1, rot = evaluator.x1, evaluator.y1, evaluator.rot
+        total = 0
+        for a, b in edges:
+            ax, ay = offsets[a][rot[a]]
+            bx, by = offsets[b][rot[b]]
+            total += abs(x1[a] + ax - x1[b] - bx) + abs(y1[a] + ay - y1[b] - by)
+        return total
+
     def current(self, evaluator: "IncrementalCostEvaluator") -> float:
         return super().current(evaluator) + self.transport_weight * (
-            self.transport_distance(evaluator.placement)
+            self._distance(evaluator)
         )
 
-    def delta(self, evaluator: "IncrementalCostEvaluator", move: "Move") -> float:
+    def delta(self, evaluator: "IncrementalCostEvaluator", move: tuple) -> float:
         d = super().delta(evaluator, move)
         if not self.transport_weight:
             return d
-        placement = evaluator.placement
-        moved = {u.op_id: u for u in move.updates}
+        edges, incident, offsets = self._bound(evaluator)
+        x1, y1, rot = evaluator.x1, evaluator.y1, evaluator.rot
+        moved = {move[k]: move[k + 1:k + 4] for k in range(0, len(move), 4)}
 
-        def center(op_id):
-            pm = placement.get(op_id)
-            u = moved.get(op_id)
-            if u is None:
-                return pm.functional_region.center
-            return pm.spec.functional_at(u.x, u.y, u.rotated).center
+        def centers(i: int) -> tuple[tuple[int, int], tuple[int, int]]:
+            """Module *i*'s functional center before and after *move*."""
+            ox, oy = offsets[i][rot[i]]
+            before = (x1[i] + ox, y1[i] + oy)
+            if i not in moved:
+                return before, before
+            x, y, r = moved[i]
+            ox, oy = offsets[i][r]
+            return before, (x + ox, y + oy)
 
         d_dist = 0
-        for producer, consumer in self._edges:
-            if producer not in moved and consumer not in moved:
-                continue
-            if producer not in placement or consumer not in placement:
-                continue
-            a_old = placement.get(producer).functional_region.center
-            b_old = placement.get(consumer).functional_region.center
-            d_dist += center(producer).manhattan_distance(center(consumer))
-            d_dist -= a_old.manhattan_distance(b_old)
+        for e in {e for i in moved for e in incident[i]}:
+            a, b = edges[e]
+            (a_old, a_new), (b_old, b_new) = centers(a), centers(b)
+            d_dist += abs(a_new[0] - b_new[0]) + abs(a_new[1] - b_new[1])
+            d_dist -= abs(a_old[0] - b_old[0]) + abs(a_old[1] - b_old[1])
         return d + self.transport_weight * d_dist

@@ -47,7 +47,7 @@ import time
 from dataclasses import dataclass
 
 from repro.fault.reconfigure import PartialReconfigurer
-from repro.geometry import Point, Rect
+from repro.geometry import Point
 from repro.placement.annealer import AnnealingParams, SimulatedAnnealing
 from repro.placement.cost import AreaCost
 from repro.placement.incremental import IncrementalCostEvaluator
@@ -126,47 +126,79 @@ class FaultAvoidanceCost(AreaCost):
         kwargs.setdefault("alpha", 0.0)
         super().__init__(**kwargs)
         self.faulty = tuple(Point(*c) for c in faulty_cells)
+        self._cells = tuple((c.x, c.y) for c in self.faulty)
         if fault_weight <= 0:
             raise ValueError(f"fault_weight must be positive, got {fault_weight}")
         self.fault_weight = fault_weight
         self.anchors = dict(anchors or {})
         self.anchor_weight = anchor_weight
 
-    def _covered(self, footprint: Rect) -> int:
-        return sum(1 for c in self.faulty if footprint.contains_point(c))
+    def _covered(self, x1: int, y1: int, x2: int, y2: int) -> int:
+        """Dead cells inside the footprint ``(x1, y1)..(x2, y2)``."""
+        n = 0
+        for fx, fy in self._cells:
+            if x1 <= fx <= x2 and y1 <= fy <= y2:
+                n += 1
+        return n
 
-    def _anchor(self, op_id: str, x: int, y: int) -> int:
-        a = self.anchors.get(op_id)
-        return 0 if a is None else abs(x - a[0]) + abs(y - a[1])
-
-    def _extra(self, placement: Placement) -> float:
-        extra = self.fault_weight * sum(
-            self._covered(pm.footprint) for pm in placement
-        )
+    def _extra(self, boxes, anchors) -> float:
+        """Fault and anchor terms over footprint ``(x1, y1, x2, y2)``
+        boxes and their anchor origins (None where a module has none)."""
+        extra = self.fault_weight * sum(self._covered(*box) for box in boxes)
         if self.anchor_weight:
             extra += self.anchor_weight * sum(
-                self._anchor(pm.op_id, pm.x, pm.y) for pm in placement
+                _anchor_distance(a, box[0], box[1]) for box, a in zip(boxes, anchors)
             )
         return extra
 
     def __call__(self, placement: Placement) -> float:
-        return super().__call__(placement) + self._extra(placement)
+        modules = placement.modules()
+        boxes = [
+            (pm.footprint.x, pm.footprint.y, pm.footprint.x2, pm.footprint.y2)
+            for pm in modules
+        ]
+        anchors = [self.anchors.get(pm.op_id) for pm in modules]
+        return super().__call__(placement) + self._extra(boxes, anchors)
+
+    # -- incremental protocol -------------------------------------------------
+
+    def _anchors_by_index(self, evaluator: IncrementalCostEvaluator) -> list:
+        """Each module's anchor origin (or None), by evaluator index —
+        bound once per evaluator."""
+        anchors = evaluator.bound.get(self)
+        if anchors is None:
+            anchors = evaluator.bound[self] = [self.anchors.get(op) for op in evaluator.ops]
+        return anchors
 
     def current(self, evaluator: IncrementalCostEvaluator) -> float:
-        return super().current(evaluator) + self._extra(evaluator.placement)
+        boxes = zip(evaluator.x1, evaluator.y1, evaluator.x2, evaluator.y2)
+        return super().current(evaluator) + self._extra(
+            list(boxes), self._anchors_by_index(evaluator)
+        )
 
-    def delta(self, evaluator: IncrementalCostEvaluator, move) -> float:
+    def delta(self, evaluator: IncrementalCostEvaluator, move: tuple) -> float:
         d = super().delta(evaluator, move)
-        for up in move.updates:
-            pm = evaluator.placement.get(up.op_id)
-            new_fp = pm.spec.footprint_at(up.x, up.y, up.rotated)
-            d += self.fault_weight * (self._covered(new_fp) - self._covered(pm.footprint))
+        anchors = self._anchors_by_index(evaluator)
+        dims = evaluator.dims
+        X1, Y1, X2, Y2 = evaluator.x1, evaluator.y1, evaluator.x2, evaluator.y2
+        for k in range(0, len(move), 4):
+            i, x, y, r = move[k:k + 4]
+            w, h = dims[i][r]
+            d += self.fault_weight * (
+                self._covered(x, y, x + w - 1, y + h - 1)
+                - self._covered(X1[i], Y1[i], X2[i], Y2[i])
+            )
             if self.anchor_weight:
+                a = anchors[i]
                 d += self.anchor_weight * (
-                    self._anchor(up.op_id, up.x, up.y)
-                    - self._anchor(up.op_id, pm.x, pm.y)
+                    _anchor_distance(a, x, y) - _anchor_distance(a, X1[i], Y1[i])
                 )
         return d
+
+
+def _anchor_distance(anchor: tuple[int, int] | None, x: int, y: int) -> int:
+    """Manhattan distance from *anchor* to origin ``(x, y)`` (0 unanchored)."""
+    return 0 if anchor is None else abs(x - anchor[0]) + abs(y - anchor[1])
 
 
 @dataclass
@@ -790,7 +822,7 @@ class OnlineRecoveryEngine:
         self._warm_template = evaluator
         inner = params.iterations_per_module * len(movable)
         best, _stats = engine.optimize_incremental(
-            evaluator, cost, mover.propose_move, inner, record_history=False
+            evaluator, cost, mover, inner, record_history=False
         )
 
         def hits(placement: Placement) -> int:

@@ -968,7 +968,7 @@ class BiochipSimulator:
         droplet_of: dict[str, Droplet],
         events: list[SimEvent],
     ) -> int:
-        """Move a finished product to a cell no module will claim before
+        """Transport a finished product to a cell no module will claim before
         its consumer starts. Returns transport cells used (0 if the
         product can stay where it is)."""
         finish = state.finish

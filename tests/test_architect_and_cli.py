@@ -118,6 +118,27 @@ class TestCli:
         args = build_parser().parse_args(["flow"])
         assert args.fast is True
 
+    @pytest.mark.parametrize("extra", [[], ["--beta", "30"]], ids=["sa", "two-stage"])
+    def test_place_rate_matches_printed_seconds(self, capsys, extra):
+        """The printed rate is the printed proposals over the printed
+        seconds, up to the rounding of the printed figures."""
+        import re
+
+        rc = main(["place", "--protocol", "pcr", "--seed", "2", "--fast", *extra])
+        out = capsys.readouterr().out
+        assert rc == 0
+        m = re.search(
+            r"annealer: (\d+) proposals in ([\d.]+) s = ([\d,]+) proposals/s", out
+        )
+        assert m, out
+        proposals, seconds = int(m.group(1)), float(m.group(2))
+        rate = float(m.group(3).replace(",", ""))
+        implied = proposals / rate
+        # seconds is rounded to 3 decimals, rate to the nearest unit.
+        assert abs(implied - seconds) <= 0.0005 + implied * 0.5 / rate + 1e-9
+        total = float(re.search(r"placer: ([\d.]+) s total", out).group(1))
+        assert total >= seconds
+
     def test_route_command_prints_verified_plan(self, capsys):
         rc = main(["route", "--protocol", "pcr", "--seed", "2", "--fast"])
         out = capsys.readouterr().out

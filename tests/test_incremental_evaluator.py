@@ -25,15 +25,13 @@ from repro.pipeline.stages import BindStage, ScheduleStage
 from repro.placement.annealer import AnnealingParams, SimulatedAnnealing
 from repro.placement.cost import AreaCost, FaultAwareCost
 from repro.placement.greedy import build_placed_modules
-from repro.placement.incremental import (
-    IncrementalCostEvaluator,
-    Move,
-    ModuleUpdate,
-    apply_move,
-)
+from repro.placement.incremental import IncrementalCostEvaluator
 from repro.placement.model import PlacedModule, Placement
+from repro.placement.moves import MoveGenerator
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.placement.transport import TransportAwareCost
+from repro.placement.window import ControllingWindow
+from repro.recovery.engine import FaultAvoidanceCost
 from repro.util.errors import CrossCheckError, PlacementError
 
 TOL = 1e-6
@@ -64,13 +62,23 @@ def build_placement(layout, core=16) -> Placement:
 
 
 def legal_update(placement: Placement, op: str, x: int, y: int, rotated: bool):
+    """An in-core ``(op, x, y, rotated)`` update near the requested one."""
     pm = placement.get(op)
     if rotated and pm.spec.is_square:
         rotated = False
     w, h = pm.spec.dims(rotated)
     x = max(1, min(x, placement.core_width - w + 1))
     y = max(1, min(y, placement.core_height - h + 1))
-    return ModuleUpdate(op, x, y, rotated)
+    return (op, x, y, rotated)
+
+
+def applied(placement: Placement, *updates) -> Placement:
+    """A copy of *placement* with the ``(op, x, y, rotated)`` updates
+    applied: the full-recompute side of every delta check."""
+    out = placement.copy()
+    for op, x, y, rotated in updates:
+        out.replace(out.get(op).moved_to(x, y, rotated=rotated))
+    return out
 
 
 class TestEvaluatorBasics:
@@ -102,48 +110,50 @@ class TestEvaluatorBasics:
         p = build_placement(self.layout())
         ev = IncrementalCostEvaluator(p)
         with pytest.raises(PlacementError):
-            ev.delta_components(Move(updates=(ModuleUpdate("ghost", 1, 1, False),)))
+            ev.move(("ghost", 1, 1, False))
 
     def test_duplicate_update_rejected(self):
         p = build_placement(self.layout())
         ev = IncrementalCostEvaluator(p)
-        move = Move(updates=(
-            ModuleUpdate("a", 1, 1, False), ModuleUpdate("a", 2, 2, False),
-        ))
         with pytest.raises(PlacementError):
-            ev.delta_components(move)
+            ev.move(("a", 1, 1, False), ("a", 2, 2, False))
+        with pytest.raises(PlacementError):
+            ev.components((0, 1, 1, False, 0, 2, 2, False))
 
     def test_empty_move_rejected(self):
+        ev = IncrementalCostEvaluator(build_placement(self.layout()))
         with pytest.raises(ValueError):
-            Move(updates=())
+            ev.move()
+        with pytest.raises(ValueError):
+            ev.components(())
 
     def test_out_of_core_apply_rejected_and_state_intact(self):
         p = build_placement(self.layout())
         ev = IncrementalCostEvaluator(p)
         with pytest.raises(PlacementError):
-            ev.apply(Move(updates=(ModuleUpdate("a", 15, 15, False),)))
+            ev.apply(ev.move(("a", 15, 15, False)))
         ev.check_consistency()
 
     def test_delta_matches_full_recompute_displace(self):
         p = build_placement(self.layout())
         ev = IncrementalCostEvaluator(p)
         cost = AreaCost()
-        move = Move(updates=(legal_update(p, "a", 6, 6, False),))
+        update = legal_update(p, "a", 6, 6, False)
         before = cost(p)
-        delta = cost.delta(ev, move)
-        assert delta == pytest.approx(cost(apply_move(p, move)) - before, abs=TOL)
+        delta = cost.delta(ev, ev.move(update))
+        assert delta == pytest.approx(cost(applied(p, update)) - before, abs=TOL)
 
     def test_delta_matches_full_recompute_swap(self):
         p = build_placement(self.layout())
         ev = IncrementalCostEvaluator(p)
         cost = AreaCost()
-        move = Move(updates=(
+        updates = (
             legal_update(p, "a", 3, 3, False),
             legal_update(p, "b", 1, 1, True),
-        ))
+        )
         before = cost(p)
-        delta = cost.delta(ev, move)
-        assert delta == pytest.approx(cost(apply_move(p, move)) - before, abs=TOL)
+        delta = cost.delta(ev, ev.move(*updates))
+        assert delta == pytest.approx(cost(applied(p, *updates)) - before, abs=TOL)
 
     def test_apply_then_revert_is_exact(self):
         p = build_placement(self.layout())
@@ -153,12 +163,14 @@ class TestEvaluatorBasics:
         before_bbox = ev.bounding_box()
         before_state = {pm.op_id: (pm.x, pm.y, pm.rotated) for pm in p}
 
-        move = Move(updates=(legal_update(p, "b", 7, 2, False),))
-        inverse = ev.apply(move)
+        inverse = ev.apply(ev.move(legal_update(p, "b", 7, 2, False)))
+        assert ev.placement.get("b").x == 7
         ev.apply(inverse)
         ev.resync()
         assert cost.current(ev) == pytest.approx(before_cost, abs=TOL)
         assert ev.bounding_box() == before_bbox
+        # The owned placement is brought up to date when read.
+        assert ev.placement is p
         assert {pm.op_id: (pm.x, pm.y, pm.rotated) for pm in p} == before_state
         ev.check_consistency()
 
@@ -168,10 +180,9 @@ class TestEvaluatorBasics:
         rng = random.Random(0)
         for _ in range(50):
             op = rng.choice(p.op_ids())
-            move = Move(updates=(legal_update(
+            ev.apply(ev.move(legal_update(
                 p, op, rng.randint(1, 16), rng.randint(1, 16), bool(rng.getrandbits(1))
-            ),))
-            ev.apply(move)
+            )))
         drift = ev.resync()
         assert drift <= TOL
         ev.check_consistency()
@@ -182,9 +193,9 @@ class TestEvaluatorBasics:
         rng = random.Random(1)
         for _ in range(23):
             op = rng.choice(p.op_ids())
-            ev.apply(Move(updates=(legal_update(
+            ev.apply(ev.move(legal_update(
                 p, op, rng.randint(1, 16), rng.randint(1, 16), False
-            ),)))
+            )))
         # 23 applies with cadence 5 -> 4 auto-resyncs, 3 applies since.
         assert ev._applies_since_resync == 3
 
@@ -199,10 +210,41 @@ class TestEvaluatorBasics:
     def test_candidate_signature_matches_applied_signature(self):
         p = build_placement(self.layout())
         ev = IncrementalCostEvaluator(p)
-        move = Move(updates=(legal_update(p, "c", 2, 2, False),))
+        move = ev.move(legal_update(p, "c", 2, 2, False))
         predicted = ev.candidate_signature(move)
         ev.apply(move)
         assert ev.signature() == predicted
+
+
+    def test_warm_start_keys_by_op_id(self):
+        """A template with another module order shares its schedule-fixed
+        structures by op id: the warm evaluator equals a cold one, and
+        an anneal over either walks the same trajectory."""
+        layout = self.layout()
+        template = IncrementalCostEvaluator(build_placement(layout[::-1]))
+        cold = IncrementalCostEvaluator(build_placement(layout))
+        warm = IncrementalCostEvaluator(build_placement(layout), warm_from=template)
+        assert warm.memo is template.memo
+        assert warm.ops == cold.ops != template.ops
+        assert warm.nbrs == cold.nbrs and warm._pair_dt == cold._pair_dt
+        assert warm.dims == cold.dims and warm.spans == cold.spans
+        assert warm.overlap_total == cold.overlap_total
+
+        def anneal(evaluator):
+            params = AnnealingParams(
+                initial_temp=50.0, cooling=0.7, iterations_per_module=20,
+                max_rounds=5,
+            )
+            window = params.make_window(max_span=8)
+            mover = MoveGenerator(window=window, seed=4)
+            engine = SimulatedAnnealing(params, window=window, seed=4)
+            best, stats = engine.optimize_incremental(
+                evaluator, AreaCost(), mover, 20 * len(evaluator.ops)
+            )
+            return (sorted((pm.op_id, pm.x, pm.y, pm.rotated) for pm in best),
+                    stats.acceptances, stats.history)
+
+        assert anneal(warm) == anneal(cold)
 
 
 class TestCostProtocols:
@@ -263,9 +305,9 @@ class TestCostProtocols:
         ev = IncrementalCostEvaluator(p)
         cost = FaultAwareCost(beta=20.0)
         for target in [(10, 10), (2, 2), (6, 6)]:
-            move = Move(updates=(legal_update(p, "c", *target, False),))
-            expected = cost(apply_move(p, move)) - cost(p)
-            assert cost.delta(ev, move) == pytest.approx(expected, abs=TOL)
+            update = legal_update(p, "c", *target, False)
+            expected = cost(applied(p, update)) - cost(p)
+            assert cost.delta(ev, ev.move(update)) == pytest.approx(expected, abs=TOL)
 
     def test_fault_aware_fti_is_memoized(self):
         p = build_placement([
@@ -283,7 +325,7 @@ class TestCostProtocols:
             return original(placement)
 
         cost.fti_report = counting
-        move = Move(updates=(legal_update(p, "a", 1, 1, False),))
+        move = ev.move(legal_update(p, "a", 1, 1, False))
         cost.delta(ev, move)
         first = calls
         cost.delta(ev, move)  # same current and candidate signatures
@@ -305,11 +347,11 @@ class TestCostProtocols:
         ops = p.op_ids()
         for i in range(6):
             op = ops[i % len(ops)]
-            move = Move(updates=(legal_update(
+            update = legal_update(
                 p, op, rng.randint(1, 20), rng.randint(1, 20), bool(i % 2)
-            ),))
-            expected = cost(apply_move(p, move)) - cost(p)
-            assert cost.delta(ev, move) == pytest.approx(expected, abs=TOL)
+            )
+            expected = cost(applied(p, update)) - cost(p)
+            assert cost.delta(ev, ev.move(update)) == pytest.approx(expected, abs=TOL)
 
 
 class TestIncrementalEngine:
@@ -416,9 +458,14 @@ moves_st = st.lists(
         st.integers(min_value=1, max_value=16),       # y
         st.booleans(),                                # rotated
         st.booleans(),                                # make it a swap
+        st.booleans(),                                # swap partner rotated
     ),
     min_size=1,
     max_size=30,
+)
+
+cell_st = st.tuples(
+    st.integers(min_value=1, max_value=16), st.integers(min_value=1, max_value=16)
 )
 
 
@@ -442,13 +489,33 @@ def placement_from_draw(draw_modules) -> Placement:
     return p
 
 
+def assert_view_matches_records(ev: IncrementalCostEvaluator) -> None:
+    """The lazily synced placement holds exactly the index records."""
+    for i, op in enumerate(ev.ops):
+        pm = ev.placement.get(op)
+        assert (pm.x, pm.y, pm.rotated) == (ev.x1[i], ev.y1[i], ev.rot[i])
+        fp = pm.footprint
+        assert (fp.x2, fp.y2) == (ev.x2[i], ev.y2[i])
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     modules=st.lists(module_st, min_size=2, max_size=7),
     moves=moves_st,
+    movable_mask=st.lists(st.booleans(), min_size=7, max_size=7),
+    faults=st.lists(cell_st, max_size=3),
+    seed=st.integers(min_value=0, max_value=2 ** 16),
 )
-def test_incremental_tracks_full_recompute(modules, moves):
-    """Running cost tracks full recomputation; apply/revert is exact."""
+def test_incremental_tracks_full_recompute(modules, moves, movable_mask, faults, seed):
+    """Running cost tracks full recomputation; apply/revert is exact.
+
+    Moves touch only a ``movable`` subset; swaps may rotate either
+    module; the fault-avoidance cost's deltas run under ``CheckedCost``
+    (which verifies each against the full recompute by an apply/revert
+    round trip). After every apply and revert the placement view equals
+    the index records and ``check_consistency`` holds. A second phase
+    drives the proposal kernel itself over the same ``movable`` subset.
+    """
     placement = placement_from_draw(modules)
     ev = IncrementalCostEvaluator(placement, resync_every=10 ** 9)
     cost = AreaCost()
@@ -456,37 +523,73 @@ def test_incremental_tracks_full_recompute(modules, moves):
     assert running == pytest.approx(cost(placement), abs=TOL)
 
     ops = placement.op_ids()
-    for selector, x, y, rotated, swap in moves:
-        op = ops[selector % len(ops)]
-        updates = [legal_update(placement, op, x, y, rotated)]
-        if swap and len(ops) >= 2:
-            other = ops[(selector // len(ops)) % len(ops)]
+    movable = [op for op, keep in zip(ops, movable_mask) if keep] or ops[:1]
+    anchors = {op: (placement.get(op).x, placement.get(op).y) for op in movable}
+    avoid = FaultAvoidanceCost(faults, anchors=anchors)
+    checked = CheckedCost(avoid, tolerance=TOL)
+    for selector, x, y, rotated, swap, rotated2 in moves:
+        view = ev.placement
+        op = movable[selector % len(movable)]
+        updates = [legal_update(view, op, x, y, rotated)]
+        if swap and len(movable) >= 2:
+            other = movable[(selector // len(movable)) % len(movable)]
             if other != op:
-                pm = placement.get(op)
-                updates.append(legal_update(placement, other, pm.x, pm.y, False))
-        move = Move(updates=tuple(updates))
+                pm = view.get(op)
+                updates.append(legal_update(view, other, pm.x, pm.y, rotated2))
+        move = ev.move(*updates)
 
-        before_full = cost(placement)
+        before_full = cost(view)
         before_bbox = ev.bounding_box()
         before_pull = ev.pull_sum
+        before_rows = {pm.op_id: (pm.x, pm.y, pm.rotated) for pm in view}
         delta = cost.delta(ev, move)
+        # CheckedCost applies, verifies and reverts the move itself.
+        checked.delta(ev, move)
+        assert_view_matches_records(ev)
 
         inverse = ev.apply(move)
-        after_full = cost(placement)
+        after_full = cost(ev.placement)
         # 1. the delta prices the move exactly (within float tolerance)
         assert delta == pytest.approx(after_full - before_full, abs=TOL)
-        # 2. the running components track the full recompute
+        # 2. the running components track the full recompute, and only
+        #    movable modules moved
         ev.check_consistency(TOL)
+        assert_view_matches_records(ev)
+        assert all(
+            (pm.x, pm.y, pm.rotated) == before_rows[pm.op_id]
+            for pm in ev.placement if pm.op_id not in anchors
+        )
         running += delta
         assert running == pytest.approx(cost.current(ev), abs=TOL)
+        assert avoid.current(ev) == pytest.approx(avoid(ev.placement), abs=TOL)
 
-        # 3. apply -> revert restores the exact prior cost and bbox
+        # 3. apply -> revert restores the exact prior cost, bbox and rows
         ev.apply(inverse)
         assert ev.bounding_box() == before_bbox
         assert ev.pull_sum == before_pull
-        assert cost(placement) == pytest.approx(before_full, abs=TOL)
+        assert cost(ev.placement) == pytest.approx(before_full, abs=TOL)
+        assert {pm.op_id: (pm.x, pm.y, pm.rotated) for pm in ev.placement} == before_rows
         ev.check_consistency(TOL)
 
         # leave the move applied for the next iteration
         ev.apply(move)
         running = cost.current(ev)
+
+    # Phase 2: kernel proposals (swaps with rotation forced on).
+    window = ControllingWindow(initial_temp=100.0, max_span=16)
+    mover = MoveGenerator(
+        window=window, p_single=0.5, p_rotate=1.0, movable=movable, seed=seed
+    )
+    propose = mover.bind(ev)
+    indices = {ev.index[op] for op in movable}
+    for _ in range(20):
+        move = propose(window.span(100.0))
+        assert set(move[::4]) <= indices
+        checked.delta(ev, move)
+        assert_view_matches_records(ev)
+        inverse = ev.apply(move)
+        ev.check_consistency(TOL)
+        ev.apply(inverse)
+        ev.check_consistency(TOL)
+        ev.apply(move)
+        assert_view_matches_records(ev)

@@ -132,9 +132,9 @@ def test_fault_avoidance_cost_incremental_parity(routed_pcr):
     assert cost.supports_incremental()
     evaluator = IncrementalCostEvaluator(placement)
     window = AnnealingParams.fast().make_window(max_span=8)
-    mover = MoveGenerator(window=window, seed=13)
+    propose = MoveGenerator(window=window, seed=13).bind(evaluator)
     for _ in range(60):
-        move = mover.propose_move(evaluator.placement, 100.0)
+        move = propose(window.span(100.0))
         before = cost(evaluator.placement)
         delta = cost.delta(evaluator, move)
         evaluator.apply(move)
@@ -149,10 +149,11 @@ def test_movable_filter_restricts_moves(routed_pcr):
     ops = sorted(placement.op_ids())
     movable = frozenset(ops[:2])
     window = AnnealingParams.fast().make_window(max_span=8)
-    mover = MoveGenerator(window=window, movable=movable, seed=3)
+    evaluator = IncrementalCostEvaluator(placement.copy())
+    propose = MoveGenerator(window=window, movable=movable, seed=3).bind(evaluator)
     for _ in range(50):
-        move = mover.propose_move(placement, 50.0)
-        assert {u.op_id for u in move.updates} <= movable
+        move = propose(window.span(50.0))
+        assert {evaluator.ops[i] for i in move[::4]} <= movable
 
 
 def test_outcome_to_dict_is_json_safe(routed_pcr, engine):
