@@ -1,22 +1,32 @@
 """Section 5.3 — "the calculation of FTI takes only 1.7 seconds".
 
 The paper's point is that FTI is cheap enough to call inside a
-placement loop. We time all three of our FTI algorithms on the measured
-min-area placement and check they agree exactly:
+placement loop. We time our FTI (``compute_fti``) and its two reference
+oracles on the measured min-area placement and check they agree
+exactly:
 
-* ``placements`` — summed-area-table position counting (ours; evaluates
-  each module once, used inside the LTSA loop) — the fastest.
-* ``mer`` — the paper's literal Section 5.3 procedure, which re-mines
+* ``placements`` — summed-area-table position counting (``compute_fti``;
+  evaluates each module once, used inside the LTSA loop) — the fastest.
+* ``mer`` — the paper's literal Section 5.3 procedure (oracle), which re-mines
   the maximal empty rectangles for every candidate faulty cell; its
   cost scales with (module cells) x (MER sweep), so on the paper-sized
   7x9 array it is measurably slower than the one-pass methods while
   still orders of magnitude under the paper's 1.7 s anecdote.
-* ``bruteforce`` — the pure-Python per-cell position scan (reference).
+* ``bruteforce`` — the pure-Python per-cell position scan (oracle).
 """
 
+import functools
+
 import pytest
+from oracles import reference_fti
 
 from repro.fault.fti import compute_fti
+
+_ALGORITHMS = {
+    "placements": compute_fti,
+    "mer": functools.partial(reference_fti, method="mer"),
+    "bruteforce": functools.partial(reference_fti, method="bruteforce"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -30,11 +40,11 @@ def placement(request):
     return placer.place(study.schedule, study.binding).placement
 
 
-@pytest.mark.parametrize("method", ["placements", "mer", "bruteforce"])
+@pytest.mark.parametrize("method", list(_ALGORITHMS))
 def test_fti_runtime(benchmark, report, placement, method):
-    result = benchmark(compute_fti, placement, method=method)
+    result = benchmark(_ALGORITHMS[method], placement)
 
-    reference = compute_fti(placement, method="bruteforce")
+    reference = reference_fti(placement, method="bruteforce")
     assert result.covered == reference.covered
 
     report(

@@ -6,7 +6,7 @@ placement engine (``repro.placement.incremental``). Two claims:
 1. **Throughput.** On the paper's published annealing schedule
    (T0=10000, alpha=0.9, Na=400) over an assay with >= 10 placed
    modules, the incremental path must deliver >= 4x proposals/sec over
-   the full-recompute reference (``oracles.FullRecomputeCost`` in
+   the full-recompute reference (``oracles.FullRecomputePlacer`` in
    ``tests/oracles/``). (Both paths run the identical move stream — the
    generator consumes the same RNG draws either way.)
 2. **Quality parity.** Across the bundled assay catalog at fixed
@@ -31,7 +31,7 @@ import os
 import statistics
 
 import pytest
-from oracles import CheckedCost, FullRecomputeCost
+from oracles import CheckedCost, FullRecomputePlacer
 
 from repro.assay.catalog import BUNDLED_ASSAYS, build_assay, is_generator_spec
 from repro.pipeline.context import SynthesisContext
@@ -49,8 +49,6 @@ THROUGHPUT_ASSAY = "tree16"  # 31 placed modules — well past the >=10 floor
 #: anneals (scheduled as the CLI schedules ``gen:`` specs).
 GENERATED_SPEC = "gen:mix-tree:n=100:seed=250"
 PARITY_SEEDS = (7,) if FAST else (2, 7, 11)
-#: The full-recompute baseline: the area cost with its delta hidden.
-FULL_RECOMPUTE = FullRecomputeCost(AreaCost())
 
 
 def _paper_schedule() -> AnnealingParams:
@@ -77,9 +75,11 @@ def _modules_for(assay: str):
     return build_placed_modules(context.schedule, context.binding)
 
 
-def _place(modules, seed: int, params: AnnealingParams, cost=None):
-    """Anneal with *cost* (default: the incremental path's area cost)."""
-    placer = SimulatedAnnealingPlacer(
+def _place(modules, seed: int, params: AnnealingParams, cost=None,
+           placer_cls=SimulatedAnnealingPlacer):
+    """Anneal with *cost* (default: the area cost) on *placer_cls*'s path
+    (default: the incremental one)."""
+    placer = placer_cls(
         params=params, seed=seed, cost=cost if cost is not None else AreaCost(),
         record_history=False,
     )
@@ -91,7 +91,7 @@ def test_throughput_paper_schedule(report, bench_json):
     assert len(modules) >= 10, "the throughput bar is defined for >= 10 modules"
     params = _paper_schedule()
 
-    full = _place(modules, seed=7, params=params, cost=FULL_RECOMPUTE)
+    full = _place(modules, seed=7, params=params, placer_cls=FullRecomputePlacer)
     inc = _place(modules, seed=7, params=params)
     speedup = inc.proposals_per_s / full.proposals_per_s
 
@@ -178,7 +178,9 @@ def test_area_parity_across_catalog(report, bench_json):
     for assay in sorted(BUNDLED_ASSAYS):
         modules = _modules_for(assay)
         full_areas = [
-            _place(modules, seed=s, params=params, cost=FULL_RECOMPUTE).area_cells
+            _place(
+                modules, seed=s, params=params, placer_cls=FullRecomputePlacer
+            ).area_cells
             for s in PARITY_SEEDS
         ]
         inc_areas = [

@@ -11,11 +11,9 @@ identical inputs.
 import random
 
 import pytest
+from oracles import brute_force_maximal_empty_rectangles
 
-from repro.fault.mer import (
-    brute_force_maximal_empty_rectangles,
-    find_maximal_empty_rectangles,
-)
+from repro.fault.mer import find_maximal_empty_rectangles
 from repro.grid.occupancy import OccupancyGrid
 
 _ALGORITHMS = {

@@ -32,10 +32,7 @@ from repro.assay.synthetic import build_mix_tree, random_assay
 from repro.exec import CampaignJournal, SupervisedPool, TaskOutcome, load_journal
 from repro.fault.fti import FTIReport, compute_fti
 from repro.fault.tolerance import ToleranceAnalyzer
-from repro.fault.mer import (
-    brute_force_maximal_empty_rectangles,
-    find_maximal_empty_rectangles,
-)
+from repro.fault.mer import find_maximal_empty_rectangles
 from repro.fault.reconfigure import PartialReconfigurer, ReconfigurationPlan
 from repro.geometry import Box, Interval, Point, Rect
 from repro.grid.array import MicrofluidicArray, Port
@@ -170,7 +167,6 @@ __all__ = [
     "WorkerTimeoutError",
     "alap_schedule",
     "asap_schedule",
-    "brute_force_maximal_empty_rectangles",
     "build_default_pipeline",
     "build_mix_tree",
     "build_multiplexed_diagnostics_graph",

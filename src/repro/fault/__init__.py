@@ -8,10 +8,10 @@ package provides:
 
 * :mod:`repro.fault.staircase` — the staircase data structure of
   Edmonds et al. used to mine empty spaces;
-* :mod:`repro.fault.mer` — maximal-empty-rectangle enumeration (fast
-  staircase algorithm + brute-force reference);
+* :mod:`repro.fault.mer` — maximal-empty-rectangle enumeration by the
+  staircase sweep;
 * :mod:`repro.fault.fti` — the fault tolerance index, FTI = k/(m*n),
-  with three interchangeable algorithms;
+  by summed-area-table position counting;
 * :mod:`repro.fault.reconfigure` — the on-line partial reconfiguration
   engine;
 * :mod:`repro.fault.injection` — seeded street-fault sampling for
@@ -28,11 +28,7 @@ The Monte-Carlo survival estimate that cross-checks the FTI is
 
 from repro.fault.fti import FTIReport, ModuleRelocatability, compute_fti
 from repro.fault.models import FAULT_MODELS, FaultEvent
-from repro.fault.mer import (
-    brute_force_maximal_empty_rectangles,
-    find_maximal_empty_rectangles,
-    fits_any_rectangle,
-)
+from repro.fault.mer import find_maximal_empty_rectangles
 from repro.fault.reconfigure import PartialReconfigurer, ReconfigurationPlan, Relocation
 from repro.fault.staircase import Staircase, Step
 from repro.fault.tolerance import (
@@ -56,8 +52,6 @@ __all__ = [
     "Staircase",
     "Step",
     "ToleranceAnalyzer",
-    "brute_force_maximal_empty_rectangles",
     "compute_fti",
     "find_maximal_empty_rectangles",
-    "fits_any_rectangle",
 ]

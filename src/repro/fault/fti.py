@@ -9,22 +9,16 @@ operating modules. Then ``FTI = k / (m * n)`` where k is the number of
 C-covered cells: FTI = 1 means any single fault is tolerable, FTI = 0
 means none is.
 
-Three interchangeable algorithms (all enforced equivalent by the test
-suite):
-
-``mer``
-    The paper's Section 5.3 procedure: remove the faulty module, mark
-    the faulty cell and all concurrently operating modules as occupied,
-    enumerate maximal empty rectangles with the staircase sweep, and
-    check whether any MER accommodates the module.
-``placements``
-    Summed-area-table position counting: enumerate every feasible
-    relocation of the module once, then decide each faulty cell by
-    whether some feasible placement avoids it. Same semantics,
-    asymptotically cheaper per configuration — used inside the
-    annealer's inner loop.
-``bruteforce``
-    Direct per-cell, per-position scan in pure Python; the reference.
+The index is computed by summed-area-table position counting:
+enumerate every feasible relocation of the module once (the faulty cell
+not yet considered), then decide each faulty cell by whether some
+feasible placement's footprint misses it. This is the paper's Section
+5.3 procedure — mark the faulty cell and the concurrently operating
+modules occupied, enumerate maximal empty rectangles, and check whether
+any accommodates the module — decided for every cell of the footprint
+at once, and cheap enough for the annealer's inner loop. The test suite
+checks it cell for cell against that MER procedure and a brute-force
+scan.
 """
 
 from __future__ import annotations
@@ -35,14 +29,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.fault.mer import find_maximal_empty_rectangles, fits_any_rectangle
-from repro.geometry import Point, Rect
+from repro.geometry import Point
 from repro.grid.occupancy import OccupancyGrid
 
 if TYPE_CHECKING:  # placement imports fault's cost hooks; avoid the cycle
     from repro.placement.model import PlacedModule, Placement
-
-_METHODS = ("placements", "mer", "bruteforce")
 
 
 @dataclass(frozen=True)
@@ -72,7 +63,6 @@ class FTIReport:
     height: int
     covered: frozenset[Point]
     per_module: dict[str, ModuleRelocatability]
-    method: str
 
     @property
     def cell_count(self) -> int:
@@ -114,7 +104,6 @@ class FTIReport:
             "fti": self.fti,
             "fault_tolerance_number": self.fault_tolerance_number,
             "cell_count": self.cell_count,
-            "method": self.method,
             "uncovered_cells": [[p.x, p.y] for p in sorted(self.uncovered)],
             "modules": {
                 op_id: {
@@ -129,7 +118,7 @@ class FTIReport:
     def __str__(self) -> str:
         return (
             f"FTI {self.fti:.4f} ({self.fault_tolerance_number}/{self.cell_count} "
-            f"cells C-covered on {self.width}x{self.height}, method={self.method})"
+            f"cells C-covered on {self.width}x{self.height})"
         )
 
 
@@ -138,7 +127,6 @@ def compute_fti(
     width: int | None = None,
     height: int | None = None,
     allow_rotation: bool = True,
-    method: str = "placements",
 ) -> FTIReport:
     """Compute the FTI of *placement*.
 
@@ -148,8 +136,6 @@ def compute_fti(
     *height* to evaluate the placement as-is on a larger array (spare
     rows/columns then raise coverage).
     """
-    if method not in _METHODS:
-        raise ValueError(f"unknown FTI method {method!r}; choose from {_METHODS}")
     if (width is None) != (height is None):
         raise ValueError("pass both width and height, or neither")
     if width is None:
@@ -166,7 +152,7 @@ def compute_fti(
     per_module: dict[str, ModuleRelocatability] = {}
     uncovered: set[Point] = set()
     for pm in placement:
-        analysis = _analyze_module(placement, pm, width, height, allow_rotation, method)
+        analysis = _analyze_module(placement, pm, width, height, allow_rotation)
         per_module[pm.op_id] = analysis
         uncovered.update(analysis.stuck_cells)
 
@@ -178,7 +164,6 @@ def compute_fti(
         height=height,
         covered=frozenset(all_cells - uncovered),
         per_module=per_module,
-        method=method,
     )
 
 
@@ -207,21 +192,6 @@ def _obstacle_grid(
 
 
 def _analyze_module(
-    placement: Placement,
-    pm: PlacedModule,
-    width: int,
-    height: int,
-    allow_rotation: bool,
-    method: str,
-) -> ModuleRelocatability:
-    if method == "placements":
-        return _analyze_placements(placement, pm, width, height, allow_rotation)
-    if method == "mer":
-        return _analyze_mer(placement, pm, width, height, allow_rotation)
-    return _analyze_bruteforce(placement, pm, width, height, allow_rotation)
-
-
-def _analyze_placements(
     placement: Placement,
     pm: PlacedModule,
     width: int,
@@ -276,73 +246,3 @@ def _analyze_placements(
         relocatable_cells=frozenset(relocatable),
         stuck_cells=frozenset(stuck),
     )
-
-
-def _analyze_mer(
-    placement: Placement,
-    pm: PlacedModule,
-    width: int,
-    height: int,
-    allow_rotation: bool,
-) -> ModuleRelocatability:
-    """The paper's algorithm: per faulty cell, mark it occupied alongside
-    the concurrent modules, enumerate maximal empty rectangles, and test
-    whether any accommodates the module."""
-    base = _obstacle_grid(placement, pm, width, height)
-    w0, h0 = pm.spec.footprint_width, pm.spec.footprint_height
-
-    relocatable, stuck = set(), set()
-    feasible_unmarked = _count_feasible(base, pm, width, height, allow_rotation)
-    for p in pm.footprint.cells():
-        grid = base.copy()
-        grid.set(p, 1)
-        mers = find_maximal_empty_rectangles(grid)
-        if fits_any_rectangle(mers, w0, h0, allow_rotation):
-            relocatable.add(p)
-        else:
-            stuck.add(p)
-    return ModuleRelocatability(
-        op_id=pm.op_id,
-        feasible_positions=feasible_unmarked,
-        relocatable_cells=frozenset(relocatable),
-        stuck_cells=frozenset(stuck),
-    )
-
-
-def _analyze_bruteforce(
-    placement: Placement,
-    pm: PlacedModule,
-    width: int,
-    height: int,
-    allow_rotation: bool,
-) -> ModuleRelocatability:
-    """Pure-Python reference: try every position for every faulty cell."""
-    grid = _obstacle_grid(placement, pm, width, height)
-    positions = list(_iter_feasible(grid, pm, width, height, allow_rotation))
-
-    relocatable, stuck = set(), set()
-    for p in pm.footprint.cells():
-        if any(not rect.contains_point(p) for rect in positions):
-            relocatable.add(p)
-        else:
-            stuck.add(p)
-    return ModuleRelocatability(
-        op_id=pm.op_id,
-        feasible_positions=len(positions),
-        relocatable_cells=frozenset(relocatable),
-        stuck_cells=frozenset(stuck),
-    )
-
-
-def _iter_feasible(grid, pm, width, height, allow_rotation):
-    """Yield every obstacle-free footprint rectangle for *pm*."""
-    for w, h in _orientations(pm, allow_rotation):
-        for y in range(1, height - h + 2):
-            for x in range(1, width - w + 2):
-                rect = Rect(x, y, w, h)
-                if grid.is_rect_free(rect):
-                    yield rect
-
-
-def _count_feasible(grid, pm, width, height, allow_rotation) -> int:
-    return sum(1 for _ in _iter_feasible(grid, pm, width, height, allow_rotation))

@@ -6,10 +6,9 @@ reconfiguration succeeds exactly when some MER can accommodate the
 faulty module, because any sufficiently large empty rectangle is
 contained in a maximal one.
 
-:func:`find_maximal_empty_rectangles` is the fast staircase sweep
-(linear in matrix size plus output); ``brute_force_maximal_empty_rectangles``
-is the obviously-correct quartic reference used by the test suite and
-the runtime benchmark.
+:func:`find_maximal_empty_rectangles` is the staircase sweep (linear
+in matrix size plus output). The test suite checks it against a
+quartic brute-force enumeration.
 """
 
 from __future__ import annotations
@@ -70,58 +69,3 @@ def find_maximal_empty_rectangles(grid: OccupancyGrid | np.ndarray) -> list[Rect
             staircase.advance(c, int(runs[c]), emit)
         staircase.finish_row(width, emit)
     return out
-
-
-def brute_force_maximal_empty_rectangles(
-    grid: OccupancyGrid | np.ndarray,
-) -> list[Rect]:
-    """Quartic-time reference enumeration (for tests and benchmarks).
-
-    Checks every empty rectangle for maximality by attempting to extend
-    it one cell in each direction.
-    """
-    m = _as_matrix(grid)
-    height, width = m.shape
-    # 2-D prefix sums for O(1) emptiness queries.
-    pref = np.zeros((height + 1, width + 1), dtype=np.int64)
-    pref[1:, 1:] = np.cumsum(np.cumsum(m, axis=0), axis=1)
-
-    def occupied_count(r1: int, c1: int, r2: int, c2: int) -> int:
-        """Occupied cells in rows r1..r2, cols c1..c2 (0-based, inclusive)."""
-        if r1 > r2 or c1 > c2:
-            return 0
-        return int(
-            pref[r2 + 1, c2 + 1] - pref[r1, c2 + 1] - pref[r2 + 1, c1] + pref[r1, c1]
-        )
-
-    out = []
-    for r1 in range(height):
-        for r2 in range(r1, height):
-            for c1 in range(width):
-                for c2 in range(c1, width):
-                    if occupied_count(r1, c1, r2, c2) > 0:
-                        continue
-                    grow_left = c1 > 0 and occupied_count(r1, c1 - 1, r2, c1 - 1) == 0
-                    grow_right = (
-                        c2 < width - 1 and occupied_count(r1, c2 + 1, r2, c2 + 1) == 0
-                    )
-                    grow_down = r1 > 0 and occupied_count(r1 - 1, c1, r1 - 1, c2) == 0
-                    grow_up = (
-                        r2 < height - 1 and occupied_count(r2 + 1, c1, r2 + 1, c2) == 0
-                    )
-                    if not (grow_left or grow_right or grow_down or grow_up):
-                        out.append(
-                            Rect(x=c1 + 1, y=r1 + 1, width=c2 - c1 + 1, height=r2 - r1 + 1)
-                        )
-    return out
-
-
-def fits_any_rectangle(
-    rects: list[Rect], width: int, height: int, allow_rotation: bool = True
-) -> bool:
-    """True if a ``width x height`` footprint fits in any of *rects*.
-
-    This is the paper's relocation test: "check if these [maximal-empty]
-    rectangles can accommodate the faulty module".
-    """
-    return any(r.can_fit(width, height, allow_rotation) for r in rects)

@@ -23,13 +23,6 @@ from repro.util.errors import ReconfigurationError
 if TYPE_CHECKING:  # placement imports fault's cost hooks; avoid the cycle
     from repro.placement.model import PlacedModule, Placement
 
-#: Pick the feasible target closest (Manhattan) to the old origin —
-#: minimizes droplet migration distance during the on-line move.
-STRATEGY_NEAREST = "nearest"
-#: Pick the first feasible target in scan order — the fastest decision.
-STRATEGY_FIRST = "first"
-
-
 @dataclass(frozen=True)
 class Relocation:
     """One module's move from its old site to its new site."""
@@ -78,17 +71,14 @@ class PartialReconfigurer:
         Whether a relocated module may be placed transposed. Virtual
         modules have no preferred orientation, so this defaults to True;
         the A5 ablation benchmark turns it off.
-    strategy:
-        ``"nearest"`` (default) or ``"first"``; see the module constants.
+
+    Among the feasible targets, the one closest (Manhattan) to the old
+    origin wins: it minimizes droplet migration distance during the
+    on-line move.
     """
 
-    def __init__(
-        self, allow_rotation: bool = True, strategy: str = STRATEGY_NEAREST
-    ) -> None:
-        if strategy not in (STRATEGY_NEAREST, STRATEGY_FIRST):
-            raise ValueError(f"unknown relocation strategy {strategy!r}")
+    def __init__(self, allow_rotation: bool = True) -> None:
         self.allow_rotation = allow_rotation
-        self.strategy = strategy
 
     # -- queries ------------------------------------------------------------------
 
@@ -128,7 +118,7 @@ class PartialReconfigurer:
         overlaps *pm*'s, plus the faulty cells; *pm*'s own old cells are
         reusable. Follows the paper's MER procedure: enumerate maximal
         empty rectangles of the obstacle grid and place the module in
-        one, choosing the candidate according to the strategy.
+        one, choosing the candidate nearest the old origin.
 
         Raises :class:`ReconfigurationError` when no site exists.
         """
@@ -146,19 +136,16 @@ class PartialReconfigurer:
                 f"({pm.spec.footprint_width}x{pm.spec.footprint_height}) on "
                 f"{w}x{h} array avoiding {sorted(faults)}"
             )
-        if self.strategy == STRATEGY_FIRST:
-            chosen = candidates[0]
-        else:
-            old = Point(pm.x, pm.y)
-            chosen = min(
-                candidates,
-                key=lambda c: (
-                    old.manhattan_distance(Point(c[0], c[1])),
-                    c[2],  # prefer keeping the original orientation
-                    c[1],
-                    c[0],
-                ),
-            )
+        old = Point(pm.x, pm.y)
+        chosen = min(
+            candidates,
+            key=lambda c: (
+                old.manhattan_distance(Point(c[0], c[1])),
+                c[2],  # prefer keeping the original orientation
+                c[1],
+                c[0],
+            ),
+        )
         x, y, rotated = chosen
         return pm.moved_to(x, y, rotated=rotated)
 

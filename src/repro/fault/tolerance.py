@@ -96,11 +96,9 @@ class ToleranceAnalyzer:
     def __init__(
         self,
         allow_rotation: bool = True,
-        fti_method: str = "placements",
         reconfigurer: PartialReconfigurer | None = None,
     ) -> None:
         self.allow_rotation = allow_rotation
-        self.fti_method = fti_method
         self.reconfigurer = (
             reconfigurer
             if reconfigurer is not None
@@ -151,7 +149,6 @@ class ToleranceAnalyzer:
             width=analyzed.core_width,
             height=analyzed.core_height,
             allow_rotation=self.allow_rotation,
-            method=self.fti_method,
         )
 
     def criticality(

@@ -12,7 +12,8 @@ as composable pieces:
   execution, fault-boundary splitting) and
   :func:`build_default_pipeline`.
 * :mod:`repro.pipeline.portfolio` — best-of-N seeded instances in
-  parallel via ``ProcessPoolExecutor``, deterministic winner selection.
+  parallel on the supervised pool (:class:`repro.exec.SupervisedPool`),
+  deterministic winner selection.
 
 :class:`repro.synthesis.flow.SynthesisFlow` remains the one-call
 facade; it assembles and runs exactly this pipeline.

@@ -4,24 +4,21 @@ A direct transcription of the paper's pseudocode: an inner loop of ``N
 = Na x Nm`` proposals per temperature, Metropolis acceptance
 (``delta < 0`` or ``r < exp(-delta / T)``), geometric cooling ``T <-
 alpha x T``, and a stopping criterion tied to the controlling window
-reaching its minimum span. The engine is generic over the state type —
-the placers drive it with :class:`~repro.placement.model.Placement`
-states, cost callables, and a
-:class:`~repro.placement.moves.MoveGenerator` as the proposal function.
+reaching its minimum span. The engine anneals placements in place over
+an :class:`~repro.placement.incremental.IncrementalCostEvaluator`:
+proposals are the move tuples of
+:class:`~repro.placement.moves.MoveGenerator`, priced by the cost's
+``delta``.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Any, TypeVar
 
 from repro.placement.window import ControllingWindow
 from repro.util.rng import ensure_rng
-
-State = TypeVar("State")
 
 
 @dataclass(frozen=True)
@@ -57,8 +54,14 @@ class AnnealingParams:
             raise ValueError(
                 f"iterations_per_module must be >= 1, got {self.iterations_per_module}"
             )
+        if self.min_temp <= 0:
+            # A zero floor lets the temperature underflow to 0.0, and the
+            # Metropolis test then divides by it.
+            raise ValueError(f"min_temp must be positive, got {self.min_temp}")
         if self.freeze_rounds < 1:
             raise ValueError(f"freeze_rounds must be >= 1, got {self.freeze_rounds}")
+        if self.max_rounds is not None and self.max_rounds < 1:
+            raise ValueError(f"max_rounds must be >= 1 or None, got {self.max_rounds}")
 
     # -- presets ---------------------------------------------------------------------
 
@@ -135,7 +138,7 @@ class AnnealingStats:
 
 
 class SimulatedAnnealing:
-    """Generic Metropolis annealer with geometric cooling."""
+    """Metropolis annealer with geometric cooling."""
 
     def __init__(
         self,
@@ -147,65 +150,6 @@ class SimulatedAnnealing:
         self.window = window
         self._rng = ensure_rng(seed)
 
-    def optimize(
-        self,
-        initial_state: State,
-        cost_fn: Callable[[State], float],
-        propose_fn: Callable[[State, float], State],
-        inner_iterations: int,
-        record_history: bool = True,
-    ) -> tuple[State, AnnealingStats]:
-        """Run the annealing loop of paper Figure 3.
-
-        ``propose_fn(state, T)`` must return a *new* state (states are
-        never mutated in place by the engine). Returns the best state
-        seen and the run statistics.
-        """
-        if inner_iterations < 1:
-            raise ValueError(f"inner_iterations must be >= 1, got {inner_iterations}")
-        p = self.params
-        stats = AnnealingStats()
-        current: Any = initial_state
-        current_cost = cost_fn(current)
-        best, best_cost = current, current_cost
-        stats.initial_cost = current_cost
-
-        # The inner loop runs millions of times per paper-schedule run;
-        # attribute lookups hoisted to locals are a measurable win.
-        rand = self._rng.random
-        exp = math.exp
-        acceptances = improvements = 0
-
-        temperature = p.initial_temp
-        frozen_streak = 0
-        while True:
-            stats.rounds += 1
-            for _ in range(inner_iterations):
-                candidate = propose_fn(current, temperature)
-                candidate_cost = cost_fn(candidate)
-                delta = candidate_cost - current_cost
-                if delta < 0 or rand() < exp(-delta / temperature):
-                    current, current_cost = candidate, candidate_cost
-                    acceptances += 1
-                    if current_cost < best_cost:
-                        best, best_cost = current, current_cost
-                        improvements += 1
-            stats.evaluations += inner_iterations
-            if record_history:
-                stats.history.append((temperature, current_cost, best_cost))
-
-            temperature, frozen_streak, keep_going = self._advance(
-                stats, temperature, frozen_streak
-            )
-            if not keep_going:
-                break
-
-        stats.acceptances = acceptances
-        stats.improvements = improvements
-        stats.best_cost = best_cost
-        stats.final_temp = temperature
-        return best, stats
-
     def optimize_incremental(
         self,
         evaluator,
@@ -216,18 +160,14 @@ class SimulatedAnnealing:
     ):
         """Delta-cost annealing over an incremental evaluator.
 
-        The fast twin of :meth:`optimize` for placement states: one loop
-        proposes a move tuple (the kernel of ``mover.bind``), prices it
-        through *cost*'s ``delta``/``current`` protocol and applies it
-        in place on the *evaluator* (an :class:`~repro.placement.
-        incremental.IncrementalCostEvaluator`) — so one proposal costs
-        O(time-neighbors) instead of the O(n^2) full recompute, and
-        builds no placement object. RNG consumption matches
-        :meth:`optimize` driven by ``MoveGenerator.propose`` draw for
-        draw, so both paths walk the same trajectory from the same seed.
-        The running cost is resynced from the evaluator every
-        temperature round, so float drift never survives a round
-        boundary.
+        One loop proposes a move tuple (the kernel of ``mover.bind``),
+        prices it through *cost*'s ``delta``/``current`` protocol and
+        applies it in place on the *evaluator* (an :class:`~repro.
+        placement.incremental.IncrementalCostEvaluator`) — so one
+        proposal costs O(time-neighbors) instead of an O(n^2) full
+        recompute, and builds no placement object. The running cost is
+        resynced from the evaluator every temperature round, so float
+        drift never survives a round boundary.
 
         Returns ``(best_placement, stats)``; the best placement is
         materialized once, from a snapshot of the index records.

@@ -14,8 +14,8 @@ beta in [10, 60] across the area/FTI knee.
 
 Every cost here speaks two protocols:
 
-* the classic full recompute, ``cost(placement) -> float``, used by the
-  generic annealing path and as the cross-check reference;
+* the full recompute, ``cost(placement) -> float``, for one-off
+  evaluation and as the cross-check reference of the test suite;
 * the incremental protocol, ``cost.current(evaluator)`` and
   ``cost.delta(evaluator, move)``, which combine the component deltas
   of an :class:`~repro.placement.incremental.IncrementalCostEvaluator`
@@ -24,10 +24,10 @@ Every cost here speaks two protocols:
   with terms beyond the evaluator's components binds them to the
   evaluator's per-index data once per evaluator, never per proposal.
 
-A subclass that overrides ``__call__`` without supplying a matching
-``delta`` is detected by :meth:`AreaCost.supports_incremental` and the
-placers fall back to the full-recompute path rather than silently
-optimizing the wrong objective.
+The annealer prices proposals by ``delta`` alone, so a subclass that
+overrides ``__call__`` without a matching ``delta`` would optimize the
+wrong objective; :func:`require_delta` rejects such a cost with
+:class:`TypeError` when a placer is built with it.
 """
 
 from __future__ import annotations
@@ -54,6 +54,24 @@ DEFAULT_PULL_WEIGHT = 0.05
 
 #: Entries kept in the per-run FTI memo before it is cleared wholesale.
 _FTI_MEMO_CAP = 8192
+
+
+def require_delta(cost) -> None:
+    """Raise :class:`TypeError` unless *cost* prices moves by ``delta``.
+
+    The class (in the MRO) that defines the cost's effective
+    ``__call__`` must also define ``delta``, and the cost must report
+    its ``current`` value.
+    """
+    for klass in type(cost).__mro__:
+        if "__call__" in vars(klass):
+            if "delta" in vars(klass) and hasattr(cost, "current"):
+                return
+            break
+    raise TypeError(
+        f"{type(cost).__name__} has no delta matching its __call__: the "
+        "annealer prices every proposal by delta cost"
+    )
 
 
 class AreaCost:
@@ -104,18 +122,6 @@ class AreaCost:
 
     # -- incremental protocol -----------------------------------------------------
 
-    def supports_incremental(self) -> bool:
-        """True when this cost's full objective has a matching delta.
-
-        The class (in the MRO) that defines the effective ``__call__``
-        must also define ``delta``; a subclass customizing the objective
-        without supplying the delta falls back to full recompute.
-        """
-        for klass in type(self).__mro__:
-            if "__call__" in vars(klass):
-                return "delta" in vars(klass)
-        return False
-
     def current(self, evaluator: IncrementalCostEvaluator) -> float:
         """This cost over the evaluator's running components."""
         cost = (
@@ -154,7 +160,6 @@ class FaultAwareCost(AreaCost):
         ft_gamma: float = DEFAULT_FT_GAMMA,
         overlap_weight: float = DEFAULT_OVERLAP_WEIGHT,
         pull_weight: float = DEFAULT_PULL_WEIGHT,
-        fti_method: str = "placements",
         allow_rotation: bool = True,
     ) -> None:
         super().__init__(
@@ -164,16 +169,11 @@ class FaultAwareCost(AreaCost):
             raise ValueError(f"beta must be >= 0, got {beta}")
         self.beta = beta
         self.ft_gamma = ft_gamma
-        self.fti_method = fti_method
         self.allow_rotation = allow_rotation
 
     def fti_report(self, placement: Placement) -> FTIReport:
         """The FTI analysis this cost sees for *placement*."""
-        return compute_fti(
-            placement,
-            allow_rotation=self.allow_rotation,
-            method=self.fti_method,
-        )
+        return compute_fti(placement, allow_rotation=self.allow_rotation)
 
     def __call__(self, placement: Placement) -> float:
         base = super().__call__(placement)
@@ -188,7 +188,7 @@ class FaultAwareCost(AreaCost):
     def _memoized_fti(
         self, evaluator: IncrementalCostEvaluator, signature: tuple, build_placement
     ) -> float:
-        key = (self.fti_method, self.allow_rotation, signature)
+        key = (self.allow_rotation, signature)
         memo = evaluator.memo
         fti = memo.get(key)
         if fti is None:

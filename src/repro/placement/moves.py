@@ -14,11 +14,7 @@ controlling window and all moves keep footprints inside the core area.
 
 Proposals are plain move tuples over module indices (see
 :mod:`repro.placement.incremental`): :meth:`MoveGenerator.bind` returns
-the proposal kernel the incremental annealer calls once per proposal,
-and :meth:`MoveGenerator.propose` runs the same kernel over a copied
-placement for the generic full-recompute path. Both consume the
-*identical* RNG sequence, so the incremental and reference annealing
-paths explore the same trajectory for the same seed.
+the proposal kernel the annealer calls once per proposal.
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Collection
 
-from repro.placement.model import Placement
 from repro.placement.window import ControllingWindow
 from repro.util.rng import ensure_rng
 
@@ -77,31 +72,10 @@ class MoveGenerator:
             evaluator.core_width, evaluator.core_height,
         )
 
-    def propose(self, placement: Placement, temperature: float) -> Placement:
-        """Return a new placement one move away from *placement*."""
-        modules = placement.modules()
-        ops = [pm.op_id for pm in modules]
-        propose = self._kernel(
-            ops,
-            [pm.x for pm in modules],
-            [pm.y for pm in modules],
-            [pm.rotated for pm in modules],
-            [(pm.spec.dims(False), pm.spec.dims(True)) for pm in modules],
-            [pm.spec.is_square for pm in modules],
-            placement.core_width,
-            placement.core_height,
-        )
-        move = propose(self.window.span(temperature))
-        out = placement.copy()
-        for k in range(0, len(move), 4):
-            i, x, y, rotated = move[k:k + 4]
-            out.replace(out.get(ops[i]).moved_to(x, y, rotated=rotated))
-        return out
-
     # -- the kernel -----------------------------------------------------------------------
 
     def _kernel(self, ops, x1, y1, rot, dims, square, core_w, core_h):
-        """Build ``propose(span) -> move`` over the given index records.
+        """Build ``next_move(span) -> move`` over the given index records.
 
         The draws are those of the four generation functions written
         with the ``random.Random`` conveniences, draw for draw:
@@ -133,7 +107,7 @@ class MoveGenerator:
         p_rotate = self.p_rotate
         single_only = self.single_only or n < 2
 
-        def propose(span: int) -> tuple:
+        def next_move(span: int) -> tuple:
             if single_only or random() < p_single:
                 # Generation functions (i) and (ii): displace, maybe re-orient.
                 i = cands[randrange(n)]
@@ -186,4 +160,4 @@ class MoveGenerator:
                 by = 1
             return (a, ax, ay, ra, b, bx, by, rb)
 
-        return propose
+        return next_move

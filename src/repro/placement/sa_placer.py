@@ -1,8 +1,8 @@
 """The fault-oblivious simulated-annealing placer (paper Section 4).
 
-Drives the generic annealer with Placement states: the constructive
-initial placement seeds the search, the four generation functions
-propose neighbors inside the controlling window, and the cost is
+Drives the annealer over placements: the constructive initial
+placement seeds the search, the four generation functions propose
+neighbors inside the controlling window, and the cost is
 bounding-array area plus the overlap penalty. Any residual overlap
 after annealing (possible in principle — the penalty is soft) is
 repaired deterministically before the result is reported.
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.placement.annealer import AnnealingParams, AnnealingStats, SimulatedAnnealing
-from repro.placement.cost import AreaCost
+from repro.placement.cost import AreaCost, require_delta
 from repro.placement.greedy import build_placed_modules
 from repro.placement.incremental import IncrementalCostEvaluator
 from repro.placement.initial import constructive_initial_placement
@@ -99,37 +99,6 @@ class PlacementResult:
         )
 
 
-def run_annealing(
-    engine: SimulatedAnnealing,
-    cost: AreaCost,
-    mover: MoveGenerator,
-    initial: Placement,
-    inner_iterations: int,
-    record_history: bool = True,
-) -> tuple[Placement, AnnealingStats]:
-    """Dispatch one placement anneal to the right engine path.
-
-    The incremental delta-cost path when the cost supports it, the
-    generic full-recompute path otherwise (a cost that customizes
-    ``__call__`` without a matching ``delta``). Shared by the
-    fault-oblivious placer and the two-stage LTSA refinement so the
-    dispatch policy lives in exactly one place.
-    """
-    if cost.supports_incremental():
-        evaluator = IncrementalCostEvaluator(initial)
-        return engine.optimize_incremental(
-            evaluator,
-            cost,
-            mover,
-            inner_iterations,
-            record_history=record_history,
-        )
-    return engine.optimize(
-        initial, cost, mover.propose, inner_iterations,
-        record_history=record_history,
-    )
-
-
 def default_core_side(modules: Iterable[PlacedModule], slack: float = 2.0) -> int:
     """A core-area side large enough to leave the annealer room.
 
@@ -169,6 +138,7 @@ class SimulatedAnnealingPlacer:
     ) -> None:
         self.params = params if params is not None else AnnealingParams.balanced()
         self.cost = cost if cost is not None else AreaCost()
+        require_delta(self.cost)
         self.core_width = core_width
         self.core_height = core_height
         self.p_single = p_single
@@ -176,14 +146,6 @@ class SimulatedAnnealingPlacer:
         self.allow_rotation = allow_rotation
         self.record_history = record_history
         self._rng = ensure_rng(seed)
-
-    def uses_incremental(self) -> bool:
-        """True when this placer will drive the delta-cost path.
-
-        False when the cost customizes ``__call__`` without a matching
-        ``delta`` (see ``AreaCost.supports_incremental``).
-        """
-        return self.cost.supports_incremental()
 
     # -- entry points ---------------------------------------------------------------
 
@@ -211,10 +173,7 @@ class SimulatedAnnealingPlacer:
         engine = SimulatedAnnealing(self.params, window=window, seed=self._rng)
         inner = self.params.iterations_per_module * len(modules)
         t_anneal = time.perf_counter()
-        best, stats = run_annealing(
-            engine, self.cost, mover, initial, inner,
-            record_history=self.record_history,
-        )
+        best, stats = self._anneal(engine, mover, initial, inner)
         anneal_s = time.perf_counter() - t_anneal
 
         repaired = False
@@ -227,4 +186,20 @@ class SimulatedAnnealingPlacer:
             runtime_s=time.perf_counter() - t0,
             repaired=repaired,
             anneal_s=anneal_s,
+        )
+
+    def _anneal(
+        self,
+        engine: SimulatedAnnealing,
+        mover: MoveGenerator,
+        initial: Placement,
+        inner_iterations: int,
+    ) -> tuple[Placement, AnnealingStats]:
+        """Anneal from *initial* on the delta-cost path."""
+        return engine.optimize_incremental(
+            IncrementalCostEvaluator(initial),
+            self.cost,
+            mover,
+            inner_iterations,
+            record_history=self.record_history,
         )

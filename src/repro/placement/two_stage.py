@@ -18,16 +18,18 @@ from typing import TYPE_CHECKING
 
 from repro.fault.fti import FTIReport, compute_fti
 from repro.placement.annealer import AnnealingParams, SimulatedAnnealing
-from repro.placement.cost import DEFAULT_FT_GAMMA, AreaCost, FaultAwareCost
+from repro.placement.cost import (
+    DEFAULT_FT_GAMMA,
+    AreaCost,
+    FaultAwareCost,
+    require_delta,
+)
 from repro.placement.greedy import build_placed_modules
+from repro.placement.incremental import IncrementalCostEvaluator
 from repro.placement.legalize import repair_overlaps
 from repro.placement.model import Placement
 from repro.placement.moves import MoveGenerator
-from repro.placement.sa_placer import (
-    PlacementResult,
-    SimulatedAnnealingPlacer,
-    run_annealing,
-)
+from repro.placement.sa_placer import PlacementResult, SimulatedAnnealingPlacer
 from repro.util.rng import ensure_rng
 
 if TYPE_CHECKING:  # synthesis.flow imports the placers; avoid the cycle
@@ -108,7 +110,6 @@ class TwoStagePlacer:
         #: Stage-2 core grows by this factor over the stage-1 array so
         #: the placement can drift outward to buy coverage.
         expansion: float = 1.8,
-        fti_method: str = "placements",
         allow_rotation: bool = True,
         p_single: float = 0.8,
         seed: int | random.Random | None = None,
@@ -124,7 +125,6 @@ class TwoStagePlacer:
         self.core_width = core_width
         self.core_height = core_height
         self.expansion = expansion
-        self.fti_method = fti_method
         self.allow_rotation = allow_rotation
         self.p_single = p_single
         self.record_history = record_history
@@ -147,19 +147,11 @@ class TwoStagePlacer:
             record_history=self.record_history,
         )
         stage1 = stage1_placer.place_modules(modules)
-        fti1 = compute_fti(
-            stage1.placement,
-            allow_rotation=self.allow_rotation,
-            method=self.fti_method,
-        )
+        fti1 = compute_fti(stage1.placement, allow_rotation=self.allow_rotation)
 
         # ---- stage 2: low-temperature fault-aware refinement ----------------
         stage2 = self._refine(stage1.placement)
-        fti2 = compute_fti(
-            stage2.placement,
-            allow_rotation=self.allow_rotation,
-            method=self.fti_method,
-        )
+        fti2 = compute_fti(stage2.placement, allow_rotation=self.allow_rotation)
         return TwoStageResult(
             beta=self.beta,
             stage1=stage1,
@@ -181,7 +173,6 @@ class TwoStagePlacer:
             beta=self.beta,
             alpha=self.alpha,
             ft_gamma=self.ft_gamma,
-            fti_method=self.fti_method,
             allow_rotation=self.allow_rotation,
         )
 
@@ -203,6 +194,7 @@ class TwoStagePlacer:
         t0 = time.perf_counter()
         start = self._recenter(stage1_placement)
         cost = self.stage2_cost()
+        require_delta(cost)
         window = self.stage2_params.make_window(
             max_span=max(3, max(start.core_width, start.core_height) // 3)
         )
@@ -216,8 +208,8 @@ class TwoStagePlacer:
         engine = SimulatedAnnealing(self.stage2_params, window=window, seed=self._rng)
         inner = self.stage2_params.iterations_per_module * len(start)
         t_anneal = time.perf_counter()
-        best, stats = run_annealing(
-            engine, cost, mover, start, inner,
+        best, stats = engine.optimize_incremental(
+            IncrementalCostEvaluator(start), cost, mover, inner,
             record_history=self.record_history,
         )
         anneal_s = time.perf_counter() - t_anneal

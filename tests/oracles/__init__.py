@@ -15,14 +15,31 @@ parity properties in ``tests/`` and the speed-up baselines in
   routing engine;
 * :mod:`oracles.anneal` — per-move delta verification
   (:class:`CheckedCost`) and the full-recompute anneal
-  (:class:`FullRecomputeCost`) beside the incremental annealer.
+  (:class:`FullRecomputeAnnealing`, :class:`FullRecomputeMoves`,
+  :class:`FullRecomputePlacer`) beside the incremental annealer;
+* :mod:`oracles.fti` — the paper's per-cell MER procedure and a
+  brute-force scan (:func:`reference_fti`) beside the summed-area-table
+  FTI, and the quartic MER enumeration
+  (:func:`brute_force_maximal_empty_rectangles`) beside the staircase
+  sweep.
 
 Nothing in ``repro`` imports this package; the pytest configuration
 puts ``tests/`` on the import path so tests and benchmarks can.
 """
 
-from oracles.anneal import CheckedCost, CheckedTwoStagePlacer, FullRecomputeCost
+from oracles.anneal import (
+    CheckedCost,
+    CheckedTwoStagePlacer,
+    FullRecomputeAnnealing,
+    FullRecomputeMoves,
+    FullRecomputePlacer,
+)
 from oracles.droplet_router import DropletRouter
+from oracles.fti import (
+    brute_force_maximal_empty_rectangles,
+    fits_any_rectangle,
+    reference_fti,
+)
 from oracles.routing import ReferenceRouter, ReferenceSynthesizer
 from oracles.sim import SteppedSimulator, stepped_replays
 from oracles.timegrid import CrossCheckTimeGrid, ReferenceTimeGrid
@@ -32,10 +49,15 @@ __all__ = [
     "CheckedTwoStagePlacer",
     "CrossCheckTimeGrid",
     "DropletRouter",
-    "FullRecomputeCost",
+    "FullRecomputeAnnealing",
+    "FullRecomputeMoves",
+    "FullRecomputePlacer",
     "ReferenceRouter",
     "ReferenceSynthesizer",
     "ReferenceTimeGrid",
     "SteppedSimulator",
+    "brute_force_maximal_empty_rectangles",
+    "fits_any_rectangle",
+    "reference_fti",
     "stepped_replays",
 ]

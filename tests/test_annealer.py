@@ -1,15 +1,18 @@
-"""Tests for the generic simulated-annealing engine (paper Figure 3)."""
+"""Tests for the simulated-annealing engine (paper Figure 3).
+
+The Metropolis loop is exercised on a toy scalar problem through the
+full-recompute oracle, which subclasses the production engine: the
+cooling and stop schedule it runs (``SimulatedAnnealing._advance``) is
+the production code under test.
+"""
 
 import math
 import random
 
 import pytest
+from oracles import FullRecomputeAnnealing
 
-from repro.placement.annealer import (
-    AnnealingParams,
-    AnnealingStats,
-    SimulatedAnnealing,
-)
+from repro.placement.annealer import AnnealingParams, AnnealingStats
 from repro.placement.window import ControllingWindow
 
 
@@ -38,6 +41,19 @@ class TestAnnealingParams:
         with pytest.raises(ValueError):
             AnnealingParams(freeze_rounds=0)
 
+    @pytest.mark.parametrize("min_temp", [0.0, -1e-4])
+    def test_min_temp_must_be_positive(self, min_temp):
+        # A zero floor let the temperature underflow to 0.0 and the
+        # Metropolis test divide by it.
+        with pytest.raises(ValueError, match="min_temp"):
+            AnnealingParams(min_temp=min_temp)
+
+    @pytest.mark.parametrize("max_rounds", [0, -3])
+    def test_max_rounds_must_be_positive(self, max_rounds):
+        # max_rounds=0 used to run one round and report "max-rounds".
+        with pytest.raises(ValueError, match="max_rounds"):
+            AnnealingParams(max_rounds=max_rounds)
+
     def test_make_window_shares_schedule(self):
         p = AnnealingParams.fast()
         w = p.make_window(max_span=9)
@@ -62,7 +78,7 @@ class TestEngine:
             initial_temp=10.0, cooling=0.8, iterations_per_module=1,
             min_temp=1e-3, freeze_rounds=2,
         )
-        engine = SimulatedAnnealing(params, window=window, seed=seed)
+        engine = FullRecomputeAnnealing(params, window=window, seed=seed)
         return engine.optimize(
             10.0,
             quadratic_cost,
@@ -96,7 +112,7 @@ class TestEngine:
         params = AnnealingParams(
             initial_temp=10.0, cooling=0.99, iterations_per_module=1, max_rounds=3
         )
-        engine = SimulatedAnnealing(params, seed=0)
+        engine = FullRecomputeAnnealing(params, seed=0)
         rng = random.Random(0)
         _, stats = engine.optimize(
             10.0, quadratic_cost, lambda x, t: gaussian_step(x, t, rng), 10
@@ -109,7 +125,7 @@ class TestEngine:
         # must be seeded for reproducibility.
         def run(seed):
             rng = random.Random(seed)
-            engine = SimulatedAnnealing(
+            engine = FullRecomputeAnnealing(
                 AnnealingParams(initial_temp=5, cooling=0.7, iterations_per_module=1),
                 seed=seed,
             )
@@ -119,7 +135,7 @@ class TestEngine:
         assert run(7) == run(7)
 
     def test_invalid_inner_iterations(self):
-        engine = SimulatedAnnealing(seed=0)
+        engine = FullRecomputeAnnealing(seed=0)
         with pytest.raises(ValueError):
             engine.optimize(0.0, quadratic_cost, lambda x, t: x, 0)
 
@@ -134,7 +150,7 @@ class TestEngine:
 
     def test_hill_climbing_happens_at_high_temp(self):
         """Metropolis: at high temperature, worse states are accepted."""
-        engine = SimulatedAnnealing(
+        engine = FullRecomputeAnnealing(
             AnnealingParams(initial_temp=1e6, cooling=0.5, iterations_per_module=1,
                             max_rounds=1),
             seed=3,

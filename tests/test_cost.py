@@ -83,8 +83,8 @@ class TestAreaCost:
 class TestFaultAwareCost:
     def test_fti_bonus_lowers_cost(self):
         p = feasible_placement()
-        oblivious = FaultAwareCost(beta=0.0, fti_method="placements")
-        aware = FaultAwareCost(beta=30.0, fti_method="placements")
+        oblivious = FaultAwareCost(beta=0.0)
+        aware = FaultAwareCost(beta=30.0)
         assert aware(p) < oblivious(p)
 
     def test_bonus_matches_fti(self):

@@ -1,21 +1,29 @@
 """Tests for the fault tolerance index.
 
-The three FTI algorithms (paper MER procedure, summed-area-table
-position counting, pure-Python brute force) are property-tested for
-exact agreement on randomized placements — and FTI is checked against
-first principles on hand-built configurations.
+The summed-area-table FTI is property-tested for exact agreement with
+the two reference oracles (the paper's per-cell MER procedure and a
+pure-Python brute force) — the whole per-module analysis, not just the
+covered set — on randomized placements and on every bundled assay's
+placement; and FTI is checked against first principles on hand-built
+configurations.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_fti
 
+from repro.assay.catalog import BUNDLED_ASSAYS
 from repro.fault.fti import compute_fti
 from repro.geometry import Point
 from repro.modules.kinds import ModuleKind
 from repro.modules.library import MIXER_2X2, MIXER_LINEAR_1X4, STORAGE_1X1
 from repro.modules.module import ModuleSpec
+from repro.pipeline.context import SynthesisContext
+from repro.pipeline.stages import BindStage, ScheduleStage
+from repro.placement.annealer import AnnealingParams
 from repro.placement.model import PlacedModule, Placement
+from repro.placement.sa_placer import SimulatedAnnealingPlacer
 
 
 def pm(op, spec=MIXER_2X2, x=1, y=1, start=0.0, stop=10.0, rotated=False):
@@ -125,12 +133,6 @@ class TestFTIBasics:
         with pytest.raises(ValueError):
             compute_fti(p, width=4, height=4)
 
-    def test_unknown_method(self):
-        p = Placement(6, 6)
-        p.add(pm("a"))
-        with pytest.raises(ValueError):
-            compute_fti(p, method="magic")
-
     def test_report_accessors(self, sa_result):
         report = compute_fti(sa_result.placement)
         assert report.cell_count == report.width * report.height
@@ -153,8 +155,20 @@ class TestPaperNumbers:
         assert report.cell_count == w * h
 
 
+def assert_matches_references(placement, width=None, height=None):
+    """``compute_fti`` equals both reference oracles report for report:
+    covered cells, and per module the feasible-position count and the
+    relocatable and stuck cells."""
+    fast = compute_fti(placement, width=width, height=height)
+    for method in ("mer", "bruteforce"):
+        reference = reference_fti(placement, method, width=width, height=height)
+        assert (fast.width, fast.height) == (reference.width, reference.height)
+        assert fast.covered == reference.covered, method
+        assert fast.per_module == reference.per_module, method
+
+
 class TestMethodEquivalence:
-    """All three FTI algorithms must agree exactly."""
+    """The production FTI and both reference algorithms agree exactly."""
 
     specs = st.sampled_from([MIXER_2X2, MIXER_LINEAR_1X4, STORAGE_1X1])
 
@@ -184,18 +198,20 @@ class TestMethodEquivalence:
             )
             if all(not candidate.conflicts(other) for other in p):
                 p.add(candidate)
-        reports = {
-            method: compute_fti(p, width=12, height=12, method=method)
-            for method in ("placements", "mer", "bruteforce")
-        }
-        assert reports["placements"].covered == reports["mer"].covered
-        assert reports["mer"].covered == reports["bruteforce"].covered
+        assert_matches_references(p, width=12, height=12)
 
     def test_methods_agree_on_pcr(self, sa_result):
-        fast = compute_fti(sa_result.placement, method="placements")
-        mer = compute_fti(sa_result.placement, method="mer")
-        assert fast.covered == mer.covered
-        assert fast.fti == mer.fti
+        assert_matches_references(sa_result.placement)
+
+    @pytest.mark.parametrize("assay", sorted(BUNDLED_ASSAYS))
+    def test_methods_agree_on_bundled_assay(self, assay):
+        graph, binding = BUNDLED_ASSAYS[assay]()
+        context = SynthesisContext(graph=graph, explicit_binding=binding)
+        BindStage().run(context)
+        ScheduleStage().run(context)
+        placer = SimulatedAnnealingPlacer(params=AnnealingParams.fast(), seed=3)
+        result = placer.place(context.schedule, context.binding)
+        assert_matches_references(result.placement)
 
 
 class TestSegregationInteraction:

@@ -15,7 +15,12 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import CheckedCost, CheckedTwoStagePlacer, FullRecomputeCost
+from oracles import (
+    CheckedCost,
+    CheckedTwoStagePlacer,
+    FullRecomputeAnnealing,
+    FullRecomputePlacer,
+)
 
 from repro.assay.catalog import BUNDLED_ASSAYS
 from repro.modules.kinds import ModuleKind
@@ -23,7 +28,7 @@ from repro.modules.module import ModuleSpec
 from repro.pipeline.context import SynthesisContext
 from repro.pipeline.stages import BindStage, ScheduleStage
 from repro.placement.annealer import AnnealingParams, SimulatedAnnealing
-from repro.placement.cost import AreaCost, FaultAwareCost
+from repro.placement.cost import AreaCost, FaultAwareCost, require_delta
 from repro.placement.greedy import build_placed_modules
 from repro.placement.incremental import IncrementalCostEvaluator
 from repro.placement.model import PlacedModule, Placement
@@ -249,25 +254,47 @@ class TestEvaluatorBasics:
 
 class TestCostProtocols:
     def test_supports_incremental_standard_costs(self):
+        """Every cost in the library speaks the delta protocol, so a
+        placer accepts it."""
         graph, _ = BUNDLED_ASSAYS["pcr"]()
-        assert AreaCost().supports_incremental()
-        assert FaultAwareCost(beta=30).supports_incremental()
-        assert TransportAwareCost(graph).supports_incremental()
+        for cost in (
+            AreaCost(),
+            FaultAwareCost(beta=30),
+            TransportAwareCost(graph),
+            FaultAvoidanceCost([(2, 2)]),
+        ):
+            require_delta(cost)
+            assert SimulatedAnnealingPlacer(cost=cost).cost is cost
 
-    def test_call_override_without_delta_falls_back(self):
+    def test_call_override_without_delta_rejected(self):
+        """A cost that changes the objective without a matching delta
+        would be optimized by the wrong delta: building a placer with
+        it fails instead."""
+
         class Custom(AreaCost):
             def __call__(self, placement):
                 return super().__call__(placement) + 1.0
 
-        assert not Custom().supports_incremental()
-        placer = SimulatedAnnealingPlacer(cost=Custom())
-        assert not placer.uses_incremental()
+        with pytest.raises(TypeError, match="no delta"):
+            SimulatedAnnealingPlacer(cost=Custom())
 
-    def test_incremental_disabled_by_flag(self):
-        """The cost's ``supports_incremental()`` flag alone picks the
-        path: the full-recompute oracle clears it."""
-        placer = SimulatedAnnealingPlacer(cost=FullRecomputeCost(AreaCost()))
-        assert not placer.uses_incremental()
+    def test_cost_without_delta_protocol_rejected(self):
+        """A plain cost callable has no delta protocol at all."""
+        with pytest.raises(TypeError, match="no delta"):
+            SimulatedAnnealingPlacer(cost=lambda placement: placement.area_mm2)
+
+        class Stage2WithoutDelta(CheckedTwoStagePlacer):
+            def stage2_cost(self):
+                return lambda placement: placement.area_mm2
+
+        graph, binding = BUNDLED_ASSAYS["pcr"]()
+        context = SynthesisContext(graph=graph, explicit_binding=binding)
+        BindStage().run(context)
+        ScheduleStage().run(context)
+        fast = AnnealingParams.fast()
+        placer = Stage2WithoutDelta(stage1_params=fast, stage2_params=fast, seed=1)
+        with pytest.raises(TypeError, match="no delta"):
+            placer.place(context.schedule, context.binding)
 
 
     def test_cross_check_without_incremental_rejected(self):
@@ -355,14 +382,12 @@ class TestCostProtocols:
 
 
 class TestIncrementalEngine:
-    def place(self, **kwargs):
+    def place(self, placer_cls=SimulatedAnnealingPlacer, **kwargs):
         graph, binding = BUNDLED_ASSAYS["pcr"]()
         context = SynthesisContext(graph=graph, explicit_binding=binding)
         BindStage().run(context)
         ScheduleStage().run(context)
-        placer = SimulatedAnnealingPlacer(
-            params=AnnealingParams.fast(), seed=9, **kwargs
-        )
+        placer = placer_cls(params=AnnealingParams.fast(), seed=9, **kwargs)
         return placer.place(context.schedule, context.binding)
 
     def test_matches_full_path_exactly(self):
@@ -374,7 +399,7 @@ class TestIncrementalEngine:
         bit-for-bit, not just in area.
         """
         inc = self.place()
-        full = self.place(cost=FullRecomputeCost(AreaCost()))
+        full = self.place(FullRecomputePlacer)
         assert {m.op_id: (m.x, m.y, m.rotated) for m in inc.placement} == {
             m.op_id: (m.x, m.y, m.rotated) for m in full.placement
         }
@@ -392,7 +417,7 @@ class TestIncrementalEngine:
 
     def test_generic_engine_record_history_opt_out(self):
         rng = random.Random(0)
-        engine = SimulatedAnnealing(
+        engine = FullRecomputeAnnealing(
             AnnealingParams(initial_temp=10.0, cooling=0.5,
                             iterations_per_module=1, max_rounds=3),
             seed=0,

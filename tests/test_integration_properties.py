@@ -10,12 +10,12 @@ and Monte-Carlo survival tell one consistent story.
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import FullRecomputeMoves
 
 from repro.assay.synthetic import random_assay
 from repro.fault.fti import compute_fti
 from repro.placement.annealer import AnnealingParams
 from repro.placement.initial import constructive_initial_placement
-from repro.placement.moves import MoveGenerator
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.placement.window import ControllingWindow
 from repro.sim.engine import BiochipSimulator
@@ -31,7 +31,7 @@ class TestMoveInvariants:
         time spans, and in-core footprints. Only (x, y, rotation) move."""
         placement = constructive_initial_placement(pcr_modules, 12, 12)
         window = ControllingWindow(initial_temp=100, max_span=11)
-        mover = MoveGenerator(window=window, seed=seed)
+        mover = FullRecomputeMoves(window=window, seed=seed)
         original = {pm.op_id: pm for pm in placement}
         current = placement
         for _ in range(steps):

@@ -1,20 +1,18 @@
 """Tests for maximal-empty-rectangle enumeration.
 
 The staircase algorithm is property-tested against the quartic
-brute-force reference on random occupancy grids — the key correctness
-guarantee behind the paper's FTI procedure.
+brute-force reference oracle on random occupancy grids — the key
+correctness guarantee behind the paper's FTI procedure. The oracle's
+MER relocation test (``fits_any_rectangle``) is checked here too.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import brute_force_maximal_empty_rectangles, fits_any_rectangle
 
-from repro.fault.mer import (
-    brute_force_maximal_empty_rectangles,
-    find_maximal_empty_rectangles,
-    fits_any_rectangle,
-)
+from repro.fault.mer import find_maximal_empty_rectangles
 from repro.geometry import Rect
 from repro.grid.occupancy import OccupancyGrid
 

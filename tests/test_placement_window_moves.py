@@ -1,6 +1,12 @@
-"""Tests for the controlling window and the four generation functions."""
+"""Tests for the controlling window and the four generation functions.
+
+The generator is driven through the full-recompute oracle's
+``propose``, which runs the production proposal kernel and applies its
+move to a copy of the placement.
+"""
 
 import pytest
+from oracles import FullRecomputeMoves
 
 from repro.modules.library import MIXER_2X2, MIXER_2X4, MIXER_LINEAR_1X4
 from repro.placement.model import PlacedModule, Placement
@@ -57,11 +63,11 @@ class TestControllingWindow:
 
 
 class TestMoveGenerator:
-    def make_mover(self, **kwargs) -> MoveGenerator:
+    def make_mover(self, **kwargs) -> FullRecomputeMoves:
         window = ControllingWindow(initial_temp=1000, max_span=10)
         defaults = dict(window=window, seed=5)
         defaults.update(kwargs)
-        return MoveGenerator(**defaults)
+        return FullRecomputeMoves(**defaults)
 
     def test_propose_returns_new_object(self):
         p = three_module_placement()
@@ -140,7 +146,7 @@ class TestMoveGenerator:
     def test_displacement_bounded_by_window(self):
         p = three_module_placement()
         window = ControllingWindow(initial_temp=1000, max_span=2, min_span=1)
-        mover = MoveGenerator(window=window, p_single=1.0, p_rotate=0.0, seed=3)
+        mover = FullRecomputeMoves(window=window, p_single=1.0, p_rotate=0.0, seed=3)
         for _ in range(200):
             q = mover.propose(p, 1000)  # span = 2 at T0
             for m in q:
@@ -169,7 +175,7 @@ class TestMoveGenerator:
     def test_deterministic_with_seed(self):
         p = three_module_placement()
         def run(seed):
-            mover = MoveGenerator(
+            mover = FullRecomputeMoves(
                 window=ControllingWindow(initial_temp=1000, max_span=10),
                 seed=seed,
             )

@@ -5,11 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fault.fti import compute_fti
-from repro.fault.reconfigure import (
-    STRATEGY_FIRST,
-    PartialReconfigurer,
-    Relocation,
-)
+from repro.fault.reconfigure import PartialReconfigurer, Relocation
 from repro.geometry import Point
 from repro.modules.library import MIXER_2X2, MIXER_LINEAR_1X4
 from repro.placement.model import PlacedModule, Placement
@@ -77,11 +73,33 @@ class TestRelocation:
         assert updated.get("a") == p.get("a")
 
     def test_nearest_strategy_minimizes_distance(self):
-        p = Placement(12, 4)
-        p.add(pm("a", x=1, y=1))
-        _, plan_near = PartialReconfigurer().apply(p, Point(1, 1))
-        _, plan_any = PartialReconfigurer(strategy=STRATEGY_FIRST).apply(p, Point(1, 1))
-        assert plan_near.total_migration_distance <= plan_any.total_migration_distance
+        """The chosen site is as close as the closest site an exhaustive
+        scan of every origin and orientation finds."""
+        p = Placement(14, 9)
+        p.add(pm("a", spec=MIXER_LINEAR_1X4, x=4, y=3))  # 6x3 footprint
+        p.add(pm("b", x=11, y=5, start=5.0, stop=15.0))  # concurrent
+        p.add(pm("c", x=1, y=6, start=10.0, stop=20.0))  # not concurrent
+        a = p.get("a")
+        for fault in (Point(4, 3), Point(6, 4), Point(9, 5)):
+            sites = [
+                a.moved_to(x, y, rotated=rotated)
+                for rotated in (False, True)
+                for x in range(1, p.core_width + 1)
+                for y in range(1, p.core_height + 1)
+            ]
+            feasible = [
+                site for site in sites
+                if site.footprint.x2 <= p.core_width
+                and site.footprint.y2 <= p.core_height
+                and not site.footprint.contains_point(fault)
+                and not any(site.conflicts(o) for o in p if o.op_id != "a")
+            ]
+            nearest = min(
+                Relocation("a", a, site).distance for site in feasible
+            )
+            _, plan = PartialReconfigurer().apply(p, fault, at_time=6.0)
+            assert plan.moved_ops == ("a",)
+            assert plan.total_migration_distance == nearest
 
     def test_extra_faults_avoided(self):
         p = Placement(12, 4)
@@ -119,10 +137,6 @@ class TestRelocation:
         for op in ("a", "b"):
             assert not updated.get(op).footprint.contains_point(Point(2, 2))
         updated.validate()
-
-    def test_invalid_strategy(self):
-        with pytest.raises(ValueError):
-            PartialReconfigurer(strategy="teleport")
 
 
 class TestAgreementWithFTI:

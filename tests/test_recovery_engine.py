@@ -124,12 +124,13 @@ def test_pick_fault_cell_kinds_and_determinism(routed_pcr, engine):
 def test_fault_avoidance_cost_incremental_parity(routed_pcr):
     """The warm-restart cost's delta must match its full recompute for
     arbitrary moves (the contract the incremental anneal relies on)."""
+    from repro.placement.cost import require_delta
     from repro.placement.moves import MoveGenerator
 
     placement = routed_pcr.placement_result.placement.copy()
     anchors = {pm.op_id: (pm.x, pm.y) for pm in placement}
     cost = FaultAvoidanceCost([(2, 2), (5, 5)], anchors=anchors)
-    assert cost.supports_incremental()
+    require_delta(cost)  # the protocol the placers demand
     evaluator = IncrementalCostEvaluator(placement)
     window = AnnealingParams.fast().make_window(max_span=8)
     propose = MoveGenerator(window=window, seed=13).bind(evaluator)

@@ -1,6 +1,7 @@
 """Tests for the extended tolerance analysis (multi-fault, criticality)."""
 
 import pytest
+from oracles import reference_fti
 
 from repro.fault.fti import compute_fti
 from repro.fault.tolerance import ToleranceAnalyzer
@@ -23,6 +24,21 @@ class TestCriticality:
         report = compute_fti(sa_result.placement)
         for crit in crits:
             assert crit.stuck_cells == len(report.per_module[crit.op_id].stuck_cells)
+
+    def test_criticality_matches_mer_reference(self, analyzer, sa_result):
+        """Per-module stuck cells agree with the paper's per-cell MER
+        procedure, on the bounding array and on one with spare rows and
+        columns."""
+        placement = sa_result.placement
+        w, h = placement.array_dims()
+        for dims in ((None, None), (w + 2, h + 2)):
+            analyzed = analyzer._on_array(placement, *dims)
+            reference = reference_fti(
+                analyzed, "mer", analyzed.core_width, analyzed.core_height
+            )
+            for crit in analyzer.criticality(placement, *dims):
+                stuck = reference.per_module[crit.op_id].stuck_cells
+                assert crit.stuck_cells == len(stuck)
 
     def test_sorted_most_critical_first(self, analyzer, sa_result):
         crits = analyzer.criticality(sa_result.placement)
