@@ -16,10 +16,15 @@ Not a paper artifact — the proof obligations of ``repro.recovery``:
    re-routing — only the epochs released after the fault, step counters
    continued from the kept prefix — must beat a full re-route of the
    whole plan by >= 2x aggregated over mid- and late-assay faults.
+3. **Relocate vs replace.** For the same pending-module fault, the
+   anneal-free ``relocate`` rung (MER relocation + suffix re-route)
+   must be >= 2x faster than the ``replace`` rung on every assay where
+   it recovers; both rungs' makespan penalties are recorded side by
+   side.
 
 Results are written machine-readably to ``BENCH_recovery.json``; CI
 runs this file under ``REPRO_BENCH_FAST=1`` (one timing rep, fast
-annealing schedules, a relaxed 1.5x latency bar for noisy shared
+annealing schedules, relaxed 1.5x latency bars for noisy shared
 runners) and uploads the JSON as an artifact.
 """
 
@@ -273,3 +278,76 @@ def test_suffix_reroute_beats_full_reroute(report, bench_json):
     assert speedup >= LATENCY_BAR, (
         f"suffix re-route speedup {speedup:.2f}x below the {LATENCY_BAR}x bar"
     )
+
+
+def test_relocate_beats_replace(report, bench_json):
+    """Same fault as the success gate, each bundled assay: the relocate
+    rung must be >= LATENCY_BAR x faster than replace wherever it
+    recovers, and it must recover somewhere (else the bar is vacuous)."""
+    rows = []
+    per: dict[str, dict] = {}
+    for assay in ASSAYS:
+        result = _nominal_result(assay)
+        engine = OnlineRecoveryEngine(
+            annealing=AnnealingParams.fast() if FAST else None
+        )
+        fault_time = 0.5 * result.schedule.makespan
+        checkpoint = engine.checkpoint_of(result, fault_time)
+        cell = pick_fault_cell(result, checkpoint, "pending-module", rng=TARGET_SEED)
+        best: dict[str, tuple[float, object]] = {}
+        for _ in range(REPS):
+            for rung in ("relocate", "replace"):
+                outcome = engine.recover(
+                    result, [cell], fault_time, seed=TARGET_SEED,
+                    checkpoint=checkpoint, rung=rung,
+                )
+                if rung not in best or outcome.recovery_s < best[rung][0]:
+                    best[rung] = (outcome.recovery_s, outcome)
+        entry = {"fault_cell": [cell.x, cell.y], "fault_time_s": fault_time}
+        for rung, (seconds, outcome) in best.items():
+            entry[rung] = {
+                "recovered": outcome.recovered,
+                "reason": outcome.reason,
+                "recovery_ms": seconds * 1000,
+                "makespan_penalty_s": outcome.makespan_penalty_s,
+            }
+        relocate, replace = entry["relocate"], entry["replace"]
+        entry["speedup"] = replace["recovery_ms"] / relocate["recovery_ms"]
+        per[assay] = entry
+        rows.append(
+            (
+                assay,
+                str(cell),
+                "yes" if relocate["recovered"] else f"no ({relocate['reason']})",
+                f"{relocate['recovery_ms']:.1f}",
+                f"{replace['recovery_ms']:.1f}",
+                f"{entry['speedup']:.1f}x",
+                f"{relocate['makespan_penalty_s']:g}",
+                f"{replace['makespan_penalty_s']:g}",
+            )
+        )
+    landed = {a: e for a, e in per.items() if e["relocate"]["recovered"]}
+    table = format_table(
+        ("assay", "fault", "relocate ok", "relocate ms", "replace ms",
+         "speedup", "relocate penalty s", "replace penalty s"),
+        rows,
+    )
+    report(
+        "Relocate rung vs replace rung (same fault, pending module)",
+        f"{table}\n\nrelocate recovered {len(landed)}/{len(per)}; "
+        f"bar {LATENCY_BAR}x where it recovers (fast={FAST})",
+    )
+    bench_json(
+        "relocate_vs_replace",
+        {
+            "fast_mode": FAST,
+            "reps": REPS,
+            "assays": per,
+            "relocate_recovered": len(landed),
+            "speedup_bar": LATENCY_BAR,
+        },
+        default="BENCH_recovery.json",
+    )
+    assert landed, "the relocate rung recovered no assay"
+    slow = {a: e["speedup"] for a, e in landed.items() if e["speedup"] < LATENCY_BAR}
+    assert not slow, f"relocate below the {LATENCY_BAR}x bar vs replace: {slow}"

@@ -19,9 +19,11 @@ latency. This module closes that loop:
   majority-voted bisection localizer names a believed cell.
 * **Graceful degradation.** Every confirmed detection climbs the
   recovery ladder (:data:`~repro.recovery.engine.RECOVERY_RUNGS`):
-  suffix re-route only, then MER-guided re-place + re-route, then a
-  full warm-restart re-synthesis; if all rungs fail the controller
-  aborts with structured partial results from the last checkpoint.
+  suffix re-route only, then MER relocation of the hit modules +
+  re-route (no anneal, no seed drawn), then MER-guided re-place +
+  re-route, then a full warm-restart re-synthesis; if all rungs fail
+  the controller aborts with structured partial results from the last
+  checkpoint.
   Each rung attempt is recorded as a :class:`LadderStep` on the
   winning (or final failing) outcome's ``ladder_trace``.
 * **Oracle reference.** ``mode="oracle"`` keeps the perfect-knowledge
@@ -558,7 +560,9 @@ class ClosedLoopController:
                     state.result,
                     [cell],
                     det.detected_at_s,
-                    seed=spawn_seed(rng),
+                    # relocate is deterministic: drawing no seed for it
+                    # keeps every later rung's seed what it was without it.
+                    seed=None if rung == "relocate" else spawn_seed(rng),
                     known_faults=known,
                     rung=rung,
                 )

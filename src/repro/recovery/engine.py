@@ -22,7 +22,8 @@ an arbitrary instant mid-assay:
    ``movable`` filter), and a fault-overlap penalty keeps them off the
    dead cells. Frozen modules and the core-area dimensions never
    change, which is what keeps the already-executed routing prefix
-   valid (see DESIGN.md, "checkpoint invariants").
+   valid (see DESIGN.md, "checkpoint invariants"). The ``relocate``
+   rung stops after the MER pass: no anneal runs.
 3. **Suffix re-route.** Only the routing epochs released *after* the
    fault instant are re-synthesized, on the packed
    :class:`~repro.routing.timegrid.TimeGrid` against the updated fault
@@ -75,6 +76,12 @@ FAULT_TARGETS = ("pending-module", "in-flight-module", "center", "street")
 #: * ``reroute`` — suffix re-route only: no module moves at all. Sound
 #:   only when no pending/in-flight module covers a dead cell; the
 #:   engine fails fast (never silently escalates) otherwise.
+#: * ``relocate`` — the paper's single-module relocation: every hit
+#:   pending module moves to a fault-free maximal-empty-rectangle site
+#:   (deterministic, no anneal, no seed), then suffix re-route and
+#:   resumed replay. It fails fast, before any routing, when a hit
+#:   module has no fault-free MER site or when no pending module is hit
+#:   (its layout would then be ``reroute``'s).
 #: * ``replace`` — the standard path: MER rescue of hit modules, the
 #:   anchored warm-restart anneal, then suffix re-route.
 #: * ``resynth`` — escalated warm restart: a hotter annealing schedule,
@@ -84,7 +91,7 @@ FAULT_TARGETS = ("pending-module", "in-flight-module", "center", "street")
 #:   delegated to the replay's own partial reconfiguration, and the
 #:   verified replay's completion is the arbiter (``plan_verified``
 #:   stays False on such outcomes).
-RECOVERY_RUNGS = ("reroute", "replace", "resynth")
+RECOVERY_RUNGS = ("reroute", "relocate", "replace", "resynth")
 
 
 class FaultAvoidanceCost(AreaCost):
@@ -562,10 +569,11 @@ class OnlineRecoveryEngine:
         # modules (single-module legality), then the warm-started anneal
         # (can shuffle several pending modules jointly when no single-
         # module site exists), then a final MER retry on the annealed
-        # layout. The working core is the nominal bounding array plus
-        # the space-redundancy slack; coordinates are never shifted.
-        # The ``resynth`` rung claims extra slack — by the time the
-        # ladder reaches it, minimal perturbation has already failed.
+        # layout. The ``relocate`` rung stops after the first pass. The
+        # working core is the nominal bounding array plus the space-
+        # redundancy slack; coordinates are never shifted. The
+        # ``resynth`` rung claims extra slack — by the time the ladder
+        # reaches it, minimal perturbation has already failed.
         slack = self.core_slack + (2 if rung == "resynth" else 0)
         conservative = Placement(
             nominal_placement.core_width + slack,
@@ -573,9 +581,22 @@ class OnlineRecoveryEngine:
             modules=nominal_placement,
             pitch_mm=nominal_placement.pitch_mm,
         )
-        relocated, _ = self._rescue_hit_modules(conservative, movable, all_faults)
+        relocated, unresolved = self._rescue_hit_modules(
+            conservative, movable, all_faults
+        )
+        if rung == "relocate":
+            replace_s = time.perf_counter() - t0
+            if unresolved:
+                return failed(
+                    "no fault-free MER site for pending module(s) "
+                    f"{', '.join(unresolved)}"
+                )
+            if not relocated:
+                return failed(
+                    "no pending module covers a dead cell; nothing to relocate"
+                )
         annealed = conservative
-        if movable:
+        if movable and rung != "relocate":
             annealed = self._warm_anneal(
                 conservative,
                 movable,

@@ -11,12 +11,14 @@ The acceptance properties this file pins:
   abort a fault-free run;
 * a fault every probe missed is caught by the stuck-droplet watchdog
   after the verdict replay exposes it;
-* ladder traces follow the rung order and the recovery sweep preset's
-  closed-loop records are jobs-invariant.
+* ladder traces follow the rung order, the anneal-free relocate rung
+  draws no seed, and the recovery sweep preset's closed-loop records
+  are jobs-invariant.
 """
 
 from __future__ import annotations
 
+import hashlib
 from functools import lru_cache
 
 import pytest
@@ -26,7 +28,7 @@ from hypothesis import strategies as st
 from repro.assay.catalog import BUNDLED_ASSAYS, build_assay
 from repro.fault.models import FAIL, FaultEvent
 from repro.geometry import Point
-from repro.placement.annealer import AnnealingParams
+from repro.placement.annealer import AnnealingParams, SimulatedAnnealing
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.recovery import (
     RECOVERY_RUNGS,
@@ -212,6 +214,53 @@ class TestLadder:
         )
         assert outcome.completed
         assert outcome.final_rung == "reroute"
+
+    def test_pending_fault_lands_at_relocate_without_anneal(self, monkeypatch):
+        """A pending-module fault with a fault-free MER site is closed by
+        the relocate rung: the paper's single-module relocation, with no
+        anneal at all (one that ran would raise here)."""
+        def no_anneal(*args, **kwargs):
+            raise AssertionError("no rung below replace may anneal")
+
+        monkeypatch.setattr(SimulatedAnnealing, "optimize_incremental", no_anneal)
+        result = _routed("pcr")
+        events = _single_fault(result, 0.5, "pending-module", seed=3)
+        outcome = ClosedLoopController(engine=_engine()).run(
+            result, events, seed=3, mode="oracle"
+        )
+        assert outcome.completed and outcome.final_rung == "relocate"
+        (recovery,) = outcome.recoveries
+        assert [(s.rung, s.succeeded) for s in recovery.ladder_trace] == [
+            ("reroute", False),
+            ("relocate", True),
+        ]
+
+    def test_relocate_draws_no_seed(self):
+        """ivd, a pending-module fault at 0.3 of the makespan whose hit
+        module has no fault-free MER site: relocate fails and replace
+        wins. The replace placement's digest was pinned before the
+        relocate rung existed (ladder ``reroute -> replace``); it still
+        matches only because relocate draws no seed from the run's
+        stream, so replace anneals with the seed it always had."""
+        result = _routed("ivd")
+        events = _single_fault(result, 0.3, "pending-module", seed=1)
+        outcome = ClosedLoopController(engine=_engine()).run(
+            result, events, seed=1, mode="oracle"
+        )
+        assert outcome.completed
+        (recovery,) = outcome.recoveries
+        trace = recovery.ladder_trace
+        assert [(s.rung, s.succeeded) for s in trace] == [
+            ("reroute", False),
+            ("relocate", False),
+            ("replace", True),
+        ]
+        assert trace[1].reason.startswith("no fault-free MER site")
+        rows = sorted(
+            (pm.op_id, pm.x, pm.y, bool(pm.rotated)) for pm in recovery.placement
+        )
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+        assert digest == "69d8ca562d890939"
 
     def test_detection_latencies_only_for_real_faults(self):
         result = _routed("pcr")

@@ -6,7 +6,7 @@ import pytest
 
 from repro.assay.catalog import build_assay
 from repro.geometry import Point
-from repro.placement.annealer import AnnealingParams
+from repro.placement.annealer import AnnealingParams, SimulatedAnnealing
 from repro.placement.incremental import IncrementalCostEvaluator
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.recovery import OnlineRecoveryEngine
@@ -95,6 +95,53 @@ def test_unrecoverable_fault_yields_explicit_infeasibility(routed_pcr, engine):
     outcome = engine.recover(routed_pcr, everything, t, seed=3)
     assert not outcome.recovered
     assert "no fault-free placement" in outcome.reason
+
+
+def test_relocate_moves_only_the_hit_modules(routed_pcr, engine, monkeypatch):
+    """The relocate rung is MER rescue + suffix re-route: no anneal
+    runs, and exactly the modules on the dead cell move."""
+    def no_anneal(*args, **kwargs):
+        raise AssertionError("the relocate rung must not anneal")
+
+    monkeypatch.setattr(SimulatedAnnealing, "optimize_incremental", no_anneal)
+    t, ck, cell = _mid_fault(engine, routed_pcr)
+    outcome = engine.recover(routed_pcr, [cell], t, checkpoint=ck, rung="relocate")
+    assert outcome.recovered and outcome.plan_verified, outcome.reason
+    assert outcome.rung == "relocate"
+    assert outcome.relocated_ops and outcome.moved_ops == outcome.relocated_ops
+    for op in outcome.relocated_ops:
+        assert not outcome.placement.get(op).footprint.contains_point(cell)
+
+
+def test_relocate_fails_fast_without_a_pending_hit(routed_pcr, engine):
+    """A street fault leaves relocate nothing to move: its layout would
+    be the reroute rung's, so it fails before routing or replay."""
+    t, ck, cell = _mid_fault(engine, routed_pcr, target="street")
+    outcome = engine.recover(routed_pcr, [cell], t, checkpoint=ck, rung="relocate")
+    assert not outcome.recovered
+    assert outcome.reason == (
+        "no pending module covers a dead cell; nothing to relocate"
+    )
+    assert outcome.reroute_s == 0.0 and outcome.sim_report is None
+    assert outcome.routing_plan is None and outcome.relocated_ops == ()
+
+
+def test_relocate_fails_fast_without_a_mer_site(routed_pcr, engine):
+    """With every core cell dead no hit module has a fault-free MER
+    site: relocate names them and stops before routing or replay."""
+    t = 0.5 * routed_pcr.schedule.makespan
+    w, h = routed_pcr.placement_result.array_dims
+    everything = [
+        (x, y)
+        for x in range(1, w + engine.core_slack + 1)
+        for y in range(1, h + engine.core_slack + 1)
+    ]
+    outcome = engine.recover(routed_pcr, everything, t, rung="relocate")
+    assert not outcome.recovered
+    assert outcome.reason.startswith("no fault-free MER site for pending module(s) ")
+    named = outcome.reason.rsplit(") ", 1)[1].split(", ")
+    assert named == list(outcome.movable_ops)
+    assert outcome.reroute_s == 0.0 and outcome.sim_report is None
 
 
 def test_recover_requires_a_fault_cell(routed_pcr, engine):
