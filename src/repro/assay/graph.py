@@ -45,10 +45,11 @@ class SequencingGraph:
                 raise KeyError(f"unknown operation id {node!r}")
         if u == v:
             raise ValueError(f"self-dependency on {u!r}")
-        self._g.add_edge(u, v)
-        if not nx.is_directed_acyclic_graph(self._g):
-            self._g.remove_edge(u, v)
+        # The edge closes a cycle iff the consumer already reaches the
+        # producer: a search from v alone, not a whole-graph check.
+        if nx.has_path(self._g, v, u):
             raise ValueError(f"dependency {u} -> {v} would create a cycle")
+        self._g.add_edge(u, v)
 
     def mix(self, op_id: str, inputs: Iterable[str | Operation], **kwargs) -> Operation:
         """Convenience: add a MIX node consuming *inputs*."""

@@ -44,6 +44,8 @@ into their own objective deltas.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from repro.placement.model import PlacedModule, Placement
 from repro.util.errors import CrossCheckError, PlacementError
 
@@ -206,6 +208,7 @@ class IncrementalCostEvaluator:
         self.conflict_pairs = 0
         self.pull_sum = 0
         self._rebuild_sums()
+        self._price = self._bind_components()
 
     def _warm_compatible(
         self, warm: IncrementalCostEvaluator, modules: list[PlacedModule]
@@ -382,154 +385,208 @@ class IncrementalCostEvaluator:
         """
         if move is self._pend_move:
             return self._pend_comp
-        if len(move) != 4:
-            return self._components_pair(move)
-        # Specialized hot path: one module displaced and/or rotated.
-        i, nx1, ny1, r = move
-        w, h = self.dims[i][r]
-        nx2 = nx1 + w - 1
-        ny2 = ny1 + h - 1
-        X1, Y1, X2, Y2 = self.x1, self.y1, self.x2, self.y2
-        ox1 = X1[i]
-        oy1 = Y1[i]
-        ox2 = X2[i]
-        oy2 = Y2[i]
+        return self._price(move)
 
-        d_overlap = 0.0
-        d_pairs = 0
-        for j, dt in self.nbrs[i]:
-            bx1 = X1[j]
-            by1 = Y1[j]
-            bx2 = X2[j]
-            by2 = Y2[j]
-            ox = (ox2 if ox2 < bx2 else bx2) - (ox1 if ox1 > bx1 else bx1) + 1
-            if ox > 0:
-                oy = (oy2 if oy2 < by2 else by2) - (oy1 if oy1 > by1 else by1) + 1
-                if oy > 0:
+    def bind_components(self) -> Callable[[tuple], tuple[float, float, int, int]]:
+        """:meth:`components` as one closure over the live records, for
+        a caller that prices every proposal once (the annealer): the
+        same tuple from the same float operations, and the same pending
+        record for :meth:`apply`, without the per-call attribute
+        lookups or the cache check."""
+        return self._price
+
+    def _bind_components(self) -> Callable[[tuple], tuple[float, float, int, int]]:
+        """Build the pricing closure behind :meth:`components`. The
+        records it captures are mutated in place and never rebound; the
+        bounding box is read from the instance on every call."""
+        X1, Y1, X2, Y2 = self.x1, self.y1, self.x2, self.y2
+        cx1, cy1, cx2, cy2 = self._cx1, self._cy1, self._cx2, self._cy2
+        dims = self.dims
+        nbrs = self.nbrs
+        pair_dt = self._pair_dt
+        pitch2 = self._pitch2
+        alone = len(X1) == 1
+        # A pair interchange with no third module moves every edge.
+        others = len(X1) > 2
+
+        def pair(move: tuple) -> tuple[float, float, int, int]:
+            """Two modules updated at once (a pair interchange)."""
+            if len(move) != 8:
+                raise ValueError(
+                    f"a move is (i, x, y, rot) or two of those, got {len(move)} fields"
+                )
+            a, ax1, ay1, ra, b, bx1, by1, rb = move
+            if a == b:
+                raise PlacementError(f"move updates op {self.ops[a]!r} twice")
+            wa, ha = dims[a][ra]
+            wb, hb = dims[b][rb]
+            ax2 = ax1 + wa - 1
+            ay2 = ay1 + ha - 1
+            bx2 = bx1 + wb - 1
+            by2 = by1 + hb - 1
+            new = ((a, ax1, ay1, ax2, ay2, ra), (b, bx1, by1, bx2, by2, rb))
+
+            d_overlap = 0.0
+            d_pairs = 0
+            d_pull = 0
+            for i, nx1, ny1, nx2, ny2, _r in new:
+                ox1 = X1[i]
+                oy1 = Y1[i]
+                ox2 = X2[i]
+                oy2 = Y2[i]
+                d_pull += nx2 + ny2 - ox2 - oy2
+                for j, dt in nbrs[i]:
+                    if j == a or j == b:
+                        continue  # the moved pair is handled once, below
+                    qx1 = X1[j]
+                    qy1 = Y1[j]
+                    qx2 = X2[j]
+                    qy2 = Y2[j]
+                    # old contribution
+                    ox = (ox2 if ox2 < qx2 else qx2) - (ox1 if ox1 > qx1 else qx1) + 1
+                    if ox > 0:
+                        oy = (oy2 if oy2 < qy2 else qy2) - (oy1 if oy1 > qy1 else qy1) + 1
+                        if oy > 0:
+                            d_overlap -= ox * oy * dt
+                            d_pairs -= 1
+                    # new contribution
+                    ox = (nx2 if nx2 < qx2 else qx2) - (nx1 if nx1 > qx1 else qx1) + 1
+                    if ox > 0:
+                        oy = (ny2 if ny2 < qy2 else qy2) - (ny1 if ny1 > qy1 else qy1) + 1
+                        if oy > 0:
+                            d_overlap += ox * oy * dt
+                            d_pairs += 1
+
+            ox1a = X1[a]
+            oy1a = Y1[a]
+            ox2a = X2[a]
+            oy2a = Y2[a]
+            ox1b = X1[b]
+            oy1b = Y1[b]
+            ox2b = X2[b]
+            oy2b = Y2[b]
+            # The pair itself, if the two modules share time.
+            dt = pair_dt.get((a, b))
+            if dt is not None:
+                ox = (ox2a if ox2a < ox2b else ox2b) - (ox1a if ox1a > ox1b else ox1b) + 1
+                oy = (oy2a if oy2a < oy2b else oy2b) - (oy1a if oy1a > oy1b else oy1b) + 1
+                if ox > 0 and oy > 0:
                     d_overlap -= ox * oy * dt
                     d_pairs -= 1
-            ox = (nx2 if nx2 < bx2 else bx2) - (nx1 if nx1 > bx1 else bx1) + 1
-            if ox > 0:
-                oy = (ny2 if ny2 < by2 else by2) - (ny1 if ny1 > by1 else by1) + 1
-                if oy > 0:
+                ox = (ax2 if ax2 < bx2 else bx2) - (ax1 if ax1 > bx1 else bx1) + 1
+                oy = (ay2 if ay2 < by2 else by2) - (ay1 if ay1 > by1 else by1) + 1
+                if ox > 0 and oy > 0:
                     d_overlap += ox * oy * dt
                     d_pairs += 1
 
-        # Bounding-box peek: only an edge this module alone defines can
-        # recede (to the next edge in its histogram).
-        bx1 = self._bx1
-        by1 = self._by1
-        bx2 = self._bx2
-        by2 = self._by2
-        area_cells = (bx2 - bx1 + 1) * (by2 - by1 + 1)
-        alone = len(X1) == 1
-        if ox1 == bx1 and self._cx1[bx1] == 1:
-            bx1 = nx1 if alone else _min_after(self._cx1, bx1, ox1, None, nx1)
-        elif nx1 < bx1:
-            bx1 = nx1
-        if oy1 == by1 and self._cy1[by1] == 1:
-            by1 = ny1 if alone else _min_after(self._cy1, by1, oy1, None, ny1)
-        elif ny1 < by1:
-            by1 = ny1
-        if ox2 == bx2 and self._cx2[bx2] == 1:
-            bx2 = nx2 if alone else _max_after(self._cx2, bx2, ox2, None, nx2)
-        elif nx2 > bx2:
-            bx2 = nx2
-        if oy2 == by2 and self._cy2[by2] == 1:
-            by2 = ny2 if alone else _max_after(self._cy2, by2, oy2, None, ny2)
-        elif ny2 > by2:
-            by2 = ny2
-        pitch2 = self._pitch2
-        comp = (
-            (bx2 - bx1 + 1) * (by2 - by1 + 1) * pitch2 - area_cells * pitch2,
-            d_overlap,
-            nx2 + ny2 - ox2 - oy2,
-            d_pairs,
-        )
-        self._pend_move = move
-        self._pend_comp = comp
-        self._pend_new = ((i, nx1, ny1, nx2, ny2, r),)
-        return comp
-
-    def _components_pair(self, move: tuple) -> tuple[float, float, int, int]:
-        """Two modules updated at once (a pair interchange)."""
-        if len(move) != 8:
-            raise ValueError(
-                f"a move is (i, x, y, rot) or two of those, got {len(move)} fields"
+            # Candidate bounding box via the edge histograms: a box edge
+            # neither moved module sits on stays put (unless the moved
+            # pair reaches past it); otherwise it may recede.
+            nx1 = ax1 if ax1 < bx1 else bx1
+            ny1 = ay1 if ay1 < by1 else by1
+            nx2 = ax2 if ax2 > bx2 else bx2
+            ny2 = ay2 if ay2 > by2 else by2
+            area_cells = (self._bx2 - self._bx1 + 1) * (self._by2 - self._by1 + 1)
+            if others:
+                v = self._bx1
+                if v == ox1a or v == ox1b:
+                    nx1 = _min_after(cx1, v, ox1a, ox1b, nx1)
+                elif v < nx1:
+                    nx1 = v
+                v = self._by1
+                if v == oy1a or v == oy1b:
+                    ny1 = _min_after(cy1, v, oy1a, oy1b, ny1)
+                elif v < ny1:
+                    ny1 = v
+                v = self._bx2
+                if v == ox2a or v == ox2b:
+                    nx2 = _max_after(cx2, v, ox2a, ox2b, nx2)
+                elif v > nx2:
+                    nx2 = v
+                v = self._by2
+                if v == oy2a or v == oy2b:
+                    ny2 = _max_after(cy2, v, oy2a, oy2b, ny2)
+                elif v > ny2:
+                    ny2 = v
+            comp = (
+                (nx2 - nx1 + 1) * (ny2 - ny1 + 1) * pitch2 - area_cells * pitch2,
+                d_overlap,
+                d_pull,
+                d_pairs,
             )
-        a, ax1, ay1, ra, b, bx1, by1, rb = move
-        if a == b:
-            raise PlacementError(f"move updates op {self.ops[a]!r} twice")
-        X1, Y1, X2, Y2 = self.x1, self.y1, self.x2, self.y2
-        wa, ha = self.dims[a][ra]
-        wb, hb = self.dims[b][rb]
-        new = (
-            (a, ax1, ay1, ax1 + wa - 1, ay1 + ha - 1, ra),
-            (b, bx1, by1, bx1 + wb - 1, by1 + hb - 1, rb),
-        )
+            self._pend_move = move
+            self._pend_comp = comp
+            self._pend_new = new
+            return comp
 
-        d_overlap = 0.0
-        d_pairs = 0
-        d_pull = 0
-        for i, nx1, ny1, nx2, ny2, _r in new:
-            ox1, oy1, ox2, oy2 = X1[i], Y1[i], X2[i], Y2[i]
-            d_pull += nx2 + ny2 - ox2 - oy2
-            for j, dt in self.nbrs[i]:
-                if j == a or j == b:
-                    continue  # the moved pair is handled once, below
-                qx1, qy1, qx2, qy2 = X1[j], Y1[j], X2[j], Y2[j]
-                # old contribution
-                ox = (ox2 if ox2 < qx2 else qx2) - (ox1 if ox1 > qx1 else qx1) + 1
+        def components(move: tuple) -> tuple[float, float, int, int]:
+            if len(move) != 4:
+                return pair(move)
+            # Specialized hot path: one module displaced and/or rotated.
+            i, nx1, ny1, r = move
+            w, h = dims[i][r]
+            nx2 = nx1 + w - 1
+            ny2 = ny1 + h - 1
+            ox1 = X1[i]
+            oy1 = Y1[i]
+            ox2 = X2[i]
+            oy2 = Y2[i]
+
+            d_overlap = 0.0
+            d_pairs = 0
+            for j, dt in nbrs[i]:
+                bx1 = X1[j]
+                by1 = Y1[j]
+                bx2 = X2[j]
+                by2 = Y2[j]
+                ox = (ox2 if ox2 < bx2 else bx2) - (ox1 if ox1 > bx1 else bx1) + 1
                 if ox > 0:
-                    oy = (oy2 if oy2 < qy2 else qy2) - (oy1 if oy1 > qy1 else qy1) + 1
+                    oy = (oy2 if oy2 < by2 else by2) - (oy1 if oy1 > by1 else by1) + 1
                     if oy > 0:
                         d_overlap -= ox * oy * dt
                         d_pairs -= 1
-                # new contribution
-                ox = (nx2 if nx2 < qx2 else qx2) - (nx1 if nx1 > qx1 else qx1) + 1
+                ox = (nx2 if nx2 < bx2 else bx2) - (nx1 if nx1 > bx1 else bx1) + 1
                 if ox > 0:
-                    oy = (ny2 if ny2 < qy2 else qy2) - (ny1 if ny1 > qy1 else qy1) + 1
+                    oy = (ny2 if ny2 < by2 else by2) - (ny1 if ny1 > by1 else by1) + 1
                     if oy > 0:
                         d_overlap += ox * oy * dt
                         d_pairs += 1
 
-        # The pair itself, if the two modules share time.
-        dt = self._pair_dt.get((a, b))
-        if dt is not None:
-            ox = min(X2[a], X2[b]) - max(X1[a], X1[b]) + 1
-            oy = min(Y2[a], Y2[b]) - max(Y1[a], Y1[b]) + 1
-            if ox > 0 and oy > 0:
-                d_overlap -= ox * oy * dt
-                d_pairs -= 1
-            na, nb = new
-            ox = min(na[3], nb[3]) - max(na[1], nb[1]) + 1
-            oy = min(na[4], nb[4]) - max(na[2], nb[2]) + 1
-            if ox > 0 and oy > 0:
-                d_overlap += ox * oy * dt
-                d_pairs += 1
+            # Bounding-box peek: only an edge this module alone defines
+            # can recede (to the next edge in its histogram).
+            bx1 = self._bx1
+            by1 = self._by1
+            bx2 = self._bx2
+            by2 = self._by2
+            area_cells = (bx2 - bx1 + 1) * (by2 - by1 + 1)
+            if ox1 == bx1 and cx1[bx1] == 1:
+                bx1 = nx1 if alone else _min_after(cx1, bx1, ox1, None, nx1)
+            elif nx1 < bx1:
+                bx1 = nx1
+            if oy1 == by1 and cy1[by1] == 1:
+                by1 = ny1 if alone else _min_after(cy1, by1, oy1, None, ny1)
+            elif ny1 < by1:
+                by1 = ny1
+            if ox2 == bx2 and cx2[bx2] == 1:
+                bx2 = nx2 if alone else _max_after(cx2, bx2, ox2, None, nx2)
+            elif nx2 > bx2:
+                bx2 = nx2
+            if oy2 == by2 and cy2[by2] == 1:
+                by2 = ny2 if alone else _max_after(cy2, by2, oy2, None, ny2)
+            elif ny2 > by2:
+                by2 = ny2
+            comp = (
+                (bx2 - bx1 + 1) * (by2 - by1 + 1) * pitch2 - area_cells * pitch2,
+                d_overlap,
+                nx2 + ny2 - ox2 - oy2,
+                d_pairs,
+            )
+            self._pend_move = move
+            self._pend_comp = comp
+            self._pend_new = ((i, nx1, ny1, nx2, ny2, r),)
+            return comp
 
-        # Candidate bounding box via the edge histograms.
-        na, nb = new
-        nx1 = min(na[1], nb[1])
-        ny1 = min(na[2], nb[2])
-        nx2 = max(na[3], nb[3])
-        ny2 = max(na[4], nb[4])
-        if len(X1) > 2:
-            nx1 = _min_after(self._cx1, self._bx1, X1[a], X1[b], nx1)
-            ny1 = _min_after(self._cy1, self._by1, Y1[a], Y1[b], ny1)
-            nx2 = _max_after(self._cx2, self._bx2, X2[a], X2[b], nx2)
-            ny2 = _max_after(self._cy2, self._by2, Y2[a], Y2[b], ny2)
-        pitch2 = self._pitch2
-        comp = (
-            (nx2 - nx1 + 1) * (ny2 - ny1 + 1) * pitch2 - self.area_cells * pitch2,
-            d_overlap,
-            d_pull,
-            d_pairs,
-        )
-        self._pend_move = move
-        self._pend_comp = comp
-        self._pend_new = new
-        return comp
+        return components
 
     # -- state transitions --------------------------------------------------------
 

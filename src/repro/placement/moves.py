@@ -25,6 +25,9 @@ from collections.abc import Callable, Collection
 from repro.placement.window import ControllingWindow
 from repro.util.rng import ensure_rng
 
+#: The integer draw the kernel inlines (CPython 3.11 to 3.13 alike).
+_RANDBELOW = random.Random._randbelow_with_getrandbits
+
 
 class MoveGenerator:
     """Proposes neighbor placements for the annealer."""
@@ -81,14 +84,36 @@ class MoveGenerator:
         with the ``random.Random`` conveniences, draw for draw:
         ``choice(seq)`` is ``randrange(len(seq))``, ``randint(a, b)`` is
         ``a + randrange(b - a + 1)``, and ``sample(seq, 2)`` is
-        ``sample(range(len(seq)), 2)`` matched by position.
+        ``sample(range(len(seq)), 2)`` matched by position. Each
+        ``randrange(m)`` is inlined as the stdlib's
+        ``_randbelow_with_getrandbits(m)``: draw ``m.bit_length()`` bits,
+        redraw while the value is ``>= m``. ``sample(range(n), 2)`` is
+        inlined per its two branches — the pool branch for ``n <= 21``
+        (the second draw is below ``n - 1``, and a hit on the first pick
+        reads the vacancy-filling ``n - 1``), the set branch above
+        (redraw below ``n`` until distinct). Raises :class:`TypeError`
+        for a generator whose ``randrange`` does not draw that way.
         """
+        rng = self._rng
+        klass = type(rng)
+        if (
+            getattr(klass, "_randbelow", None) is not _RANDBELOW
+            or klass.randrange is not random.Random.randrange
+            or klass.sample is not random.Random.sample
+        ):
+            raise TypeError(
+                f"{klass.__name__} does not draw integers by getrandbits: the "
+                "move kernel inlines random.Random's randrange and sample"
+            )
         movable = self.movable
         cands = [i for i, op in enumerate(ops) if movable is None or op in movable]
         if not cands:
             raise ValueError("cannot propose moves: no movable modules")
         n = len(cands)
-        pool = range(n)
+        # Bit widths of randrange(n) and of the pool branch's randrange(n - 1).
+        kn = n.bit_length()
+        kn1 = (n - 1).bit_length()
+        pool_branch = n <= 21
         # Largest in-core origin per index and orientation (the clamp's
         # upper bounds); an orientation fits when both are >= 1.
         lim = [
@@ -99,41 +124,61 @@ class MoveGenerator:
             (mx0 >= 1 and my0 >= 1, mx1 >= 1 and my1 >= 1)
             for (mx0, my0), (mx1, my1) in lim
         ]
-        rng = self._rng
-        random = rng.random
-        randrange = rng.randrange
-        sample = rng.sample
+        rand = rng.random
+        getrandbits = rng.getrandbits
         p_single = self.p_single
         p_rotate = self.p_rotate
         single_only = self.single_only or n < 2
 
         def next_move(span: int) -> tuple:
-            if single_only or random() < p_single:
+            if single_only or rand() < p_single:
                 # Generation functions (i) and (ii): displace, maybe re-orient.
-                i = cands[randrange(n)]
+                j = getrandbits(kn)
+                while j >= n:
+                    j = getrandbits(kn)
+                i = cands[j]
                 r = rot[i]
-                if not square[i] and random() < p_rotate and fits[i][not r]:
+                if not square[i] and rand() < p_rotate and fits[i][not r]:
                     r = not r  # type (ii)
                 mx, my = lim[i][r]
                 width = span + span + 1
-                v = x1[i] - span + randrange(width)
+                kw = width.bit_length()
+                v = getrandbits(kw)
+                while v >= width:
+                    v = getrandbits(kw)
+                v += x1[i] - span
                 nx = v if v < mx else mx
                 if nx < 1:
                     nx = 1
-                v = y1[i] - span + randrange(width)
+                v = getrandbits(kw)
+                while v >= width:
+                    v = getrandbits(kw)
+                v += y1[i] - span
                 ny = v if v < my else my
                 if ny < 1:
                     ny = 1
                 return (i, nx, ny, r)
             # Generation functions (iii) and (iv): swap two modules' origins.
-            pa, pb = sample(pool, 2)
+            pa = getrandbits(kn)
+            while pa >= n:
+                pa = getrandbits(kn)
+            if pool_branch:
+                pb = getrandbits(kn1)
+                while pb >= n - 1:
+                    pb = getrandbits(kn1)
+                if pb == pa:
+                    pb = n - 1
+            else:
+                pb = getrandbits(kn)
+                while pb >= n or pb == pa:
+                    pb = getrandbits(kn)
             a = cands[pa]
             b = cands[pb]
             ra = rot[a]
             rb = rot[b]
-            if random() < p_rotate:
+            if rand() < p_rotate:
                 # Type (iv): at least one of the pair changes orientation.
-                if random() < 0.5:
+                if rand() < 0.5:
                     if not square[a] and fits[a][not ra]:
                         ra = not ra
                 elif not square[b] and fits[b][not rb]:

@@ -148,18 +148,20 @@ def list_schedule(
     footprints = dict(footprints or {})
     if cell_capacity is not None:
         for op_id, area in footprints.items():
-            if op_id in {o.id for o in graph} and area > cell_capacity:
+            if op_id in graph and area > cell_capacity:
                 raise ScheduleError(
                     f"operation {op_id!r} needs {area} cells alone, "
                     f"exceeding capacity {cell_capacity}"
                 )
 
     priority = remaining_path_lengths(graph, durations)
-    indegree = {op.id: len(graph.predecessors(op.id)) for op in graph}
     preds = {op.id: tuple(graph.predecessors(op.id)) for op in graph}
     succs = {op.id: tuple(graph.successors(op.id)) for op in graph}
+    #: Per op: the number of its producers that have not yet finished.
+    #: An op becomes ready when its count reaches zero.
+    unfinished = {op_id: len(p) for op_id, p in preds.items()}
     ready = sorted(
-        (op_id for op_id, d in indegree.items() if d == 0),
+        (op_id for op_id, d in unfinished.items() if d == 0),
         key=lambda o: (-priority[o], o),
     )
     running: list[tuple[float, str]] = []  # (stop time, op id)
@@ -267,10 +269,6 @@ def list_schedule(
                     parked -= parked_into.pop(op_id, 0)
                     scheduled += 1
                     started_any = True
-                    # Release successors whose producers have all started...
-                    # completion matters, so successors become ready only when
-                    # all producers FINISH; we handle that below by re-deriving
-                    # readiness from intervals at each event.
                 else:
                     still_waiting.append(op_id)
             ready = still_waiting
@@ -285,15 +283,18 @@ def list_schedule(
                     "scheduler stalled: constraints admit no ready operation"
                 )
             continue
-        # Advance to the earliest completion; newly finished producers may
-        # release successors.
+        # Advance to the earliest completion. The ops finishing by then
+        # are the running ones stopping by then (earlier finishers were
+        # retired and counted at earlier events); each releases the
+        # consumers it was the last unfinished producer of. The sort by
+        # the total key makes the order of release irrelevant.
         t = min(ts for ts, _ in running)
-        finished_by_t = {o for o, iv in intervals.items() if iv.stop <= t}
-        for op in graph:
-            if op.id in intervals or op.id in ready:
-                continue
-            if all(p in finished_by_t for p in graph.predecessors(op.id)):
-                ready.append(op.id)
+        for ts, op_id in running:
+            if ts <= t:
+                for s in succs[op_id]:
+                    unfinished[s] -= 1
+                    if not unfinished[s]:
+                        ready.append(s)
         ready.sort(key=lambda o: (-priority[o], o))
 
     sched = Schedule(intervals)

@@ -1,7 +1,10 @@
 """Unit tests for sequencing graphs and operations."""
 
+import hashlib
+
 import pytest
 
+from repro.assay.catalog import build_assay
 from repro.assay.graph import SequencingGraph
 from repro.assay.operations import Operation, OperationType
 from repro.modules.kinds import ModuleKind
@@ -83,6 +86,41 @@ class TestGraphConstruction:
     def test_unknown_operation_lookup(self):
         with pytest.raises(KeyError):
             SequencingGraph().operation("ghost")
+
+    def test_cycle_rejected_with_message_and_graph_unchanged(self):
+        """A dependency that closes a cycle through a longer path is
+        rejected before it is added: same message, same graph."""
+        g = simple_chain()
+        g.add_operation(Operation("d", OperationType.MIX))
+        g.add_dependency("c", "d")
+        before = (g.edges(), [op.id for op in g])
+        with pytest.raises(ValueError, match=r"^dependency d -> a would create a cycle$"):
+            g.add_dependency("d", "a")
+        assert (g.edges(), [op.id for op in g]) == before
+        g.validate()
+
+
+#: Edge-set digests of the generated families, computed with the graph
+#: build that re-checked the whole graph for cycles after every edge.
+EDGE_DIGESTS = {
+    "gen:mix-tree:n=64:seed=1": "7b5f0341c930db6d",
+    "gen:diamond:n=64:seed=1": "f62948c2a5c6d676",
+    "gen:dilution-ladder:n=64:seed=1": "44ed9000693930b0",
+    "gen:panel:n=64:seed=1": "712c81a4651b0629",
+    "gen:mixed:n=64:seed=1": "8880c42d69ae6772",
+    "gen:mix-tree:n=250:seed=1": "51e04648da8b59c0",
+    "gen:diamond:n=250:seed=1": "481113c2cc08fab1",
+    "gen:dilution-ladder:n=250:seed=1": "7ad0979ad71cd24b",
+    "gen:panel:n=250:seed=1": "edde6bf27f7ecc75",
+    "gen:mixed:n=250:seed=1": "b32f907e1c6cb96d",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(EDGE_DIGESTS))
+def test_generated_edge_sets_pinned(spec):
+    graph, _ = build_assay(spec)
+    edges = sorted(graph.edges())
+    assert hashlib.sha256(repr(edges).encode()).hexdigest()[:16] == EDGE_DIGESTS[spec]
 
 
 class TestGraphStructure:

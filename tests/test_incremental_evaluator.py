@@ -323,6 +323,58 @@ class TestCostProtocols:
         with pytest.raises(CrossCheckError, match="disagrees with full recompute"):
             placer.place(context.schedule, context.binding)
 
+    def test_delta_override_prices_every_proposal(self):
+        """Binding resolves pricing once per anneal, but a subclass that
+        overrides ``delta`` is still priced by its override: called once
+        per proposal, on the trajectory the unbound delta walks."""
+        calls = 0
+
+        class Counting(AreaCost):
+            def delta(self, evaluator, move):
+                nonlocal calls
+                calls += 1
+                return super().delta(evaluator, move)
+
+        graph, binding = BUNDLED_ASSAYS["pcr"]()
+        context = SynthesisContext(graph=graph, explicit_binding=binding)
+        BindStage().run(context)
+        ScheduleStage().run(context)
+        fast = AnnealingParams.fast()
+        counted = SimulatedAnnealingPlacer(params=fast, seed=1, cost=Counting())
+        result = counted.place(context.schedule, context.binding)
+        assert calls == result.stats.evaluations > 0
+        plain = SimulatedAnnealingPlacer(params=fast, seed=1).place(
+            context.schedule, context.binding
+        )
+        def rows(r):
+            return sorted((pm.op_id, pm.x, pm.y, pm.rotated) for pm in r.placement)
+
+        assert rows(result) == rows(plain)
+        assert result.stats.acceptances == plain.stats.acceptances
+
+    @pytest.mark.parametrize("pull_weight", [0.0, 0.05])
+    def test_bound_price_equals_delta_bit_for_bit(self, pull_weight):
+        """``AreaCost.bind``'s closure returns exactly ``delta``'s float,
+        for single moves and pair interchanges alike."""
+        rng = random.Random(8)
+        layout = [
+            (f"m{i}", rng.randrange(len(SPECS)), rng.randint(1, 12), rng.randint(1, 12),
+             float(rng.randrange(4)), float(rng.randrange(4) + 5), False)
+            for i in range(12)
+        ]
+        ev = IncrementalCostEvaluator(build_placement(layout))
+        cost = AreaCost(pull_weight=pull_weight)
+        price = cost.bind(ev)
+        window = ControllingWindow(initial_temp=100, max_span=6)
+        propose = MoveGenerator(window=window, p_single=0.5, seed=8).bind(ev)
+        for step in range(400):
+            move = propose(3)
+            expected = cost.delta(ev, tuple(list(move)))  # a distinct tuple: no cache hit
+            assert price(move) == expected
+            if step % 3:
+                ev.apply(move)
+        ev.check_consistency()
+
     def test_fault_aware_delta_matches_full(self):
         p = build_placement([
             ("a", 2, 1, 1, 0.0, 10.0, False),

@@ -1,13 +1,18 @@
 """Unit tests for ASAP/ALAP/list scheduling and the Schedule container."""
 
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.assay.catalog import build_assay
 from repro.assay.graph import SequencingGraph
 from repro.assay.operations import Operation, OperationType
 from repro.assay.protocols.pcr import build_pcr_mixing_graph
 from repro.geometry import Interval
+from repro.pipeline.context import SynthesisContext
+from repro.pipeline.stages import BindStage
 from repro.synthesis.schedule import Schedule
 from repro.synthesis.scheduler import (
     alap_schedule,
@@ -242,6 +247,71 @@ class TestMaxParked:
         )
         assert len(s) == len(g)
         s.validate_precedence(g)
+
+
+#: Interval digests of the list scheduler (``max_concurrent_ops=3``,
+#: footprints from the default binding, as the schedule stage runs it),
+#: computed with the scheduler that re-derived readiness by rescanning
+#: every operation's producers at every completion event.
+INTERVAL_DIGESTS = {
+    ("dilution", None): "33a522df4b0ebd53",
+    ("dilution", 2): "33a522df4b0ebd53",
+    ("ivd", None): "d01a5801f4382af1",
+    ("ivd", 2): "7a33e5ba2302393f",
+    ("pcr", None): "d23814dc58be7093",
+    ("pcr", 2): "d23814dc58be7093",
+    ("tree16", None): "b6b0124b3d7acdce",
+    ("tree16", 2): "8affaa5e7c07cd4d",
+    ("tree8", None): "b779619f16c73f52",
+    ("tree8", 2): "e8f814525709b7ca",
+    ("gen:mix-tree:n=64:seed=1", None): "fb1b4fa3e72c12ca",
+    ("gen:mix-tree:n=64:seed=1", 2): "6b0b3f408c49253d",
+    ("gen:diamond:n=64:seed=1", None): "259239ef4c7ec2b8",
+    ("gen:diamond:n=64:seed=1", 2): "4512f32c54dc82bc",
+    ("gen:dilution-ladder:n=64:seed=1", None): "fc4431bb67b13fe5",
+    ("gen:dilution-ladder:n=64:seed=1", 2): "f58cf2e6eb7197e0",
+    ("gen:panel:n=64:seed=1", None): "487dc50b8c43c3ec",
+    ("gen:panel:n=64:seed=1", 2): "50c894b5f37fe047",
+    ("gen:mixed:n=64:seed=1", None): "c811c09f0f3429aa",
+    ("gen:mixed:n=64:seed=1", 2): "e5be27c4a034afaa",
+    ("gen:mix-tree:n=100:seed=1", None): "e8d8f5892c961e85",
+    ("gen:mix-tree:n=100:seed=1", 2): "5b20f73bdd57f794",
+    ("gen:diamond:n=100:seed=1", None): "e250fcffdf317d9c",
+    ("gen:diamond:n=100:seed=1", 2): "39e7950480506ea4",
+    ("gen:dilution-ladder:n=100:seed=1", None): "db6356a790f456e4",
+    ("gen:dilution-ladder:n=100:seed=1", 2): "357fb641c0a02b8c",
+    ("gen:panel:n=100:seed=1", None): "1845e817d95b3ed0",
+    ("gen:panel:n=100:seed=1", 2): "0e3356d8c0402194",
+    ("gen:mixed:n=100:seed=1", None): "166002123bdd0444",
+    ("gen:mixed:n=100:seed=1", 2): "980a547af9711a94",
+    ("gen:mix-tree:n=250:seed=1", None): "6e02ae107826dbe8",
+    ("gen:mix-tree:n=250:seed=1", 2): "fcbf399dff54ff00",
+    ("gen:diamond:n=250:seed=1", None): "d3bdf246bf298630",
+    ("gen:diamond:n=250:seed=1", 2): "d9a81f9e5816f123",
+    ("gen:dilution-ladder:n=250:seed=1", None): "8f63793ef4fe9dc0",
+    ("gen:dilution-ladder:n=250:seed=1", 2): "ca1d24f4cb0577ab",
+    ("gen:panel:n=250:seed=1", None): "24ab31ea5084617f",
+    ("gen:panel:n=250:seed=1", 2): "e8cffaaa192792e5",
+    ("gen:mixed:n=250:seed=1", None): "660b1f41dbf09d2e",
+    ("gen:mixed:n=250:seed=1", 2): "6dde22b540c2b241",
+}
+
+
+@pytest.mark.parametrize(
+    "name,max_parked", sorted(INTERVAL_DIGESTS, key=lambda k: (k[0], k[1] or 0))
+)
+def test_list_schedule_intervals_pinned(name, max_parked):
+    graph, explicit = build_assay(name)
+    context = SynthesisContext(graph=graph, explicit_binding=explicit)
+    BindStage().run(context)
+    footprints = {op: spec.footprint_area for op, spec in context.binding.items()}
+    schedule = list_schedule(
+        graph, context.binding.durations(), max_concurrent_ops=3,
+        footprints=footprints, max_parked=max_parked,
+    )
+    rows = sorted((op, iv.start, iv.stop) for op, iv in schedule.items())
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+    assert digest == INTERVAL_DIGESTS[name, max_parked]
 
 
 class TestScheduleContainer:
