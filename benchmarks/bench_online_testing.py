@@ -2,11 +2,10 @@
 
 Times the full detect-and-localize campaign the paper's fault model
 assumes: plan concurrent test walks over the free cells of a running
-placement, execute them against an array with one injected fault, and
-pinpoint the faulty cell by bisection.
+placement, execute them on a chip with one dead cell, and pinpoint the
+faulty cell by bisection.
 """
 
-from repro.grid.array import MicrofluidicArray
 from repro.testing.online import OnlineTester
 from repro.util.tables import format_table
 
@@ -19,16 +18,12 @@ def test_online_testing_campaign(benchmark, report):
     study = pcr_case_study()
     placer = SimulatedAnnealingPlacer(params=AnnealingParams.fast(), seed=2)
     placement = placer.place(study.schedule, study.binding).placement
-    width, height = placement.array_dims()
-
     tester = OnlineTester()
     plan = tester.plan(placement, at_time=0.0)
     fault = max(plan.cells_covered)  # a free cell the campaign must find
 
     def campaign():
-        array = MicrofluidicArray(width, height)
-        array.mark_faulty(fault)
-        return tester.execute(array, plan)
+        return tester.execute(frozenset({fault}), plan)
 
     outcome = benchmark(campaign)
 

@@ -11,7 +11,6 @@ Run:  python examples/online_testing_demo.py
 
 from repro import AnnealingParams, SimulatedAnnealingPlacer
 from repro.experiments.pcr import pcr_case_study
-from repro.grid.array import MicrofluidicArray
 from repro.testing.online import OnlineTester
 from repro.viz.ascii_art import render_placement
 
@@ -45,9 +44,7 @@ def main() -> None:
     # Inject a fault on a spare cell and run the t=0 campaign.
     plan0 = plans[min(plans)]
     victim = max(plan0.cells_covered)
-    array = MicrofluidicArray(width, height)
-    array.mark_faulty(victim)
-    outcome = tester.execute(array, plan0)
+    outcome = tester.execute(frozenset({victim}), plan0)
     print(f"injected fault at {victim}; campaign at t=0 found: "
           f"{list(outcome.faults_found)} using {outcome.runs} droplet runs")
     print()

@@ -12,7 +12,6 @@ Run:  python examples/pcr_fault_recovery.py
 
 from repro import AnnealingParams, SimulatedAnnealingPlacer
 from repro.experiments.pcr import pcr_case_study
-from repro.grid.array import MicrofluidicArray
 from repro.sim.engine import BiochipSimulator
 from repro.testing.localize import FaultLocalizer
 from repro.testing.test_droplet import snake_path
@@ -30,9 +29,9 @@ def main() -> None:
     victim = sim.module_cell("M6")
 
     # --- how the controller would find the fault (refs [13]/[14]) -----
-    array = MicrofluidicArray(sim.width, sim.height)
-    array.mark_faulty(victim)
-    localization = FaultLocalizer().localize(array, snake_path(sim.width, sim.height))
+    localization = FaultLocalizer().localize(
+        frozenset({victim}), snake_path(sim.width, sim.height)
+    )
     print(f"test substrate: fault localized at {localization.faulty_cell} "
           f"in {localization.runs} test-droplet runs")
     assert localization.faulty_cell == victim

@@ -35,7 +35,6 @@ from repro.fault.tolerance import ToleranceAnalyzer
 from repro.fault.mer import find_maximal_empty_rectangles
 from repro.fault.reconfigure import PartialReconfigurer, ReconfigurationPlan
 from repro.geometry import Box, Interval, Point, Rect
-from repro.grid.array import MicrofluidicArray, Port
 from repro.grid.occupancy import OccupancyGrid
 from repro.modules.kinds import ModuleKind
 from repro.modules.library import ModuleLibrary, standard_library
@@ -110,7 +109,6 @@ __all__ = [
     "FaultAwareCost",
     "GreedyPlacer",
     "Interval",
-    "MicrofluidicArray",
     "JournalError",
     "ModuleKind",
     "ModuleLibrary",
@@ -129,7 +127,6 @@ __all__ = [
     "PlacementError",
     "PlacementResult",
     "Point",
-    "Port",
     "PortfolioResult",
     "PortfolioSpec",
     "PrioritizedRouter",

@@ -177,16 +177,6 @@ class SequencingGraph:
                     f"dispense operation {op.id!r} cannot have producers"
                 )
 
-    # -- export ------------------------------------------------------------------------------
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Copy of the underlying DiGraph with Operation objects attached."""
-        g = self._g.copy()
-        nx.set_node_attributes(
-            g, {op_id: {"operation": op} for op_id, op in self._ops.items()}
-        )
-        return g
-
     def __str__(self) -> str:
         return (
             f"SequencingGraph({self.name!r}, {len(self._ops)} ops, "

@@ -23,8 +23,11 @@ from repro.util.rng import ensure_rng
 #: library, so synthetic assays bind without custom libraries).
 _MIXER_CYCLE = ("mixer-2x2", "mixer-linear-1x4", "mixer-2x3", "mixer-2x4")
 
+#: Share of :func:`random_assay` steps that add a DETECT pass-through.
+_DETECT_FRACTION = 0.15
 
-def build_mix_tree(leaves: int, name: str | None = None) -> SequencingGraph:
+
+def build_mix_tree(leaves: int) -> SequencingGraph:
     """A balanced binary mixing tree with *leaves* input mixes.
 
     ``leaves`` must be a power of two >= 2. ``leaves=4`` reproduces the
@@ -34,7 +37,7 @@ def build_mix_tree(leaves: int, name: str | None = None) -> SequencingGraph:
     """
     if leaves < 2 or leaves & (leaves - 1):
         raise ValueError(f"leaves must be a power of two >= 2, got {leaves}")
-    g = SequencingGraph(name=name or f"mix-tree-{leaves}")
+    g = SequencingGraph(name=f"mix-tree-{leaves}")
     level_nodes = []
     counter = 0
     for i in range(leaves):
@@ -72,8 +75,6 @@ def random_assay(
     operations: int = 12,
     seed: int | random.Random | None = None,
     store_fraction: float = 0.2,
-    detect_fraction: float = 0.15,
-    name: str | None = None,
 ) -> SequencingGraph:
     """A random, valid assay DAG of roughly *operations* nodes.
 
@@ -84,10 +85,10 @@ def random_assay(
     """
     if operations < 1:
         raise ValueError(f"operations must be >= 1, got {operations}")
-    if not 0 <= store_fraction <= 1 or not 0 <= detect_fraction <= 1:
+    if not 0 <= store_fraction <= 1:
         raise ValueError("fractions must lie in [0, 1]")
     rng = ensure_rng(seed)
-    g = SequencingGraph(name=name or f"random-assay-{operations}")
+    g = SequencingGraph(name=f"random-assay-{operations}")
     frontier: list[str] = []
     counter = 0
 
@@ -114,7 +115,7 @@ def random_assay(
             g.add_dependency(src, op)
             frontier.remove(src)
             frontier.append(op.id)
-        elif roll < store_fraction + detect_fraction and frontier:
+        elif roll < store_fraction + _DETECT_FRACTION and frontier:
             src = rng.choice(frontier)
             op = Operation(fresh_id("DET"), OperationType.DETECT)
             g.add_operation(op)

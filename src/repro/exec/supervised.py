@@ -129,8 +129,11 @@ class SupervisedPool:
     """
 
     #: Deterministic backoff before resubmitting attempt k (seconds):
-    #: ``backoff_base * 2**(k-1)``, capped. Real crash storms (OOM, a
-    #: dying node) need breathing room; tests shrink the base to ~0.
+    #: ``backoff_base * 2**(k-1)``, capped at ``BACKOFF_CAP_S``. Real
+    #: crash storms (OOM, a dying node) need breathing room; tests
+    #: shrink the base to ~0.
+    BACKOFF_CAP_S = 1.0
+
     def __init__(
         self,
         jobs: int = 1,
@@ -139,7 +142,6 @@ class SupervisedPool:
         chaos: ChaosPolicy | None = None,
         pool_failure_limit: int = 3,
         backoff_base: float = 0.05,
-        backoff_cap: float = 1.0,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -159,7 +161,6 @@ class SupervisedPool:
             self.chaos = None
         self.pool_failure_limit = pool_failure_limit
         self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         #: Pool rebuilds this instance performed (stats/tests).
         self.rebuilds = 0
         #: True once a map degraded to in-process serial execution.
@@ -257,7 +258,7 @@ class SupervisedPool:
             if p.attempt >= self.max_retries:
                 exhaust(p, status_if_exhausted, reason)
                 return
-            delay = min(self.backoff_cap, self.backoff_base * 2**p.attempt)
+            delay = min(self.BACKOFF_CAP_S, self.backoff_base * 2**p.attempt)
             if delay > 0:
                 time.sleep(delay)
             p.attempt += 1

@@ -41,12 +41,15 @@ class ReconfigurationExample:
         return self.plan.total_migration_distance
 
 
-def run_reconfiguration_example(
-    seed: int = 23, beta_room: int = 3
-) -> ReconfigurationExample:
+#: Spare columns and rows added to the placed core (see
+#: :func:`run_reconfiguration_example`).
+_ROOM = 3
+
+
+def run_reconfiguration_example(seed: int = 23) -> ReconfigurationExample:
     """Fault a used cell of a placed PCR assay and relocate around it.
 
-    *beta_room* columns/rows of slack are added to the core so a
+    Three columns/rows of slack are added to the core so a
     relocation target exists — Figure 4(b) likewise shows spare cells
     absorbing the faulty module.
     """
@@ -59,7 +62,7 @@ def run_reconfiguration_example(
     placer = SimulatedAnnealingPlacer(params=AnnealingParams.fast(), seed=seed)
     placed = placer.place(study.schedule, study.binding).placement
     w, h = placed.array_dims()
-    room = Placement(w + beta_room, h + beta_room, pitch_mm=placed.pitch_mm)
+    room = Placement(w + _ROOM, h + _ROOM, pitch_mm=placed.pitch_mm)
     for pm in placed:
         room.add(pm)
 

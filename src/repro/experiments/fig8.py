@@ -47,7 +47,6 @@ def run_enhanced_experiment(
     beta: float = 30.0,
     seed: int = 7,
     stage1_params: AnnealingParams | None = None,
-    stage2_params: AnnealingParams | None = None,
 ) -> EnhancedExperiment:
     """Run the two-stage placer on the PCR case study."""
     study = pcr_case_study()
@@ -56,7 +55,6 @@ def run_enhanced_experiment(
         stage1_params=(
             stage1_params if stage1_params is not None else AnnealingParams.fast()
         ),
-        stage2_params=stage2_params,
         seed=seed,
     )
     return EnhancedExperiment(result=placer.place(study.schedule, study.binding))

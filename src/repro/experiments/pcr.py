@@ -76,10 +76,6 @@ class PCRCaseStudy:
             title="Table 1: Resource binding in PCR",
         )
 
-    def figure6_rows(self) -> list[tuple[str, float, float]]:
-        """Regenerate Figure 6's content: (op, start, stop) per module."""
-        return [(op, iv.start, iv.stop) for op, iv in self.schedule.items()]
-
 
 @lru_cache(maxsize=1)
 def _cached_case_study() -> PCRCaseStudy:

@@ -21,6 +21,9 @@ from repro.synthesis.binder import ResourceBinder
 from repro.synthesis.scheduler import integerized, list_schedule
 from repro.util.tables import format_table
 
+#: Concurrent-operation cap of the list scheduler for every tree size.
+_MAX_CONCURRENT_OPS = 4
+
 
 @dataclass(frozen=True)
 class ScalingRow:
@@ -76,7 +79,6 @@ def run_scaling_study(
     leaf_counts=(4, 8, 16),
     seed: int = 7,
     params: AnnealingParams | None = None,
-    max_concurrent_ops: int = 4,
 ) -> ScalingStudy:
     """Synthesize and place a mix tree per entry of *leaf_counts*."""
     params = params if params is not None else AnnealingParams.fast()
@@ -90,7 +92,7 @@ def run_scaling_study(
             list_schedule(
                 graph,
                 binding.durations(),
-                max_concurrent_ops=max_concurrent_ops,
+                max_concurrent_ops=_MAX_CONCURRENT_OPS,
                 footprints=footprints,
             )
         )

@@ -16,7 +16,8 @@ from repro.placement.annealer import AnnealingParams
 from repro.placement.two_stage import TwoStagePlacer, TwoStageResult
 from repro.util.tables import format_table
 
-DEFAULT_BETAS = (10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
+#: The beta values of the paper's Table 2.
+BETAS = (10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
 
 
 @dataclass(frozen=True)
@@ -66,10 +67,8 @@ class BetaSweep:
 
 
 def run_beta_sweep(
-    betas=DEFAULT_BETAS,
     seed: int = 7,
     stage1_params: AnnealingParams | None = None,
-    stage2_params: AnnealingParams | None = None,
 ) -> BetaSweep:
     """Run the two-stage placer once per beta.
 
@@ -79,13 +78,12 @@ def run_beta_sweep(
     """
     study = pcr_case_study()
     rows = []
-    for beta in betas:
+    for beta in BETAS:
         placer = TwoStagePlacer(
             beta=float(beta),
             stage1_params=(
                 stage1_params if stage1_params is not None else AnnealingParams.fast()
             ),
-            stage2_params=stage2_params,
             seed=seed,
         )
         result = placer.place(study.schedule, study.binding)

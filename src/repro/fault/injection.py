@@ -20,11 +20,11 @@ def sample_street_faults(
     placement: Placement,
     seed: int | random.Random,
     rate: float = 0.10,
-    margin: int = 2,
 ) -> list[tuple[int, int]]:
     """Sample *rate* of the padded routing area's **street** cells —
-    everything not under a module footprint, boundary lanes included —
-    at a fixed seed, in placement coordinates.
+    everything not under a module footprint, the routing plan's
+    boundary lanes included — at a fixed seed, in placement
+    coordinates.
 
     This is the fault-grid generator shared by the routing-engine
     benchmark and the merge-exemption regression tests: the pinned
@@ -32,6 +32,9 @@ def sample_street_faults(
     (sorted) and `random.Random(seed).sample`, so the two call sites
     must draw from one implementation.
     """
+    from repro.routing.synthesis import RoutingSynthesizer
+
+    margin = RoutingSynthesizer.margin
     covered = {
         (c.x, c.y) for pm in placement for c in pm.footprint.cells()
     }

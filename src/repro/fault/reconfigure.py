@@ -109,8 +109,6 @@ class PartialReconfigurer:
         placement: Placement,
         pm: PlacedModule,
         faulty_cells: Iterable[Point],
-        width: int | None = None,
-        height: int | None = None,
     ) -> PlacedModule:
         """Find a new site for *pm* avoiding *faulty_cells*.
 
@@ -122,8 +120,7 @@ class PartialReconfigurer:
 
         Raises :class:`ReconfigurationError` when no site exists.
         """
-        w = width if width is not None else placement.core_width
-        h = height if height is not None else placement.core_height
+        w, h = placement.core_width, placement.core_height
         faults = [f for f in faulty_cells]
         grid = placement.occupancy_for_span(
             pm.interval, exclude=pm.op_id, width=w, height=h, extra_occupied=faults

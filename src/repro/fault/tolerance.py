@@ -93,17 +93,8 @@ class MultiFaultResult:
 class ToleranceAnalyzer:
     """One-stop tolerance analysis of a placement."""
 
-    def __init__(
-        self,
-        allow_rotation: bool = True,
-        reconfigurer: PartialReconfigurer | None = None,
-    ) -> None:
-        self.allow_rotation = allow_rotation
-        self.reconfigurer = (
-            reconfigurer
-            if reconfigurer is not None
-            else PartialReconfigurer(allow_rotation=allow_rotation)
-        )
+    def __init__(self) -> None:
+        self.reconfigurer = PartialReconfigurer()
 
     # -- array-dimension handling -------------------------------------------------
 
@@ -145,10 +136,7 @@ class ToleranceAnalyzer:
         """The paper's FTI (bounding-array denominator by default)."""
         analyzed = self._on_array(placement, width, height)
         return compute_fti(
-            analyzed,
-            width=analyzed.core_width,
-            height=analyzed.core_height,
-            allow_rotation=self.allow_rotation,
+            analyzed, width=analyzed.core_width, height=analyzed.core_height
         )
 
     def criticality(
@@ -172,14 +160,9 @@ class ToleranceAnalyzer:
             )
         return sorted(out, key=lambda c: (-c.stuck_cells, c.op_id))
 
-    def spare_statistics(
-        self,
-        placement: "Placement",
-        width: int | None = None,
-        height: int | None = None,
-    ) -> SpareStatistics:
-        """Free-cell counts per event interval of the analyzed array."""
-        analyzed = self._on_array(placement, width, height)
+    def spare_statistics(self, placement: "Placement") -> SpareStatistics:
+        """Free-cell counts per event interval of the bounding array."""
+        analyzed = placement.normalized()
         w, h = analyzed.core_width, analyzed.core_height
         total = w * h
         intervals = []

@@ -1,22 +1,16 @@
-"""The microfluidic array substrate.
+"""Time-sliced occupancy of the microfluidic array.
 
 A digital microfluidic biochip is an ``m x n`` array of identical
 electrowetting cells sandwiched between two plates (paper Figure 1).
-This package models the physical array: per-cell electrode state and
-health, the array's geometry and ports, and time-sliced occupancy grids
-used by the placement and fault-tolerance layers.
+This package holds the time-sliced occupancy grids used by the
+placement and fault-tolerance layers. A cell's health is one bit —
+healthy or faulty — so a chip's fault state is simply the set of its
+dead cells.
 """
 
-from repro.grid.array import MicrofluidicArray, Port
-from repro.grid.cell import Cell, CellHealth, Electrode
 from repro.grid.occupancy import OccupancyGrid, occupancy_matrix
 
 __all__ = [
-    "Cell",
-    "CellHealth",
-    "Electrode",
-    "MicrofluidicArray",
     "OccupancyGrid",
-    "Port",
     "occupancy_matrix",
 ]

@@ -98,12 +98,6 @@ class OccupancyGrid:
         """Number of cells marked 0."""
         return self.width * self.height - self.occupied_count
 
-    def occupied_cells(self) -> Iterator[Point]:
-        """Yield all cells marked 1."""
-        ys, xs = np.nonzero(self._m)
-        for y, x in zip(ys.tolist(), xs.tolist()):
-            yield Point(x + 1, y + 1)
-
     def free_cells(self) -> Iterator[Point]:
         """Yield all cells marked 0."""
         ys, xs = np.nonzero(self._m == 0)

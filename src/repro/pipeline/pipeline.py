@@ -15,7 +15,6 @@ import random
 import time
 from collections.abc import Sequence
 
-from repro.modules.library import ModuleLibrary
 from repro.pipeline.context import SynthesisContext
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.pipeline.stages import (
@@ -79,7 +78,6 @@ class Pipeline:
 
 
 def build_default_pipeline(
-    library: ModuleLibrary | None = None,
     placer=None,
     max_concurrent_ops: int | None = 3,
     cell_capacity: int | None = None,
@@ -96,14 +94,14 @@ def build_default_pipeline(
 
     Mirrors ``SynthesisFlow``'s constructor knob for knob (the facade
     delegates here), plus ``verify=True`` to append the droplet-level
-    replay stage the flow never had. An explicit *binder* overrides
-    *library*.
+    replay stage the flow never had. *binder* defaults to the standard
+    module library's.
     """
     rng = ensure_rng(seed)
     if placer is None:
         placer = build_default_placer(rng)
     if binder is None:
-        binder = ResourceBinder(library)
+        binder = ResourceBinder()
     stages: list[Stage] = [
         BindStage(binder, strategy=binding_strategy),
         ScheduleStage(

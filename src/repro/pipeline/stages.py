@@ -147,15 +147,11 @@ class SimVerifyStage:
     as time-zero faults — translated from placement to simulator
     coordinates — so a defect scenario is genuinely exercised (module
     health checks, reconfiguration, fault-avoiding reroutes), not just
-    threaded through. ``strict=False`` by default so an unroutable
+    threaded through. The replay is not strict, so an unroutable
     corner case surfaces as a failed report instead of raising.
     """
 
     name = "verify"
-
-    def __init__(self, margin: int = 2, strict: bool = False) -> None:
-        self.margin = margin
-        self.strict = strict
 
     def run(self, context: SynthesisContext) -> None:
         context.require("binding", "schedule", "placement_result")
@@ -166,8 +162,7 @@ class SimVerifyStage:
             context.schedule,
             context.binding,
             placement,
-            margin=self.margin,
-            strict=self.strict,
+            strict=False,
             routing_plan=context.routing_plan,
         )
         faults = [(0.0, simulator.sim_cell(p)) for p in context.faulty_cells]

@@ -104,12 +104,11 @@ class AnnealingParams:
             window_gamma=0.35,
         )
 
-    def make_window(self, max_span: int, min_span: int = 1) -> ControllingWindow:
+    def make_window(self, max_span: int) -> ControllingWindow:
         """Build the controlling window matching this schedule."""
         return ControllingWindow(
             initial_temp=self.initial_temp,
-            max_span=max(max_span, min_span),
-            min_span=min_span,
+            max_span=max(max_span, 1),
             gamma=self.window_gamma,
         )
 

@@ -119,10 +119,6 @@ class AreaCost:
             )
         return cost
 
-    def area_term(self, placement: Placement) -> float:
-        """The pure area component (reported by experiment harnesses)."""
-        return self.alpha * placement.area_mm2
-
     # -- incremental protocol -----------------------------------------------------
 
     def current(self, evaluator: IncrementalCostEvaluator) -> float:
@@ -185,24 +181,18 @@ class FaultAwareCost(AreaCost):
     def __init__(
         self,
         beta: float,
-        alpha: float = 1.0,
         ft_gamma: float = DEFAULT_FT_GAMMA,
-        overlap_weight: float = DEFAULT_OVERLAP_WEIGHT,
         pull_weight: float = DEFAULT_PULL_WEIGHT,
-        allow_rotation: bool = True,
     ) -> None:
-        super().__init__(
-            alpha=alpha, overlap_weight=overlap_weight, pull_weight=pull_weight
-        )
+        super().__init__(pull_weight=pull_weight)
         if beta < 0:
             raise ValueError(f"beta must be >= 0, got {beta}")
         self.beta = beta
         self.ft_gamma = ft_gamma
-        self.allow_rotation = allow_rotation
 
     def fti_report(self, placement: Placement) -> FTIReport:
         """The FTI analysis this cost sees for *placement*."""
-        return compute_fti(placement, allow_rotation=self.allow_rotation)
+        return compute_fti(placement)
 
     def __call__(self, placement: Placement) -> float:
         base = super().__call__(placement)
@@ -217,14 +207,13 @@ class FaultAwareCost(AreaCost):
     def _memoized_fti(
         self, evaluator: IncrementalCostEvaluator, signature: tuple, build_placement
     ) -> float:
-        key = (self.allow_rotation, signature)
         memo = evaluator.memo
-        fti = memo.get(key)
+        fti = memo.get(signature)
         if fti is None:
             if len(memo) >= _FTI_MEMO_CAP:
                 memo.clear()
             fti = self.fti_report(build_placement()).fti
-            memo[key] = fti
+            memo[signature] = fti
         return fti
 
     def current(self, evaluator: IncrementalCostEvaluator) -> float:

@@ -53,13 +53,9 @@ class GreedyPlacer:
         self,
         core_width: int = 32,
         core_height: int = 32,
-        allow_rotation: bool = False,
     ) -> None:
         self.core_width = core_width
         self.core_height = core_height
-        #: The paper's baseline places footprints as bound; rotation is
-        #: an (ablatable) extension.
-        self.allow_rotation = allow_rotation
 
     def place_modules(self, modules: Iterable[PlacedModule]) -> Placement:
         """Place pre-built modules largest-area-first at bottom-left."""
@@ -73,7 +69,8 @@ class GreedyPlacer:
                 pm,
                 self.core_width,
                 self.core_height,
-                allow_rotation=self.allow_rotation,
+                # The paper's baseline places footprints as bound.
+                allow_rotation=False,
             )
             if seated is None:
                 raise PlacementError(

@@ -21,7 +21,6 @@ def constructive_initial_placement(
     core_width: int,
     core_height: int,
     allow_rotation: bool = True,
-    pitch_mm: float | None = None,
 ) -> Placement:
     """Seat *modules* bottom-left-first inside the core area.
 
@@ -29,8 +28,7 @@ def constructive_initial_placement(
     the core area is too small for the schedule's concurrency, and the
     caller should enlarge it.
     """
-    kwargs = {} if pitch_mm is None else {"pitch_mm": pitch_mm}
-    placement = Placement(core_width, core_height, **kwargs)
+    placement = Placement(core_width, core_height)
     ordered = sorted(
         modules, key=lambda pm: (pm.start, -pm.footprint.area, pm.op_id)
     )

@@ -51,19 +51,20 @@ def first_feasible_position(
     return None
 
 
-def repair_overlaps(
-    placement: Placement, allow_rotation: bool = True, max_passes: int = 4
-) -> Placement:
+#: Re-seating sweeps :func:`repair_overlaps` makes before giving up.
+_MAX_PASSES = 4
+
+
+def repair_overlaps(placement: Placement, allow_rotation: bool = True) -> Placement:
     """Legalize *placement* by re-seating conflicting modules bottom-left.
 
     Repeatedly picks a module involved in a conflict (smallest footprint
     first — cheapest to move) and re-seats it at the first feasible
     bottom-left position. Raises :class:`PlacementError` if the core
-    area cannot host a feasible configuration within *max_passes*
-    sweeps.
+    area cannot host a feasible configuration within four sweeps.
     """
     current = placement.copy()
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         pairs = current.conflicting_pairs()
         if not pairs:
             return current
@@ -87,6 +88,6 @@ def repair_overlaps(
             current.replace(seated)
     if current.conflicting_pairs():
         raise PlacementError(
-            f"legalization did not converge within {max_passes} passes"
+            f"legalization did not converge within {_MAX_PASSES} passes"
         )
     return current

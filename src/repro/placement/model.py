@@ -15,10 +15,12 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from repro.geometry import Box, Interval, Point, Rect
-from repro.grid.array import DEFAULT_PITCH_MM
 from repro.grid.occupancy import OccupancyGrid
 from repro.modules.module import ModuleSpec
 from repro.util.errors import PlacementError
+
+#: Default electrode pitch in millimetres (paper Table 1 footnote).
+DEFAULT_PITCH_MM = 1.5
 
 
 @dataclass(frozen=True)
@@ -259,31 +261,6 @@ class Placement:
                 if oy <= 0:
                     continue
                 total += ox * oy * dt
-        return total
-
-    def overlap_volume_against(self, pm: PlacedModule) -> float:
-        """Conflict volume of *pm* against all other stored modules.
-
-        Primitive-coordinate kernel, like :meth:`overlap_volume`.
-        """
-        fp = pm.footprint
-        ax1, ay1, ax2, ay2 = fp.x, fp.y, fp.x2, fp.y2
-        as_, ae = pm.start, pm.stop
-        total = 0.0
-        for other in self._modules.values():
-            if other.op_id == pm.op_id:
-                continue
-            dt = min(ae, other.stop) - max(as_, other.start)
-            if dt <= 0:
-                continue
-            ofp = other.footprint
-            ox = min(ax2, ofp.x2) - max(ax1, ofp.x) + 1
-            if ox <= 0:
-                continue
-            oy = min(ay2, ofp.y2) - max(ay1, ofp.y) + 1
-            if oy <= 0:
-                continue
-            total += ox * oy * dt
         return total
 
     def is_feasible(self) -> bool:

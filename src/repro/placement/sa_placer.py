@@ -131,7 +131,6 @@ class SimulatedAnnealingPlacer:
         core_width: int | None = None,
         core_height: int | None = None,
         p_single: float = 0.8,
-        p_rotate: float = 0.5,
         allow_rotation: bool = True,
         seed: int | random.Random | None = None,
         record_history: bool = True,
@@ -142,7 +141,6 @@ class SimulatedAnnealingPlacer:
         self.core_width = core_width
         self.core_height = core_height
         self.p_single = p_single
-        self.p_rotate = p_rotate
         self.allow_rotation = allow_rotation
         self.record_history = record_history
         self._rng = ensure_rng(seed)
@@ -167,7 +165,7 @@ class SimulatedAnnealingPlacer:
         mover = MoveGenerator(
             window=window,
             p_single=self.p_single,
-            p_rotate=self.p_rotate if self.allow_rotation else 0.0,
+            p_rotate=0.5 if self.allow_rotation else 0.0,
             seed=self._rng,
         )
         engine = SimulatedAnnealing(self.params, window=window, seed=self._rng)

@@ -20,11 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.placement.cost import (
-    DEFAULT_OVERLAP_WEIGHT,
-    DEFAULT_PULL_WEIGHT,
-    AreaCost,
-)
+from repro.placement.cost import AreaCost
 
 if TYPE_CHECKING:
     from repro.assay.graph import SequencingGraph
@@ -54,13 +50,8 @@ class TransportAwareCost(AreaCost):
         self,
         graph: "SequencingGraph",
         transport_weight: float = DEFAULT_TRANSPORT_WEIGHT,
-        alpha: float = 1.0,
-        overlap_weight: float = DEFAULT_OVERLAP_WEIGHT,
-        pull_weight: float = DEFAULT_PULL_WEIGHT,
     ) -> None:
-        super().__init__(
-            alpha=alpha, overlap_weight=overlap_weight, pull_weight=pull_weight
-        )
+        super().__init__()
         if transport_weight < 0:
             raise ValueError(
                 f"transport_weight must be >= 0, got {transport_weight}"

@@ -18,12 +18,7 @@ from typing import TYPE_CHECKING
 
 from repro.fault.fti import FTIReport, compute_fti
 from repro.placement.annealer import AnnealingParams, SimulatedAnnealing
-from repro.placement.cost import (
-    DEFAULT_FT_GAMMA,
-    AreaCost,
-    FaultAwareCost,
-    require_delta,
-)
+from repro.placement.cost import AreaCost, FaultAwareCost, require_delta
 from repro.placement.greedy import build_placed_modules
 from repro.placement.incremental import IncrementalCostEvaluator
 from repro.placement.legalize import repair_overlaps
@@ -101,32 +96,20 @@ class TwoStagePlacer:
     def __init__(
         self,
         beta: float = 30.0,
-        alpha: float = 1.0,
-        ft_gamma: float = DEFAULT_FT_GAMMA,
         stage1_params: AnnealingParams | None = None,
         stage2_params: AnnealingParams | None = None,
-        core_width: int | None = None,
-        core_height: int | None = None,
         #: Stage-2 core grows by this factor over the stage-1 array so
         #: the placement can drift outward to buy coverage.
         expansion: float = 1.8,
-        allow_rotation: bool = True,
-        p_single: float = 0.8,
         seed: int | random.Random | None = None,
         record_history: bool = True,
     ) -> None:
         if expansion < 1.0:
             raise ValueError(f"expansion must be >= 1.0, got {expansion}")
         self.beta = beta
-        self.alpha = alpha
-        self.ft_gamma = ft_gamma
         self.stage1_params = stage1_params or AnnealingParams.balanced()
         self.stage2_params = stage2_params or AnnealingParams.low_temperature()
-        self.core_width = core_width
-        self.core_height = core_height
         self.expansion = expansion
-        self.allow_rotation = allow_rotation
-        self.p_single = p_single
         self.record_history = record_history
         self._rng = ensure_rng(seed)
 
@@ -139,19 +122,15 @@ class TwoStagePlacer:
         stage1_placer = SimulatedAnnealingPlacer(
             params=self.stage1_params,
             cost=self.stage1_cost(),
-            core_width=self.core_width,
-            core_height=self.core_height,
-            p_single=self.p_single,
-            allow_rotation=self.allow_rotation,
             seed=self._rng,
             record_history=self.record_history,
         )
         stage1 = stage1_placer.place_modules(modules)
-        fti1 = compute_fti(stage1.placement, allow_rotation=self.allow_rotation)
+        fti1 = compute_fti(stage1.placement)
 
         # ---- stage 2: low-temperature fault-aware refinement ----------------
         stage2 = self._refine(stage1.placement)
-        fti2 = compute_fti(stage2.placement, allow_rotation=self.allow_rotation)
+        fti2 = compute_fti(stage2.placement)
         return TwoStageResult(
             beta=self.beta,
             stage1=stage1,
@@ -165,16 +144,11 @@ class TwoStagePlacer:
 
     def stage1_cost(self) -> AreaCost:
         """The stage-1 objective: area plus the overlap penalty."""
-        return AreaCost(alpha=self.alpha)
+        return AreaCost()
 
     def stage2_cost(self) -> FaultAwareCost:
         """The stage-2 (LTSA) objective: area traded against FTI."""
-        return FaultAwareCost(
-            beta=self.beta,
-            alpha=self.alpha,
-            ft_gamma=self.ft_gamma,
-            allow_rotation=self.allow_rotation,
-        )
+        return FaultAwareCost(beta=self.beta)
 
     def _recenter(self, placement: Placement) -> Placement:
         """Copy *placement* into an enlarged core, centered, so LTSA can
@@ -201,7 +175,6 @@ class TwoStagePlacer:
         mover = MoveGenerator(
             window=window,
             p_single=1.0,
-            p_rotate=0.5 if self.allow_rotation else 0.0,
             single_only=True,  # paper: only single-module displacement in LTSA
             seed=self._rng,
         )
@@ -216,7 +189,7 @@ class TwoStagePlacer:
 
         repaired = False
         if not best.is_feasible():
-            best = repair_overlaps(best, allow_rotation=self.allow_rotation)
+            best = repair_overlaps(best)
             repaired = True
         return PlacementResult(
             placement=best.normalized(),

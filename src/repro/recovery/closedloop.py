@@ -12,11 +12,12 @@ latency. This module closes that loop:
 * **Detection semantics.** The controller never reads the simulator's
   ground truth. It schedules probe campaigns (one per placement
   configuration change, plus a periodic grid), walks test droplets
-  over the currently-free cells of a scratch array carrying the true
-  active faults, and sees only the (possibly noisy) sink readings. A
-  failed walk is re-probed once for confirmation — a dismissed reading
-  is recorded as a false alarm and *never* aborts a run — then the
-  majority-voted bisection localizer names a believed cell.
+  over the currently-free cells of a chip whose true state is the set
+  of active dead cells, and sees only the (possibly noisy) sink
+  readings. A failed walk is re-probed once for confirmation — a
+  dismissed reading is recorded as a false alarm and *never* aborts a
+  run — then the majority-voted bisection localizer names a believed
+  cell.
 * **Graceful degradation.** Every confirmed detection climbs the
   recovery ladder (:data:`~repro.recovery.engine.RECOVERY_RUNGS`):
   suffix re-route only, then MER relocation of the hit modules +
@@ -52,13 +53,12 @@ from dataclasses import dataclass, field, replace
 
 from repro.fault.models import FAIL, FaultEvent
 from repro.geometry import Point
-from repro.grid.array import MicrofluidicArray
 from repro.recovery.engine import (
     RECOVERY_RUNGS,
     OnlineRecoveryEngine,
     RecoveryOutcome,
 )
-from repro.sim.engine import BiochipSimulator, SimulationReport
+from repro.sim.engine import BiochipSimulator, SimulationReport, active_fault_cells
 from repro.synthesis.flow import SynthesisResult
 from repro.testing.detector import CapacitiveSensor
 from repro.testing.localize import FaultLocalizer
@@ -68,6 +68,10 @@ from repro.util.rng import ensure_rng, spawn_seed
 
 #: Detection modes :meth:`ClosedLoopController.run` understands.
 DETECTION_MODES = ("closed-loop", "oracle")
+
+#: Missed faults the stuck-droplet watchdog may hand back to the ladder
+#: after failed verdict replays, per run.
+WATCHDOG_ROUNDS = 3
 
 
 @dataclass(frozen=True)
@@ -240,28 +244,14 @@ class _RunState:
     abort_reason: str | None = None
 
 
-def _active_cells(events: tuple[FaultEvent, ...], now: float) -> list[Point]:
-    """Cells truly dead at *now* (fails minus clears, event order)."""
-    active: dict[Point, None] = {}
-    for e in events:
-        if e.time_s > now:
-            break
-        if e.kind == FAIL:
-            active[e.cell] = None
-        else:
-            active.pop(e.cell, None)
-    return list(active)
-
-
 class ClosedLoopController:
     """Runs an assay end to end under sensed (not known) faults.
 
     *sensor* and *votes* configure the observation channel (defaults:
-    ideal sensor, single-vote probes — the oracle-equivalent setting);
-    *probe_period_s* sets the periodic campaign grid on top of the
-    per-configuration-change campaigns (default: nominal makespan / 8);
-    *watchdog_rounds* bounds how many missed faults the stuck-droplet
-    monitor may hand back to the ladder after a failed verdict replay.
+    ideal sensor, single-vote probes — the oracle-equivalent setting).
+    Probe campaigns run at every configuration change plus a periodic
+    grid of one eighth of the nominal makespan; the stuck-droplet
+    watchdog hands back at most :data:`WATCHDOG_ROUNDS` missed faults.
     """
 
     def __init__(
@@ -269,8 +259,6 @@ class ClosedLoopController:
         engine: OnlineRecoveryEngine | None = None,
         sensor: CapacitiveSensor | None = None,
         votes: int | None = None,
-        probe_period_s: float | None = None,
-        watchdog_rounds: int = 3,
     ) -> None:
         self.engine = engine if engine is not None else OnlineRecoveryEngine()
         self.sensor = sensor if sensor is not None else CapacitiveSensor()
@@ -283,16 +271,6 @@ class ClosedLoopController:
             raise RecoveryError(
                 f"votes must be a positive odd count, got {self.votes}"
             )
-        if probe_period_s is not None and probe_period_s <= 0:
-            raise RecoveryError(
-                f"probe_period_s must be positive, got {probe_period_s:g}"
-            )
-        self.probe_period_s = probe_period_s
-        if watchdog_rounds < 0:
-            raise RecoveryError(
-                f"watchdog_rounds must be >= 0, got {watchdog_rounds}"
-            )
-        self.watchdog_rounds = watchdog_rounds
 
     # -- the public entry point ---------------------------------------------
 
@@ -347,7 +325,7 @@ class ClosedLoopController:
             not state.aborted
             and verdict is not None
             and not verdict.completed
-            and rounds < self.watchdog_rounds
+            and rounds < WATCHDOG_ROUNDS
         ):
             # Stuck-droplet watchdog: the replay shows the assay did not
             # finish, so some undetected fault is still biting. Name the
@@ -431,9 +409,8 @@ class ClosedLoopController:
             if not self._handle_detection(state, det, rng):
                 return
 
-    def _period(self, result: SynthesisResult) -> float:
-        if self.probe_period_s is not None:
-            return self.probe_period_s
+    @staticmethod
+    def _period(result: SynthesisResult) -> float:
         return max(result.makespan / 8.0, 1e-9)
 
     def _probe_instants(self, state: _RunState, after: float) -> list[float]:
@@ -472,13 +449,13 @@ class ClosedLoopController:
             placement = state.result.placement_result.placement
             width, height = placement.array_dims()
             plan = tester.plan(placement, now, width=width, height=height)
-            array = MicrofluidicArray(width, height)
-            for cell in _active_cells(events, now):
-                if array.in_bounds(cell):
-                    array.mark_faulty(cell)
+            # The chip's true state, which only the walks observe.
+            dead = frozenset(active_fault_cells(
+                ((e.time_s, e.cell, e.kind) for e in events), now
+            ))
             recovered_here = False
             for path in plan.paths:
-                probe = localizer.localize(array, list(path), rng)
+                probe = localizer.localize(dead, list(path), rng)
                 state.probes_run += probe.runs
                 if not probe.fault_found or probe.faulty_cell in state.believed:
                     continue
@@ -486,7 +463,7 @@ class ClosedLoopController:
                 # the same walk. A clean re-read dismisses the alarm —
                 # dismissed alarms are recorded and never recovered
                 # around, so a false alarm cannot abort a healthy run.
-                confirm = localizer.localize(array, list(path), rng)
+                confirm = localizer.localize(dead, list(path), rng)
                 state.probes_run += confirm.runs
                 campaign_runs = probe.runs + confirm.runs
                 detected_at = now + self.sensor.latency_s
@@ -636,13 +613,11 @@ class ClosedLoopController:
         window shows up here, not in the controller's own bookkeeping.
         """
         result = state.result
-        engine = self.engine
         sim = BiochipSimulator(
             result.graph,
             result.schedule,
             result.binding,
             result.placement_result.placement,
-            margin=engine.margin,
             strict=False,
             routing_plan=result.routing_plan,
             plan_covers_faults=(),

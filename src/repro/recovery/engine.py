@@ -93,13 +93,28 @@ FAULT_TARGETS = ("pending-module", "in-flight-module", "center", "street")
 #:   stays False on such outcomes).
 RECOVERY_RUNGS = ("reroute", "relocate", "replace", "resynth")
 
+#: Pull of each movable module toward its nominal origin in the warm
+#: restart (:class:`FaultAvoidanceCost`); the ``resynth`` rung drops it.
+ANCHOR_WEIGHT = 0.5
+
+#: Penalty per dead cell under a module footprint in the warm restart —
+#: large enough that escaping a fault dominates every other term.
+FAULT_WEIGHT = 1000.0
+
+#: Extra core cells (per dimension) recovery may claim beyond the
+#: nominal bounding array — the paper's *space redundancy*: the
+#: fabricated chip has spare electrodes the nominal plan never used.
+#: Module coordinates are never shifted, so the kept routing prefix
+#: stays in the same frame. The ``resynth`` rung claims two more.
+CORE_SLACK = 2
+
 
 class FaultAvoidanceCost(AreaCost):
     """Warm-restart objective: area + fault penalty + anchor term.
 
     Three departures from the offline :class:`AreaCost`:
 
-    * a per-cell penalty (``fault_weight``) for any module footprint
+    * a per-cell penalty (:data:`FAULT_WEIGHT`) for any module footprint
       covering a dead cell — large enough that escaping a fault
       dominates everything else;
     * an *anchor* term pulling each movable module toward its nominal
@@ -120,23 +135,16 @@ class FaultAvoidanceCost(AreaCost):
         self,
         faulty_cells,
         anchors: dict[str, tuple[int, int]] | None = None,
-        fault_weight: float = 1000.0,
-        anchor_weight: float = 0.5,
-        **kwargs,
+        anchor_weight: float = ANCHOR_WEIGHT,
     ) -> None:
         # The chip is already fabricated mid-assay: shrinking the
         # bounding array buys nothing and packs modules into walls, so
-        # the area term is off by default (alpha=0), as is the
-        # corner-pull. What remains is overlap + fault + anchor — the
-        # minimal-perturbation objective.
-        kwargs.setdefault("pull_weight", 0.0)
-        kwargs.setdefault("alpha", 0.0)
-        super().__init__(**kwargs)
+        # the area term is off (alpha=0), as is the corner-pull. What
+        # remains is overlap + fault + anchor — the minimal-perturbation
+        # objective.
+        super().__init__(alpha=0.0, pull_weight=0.0)
         self.faulty = tuple(Point(*c) for c in faulty_cells)
         self._cells = tuple((c.x, c.y) for c in self.faulty)
-        if fault_weight <= 0:
-            raise ValueError(f"fault_weight must be positive, got {fault_weight}")
-        self.fault_weight = fault_weight
         self.anchors = dict(anchors or {})
         self.anchor_weight = anchor_weight
 
@@ -151,7 +159,7 @@ class FaultAvoidanceCost(AreaCost):
     def _extra(self, boxes, anchors) -> float:
         """Fault and anchor terms over footprint ``(x1, y1, x2, y2)``
         boxes and their anchor origins (None where a module has none)."""
-        extra = self.fault_weight * sum(self._covered(*box) for box in boxes)
+        extra = FAULT_WEIGHT * sum(self._covered(*box) for box in boxes)
         if self.anchor_weight:
             extra += self.anchor_weight * sum(
                 _anchor_distance(a, box[0], box[1]) for box, a in zip(boxes, anchors)
@@ -191,7 +199,7 @@ class FaultAvoidanceCost(AreaCost):
         for k in range(0, len(move), 4):
             i, x, y, r = move[k:k + 4]
             w, h = dims[i][r]
-            d += self.fault_weight * (
+            d += FAULT_WEIGHT * (
                 self._covered(x, y, x + w - 1, y + h - 1)
                 - self._covered(X1[i], Y1[i], X2[i], Y2[i])
             )
@@ -382,44 +390,15 @@ def pick_fault_cell(
 class OnlineRecoveryEngine:
     """Recovers a running assay from a mid-execution cell failure."""
 
-    def __init__(
-        self,
-        annealing: AnnealingParams | None = None,
-        margin: int = 2,
-        fault_weight: float = 1000.0,
-        core_slack: int = 2,
-        reconfigurer: PartialReconfigurer | None = None,
-        synthesizer: RoutingSynthesizer | None = None,
-        resynth_annealing: AnnealingParams | None = None,
-    ) -> None:
+    def __init__(self, annealing: AnnealingParams | None = None) -> None:
         #: Warm-restart schedule: start cool, move little — the nominal
         #: placement is already near-optimal and only the fault
         #: neighborhood needs rework.
         self.annealing = (
             annealing if annealing is not None else AnnealingParams.low_temperature()
         )
-        #: Escalated schedule for the ``resynth`` ladder rung: hotter,
-        #: so the layout can escape the nominal basin once minimal
-        #: perturbation has already failed.
-        self.resynth_annealing = (
-            resynth_annealing
-            if resynth_annealing is not None
-            else AnnealingParams.balanced()
-        )
-        self.margin = margin
-        self.fault_weight = fault_weight
-        #: Extra core cells (per dimension) recovery may claim beyond
-        #: the nominal bounding array — the paper's *space redundancy*:
-        #: the fabricated chip has spare electrodes the nominal plan
-        #: never used. Module coordinates are never shifted, so the
-        #: kept routing prefix stays in the same frame.
-        self.core_slack = core_slack
-        self.reconfigurer = (
-            reconfigurer if reconfigurer is not None else PartialReconfigurer()
-        )
-        self.synthesizer = (
-            synthesizer if synthesizer is not None else RoutingSynthesizer(margin=margin)
-        )
+        self.reconfigurer = PartialReconfigurer()
+        self.synthesizer = RoutingSynthesizer()
         #: One-slot nominal-simulator cache: a sweep checkpoints the
         #: same synthesis result at many instants, and the event
         #: engine's run-log cache only pays off when those checkpoints
@@ -443,7 +422,6 @@ class OnlineRecoveryEngine:
             result.schedule,
             result.binding,
             result.placement_result.placement,
-            margin=self.margin,
             strict=False,
             routing_plan=result.routing_plan,
         )
@@ -574,7 +552,7 @@ class OnlineRecoveryEngine:
         # redundancy slack; coordinates are never shifted. The
         # ``resynth`` rung claims extra slack — by the time the ladder
         # reaches it, minimal perturbation has already failed.
-        slack = self.core_slack + (2 if rung == "resynth" else 0)
+        slack = CORE_SLACK + (2 if rung == "resynth" else 0)
         conservative = Placement(
             nominal_placement.core_width + slack,
             nominal_placement.core_height + slack,
@@ -603,8 +581,7 @@ class OnlineRecoveryEngine:
                 all_faults,
                 nominal_placement,
                 seed,
-                params=self.resynth_annealing if rung == "resynth" else None,
-                anchor_weight=0.0 if rung == "resynth" else None,
+                resynth=rung == "resynth",
             )
             still_hit, _ = self._rescue_hit_modules(annealed, movable, all_faults)
             relocated = sorted(set(relocated) | set(still_hit))
@@ -731,7 +708,6 @@ class OnlineRecoveryEngine:
             result.schedule,
             result.binding,
             working,
-            margin=self.margin,
             strict=False,
             routing_plan=merged,
             plan_covers_faults=(),
@@ -810,30 +786,27 @@ class OnlineRecoveryEngine:
         faults: tuple[Point, ...],
         nominal: Placement,
         seed: int | random.Random | None,
-        params: AnnealingParams | None = None,
-        anchor_weight: float | None = None,
+        resynth: bool,
     ) -> Placement:
         """Warm-started low-temperature anneal of the pending modules
         around the frozen ones, anchored to the nominal layout. Falls
         back to the pre-anneal placement when the anneal's best is
         worse off (infeasible, or touching a fault the input avoided).
-        The ``resynth`` rung overrides *params* (hotter schedule) and
-        sets *anchor_weight* to 0 (the nominal basin no longer binds).
+        The ``resynth`` rung anneals on the hotter balanced schedule, so
+        the layout can escape the nominal basin, and drops the anchor
+        (the nominal basin no longer binds).
         """
         rng = ensure_rng(seed)
-        if params is None:
-            params = self.annealing
+        params = AnnealingParams.balanced() if resynth else self.annealing
         window = params.make_window(
             max_span=max(working.core_width, working.core_height)
         )
         mover = MoveGenerator(window=window, movable=movable, seed=spawn_rng(rng))
         engine = SimulatedAnnealing(params, window=window, seed=rng)
-        anchor_kwargs = {} if anchor_weight is None else {"anchor_weight": anchor_weight}
         cost = FaultAvoidanceCost(
             faults,
             anchors={op: (nominal.get(op).x, nominal.get(op).y) for op in movable},
-            fault_weight=self.fault_weight,
-            **anchor_kwargs,
+            anchor_weight=0.0 if resynth else ANCHOR_WEIGHT,
         )
         evaluator = IncrementalCostEvaluator(
             working.copy(), warm_from=self._warm_template

@@ -61,14 +61,18 @@ class CompactionReport:
         )
 
 
+#: Sweeps over the nets before compaction stops improving anyway.
+_MAX_PASSES = 3
+
+
 def compact_routes(
     routed: Sequence[RoutedNet],
     grid: TimeGrid,
     router: PrioritizedRouter,
     horizon: int,
-    max_passes: int = 3,
 ) -> tuple[list[RoutedNet], CompactionReport]:
-    """Re-route each net against the others' fixed reservations.
+    """Re-route each net against the others' fixed reservations, for at
+    most three sweeps.
 
     *grid* must hold exactly the reservations of *routed* (the state
     :meth:`PrioritizedRouter.route_all` leaves behind). Returns the
@@ -78,7 +82,7 @@ def compact_routes(
     original = {net_id: rn.latency for net_id, rn in current.items()}
 
     passes = 0
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         passes += 1
         changed = False
         worst_first = sorted(

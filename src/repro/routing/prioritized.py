@@ -43,7 +43,7 @@ from repro.util.errors import RoutingError
 
 #: Priority boost added per failed round — large enough to outrank any
 #: schedule-derived criticality, so starved nets jump the queue.
-DEFAULT_AGING = 1_000.0
+AGING = 1_000.0
 
 _STATIC_HARD = FAULTY | PARKED_HALO
 
@@ -96,16 +96,10 @@ def _tails_block(
 class PrioritizedRouter:
     """Schedule-criticality prioritized router with bounded negotiation."""
 
-    def __init__(
-        self,
-        max_rounds: int = 4,
-        aging: float = DEFAULT_AGING,
-        strict: bool = True,
-    ) -> None:
-        if max_rounds < 1:
-            raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
-        self.max_rounds = max_rounds
-        self.aging = aging
+    #: Negotiation rounds per batch before its failures are final.
+    max_rounds = 4
+
+    def __init__(self, strict: bool = True) -> None:
         self.strict = strict
         #: Negotiation rounds the last route_all() actually ran.
         self.last_rounds = 0
@@ -123,7 +117,6 @@ class PrioritizedRouter:
         nets: Iterable[Net],
         grid,
         horizon: int | None = None,
-        strict: bool | None = None,
     ) -> tuple[list[RoutedNet], list[Net]]:
         """Route a batch concurrently; returns ``(routed, failed)``.
 
@@ -131,7 +124,6 @@ class PrioritizedRouter:
         ``routed`` set (plus source parks for the failed), so a
         compaction pass can pick up where the negotiation ended.
         """
-        strict = self.strict if strict is None else strict
         nets = list(nets)
         if not nets:
             return [], []
@@ -144,7 +136,7 @@ class PrioritizedRouter:
         routed, failed = self._negotiate(
             nets, grid, horizon, dict.fromkeys(ids, 0), self._source_adjacency(nets)
         )
-        if failed and strict:
+        if failed and self.strict:
             names = ", ".join(n.net_id for n in failed)
             raise RoutingError(
                 f"{len(failed)} net(s) unroutable after {self.max_rounds} "
@@ -174,10 +166,8 @@ class PrioritizedRouter:
         return out
 
     def _order_key(self, failures: dict[str, int]):
-        aging = self.aging
-
         def key(n: Net):
-            return (-(n.priority + aging * failures[n.net_id]), -n.manhattan, n.net_id)
+            return (-(n.priority + AGING * failures[n.net_id]), -n.manhattan, n.net_id)
 
         return key
 

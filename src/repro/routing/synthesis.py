@@ -41,25 +41,16 @@ class RoutingSynthesizer:
     #: Occupancy grid built per epoch, ``grid_factory(width, height)``.
     grid_factory = TimeGrid
 
-    def __init__(
-        self,
-        router: PrioritizedRouter | None = None,
-        compact: bool = True,
-        max_passes: int = 3,
-        margin: int = 2,
-    ) -> None:
-        if margin < 0:
-            raise ValueError(f"margin must be >= 0, got {margin}")
+    #: Boundary-lane width around the core area — the chip's free
+    #: perimeter cells (the simulator pads its array the same way).
+    #: Without them, modules touching the core edge wall droplets into
+    #: unroutable pockets.
+    margin = 2
+
+    def __init__(self, router: PrioritizedRouter | None = None) -> None:
         #: Non-strict by default: an unroutable net is reported through
         #: the plan's routability instead of aborting the whole flow.
         self.router = router if router is not None else PrioritizedRouter(strict=False)
-        self.compact = compact
-        self.max_passes = max_passes
-        #: Boundary-lane width around the core area — the chip's free
-        #: perimeter cells (the simulator pads its array the same way).
-        #: Without them, modules touching the core edge wall droplets
-        #: into unroutable pockets.
-        self.margin = margin
 
         #: Per-epoch compaction reports of the last synthesize() call.
         self.compaction_reports: list[CompactionReport] = []
@@ -190,10 +181,8 @@ class RoutingSynthesizer:
 
         horizon = self.router.default_horizon(grid, nets)
         routed, failed = self.router.route_all(nets, grid, horizon)
-        if self.compact and routed:
-            routed, report = compact_routes(
-                routed, grid, self.router, horizon, max_passes=self.max_passes
-            )
+        if routed:
+            routed, report = compact_routes(routed, grid, self.router, horizon)
             self.compaction_reports.append(report)
 
         return RoutingEpoch(

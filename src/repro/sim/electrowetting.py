@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.grid.array import DEFAULT_PITCH_MM
+from repro.placement.model import DEFAULT_PITCH_MM
 
 
 @dataclass(frozen=True)

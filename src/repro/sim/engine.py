@@ -23,9 +23,9 @@ operation dispatches are events on a heap-ordered
 :class:`~repro.sim.eventengine.DiscreteEventEngine` (tag-keyed
 cancellation slides a dispatch when a fault delays its operation),
 transports run on the packed-integer
-:class:`~repro.sim.fastgrid.PackedDropletRouter`, the pristine array is
-reused across runs, and completed runs feed a log cache that turns
-:meth:`BiochipSimulator.checkpoint` into a log truncation. The test
+:class:`~repro.sim.fastgrid.PackedDropletRouter`, and completed runs
+feed a log cache that turns :meth:`BiochipSimulator.checkpoint` into a
+log truncation. The test
 suite keeps the original fixed-timestep driver as an oracle
 (``tests/oracles/``) and asserts bit-identical reports against it.
 """
@@ -41,7 +41,6 @@ from repro.assay.graph import SequencingGraph
 from repro.assay.operations import OperationType
 from repro.fault.reconfigure import PartialReconfigurer, Relocation
 from repro.geometry import Point
-from repro.grid.array import MicrofluidicArray, Port
 from repro.placement.model import PlacedModule, Placement
 from repro.routing.plan import RoutingPlan, chebyshev
 from repro.sim.droplet import Droplet
@@ -58,6 +57,10 @@ from repro.util.errors import (
 #: Default dispensed droplet volume, nanoliters (order of the reference
 #: chips' unit droplet at 1.5 mm pitch / 600 um gap).
 UNIT_DROPLET_NL = 900.0
+
+#: Electrode drive voltage every transport runs at, volts (inside the
+#: paper's 0-90 V actuation range).
+DRIVE_VOLTAGE = 65.0
 
 
 @dataclass(frozen=True)
@@ -182,9 +185,10 @@ def _normalize_faults(faults) -> list[FaultEntry]:
     return out
 
 
-def _active_fault_cells(faults: list[FaultEntry], now: float) -> list[Point]:
-    """Cells faulty at instant *now* under the (time-sorted) timeline:
-    fails add a cell, clears remove it, first-failure order preserved."""
+def active_fault_cells(faults: Iterable[FaultEntry], now: float) -> list[Point]:
+    """Cells faulty at instant *now* under the (time-sorted) timeline of
+    ``(time, cell, kind)`` entries: fails add a cell, clears remove it,
+    first-failure order preserved."""
     active: dict[Point, None] = {}
     for t, cell, kind in faults:
         if t > now:
@@ -354,9 +358,6 @@ class BiochipSimulator:
         binding,
         placement: Placement,
         margin: int = 2,
-        electrowetting: ElectrowettingModel | None = None,
-        reconfigurer: PartialReconfigurer | None = None,
-        drive_voltage: float = 65.0,
         strict: bool = True,
         routing_plan: RoutingPlan | None = None,
         plan_covers_faults: Iterable[Point | tuple[int, int]] = (),
@@ -373,11 +374,8 @@ class BiochipSimulator:
         #: *recovery* plan re-synthesized against a known fault mask is
         #: declared here so its transports keep replaying.
         self.plan_covers_faults = frozenset(Point(*c) for c in plan_covers_faults)
-        self.ew = electrowetting if electrowetting is not None else ElectrowettingModel()
-        self.reconfigurer = (
-            reconfigurer if reconfigurer is not None else PartialReconfigurer()
-        )
-        self.drive_voltage = drive_voltage
+        self.ew = ElectrowettingModel()
+        self.reconfigurer = PartialReconfigurer()
         self.strict = strict
 
         normalized = placement.normalized()
@@ -406,49 +404,26 @@ class BiochipSimulator:
         #: Parking ring-search memo: obstacle signature -> nearest safe
         #: cell.
         self._park_memo: dict[tuple, Point] = {}
-        self.array: MicrofluidicArray | None = None
-        self._marked_faulty: list[Point] = []
+        #: Reservoirs along the left edge, dispensed in rotation; the
+        #: assay product leaves through the output cell on the right.
+        self._dispense_cycle = [Point(1, y) for y in range(1, self.height + 1, 2)]
+        self._output_cell = Point(self.width, max(1, self.height // 2))
         self._reset_run_state()
 
     # -- setup -----------------------------------------------------------------------
 
     def _reset_run_state(self) -> None:
         """Restore the constructed configuration so ``run()`` is
-        re-entrant: a pristine array (no accumulated fault marks), the
-        initial placement, the reservoir rotation at its first port,
-        and droplet ids restarting at 1. This is what makes
+        re-entrant: the initial placement, the reservoir rotation at its
+        first port, and droplet ids restarting at 1. This is what makes
         checkpoint/resume an exact deterministic replay."""
         self.placement = self._initial_placement
-        self._reset_array()
+        self._next_port = 0
         self._droplet_ids = itertools.count(1)
         #: (time, producer op, cell-or-None) transitions of durable
         #: droplet positions, appended in replay order; the checkpoint
         #: derives "what sits where at time t" from this log.
         self._position_log: list[tuple[float, str, Point | None]] = []
-
-    def _reset_array(self) -> None:
-        """A pristine array with its ports. Built once, then reused
-        across runs: repairing the cells the previous run marked costs
-        O(#faults), not O(area)."""
-        if self.array is None:
-            self.array = MicrofluidicArray(self.width, self.height)
-            self._install_ports()
-            return
-        for cell in self._marked_faulty:
-            self.array.repair(cell)
-        self._marked_faulty.clear()
-        self._next_port = 0
-
-    def _install_ports(self) -> None:
-        """Reservoirs along the left edge, waste/output on the right."""
-        ys = range(1, self.height + 1, 2)
-        for i, y in enumerate(ys):
-            self.array.add_port(Port(name=f"res{i}", location=Point(1, y), kind="dispense"))
-        self.array.add_port(
-            Port(name="out", location=Point(self.width, max(1, self.height // 2)), kind="waste")
-        )
-        self._dispense_cycle = [self.array.port(f"res{i}").location for i in range(len(list(ys)))]
-        self._next_port = 0
 
     def _next_dispense_cell(self) -> Point:
         cell = self._dispense_cycle[self._next_port % len(self._dispense_cycle)]
@@ -675,9 +650,6 @@ class BiochipSimulator:
         events.append(
             SimEvent(clear_time, "repair", f"cell {cell} recovered (transient fault cleared)")
         )
-        if cell in self._marked_faulty:
-            self.array.repair(cell)
-            self._marked_faulty.remove(cell)
 
     def _apply_fault(
         self,
@@ -688,13 +660,11 @@ class BiochipSimulator:
         events: list[SimEvent],
         relocations: list[Relocation],
     ) -> None:
-        """Inject one fault: mark the cell, rescue affected modules via
-        partial reconfiguration, and propagate the delays."""
+        """Inject one fault: rescue affected modules via partial
+        reconfiguration, and propagate the delays."""
         events.append(
             SimEvent(fault_time, "fault", f"cell {cell} failed", None)
         )
-        self.array.mark_faulty(cell)
-        self._marked_faulty.append(cell)
         # Only modules still running or yet to run can be rescued;
         # completed operations already consumed their cells.
         pending = [
@@ -710,7 +680,7 @@ class BiochipSimulator:
                     self.placement,
                     cell,
                     extra_faults=[
-                        f for f in _active_fault_cells(faults, fault_time)
+                        f for f in active_fault_cells(faults, fault_time)
                         if f != cell
                     ],
                     only_ops=pending_ids,
@@ -727,7 +697,7 @@ class BiochipSimulator:
                 if reloc.op_id in states:
                     states[reloc.op_id].module = reloc.new
                 migrate = self.ew.transport_time_s(
-                    reloc.distance, self.drive_voltage
+                    reloc.distance, DRIVE_VOLTAGE
                 )
                 events.append(
                     SimEvent(
@@ -792,7 +762,7 @@ class BiochipSimulator:
         op = self.graph.operation(op_id)
         state = states[op_id]
         t = state.start
-        faulty_now = _active_fault_cells(faults, t)
+        faulty_now = active_fault_cells(faults, t)
         parked = [
             d.position
             for d in droplet_of.values()
@@ -822,7 +792,7 @@ class BiochipSimulator:
                 )
             droplet = inputs[0]
             others = [p for p in parked if p != droplet.position]
-            out = self.array.port("out").location
+            out = self._output_cell
             transport_cells = self._transport(
                 droplet, out, t, faulty_now, others, events, op_id
             )
@@ -977,7 +947,7 @@ class BiochipSimulator:
             (states[s].start for s in consumers if s in states),
             default=finish,
         )
-        faulty = _active_fault_cells(faults, finish)
+        faulty = active_fault_cells(faults, finish)
         parked = {
             d.position
             for o, d in droplet_of.items()
@@ -1186,7 +1156,7 @@ class BiochipSimulator:
             return 0
         planned = self._planned_route(droplet, goal, faulty_now, other_droplets, op_id)
         if planned is not None:
-            seconds = self.ew.transport_time_s(planned.moves, self.drive_voltage)
+            seconds = self.ew.transport_time_s(planned.moves, DRIVE_VOLTAGE)
             events.append(
                 SimEvent(
                     t,
@@ -1257,7 +1227,7 @@ class BiochipSimulator:
                     route = self._route_after_handover(
                         droplet, goal, query_t, faulty_now, events, op_id, exc,
                     )
-        seconds = self.ew.transport_time_s(route.length, self.drive_voltage)
+        seconds = self.ew.transport_time_s(route.length, DRIVE_VOLTAGE)
         events.append(
             SimEvent(
                 t,

@@ -104,12 +104,6 @@ class DiscreteEventEngine:
         """Number of live (not yet fired, not cancelled) events."""
         return sum(1 for e in self._heap if e[_CALLBACK] is not None)
 
-    def peek_time(self):
-        """The next live event's time, or ``None`` when drained."""
-        while self._heap and self._heap[0][_CALLBACK] is None:
-            heapq.heappop(self._heap)
-        return self._heap[0][_TIME] if self._heap else None
-
     # -- execution ------------------------------------------------------------
 
     def run(self, until=None) -> int:

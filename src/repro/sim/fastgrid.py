@@ -123,7 +123,6 @@ class PackedDropletRouter:
         blocked_rects: Iterable[Rect] = (),
         blocked_cells: Iterable[Point] = (),
         other_droplets: Iterable[Point] = (),
-        allow_goal_adjacent_merge: bool = True,
         inflate: bool = True,
     ) -> FastRoute:
         """Shortest path length from *start* to *goal*.
@@ -133,8 +132,8 @@ class PackedDropletRouter:
         * *blocked_cells* — faulty cells and other point obstacles.
         * *other_droplets* — parked droplets; each blocks its cell and,
           with *inflate*, its 8-neighbor ring (the static fluidic
-          constraint). The droplet sitting on *goal* is exempt when
-          *allow_goal_adjacent_merge* — merging is the point. Passing
+          constraint). The droplet sitting on *goal* is exempt — merging
+          is the point. Passing
           ``inflate=False`` models a controller that momentarily
           shuffles parked droplets half a pitch aside.
 
@@ -148,7 +147,6 @@ class PackedDropletRouter:
             tuple(blocked_rects),
             tuple(blocked_cells),
             tuple(other_droplets),
-            allow_goal_adjacent_merge,
             inflate,
         )
         hit = self._memo.get(key)
@@ -176,7 +174,7 @@ class PackedDropletRouter:
         ring8 = self._ring8
         for d in other_droplets:
             x, y = d[0], d[1]
-            if allow_goal_adjacent_merge and x == goal[0] and y == goal[1]:
+            if x == goal[0] and y == goal[1]:
                 continue
             if 1 <= x <= width and 1 <= y <= height:
                 idx = (y - 1) * width + (x - 1)

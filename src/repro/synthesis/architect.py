@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from repro.assay.graph import SequencingGraph
 from repro.fault.fti import compute_fti
-from repro.modules.library import ModuleLibrary
 from repro.placement.annealer import AnnealingParams
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.synthesis.binder import ResourceBinder
@@ -97,25 +96,26 @@ class ExplorationResult:
 class ArchitecturalExplorer:
     """Sweeps binding strategies x concurrency caps through the flow."""
 
+    #: Binding strategies swept: the library's speed/area extremes.
+    STRATEGIES = (ResourceBinder.FASTEST, ResourceBinder.SMALLEST)
+
     def __init__(
         self,
-        library: ModuleLibrary | None = None,
         params: AnnealingParams | None = None,
         seed: int | random.Random | None = None,
     ) -> None:
-        self.binder = ResourceBinder(library)
+        self.binder = ResourceBinder()
         self.params = params if params is not None else AnnealingParams.fast()
         self._rng = ensure_rng(seed)
 
     def explore(
         self,
         graph: SequencingGraph,
-        strategies: tuple[str, ...] = (ResourceBinder.FASTEST, ResourceBinder.SMALLEST),
         concurrency_caps: tuple[int, ...] = (2, 3, 4),
     ) -> ExplorationResult:
         """Run the full pipeline per (strategy, cap) combination."""
         points = []
-        for strategy in strategies:
+        for strategy in self.STRATEGIES:
             binding = self.binder.bind(graph, strategy=strategy)
             durations = binding.durations()
             footprints = {

@@ -62,10 +62,6 @@ class Binding:
         """Durations for every operation in the graph."""
         return {op.id: self.duration_for(op.id) for op in self._graph}
 
-    def total_module_cells(self) -> int:
-        """Sum of bound footprint areas (an upper bound on concurrent demand)."""
-        return sum(spec.footprint_area for spec in self._assignments.values())
-
     def __str__(self) -> str:
         return f"Binding({len(self._assignments)} ops)"
 

@@ -156,7 +156,6 @@ class SynthesisFlow:
         compute_fti_report: bool = True,
         seed: int | random.Random | None = None,
         route: bool = False,
-        routing_synthesizer: RoutingSynthesizer | None = None,
     ) -> None:
         from repro.pipeline.pipeline import build_default_placer, build_default_pipeline
 
@@ -171,9 +170,7 @@ class SynthesisFlow:
         self.binding_strategy = binding_strategy
         self.compute_fti_report = compute_fti_report
         self.route = route
-        self.routing_synthesizer = (
-            routing_synthesizer if routing_synthesizer is not None else RoutingSynthesizer()
-        )
+        self.routing_synthesizer = RoutingSynthesizer()
         self.pipeline = build_default_pipeline(
             binder=self.binder,
             placer=self.placer,

@@ -25,6 +25,9 @@ DRY_CAPACITANCE_PF = 0.06
 #: permittivity (~80) dwarfs the filler's (~2.7): a huge, easy margin.
 WET_CAPACITANCE_PF = 1.8
 
+#: Extra actuation steps the controller waits beyond a walk's length.
+MARGIN_STEPS = 2
+
 
 @dataclass(frozen=True)
 class SinkObservation:
@@ -57,7 +60,6 @@ class CapacitiveSensor:
     def __init__(
         self,
         threshold_pf: float = 0.5,
-        margin_steps: int = 2,
         false_positive_rate: float = 0.0,
         false_negative_rate: float = 0.0,
         latency_s: float = 0.0,
@@ -76,8 +78,6 @@ class CapacitiveSensor:
         if latency_s < 0.0:
             raise ValueError(f"latency_s must be >= 0, got {latency_s}")
         self.threshold_pf = threshold_pf
-        #: Extra actuation steps allowed beyond the nominal path length.
-        self.margin_steps = margin_steps
         self.false_positive_rate = false_positive_rate
         self.false_negative_rate = false_negative_rate
         self.latency_s = latency_s
@@ -101,7 +101,7 @@ class CapacitiveSensor:
         ideally regardless of the configured rates (every historical
         caller keeps its exact behavior).
         """
-        deadline = outcome.path_length + self.margin_steps
+        deadline = outcome.path_length + MARGIN_STEPS
         arrived = outcome.passed
         if rng is not None and arrived and self.false_positive_rate > 0.0:
             if rng.random() < self.false_positive_rate:

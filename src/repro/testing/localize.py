@@ -23,7 +23,6 @@ import random
 from dataclasses import dataclass
 
 from repro.geometry import Point
-from repro.grid.array import MicrofluidicArray
 from repro.testing.detector import CapacitiveSensor
 from repro.testing.test_droplet import TestDroplet
 
@@ -59,7 +58,7 @@ class FaultLocalizer:
 
     def _passes(
         self,
-        array: MicrofluidicArray,
+        dead_cells: frozenset[Point],
         path: list[Point],
         rng: random.Random | None = None,
     ) -> tuple[bool, int]:
@@ -74,7 +73,7 @@ class FaultLocalizer:
         passed = failed = 0
         need = self.votes // 2 + 1
         while passed < need and failed < need:
-            outcome = self._droplet.walk(array, path)
+            outcome = self._droplet.walk(dead_cells, path)
             if self.sensor.observe(outcome, rng).droplet_arrived:
                 passed += 1
             else:
@@ -83,18 +82,20 @@ class FaultLocalizer:
 
     def localize(
         self,
-        array: MicrofluidicArray,
+        dead_cells: frozenset[Point],
         path: list[Point],
         rng: random.Random | None = None,
     ) -> LocalizationResult:
-        """Find the first faulty cell on *path* (None if the path passes).
+        """Find the first faulty cell on *path* (None if the path passes);
+        *dead_cells* is the chip's true fault state, which only the
+        walks observe.
 
         Runs a full-path test first; on failure, binary-searches prefix
         lengths. Pass *rng* to realize the sensor's configured read
         errors (omitted, the sensor reads ideally, as every historical
         caller expects).
         """
-        ok, runs = self._passes(array, path, rng)
+        ok, runs = self._passes(dead_cells, path, rng)
         if ok:
             return LocalizationResult(faulty_cell=None, runs=runs)
         # Invariant: prefix of length lo passes; prefix of length hi fails.
@@ -102,7 +103,7 @@ class FaultLocalizer:
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if mid > 0:
-                ok, used = self._passes(array, path[:mid], rng)
+                ok, used = self._passes(dead_cells, path[:mid], rng)
             else:
                 ok, used = True, 0
             runs += used

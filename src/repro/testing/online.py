@@ -9,11 +9,9 @@ reports that feed :class:`repro.fault.reconfigure.PartialReconfigurer`.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from repro.geometry import Point
-from repro.grid.array import MicrofluidicArray
 from repro.placement.model import Placement
 from repro.testing.localize import FaultLocalizer, LocalizationResult
 from repro.testing.test_droplet import free_cell_paths
@@ -74,35 +72,27 @@ class OnlineTester:
         )
 
     def execute(
-        self,
-        array: MicrofluidicArray,
-        plan: OnlineTestPlan,
-        rng: random.Random | None = None,
+        self, dead_cells: frozenset[Point], plan: OnlineTestPlan
     ) -> OnlineTestReport:
-        """Run every walk of *plan* against *array*, localizing failures.
+        """Run every walk of *plan* on a chip whose dead cells are
+        *dead_cells*, localizing failures.
 
         A walk that fails is re-run through the localizer; the faulty
         cell is recorded and the remainder of that walk is skipped (the
         paper's single-fault model makes frequent short campaigns the
-        norm — one fault per campaign). Pass *rng* to realize the
-        localizer sensor's configured read errors.
+        norm — one fault per campaign). The sensor reads ideally here.
         """
         faults: list[Point] = []
         runs = 0
         for path in plan.paths:
-            result: LocalizationResult = self.localizer.localize(array, list(path), rng)
+            result: LocalizationResult = self.localizer.localize(dead_cells, list(path))
             runs += result.runs
             if result.fault_found:
                 assert result.faulty_cell is not None
                 faults.append(result.faulty_cell)
         return OnlineTestReport(plan=plan, faults_found=tuple(faults), runs=runs)
 
-    def coverage_over_schedule(
-        self,
-        placement: Placement,
-        width: int | None = None,
-        height: int | None = None,
-    ) -> dict[float, OnlineTestPlan]:
+    def coverage_over_schedule(self, placement: Placement) -> dict[float, OnlineTestPlan]:
         """Plan a campaign at every configuration-change instant.
 
         Between consecutive event times the set of active modules is
@@ -113,5 +103,5 @@ class OnlineTester:
         for t in placement.event_times():
             if t >= placement.makespan():
                 break
-            plans[t] = self.plan(placement, t, width=width, height=height)
+            plans[t] = self.plan(placement, t)
         return plans

@@ -4,7 +4,8 @@ A test droplet detects faults *functionally*: a cell whose electrode
 cannot actuate will not pull the droplet forward, so the droplet stalls
 at the cell preceding the fault and never reaches the sink. Planning
 amounts to choosing walks that cover the cells under test; simulation
-replays a walk against the array's true fault state.
+replays a walk against the array's true fault state, the set of dead
+cells (one bit per electrode: healthy or faulty).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.geometry import Point
-from repro.grid.array import MicrofluidicArray
 from repro.placement.model import Placement
 
 
@@ -35,8 +35,8 @@ class TestOutcome:
 class TestDroplet:
     """Simulates a test droplet walking a planned path."""
 
-    def walk(self, array: MicrofluidicArray, path: list[Point]) -> TestOutcome:
-        """Walk *path* on *array*; stall at the first faulty cell.
+    def walk(self, dead_cells: frozenset[Point], path: list[Point]) -> TestOutcome:
+        """Walk *path*; stall at the first of the *dead_cells* on it.
 
         The path must start on a healthy cell and consist of adjacent
         cells (a real droplet moves one electrode pitch per actuation).
@@ -48,13 +48,13 @@ class TestDroplet:
                 raise ValueError(
                     f"test path is not cell-adjacent between {prev} and {nxt}"
                 )
-        if array.is_faulty(path[0]):
+        if path[0] in dead_cells:
             return TestOutcome(
                 passed=False, steps_taken=0, path_length=len(path), stalled_before=path[0]
             )
         steps = 1
         for cell in path[1:]:
-            if array.is_faulty(cell):
+            if cell in dead_cells:
                 return TestOutcome(
                     passed=False,
                     steps_taken=steps,

@@ -14,6 +14,9 @@ from repro.fault.fti import FTIReport
 from repro.placement.model import Placement
 from repro.synthesis.schedule import Schedule
 
+#: Side of one array cell in placement and FTI maps, pixels.
+_CELL_PX = 26
+
 #: Qualitative palette (ColorBrewer Set3-ish), cycled over modules.
 PALETTE = (
     "#8dd3c7", "#ffffb3", "#bebada", "#fb8072", "#80b1d3",
@@ -46,7 +49,6 @@ def save_svg(svg: str, path: str | Path) -> Path:
 
 def placement_to_svg(
     placement: Placement,
-    cell_px: int = 26,
     at_time: float | None = None,
     title: str | None = None,
 ) -> str:
@@ -58,6 +60,7 @@ def placement_to_svg(
     """
     draw = placement.normalized()
     width, height = draw.array_dims()
+    cell_px = _CELL_PX
     pad = 30
     w_px = width * cell_px + 2 * pad
     h_px = height * cell_px + 2 * pad + (20 if title else 0)
@@ -105,11 +108,11 @@ def placement_to_svg(
     return _svg_document(w_px, h_px, body)
 
 
-def schedule_to_svg(
-    schedule: Schedule, px_per_second: float = 20.0, row_px: int = 24
-) -> str:
+def schedule_to_svg(schedule: Schedule) -> str:
     """Draw a Gantt chart of module usage (paper Figure 6 style)."""
     items = schedule.items()
+    px_per_second = 20.0
+    row_px = 24
     label_px = 90
     pad = 16
     width = label_px + schedule.makespan * px_per_second + 2 * pad
@@ -144,11 +147,12 @@ def schedule_to_svg(
     return _svg_document(width, height, body)
 
 
-def fti_to_svg(report: FTIReport, cell_px: int = 26) -> str:
+def fti_to_svg(report: FTIReport) -> str:
     """Draw the C-coveredness map: green covered, red uncovered.
 
     The FTI is the green density; the caption restates it numerically.
     """
+    cell_px = _CELL_PX
     pad = 30
     caption_h = 24
     w_px = report.width * cell_px + 2 * pad
@@ -174,8 +178,9 @@ def fti_to_svg(report: FTIReport, cell_px: int = 26) -> str:
     return _svg_document(w_px, h_px, body)
 
 
-def graph_to_svg(graph: SequencingGraph, node_w: int = 92, node_h: int = 34) -> str:
+def graph_to_svg(graph: SequencingGraph) -> str:
     """Draw a sequencing graph layered by depth (paper Figure 5 style)."""
+    node_w, node_h = 92, 34
     levels = graph.levels()
     by_level: dict[int, list[str]] = {}
     for op_id, lvl in levels.items():

@@ -61,7 +61,6 @@ class DropletRouter:
         blocked_rects: Iterable[Rect] = (),
         blocked_cells: Iterable[Point] = (),
         other_droplets: Iterable[Point] = (),
-        allow_goal_adjacent_merge: bool = True,
         inflate: bool = True,
     ) -> Route:
         """Shortest path from *start* to *goal*.
@@ -72,8 +71,8 @@ class DropletRouter:
         * *blocked_cells* — faulty cells and other point obstacles.
         * *other_droplets* — parked droplets; each is inflated by the
           one-cell static fluidic constraint (*inflate*). The *goal*
-          droplet (if the route ends in a merge) is exempt when
-          *allow_goal_adjacent_merge* — merging is the point. Passing
+          droplet (if the route ends in a merge) is exempt — merging is
+          the point. Passing
           ``inflate=False`` models a controller that momentarily shuffles
           parked droplets half a pitch aside to let traffic through.
 
@@ -85,7 +84,7 @@ class DropletRouter:
         blocked.update(Point(*c) for c in blocked_cells)
         for d in other_droplets:
             dp = Point(*d)
-            if allow_goal_adjacent_merge and dp == goal:
+            if dp == goal:
                 continue
             blocked.add(dp)
             if inflate:

@@ -1,14 +1,13 @@
 """The fixed-timestep simulator driver: the oracle for the event engine.
 
 :class:`repro.sim.engine.BiochipSimulator` replays an assay on a
-discrete-event queue, routes transports on the packed BFS kernel,
-reuses its array across runs and checkpoints by truncating a cached
-run log. :class:`SteppedSimulator` is the sequential driver it
-replaced, kept bit-identical: it realizes the whole fault timeline
-first, then replays every operation in ``(realized start, op id)``
-order, routes on the per-``Point`` A* router, rebuilds the array for
-every run, searches every parking cell afresh and re-runs the
-simulation for every checkpoint. For a fixed fault list both drivers
+discrete-event queue, routes transports on the packed BFS kernel and
+checkpoints by truncating a cached run log. :class:`SteppedSimulator`
+is the sequential driver it replaced, kept bit-identical: it realizes
+the whole fault timeline first, then replays every operation in
+``(realized start, op id)`` order, routes on the per-``Point`` A*
+router, searches every parking cell afresh and re-runs the simulation
+for every checkpoint. For a fixed fault list both drivers
 must produce the identical :class:`~repro.sim.engine.SimulationReport`
 — events, timings, per-droplet position log, failure text.
 
@@ -24,7 +23,6 @@ from unittest import mock
 
 from oracles.droplet_router import DropletRouter
 
-from repro.grid.array import MicrofluidicArray
 from repro.sim.engine import BiochipSimulator
 
 #: Modules that construct simulators by name.
@@ -41,11 +39,6 @@ class SteppedSimulator(BiochipSimulator):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.router = DropletRouter(self.width, self.height)
-
-    def _reset_array(self) -> None:
-        self.array = MicrofluidicArray(self.width, self.height)
-        self._install_ports()
-        self._marked_faulty = []
 
     def _cached_log(self, key: tuple):
         return None  # every checkpoint re-runs the simulation

@@ -166,11 +166,6 @@ class TestGraphStructure:
         g.add_operation(Operation("m", OperationType.MIX))
         assert [op.id for op in g.reconfigurable_operations()] == ["m"]
 
-    def test_to_networkx_carries_operations(self):
-        g = simple_chain()
-        nxg = g.to_networkx()
-        assert nxg.nodes["a"]["operation"].type is OperationType.MIX
-        assert nxg.number_of_edges() == 2
 
 
 class TestValidation:

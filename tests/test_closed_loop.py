@@ -19,6 +19,7 @@ The acceptance properties this file pins:
 from __future__ import annotations
 
 import hashlib
+import json
 from functools import lru_cache
 
 import pytest
@@ -26,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.assay.catalog import BUNDLED_ASSAYS, build_assay
-from repro.fault.models import FAIL, FaultEvent
+from repro.fault.models import FAIL, FaultEvent, scenario_events
 from repro.geometry import Point
 from repro.placement.annealer import AnnealingParams, SimulatedAnnealing
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
@@ -269,6 +270,44 @@ class TestLadder:
             result, events, seed=8, mode="oracle"
         )
         assert outcome.detection_latencies == (0.0,)
+
+
+class TestLossySensorPin:
+    """The probe path, pinned end to end: a lossy sensor (FPR 0.02, FNR
+    0.05) sends every run through test-droplet probes, the fault
+    localizer and the watchdog rather than oracle detection (an ideal
+    sensor short-circuits to it). The digests of the outcome dicts
+    (wall-clock timings stripped) are fixed: a change to how probes see
+    the chip's dead cells must leave every outcome unchanged."""
+
+    DIGESTS = {
+        ("pcr", "permanent"): "407b54b11f3305db",
+        ("pcr", "intermittent"): "6eea21db4ed7db94",
+        ("dilution", "permanent"): "b887b5fdace54af9",
+        ("dilution", "intermittent"): "a90eecf038981f6d",
+        ("ivd", "permanent"): "05f9a2061e581c6c",
+        ("ivd", "intermittent"): "e13f86069d651fd9",
+    }
+
+    @pytest.mark.parametrize("assay, model", sorted(DIGESTS))
+    def test_outcome_is_pinned(self, assay, model):
+        result = _routed(assay)
+        (first,) = _single_fault(result, 0.45, "pending-module", seed=5)
+        width, height = result.placement_result.placement.array_dims()
+        events = scenario_events(
+            model, first.cell, first.time_s, result.makespan,
+            width, height, rng=None,
+        )
+        controller = ClosedLoopController(
+            engine=_engine(),
+            sensor=CapacitiveSensor(
+                false_positive_rate=0.02, false_negative_rate=0.05
+            ),
+        )
+        outcome = controller.run(result, events, seed=11, mode="closed-loop")
+        blob = json.dumps(_strip_timing(outcome.to_dict()), sort_keys=True)
+        digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
+        assert digest == self.DIGESTS[assay, model]
 
 
 class TestTimelineOrder:

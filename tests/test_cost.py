@@ -75,9 +75,6 @@ class TestAreaCost:
         with pytest.raises(ValueError):
             AreaCost(pull_weight=-1.0)
 
-    def test_area_term(self):
-        p = feasible_placement()
-        assert AreaCost(alpha=2.0).area_term(p) == pytest.approx(2.0 * p.area_mm2)
 
 
 class TestFaultAwareCost:

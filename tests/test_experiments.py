@@ -46,11 +46,6 @@ class TestFig6Schedule:
         study = pcr_case_study()
         assert study.peak_cell_demand <= 63
 
-    def test_figure6_rows_sorted(self):
-        rows = pcr_case_study().figure6_rows()
-        starts = [s for _, s, _ in rows]
-        assert starts == sorted(starts)
-
     def test_schedule_respects_dependencies(self):
         study = pcr_case_study()
         study.schedule.validate_precedence(study.graph)

@@ -157,11 +157,6 @@ class TestFeasibility:
         with pytest.raises(PlacementError, match="overlaps"):
             p.validate()
 
-    def test_overlap_volume_against(self):
-        p = Placement(20, 20)
-        p.add(pm("a", x=1, y=1))
-        other = pm("b", x=2, y=2)
-        assert p.overlap_volume_against(other) > 0
 
 
 class TestTemporalViews:

@@ -10,7 +10,7 @@ from repro.placement.annealer import AnnealingParams, SimulatedAnnealing
 from repro.placement.incremental import IncrementalCostEvaluator
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.recovery import OnlineRecoveryEngine
-from repro.recovery.engine import FaultAvoidanceCost, pick_fault_cell
+from repro.recovery.engine import CORE_SLACK, FaultAvoidanceCost, pick_fault_cell
 from repro.synthesis.flow import SynthesisFlow
 from repro.util.errors import RecoveryError
 
@@ -89,8 +89,8 @@ def test_unrecoverable_fault_yields_explicit_infeasibility(routed_pcr, engine):
     w, h = routed_pcr.placement_result.array_dims
     everything = [
         (x, y)
-        for x in range(1, w + engine.core_slack + 1)
-        for y in range(1, h + engine.core_slack + 1)
+        for x in range(1, w + CORE_SLACK + 1)
+        for y in range(1, h + CORE_SLACK + 1)
     ]
     outcome = engine.recover(routed_pcr, everything, t, seed=3)
     assert not outcome.recovered
@@ -133,8 +133,8 @@ def test_relocate_fails_fast_without_a_mer_site(routed_pcr, engine):
     w, h = routed_pcr.placement_result.array_dims
     everything = [
         (x, y)
-        for x in range(1, w + engine.core_slack + 1)
-        for y in range(1, h + engine.core_slack + 1)
+        for x in range(1, w + CORE_SLACK + 1)
+        for y in range(1, h + CORE_SLACK + 1)
     ]
     outcome = engine.recover(routed_pcr, everything, t, rung="relocate")
     assert not outcome.recovered

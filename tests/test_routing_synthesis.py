@@ -174,7 +174,7 @@ class TestCompaction:
         assert "compaction" in str(report)
 
     def test_synthesizer_records_reports(self):
-        flow = make_flow(route=True, routing_synthesizer=RoutingSynthesizer(compact=True))
+        flow = make_flow(route=True)
         flow.run(build_pcr_mixing_graph(), explicit_binding=PCR_BINDING)
         reports = flow.routing_synthesizer.compaction_reports
         assert reports  # one per epoch that routed nets

@@ -240,7 +240,6 @@ class TestPackedDropletRouter:
                 blocked_rects=rects,
                 blocked_cells=[cell(slack=1) for _ in range(rng.randint(0, 4))],
                 other_droplets=[cell(slack=1) for _ in range(rng.randint(0, 3))],
-                allow_goal_adjacent_merge=rng.random() < 0.8,
                 inflate=rng.random() < 0.7,
             )
             assert _route_outcome(PackedDropletRouter(w, h), *args, **kwargs) == \

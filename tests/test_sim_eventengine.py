@@ -112,13 +112,6 @@ class TestTagsAndCancellation:
         assert engine.run() == 0
         assert fired == []
 
-    def test_peek_time_skips_cancelled_entries(self):
-        engine = DiscreteEventEngine()
-        engine.schedule(1.0, lambda: None, tag="a")
-        engine.schedule(2.0, lambda: None)
-        engine.cancel("a")
-        assert engine.peek_time() == 2.0
-
     def test_tag_is_released_after_firing(self):
         engine = DiscreteEventEngine()
         fired: list[str] = []

@@ -98,9 +98,3 @@ class TestBindingQueries:
         binding = ResourceBinder().bind(tiny_graph())
         with pytest.raises(BindingError):
             binding.spec_for("ghost")
-
-    def test_total_module_cells(self):
-        g = build_pcr_mixing_graph()
-        binding = ResourceBinder().bind(g, explicit=PCR_BINDING)
-        # 16+18+20+18+18+16+24 = 130 cells across all PCR modules.
-        assert binding.total_module_cells() == 130

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Point
-from repro.grid.array import MicrofluidicArray
 from repro.modules.library import MIXER_2X2
 from repro.placement.model import PlacedModule, Placement
 from repro.testing.detector import (
@@ -45,34 +44,28 @@ class TestSnakePath:
 
 class TestTestDroplet:
     def test_healthy_array_passes(self):
-        array = MicrofluidicArray(4, 4)
-        outcome = TestDroplet().walk(array, snake_path(4, 4))
+        outcome = TestDroplet().walk(frozenset(), snake_path(4, 4))
         assert outcome.passed
         assert outcome.steps_taken == 16
 
     def test_stalls_at_faulty_cell(self):
-        array = MicrofluidicArray(4, 4)
         path = snake_path(4, 4)
-        array.mark_faulty(path[5])
-        outcome = TestDroplet().walk(array, path)
+        outcome = TestDroplet().walk(frozenset({path[5]}), path)
         assert not outcome.passed
         assert outcome.stalled_before == path[5]
         assert outcome.steps_taken == 5
 
     def test_faulty_start_cell(self):
-        array = MicrofluidicArray(3, 3)
-        array.mark_faulty((1, 1))
-        outcome = TestDroplet().walk(array, snake_path(3, 3))
+        outcome = TestDroplet().walk(frozenset({Point(1, 1)}), snake_path(3, 3))
         assert not outcome.passed and outcome.steps_taken == 0
 
     def test_non_adjacent_path_rejected(self):
-        array = MicrofluidicArray(4, 4)
         with pytest.raises(ValueError, match="adjacent"):
-            TestDroplet().walk(array, [Point(1, 1), Point(3, 1)])
+            TestDroplet().walk(frozenset(), [Point(1, 1), Point(3, 1)])
 
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError):
-            TestDroplet().walk(MicrofluidicArray(2, 2), [])
+            TestDroplet().walk(frozenset(), [])
 
 
 class TestCapacitiveSensor:
@@ -83,16 +76,13 @@ class TestCapacitiveSensor:
             CapacitiveSensor(threshold_pf=WET_CAPACITANCE_PF * 2)
 
     def test_observation_matches_outcome(self):
-        array = MicrofluidicArray(3, 3)
-        outcome = TestDroplet().walk(array, snake_path(3, 3))
+        outcome = TestDroplet().walk(frozenset(), snake_path(3, 3))
         obs = CapacitiveSensor().observe(outcome)
         assert obs.droplet_arrived
         assert obs.capacitance_pf == WET_CAPACITANCE_PF
 
     def test_failed_walk_reads_dry(self):
-        array = MicrofluidicArray(3, 3)
-        array.mark_faulty((3, 3))
-        outcome = TestDroplet().walk(array, snake_path(3, 3))
+        outcome = TestDroplet().walk(frozenset({Point(3, 3)}), snake_path(3, 3))
         obs = CapacitiveSensor().observe(outcome)
         assert not obs.droplet_arrived
         assert obs.capacitance_pf == DRY_CAPACITANCE_PF
@@ -100,25 +90,20 @@ class TestCapacitiveSensor:
 
 class TestFaultLocalizer:
     def test_clean_path_reports_none(self):
-        array = MicrofluidicArray(4, 4)
-        result = FaultLocalizer().localize(array, snake_path(4, 4))
+        result = FaultLocalizer().localize(frozenset(), snake_path(4, 4))
         assert not result.fault_found
         assert result.runs == 1
 
     @given(idx=st.integers(0, 24))
     @settings(max_examples=25, deadline=None)
     def test_finds_exact_cell(self, idx):
-        array = MicrofluidicArray(5, 5)
         path = snake_path(5, 5)
-        array.mark_faulty(path[idx])
-        result = FaultLocalizer().localize(array, path)
+        result = FaultLocalizer().localize(frozenset({path[idx]}), path)
         assert result.faulty_cell == path[idx]
 
     def test_logarithmic_run_count(self):
-        array = MicrofluidicArray(8, 8)
         path = snake_path(8, 8)  # 64 cells
-        array.mark_faulty(path[37])
-        result = FaultLocalizer().localize(array, path)
+        result = FaultLocalizer().localize(frozenset({path[37]}), path)
         # 1 full run + ceil(log2(64)) = 6 probes, plus slack for rounding.
         assert result.runs <= 8
 
@@ -160,19 +145,16 @@ class TestOnlineTester:
     def test_plan_and_execute_clean(self):
         p = Placement(6, 6)
         p.add(PlacedModule("a", MIXER_2X2, x=1, y=1, start=0, stop=10))
-        array = MicrofluidicArray(6, 6)
         tester = OnlineTester()
         plan = tester.plan(p, at_time=5)
-        report = tester.execute(array, plan)
+        report = tester.execute(frozenset(), plan)
         assert report.faults_found == ()
 
     def test_finds_fault_on_free_cell(self):
         p = Placement(6, 6)
         p.add(PlacedModule("a", MIXER_2X2, x=1, y=1, start=0, stop=10))
-        array = MicrofluidicArray(6, 6)
-        array.mark_faulty((6, 6))
         tester = OnlineTester()
-        report = tester.execute(array, tester.plan(p, at_time=5))
+        report = tester.execute(frozenset({Point(6, 6)}), tester.plan(p, at_time=5))
         assert Point(6, 6) in report.faults_found
 
     def test_plan_covers_free_cells(self):
