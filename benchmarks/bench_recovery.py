@@ -97,12 +97,10 @@ def _offline_baseline_recovers(assay: str, cell) -> bool:
         result.schedule,
         result.binding,
         result.placement_result.placement,
-        strict=False,
         routing_plan=plan,
+        plan_covers_faults=[cell],
     )
-    sim_cell = sim.sim_cell(cell)
-    sim.plan_covers_faults = frozenset((sim_cell,))
-    report = sim.run(faults=[(0.0, sim_cell)])
+    report = sim.run(faults=[(0.0, sim.sim_cell(cell))])
     return report.completed
 
 

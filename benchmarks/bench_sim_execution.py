@@ -1,10 +1,10 @@
-"""Event-driven simulation core: the acceptance gate.
+"""Realize-then-replay simulation core: the acceptance gate.
 
-The simulator's replay loop was rebuilt on a heap-ordered discrete-event
-engine (``repro.sim.eventengine``); the fixed-timestep driver stays as
-the bit-identical reference (``oracles.SteppedSimulator`` in
-``tests/oracles/``). This benchmark is the proof obligation of that
-rewrite:
+The simulator's replay runs on the packed transport kernel, memoized
+route and parking queries and log-truncated checkpoints; the
+fixed-timestep driver stays as the bit-identical reference
+(``oracles.SteppedSimulator`` in ``tests/oracles/``). This benchmark is
+the proof obligation of that rewrite:
 
 1. **Parity.** On every bundled assay — nominal and through a +/-10%
    mid-assay fault grid — the two engines must produce bit-identical
@@ -36,7 +36,7 @@ from oracles import SteppedSimulator, stepped_replays
 from repro.assay.catalog import BUNDLED_ASSAYS, build_assay
 from repro.placement.annealer import AnnealingParams
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
-from repro.sim.engine import BiochipSimulator
+from repro.sim.engine import BiochipSimulator, replay_events
 from repro.synthesis.flow import SynthesisFlow
 from repro.util.errors import SimulationError
 from repro.util.tables import format_table
@@ -76,7 +76,6 @@ def _simulator(assay: str, engine: str) -> BiochipSimulator:
         result.schedule,
         result.binding,
         result.placement_result.placement,
-        strict=False,
     )
 
 
@@ -134,13 +133,13 @@ def test_engine_parity_and_speedup(assay):
         )
         total_event += event_s
         total_stepped += stepped_s
-        events_processed += event_sim._event_stats["processed"]
+        events_processed += replay_events(faults, event_report)
         per_assay["scenarios"][name] = {
             "completed": event_report.completed,
             "event_ms": event_s * 1000,
             "stepped_ms": stepped_s * 1000,
             "speedup": stepped_s / event_s,
-            "queue_events": event_sim._event_stats["processed"],
+            "queue_events": replay_events(faults, event_report),
             "log_events": len(event_report.events),
         }
         if assay == "pcr" and name == "nominal":
@@ -178,7 +177,7 @@ def test_replay_speedup_bar(report, bench_json):
         sorted(_assay_rows),
     )
     report(
-        "Event-driven vs stepped simulation (parity asserted per scenario)",
+        "Replay vs stepped simulation (parity asserted per scenario)",
         f"{table}\n\naggregate {aggregate:.1f}x, paper schedule (tree16) "
         f"{paper:.1f}x (bar {SPEEDUP_BAR}x, fast={FAST})",
     )
@@ -241,7 +240,8 @@ def test_monte_carlo_sweep_sim_speedup(report, bench_json):
         def sim_work(sim):
             for faults, time_s in grid:
                 cp = sim.checkpoint(time_s, faults=faults)
-                sim.resume(cp)
+                cp.validate(sim.schedule)
+                sim.run(faults=cp.faults)
 
         sim_work(event_sim)  # warm both paths once, untimed
         sim_work(stepped_sim)

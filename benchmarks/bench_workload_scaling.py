@@ -226,7 +226,7 @@ def test_event_replay_matches_stepped_oracle():
         simulator(
             result.graph, result.schedule, result.binding,
             result.placement_result.placement,
-            routing_plan=result.routing_plan, strict=False,
+            routing_plan=result.routing_plan,
         )
         for simulator in (BiochipSimulator, SteppedSimulator)
     ]

@@ -96,6 +96,7 @@ def main() -> None:
         graph, result.schedule, result.binding, result.placement_result.placement
     )
     report = sim.run()
+    assert report.completed
     print()
     print("=== simulation ===")
     print(report.summary())

@@ -41,6 +41,7 @@ def main() -> None:
     nominal = BiochipSimulator(
         study.graph, study.schedule, study.binding, placement
     ).run()
+    assert nominal.completed
     print("=== nominal run ===")
     print(nominal.summary())
     print()

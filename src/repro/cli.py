@@ -9,8 +9,9 @@ Eleven commands cover the library's day-to-day uses without writing code:
   top-20 cumulative profile entries so perf work starts from data.
 * ``route`` — synthesize with the concurrent droplet-routing stage and
   print the verified per-net routing plan.
-* ``simulate`` — droplet-level replay of a synthesized assay on the
-  discrete-event engine, reporting wall time and events/sec.
+* ``simulate`` — droplet-level replay of a synthesized assay (faults
+  realized first, then every operation in realized order), reporting
+  wall time and events/sec.
 * ``portfolio`` — best-of-N seeded pipeline instances (in parallel with
   ``--jobs``), winner selected by ``--objective``.
 * ``batch`` — the (assay x design-time defect pattern) preset grid of
@@ -294,7 +295,7 @@ def _paired_faults(args: argparse.Namespace) -> list[tuple[float, tuple[int, int
 def cmd_simulate(args: argparse.Namespace) -> int:
     import time
 
-    from repro.sim.engine import BiochipSimulator
+    from repro.sim.engine import BiochipSimulator, replay_events
     from repro.synthesis.flow import SynthesisFlow
 
     if args.reps < 1:
@@ -314,7 +315,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         result.binding,
         result.placement_result.placement,
         routing_plan=result.routing_plan,
-        strict=False,
     )
 
     faults: list[tuple[float, tuple[int, int]]] = []
@@ -342,17 +342,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         report = sim.run(faults=faults)
         best = min(best, time.perf_counter() - t0)
-    # A failed replay returns its report before the queue stats exist;
-    # fall back to the report's own event count.
-    stats = getattr(sim, "_event_stats", None)
-    queue_events = stats["processed"] if stats else max(1, len(report.events))
+    events = replay_events(faults, report)
     if args.json:
         print(
             json.dumps(
                 {
                     "report": report.to_dict(),
                     "wall_ms": best * 1000,
-                    "events_per_s": queue_events / best,
+                    "events_per_s": events / best,
                 },
                 indent=2,
             )
@@ -362,7 +359,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print()
         print(
             f"replay: best of {args.reps} runs "
-            f"{best * 1000:.2f} ms = {queue_events / best:,.0f} events/s"
+            f"{best * 1000:.2f} ms = {events / best:,.0f} events/s"
         )
     return EXIT_OK if report.completed else EXIT_INFEASIBLE
 
@@ -822,7 +819,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser(
         "simulate",
-        help="droplet-level replay on the discrete-event engine",
+        help="droplet-level replay of a synthesized assay",
     )
     simulate.add_argument(
         "--fault-time", action="append", type=float, default=None,

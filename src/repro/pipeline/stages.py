@@ -142,13 +142,13 @@ class RouteStage:
 class SimVerifyStage:
     """Verify the synthesized configuration by droplet-level replay.
 
-    Runs the discrete-event simulator over the placed (and, when
+    Runs the droplet-level simulator over the placed (and, when
     present, routed) assay. The context's ``faulty_cells`` are injected
     as time-zero faults — translated from placement to simulator
     coordinates — so a defect scenario is genuinely exercised (module
     health checks, reconfiguration, fault-avoiding reroutes), not just
-    threaded through. The replay is not strict, so an unroutable
-    corner case surfaces as a failed report instead of raising.
+    threaded through. An unroutable corner case surfaces as a failed
+    report instead of raising.
     """
 
     name = "verify"
@@ -162,7 +162,6 @@ class SimVerifyStage:
             context.schedule,
             context.binding,
             placement,
-            strict=False,
             routing_plan=context.routing_plan,
         )
         faults = [(0.0, simulator.sim_cell(p)) for p in context.faulty_cells]

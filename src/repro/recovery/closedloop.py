@@ -618,12 +618,8 @@ class ClosedLoopController:
             result.schedule,
             result.binding,
             result.placement_result.placement,
-            strict=False,
             routing_plan=result.routing_plan,
-            plan_covers_faults=(),
-        )
-        sim.plan_covers_faults = frozenset(
-            sim.sim_cell(c) for c in state.believed
+            plan_covers_faults=state.believed,
         )
         timeline = [
             (e.time_s, sim.sim_cell(e.cell), e.kind) for e in events

@@ -422,7 +422,6 @@ class OnlineRecoveryEngine:
             result.schedule,
             result.binding,
             result.placement_result.placement,
-            strict=False,
             routing_plan=result.routing_plan,
         )
         self._nominal_sim = (result, sim)
@@ -708,14 +707,12 @@ class OnlineRecoveryEngine:
             result.schedule,
             result.binding,
             working,
-            strict=False,
             routing_plan=merged,
-            plan_covers_faults=(),
+            plan_covers_faults=known + faults,
         )
         sim_faults = [(0.0, sim.sim_cell(f)) for f in known] + [
             (fault_time_s, sim.sim_cell(f)) for f in faults
         ]
-        sim.plan_covers_faults = frozenset(c for _, c in sim_faults)
         report = sim.run(faults=sim_faults)
 
         moved = tuple(

@@ -1,40 +1,36 @@
-"""Discrete-event execution of a placed, scheduled bioassay.
+"""Execution of a placed, scheduled bioassay on a simulated array.
 
-The engine replays an assay on a simulated electrowetting array:
+The engine replays an assay on a simulated electrowetting array in the
+two steps of the paper's partial reconfiguration:
 
 1. A *realized timeline* is derived from the nominal schedule. Without
-   faults it equals the schedule; a fault injected mid-run triggers the
-   detect -> partially-reconfigure -> restart loop on the affected
-   module, and the delay propagates to data-dependent successors.
-2. A *droplet replay* then executes operations in realized order:
-   reagent droplets are dispensed at boundary ports, routed (with
-   fluidic constraints, around operating modules and faulty cells) to
-   their module's functional region, merged, held for the operation
-   time, and the product forwarded — ending with the assay product
-   leaving through the output port.
+   faults it equals the schedule; each fault entry, in timeline order,
+   triggers the detect -> partially-reconfigure -> restart loop on the
+   affected module, and the delay propagates to data-dependent successors.
+2. A *droplet replay* then executes operations in realized order
+   ``(realized start, op id)``: reagent droplets are dispensed at
+   boundary ports, routed (with fluidic constraints, around operating
+   modules and faulty cells) to their module's functional region,
+   merged, held for the operation time, and the product forwarded —
+   ending with the assay product leaving through the output port.
 
-The replay *verifies* the configuration: an infeasible placement, an
-unroutable transport, or a failed relocation all surface as
-:class:`~repro.util.errors.SimulationError` (or a failed report when
-``strict=False``).
-
-The replay runs on a discrete-event core: fault injections and
-operation dispatches are events on a heap-ordered
-:class:`~repro.sim.eventengine.DiscreteEventEngine` (tag-keyed
-cancellation slides a dispatch when a fault delays its operation),
-transports run on the packed-integer
+No dispatch feeds back into the timeline, so the driver is exactly
+these two loops. The replay *verifies* the configuration: an
+infeasible placement, an unroutable transport, or a failed relocation
+all surface as a failed :class:`SimulationReport` naming the cause.
+Transports run on the packed-integer
 :class:`~repro.sim.fastgrid.PackedDropletRouter`, and completed runs
 feed a log cache that turns :meth:`BiochipSimulator.checkpoint` into a
-log truncation. The test
-suite keeps the original fixed-timestep driver as an oracle
-(``tests/oracles/``) and asserts bit-identical reports against it.
+log truncation. The test suite keeps the original fixed-timestep driver
+as an oracle (``tests/oracles/``) and asserts bit-identical reports
+against it.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import OrderedDict, deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from repro.assay.graph import SequencingGraph
@@ -43,9 +39,9 @@ from repro.fault.reconfigure import PartialReconfigurer, Relocation
 from repro.geometry import Point
 from repro.placement.model import PlacedModule, Placement
 from repro.routing.plan import RoutingPlan, chebyshev
+from repro.routing.synthesis import RoutingSynthesizer
 from repro.sim.droplet import Droplet
 from repro.sim.electrowetting import ElectrowettingModel
-from repro.sim.eventengine import DiscreteEventEngine
 from repro.sim.fastgrid import PackedDropletRouter
 from repro.util.errors import (
     ReconfigurationError,
@@ -134,6 +130,13 @@ class SimulationReport:
         return "\n".join(lines)
 
 
+def replay_events(faults: Sequence, report: SimulationReport) -> int:
+    """Events one replay handles: each fault-timeline entry, then each
+    dispatched operation. A failed report realizes no operation, so it
+    counts its fault entries alone."""
+    return len(faults) + len(report.realized_finish)
+
+
 @dataclass
 class _OpState:
     """Internal per-operation bookkeeping."""
@@ -144,13 +147,6 @@ class _OpState:
     finish: float
     restarted: bool = False
 
-
-# Event-time phases: every timeline-realization (fault) event precedes
-# every replay (dispatch) event on the queue's time axis, encoding
-# realize-then-replay semantics in the event order (see DESIGN.md,
-# "Event-driven simulation core").
-_PHASE_REALIZE = 0
-_PHASE_REPLAY = 1
 
 #: Fault-injection kinds: a cell dies / a transient cell heals.
 _FAULT_KINDS = ("fail", "clear")
@@ -225,9 +221,9 @@ class SimCheckpoint:
     Built by :meth:`BiochipSimulator.checkpoint`: the operation
     classification (completed / in-flight / pending), the realized
     intervals, and the parked-droplet map are the *live state* at
-    ``time_s``, while the recorded fault history makes
-    :meth:`BiochipSimulator.resume` an exact deterministic replay —
-    resuming with no new fault reproduces the original event trace
+    ``time_s``, while the recorded fault history makes resumption an
+    exact deterministic replay: ``run(faults=[*cp.faults, *new])``
+    with no new fault reproduces the original event trace
     bit-identically (property-tested in
     ``tests/test_recovery_checkpoint.py``). All cells are in simulator
     coordinates.
@@ -357,27 +353,19 @@ class BiochipSimulator:
         schedule,
         binding,
         placement: Placement,
-        margin: int = 2,
-        strict: bool = True,
         routing_plan: RoutingPlan | None = None,
         plan_covers_faults: Iterable[Point | tuple[int, int]] = (),
     ) -> None:
-        if margin < 1:
-            raise ValueError(f"margin must be >= 1 (droplets need route lanes), got {margin}")
         self.graph = graph
         self.schedule = schedule
         self.binding = binding
         self.routing_plan = routing_plan
-        #: Faults (simulator coordinates) the routing plan was computed
-        #: against. Planned transports normally stop replaying the
-        #: moment any fault fires (the plan knows nothing about it); a
-        #: *recovery* plan re-synthesized against a known fault mask is
-        #: declared here so its transports keep replaying.
-        self.plan_covers_faults = frozenset(Point(*c) for c in plan_covers_faults)
         self.ew = ElectrowettingModel()
         self.reconfigurer = PartialReconfigurer()
-        self.strict = strict
 
+        # Route lanes around the array: the router's own boundary pad,
+        # so one constant frames both the plan and the replay.
+        margin = RoutingSynthesizer.margin
         normalized = placement.normalized()
         w, h = normalized.array_dims()
         # A routing plan was computed in the *input* placement's
@@ -387,6 +375,13 @@ class BiochipSimulator:
         # _planned_route once a plan is known to exist).
         bb = placement.bounding_box()
         self._norm_offset = (1 - bb.x + margin, 1 - bb.y + margin)
+        #: Faults the routing plan was computed against, given in
+        #: placement coordinates and held in simulator coordinates.
+        #: Planned transports normally stop replaying the moment any
+        #: fault fires (the plan knows nothing about it); a *recovery*
+        #: plan re-synthesized against a known fault mask is declared
+        #: here so its transports keep replaying.
+        self.plan_covers_faults = frozenset(map(self.sim_cell, plan_covers_faults))
         self.width = w + 2 * margin
         self.height = h + 2 * margin
         self.placement = Placement(self.width, self.height, pitch_mm=normalized.pitch_mm)
@@ -416,7 +411,7 @@ class BiochipSimulator:
         """Restore the constructed configuration so ``run()`` is
         re-entrant: the initial placement, the reservoir rotation at its
         first port, and droplet ids restarting at 1. This is what makes
-        checkpoint/resume an exact deterministic replay."""
+        a checkpoint's rerun an exact deterministic replay."""
         self.placement = self._initial_placement
         self._next_port = 0
         self._droplet_ids = itertools.count(1)
@@ -435,10 +430,10 @@ class BiochipSimulator:
     def sim_cell(self, p: Point | tuple[int, int]) -> Point:
         """Map a placement-coordinate cell to simulator coordinates.
 
-        The simulator normalizes the placement and pads it by
-        ``margin``; callers aiming a fault at a placement cell (e.g.
-        the pipeline's verify stage) use this instead of re-deriving
-        the offset.
+        The simulator normalizes the placement and pads it by the
+        router's boundary margin; callers aiming a fault at a placement
+        cell (e.g. the pipeline's verify stage) use this instead of
+        re-deriving the offset.
         """
         dx, dy = self._norm_offset
         return Point(p[0] + dx, p[1] + dy)
@@ -450,15 +445,19 @@ class BiochipSimulator:
         historical form) or ``(time, cell, kind)`` triples with kind
         ``"fail"`` or ``"clear"`` — the form fault models emit for
         transient/intermittent faults. Fault cells are given in the
-        *simulator's* coordinates (the placement shifted by
-        ``margin``); use :meth:`module_cell` to aim at a particular
-        module, or :meth:`sim_cell` to map placement coordinates.
+        *simulator's* coordinates (the placement normalized and padded
+        by the router's boundary margin); use :meth:`module_cell` to aim
+        at a particular module, or :meth:`sim_cell` to map placement
+        coordinates.
 
         A ``clear`` repairs the cell from its instant on (later
         transports may route through it again); it does **not** undo
         relocations or delays the earlier ``fail`` already caused —
         the controller cannot foresee self-recovery, so the rescue it
         triggered stands.
+
+        A run that cannot finish — an unrecoverable fault, an unroutable
+        transport — returns a failed report naming the cause.
         """
         self._reset_run_state()
         events: list[SimEvent] = []
@@ -469,8 +468,6 @@ class BiochipSimulator:
         try:
             states, product, transport = self._execute(fault_list, events, relocations)
         except (RoutingError, ReconfigurationError, SimulationError) as exc:
-            if self.strict:
-                raise SimulationError(str(exc)) from exc
             return SimulationReport(
                 completed=False,
                 events=events,
@@ -561,11 +558,7 @@ class BiochipSimulator:
         key = tuple(fault_list)
         log = self._cached_log(key)
         if log is None:
-            strict, self.strict = self.strict, False
-            try:
-                report = self.run(faults=fault_list)
-            finally:
-                self.strict = strict
+            report = self.run(faults=fault_list)
             if not report.completed:
                 raise SimulationError(
                     f"cannot checkpoint a failed run: {report.failure_reason}"
@@ -602,32 +595,6 @@ class BiochipSimulator:
             placement=log.report.final_placement,
             nominal_makespan=log.report.nominal_makespan,
         )
-
-    def resume(
-        self,
-        checkpoint: SimCheckpoint,
-        new_faults: Iterable[tuple] = (),
-    ) -> SimulationReport:
-        """Resume from *checkpoint*, optionally injecting *new_faults*.
-
-        Resumption is deterministic replay: the run re-executes from
-        time zero with the checkpoint's recorded fault history plus the
-        new faults, so with no new fault the returned report's event
-        trace equals the original bit for bit (and its prefix up to the
-        checkpoint instant always does when new faults only fire later).
-        New faults must not predate the checkpoint — the past is
-        already fixed. A corrupted or truncated checkpoint is rejected
-        with :class:`~repro.util.errors.RecoveryError` up front.
-        """
-        checkpoint.validate(self.schedule)
-        extra = _normalize_faults(new_faults)
-        early = [f for f in extra if f[0] < checkpoint.time_s]
-        if early:
-            raise ValueError(
-                f"resume from t={checkpoint.time_s:g} cannot inject faults "
-                f"in the past: {early}"
-            )
-        return self.run(faults=[*checkpoint.faults, *extra])
 
     # -- phase 1: realized timeline ----------------------------------------------------
 
@@ -842,7 +809,7 @@ class BiochipSimulator:
         self._position_log.append((state.finish, op_id, merged.position))
         return transport_cells, None
 
-    # -- event-driven execution ----------------------------------------------------------
+    # -- the driver ----------------------------------------------------------------------
 
     def _execute(
         self,
@@ -850,83 +817,33 @@ class BiochipSimulator:
         events: list[SimEvent],
         relocations: list[Relocation],
     ) -> tuple[dict[str, _OpState], Droplet | None, int]:
-        """Run the assay on the discrete-event queue.
+        """Realize the fault timeline, then replay the assay on it.
 
-        Fault injections are scheduled at ``(_PHASE_REALIZE, t)`` and
-        operation dispatches at ``(_PHASE_REPLAY, realized start)`` with
-        ``priority=op_id`` — so every fault fires before any dispatch
-        (realize-then-replay semantics, encoded on the time axis) and
-        same-instant dispatches fire in op-id order
-        (``sorted(states, key=(start, op_id))``). A
-        fault handler that shifts an operation's realized start slides
-        its pending dispatch via tag replacement; since propagation
-        only ever delays and every affected op starts after the fault,
-        the replaced event is always still pending.
+        Every fault entry is applied in timeline order before any
+        operation runs; then each operation runs once, in the total
+        order ``(realized start, op id)``. Two loops suffice: a fault
+        only moves modules and delays starts, and a dispatch never
+        changes the timeline (see DESIGN.md, "Realize-then-replay
+        simulation core").
         """
         states = self._initial_states()
+        for fault_time, cell, kind in faults:
+            if kind == "fail":
+                self._apply_fault(fault_time, cell, states, faults, events, relocations)
+            else:
+                self._apply_clear(fault_time, cell, events)
         droplet_of: dict[str, Droplet] = {}
         self._begin_replay(states)
-        engine = DiscreteEventEngine()
-        totals = [0]  # transport cells (closure accumulator)
-        product_box: list[Droplet | None] = [None]
-        scheduled_start: dict[str, float] = {}
-
-        def dispatcher(op_id: str):
-            def fire() -> None:
-                cells, out = self._execute_op(
-                    op_id, states, faults, events, droplet_of
-                )
-                totals[0] += cells
-                if out is not None:
-                    product_box[0] = out
-            return fire
-
-        def schedule_op(op_id: str) -> None:
-            start = states[op_id].start
-            scheduled_start[op_id] = start
-            engine.schedule(
-                (_PHASE_REPLAY, start),
-                dispatcher(op_id),
-                priority=op_id,
-                tag=("dispatch", op_id),
-            )
-
-        def fault_handler(fault_time: float, cell: Point):
-            def fire() -> None:
-                self._apply_fault(
-                    fault_time, cell, states, faults, events, relocations
-                )
-                # Slide every dispatch whose realized start moved.
-                for op_id, start in scheduled_start.items():
-                    if states[op_id].start != start:
-                        schedule_op(op_id)
-            return fire
-
-        def clear_handler(clear_time: float, cell: Point):
-            def fire() -> None:
-                self._apply_clear(clear_time, cell, events)
-            return fire
-
-        for fault_time, cell, kind in faults:
-            handler = (
-                fault_handler(fault_time, cell)
-                if kind == "fail"
-                else clear_handler(fault_time, cell)
-            )
-            engine.schedule((_PHASE_REALIZE, fault_time), handler)
-        for op_id in sorted(states):
-            schedule_op(op_id)
-        engine.run()
-        self._event_stats = {
-            "processed": engine.processed,
-            "scheduled": engine.scheduled,
-            "cancelled": engine.cancelled,
-        }
-
-        product = product_box[0]
+        transport = 0
+        product = None
+        for op_id in sorted(states, key=lambda o: (states[o].start, o)):
+            cells, out = self._execute_op(op_id, states, faults, events, droplet_of)
+            transport += cells
+            if out is not None:
+                product = out
         if product is None:
             product = self._sink_product(droplet_of)
-        return states, product, totals[0]
+        return states, product, transport
 
     def _park_product(
         self,

@@ -1,15 +1,18 @@
-"""The fixed-timestep simulator driver: the oracle for the event engine.
+"""The fixed-timestep simulator driver: the oracle for the production replay.
 
-:class:`repro.sim.engine.BiochipSimulator` replays an assay on a
-discrete-event queue, routes transports on the packed BFS kernel and
-checkpoints by truncating a cached run log. :class:`SteppedSimulator`
-is the sequential driver it replaced, kept bit-identical: it realizes
-the whole fault timeline first, then replays every operation in
-``(realized start, op id)`` order, routes on the per-``Point`` A*
-router, searches every parking cell afresh and re-runs the simulation
-for every checkpoint. For a fixed fault list both drivers
-must produce the identical :class:`~repro.sim.engine.SimulationReport`
-— events, timings, per-droplet position log, failure text.
+:class:`repro.sim.engine.BiochipSimulator` realizes the fault timeline,
+then replays every operation in ``(realized start, op id)`` order,
+routing transports on the packed BFS kernel with memoized queries and
+checkpointing by truncating a cached run log. :class:`SteppedSimulator`
+is the sequential driver it replaced, kept bit-identical and kept as
+its own independent copy of the two loops (``_realize_timeline`` and
+``_replay_droplets``): it routes on the per-``Point`` A* router,
+searches every parking cell afresh and re-runs the simulation for every
+checkpoint. For a fixed fault list both drivers must produce the
+identical :class:`~repro.sim.engine.SimulationReport` — events,
+timings, per-droplet position log, failure text. Because both run the
+same dispatch order, parity does not check that order;
+``tests/test_sim_eventengine.py::TestReplayOrder`` does.
 
 :func:`stepped_replays` swaps the oracle in wherever the library builds
 a simulator (the pipeline's verify stage, recovery and the closed

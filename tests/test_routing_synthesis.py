@@ -139,6 +139,7 @@ class TestSimulatorReplay:
             r.graph, r.schedule, r.binding, r.placement_result.placement,
             routing_plan=r.routing_plan,
         ).run()
+        assert baseline.completed and replay.completed
         assert baseline.planned_transports == 0
         assert replay.product.reagents == baseline.product.reagents
         assert replay.realized_makespan == baseline.realized_makespan

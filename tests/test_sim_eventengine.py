@@ -1,23 +1,25 @@
-"""The discrete-event simulation core: queue semantics and parity.
+"""The realize-then-replay simulation core: dispatch order and parity.
 
 Two layers of guarantees:
 
-1. :class:`~repro.sim.eventengine.DiscreteEventEngine` unit tests — the
-   deterministic total order (time, then priority, then scheduling
-   sequence), 6tisch-style tag replacement, lazy cancellation, the
-   ``until`` horizon, and the no-scheduling-into-the-past contract.
-2. Engine parity properties — the event-driven replay in
-   :class:`~repro.sim.engine.BiochipSimulator` is a *performance*
-   rewrite, not a semantic one: for any bundled assay and fault
-   scenario, it and the stepped oracle
-   (:class:`oracles.SteppedSimulator`) must produce bit-identical
-   :class:`SimulationReport`\\ s (events, realized intervals, transport
-   accounting — everything), and checkpoints taken from the event log
-   must equal the stepped oracle's replayed ones.
+1. The replay-order contract — every fault entry is realized before
+   any operation runs, then each operation is dispatched once in the
+   total order ``(realized start, op id)``: a fault restart that delays
+   an operation past another's start reorders their dispatches, and
+   same-instant dispatches run in op-id order.
+2. Engine parity properties — the production replay in
+   :class:`~repro.sim.engine.BiochipSimulator` (packed router, memos,
+   log-truncated checkpoints) is a *performance* rewrite, not a
+   semantic one: for any bundled assay and fault scenario, it and the
+   stepped oracle (:class:`oracles.SteppedSimulator`) must produce
+   bit-identical :class:`SimulationReport`\\ s (events, realized
+   intervals, transport accounting — everything), and checkpoints taken
+   from the run log must equal the stepped oracle's replayed ones.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 import pytest
@@ -28,130 +30,9 @@ from oracles import SteppedSimulator
 from repro.assay.catalog import build_assay
 from repro.placement.annealer import AnnealingParams
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
-from repro.sim import DiscreteEventEngine
 from repro.sim.engine import BiochipSimulator
 from repro.synthesis.flow import SynthesisFlow
 from repro.util.errors import SimulationError
-
-
-# ---------------------------------------------------------------------------
-# DiscreteEventEngine unit tests
-# ---------------------------------------------------------------------------
-
-
-class TestEventQueueOrdering:
-    def test_fires_in_time_order_regardless_of_scheduling_order(self):
-        engine = DiscreteEventEngine()
-        fired: list[str] = []
-        engine.schedule(3.0, lambda: fired.append("c"))
-        engine.schedule(1.0, lambda: fired.append("a"))
-        engine.schedule(2.0, lambda: fired.append("b"))
-        assert engine.run() == 3
-        assert fired == ["a", "b", "c"]
-        assert engine.now == 3.0
-
-    def test_priority_breaks_time_ties(self):
-        engine = DiscreteEventEngine()
-        fired: list[str] = []
-        engine.schedule(1.0, lambda: fired.append("low"), priority=9)
-        engine.schedule(1.0, lambda: fired.append("high"), priority=0)
-        engine.run()
-        assert fired == ["high", "low"]
-
-    def test_sequence_breaks_full_ties_fifo(self):
-        engine = DiscreteEventEngine()
-        fired: list[int] = []
-        for i in range(5):
-            engine.schedule(1.0, lambda i=i: fired.append(i), priority=0)
-        engine.run()
-        assert fired == [0, 1, 2, 3, 4]
-
-    def test_tuple_times_order_lexicographically(self):
-        # The replay layer uses (phase, seconds) times; phase dominates.
-        engine = DiscreteEventEngine()
-        fired: list[str] = []
-        engine.schedule((1, 0.0), lambda: fired.append("replay@0"))
-        engine.schedule((0, 99.0), lambda: fired.append("fault@99"))
-        engine.run()
-        assert fired == ["fault@99", "replay@0"]
-
-    def test_callbacks_can_schedule_future_events_within_a_run(self):
-        engine = DiscreteEventEngine()
-        fired: list[float] = []
-
-        def chain(t: float) -> None:
-            fired.append(t)
-            if t < 3.0:
-                engine.schedule(t + 1.0, lambda: chain(t + 1.0))
-
-        engine.schedule(1.0, lambda: chain(1.0))
-        assert engine.run() == 3
-        assert fired == [1.0, 2.0, 3.0]
-
-
-class TestTagsAndCancellation:
-    def test_tag_replacement_keeps_only_the_latest(self):
-        engine = DiscreteEventEngine()
-        fired: list[str] = []
-        engine.schedule(1.0, lambda: fired.append("old"), tag="op")
-        engine.schedule(2.0, lambda: fired.append("new"), tag="op")
-        engine.run()
-        assert fired == ["new"]
-        assert engine.cancelled == 1
-        assert engine.scheduled == 2
-        assert engine.processed == 1
-
-    def test_cancel_is_lazy_and_idempotent(self):
-        engine = DiscreteEventEngine()
-        fired: list[str] = []
-        engine.schedule(1.0, lambda: fired.append("x"), tag="t")
-        assert engine.cancel("t") is True
-        assert engine.cancel("t") is False
-        assert engine.cancel("never-scheduled") is False
-        assert engine.pending == 0
-        assert engine.run() == 0
-        assert fired == []
-
-    def test_tag_is_released_after_firing(self):
-        engine = DiscreteEventEngine()
-        fired: list[str] = []
-        engine.schedule(1.0, lambda: fired.append("first"), tag="op")
-        engine.run()
-        # Re-using the tag after its event fired schedules fresh —
-        # nothing left to replace.
-        engine.schedule(2.0, lambda: fired.append("second"), tag="op")
-        engine.run()
-        assert fired == ["first", "second"]
-        assert engine.cancelled == 0
-
-
-class TestRunSemantics:
-    def test_until_leaves_later_events_queued(self):
-        engine = DiscreteEventEngine()
-        fired: list[float] = []
-        for t in (1.0, 2.0, 3.0):
-            engine.schedule(t, lambda t=t: fired.append(t))
-        assert engine.run(until=2.0) == 2
-        assert fired == [1.0, 2.0]
-        assert engine.pending == 1
-        assert engine.run() == 1
-        assert fired == [1.0, 2.0, 3.0]
-
-    def test_scheduling_into_the_past_raises(self):
-        engine = DiscreteEventEngine()
-        engine.schedule(5.0, lambda: None)
-        engine.run()
-        with pytest.raises(SimulationError, match="before the current"):
-            engine.schedule(4.0, lambda: None)
-
-    def test_scheduling_at_the_current_instant_is_allowed(self):
-        engine = DiscreteEventEngine()
-        fired: list[str] = []
-        engine.schedule(
-            1.0, lambda: engine.schedule(1.0, lambda: fired.append("same-t"))
-        )
-        engine.run()
-        assert fired == ["same-t"]
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +64,6 @@ def _simulator(assay: str, engine: str) -> BiochipSimulator:
         result.schedule,
         result.binding,
         result.placement_result.placement,
-        strict=False,
     )
 
 
@@ -207,6 +87,66 @@ def _comparable(report) -> tuple:
         report.product.reagents if report.product is not None else None,
         report.product.volume_nl if report.product is not None else None,
     )
+
+
+class TestReplayOrder:
+    """The dispatch order the driver guarantees. Parity with the oracle
+    cannot check it: both drivers run the same two loops."""
+
+    @staticmethod
+    def _dispatched(sim: BiochipSimulator, faults) -> tuple[list[str], object]:
+        """Run *faults*, recording the order operations are dispatched in."""
+        order: list[str] = []
+        execute_op = sim._execute_op
+
+        def spy(op_id, *args):
+            order.append(op_id)
+            return execute_op(op_id, *args)
+
+        sim._execute_op = spy
+        return order, sim.run(faults=faults)
+
+    def test_fault_restart_reorders_dispatch_past_a_sibling(self):
+        sim = _simulator("pcr", "event")
+        graph = sim.graph
+        nominal = {op: (sim.schedule.start(op), op) for op in sim.schedule.op_ids()}
+        modules = sorted(pm.op_id for pm in sim.placement)
+        siblings = [
+            (a, b)
+            for a, b in itertools.permutations(modules, 2)
+            if set(graph.successors(a)) & set(graph.successors(b))
+        ]
+        for pick in itertools.product(range(len(modules)), (0.1, 0.2, 0.3, 0.4, 0.5)):
+            faults = _fault_grid(sim, [pick])
+            order, report = self._dispatched(sim, faults)
+            if not report.completed:
+                continue
+            realized = sim.checkpoint(report.realized_makespan, faults=faults).realized
+            overtaken = [
+                (a, b)
+                for a, b in siblings
+                if nominal[a] < nominal[b] and (realized[a][0], a) > (realized[b][0], b)
+            ]
+            if overtaken:
+                break
+        else:
+            pytest.fail("no single fault delays a pcr module past its sibling")
+        assert order == sorted(realized, key=lambda op: (realized[op][0], op))
+        late, early = overtaken[0]
+        assert order.index(early) < order.index(late)
+        starts = [e.op_id for e in report.events_of_kind("op-start")]
+        assert starts.index(early) < starts.index(late)
+
+    def test_same_instant_dispatches_run_in_op_id_order(self):
+        sim = _simulator("tree8", "event")
+        order, report = self._dispatched(sim, [])
+        assert report.completed
+        start = {op: sim.schedule.start(op) for op in order}
+        assert order == sorted(order, key=lambda op: (start[op], op))
+        starts = [e.op_id for e in report.events_of_kind("op-start")]
+        tied = [op for op in starts if sum(start[o] == start[op] for o in starts) > 1]
+        assert len(tied) > 1  # the scenario exercises the tie-break
+        assert starts == sorted(starts, key=lambda op: (start[op], op))
 
 
 class TestEngineParity:
@@ -283,15 +223,16 @@ class TestCheckpointOnEventLog:
         assert warm.events_prefix == cold.events_prefix
 
     def test_resume_round_trip_is_bit_identical(self):
-        """checkpoint -> resume with no new fault reproduces the
-        original run exactly, on both engines."""
+        """checkpoint -> rerun with its recorded faults and no new one
+        reproduces the original run exactly, on both engines."""
         for engine in ("event", "stepped"):
             sim = _simulator("pcr", engine)
             faults = _fault_grid(sim, [(2, 0.25)])
             original = sim.run(faults=faults)
             assert original.completed
             cp = sim.checkpoint(0.5 * sim.schedule.makespan, faults=faults)
-            resumed = sim.resume(cp)
+            cp.validate(sim.schedule)
+            resumed = sim.run(faults=cp.faults)
             assert _comparable(resumed) == _comparable(original)
 
     def test_resume_with_new_fault_matches_across_engines(self):
@@ -304,8 +245,8 @@ class TestCheckpointOnEventLog:
 
         event_cp = event_sim.checkpoint(time_s, faults=first)
         stepped_cp = stepped_sim.checkpoint(time_s, faults=first)
-        event_report = event_sim.resume(event_cp, new_faults=late)
-        stepped_report = stepped_sim.resume(stepped_cp, new_faults=late)
+        event_report = event_sim.run(faults=[*event_cp.faults, *late])
+        stepped_report = stepped_sim.run(faults=[*stepped_cp.faults, *late])
         assert _comparable(event_report) == _comparable(stepped_report)
 
     def test_checkpoint_rejects_future_faults(self):
