@@ -1,7 +1,7 @@
 """Realize-then-replay simulation core: the acceptance gate.
 
 The simulator's replay runs on the packed transport kernel, memoized
-route and parking queries and log-truncated checkpoints; the
+route and parking queries and checkpoints cut from memoized reports; the
 fixed-timestep driver stays as the bit-identical reference
 (``oracles.SteppedSimulator`` in ``tests/oracles/``). This benchmark is
 the proof obligation of that rewrite:
@@ -16,12 +16,13 @@ the proof obligation of that rewrite:
    ``REPRO_BENCH_FAST=1`` for noisy shared runners).
 3. **Sweep speedup.** The simulation work of a Monte-Carlo recovery
    grid — checkpoint + resume per scenario — must clear the same bar:
-   the event engine checkpoints by log truncation where the stepped
-   reference replays. The end-to-end wall of one recovery campaign per
+   the event engine cuts checkpoints from memoized reports where the
+   stepped reference replays. The end-to-end wall of one recovery campaign per
    engine is reported alongside.
 
-Results are written machine-readably to ``BENCH_sim.json``; CI runs
-this file under ``REPRO_BENCH_FAST=1`` and uploads the JSON artifact.
+Results are written machine-readably to ``BENCH_sim.json``. CI runs
+this file in full mode: it takes seconds, and only the full-mode sweep
+bar fails when checkpoints stop reusing memoized reports.
 """
 
 from __future__ import annotations

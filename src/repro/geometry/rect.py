@@ -91,15 +91,6 @@ class Rect:
         px, py = p
         return self.x <= px <= self.x2 and self.y <= py <= self.y2
 
-    def contains_rect(self, other: "Rect") -> bool:
-        """True if *other* lies entirely inside this rectangle."""
-        return (
-            self.x <= other.x
-            and self.y <= other.y
-            and other.x2 <= self.x2
-            and other.y2 <= self.y2
-        )
-
     def intersects(self, other: "Rect") -> bool:
         """True if the two rectangles share at least one cell."""
         return not (
@@ -108,16 +99,6 @@ class Rect:
             or other.y > self.y2
             or other.y2 < self.y
         )
-
-    def can_fit(self, width: int, height: int, allow_rotation: bool = True) -> bool:
-        """True if a ``width x height`` footprint fits inside this rectangle.
-
-        With *allow_rotation* the transposed footprint is also tried —
-        a virtual module on a DMFB has no preferred orientation.
-        """
-        if self.width >= width and self.height >= height:
-            return True
-        return allow_rotation and self.width >= height and self.height >= width
 
     # -- combinators ----------------------------------------------------------
 
@@ -135,14 +116,6 @@ class Rect:
         """Number of cells shared with *other* (0 if disjoint)."""
         inter = self.intersection(other)
         return inter.area if inter is not None else 0
-
-    def union_bounds(self, other: "Rect") -> "Rect":
-        """Smallest rectangle containing both rectangles."""
-        x1 = min(self.x, other.x)
-        y1 = min(self.y, other.y)
-        x2 = max(self.x2, other.x2)
-        y2 = max(self.y2, other.y2)
-        return Rect(x1, y1, x2 - x1 + 1, y2 - y1 + 1)
 
     def translated(self, dx: int, dy: int) -> "Rect":
         """Return a copy shifted by ``(dx, dy)``."""
@@ -189,12 +162,6 @@ class Rect:
         for yy in range(self.y, self.y + self.height):
             for xx in range(self.x, self.x + self.width):
                 yield Point(xx, yy)
-
-    def boundary_cells(self) -> Iterator[Point]:
-        """Yield cells on the rectangle's perimeter."""
-        for p in self.cells():
-            if p.x in (self.x, self.x2) or p.y in (self.y, self.y2):
-                yield p
 
     def __str__(self) -> str:
         return f"{self.width}x{self.height}@({self.x},{self.y})"

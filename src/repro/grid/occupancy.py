@@ -13,7 +13,7 @@ coordinates throughout.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -82,27 +82,10 @@ class OccupancyGrid:
         self._check(px, py)
         return bool(self._m[py - 1, px - 1])
 
-    def is_rect_free(self, rect: Rect) -> bool:
-        """True if every cell of *rect* is inside the grid and marked 0."""
-        if rect.x < 1 or rect.y < 1 or rect.x2 > self.width or rect.y2 > self.height:
-            return False
-        return not self._m[rect.y - 1 : rect.y2, rect.x - 1 : rect.x2].any()
-
     @property
     def occupied_count(self) -> int:
         """Number of cells marked 1."""
         return int(self._m.sum())
-
-    @property
-    def free_count(self) -> int:
-        """Number of cells marked 0."""
-        return self.width * self.height - self.occupied_count
-
-    def free_cells(self) -> Iterator[Point]:
-        """Yield all cells marked 0."""
-        ys, xs = np.nonzero(self._m == 0)
-        for y, x in zip(ys.tolist(), xs.tolist()):
-            yield Point(x + 1, y + 1)
 
     def as_matrix(self) -> np.ndarray:
         """Return a copy of the underlying ``(height, width)`` matrix."""

@@ -693,49 +693,3 @@ class IncrementalCostEvaluator:
         self.overlap_total = total
         self.conflict_pairs = pairs
         self.pull_sum = sum(X2) + sum(Y2)
-
-    # -- cross-check support -------------------------------------------------------
-
-    def check_consistency(self, tolerance: float = 1e-6) -> None:
-        """Assert every running structure matches a from-scratch rebuild.
-
-        Used by the cross-check mode and the property tests; raises
-        :class:`CrossCheckError` on any disagreement.
-        """
-        placement = self.placement
-        for i, op in enumerate(self.ops):
-            pm = placement.get(op)
-            fp = pm.footprint
-            if (fp.x, fp.y, fp.x2, fp.y2, pm.rotated) != (
-                self.x1[i], self.y1[i], self.x2[i], self.y2[i], self.rot[i]
-            ):
-                raise CrossCheckError(f"record desync for op {op!r}")
-        reference = placement.overlap_volume()
-        if abs(self.overlap_total - reference) > tolerance:
-            raise CrossCheckError(
-                f"overlap drift {abs(self.overlap_total - reference):g} "
-                f"exceeds {tolerance:g} (running {self.overlap_total!r}, "
-                f"reference {reference!r})"
-            )
-        if (self.conflict_pairs > 0) != (reference > 0):
-            raise CrossCheckError(
-                f"conflict-pair counter ({self.conflict_pairs}) disagrees "
-                f"with reference overlap {reference!r}"
-            )
-        for name, cnt, coords in (
-            ("x1", self._cx1, self.x1), ("y1", self._cy1, self.y1),
-            ("x2", self._cx2, self.x2), ("y2", self._cy2, self.y2),
-        ):
-            if cnt != _counts(coords, len(cnt)):
-                raise CrossCheckError(f"{name} edge histogram desync")
-        bb = placement.bounding_box()
-        if (bb.x, bb.y, bb.x2, bb.y2) != self.bounding_box():
-            raise CrossCheckError(
-                f"bounding box desync: histograms say {self.bounding_box()}, "
-                f"placement says {(bb.x, bb.y, bb.x2, bb.y2)}"
-            )
-        pull = sum(pm.footprint.x2 + pm.footprint.y2 for pm in placement)
-        if pull != self.pull_sum:
-            raise CrossCheckError(
-                f"pull-sum desync: running {self.pull_sum}, reference {pull}"
-            )

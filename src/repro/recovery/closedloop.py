@@ -531,15 +531,28 @@ class ClosedLoopController:
         trace: list[LadderStep] = []
         final: RecoveryOutcome | None = None
         last: RecoveryOutcome | None = None
+        # One checkpoint per detection, shared by every rung. When the
+        # nominal execution fails, every rung is refused with that error.
+        checkpoint = refused = None
+        try:
+            checkpoint = self.engine.nominal_checkpoint(
+                state.result, det.detected_at_s, known
+            )
+        except RecoveryError as exc:
+            refused = exc
         for rung in RECOVERY_RUNGS:
+            # relocate is deterministic: drawing no seed for it keeps
+            # every later rung's seed what it was without it.
+            seed = None if rung == "relocate" else spawn_seed(rng)
             try:
+                if refused is not None:
+                    raise refused
                 out = self.engine.recover(
                     state.result,
                     [cell],
                     det.detected_at_s,
-                    # relocate is deterministic: drawing no seed for it
-                    # keeps every later rung's seed what it was without it.
-                    seed=None if rung == "relocate" else spawn_seed(rng),
+                    seed=seed,
+                    checkpoint=checkpoint,
                     known_faults=known,
                     rung=rung,
                 )

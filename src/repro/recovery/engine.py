@@ -399,10 +399,12 @@ class OnlineRecoveryEngine:
         )
         self.reconfigurer = PartialReconfigurer()
         self.synthesizer = RoutingSynthesizer()
-        #: One-slot nominal-simulator cache: a sweep checkpoints the
-        #: same synthesis result at many instants, and the event
-        #: engine's run-log cache only pays off when those checkpoints
-        #: share a simulator.
+        #: One-slot nominal-simulator cache: scenarios of one design (a
+        #: campaign's fault models and arrivals, a sweep's instants)
+        #: checkpoint the same synthesis result, and the simulator's
+        #: report memo only pays off when those checkpoints share a
+        #: simulator. Within one detection the closed loop checkpoints
+        #: once and hands that checkpoint to every rung.
         self._nominal_sim: tuple[SynthesisResult, BiochipSimulator] | None = None
         #: Template evaluator whose schedule-fixed warm-up (time-
         #: neighbor lists, FTI memo) is reused across recovery calls on
@@ -449,6 +451,19 @@ class OnlineRecoveryEngine:
             fault_time_s, faults=[(0.0, sim.sim_cell(Point(*f))) for f in known_faults]
         )
 
+    def nominal_checkpoint(
+        self, result: SynthesisResult, fault_time_s: float, known_faults
+    ) -> SimCheckpoint:
+        """:meth:`checkpoint_of`, raising the :class:`RecoveryError`
+        that refuses every rung when the nominal execution itself fails
+        before the fault."""
+        try:
+            return self.checkpoint_of(result, fault_time_s, known_faults)
+        except SimulationError as exc:
+            raise RecoveryError(
+                f"nominal execution fails before any fault: {exc}"
+            ) from exc
+
     # -- the online hot path --------------------------------------------------
 
     def recover(
@@ -482,12 +497,7 @@ class OnlineRecoveryEngine:
         if not faults:
             raise RecoveryError("recovery needs at least one fault cell")
         if checkpoint is None:
-            try:
-                checkpoint = self.checkpoint_of(result, fault_time_s, known)
-            except SimulationError as exc:
-                raise RecoveryError(
-                    f"nominal execution fails before any fault: {exc}"
-                ) from exc
+            checkpoint = self.nominal_checkpoint(result, fault_time_s, known)
         else:
             # Caller-provided checkpoints cross process/serialization
             # boundaries; reject corrupted or truncated ones up front.

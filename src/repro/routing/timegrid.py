@@ -120,10 +120,6 @@ class TimeGrid:
         """Flat index of an in-bounds cell: ``(y-1)*width + (x-1)``."""
         return (p[1] - 1) * self.width + (p[0] - 1)
 
-    def unpack(self, idx: int) -> Point:
-        """Cell at flat index *idx*."""
-        return self._points[idx]
-
     @property
     def neighbors(self) -> list[tuple[int, ...]]:
         """Per-cell expansion table for the time-expanded search: the
@@ -369,12 +365,6 @@ class TimeGrid:
         self._tail.clear()
         self._cell_last.clear()
         self._net_keys.clear()
-
-    def reservation_footprint(self) -> int:
-        """Number of live reservation keys currently held — the
-        memory-leak regression tests assert this returns to zero after
-        every reservation is removed."""
-        return len(self._halo) + len(self._tail)
 
     def reserved_blocked(self, cell: Point, step: int, net: Net) -> bool:
         """True if another droplet's halo covers (*cell*, *step*) for

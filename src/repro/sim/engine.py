@@ -19,18 +19,23 @@ these two loops. The replay *verifies* the configuration: an
 infeasible placement, an unroutable transport, or a failed relocation
 all surface as a failed :class:`SimulationReport` naming the cause.
 Transports run on the packed-integer
-:class:`~repro.sim.fastgrid.PackedDropletRouter`, and completed runs
-feed a log cache that turns :meth:`BiochipSimulator.checkpoint` into a
-log truncation. The test suite keeps the original fixed-timestep driver
-as an oracle (``tests/oracles/``) and asserts bit-identical reports
-against it.
+:class:`~repro.sim.fastgrid.PackedDropletRouter`.
+
+A run is a pure function of ``(simulator, faults)``: everything it
+mutates lives in a run record that :meth:`BiochipSimulator.run` creates
+and drops, so the simulator is unchanged once built. A completed report
+carries its realized intervals and durable droplet-position log, and a
+:class:`SimCheckpoint` is a cut of that report at one instant
+(:func:`checkpoint_at`). The test suite keeps the original
+fixed-timestep driver as an oracle (``tests/oracles/``) and asserts
+bit-identical reports against it.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict, deque
-from collections.abc import Iterable, Sequence
+from collections import deque
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from repro.assay.graph import SequencingGraph
@@ -90,15 +95,18 @@ class SimulationReport:
     #: Transports replayed from a precomputed routing plan (vs routed
     #: ad hoc by the per-droplet A* fallback).
     planned_transports: int = 0
+    #: Realized ``op_id -> (start, finish)``, ordered by op id (empty
+    #: for a failed run). Not part of :meth:`to_dict`.
+    realized: dict[str, tuple[float, float]] = field(default_factory=dict)
+    #: Durable droplet-position transitions ``(time, producer op,
+    #: cell-or-None)``, in replay order (empty for a failed run). Not
+    #: part of :meth:`to_dict`.
+    position_log: tuple[tuple[float, str, Point | None], ...] = ()
 
     @property
     def delay_s(self) -> float:
         """Extra completion time caused by faults/recovery."""
         return self.realized_makespan - self.nominal_makespan
-
-    def events_of_kind(self, kind: str) -> list[SimEvent]:
-        """Log entries of one kind, in time order."""
-        return [e for e in self.events if e.kind == kind]
 
     def to_dict(self) -> dict:
         """JSON-safe run summary: outcome, timing, transport accounting."""
@@ -195,30 +203,19 @@ def active_fault_cells(faults: Iterable[FaultEntry], now: float) -> list[Point]:
             active.pop(cell, None)
     return list(active)
 
-#: Completed runs retained for checkpoint-by-log-truncation, per
-#: simulator (keyed by fault list — a deterministic replay never goes
-#: stale, the cap only bounds memory).
-_LOG_CACHE_SIZE = 8
 
-
-@dataclass(frozen=True)
-class _RunLog:
-    """Everything :meth:`BiochipSimulator.checkpoint` needs from a
-    completed run: truncating this log at any instant *is* the
-    checkpoint, no replay prefix required."""
-
-    report: SimulationReport
-    #: Realized ``op_id -> (start, finish)``, insertion-ordered by op id.
-    realized: dict[str, tuple[float, float]]
-    #: Durable droplet-position transitions, in replay order.
-    position_log: tuple[tuple[float, str, Point | None], ...]
+#: Completed reports :meth:`BiochipSimulator.checkpoint` keeps, keyed
+#: by fault list: a replay is a pure function of its faults, so an entry
+#: never goes stale; the cap only bounds memory.
+_CHECKPOINT_MEMO_SIZE = 8
 
 
 @dataclass(frozen=True)
 class SimCheckpoint:
     """Live mid-assay state captured at one instant of a simulation.
 
-    Built by :meth:`BiochipSimulator.checkpoint`: the operation
+    A cut of a completed report at one instant (:func:`checkpoint_at`,
+    reached through :meth:`BiochipSimulator.checkpoint`): the operation
     classification (completed / in-flight / pending), the realized
     intervals, and the parked-droplet map are the *live state* at
     ``time_s``, while the recorded fault history makes resumption an
@@ -250,13 +247,11 @@ class SimCheckpoint:
     droplet_positions: dict[str, Point] = field(default_factory=dict)
     #: Event-log prefix (``time <= time_s``), for trace comparison.
     events_prefix: tuple[SimEvent, ...] = ()
-    #: The live placement at ``time_s`` (reconfigurations included).
-    placement: Placement | None = None
     #: The run's nominal makespan (for penalty accounting downstream).
     nominal_makespan: float = 0.0
 
     def to_dict(self) -> dict:
-        """JSON-safe summary (events and placement condensed to counts)."""
+        """JSON-safe summary (the event prefix condensed to a count)."""
         return {
             "time_s": self.time_s,
             "faults": [
@@ -344,6 +339,75 @@ class SimCheckpoint:
             )
 
 
+def checkpoint_at(
+    report: SimulationReport, time_s: float, faults: Iterable[tuple] = ()
+) -> SimCheckpoint:
+    """Cut a completed *report* at *time_s*: the live state at that
+    instant under *faults*, the fault list the report was run with.
+
+    Raises :class:`SimulationError` for a failed report (there is no
+    consistent state to capture).
+    """
+    if not report.completed:
+        raise SimulationError(f"cannot checkpoint a failed run: {report.failure_reason}")
+    completed: list[str] = []
+    in_flight: list[str] = []
+    pending: list[str] = []
+    for op_id, (start, finish) in report.realized.items():
+        if finish <= time_s:
+            completed.append(op_id)
+        elif start <= time_s:
+            in_flight.append(op_id)
+        else:
+            pending.append(op_id)
+    positions: dict[str, Point] = {}
+    for t, op_id, p in report.position_log:
+        if t <= time_s:
+            if p is None:
+                positions.pop(op_id, None)
+            else:
+                positions[op_id] = p
+    return SimCheckpoint(
+        time_s=time_s,
+        faults=tuple(_normalize_faults(faults)),
+        completed=tuple(completed),
+        in_flight=tuple(in_flight),
+        pending=tuple(pending),
+        realized=dict(report.realized),
+        droplet_positions=positions,
+        events_prefix=tuple(e for e in report.events if e.time <= time_s),
+        nominal_makespan=report.nominal_makespan,
+    )
+
+
+@dataclass
+class _Run:
+    """Everything one :meth:`BiochipSimulator.run` mutates. The run
+    creates it and drops it on return, so the simulator itself never
+    changes: a replay is a pure function of its fault list."""
+
+    faults: list[FaultEntry]
+    #: The live configuration; a relocation replaces it.
+    placement: Placement
+    states: dict[str, _OpState]
+    events: list[SimEvent] = field(default_factory=list)
+    relocations: list[Relocation] = field(default_factory=list)
+    #: Droplets produced so far, by producer op.
+    droplet_of: dict[str, Droplet] = field(default_factory=dict)
+    #: Reservoir rotation: the next port to dispense from.
+    next_port: int = 0
+    droplet_ids: Iterator[int] = field(default_factory=lambda: itertools.count(1))
+    #: (time, producer op, cell-or-None) transitions of durable droplet
+    #: positions, appended in replay order; a checkpoint derives "what
+    #: sits where at time t" from this log.
+    position_log: list[tuple[float, str, Point | None]] = field(default_factory=list)
+    planned_transports: int = 0
+    #: Fan-out shares collected so far, by producer op.
+    shares_taken: dict[str, int] = field(default_factory=dict)
+    #: Metered reagent droplets still waiting in their reservoir.
+    reservoir_queue: set[str] = field(default_factory=set)
+
+
 class BiochipSimulator:
     """Executes one synthesized assay on a simulated array."""
 
@@ -388,14 +452,10 @@ class BiochipSimulator:
         for pm in normalized:
             self.placement.add(pm.moved_to(pm.x + margin, pm.y + margin))
         self.placement.validate()
-        #: The constructed configuration every run() starts from —
-        #: reconfigurations reassign self.placement but never mutate it.
-        self._initial_placement = self.placement
         #: Packed transport kernel every ad-hoc transport routes on.
         self.router = PackedDropletRouter(self.width, self.height)
-        #: Completed-run logs, keyed by the run's fault list; consulted
-        #: by :meth:`checkpoint`.
-        self._log_cache: OrderedDict[tuple, _RunLog] = OrderedDict()
+        #: Completed reports by fault list, for :meth:`checkpoint`.
+        self._checkpoint_memo: dict[tuple, SimulationReport] = {}
         #: Parking ring-search memo: obstacle signature -> nearest safe
         #: cell.
         self._park_memo: dict[tuple, Point] = {}
@@ -403,26 +463,10 @@ class BiochipSimulator:
         #: assay product leaves through the output cell on the right.
         self._dispense_cycle = [Point(1, y) for y in range(1, self.height + 1, 2)]
         self._output_cell = Point(self.width, max(1, self.height // 2))
-        self._reset_run_state()
 
-    # -- setup -----------------------------------------------------------------------
-
-    def _reset_run_state(self) -> None:
-        """Restore the constructed configuration so ``run()`` is
-        re-entrant: the initial placement, the reservoir rotation at its
-        first port, and droplet ids restarting at 1. This is what makes
-        a checkpoint's rerun an exact deterministic replay."""
-        self.placement = self._initial_placement
-        self._next_port = 0
-        self._droplet_ids = itertools.count(1)
-        #: (time, producer op, cell-or-None) transitions of durable
-        #: droplet positions, appended in replay order; the checkpoint
-        #: derives "what sits where at time t" from this log.
-        self._position_log: list[tuple[float, str, Point | None]] = []
-
-    def _next_dispense_cell(self) -> Point:
-        cell = self._dispense_cycle[self._next_port % len(self._dispense_cycle)]
-        self._next_port += 1
+    def _next_dispense_cell(self, run: _Run) -> Point:
+        cell = self._dispense_cycle[run.next_port % len(self._dispense_cycle)]
+        run.next_port += 1
         return cell
 
     # -- public API -------------------------------------------------------------------
@@ -459,76 +503,40 @@ class BiochipSimulator:
         A run that cannot finish — an unrecoverable fault, an unroutable
         transport — returns a failed report naming the cause.
         """
-        self._reset_run_state()
-        events: list[SimEvent] = []
-        relocations: list[Relocation] = []
-        self._planned_transports = 0
-        fault_list = _normalize_faults(faults)
-
+        run = _Run(_normalize_faults(faults), self.placement, self._initial_states())
         try:
-            states, product, transport = self._execute(fault_list, events, relocations)
+            product, transport = self._execute(run)
         except (RoutingError, ReconfigurationError, SimulationError) as exc:
             return SimulationReport(
                 completed=False,
-                events=events,
+                events=run.events,
                 realized_finish={},
-                relocations=relocations,
+                relocations=run.relocations,
                 nominal_makespan=self.schedule.makespan,
                 realized_makespan=self.schedule.makespan,
                 total_transport_cells=0,
                 product=None,
-                final_placement=self.placement,
+                final_placement=run.placement,
                 failure_reason=str(exc),
-                planned_transports=self._planned_transports,
+                planned_transports=run.planned_transports,
             )
 
+        states = run.states
         realized_finish = {s.op_id: s.finish for s in states.values()}
-        report = SimulationReport(
+        return SimulationReport(
             completed=True,
-            events=sorted(events, key=lambda e: (e.time, e.kind)),
+            events=sorted(run.events, key=lambda e: (e.time, e.kind)),
             realized_finish=realized_finish,
-            relocations=relocations,
+            relocations=run.relocations,
             nominal_makespan=self.schedule.makespan,
             realized_makespan=max(realized_finish.values(), default=0.0),
             total_transport_cells=transport,
             product=product,
-            final_placement=self.placement,
-            planned_transports=self._planned_transports,
+            final_placement=run.placement,
+            planned_transports=run.planned_transports,
+            realized={op: (states[op].start, states[op].finish) for op in sorted(states)},
+            position_log=tuple(run.position_log),
         )
-        self._remember_run(fault_list, report, states)
-        return report
-
-    def _remember_run(
-        self,
-        fault_list: list[FaultEntry],
-        report: SimulationReport,
-        states: dict[str, _OpState],
-    ) -> None:
-        """Retain a completed run's log so a later :meth:`checkpoint`
-        at any instant is a truncation instead of a replay prefix."""
-        log = _RunLog(
-            report=report,
-            realized={
-                op_id: (states[op_id].start, states[op_id].finish)
-                for op_id in sorted(states)
-            },
-            position_log=tuple(self._position_log),
-        )
-        key = tuple(fault_list)
-        self._log_cache[key] = log
-        self._log_cache.move_to_end(key)
-        while len(self._log_cache) > _LOG_CACHE_SIZE:
-            self._log_cache.popitem(last=False)
-
-    def _cached_log(self, key: tuple) -> _RunLog | None:
-        """Checkpoint-as-log-truncation: a deterministic replay under a
-        fixed fault list always produces the same log, so any retained
-        completed run under these faults can be truncated at the
-        checkpoint instant directly — no replay prefix."""
-        log = self._log_cache.get(key)
-        if log is not None:
-            self._log_cache.move_to_end(key)
-        return log
 
     def module_cell(self, op_id: str) -> Point:
         """A functional-region cell of *op_id*'s module (fault targeting)."""
@@ -544,10 +552,12 @@ class BiochipSimulator:
 
         Runs the (deterministic) simulation with exactly *faults* — all
         of which must have fired by *time_s*; a checkpoint cannot know
-        the future — and snapshots the operation classification, the
-        realized intervals, the parked-droplet map, and the event-log
-        prefix. Raises :class:`SimulationError` when the underlying run
-        does not complete (there is no consistent state to capture).
+        the future — and cuts the report at *time_s* (:func:`checkpoint_at`).
+        Raises :class:`SimulationError` when the underlying run does not
+        complete (there is no consistent state to capture).
+
+        The last few completed reports are memoized by fault list, so
+        checkpointing one fault list at many instants replays it once.
         """
         fault_list = _normalize_faults(faults)
         late = [f for f in fault_list if f[0] > time_s]
@@ -556,45 +566,13 @@ class BiochipSimulator:
                 f"checkpoint at t={time_s:g} cannot include future faults: {late}"
             )
         key = tuple(fault_list)
-        log = self._cached_log(key)
-        if log is None:
-            report = self.run(faults=fault_list)
-            if not report.completed:
-                raise SimulationError(
-                    f"cannot checkpoint a failed run: {report.failure_reason}"
-                )
-            log = self._log_cache[key]  # run() just recorded it
-        completed: list[str] = []
-        in_flight: list[str] = []
-        pending: list[str] = []
-        for op_id, (start, finish) in log.realized.items():
-            if finish <= time_s:
-                completed.append(op_id)
-            elif start <= time_s:
-                in_flight.append(op_id)
-            else:
-                pending.append(op_id)
-        positions: dict[str, Point] = {}
-        for t, op_id, p in log.position_log:
-            if t <= time_s:
-                if p is None:
-                    positions.pop(op_id, None)
-                else:
-                    positions[op_id] = p
-        return SimCheckpoint(
-            time_s=time_s,
-            faults=tuple(fault_list),
-            completed=tuple(completed),
-            in_flight=tuple(in_flight),
-            pending=tuple(pending),
-            realized=dict(log.realized),
-            droplet_positions=positions,
-            events_prefix=tuple(
-                e for e in log.report.events if e.time <= time_s
-            ),
-            placement=log.report.final_placement,
-            nominal_makespan=log.report.nominal_makespan,
-        )
+        memo = self._checkpoint_memo
+        report = memo.pop(key, None) or self.run(faults=fault_list)
+        cp = checkpoint_at(report, time_s, fault_list)
+        memo[key] = report  # most recently used last
+        if len(memo) > _CHECKPOINT_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        return cp
 
     # -- phase 1: realized timeline ----------------------------------------------------
 
@@ -609,27 +587,20 @@ class BiochipSimulator:
             states[op.id] = _OpState(op.id, module, iv.start, iv.stop)
         return states
 
-    def _apply_clear(self, clear_time: float, cell: Point, events: list[SimEvent]) -> None:
+    def _apply_clear(self, clear_time: float, cell: Point, run: _Run) -> None:
         """A transient fault self-recovers: the cell routes again from
         ``clear_time`` on (via the active-fault timeline); relocations
         and delays its ``fail`` already caused are *not* rolled back —
         the controller could not have known the fault would clear."""
-        events.append(
+        run.events.append(
             SimEvent(clear_time, "repair", f"cell {cell} recovered (transient fault cleared)")
         )
 
-    def _apply_fault(
-        self,
-        fault_time: float,
-        cell: Point,
-        states: dict[str, _OpState],
-        faults: list[FaultEntry],
-        events: list[SimEvent],
-        relocations: list[Relocation],
-    ) -> None:
+    def _apply_fault(self, fault_time: float, cell: Point, run: _Run) -> None:
         """Inject one fault: rescue affected modules via partial
         reconfiguration, and propagate the delays."""
-        events.append(
+        states = run.states
+        run.events.append(
             SimEvent(fault_time, "fault", f"cell {cell} failed", None)
         )
         # Only modules still running or yet to run can be rescued;
@@ -643,11 +614,11 @@ class BiochipSimulator:
         pending_ids = {s.op_id for s in pending}
         for state in sorted(pending, key=lambda s: s.start):
             try:
-                new_placement, plan = self.reconfigurer.apply(
-                    self.placement,
+                run.placement, plan = self.reconfigurer.apply(
+                    run.placement,
                     cell,
                     extra_faults=[
-                        f for f in active_fault_cells(faults, fault_time)
+                        f for f in active_fault_cells(run.faults, fault_time)
                         if f != cell
                     ],
                     only_ops=pending_ids,
@@ -657,16 +628,15 @@ class BiochipSimulator:
                     f"fault at {cell} (t={fault_time:g}) is unrecoverable for "
                     f"operation {state.op_id}"
                 ) from None
-            self.placement = new_placement
             for reloc in plan.relocations:
-                relocations.append(reloc)
+                run.relocations.append(reloc)
                 # Refresh every affected state's module reference.
                 if reloc.op_id in states:
                     states[reloc.op_id].module = reloc.new
                 migrate = self.ew.transport_time_s(
                     reloc.distance, DRIVE_VOLTAGE
                 )
-                events.append(
+                run.events.append(
                     SimEvent(
                         fault_time,
                         "relocation",
@@ -676,9 +646,9 @@ class BiochipSimulator:
                 )
                 moved = states.get(reloc.op_id)
                 if moved is not None and moved.start <= fault_time < moved.finish:
-                    # Running op: droplets migrate, the mix restarts.
+                    # Running op: droplets migrate, the mix restarts
+                    # (its dispatch time is unchanged).
                     duration = moved.finish - moved.start
-                    moved.start = moved.start  # dispatch time unchanged
                     moved.finish = fault_time + migrate + duration
                     moved.restarted = True
         # Propagate delays along dependencies.
@@ -701,35 +671,22 @@ class BiochipSimulator:
 
     # -- phase 2: droplet replay ---------------------------------------------------------
 
-    def _begin_replay(self, states: dict[str, _OpState]) -> None:
-        self._shares_taken: dict[str, int] = {}
-        self._reservoir_queue: set[str] = set()
-        # Obstacle queries during replay must use *realized* intervals:
-        # a fault-induced restart shifts downstream ops, and a module
-        # whose nominal window covers t may not actually be running.
-        self._states = states
-
     def _sink_product(self, droplet_of: dict[str, Droplet]) -> Droplet | None:
         # Mixing-only graphs end at the sink mix; its droplet is the product.
         sinks = [s for s in self.graph.sinks() if s in droplet_of]
         return droplet_of[sinks[0]] if sinks else None
 
-    def _execute_op(
-        self,
-        op_id: str,
-        states: dict[str, _OpState],
-        faults: list[FaultEntry],
-        events: list[SimEvent],
-        droplet_of: dict[str, Droplet],
-    ) -> tuple[int, Droplet | None]:
+    def _execute_op(self, op_id: str, run: _Run) -> tuple[int, Droplet | None]:
         """Execute one operation at its realized start: collect inputs,
         transport, merge, hold, park. Returns ``(transport cells, assay
         product or None)``. Every dispatch goes through here, in the
         total order ``(realized start, op id)`` (see DESIGN.md)."""
         op = self.graph.operation(op_id)
-        state = states[op_id]
+        state = run.states[op_id]
+        events = run.events
+        droplet_of = run.droplet_of
         t = state.start
-        faulty_now = active_fault_cells(faults, t)
+        faulty_now = active_fault_cells(run.faults, t)
         parked = [
             d.position
             for d in droplet_of.values()
@@ -744,15 +701,15 @@ class BiochipSimulator:
             droplet_of[op_id] = Droplet(
                 position=None,
                 contents={reagent: UNIT_DROPLET_NL},
-                droplet_id=next(self._droplet_ids),
+                droplet_id=next(run.droplet_ids),
                 produced_by=op_id,
             )
-            self._reservoir_queue.add(op_id)
+            run.reservoir_queue.add(op_id)
             events.append(SimEvent(t, "dispense", f"{reagent} metered", op_id))
             return 0, None
 
         if op.type is OperationType.OUTPUT:
-            inputs = self._input_droplets(op_id, droplet_of)
+            inputs = self._input_droplets(op_id, run)
             if len(inputs) != 1:
                 raise SimulationError(
                     f"output {op_id} expects exactly one droplet, got {len(inputs)}"
@@ -761,7 +718,7 @@ class BiochipSimulator:
             others = [p for p in parked if p != droplet.position]
             out = self._output_cell
             transport_cells = self._transport(
-                droplet, out, t, faulty_now, others, events, op_id
+                droplet, out, t, faulty_now, others, run, op_id
             )
             events.append(SimEvent(state.finish, "output", f"{droplet}", op_id))
             droplet.position = None
@@ -773,8 +730,8 @@ class BiochipSimulator:
         if module is None:
             raise SimulationError(f"operation {op_id} has no placed module")
         self._check_module_health(module, faulty_now, op_id)
-        inputs = self._input_droplets(op_id, droplet_of)
-        inputs.extend(self._auto_dispense(op, len(inputs), t, events))
+        inputs = self._input_droplets(op_id, run)
+        inputs.extend(self._auto_dispense(op, len(inputs), t, run))
         input_positions = {d.position for d in inputs}
         others = [p for p in parked if p not in input_positions]
         targets = list(module.functional_region.cells())
@@ -782,14 +739,14 @@ class BiochipSimulator:
         for i, droplet in enumerate(inputs):
             goal = targets[min(i, len(targets) - 1)]
             transport_cells += self._transport(
-                droplet, goal, t, faulty_now, others, events, op_id
+                droplet, goal, t, faulty_now, others, run, op_id
             )
         if not inputs:
             raise SimulationError(f"operation {op_id} received no droplets")
         merged = inputs[0]
         for droplet in inputs[1:]:
             merged = merged.merged_with(
-                droplet, op_id, droplet_id=next(self._droplet_ids)
+                droplet, op_id, droplet_id=next(run.droplet_ids)
             )
         for droplet in inputs:
             droplet.position = None  # absorbed into the merged product
@@ -803,21 +760,15 @@ class BiochipSimulator:
         # Dynamic reconfigurability means another module may reuse
         # these cells before the consumer collects the product; park
         # it on a cell that stays free until then.
-        transport_cells += self._park_product(
-            op_id, merged, state, states, faults, droplet_of, events
-        )
-        self._position_log.append((state.finish, op_id, merged.position))
+        transport_cells += self._park_product(op_id, merged, state, run)
+        run.position_log.append((state.finish, op_id, merged.position))
         return transport_cells, None
 
     # -- the driver ----------------------------------------------------------------------
 
-    def _execute(
-        self,
-        faults: list[FaultEntry],
-        events: list[SimEvent],
-        relocations: list[Relocation],
-    ) -> tuple[dict[str, _OpState], Droplet | None, int]:
+    def _execute(self, run: _Run) -> tuple[Droplet | None, int]:
         """Realize the fault timeline, then replay the assay on it.
+        Returns ``(assay product, transport cells)``.
 
         Every fault entry is applied in timeline order before any
         operation runs; then each operation runs once, in the total
@@ -826,48 +777,40 @@ class BiochipSimulator:
         changes the timeline (see DESIGN.md, "Realize-then-replay
         simulation core").
         """
-        states = self._initial_states()
-        for fault_time, cell, kind in faults:
+        for fault_time, cell, kind in run.faults:
             if kind == "fail":
-                self._apply_fault(fault_time, cell, states, faults, events, relocations)
+                self._apply_fault(fault_time, cell, run)
             else:
-                self._apply_clear(fault_time, cell, events)
-        droplet_of: dict[str, Droplet] = {}
-        self._begin_replay(states)
+                self._apply_clear(fault_time, cell, run)
+        states = run.states
         transport = 0
         product = None
         for op_id in sorted(states, key=lambda o: (states[o].start, o)):
-            cells, out = self._execute_op(op_id, states, faults, events, droplet_of)
+            cells, out = self._execute_op(op_id, run)
             transport += cells
             if out is not None:
                 product = out
         if product is None:
-            product = self._sink_product(droplet_of)
-        return states, product, transport
+            product = self._sink_product(run.droplet_of)
+        return product, transport
 
     def _park_product(
-        self,
-        op_id: str,
-        droplet: Droplet,
-        state: _OpState,
-        states: dict[str, _OpState],
-        faults: list[FaultEntry],
-        droplet_of: dict[str, Droplet],
-        events: list[SimEvent],
+        self, op_id: str, droplet: Droplet, state: _OpState, run: _Run
     ) -> int:
         """Transport a finished product to a cell no module will claim before
         its consumer starts. Returns transport cells used (0 if the
         product can stay where it is)."""
         finish = state.finish
+        states = run.states
         consumers = set(self.graph.successors(op_id))
         hold_until = max(
             (states[s].start for s in consumers if s in states),
             default=finish,
         )
-        faulty = active_fault_cells(faults, finish)
+        faulty = active_fault_cells(run.faults, finish)
         parked = {
             d.position
-            for o, d in droplet_of.items()
+            for o, d in run.droplet_of.items()
             if o != op_id and d.position is not None
         }
 
@@ -920,7 +863,7 @@ class BiochipSimulator:
             finish,
             faulty,
             sorted(parked),
-            events,
+            run,
             op_id,
             obstacle_time=finish - 1e-9,
         )
@@ -983,7 +926,7 @@ class BiochipSimulator:
 
     # -- helpers ------------------------------------------------------------------------------
 
-    def _input_droplets(self, op_id: str, droplet_of: dict[str, Droplet]) -> list[Droplet]:
+    def _input_droplets(self, op_id: str, run: _Run) -> list[Droplet]:
         """Collect (and, on fan-out, split) the producers' droplets.
 
         A product consumed by k operations is split into k equal shares;
@@ -991,21 +934,22 @@ class BiochipSimulator:
         and the parking cell frees up once the last share is gone.
         """
         out = []
-        t = self._states[op_id].start
+        droplet_of = run.droplet_of
+        t = run.states[op_id].start
         for pred in self.graph.predecessors(op_id):
             if pred not in droplet_of:
                 continue
             source = droplet_of[pred]
-            if source.position is None and pred in self._reservoir_queue:
-                source.position = self._next_dispense_cell()
-                self._reservoir_queue.discard(pred)
-                self._position_log.append((t, pred, source.position))
+            if source.position is None and pred in run.reservoir_queue:
+                source.position = self._next_dispense_cell(run)
+                run.reservoir_queue.discard(pred)
+                run.position_log.append((t, pred, source.position))
             consumers = [s for s in self.graph.successors(pred) if s in self.schedule]
             if len(consumers) <= 1:
                 if source.position is not None:
                     # The sole consumer collects the whole product: it
                     # leaves its parking cell at the consumer's start.
-                    self._position_log.append((t, pred, None))
+                    run.position_log.append((t, pred, None))
                 out.append(source)
                 continue
             if source.position is None:
@@ -1016,18 +960,18 @@ class BiochipSimulator:
             share = Droplet(
                 position=source.position,
                 contents={r: v / k for r, v in source.contents.items()},
-                droplet_id=next(self._droplet_ids),
+                droplet_id=next(run.droplet_ids),
                 produced_by=pred,
             )
-            taken = self._shares_taken.get(pred, 0) + 1
-            self._shares_taken[pred] = taken
+            taken = run.shares_taken.get(pred, 0) + 1
+            run.shares_taken[pred] = taken
             if taken >= k:
                 source.position = None  # last share collected; cell is free
-                self._position_log.append((t, pred, None))
+                run.position_log.append((t, pred, None))
             out.append(share)
         return out
 
-    def _auto_dispense(self, op, have: int, t: float, events: list[SimEvent]) -> list[Droplet]:
+    def _auto_dispense(self, op, have: int, t: float, run: _Run) -> list[Droplet]:
         """Leaf operations of module-only graphs (e.g. the paper's PCR
         mixing tree) have implicit reagent inputs; dispense them."""
         need = 2 if op.type in (OperationType.MIX, OperationType.DILUTE) else 1
@@ -1035,14 +979,14 @@ class BiochipSimulator:
         reagents = list(op.params.get("reagents", ()))
         out = []
         for k in range(missing):
-            cell = self._next_dispense_cell()
+            cell = self._next_dispense_cell(run)
             name = reagents[k] if k < len(reagents) else f"{op.id}-in{k + 1}"
             droplet = Droplet(
                 position=cell,
                 contents={name: UNIT_DROPLET_NL},
-                droplet_id=next(self._droplet_ids),
+                droplet_id=next(run.droplet_ids),
             )
-            events.append(SimEvent(t, "dispense", f"{name} at {cell}", op.id))
+            run.events.append(SimEvent(t, "dispense", f"{name} at {cell}", op.id))
             out.append(droplet)
         return out
 
@@ -1063,7 +1007,7 @@ class BiochipSimulator:
         t: float,
         faulty_now: list[Point],
         other_droplets: list[Point],
-        events: list[SimEvent],
+        run: _Run,
         op_id: str,
         obstacle_time: float | None = None,
     ) -> int:
@@ -1071,6 +1015,7 @@ class BiochipSimulator:
             raise SimulationError(f"droplet {droplet.droplet_id} is not on the array")
         if droplet.position == goal:
             return 0
+        events = run.events
         planned = self._planned_route(droplet, goal, faulty_now, other_droplets, op_id)
         if planned is not None:
             seconds = self.ew.transport_time_s(planned.moves, DRIVE_VOLTAGE)
@@ -1085,16 +1030,19 @@ class BiochipSimulator:
                 )
             )
             droplet.position = goal
-            self._planned_transports += 1
+            run.planned_transports += 1
             return planned.moves
         # Obstacles: every module operating while this transport happens,
         # except the destination module itself. *obstacle_time* lets an
         # evacuation route use the configuration just before a module
         # handover (dynamic reconfigurability reuses cells back-to-back).
+        # The intervals are the *realized* ones: a fault-induced restart
+        # shifts downstream ops, and a module whose nominal window
+        # covers t may not actually be running.
         query_t = t if obstacle_time is None else obstacle_time
         active = [
             s.module.footprint
-            for s in self._states.values()
+            for s in run.states.values()
             if s.module is not None
             and s.op_id != op_id
             and s.start <= query_t < s.finish
@@ -1142,7 +1090,7 @@ class BiochipSimulator:
                     )
                 except RoutingError as exc:
                     route = self._route_after_handover(
-                        droplet, goal, query_t, faulty_now, events, op_id, exc,
+                        droplet, goal, query_t, faulty_now, run, op_id, exc,
                     )
         seconds = self.ew.transport_time_s(route.length, DRIVE_VOLTAGE)
         events.append(
@@ -1163,7 +1111,7 @@ class BiochipSimulator:
         goal: Point,
         query_t: float,
         faulty_now: list[Point],
-        events: list[SimEvent],
+        run: _Run,
         op_id: str,
         original: RoutingError,
     ):
@@ -1182,7 +1130,7 @@ class BiochipSimulator:
         handovers = sorted(
             {
                 s.finish
-                for s in self._states.values()
+                for s in run.states.values()
                 if s.module is not None
                 and s.op_id != op_id
                 and s.start <= query_t < s.finish
@@ -1191,7 +1139,7 @@ class BiochipSimulator:
         for release in handovers:
             active = [
                 s.module.footprint
-                for s in self._states.values()
+                for s in run.states.values()
                 if s.module is not None
                 and s.op_id != op_id
                 and s.start <= release < s.finish
@@ -1205,7 +1153,7 @@ class BiochipSimulator:
                 )
             except RoutingError:
                 continue
-            events.append(
+            run.events.append(
                 SimEvent(
                     query_t,
                     "transport",

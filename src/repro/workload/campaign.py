@@ -985,26 +985,6 @@ class CampaignRunner:
 # -- log validation ----------------------------------------------------------
 
 
-def read_log(path: str | os.PathLike) -> tuple[dict, list[CampaignRecord]]:
-    """Load a campaign log; raises :class:`ReproError` when malformed."""
-    errors = validate_log(path)
-    if errors:
-        raise ReproError(
-            f"invalid campaign log {os.fspath(path)}: {errors[0]} "
-            f"({len(errors)} problem(s) total)"
-        )
-    meta: dict = {}
-    records: list[CampaignRecord] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            entry = json.loads(line)
-            if entry["kind"] == META_KIND:
-                meta = entry
-            else:
-                records.append(CampaignRecord.from_dict(entry))
-    return meta, records
-
-
 def validate_log(path: str | os.PathLike) -> list[str]:
     """Validate every line of a campaign log against the record schema
     and the grid-order contract: the i-th record carries ``index`` i.

@@ -485,11 +485,6 @@ def is_generator_spec(name: str) -> bool:
 # -- invariants --------------------------------------------------------------
 
 
-def module_count(g: SequencingGraph) -> int:
-    """Reconfigurable-operation count — the generators' ``n`` currency."""
-    return len(g.reconfigurable_operations())
-
-
 def check_invariants(g: SequencingGraph) -> None:
     """Assert the structural contract every generated graph honors.
 

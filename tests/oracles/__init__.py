@@ -14,7 +14,8 @@ parity properties in ``tests/`` and the speed-up baselines in
   the generic search (:class:`ReferenceSynthesizer`) beside the packed
   routing engine;
 * :mod:`oracles.anneal` — per-move delta verification
-  (:class:`CheckedCost`) and the full-recompute anneal
+  (:class:`CheckedCost`), the evaluator's from-scratch invariant check
+  (:func:`check_consistency`) and the full-recompute anneal
   (:class:`FullRecomputeAnnealing`, :class:`FullRecomputeMoves`,
   :class:`FullRecomputePlacer`) beside the incremental annealer;
 * :mod:`oracles.fti` — the paper's per-cell MER procedure and a
@@ -33,6 +34,7 @@ from oracles.anneal import (
     FullRecomputeAnnealing,
     FullRecomputeMoves,
     FullRecomputePlacer,
+    check_consistency,
 )
 from oracles.droplet_router import DropletRouter
 from oracles.fti import (
@@ -57,6 +59,7 @@ __all__ = [
     "ReferenceTimeGrid",
     "SteppedSimulator",
     "brute_force_maximal_empty_rectangles",
+    "check_consistency",
     "fits_any_rectangle",
     "reference_fti",
     "stepped_replays",

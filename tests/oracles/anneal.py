@@ -5,7 +5,8 @@ references check it:
 
 * :class:`CheckedCost` verifies every proposal's delta — accepted *and*
   rejected — against the full recompute ``cost(placement)`` via an
-  apply/revert round trip, and checks the evaluator's running sums;
+  apply/revert round trip, and checks the evaluator's running sums
+  (:func:`check_consistency`);
   a mismatch raises :class:`~repro.util.errors.CrossCheckError`. It
   consumes no random draws, so the anneal walks the trajectory it
   would walk unchecked. :class:`CheckedTwoStagePlacer` runs both
@@ -28,6 +29,7 @@ from typing import Any, TypeVar
 
 from repro.placement.annealer import AnnealingStats, SimulatedAnnealing
 from repro.placement.cost import require_delta
+from repro.placement.incremental import _counts
 from repro.placement.model import Placement
 from repro.placement.moves import MoveGenerator
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
@@ -35,6 +37,51 @@ from repro.placement.two_stage import TwoStagePlacer
 from repro.util.errors import CrossCheckError
 
 State = TypeVar("State")
+
+
+def check_consistency(evaluator, tolerance: float = 1e-6) -> None:
+    """Assert every running structure of an
+    :class:`~repro.placement.incremental.IncrementalCostEvaluator`
+    matches a from-scratch rebuild; raises :class:`CrossCheckError` on
+    any disagreement."""
+    ev = evaluator
+    placement = ev.placement
+    for i, op in enumerate(ev.ops):
+        pm = placement.get(op)
+        fp = pm.footprint
+        if (fp.x, fp.y, fp.x2, fp.y2, pm.rotated) != (
+            ev.x1[i], ev.y1[i], ev.x2[i], ev.y2[i], ev.rot[i]
+        ):
+            raise CrossCheckError(f"record desync for op {op!r}")
+    reference = placement.overlap_volume()
+    if abs(ev.overlap_total - reference) > tolerance:
+        raise CrossCheckError(
+            f"overlap drift {abs(ev.overlap_total - reference):g} "
+            f"exceeds {tolerance:g} (running {ev.overlap_total!r}, "
+            f"reference {reference!r})"
+        )
+    if (ev.conflict_pairs > 0) != (reference > 0):
+        raise CrossCheckError(
+            f"conflict-pair counter ({ev.conflict_pairs}) disagrees "
+            f"with reference overlap {reference!r}"
+        )
+    for name, cnt, coords in (
+        ("x1", ev._cx1, ev.x1), ("y1", ev._cy1, ev.y1),
+        ("x2", ev._cx2, ev.x2), ("y2", ev._cy2, ev.y2),
+    ):
+        if cnt != _counts(coords, len(cnt)):
+            raise CrossCheckError(f"{name} edge histogram desync")
+    bb = placement.bounding_box()
+    if (bb.x, bb.y, bb.x2, bb.y2) != ev.bounding_box():
+        raise CrossCheckError(
+            f"bounding box desync: histograms say {ev.bounding_box()}, "
+            f"placement says {(bb.x, bb.y, bb.x2, bb.y2)}"
+        )
+    pull = sum(pm.footprint.x2 + pm.footprint.y2 for pm in placement)
+    if pull != ev.pull_sum:
+        raise CrossCheckError(
+            f"pull-sum desync: running {ev.pull_sum}, reference {pull}"
+        )
 
 
 class CheckedCost:
@@ -67,7 +114,7 @@ class CheckedCost:
         full_before = self.cost(evaluator.placement)
         inverse = evaluator.apply(move)
         full_after = self.cost(evaluator.placement)
-        evaluator.check_consistency(tolerance)
+        check_consistency(evaluator, tolerance)
         error = abs((full_after - full_before) - delta)
         evaluator.apply(inverse)
         if error > tolerance:

@@ -126,12 +126,12 @@ def _analyze_bruteforce(
 
 def _iter_feasible(grid, pm, width, height, allow_rotation):
     """Yield every obstacle-free footprint rectangle for *pm*."""
+    m = grid.as_matrix()
     for w, h in _orientations(pm, allow_rotation):
         for y in range(1, height - h + 2):
             for x in range(1, width - w + 2):
-                rect = Rect(x, y, w, h)
-                if grid.is_rect_free(rect):
-                    yield rect
+                if not m[y - 1 : y - 1 + h, x - 1 : x - 1 + w].any():
+                    yield Rect(x, y, w, h)
 
 
 def _count_feasible(grid, pm, width, height, allow_rotation) -> int:
@@ -141,12 +141,17 @@ def _count_feasible(grid, pm, width, height, allow_rotation) -> int:
 def fits_any_rectangle(
     rects: list[Rect], width: int, height: int, allow_rotation: bool = True
 ) -> bool:
-    """True if a ``width x height`` footprint fits in any of *rects*.
+    """True if a ``width x height`` footprint fits in any of *rects*
+    (with *allow_rotation*, the transposed footprint too).
 
     This is the paper's relocation test: "check if these [maximal-empty]
     rectangles can accommodate the faulty module".
     """
-    return any(r.can_fit(width, height, allow_rotation) for r in rects)
+    return any(
+        (r.width >= width and r.height >= height)
+        or (allow_rotation and r.width >= height and r.height >= width)
+        for r in rects
+    )
 
 
 def brute_force_maximal_empty_rectangles(grid) -> list[Rect]:

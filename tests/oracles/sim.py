@@ -3,15 +3,16 @@
 :class:`repro.sim.engine.BiochipSimulator` realizes the fault timeline,
 then replays every operation in ``(realized start, op id)`` order,
 routing transports on the packed BFS kernel with memoized queries and
-checkpointing by truncating a cached run log. :class:`SteppedSimulator`
+cutting checkpoints from memoized reports. :class:`SteppedSimulator`
 is the sequential driver it replaced, kept bit-identical and kept as
 its own independent copy of the two loops (``_realize_timeline`` and
-``_replay_droplets``): it routes on the per-``Point`` A* router,
-searches every parking cell afresh and re-runs the simulation for every
-checkpoint. For a fixed fault list both drivers must produce the
-identical :class:`~repro.sim.engine.SimulationReport` — events,
-timings, per-droplet position log, failure text. Because both run the
-same dispatch order, parity does not check that order;
+``_replay_droplets``, both over the production run record): it routes
+on the per-``Point`` A* router, searches every parking cell afresh and
+re-runs the simulation for every checkpoint. For a fixed fault list
+both drivers must produce the identical
+:class:`~repro.sim.engine.SimulationReport` — events, timings,
+per-droplet position log, failure text. Because both run the same
+dispatch order, parity does not check that order;
 ``tests/test_sim_eventengine.py::TestReplayOrder`` does.
 
 :func:`stepped_replays` swaps the oracle in wherever the library builds
@@ -43,39 +44,36 @@ class SteppedSimulator(BiochipSimulator):
         super().__init__(*args, **kwargs)
         self.router = DropletRouter(self.width, self.height)
 
-    def _cached_log(self, key: tuple):
-        return None  # every checkpoint re-runs the simulation
+    def checkpoint(self, time_s, faults=()):
+        self._checkpoint_memo.clear()  # every checkpoint re-runs the simulation
+        return super().checkpoint(time_s, faults)
 
     def _park_goal(self, key: tuple, safe):
         return self._nearest_safe_cell(key[0], safe)
 
-    def _execute(self, faults, events, relocations):
-        states = self._realize_timeline(faults, events, relocations)
-        product, transport = self._replay_droplets(states, faults, events)
-        return states, product, transport
+    def _execute(self, run):
+        self._realize_timeline(run)
+        return self._replay_droplets(run)
 
-    def _realize_timeline(self, faults, events, relocations):
+    def _realize_timeline(self, run):
         """Derive realized op intervals under faults + reconfiguration."""
-        states = self._initial_states()
-        for fault_time, cell, kind in faults:
+        for fault_time, cell, kind in run.faults:
             if kind == "fail":
-                self._apply_fault(fault_time, cell, states, faults, events, relocations)
+                self._apply_fault(fault_time, cell, run)
             else:
-                self._apply_clear(fault_time, cell, events)
-        return states
+                self._apply_clear(fault_time, cell, run)
 
-    def _replay_droplets(self, states, faults, events):
-        droplet_of = {}
-        self._begin_replay(states)
+    def _replay_droplets(self, run):
+        states = run.states
         transport_cells = 0
         product = None
         for op_id in sorted(states, key=lambda o: (states[o].start, o)):
-            cells, out = self._execute_op(op_id, states, faults, events, droplet_of)
+            cells, out = self._execute_op(op_id, run)
             transport_cells += cells
             if out is not None:
                 product = out
         if product is None:
-            product = self._sink_product(droplet_of)
+            product = self._sink_product(run.droplet_of)
         return product, transport_cells
 
 

@@ -358,9 +358,6 @@ class CrossCheckTimeGrid:
     def regions(self) -> tuple[tuple[str, Rect], ...]:
         return self._packed.regions()
 
-    def reservation_footprint(self) -> int:
-        return self._packed.reservation_footprint()
-
     @property
     def faulty(self) -> frozenset[Point]:
         return self._packed.faulty

@@ -1,4 +1,12 @@
-"""Census of options: every defaulted parameter must have a caller.
+"""Census of the public API: every function and every option must have
+a caller.
+
+Every public function, method and property in ``src/repro`` must be
+referenced outside ``tests/``: named (``f``, ``obj.f``, or imported by
+name, which is how a package re-exports it) somewhere in ``src/``,
+``benchmarks/``, ``examples/`` or ``e2ebench/``. A function only tests
+call is test code; it belongs in ``tests/``. Matching is by name, so a
+function the census reports is named nowhere outside the tests.
 
 A defaulted parameter of a public function, method or constructor in
 ``src/repro`` is an option. It stays only when some call in ``src/``,
@@ -21,6 +29,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src" / "repro"
 CALLER_DIRS = ("src", "tests", "benchmarks", "examples", "e2ebench")
+#: Where a public function must be referenced: everywhere but the tests.
+REFERENCE_DIRS = tuple(d for d in CALLER_DIRS if d != "tests")
 
 _SPEC_PARAM = (
     "a gen: spec parameter: GeneratorSpec.build passes it from the spec "
@@ -43,6 +53,23 @@ ALLOWLIST: dict[str, str] = {
     "repro.workload.generator:build_panel_assay.name": _SPEC_NAME,
     "repro.workload.generator:build_mixed_assay.name": (
         "GeneratorSpec.build passes name= through the GENERATOR_FAMILIES table"
+    ),
+}
+
+
+#: ``module:Qualname`` -> why it stays with no reference outside tests.
+FUNCTION_ALLOWLIST: dict[str, str] = {
+    "repro.geometry.rect:Rect.expanded": (
+        "the inverse of Rect.inset, kept beside it so the segregation ring "
+        "round-trips; the geometry tests pin the pair"
+    ),
+    "repro.sim.droplet:Droplet.concentration": (
+        "reads a product droplet's mix ratio, the quantity a dilution "
+        "assay's output is judged by"
+    ),
+    "repro.testing.chaos:ChaosPolicy.describe": (
+        "one-line summary of a chaos policy for reading a fault-injection "
+        "run's setup"
     ),
 }
 
@@ -93,6 +120,44 @@ def _definitions() -> dict[str, tuple[str, list[tuple[str, int | None]]]]:
                         name, _defaulted(item, bound)
                     )
     return defs
+
+
+def _public_functions() -> dict[str, str]:
+    """``module:Qualname`` -> name of every public function, method and
+    property in ``src/repro``."""
+    defs = {}
+    for path in sorted(SOURCE.rglob("*.py")):
+        module = ".".join(path.relative_to(SOURCE.parent).with_suffix("").parts)
+        for node in _parse(path).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                defs[f"{module}:{node.name}"] = node.name
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        defs[f"{module}:{node.name}.{item.name}"] = item.name
+    return defs
+
+
+def _referenced_names() -> set[str]:
+    """Every name used, read as an attribute, or imported by name in
+    the non-test directories."""
+    names: set[str] = set()
+    for top in REFERENCE_DIRS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(_parse(path)):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+    return names
+
+
+def unreferenced() -> list[str]:
+    """Every public function no code outside ``tests/`` names."""
+    names = _referenced_names()
+    return sorted(key for key, name in _public_functions().items() if name not in names)
 
 
 class _CallVisitor(ast.NodeVisitor):
@@ -178,4 +243,22 @@ def test_allowlist_names_live_parameters():
 
 def test_allowlist_reasons_are_one_line():
     for key, reason in ALLOWLIST.items():
+        assert reason.strip() and "\n" not in reason, key
+
+
+def test_every_public_function_is_referenced_outside_tests():
+    unlisted = [f for f in unreferenced() if f not in FUNCTION_ALLOWLIST]
+    assert unlisted == [], (
+        "public functions only tests reference; move each into tests/, "
+        f"delete it, or allowlist it with a reason: {unlisted}"
+    )
+
+
+def test_function_allowlist_names_live_functions():
+    stale = sorted(set(FUNCTION_ALLOWLIST) - set(unreferenced()))
+    assert stale == [], f"function allowlist entries that are referenced or gone: {stale}"
+
+
+def test_function_allowlist_reasons_are_one_line():
+    for key, reason in FUNCTION_ALLOWLIST.items():
         assert reason.strip() and "\n" not in reason, key

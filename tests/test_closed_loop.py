@@ -12,8 +12,9 @@ The acceptance properties this file pins:
 * a fault every probe missed is caught by the stuck-droplet watchdog
   after the verdict replay exposes it;
 * ladder traces follow the rung order, the anneal-free relocate rung
-  draws no seed, and the recovery sweep preset's closed-loop records
-  are jobs-invariant.
+  draws no seed, every rung of a detection shares its one checkpoint,
+  and the recovery sweep preset's closed-loop records are
+  jobs-invariant.
 """
 
 from __future__ import annotations
@@ -36,10 +37,13 @@ from repro.recovery import (
     ClosedLoopController,
     OnlineRecoveryEngine,
 )
+from repro.recovery import closedloop
+from repro.recovery.closedloop import LadderStep
 from repro.recovery.engine import pick_fault_cell
+from repro.sim.engine import BiochipSimulator
 from repro.synthesis.flow import SynthesisFlow
 from repro.testing import CapacitiveSensor
-from repro.util.errors import RecoveryError, UsageError
+from repro.util.errors import RecoveryError, SimulationError, UsageError
 from repro.workload.campaign import CampaignRunner, recovery_sweep_preset
 
 #: Wall-clock fields: everything else in the outcome dicts must be
@@ -71,6 +75,19 @@ def _routed(assay: str):
 
 def _engine() -> OnlineRecoveryEngine:
     return OnlineRecoveryEngine(annealing=AnnealingParams.fast())
+
+
+def _count_checkpoints(monkeypatch) -> list[float]:
+    """Record the instant of every recovery checkpoint from here on."""
+    calls: list[float] = []
+    checkpoint_of = OnlineRecoveryEngine.checkpoint_of
+
+    def spy(self, result, fault_time_s, known_faults=()):
+        calls.append(fault_time_s)
+        return checkpoint_of(self, result, fault_time_s, known_faults)
+
+    monkeypatch.setattr(OnlineRecoveryEngine, "checkpoint_of", spy)
+    return calls
 
 
 def _single_fault(result, fraction: float, target: str, seed: int):
@@ -236,19 +253,22 @@ class TestLadder:
             ("relocate", True),
         ]
 
-    def test_relocate_draws_no_seed(self):
+    def test_relocate_draws_no_seed(self, monkeypatch):
         """ivd, a pending-module fault at 0.3 of the makespan whose hit
         module has no fault-free MER site: relocate fails and replace
         wins. The replace placement's digest was pinned before the
         relocate rung existed (ladder ``reroute -> replace``); it still
         matches only because relocate draws no seed from the run's
-        stream, so replace anneals with the seed it always had."""
+        stream, so replace anneals with the seed it always had. The
+        three rungs share the detection's one checkpoint."""
         result = _routed("ivd")
         events = _single_fault(result, 0.3, "pending-module", seed=1)
+        checkpoints = _count_checkpoints(monkeypatch)
         outcome = ClosedLoopController(engine=_engine()).run(
             result, events, seed=1, mode="oracle"
         )
         assert outcome.completed
+        assert len(checkpoints) == len(outcome.detections) == 1
         (recovery,) = outcome.recoveries
         trace = recovery.ladder_trace
         assert [(s.rung, s.succeeded) for s in trace] == [
@@ -262,6 +282,41 @@ class TestLadder:
         )
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
         assert digest == "69d8ca562d890939"
+
+    def test_failed_nominal_replay_refuses_every_rung(self, monkeypatch):
+        """When the nominal execution cannot be checkpointed, the
+        detection's one checkpoint attempt refuses every rung with the
+        same reason, in ladder order, and the run aborts."""
+        result = _routed("pcr")
+        events = _single_fault(result, 0.5, "pending-module", seed=3)
+        checkpoints = _count_checkpoints(monkeypatch)
+
+        def broken(self, *args):
+            raise SimulationError("no droplet path (injected)")
+
+        monkeypatch.setattr(BiochipSimulator, "_execute", broken)
+        steps: list[LadderStep] = []
+
+        class RecordedStep(LadderStep):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                steps.append(self)
+
+        monkeypatch.setattr(closedloop, "LadderStep", RecordedStep)
+        outcome = ClosedLoopController(engine=_engine()).run(
+            result, events, seed=3, mode="oracle"
+        )
+        refusal = (
+            "nominal execution fails before any fault: cannot checkpoint "
+            "a failed run: no droplet path (injected)"
+        )
+        assert [(s.rung, s.succeeded, s.reason) for s in steps] == [
+            *((rung, False, refusal) for rung in RECOVERY_RUNGS),
+            ("abort", False, "all recovery rungs exhausted"),
+        ]
+        assert outcome.aborted and outcome.final_rung == "abort"
+        assert outcome.reason.startswith("recovery ladder exhausted")
+        assert len(checkpoints) == len(outcome.detections) == 1
 
     def test_detection_latencies_only_for_real_faults(self):
         result = _routed("pcr")

@@ -79,12 +79,6 @@ class TestRectPredicates:
     def test_contains_point_accepts_tuples(self):
         assert Rect(1, 1, 2, 2).contains_point((2, 2))
 
-    def test_contains_rect(self):
-        outer = Rect(1, 1, 10, 10)
-        assert outer.contains_rect(Rect(3, 3, 2, 2))
-        assert outer.contains_rect(outer)
-        assert not outer.contains_rect(Rect(9, 9, 3, 3))
-
     def test_intersects_shared_edge_cells(self):
         # Closed-cell semantics: touching *cells* means intersecting.
         assert Rect(1, 1, 2, 2).intersects(Rect(2, 2, 2, 2))
@@ -92,19 +86,6 @@ class TestRectPredicates:
     def test_disjoint_rects(self):
         assert not Rect(1, 1, 2, 2).intersects(Rect(3, 1, 2, 2))
         assert not Rect(1, 1, 2, 2).intersects(Rect(1, 3, 2, 2))
-
-    def test_can_fit_respects_rotation_flag(self):
-        r = Rect(1, 1, 3, 6)
-        assert r.can_fit(6, 3, allow_rotation=True)
-        assert not r.can_fit(6, 3, allow_rotation=False)
-        assert r.can_fit(3, 6, allow_rotation=False)
-
-    def test_can_fit_exact(self):
-        assert Rect(4, 7, 4, 4).can_fit(4, 4)
-
-    def test_cannot_fit_larger(self):
-        assert not Rect(1, 1, 3, 3).can_fit(4, 2)
-
 
 class TestRectCombinators:
     def test_intersection_basic(self):
@@ -117,10 +98,6 @@ class TestRectCombinators:
     def test_overlap_area(self):
         assert Rect(1, 1, 4, 4).overlap_area(Rect(3, 3, 4, 4)) == 4
         assert Rect(1, 1, 2, 2).overlap_area(Rect(5, 5, 2, 2)) == 0
-
-    def test_union_bounds(self):
-        u = Rect(1, 1, 2, 2).union_bounds(Rect(5, 6, 2, 2))
-        assert u == Rect(1, 1, 6, 7)
 
     def test_translated(self):
         assert Rect(2, 3, 4, 5).translated(1, -2) == Rect(3, 1, 4, 5)
@@ -152,17 +129,6 @@ class TestRectIteration:
         r = Rect(2, 3, 3, 4)
         assert all(r.contains_point(p) for p in r.cells())
 
-    def test_boundary_cells_of_3x3(self):
-        r = Rect(1, 1, 3, 3)
-        boundary = set(r.boundary_cells())
-        assert len(boundary) == 8
-        assert Point(2, 2) not in boundary
-
-    def test_boundary_of_thin_rect_is_everything(self):
-        r = Rect(1, 1, 1, 5)
-        assert set(r.boundary_cells()) == set(r.cells())
-
-
 class TestRectProperties:
     @given(rects, rects)
     def test_intersects_iff_intersection_exists(self, a, b):
@@ -176,14 +142,7 @@ class TestRectProperties:
     def test_intersection_contained_in_both(self, a, b):
         inter = a.intersection(b)
         if inter is not None:
-            assert a.contains_rect(inter)
-            assert b.contains_rect(inter)
-
-    @given(rects, rects)
-    def test_union_bounds_contains_both(self, a, b):
-        u = a.union_bounds(b)
-        assert u.contains_rect(a)
-        assert u.contains_rect(b)
+            assert set(inter.cells()) <= set(a.cells()) & set(b.cells())
 
     @given(rects)
     def test_overlap_with_self_is_area(self, r):

@@ -13,7 +13,6 @@ class TestConstruction:
     def test_starts_empty(self):
         g = OccupancyGrid(4, 3)
         assert g.occupied_count == 0
-        assert g.free_count == 12
 
     def test_from_rects(self):
         g = OccupancyGrid.from_rects(5, 5, [Rect(1, 1, 2, 2), Rect(4, 4, 2, 2)])
@@ -62,7 +61,8 @@ class TestFillAndQuery:
         g = OccupancyGrid(3, 3)
         g.fill(Rect(1, 1, 3, 3))
         g.fill(Rect(2, 2, 1, 1), value=0)
-        assert g.free_count == 1
+        assert g.occupied_count == 8
+        assert not g.is_occupied((2, 2))
 
     def test_set_and_bounds_check(self):
         g = OccupancyGrid(3, 3)
@@ -70,24 +70,6 @@ class TestFillAndQuery:
         assert g.is_occupied((2, 3))
         with pytest.raises(KeyError):
             g.set((4, 1))
-
-    def test_is_rect_free(self):
-        g = OccupancyGrid(5, 5)
-        g.fill(Rect(3, 3, 1, 1))
-        assert g.is_rect_free(Rect(1, 1, 2, 5))
-        assert not g.is_rect_free(Rect(2, 2, 2, 2))
-
-    def test_rect_outside_grid_is_not_free(self):
-        g = OccupancyGrid(3, 3)
-        assert not g.is_rect_free(Rect(3, 3, 2, 2))
-
-    def test_occupied_and_free_cells_partition(self):
-        g = OccupancyGrid(4, 4)
-        g.fill(Rect(1, 1, 2, 2))
-        free = set(g.free_cells())
-        assert free == {Point(x, y) for x in range(1, 5) for y in range(1, 5)} - set(
-            Rect(1, 1, 2, 2).cells()
-        )
 
     def test_matrix_orientation_row0_is_bottom(self):
         g = OccupancyGrid(3, 2)

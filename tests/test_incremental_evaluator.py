@@ -20,6 +20,7 @@ from oracles import (
     CheckedTwoStagePlacer,
     FullRecomputeAnnealing,
     FullRecomputePlacer,
+    check_consistency,
 )
 
 from repro.assay.catalog import BUNDLED_ASSAYS
@@ -137,7 +138,7 @@ class TestEvaluatorBasics:
         ev = IncrementalCostEvaluator(p)
         with pytest.raises(PlacementError):
             ev.apply(ev.move(("a", 15, 15, False)))
-        ev.check_consistency()
+        check_consistency(ev)
 
     def test_delta_matches_full_recompute_displace(self):
         p = build_placement(self.layout())
@@ -177,7 +178,7 @@ class TestEvaluatorBasics:
         # The owned placement is brought up to date when read.
         assert ev.placement is p
         assert {pm.op_id: (pm.x, pm.y, pm.rotated) for pm in p} == before_state
-        ev.check_consistency()
+        check_consistency(ev)
 
     def test_resync_reports_drift(self):
         p = build_placement(self.layout())
@@ -190,7 +191,7 @@ class TestEvaluatorBasics:
             )))
         drift = ev.resync()
         assert drift <= TOL
-        ev.check_consistency()
+        check_consistency(ev)
 
     def test_auto_resync_cadence(self):
         p = build_placement(self.layout())
@@ -373,7 +374,7 @@ class TestCostProtocols:
             assert price(move) == expected
             if step % 3:
                 ev.apply(move)
-        ev.check_consistency()
+        check_consistency(ev)
 
     def test_fault_aware_delta_matches_full(self):
         p = build_placement([
@@ -630,7 +631,7 @@ def test_incremental_tracks_full_recompute(modules, moves, movable_mask, faults,
         assert delta == pytest.approx(after_full - before_full, abs=TOL)
         # 2. the running components track the full recompute, and only
         #    movable modules moved
-        ev.check_consistency(TOL)
+        check_consistency(ev, TOL)
         assert_view_matches_records(ev)
         assert all(
             (pm.x, pm.y, pm.rotated) == before_rows[pm.op_id]
@@ -646,7 +647,7 @@ def test_incremental_tracks_full_recompute(modules, moves, movable_mask, faults,
         assert ev.pull_sum == before_pull
         assert cost(ev.placement) == pytest.approx(before_full, abs=TOL)
         assert {pm.op_id: (pm.x, pm.y, pm.rotated) for pm in ev.placement} == before_rows
-        ev.check_consistency(TOL)
+        check_consistency(ev, TOL)
 
         # leave the move applied for the next iteration
         ev.apply(move)
@@ -665,8 +666,8 @@ def test_incremental_tracks_full_recompute(modules, moves, movable_mask, faults,
         checked.delta(ev, move)
         assert_view_matches_records(ev)
         inverse = ev.apply(move)
-        ev.check_consistency(TOL)
+        check_consistency(ev, TOL)
         ev.apply(inverse)
-        ev.check_consistency(TOL)
+        check_consistency(ev, TOL)
         ev.apply(move)
         assert_view_matches_records(ev)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from oracles import brute_force_maximal_empty_rectangles, fits_any_rectangle
 
 from repro.fault.mer import find_maximal_empty_rectangles
-from repro.geometry import Rect
+from repro.geometry import Point, Rect
 from repro.grid.occupancy import OccupancyGrid
 
 
@@ -93,12 +93,18 @@ class TestKnownConfigurations:
             find_maximal_empty_rectangles(np.zeros(4))
 
 
+def _rect_free(grid: OccupancyGrid, r: Rect) -> bool:
+    """Every cell of *r* lies inside *grid* and is free."""
+    inside = r.x >= 1 and r.y >= 1 and r.x2 <= grid.width and r.y2 <= grid.height
+    return inside and not any(grid.is_occupied(p) for p in r.cells())
+
+
 class TestMERInvariants:
     @staticmethod
     def assert_valid_mers(grid: OccupancyGrid, mers: list[Rect]):
         # 1. every MER is empty
         for r in mers:
-            assert grid.is_rect_free(r), f"{r} is not empty"
+            assert _rect_free(grid, r), f"{r} is not empty"
         # 2. maximality: no MER extends in any direction
         for r in mers:
             for grown in (
@@ -108,7 +114,7 @@ class TestMERInvariants:
                 Rect(r.x, r.y, r.width, r.height + 1),
             ):
                 if grown is not None:
-                    assert not grid.is_rect_free(grown), f"{r} extends to {grown}"
+                    assert not _rect_free(grid, grown), f"{r} extends to {grown}"
         # 3. no duplicates
         assert len(mers) == len(set(mers))
 
@@ -134,7 +140,12 @@ class TestMERInvariants:
         g = OccupancyGrid(width, height)
         g.set((1, 1))
         mers = find_maximal_empty_rectangles(g)
-        free = set(g.free_cells())
+        free = {
+            Point(x, y)
+            for x in range(1, width + 1)
+            for y in range(1, height + 1)
+            if not g.is_occupied((x, y))
+        }
         covered = set()
         for r in mers:
             covered.update(r.cells())

@@ -128,7 +128,9 @@ class TestSimulatorReplay:
         report = sim.run()
         assert report.completed
         assert report.planned_transports > 0
-        assert any("planned route" in e.detail for e in report.events_of_kind("transport"))
+        assert any(
+            e.kind == "transport" and "planned route" in e.detail for e in report.events
+        )
 
     def test_replay_matches_serial_product(self, routed_result):
         r = routed_result

@@ -61,8 +61,8 @@ class TestNominalRun:
         kinds = {e.kind for e in report.events}
         assert {"dispense", "transport", "op-start", "op-finish"} <= kinds
         # 7 mixes -> 7 start and 7 finish events.
-        assert len(report.events_of_kind("op-start")) == 7
-        assert len(report.events_of_kind("op-finish")) == 7
+        assert sum(e.kind == "op-start" for e in report.events) == 7
+        assert sum(e.kind == "op-finish" for e in report.events) == 7
 
     def test_transport_is_counted(self, pcr_sim_setup):
         pcr, placement = pcr_sim_setup
@@ -147,7 +147,7 @@ class TestFullGraphRun:
         assert report.completed
         assert report.product.reagents == PCR_REAGENTS
         # Output events: droplet left through the waste port.
-        assert report.events_of_kind("output")
+        assert any(e.kind == "output" for e in report.events)
         assert report.product.position is None
 
     def test_dilution_protocol_runs(self):

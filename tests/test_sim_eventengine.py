@@ -1,6 +1,6 @@
 """The realize-then-replay simulation core: dispatch order and parity.
 
-Two layers of guarantees:
+Three layers of guarantees:
 
 1. The replay-order contract — every fault entry is realized before
    any operation runs, then each operation is dispatched once in the
@@ -9,12 +9,14 @@ Two layers of guarantees:
    same-instant dispatches run in op-id order.
 2. Engine parity properties — the production replay in
    :class:`~repro.sim.engine.BiochipSimulator` (packed router, memos,
-   log-truncated checkpoints) is a *performance* rewrite, not a
+   checkpoints cut from reports) is a *performance* rewrite, not a
    semantic one: for any bundled assay and fault scenario, it and the
    stepped oracle (:class:`oracles.SteppedSimulator`) must produce
    bit-identical :class:`SimulationReport`\\ s (events, realized
-   intervals, transport accounting — everything), and checkpoints taken
-   from the run log must equal the stepped oracle's replayed ones.
+   intervals, transport accounting — everything), and checkpoints cut
+   from a memoized report must equal the stepped oracle's replayed ones.
+3. Purity — a run keeps no state on the simulator, so runs on one
+   simulator equal runs on fresh ones, in any order.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from oracles import SteppedSimulator
 from repro.assay.catalog import build_assay
 from repro.placement.annealer import AnnealingParams
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
-from repro.sim.engine import BiochipSimulator
+from repro.sim.engine import BiochipSimulator, checkpoint_at
 from repro.synthesis.flow import SynthesisFlow
 from repro.util.errors import SimulationError
 
@@ -121,7 +123,7 @@ class TestReplayOrder:
             order, report = self._dispatched(sim, faults)
             if not report.completed:
                 continue
-            realized = sim.checkpoint(report.realized_makespan, faults=faults).realized
+            realized = report.realized
             overtaken = [
                 (a, b)
                 for a, b in siblings
@@ -134,7 +136,7 @@ class TestReplayOrder:
         assert order == sorted(realized, key=lambda op: (realized[op][0], op))
         late, early = overtaken[0]
         assert order.index(early) < order.index(late)
-        starts = [e.op_id for e in report.events_of_kind("op-start")]
+        starts = [e.op_id for e in report.events if e.kind == "op-start"]
         assert starts.index(early) < starts.index(late)
 
     def test_same_instant_dispatches_run_in_op_id_order(self):
@@ -143,7 +145,7 @@ class TestReplayOrder:
         assert report.completed
         start = {op: sim.schedule.start(op) for op in order}
         assert order == sorted(order, key=lambda op: (start[op], op))
-        starts = [e.op_id for e in report.events_of_kind("op-start")]
+        starts = [e.op_id for e in report.events if e.kind == "op-start"]
         tied = [op for op in starts if sum(start[o] == start[op] for o in starts) > 1]
         assert len(tied) > 1  # the scenario exercises the tie-break
         assert starts == sorted(starts, key=lambda op: (start[op], op))
@@ -177,6 +179,58 @@ class TestEngineParity:
         assert nominal.completed and nominal.delay_s == 0.0
 
 
+def _observed(report) -> tuple:
+    """:func:`_comparable` plus the fields a checkpoint is cut from."""
+    return (*_comparable(report), report.realized, report.position_log)
+
+
+def _m1_mid_fault(sim: BiochipSimulator) -> list:
+    """A fault on M1's module at the middle of M1's interval: M1 is
+    running, so partial reconfiguration relocates it."""
+    iv = sim.schedule.interval("M1")
+    return [((iv.start + iv.stop) / 2, sim.module_cell("M1"))]
+
+
+class TestPureReplay:
+    """``run()`` is a pure function of ``(simulator, faults)``: it
+    keeps its state in a run record, never on the simulator."""
+
+    def test_relocating_run_leaves_the_constructed_placement(self):
+        sim = _simulator("pcr", "event")
+        placement = sim.placement
+        footprints = [(pm.op_id, pm.footprint) for pm in placement]
+        cell = sim.module_cell("M1")
+        report = sim.run(faults=_m1_mid_fault(sim))
+        assert report.completed
+        assert [r.op_id for r in report.relocations] == ["M1"]
+        assert report.final_placement.get("M1") != placement.get("M1")
+        assert sim.placement is placement
+        assert [(pm.op_id, pm.footprint) for pm in sim.placement] == footprints
+        assert sim.module_cell("M1") == cell
+
+    def test_run_and_checkpoint_touch_only_the_memos(self):
+        """Every attribute is the same object after a run and a
+        checkpoint; only the checkpoint and parking memos grow."""
+        sim = _simulator("pcr", "event")
+        before = dict(vars(sim))
+        faults = _m1_mid_fault(sim)
+        sim.run(faults=faults)
+        sim.checkpoint(0.8 * sim.schedule.makespan, faults=faults)
+        assert vars(sim).keys() == before.keys()
+        assert all(vars(sim)[k] is v for k, v in before.items())
+        assert len(sim._checkpoint_memo) == 1 and sim._park_memo
+
+    def test_fault_lists_in_either_order_match_fresh_simulators(self):
+        probe = _simulator("pcr", "event")
+        lists = [_m1_mid_fault(probe), _fault_grid(probe, [(4, 0.3)])]
+        fresh = [_observed(_simulator("pcr", "event").run(faults=f)) for f in lists]
+        assert fresh[0] != fresh[1]
+        for order in ((0, 1), (1, 0)):
+            sim = _simulator("pcr", "event")
+            for i in order:
+                assert _observed(sim.run(faults=lists[i])) == fresh[i]
+
+
 class TestCheckpointOnEventLog:
     @given(
         assay=st.sampled_from(_PARITY_ASSAYS),
@@ -207,9 +261,11 @@ class TestCheckpointOnEventLog:
         assert event_cp.events_prefix == stepped_cp.events_prefix
         assert fault_time <= time_s  # scenario sanity, not a contract
 
-    def test_checkpoint_after_run_is_a_cache_hit(self):
-        """Once the event engine has run a fault list, checkpointing it
-        is log truncation — the same object as the cold checkpoint."""
+    def test_checkpoint_after_run_matches_a_cold_one(self):
+        """A run leaves nothing behind that a checkpoint reads: the
+        checkpoint after it equals a fresh simulator's. A second
+        checkpoint of the same faults is cut from the memoized report,
+        with no replay."""
         sim = _simulator("pcr", "event")
         faults = _fault_grid(sim, [(2, 0.2)])
         report = sim.run(faults=faults)
@@ -221,6 +277,12 @@ class TestCheckpointOnEventLog:
         cold = cold_sim.checkpoint(time_s, faults=faults)
         assert warm.to_dict() == cold.to_dict()
         assert warm.events_prefix == cold.events_prefix
+
+        replays = []
+        sim.run = lambda faults=(): replays.append(faults)
+        again = sim.checkpoint(0.5 * time_s, faults=faults)
+        assert replays == []
+        assert again == checkpoint_at(report, 0.5 * time_s, faults)
 
     def test_resume_round_trip_is_bit_identical(self):
         """checkpoint -> rerun with its recorded faults and no new one

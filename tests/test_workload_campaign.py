@@ -11,13 +11,14 @@ import pytest
 
 from repro.util.errors import ReproError, UsageError
 from repro.workload.campaign import (
+    META_KIND,
     RECORD_SCHEMA_VERSION,
     CampaignConfig,
+    CampaignRecord,
     CampaignRunner,
     SensorSpec,
     derive_seed,
     parse_array,
-    read_log,
     validate_log,
 )
 
@@ -30,6 +31,26 @@ TINY = {
         }
     ],
 }
+
+
+def read_log(path) -> tuple[dict, list[CampaignRecord]]:
+    """Load a campaign log; raises :class:`ReproError` when malformed."""
+    errors = validate_log(path)
+    if errors:
+        raise ReproError(
+            f"invalid campaign log {path}: {errors[0]} "
+            f"({len(errors)} problem(s) total)"
+        )
+    meta: dict = {}
+    records: list[CampaignRecord] = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            entry = json.loads(line)
+            if entry["kind"] == META_KIND:
+                meta = entry
+            else:
+                records.append(CampaignRecord.from_dict(entry))
+    return meta, records
 
 
 def tiny_config() -> CampaignConfig:

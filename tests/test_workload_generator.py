@@ -21,7 +21,6 @@ from repro.workload.generator import (
     GeneratorSpec,
     check_invariants,
     generate,
-    module_count,
 )
 
 FAMILIES = sorted(GENERATOR_FAMILIES)
@@ -79,7 +78,7 @@ class TestStructuralInvariants:
            seed=st.integers(0, 999))
     def test_exact_module_budget(self, family, n, seed):
         g = generate(f"gen:{family}:n={n}:seed={seed}")
-        assert module_count(g) == n
+        assert len(g.reconfigurable_operations()) == n
 
     def test_n_out_of_band_rejected(self):
         with pytest.raises(ValueError, match="module count"):
