@@ -6,9 +6,8 @@ A direct transcription of the paper's pseudocode: an inner loop of ``N
 alpha x T``, and a stopping criterion tied to the controlling window
 reaching its minimum span. The engine anneals placements in place over
 an :class:`~repro.placement.incremental.IncrementalCostEvaluator`:
-proposals are the move tuples of
-:class:`~repro.placement.moves.MoveGenerator`, priced by the cost's
-``delta``.
+proposals are the draws of :class:`~repro.placement.moves.MoveGenerator`,
+priced by the cost's ``delta``.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ import random
 from dataclasses import dataclass, field
 from functools import partial
 
+from repro.placement.cost import AreaCost
 from repro.placement.window import ControllingWindow
 from repro.util.rng import ensure_rng
 
@@ -160,13 +160,18 @@ class SimulatedAnnealing:
     ):
         """Delta-cost annealing over an incremental evaluator.
 
-        One loop proposes a move tuple (the kernel of ``mover.bind``),
-        prices it through *cost*'s ``delta`` (bound once, by the cost's
-        ``bind`` where it has one) and ``current`` protocol and
-        applies it in place on the *evaluator* (an :class:`~repro.
-        placement.incremental.IncrementalCostEvaluator`) — so one
-        proposal costs O(time-neighbors) instead of an O(n^2) full
-        recompute, and builds no placement object. The running cost is
+        Each proposal is drawn, priced by *cost*'s ``delta``, put to the
+        Metropolis test and, when accepted, applied in place on the
+        *evaluator* (an :class:`~repro.placement.incremental.
+        IncrementalCostEvaluator`) — so one proposal costs
+        O(time-neighbors) instead of an O(n^2) full recompute, and
+        builds no placement object. For a cost whose ``delta`` is
+        :meth:`AreaCost.delta` the four run as one fused step
+        (:meth:`~repro.placement.incremental.IncrementalCostEvaluator.
+        bind_step`); a cost that overrides ``delta`` is priced by its
+        override, on a move tuple from ``mover.bind``, and the move is
+        applied by ``evaluator.apply``. Both make the same draws and
+        float operations, in the same order. The running cost is
         resynced from the evaluator every temperature round, so float
         drift never survives a round boundary.
 
@@ -181,17 +186,22 @@ class SimulatedAnnealing:
         best, best_cost = evaluator.snapshot(), current_cost
         stats.initial_cost = current_cost
 
-        propose = mover.bind(evaluator)
-        # ``bind`` is looked up on the cost's type, as Python looks up
-        # special methods: a wrapper that forwards attribute reads to
-        # the cost it wraps (the test oracles' delta checker) has no
-        # ``bind`` of its own and is priced by its own ``delta``.
-        bind = getattr(type(cost), "bind", None)
-        price = bind(cost, evaluator) if bind is not None else partial(cost.delta, evaluator)
-        span_at = mover.window.span
         rand = self._rng.random
         exp = math.exp
-        apply_fn = evaluator.apply
+        # ``delta`` is looked up on the cost's type, as Python looks up
+        # special methods: a wrapper that forwards attribute reads to
+        # the cost it wraps (the test oracles' delta checker) is priced
+        # by its own ``delta``.
+        if getattr(type(cost), "delta", None) is AreaCost.delta:
+            step = evaluator.bind_step(
+                mover, cost.alpha, cost.overlap_weight, cost.pull_weight, rand
+            )
+        else:
+            step = None
+            propose = mover.bind(evaluator)
+            price = partial(cost.delta, evaluator)
+            apply_fn = evaluator.apply
+        span_at = mover.window.span
         acceptances = improvements = 0
 
         temperature = p.initial_temp
@@ -200,24 +210,30 @@ class SimulatedAnnealing:
             stats.rounds += 1
             span = span_at(temperature)
             for _ in range(inner_iterations):
-                move = propose(span)
-                delta = price(move)
-                if delta < 0 or rand() < exp(-delta / temperature):
+                if step is not None:
+                    delta = step(span, temperature)
+                    if delta is None:
+                        continue
+                else:
+                    move = propose(span)
+                    delta = price(move)
+                    if not (delta < 0 or rand() < exp(-delta / temperature)):
+                        continue
                     apply_fn(move)
-                    current_cost += delta
-                    acceptances += 1
+                current_cost += delta
+                acceptances += 1
+                if current_cost < best_cost:
+                    # Confirm with exact arithmetic before snapshotting:
+                    # the accumulated cost carries ~1e-13 float drift,
+                    # enough to turn an equal-cost state into a spurious
+                    # "improvement" (true improvements come in quanta of
+                    # at least the pull weight, far above drift). Rare
+                    # enough that the O(n^2) resync is free.
+                    evaluator.resync()
+                    current_cost = cost.current(evaluator)
                     if current_cost < best_cost:
-                        # Confirm with exact arithmetic before snapshotting:
-                        # the accumulated cost carries ~1e-13 float drift,
-                        # enough to turn an equal-cost state into a spurious
-                        # "improvement" (true improvements come in quanta of
-                        # at least the pull weight, far above drift). Rare
-                        # enough that the O(n^2) resync is free.
-                        evaluator.resync()
-                        current_cost = cost.current(evaluator)
-                        if current_cost < best_cost:
-                            best, best_cost = evaluator.snapshot(), current_cost
-                            improvements += 1
+                        best, best_cost = evaluator.snapshot(), current_cost
+                        improvements += 1
             stats.evaluations += inner_iterations
             # Round-boundary resync: rebuild the running sums and the
             # carried cost so float drift cannot accumulate.

@@ -24,8 +24,10 @@ Every cost here speaks two protocols:
   with terms beyond the evaluator's components binds them to the
   evaluator's per-index data once per evaluator, never per proposal.
 
-The annealer prices proposals by ``delta`` alone (resolved once per
-anneal by :meth:`AreaCost.bind`), so a subclass that overrides
+The annealer prices proposals by ``delta`` alone — for a cost whose
+``delta`` is :meth:`AreaCost.delta`, by the same arithmetic fused into
+its Metropolis step (see :meth:`~repro.placement.incremental.
+IncrementalCostEvaluator.bind_step`) — so a subclass that overrides
 ``__call__`` without a matching ``delta`` would optimize the wrong
 objective; :func:`require_delta` rejects such a cost with
 :class:`TypeError` when a placer is built with it.
@@ -33,8 +35,6 @@ objective; :func:`require_delta` rejects such a cost with
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.fault.fti import FTIReport, compute_fti
@@ -132,38 +132,15 @@ class AreaCost:
         return cost
 
     def delta(self, evaluator: IncrementalCostEvaluator, move: tuple) -> float:
-        """Change in this cost if *move* were applied."""
+        """Change in this cost if *move* were applied. The annealer's
+        fused step (:meth:`~repro.placement.incremental.
+        IncrementalCostEvaluator.bind_step`) repeats this arithmetic for
+        every cost that keeps this ``delta``."""
         d_area_mm2, d_overlap, d_pull, _ = evaluator.components(move)
         d = self.alpha * d_area_mm2 + self.overlap_weight * d_overlap
         if self.pull_weight:
             d += self.pull_weight * d_pull
         return d
-
-    def bind(self, evaluator: IncrementalCostEvaluator) -> Callable[[tuple], float]:
-        """``price(move)``: this cost's :meth:`delta` over *evaluator*,
-        resolved once per anneal (the counterpart of the move
-        generator's ``bind``).
-
-        For a cost that prices by this class's own ``delta``, the
-        weights and the evaluator's pricing closure are bound here and
-        the closure repeats ``delta``'s float operations. A
-        subclass that overrides ``delta`` is priced by its override.
-        """
-        if type(self).delta is not AreaCost.delta:
-            return partial(self.delta, evaluator)
-        components = evaluator.bind_components()
-        alpha = self.alpha
-        overlap_weight = self.overlap_weight
-        pull_weight = self.pull_weight
-
-        def price(move: tuple) -> float:
-            d_area_mm2, d_overlap, d_pull, _ = components(move)
-            d = alpha * d_area_mm2 + overlap_weight * d_overlap
-            if pull_weight:
-                d += pull_weight * d_pull
-            return d
-
-        return price
 
 
 class FaultAwareCost(AreaCost):

@@ -14,19 +14,46 @@ controlling window and all moves keep footprints inside the core area.
 
 Proposals are plain move tuples over module indices (see
 :mod:`repro.placement.incremental`): :meth:`MoveGenerator.bind` returns
-the proposal kernel the annealer calls once per proposal.
+the proposal kernel the annealer calls once per proposal for a cost
+with its own ``delta``. For the area cost the annealer's fused step
+makes the same draws inline, from :meth:`MoveGenerator.draws`.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Callable, Collection
+from typing import NamedTuple
 
 from repro.placement.window import ControllingWindow
 from repro.util.rng import ensure_rng
 
 #: The integer draw the kernel inlines (CPython 3.11 to 3.13 alike).
 _RANDBELOW = random.Random._randbelow_with_getrandbits
+
+
+class MoveDraws(NamedTuple):
+    """The state behind one anneal's proposal draws (see
+    :meth:`MoveGenerator.draws`)."""
+
+    #: Indices a move may touch (the movable modules, in placement order).
+    cands: list[int]
+    #: Bit width of ``randrange(n)``, for ``n`` candidates.
+    kn: int
+    #: Bit width of the pool branch's ``randrange(n - 1)``.
+    kn1: int
+    #: ``sample(range(n), 2)`` takes its pool branch (``n <= 21``).
+    pool_branch: bool
+    #: Per index and orientation: the largest in-core origin ``(x, y)``.
+    lim: list[tuple[tuple[int, int], tuple[int, int]]]
+    #: Per index and orientation: the footprint fits in the core.
+    fits: list[tuple[bool, bool]]
+    rand: Callable[[], float]
+    getrandbits: Callable[[int], int]
+    p_single: float
+    p_rotate: float
+    #: Pair interchanges are off (LTSA mode, or fewer than two candidates).
+    single_only: bool
 
 
 class MoveGenerator:
@@ -91,44 +118,16 @@ class MoveGenerator:
         inlined per its two branches — the pool branch for ``n <= 21``
         (the second draw is below ``n - 1``, and a hit on the first pick
         reads the vacancy-filling ``n - 1``), the set branch above
-        (redraw below ``n`` until distinct). Raises :class:`TypeError`
-        for a generator whose ``randrange`` does not draw that way.
+        (redraw below ``n`` until distinct). The annealer's fused step
+        (:meth:`~repro.placement.incremental.IncrementalCostEvaluator.
+        bind_step`) repeats these draws inline, over the same
+        :meth:`draws`: a change here is a change there.
         """
-        rng = self._rng
-        klass = type(rng)
-        if (
-            getattr(klass, "_randbelow", None) is not _RANDBELOW
-            or klass.randrange is not random.Random.randrange
-            or klass.sample is not random.Random.sample
-        ):
-            raise TypeError(
-                f"{klass.__name__} does not draw integers by getrandbits: the "
-                "move kernel inlines random.Random's randrange and sample"
-            )
-        movable = self.movable
-        cands = [i for i, op in enumerate(ops) if movable is None or op in movable]
-        if not cands:
-            raise ValueError("cannot propose moves: no movable modules")
+        (
+            cands, kn, kn1, pool_branch, lim, fits,
+            rand, getrandbits, p_single, p_rotate, single_only,
+        ) = self.draws(ops, dims, core_w, core_h)
         n = len(cands)
-        # Bit widths of randrange(n) and of the pool branch's randrange(n - 1).
-        kn = n.bit_length()
-        kn1 = (n - 1).bit_length()
-        pool_branch = n <= 21
-        # Largest in-core origin per index and orientation (the clamp's
-        # upper bounds); an orientation fits when both are >= 1.
-        lim = [
-            ((core_w - w0 + 1, core_h - h0 + 1), (core_w - w1 + 1, core_h - h1 + 1))
-            for (w0, h0), (w1, h1) in dims
-        ]
-        fits = [
-            (mx0 >= 1 and my0 >= 1, mx1 >= 1 and my1 >= 1)
-            for (mx0, my0), (mx1, my1) in lim
-        ]
-        rand = rng.random
-        getrandbits = rng.getrandbits
-        p_single = self.p_single
-        p_rotate = self.p_rotate
-        single_only = self.single_only or n < 2
 
         def next_move(span: int) -> tuple:
             if single_only or rand() < p_single:
@@ -206,3 +205,52 @@ class MoveGenerator:
             return (a, ax, ay, ra, b, bx, by, rb)
 
         return next_move
+
+    def draws(self, ops, dims, core_w: int, core_h: int) -> MoveDraws:
+        """What the proposal draws read, built once per anneal over the
+        index records' op ids and footprint dims: the candidate list
+        (the movable modules' indices, in the placement's order), the
+        draw widths, the in-core origin limits, and the generator's
+        bound draw methods.
+
+        Raises :class:`TypeError` for a generator whose ``randrange``
+        does not draw by ``getrandbits`` (the draws inline it).
+        """
+        rng = self._rng
+        klass = type(rng)
+        if (
+            getattr(klass, "_randbelow", None) is not _RANDBELOW
+            or klass.randrange is not random.Random.randrange
+            or klass.sample is not random.Random.sample
+        ):
+            raise TypeError(
+                f"{klass.__name__} does not draw integers by getrandbits: the "
+                "move kernel inlines random.Random's randrange and sample"
+            )
+        movable = self.movable
+        cands = [i for i, op in enumerate(ops) if movable is None or op in movable]
+        if not cands:
+            raise ValueError("cannot propose moves: no movable modules")
+        n = len(cands)
+        # Largest in-core origin per index and orientation (the clamp's
+        # upper bounds); an orientation fits when both are >= 1.
+        lim = [
+            ((core_w - w0 + 1, core_h - h0 + 1), (core_w - w1 + 1, core_h - h1 + 1))
+            for (w0, h0), (w1, h1) in dims
+        ]
+        return MoveDraws(
+            cands=cands,
+            kn=n.bit_length(),
+            kn1=(n - 1).bit_length(),
+            pool_branch=n <= 21,
+            lim=lim,
+            fits=[
+                (mx0 >= 1 and my0 >= 1, mx1 >= 1 and my1 >= 1)
+                for (mx0, my0), (mx1, my1) in lim
+            ],
+            rand=rng.random,
+            getrandbits=rng.getrandbits,
+            p_single=self.p_single,
+            p_rotate=self.p_rotate,
+            single_only=self.single_only or n < 2,
+        )

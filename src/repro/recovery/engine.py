@@ -399,12 +399,17 @@ class OnlineRecoveryEngine:
         )
         self.reconfigurer = PartialReconfigurer()
         self.synthesizer = RoutingSynthesizer()
-        #: One-slot nominal-simulator cache: scenarios of one design (a
-        #: campaign's fault models and arrivals, a sweep's instants)
-        #: checkpoint the same synthesis result, and the simulator's
-        #: report memo only pays off when those checkpoints share a
-        #: simulator. Within one detection the closed loop checkpoints
-        #: once and hands that checkpoint to every rung.
+        #: One-slot nominal-simulator cache, keyed by the synthesis
+        #: result's identity: checkpoints of one result share its
+        #: simulator, and so its report memo. In a scenario the fault-
+        #: site pick and the first detection checkpoint the same design;
+        #: each later detection checkpoints the design the previous
+        #: recovery left. A caller that keeps one engine across the
+        #: scenarios of a design shares the slot across them too; a
+        #: campaign builds one engine per scenario (``_run_unit``), so
+        #: there the slot never spans scenarios. Within one detection
+        #: the closed loop checkpoints once and hands that checkpoint to
+        #: every rung.
         self._nominal_sim: tuple[SynthesisResult, BiochipSimulator] | None = None
         #: Template evaluator whose schedule-fixed warm-up (time-
         #: neighbor lists, FTI memo) is reused across recovery calls on

@@ -13,7 +13,11 @@ fault-oblivious placer (``AreaCost``) on four generated families, the
 two-stage placer's LTSA stage (``FaultAwareCost``), the transport-aware
 cost, and two consecutive replace-rung recovery anneals on one engine
 (``FaultAvoidanceCost`` over a ``movable`` subset, the second warm-
-started from the first's evaluator).
+started from the first's evaluator). Further ``AreaCost`` cases reach
+the branches the generated families do not: best-state snapshots
+(``improvements > 0`` under the balanced schedule), a placer that never
+rotates, and one- and two-module placements (a move that is the whole
+placement, and a pair interchange with no third module).
 """
 
 from __future__ import annotations
@@ -23,9 +27,11 @@ import hashlib
 import pytest
 
 from repro.assay.catalog import build_assay
+from repro.modules.library import MIXER_2X3, MIXER_2X4
 from repro.pipeline.context import SynthesisContext
 from repro.pipeline.stages import BindStage, ScheduleStage
 from repro.placement.annealer import AnnealingParams, SimulatedAnnealing
+from repro.placement.model import PlacedModule
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.placement.transport import TransportAwareCost
 from repro.placement.two_stage import TwoStagePlacer
@@ -83,6 +89,24 @@ def run_case(name: str, monkeypatch) -> list[dict]:
     if name.startswith("gen:"):
         _, schedule, binding = _scheduled(name, max_parked=2)
         SimulatedAnnealingPlacer(params=fast, seed=3).place(schedule, binding)
+    elif name.startswith("balanced:"):
+        _, schedule, binding = _scheduled(name.removeprefix("balanced:"))
+        SimulatedAnnealingPlacer(
+            params=AnnealingParams.balanced(), seed=3
+        ).place(schedule, binding)
+    elif name == "no-rotation:pcr":
+        _, schedule, binding = _scheduled("pcr")
+        SimulatedAnnealingPlacer(
+            params=fast, allow_rotation=False, seed=3
+        ).place(schedule, binding)
+    elif name in ("one-module", "two-module"):
+        # Two non-square modules that share four seconds of time.
+        modules = [
+            PlacedModule(op_id="a", spec=MIXER_2X3, x=1, y=1, start=0.0, stop=10.0),
+            PlacedModule(op_id="b", spec=MIXER_2X4, x=1, y=1, start=6.0, stop=14.0),
+        ]
+        count = 1 if name == "one-module" else 2
+        SimulatedAnnealingPlacer(params=fast, seed=3).place_modules(modules[:count])
     elif name == "ltsa-pcr":
         _, schedule, binding = _scheduled("pcr")
         TwoStagePlacer(
@@ -142,6 +166,36 @@ PINS = {
          "evaluations": 43200, "acceptances": 26273,
          "improvements": 0, "stop_reason": "window-frozen",
          "best_cost": 219.4},
+    ],
+    "balanced:pcr": [
+        {"rows": "9149a59a5e0705ce", "history": "7710bf7090116c8a",
+         "evaluations": 36120, "acceptances": 18370,
+         "improvements": 2, "stop_reason": "window-frozen",
+         "best_cost": 146.55},
+    ],
+    "balanced:tree16": [
+        {"rows": "b8a6098a49e46d5a", "history": "cd18f37367dfae22",
+         "evaluations": 167400, "acceptances": 90567,
+         "improvements": 0, "stop_reason": "window-frozen",
+         "best_cost": 235.55},
+    ],
+    "no-rotation:pcr": [
+        {"rows": "c50ea3c248a53ab4", "history": "0e8eb6e5e72b8095",
+         "evaluations": 7560, "acceptances": 3434,
+         "improvements": 9, "stop_reason": "window-frozen",
+         "best_cost": 145.95},
+    ],
+    "one-module": [
+        {"rows": "ef93d530126ca596", "history": "fec9528c5d526274",
+         "evaluations": 840, "acceptances": 838,
+         "improvements": 0, "stop_reason": "window-frozen",
+         "best_cost": 45.45},
+    ],
+    "two-module": [
+        {"rows": "07f654db2fdee683", "history": "89b6c1918ccc180f",
+         "evaluations": 2000, "acceptances": 825,
+         "improvements": 4, "stop_reason": "window-frozen",
+         "best_cost": 109.15},
     ],
     "ltsa-pcr": [
         {"rows": "bab4163e026e6d30", "history": "646fa40844b2562c",

@@ -10,6 +10,7 @@ assay with per-move verification (the :class:`oracles.CheckedCost`
 wrapper).
 """
 
+import itertools
 import random
 
 import pytest
@@ -355,26 +356,43 @@ class TestCostProtocols:
 
     @pytest.mark.parametrize("pull_weight", [0.0, 0.05])
     def test_bound_price_equals_delta_bit_for_bit(self, pull_weight):
-        """``AreaCost.bind``'s closure returns exactly ``delta``'s float,
-        for single moves and pair interchanges alike."""
+        """The fused Metropolis step bound for ``AreaCost`` prices
+        exactly as ``delta``, for single moves and pair interchanges
+        alike: each accepted step returns the very float ``delta`` gives
+        the move the kernel draws from the same state, and applies that
+        move; each rejected one was not downhill."""
         rng = random.Random(8)
         layout = [
             (f"m{i}", rng.randrange(len(SPECS)), rng.randint(1, 12), rng.randint(1, 12),
              float(rng.randrange(4)), float(rng.randrange(4) + 5), False)
             for i in range(12)
         ]
-        ev = IncrementalCostEvaluator(build_placement(layout))
+        fused = IncrementalCostEvaluator(build_placement(layout))
+        plain = IncrementalCostEvaluator(build_placement(layout))
         cost = AreaCost(pull_weight=pull_weight)
-        price = cost.bind(ev)
         window = ControllingWindow(initial_temp=100, max_span=6)
-        propose = MoveGenerator(window=window, p_single=0.5, seed=8).bind(ev)
-        for step in range(400):
+        # The Metropolis draws: 0.0 accepts any delta, 1.0 only a downhill one.
+        decisions = itertools.cycle([0.0, 0.0, 1.0])
+        step = fused.bind_step(
+            MoveGenerator(window=window, p_single=0.5, seed=8),
+            cost.alpha, cost.overlap_weight, cost.pull_weight, decisions.__next__,
+        )
+        propose = MoveGenerator(window=window, p_single=0.5, seed=8).bind(plain)
+        accepted = 0
+        for _ in range(400):
             move = propose(3)
-            expected = cost.delta(ev, tuple(list(move)))  # a distinct tuple: no cache hit
-            assert price(move) == expected
-            if step % 3:
-                ev.apply(move)
-        check_consistency(ev)
+            expected = cost.delta(plain, move)
+            delta = step(3, 1.0)
+            if delta is None:
+                assert expected >= 0
+                continue
+            assert delta == expected
+            plain.apply(move)
+            accepted += 1
+        assert 0 < accepted < 400
+        assert fused.snapshot() == plain.snapshot()
+        assert fused.bounding_box() == plain.bounding_box()
+        check_consistency(fused)
 
     def test_fault_aware_delta_matches_full(self):
         p = build_placement([

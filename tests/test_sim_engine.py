@@ -1,10 +1,13 @@
 """Integration tests for the discrete-event biochip simulator."""
 
+import json
+
 import pytest
 
 from repro.assay.catalog import build_assay
 from repro.assay.protocols.dilution import build_serial_dilution_graph
 from repro.assay.protocols.pcr import build_pcr_full_graph
+from repro.cli import EXIT_OK, main
 from repro.placement.annealer import AnnealingParams
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.sim.engine import BiochipSimulator
@@ -205,3 +208,26 @@ class TestPlannedReplayPins:
         if not report.completed:
             assert report.failure_reason.startswith("no droplet path")
             raise SimulationError(report.failure_reason)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=SimulationError,
+    reason="every recovered plan verifies, but the verdict replay finds no droplet path",
+)
+def test_closed_loop_cluster_verdict_replays(capsys):
+    """``repro recover --protocol tree8 --fault-model cluster
+    --fault-time 0.25 --closed-loop --sensor-fpr 0.02 --sensor-fnr
+    0.05 --fast``: all three recoveries report a verified plan, yet
+    the ground-truth verdict replay of the final plan dead-ends
+    (ROADMAP item 1's open case)."""
+    code = main([
+        "recover", "--protocol", "tree8", "--fault-model", "cluster",
+        "--fault-time", "0.25", "--closed-loop", "--sensor-fpr", "0.02",
+        "--sensor-fnr", "0.05", "--fast", "--json",
+    ])
+    run = json.loads(capsys.readouterr().out)["tree8"]
+    assert [r["plan_verified"] for r in run["recoveries"]] == [True] * 3
+    if code != EXIT_OK or not run["completed"]:
+        assert run["reason"].startswith("no droplet path")
+        raise SimulationError(run["reason"])
