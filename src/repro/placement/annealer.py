@@ -137,6 +137,45 @@ class AnnealingStats:
         return self.acceptances / self.evaluations if self.evaluations else 0.0
 
 
+def _bind_step(evaluator, cost, mover, rand):
+    """The annealer's Metropolis step for *cost* over *evaluator*.
+
+    ``step(span, temperature)`` draws a move as *mover* would, displacing
+    within ``span`` cells, prices it by *cost*'s ``delta``, accepts it
+    when ``delta < 0 or rand() < exp(-delta / temperature)``, applies an
+    accepted move in place, and returns its delta (``None`` for a
+    rejected move).
+
+    For a cost whose ``delta`` is :meth:`AreaCost.delta` the step is the
+    evaluator's fused closure (:meth:`~repro.placement.incremental.
+    IncrementalCostEvaluator.bind_step`); for a cost that overrides
+    ``delta`` it is ``mover.bind``'s kernel, the override and
+    ``evaluator.apply`` in turn. Both make the same draws and float
+    operations, in the same order. ``delta`` is looked up on the cost's
+    type, as Python looks up special methods: a wrapper that forwards
+    attribute reads to the cost it wraps (the test oracles' delta
+    checker) is priced by its own ``delta``.
+    """
+    if getattr(type(cost), "delta", None) is AreaCost.delta:
+        return evaluator.bind_step(
+            mover, cost.alpha, cost.overlap_weight, cost.pull_weight, rand
+        )
+    propose = mover.bind(evaluator)
+    price = partial(cost.delta, evaluator)
+    apply_fn = evaluator.apply
+    exp = math.exp
+
+    def step(span: int, temperature: float) -> float | None:
+        move = propose(span)
+        delta = price(move)
+        if delta < 0 or rand() < exp(-delta / temperature):
+            apply_fn(move)
+            return delta
+        return None
+
+    return step
+
+
 class SimulatedAnnealing:
     """Metropolis annealer with geometric cooling."""
 
@@ -165,15 +204,10 @@ class SimulatedAnnealing:
         *evaluator* (an :class:`~repro.placement.incremental.
         IncrementalCostEvaluator`) — so one proposal costs
         O(time-neighbors) instead of an O(n^2) full recompute, and
-        builds no placement object. For a cost whose ``delta`` is
-        :meth:`AreaCost.delta` the four run as one fused step
-        (:meth:`~repro.placement.incremental.IncrementalCostEvaluator.
-        bind_step`); a cost that overrides ``delta`` is priced by its
-        override, on a move tuple from ``mover.bind``, and the move is
-        applied by ``evaluator.apply``. Both make the same draws and
-        float operations, in the same order. The running cost is
-        resynced from the evaluator every temperature round, so float
-        drift never survives a round boundary.
+        builds no placement object. The four run as one step closure
+        (:func:`_bind_step`). The running cost is resynced from the
+        evaluator every temperature round, so float drift never
+        survives a round boundary.
 
         Returns ``(best_placement, stats)``; the best placement is
         materialized once, from a snapshot of the index records.
@@ -186,21 +220,7 @@ class SimulatedAnnealing:
         best, best_cost = evaluator.snapshot(), current_cost
         stats.initial_cost = current_cost
 
-        rand = self._rng.random
-        exp = math.exp
-        # ``delta`` is looked up on the cost's type, as Python looks up
-        # special methods: a wrapper that forwards attribute reads to
-        # the cost it wraps (the test oracles' delta checker) is priced
-        # by its own ``delta``.
-        if getattr(type(cost), "delta", None) is AreaCost.delta:
-            step = evaluator.bind_step(
-                mover, cost.alpha, cost.overlap_weight, cost.pull_weight, rand
-            )
-        else:
-            step = None
-            propose = mover.bind(evaluator)
-            price = partial(cost.delta, evaluator)
-            apply_fn = evaluator.apply
+        step = _bind_step(evaluator, cost, mover, self._rng.random)
         span_at = mover.window.span
         acceptances = improvements = 0
 
@@ -210,16 +230,9 @@ class SimulatedAnnealing:
             stats.rounds += 1
             span = span_at(temperature)
             for _ in range(inner_iterations):
-                if step is not None:
-                    delta = step(span, temperature)
-                    if delta is None:
-                        continue
-                else:
-                    move = propose(span)
-                    delta = price(move)
-                    if not (delta < 0 or rand() < exp(-delta / temperature)):
-                        continue
-                    apply_fn(move)
+                delta = step(span, temperature)
+                if delta is None:
+                    continue
                 current_cost += delta
                 acceptances += 1
                 if current_cost < best_cost:

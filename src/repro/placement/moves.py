@@ -23,37 +23,12 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Collection
-from typing import NamedTuple
 
 from repro.placement.window import ControllingWindow
 from repro.util.rng import ensure_rng
 
 #: The integer draw the kernel inlines (CPython 3.11 to 3.13 alike).
 _RANDBELOW = random.Random._randbelow_with_getrandbits
-
-
-class MoveDraws(NamedTuple):
-    """The state behind one anneal's proposal draws (see
-    :meth:`MoveGenerator.draws`)."""
-
-    #: Indices a move may touch (the movable modules, in placement order).
-    cands: list[int]
-    #: Bit width of ``randrange(n)``, for ``n`` candidates.
-    kn: int
-    #: Bit width of the pool branch's ``randrange(n - 1)``.
-    kn1: int
-    #: ``sample(range(n), 2)`` takes its pool branch (``n <= 21``).
-    pool_branch: bool
-    #: Per index and orientation: the largest in-core origin ``(x, y)``.
-    lim: list[tuple[tuple[int, int], tuple[int, int]]]
-    #: Per index and orientation: the footprint fits in the core.
-    fits: list[tuple[bool, bool]]
-    rand: Callable[[], float]
-    getrandbits: Callable[[int], int]
-    p_single: float
-    p_rotate: float
-    #: Pair interchanges are off (LTSA mode, or fewer than two candidates).
-    single_only: bool
 
 
 class MoveGenerator:
@@ -206,12 +181,24 @@ class MoveGenerator:
 
         return next_move
 
-    def draws(self, ops, dims, core_w: int, core_h: int) -> MoveDraws:
+    def draws(self, ops, dims, core_w: int, core_h: int) -> tuple:
         """What the proposal draws read, built once per anneal over the
-        index records' op ids and footprint dims: the candidate list
-        (the movable modules' indices, in the placement's order), the
-        draw widths, the in-core origin limits, and the generator's
-        bound draw methods.
+        index records' op ids and footprint dims. Returns, in order:
+
+        * ``cands`` — the indices a move may touch (the movable
+          modules, in the placement's order);
+        * ``kn`` and ``kn1`` — the bit widths of ``randrange(n)`` and of
+          the pool branch's ``randrange(n - 1)``, for ``n`` candidates;
+        * ``pool_branch`` — ``sample(range(n), 2)`` takes its pool
+          branch (``n <= 21``);
+        * ``lim`` — per index and orientation, the largest in-core
+          origin ``(x, y)``;
+        * ``fits`` — per index and orientation, the footprint fits in
+          the core;
+        * ``rand`` and ``getrandbits`` — the generator's bound draws;
+        * ``p_single`` and ``p_rotate``;
+        * ``single_only`` — pair interchanges are off (LTSA mode, or
+          fewer than two candidates).
 
         Raises :class:`TypeError` for a generator whose ``randrange``
         does not draw by ``getrandbits`` (the draws inline it).
@@ -238,19 +225,12 @@ class MoveGenerator:
             ((core_w - w0 + 1, core_h - h0 + 1), (core_w - w1 + 1, core_h - h1 + 1))
             for (w0, h0), (w1, h1) in dims
         ]
-        return MoveDraws(
-            cands=cands,
-            kn=n.bit_length(),
-            kn1=(n - 1).bit_length(),
-            pool_branch=n <= 21,
-            lim=lim,
-            fits=[
-                (mx0 >= 1 and my0 >= 1, mx1 >= 1 and my1 >= 1)
-                for (mx0, my0), (mx1, my1) in lim
-            ],
-            rand=rng.random,
-            getrandbits=rng.getrandbits,
-            p_single=self.p_single,
-            p_rotate=self.p_rotate,
-            single_only=self.single_only or n < 2,
+        fits = [
+            (mx0 >= 1 and my0 >= 1, mx1 >= 1 and my1 >= 1)
+            for (mx0, my0), (mx1, my1) in lim
+        ]
+        return (
+            cands, n.bit_length(), (n - 1).bit_length(), n <= 21, lim, fits,
+            rng.random, rng.getrandbits, self.p_single, self.p_rotate,
+            self.single_only or n < 2,
         )

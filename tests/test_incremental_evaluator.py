@@ -8,9 +8,19 @@ drives that contract over random schedules and random move sequences;
 the cross-check section drives the real annealer over every bundled
 assay with per-move verification (the :class:`oracles.CheckedCost`
 wrapper).
+
+For a cost whose ``delta`` is ``AreaCost.delta`` the annealer draws,
+prices, decides and applies each proposal in one fused closure
+(``IncrementalCostEvaluator.bind_step``); any other cost goes through
+``propose -> delta -> Metropolis -> apply``. The two must be the same
+anneal bit for bit. :class:`GenericAreaCost` — ``AreaCost`` with a
+``delta`` override that calls ``AreaCost.delta`` — takes the generic
+body with the fused body's objective, so running one schedule under
+both costs compares the two bodies directly: step by step in
+``TestCostProtocols.test_bound_price_equals_delta_bit_for_bit`` and per
+anneal in the fused-step section.
 """
 
-import itertools
 import random
 
 import pytest
@@ -29,7 +39,7 @@ from repro.modules.kinds import ModuleKind
 from repro.modules.module import ModuleSpec
 from repro.pipeline.context import SynthesisContext
 from repro.pipeline.stages import BindStage, ScheduleStage
-from repro.placement.annealer import AnnealingParams, SimulatedAnnealing
+from repro.placement.annealer import AnnealingParams, SimulatedAnnealing, _bind_step
 from repro.placement.cost import AreaCost, FaultAwareCost, require_delta
 from repro.placement.greedy import build_placed_modules
 from repro.placement.incremental import IncrementalCostEvaluator
@@ -86,6 +96,65 @@ def applied(placement: Placement, *updates) -> Placement:
     for op, x, y, rotated in updates:
         out.replace(out.get(op).moved_to(x, y, rotated=rotated))
     return out
+
+
+class GenericAreaCost(AreaCost):
+    """``AreaCost`` priced by an override of ``delta``: the annealer
+    runs it through the generic body."""
+
+    def delta(self, evaluator, move):
+        return super().delta(evaluator, move)
+
+
+#: Module counts that reach each branch of the fused step: one module
+#: (every box edge is the moved module's), two (a pair interchange with
+#: no third module), three, and ``sample``'s pool branch (up to 21
+#: candidates) and set branch (above).
+FUSED_SIZES = [1, 2, 3, 21, 22, 40]
+CORE = 16
+
+
+@st.composite
+def layouts(draw):
+    """A ``build_placement`` layout of n in ``FUSED_SIZES`` modules in a
+    ``CORE``-square core: in-core origins, and spans in tenths of a
+    second, so the overlap sums round and a reordered float sum shows."""
+    layout = []
+    for k in range(draw(st.sampled_from(FUSED_SIZES))):
+        spec_idx = draw(st.integers(0, len(SPECS) - 1))
+        rotated = draw(st.booleans()) and not SPECS[spec_idx].is_square
+        w, h = SPECS[spec_idx].dims(rotated)
+        start = draw(st.integers(0, 30)) / 10
+        layout.append((
+            f"m{k}", spec_idx,
+            draw(st.integers(1, CORE - w + 1)), draw(st.integers(1, CORE - h + 1)),
+            start, start + draw(st.integers(1, 40)) / 10, rotated,
+        ))
+    return layout
+
+
+def evaluator_state(ev: IncrementalCostEvaluator) -> tuple:
+    """Every record, histogram, running sum and counter an apply writes."""
+    return (
+        ev.x1, ev.y1, ev.x2, ev.y2, ev.rot,
+        ev._cx1, ev._cy1, ev._cx2, ev._cy2, ev.bounding_box(),
+        ev.overlap_total, ev.conflict_pairs, ev.pull_sum, ev._applies_since_resync,
+    )
+
+
+def bound_steps(layout, cost, p_rotate, seed, resync_every):
+    """``(step, evaluator, rng)``: the annealer's step for *cost* over a
+    fresh evaluator, with the move generator and the Metropolis test on
+    one random stream, as ``SimulatedAnnealingPlacer`` runs them."""
+    rng = random.Random(seed)
+    ev = IncrementalCostEvaluator(build_placement(layout, core=CORE), resync_every=resync_every)
+    window = ControllingWindow(initial_temp=100.0, max_span=CORE)
+    mover = MoveGenerator(window=window, p_rotate=p_rotate, seed=rng)
+    return _bind_step(ev, cost, mover, rng.random), ev, rng
+
+
+STEP_SPANS = st.lists(st.integers(0, CORE), min_size=1, max_size=8)
+STEP_TEMPERATURES = st.lists(st.sampled_from([0.05, 1.0, 30.0]), min_size=1, max_size=8)
 
 
 class TestEvaluatorBasics:
@@ -355,43 +424,38 @@ class TestCostProtocols:
         assert result.stats.acceptances == plain.stats.acceptances
 
     @pytest.mark.parametrize("pull_weight", [0.0, 0.05])
-    def test_bound_price_equals_delta_bit_for_bit(self, pull_weight):
-        """The fused Metropolis step bound for ``AreaCost`` prices
-        exactly as ``delta``, for single moves and pair interchanges
-        alike: each accepted step returns the very float ``delta`` gives
-        the move the kernel draws from the same state, and applies that
-        move; each rejected one was not downhill."""
-        rng = random.Random(8)
-        layout = [
-            (f"m{i}", rng.randrange(len(SPECS)), rng.randint(1, 12), rng.randint(1, 12),
-             float(rng.randrange(4)), float(rng.randrange(4) + 5), False)
-            for i in range(12)
-        ]
-        fused = IncrementalCostEvaluator(build_placement(layout))
-        plain = IncrementalCostEvaluator(build_placement(layout))
-        cost = AreaCost(pull_weight=pull_weight)
-        window = ControllingWindow(initial_temp=100, max_span=6)
-        # The Metropolis draws: 0.0 accepts any delta, 1.0 only a downhill one.
-        decisions = itertools.cycle([0.0, 0.0, 1.0])
-        step = fused.bind_step(
-            MoveGenerator(window=window, p_single=0.5, seed=8),
-            cost.alpha, cost.overlap_weight, cost.pull_weight, decisions.__next__,
+    @settings(max_examples=40, deadline=None)
+    @given(
+        layout=layouts(),
+        allow_rotation=st.booleans(),
+        resync_every=st.sampled_from([1, 7, 2048]),
+        seed=st.integers(0, 2**32),
+        spans=STEP_SPANS,
+        temperatures=STEP_TEMPERATURES,
+    )
+    def test_bound_price_equals_delta_bit_for_bit(
+        self, pull_weight, layout, allow_rotation, resync_every, seed, spans, temperatures
+    ):
+        """The fused step prices exactly as ``delta``, for single moves
+        and pair interchanges alike. Step by step beside the generic
+        step, with no round-boundary resync to hide a difference, it
+        returns the very float ``delta`` gives each accepted move (and
+        ``None`` for each rejected one), and leaves the evaluator
+        exactly as ``apply`` does: records, edge histograms, box,
+        running sums and the resync counter."""
+        p_rotate = 0.5 if allow_rotation else 0.0
+        step, fused, rng = bound_steps(
+            layout, AreaCost(pull_weight=pull_weight), p_rotate, seed, resync_every
         )
-        propose = MoveGenerator(window=window, p_single=0.5, seed=8).bind(plain)
-        accepted = 0
-        for _ in range(400):
-            move = propose(3)
-            expected = cost.delta(plain, move)
-            delta = step(3, 1.0)
-            if delta is None:
-                assert expected >= 0
-                continue
-            assert delta == expected
-            plain.apply(move)
-            accepted += 1
-        assert 0 < accepted < 400
-        assert fused.snapshot() == plain.snapshot()
-        assert fused.bounding_box() == plain.bounding_box()
+        ref_step, ref, ref_rng = bound_steps(
+            layout, GenericAreaCost(pull_weight=pull_weight), p_rotate, seed, resync_every
+        )
+        for k in range(200):
+            span = spans[k % len(spans)]
+            temperature = temperatures[k % len(temperatures)]
+            assert step(span, temperature) == ref_step(span, temperature)
+            assert evaluator_state(fused) == evaluator_state(ref)
+        assert rng.getstate() == ref_rng.getstate()
         check_consistency(fused)
 
     def test_fault_aware_delta_matches_full(self):
@@ -689,3 +753,115 @@ def test_incremental_tracks_full_recompute(modules, moves, movable_mask, faults,
         check_consistency(ev, TOL)
         ev.apply(move)
         assert_view_matches_records(ev)
+
+
+# ---------------------------------------------------------------------------
+# the fused step against the generic body, per anneal
+# ---------------------------------------------------------------------------
+
+
+def anneal(layout, cost, params, p_rotate, seed, resync_every):
+    """One anneal as ``SimulatedAnnealingPlacer`` runs it: the engine
+    and the move generator share one random stream."""
+    rng = random.Random(seed)
+    window = params.make_window(max_span=CORE)
+    mover = MoveGenerator(window=window, p_rotate=p_rotate, seed=rng)
+    engine = SimulatedAnnealing(params, window=window, seed=rng)
+    evaluator = IncrementalCostEvaluator(
+        build_placement(layout, core=CORE), resync_every=resync_every
+    )
+    best, stats = engine.optimize_incremental(
+        evaluator, cost, mover, params.iterations_per_module * len(layout)
+    )
+    return best, stats, rng
+
+
+def short_schedule(initial_temp: float) -> AnnealingParams:
+    return AnnealingParams(
+        initial_temp=initial_temp, cooling=0.5, iterations_per_module=6,
+        freeze_rounds=1, max_rounds=5, window_gamma=0.3,
+    )
+
+
+def fixed_layout(n: int, seed: int) -> list:
+    """n unrotated modules at seeded in-core origins and start times."""
+    rng = random.Random(seed)
+    layout = []
+    for k in range(n):
+        spec_idx = rng.randrange(len(SPECS))
+        w, h = SPECS[spec_idx].dims()
+        start = rng.randrange(30) / 10
+        layout.append((f"m{k}", spec_idx, rng.randint(1, CORE - w + 1),
+                       rng.randint(1, CORE - h + 1), start, start + 2.5, False))
+    return layout
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    layout=layouts(),
+    allow_rotation=st.booleans(),
+    pull_weight=st.sampled_from([0.0, 0.05]),
+    initial_temp=st.sampled_from([0.3, 20.0, 3000.0]),
+    resync_every=st.sampled_from([1, 7, 2048]),
+    seed=st.integers(0, 2**32),
+)
+def test_fused_anneal_matches_generic_body(
+    layout, allow_rotation, pull_weight, initial_temp, resync_every, seed
+):
+    """The same anneal through both bodies: identical best rows,
+    history, counters, stop reason and final random state."""
+    params = short_schedule(initial_temp)
+    p_rotate = 0.5 if allow_rotation else 0.0
+    (best, stats, rng), (ref_best, ref_stats, ref_rng) = [
+        anneal(layout, cost, params, p_rotate, seed, resync_every)
+        for cost in (AreaCost(pull_weight=pull_weight), GenericAreaCost(pull_weight=pull_weight))
+    ]
+    rows_of = [
+        sorted((pm.op_id, pm.x, pm.y, pm.rotated) for pm in p) for p in (best, ref_best)
+    ]
+    assert rows_of[0] == rows_of[1]
+    assert stats.history == ref_stats.history
+    assert (stats.evaluations, stats.acceptances, stats.improvements) == (
+        ref_stats.evaluations, ref_stats.acceptances, ref_stats.improvements
+    )
+    assert stats.stop_reason == ref_stats.stop_reason
+    assert stats.best_cost == ref_stats.best_cost
+    assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("n", FUSED_SIZES)
+def test_schedules_accept_and_reject(n):
+    """The fused-step properties' schedules exercise both Metropolis
+    outcomes: the coldest anneal start and the steps' span and
+    temperature cycle."""
+    layout = fixed_layout(n, n)
+    _, stats, _ = anneal(layout, AreaCost(), short_schedule(0.3), 0.5, 1, 2048)
+    assert 0 < stats.acceptances < stats.evaluations
+    step, _, _ = bound_steps(layout, AreaCost(), 0.5, 1, 2048)
+    temperatures = [0.05, 1.0, 30.0]
+    accepted = sum(
+        step(k % 4, temperatures[k % 3]) is not None for k in range(200)
+    )
+    assert 0 < accepted < 200
+
+
+def test_area_cost_anneal_takes_the_fused_body(monkeypatch):
+    """A plain ``AreaCost`` anneal never prices or applies through the
+    evaluator's separate calls — a silent fallback to the generic body
+    fails here — while the overriding cost goes through both."""
+    layout = fixed_layout(12, 5)
+    calls = {"components": 0, "apply": 0}
+    for name in calls:
+        original = getattr(IncrementalCostEvaluator, name)
+
+        def counted(self, move, name=name, original=original):
+            calls[name] += 1
+            return original(self, move)
+
+        monkeypatch.setattr(IncrementalCostEvaluator, name, counted)
+    _, stats, _ = anneal(layout, AreaCost(), short_schedule(20.0), 0.5, 3, 2048)
+    assert stats.acceptances > 0
+    assert calls == {"components": 0, "apply": 0}
+    _, stats, _ = anneal(layout, GenericAreaCost(), short_schedule(20.0), 0.5, 3, 2048)
+    assert calls["components"] == stats.evaluations
+    assert calls["apply"] == stats.acceptances
