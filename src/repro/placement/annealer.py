@@ -137,19 +137,22 @@ class AnnealingStats:
         return self.acceptances / self.evaluations if self.evaluations else 0.0
 
 
-def _bind_step(evaluator, cost, mover, rand):
-    """The annealer's Metropolis step for *cost* over *evaluator*.
+def _bind_round(evaluator, cost, mover, rng):
+    """The annealer's Metropolis round for *cost* over *evaluator*.
 
-    ``step(span, temperature)`` draws a move as *mover* would, displacing
-    within ``span`` cells, prices it by *cost*'s ``delta``, accepts it
-    when ``delta < 0 or rand() < exp(-delta / temperature)``, applies an
-    accepted move in place, and returns its delta (``None`` for a
-    rejected move).
+    ``run(span, temperature, count, current, best)`` runs up to *count*
+    steps. Each draws a move as *mover* would, displacing within
+    ``span`` cells, prices it by *cost*'s ``delta``, accepts it when
+    ``delta < 0 or rng.random() < exp(-delta / temperature)``, applies
+    an accepted move in place and adds its delta to *current*. It
+    returns ``(steps, accepted, current, improved)``, stopping early
+    (``improved``) when an accepted move leaves *current* below *best*.
 
-    For a cost whose ``delta`` is :meth:`AreaCost.delta` the step is the
-    evaluator's fused closure (:meth:`~repro.placement.incremental.
-    IncrementalCostEvaluator.bind_step`); for a cost that overrides
-    ``delta`` it is ``mover.bind``'s kernel, the override and
+    For a cost whose ``delta`` is :meth:`AreaCost.delta` the round is
+    the evaluator's compiled one (:meth:`~repro.placement.incremental.
+    IncrementalCostEvaluator.bind_round`) when it can run: both
+    generators exactly ``random.Random`` and the kernel built. Otherwise
+    it is the generic body: ``mover.bind``'s kernel, ``cost.delta`` and
     ``evaluator.apply`` in turn. Both make the same draws and float
     operations, in the same order. ``delta`` is looked up on the cost's
     type, as Python looks up special methods: a wrapper that forwards
@@ -157,23 +160,33 @@ def _bind_step(evaluator, cost, mover, rand):
     checker) is priced by its own ``delta``.
     """
     if getattr(type(cost), "delta", None) is AreaCost.delta:
-        return evaluator.bind_step(
-            mover, cost.alpha, cost.overlap_weight, cost.pull_weight, rand
+        run = evaluator.bind_round(
+            mover, cost.alpha, cost.overlap_weight, cost.pull_weight, rng
         )
+        if run is not None:
+            return run
     propose = mover.bind(evaluator)
     price = partial(cost.delta, evaluator)
     apply_fn = evaluator.apply
+    rand = rng.random
     exp = math.exp
 
-    def step(span: int, temperature: float) -> float | None:
-        move = propose(span)
-        delta = price(move)
-        if delta < 0 or rand() < exp(-delta / temperature):
-            apply_fn(move)
-            return delta
-        return None
+    def run(
+        span: int, temperature: float, count: int, current: float, best: float
+    ) -> tuple[int, int, float, bool]:
+        accepted = 0
+        for steps in range(1, count + 1):
+            move = propose(span)
+            delta = price(move)
+            if delta < 0 or rand() < exp(-delta / temperature):
+                apply_fn(move)
+                current += delta
+                accepted += 1
+                if current < best:
+                    return steps, accepted, current, True
+        return count, accepted, current, False
 
-    return step
+    return run
 
 
 class SimulatedAnnealing:
@@ -204,10 +217,10 @@ class SimulatedAnnealing:
         *evaluator* (an :class:`~repro.placement.incremental.
         IncrementalCostEvaluator`) — so one proposal costs
         O(time-neighbors) instead of an O(n^2) full recompute, and
-        builds no placement object. The four run as one step closure
-        (:func:`_bind_step`). The running cost is resynced from the
-        evaluator every temperature round, so float drift never
-        survives a round boundary.
+        builds no placement object. The four run as one round
+        (:func:`_bind_round`), compiled for the area cost. The running
+        cost is resynced from the evaluator every temperature round, so
+        float drift never survives a round boundary.
 
         Returns ``(best_placement, stats)``; the best placement is
         materialized once, from a snapshot of the index records.
@@ -220,7 +233,7 @@ class SimulatedAnnealing:
         best, best_cost = evaluator.snapshot(), current_cost
         stats.initial_cost = current_cost
 
-        step = _bind_step(evaluator, cost, mover, self._rng.random)
+        run = _bind_round(evaluator, cost, mover, self._rng)
         span_at = mover.window.span
         acceptances = improvements = 0
 
@@ -229,13 +242,14 @@ class SimulatedAnnealing:
         while True:
             stats.rounds += 1
             span = span_at(temperature)
-            for _ in range(inner_iterations):
-                delta = step(span, temperature)
-                if delta is None:
-                    continue
-                current_cost += delta
-                acceptances += 1
-                if current_cost < best_cost:
+            left = inner_iterations
+            while left:
+                steps, accepted, current_cost, improved = run(
+                    span, temperature, left, current_cost, best_cost
+                )
+                left -= steps
+                acceptances += accepted
+                if improved:
                     # Confirm with exact arithmetic before snapshotting:
                     # the accumulated cost carries ~1e-13 float drift,
                     # enough to turn an equal-cost state into a spurious

@@ -40,17 +40,20 @@ module ``i`` to origin ``(x, y)``; ``(i, x, y, rot, j, x2, y2, rot2)``
 updates two modules at once (a pair interchange). The cost classes in
 :mod:`repro.placement.cost` combine the evaluator's component deltas
 into their own objective deltas; for the area cost,
-:meth:`IncrementalCostEvaluator.bind_step` fuses drawing, pricing,
-deciding and applying a move into one closure that builds no move
-tuple at all.
+:meth:`IncrementalCostEvaluator.bind_round` runs drawing, pricing,
+deciding and applying as one compiled loop (``_anneal.c``) that builds
+no move tuple at all.
 """
 
 from __future__ import annotations
 
-import math
+import ctypes
+import random
+from array import array
 from collections.abc import Callable
 from typing import TYPE_CHECKING
 
+from repro.placement import compiled
 from repro.placement.model import PlacedModule, Placement
 from repro.util.errors import CrossCheckError, PlacementError
 
@@ -61,6 +64,11 @@ __all__ = [
     "CrossCheckError",  # re-exported; the class lives in repro.util.errors
     "IncrementalCostEvaluator",
 ]
+
+
+def _address(buffer: array) -> int:
+    """The address of *buffer*'s first item, for a C pointer field."""
+    return buffer.buffer_info()[0]
 
 
 def _counts(values: list[int], size: int) -> list[int]:
@@ -399,8 +407,8 @@ class IncrementalCostEvaluator:
         """Build the pricing closure behind :meth:`components`. The
         records it captures are mutated in place and never rebound; the
         bounding box is read from the instance on every call.
-        :meth:`bind_step` repeats this pricing inline: a change here is
-        a change there."""
+        The compiled round (:meth:`bind_round`) repeats this pricing in
+        C: a change here is a change there."""
         X1, Y1, X2, Y2 = self.x1, self.y1, self.x2, self.y2
         cx1, cy1, cx2, cy2 = self._cx1, self._cy1, self._cx2, self._cy2
         dims = self.dims
@@ -590,343 +598,151 @@ class IncrementalCostEvaluator:
 
         return components
 
-    # -- the fused Metropolis step --------------------------------------------------
+    # -- the compiled Metropolis round ---------------------------------------------
 
-    def bind_step(
+    def bind_round(
         self,
         mover: MoveGenerator,
         alpha: float,
         overlap_weight: float,
         pull_weight: float,
-        accept: Callable[[], float],
-    ) -> Callable[[int, float], float | None]:
-        """One Metropolis step of the area cost in one closure body.
+        accept_rng: random.Random,
+    ) -> Callable[[int, float, int, float, float], tuple[int, int, float, bool]] | None:
+        """The area cost's Metropolis round, compiled; ``None`` when it
+        cannot run here.
 
-        ``step(span, temperature)`` draws a move as *mover* would (from
-        its :meth:`~repro.placement.moves.MoveGenerator.draws`), prices it
-        as ``alpha * d_area_mm2 + overlap_weight * d_overlap`` (plus
-        ``pull_weight * d_pull`` when that weight is set), accepts it
-        when ``delta < 0 or accept() < exp(-delta / temperature)``, and
-        applies an accepted move in place. It returns the accepted
-        delta, or ``None`` for a rejected move.
+        ``run(span, temperature, count, current, best)`` runs up to
+        *count* steps. Each draws a move as *mover*'s kernel would,
+        displacing within ``span`` cells; prices it as ``alpha *
+        d_area_mm2 + overlap_weight * d_overlap`` (plus ``pull_weight *
+        d_pull`` when that weight is set); accepts it when ``delta < 0
+        or accept_rng.random() < exp(-delta / temperature)``; applies an
+        accepted move in place and adds its delta to *current*. It
+        returns ``(steps, accepted, current, improved)``, stopping early
+        (``improved``) when an accepted move leaves *current* below
+        *best*. Every ``resync_every`` applies it runs :meth:`resync`,
+        as :meth:`apply` does.
 
-        The body repeats, draw for draw and float operation for float
-        operation, the move kernel of
-        :meth:`~repro.placement.moves.MoveGenerator.bind`, the pricing of
-        :meth:`components`, the annealer's Metropolis test and
-        :meth:`apply`: an anneal through it follows the trajectory of
-        one through the separate calls, without building the move,
-        components, pending-record or inverse tuples. Two steps of
-        :meth:`apply` are not repeated: the drawn moves are in-core by
-        construction, and the priced bounding box is the post-move box,
-        so it is stored rather than receded.
+        The C kernel (``_anneal.c``) makes the move kernel's draws from
+        the generators' own MT19937 states and the float operations of
+        :meth:`components` and ``AreaCost.delta`` in their order, so the
+        round is the generic ``propose -> delta -> apply`` body's round
+        bit for bit. Each time the kernel returns, the index records,
+        edge histograms, box, running sums and generator states are
+        copied back: the Python lists and generators stay canonical.
+
+        ``None`` when either generator is not exactly ``random.Random``
+        (a subclass may draw differently) or the kernel cannot be built.
+
+        The kernel indexes the edge histograms by the drawn coordinates
+        without a bounds check. They stay in ``[1, core]`` because every
+        record starts in the core (:class:`Placement` and :meth:`apply`
+        refuse anything else) and a drawn origin is clamped to its
+        orientation's in-core limit.
         """
         (
             cands, kn, kn1, pool_branch, lim, fits,
-            rand, getrandbits, p_single, p_rotate, single_only,
+            move_rng, p_single, p_rotate, single_only,
         ) = mover.draws(self.ops, self.dims, self.core_width, self.core_height)
-        X1, Y1, X2, Y2, R = self.x1, self.y1, self.x2, self.y2, self.rot
-        cx1, cy1, cx2, cy2 = self._cx1, self._cy1, self._cx2, self._cy2
-        dims = self.dims
-        square = self.square
-        nbrs = self.nbrs
-        pair_dt = self._pair_dt
-        pitch2 = self._pitch2
-        n = len(cands)
-        alone = len(X1) == 1
-        # A pair interchange with no third module moves every edge.
-        others = len(X1) > 2
-        exp = math.exp
-        ev = self
+        if type(move_rng) is not random.Random or type(accept_rng) is not random.Random:
+            return None
+        kernel = compiled.load()
+        if kernel is None:
+            return None
+        starts, nbr_idx, nbr_dt = [0], [], []
+        for nbrs in self.nbrs:
+            for j, dt in nbrs:
+                nbr_idx.append(j)
+                nbr_dt.append(dt)
+            starts.append(len(nbr_idx))
+        arrays = (
+            array("q", cands),
+            array("q", [v for per in self.dims for wh in per for v in wh]),
+            array("q", [v for per in lim for m in per for v in m]),
+            array("B", [f for per in fits for f in per]),
+            array("B", self.square),
+            array("q", starts),
+            array("q", nbr_idx or [0]),
+            array("d", nbr_dt or [0.0]),
+        )
+        static = compiled.RoundStatic(
+            len(cands), _address(arrays[0]), kn, kn1,
+            pool_branch, single_only, len(self.ops) == 1, len(self.ops) > 2,
+            p_single, p_rotate, alpha, overlap_weight, pull_weight, self._pitch2,
+            *map(_address, arrays[1:]), self.resync_every,
+        )
+        # The structure points into the arrays: it keeps them alive.
+        static.arrays = arrays
+        records = (self.x1, self.y1, self.x2, self.y2)
+        hists = (self._cx1, self._cy1, self._cx2, self._cy2)
+        R = self.rot
+        streams = (move_rng,) if move_rng is accept_rng else (move_rng, accept_rng)
+        state = compiled.RoundState()
+        current_c = ctypes.c_double()
+        accepted_c = ctypes.c_int64()
+        args = (ctypes.byref(static), ctypes.byref(state))
 
-        def step(span: int, temperature: float) -> float | None:
-            if single_only or rand() < p_single:
-                # Draw generation function (i) or (ii).
-                j = getrandbits(kn)
-                while j >= n:
-                    j = getrandbits(kn)
-                i = cands[j]
-                r = R[i]
-                if not square[i] and rand() < p_rotate and fits[i][not r]:
-                    r = not r
-                mx, my = lim[i][r]
-                width = span + span + 1
-                kw = width.bit_length()
-                v = getrandbits(kw)
-                while v >= width:
-                    v = getrandbits(kw)
-                v += X1[i] - span
-                nx1 = v if v < mx else mx
-                if nx1 < 1:
-                    nx1 = 1
-                v = getrandbits(kw)
-                while v >= width:
-                    v = getrandbits(kw)
-                v += Y1[i] - span
-                ny1 = v if v < my else my
-                if ny1 < 1:
-                    ny1 = 1
+        def load_sums() -> None:
+            state.overlap_total = self.overlap_total
+            state.conflict_pairs = self.conflict_pairs
+            state.pull_sum = self.pull_sum
+            state.applies_since_resync = self._applies_since_resync
 
-                # Price it.
-                w, h = dims[i][r]
-                nx2 = nx1 + w - 1
-                ny2 = ny1 + h - 1
-                ox1 = X1[i]
-                oy1 = Y1[i]
-                ox2 = X2[i]
-                oy2 = Y2[i]
-                d_overlap = 0.0
-                d_pairs = 0
-                for j, dt in nbrs[i]:
-                    bx1 = X1[j]
-                    by1 = Y1[j]
-                    bx2 = X2[j]
-                    by2 = Y2[j]
-                    ox = (ox2 if ox2 < bx2 else bx2) - (ox1 if ox1 > bx1 else bx1) + 1
-                    if ox > 0:
-                        oy = (oy2 if oy2 < by2 else by2) - (oy1 if oy1 > by1 else by1) + 1
-                        if oy > 0:
-                            d_overlap -= ox * oy * dt
-                            d_pairs -= 1
-                    ox = (nx2 if nx2 < bx2 else bx2) - (nx1 if nx1 > bx1 else bx1) + 1
-                    if ox > 0:
-                        oy = (ny2 if ny2 < by2 else by2) - (ny1 if ny1 > by1 else by1) + 1
-                        if oy > 0:
-                            d_overlap += ox * oy * dt
-                            d_pairs += 1
-                bx1 = ev._bx1
-                by1 = ev._by1
-                bx2 = ev._bx2
-                by2 = ev._by2
-                area_cells = (bx2 - bx1 + 1) * (by2 - by1 + 1)
-                if ox1 == bx1 and cx1[bx1] == 1:
-                    bx1 = nx1 if alone else _min_after(cx1, bx1, ox1, None, nx1)
-                elif nx1 < bx1:
-                    bx1 = nx1
-                if oy1 == by1 and cy1[by1] == 1:
-                    by1 = ny1 if alone else _min_after(cy1, by1, oy1, None, ny1)
-                elif ny1 < by1:
-                    by1 = ny1
-                if ox2 == bx2 and cx2[bx2] == 1:
-                    bx2 = nx2 if alone else _max_after(cx2, bx2, ox2, None, nx2)
-                elif nx2 > bx2:
-                    bx2 = nx2
-                if oy2 == by2 and cy2[by2] == 1:
-                    by2 = ny2 if alone else _max_after(cy2, by2, oy2, None, ny2)
-                elif ny2 > by2:
-                    by2 = ny2
-                d_pull = nx2 + ny2 - ox2 - oy2
-                delta = (
-                    alpha * ((bx2 - bx1 + 1) * (by2 - by1 + 1) * pitch2 - area_cells * pitch2)
-                    + overlap_weight * d_overlap
+        def run(
+            span: int, temperature: float, count: int, current: float, best: float
+        ) -> tuple[int, int, float, bool]:
+            c_records = [array("q", v) for v in records]
+            c_rot = array("B", R)
+            c_hists = [array("q", h) for h in hists]
+            saved = [rng.getstate() for rng in streams]
+            c_mts = [array("I", s[1]) for s in saved]
+            (state.x1, state.y1, state.x2, state.y2, state.rot,
+             state.cx1, state.cy1, state.cx2, state.cy2) = map(
+                _address, (*c_records, c_rot, *c_hists)
+            )
+            state.move_rng = _address(c_mts[0])
+            state.accept_rng = _address(c_mts[-1])
+            state.bx1, state.by1 = self._bx1, self._by1
+            state.bx2, state.by2 = self._bx2, self._by2
+            load_sums()
+            current_c.value = current
+            steps = accepted = 0
+            while True:
+                steps += kernel(
+                    *args, span, temperature, count - steps,
+                    current_c, best, accepted_c,
                 )
-                if pull_weight:
-                    delta += pull_weight * d_pull
+                accepted += accepted_c.value
+                for out, c in zip(records, c_records):
+                    out[:] = c
+                R[:] = map(bool, c_rot)
+                for out, c in zip(hists, c_hists):
+                    out[:] = c
+                self._bx1, self._by1 = state.bx1, state.by1
+                self._bx2, self._by2 = state.bx2, state.by2
+                self.overlap_total = state.overlap_total
+                self.conflict_pairs = state.conflict_pairs
+                self.pull_sum = state.pull_sum
+                self._applies_since_resync = state.applies_since_resync
+                for rng, (version, _, gauss), mt in zip(streams, saved, c_mts):
+                    rng.setstate((version, tuple(mt), gauss))
+                if accepted:
+                    self._pend_move = None
+                    self._sig = None
+                    self._stale = True
+                if self._applies_since_resync >= self.resync_every:
+                    self.resync()
+                    load_sums()
+                if state.improved or steps == count:
+                    return steps, accepted, current_c.value, bool(state.improved)
 
-                # Decide, then apply.
-                if not (delta < 0 or accept() < exp(-delta / temperature)):
-                    return None
-                if ox1 != nx1:
-                    cx1[ox1] -= 1
-                    cx1[nx1] += 1
-                    X1[i] = nx1
-                if oy1 != ny1:
-                    cy1[oy1] -= 1
-                    cy1[ny1] += 1
-                    Y1[i] = ny1
-                if ox2 != nx2:
-                    cx2[ox2] -= 1
-                    cx2[nx2] += 1
-                    X2[i] = nx2
-                if oy2 != ny2:
-                    cy2[oy2] -= 1
-                    cy2[ny2] += 1
-                    Y2[i] = ny2
-                R[i] = r
-                ev._bx1 = bx1
-                ev._by1 = by1
-                ev._bx2 = bx2
-                ev._by2 = by2
-            else:
-                # Draw generation function (iii) or (iv).
-                pa = getrandbits(kn)
-                while pa >= n:
-                    pa = getrandbits(kn)
-                if pool_branch:
-                    pb = getrandbits(kn1)
-                    while pb >= n - 1:
-                        pb = getrandbits(kn1)
-                    if pb == pa:
-                        pb = n - 1
-                else:
-                    pb = getrandbits(kn)
-                    while pb >= n or pb == pa:
-                        pb = getrandbits(kn)
-                a = cands[pa]
-                b = cands[pb]
-                ra = R[a]
-                rb = R[b]
-                if rand() < p_rotate:
-                    if rand() < 0.5:
-                        if not square[a] and fits[a][not ra]:
-                            ra = not ra
-                    elif not square[b] and fits[b][not rb]:
-                        rb = not rb
-                mx, my = lim[a][ra]
-                v = X1[b]
-                ax1 = v if v < mx else mx
-                if ax1 < 1:
-                    ax1 = 1
-                v = Y1[b]
-                ay1 = v if v < my else my
-                if ay1 < 1:
-                    ay1 = 1
-                mx, my = lim[b][rb]
-                v = X1[a]
-                bx1 = v if v < mx else mx
-                if bx1 < 1:
-                    bx1 = 1
-                v = Y1[a]
-                by1 = v if v < my else my
-                if by1 < 1:
-                    by1 = 1
-
-                # Price it.
-                wa, ha = dims[a][ra]
-                wb, hb = dims[b][rb]
-                ax2 = ax1 + wa - 1
-                ay2 = ay1 + ha - 1
-                bx2 = bx1 + wb - 1
-                by2 = by1 + hb - 1
-                new = ((a, ax1, ay1, ax2, ay2, ra), (b, bx1, by1, bx2, by2, rb))
-                d_overlap = 0.0
-                d_pairs = 0
-                d_pull = 0
-                for i, nx1, ny1, nx2, ny2, _r in new:
-                    ox1 = X1[i]
-                    oy1 = Y1[i]
-                    ox2 = X2[i]
-                    oy2 = Y2[i]
-                    d_pull += nx2 + ny2 - ox2 - oy2
-                    for j, dt in nbrs[i]:
-                        if j == a or j == b:
-                            continue
-                        qx1 = X1[j]
-                        qy1 = Y1[j]
-                        qx2 = X2[j]
-                        qy2 = Y2[j]
-                        ox = (ox2 if ox2 < qx2 else qx2) - (ox1 if ox1 > qx1 else qx1) + 1
-                        if ox > 0:
-                            oy = (oy2 if oy2 < qy2 else qy2) - (oy1 if oy1 > qy1 else qy1) + 1
-                            if oy > 0:
-                                d_overlap -= ox * oy * dt
-                                d_pairs -= 1
-                        ox = (nx2 if nx2 < qx2 else qx2) - (nx1 if nx1 > qx1 else qx1) + 1
-                        if ox > 0:
-                            oy = (ny2 if ny2 < qy2 else qy2) - (ny1 if ny1 > qy1 else qy1) + 1
-                            if oy > 0:
-                                d_overlap += ox * oy * dt
-                                d_pairs += 1
-                ox1a = X1[a]
-                oy1a = Y1[a]
-                ox2a = X2[a]
-                oy2a = Y2[a]
-                ox1b = X1[b]
-                oy1b = Y1[b]
-                ox2b = X2[b]
-                oy2b = Y2[b]
-                dt = pair_dt.get((a, b))
-                if dt is not None:
-                    ox = (ox2a if ox2a < ox2b else ox2b) - (ox1a if ox1a > ox1b else ox1b) + 1
-                    oy = (oy2a if oy2a < oy2b else oy2b) - (oy1a if oy1a > oy1b else oy1b) + 1
-                    if ox > 0 and oy > 0:
-                        d_overlap -= ox * oy * dt
-                        d_pairs -= 1
-                    ox = (ax2 if ax2 < bx2 else bx2) - (ax1 if ax1 > bx1 else bx1) + 1
-                    oy = (ay2 if ay2 < by2 else by2) - (ay1 if ay1 > by1 else by1) + 1
-                    if ox > 0 and oy > 0:
-                        d_overlap += ox * oy * dt
-                        d_pairs += 1
-                nx1 = ax1 if ax1 < bx1 else bx1
-                ny1 = ay1 if ay1 < by1 else by1
-                nx2 = ax2 if ax2 > bx2 else bx2
-                ny2 = ay2 if ay2 > by2 else by2
-                area_cells = (ev._bx2 - ev._bx1 + 1) * (ev._by2 - ev._by1 + 1)
-                if others:
-                    v = ev._bx1
-                    if v == ox1a or v == ox1b:
-                        nx1 = _min_after(cx1, v, ox1a, ox1b, nx1)
-                    elif v < nx1:
-                        nx1 = v
-                    v = ev._by1
-                    if v == oy1a or v == oy1b:
-                        ny1 = _min_after(cy1, v, oy1a, oy1b, ny1)
-                    elif v < ny1:
-                        ny1 = v
-                    v = ev._bx2
-                    if v == ox2a or v == ox2b:
-                        nx2 = _max_after(cx2, v, ox2a, ox2b, nx2)
-                    elif v > nx2:
-                        nx2 = v
-                    v = ev._by2
-                    if v == oy2a or v == oy2b:
-                        ny2 = _max_after(cy2, v, oy2a, oy2b, ny2)
-                    elif v > ny2:
-                        ny2 = v
-                delta = (
-                    alpha * ((nx2 - nx1 + 1) * (ny2 - ny1 + 1) * pitch2 - area_cells * pitch2)
-                    + overlap_weight * d_overlap
-                )
-                if pull_weight:
-                    delta += pull_weight * d_pull
-
-                # Decide, then apply.
-                if not (delta < 0 or accept() < exp(-delta / temperature)):
-                    return None
-                ev._bx1 = nx1
-                ev._by1 = ny1
-                ev._bx2 = nx2
-                ev._by2 = ny2
-                for i, nx1, ny1, nx2, ny2, r in new:
-                    old = X1[i]
-                    if old != nx1:
-                        cx1[old] -= 1
-                        cx1[nx1] += 1
-                        X1[i] = nx1
-                    old = Y1[i]
-                    if old != ny1:
-                        cy1[old] -= 1
-                        cy1[ny1] += 1
-                        Y1[i] = ny1
-                    old = X2[i]
-                    if old != nx2:
-                        cx2[old] -= 1
-                        cx2[nx2] += 1
-                        X2[i] = nx2
-                    old = Y2[i]
-                    if old != ny2:
-                        cy2[old] -= 1
-                        cy2[ny2] += 1
-                        Y2[i] = ny2
-                    R[i] = r
-            ev.overlap_total += d_overlap
-            ev.conflict_pairs += d_pairs
-            ev.pull_sum += d_pull
-            ev._pend_move = None
-            ev._sig = None
-            ev._stale = True
-            ev._applies_since_resync += 1
-            if ev._applies_since_resync >= ev.resync_every:
-                ev.resync()
-            return delta
-
-        return step
+        return run
 
     # -- state transitions --------------------------------------------------------
 
     def apply(self, move: tuple) -> tuple:
         """Commit *move*; returns the inverse move (for exact revert).
-        :meth:`bind_step` repeats these writes inline."""
+        The compiled round (:meth:`bind_round`) repeats these writes."""
         if move is not self._pend_move:
             self.components(move)
         new = self._pend_new

@@ -15,8 +15,8 @@ controlling window and all moves keep footprints inside the core area.
 Proposals are plain move tuples over module indices (see
 :mod:`repro.placement.incremental`): :meth:`MoveGenerator.bind` returns
 the proposal kernel the annealer calls once per proposal for a cost
-with its own ``delta``. For the area cost the annealer's fused step
-makes the same draws inline, from :meth:`MoveGenerator.draws`.
+with its own ``delta``. For the area cost the annealer's compiled round
+makes the same draws in C, from :meth:`MoveGenerator.draws`.
 """
 
 from __future__ import annotations
@@ -93,15 +93,17 @@ class MoveGenerator:
         inlined per its two branches — the pool branch for ``n <= 21``
         (the second draw is below ``n - 1``, and a hit on the first pick
         reads the vacancy-filling ``n - 1``), the set branch above
-        (redraw below ``n`` until distinct). The annealer's fused step
-        (:meth:`~repro.placement.incremental.IncrementalCostEvaluator.
-        bind_step`) repeats these draws inline, over the same
+        (redraw below ``n`` until distinct). The annealer's compiled
+        round (:meth:`~repro.placement.incremental.IncrementalCostEvaluator.
+        bind_round`) repeats these draws in C, over the same
         :meth:`draws`: a change here is a change there.
         """
         (
             cands, kn, kn1, pool_branch, lim, fits,
-            rand, getrandbits, p_single, p_rotate, single_only,
+            rng, p_single, p_rotate, single_only,
         ) = self.draws(ops, dims, core_w, core_h)
+        rand = rng.random
+        getrandbits = rng.getrandbits
         n = len(cands)
 
         def next_move(span: int) -> tuple:
@@ -195,7 +197,7 @@ class MoveGenerator:
           origin ``(x, y)``;
         * ``fits`` — per index and orientation, the footprint fits in
           the core;
-        * ``rand`` and ``getrandbits`` — the generator's bound draws;
+        * ``rng`` — the generator the draws come from;
         * ``p_single`` and ``p_rotate``;
         * ``single_only`` — pair interchanges are off (LTSA mode, or
           fewer than two candidates).
@@ -231,6 +233,6 @@ class MoveGenerator:
         ]
         return (
             cands, n.bit_length(), (n - 1).bit_length(), n <= 21, lim, fits,
-            rng.random, rng.getrandbits, self.p_single, self.p_rotate,
+            rng, self.p_single, self.p_rotate,
             self.single_only or n < 2,
         )

@@ -10,18 +10,26 @@ assay with per-move verification (the :class:`oracles.CheckedCost`
 wrapper).
 
 For a cost whose ``delta`` is ``AreaCost.delta`` the annealer draws,
-prices, decides and applies each proposal in one fused closure
-(``IncrementalCostEvaluator.bind_step``); any other cost goes through
-``propose -> delta -> Metropolis -> apply``. The two must be the same
-anneal bit for bit. :class:`GenericAreaCost` — ``AreaCost`` with a
-``delta`` override that calls ``AreaCost.delta`` — takes the generic
-body with the fused body's objective, so running one schedule under
-both costs compares the two bodies directly: step by step in
+prices, decides and applies each proposal in one compiled round
+(``IncrementalCostEvaluator.bind_round``, over ``_anneal.c``); any
+other cost, and an ``AreaCost`` whose generators are not exactly
+``random.Random``, goes through ``propose -> delta -> Metropolis ->
+apply``. The two must be the same anneal bit for bit.
+:class:`GenericAreaCost` — ``AreaCost`` with a ``delta`` override that
+calls ``AreaCost.delta`` — takes the generic body with the compiled
+round's objective, so running one schedule under both costs compares
+the two bodies directly: step by step (rounds of one step) in
 ``TestCostProtocols.test_bound_price_equals_delta_bit_for_bit`` and per
-anneal in the fused-step section.
+anneal in the compiled-round section, which also runs the golden
+``AreaCost`` pins with the kernel's loader patched away.
 """
 
+import math
 import random
+import shlex
+import shutil
+import sys
+import sysconfig
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +47,8 @@ from repro.modules.kinds import ModuleKind
 from repro.modules.module import ModuleSpec
 from repro.pipeline.context import SynthesisContext
 from repro.pipeline.stages import BindStage, ScheduleStage
-from repro.placement.annealer import AnnealingParams, SimulatedAnnealing, _bind_step
+from repro.placement import compiled
+from repro.placement.annealer import AnnealingParams, SimulatedAnnealing, _bind_round
 from repro.placement.cost import AreaCost, FaultAwareCost, require_delta
 from repro.placement.greedy import build_placed_modules
 from repro.placement.incremental import IncrementalCostEvaluator
@@ -50,6 +59,7 @@ from repro.placement.transport import TransportAwareCost
 from repro.placement.window import ControllingWindow
 from repro.recovery.engine import FaultAvoidanceCost
 from repro.util.errors import CrossCheckError, PlacementError
+from test_anneal_golden import PINS, run_case
 
 TOL = 1e-6
 
@@ -106,21 +116,26 @@ class GenericAreaCost(AreaCost):
         return super().delta(evaluator, move)
 
 
-#: Module counts that reach each branch of the fused step: one module
-#: (every box edge is the moved module's), two (a pair interchange with
-#: no third module), three, and ``sample``'s pool branch (up to 21
-#: candidates) and set branch (above).
-FUSED_SIZES = [1, 2, 3, 21, 22, 40]
+class SubclassedRandom(random.Random):
+    """Draws exactly as ``random.Random`` does, but is not it: an
+    ``AreaCost`` anneal on it takes the generic body."""
+
+
+#: Module counts that reach each branch of the compiled round: one
+#: module (every box edge is the moved module's), two (a pair
+#: interchange with no third module), three, and ``sample``'s pool
+#: branch (up to 21 candidates) and set branch (above).
+ROUND_SIZES = [1, 2, 3, 21, 22, 40]
 CORE = 16
 
 
 @st.composite
 def layouts(draw):
-    """A ``build_placement`` layout of n in ``FUSED_SIZES`` modules in a
+    """A ``build_placement`` layout of n in ``ROUND_SIZES`` modules in a
     ``CORE``-square core: in-core origins, and spans in tenths of a
     second, so the overlap sums round and a reordered float sum shows."""
     layout = []
-    for k in range(draw(st.sampled_from(FUSED_SIZES))):
+    for k in range(draw(st.sampled_from(ROUND_SIZES))):
         spec_idx = draw(st.integers(0, len(SPECS) - 1))
         rotated = draw(st.booleans()) and not SPECS[spec_idx].is_square
         w, h = SPECS[spec_idx].dims(rotated)
@@ -133,6 +148,29 @@ def layouts(draw):
     return layout
 
 
+#: How the move generator and the Metropolis test draw: one shared
+#: ``random.Random`` (as ``SimulatedAnnealingPlacer`` runs them), two
+#: distinct ones, or a subclass (which the compiled round declines).
+STREAMS = st.sampled_from(["shared", "distinct", "subclass"])
+
+
+def streams(kind: str, seed: int) -> tuple[random.Random, random.Random]:
+    """``(mover_rng, accept_rng)`` for a ``STREAMS`` kind."""
+    if kind == "distinct":
+        return random.Random(seed), random.Random(seed + 1)
+    rng = (SubclassedRandom if kind == "subclass" else random.Random)(seed)
+    return rng, rng
+
+
+def movable_subset(layout, mask):
+    """The op ids *mask* keeps (at least one), as in the recovery warm
+    start; ``None`` (every module) for an all-True mask."""
+    ops = [row[0] for row in layout]
+    if all(mask[k % len(mask)] for k in range(len(ops))):
+        return None
+    return [op for k, op in enumerate(ops) if mask[k % len(mask)]] or ops[:1]
+
+
 def evaluator_state(ev: IncrementalCostEvaluator) -> tuple:
     """Every record, histogram, running sum and counter an apply writes."""
     return (
@@ -142,15 +180,20 @@ def evaluator_state(ev: IncrementalCostEvaluator) -> tuple:
     )
 
 
-def bound_steps(layout, cost, p_rotate, seed, resync_every):
-    """``(step, evaluator, rng)``: the annealer's step for *cost* over a
-    fresh evaluator, with the move generator and the Metropolis test on
-    one random stream, as ``SimulatedAnnealingPlacer`` runs them."""
-    rng = random.Random(seed)
+def is_compiled(run) -> bool:
+    """True for the evaluator's compiled round, False for the generic body."""
+    return run.__qualname__.startswith(IncrementalCostEvaluator.bind_round.__qualname__)
+
+
+def bound_rounds(layout, cost, p_rotate, seed, resync_every, kind="shared", movable=None):
+    """``(run, evaluator, rngs)``: the annealer's round for *cost* over
+    a fresh evaluator, with the move generator and the Metropolis test
+    drawing from the ``streams(kind, seed)`` generators."""
+    mover_rng, accept_rng = streams(kind, seed)
     ev = IncrementalCostEvaluator(build_placement(layout, core=CORE), resync_every=resync_every)
     window = ControllingWindow(initial_temp=100.0, max_span=CORE)
-    mover = MoveGenerator(window=window, p_rotate=p_rotate, seed=rng)
-    return _bind_step(ev, cost, mover, rng.random), ev, rng
+    mover = MoveGenerator(window=window, p_rotate=p_rotate, seed=mover_rng, movable=movable)
+    return _bind_round(ev, cost, mover, accept_rng), ev, (mover_rng, accept_rng)
 
 
 STEP_SPANS = st.lists(st.integers(0, CORE), min_size=1, max_size=8)
@@ -432,31 +475,45 @@ class TestCostProtocols:
         seed=st.integers(0, 2**32),
         spans=STEP_SPANS,
         temperatures=STEP_TEMPERATURES,
+        kind=STREAMS,
+        mask=st.lists(st.booleans(), min_size=1, max_size=5),
     )
     def test_bound_price_equals_delta_bit_for_bit(
-        self, pull_weight, layout, allow_rotation, resync_every, seed, spans, temperatures
+        self, pull_weight, layout, allow_rotation, resync_every, seed, spans,
+        temperatures, kind, mask,
     ):
-        """The fused step prices exactly as ``delta``, for single moves
-        and pair interchanges alike. Step by step beside the generic
-        step, with no round-boundary resync to hide a difference, it
-        returns the very float ``delta`` gives each accepted move (and
-        ``None`` for each rejected one), and leaves the evaluator
-        exactly as ``apply`` does: records, edge histograms, box,
-        running sums and the resync counter."""
+        """The compiled round prices exactly as ``delta``, for single
+        moves and pair interchanges alike. In rounds of one step beside
+        the generic body, with no round-boundary resync to hide a
+        difference, it returns the very float ``delta`` gives each
+        accepted move and the same improvement flag, and leaves the
+        evaluator exactly as ``apply`` does: records, edge histograms,
+        box, running sums and the resync counter. The generators may be
+        one or two; a ``random.Random`` subclass takes the generic body,
+        with the same result. Moves may touch a ``movable`` subset."""
         p_rotate = 0.5 if allow_rotation else 0.0
-        step, fused, rng = bound_steps(
-            layout, AreaCost(pull_weight=pull_weight), p_rotate, seed, resync_every
+        movable = movable_subset(layout, mask)
+        run, ev, rngs = bound_rounds(
+            layout, AreaCost(pull_weight=pull_weight), p_rotate, seed, resync_every,
+            kind, movable,
         )
-        ref_step, ref, ref_rng = bound_steps(
-            layout, GenericAreaCost(pull_weight=pull_weight), p_rotate, seed, resync_every
+        assert is_compiled(run) == (kind != "subclass")
+        ref_run, ref, ref_rngs = bound_rounds(
+            layout, GenericAreaCost(pull_weight=pull_weight), p_rotate, seed,
+            resync_every, "distinct" if kind == "distinct" else "shared", movable,
         )
+        assert not is_compiled(ref_run)
         for k in range(200):
             span = spans[k % len(spans)]
             temperature = temperatures[k % len(temperatures)]
-            assert step(span, temperature) == ref_step(span, temperature)
-            assert evaluator_state(fused) == evaluator_state(ref)
-        assert rng.getstate() == ref_rng.getstate()
-        check_consistency(fused)
+            # From a zero running cost against a zero best, an accepted
+            # move returns its delta and improves iff that is negative.
+            assert run(span, temperature, 1, 0.0, 0.0) == ref_run(
+                span, temperature, 1, 0.0, 0.0
+            )
+            assert evaluator_state(ev) == evaluator_state(ref)
+        assert [r.getstate() for r in rngs] == [r.getstate() for r in ref_rngs]
+        check_consistency(ev)
 
     def test_fault_aware_delta_matches_full(self):
         p = build_placement([
@@ -756,24 +813,25 @@ def test_incremental_tracks_full_recompute(modules, moves, movable_mask, faults,
 
 
 # ---------------------------------------------------------------------------
-# the fused step against the generic body, per anneal
+# the compiled round against the generic body, per anneal
 # ---------------------------------------------------------------------------
 
 
-def anneal(layout, cost, params, p_rotate, seed, resync_every):
-    """One anneal as ``SimulatedAnnealingPlacer`` runs it: the engine
-    and the move generator share one random stream."""
-    rng = random.Random(seed)
+def anneal(layout, cost, params, p_rotate, seed, resync_every, kind="shared", movable=None):
+    """One anneal as ``SimulatedAnnealingPlacer`` runs it, the engine
+    and the move generator drawing from the ``streams(kind, seed)``
+    generators (one shared stream by default, as the placer runs them)."""
+    mover_rng, accept_rng = streams(kind, seed)
     window = params.make_window(max_span=CORE)
-    mover = MoveGenerator(window=window, p_rotate=p_rotate, seed=rng)
-    engine = SimulatedAnnealing(params, window=window, seed=rng)
+    mover = MoveGenerator(window=window, p_rotate=p_rotate, seed=mover_rng, movable=movable)
+    engine = SimulatedAnnealing(params, window=window, seed=accept_rng)
     evaluator = IncrementalCostEvaluator(
         build_placement(layout, core=CORE), resync_every=resync_every
     )
     best, stats = engine.optimize_incremental(
         evaluator, cost, mover, params.iterations_per_module * len(layout)
     )
-    return best, stats, rng
+    return best, stats, (mover_rng, accept_rng)
 
 
 def short_schedule(initial_temp: float) -> AnnealingParams:
@@ -796,6 +854,19 @@ def fixed_layout(n: int, seed: int) -> list:
     return layout
 
 
+def pin_of(best, stats, rngs) -> tuple:
+    """Everything an anneal leaves: best rows, history, counters, stop
+    reason, best cost and the final random states."""
+    return (
+        sorted((pm.op_id, pm.x, pm.y, pm.rotated) for pm in best),
+        stats.history,
+        (stats.evaluations, stats.acceptances, stats.improvements),
+        stats.stop_reason,
+        stats.best_cost,
+        [r.getstate() for r in rngs],
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     layout=layouts(),
@@ -804,43 +875,44 @@ def fixed_layout(n: int, seed: int) -> list:
     initial_temp=st.sampled_from([0.3, 20.0, 3000.0]),
     resync_every=st.sampled_from([1, 7, 2048]),
     seed=st.integers(0, 2**32),
+    kind=STREAMS,
+    mask=st.lists(st.booleans(), min_size=1, max_size=5),
 )
 def test_fused_anneal_matches_generic_body(
-    layout, allow_rotation, pull_weight, initial_temp, resync_every, seed
+    layout, allow_rotation, pull_weight, initial_temp, resync_every, seed, kind, mask
 ):
-    """The same anneal through both bodies: identical best rows,
-    history, counters, stop reason and final random state."""
+    """The same anneal through the compiled round and the generic body:
+    identical best rows, history, counters, stop reason and final
+    random states, for one or two generators and a ``movable`` subset.
+    On a ``random.Random`` subclass the ``AreaCost`` anneal takes the
+    generic body, with the same result."""
     params = short_schedule(initial_temp)
     p_rotate = 0.5 if allow_rotation else 0.0
-    (best, stats, rng), (ref_best, ref_stats, ref_rng) = [
-        anneal(layout, cost, params, p_rotate, seed, resync_every)
-        for cost in (AreaCost(pull_weight=pull_weight), GenericAreaCost(pull_weight=pull_weight))
-    ]
-    rows_of = [
-        sorted((pm.op_id, pm.x, pm.y, pm.rotated) for pm in p) for p in (best, ref_best)
-    ]
-    assert rows_of[0] == rows_of[1]
-    assert stats.history == ref_stats.history
-    assert (stats.evaluations, stats.acceptances, stats.improvements) == (
-        ref_stats.evaluations, ref_stats.acceptances, ref_stats.improvements
+    movable = movable_subset(layout, mask)
+    ref_kind = "distinct" if kind == "distinct" else "shared"
+    subject = anneal(
+        layout, AreaCost(pull_weight=pull_weight), params, p_rotate, seed,
+        resync_every, kind, movable,
     )
-    assert stats.stop_reason == ref_stats.stop_reason
-    assert stats.best_cost == ref_stats.best_cost
-    assert rng.getstate() == ref_rng.getstate()
+    reference = anneal(
+        layout, GenericAreaCost(pull_weight=pull_weight), params, p_rotate, seed,
+        resync_every, ref_kind, movable,
+    )
+    assert pin_of(*subject) == pin_of(*reference)
 
 
-@pytest.mark.parametrize("n", FUSED_SIZES)
+@pytest.mark.parametrize("n", ROUND_SIZES)
 def test_schedules_accept_and_reject(n):
-    """The fused-step properties' schedules exercise both Metropolis
-    outcomes: the coldest anneal start and the steps' span and
-    temperature cycle."""
+    """The compiled-round properties' schedules exercise both
+    Metropolis outcomes: the coldest anneal start and the one-step
+    rounds' span and temperature cycle."""
     layout = fixed_layout(n, n)
     _, stats, _ = anneal(layout, AreaCost(), short_schedule(0.3), 0.5, 1, 2048)
     assert 0 < stats.acceptances < stats.evaluations
-    step, _, _ = bound_steps(layout, AreaCost(), 0.5, 1, 2048)
+    run, _, _ = bound_rounds(layout, AreaCost(), 0.5, 1, 2048)
     temperatures = [0.05, 1.0, 30.0]
     accepted = sum(
-        step(k % 4, temperatures[k % 3]) is not None for k in range(200)
+        run(k % 4, temperatures[k % 3], 1, 0.0, -math.inf)[1] for k in range(200)
     )
     assert 0 < accepted < 200
 
@@ -865,3 +937,58 @@ def test_area_cost_anneal_takes_the_fused_body(monkeypatch):
     _, stats, _ = anneal(layout, GenericAreaCost(), short_schedule(20.0), 0.5, 3, 2048)
     assert calls["components"] == stats.evaluations
     assert calls["apply"] == stats.acceptances
+
+
+def _compiler_on_path() -> bool:
+    cc = sysconfig.get_config_var("CC")
+    return bool(cc) and shutil.which(shlex.split(cc)[0]) is not None
+
+
+@pytest.mark.skipif(not _compiler_on_path(), reason="no C compiler on PATH")
+def test_area_cost_anneal_runs_the_compiled_round(monkeypatch):
+    """With a C compiler at hand an ``AreaCost`` anneal runs in the
+    kernel: every proposal goes through ``anneal_round``, so a host
+    with a compiler never quietly benchmarks the Python body."""
+    kernel = compiled.load()
+    assert kernel is not None
+    steps = 0
+
+    def counted(*args):
+        nonlocal steps
+        ran = kernel(*args)
+        steps += ran
+        return ran
+
+    monkeypatch.setattr(compiled, "load", lambda: counted)
+    _, stats, _ = anneal(fixed_layout(12, 5), AreaCost(), short_schedule(20.0), 0.5, 3, 7)
+    assert steps == stats.evaluations > 0
+
+
+#: The golden pins whose anneals include an ``AreaCost`` one.
+AREA_COST_PINS = [
+    name for name in PINS if name.startswith(("gen:", "balanced:", "no-rotation:"))
+] + ["one-module", "two-module", "ltsa-pcr"]
+
+
+@pytest.mark.parametrize("name", AREA_COST_PINS)
+def test_golden_area_cost_pins_hold_on_the_generic_body(name, monkeypatch):
+    """Every golden ``AreaCost`` pin, with the kernel's loader patched
+    away: the generic body walks the pinned trajectories too."""
+    monkeypatch.setattr(compiled, "load", lambda: None)
+    assert run_case(name, monkeypatch) == PINS[name]
+
+
+def test_failed_build_warns_and_keeps_the_trajectory(monkeypatch, tmp_path):
+    """A compiler that fails is reported once, as a ``RuntimeWarning``
+    naming the command and its stderr, and the anneal still walks its
+    pinned trajectory on the generic body."""
+    command = [sys.executable, "-c", "import sys; sys.exit('cc: no such compiler')"]
+    monkeypatch.setattr(compiled, "compile_command", lambda source, target: command)
+    monkeypatch.setattr(compiled, "_cache_dir", lambda: tmp_path)
+    monkeypatch.setattr(compiled, "_round", compiled._UNLOADED)
+    with pytest.warns(RuntimeWarning, match="no such compiler") as caught:
+        assert run_case("two-module", monkeypatch) == PINS["two-module"]
+    assert len(caught) == 1
+    assert sys.executable in str(caught[0].message)
+    assert compiled.load() is None
+    assert not list(tmp_path.iterdir())
