@@ -80,8 +80,7 @@ def _place(modules, seed: int, params: AnnealingParams, cost=None,
     """Anneal with *cost* (default: the area cost) on *placer_cls*'s path
     (default: the incremental one)."""
     placer = placer_cls(
-        params=params, seed=seed, cost=cost if cost is not None else AreaCost(),
-        record_history=False,
+        params=params, seed=seed, cost=cost if cost is not None else AreaCost()
     )
     return placer.place_modules(modules)
 

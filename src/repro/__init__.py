@@ -23,12 +23,8 @@ from repro.assay.graph import SequencingGraph
 from repro.assay.operations import Operation, OperationType
 from repro.assay.protocols.dilution import build_serial_dilution_graph
 from repro.assay.protocols.glucose import build_multiplexed_diagnostics_graph
-from repro.assay.protocols.pcr import (
-    PCR_BINDING,
-    build_pcr_full_graph,
-    build_pcr_mixing_graph,
-)
-from repro.assay.synthetic import build_mix_tree, random_assay
+from repro.assay.protocols.pcr import PCR_BINDING, build_pcr_mixing_graph
+from repro.assay.synthetic import build_mix_tree
 from repro.exec import CampaignJournal, SupervisedPool, TaskOutcome, load_journal
 from repro.fault.fti import FTIReport, compute_fti
 from repro.fault.tolerance import ToleranceAnalyzer
@@ -73,7 +69,7 @@ from repro.sim.engine import BiochipSimulator, SimulationReport
 from repro.synthesis.binder import Binding, ResourceBinder
 from repro.synthesis.flow import SynthesisFlow, SynthesisResult
 from repro.synthesis.schedule import Schedule
-from repro.synthesis.scheduler import alap_schedule, asap_schedule, list_schedule
+from repro.synthesis.scheduler import list_schedule
 from repro.util.errors import (
     BindingError,
     ExecutionError,
@@ -162,19 +158,15 @@ __all__ = [
     "UsageError",
     "WorkerCrashError",
     "WorkerTimeoutError",
-    "alap_schedule",
-    "asap_schedule",
     "build_default_pipeline",
     "build_mix_tree",
     "build_multiplexed_diagnostics_graph",
-    "build_pcr_full_graph",
     "build_pcr_mixing_graph",
     "build_serial_dilution_graph",
     "compute_fti",
     "find_maximal_empty_rectangles",
     "list_schedule",
     "load_journal",
-    "random_assay",
     "run_portfolio",
     "standard_library",
 ]

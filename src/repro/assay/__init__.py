@@ -12,12 +12,8 @@ from repro.assay.graph import SequencingGraph
 from repro.assay.operations import Operation, OperationType
 from repro.assay.protocols.dilution import build_serial_dilution_graph
 from repro.assay.protocols.glucose import build_multiplexed_diagnostics_graph
-from repro.assay.protocols.pcr import (
-    PCR_BINDING,
-    build_pcr_full_graph,
-    build_pcr_mixing_graph,
-)
-from repro.assay.synthetic import build_mix_tree, random_assay
+from repro.assay.protocols.pcr import PCR_BINDING, build_pcr_mixing_graph
+from repro.assay.synthetic import build_mix_tree
 
 __all__ = [
     "Operation",
@@ -26,8 +22,6 @@ __all__ = [
     "SequencingGraph",
     "build_mix_tree",
     "build_multiplexed_diagnostics_graph",
-    "build_pcr_full_graph",
     "build_pcr_mixing_graph",
     "build_serial_dilution_graph",
-    "random_assay",
 ]

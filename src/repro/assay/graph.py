@@ -98,10 +98,6 @@ class SequencingGraph:
         """All dependency edges."""
         return sorted(self._g.edges())
 
-    def sources(self) -> list[str]:
-        """Operations with no producers (assay inputs)."""
-        return sorted(n for n in self._g.nodes if self._g.in_degree(n) == 0)
-
     def sinks(self) -> list[str]:
         """Operations with no consumers (assay outputs)."""
         return sorted(n for n in self._g.nodes if self._g.out_degree(n) == 0)
@@ -118,18 +114,6 @@ class SequencingGraph:
             for m in self._g.successors(n):
                 depth[m] = max(depth[m], depth[n] + 1)
         return depth
-
-    def critical_path_length(self, durations: Mapping[str, float]) -> float:
-        """Longest start-to-finish chain under *durations* — the makespan
-        lower bound for any schedule."""
-        self.validate()
-        finish = {}
-        for n in self.topological_order():
-            if n not in durations:
-                raise ScheduleError(f"no duration for operation {n!r}")
-            ready = max((finish[p] for p in self._g.predecessors(n)), default=0.0)
-            finish[n] = ready + durations[n]
-        return max(finish.values(), default=0.0)
 
     def critical_path(self, durations: Mapping[str, float]) -> list[str]:
         """One longest start-to-finish chain of operation ids."""

@@ -10,16 +10,11 @@
 
 from repro.assay.protocols.dilution import build_serial_dilution_graph
 from repro.assay.protocols.glucose import build_multiplexed_diagnostics_graph
-from repro.assay.protocols.pcr import (
-    PCR_BINDING,
-    build_pcr_full_graph,
-    build_pcr_mixing_graph,
-)
+from repro.assay.protocols.pcr import PCR_BINDING, build_pcr_mixing_graph
 
 __all__ = [
     "PCR_BINDING",
     "build_multiplexed_diagnostics_graph",
-    "build_pcr_full_graph",
     "build_pcr_mixing_graph",
     "build_serial_dilution_graph",
 ]

@@ -47,8 +47,7 @@ def build_pcr_mixing_graph() -> SequencingGraph:
     """The seven-node mixing tree exactly as placed in the paper.
 
     Dispense/output steps are omitted because the paper's placement
-    problem covers only the reconfigurable mix modules; use
-    :func:`build_pcr_full_graph` for an end-to-end simulatable assay.
+    problem covers only the reconfigurable mix modules.
     """
     g = SequencingGraph(name="pcr-mixing-stage")
     for op_id, hardware in PCR_BINDING.items():
@@ -72,39 +71,5 @@ def build_pcr_mixing_graph() -> SequencingGraph:
     g.add_dependency("M4", "M6")
     g.add_dependency("M5", "M7")
     g.add_dependency("M6", "M7")
-    g.validate()
-    return g
-
-
-def build_pcr_full_graph() -> SequencingGraph:
-    """PCR mixing stage with dispense inputs and a final output step.
-
-    This variant is what the droplet-level simulator executes: eight
-    dispense operations feed the four leaf mixes and the final product
-    is routed to an output port.
-    """
-    g = build_pcr_mixing_graph()
-    leaf_ids = ("M1", "M2", "M3", "M4")
-    for leaf, (left, right) in zip(leaf_ids, PCR_REAGENTS):
-        for reagent in (left, right):
-            d = g.add_operation(
-                Operation(
-                    f"D-{reagent}",
-                    OperationType.DISPENSE,
-                    label=f"dispense {reagent}",
-                    duration_s=2.0,
-                    params={"reagent": reagent},
-                )
-            )
-            g.add_dependency(d, leaf)
-    out = g.add_operation(
-        Operation(
-            "OUT",
-            OperationType.OUTPUT,
-            label="PCR master mix to thermocycling",
-            duration_s=1.0,
-        )
-    )
-    g.add_dependency("M7", out)
     g.validate()
     return g

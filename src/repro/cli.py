@@ -129,6 +129,23 @@ def _max_parked(args: argparse.Namespace, *protocols: str) -> int | None:
     return 2 if any(is_generator_spec(n) for n in names) else None
 
 
+def _check_on_array(flag: str, cells, placement) -> None:
+    """Reject *flag* cells (placement coordinates) that miss the
+    simulated array: the placed array plus the routing boundary lane."""
+    from repro.routing.synthesis import RoutingSynthesizer
+
+    m = RoutingSynthesizer.margin
+    bb = placement.bounding_box()
+    x_lo, x_hi, y_lo, y_hi = bb.x - m, bb.x2 + m, bb.y - m, bb.y2 + m
+    for x, y in cells:
+        if not (x_lo <= x <= x_hi and y_lo <= y <= y_hi):
+            raise UsageError(
+                f"{flag} {x} {y} is off the simulated array, which spans "
+                f"x {x_lo}..{x_hi} and y {y_lo}..{y_hi} (the {bb.width}x"
+                f"{bb.height} placed array plus its {m}-cell boundary lane)"
+            )
+
+
 def cmd_flow(args: argparse.Namespace) -> int:
     from repro.synthesis.flow import SynthesisFlow
     from repro.viz.ascii_art import render_fti_map, render_gantt, render_placement
@@ -234,6 +251,7 @@ def cmd_route(args: argparse.Namespace) -> int:
             faulty_cells=[tuple(f) for f in args.faulty or ()],
         ),
     )
+    _check_on_array("--faulty", args.faulty or (), result.placement_result.placement)
     plan = result.routing_plan
     print(plan.table_text())
     print()
@@ -309,6 +327,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         route=True,
     )
     result = flow.run(graph, explicit_binding=binding)
+    _check_on_array(
+        "--cell", [c for _, c in pairs if c is not None],
+        result.placement_result.placement,
+    )
     sim = BiochipSimulator(
         result.graph,
         result.schedule,
@@ -608,6 +630,10 @@ def cmd_recover(args: argparse.Namespace) -> int:
         )
         try:
             result = flow.run(graph, explicit_binding=binding)
+            _check_on_array(
+                "--cell", [c for _, c in pairs if c is not None],
+                result.placement_result.placement,
+            )
             fault_time = fault_fraction * result.schedule.makespan
             checkpoint = engine.checkpoint_of(result, fault_time)
             if pairs and pairs[0][1] is not None:
@@ -619,6 +645,8 @@ def cmd_recover(args: argparse.Namespace) -> int:
             outcome = engine.recover(
                 result, [cell], fault_time, seed=args.seed, checkpoint=checkpoint
             )
+        except UsageError:
+            raise
         except ReproError as exc:
             print(f"{name}: recovery errored: {type(exc).__name__}: {exc}")
             exit_code = EXIT_INFEASIBLE
@@ -682,6 +710,10 @@ def _recover_closed_loop(
         )
         try:
             result = flow.run(graph, explicit_binding=binding)
+            _check_on_array(
+                "--cell", [c for _, c in pairs if c is not None],
+                result.placement_result.placement,
+            )
             makespan = result.schedule.makespan
             width, height = result.placement_result.placement.array_dims()
             rng = ensure_rng(args.seed)
@@ -700,6 +732,8 @@ def _recover_closed_loop(
                     )
                 )
             out = controller.run(result, tuple(sorted(events)), seed=args.seed, mode=mode)
+        except UsageError:
+            raise
         except ReproError as exc:
             print(f"{name}: closed-loop run errored: {type(exc).__name__}: {exc}")
             exit_code = EXIT_INFEASIBLE
@@ -1072,6 +1106,14 @@ def main(argv: list[str] | None = None) -> int:
         resume = getattr(args, "resume", None)
         if resume is not None and not Path(resume).is_file():
             raise UsageError(f"--resume journal not found: {resume}")
+        # A zero cap deadlocks the list scheduler: a flag error, caught
+        # before any synthesis runs.
+        for flag in ("max_concurrent", "max_parked"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
+                raise UsageError(
+                    f"--{flag.replace('_', '-')} must be >= 1, got {value}"
+                )
         return args.func(args)
     except UsageError as exc:
         raise _fail(f"{args.command}: {exc}", EXIT_USAGE) from None

@@ -44,15 +44,6 @@ class Staircase:
     def __len__(self) -> int:
         return len(self._steps)
 
-    def steps(self) -> list[Step]:
-        """Snapshot of the current steps, bottom (widest) first."""
-        return list(self._steps)
-
-    @property
-    def top(self) -> Step | None:
-        """The tallest (rightmost-starting) step, or None when empty."""
-        return self._steps[-1] if self._steps else None
-
     def clear(self) -> None:
         """Reset to the empty staircase."""
         self._steps.clear()

@@ -42,9 +42,5 @@ class Interval:
         """True if instant *t* falls inside ``[start, stop)``."""
         return self.start <= t < self.stop
 
-    def shifted(self, dt: float) -> "Interval":
-        """Return a copy translated by *dt* seconds."""
-        return Interval(self.start + dt, self.stop + dt)
-
     def __str__(self) -> str:
         return f"[{self.start:g}, {self.stop:g})"

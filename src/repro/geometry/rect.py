@@ -75,11 +75,6 @@ class Rect:
         return self.width * self.height
 
     @property
-    def origin(self) -> Point:
-        """Bottom-left cell."""
-        return Point(self.x, self.y)
-
-    @property
     def center(self) -> Point:
         """Cell nearest the geometric center (rounded down)."""
         return Point(self.x + (self.width - 1) // 2, self.y + (self.height - 1) // 2)

@@ -8,9 +8,6 @@ healthy or faulty — so a chip's fault state is simply the set of its
 dead cells.
 """
 
-from repro.grid.occupancy import OccupancyGrid, occupancy_matrix
+from repro.grid.occupancy import OccupancyGrid
 
-__all__ = [
-    "OccupancyGrid",
-    "occupancy_matrix",
-]
+__all__ = ["OccupancyGrid"]

@@ -3,8 +3,7 @@
 The paper's FTI algorithm (Section 5.3) "models the configuration of
 the microfluidic array by a matrix consisting of 0s and 1s": occupied
 cells (operating modules plus the faulty cell) are 1, free cells are 0.
-:class:`OccupancyGrid` is that matrix with convenience operations, and
-:func:`occupancy_matrix` builds it from rectangles.
+:class:`OccupancyGrid` is that matrix with convenience operations.
 
 Internally the grid is a numpy ``uint8`` array indexed ``[y-1, x-1]``
 (row-major from the bottom), but the public API speaks 1-based paper
@@ -87,10 +86,6 @@ class OccupancyGrid:
         """Number of cells marked 1."""
         return int(self._m.sum())
 
-    def as_matrix(self) -> np.ndarray:
-        """Return a copy of the underlying ``(height, width)`` matrix."""
-        return self._m.copy()
-
     def matrix_view(self) -> np.ndarray:
         """Return the underlying matrix *without* copying.
 
@@ -107,12 +102,3 @@ class OccupancyGrid:
         for y in range(self.height, 0, -1):
             rows.append("".join("#" if v else "." for v in self._m[y - 1]))
         return "\n".join(rows)
-
-
-def occupancy_matrix(width: int, height: int, rects: Iterable[Rect]) -> np.ndarray:
-    """Return the paper's 0/1 matrix for *rects* on a ``width x height`` array.
-
-    Convenience wrapper used by the MER/FTI algorithms; rows are indexed
-    from the bottom (row 0 is paper row y=1).
-    """
-    return OccupancyGrid.from_rects(width, height, rects).as_matrix()

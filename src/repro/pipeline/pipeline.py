@@ -47,20 +47,8 @@ class Pipeline:
         self._stages = stages
 
     @property
-    def stages(self) -> tuple[Stage, ...]:
-        """The stages, in execution order."""
-        return tuple(self._stages)
-
-    @property
     def stage_names(self) -> tuple[str, ...]:
         return tuple(stage.name for stage in self._stages)
-
-    def stage(self, name: str) -> Stage:
-        """Look a stage up by name."""
-        for stage in self._stages:
-            if stage.name == name:
-                return stage
-        raise PipelineError(f"pipeline has no stage named {name!r}")
 
     def run(self, context: SynthesisContext) -> SynthesisContext:
         """Execute every stage in order; returns the same *context*."""
@@ -118,15 +106,12 @@ def build_default_pipeline(
     return Pipeline(stages)
 
 
-def build_default_placer(rng: random.Random, record_history: bool = True):
+def build_default_placer(rng: random.Random):
     """The flow's default placer, seeded from the flow generator.
 
     Factored out so the facade, the pipeline builder, and the portfolio
     executor derive the placer stream identically — one ``spawn_rng``
     draw from the flow RNG — keeping a fixed seed bit-for-bit
-    reproducible across all entry points. ``record_history`` does not
-    touch the stream; portfolio runs turn it off.
+    reproducible across all entry points.
     """
-    return SimulatedAnnealingPlacer(
-        seed=spawn_rng(rng), record_history=record_history
-    )
+    return SimulatedAnnealingPlacer(seed=spawn_rng(rng))

@@ -112,35 +112,27 @@ class PortfolioSpec:
     route: bool = False
 
     def build_flow(self, seed: int) -> SynthesisFlow:
-        """A flow for one portfolio instance, fully seeded by *seed*.
-
-        Placers run with ``record_history=False``: per-round history
-        tuples are dead weight for a best-of-N search (N instances of
-        them would cross process boundaries just to be dropped), and
-        the placement trajectory is unaffected.
-        """
+        """A flow for one portfolio instance, fully seeded by *seed*."""
         rng = ensure_rng(seed)
         if self.beta is not None:
             from repro.placement.two_stage import TwoStagePlacer
 
             placer = TwoStagePlacer(
-                beta=self.beta, stage1_params=self.annealing, seed=spawn_rng(rng),
-                record_history=False,
+                beta=self.beta, stage1_params=self.annealing, seed=spawn_rng(rng)
             )
         elif self.annealing is not None:
             from repro.placement.sa_placer import SimulatedAnnealingPlacer
 
             placer = SimulatedAnnealingPlacer(
-                params=self.annealing, seed=spawn_rng(rng),
-                record_history=False,
+                params=self.annealing, seed=spawn_rng(rng)
             )
         else:
             # Mirror the flow's own default-placer derivation (one
             # spawn_rng draw) so a best-of-1 portfolio still reproduces
-            # the facade bit-for-bit, history disabled all the same.
+            # the facade bit-for-bit.
             from repro.pipeline.pipeline import build_default_placer
 
-            placer = build_default_placer(rng, record_history=False)
+            placer = build_default_placer(rng)
         return SynthesisFlow(
             placer=placer,
             max_concurrent_ops=self.max_concurrent_ops,

@@ -126,9 +126,8 @@ class AnnealingStats:
     final_temp: float = math.nan
     stop_reason: str = ""
     #: One entry per temperature round: (temperature, current, best).
-    #: Only recorded when the engine runs with ``record_history=True``
-    #: (portfolio runs disable it — N instances of per-round tuples are
-    #: dead weight crossing process boundaries).
+    #: Empty only when the engine runs with ``record_history=False``,
+    #: as the recovery anneal does (it discards its statistics).
     history: list[tuple[float, float, float]] = field(default_factory=list)
 
     @property

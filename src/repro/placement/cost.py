@@ -26,8 +26,8 @@ Every cost here speaks two protocols:
 
 The annealer prices proposals by ``delta`` alone — for a cost whose
 ``delta`` is :meth:`AreaCost.delta`, by the same arithmetic fused into
-its Metropolis step (see :meth:`~repro.placement.incremental.
-IncrementalCostEvaluator.bind_step`) — so a subclass that overrides
+its Metropolis round (see :meth:`~repro.placement.incremental.
+IncrementalCostEvaluator.bind_round`) — so a subclass that overrides
 ``__call__`` without a matching ``delta`` would optimize the wrong
 objective; :func:`require_delta` rejects such a cost with
 :class:`TypeError` when a placer is built with it.
@@ -133,8 +133,8 @@ class AreaCost:
 
     def delta(self, evaluator: IncrementalCostEvaluator, move: tuple) -> float:
         """Change in this cost if *move* were applied. The annealer's
-        fused step (:meth:`~repro.placement.incremental.
-        IncrementalCostEvaluator.bind_step`) repeats this arithmetic for
+        compiled round (:meth:`~repro.placement.incremental.
+        IncrementalCostEvaluator.bind_round`) repeats this arithmetic for
         every cost that keeps this ``delta``."""
         d_area_mm2, d_overlap, d_pull, _ = evaluator.components(move)
         d = self.alpha * d_area_mm2 + self.overlap_weight * d_overlap

@@ -136,12 +136,7 @@ class IncrementalCostEvaluator:
       of at most ``resync_every`` additions.
     """
 
-    def __init__(
-        self,
-        placement: Placement,
-        resync_every: int = 2048,
-        warm_from: IncrementalCostEvaluator | None = None,
-    ) -> None:
+    def __init__(self, placement: Placement, resync_every: int = 2048) -> None:
         if len(placement) == 0:
             raise PlacementError("cannot evaluate an empty placement")
         if resync_every < 1:
@@ -164,38 +159,27 @@ class IncrementalCostEvaluator:
         self.index = {op: i for i, op in enumerate(self.ops)}
         self._sig_order = sorted(range(len(self.ops)), key=self.ops.__getitem__)
 
-        if warm_from is not None and self._warm_compatible(warm_from, modules):
-            # Same operation set, spans, specs, and pitch: every
-            # schedule-fixed structure (the O(n^2) time-neighbor lists,
-            # the per-pair durations, the dims) and the FTI memo (keyed
-            # by translation-normalized signature — position- and
-            # fault-independent) carry over. Only the position-dependent
-            # records, edge histograms, and running sums below are
-            # rebuilt. The shared structures are never mutated after
-            # construction, so aliasing them is safe.
-            self._adopt(warm_from)
-        else:
-            #: Scratch space for cost-side memoization (FTI by signature).
-            self.memo = {}
-            self.specs = [pm.spec for pm in modules]
-            self.spans = [(pm.start, pm.stop) for pm in modules]
-            #: Per index: footprint ``(w, h)`` indexed by orientation.
-            self.dims = [(s.dims(False), s.dims(True)) for s in self.specs]
-            self.square = [s.is_square for s in self.specs]
-            # Static time-overlap structure: fixed by the schedule forever.
-            n = len(modules)
-            self.nbrs = [[] for _ in range(n)]
-            self._pair_dt = {}
-            for a in range(n):
-                a_start, a_stop = self.spans[a]
-                for b in range(a + 1, n):
-                    b_start, b_stop = self.spans[b]
-                    dt = min(a_stop, b_stop) - max(a_start, b_start)
-                    if dt > 0:
-                        self.nbrs[a].append((b, dt))
-                        self.nbrs[b].append((a, dt))
-                        self._pair_dt[a, b] = dt
-                        self._pair_dt[b, a] = dt
+        #: Scratch space for cost-side memoization (FTI by signature).
+        self.memo = {}
+        self.specs = [pm.spec for pm in modules]
+        self.spans = [(pm.start, pm.stop) for pm in modules]
+        #: Per index: footprint ``(w, h)`` indexed by orientation.
+        self.dims = [(s.dims(False), s.dims(True)) for s in self.specs]
+        self.square = [s.is_square for s in self.specs]
+        # Static time-overlap structure: fixed by the schedule forever.
+        n = len(modules)
+        self.nbrs = [[] for _ in range(n)]
+        self._pair_dt = {}
+        for a in range(n):
+            a_start, a_stop = self.spans[a]
+            for b in range(a + 1, n):
+                b_start, b_stop = self.spans[b]
+                dt = min(a_stop, b_stop) - max(a_start, b_start)
+                if dt > 0:
+                    self.nbrs[a].append((b, dt))
+                    self.nbrs[b].append((a, dt))
+                    self._pair_dt[a, b] = dt
+                    self._pair_dt[b, a] = dt
 
         self.x1 = [pm.x for pm in modules]
         self.y1 = [pm.y for pm in modules]
@@ -225,47 +209,6 @@ class IncrementalCostEvaluator:
         self.pull_sum = 0
         self._rebuild_sums()
         self._price = self._bind_components()
-
-    def _warm_compatible(
-        self, warm: IncrementalCostEvaluator, modules: list[PlacedModule]
-    ) -> bool:
-        """True when *warm*'s schedule-fixed structures apply: identical
-        op set, module specs (by identity), time spans, and pitch.
-        Placements that differ only in module positions — the recovery
-        sweep's per-scenario layouts — qualify."""
-        if warm._pitch2 != self._pitch2 or len(warm.ops) != len(modules):
-            return False
-        for pm in modules:
-            t = warm.index.get(pm.op_id)
-            if t is None or warm.specs[t] is not pm.spec:
-                return False
-            if warm.spans[t] != (pm.start, pm.stop):
-                return False
-        return True
-
-    def _adopt(self, warm: IncrementalCostEvaluator) -> None:
-        """Share *warm*'s static structures, keyed by op id. When the
-        module order differs they are re-indexed into exactly what a
-        cold build would produce (neighbor lists in ascending index
-        order), so the order cannot change a result."""
-        self.memo = warm.memo
-        if warm.ops == self.ops:
-            self.specs, self.spans = warm.specs, warm.spans
-            self.dims, self.square = warm.dims, warm.square
-            self.nbrs, self._pair_dt = warm.nbrs, warm._pair_dt
-            return
-        order = [warm.index[op] for op in self.ops]
-        new_of = [0] * len(order)
-        for i, t in enumerate(order):
-            new_of[t] = i
-        self.specs = [warm.specs[t] for t in order]
-        self.spans = [warm.spans[t] for t in order]
-        self.dims = [warm.dims[t] for t in order]
-        self.square = [warm.square[t] for t in order]
-        self.nbrs = [sorted((new_of[u], dt) for u, dt in warm.nbrs[t]) for t in order]
-        self._pair_dt = {
-            (new_of[a], new_of[b]): dt for (a, b), dt in warm._pair_dt.items()
-        }
 
     # -- the placement view ----------------------------------------------------------
 
@@ -303,23 +246,6 @@ class IncrementalCostEvaluator:
         for i, op in enumerate(self.ops):
             out._modules[op] = self._placed(i, x1[i], y1[i], rot[i])
         return out
-
-    def move(self, *updates: tuple[str, int, int, bool]) -> tuple:
-        """The move tuple for one or two ``(op_id, x, y, rotated)``
-        updates (the annealers build index tuples directly)."""
-        if not updates:
-            raise ValueError("a move needs at least one module update")
-        if len(updates) > 2:
-            raise ValueError(f"a move updates one or two modules, got {len(updates)}")
-        out: list = []
-        for op, x, y, rotated in updates:
-            i = self.index.get(op)
-            if i is None:
-                raise PlacementError(f"no placed module for op {op!r}")
-            out += (i, x, y, bool(rotated))
-        if len(updates) == 2 and out[0] == out[4]:
-            raise PlacementError(f"move updates op {updates[0][0]!r} twice")
-        return tuple(out)
 
     # -- component queries --------------------------------------------------------
 

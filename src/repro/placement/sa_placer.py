@@ -133,7 +133,6 @@ class SimulatedAnnealingPlacer:
         p_single: float = 0.8,
         allow_rotation: bool = True,
         seed: int | random.Random | None = None,
-        record_history: bool = True,
     ) -> None:
         self.params = params if params is not None else AnnealingParams.balanced()
         self.cost = cost if cost is not None else AreaCost()
@@ -142,7 +141,6 @@ class SimulatedAnnealingPlacer:
         self.core_height = core_height
         self.p_single = p_single
         self.allow_rotation = allow_rotation
-        self.record_history = record_history
         self._rng = ensure_rng(seed)
 
     # -- entry points ---------------------------------------------------------------
@@ -195,9 +193,5 @@ class SimulatedAnnealingPlacer:
     ) -> tuple[Placement, AnnealingStats]:
         """Anneal from *initial* on the delta-cost path."""
         return engine.optimize_incremental(
-            IncrementalCostEvaluator(initial),
-            self.cost,
-            mover,
-            inner_iterations,
-            record_history=self.record_history,
+            IncrementalCostEvaluator(initial), self.cost, mover, inner_iterations
         )

@@ -102,7 +102,6 @@ class TwoStagePlacer:
         #: the placement can drift outward to buy coverage.
         expansion: float = 1.8,
         seed: int | random.Random | None = None,
-        record_history: bool = True,
     ) -> None:
         if expansion < 1.0:
             raise ValueError(f"expansion must be >= 1.0, got {expansion}")
@@ -110,7 +109,6 @@ class TwoStagePlacer:
         self.stage1_params = stage1_params or AnnealingParams.balanced()
         self.stage2_params = stage2_params or AnnealingParams.low_temperature()
         self.expansion = expansion
-        self.record_history = record_history
         self._rng = ensure_rng(seed)
 
     def place(self, schedule: Schedule, binding) -> TwoStageResult:
@@ -123,7 +121,6 @@ class TwoStagePlacer:
             params=self.stage1_params,
             cost=self.stage1_cost(),
             seed=self._rng,
-            record_history=self.record_history,
         )
         stage1 = stage1_placer.place_modules(modules)
         fti1 = compute_fti(stage1.placement)
@@ -182,8 +179,7 @@ class TwoStagePlacer:
         inner = self.stage2_params.iterations_per_module * len(start)
         t_anneal = time.perf_counter()
         best, stats = engine.optimize_incremental(
-            IncrementalCostEvaluator(start), cost, mover, inner,
-            record_history=self.record_history,
+            IncrementalCostEvaluator(start), cost, mover, inner
         )
         anneal_s = time.perf_counter() - t_anneal
 

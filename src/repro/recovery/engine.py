@@ -411,10 +411,6 @@ class OnlineRecoveryEngine:
         #: the closed loop checkpoints once and hands that checkpoint to
         #: every rung.
         self._nominal_sim: tuple[SynthesisResult, BiochipSimulator] | None = None
-        #: Template evaluator whose schedule-fixed warm-up (time-
-        #: neighbor lists, FTI memo) is reused across recovery calls on
-        #: the same schedule (see IncrementalCostEvaluator.warm_from).
-        self._warm_template: IncrementalCostEvaluator | None = None
 
     # -- checkpointing --------------------------------------------------------
 
@@ -485,8 +481,9 @@ class OnlineRecoveryEngine:
 
         *fault_cells* are in placement coordinates (the frame of
         ``result.placement_result.placement``); *checkpoint* may be
-        passed in when the caller already computed it (the sweep reuses
-        one checkpoint across fault patterns at the same arrival time).
+        passed in when the caller already computed it (the closed loop
+        checkpoints once per detection and hands that checkpoint to
+        every rung it tries).
         *known_faults* are design-time defects the nominal plan already
         avoids; the re-synthesized suffix keeps avoiding them too.
         *rung* picks the graceful-degradation level (see
@@ -504,8 +501,8 @@ class OnlineRecoveryEngine:
         if checkpoint is None:
             checkpoint = self.nominal_checkpoint(result, fault_time_s, known)
         else:
-            # Caller-provided checkpoints cross process/serialization
-            # boundaries; reject corrupted or truncated ones up front.
+            # The engine did not build a caller's checkpoint; reject a
+            # corrupted or truncated one up front.
             checkpoint.validate(result.schedule)
 
         def failed(reason: str, **extra) -> RecoveryOutcome:
@@ -820,12 +817,7 @@ class OnlineRecoveryEngine:
             anchors={op: (nominal.get(op).x, nominal.get(op).y) for op in movable},
             anchor_weight=0.0 if resynth else ANCHOR_WEIGHT,
         )
-        evaluator = IncrementalCostEvaluator(
-            working.copy(), warm_from=self._warm_template
-        )
-        # Later calls on the same schedule (every scenario of a sweep)
-        # reuse this evaluator's O(n^2) warm-up and FTI memo.
-        self._warm_template = evaluator
+        evaluator = IncrementalCostEvaluator(working.copy())
         inner = params.iterations_per_module * len(movable)
         best, _stats = engine.optimize_incremental(
             evaluator, cost, mover, inner, record_history=False

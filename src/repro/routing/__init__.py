@@ -14,16 +14,14 @@ rip-up negotiation. The test suite keeps the original Point-dict
 engine as its equivalence oracle (``tests/oracles/``).
 """
 
-from repro.routing.compact import CompactionReport, NetImprovement, compact_routes
+from repro.routing.compact import compact_routes
 from repro.routing.plan import Net, RoutedNet, RoutingEpoch, RoutingPlan, chebyshev
 from repro.routing.prioritized import PrioritizedRouter
 from repro.routing.synthesis import RoutingSynthesizer
 from repro.routing.timegrid import TimeGrid
 
 __all__ = [
-    "CompactionReport",
     "Net",
-    "NetImprovement",
     "PrioritizedRouter",
     "RoutedNet",
     "RoutingEpoch",

@@ -6,7 +6,7 @@ stall around congestion that never materialized. Compaction exploits
 hindsight — with every other trajectory fixed as reservations, each net
 is re-routed from scratch and the new trajectory is kept only when it
 strictly improves ``(arrival, moves)``. Worst routes are revisited
-first; passes repeat until a fixed point (bounded by ``max_passes``).
+first; passes repeat until a fixed point, at most three times.
 
 Acceptance is lexicographic on ``(arrival, moves)``, so per-net latency
 is monotonically non-increasing; a route may trade waits for moves when
@@ -16,49 +16,11 @@ that lands the droplet earlier.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from repro.routing.plan import RoutedNet
 from repro.routing.prioritized import PrioritizedRouter
 from repro.routing.timegrid import TimeGrid
 from repro.util.errors import RoutingError
-
-
-@dataclass(frozen=True)
-class NetImprovement:
-    """One net's latency before and after compaction, in steps."""
-
-    net_id: str
-    before: int
-    after: int
-
-    @property
-    def saved(self) -> int:
-        return self.before - self.after
-
-
-@dataclass(frozen=True)
-class CompactionReport:
-    """What the compaction pass achieved, net by net."""
-
-    improvements: tuple[NetImprovement, ...]
-    passes: int
-
-    @property
-    def steps_saved(self) -> int:
-        """Total latency steps removed across all nets."""
-        return sum(imp.saved for imp in self.improvements)
-
-    @property
-    def improved_count(self) -> int:
-        """Number of nets whose latency shrank."""
-        return sum(1 for imp in self.improvements if imp.after < imp.before)
-
-    def __str__(self) -> str:
-        return (
-            f"compaction: {self.improved_count}/{len(self.improvements)} nets "
-            f"improved, {self.steps_saved} steps saved in {self.passes} pass(es)"
-        )
 
 
 #: Sweeps over the nets before compaction stops improving anyway.
@@ -70,20 +32,16 @@ def compact_routes(
     grid: TimeGrid,
     router: PrioritizedRouter,
     horizon: int,
-) -> tuple[list[RoutedNet], CompactionReport]:
+) -> list[RoutedNet]:
     """Re-route each net against the others' fixed reservations, for at
     most three sweeps.
 
     *grid* must hold exactly the reservations of *routed* (the state
     :meth:`PrioritizedRouter.route_all` leaves behind). Returns the
-    compacted nets in the original order plus a report.
+    compacted nets in the original order.
     """
     current: dict[str, RoutedNet] = {rn.net.net_id: rn for rn in routed}
-    original = {net_id: rn.latency for net_id, rn in current.items()}
-
-    passes = 0
     for _ in range(_MAX_PASSES):
-        passes += 1
         changed = False
         worst_first = sorted(
             current.values(),
@@ -109,12 +67,4 @@ def compact_routes(
             grid.reserve(current[net_id], horizon)
         if not changed:
             break
-
-    report = CompactionReport(
-        improvements=tuple(
-            NetImprovement(rn.net.net_id, original[rn.net.net_id], current[rn.net.net_id].latency)
-            for rn in routed
-        ),
-        passes=passes,
-    )
-    return [current[rn.net.net_id] for rn in routed], report
+    return [current[rn.net.net_id] for rn in routed]

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 from repro.geometry import Point, Rect
 from repro.placement.model import Placement
 from repro.placement.transport import dependency_edges
-from repro.routing.compact import CompactionReport, compact_routes
+from repro.routing.compact import compact_routes
 from repro.routing.plan import Net, RoutingEpoch, RoutingPlan
 from repro.routing.prioritized import PrioritizedRouter
 from repro.routing.timegrid import FAULTY, MODULE, TimeGrid
@@ -51,9 +51,6 @@ class RoutingSynthesizer:
         #: Non-strict by default: an unroutable net is reported through
         #: the plan's routability instead of aborting the whole flow.
         self.router = router if router is not None else PrioritizedRouter(strict=False)
-
-        #: Per-epoch compaction reports of the last synthesize() call.
-        self.compaction_reports: list[CompactionReport] = []
 
     def synthesize(
         self,
@@ -96,7 +93,6 @@ class RoutingSynthesizer:
         if after_time is not None:
             release_times = [t for t in release_times if t >= after_time]
 
-        self.compaction_reports = []
         epochs: list[RoutingEpoch] = []
         for t in release_times:
             batch = [(u, v) for u, v in edges if schedule.start(v) == t]
@@ -182,8 +178,7 @@ class RoutingSynthesizer:
         horizon = self.router.default_horizon(grid, nets)
         routed, failed = self.router.route_all(nets, grid, horizon)
         if routed:
-            routed, report = compact_routes(routed, grid, self.router, horizon)
-            self.compaction_reports.append(report)
+            routed = compact_routes(routed, grid, self.router, horizon)
 
         return RoutingEpoch(
             time_s=t,

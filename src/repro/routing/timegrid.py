@@ -60,7 +60,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.geometry import Point, Rect
-from repro.routing.plan import Net, RoutedNet
+from repro.routing.plan import RoutedNet
 
 #: Static-obstacle byte-mask bits, preclassified per cell.
 FAULTY = 1
@@ -365,52 +365,6 @@ class TimeGrid:
         self._tail.clear()
         self._cell_last.clear()
         self._net_keys.clear()
-
-    def reserved_blocked(self, cell: Point, step: int, net: Net) -> bool:
-        """True if another droplet's halo covers (*cell*, *step*) for
-        this net, honoring the two-sided merge/split exemptions (both
-        the queried cell and the entry's recorded origin in-zone)."""
-        x, y = cell
-        if not (1 <= x <= self.width and 1 <= y <= self.height):
-            return False
-        idx = (y - 1) * self.width + (x - 1)
-        net_id, producer, consumer = net.net_id, net.producer, net.consumer
-        entries = self._halo.get(step * self.area + idx)
-        if entries:
-            for eid, ep, ec, pok, cok in entries:
-                if eid == net_id:
-                    continue
-                if cok and ec is not None and ec == consumer and self.in_region(ec, cell):
-                    continue
-                if pok and ep is not None and ep == producer and self.in_region(ep, cell):
-                    continue
-                return True
-        tails = self._tail.get(idx)
-        if tails:
-            for eid, ep, ec, from_step, pok, cok in tails:
-                if from_step > step or eid == net_id:
-                    continue
-                if cok and ec is not None and ec == consumer and self.in_region(ec, cell):
-                    continue
-                if pok and ep is not None and ep == producer and self.in_region(ep, cell):
-                    continue
-                return True
-        return False
-
-    def blocked(self, cell: Point, step: int, net: Net) -> bool:
-        """Full occupancy query for *net* at (*cell*, *step*).
-
-        A net's own source cell is grandfathered against parked halos
-        *and* reservations: the droplet is already parked there, so it
-        may keep waiting at home until traffic clears, even when a
-        sibling was parked adjacent (a placement artifact routing can
-        only resolve by eventually moving one of them away).
-        """
-        if cell == net.source:
-            return self.static_blocked(cell, net.exempt_ops, ignore_parked_halo=True)
-        return self.static_blocked(cell, net.exempt_ops) or self.reserved_blocked(
-            cell, step, net
-        )
 
     def __str__(self) -> str:
         return (

@@ -272,9 +272,10 @@ class SimCheckpoint:
     def validate(self, schedule) -> None:
         """Reject a corrupted or truncated checkpoint with a clear error.
 
-        Checkpoints cross process and serialization boundaries (sweep
-        workers, journals, user persistence); consuming a mangled one
-        must raise :class:`~repro.util.errors.RecoveryError` naming the
+        The check guards a checkpoint a caller passes to
+        ``OnlineRecoveryEngine.recover(checkpoint=...)``, which the
+        engine does not rebuild itself; consuming a mangled one must
+        raise :class:`~repro.util.errors.RecoveryError` naming the
         inconsistency — never a bare ``KeyError``/``IndexError`` from
         deep inside the replay. *schedule* is the nominal schedule the
         checkpoint claims to classify.

@@ -6,8 +6,8 @@ to modules" (Section 4). This package produces those inputs from a
 sequencing graph:
 
 * :mod:`repro.synthesis.binder` maps operations to module specs.
-* :mod:`repro.synthesis.scheduler` assigns start times (ASAP, ALAP, and
-  resource-constrained list scheduling).
+* :mod:`repro.synthesis.scheduler` assigns start times
+  (resource-constrained list scheduling).
 * :mod:`repro.synthesis.flow` chains binding -> scheduling -> placement
   into the full top-down flow the paper envisages in its introduction.
 """
@@ -20,11 +20,7 @@ from repro.synthesis.architect import (
 from repro.synthesis.binder import Binding, ResourceBinder
 from repro.synthesis.flow import SynthesisFlow, SynthesisResult
 from repro.synthesis.schedule import Schedule
-from repro.synthesis.scheduler import (
-    alap_schedule,
-    asap_schedule,
-    list_schedule,
-)
+from repro.synthesis.scheduler import list_schedule
 
 __all__ = [
     "ArchitecturalExplorer",
@@ -35,7 +31,5 @@ __all__ = [
     "Schedule",
     "SynthesisFlow",
     "SynthesisResult",
-    "alap_schedule",
-    "asap_schedule",
     "list_schedule",
 ]

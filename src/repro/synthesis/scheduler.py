@@ -1,5 +1,4 @@
-"""Scheduling algorithms: ASAP, ALAP, and resource-constrained list
-scheduling.
+"""Resource-constrained list scheduling.
 
 The paper assumes a schedule is given (its Figure 6). We regenerate one
 with classic list scheduling under *resource constraints*, because the
@@ -51,52 +50,6 @@ def _check_durations(graph: SequencingGraph, durations: Mapping[str, float]) -> 
             raise ScheduleError(
                 f"duration for {op.id!r} must be positive, got {durations[op.id]}"
             )
-
-
-def asap_schedule(graph: SequencingGraph, durations: Mapping[str, float]) -> Schedule:
-    """As-soon-as-possible schedule (unconstrained resources)."""
-    graph.validate()
-    _check_durations(graph, durations)
-    start: dict[str, float] = {}
-    for op_id in graph.topological_order():
-        ready = max(
-            (start[p] + durations[p] for p in graph.predecessors(op_id)), default=0.0
-        )
-        start[op_id] = ready
-    return Schedule(
-        {o: Interval(s, s + durations[o]) for o, s in start.items()}
-    )
-
-
-def alap_schedule(
-    graph: SequencingGraph,
-    durations: Mapping[str, float],
-    deadline: float | None = None,
-) -> Schedule:
-    """As-late-as-possible schedule against *deadline*.
-
-    *deadline* defaults to the critical-path length, in which case
-    critical operations coincide with their ASAP times.
-    """
-    graph.validate()
-    _check_durations(graph, durations)
-    if deadline is None:
-        deadline = graph.critical_path_length(durations)
-    cpl = graph.critical_path_length(durations)
-    if deadline < cpl:
-        raise ScheduleError(
-            f"deadline {deadline:g} is below the critical-path length {cpl:g}"
-        )
-    stop: dict[str, float] = {}
-    for op_id in reversed(graph.topological_order()):
-        due = min(
-            (stop[s] - durations[s] for s in graph.successors(op_id)),
-            default=deadline,
-        )
-        stop[op_id] = due
-    return Schedule(
-        {o: Interval(t - durations[o], t) for o, t in stop.items()}
-    )
 
 
 def remaining_path_lengths(

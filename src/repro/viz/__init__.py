@@ -13,7 +13,6 @@ from repro.viz.ascii_art import (
     render_placement,
 )
 from repro.viz.svg import (
-    fti_to_svg,
     graph_to_svg,
     placement_to_svg,
     save_svg,
@@ -21,7 +20,6 @@ from repro.viz.svg import (
 )
 
 __all__ = [
-    "fti_to_svg",
     "graph_to_svg",
     "placement_to_svg",
     "render_fti_map",

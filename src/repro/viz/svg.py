@@ -10,11 +10,10 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.assay.graph import SequencingGraph
-from repro.fault.fti import FTIReport
 from repro.placement.model import Placement
 from repro.synthesis.schedule import Schedule
 
-#: Side of one array cell in placement and FTI maps, pixels.
+#: Side of one array cell in placement maps, pixels.
 _CELL_PX = 26
 
 #: Qualitative palette (ColorBrewer Set3-ish), cycled over modules.
@@ -145,37 +144,6 @@ def schedule_to_svg(schedule: Schedule) -> str:
             f'fill="{color}" stroke="#333333"/>'
         )
     return _svg_document(width, height, body)
-
-
-def fti_to_svg(report: FTIReport) -> str:
-    """Draw the C-coveredness map: green covered, red uncovered.
-
-    The FTI is the green density; the caption restates it numerically.
-    """
-    cell_px = _CELL_PX
-    pad = 30
-    caption_h = 24
-    w_px = report.width * cell_px + 2 * pad
-    h_px = report.height * cell_px + 2 * pad + caption_h
-    body = []
-    for y in range(1, report.height + 1):
-        for x in range(1, report.width + 1):
-            covered = report.is_covered((x, y))
-            color = "#a6d96a" if covered else "#d7191c"
-            px = pad + (x - 1) * cell_px
-            py = pad + (report.height - y) * cell_px
-            body.append(
-                f'<rect x="{px:g}" y="{py:g}" width="{cell_px}" '
-                f'height="{cell_px}" fill="{color}" fill-opacity="0.85" '
-                f'stroke="#ffffff"/>'
-            )
-    caption_y = pad + report.height * cell_px + 18
-    body.append(
-        f'<text x="{pad}" y="{caption_y}" font-size="13">'
-        f"FTI = {report.fti:.4f} ({report.fault_tolerance_number}/"
-        f"{report.cell_count} C-covered)</text>"
-    )
-    return _svg_document(w_px, h_px, body)
 
 
 def graph_to_svg(graph: SequencingGraph) -> str:

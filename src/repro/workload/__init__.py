@@ -36,7 +36,6 @@ from repro.workload.campaign import (
 from repro.workload.generator import (
     GENERATOR_FAMILIES,
     GeneratorSpec,
-    check_invariants,
     generate,
 )
 
@@ -51,7 +50,6 @@ __all__ = [
     "GeneratorSpec",
     "RECORD_SCHEMA_VERSION",
     "batch_preset",
-    "check_invariants",
     "generate",
     "recovery_sweep_preset",
     "validate_log",

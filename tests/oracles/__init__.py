@@ -12,7 +12,9 @@ parity properties in ``tests/`` and the speed-up baselines in
 * :mod:`oracles.timegrid` and :mod:`oracles.routing` — the Point-dict
   occupancy grid, its cross-checking shadow, full-round negotiation and
   the generic search (:class:`ReferenceSynthesizer`) beside the packed
-  routing engine;
+  routing engine, and the packed grid's occupancy queries
+  (:func:`oracles.timegrid.reserved_blocked`, :func:`oracles.timegrid.blocked`)
+  composed from the checks its search inlines;
 * :mod:`oracles.anneal` — per-move delta verification
   (:class:`CheckedCost`), the evaluator's from-scratch invariant check
   (:func:`check_consistency`) and the full-recompute anneal
@@ -22,7 +24,11 @@ parity properties in ``tests/`` and the speed-up baselines in
   brute-force scan (:func:`reference_fti`) beside the summed-area-table
   FTI, and the quartic MER enumeration
   (:func:`brute_force_maximal_empty_rectangles`) beside the staircase
-  sweep.
+  sweep;
+* :mod:`oracles.schedule` — the ASAP/ALAP schedules and the
+  critical-path length, the bounds a list schedule lies in;
+* :mod:`oracles.assay` — the structural contract of generated assays
+  (:func:`oracles.assay.check_invariants`).
 
 Nothing in ``repro`` imports this package; the pytest configuration
 puts ``tests/`` on the import path so tests and benchmarks can.

@@ -247,7 +247,4 @@ class FullRecomputePlacer(SimulatedAnnealingPlacer):
             seed=mover._rng,
             movable=mover.movable,
         )
-        return engine.optimize(
-            initial, self.cost, mover.propose, inner_iterations,
-            record_history=self.record_history,
-        )
+        return engine.optimize(initial, self.cost, mover.propose, inner_iterations)

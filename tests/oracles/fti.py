@@ -126,7 +126,7 @@ def _analyze_bruteforce(
 
 def _iter_feasible(grid, pm, width, height, allow_rotation):
     """Yield every obstacle-free footprint rectangle for *pm*."""
-    m = grid.as_matrix()
+    m = grid.matrix_view()
     for w, h in _orientations(pm, allow_rotation):
         for y in range(1, height - h + 2):
             for x in range(1, width - w + 2):

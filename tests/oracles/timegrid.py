@@ -9,7 +9,8 @@ bit semantics included — for three jobs:
 
 * the **equivalence oracle**: property tests drive both grids with the
   same obstacle/reservation soup and assert identical ``blocked()`` /
-  ``static_blocked()`` answers on every in-bounds cell;
+  ``static_blocked()`` answers on every in-bounds cell (:func:`blocked`
+  composes the packed grid's answer the way its search does);
 * the **benchmark baseline**: ``bench_routing_engine.py`` measures the
   packed engine's routed-nets/sec against this grid plus the full-round
   negotiation of :class:`oracles.routing.ReferenceRouter`;
@@ -27,8 +28,45 @@ from collections.abc import Iterable
 
 from repro.geometry import Point, Rect
 from repro.routing.plan import Net, RoutedNet
+from repro.routing.prioritized import _entries_block, _tails_block
 from repro.routing.timegrid import TimeGrid
 from repro.util.errors import RoutingError
+
+
+def reserved_blocked(grid, cell: Point, step: int, net: Net) -> bool:
+    """True if another droplet's halo covers (*cell*, *step*) for *net*
+    on *grid*, honoring the two-sided merge/split exemptions.
+
+    A packed :class:`TimeGrid` is answered by the halo and tail checks
+    its router's search runs (off-array cells carry no reservation);
+    any other grid answers itself.
+    """
+    if not isinstance(grid, TimeGrid):
+        return grid.reserved_blocked(cell, step, net)
+    if not grid.in_bounds(cell):
+        return False
+    idx = grid.pack(cell)
+    zones = (
+        net.net_id, net.producer, net.consumer,
+        grid.region_idxs(net.producer), grid.region_idxs(net.consumer), idx,
+    )
+    entries = grid._halo.get(step * grid.area + idx)
+    if entries and _entries_block(entries, *zones):
+        return True
+    tails = grid._tail.get(idx)
+    return bool(tails) and _tails_block(tails, step, *zones)
+
+
+def blocked(grid, cell: Point, step: int, net: Net) -> bool:
+    """Full occupancy query for *net* at (*cell*, *step*) on *grid*: the
+    rule the packed search inlines, which :meth:`ReferenceTimeGrid.blocked`
+    states for the reference grid (a net's own source cell is
+    grandfathered against parked halos and reservations)."""
+    if cell == net.source:
+        return grid.static_blocked(cell, net.exempt_ops, ignore_parked_halo=True)
+    return grid.static_blocked(cell, net.exempt_ops) or reserved_blocked(
+        grid, cell, step, net
+    )
 
 
 class ReferenceTimeGrid:
@@ -335,7 +373,7 @@ class CrossCheckTimeGrid:
         return self._compare(
             f"reserved_blocked@{step}",
             cell,
-            self._packed.reserved_blocked(cell, step, net),
+            reserved_blocked(self._packed, cell, step, net),
             self._shadow.reserved_blocked(cell, step, net),
         )
 
@@ -343,7 +381,7 @@ class CrossCheckTimeGrid:
         return self._compare(
             f"blocked@{step}",
             cell,
-            self._packed.blocked(cell, step, net),
+            blocked(self._packed, cell, step, net),
             self._shadow.blocked(cell, step, net),
         )
 

@@ -2,11 +2,18 @@
 a caller.
 
 Every public function, method and property in ``src/repro`` must be
-referenced outside ``tests/``: named (``f``, ``obj.f``, or imported by
-name, which is how a package re-exports it) somewhere in ``src/``,
-``benchmarks/``, ``examples/`` or ``e2ebench/``. A function only tests
-call is test code; it belongs in ``tests/``. Matching is by name, so a
-function the census reports is named nowhere outside the tests.
+referenced by production code: code in ``src/``, ``benchmarks/``,
+``examples/`` or ``e2ebench/``. A function only tests call is test
+code; it belongs in ``tests/``. Two rules keep the count honest:
+
+* a name a ``src/repro/**/__init__.py`` imports to re-export it is not
+  a reference: re-exporting a function does not call it;
+* a method or property is referenced only when production code reads it
+  as an attribute (``obj.name``) or names it to ``getattr``; a local
+  variable of the same name (``move = propose(span)``) is not a use.
+
+Matching is by name, so a function the census reports is named nowhere
+in production code.
 
 A defaulted parameter of a public function, method or constructor in
 ``src/repro`` is an option. It stays only when some call in ``src/``,
@@ -122,42 +129,67 @@ def _definitions() -> dict[str, tuple[str, list[tuple[str, int | None]]]]:
     return defs
 
 
-def _public_functions() -> dict[str, str]:
-    """``module:Qualname`` -> name of every public function, method and
-    property in ``src/repro``."""
+def _public_functions() -> dict[str, tuple[str, bool]]:
+    """``module:Qualname`` -> (name, is a method or property) of every
+    public function, method and property in ``src/repro``."""
     defs = {}
     for path in sorted(SOURCE.rglob("*.py")):
         module = ".".join(path.relative_to(SOURCE.parent).with_suffix("").parts)
         for node in _parse(path).body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                defs[f"{module}:{node.name}"] = node.name
+                defs[f"{module}:{node.name}"] = (node.name, False)
             elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        defs[f"{module}:{node.name}.{item.name}"] = item.name
+                        defs[f"{module}:{node.name}.{item.name}"] = (item.name, True)
     return defs
 
 
-def _referenced_names() -> set[str]:
-    """Every name used, read as an attribute, or imported by name in
-    the non-test directories."""
+def _is_reexport(path: Path) -> bool:
+    """True for a package ``__init__.py`` under ``src/repro``."""
+    return path.name == "__init__.py" and SOURCE in path.parents
+
+
+def _referenced_names() -> tuple[set[str], set[str]]:
+    """``(names, attributes)`` production code references.
+
+    *names* holds every bare name used or imported by name, except the
+    imports of a package ``__init__.py`` (re-exports); *attributes*
+    every name read as an attribute or passed to ``getattr`` as a
+    string constant.
+    """
     names: set[str] = set()
+    attributes: set[str] = set()
     for top in REFERENCE_DIRS:
         for path in sorted((ROOT / top).rglob("*.py")):
+            reexport = _is_reexport(path)
             for node in ast.walk(_parse(path)):
                 if isinstance(node, ast.Name):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif isinstance(node, ast.ImportFrom):
+                    attributes.add(node.attr)
+                elif isinstance(node, ast.ImportFrom) and not reexport:
                     names.update(alias.name for alias in node.names)
-    return names
+                elif (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "getattr"
+                    and len(node.args) >= 2
+                    and isinstance(node.args[1], ast.Constant)
+                ):
+                    attributes.add(node.args[1].value)
+    return names, attributes
 
 
 def unreferenced() -> list[str]:
-    """Every public function no code outside ``tests/`` names."""
-    names = _referenced_names()
-    return sorted(key for key, name in _public_functions().items() if name not in names)
+    """Every public function, method and property production code does
+    not reference."""
+    names, attributes = _referenced_names()
+    return sorted(
+        key
+        for key, (name, is_member) in _public_functions().items()
+        if name not in attributes and (is_member or name not in names)
+    )
 
 
 class _CallVisitor(ast.NodeVisitor):

@@ -275,3 +275,78 @@ class TestCampaignUsageErrors:
     def test_version_exits_zero(self):
         code, _ = run_cli(["--version"])
         assert code == 0
+
+
+class TestOffArrayCells:
+    """A fault cell off the simulated array (the placed array plus the
+    routing boundary lane) is a flag error, named with the array's
+    extent; a boundary-lane cell still runs."""
+
+    @pytest.mark.parametrize(
+        "argv, cell",
+        [
+            (["recover", "--protocol", "pcr", "--cell", "100", "100"], "100 100"),
+            (["recover", "--protocol", "pcr", "--cell", "100", "100", "--closed-loop"],
+             "100 100"),
+            (["simulate", "--cell", "100", "100"], "100 100"),
+            (["route", "--faulty", "100", "100"], "100 100"),
+            (["simulate", "--cell", "-2", "1"], "-2 1"),
+        ],
+    )
+    def test_off_array_cell_exits_2(self, capsys, argv, cell):
+        code, _ = run_cli(argv)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{cell} is off the simulated array" in err
+        assert "boundary lane" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["recover", "--protocol", "pcr", "--cell", "0", "0"],
+            ["recover", "--protocol", "pcr", "--cell", "0", "0", "--closed-loop"],
+            ["simulate", "--cell", "-1", "-1"],
+            ["route", "--faulty", "0", "0"],
+        ],
+    )
+    def test_boundary_lane_cell_runs(self, capsys, argv):
+        code, _ = run_cli(argv)
+        assert code == EXIT_OK
+        assert "off the simulated array" not in capsys.readouterr().err
+
+
+class TestZeroCaps:
+    """A zero ``--max-concurrent`` or ``--max-parked`` deadlocks the list
+    scheduler; every command taking one rejects it as a flag error
+    before resolving the assay, let alone synthesizing it."""
+
+    @pytest.mark.parametrize("flag", ["--max-concurrent", "--max-parked"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["flow", "--protocol", "warp"],
+            ["place", "--protocol", "warp"],
+            ["route", "--protocol", "warp"],
+            ["simulate", "--protocol", "warp"],
+            ["portfolio", "--protocol", "warp"],
+            ["recover", "--protocol", "warp"],
+            ["recover", "--sweep", "--protocol", "warp"],
+            ["batch", "--protocols", "warp"],
+        ],
+    )
+    def test_zero_cap_exits_2(self, capsys, argv, flag):
+        code, _ = run_cli([*argv, flag, "0"])
+        assert code == EXIT_USAGE
+        assert f"{flag} must be >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["flow", "--protocol", "pcr", "--max-concurrent", "0"],
+            ["place", "--protocol", "pcr", "--max-parked", "0"],
+        ],
+    )
+    def test_zero_cap_on_a_real_assay_is_not_infeasible(self, argv):
+        # Both used to reach the scheduler and exit 3 ("infeasible").
+        code, _ = run_cli(argv)
+        assert code == EXIT_USAGE

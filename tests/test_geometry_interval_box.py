@@ -45,9 +45,6 @@ class TestInterval:
         assert not iv.contains_time(10)
         assert not iv.contains_time(4.999)
 
-    def test_shifted(self):
-        assert Interval(2, 5).shifted(3) == Interval(5, 8)
-
     def test_str(self):
         assert str(Interval(0, 10)) == "[0, 10)"
 

@@ -45,7 +45,6 @@ class TestRectBasics:
         r = Rect(2, 3, 4, 5)
         assert (r.x2, r.y2) == (5, 7)
         assert r.area == 20
-        assert r.origin == Point(2, 3)
 
     def test_invalid_dimensions_rejected(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.geometry import Point, Rect
-from repro.grid.occupancy import OccupancyGrid, occupancy_matrix
+from repro.grid.occupancy import OccupancyGrid
 
 
 class TestConstruction:
@@ -74,7 +74,7 @@ class TestFillAndQuery:
     def test_matrix_orientation_row0_is_bottom(self):
         g = OccupancyGrid(3, 2)
         g.set((1, 1))
-        m = g.as_matrix()
+        m = g.matrix_view()
         assert m[0, 0] == 1
         assert m[1, 0] == 0
 
@@ -86,12 +86,6 @@ class TestFillAndQuery:
 
 
 class TestOccupancyMatrixHelper:
-    def test_matches_grid(self):
-        rects = [Rect(1, 1, 2, 2), Rect(4, 1, 2, 2)]
-        m = occupancy_matrix(6, 4, rects)
-        g = OccupancyGrid.from_rects(6, 4, rects)
-        assert np.array_equal(m, g.as_matrix())
-
     @given(
         st.lists(
             st.builds(

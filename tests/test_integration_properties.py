@@ -8,11 +8,11 @@ and Monte-Carlo survival tell one consistent story.
 """
 
 import pytest
+from assays import random_assay
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import FullRecomputeMoves
 
-from repro.assay.synthetic import random_assay
 from repro.fault.fti import compute_fti
 from repro.placement.annealer import AnnealingParams
 from repro.placement.initial import constructive_initial_placement

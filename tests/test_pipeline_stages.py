@@ -41,18 +41,12 @@ class TestPipelineAssembly:
         with pytest.raises(PipelineError, match="duplicate"):
             Pipeline([BindStage(), BindStage()])
 
-    def test_stage_lookup(self):
-        p = Pipeline([BindStage(), ScheduleStage()])
-        assert p.stage("bind").name == "bind"
-        with pytest.raises(PipelineError, match="no stage named"):
-            p.stage("place")
-
     def test_default_pipeline_stage_order(self):
         p = build_default_pipeline(route=True, verify=True, seed=1)
         assert p.stage_names == ("bind", "schedule", "place", "route", "verify")
 
     def test_builtin_stages_satisfy_protocol(self):
-        for stage in build_default_pipeline(route=True, verify=True, seed=1).stages:
+        for stage in build_default_pipeline(route=True, verify=True, seed=1)._stages:
             assert isinstance(stage, Stage)
 
 
@@ -102,8 +96,9 @@ class TestFacadeEquivalence:
         flow = SynthesisFlow(placer=fast_placer(1), route=True)
         assert flow.pipeline.stage_names == ("bind", "schedule", "place", "route")
         # The pipeline's stages are the facade's own components.
-        assert flow.pipeline.stage("place").placer is flow.placer
-        assert flow.pipeline.stage("bind").binder is flow.binder
+        stages = {stage.name: stage for stage in flow.pipeline._stages}
+        assert stages["place"].placer is flow.placer
+        assert stages["bind"].binder is flow.binder
 
     def test_default_placer_seeding_matches_legacy_derivation(self):
         # The facade's default placer draws one spawn from the flow rng —
@@ -128,7 +123,7 @@ class TestContext:
         )
         for stage in build_default_pipeline(
             placer=fast_placer(1), route=True
-        ).stages:
+        )._stages:
             stage.run(ctx)
             clone = pickle.loads(pickle.dumps(ctx))
             assert clone.graph.name == ctx.graph.name

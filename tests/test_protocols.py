@@ -1,15 +1,12 @@
 """Unit tests for the protocol builders (PCR, dilution, diagnostics)."""
 
 import pytest
+from assays import build_pcr_full_graph
 
 from repro.assay.operations import OperationType
 from repro.assay.protocols.dilution import build_serial_dilution_graph
 from repro.assay.protocols.glucose import build_multiplexed_diagnostics_graph
-from repro.assay.protocols.pcr import (
-    PCR_BINDING,
-    build_pcr_full_graph,
-    build_pcr_mixing_graph,
-)
+from repro.assay.protocols.pcr import PCR_BINDING, build_pcr_mixing_graph
 
 
 class TestPCRMixingGraph:
@@ -46,7 +43,7 @@ class TestPCRMixingGraph:
     def test_m7_is_sink(self):
         g = build_pcr_mixing_graph()
         assert g.sinks() == ["M7"]
-        assert g.sources() == ["M1", "M2", "M3", "M4"]
+        assert [op.id for op in g if not g.predecessors(op.id)] == ["M1", "M2", "M3", "M4"]
 
 
 class TestPCRFullGraph:

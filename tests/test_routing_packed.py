@@ -20,6 +20,7 @@ from oracles import (
     ReferenceSynthesizer,
     ReferenceTimeGrid,
 )
+from oracles.timegrid import blocked, reserved_blocked
 
 from repro.assay.catalog import BUNDLED_ASSAYS
 from repro.geometry import Point, Rect
@@ -133,10 +134,10 @@ class TestGridParity:
                 # Reservations are defined through the reserve horizon
                 # (+1: the halo window of the last covered step).
                 for step in range(0, horizon + 2):
-                    assert packed.reserved_blocked(
-                        cell, step, net
-                    ) == reference.reserved_blocked(cell, step, net), (seed, cell, step)
-                    assert packed.blocked(cell, step, net) == reference.blocked(
+                    assert reserved_blocked(packed, cell, step, net) == (
+                        reference.reserved_blocked(cell, step, net)
+                    ), (seed, cell, step)
+                    assert blocked(packed, cell, step, net) == reference.blocked(
                         cell, step, net
                     ), (seed, cell, step)
 

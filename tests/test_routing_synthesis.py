@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.assay.catalog import BUNDLED_ASSAYS, build_assay, is_generator_spec
 from repro.assay.protocols.pcr import PCR_BINDING, build_pcr_mixing_graph
 from repro.geometry import Point
 from repro.placement.annealer import AnnealingParams
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.routing import RoutingSynthesizer
+from repro.routing import synthesis as synthesis_module
 from repro.routing.compact import compact_routes
 from repro.routing.prioritized import PrioritizedRouter
 from repro.routing.timegrid import TimeGrid
@@ -157,6 +159,15 @@ class TestSimulatorReplay:
         assert report.relocations  # the fault really hit a module
 
 
+def assert_no_net_worse(before, after):
+    """*after* holds every net of *before*, in order, none of them with
+    more latency or more moves."""
+    assert [rn.net.net_id for rn in after] == [rn.net.net_id for rn in before]
+    for old, new in zip(before, after):
+        assert new.latency <= old.latency, old.net.net_id
+        assert new.moves <= old.moves, old.net.net_id
+
+
 class TestCompaction:
     def test_compaction_never_lengthens(self):
         grid = TimeGrid(9, 9)
@@ -168,17 +179,25 @@ class TestCompaction:
         horizon = router.default_horizon(grid, nets)
         routed, failed = router.route_all(nets, grid, horizon)
         assert not failed
-        before = {rn.net.net_id: rn.latency for rn in routed}
-        compacted, report = compact_routes(routed, grid, router, horizon)
-        for rn in compacted:
-            assert rn.latency <= before[rn.net.net_id]
-        assert report.steps_saved >= 0
-        assert len(report.improvements) == 2
-        assert "compaction" in str(report)
+        assert_no_net_worse(routed, compact_routes(routed, grid, router, horizon))
 
-    def test_synthesizer_records_reports(self):
-        flow = make_flow(route=True)
-        flow.run(build_pcr_mixing_graph(), explicit_binding=PCR_BINDING)
-        reports = flow.routing_synthesizer.compaction_reports
-        assert reports  # one per epoch that routed nets
-        assert all(rep.steps_saved >= 0 for rep in reports)
+    @pytest.mark.parametrize(
+        "assay", [*sorted(BUNDLED_ASSAYS), "gen:mix-tree:n=40:seed=250"]
+    )
+    def test_synthesis_compaction_never_worsens_a_net(self, assay, monkeypatch):
+        calls = []
+
+        def recording(routed, grid, router, horizon):
+            before = list(routed)
+            after = compact_routes(routed, grid, router, horizon)
+            calls.append((before, after))
+            return after
+
+        monkeypatch.setattr(synthesis_module, "compact_routes", recording)
+        graph, binding = build_assay(assay)
+        flow = make_flow(route=True, max_parked=2 if is_generator_spec(assay) else None)
+        result = flow.run(graph, explicit_binding=binding)
+        assert calls  # one per epoch that routed nets
+        for before, after in calls:
+            assert_no_net_worse(before, after)
+        result.routing_plan.verify()

@@ -3,10 +3,10 @@
 import json
 
 import pytest
+from assays import build_pcr_full_graph
 
 from repro.assay.catalog import build_assay
 from repro.assay.protocols.dilution import build_serial_dilution_graph
-from repro.assay.protocols.pcr import build_pcr_full_graph
 from repro.cli import EXIT_OK, main
 from repro.placement.annealer import AnnealingParams
 from repro.placement.sa_placer import SimulatedAnnealingPlacer

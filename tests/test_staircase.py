@@ -1,6 +1,8 @@
 """Unit tests for the staircase data structure."""
 
-from repro.fault.staircase import Staircase, Step
+import copy
+
+from repro.fault.staircase import Staircase
 
 
 def collect(staircase: Staircase, heights: list[int]) -> list[tuple[int, int, int]]:
@@ -12,25 +14,34 @@ def collect(staircase: Staircase, heights: list[int]) -> list[tuple[int, int, in
     return emitted
 
 
+def steps(staircase: Staircase) -> list[tuple[int, int]]:
+    """The ``(start, height)`` steps, bottom (widest) first, as a copy
+    of *staircase* flushes them (a flush pops the tallest first)."""
+    flushed = []
+    copy.deepcopy(staircase).finish_row(
+        0, lambda s, e, hh: flushed.append((s, hh))
+    )
+    return flushed[::-1]
+
+
 class TestStaircase:
     def test_starts_empty(self):
         s = Staircase()
         assert len(s) == 0
-        assert s.top is None
+        assert steps(s) == []
 
     def test_rising_heights_stack_steps(self):
         s = Staircase()
         s.advance(0, 1, lambda *a: None)
         s.advance(1, 3, lambda *a: None)
-        assert [st.height for st in s.steps()] == [1, 3]
-        assert s.top == Step(1, 3)
+        assert steps(s) == [(0, 1), (1, 3)]
 
     def test_equal_height_merges(self):
         s = Staircase()
         s.advance(0, 2, lambda *a: None)
         s.advance(1, 2, lambda *a: None)
         assert len(s) == 1
-        assert s.top == Step(0, 2)
+        assert steps(s) == [(0, 2)]
 
     def test_zero_height_never_pushed(self):
         s = Staircase()
@@ -64,7 +75,7 @@ class TestStaircase:
         s = Staircase()
         for col, h in enumerate([1, 5, 3, 7, 7, 2]):
             s.advance(col, h, lambda *a: None)
-            heights = [st.height for st in s.steps()]
+            heights = [h for _, h in steps(s)]
             assert heights == sorted(heights)
             assert len(set(heights)) == len(heights)
 
@@ -78,4 +89,4 @@ class TestStaircase:
         s = Staircase()
         s.advance(0, 4, lambda *a: None)
         s.clear()
-        assert s.top is None
+        assert steps(s) == []

@@ -1,10 +1,12 @@
-"""Unit tests for ASAP/ALAP/list scheduling and the Schedule container."""
+"""Unit tests for list scheduling, its ASAP/ALAP reference bounds and
+the Schedule container."""
 
 import hashlib
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles.schedule import alap_schedule, asap_schedule, critical_path_length
 
 from repro.assay.catalog import build_assay
 from repro.assay.graph import SequencingGraph
@@ -15,8 +17,6 @@ from repro.pipeline.context import SynthesisContext
 from repro.pipeline.stages import BindStage
 from repro.synthesis.schedule import Schedule
 from repro.synthesis.scheduler import (
-    alap_schedule,
-    asap_schedule,
     integerized,
     list_schedule,
     remaining_path_lengths,
@@ -53,17 +53,17 @@ class TestASAP:
     def test_asap_equals_critical_path(self):
         g = build_pcr_mixing_graph()
         s = asap_schedule(g, PCR_DURATIONS)
-        assert s.makespan == g.critical_path_length(PCR_DURATIONS)
+        assert s.makespan == critical_path_length(g, PCR_DURATIONS)
 
     def test_missing_duration(self):
         g = chain(2)
         with pytest.raises(ScheduleError):
-            asap_schedule(g, {"op0": 1.0})
+            list_schedule(g, {"op0": 1.0})
 
     def test_nonpositive_duration(self):
         g = chain(2)
         with pytest.raises(ScheduleError):
-            asap_schedule(g, {"op0": 1.0, "op1": 0.0})
+            list_schedule(g, {"op0": 1.0, "op1": 0.0})
 
 
 class TestALAP:
@@ -165,6 +165,15 @@ class TestListSchedule:
         g = build_pcr_mixing_graph()
         s = list_schedule(g, PCR_DURATIONS, max_concurrent_ops=cap)
         s.validate_precedence(g)
+
+    @given(cap=st.integers(1, 7))
+    def test_any_cap_lies_between_asap_and_alap(self, cap):
+        g = build_pcr_mixing_graph()
+        s = list_schedule(g, PCR_DURATIONS, max_concurrent_ops=cap)
+        asap = asap_schedule(g, PCR_DURATIONS)
+        alap = alap_schedule(g, PCR_DURATIONS, deadline=s.makespan)
+        for op in g:
+            assert asap.start(op.id) <= s.start(op.id) <= alap.start(op.id)
 
 
 def peak_parked(g: SequencingGraph, sched: Schedule) -> int:

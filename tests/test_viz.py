@@ -8,7 +8,6 @@ from repro.modules.library import MIXER_2X2
 from repro.placement.model import PlacedModule, Placement
 from repro.viz.ascii_art import render_fti_map, render_gantt, render_placement
 from repro.viz.svg import (
-    fti_to_svg,
     graph_to_svg,
     placement_to_svg,
     save_svg,
@@ -109,10 +108,3 @@ class TestSvg:
         assert out.exists()
         assert out.read_text().startswith("<svg")
 
-    def test_fti_svg(self, sa_result):
-        report = compute_fti(sa_result.placement)
-        svg = fti_to_svg(report)
-        ET.fromstring(svg)
-        # One rect per cell plus the caption.
-        assert svg.count("<rect") == report.cell_count
-        assert f"{report.fti:.4f}" in svg

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.assay import check_invariants
 
 from repro.synthesis.binder import ResourceBinder
 from repro.synthesis.scheduler import list_schedule
@@ -19,7 +20,6 @@ from repro.workload.generator import (
     GENERATOR_FAMILIES,
     MIN_MODULES,
     GeneratorSpec,
-    check_invariants,
     generate,
 )
 
