@@ -9,7 +9,8 @@ or stall around it.
 
 Unrouted droplets are not invisible: before a round starts, every
 net's source is provisionally reserved as a parked droplet, so early
-nets cannot plow through a droplet that has not moved yet.
+nets cannot plow through a droplet that has not moved yet (a round of
+one net has no other droplet to protect, and skips this).
 
 When a net cannot be routed, the scheduler *negotiates*: the failed
 net's priority is aged upward — along with the priorities of its
@@ -286,12 +287,18 @@ class PrioritizedRouter:
         self, order: Sequence[Net], grid, horizon: int
     ) -> tuple[list[RoutedNet], list[Net]]:
         grid.clear_reservations()
-        for net in order:
-            grid.reserve(RoutedNet(net, (net.source,)), horizon)
+        # Park every source up front so early nets cannot plow through
+        # droplets that have not moved yet. A lone net would only park
+        # and unpark itself, so it skips both.
+        lone = len(order) == 1
+        if not lone:
+            for net in order:
+                grid.reserve(RoutedNet(net, (net.source,)), horizon)
         routed: list[RoutedNet] = []
         failed: list[Net] = []
         for net in order:
-            grid.remove_reservation(net.net_id)
+            if not lone:
+                grid.remove_reservation(net.net_id)
             try:
                 rn = self.route_one(net, grid, horizon)
             except RoutingError:
@@ -339,26 +346,20 @@ class PrioritizedRouter:
         equal-cost ties pop in push order.
         """
         start, goal = net.source, net.goal
-        width, height, area = grid.width, grid.height, grid.area
+        width, area = grid.width, grid.area
         src = (start[1] - 1) * width + (start[0] - 1)
         dst = (goal[1] - 1) * width + (goal[0] - 1)
         static = grid._static
         module_cells = grid._module_cells
         halo = grid._halo
         tails = grid._tail
-        neighbor_table = grid.neighbors
+        neighbor_table = grid.shape.neighbors
         exempt = net.exempt_ops
         net_id, producer, consumer = net.net_id, net.producer, net.consumer
         prod_cells = grid.region_idxs(producer)
         cons_cells = grid.region_idxs(consumer)
 
-        # Per-cell Manhattan distance to the goal, row by row.
-        gx, gy = goal
-        dist: list[int] = []
-        for y in range(1, height + 1):
-            dy = abs(y - gy)
-            dist.extend(abs(x - gx) + dy for x in range(1, width + 1))
-
+        dist = grid.shape.distances(dst)
         heappush, heappop = heapq.heappush, heapq.heappop
         open_heap: list[tuple[int, int, int, int]] = [(dist[src], 0, 0, src)]
         came_from: dict[int, int] = {}
@@ -463,7 +464,7 @@ class PrioritizedRouter:
         grid, came_from: dict[int, int], state: int
     ) -> tuple[Point, ...]:
         area = grid.area
-        points = grid._points
+        points = grid.shape.points
         path = [points[state % area]]
         while state in came_from:
             state = came_from[state]

@@ -14,6 +14,12 @@ that instant, known faulty cells, and products parked for later
 consumers. Net priority is schedule criticality — the remaining
 longest-path time below the consumer — so nets feeding the critical
 path route first and everyone else stalls or detours around them.
+
+What the epochs share is built once per :meth:`RoutingSynthesizer.
+synthesize` call, in a :class:`_SynthesisIndex`: each net's goal and
+plug cell, each product's last use, the parkable products, the module
+lifetimes and the padded array's packed tables. The epochs only read it,
+and it dies with the call.
 """
 
 from __future__ import annotations
@@ -28,17 +34,96 @@ from repro.placement.transport import dependency_edges
 from repro.routing.compact import compact_routes
 from repro.routing.plan import Net, RoutingEpoch, RoutingPlan
 from repro.routing.prioritized import PrioritizedRouter
-from repro.routing.timegrid import FAULTY, MODULE, TimeGrid
+from repro.routing.timegrid import FAULTY, MODULE, GridShape, TimeGrid
 
 if TYPE_CHECKING:  # synthesis.flow imports this module; avoid the cycle
     from repro.assay.graph import SequencingGraph
     from repro.synthesis.schedule import Schedule
 
 
+#: Bits of the static mask that wall a cell off for good (parked
+#: halos are the parking search's own business).
+_HARD = FAULTY | MODULE
+#: static mask byte -> 1 if the cell is free of hard obstacles, for
+#: ``bytes.translate``.
+_FREE_OF_HARD = bytes(0 if m & _HARD else 1 for m in range(256))
+
+
+class _SynthesisIndex:
+    """The schedule context every epoch of one synthesis reads.
+
+    Built at the start of :meth:`RoutingSynthesizer.synthesize` from
+    the padded placement and dropped at its end; epochs never write it.
+    """
+
+    def __init__(
+        self,
+        graph: SequencingGraph,
+        schedule: Schedule,
+        placement: Placement,
+        criticality: dict[str, float],
+    ) -> None:
+        self.shape = GridShape(placement.core_width, placement.core_height)
+        #: op -> latest start among its scheduled consumers (ops with
+        #: none are absent): part of its product outlives instant t
+        #: iff ``last_use[op] > t``.
+        self.last_use: dict[str, float] = {}
+        consumers: dict[str, int] = {}
+        for op_id in graph.topological_order():
+            starts = [schedule.start(c) for c in graph.successors(op_id) if c in schedule]
+            consumers[op_id] = len(starts)
+            if starts:
+                self.last_use[op_id] = max(starts)
+        #: (start, stop, footprint, op) per placed module, placement order.
+        self.modules = [(pm.start, pm.stop, pm.footprint, pm.op_id) for pm in placement]
+        #: (op, stop, last use, functional center) of every placed,
+        #: scheduled product with a scheduled consumer, sorted by op.
+        self.parkable = [
+            (
+                op_id,
+                schedule.stop(op_id),
+                self.last_use[op_id],
+                placement.get(op_id).functional_region.center,
+            )
+            for op_id in sorted(placement.op_ids())
+            if op_id in schedule and op_id in self.last_use
+        ]
+        #: release instant -> its transports, sorted by (producer,
+        #: consumer): (producer, consumer, goal, plug cell, producer
+        #: footprint, ops exempt at the plug, priority).
+        self.releases: dict[float, list[tuple]] = {}
+        for u, v in dependency_edges(graph):  # sorted
+            if not (u in placement and v in placement and v in schedule):
+                continue
+            # Input i of a consumer goes to the i-th cell of its
+            # functional region, i being the droplet's index among the
+            # consumer's (sorted) predecessors — as the simulator does.
+            targets = list(placement.get(v).functional_region.cells())
+            i = graph.predecessors(v).index(u)
+            producer = placement.get(u)
+            # The simulator parks a product *inside* its consumer's
+            # claimed cells only when that consumer is the sole one —
+            # with fan-out the other shares would be trapped, so the
+            # product was evacuated to a neutral cell. Mirror that:
+            # exempt the consumer from the plug check only for
+            # one-consumer products.
+            exempt = frozenset({u} | ({v} if consumers[u] <= 1 else set()))
+            self.releases.setdefault(schedule.start(v), []).append((
+                u,
+                v,
+                targets[min(i, len(targets) - 1)],
+                producer.functional_region.center,
+                producer.footprint,
+                exempt,
+                criticality.get(v, 0.0),
+            ))
+
+
 class RoutingSynthesizer:
     """Builds a :class:`RoutingPlan` for one synthesized configuration."""
 
-    #: Occupancy grid built per epoch, ``grid_factory(width, height)``.
+    #: Occupancy grid built per epoch, ``grid_factory(width, height,
+    #: shape)``, *shape* being the call's shared :class:`GridShape`.
     grid_factory = TimeGrid
 
     #: Boundary-lane width around the core area — the chip's free
@@ -80,25 +165,17 @@ class RoutingSynthesizer:
         shifted = Placement(width, height, pitch_mm=placement.pitch_mm)
         for pm in placement:
             shifted.add(pm.moved_to(pm.x + m, pm.y + m))
-        placement = shifted
         faulty = frozenset(Point(c[0] + m, c[1] + m) for c in faulty_cells)
-        criticality = self._criticality(graph, schedule)
-
-        edges = [
-            (u, v)
-            for u, v in dependency_edges(graph)
-            if u in placement and v in placement and v in schedule
-        ]
-        release_times = sorted({schedule.start(v) for _, v in edges})
-        if after_time is not None:
-            release_times = [t for t in release_times if t >= after_time]
+        index = _SynthesisIndex(
+            graph, schedule, shifted, self._criticality(graph, schedule)
+        )
 
         epochs: list[RoutingEpoch] = []
-        for t in release_times:
-            batch = [(u, v) for u, v in edges if schedule.start(v) == t]
+        for t in sorted(index.releases):
+            if after_time is not None and t < after_time:
+                continue
             epoch = self._route_epoch(
-                graph, schedule, placement, batch, t, step_offset, faulty,
-                criticality, width, height,
+                index, index.releases[t], t, step_offset, faulty
             )
             epochs.append(epoch)
             step_offset += epoch.makespan_steps
@@ -110,28 +187,28 @@ class RoutingSynthesizer:
 
     def _route_epoch(
         self,
-        graph: SequencingGraph,
-        schedule: Schedule,
-        placement: Placement,
-        batch: list[tuple[str, str]],
+        index: _SynthesisIndex,
+        batch: list[tuple],
         t: float,
         step_offset: int,
         faulty: frozenset[Point],
-        criticality: dict[str, float],
-        width: int,
-        height: int,
     ) -> RoutingEpoch:
-        grid = self.grid_factory(width, height)
+        shape = index.shape
+        grid = self.grid_factory(shape.width, shape.height, shape)
         grid.add_faulty(faulty)
 
         # Modules operating at the release instant are hard obstacles,
         # passable only to their own input/output nets. Consumers of
         # this batch start exactly at t, so they are active here.
-        active = [pm for pm in placement if pm.start <= t < pm.stop]
-        for pm in active:
-            grid.add_module(pm.footprint, pm.op_id)
+        active = [
+            (footprint, op_id)
+            for start, stop, footprint, op_id in index.modules
+            if start <= t < stop
+        ]
+        for footprint, op_id in active:
+            grid.add_module(footprint, op_id)
 
-        nets = self._extract_nets(graph, schedule, placement, batch, criticality, grid)
+        nets = self._extract_nets(batch, grid)
 
         # Fan-out with staggered consumers: when a share departs this
         # epoch but another consumer starts later, the *remainder* of
@@ -144,8 +221,9 @@ class RoutingSynthesizer:
             if n.producer is not None:
                 departing.setdefault(n.producer, n.source)
         holds: list[Net] = []
+        last_use = index.last_use
         for op_id, src in sorted(departing.items()):
-            if not self._has_later_consumer(graph, schedule, op_id, t):
+            if last_use.get(op_id, t) <= t:
                 continue
             # If a starting module claimed the plug's cell, the
             # remainder evacuates to the nearest neutral cell first
@@ -170,14 +248,14 @@ class RoutingSynthesizer:
         # Products already finished but awaiting a later consumer sit
         # parked on the array; they and their halos are static obstacles
         # for everyone except the nets that move (or hold) them.
-        parked = self._parked_products(
-            graph, schedule, placement, t, nets, grid, frozenset(departing)
-        )
+        parked = self._parked_products(index, t, nets, grid, departing)
         grid.add_parked(parked)
 
         horizon = self.router.default_horizon(grid, nets)
         routed, failed = self.router.route_all(nets, grid, horizon)
-        if routed:
+        if routed and len(nets) > 1:
+            # A lone net was routed on exactly the grid compaction would
+            # re-route it on, so its re-route could only find it again.
             routed = compact_routes(routed, grid, self.router, horizon)
 
         return RoutingEpoch(
@@ -185,50 +263,22 @@ class RoutingSynthesizer:
             step_offset=step_offset,
             nets=tuple(routed),
             failed=tuple(failed),
-            modules=tuple((pm.footprint, pm.op_id) for pm in active),
+            modules=tuple(active),
             regions=grid.regions(),
             faulty=faulty,
             parked=frozenset(parked),
         )
 
-    def _extract_nets(
-        self,
-        graph: SequencingGraph,
-        schedule: Schedule,
-        placement: Placement,
-        batch: list[tuple[str, str]],
-        criticality: dict[str, float],
-        grid: TimeGrid,
-    ) -> list[Net]:
-        """One net per batch edge, with goals assigned the way the
-        simulator assigns them: input *i* of a consumer goes to the
-        *i*-th cell of its functional region, *i* being the droplet's
-        index among the consumer's (sorted) predecessors."""
+    def _extract_nets(self, batch: list[tuple], grid: TimeGrid) -> list[Net]:
+        """One net per batch transport, from its producer's plug to its
+        goal cell (see :class:`_SynthesisIndex`)."""
         nets: list[Net] = []
         taken_sources: set[Point] = set()
         source_of_producer: dict[str, Point] = {}
-        for u, v in sorted(batch):
-            consumer = placement.get(v)
-            targets = list(consumer.functional_region.cells())
-            preds = graph.predecessors(v)  # sorted; mirrors the simulator
-            i = preds.index(u)
-            goal = targets[min(i, len(targets) - 1)]
-            source = placement.get(u).functional_region.center
+        for u, v, goal, source, footprint, source_exempt, priority in batch:
             # Register the split zone even when the producer module is
             # no longer active, so sibling shares may separate inside it.
-            grid.add_region(u, placement.get(u).footprint)
-            # The simulator parks a product *inside* its consumer's
-            # claimed cells only when that consumer is the sole one —
-            # with fan-out the other shares would be trapped, so the
-            # product was evacuated to a neutral cell. Mirror that:
-            # exempt the consumer from the source check only for
-            # one-consumer products.
-            scheduled_consumers = [
-                s for s in graph.successors(u) if s in schedule
-            ]
-            source_exempt = frozenset(
-                {u} | ({v} if len(scheduled_consumers) <= 1 else set())
-            )
+            grid.add_region(u, footprint)
             if u in source_of_producer:
                 # Sibling shares leave from the same plug.
                 source = source_of_producer[u]
@@ -255,30 +305,18 @@ class RoutingSynthesizer:
                     goal=goal,
                     producer=u,
                     consumer=v,
-                    priority=criticality.get(v, 0.0),
+                    priority=priority,
                 )
             )
         return nets
 
-    @staticmethod
-    def _has_later_consumer(
-        graph: SequencingGraph, schedule: Schedule, op_id: str, t: float
-    ) -> bool:
-        """True if part of *op_id*'s product must outlive instant *t*."""
-        return any(
-            s in schedule and schedule.start(s) > t
-            for s in graph.successors(op_id)
-        )
-
     def _parked_products(
         self,
-        graph: SequencingGraph,
-        schedule: Schedule,
-        placement: Placement,
+        index: _SynthesisIndex,
         t: float,
         nets: list[Net],
         grid: TimeGrid,
-        departing: frozenset[str],
+        departing: dict[str, Point],
     ) -> set[Point]:
         """Where products awaiting a later consumer sit during this epoch.
 
@@ -299,14 +337,11 @@ class RoutingSynthesizer:
                     keep_clear.add(Point(p.x + dx, p.y + dy))
 
         parked: set[Point] = set()
-        for op_id in sorted(placement.op_ids()):
-            if op_id in departing:
-                continue  # its plug location is a net (or hold) source
-            if op_id not in schedule or schedule.stop(op_id) > t:
+        for op_id, stop, last_use, cell in index.parkable:
+            if stop > t or last_use <= t or op_id in departing:
+                # Still running, used up, or its plug location is a net
+                # (or hold) source.
                 continue
-            if not self._has_later_consumer(graph, schedule, op_id, t):
-                continue
-            cell = placement.get(op_id).functional_region.center
             if grid.static_blocked(cell) or cell in keep_clear:
                 relocated = self._nearest_parking(grid, cell, parked, keep_clear)
                 cell = relocated if relocated is not None else cell
@@ -331,101 +366,95 @@ class RoutingSynthesizer:
         evacuation haul. Never wall off the array: take the best-scored
         candidate whose halo leaves the remaining free space in one
         connected piece (checked lazily in preference order, so a
-        couple of flood fills instead of one per legal cell).
+        couple of flood fills instead of one per legal cell); when none
+        does, the best-scored candidate.
 
-        The search is one multi-source Chebyshev BFS for the spacing
-        key, and connectivity runs over byte masks.
+        The search runs on packed indices: one multi-source Chebyshev
+        BFS for the spacing key, and flood fills over a byte mask of
+        the free cells built once per search.
         """
-        w, h, area = grid.width, grid.height, grid.area
+        shape = grid.shape
+        w, h, area = shape.width, shape.height, shape.area
+        halos = shape.halos
         static = grid._static
+        parked_idxs = [(q[1] - 1) * w + (q[0] - 1) for q in parked]
         # Exact min Chebyshev distance to any parked droplet, saturated
         # at 5: the preference key caps at 4 (halos no longer interact
         # beyond it, so the shorter evacuation wins) and legality needs
         # > 1.
         spacing = [5] * area
-        if parked:
-            frontier = [grid.pack(q) for q in parked]
+        if parked_idxs:
+            frontier = parked_idxs
             for i in frontier:
                 spacing[i] = 0
             d = 1
             while frontier and d < 5:
                 nxt: list[int] = []
                 for i in frontier:
-                    x, y = i % w, i // w
-                    for dy in (-1, 0, 1):
-                        yy = y + dy
-                        if not 0 <= yy < h:
-                            continue
-                        base = yy * w
-                        for dx in (-1, 0, 1):
-                            xx = x + dx
-                            if 0 <= xx < w and spacing[base + xx] > d:
-                                spacing[base + xx] = d
-                                nxt.append(base + xx)
+                    for j in halos[i]:
+                        if spacing[j] > d:
+                            spacing[j] = d
+                            nxt.append(j)
                 frontier = nxt
                 d += 1
-        legal: list[Point] = []
         sx, sy = start
-        keys: dict[Point, tuple[int, int]] = {}
-        for x in range(1, w + 1):
-            col = x - 1
-            for y in range(1, h + 1):
-                i = (y - 1) * w + col
-                if static[i]:
-                    continue
-                cell = Point(x, y)
-                if cell == start or cell in keep_clear:
+        start_idx = (sy - 1) * w + (sx - 1) if 1 <= sx <= w and 1 <= sy <= h else -1
+        clear = {
+            (y - 1) * w + (x - 1) for x, y in keep_clear if 1 <= x <= w and 1 <= y <= h
+        }
+        # Key: spacing (capped at 4) first, then closeness to the start,
+        # as one int; column-major scan order breaks ties (the sort is
+        # stable).
+        span = w + h
+        legal: list[int] = []
+        keys: dict[int, int] = {}
+        for col in range(w):
+            dx = abs(col + 1 - sx)
+            for i in range(col, area, w):
+                if static[i] or i == start_idx or i in clear:
                     continue
                 s = spacing[i]
                 if s > 1:
-                    legal.append(cell)
-                    keys[cell] = (min(s, 4), -(abs(x - sx) + abs(y - sy)))
+                    legal.append(i)
+                    keys[i] = (s if s < 4 else 4) * span - dx - abs(i // w + 1 - sy)
         if not legal:
             return None
         legal.sort(key=keys.__getitem__, reverse=True)
+        free = bytearray(static.translate(_FREE_OF_HARD))
+        for q in parked_idxs:
+            for i in halos[q]:
+                free[i] = 0
+        free_count = free.count(1)
         for cell in legal:
-            if RoutingSynthesizer._keeps_connected(grid, cell, parked):
-                return cell
-        return legal[0]
+            if RoutingSynthesizer._keeps_connected(shape, free, free_count, cell):
+                return shape.points[cell]
+        return shape.points[legal[0]]
 
     @staticmethod
-    def _keeps_connected(grid: TimeGrid, candidate: Point, parked: set[Point]) -> bool:
-        """True if parking at *candidate* leaves the free cells (off
-        modules, faults, and all parked halos) 4-connected: a byte-mask
-        flood fill seeded at the first free cell in column-major
-        order."""
-        w, h, area = grid.width, grid.height, grid.area
-        static = grid._static
-        hard = FAULTY | MODULE
-        free = bytearray(1 if not static[i] & hard else 0 for i in range(area))
-        for q in (*parked, candidate):
-            for i in grid._halo_idxs(q):
-                free[i] = 0
-        total = 0
-        seed = -1
-        for x in range(w):
-            for y in range(h):
-                i = y * w + x
-                if free[i]:
-                    total += 1
-                    if seed < 0:
-                        seed = i
-        if seed < 0:
+    def _keeps_connected(
+        shape: GridShape, free: bytearray, free_count: int, candidate: int
+    ) -> bool:
+        """True if parking at packed cell *candidate* leaves the *free*
+        cells (*free_count* of them: off modules, faults and the other
+        parked halos) minus its halo 4-connected: one flood fill over a
+        copy of the mask."""
+        mask = bytearray(free)
+        total = free_count
+        for i in shape.halos[candidate]:
+            if mask[i]:
+                mask[i] = 0
+                total -= 1
+        if not total:
             return False
+        seed = mask.find(1)
+        mask[seed] = 0  # reuse the mask as the visited filter
         seen_count = 1
-        free[seed] = 0  # reuse the mask as the visited filter
         stack = [seed]
+        neighbors = shape.neighbors
         while stack:
-            i = stack.pop()
-            x, y = i % w, i // w
-            for j in (
-                i + 1 if x + 1 < w else -1,
-                i - 1 if x > 0 else -1,
-                i + w if y + 1 < h else -1,
-                i - w if y > 0 else -1,
-            ):
-                if j >= 0 and free[j]:
-                    free[j] = 0
+            for j in neighbors[stack.pop()]:
+                if mask[j]:
+                    mask[j] = 0
                     seen_count += 1
                     stack.append(j)
         return seen_count == total

@@ -47,6 +47,12 @@ search states, so one multiply-add answers an occupancy probe with no
   router's arrival check scans only ``(step, min(bound, horizon)]``
   instead of the whole horizon.
 
+The tables that depend only on the array's shape — the ``Point`` of
+each index, the expansion table, each cell's 3x3 halo and the packed
+cells of a rectangle — live in a :class:`GridShape`. A grid built
+alone makes its own; the routing synthesizer builds one per
+``synthesize`` call and every epoch's grid borrows it.
+
 Answers are defined on the array: off-array cells report statically
 blocked (a droplet can never leave the chip). On the array the
 semantics are bit-identical to the original Point-dict grid the test
@@ -68,8 +74,13 @@ PARKED_HALO = 2
 MODULE = 4
 
 
-class TimeGrid:
-    """Packed per-timestep obstacle sets over a ``width x height`` array."""
+class GridShape:
+    """Read-only packed tables of a ``width x height`` array.
+
+    Every grid over the same shape asks the same questions of them, so
+    the grids of one routing synthesis share one instance. Rectangle
+    cells are memoized per rectangle on first use.
+    """
 
     def __init__(self, width: int, height: int) -> None:
         if width < 1 or height < 1:
@@ -77,6 +88,95 @@ class TimeGrid:
         self.width = width
         self.height = height
         self.area = width * height
+        w, h = width, height
+        #: packed idx -> Point, for O(1) unpacking.
+        self.points = [Point(x, y) for y in range(1, h + 1) for x in range(1, w + 1)]
+        # The in-bounds columns / row offsets around each column / row.
+        cols = [tuple(c for c in (x - 1, x, x + 1) if 0 <= c < w) for x in range(w)]
+        rows = [tuple(r * w for r in (y - 1, y, y + 1) if 0 <= r < h) for y in range(h)]
+        #: Per-cell in-bounds 3x3 halo, row by row.
+        self.halos = [tuple([r + c for r in row for c in col]) for row in rows for col in cols]
+        #: Per-cell expansion table for the time-expanded search: the
+        #: cell itself (wait-in-place) followed by its in-bounds 4-
+        #: neighbors, in the router's canonical ``(wait, +x, -x, +y,
+        #: -y)`` order.
+        self.neighbors: list[tuple[int, ...]] = []
+        for y in range(h):
+            up, down = y + 1 < h, y > 0
+            for x in range(w):
+                i = y * w + x
+                row = [i]
+                if x + 1 < w:
+                    row.append(i + 1)
+                if x:
+                    row.append(i - 1)
+                if up:
+                    row.append(i + w)
+                if down:
+                    row.append(i - w)
+                self.neighbors.append(tuple(row))
+        self._rect_cells: dict[Rect, frozenset[int]] = {}
+        self._distances: dict[int, list[int]] = {}
+
+    def halo(self, p: Point) -> tuple[int, ...]:
+        """Packed indices of the in-bounds 3x3 halo around *p*, which
+        may itself lie off the array."""
+        px, py = p
+        w, h = self.width, self.height
+        if 1 <= px <= w and 1 <= py <= h:
+            return self.halos[(py - 1) * w + (px - 1)]
+        return tuple(
+            (yy - 1) * w + (xx - 1)
+            for yy in (py - 1, py, py + 1)
+            if 1 <= yy <= h
+            for xx in (px - 1, px, px + 1)
+            if 1 <= xx <= w
+        )
+
+    def distances(self, goal: int) -> list[int]:
+        """Per-cell Manhattan distance to packed cell *goal*: the
+        search's heuristic, memoized per goal."""
+        dist = self._distances.get(goal)
+        if dist is None:
+            w = self.width
+            gx, gy = goal % w, goal // w
+            row = [abs(x - gx) for x in range(w)]
+            dist = self._distances[goal] = [
+                d + abs(y - gy) for y in range(self.height) for d in row
+            ]
+        return dist
+
+    def rect_idxs(self, rect: Rect) -> frozenset[int]:
+        """Packed in-bounds cells of *rect*."""
+        cells = self._rect_cells.get(rect)
+        if cells is None:
+            w, h = self.width, self.height
+            cells = self._rect_cells[rect] = frozenset(
+                (yy - 1) * w + (xx - 1)
+                for yy in range(max(rect.y, 1), min(rect.y + rect.height - 1, h) + 1)
+                for xx in range(max(rect.x, 1), min(rect.x + rect.width - 1, w) + 1)
+            )
+        return cells
+
+
+class TimeGrid:
+    """Packed per-timestep obstacle sets over a ``width x height`` array.
+
+    *shape*, when given, supplies the shape tables (its dimensions must
+    be the grid's); otherwise the grid builds its own.
+    """
+
+    def __init__(self, width: int, height: int, shape: GridShape | None = None) -> None:
+        if shape is None:
+            shape = GridShape(width, height)
+        elif (shape.width, shape.height) != (width, height):
+            raise ValueError(
+                f"shape is {shape.width}x{shape.height}, grid is {width}x{height}"
+            )
+        self.shape = shape
+        self.width = width
+        self.height = height
+        self.area = shape.area
         #: Preclassified static-obstacle byte mask, one cell per index.
         self._static = bytearray(self.area)
         #: As-added obstacle sets, kept for the public properties.
@@ -105,58 +205,13 @@ class TimeGrid:
         #: the cell (the reserved-free-from bound, see module docs).
         self._cell_last: dict[int, int] = {}
         #: net_id -> (halo keys, tail idxs) for O(path) removal.
-        self._net_keys: dict[str, tuple[list[int], list[int]]] = {}
-        #: packed idx -> Point, for O(1) unpacking.
-        self._points = [
-            Point(x, y)
-            for y in range(1, height + 1)
-            for x in range(1, width + 1)
-        ]
-        self._neighbors: list[tuple[int, ...]] | None = None
+        self._net_keys: dict[str, tuple[set[int], list[int]]] = {}
 
     # -- packing -------------------------------------------------------------
 
     def pack(self, p: Point) -> int:
         """Flat index of an in-bounds cell: ``(y-1)*width + (x-1)``."""
         return (p[1] - 1) * self.width + (p[0] - 1)
-
-    @property
-    def neighbors(self) -> list[tuple[int, ...]]:
-        """Per-cell expansion table for the time-expanded search: the
-        cell itself (wait-in-place) followed by its in-bounds 4-
-        neighbors, in the router's canonical ``(wait, +x, -x, +y, -y)``
-        order."""
-        if self._neighbors is None:
-            w, h = self.width, self.height
-            table: list[tuple[int, ...]] = []
-            for y in range(1, h + 1):
-                for x in range(1, w + 1):
-                    idx = (y - 1) * w + (x - 1)
-                    row = [idx]
-                    if x < w:
-                        row.append(idx + 1)
-                    if x > 1:
-                        row.append(idx - 1)
-                    if y < h:
-                        row.append(idx + w)
-                    if y > 1:
-                        row.append(idx - w)
-                    table.append(tuple(row))
-            self._neighbors = table
-        return self._neighbors
-
-    def _halo_idxs(self, p: Point) -> list[int]:
-        """Packed indices of the in-bounds 3x3 halo around *p*."""
-        w, h = self.width, self.height
-        px, py = p
-        out = []
-        for yy in (py - 1, py, py + 1):
-            if 1 <= yy <= h:
-                base = (yy - 1) * w - 1
-                for xx in (px - 1, px, px + 1):
-                    if 1 <= xx <= w:
-                        out.append(base + xx)
-        return out
 
     # -- static obstacles ----------------------------------------------------
 
@@ -176,17 +231,15 @@ class TimeGrid:
         for c in cells:
             p = Point(*c)
             self._parked.add(p)
-            for idx in self._halo_idxs(p):
+            for idx in self.shape.halo(p):
                 self._static[idx] |= PARKED_HALO
 
     def add_module(self, footprint: Rect, owner: str) -> None:
         """Block *footprint* for every net not owned by *owner*; also
         registers the footprint as the owner's merge/split zone."""
-        for cell in footprint.cells():
-            if self.in_bounds(cell):
-                idx = self.pack(cell)
-                self._module_cells.setdefault(idx, set()).add(owner)
-                self._static[idx] |= MODULE
+        for idx in self.shape.rect_idxs(footprint):
+            self._module_cells.setdefault(idx, set()).add(owner)
+            self._static[idx] |= MODULE
         self.add_region(owner, footprint)
 
     def add_region(self, op_id: str, footprint: Rect) -> None:
@@ -211,12 +264,11 @@ class TimeGrid:
             return frozenset()
         cached = self._region_cells.get(op_id)
         if cached is None:
-            cached = frozenset(
-                self.pack(cell)
-                for rect in self._regions.get(op_id, ())
-                for cell in rect.cells()
-                if self.in_bounds(cell)
-            )
+            rects = self._regions.get(op_id, ())
+            if len(rects) == 1:
+                cached = self.shape.rect_idxs(rects[0])
+            else:
+                cached = frozenset().union(*map(self.shape.rect_idxs, rects))
             self._region_cells[op_id] = cached
         return cached
 
@@ -282,47 +334,66 @@ class TimeGrid:
         cells = routed.cells
         prod_cells = self.region_idxs(net.producer)
         cons_cells = self.region_idxs(net.consumer)
-        # Collect each step's halo cells first, keyed by the origin's
-        # in-zone flag pair: the t-1/t/t+1 windows of consecutive steps
-        # overlap, and a waiting droplet would otherwise insert the same
-        # (step, cell) entry repeatedly. Distinct flag pairs stay
-        # distinct entries — the two-sided exemption is per origin
-        # position, so one in-zone and one out-of-zone origin covering
-        # the same (step, cell) must both be consulted.
-        cells_by_step: dict[int, dict[int, int]] = {}
+        # Collect the (step, cell) keys of each origin in-zone flag pair
+        # first: the t-1/t/t+1 windows of consecutive steps overlap, and
+        # a waiting droplet would otherwise insert the same entry
+        # repeatedly. Distinct flag pairs stay distinct entries — the
+        # two-sided exemption is per origin position, so one in-zone and
+        # one out-of-zone origin covering the same (step, cell) must
+        # both be consulted.
+        shape = self.shape
+        halos = shape.halos
+        width, height, area = self.width, self.height, self.area
+        cell_last = self._cell_last
+        keys_by_flag: dict[int, set[int]] = {}
+        #: packed position -> one past the last step the droplet is there.
+        last_at: dict[int, int] = {}
         for t in range(start, min(arrival - 1, horizon) + 1):
             p = cells[t - start]
-            pidx = (p[1] - 1) * self.width + (p[0] - 1)
-            flags = 1 << ((1 if pidx in prod_cells else 0) | (2 if pidx in cons_cells else 0))
-            halo = self._halo_idxs(p)
-            for s in (t - 1, t, t + 1):
-                if s >= 0:
-                    per_step = cells_by_step.setdefault(s, {})
-                    for i in halo:
-                        per_step[i] = per_step.get(i, 0) | flags
-        halo_map = self._halo
-        cell_last = self._cell_last
-        halo_keys: list[int] = []
-        tail_idxs: list[int] = []
-        area = self.area
-        net_id, producer, consumer = net.net_id, net.producer, net.consumer
-        for s, per_step in cells_by_step.items():
-            base = s * area
-            for i, flag_set in per_step.items():
-                key = base + i
-                lst = halo_map.get(key)
-                if lst is None:
-                    lst = halo_map[key] = []
-                for fl in range(4):
-                    if flag_set & (1 << fl):
-                        lst.append(
-                            (net_id, producer, consumer, bool(fl & 1), bool(fl & 2))
-                        )
-                halo_keys.append(key)
+            x, y = p
+            if 1 <= x <= width and 1 <= y <= height:
+                pidx = (y - 1) * width + (x - 1)
+                halo = halos[pidx]
+                last_at[pidx] = t + 1
+            else:
+                pidx = -1
+                halo = shape.halo(p)
+                for i in halo:
+                    if cell_last.get(i, -1) < t + 1:
+                        cell_last[i] = t + 1
+            flag = (1 if pidx in prod_cells else 0) | (2 if pidx in cons_cells else 0)
+            keys = keys_by_flag.get(flag)
+            if keys is None:
+                keys = keys_by_flag[flag] = set()
+            base = t * area
+            keys.update([
+                b + i
+                for b in ((base - area, base, base + area) if t else (0, area))
+                for i in halo
+            ])
+        for pidx, s in last_at.items():
+            for i in halos[pidx]:
                 if cell_last.get(i, -1) < s:
                     cell_last[i] = s
+        halo_map = self._halo
+        tail_idxs: list[int] = []
+        net_id, producer, consumer = net.net_id, net.producer, net.consumer
+        # Ascending flag order, so a key's entries list its flag pairs
+        # in a fixed order.
+        for flag in sorted(keys_by_flag):
+            entry = (net_id, producer, consumer, bool(flag & 1), bool(flag & 2))
+            for key in keys_by_flag[flag]:
+                lst = halo_map.get(key)
+                if lst is None:
+                    halo_map[key] = [entry]
+                else:
+                    lst.append(entry)
+        if len(keys_by_flag) == 1:
+            (halo_keys,) = keys_by_flag.values()
+        else:
+            halo_keys = set().union(*keys_by_flag.values())
         if horizon >= arrival:
-            gidx = (cells[-1][1] - 1) * self.width + (cells[-1][0] - 1)
+            gidx = (cells[-1][1] - 1) * width + (cells[-1][0] - 1)
             tail_entry = (
                 net_id,
                 producer,
@@ -331,7 +402,7 @@ class TimeGrid:
                 gidx in prod_cells,
                 gidx in cons_cells,
             )
-            for i in self._halo_idxs(cells[-1]):
+            for i in shape.halo(cells[-1]):
                 self._tail.setdefault(i, []).append(tail_entry)
                 tail_idxs.append(i)
         self._net_keys[net.net_id] = (halo_keys, tail_idxs)

@@ -29,7 +29,7 @@ from collections.abc import Iterable
 from repro.geometry import Point, Rect
 from repro.routing.plan import Net, RoutedNet
 from repro.routing.prioritized import _entries_block, _tails_block
-from repro.routing.timegrid import TimeGrid
+from repro.routing.timegrid import GridShape, TimeGrid
 from repro.util.errors import RoutingError
 
 
@@ -77,7 +77,9 @@ class ReferenceTimeGrid:
     tail bookkeeping).
     """
 
-    def __init__(self, width: int, height: int) -> None:
+    def __init__(self, width: int, height: int, shape: GridShape | None = None) -> None:
+        # *shape* is accepted for the synthesizer's grid_factory call
+        # and ignored: this grid keeps no packed tables.
         if width < 1 or height < 1:
             raise ValueError(f"array dimensions must be >= 1, got {width}x{height}")
         self.width = width
@@ -308,8 +310,8 @@ class CrossCheckTimeGrid:
     goes through the comparison.
     """
 
-    def __init__(self, width: int, height: int) -> None:
-        self._packed = TimeGrid(width, height)
+    def __init__(self, width: int, height: int, shape: GridShape | None = None) -> None:
+        self._packed = TimeGrid(width, height, shape)
         self._shadow = ReferenceTimeGrid(width, height)
         self.width = width
         self.height = height

@@ -158,6 +158,93 @@ class TestGridParity:
             assert packed_route == router.route_one(net, reference, horizon)
 
 
+
+def _parking_case(seed: int):
+    """A random parking search posed to both grids: faults, modules and
+    (sometimes) grid-parked droplets on the array, plus the search's own
+    already-parked droplets, keep-clear cells and start cell."""
+    rng = random.Random(seed)
+    width, height = rng.randint(5, 10), rng.randint(5, 10)
+    packed, reference = TimeGrid(width, height), ReferenceTimeGrid(width, height)
+    cells = [Point(x, y) for x in range(1, width + 1) for y in range(1, height + 1)]
+    faults = rng.sample(cells, rng.randint(0, len(cells) // 8))
+    for grid in (packed, reference):
+        grid.add_faulty(faults)
+    for op in OPS:
+        if rng.random() < 0.6:
+            w, h = rng.randint(1, 3), rng.randint(1, 3)
+            rect = Rect(rng.randint(1, width - w + 1), rng.randint(1, height - h + 1), w, h)
+            for grid in (packed, reference):
+                grid.add_module(rect, op)
+    if rng.random() < 0.3:
+        on_grid = rng.sample(cells, 1)
+        for grid in (packed, reference):
+            grid.add_parked(on_grid)
+    parked = set(rng.sample(cells, rng.randint(0, 4)))
+    keep_clear = {
+        Point(c.x + dx, c.y + dy)
+        for c in rng.sample(cells, rng.randint(0, 3))
+        for dx in (-1, 0, 1)
+        for dy in (-1, 0, 1)
+    }
+    return packed, reference, rng.choice(cells), parked, keep_clear
+
+
+class TestParkingSearchParity:
+    """The packed parking search picks the generic search's cell."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_same_cell_over_random_grids(self, seed):
+        packed, reference, start, parked, keep_clear = _parking_case(seed)
+        got = RoutingSynthesizer._nearest_parking(packed, start, parked, keep_clear)
+        want = ReferenceSynthesizer()._nearest_parking(
+            reference, start, parked, keep_clear
+        )
+        assert got == want, seed
+
+    def test_disconnected_free_space_returns_best_scored_cell(self):
+        # A module wall across the whole array splits the free cells in
+        # two, so no candidate keeps them connected: both searches fall
+        # back to the best-scored candidate.
+        packed, reference = TimeGrid(9, 6), ReferenceTimeGrid(9, 6)
+        for grid in (packed, reference):
+            grid.add_module(Rect(5, 1, 1, 6), "WALL")
+            grid.add_faulty([Point(2, 2)])
+        start, parked, keep_clear = Point(4, 3), {Point(8, 5)}, {Point(3, 3)}
+        generic = ReferenceSynthesizer()
+        legal = [
+            Point(x, y)
+            for x in range(1, 10)
+            for y in range(1, 7)
+            if not reference.static_blocked(Point(x, y))
+            and Point(x, y) not in (start, *keep_clear)
+            and max(abs(x - 8), abs(y - 5)) > 1
+        ]
+        assert legal
+        assert not any(
+            generic._keeps_connected_generic(reference, cell, parked) for cell in legal
+        )
+        got = RoutingSynthesizer._nearest_parking(packed, start, parked, keep_clear)
+        assert got == generic._nearest_parking(reference, start, parked, keep_clear)
+        # Best score: the most spacing from (8, 5) (capped at 4), then
+        # the shortest haul from the start.
+        assert got == max(
+            legal,
+            key=lambda c: (
+                min(max(abs(c.x - 8), abs(c.y - 5)), 4), -start.manhattan_distance(c)
+            ),
+        )
+
+    def test_no_legal_cell(self):
+        packed, reference = TimeGrid(3, 3), ReferenceTimeGrid(3, 3)
+        parked = {Point(2, 2)}  # its halo covers the whole array
+        assert RoutingSynthesizer._nearest_parking(packed, Point(1, 1), parked, set()) is None
+        assert ReferenceSynthesizer()._nearest_parking(
+            reference, Point(1, 1), parked, set()
+        ) is None
+
+
 def _synthesis_inputs(assay: str):
     graph, binding = BUNDLED_ASSAYS[assay]()
     context = SynthesisContext(graph=graph, explicit_binding=binding)

@@ -197,7 +197,74 @@ class TestCompaction:
         graph, binding = build_assay(assay)
         flow = make_flow(route=True, max_parked=2 if is_generator_spec(assay) else None)
         result = flow.run(graph, explicit_binding=binding)
-        assert calls  # one per epoch that routed nets
+        assert calls  # one per multi-net epoch that routed nets
         for before, after in calls:
             assert_no_net_worse(before, after)
         result.routing_plan.verify()
+
+
+def _placed_design(spec):
+    graph, binding = build_assay(spec)
+    flow = make_flow(route=False, max_parked=2 if is_generator_spec(spec) else None)
+    result = flow.run(graph, explicit_binding=binding)
+    return graph, result.schedule, result.placement_result.placement
+
+
+class CountingRouter(PrioritizedRouter):
+    """Counts single-net searches per net id."""
+
+    def __init__(self):
+        super().__init__(strict=False)
+        self.searches = {}
+
+    def route_one(self, net, grid, horizon):
+        self.searches[net.net_id] = self.searches.get(net.net_id, 0) + 1
+        return super().route_one(net, grid, horizon)
+
+
+class TestSingleNetEpochs:
+    def test_lone_net_is_searched_once(self):
+        from oracles import ReferenceSynthesizer
+
+        inputs = _placed_design("gen:mix-tree:n=40:seed=250")
+        router = CountingRouter()
+        plan = RoutingSynthesizer(router=router).synthesize(*inputs)
+        lone = [
+            epoch.nets[0] for epoch in plan.epochs
+            if len(epoch.nets) == 1 and not epoch.failed
+        ]
+        assert lone
+        for rn in lone:
+            assert router.searches[rn.net.net_id] == 1, rn.net.net_id
+        # Some lone net arrived off its lower bound, so a compaction
+        # pass would have searched it a second time.
+        assert any(
+            rn.latency > rn.net.manhattan or rn.waits or rn.start_step for rn in lone
+        )
+        assert plan == ReferenceSynthesizer(reference=True).synthesize(*inputs)
+
+
+class TestPerSynthesisIndex:
+    def test_shape_tables_are_shared_within_one_call_only(self):
+        shapes = []
+
+        class RecordingGrid(TimeGrid):
+            def __init__(self, width, height, shape=None):
+                super().__init__(width, height, shape)
+                shapes.append(self.shape)
+
+        inputs = _placed_design("tree16")
+        synthesizer = RoutingSynthesizer()
+        synthesizer.grid_factory = RecordingGrid
+        state = dict(vars(synthesizer))
+        first = synthesizer.synthesize(*inputs)
+        first_shapes, shapes[:] = list(shapes), []
+        second = synthesizer.synthesize(*inputs)
+        assert len(first_shapes) == len(first.epochs) > 1
+        assert all(shape is first_shapes[0] for shape in first_shapes)
+        assert all(shape is shapes[0] for shape in shapes)
+        assert shapes[0] is not first_shapes[0]
+        # Nothing outlives a call: the synthesizer holds what it held
+        # before, and a second call returns the same plan.
+        assert vars(synthesizer) == state
+        assert second == first == RoutingSynthesizer().synthesize(*inputs)
