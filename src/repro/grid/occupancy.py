@@ -75,12 +75,6 @@ class OccupancyGrid:
 
     # -- queries ---------------------------------------------------------------------
 
-    def is_occupied(self, p: Point | tuple[int, int]) -> bool:
-        """True if cell *p* is marked 1."""
-        px, py = p
-        self._check(px, py)
-        return bool(self._m[py - 1, px - 1])
-
     @property
     def occupied_count(self) -> int:
         """Number of cells marked 1."""

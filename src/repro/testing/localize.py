@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from repro.geometry import Point
 from repro.testing.detector import CapacitiveSensor
-from repro.testing.test_droplet import TestDroplet
+from repro.testing.test_droplet import TestDroplet, TestOutcome
 
 
 @dataclass(frozen=True)
@@ -56,30 +56,6 @@ class FaultLocalizer:
         self.votes = votes
         self._droplet = TestDroplet()
 
-    def _passes(
-        self,
-        dead_cells: frozenset[Point],
-        path: list[Point],
-        rng: random.Random | None = None,
-    ) -> tuple[bool, int]:
-        """Majority-voted probe of one path: ``(reading, runs used)``.
-
-        Each vote re-dispenses a fresh droplet, as the hardware
-        procedure would; the physical walk is deterministic, only the
-        sensor reading varies. Votes stop early once a majority is
-        decided — with an ideal sensor (or no *rng*) that is after the
-        first walk, keeping the historical run counts bit-identical.
-        """
-        passed = failed = 0
-        need = self.votes // 2 + 1
-        while passed < need and failed < need:
-            outcome = self._droplet.walk(dead_cells, path)
-            if self.sensor.observe(outcome, rng).droplet_arrived:
-                passed += 1
-            else:
-                failed += 1
-        return passed >= need, passed + failed
-
     def localize(
         self,
         dead_cells: frozenset[Point],
@@ -95,20 +71,55 @@ class FaultLocalizer:
         errors (omitted, the sensor reads ideally, as every historical
         caller expects).
         """
-        ok, runs = self._passes(dead_cells, path, rng)
+        # The physical walk is deterministic, so one walk of the full
+        # path answers every prefix: a prefix of length m reaches the
+        # sink iff m <= stall. Only the sensor readings vary.
+        stall = self._droplet.walk(dead_cells, path).steps_taken
+        ok, runs = self._probe(path, len(path), stall, rng)
         if ok:
             return LocalizationResult(faulty_cell=None, runs=runs)
         # Invariant: prefix of length lo passes; prefix of length hi fails.
         lo, hi = 0, len(path)
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if mid > 0:
-                ok, used = self._passes(dead_cells, path[:mid], rng)
-            else:
-                ok, used = True, 0
+            ok, used = self._probe(path, mid, stall, rng)
             runs += used
             if ok:
                 lo = mid
             else:
                 hi = mid
         return LocalizationResult(faulty_cell=path[hi - 1], runs=runs)
+
+    def _probe(
+        self,
+        path: list[Point],
+        length: int,
+        stall: int,
+        rng: random.Random | None,
+    ) -> tuple[bool, int]:
+        """Majority-voted probe of the *length*-cell prefix of *path*,
+        whose full walk took *stall* steps: ``(reading, runs used)``.
+
+        Each vote re-dispenses a fresh droplet, as the hardware
+        procedure would; the physical walk is deterministic, so every
+        vote's walk has the outcome :meth:`TestDroplet.walk` gives the
+        prefix, and only the sensor reading varies. Votes stop
+        early once a majority is decided — with an ideal sensor (or no
+        *rng*) that is after the first walk, keeping the historical run
+        counts bit-identical.
+        """
+        arrives = length <= stall
+        outcome = TestOutcome(
+            passed=arrives,
+            steps_taken=min(length, stall),
+            path_length=length,
+            stalled_before=None if arrives else path[stall],
+        )
+        passed = failed = 0
+        need = self.votes // 2 + 1
+        while passed < need and failed < need:
+            if self.sensor.observe(outcome, rng).droplet_arrived:
+                passed += 1
+            else:
+                failed += 1
+        return passed >= need, passed + failed

@@ -100,43 +100,57 @@ def free_cell_paths(
     footprints; each connected component gets its own walk (one test
     droplet per component), built as a DFS traversal with backtracking —
     droplets may revisit cells, so the walk length is at most twice the
-    component size.
+    component size. Components are walked in order of their least cell,
+    and each step tries the neighbours in ``Point`` order.
+
+    The walks are planned on one padded, x-major flat index, cell
+    ``(x, y)`` at ``x * (h + 2) + y``: index order is ``Point`` order,
+    the neighbour steps ``-(h + 2), -1, +1, +(h + 2)`` are in ``Point``
+    order too, and the one-cell border of zeros stops every walk at the
+    array edge. Footprints are clipped to the ``w x h`` array.
     """
     w = width if width is not None else placement.core_width
     h = height if height is not None else placement.core_height
-    occupied = placement.occupancy_at(at_time, width=w, height=h)
-    free = {
-        Point(x, y)
-        for y in range(1, h + 1)
-        for x in range(1, w + 1)
-        if not occupied.is_occupied((x, y))
-    }
+    if w < 1 or h < 1:
+        raise ValueError(f"grid dimensions must be >= 1, got {w}x{h}")
+    stride = h + 2
+    # unwalked[i] is 1 while cell i is free and not yet walked.
+    column = b"\x00" + b"\x01" * h + b"\x00"
+    unwalked = bytearray(bytes(stride) + column * w + bytes(stride))
+    for pm in placement.active_at(at_time):
+        rect = pm.footprint
+        y1 = max(rect.y, 1)
+        y2 = min(rect.y2, h)
+        if y2 < y1:
+            continue
+        taken = bytes(y2 - y1 + 1)
+        for x in range(max(rect.x, 1), min(rect.x2, w) + 1):
+            unwalked[x * stride + y1 : x * stride + y2 + 1] = taken
+    steps = (-stride, -1, 1, stride)
     paths: list[list[Point]] = []
-    remaining = set(free)
-    while remaining:
-        start = min(remaining)  # deterministic component order
-        walk: list[Point] = []
-        stack = [(start, iter(_free_neighbors(start, free)))]
-        visited = {start}
-        walk.append(start)
+    start = unwalked.find(1)
+    while start >= 0:
+        unwalked[start] = 0
+        here = Point(*divmod(start, stride))
+        walk = [here]
+        # (cell, index of its next neighbour step, its Point) per DFS
+        # level; a backtrack step re-enters the parent's Point.
+        stack = [(start, 0, here)]
         while stack:
-            node, neighbors = stack[-1]
-            advanced = False
-            for nxt in neighbors:
-                if nxt not in visited:
-                    visited.add(nxt)
-                    walk.append(nxt)
-                    stack.append((nxt, iter(_free_neighbors(nxt, free))))
-                    advanced = True
+            node, k, here = stack.pop()
+            while k < 4:
+                nxt = node + steps[k]
+                k += 1
+                if unwalked[nxt]:
+                    unwalked[nxt] = 0
+                    cell = Point(*divmod(nxt, stride))
+                    walk.append(cell)
+                    stack.append((node, k, here))
+                    stack.append((nxt, 0, cell))
                     break
-            if not advanced:
-                stack.pop()
+            else:
                 if stack:
-                    walk.append(stack[-1][0])  # backtrack step
+                    walk.append(stack[-1][2])  # backtrack step
         paths.append(walk)
-        remaining -= visited
+        start = unwalked.find(1, start + 1)
     return paths
-
-
-def _free_neighbors(p: Point, free: set[Point]) -> list[Point]:
-    return sorted(q for q in p.neighbors4() if q in free)

@@ -25,6 +25,10 @@ parity properties in ``tests/`` and the speed-up baselines in
   FTI, and the quartic MER enumeration
   (:func:`brute_force_maximal_empty_rectangles`) beside the staircase
   sweep;
+* :mod:`oracles.probing` — the ``Point``-set free-cell walk planner
+  (:func:`reference_free_cell_paths`) beside the flat-index planner, the
+  walk-per-vote localizer (:class:`ReferenceLocalizer`) beside the
+  single-walk one, and the per-cell occupancy query (:func:`occupied`);
 * :mod:`oracles.schedule` — the ASAP/ALAP schedules and the
   critical-path length, the bounds a list schedule lies in;
 * :mod:`oracles.assay` — the structural contract of generated assays
@@ -48,6 +52,7 @@ from oracles.fti import (
     fits_any_rectangle,
     reference_fti,
 )
+from oracles.probing import ReferenceLocalizer, occupied, reference_free_cell_paths
 from oracles.routing import ReferenceRouter, ReferenceSynthesizer
 from oracles.sim import SteppedSimulator, stepped_replays
 from oracles.timegrid import CrossCheckTimeGrid, ReferenceTimeGrid
@@ -60,6 +65,7 @@ __all__ = [
     "FullRecomputeAnnealing",
     "FullRecomputeMoves",
     "FullRecomputePlacer",
+    "ReferenceLocalizer",
     "ReferenceRouter",
     "ReferenceSynthesizer",
     "ReferenceTimeGrid",
@@ -67,6 +73,8 @@ __all__ = [
     "brute_force_maximal_empty_rectangles",
     "check_consistency",
     "fits_any_rectangle",
+    "occupied",
+    "reference_free_cell_paths",
     "reference_fti",
     "stepped_replays",
 ]

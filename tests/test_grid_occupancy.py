@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import occupied
 
 from repro.geometry import Point, Rect
 from repro.grid.occupancy import OccupancyGrid
@@ -22,7 +23,7 @@ class TestConstruction:
         m = np.zeros((3, 4), dtype=np.uint8)
         g = OccupancyGrid.from_matrix(m)
         m[0, 0] = 1
-        assert not g.is_occupied((1, 1))
+        assert not occupied(g, (1, 1))
 
     def test_from_matrix_shape_check(self):
         with pytest.raises(ValueError):
@@ -36,16 +37,16 @@ class TestConstruction:
         g = OccupancyGrid(3, 3)
         h = g.copy()
         h.set((1, 1))
-        assert not g.is_occupied((1, 1))
+        assert not occupied(g, (1, 1))
 
 
 class TestFillAndQuery:
     def test_fill_marks_cells(self):
         g = OccupancyGrid(5, 5)
         g.fill(Rect(2, 2, 2, 3))
-        assert g.is_occupied((2, 2))
-        assert g.is_occupied((3, 4))
-        assert not g.is_occupied((4, 4))
+        assert occupied(g, (2, 2))
+        assert occupied(g, (3, 4))
+        assert not occupied(g, (4, 4))
 
     def test_fill_clips_to_grid(self):
         g = OccupancyGrid(3, 3)
@@ -62,12 +63,12 @@ class TestFillAndQuery:
         g.fill(Rect(1, 1, 3, 3))
         g.fill(Rect(2, 2, 1, 1), value=0)
         assert g.occupied_count == 8
-        assert not g.is_occupied((2, 2))
+        assert not occupied(g, (2, 2))
 
     def test_set_and_bounds_check(self):
         g = OccupancyGrid(3, 3)
         g.set((2, 3))
-        assert g.is_occupied((2, 3))
+        assert occupied(g, (2, 3))
         with pytest.raises(KeyError):
             g.set((4, 1))
 

@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_maximal_empty_rectangles, fits_any_rectangle
+from oracles import (
+    brute_force_maximal_empty_rectangles,
+    fits_any_rectangle,
+    occupied,
+)
 
 from repro.fault.mer import find_maximal_empty_rectangles
 from repro.geometry import Point, Rect
@@ -96,7 +100,7 @@ class TestKnownConfigurations:
 def _rect_free(grid: OccupancyGrid, r: Rect) -> bool:
     """Every cell of *r* lies inside *grid* and is free."""
     inside = r.x >= 1 and r.y >= 1 and r.x2 <= grid.width and r.y2 <= grid.height
-    return inside and not any(grid.is_occupied(p) for p in r.cells())
+    return inside and not any(occupied(grid, p) for p in r.cells())
 
 
 class TestMERInvariants:
@@ -144,7 +148,7 @@ class TestMERInvariants:
             Point(x, y)
             for x in range(1, width + 1)
             for y in range(1, height + 1)
-            if not g.is_occupied((x, y))
+            if not occupied(g, (x, y))
         }
         covered = set()
         for r in mers:

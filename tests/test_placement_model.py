@@ -1,6 +1,7 @@
 """Unit tests for PlacedModule and Placement (the modified 2-D model)."""
 
 import pytest
+from oracles import occupied
 
 from repro.geometry import Interval, Point, Rect
 from repro.modules.library import MIXER_2X2, MIXER_2X4, MIXER_LINEAR_1X4
@@ -189,14 +190,14 @@ class TestTemporalViews:
     def test_occupancy_at(self):
         p = self.build()
         grid = p.occupancy_at(0)
-        assert grid.is_occupied((1, 1))
-        assert not grid.is_occupied((6, 1))  # b not active yet
+        assert occupied(grid, (1, 1))
+        assert not occupied(grid, (6, 1))  # b not active yet
 
     def test_occupancy_for_span_marks_extra_cells(self):
         p = self.build()
         grid = p.occupancy_for_span(
             Interval(0, 10), exclude="a", extra_occupied=[Point(15, 15)]
         )
-        assert grid.is_occupied((15, 15))
-        assert not grid.is_occupied((1, 1))  # a excluded
-        assert grid.is_occupied((6, 1))      # b overlaps the span
+        assert occupied(grid, (15, 15))
+        assert not occupied(grid, (1, 1))  # a excluded
+        assert occupied(grid, (6, 1))      # b overlaps the span
