@@ -1,7 +1,9 @@
 """Realize-then-replay simulation core: the acceptance gate.
 
-The simulator's replay runs on the packed transport kernel, memoized
-route and parking queries and checkpoints cut from memoized reports; the
+The simulator's replay runs on the bitboard transport kernel (BFS
+waves over one int per query) and the flat-``bytearray`` parking
+search, with memoized route and parking queries and checkpoints cut
+from memoized reports; the
 fixed-timestep driver stays as the bit-identical reference
 (``oracles.SteppedSimulator`` in ``tests/oracles/``). This benchmark is
 the proof obligation of that rewrite:

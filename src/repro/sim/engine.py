@@ -18,8 +18,9 @@ No dispatch feeds back into the timeline, so the driver is exactly
 these two loops. The replay *verifies* the configuration: an
 infeasible placement, an unroutable transport, or a failed relocation
 all surface as a failed :class:`SimulationReport` naming the cause.
-Transports run on the packed-integer
-:class:`~repro.sim.fastgrid.PackedDropletRouter`.
+Ad-hoc transports run on the bitboard BFS kernel
+:class:`~repro.sim.fastgrid.PackedDropletRouter`, and a product's
+parking cell comes from a ring search over one padded ``bytearray``.
 
 A run is a pure function of ``(simulator, faults)``: everything it
 mutates lives in a run record that :meth:`BiochipSimulator.run` creates
@@ -93,7 +94,7 @@ class SimulationReport:
     final_placement: Placement
     failure_reason: str | None = None
     #: Transports replayed from a precomputed routing plan (vs routed
-    #: ad hoc by the per-droplet A* fallback).
+    #: ad hoc on the bitboard BFS kernel).
     planned_transports: int = 0
     #: Realized ``op_id -> (start, finish)``, ordered by op id (empty
     #: for a failed run). Not part of :meth:`to_dict`.
@@ -202,6 +203,49 @@ def active_fault_cells(faults: Iterable[FaultEntry], now: float) -> list[Point]:
         else:
             active.pop(cell, None)
     return list(active)
+
+
+def _nearest_safe_cell(
+    width: int, height: int, start: Point, parked, faulty, claiming
+) -> Point | None:
+    """FIFO ring search from the on-array cell *start* for the first
+    other cell of the ``width x height`` array that no *parked* droplet,
+    *faulty* cell or *claiming* footprint covers (None if there is none).
+
+    The array is one padded, x-major ``bytearray`` (cell ``(x, y)`` at
+    ``x * (height + 2) + y``) marking each cell safe (0), unsafe and
+    unseen (1), or seen or off the array (2); steps run in
+    :meth:`Point.neighbors4` order. Cells leave the queue in the order
+    they enter it, so the first safe cell entered is the answer.
+    """
+    stride = height + 2
+    edge = b"\x02" * stride
+    board = bytearray(edge + (b"\x02" + bytes(height) + b"\x02") * width + edge)
+    for fp in claiming:
+        y1, y2 = max(fp.y, 1), min(fp.y + fp.height - 1, height)
+        if y1 > y2:
+            continue
+        run = b"\x01" * (y2 - y1 + 1)
+        for x in range(max(fp.x, 1), min(fp.x + fp.width - 1, width) + 1):
+            board[x * stride + y1 : x * stride + y2 + 1] = run
+    for x, y in itertools.chain(parked, faulty):
+        if 1 <= x <= width and 1 <= y <= height:
+            board[x * stride + y] = 1
+    i = start[0] * stride + start[1]
+    board[i] = 2
+    queue = deque([i])
+    steps = (stride, -stride, 1, -1)
+    while queue:
+        i = queue.popleft()
+        for step in steps:
+            n = i + step
+            mark = board[n]
+            if mark == 0:
+                return Point(*divmod(n, stride))
+            if mark == 1:
+                board[n] = 2
+                queue.append(n)
+    return None
 
 
 #: Completed reports :meth:`BiochipSimulator.checkpoint` keeps, keyed
@@ -845,12 +889,11 @@ class BiochipSimulator:
         # When replaying a routing plan, prefer the cell the plan's
         # next transport expects as its source — keeping the simulator's
         # parking aligned with the plan model is what lets those
-        # transports replay instead of falling back to ad-hoc A*.
+        # transports replay instead of falling back to the BFS kernel.
         goal = self._plan_parking_cell(op_id, consumers, safe)
         if goal is None:
             goal = self._park_goal(
-                (droplet.position, frozenset(parked), tuple(faulty), tuple(claiming)),
-                safe,
+                (droplet.position, frozenset(parked), tuple(faulty), tuple(claiming))
             )
         if goal is None:
             raise SimulationError(
@@ -893,37 +936,19 @@ class BiochipSimulator:
                 return cell
         return None
 
-    def _park_goal(self, key: tuple, safe) -> Point | None:
+    def _park_goal(self, key: tuple) -> Point | None:
         """The nearest safe parking cell for the search keyed by
         ``(start, parked, faulty, claiming)``. The ring search is pure
         in that key, so it is memoized — Monte-Carlo sweeps and
         checkpoint replays repeat the same searches run after run."""
         goal = self._park_memo.get(key)
         if goal is None:
-            goal = self._nearest_safe_cell(key[0], safe)
+            goal = _nearest_safe_cell(self.width, self.height, *key)
             if goal is not None:
                 if len(self._park_memo) >= 65536:
                     self._park_memo.clear()
                 self._park_memo[key] = goal
         return goal
-
-    def _nearest_safe_cell(self, start: Point, safe) -> Point | None:
-        """BFS ring search for the nearest cell *safe* accepts."""
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            cell = queue.popleft()
-            if cell != start and safe(cell):
-                return cell
-            for nxt in cell.neighbors4():
-                if (
-                    1 <= nxt.x <= self.width
-                    and 1 <= nxt.y <= self.height
-                    and nxt not in seen
-                ):
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return None
 
     # -- helpers ------------------------------------------------------------------------------
 
@@ -1187,8 +1212,9 @@ class BiochipSimulator:
         from the droplets *actually* parked right now (the simulator's
         parking decisions can diverge from the plan's parking model).
         Everything else — dispense/output legs, evacuations, the whole
-        post-fault regime — falls back to the per-droplet A* router,
-        which sees the live obstacle state.
+        post-fault regime — falls back to the bitboard BFS kernel
+        (:class:`~repro.sim.fastgrid.PackedDropletRouter`), which sees
+        the live obstacle state.
         """
         if self.routing_plan is None or droplet.produced_by is None:
             return None

@@ -1,16 +1,20 @@
-"""Packed-integer transport kernel for the simulator's replay.
+"""Bitboard transport kernel for the simulator's replay.
 
 :class:`PackedDropletRouter` answers the one query ad-hoc droplet
 transport needs — shortest droplet path length under module
 footprints, faulty cells, and the one-cell fluidic inflation ring — on
-a flat integer grid: cells are ``(y - 1) * width + (x - 1)`` indices
-into stamped scratch arrays, the blocked set is marked through
-precomputed per-rect index lists and per-cell neighbor tables, and the
-search is a plain breadth-first wave (unit edge costs make its depth
-the shortest path length, and the replay layer only consumes lengths
-and endpoints, never the cell sequence). Stamped arrays make per-query
-setup O(marked cells), not O(area): bumping one integer invalidates
-every previous mark.
+a bitboard: one Python int over the array padded by one cell on each
+side, bit ``x * (height + 2) + y`` for cell ``(x, y)``. A module
+footprint is a column run times a comb with one bit per covered
+column, a faulty cell is one bit, and a parked droplet is its 3x3 ring
+(its own cell when the ring is waived) shifted into place; every
+obstacle is clipped to the array. The search is a breadth-first wave
+over the whole board at once: each step shifts the frontier by
+``+-1`` (y) and ``+-(height + 2)`` (x) and masks it with the free
+cells, and the padding is never free, so no shift wraps between
+columns. Unit edge costs make the wave count the shortest path length,
+and the replay layer only consumes lengths and endpoints, never the
+cell sequence.
 
 An unroutable query raises :class:`~repro.util.errors.RoutingError`
 naming the endpoints, the array and the number of blocked in-bounds
@@ -42,48 +46,20 @@ class FastRoute:
 
 
 class PackedDropletRouter:
-    """Flat-integer BFS router with fluidic spacing."""
+    """Bit-parallel BFS router with fluidic spacing."""
 
     def __init__(self, width: int, height: int) -> None:
         if width < 1 or height < 1:
             raise ValueError(f"array dimensions must be >= 1, got {width}x{height}")
         self.width = width
         self.height = height
-        area = width * height
-        self._area = area
-        # Per-cell in-bounds neighbor tables: 4-adjacency for the wave,
-        # the full 8-ring for the fluidic inflation of parked droplets.
-        nbr4: list[tuple[int, ...]] = [()] * area
-        ring8: list[tuple[int, ...]] = [()] * area
-        for y in range(1, height + 1):
-            base = (y - 1) * width
-            for x in range(1, width + 1):
-                idx = base + (x - 1)
-                four = []
-                ring = []
-                for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    nx, ny = x + dx, y + dy
-                    if 1 <= nx <= width and 1 <= ny <= height:
-                        four.append((ny - 1) * width + (nx - 1))
-                for dx in (-1, 0, 1):
-                    for dy in (-1, 0, 1):
-                        if dx == 0 and dy == 0:
-                            continue
-                        nx, ny = x + dx, y + dy
-                        if 1 <= nx <= width and 1 <= ny <= height:
-                            ring.append((ny - 1) * width + (nx - 1))
-                nbr4[idx] = tuple(four)
-                ring8[idx] = tuple(ring)
-        self._nbr4 = nbr4
-        self._ring8 = ring8
-        # Stamped scratch arrays: a cell is blocked/visited in this
-        # query iff its stamp equals the query's stamp.
-        self._blocked = [0] * area
-        self._visited = [0] * area
-        self._stamp = 0
-        #: Footprint index lists, cached per rect geometry (module
-        #: footprints repeat across every transport of a run).
-        self._rect_idxs: dict[tuple[int, int, int, int], list[int]] = {}
+        stride = height + 2
+        self._stride = stride
+        #: One bit at ``y = 0`` of every padded column.
+        self._comb = ((1 << ((width + 2) * stride)) - 1) // ((1 << stride) - 1)
+        self._inside = self._box(1, 1, width, height)
+        #: A droplet's 3x3 ring, its corner cell at bit 0.
+        self._ring = 0b111 * (1 | (1 << stride) | (1 << (2 * stride)))
         #: Queries memoized by full obstacle signature — sound because
         #: a query is pure: the outcome depends only on the arguments.
         #: Successes store the route; failures store the error message
@@ -93,28 +69,21 @@ class PackedDropletRouter:
         #: run.
         self._memo: dict[tuple, FastRoute | str] = {}
 
-    def _idx(self, p: Point) -> int:
-        return (p[1] - 1) * self.width + (p[0] - 1)
+    def _box(self, x1: int, y1: int, x2: int, y2: int) -> int:
+        """Bits of the in-bounds cells of ``[x1, x2] x [y1, y2]``."""
+        x1, x2 = max(x1, 1), min(x2, self.width)
+        y1, y2 = max(y1, 1), min(y2, self.height)
+        if x1 > x2 or y1 > y2:
+            return 0
+        s = self._stride
+        columns = self._comb & ((1 << ((x2 + 1) * s)) - (1 << (x1 * s)))
+        return columns * ((1 << (y2 + 1)) - (1 << y1))
 
     def _remember(self, key: tuple, outcome: FastRoute | str):
         if len(self._memo) >= 65536:  # bound memory on adversarial grids
             self._memo.clear()
         self._memo[key] = outcome
         return outcome
-
-    def _rect_cells(self, rect: Rect) -> list[int]:
-        key = (rect.x, rect.y, rect.width, rect.height)
-        idxs = self._rect_idxs.get(key)
-        if idxs is None:
-            w = self.width
-            idxs = [
-                (y - 1) * w + (x - 1)
-                for y in range(rect.y, rect.y + rect.height)
-                for x in range(rect.x, rect.x + rect.width)
-                if 1 <= x <= w and 1 <= y <= self.height
-            ]
-            self._rect_idxs[key] = idxs
-        return idxs
 
     def route(
         self,
@@ -154,76 +123,53 @@ class PackedDropletRouter:
             if isinstance(hit, str):
                 raise RoutingError(hit)
             return hit
-        blocked_rects, blocked_cells, other_droplets = key[2], key[3], key[4]
-        in_start = 1 <= start[0] <= self.width and 1 <= start[1] <= self.height
-        in_goal = 1 <= goal[0] <= self.width and 1 <= goal[1] <= self.height
-        if not in_start or not in_goal:
-            raise RoutingError(f"route endpoints {start}->{goal} outside the array")
-
-        self._stamp += 1
-        stamp = self._stamp
-        blocked = self._blocked
         width, height = self.width, self.height
-        for rect in blocked_rects:
-            for idx in self._rect_cells(rect):
-                blocked[idx] = stamp
-        for c in blocked_cells:
-            x, y = c[0], c[1]
+        if not (
+            1 <= start[0] <= width and 1 <= start[1] <= height
+            and 1 <= goal[0] <= width and 1 <= goal[1] <= height
+        ):
+            raise RoutingError(f"route endpoints {start}->{goal} outside the array")
+        if start == goal:
+            return self._remember(key, FastRoute(start=start, end=goal, length=0))
+
+        s = self._stride
+        box = self._box
+        blocked = 0
+        for r in key[2]:
+            blocked |= box(r.x, r.y, r.x + r.width - 1, r.y + r.height - 1)
+        for x, y in key[3]:
             if 1 <= x <= width and 1 <= y <= height:
-                blocked[(y - 1) * width + (x - 1)] = stamp
-        ring8 = self._ring8
-        for d in other_droplets:
-            x, y = d[0], d[1]
+                blocked |= 1 << (x * s + y)
+        ring = self._ring if inflate else 1 << (s + 1)
+        for x, y in key[4]:
             if x == goal[0] and y == goal[1]:
                 continue
             if 1 <= x <= width and 1 <= y <= height:
-                idx = (y - 1) * width + (x - 1)
-                blocked[idx] = stamp
-                if inflate:
-                    for n in ring8[idx]:
-                        blocked[n] = stamp
+                blocked |= ring << ((x - 1) * s + y - 1)
             elif inflate:
-                # An out-of-bounds parked droplet still shadows its
-                # in-bounds ring cells.
-                for dx in (-1, 0, 1):
-                    for dy in (-1, 0, 1):
-                        nx, ny = x + dx, y + dy
-                        if 1 <= nx <= width and 1 <= ny <= height:
-                            blocked[(ny - 1) * width + (nx - 1)] = stamp
+                # An off-array droplet still shadows its on-array ring.
+                blocked |= box(x - 1, y - 1, x + 1, y + 1)
+        front = 1 << (start[0] * s + start[1])
+        target = 1 << (goal[0] * s + goal[1])
+        # The padding the in-bounds rings spill onto is never blocked.
+        inside = self._inside
+        blocked &= inside & ~(front | target)
 
-        start_idx = self._idx(start)
-        goal_idx = self._idx(goal)
-        blocked[start_idx] = 0
-        blocked[goal_idx] = 0
-        if start_idx == goal_idx:
-            return self._remember(key, FastRoute(start=start, end=goal, length=0))
-
-        # Two-list BFS wave; unit costs make its depth the shortest
-        # path length.
-        visited = self._visited
-        nbr4 = self._nbr4
-        visited[start_idx] = stamp
-        frontier = [start_idx]
+        # Whole-board BFS waves; unit costs make the wave count the
+        # shortest path length.
+        free = inside ^ blocked ^ front
         depth = 0
-        while frontier:
+        while front:
             depth += 1
-            nxt: list[int] = []
-            for idx in frontier:
-                for n in nbr4[idx]:
-                    if visited[n] == stamp or blocked[n] == stamp:
-                        continue
-                    if n == goal_idx:
-                        return self._remember(
-                            key, FastRoute(start=start, end=goal, length=depth)
-                        )
-                    visited[n] = stamp
-                    nxt.append(n)
-            frontier = nxt
+            front = ((front << 1) | (front >> 1) | (front << s) | (front >> s)) & free
+            if front & target:
+                return self._remember(key, FastRoute(start=start, end=goal, length=depth))
+            free ^= front
         # Unroutable: memoize the message so replays of the same
         # failing query skip the search.
         message = (
             f"no droplet path {start} -> {goal} on {width}x{height} "
-            f"array with {blocked.count(stamp)} blocked cells"
+            f"array with {blocked.bit_count()} blocked cells"
         )
         self._remember(key, message)
         raise RoutingError(message)

@@ -6,9 +6,11 @@ parity properties in ``tests/`` and the speed-up baselines in
 ``benchmarks/``:
 
 * :mod:`oracles.sim` — the fixed-timestep simulator driver
-  (:class:`SteppedSimulator`) beside the discrete-event replay;
+  (:class:`SteppedSimulator`) beside the discrete-event replay, and the
+  per-``Point`` parking search (:func:`reference_nearest_safe_cell`)
+  beside the padded-``bytearray`` one;
 * :mod:`oracles.droplet_router` — the per-``Point`` A* droplet router
-  (:class:`DropletRouter`) beside the packed BFS transport kernel;
+  (:class:`DropletRouter`) beside the bitboard BFS transport kernel;
 * :mod:`oracles.timegrid` and :mod:`oracles.routing` — the Point-dict
   occupancy grid, its cross-checking shadow, full-round negotiation and
   the generic search (:class:`ReferenceSynthesizer`) beside the packed
@@ -54,7 +56,7 @@ from oracles.fti import (
 )
 from oracles.probing import ReferenceLocalizer, occupied, reference_free_cell_paths
 from oracles.routing import ReferenceRouter, ReferenceSynthesizer
-from oracles.sim import SteppedSimulator, stepped_replays
+from oracles.sim import SteppedSimulator, reference_nearest_safe_cell, stepped_replays
 from oracles.timegrid import CrossCheckTimeGrid, ReferenceTimeGrid
 
 __all__ = [
@@ -76,5 +78,6 @@ __all__ = [
     "occupied",
     "reference_free_cell_paths",
     "reference_fti",
+    "reference_nearest_safe_cell",
     "stepped_replays",
 ]

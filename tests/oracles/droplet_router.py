@@ -1,8 +1,9 @@
-"""Per-``Point`` A* droplet router: the oracle for the packed kernel.
+"""Per-``Point`` A* droplet router: the oracle for the bitboard kernel.
 
 The simulator's ad-hoc transports run on
-:class:`repro.sim.fastgrid.PackedDropletRouter`, a flat-integer BFS.
-This is the straightforward implementation it replaced: shortest
+:class:`repro.sim.fastgrid.PackedDropletRouter`, a bit-parallel BFS
+over one int per query. This is the straightforward implementation it
+replaced: shortest
 droplet paths that avoid faulty cells, stay off concurrently operating
 modules' footprints, and respect the static fluidic constraint (each
 parked droplet is inflated by one cell), found by A* over ``Point``

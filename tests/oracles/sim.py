@@ -2,13 +2,15 @@
 
 :class:`repro.sim.engine.BiochipSimulator` realizes the fault timeline,
 then replays every operation in ``(realized start, op id)`` order,
-routing transports on the packed BFS kernel with memoized queries and
+routing transports on the bitboard BFS kernel and searching parking
+cells on a padded ``bytearray``, both with memoized queries, and
 cutting checkpoints from memoized reports. :class:`SteppedSimulator`
 is the sequential driver it replaced, kept bit-identical and kept as
 its own independent copy of the two loops (``_realize_timeline`` and
 ``_replay_droplets``, both over the production run record): it routes
-on the per-``Point`` A* router, searches every parking cell afresh and
-re-runs the simulation for every checkpoint. For a fixed fault list
+on the per-``Point`` A* router, searches every parking cell afresh
+over ``Point`` cells (:func:`reference_nearest_safe_cell`) and re-runs
+the simulation for every checkpoint. For a fixed fault list
 both drivers must produce the identical
 :class:`~repro.sim.engine.SimulationReport` — events, timings,
 per-droplet position log, failure text. Because both run the same
@@ -23,6 +25,7 @@ loop), so a whole in-process campaign can run on it.
 from __future__ import annotations
 
 import contextlib
+from collections import deque
 from unittest import mock
 
 from oracles.droplet_router import DropletRouter
@@ -48,8 +51,8 @@ class SteppedSimulator(BiochipSimulator):
         self._checkpoint_memo.clear()  # every checkpoint re-runs the simulation
         return super().checkpoint(time_s, faults)
 
-    def _park_goal(self, key: tuple, safe):
-        return self._nearest_safe_cell(key[0], safe)
+    def _park_goal(self, key: tuple):
+        return reference_nearest_safe_cell(self.width, self.height, *key)
 
     def _execute(self, run):
         self._realize_timeline(run)
@@ -75,6 +78,28 @@ class SteppedSimulator(BiochipSimulator):
         if product is None:
             product = self._sink_product(run.droplet_of)
         return product, transport_cells
+
+
+def reference_nearest_safe_cell(width, height, start, parked, faulty, claiming):
+    """BFS ring search over ``Point`` cells from *start* for the nearest
+    other cell of the ``width x height`` array that no *parked* droplet,
+    *faulty* cell or *claiming* footprint covers; None if none does."""
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        cell = queue.popleft()
+        if (
+            cell != start
+            and cell not in parked
+            and cell not in faulty
+            and not any(fp.contains_point(cell) for fp in claiming)
+        ):
+            return cell
+        for nxt in cell.neighbors4():
+            if 1 <= nxt.x <= width and 1 <= nxt.y <= height and nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return None
 
 
 @contextlib.contextmanager

@@ -1,14 +1,18 @@
 """Tests for the simulator substrate: electrowetting model, droplets,
-the packed transport kernel, and the A* router oracle it must match."""
+the bitboard transport kernel and the A* router oracle it must match,
+and the parking search and the per-``Point`` BFS it must match."""
 
 import random
 
 import pytest
-from oracles import DropletRouter
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import DropletRouter, reference_nearest_safe_cell
 
 from repro.geometry import Point, Rect
 from repro.sim.droplet import Droplet
 from repro.sim.electrowetting import ElectrowettingModel
+from repro.sim.engine import _nearest_safe_cell
 from repro.sim.fastgrid import PackedDropletRouter
 from repro.util.errors import RoutingError
 
@@ -220,27 +224,109 @@ class TestPackedDropletRouter:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_the_a_star_oracle(self, seed):
         """Same lengths, endpoints and failure texts as the per-Point
-        A* router over random obstacle soups, including parked
-        droplets and module footprints hanging off the array."""
+        A* router over random obstacle soups on arrays from 1xN up to
+        40x40 (boards wider than 64 bits, and column runs that would
+        wrap without the padding), with module footprints, faulty cells
+        and parked droplets up to 2 cells off the array."""
         rng = random.Random(seed)
         for _ in range(60):
-            w, h = rng.randint(1, 9), rng.randint(1, 9)
+            shape = rng.random()
+            if shape < 0.15:
+                w, h = 1, rng.randint(1, 40)
+            elif shape < 0.3:
+                w, h = rng.randint(1, 40), 1
+            else:
+                w, h = rng.randint(1, 40), rng.randint(1, 40)
+            area = w * h
 
             def cell(slack=0):
                 return Point(rng.randint(1 - slack, w + slack),
                              rng.randint(1 - slack, h + slack))
 
             rects = [
-                Rect(rng.randint(0, w), rng.randint(0, h),
-                     rng.randint(1, 3), rng.randint(1, 3))
-                for _ in range(rng.randint(0, 3))
+                Rect(rng.randint(-1, w + 2), rng.randint(-1, h + 2),
+                     rng.randint(1, 6), rng.randint(1, 6))
+                for _ in range(rng.randint(0, 2 + area // 120))
             ]
-            args = (cell(slack=1 if rng.random() < 0.1 else 0), cell())
+            args = (cell(slack=2 if rng.random() < 0.1 else 0), cell())
             kwargs = dict(
                 blocked_rects=rects,
-                blocked_cells=[cell(slack=1) for _ in range(rng.randint(0, 4))],
-                other_droplets=[cell(slack=1) for _ in range(rng.randint(0, 3))],
+                blocked_cells=[cell(slack=2) for _ in range(rng.randint(0, 2 + area // 60))],
+                other_droplets=[cell(slack=2) for _ in range(rng.randint(0, 2 + area // 90))],
                 inflate=rng.random() < 0.7,
             )
             assert _route_outcome(PackedDropletRouter(w, h), *args, **kwargs) == \
                 _route_outcome(DropletRouter(w, h), *args, **kwargs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_a_star_oracle_on_drawn_queries(self, data):
+        w = data.draw(st.integers(1, 40), label="width")
+        h = data.draw(st.integers(1, 40), label="height")
+
+        def cells(slack):
+            return st.builds(Point, st.integers(1 - slack, w + slack),
+                             st.integers(1 - slack, h + slack))
+
+        rect = st.builds(Rect, st.integers(-1, w + 2), st.integers(-1, h + 2),
+                         st.integers(1, 6), st.integers(1, 6))
+        args = (data.draw(cells(0) | cells(2), label="start"),
+                data.draw(cells(0), label="goal"))
+        kwargs = dict(
+            blocked_rects=data.draw(st.lists(rect, max_size=8), label="rects"),
+            blocked_cells=data.draw(st.lists(cells(2), max_size=30), label="faulty"),
+            other_droplets=data.draw(st.lists(cells(2), max_size=12), label="droplets"),
+            inflate=data.draw(st.booleans(), label="inflate"),
+        )
+        assert _route_outcome(PackedDropletRouter(w, h), *args, **kwargs) == \
+            _route_outcome(DropletRouter(w, h), *args, **kwargs)
+
+
+class TestParkingSearch:
+    """The padded-``bytearray`` parking search against the per-``Point``
+    BFS of the stepped oracle."""
+
+    @staticmethod
+    def _both(w, h, start, parked, faulty, claiming):
+        key = (start, frozenset(parked), tuple(faulty), tuple(claiming))
+        return _nearest_safe_cell(w, h, *key), reference_nearest_safe_cell(w, h, *key)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_point_bfs_on_random_masks(self, seed):
+        rng = random.Random(seed)
+        for _ in range(150):
+            w, h = rng.randint(1, 30), rng.randint(1, 30)
+
+            def cell(slack=0):
+                return Point(rng.randint(1 - slack, w + slack),
+                             rng.randint(1 - slack, h + slack))
+
+            corners = [Point(1, 1), Point(w, 1), Point(1, h), Point(w, h)]
+            start = rng.choice(corners) if rng.random() < 0.3 else cell()
+            density = rng.random()
+            parked = [cell(slack=2) for _ in range(int(density * w * h * 0.4))]
+            faulty = [cell(slack=2) for _ in range(int(density * w * h * 0.2))]
+            claiming = [
+                Rect(rng.randint(-1, w + 2), rng.randint(-1, h + 2),
+                     rng.randint(1, 8), rng.randint(1, 8))
+                for _ in range(rng.randint(0, 6))
+            ]
+            fast, oracle = self._both(w, h, start, parked, faulty, claiming)
+            assert fast == oracle
+
+    @pytest.mark.parametrize("start", [Point(1, 1), Point(7, 1), Point(1, 5),
+                                       Point(7, 5), Point(4, 3)])
+    def test_no_safe_cell_returns_none(self, start):
+        whole = [Rect(0, -1, 9, 8)]
+        assert self._both(7, 5, start, [], [], whole) == (None, None)
+        assert self._both(1, 1, Point(1, 1), [], [], []) == (None, None)
+
+    def test_the_ring_order_is_neighbors4_order(self):
+        # Every neighbour of (3, 3) is safe; neighbors4 lists x+1 first.
+        assert self._both(5, 5, Point(3, 3), [], [], []) == (Point(4, 3),) * 2
+        # With x+1 parked, x-1 is next; then y+1, then y-1.
+        assert self._both(5, 5, Point(3, 3), [Point(4, 3)], [], []) == (Point(2, 3),) * 2
+        assert self._both(5, 5, Point(3, 3), [Point(4, 3)], [Point(2, 3)], []) == \
+            (Point(3, 4),) * 2
+        # On the right edge the search never steps off the array.
+        assert self._both(5, 5, Point(5, 3), [], [Point(4, 3)], []) == (Point(5, 4),) * 2
