@@ -1,12 +1,17 @@
 """Section 5.3 — "the calculation of FTI takes only 1.7 seconds".
 
 The paper's point is that FTI is cheap enough to call inside a
-placement loop. We time our FTI (``compute_fti``) and its two reference
-oracles on the measured min-area placement and check they agree
-exactly:
+placement loop. We time our FTI (``compute_fti``) and its three
+reference oracles on the measured min-area placement and check that
+every one returns the same report (covered cells, and per module the
+feasible-position count and the stuck and relocatable cells):
 
-* ``placements`` — summed-area-table position counting (``compute_fti``;
-  evaluates each module once, used inside the LTSA loop) — the fastest.
+* ``placements`` — bitboard position counting (``compute_fti``;
+  evaluates each module once, used inside the LTSA loop): the feasible
+  origins are the free mask eroded to the window, and the stuck cells
+  are the intersection of the feasible windows — the fastest.
+* ``sat`` — summed-area-table position counting with a 2-D difference
+  array of per-cell cover counts (oracle).
 * ``mer`` — the paper's literal Section 5.3 procedure (oracle), which re-mines
   the maximal empty rectangles for every candidate faulty cell; its
   cost scales with (module cells) x (MER sweep), so on the paper-sized
@@ -24,6 +29,7 @@ from repro.fault.fti import compute_fti
 
 _ALGORITHMS = {
     "placements": compute_fti,
+    "sat": functools.partial(reference_fti, method="sat"),
     "mer": functools.partial(reference_fti, method="mer"),
     "bruteforce": functools.partial(reference_fti, method="bruteforce"),
 }
@@ -46,6 +52,7 @@ def test_fti_runtime(benchmark, report, placement, method):
 
     reference = reference_fti(placement, method="bruteforce")
     assert result.covered == reference.covered
+    assert result.per_module == reference.per_module
 
     report(
         f"FTI runtime ({method})",

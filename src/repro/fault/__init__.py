@@ -11,7 +11,7 @@ package provides:
 * :mod:`repro.fault.mer` — maximal-empty-rectangle enumeration by the
   staircase sweep;
 * :mod:`repro.fault.fti` — the fault tolerance index, FTI = k/(m*n),
-  by summed-area-table position counting;
+  by position counting on a bitboard;
 * :mod:`repro.fault.reconfigure` — the on-line partial reconfiguration
   engine;
 * :mod:`repro.fault.injection` — seeded street-fault sampling for

@@ -9,16 +9,18 @@ operating modules. Then ``FTI = k / (m * n)`` where k is the number of
 C-covered cells: FTI = 1 means any single fault is tolerable, FTI = 0
 means none is.
 
-The index is computed by summed-area-table position counting:
-enumerate every feasible relocation of the module once (the faulty cell
-not yet considered), then decide each faulty cell by whether some
-feasible placement's footprint misses it. This is the paper's Section
-5.3 procedure — mark the faulty cell and the concurrently operating
-modules occupied, enumerate maximal empty rectangles, and check whether
-any accommodates the module — decided for every cell of the footprint
-at once, and cheap enough for the annealer's inner loop. The test suite
-checks it cell for cell against that MER procedure and a brute-force
-scan.
+The index is computed by position counting on a bitboard
+(:class:`~repro.grid.bitboard.Bitboard`): enumerate every feasible
+relocation of the module once (the faulty cell not yet considered) as
+the free mask eroded to the window, then decide each faulty cell by
+whether some feasible window misses it. The cells no window misses are
+the intersection of the windows, one rectangle per orientation. This is
+the paper's Section 5.3 procedure — mark the faulty cell and the
+concurrently operating modules occupied, enumerate maximal empty
+rectangles, and check whether any accommodates the module — decided for
+every cell of the footprint at once, and cheap enough for the
+annealer's inner loop. The test suite checks it cell for cell against
+that MER procedure, a brute-force scan and summed-area-table counting.
 """
 
 from __future__ import annotations
@@ -27,10 +29,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.geometry import Point
-from repro.grid.occupancy import OccupancyGrid
+from repro.geometry import Point, Rect
+from repro.grid.bitboard import Bitboard
 
 if TYPE_CHECKING:  # placement imports fault's cost hooks; avoid the cycle
     from repro.placement.model import PlacedModule, Placement
@@ -138,31 +138,41 @@ def compute_fti(
     """
     if (width is None) != (height is None):
         raise ValueError("pass both width and height, or neither")
+    bb = placement.bounding_box()
     if width is None:
-        placement = placement.normalized()
-        width, height = placement.array_dims()
+        # Normalize: translate the footprints so the bounding box
+        # origin is (1, 1), as Placement.normalized() would.
+        dx, dy = 1 - bb.x, 1 - bb.y
+        width, height = bb.width, bb.height
     else:
-        bb = placement.bounding_box()
         if bb.x < 1 or bb.y < 1 or bb.x2 > width or bb.y2 > height:
             raise ValueError(
                 f"placement bounding box {bb} exceeds the {width}x{height} array"
             )
+        dx = dy = 0
     assert height is not None
 
+    board = Bitboard(width, height)
+    modules = placement.modules()
+    footprints = [pm.footprint.translated(dx, dy) for pm in modules]
     per_module: dict[str, ModuleRelocatability] = {}
     uncovered: set[Point] = set()
-    for pm in placement:
-        analysis = _analyze_module(placement, pm, width, height, allow_rotation)
+    for pm, fp, blocked in zip(
+        modules, footprints, _concurrent_obstacles(board, modules, footprints)
+    ):
+        analysis = _analyze_module(
+            board, pm, fp, board.inside & ~blocked, allow_rotation
+        )
         per_module[pm.op_id] = analysis
         uncovered.update(analysis.stuck_cells)
 
-    all_cells = {
+    all_cells = frozenset(
         Point(x, y) for y in range(1, height + 1) for x in range(1, width + 1)
-    }
+    )
     return FTIReport(
         width=width,
         height=height,
-        covered=frozenset(all_cells - uncovered),
+        covered=all_cells - uncovered,
         per_module=per_module,
     )
 
@@ -172,77 +182,73 @@ def compute_fti(
 # ---------------------------------------------------------------------------
 
 
-def _orientations(pm: PlacedModule, allow_rotation: bool) -> list[tuple[int, int]]:
-    w, h = pm.spec.footprint_width, pm.spec.footprint_height
-    dims = [(w, h)]
-    if allow_rotation and w != h:
-        dims.append((h, w))
-    return dims
+def _concurrent_obstacles(
+    board: Bitboard, modules: list[PlacedModule], footprints: list[Rect]
+) -> list[int]:
+    """Per module, the cells the relocated module must avoid: the union
+    of every concurrently operating module's footprint. The module
+    itself is left out, so its old cells are free for reuse (only the
+    faulty one is later marked).
 
-
-def _obstacle_grid(
-    placement: Placement, pm: PlacedModule, width: int, height: int
-) -> OccupancyGrid:
-    """Cells the relocated *pm* must avoid: every concurrently operating
-    module's footprint. *pm* itself is removed — its old cells are free
-    for reuse (only the faulty one is later marked)."""
-    return placement.occupancy_for_span(
-        pm.interval, exclude=pm.op_id, width=width, height=height
-    )
+    One sweep in start order: a module overlaps exactly the earlier
+    starters still running at its start, since spans are half-open.
+    """
+    masks = [board.rect(fp.x, fp.y, fp.x2, fp.y2) for fp in footprints]
+    blocked = [0] * len(modules)
+    active: list[int] = []
+    for i in sorted(range(len(modules)), key=lambda i: modules[i].start):
+        start = modules[i].start
+        active = [j for j in active if modules[j].stop > start]
+        for j in active:
+            blocked[i] |= masks[j]
+            blocked[j] |= masks[i]
+        active.append(i)
+    return blocked
 
 
 def _analyze_module(
-    placement: Placement,
-    pm: PlacedModule,
-    width: int,
-    height: int,
-    allow_rotation: bool,
+    board: Bitboard, pm: PlacedModule, fp: Rect, free: int, allow_rotation: bool
 ) -> ModuleRelocatability:
-    """Summed-area-table algorithm.
+    """Feasible windows on the *free* mask, stuck cells as their
+    intersection; *fp* is *pm*'s footprint on the board.
 
-    For each orientation, mark position (x, y) feasible when the w x h
-    window there contains no obstacle. Then a faulty cell f is
-    survivable iff some feasible placement's footprint misses f, i.e.
-    ``cover_count[f] < total_feasible`` where cover_count accumulates,
-    per cell, how many feasible footprints contain it.
+    For each orientation, the feasible origins are *free* eroded to the
+    window size. A faulty cell f is survivable iff some feasible window
+    misses f, so the stuck cells are the footprint cells that lie in
+    every feasible window (all of them when there is none). The windows
+    of one orientation share a size, so the cells they all contain form
+    one rectangle, from the largest origin to the smallest origin plus
+    the size less one on each axis; the stuck cells are the footprint's
+    cells inside every orientation's rectangle.
     """
-    occ = _obstacle_grid(placement, pm, width, height).matrix_view().astype(np.int64)
-    # Summed-area table with a zero border: S[r, c] = sum of occ[:r, :c].
-    sat = np.zeros((height + 1, width + 1), dtype=np.int64)
-    sat[1:, 1:] = occ.cumsum(axis=0).cumsum(axis=1)
-
+    w0, h0 = pm.spec.footprint_width, pm.spec.footprint_height
+    dims = [(w0, h0)]
+    if allow_rotation and w0 != h0:
+        dims.append((h0, w0))
     total = 0
-    cover = np.zeros((height + 1, width + 1), dtype=np.int64)  # diff array
-    for w, h in _orientations(pm, allow_rotation):
-        if w > width or h > height:
+    x1, y1, x2, y2 = 1, 1, board.width, board.height
+    for w, h in dims:
+        origins = board.origins(free, w, h)
+        if not origins:
             continue
-        # window_sum[r, c] = occupied cells in rows r..r+h-1, cols c..c+w-1
-        window = (
-            sat[h:, w:]
-            - sat[:-h, w:][: height - h + 1]
-            - sat[h:, : width - w + 1]
-            + sat[: height - h + 1, : width - w + 1]
-        )
-        feasible = window == 0
-        total += int(feasible.sum())
-        rows, cols = np.nonzero(feasible)
-        # 2-D difference trick: +1 at (r, c), -1 at (r, c+w) and (r+h, c),
-        # +1 at (r+h, c+w); cumulative sums later yield per-cell counts.
-        np.add.at(cover, (rows, cols), 1)
-        np.add.at(cover, (rows, cols + w), -1)
-        np.add.at(cover, (rows + h, cols), -1)
-        np.add.at(cover, (rows + h, cols + w), 1)
-    counts = cover.cumsum(axis=0).cumsum(axis=1)[:height, :width]
+        total += origins.bit_count()
+        lo_x, hi_x = board.column_span(origins)
+        lo_y, hi_y = board.row_span(origins)
+        x1, x2 = max(x1, hi_x), min(x2, lo_x + w - 1)
+        y1, y2 = max(y1, hi_y), min(y2, lo_y + h - 1)
 
-    relocatable, stuck = set(), set()
-    for p in pm.footprint.cells():
-        if total > int(counts[p.y - 1, p.x - 1]):
-            relocatable.add(p)
-        else:
-            stuck.add(p)
+    cells = frozenset(fp.cells())
+    if total:
+        stuck = frozenset(
+            Point(x, y)
+            for y in range(max(y1, fp.y), min(y2, fp.y2) + 1)
+            for x in range(max(x1, fp.x), min(x2, fp.x2) + 1)
+        )
+    else:
+        stuck = cells
     return ModuleRelocatability(
         op_id=pm.op_id,
         feasible_positions=total,
-        relocatable_cells=frozenset(relocatable),
-        stuck_cells=frozenset(stuck),
+        relocatable_cells=cells - stuck,
+        stuck_cells=stuck,
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+from repro.grid.bitboard import Bitboard
 from repro.placement.model import PlacedModule, Placement
 from repro.util.errors import PlacementError
 
@@ -24,31 +25,38 @@ def first_feasible_position(
 ) -> PlacedModule | None:
     """First bottom-left position where *pm* conflicts with nothing.
 
-    Scans origins row by row from (1, 1) — the classic bottom-left
-    packing rule — trying the native orientation first and, when
-    *allow_rotation*, the transposed one at each origin. Only obstacles
-    whose time spans overlap *pm*'s matter. Returns the repositioned
-    module, or ``None`` when no in-core position works.
+    The classic bottom-left packing rule: the lowest row, then the
+    leftmost origin from (1, 1), in the native orientation or, when
+    *allow_rotation*, the transposed one; at a shared origin the native
+    orientation wins. Only obstacles whose time spans overlap *pm*'s
+    matter. The free cells are one bitboard, each orientation's feasible
+    origins are it eroded to the window, and the answer is the lowest
+    set bit. Returns the repositioned module, or ``None`` when no
+    in-core position works.
     """
-    relevant = [
-        o
-        for o in obstacles
-        if o.op_id != pm.op_id and o.interval.overlaps(pm.interval)
-    ]
+    if core_width < 1 or core_height < 1:
+        return None
+    board = Bitboard(core_width, core_height)
+    blocked = 0
+    for o in obstacles:
+        if o.op_id != pm.op_id and o.start < pm.stop and pm.start < o.stop:
+            fp = o.footprint
+            blocked |= board.rect(fp.x, fp.y, fp.x2, fp.y2)
+    free = board.inside & ~blocked
     orientations = [pm.rotated]
     if allow_rotation and not pm.spec.is_square:
         orientations.append(not pm.rotated)
-    for y in range(1, core_height + 1):
-        for x in range(1, core_width + 1):
-            for rotated in orientations:
-                w, h = pm.spec.dims(rotated)
-                if x + w - 1 > core_width or y + h - 1 > core_height:
-                    continue
-                candidate = pm.moved_to(x, y, rotated=rotated)
-                fp = candidate.footprint
-                if all(not fp.intersects(o.footprint) for o in relevant):
-                    return candidate
-    return None
+    best = None
+    for rotated in orientations:
+        origins = board.origins(free, *pm.spec.dims(rotated))
+        if origins:
+            low = (origins & -origins).bit_length() - 1
+            if best is None or low < best[0]:
+                best = (low, rotated)
+    if best is None:
+        return None
+    x, y = board.cell(best[0])
+    return pm.moved_to(x, y, rotated=best[1])
 
 
 #: Re-seating sweeps :func:`repair_overlaps` makes before giving up.

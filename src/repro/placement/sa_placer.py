@@ -111,13 +111,19 @@ def default_core_side(modules: Iterable[PlacedModule], slack: float = 2.0) -> in
     max_dim = max(
         max(pm.spec.footprint_width, pm.spec.footprint_height) for pm in modules
     )
-    events = sorted({pm.start for pm in modules})
-    peak = 0
-    for t in events:
-        demand = sum(
-            pm.footprint.area for pm in modules if pm.interval.contains_time(t)
-        )
-        peak = max(peak, demand)
+    # Demand changes only at span ends; at a shared instant the stops
+    # (kind 0) go first, since a span is over at its stop time. Stops
+    # only lower the running demand, so its maximum is the peak over
+    # start instants.
+    deltas = sorted(
+        [(pm.start, 1, pm.spec.footprint_area) for pm in modules]
+        + [(pm.stop, 0, -pm.spec.footprint_area) for pm in modules]
+    )
+    demand = peak = 0
+    for _, _, delta in deltas:
+        demand += delta
+        if demand > peak:
+            peak = demand
     return max(max_dim, math.ceil(math.sqrt(slack * peak)))
 
 
@@ -153,8 +159,11 @@ class SimulatedAnnealingPlacer:
         """Place pre-built modules (origins are ignored and re-derived)."""
         t0 = time.perf_counter()
         modules = list(modules)
-        core_w = self.core_width or default_core_side(modules)
-        core_h = self.core_height or default_core_side(modules)
+        side = None
+        if not (self.core_width and self.core_height):
+            side = default_core_side(modules)
+        core_w = self.core_width or side
+        core_h = self.core_height or side
 
         initial = constructive_initial_placement(
             modules, core_w, core_h, allow_rotation=self.allow_rotation

@@ -22,11 +22,15 @@ parity properties in ``tests/`` and the speed-up baselines in
   (:func:`check_consistency`) and the full-recompute anneal
   (:class:`FullRecomputeAnnealing`, :class:`FullRecomputeMoves`,
   :class:`FullRecomputePlacer`) beside the incremental annealer;
-* :mod:`oracles.fti` — the paper's per-cell MER procedure and a
-  brute-force scan (:func:`reference_fti`) beside the summed-area-table
-  FTI, and the quartic MER enumeration
+* :mod:`oracles.fti` — the paper's per-cell MER procedure, a
+  brute-force scan and summed-area-table counting (:func:`reference_fti`)
+  beside the bitboard FTI, and the quartic MER enumeration
   (:func:`brute_force_maximal_empty_rectangles`) beside the staircase
   sweep;
+* :mod:`oracles.placement` — the per-origin bottom-left scan
+  (:func:`reference_first_feasible_position`) beside the bitboard
+  seating, and the per-instant core sizing
+  (:func:`reference_default_core_side`) beside the delta sweep;
 * :mod:`oracles.probing` — the ``Point``-set free-cell walk planner
   (:func:`reference_free_cell_paths`) beside the flat-index planner, the
   walk-per-vote localizer (:class:`ReferenceLocalizer`) beside the
@@ -54,6 +58,10 @@ from oracles.fti import (
     fits_any_rectangle,
     reference_fti,
 )
+from oracles.placement import (
+    reference_default_core_side,
+    reference_first_feasible_position,
+)
 from oracles.probing import ReferenceLocalizer, occupied, reference_free_cell_paths
 from oracles.routing import ReferenceRouter, ReferenceSynthesizer
 from oracles.sim import SteppedSimulator, reference_nearest_safe_cell, stepped_replays
@@ -76,6 +84,8 @@ __all__ = [
     "check_consistency",
     "fits_any_rectangle",
     "occupied",
+    "reference_default_core_side",
+    "reference_first_feasible_position",
     "reference_free_cell_paths",
     "reference_fti",
     "reference_nearest_safe_cell",

@@ -1,17 +1,18 @@
 """Tests for the fault tolerance index.
 
-The summed-area-table FTI is property-tested for exact agreement with
-the two reference oracles (the paper's per-cell MER procedure and a
-pure-Python brute force) — the whole per-module analysis, not just the
-covered set — on randomized placements and on every bundled assay's
-placement; and FTI is checked against first principles on hand-built
-configurations.
+The bitboard FTI is property-tested for exact agreement with the three
+reference oracles (the paper's per-cell MER procedure, a pure-Python
+brute force and summed-area-table counting) — the whole per-module
+analysis, not just the covered set — on randomized placements and on
+every bundled assay's placement; and FTI is checked against first
+principles on hand-built configurations.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import reference_fti
+from oracles.fti import METHODS
 
 from repro.assay.catalog import BUNDLED_ASSAYS
 from repro.fault.fti import compute_fti
@@ -156,11 +157,11 @@ class TestPaperNumbers:
 
 
 def assert_matches_references(placement, width=None, height=None):
-    """``compute_fti`` equals both reference oracles report for report:
+    """``compute_fti`` equals every reference oracle report for report:
     covered cells, and per module the feasible-position count and the
     relocatable and stuck cells."""
     fast = compute_fti(placement, width=width, height=height)
-    for method in ("mer", "bruteforce"):
+    for method in METHODS:
         reference = reference_fti(placement, method, width=width, height=height)
         assert (fast.width, fast.height) == (reference.width, reference.height)
         assert fast.covered == reference.covered, method
@@ -168,37 +169,56 @@ def assert_matches_references(placement, width=None, height=None):
 
 
 class TestMethodEquivalence:
-    """The production FTI and both reference algorithms agree exactly."""
+    """The production FTI and every reference algorithm agree exactly."""
 
-    specs = st.sampled_from([MIXER_2X2, MIXER_LINEAR_1X4, STORAGE_1X1])
+    specs = st.one_of(
+        st.sampled_from([MIXER_2X2, MIXER_LINEAR_1X4, STORAGE_1X1]),
+        st.builds(
+            lambda w, h: ModuleSpec(
+                f"bare-{w}x{h}", ModuleKind.DETECTOR, w, h, 5.0, segregation=0
+            ),
+            st.integers(1, 5),
+            st.integers(1, 5),
+        ),
+    )
 
     @given(
+        array=st.tuples(st.integers(1, 40), st.integers(1, 40)),
         data=st.lists(
             st.tuples(
                 specs,
-                st.integers(1, 6),       # x
-                st.integers(1, 6),       # y
+                st.integers(1, 40),      # x
+                st.integers(1, 40),      # y
                 st.integers(0, 2),       # start slot
                 st.booleans(),           # rotated
             ),
             min_size=1,
-            max_size=4,
-        )
+            max_size=12,
+        ),
+        explicit=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_three_methods_agree(self, data):
-        p = Placement(12, 12)
+    def test_three_methods_agree(self, array, data, explicit):
+        """Non-square arrays up to 40 a side, up to 12 modules, analysed
+        on the bounding array or on the whole (larger) array."""
+        width, height = array
+        p = Placement(width, height)
         for i, (spec, x, y, slot, rotated) in enumerate(data):
             w, h = spec.dims(rotated)
-            x = min(x, 12 - w + 1)
-            y = min(y, 12 - h + 1)
+            if w > width or h > height:
+                continue
             candidate = PlacedModule(
-                op_id=f"m{i}", spec=spec, x=x, y=y,
+                op_id=f"m{i}", spec=spec,
+                x=min(x, width - w + 1), y=min(y, height - h + 1),
                 start=slot * 10.0, stop=slot * 10.0 + 10.0, rotated=rotated,
             )
             if all(not candidate.conflicts(other) for other in p):
                 p.add(candidate)
-        assert_matches_references(p, width=12, height=12)
+        assume(len(p))
+        if explicit:
+            assert_matches_references(p, width=width, height=height)
+        else:
+            assert_matches_references(p)
 
     def test_methods_agree_on_pcr(self, sa_result):
         assert_matches_references(sa_result.placement)
