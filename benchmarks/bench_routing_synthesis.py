@@ -37,8 +37,8 @@ def serial_makespan(plan) -> int:
     """Baseline: one droplet at a time. Each net is routed alone against
     the epoch's static obstacles (no in-flight traffic, so no waits),
     and the nets run back to back — the makespan is the sum of the solo
-    latencies, exactly what the simulator's per-droplet A* fallback
-    realizes."""
+    latencies, exactly what the simulator realizes when it routes
+    droplets one at a time itself (its bitboard BFS fallback)."""
     router = PrioritizedRouter()
     total = 0
     for epoch in plan.epochs:

@@ -28,10 +28,8 @@ from repro.assay.synthetic import build_mix_tree
 from repro.exec import CampaignJournal, SupervisedPool, TaskOutcome, load_journal
 from repro.fault.fti import FTIReport, compute_fti
 from repro.fault.tolerance import ToleranceAnalyzer
-from repro.fault.mer import find_maximal_empty_rectangles
 from repro.fault.reconfigure import PartialReconfigurer, ReconfigurationPlan
 from repro.geometry import Box, Interval, Point, Rect
-from repro.grid.occupancy import OccupancyGrid
 from repro.modules.kinds import ModuleKind
 from repro.modules.library import ModuleLibrary, standard_library
 from repro.modules.module import ModuleSpec
@@ -111,7 +109,6 @@ __all__ = [
     "ModuleSpec",
     "Net",
     "OnlineRecoveryEngine",
-    "OccupancyGrid",
     "Operation",
     "OperationType",
     "PCR_BINDING",
@@ -164,7 +161,6 @@ __all__ = [
     "build_pcr_mixing_graph",
     "build_serial_dilution_graph",
     "compute_fti",
-    "find_maximal_empty_rectangles",
     "list_schedule",
     "load_journal",
     "run_portfolio",

@@ -274,7 +274,7 @@ def cmd_route(args: argparse.Namespace) -> int:
         # that visible to scripts gating on this command's exit status.
         print(
             f"WARNING: {plan.failed_count} net(s) UNROUTED; the simulator "
-            "will fall back to per-droplet A* for them"
+            "will route those droplets on its own (bitboard BFS) instead"
         )
         return EXIT_INFEASIBLE
     return EXIT_OK

@@ -23,6 +23,9 @@ already-completed result of the batch.
 * **Graceful degradation.** After ``pool_failure_limit`` rebuilds the
   pool gives up on process isolation and drains the remaining tasks
   in-process, serially — slower, but a campaign finishes.
+* **No orphans.** Every worker watches the process that started it and
+  exits once that process is gone, so a SIGKILLed campaign leaves no
+  worker behind.
 * **Structured outcomes.** Every task yields a :class:`TaskOutcome`
   (``ok | infeasible | timeout | crashed | retried-then-ok``) carrying
   either the value or the originating error text, so callers merge
@@ -38,6 +41,9 @@ retries eventually recover (property-tested in
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
 import time
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
@@ -92,6 +98,26 @@ class TaskOutcome:
             "error": self.error,
             "wall_s": self.wall_s,
         }
+
+
+def _init_worker() -> None:
+    """Worker initializer: exit when the process that started us is gone.
+
+    A parent killed by SIGKILL cannot shut its pool down, and its
+    workers, re-parented, would live on and hold its stdout open. A
+    daemon thread waits on the pool's process's sentinel and exits the
+    worker once it fires. The sentinel names that process under every
+    start method; the OS parent does not: a ``forkserver`` worker's is
+    the fork server, which outlives the pool's process while any worker
+    does.
+    """
+    parent = multiprocessing.parent_process()
+
+    def watch() -> None:
+        parent.join()
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
 
 
 def _supervised_call(fn, task, index: int, attempt: int, chaos: ChaosPolicy | None):
@@ -315,7 +341,9 @@ class SupervisedPool:
                         in_flight.clear()
                         queue.clear()
                         break
-                    executor = ProcessPoolExecutor(max_workers=max_workers)
+                    executor = ProcessPoolExecutor(
+                        max_workers=max_workers, initializer=_init_worker
+                    )
 
                 # Submission window == worker count, so every submitted
                 # task starts immediately and its deadline clock is real.

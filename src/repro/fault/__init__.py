@@ -6,14 +6,11 @@ Tolerance is achieved by *partial reconfiguration*: relocating the
 module that contains the faulty cell to fault-free unused cells. This
 package provides:
 
-* :mod:`repro.fault.staircase` — the staircase data structure of
-  Edmonds et al. used to mine empty spaces;
-* :mod:`repro.fault.mer` — maximal-empty-rectangle enumeration by the
-  staircase sweep;
 * :mod:`repro.fault.fti` — the fault tolerance index, FTI = k/(m*n),
   by position counting on a bitboard;
 * :mod:`repro.fault.reconfigure` — the on-line partial reconfiguration
-  engine;
+  engine: the nearest fault-free origin, found by eroding the free
+  cells of the same bitboard;
 * :mod:`repro.fault.injection` — seeded street-fault sampling for
   routing scenarios;
 * :mod:`repro.fault.models` — the fault layer: the timed
@@ -24,13 +21,14 @@ package provides:
 
 The Monte-Carlo survival estimate that cross-checks the FTI is
 :meth:`ToleranceAnalyzer.multi_fault_survival` with ``max_faults=1``.
+The paper's maximal-empty-rectangle (MER) staircase sweep is not part
+of the package: it is the test oracle both the FTI and relocation are
+held to (``tests/oracles/mer.py``).
 """
 
 from repro.fault.fti import FTIReport, ModuleRelocatability, compute_fti
 from repro.fault.models import FAULT_MODELS, FaultEvent
-from repro.fault.mer import find_maximal_empty_rectangles
 from repro.fault.reconfigure import PartialReconfigurer, ReconfigurationPlan, Relocation
-from repro.fault.staircase import Staircase, Step
 from repro.fault.tolerance import (
     ModuleCriticality,
     MultiFaultResult,
@@ -49,9 +47,6 @@ __all__ = [
     "ReconfigurationPlan",
     "Relocation",
     "SpareStatistics",
-    "Staircase",
-    "Step",
     "ToleranceAnalyzer",
     "compute_fti",
-    "find_maximal_empty_rectangles",
 ]

@@ -16,8 +16,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.fault.mer import find_maximal_empty_rectangles
-from repro.geometry import Point, Rect
+from repro.geometry import Point
+from repro.grid.bitboard import Bitboard
 from repro.util.errors import ReconfigurationError
 
 if TYPE_CHECKING:  # placement imports fault's cost hooks; avoid the cycle
@@ -65,20 +65,11 @@ class ReconfigurationPlan:
 class PartialReconfigurer:
     """Relocates modules away from faulty cells.
 
-    Parameters
-    ----------
-    allow_rotation:
-        Whether a relocated module may be placed transposed. Virtual
-        modules have no preferred orientation, so this defaults to True;
-        the A5 ablation benchmark turns it off.
-
-    Among the feasible targets, the one closest (Manhattan) to the old
-    origin wins: it minimizes droplet migration distance during the
-    on-line move.
+    A relocated module may be placed transposed: virtual modules have
+    no preferred orientation. Among the feasible targets, the one
+    closest (Manhattan) to the old origin wins: it minimizes droplet
+    migration distance during the on-line move.
     """
-
-    def __init__(self, allow_rotation: bool = True) -> None:
-        self.allow_rotation = allow_rotation
 
     # -- queries ------------------------------------------------------------------
 
@@ -114,57 +105,39 @@ class PartialReconfigurer:
 
         Obstacles are the footprints of every module whose time span
         overlaps *pm*'s, plus the faulty cells; *pm*'s own old cells are
-        reusable. Follows the paper's MER procedure: enumerate maximal
-        empty rectangles of the obstacle grid and place the module in
-        one, choosing the candidate nearest the old origin.
+        reusable. The free cells are one bitboard of the core, and each
+        orientation's sites are that mask eroded to the window: exactly
+        the origins at which the module fits inside some maximal empty
+        rectangle, the paper's Section 5.3 test. The site nearest the
+        old origin wins; among equals the native orientation, then the
+        lowest row, then the leftmost column.
 
         Raises :class:`ReconfigurationError` when no site exists.
         """
         w, h = placement.core_width, placement.core_height
-        faults = [f for f in faulty_cells]
-        grid = placement.occupancy_for_span(
-            pm.interval, exclude=pm.op_id, width=w, height=h, extra_occupied=faults
+        faults = list(faulty_cells)
+        board = Bitboard(w, h)
+        blocked = board.cover(
+            o.footprint
+            for o in placement.overlapping_span(pm.interval, exclude=pm.op_id)
         )
-        mers = find_maximal_empty_rectangles(grid)
-        candidates = list(self._candidate_sites(pm, mers))
-        if not candidates:
+        for x, y in faults:
+            blocked |= board.rect(x, y, x, y)
+        free = board.inside & ~blocked
+        sites = []
+        for rotated in (False,) if pm.spec.is_square else (False, True):
+            origins = board.origins(free, *pm.spec.dims(rotated))
+            if origins:
+                x, y = board.nearest(origins, pm.x, pm.y)
+                sites.append((abs(x - pm.x) + abs(y - pm.y), rotated, y, x))
+        if not sites:
             raise ReconfigurationError(
                 f"no fault-free site for module {pm.op_id} "
                 f"({pm.spec.footprint_width}x{pm.spec.footprint_height}) on "
                 f"{w}x{h} array avoiding {sorted(faults)}"
             )
-        old = Point(pm.x, pm.y)
-        chosen = min(
-            candidates,
-            key=lambda c: (
-                old.manhattan_distance(Point(c[0], c[1])),
-                c[2],  # prefer keeping the original orientation
-                c[1],
-                c[0],
-            ),
-        )
-        x, y, rotated = chosen
+        _, rotated, y, x = min(sites)
         return pm.moved_to(x, y, rotated=rotated)
-
-    def _candidate_sites(self, pm: PlacedModule, mers: list[Rect]):
-        """Yield (x, y, rotated) sites: each MER contributes every origin
-        at which the module fits inside it."""
-        orientations = [False]
-        if self.allow_rotation and not pm.spec.is_square:
-            orientations.append(True)
-        seen = set()
-        for mer in mers:
-            for rotated in orientations:
-                mw, mh = pm.spec.dims(rotated)
-                if mer.width < mw or mer.height < mh:
-                    continue
-                for y in range(mer.y, mer.y2 - mh + 2):
-                    for x in range(mer.x, mer.x2 - mw + 2):
-                        key = (x, y, rotated)
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        yield key
 
     # -- top-level entry point ---------------------------------------------------------
 

@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING
 from repro.fault.fti import FTIReport, compute_fti
 from repro.fault.reconfigure import PartialReconfigurer
 from repro.geometry import Point
+from repro.grid.bitboard import Bitboard
 from repro.util.errors import ReconfigurationError
 from repro.util.rng import ensure_rng
 
@@ -163,13 +164,13 @@ class ToleranceAnalyzer:
     def spare_statistics(self, placement: "Placement") -> SpareStatistics:
         """Free-cell counts per event interval of the bounding array."""
         analyzed = placement.normalized()
-        w, h = analyzed.core_width, analyzed.core_height
-        total = w * h
+        board = Bitboard(analyzed.core_width, analyzed.core_height)
+        total = board.width * board.height
         intervals = []
         events = analyzed.event_times()
         for t in events[:-1] if len(events) > 1 else events:
-            used = analyzed.occupancy_at(t, width=w, height=h).occupied_count
-            intervals.append((t, total - used, total))
+            used = board.cover(pm.footprint for pm in analyzed.active_at(t))
+            intervals.append((t, total - used.bit_count(), total))
         return SpareStatistics(intervals=tuple(intervals))
 
     # -- multi-fault extension ---------------------------------------------------

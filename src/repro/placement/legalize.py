@@ -37,11 +37,11 @@ def first_feasible_position(
     if core_width < 1 or core_height < 1:
         return None
     board = Bitboard(core_width, core_height)
-    blocked = 0
-    for o in obstacles:
-        if o.op_id != pm.op_id and o.start < pm.stop and pm.start < o.stop:
-            fp = o.footprint
-            blocked |= board.rect(fp.x, fp.y, fp.x2, fp.y2)
+    blocked = board.cover(
+        o.footprint
+        for o in obstacles
+        if o.op_id != pm.op_id and o.start < pm.stop and pm.start < o.stop
+    )
     free = board.inside & ~blocked
     orientations = [pm.rotated]
     if allow_rotation and not pm.spec.is_square:

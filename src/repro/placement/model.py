@@ -14,8 +14,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from repro.geometry import Box, Interval, Point, Rect
-from repro.grid.occupancy import OccupancyGrid
+from repro.geometry import Box, Interval, Rect
 from repro.modules.module import ModuleSpec
 from repro.util.errors import PlacementError
 
@@ -305,44 +304,6 @@ class Placement:
     def makespan(self) -> float:
         """Latest stop time (0 for an empty placement)."""
         return max((pm.stop for pm in self._modules.values()), default=0.0)
-
-    # -- occupancy views --------------------------------------------------------------------
-
-    def occupancy_at(self, t: float, width: int | None = None, height: int | None = None) -> OccupancyGrid:
-        """0/1 grid of cells used by modules active at instant *t*.
-
-        Dimensions default to the core area so grids at different times
-        are comparable.
-        """
-        w = width if width is not None else self.core_width
-        h = height if height is not None else self.core_height
-        return OccupancyGrid.from_rects(w, h, (pm.footprint for pm in self.active_at(t)))
-
-    def occupancy_for_span(
-        self,
-        interval: Interval,
-        exclude: str | None = None,
-        width: int | None = None,
-        height: int | None = None,
-        extra_occupied: Iterable[Point] = (),
-    ) -> OccupancyGrid:
-        """0/1 grid of cells used by any module overlapping *interval*.
-
-        This is the obstacle map partial reconfiguration sees when
-        relocating the excluded module: every concurrently operating
-        module is an obstacle (paper Section 5.3's "currently
-        operational modules"), plus any *extra_occupied* cells (the
-        faulty cell).
-        """
-        w = width if width is not None else self.core_width
-        h = height if height is not None else self.core_height
-        grid = OccupancyGrid.from_rects(
-            w, h, (pm.footprint for pm in self.overlapping_span(interval, exclude))
-        )
-        for p in extra_occupied:
-            if 1 <= p[0] <= w and 1 <= p[1] <= h:
-                grid.set(p, 1)
-        return grid
 
     # -- normalization -----------------------------------------------------------------------
 

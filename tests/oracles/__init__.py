@@ -22,11 +22,14 @@ parity properties in ``tests/`` and the speed-up baselines in
   (:func:`check_consistency`) and the full-recompute anneal
   (:class:`FullRecomputeAnnealing`, :class:`FullRecomputeMoves`,
   :class:`FullRecomputePlacer`) beside the incremental annealer;
+* :mod:`oracles.mer` — the paper's Section 5.3 procedure: the
+  staircase sweep (:func:`find_maximal_empty_rectangles`, checked
+  against the quartic :func:`brute_force_maximal_empty_rectangles`) and
+  relocation as MER-then-expand (:func:`reference_find_target`) beside
+  the bitboard relocation search;
 * :mod:`oracles.fti` — the paper's per-cell MER procedure, a
   brute-force scan and summed-area-table counting (:func:`reference_fti`)
-  beside the bitboard FTI, and the quartic MER enumeration
-  (:func:`brute_force_maximal_empty_rectangles`) beside the staircase
-  sweep;
+  beside the bitboard FTI;
 * :mod:`oracles.placement` — the per-origin bottom-left scan
   (:func:`reference_first_feasible_position`) beside the bitboard
   seating, and the per-instant core sizing
@@ -34,7 +37,7 @@ parity properties in ``tests/`` and the speed-up baselines in
 * :mod:`oracles.probing` — the ``Point``-set free-cell walk planner
   (:func:`reference_free_cell_paths`) beside the flat-index planner, the
   walk-per-vote localizer (:class:`ReferenceLocalizer`) beside the
-  single-walk one, and the per-cell occupancy query (:func:`occupied`);
+  single-walk one;
 * :mod:`oracles.schedule` — the ASAP/ALAP schedules and the
   critical-path length, the bounds a list schedule lies in;
 * :mod:`oracles.assay` — the structural contract of generated assays
@@ -53,16 +56,18 @@ from oracles.anneal import (
     check_consistency,
 )
 from oracles.droplet_router import DropletRouter
-from oracles.fti import (
+from oracles.fti import fits_any_rectangle, reference_fti
+from oracles.mer import (
+    Staircase,
     brute_force_maximal_empty_rectangles,
-    fits_any_rectangle,
-    reference_fti,
+    find_maximal_empty_rectangles,
+    reference_find_target,
 )
 from oracles.placement import (
     reference_default_core_side,
     reference_first_feasible_position,
 )
-from oracles.probing import ReferenceLocalizer, occupied, reference_free_cell_paths
+from oracles.probing import ReferenceLocalizer, reference_free_cell_paths
 from oracles.routing import ReferenceRouter, ReferenceSynthesizer
 from oracles.sim import SteppedSimulator, reference_nearest_safe_cell, stepped_replays
 from oracles.timegrid import CrossCheckTimeGrid, ReferenceTimeGrid
@@ -79,12 +84,14 @@ __all__ = [
     "ReferenceRouter",
     "ReferenceSynthesizer",
     "ReferenceTimeGrid",
+    "Staircase",
     "SteppedSimulator",
     "brute_force_maximal_empty_rectangles",
     "check_consistency",
+    "find_maximal_empty_rectangles",
     "fits_any_rectangle",
-    "occupied",
     "reference_default_core_side",
+    "reference_find_target",
     "reference_first_feasible_position",
     "reference_free_cell_paths",
     "reference_fti",

@@ -7,30 +7,30 @@ of the feasible windows. Three references check it:
 
 * ``"mer"`` — the paper's Section 5.3 procedure: per faulty cell, mark
   it occupied alongside the concurrent modules, enumerate maximal empty
-  rectangles with the staircase sweep, and test whether any
-  accommodates the module (:func:`fits_any_rectangle`);
+  rectangles with the staircase sweep of :mod:`oracles.mer`, and test
+  whether any accommodates the module (:func:`fits_any_rectangle`);
 * ``"bruteforce"`` — a direct per-cell, per-position scan in pure
   Python;
 * ``"sat"`` — summed-area-table position counting: count, per cell, the
   feasible footprints that contain it with a 2-D difference array, and
   call the cell stuck when every feasible footprint does.
 
-Each builds its own obstacle matrix from the placement: a module is an
-obstacle to another when their half-open spans overlap.
+Each starts from :func:`oracles.mer.obstacle_matrix`, built from the
+placement itself: a module is an obstacle to another when their
+half-open spans overlap.
 
 :func:`reference_fti` runs any one and assembles the same
 :class:`~repro.fault.fti.FTIReport` as ``compute_fti``, so parity tests
-compare whole reports. :func:`brute_force_maximal_empty_rectangles` is
-the quartic reference for
-:func:`repro.fault.mer.find_maximal_empty_rectangles`.
+compare whole reports.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from oracles.mer import find_maximal_empty_rectangles, obstacle_matrix
+
 from repro.fault.fti import FTIReport, ModuleRelocatability
-from repro.fault.mer import _as_matrix, find_maximal_empty_rectangles
 from repro.geometry import Point, Rect
 
 #: The reference FTI algorithms :func:`reference_fti` accepts.
@@ -80,24 +80,6 @@ def _orientations(pm, allow_rotation: bool) -> list[tuple[int, int]]:
     return [(w, h), (h, w)] if allow_rotation and w != h else [(w, h)]
 
 
-def _obstacles(placement, pm, width: int, height: int) -> np.ndarray:
-    """``(height, width)`` 0/1 matrix of the cells the relocated *pm*
-    must avoid: the footprint of every other module whose span overlaps
-    its own, clipped to the array."""
-    m = np.zeros((height, width), dtype=np.uint8)
-    for other in placement:
-        if other.op_id == pm.op_id:
-            continue
-        if not (other.start < pm.stop and pm.start < other.stop):
-            continue
-        fp = other.footprint
-        x1, y1 = max(fp.x, 1), max(fp.y, 1)
-        x2, y2 = min(fp.x2, width), min(fp.y2, height)
-        if x1 <= x2 and y1 <= y2:
-            m[y1 - 1 : y2, x1 - 1 : x2] = 1
-    return m
-
-
 def _analyze_mer(
     placement,
     pm,
@@ -108,7 +90,7 @@ def _analyze_mer(
     """The paper's algorithm: per faulty cell, mark it occupied alongside
     the concurrent modules, enumerate maximal empty rectangles, and test
     whether any accommodates the module."""
-    base = _obstacles(placement, pm, width, height)
+    base = obstacle_matrix(placement, pm, width, height)
     w0, h0 = pm.spec.footprint_width, pm.spec.footprint_height
 
     relocatable, stuck = set(), set()
@@ -137,7 +119,7 @@ def _analyze_bruteforce(
     allow_rotation: bool,
 ) -> ModuleRelocatability:
     """Pure-Python reference: try every position for every faulty cell."""
-    grid = _obstacles(placement, pm, width, height)
+    grid = obstacle_matrix(placement, pm, width, height)
     positions = list(_iter_feasible(grid, pm, width, height, allow_rotation))
 
     relocatable, stuck = set(), set()
@@ -169,7 +151,7 @@ def _analyze_sat(
     ``cover_count[f] < total_feasible`` where cover_count accumulates,
     per cell, how many feasible footprints contain it.
     """
-    occ = _obstacles(placement, pm, width, height).astype(np.int64)
+    occ = obstacle_matrix(placement, pm, width, height).astype(np.int64)
     # Summed-area table with a zero border: S[r, c] = sum of occ[:r, :c].
     sat = np.zeros((height + 1, width + 1), dtype=np.int64)
     sat[1:, 1:] = occ.cumsum(axis=0).cumsum(axis=1)
@@ -238,45 +220,3 @@ def fits_any_rectangle(
         or (allow_rotation and r.width >= height and r.height >= width)
         for r in rects
     )
-
-
-def brute_force_maximal_empty_rectangles(grid) -> list[Rect]:
-    """Quartic-time reference enumeration (for tests and benchmarks).
-
-    Checks every empty rectangle for maximality by attempting to extend
-    it one cell in each direction.
-    """
-    m = _as_matrix(grid)
-    height, width = m.shape
-    # 2-D prefix sums for O(1) emptiness queries.
-    pref = np.zeros((height + 1, width + 1), dtype=np.int64)
-    pref[1:, 1:] = np.cumsum(np.cumsum(m, axis=0), axis=1)
-
-    def occupied_count(r1: int, c1: int, r2: int, c2: int) -> int:
-        """Occupied cells in rows r1..r2, cols c1..c2 (0-based, inclusive)."""
-        if r1 > r2 or c1 > c2:
-            return 0
-        return int(
-            pref[r2 + 1, c2 + 1] - pref[r1, c2 + 1] - pref[r2 + 1, c1] + pref[r1, c1]
-        )
-
-    out = []
-    for r1 in range(height):
-        for r2 in range(r1, height):
-            for c1 in range(width):
-                for c2 in range(c1, width):
-                    if occupied_count(r1, c1, r2, c2) > 0:
-                        continue
-                    grow_left = c1 > 0 and occupied_count(r1, c1 - 1, r2, c1 - 1) == 0
-                    grow_right = (
-                        c2 < width - 1 and occupied_count(r1, c2 + 1, r2, c2 + 1) == 0
-                    )
-                    grow_down = r1 > 0 and occupied_count(r1 - 1, c1, r1 - 1, c2) == 0
-                    grow_up = (
-                        r2 < height - 1 and occupied_count(r2 + 1, c1, r2 + 1, c2) == 0
-                    )
-                    if not (grow_left or grow_right or grow_down or grow_up):
-                        out.append(
-                            Rect(x=c1 + 1, y=r1 + 1, width=c2 - c1 + 1, height=r2 - r1 + 1)
-                        )
-    return out

@@ -2,7 +2,8 @@
 the single-walk localizer.
 
 * :func:`reference_free_cell_paths` plans the concurrent test walks on
-  ``Point`` sets: the occupancy grid's matrix read cell by cell, the
+  ``Point`` sets: the array cells outside every footprint active at the
+  instant, the
   least remaining cell as each component's start, and sorted free
   neighbours at every DFS step.
   :func:`repro.testing.test_droplet.free_cell_paths` plans on one
@@ -12,8 +13,6 @@ the single-walk localizer.
   prefix per vote. :meth:`repro.testing.localize.FaultLocalizer.localize`
   walks the path once and must give the same result and draw the same
   sensor noise.
-* :func:`occupied` is the per-cell occupancy query, read from the
-  grid's matrix.
 """
 
 from __future__ import annotations
@@ -21,17 +20,8 @@ from __future__ import annotations
 import random
 
 from repro.geometry import Point
-from repro.grid.occupancy import OccupancyGrid
 from repro.placement.model import Placement
 from repro.testing.localize import FaultLocalizer, LocalizationResult
-
-
-def occupied(grid: OccupancyGrid, p: Point | tuple[int, int]) -> bool:
-    """True if cell *p* of *grid* is marked 1; KeyError off the grid."""
-    x, y = p
-    if not (1 <= x <= grid.width and 1 <= y <= grid.height):
-        raise KeyError(f"cell ({x},{y}) outside {grid.width}x{grid.height} grid")
-    return bool(grid.matrix_view()[y - 1, x - 1])
 
 
 def reference_free_cell_paths(
@@ -44,12 +34,14 @@ def reference_free_cell_paths(
     with backtracking per connected free component."""
     w = width if width is not None else placement.core_width
     h = height if height is not None else placement.core_height
-    grid = placement.occupancy_at(at_time, width=w, height=h)
+    if w < 1 or h < 1:
+        raise ValueError(f"grid dimensions must be >= 1, got {w}x{h}")
+    used = {c for pm in placement.active_at(at_time) for c in pm.footprint.cells()}
     free = {
         Point(x, y)
         for y in range(1, h + 1)
         for x in range(1, w + 1)
-        if not occupied(grid, (x, y))
+        if Point(x, y) not in used
     }
     paths: list[list[Point]] = []
     remaining = set(free)

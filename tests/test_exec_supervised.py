@@ -8,6 +8,14 @@ pool's behaviour, not its throughput, is under test.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.exec import (
@@ -220,3 +228,98 @@ class TestOutcomePlumbing:
             "attempts": 2, "error": "deadline 1s exceeded", "wall_s": 1.25,
         }
         assert "value" not in d
+
+
+#: A campaign-like parent under a given start method. ``hold`` mode: two
+#: workers, each writing its pid and then holding its task far longer
+#: than the test waits. ``square`` mode: print a small map's outcomes.
+_PARENT = """
+import multiprocessing
+import os
+import sys
+import time
+
+from repro.exec import SupervisedPool
+from repro.testing.chaos import ChaosPolicy
+
+
+def hold(path):
+    with open(path + ".tmp", "w") as f:
+        f.write(str(os.getpid()))
+    os.replace(path + ".tmp", path)
+    time.sleep(120)
+
+
+def square(x):
+    return x * x
+
+
+if __name__ == "__main__":
+    mode, method, out = sys.argv[1:]
+    multiprocessing.set_start_method(method)
+    pool = SupervisedPool(jobs=2, chaos=ChaosPolicy.none())
+    if mode == "hold":
+        pool.map(hold, [os.path.join(out, "w0"), os.path.join(out, "w1")])
+    else:
+        print([(o.status, o.attempts, o.value) for o in pool.map(square, [1, 2, 3])])
+"""
+
+START_METHODS = [
+    m for m in ("fork", "spawn", "forkserver")
+    if m in multiprocessing.get_all_start_methods()
+]
+
+
+def _start_parent(tmp_path, mode: str, method: str, **kw) -> subprocess.Popen:
+    script = tmp_path / "parent.py"
+    script.write_text(_PARENT)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.Popen(
+        [sys.executable, str(script), mode, method, str(tmp_path)], env=env, **kw
+    )
+
+
+def _running(pid: int) -> bool:
+    """True while *pid* exists and is not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (FileNotFoundError, ProcessLookupError):  # gone before or while read
+        return False
+
+
+@pytest.mark.parametrize("method", START_METHODS)
+class TestStartMethods:
+    def test_map_is_ok(self, tmp_path, method):
+        # The exit-with-parent watchdog must not mistake a fork server
+        # for a dead parent.
+        parent = _start_parent(tmp_path, "square", method, stdout=subprocess.PIPE, text=True)
+        out, _ = parent.communicate(timeout=120)
+        assert parent.returncode == 0
+        assert out.strip() == str([(STATUS_OK, 1, 1), (STATUS_OK, 1, 4), (STATUS_OK, 1, 9)])
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process state from /proc")
+    def test_workers_exit_when_parent_is_killed(self, tmp_path, method):
+        parent = _start_parent(tmp_path, "hold", method)
+        pids: list[int] = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(pids) < 2 and time.monotonic() < deadline:
+                pids = [int(p.read_text()) for p in tmp_path.glob("w[01]")]
+                time.sleep(0.05)
+            assert len(pids) == 2, "workers never started"
+            parent.send_signal(signal.SIGKILL)
+            parent.wait()
+            deadline = time.monotonic() + 10
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not any(map(_running, pids))
+        finally:
+            if parent.poll() is None:
+                parent.kill()
+                parent.wait()
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)

@@ -1,9 +1,10 @@
-"""Tests for maximal-empty-rectangle enumeration.
+"""Tests for the maximal-empty-rectangle oracle.
 
-The staircase algorithm is property-tested against the quartic
-brute-force reference oracle on random occupancy grids — the key
-correctness guarantee behind the paper's FTI procedure. The oracle's
-MER relocation test (``fits_any_rectangle``) is checked here too.
+The staircase sweep is property-tested against the quartic brute-force
+enumeration on random 0/1 matrices — the guarantee behind the paper's
+Section 5.3 procedure, which the FTI and relocation oracles run. The
+oracle's MER relocation test (``fits_any_rectangle``) is checked here
+too.
 """
 
 import numpy as np
@@ -12,36 +13,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     brute_force_maximal_empty_rectangles,
+    find_maximal_empty_rectangles,
     fits_any_rectangle,
-    occupied,
 )
 
-from repro.fault.mer import find_maximal_empty_rectangles
 from repro.geometry import Point, Rect
-from repro.grid.occupancy import OccupancyGrid
 
 
-def grid_from_strings(rows: list[str]) -> OccupancyGrid:
-    """Build a grid from art: '#' occupied, '.' free; first row = top."""
-    height = len(rows)
-    width = len(rows[0])
-    g = OccupancyGrid(width, height)
-    for i, row in enumerate(rows):
-        y = height - i
-        for x, ch in enumerate(row, start=1):
-            if ch == "#":
-                g.set((x, y))
-    return g
+def grid_from_strings(rows: list[str]) -> np.ndarray:
+    """Build a 0/1 matrix from art: '#' occupied, '.' free; first row =
+    top, while the matrix's first row is the bottom one (y = 1)."""
+    cells = [[ch == "#" for ch in row] for row in reversed(rows)]
+    return np.array(cells, dtype=np.uint8)
+
+
+def occupied(m: np.ndarray, p: Point | tuple[int, int]) -> bool:
+    """True if cell *p* (paper coordinates) of matrix *m* is occupied."""
+    x, y = p
+    return bool(m[y - 1, x - 1])
 
 
 class TestKnownConfigurations:
     def test_empty_grid_single_mer(self):
-        g = OccupancyGrid(5, 4)
+        g = np.zeros((4, 5), dtype=np.uint8)
         assert find_maximal_empty_rectangles(g) == [Rect(1, 1, 5, 4)]
 
     def test_full_grid_no_mers(self):
-        g = OccupancyGrid(3, 3)
-        g.fill(Rect(1, 1, 3, 3))
+        g = np.ones((3, 3), dtype=np.uint8)
         assert find_maximal_empty_rectangles(g) == []
 
     def test_single_obstacle_center(self):
@@ -89,7 +87,7 @@ class TestKnownConfigurations:
         assert Rect(2, 3, 2, 1) in mers
 
     def test_accepts_raw_matrix(self):
-        m = np.zeros((2, 3), dtype=np.uint8)
+        m = [[0, 0, 0], [0, 0, 0]]
         assert find_maximal_empty_rectangles(m) == [Rect(1, 1, 3, 2)]
 
     def test_rejects_bad_shape(self):
@@ -97,15 +95,16 @@ class TestKnownConfigurations:
             find_maximal_empty_rectangles(np.zeros(4))
 
 
-def _rect_free(grid: OccupancyGrid, r: Rect) -> bool:
+def _rect_free(grid: np.ndarray, r: Rect) -> bool:
     """Every cell of *r* lies inside *grid* and is free."""
-    inside = r.x >= 1 and r.y >= 1 and r.x2 <= grid.width and r.y2 <= grid.height
+    height, width = grid.shape
+    inside = r.x >= 1 and r.y >= 1 and r.x2 <= width and r.y2 <= height
     return inside and not any(occupied(grid, p) for p in r.cells())
 
 
 class TestMERInvariants:
     @staticmethod
-    def assert_valid_mers(grid: OccupancyGrid, mers: list[Rect]):
+    def assert_valid_mers(grid: np.ndarray, mers: list[Rect]):
         # 1. every MER is empty
         for r in mers:
             assert _rect_free(grid, r), f"{r} is not empty"
@@ -129,10 +128,10 @@ class TestMERInvariants:
     )
     @settings(max_examples=120, deadline=None)
     def test_fast_matches_bruteforce(self, width, height, obstacles):
-        g = OccupancyGrid(width, height)
+        g = np.zeros((height, width), dtype=np.uint8)
         for x, y in obstacles:
             if x < width and y < height:
-                g.set((x + 1, y + 1))
+                g[y, x] = 1
         fast = set(find_maximal_empty_rectangles(g))
         brute = set(brute_force_maximal_empty_rectangles(g))
         assert fast == brute
@@ -141,8 +140,8 @@ class TestMERInvariants:
     @given(st.integers(1, 6), st.integers(1, 6))
     @settings(max_examples=30, deadline=None)
     def test_every_free_cell_in_some_mer(self, width, height):
-        g = OccupancyGrid(width, height)
-        g.set((1, 1))
+        g = np.zeros((height, width), dtype=np.uint8)
+        g[0, 0] = 1
         mers = find_maximal_empty_rectangles(g)
         free = {
             Point(x, y)

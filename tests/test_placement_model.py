@@ -1,9 +1,8 @@
 """Unit tests for PlacedModule and Placement (the modified 2-D model)."""
 
 import pytest
-from oracles import occupied
 
-from repro.geometry import Interval, Point, Rect
+from repro.geometry import Interval, Rect
 from repro.modules.library import MIXER_2X2, MIXER_2X4, MIXER_LINEAR_1X4
 from repro.placement.model import PlacedModule, Placement
 from repro.util.errors import PlacementError
@@ -186,18 +185,3 @@ class TestTemporalViews:
 
     def test_makespan(self):
         assert self.build().makespan() == 20
-
-    def test_occupancy_at(self):
-        p = self.build()
-        grid = p.occupancy_at(0)
-        assert occupied(grid, (1, 1))
-        assert not occupied(grid, (6, 1))  # b not active yet
-
-    def test_occupancy_for_span_marks_extra_cells(self):
-        p = self.build()
-        grid = p.occupancy_for_span(
-            Interval(0, 10), exclude="a", extra_occupied=[Point(15, 15)]
-        )
-        assert occupied(grid, (15, 15))
-        assert not occupied(grid, (1, 1))  # a excluded
-        assert occupied(grid, (6, 1))      # b overlaps the span

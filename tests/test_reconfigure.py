@@ -3,11 +3,14 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_find_target
 
 from repro.fault.fti import compute_fti
 from repro.fault.reconfigure import PartialReconfigurer, Relocation
 from repro.geometry import Point
-from repro.modules.library import MIXER_2X2, MIXER_LINEAR_1X4
+from repro.modules.kinds import ModuleKind
+from repro.modules.library import MIXER_2X2, MIXER_LINEAR_1X4, STORAGE_1X1
+from repro.modules.module import ModuleSpec
 from repro.placement.model import PlacedModule, Placement
 from repro.util.errors import ReconfigurationError
 
@@ -115,14 +118,6 @@ class TestRelocation:
         _, plan = PartialReconfigurer().apply(p, Point(1, 1), only_ops=["b"])
         assert plan.moved_ops == ("b",)
 
-    def test_rotation_disabled(self):
-        p = Placement(9, 3)
-        p.add(pm("a", spec=MIXER_LINEAR_1X4, x=1, y=1))  # 6x3 footprint
-        # Space to the right is 3x3 only; without rotation, shifting
-        # right reusing own cells still works (window always 6 wide).
-        updated, plan = PartialReconfigurer(allow_rotation=False).apply(p, Point(1, 1))
-        assert not updated.get("a").rotated
-
     def test_relocation_distance_property(self):
         old = pm("a", x=1, y=1)
         new = pm("a", x=4, y=3)
@@ -157,3 +152,118 @@ class TestAgreementWithFTI:
         except ReconfigurationError:
             survived = False
         assert survived == report.is_covered((x, y))
+
+
+def bare(w: int, h: int) -> ModuleSpec:
+    """A ring-free ``w x h`` footprint (small enough for thin arrays)."""
+    return ModuleSpec(f"bare-{w}x{h}", ModuleKind.DETECTOR, w, h, 5.0, segregation=0)
+
+
+specs = st.one_of(
+    st.sampled_from([MIXER_2X2, MIXER_LINEAR_1X4, STORAGE_1X1]),
+    st.builds(bare, st.integers(1, 6), st.integers(1, 6)),
+)
+arrays = st.one_of(
+    st.tuples(st.just(1), st.integers(1, 40)),
+    st.tuples(st.integers(1, 40), st.just(1)),
+    st.tuples(st.integers(1, 40), st.integers(1, 40)),
+)
+
+
+def slotted(op, spec, x, y, slot, rotated):
+    """Spans of length 10 starting every 5 s: slots 0 and 1 overlap, and
+    slot 2 starts as slot 0 stops, slot 3 as slot 1 stops."""
+    return PlacedModule(
+        op_id=op, spec=spec, x=x, y=y, start=5.0 * slot, stop=5.0 * slot + 10.0,
+        rotated=rotated,
+    )
+
+
+@st.composite
+def relocation_queries(draw):
+    """A placement, a module to relocate and its faulty cells.
+
+    Obstacles may hang up to two cells off the core: the placement is
+    filled past ``Placement.add``'s in-core check, so both searches must
+    clip footprints rather than wrap them into the next row. The module
+    may sit anywhere near the core (its old origin only sets distances)
+    and may itself be in the placement; faults fall inside and outside
+    the core.
+    """
+    width, height = draw(arrays)
+    near_x, near_y = st.integers(-1, width + 2), st.integers(-1, height + 2)
+    pm = slotted(
+        "m", draw(specs), draw(near_x), draw(near_y),
+        draw(st.integers(0, 1)), draw(st.booleans()),
+    )
+    modules = {"m": pm} if draw(st.booleans()) else {}
+    for i in range(draw(st.integers(0, 12))):
+        modules[f"o{i}"] = slotted(
+            f"o{i}", draw(specs), draw(near_x), draw(near_y),
+            draw(st.integers(0, 3)), draw(st.booleans()),
+        )
+    placement = Placement(width, height)
+    placement._modules.update(modules)
+    faults = draw(st.lists(st.builds(Point, near_x, near_y), min_size=1, max_size=4))
+    return placement, pm, faults
+
+
+def relocated(find, placement, pm, faults):
+    """The relocated module, or the error text when there is no site."""
+    try:
+        return find(placement, pm, faults)
+    except ReconfigurationError as exc:
+        return str(exc)
+
+
+class TestFindTargetParity:
+    """The bitboard search against the paper's MER-then-expand oracle."""
+
+    @given(query=relocation_queries())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_mer_reference(self, query):
+        placement, pm, faults = query
+        assert relocated(PartialReconfigurer().find_target, placement, pm, faults) == (
+            relocated(reference_find_target, placement, pm, faults)
+        )
+
+    def test_no_site_error_text(self):
+        p = Placement(4, 4)
+        p.add(pm("a", x=1, y=1))
+        fault = [Point(2, 2)]
+        message = (
+            "no fault-free site for module a (4x4) on 4x4 array avoiding "
+            "[Point(x=2, y=2)]"
+        )
+        with pytest.raises(ReconfigurationError) as got:
+            PartialReconfigurer().find_target(p, p.get("a"), fault)
+        assert str(got.value) == message
+        assert relocated(reference_find_target, p, p.get("a"), fault) == message
+
+    def test_off_core_fault_blocks_nothing(self):
+        # Cell (5, 1) is off a 3-wide core; unclipped, its bit would be
+        # the next row's first cell, (1, 2), the site that wins here.
+        p = Placement(3, 3)
+        p.add(PlacedModule("o", bare(1, 1), x=2, y=1, start=0.0, stop=10.0))
+        p.add(PlacedModule("a", bare(1, 1), x=2, y=2, start=0.0, stop=10.0))
+        for find in (PartialReconfigurer().find_target, reference_find_target):
+            new = find(p, p.get("a"), [Point(2, 2), Point(5, 1)])
+            assert (new.x, new.y) == (1, 2)
+
+    def test_native_orientation_wins_a_distance_tie(self):
+        # A vertical 1x3 on a 3x3 array, faulty at its foot: the native
+        # site (2, 1) and the rotated site (1, 2) are both one step away.
+        p = Placement(3, 3)
+        p.add(PlacedModule("a", bare(1, 3), x=1, y=1, start=0.0, stop=10.0))
+        for find in (PartialReconfigurer().find_target, reference_find_target):
+            new = find(p, p.get("a"), [Point(1, 1)])
+            assert (new.x, new.y, new.rotated) == (2, 1, False)
+
+    def test_rotation_wins_when_nearer(self):
+        # Faulty at its middle: every native site needs another column,
+        # while the rotated module keeps the old origin.
+        p = Placement(3, 3)
+        p.add(PlacedModule("a", bare(1, 3), x=1, y=1, start=0.0, stop=10.0))
+        for find in (PartialReconfigurer().find_target, reference_find_target):
+            new = find(p, p.get("a"), [Point(1, 2)])
+            assert (new.x, new.y, new.rotated) == (1, 1, True)

@@ -1,8 +1,8 @@
-"""Unit tests for the staircase data structure."""
+"""Unit tests for the staircase data structure of the MER oracle."""
 
 import copy
 
-from repro.fault.staircase import Staircase
+from oracles import Staircase
 
 
 def collect(staircase: Staircase, heights: list[int]) -> list[tuple[int, int, int]]:

@@ -75,6 +75,22 @@ class TestSpareStatistics:
         stats = analyzer.spare_statistics(sa_result.placement)
         assert stats.min_free_cells == min(f for _, f, _ in stats.intervals)
 
+    def test_matches_per_cell_count(self, analyzer, sa_result):
+        """Free cells per interval equal a cell-by-cell count of the
+        bounding array, overlapping footprints counted once."""
+        placement = sa_result.placement.normalized()
+        w, h = placement.core_width, placement.core_height
+        stats = analyzer.spare_statistics(sa_result.placement)
+        events = placement.event_times()
+        assert [t for t, _, _ in stats.intervals] == events[:-1]
+        for t, free, total in stats.intervals:
+            used = set()
+            for m in placement.active_at(t):
+                used.update(m.footprint.cells())
+            cells = {(x, y) for x in range(1, w + 1) for y in range(1, h + 1)}
+            assert total == len(cells)
+            assert free == len(cells - used)
+
     def test_mean_utilization_bounds(self, analyzer, sa_result):
         stats = analyzer.spare_statistics(sa_result.placement)
         assert 0.0 < stats.mean_utilization <= 1.0
