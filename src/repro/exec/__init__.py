@@ -3,13 +3,13 @@
 ``repro.exec`` is the hardened substrate the portfolio executor and the
 campaign engine (:mod:`repro.workload.campaign`) run on:
 
-* :class:`~repro.exec.supervised.SupervisedPool` — a
-  ``ProcessPoolExecutor`` wrapper with per-task deadlines (a watchdog
-  kills hung workers), bounded deterministic retry for crashed or
-  killed workers (``BrokenProcessPool`` is no longer fatal: the pool is
-  rebuilt and only the lost tasks are resubmitted), graceful
-  degradation to in-process serial execution after repeated pool
-  failures, and a structured :class:`~repro.exec.supervised.TaskOutcome`
+* :class:`~repro.exec.supervised.SupervisedPool` — one single-worker
+  ``ProcessPoolExecutor`` per slot, so a crashed or hung worker breaks
+  only its own slot and costs only its own task. It adds per-task
+  deadlines (a watchdog kills a hung worker), bounded deterministic
+  retry of the lost task on a rebuilt slot, graceful degradation to
+  in-process serial execution after repeated worker failures, and a
+  structured :class:`~repro.exec.supervised.TaskOutcome`
   per task (``ok | infeasible | timeout | crashed | retried-then-ok``)
   so campaigns return partial results instead of raising.
 * :class:`~repro.exec.journal.CampaignJournal` — crash-safe JSONL

@@ -8,21 +8,24 @@ a hung worker stalls the whole ``map``; an unpicklable exception
 surfaces as an opaque pickling error; and any of these loses every
 already-completed result of the batch.
 
-:class:`SupervisedPool` keeps the executor but supervises it:
+:class:`SupervisedPool` keeps the executor but gives every worker its
+own: a slot is a one-worker ``ProcessPoolExecutor`` plus the task it is
+running, so a dead or hung worker breaks only its own slot and costs
+only its own task, as one faulty cell costs only the module on it.
 
-* **Deadlines.** The pool never queues more tasks than workers, so a
-  submitted task starts immediately and ``submit time + task_timeout``
-  is its deadline. A watchdog kills the worker processes of an overrun
-  pool (SIGKILL — a hung worker ignores polite shutdown), rebuilds the
-  executor, and resubmits the victims.
+* **Deadlines.** A slot runs one task at a time, so a submitted task
+  starts immediately and ``submit time + task_timeout`` is its
+  deadline. A watchdog SIGKILLs an overrun slot's worker (a hung
+  worker ignores polite shutdown) and rebuilds that slot's executor.
 * **Bounded retry.** A lost execution (worker death, deadline overrun,
   non-library exception) is retried up to ``max_retries`` times with a
-  deterministic exponential backoff before the pool rebuild. Innocent
-  tasks lost to a *sibling's* crash are resubmitted without burning
-  one of their own attempts.
-* **Graceful degradation.** After ``pool_failure_limit`` rebuilds the
-  pool gives up on process isolation and drains the remaining tasks
-  in-process, serially — slower, but a campaign finishes.
+  deterministic exponential backoff. A worker that dies between tasks
+  costs no task an attempt: the next task goes back to the queue and
+  the slot is rebuilt.
+* **Graceful degradation.** Past ``pool_failure_limit`` slot rebuilds
+  the pool gives up on process isolation, tears every slot down and
+  drains the in-flight and queued tasks in-process, serially, each at
+  its current attempt — slower, but a campaign finishes.
 * **No orphans.** Every worker watches the process that started it and
   exits once that process is gone, so a SIGKILLed campaign leaves no
   worker behind.
@@ -41,6 +44,7 @@ retries eventually recover (property-tested in
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import threading
@@ -139,6 +143,21 @@ class _TaskState:
     index: int
     attempt: int = 0  # next attempt number (0-based)
     started: float = 0.0  # first submit instant (monotonic)
+
+
+@dataclass
+class _Slot:
+    """One single-worker executor and the task it is running, if any."""
+
+    executor: ProcessPoolExecutor | None = None
+    task: _TaskState | None = None
+    future: Future | None = None
+    deadline: float = math.inf  # ``task``'s deadline (monotonic)
+
+    def take(self) -> _TaskState:
+        """Free the slot and return the task it was running."""
+        task, self.task, self.future = self.task, None, None
+        return task
 
 
 class SupervisedPool:
@@ -266,10 +285,8 @@ class SupervisedPool:
     # -- the supervisor loop --------------------------------------------------
 
     def _map_parallel(self, fn, tasks, keys, finalize) -> None:
-        max_workers = min(self.jobs, len(tasks))
         queue: deque[_TaskState] = deque(_TaskState(i) for i in range(len(tasks)))
-        in_flight: dict[Future, tuple[_TaskState, float]] = {}  # -> (task, submitted)
-        executor: ProcessPoolExecutor | None = None
+        slots = [_Slot() for _ in range(min(self.jobs, len(tasks)))]
 
         def exhaust(p: _TaskState, status: str, reason: str) -> None:
             finalize(
@@ -291,7 +308,7 @@ class SupervisedPool:
             queue.append(p)
 
         def handle_done(fut: Future, p: _TaskState) -> bool:
-            """Finalize one completed future; True if the pool broke."""
+            """Finalize one completed future; True if its worker died."""
             try:
                 value = fut.result()
             except ReproError as exc:
@@ -324,105 +341,86 @@ class SupervisedPool:
                 )
             return False
 
-        try:
-            while queue or in_flight:
-                # (Re)build the executor, or degrade to serial once the
-                # pool has failed too often to be worth isolating.
-                if executor is None:
-                    if self.rebuilds > self.pool_failure_limit:
-                        self.degraded = True
-                        for p in [pair[0] for pair in in_flight.values()] + list(queue):
-                            finalize(
-                                self._run_serial(
-                                    fn, tasks[p.index], p.index, keys[p.index],
-                                    p.attempt,
-                                )
-                            )
-                        in_flight.clear()
-                        queue.clear()
-                        break
-                    executor = ProcessPoolExecutor(
-                        max_workers=max_workers, initializer=_init_worker
-                    )
+        def retire(slot: _Slot, kill: bool) -> None:
+            """Dispose of one slot's executor; its next task gets a new one."""
+            self._teardown(slot.executor, kill)
+            slot.executor = None
+            self.rebuilds += 1
 
-                # Submission window == worker count, so every submitted
-                # task starts immediately and its deadline clock is real.
-                while queue and len(in_flight) < max_workers:
+        try:
+            while queue or any(s.task is not None for s in slots):
+                if self.rebuilds > self.pool_failure_limit:
+                    self.degraded = True
+                    break
+
+                # One task per worker, so every submitted task starts
+                # immediately and its deadline clock is real.
+                for slot in slots:
+                    if slot.task is not None or not queue:
+                        continue
+                    if slot.executor is None:
+                        slot.executor = ProcessPoolExecutor(
+                            max_workers=1, initializer=_init_worker
+                        )
                     p = queue.popleft()
+                    try:
+                        slot.future = slot.executor.submit(
+                            _supervised_call, fn, tasks[p.index], p.index, p.attempt,
+                            self.chaos,
+                        )
+                    except BrokenProcessPool:
+                        # The worker died between tasks: not p's doing.
+                        queue.appendleft(p)
+                        retire(slot, kill=False)
+                        continue
                     now = time.monotonic()
+                    slot.task, slot.deadline = p, now + (self.task_timeout or math.inf)
                     if p.started == 0.0:
                         p.started = now
-                    fut = executor.submit(
-                        _supervised_call, fn, tasks[p.index], p.index, p.attempt,
-                        self.chaos,
-                    )
-                    in_flight[fut] = (p, now)
 
+                busy = {s.future: s for s in slots if s.task is not None}
+                nearest = min((s.deadline for s in busy.values()), default=math.inf)
                 timeout = None
-                if self.task_timeout is not None:
-                    nearest = min(sub for _, sub in in_flight.values())
-                    timeout = max(0.0, nearest + self.task_timeout - time.monotonic())
-                done, _ = wait(in_flight, timeout=timeout, return_when=FIRST_COMPLETED)
-
-                broke = False
+                if nearest < math.inf:
+                    timeout = max(0.0, nearest - time.monotonic())
+                done, _ = wait(busy, timeout=timeout, return_when=FIRST_COMPLETED)
                 for fut in done:
-                    p, _sub = in_flight.pop(fut)
-                    broke |= handle_done(fut, p)
+                    slot = busy[fut]
+                    if handle_done(fut, slot.take()):
+                        retire(slot, kill=False)
 
-                if broke:
-                    # The pool is poisoned: every remaining future will
-                    # raise BrokenProcessPool. Resubmit them as innocent
-                    # victims (no attempt burned) and rebuild.
-                    for fut, (p, _sub) in list(in_flight.items()):
-                        if fut.done() and not fut.cancelled():
-                            handle_done(fut, p)  # a result (or break) that raced in
-                        else:
-                            queue.append(p)
-                    in_flight.clear()
-                    self._teardown(executor, kill=False)
-                    executor = None
-                    self.rebuilds += 1
-                    continue
-
-                if self.task_timeout is not None:
-                    now = time.monotonic()
-                    overdue = [
-                        (fut, p)
-                        for fut, (p, sub) in in_flight.items()
-                        if not fut.done() and now - sub > self.task_timeout
-                    ]
-                    if overdue:
-                        # A hung worker never yields the GIL back to the
-                        # pool's machinery: SIGKILL the processes, retry
-                        # the overrun tasks, resubmit the rest unharmed.
-                        for fut, p in overdue:
-                            del in_flight[fut]
-                            lost(
-                                p, STATUS_TIMEOUT,
-                                f"deadline {self.task_timeout:g}s exceeded "
-                                f"(attempt {p.attempt + 1})",
-                            )
-                        for fut, (p, _sub) in list(in_flight.items()):
-                            if fut.done():
-                                handle_done(fut, p)
-                            else:
-                                queue.append(p)
-                        in_flight.clear()
-                        self._teardown(executor, kill=True)
-                        executor = None
-                        self.rebuilds += 1
+                now = time.monotonic()
+                for slot in slots:
+                    if slot.task is not None and now > slot.deadline:
+                        # A hung worker never yields control back to its
+                        # executor: SIGKILL it.
+                        retire(slot, kill=True)
+                        p = slot.take()
+                        lost(
+                            p, STATUS_TIMEOUT,
+                            f"deadline {self.task_timeout:g}s exceeded "
+                            f"(attempt {p.attempt + 1})",
+                        )
         finally:
-            if executor is not None:
-                executor.shutdown(wait=True, cancel_futures=True)
+            for slot in slots:
+                if slot.executor is not None:
+                    self._teardown(slot.executor, kill=self.degraded)
+
+        # Degraded: process isolation failed too often to be worth its
+        # cost, so what is left runs in-process, each at its current attempt.
+        for p in [s.task for s in slots if s.task is not None] + list(queue):
+            finalize(
+                self._run_serial(fn, tasks[p.index], p.index, keys[p.index], p.attempt)
+            )
 
     @staticmethod
     def _teardown(executor: ProcessPoolExecutor, kill: bool) -> None:
-        """Dispose of a broken or overrun executor.
+        """Shut one slot's executor down.
 
-        ``kill=True`` SIGKILLs the worker processes first — the only
-        way to reclaim a worker stuck in C code or a sleep. Reaches
-        into ``_processes`` (no public API exposes the workers); guarded
-        so a stdlib rename degrades to a plain shutdown.
+        ``kill=True`` SIGKILLs the worker process first — the only way
+        to reclaim a worker stuck in C code or a sleep. Reaches into
+        ``_processes`` (no public API exposes the workers); guarded so
+        a stdlib rename degrades to a plain shutdown.
         """
         if kill:
             for proc in list(getattr(executor, "_processes", {}).values()):

@@ -8,8 +8,8 @@ story — a chip that keeps executing after a cell dies mid-run:
   re-place the pending modules around the frozen in-flight ones,
   re-route only the suffix epochs against the new fault mask, and
   resume the simulator; :data:`RECOVERY_RUNGS` names its
-  graceful-degradation levels (suffix re-route only / MER relocation
-  + re-route / re-place + re-route / escalated warm-restart
+  graceful-degradation levels (suffix re-route only / single-module
+  relocation + re-route / re-place + re-route / escalated warm-restart
   re-synthesis).
 * :class:`ClosedLoopController` — detection-driven recovery: faults
   become visible only through imperfect probe campaigns

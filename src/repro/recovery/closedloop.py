@@ -20,11 +20,11 @@ latency. This module closes that loop:
   cell.
 * **Graceful degradation.** Every confirmed detection climbs the
   recovery ladder (:data:`~repro.recovery.engine.RECOVERY_RUNGS`):
-  suffix re-route only, then MER relocation of the hit modules +
-  re-route (no anneal, no seed drawn), then MER-guided re-place +
-  re-route, then a full warm-restart re-synthesis; if all rungs fail
-  the controller aborts with structured partial results from the last
-  checkpoint.
+  suffix re-route only, then relocation of the hit modules to
+  fault-free sites + re-route (no anneal, no seed drawn), then
+  relocation-seeded re-place + re-route, then a full warm-restart
+  re-synthesis; if all rungs fail the controller aborts with
+  structured partial results from the last checkpoint.
   Each rung attempt is recorded as a :class:`LadderStep` on the
   winning (or final failing) outcome's ``ladder_trace``.
 * **Oracle reference.** ``mode="oracle"`` keeps the perfect-knowledge

@@ -13,17 +13,17 @@ an arbitrary instant mid-assay:
    operations (not started — the re-synthesizable suffix), and the
    parked-product map.
 2. **Incremental re-placement.** Pending modules directly hit by the
-   fault are rescued first with the paper's MER relocation (a
-   deterministic legality pass), then *all* pending modules are
-   re-optimized by a warm-started low-temperature anneal on the
-   :class:`~repro.placement.incremental.IncrementalCostEvaluator`:
+   fault are rescued first with the paper's partial-reconfiguration
+   relocation (a deterministic legality pass), then *all* pending
+   modules are re-optimized by a warm-started low-temperature anneal
+   on the :class:`~repro.placement.incremental.IncrementalCostEvaluator`:
    the nominal placement is the initial state, only pending modules
    are movable (:class:`~repro.placement.moves.MoveGenerator`'s
    ``movable`` filter), and a fault-overlap penalty keeps them off the
    dead cells. Frozen modules and the core-area dimensions never
    change, which is what keeps the already-executed routing prefix
    valid (see DESIGN.md, "checkpoint invariants"). The ``relocate``
-   rung stops after the MER pass: no anneal runs.
+   rung stops after the relocation pass: no anneal runs.
 3. **Suffix re-route.** Only the routing epochs released *after* the
    fault instant are re-synthesized, on the packed
    :class:`~repro.routing.timegrid.TimeGrid` against the updated fault
@@ -77,12 +77,12 @@ FAULT_TARGETS = ("pending-module", "in-flight-module", "center", "street")
 #:   only when no pending/in-flight module covers a dead cell; the
 #:   engine fails fast (never silently escalates) otherwise.
 #: * ``relocate`` — the paper's single-module relocation: every hit
-#:   pending module moves to a fault-free maximal-empty-rectangle site
+#:   pending module moves to the nearest fault-free site that fits it
 #:   (deterministic, no anneal, no seed), then suffix re-route and
 #:   resumed replay. It fails fast, before any routing, when a hit
-#:   module has no fault-free MER site or when no pending module is hit
+#:   module has no fault-free site or when no pending module is hit
 #:   (its layout would then be ``reroute``'s).
-#: * ``replace`` — the standard path: MER rescue of hit modules, the
+#: * ``replace`` — the standard path: relocation of hit modules, the
 #:   anchored warm-restart anneal, then suffix re-route.
 #: * ``resynth`` — escalated warm restart: a hotter annealing schedule,
 #:   the nominal-anchor term dropped (the layout may now diverge
@@ -232,7 +232,7 @@ class RecoveryOutcome:
     checkpoint: SimCheckpoint
     #: Pending modules the warm-restart anneal was allowed to move.
     movable_ops: tuple[str, ...]
-    #: Subset rescued by the deterministic MER relocation pre-pass.
+    #: Subset rescued by the deterministic relocation pre-pass.
     relocated_ops: tuple[str, ...]
     #: Movable modules whose origin actually changed vs the nominal plan.
     moved_ops: tuple[str, ...] = ()
@@ -554,10 +554,10 @@ class OnlineRecoveryEngine:
             movable = ()
 
         # -- phase 1: re-place the pending modules ------------------------
-        # Sub-passes: a best-effort MER relocation of directly-hit
-        # modules (single-module legality), then the warm-started anneal
-        # (can shuffle several pending modules jointly when no single-
-        # module site exists), then a final MER retry on the annealed
+        # Sub-passes: a best-effort relocation of directly-hit modules
+        # (single-module legality), then the warm-started anneal (can
+        # shuffle several pending modules jointly when no single-module
+        # site exists), then a final relocation retry on the annealed
         # layout. The ``relocate`` rung stops after the first pass. The
         # working core is the nominal bounding array plus the space-
         # redundancy slack; coordinates are never shifted. The
@@ -600,8 +600,8 @@ class OnlineRecoveryEngine:
 
         # Two candidate layouts, tried in order: the annealed one
         # (optimized, minimal-perturbation), then the conservative
-        # MER-only one as a fallback when the annealed layout's replay
-        # or plan fails — an online controller prefers a recovered
+        # relocation-only one as a fallback when the annealed layout's
+        # replay or plan fails — an online controller prefers a recovered
         # assay over an optimized-but-unroutable layout.
         candidates = [annealed]
         if annealed is not conservative and any(
@@ -771,7 +771,7 @@ class OnlineRecoveryEngine:
     def _rescue_hit_modules(
         self, working: Placement, movable: tuple[str, ...], faults: tuple[Point, ...]
     ) -> tuple[list[str], list[str]]:
-        """Best-effort MER relocation of every pending module whose
+        """Best-effort relocation of every pending module whose
         footprint covers a dead cell (mutates *working* in place).
         Returns ``(relocated, unresolved)`` — a module with no
         single-module fault-free site is left for the joint anneal."""

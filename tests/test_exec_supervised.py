@@ -149,7 +149,26 @@ class TestParallelSupervision:
         assert outcomes[0].status == STATUS_CRASHED
         assert outcomes[0].attempts == 3
         assert [o.value for o in outcomes[1:]] == [4, 9]
-        assert all(o.ok for o in outcomes[1:])
+        # Only the killed worker's task is charged: its siblings ran on
+        # workers of their own.
+        assert [(o.status, o.attempts) for o in outcomes[1:]] == [(STATUS_OK, 1)] * 2
+
+    def test_worker_killed_between_tasks_loses_nothing(self):
+        killed = []
+
+        def kill_workers(outcome):
+            # After the first outcome, kill every worker (one of them is
+            # idle between tasks) and give the executors time to notice.
+            if not killed:
+                killed.extend(multiprocessing.active_children())
+                for proc in killed:
+                    proc.kill()
+                time.sleep(0.2)
+
+        outcomes = quiet_pool(jobs=2).map(square, [1, 2, 3, 4], on_outcome=kill_workers)
+        assert killed
+        assert [o.value for o in outcomes] == [1, 4, 9, 16]
+        assert all(o.ok for o in outcomes)
 
     def test_watchdog_kills_hung_worker(self):
         chaos = ChaosPolicy.explicit_plan({(0, 0): "timeout"}, sleep_s=30.0)
@@ -182,6 +201,21 @@ class TestParallelSupervision:
         outcomes = pool.map(square, [1, 2, 3, 4])
         assert pool.degraded
         assert [o.value for o in outcomes] == [1, 4, 9, 16]
+
+    def test_degradation_drains_the_busy_slot_in_process(self):
+        # Task 0's worker dies while task 1 is mid-run on the other
+        # worker. That one rebuild exhausts the budget: task 1 is not
+        # charged for the pool's failure and finishes in-process at
+        # its first attempt, and no worker outlives the map.
+        chaos = ChaosPolicy.explicit_plan({(0, 0): "worker-kill"})
+        pool = quiet_pool(jobs=2, pool_failure_limit=0, chaos=chaos)
+        outcomes = pool.map(slow_square, [(3, 0.0), (4, 1.0)])
+        assert pool.degraded and pool.rebuilds == 1
+        assert (outcomes[1].status, outcomes[1].attempts, outcomes[1].value) == (
+            STATUS_OK, 1, 16,
+        )
+        assert outcomes[0].status == STATUS_RETRIED_OK and outcomes[0].value == 9
+        assert multiprocessing.active_children() == []
 
 
 class TestDeterminismContract:
