@@ -3,12 +3,14 @@
 ``repro.exec`` is the hardened substrate the portfolio executor and the
 campaign engine (:mod:`repro.workload.campaign`) run on:
 
-* :class:`~repro.exec.supervised.SupervisedPool` — one single-worker
-  ``ProcessPoolExecutor`` per slot, so a crashed or hung worker breaks
-  only its own slot and costs only its own task. It adds per-task
-  deadlines (a watchdog kills a hung worker), bounded deterministic
-  retry of the lost task on a rebuilt slot, graceful degradation to
-  in-process serial execution after repeated worker failures, and a
+* :class:`~repro.exec.supervised.SupervisedPool` — one worker process
+  and one pipe per slot, watched by a single-threaded supervisor that
+  reads three signals: a reply on a pipe, a worker that exited without
+  one, and a passed deadline. A crashed or hung worker costs only its
+  own task. It adds per-task deadlines (a hung worker is SIGKILLed),
+  bounded deterministic retry of the lost task on a respawned worker,
+  graceful degradation to in-process serial execution after repeated
+  worker failures, and a
   structured :class:`~repro.exec.supervised.TaskOutcome`
   per task (``ok | infeasible | timeout | crashed | retried-then-ok``)
   so campaigns return partial results instead of raising.

@@ -1,38 +1,30 @@
-"""A supervised ``ProcessPoolExecutor``: deadlines, retry, degradation.
+"""Supervised worker processes: deadlines, retry, degradation.
 
-``concurrent.futures.ProcessPoolExecutor`` is brittle in exactly the
-ways a long synthesis campaign cannot afford: one worker dying (OOM
-kill, segfault in a C extension, ``os._exit``) raises
-``BrokenProcessPool`` on *every* pending future and poisons the pool;
-a hung worker stalls the whole ``map``; an unpicklable exception
-surfaces as an opaque pickling error; and any of these loses every
-already-completed result of the batch.
+:class:`SupervisedPool` runs tasks on a fixed list of slots. A slot is
+one long-lived worker process, one pipe to it, and the task it is
+running, so a dead or hung worker costs only its own task, as one
+faulty cell costs only the module on it. The parent is one thread. It
+waits on every busy slot's pipe and process sentinel at once, with the
+nearest deadline as the timeout, and reads three signals:
 
-:class:`SupervisedPool` keeps the executor but gives every worker its
-own: a slot is a one-worker ``ProcessPoolExecutor`` plus the task it is
-running, so a dead or hung worker breaks only its own slot and costs
-only its own task, as one faulty cell costs only the module on it.
+* **A readable pipe is a reply**: the task's value or the exception it
+  raised. A reply that will not pickle in the worker, or will not
+  unpickle in the parent, arrives as that error's text and is retried;
+  the pipe stays usable.
+* **A ready sentinel with no reply is a dead worker** (OOM kill,
+  segfault, ``os._exit``): its task is charged an attempt and the slot
+  respawned. A worker that dies between tasks charges no task.
+* **A passed deadline** (``task_timeout`` after the task was sent; a
+  slot runs one task at a time) SIGKILLs the worker, charges its task
+  an attempt and respawns the slot.
 
-* **Deadlines.** A slot runs one task at a time, so a submitted task
-  starts immediately and ``submit time + task_timeout`` is its
-  deadline. A watchdog SIGKILLs an overrun slot's worker (a hung
-  worker ignores polite shutdown) and rebuilds that slot's executor.
-* **Bounded retry.** A lost execution (worker death, deadline overrun,
-  non-library exception) is retried up to ``max_retries`` times with a
-  deterministic exponential backoff. A worker that dies between tasks
-  costs no task an attempt: the next task goes back to the queue and
-  the slot is rebuilt.
-* **Graceful degradation.** Past ``pool_failure_limit`` slot rebuilds
-  the pool gives up on process isolation, tears every slot down and
-  drains the in-flight and queued tasks in-process, serially, each at
-  its current attempt — slower, but a campaign finishes.
-* **No orphans.** Every worker watches the process that started it and
-  exits once that process is gone, so a SIGKILLed campaign leaves no
-  worker behind.
-* **Structured outcomes.** Every task yields a :class:`TaskOutcome`
-  (``ok | infeasible | timeout | crashed | retried-then-ok``) carrying
-  either the value or the originating error text, so callers merge
-  partial results instead of catching one exception for N tasks.
+A lost execution is retried up to ``max_retries`` times with a
+deterministic exponential backoff. Past ``pool_failure_limit`` slot
+respawns the pool drains the in-flight and queued tasks in-process,
+serially, each at its current attempt, so a campaign still finishes.
+A worker exits once the process that started it is gone, so a
+SIGKILLed campaign leaves no orphans. Every task yields a
+:class:`TaskOutcome` with its status, value or error text.
 
 Determinism contract: task functions are pure functions of their
 (pre-seeded) task payload, outcomes are collected by task index, and a
@@ -47,13 +39,14 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import pickle
 import threading
 import time
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from multiprocessing.connection import Connection, wait
+from multiprocessing.reduction import ForkingPickler
 
 from repro.testing.chaos import ChaosPolicy
 from repro.util.errors import ReproError
@@ -65,14 +58,6 @@ STATUS_RETRIED_OK = "retried-then-ok"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_TIMEOUT = "timeout"
 STATUS_CRASHED = "crashed"
-
-ALL_STATUSES = (
-    STATUS_OK,
-    STATUS_RETRIED_OK,
-    STATUS_INFEASIBLE,
-    STATUS_TIMEOUT,
-    STATUS_CRASHED,
-)
 
 
 @dataclass
@@ -104,28 +89,21 @@ class TaskOutcome:
         }
 
 
-def _init_worker() -> None:
-    """Worker initializer: exit when the process that started us is gone.
+#: Reply kinds: the task's value, the exception it raised, or the text
+#: of an error that kept either from crossing the pipe.
+_VALUE, _RAISED, _FAILED = "value", "raised", "failed"
 
-    A parent killed by SIGKILL cannot shut its pool down, and its
-    workers, re-parented, would live on and hold its stdout open. A
-    daemon thread waits on the pool's process's sentinel and exits the
-    worker once it fires. The sentinel names that process under every
-    start method; the OS parent does not: a ``forkserver`` worker's is
-    the fork server, which outlives the pool's process while any worker
-    does.
-    """
-    parent = multiprocessing.parent_process()
+#: The message that stops a worker. It must be explicit: a forked
+#: sibling inherits the parent's end of this pipe, so EOF never arrives.
+_STOP = b""
 
-    def watch() -> None:
-        parent.join()
-        os._exit(1)
 
-    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
+def _describe(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _supervised_call(fn, task, index: int, attempt: int, chaos: ChaosPolicy | None):
-    """Worker entry point — module level so it pickles.
+    """Run one task, in a worker or (serial paths) in-process.
 
     Chaos fires *before* the task body: it models the worker failing,
     not the work being wrong, which is what keeps retried results
@@ -136,28 +114,77 @@ def _supervised_call(fn, task, index: int, attempt: int, chaos: ChaosPolicy | No
     return fn(task)
 
 
+def _serve(conn: Connection) -> None:
+    """A slot's worker loop: one ``_supervised_call`` per message.
+
+    A daemon thread exits the worker once the process that started it
+    is gone (a SIGKILLed parent cannot stop its workers). That process
+    is ``multiprocessing.parent_process()`` under every start method;
+    the OS parent of a ``forkserver`` worker is the fork server.
+    """
+    parent = multiprocessing.parent_process()
+
+    def watch() -> None:
+        parent.join()
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
+    while (data := conn.recv_bytes()) != _STOP:
+        try:
+            reply = (_VALUE, _supervised_call(*pickle.loads(data)))
+        except Exception as exc:
+            reply = (_RAISED, exc)
+        try:
+            data = ForkingPickler.dumps(reply)
+        except Exception as exc:
+            data = ForkingPickler.dumps((_FAILED, _describe(exc)))
+        conn.send_bytes(data)
+
+
 @dataclass
 class _TaskState:
     """Book-keeping for one task not yet finalized."""
 
     index: int
     attempt: int = 0  # next attempt number (0-based)
-    started: float = 0.0  # first submit instant (monotonic)
+    started: float = 0.0  # first send instant (monotonic)
 
 
 @dataclass
 class _Slot:
-    """One single-worker executor and the task it is running, if any."""
+    """One worker process, the parent's end of its pipe, and its task."""
 
-    executor: ProcessPoolExecutor | None = None
+    proc: multiprocessing.process.BaseProcess | None = None
+    conn: Connection | None = None
     task: _TaskState | None = None
-    future: Future | None = None
     deadline: float = math.inf  # ``task``'s deadline (monotonic)
 
     def take(self) -> _TaskState:
         """Free the slot and return the task it was running."""
-        task, self.task, self.future = self.task, None, None
+        task, self.task = self.task, None
         return task
+
+    def start(self) -> None:
+        conn, child = multiprocessing.Pipe()
+        proc = multiprocessing.Process(target=_serve, args=(child,))
+        with child:
+            proc.start()
+        self.proc, self.conn = proc, conn
+
+    def stop(self, kill: bool) -> None:
+        """End the worker: SIGKILL it if *kill* (a busy or hung worker
+        does not read its pipe), else send it the stop message."""
+        if kill:
+            self.proc.kill()
+        else:
+            try:
+                self.conn.send_bytes(_STOP)
+            except OSError:
+                pass  # it died idle; nothing is left to stop
+        self.proc.join()
+        self.proc.close()
+        self.conn.close()
+        self.proc = self.conn = None
 
 
 class SupervisedPool:
@@ -206,7 +233,7 @@ class SupervisedPool:
             self.chaos = None
         self.pool_failure_limit = pool_failure_limit
         self.backoff_base = backoff_base
-        #: Pool rebuilds this instance performed (stats/tests).
+        #: Slot respawns this instance performed (stats/tests).
         self.rebuilds = 0
         #: True once a map degraded to in-process serial execution.
         self.degraded = False
@@ -230,9 +257,7 @@ class SupervisedPool:
         tasks = list(tasks)
         keys = [str(i) for i in range(len(tasks))] if keys is None else list(keys)
         if len(keys) != len(tasks):
-            raise ValueError(
-                f"got {len(keys)} keys for {len(tasks)} tasks"
-            )
+            raise ValueError(f"got {len(keys)} keys for {len(tasks)} tasks")
         if not tasks:
             return []
         outcomes: list[TaskOutcome | None] = [None] * len(tasks)
@@ -264,16 +289,12 @@ class SupervisedPool:
         t0 = time.perf_counter()
         try:
             value = _supervised_call(fn, task, index, attempt, self.chaos)
-        except ReproError as exc:
+        except Exception as exc:
+            # A library-declared failure is the task's verdict; anything
+            # else is a bug in the task body.
+            status = STATUS_INFEASIBLE if isinstance(exc, ReproError) else STATUS_CRASHED
             return TaskOutcome(
-                index, key, STATUS_INFEASIBLE, attempt + 1,
-                error=f"{type(exc).__name__}: {exc}",
-                wall_s=time.perf_counter() - t0,
-            )
-        except Exception as exc:  # a bug in the task body, not the library
-            return TaskOutcome(
-                index, key, STATUS_CRASHED, attempt + 1,
-                error=f"{type(exc).__name__}: {exc}",
+                index, key, status, attempt + 1, error=_describe(exc),
                 wall_s=time.perf_counter() - t0,
             )
         status = STATUS_OK if attempt == 0 else STATUS_RETRIED_OK
@@ -288,18 +309,18 @@ class SupervisedPool:
         queue: deque[_TaskState] = deque(_TaskState(i) for i in range(len(tasks)))
         slots = [_Slot() for _ in range(min(self.jobs, len(tasks)))]
 
-        def exhaust(p: _TaskState, status: str, reason: str) -> None:
+        def outcome(p: _TaskState, status: str, **fields) -> None:
             finalize(
                 TaskOutcome(
-                    p.index, keys[p.index], status, p.attempt + 1, error=reason,
-                    wall_s=time.monotonic() - p.started,
+                    p.index, keys[p.index], status, p.attempt + 1,
+                    wall_s=time.monotonic() - p.started, **fields,
                 )
             )
 
         def lost(p: _TaskState, status_if_exhausted: str, reason: str) -> None:
             """A lost execution: retry with backoff or finalize."""
             if p.attempt >= self.max_retries:
-                exhaust(p, status_if_exhausted, reason)
+                outcome(p, status_if_exhausted, error=reason)
                 return
             delay = min(self.BACKOFF_CAP_S, self.backoff_base * 2**p.attempt)
             if delay > 0:
@@ -307,44 +328,26 @@ class SupervisedPool:
             p.attempt += 1
             queue.append(p)
 
-        def handle_done(fut: Future, p: _TaskState) -> bool:
-            """Finalize one completed future; True if its worker died."""
+        def settle(p: _TaskState, data: bytes) -> None:
+            """Finalize or retry one task from its worker's reply."""
             try:
-                value = fut.result()
-            except ReproError as exc:
+                kind, payload = pickle.loads(data)
+            except Exception as exc:
+                kind, payload = _FAILED, f"reply could not be decoded: {_describe(exc)}"
+            if kind == _VALUE:
+                status = STATUS_OK if p.attempt == 0 else STATUS_RETRIED_OK
+                outcome(p, status, value=payload)
+            elif kind == _RAISED and isinstance(payload, ReproError):
                 # A library-declared failure is the *task's* verdict —
                 # deterministic, so retrying cannot change it.
-                finalize(
-                    TaskOutcome(
-                        p.index, keys[p.index], STATUS_INFEASIBLE, p.attempt + 1,
-                        error=f"{type(exc).__name__}: {exc}",
-                        wall_s=time.monotonic() - p.started,
-                    )
-                )
-            except BrokenProcessPool:
-                lost(
-                    p, STATUS_CRASHED,
-                    f"worker process died (attempt {p.attempt + 1})",
-                )
-                return True
-            except Exception as exc:
-                # Anything else — including the executor's "unpicklable
-                # exception" wrapper — is a worker-side failure: retry.
-                lost(p, STATUS_CRASHED, f"{type(exc).__name__}: {exc}")
+                outcome(p, STATUS_INFEASIBLE, error=_describe(payload))
             else:
-                status = STATUS_OK if p.attempt == 0 else STATUS_RETRIED_OK
-                finalize(
-                    TaskOutcome(
-                        p.index, keys[p.index], status, p.attempt + 1, value=value,
-                        wall_s=time.monotonic() - p.started,
-                    )
-                )
-            return False
+                reason = payload if kind == _FAILED else _describe(payload)
+                lost(p, STATUS_CRASHED, reason)
 
-        def retire(slot: _Slot, kill: bool) -> None:
-            """Dispose of one slot's executor; its next task gets a new one."""
-            self._teardown(slot.executor, kill)
-            slot.executor = None
+        def respawn(slot: _Slot) -> None:
+            """Kill one slot's worker; its next task gets a new one."""
+            slot.stop(kill=True)
             self.rebuilds += 1
 
         try:
@@ -353,48 +356,62 @@ class SupervisedPool:
                     self.degraded = True
                     break
 
-                # One task per worker, so every submitted task starts
+                # One task per worker, so every sent task starts
                 # immediately and its deadline clock is real.
                 for slot in slots:
                     if slot.task is not None or not queue:
                         continue
-                    if slot.executor is None:
-                        slot.executor = ProcessPoolExecutor(
-                            max_workers=1, initializer=_init_worker
-                        )
                     p = queue.popleft()
+                    if p.started == 0.0:
+                        p.started = time.monotonic()
                     try:
-                        slot.future = slot.executor.submit(
-                            _supervised_call, fn, tasks[p.index], p.index, p.attempt,
-                            self.chaos,
+                        data = ForkingPickler.dumps(
+                            (fn, tasks[p.index], p.index, p.attempt, self.chaos)
                         )
-                    except BrokenProcessPool:
+                    except Exception as exc:  # no worker could run it
+                        lost(p, STATUS_CRASHED, _describe(exc))
+                        continue
+                    if slot.proc is None:
+                        slot.start()
+                    try:
+                        slot.conn.send_bytes(data)
+                    except OSError:
                         # The worker died between tasks: not p's doing.
                         queue.appendleft(p)
-                        retire(slot, kill=False)
+                        respawn(slot)
                         continue
-                    now = time.monotonic()
-                    slot.task, slot.deadline = p, now + (self.task_timeout or math.inf)
-                    if p.started == 0.0:
-                        p.started = now
+                    slot.task = p
+                    slot.deadline = time.monotonic() + (self.task_timeout or math.inf)
 
-                busy = {s.future: s for s in slots if s.task is not None}
-                nearest = min((s.deadline for s in busy.values()), default=math.inf)
+                busy = [s for s in slots if s.task is not None]
+                if not busy:
+                    continue
+                nearest = min(s.deadline for s in busy)
                 timeout = None
                 if nearest < math.inf:
                     timeout = max(0.0, nearest - time.monotonic())
-                done, _ = wait(busy, timeout=timeout, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    slot = busy[fut]
-                    if handle_done(fut, slot.take()):
-                        retire(slot, kill=False)
-
+                ready = wait([s.conn for s in busy] + [s.proc.sentinel for s in busy], timeout)
                 now = time.monotonic()
-                for slot in slots:
-                    if slot.task is not None and now > slot.deadline:
-                        # A hung worker never yields control back to its
-                        # executor: SIGKILL it.
-                        retire(slot, kill=True)
+                for slot in busy:
+                    dead = slot.proc.sentinel in ready
+                    if slot.conn in ready:
+                        try:
+                            data = slot.conn.recv_bytes()
+                        except (EOFError, OSError):
+                            dead = True
+                        else:
+                            settle(slot.take(), data)
+                    if dead:
+                        if slot.task is not None:
+                            p = slot.take()
+                            lost(
+                                p, STATUS_CRASHED,
+                                f"worker process died (attempt {p.attempt + 1})",
+                            )
+                        respawn(slot)
+                    elif slot.task is not None and now > slot.deadline:
+                        # A hung worker never reads its pipe again: SIGKILL it.
+                        respawn(slot)
                         p = slot.take()
                         lost(
                             p, STATUS_TIMEOUT,
@@ -403,8 +420,8 @@ class SupervisedPool:
                         )
         finally:
             for slot in slots:
-                if slot.executor is not None:
-                    self._teardown(slot.executor, kill=self.degraded)
+                if slot.proc is not None:
+                    slot.stop(kill=slot.task is not None)
 
         # Degraded: process isolation failed too often to be worth its
         # cost, so what is left runs in-process, each at its current attempt.
@@ -412,23 +429,3 @@ class SupervisedPool:
             finalize(
                 self._run_serial(fn, tasks[p.index], p.index, keys[p.index], p.attempt)
             )
-
-    @staticmethod
-    def _teardown(executor: ProcessPoolExecutor, kill: bool) -> None:
-        """Shut one slot's executor down.
-
-        ``kill=True`` SIGKILLs the worker process first — the only way
-        to reclaim a worker stuck in C code or a sleep. Reaches into
-        ``_processes`` (no public API exposes the workers); guarded so
-        a stdlib rename degrades to a plain shutdown.
-        """
-        if kill:
-            for proc in list(getattr(executor, "_processes", {}).values()):
-                try:
-                    proc.kill()
-                except Exception:
-                    pass
-        try:
-            executor.shutdown(wait=True, cancel_futures=True)
-        except Exception:
-            pass

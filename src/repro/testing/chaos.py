@@ -48,11 +48,12 @@ CHAOS_EXIT_STATUS = 73
 class UnpicklableChaosError(ExecutionError):
     """An exception that refuses to cross a process boundary.
 
-    ``concurrent.futures`` pickles worker exceptions through the result
+    A pool worker pickles the exception its task raised into its reply
     pipe; this one fails to serialize, so the parent receives the
-    executor's generic pickling error instead — exactly the failure
-    shape a buggy task raising an exception holding a lock, socket, or
-    traceback-only state produces in production.
+    pickling error's text instead, a retryable failure even though this
+    is a ``ReproError`` — exactly the failure shape a buggy task raising
+    an exception holding a lock, socket, or traceback-only state
+    produces in production.
     """
 
     def __reduce__(self):

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -43,6 +45,23 @@ def square_or_infeasible(x):
 
 def buggy(x):
     raise KeyError(x)
+
+
+def square_or_closure(x):
+    return (lambda: x) if x == "closure" else x * x
+
+
+class BadUnpickle(Exception):
+    """Pickles, but unpickling calls ``__init__`` with one argument of two."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+def square_or_bad_unpickle(x):
+    if x in (1, 3):
+        raise BadUnpickle("x", "y")
+    return x * x
 
 
 def slow_square(args):
@@ -139,6 +158,38 @@ class TestParallelSupervision:
         outcomes = quiet_pool(jobs=2, chaos=chaos).map(square, [4, 5])
         assert outcomes[0].status == STATUS_RETRIED_OK
         assert outcomes[0].value == 16
+
+    @pytest.mark.parametrize("bad", [threading.Lock(), "closure"], ids=["task", "result"])
+    def test_unpicklable_task_or_result_is_crashed(self, bad):
+        # An unpicklable task payload, or a result (a local lambda) that
+        # cannot cross back, is a retryable failure with the pickling
+        # error's text; the worker stays up for its siblings.
+        culprit = square_or_closure(bad) if bad == "closure" else bad
+        with pytest.raises(Exception) as pickling:
+            pickle.dumps(culprit)
+        pool = quiet_pool(jobs=2, max_retries=2)
+        outcomes = pool.map(square_or_closure, [1, bad, 3])
+        assert (outcomes[1].status, outcomes[1].attempts) == (STATUS_CRASHED, 3)
+        assert str(pickling.value) in outcomes[1].error
+        assert [(o.status, o.attempts, o.value) for o in (outcomes[0], outcomes[2])] == [
+            (STATUS_OK, 1, 1), (STATUS_OK, 1, 9),
+        ]
+        assert pool.rebuilds == 0
+
+    def test_undecodable_exception_is_retried_without_respawn(self):
+        # The exception pickles in the worker but not back in the parent.
+        # That is the reply's failure, not the worker's: it is retried
+        # on the same worker, and no slot is respawned.
+        pool = quiet_pool(jobs=2, max_retries=2)
+        outcomes = pool.map(square_or_bad_unpickle, list(range(6)))
+        assert (pool.rebuilds, pool.degraded) == (0, False)
+        for o in outcomes:
+            if o.index in (1, 3):
+                assert (o.status, o.attempts) == (STATUS_CRASHED, 3)
+                assert "could not be decoded" in o.error
+                assert "BadUnpickle.__init__() missing 1 required positional" in o.error
+            else:
+                assert (o.status, o.attempts, o.value) == (STATUS_OK, 1, o.index**2)
 
     def test_retry_exhaustion_is_crashed_siblings_survive(self):
         chaos = ChaosPolicy.explicit_plan(
@@ -266,11 +317,15 @@ class TestOutcomePlumbing:
 
 #: A campaign-like parent under a given start method. ``hold`` mode: two
 #: workers, each writing its pid and then holding its task far longer
-#: than the test waits. ``square`` mode: print a small map's outcomes.
+#: than the test waits. ``forks`` mode: print the live threads at every
+#: fork of a map whose first worker is chaos-killed and respawned while
+#: the other is busy, then its outcomes. ``square`` mode: print a small
+#: map's outcomes.
 _PARENT = """
 import multiprocessing
 import os
 import sys
+import threading
 import time
 
 from repro.exec import SupervisedPool
@@ -288,12 +343,25 @@ def square(x):
     return x * x
 
 
+def nap(x):
+    time.sleep(0.3)
+    return x * x
+
+
 if __name__ == "__main__":
     mode, method, out = sys.argv[1:]
     multiprocessing.set_start_method(method)
     pool = SupervisedPool(jobs=2, chaos=ChaosPolicy.none())
     if mode == "hold":
         pool.map(hold, [os.path.join(out, "w0"), os.path.join(out, "w1")])
+    elif mode == "forks":
+        forks = []
+        os.register_at_fork(before=lambda: forks.append(threading.active_count()))
+        chaos = ChaosPolicy.explicit_plan({(0, 0): "worker-kill"})
+        pool = SupervisedPool(jobs=2, chaos=chaos, backoff_base=0.0)
+        outcomes = pool.map(nap, [1, 2, 3, 4])
+        print(forks)
+        print([(o.status, o.attempts, o.value) for o in outcomes])
     else:
         print([(o.status, o.attempts, o.value) for o in pool.map(square, [1, 2, 3])])
 """
@@ -357,3 +425,18 @@ class TestStartMethods:
             for pid in pids:
                 if _running(pid):
                     os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.skipif("fork" not in START_METHODS, reason="needs the fork start method")
+def test_forks_from_a_single_threaded_parent(tmp_path):
+    # Forking while another thread runs can deadlock the child on a lock
+    # that thread held. The supervisor must be the parent's only thread
+    # at every fork: the two slot starts and the killed slot's respawn.
+    parent = _start_parent(tmp_path, "forks", "fork", stdout=subprocess.PIPE, text=True)
+    out, _ = parent.communicate(timeout=120)
+    assert parent.returncode == 0
+    forks, outcomes = out.strip().splitlines()
+    assert forks == str([1, 1, 1])
+    assert outcomes == str(
+        [(STATUS_RETRIED_OK, 2, 1), (STATUS_OK, 1, 4), (STATUS_OK, 1, 9), (STATUS_OK, 1, 16)]
+    )
