@@ -3,16 +3,17 @@
 A :class:`SequencingGraph` is a DAG whose nodes are
 :class:`~repro.assay.operations.Operation` objects and whose edges are
 droplet dependencies: an edge ``u -> v`` means an output droplet of
-``u`` is an input of ``v`` (paper Figure 5). The graph is backed by
-:mod:`networkx` so downstream analyses (critical path, topological
-levels, graph export) reuse mature algorithms.
+``u`` is an input of ``v`` (paper Figure 5). The graph is two
+insertion-ordered adjacency dicts, successors and predecessors, each
+mapping a node id to ``{neighbour: None}``; a sequencing graph is small,
+and its analyses (cycle check, lexicographic topological order,
+critical path) are a few lines of search over them.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Iterable, Iterator, Mapping
-
-import networkx as nx
 
 from repro.assay.operations import Operation, OperationType
 from repro.util.errors import ScheduleError
@@ -23,8 +24,11 @@ class SequencingGraph:
 
     def __init__(self, name: str = "assay") -> None:
         self.name = name
-        self._g = nx.DiGraph()
         self._ops: dict[str, Operation] = {}
+        # Adjacency in insertion order; critical_path's tie-break reads
+        # the order in which a node's predecessors were added.
+        self._succ: dict[str, dict[str, None]] = {}
+        self._pred: dict[str, dict[str, None]] = {}
 
     # -- construction ------------------------------------------------------------
 
@@ -33,7 +37,8 @@ class SequencingGraph:
         if op.id in self._ops:
             raise ValueError(f"duplicate operation id {op.id!r}")
         self._ops[op.id] = op
-        self._g.add_node(op.id)
+        self._succ[op.id] = {}
+        self._pred[op.id] = {}
         return op
 
     def add_dependency(self, producer: str | Operation, consumer: str | Operation) -> None:
@@ -47,9 +52,24 @@ class SequencingGraph:
             raise ValueError(f"self-dependency on {u!r}")
         # The edge closes a cycle iff the consumer already reaches the
         # producer: a search from v alone, not a whole-graph check.
-        if nx.has_path(self._g, v, u):
+        if self._reaches(v, u):
             raise ValueError(f"dependency {u} -> {v} would create a cycle")
-        self._g.add_edge(u, v)
+        # Re-adding an existing edge keeps its place: a no-op.
+        self._succ[u][v] = None
+        self._pred[v][u] = None
+
+    def _reaches(self, source: str, target: str) -> bool:
+        """True iff a path of dependencies leads from *source* to *target*."""
+        seen = {source}
+        stack = [source]
+        while stack:
+            for m in self._succ[stack.pop()]:
+                if m == target:
+                    return True
+                if m not in seen:
+                    seen.add(m)
+                    stack.append(m)
+        return False
 
     def mix(self, op_id: str, inputs: Iterable[str | Operation], **kwargs) -> Operation:
         """Convenience: add a MIX node consuming *inputs*."""
@@ -88,30 +108,48 @@ class SequencingGraph:
 
     def predecessors(self, op_id: str) -> list[str]:
         """Immediate producers feeding *op_id*."""
-        return sorted(self._g.predecessors(op_id))
+        return sorted(self._pred[op_id])
 
     def successors(self, op_id: str) -> list[str]:
         """Immediate consumers of *op_id*'s droplet(s)."""
-        return sorted(self._g.successors(op_id))
+        return sorted(self._succ[op_id])
 
     def edges(self) -> list[tuple[str, str]]:
         """All dependency edges."""
-        return sorted(self._g.edges())
+        return sorted((u, v) for u, vs in self._succ.items() for v in vs)
 
     def sinks(self) -> list[str]:
         """Operations with no consumers (assay outputs)."""
-        return sorted(n for n in self._g.nodes if self._g.out_degree(n) == 0)
+        return sorted(n for n, vs in self._succ.items() if not vs)
 
     def topological_order(self) -> list[str]:
-        """A topological ordering (deterministic: lexicographic tie-break)."""
-        return list(nx.lexicographical_topological_sort(self._g))
+        """A topological ordering (deterministic: lexicographic tie-break).
+
+        Kahn's algorithm with a min-heap of ready ids. Raises
+        ``ScheduleError`` if the graph has a cycle (the order comes out
+        short).
+        """
+        indeg = {n: len(ps) for n, ps in self._pred.items()}
+        ready = [n for n, d in indeg.items() if d == 0]
+        heapq.heapify(ready)
+        order = []
+        while ready:
+            n = heapq.heappop(ready)
+            order.append(n)
+            for m in self._succ[n]:
+                indeg[m] -= 1
+                if indeg[m] == 0:
+                    heapq.heappush(ready, m)
+        if len(order) < len(indeg):
+            raise ScheduleError(f"sequencing graph {self.name!r} has a cycle")
+        return order
 
     def levels(self) -> dict[str, int]:
         """Longest-path depth of each node from the sources (0-based)."""
         order = self.topological_order()
         depth = {n: 0 for n in order}
         for n in order:
-            for m in self._g.successors(n):
+            for m in self._succ[n]:
                 depth[m] = max(depth[m], depth[n] + 1)
         return depth
 
@@ -121,7 +159,7 @@ class SequencingGraph:
         finish: dict[str, float] = {}
         best_pred: dict[str, str | None] = {}
         for n in self.topological_order():
-            preds = list(self._g.predecessors(n))
+            preds = self._pred[n]
             if preds:
                 p = max(preds, key=lambda q: finish[q])
                 finish[n] = finish[p] + durations[n]
@@ -147,10 +185,9 @@ class SequencingGraph:
         more than two producers (a mixer merges exactly two droplets;
         multi-way mixes must be decomposed into a tree, as in PCR).
         """
-        if not nx.is_directed_acyclic_graph(self._g):
-            raise ScheduleError(f"sequencing graph {self.name!r} has a cycle")
+        self.topological_order()  # raises on a cycle
         for op in self._ops.values():
-            indeg = self._g.in_degree(op.id)
+            indeg = len(self._pred[op.id])
             if op.type is OperationType.MIX and indeg > 2:
                 raise ScheduleError(
                     f"mix operation {op.id!r} has {indeg} inputs; "
@@ -164,5 +201,5 @@ class SequencingGraph:
     def __str__(self) -> str:
         return (
             f"SequencingGraph({self.name!r}, {len(self._ops)} ops, "
-            f"{self._g.number_of_edges()} deps)"
+            f"{sum(map(len, self._succ.values()))} deps)"
         )

@@ -38,6 +38,8 @@ parity properties in ``tests/`` and the speed-up baselines in
   (:func:`reference_free_cell_paths`) beside the flat-index planner, the
   walk-per-vote localizer (:class:`ReferenceLocalizer`) beside the
   single-walk one;
+* :mod:`oracles.graph` — the networkx-backed sequencing graph
+  (:class:`ReferenceSequencingGraph`) beside the adjacency-dict one;
 * :mod:`oracles.schedule` — the ASAP/ALAP schedules and the
   critical-path length, the bounds a list schedule lies in;
 * :mod:`oracles.assay` — the structural contract of generated assays
@@ -57,6 +59,7 @@ from oracles.anneal import (
 )
 from oracles.droplet_router import DropletRouter
 from oracles.fti import fits_any_rectangle, reference_fti
+from oracles.graph import ReferenceSequencingGraph
 from oracles.mer import (
     Staircase,
     brute_force_maximal_empty_rectangles,
@@ -82,6 +85,7 @@ __all__ = [
     "FullRecomputePlacer",
     "ReferenceLocalizer",
     "ReferenceRouter",
+    "ReferenceSequencingGraph",
     "ReferenceSynthesizer",
     "ReferenceTimeGrid",
     "Staircase",

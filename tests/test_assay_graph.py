@@ -3,6 +3,9 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles.graph import ReferenceSequencingGraph
 from oracles.schedule import critical_path_length
 
 from repro.assay.catalog import build_assay
@@ -189,3 +192,72 @@ class TestValidation:
 
     def test_valid_graph_passes(self):
         simple_chain().validate()
+
+
+def _outcome(call, *args):
+    """A call's value, or its exception's type and text."""
+    try:
+        return "ok", call(*args)
+    except (KeyError, ValueError, ScheduleError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def graph_scripts(draw):
+    """Operations added in shuffled id order (so the lexicographic
+    tie-break differs from insertion order), then drawn dependencies:
+    repeats, self-loops and cycle-closing edges included."""
+    n = draw(st.integers(1, 12))
+    ids = draw(st.permutations([f"o{i}" for i in range(n)]))
+    types = draw(st.lists(
+        st.sampled_from([OperationType.STORE, OperationType.MIX, OperationType.DISPENSE]),
+        min_size=n, max_size=n,
+    ))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=3 * n))
+    # Two durations only, so longest chains tie often.
+    durations = draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=n, max_size=n))
+    return ids, types, pairs, dict(zip(ids, durations))
+
+
+class TestNetworkxParity:
+    """The dict-backed graph answers every query as the networkx-backed
+    one it replaced (``oracles.graph``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(script=graph_scripts())
+    def test_queries_match_reference(self, script):
+        ids, types, pairs, durations = script
+        g, ref = SequencingGraph("g"), ReferenceSequencingGraph("g")
+        for op_id, op_type in zip(ids, types):
+            g.add_operation(Operation(op_id, op_type))
+            ref.add_operation(Operation(op_id, op_type))
+        for u, v in pairs:
+            repeat = v in ref.successors(u)
+            before = (g.predecessors(v), str(g))
+            assert _outcome(g.add_dependency, u, v) == _outcome(ref.add_dependency, u, v)
+            if repeat:
+                assert (g.predecessors(v), str(g)) == before
+        assert str(g) == str(ref)
+        assert g.edges() == ref.edges()
+        assert g.sinks() == ref.sinks()
+        for op_id in ids:
+            assert g.predecessors(op_id) == ref.predecessors(op_id)
+            assert g.successors(op_id) == ref.successors(op_id)
+        assert g.topological_order() == ref.topological_order()
+        assert g.levels() == ref.levels()
+        assert _outcome(g.validate) == _outcome(ref.validate)
+        assert _outcome(g.critical_path, durations) == _outcome(ref.critical_path, durations)
+
+    def test_cycle_past_the_edge_check_fails_validation(self):
+        """A cycle can only enter through the adjacency itself; the
+        topological sort then comes out short and ``validate`` says so."""
+        g, ref = simple_chain(), ReferenceSequencingGraph("chain")
+        for op_id in ("a", "b", "c"):
+            ref.add_operation(Operation(op_id, OperationType.MIX))
+        ref.add_dependency("a", "b")
+        ref.add_dependency("b", "c")
+        g._succ["c"]["a"] = None
+        g._pred["a"]["c"] = None
+        ref._g.add_edge("c", "a")
+        assert _outcome(g.validate) == _outcome(ref.validate)
+        assert _outcome(g.validate) == ("ScheduleError", "sequencing graph 'chain' has a cycle")
