@@ -31,15 +31,16 @@ import statistics
 import pytest
 
 from repro.assay.catalog import BUNDLED_ASSAYS, build_assay
-from repro.fault.models import FAULT_MODELS, scenario_events
+from repro.fault.models import FAULT_MODELS
 from repro.placement.annealer import AnnealingParams
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.recovery import (
     RECOVERY_RUNGS,
     ClosedLoopController,
     OnlineRecoveryEngine,
+    fault_timeline,
+    pick_fault_cell,
 )
-from repro.recovery.engine import pick_fault_cell
 from repro.synthesis.flow import SynthesisFlow
 from repro.testing import CapacitiveSensor
 from repro.util.rng import ensure_rng
@@ -111,10 +112,8 @@ def test_closed_loop_tracks_oracle(assay, model):
     fault_time = FAULT_FRACTION * result.makespan
     checkpoint = engine.checkpoint_of(result, fault_time)
     cell = pick_fault_cell(result, checkpoint, "pending-module", rng=TARGET_SEED)
-    width, height = result.placement_result.placement.array_dims()
-    events = scenario_events(
-        model, cell, fault_time, result.makespan, width, height,
-        ensure_rng(SEED),
+    events = fault_timeline(
+        engine, result, model, fault_time, cell, ensure_rng(SEED)
     )
 
     oracle = ClosedLoopController(engine=_engine()).run(

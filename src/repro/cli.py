@@ -16,9 +16,12 @@ Eleven commands cover the library's day-to-day uses without writing code:
   ``--jobs``), winner selected by ``--objective``.
 * ``batch`` — the (assay x design-time defect pattern) preset grid of
   the campaign engine; ``--json`` emits the machine-readable report.
-* ``recover`` — inject a mid-assay fault and recover online: checkpoint
-  the live state, re-place the pending modules, re-route the suffix,
-  resume; ``--sweep`` runs the (assay x fault arrival x fault site)
+* ``recover`` — inject mid-assay faults of a ``--fault-model`` and
+  recover online on the closed loop's rung ladder: detect each fault
+  (from ground truth, or through the noisy-sensor probe loop under
+  ``--closed-loop``), checkpoint the live state, then re-route,
+  relocate, re-place or re-synthesize the suffix, cheapest rung first,
+  and resume; ``--sweep`` runs the (assay x fault arrival x fault site)
   preset grid of the campaign engine instead.
 * ``campaign`` — run a declarative scenario grid from a TOML/JSON
   config into a structured JSONL log.
@@ -548,10 +551,15 @@ def _recovery_timeline(outcome) -> str:
 
 
 def cmd_recover(args: argparse.Namespace) -> int:
-    from repro.placement.annealer import AnnealingParams
-    from repro.recovery import OnlineRecoveryEngine
-    from repro.recovery.engine import FAULT_TARGETS, pick_fault_cell
+    from repro.recovery import (
+        FAULT_TARGETS,
+        ClosedLoopController,
+        OnlineRecoveryEngine,
+        fault_timeline,
+    )
     from repro.synthesis.flow import SynthesisFlow
+    from repro.testing.detector import CapacitiveSensor
+    from repro.util.rng import ensure_rng
 
     protocols = sorted(PROTOCOLS) if args.protocol == "all" else [args.protocol]
     if args.target is not None and args.target not in FAULT_TARGETS:
@@ -604,92 +612,19 @@ def cmd_recover(args: argparse.Namespace) -> int:
         )
         return _run_preset(args, config, "recovered")
 
+    # Every fault, one or many, of any model, runs the rung ladder:
+    # detected by the noisy-sensor probe loop under --closed-loop, from
+    # ground truth otherwise. Each --cell/--fault-time pair anchors one
+    # --fault-model timeline (its cell auto-picked by --target when no
+    # cell is pinned).
     target = args.target if args.target is not None else "pending-module"
+    mode = "closed-loop" if args.closed_loop else "oracle"
     engine = OnlineRecoveryEngine(
         annealing=(
             AnnealingParams.fast() if args.fast
             else AnnealingParams.low_temperature()
         ),
     )
-    closed = (
-        args.closed_loop or args.fault_model != "permanent" or len(pairs) > 1
-    )
-    if closed:
-        return _recover_closed_loop(args, protocols, pairs, target, engine)
-
-    fault_fraction = pairs[0][0] if pairs else 0.5
-    outcomes = {}
-    exit_code = EXIT_OK
-    for name in protocols:
-        graph, binding = build_assay(name)
-        flow = SynthesisFlow(
-            placer=_placer(args),
-            max_concurrent_ops=args.max_concurrent,
-            max_parked=_max_parked(args, name),
-            route=True,
-        )
-        try:
-            result = flow.run(graph, explicit_binding=binding)
-            _check_on_array(
-                "--cell", [c for _, c in pairs if c is not None],
-                result.placement_result.placement,
-            )
-            fault_time = fault_fraction * result.schedule.makespan
-            checkpoint = engine.checkpoint_of(result, fault_time)
-            if pairs and pairs[0][1] is not None:
-                cell = pairs[0][1]
-            else:
-                cell = pick_fault_cell(
-                    result, checkpoint, target, rng=args.seed
-                )
-            outcome = engine.recover(
-                result, [cell], fault_time, seed=args.seed, checkpoint=checkpoint
-            )
-        except UsageError:
-            raise
-        except ReproError as exc:
-            print(f"{name}: recovery errored: {type(exc).__name__}: {exc}")
-            exit_code = EXIT_INFEASIBLE
-            continue
-        outcomes[name] = outcome
-        if not args.json:
-            print(f"--- {name} ---")
-            print(_recovery_timeline(outcome))
-            print(outcome.summary())
-            print()
-        if not outcome.recovered:
-            exit_code = EXIT_INFEASIBLE
-    if args.json:
-        print(json.dumps({n: o.to_dict() for n, o in outcomes.items()}, indent=2))
-    elif outcomes:
-        recovered = sum(1 for o in outcomes.values() if o.recovered)
-        print(f"{recovered}/{len(outcomes)} assays recovered")
-    return exit_code
-
-
-def _recover_closed_loop(
-    args: argparse.Namespace,
-    protocols: list[str],
-    pairs: list[tuple[float, tuple[int, int] | None]],
-    target: str,
-    engine,
-) -> int:
-    """One closed-loop (or multi-fault oracle) run per protocol.
-
-    Each ``--cell``/``--fault-time`` pair seeds the configured
-    ``--fault-model`` timeline at that arrival and cell (auto-picked by
-    ``--target`` when no cell is pinned); detections happen via the
-    noisy-sensor probe loop under ``--closed-loop``, or from ground
-    truth otherwise.
-    """
-    from repro.geometry import Point
-    from repro.recovery import ClosedLoopController, pick_fault_cell
-    from repro.fault.models import scenario_events
-    from repro.synthesis.flow import SynthesisFlow
-    from repro.testing.detector import CapacitiveSensor
-    from repro.util.rng import ensure_rng
-
-    mode = "closed-loop" if args.closed_loop else "oracle"
     controller = ClosedLoopController(
         engine=engine,
         sensor=CapacitiveSensor(
@@ -714,23 +649,14 @@ def _recover_closed_loop(
                 "--cell", [c for _, c in pairs if c is not None],
                 result.placement_result.placement,
             )
-            makespan = result.schedule.makespan
-            width, height = result.placement_result.placement.array_dims()
             rng = ensure_rng(args.seed)
             events = []
-            for fraction, raw_cell in pairs or [(0.5, None)]:
-                fault_time = fraction * makespan
-                if raw_cell is not None:
-                    cell = Point(*raw_cell)
-                else:
-                    checkpoint = engine.checkpoint_of(result, fault_time)
-                    cell = pick_fault_cell(result, checkpoint, target, rng=rng)
-                events.extend(
-                    scenario_events(
-                        args.fault_model, cell, fault_time, makespan,
-                        width, height, rng,
-                    )
-                )
+            for fraction, cell in pairs or [(0.5, None)]:
+                events.extend(fault_timeline(
+                    engine, result, args.fault_model,
+                    fraction * result.schedule.makespan,
+                    target if cell is None else cell, rng,
+                ))
             out = controller.run(result, tuple(sorted(events)), seed=args.seed, mode=mode)
         except UsageError:
             raise

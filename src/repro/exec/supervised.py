@@ -14,9 +14,12 @@ nearest deadline as the timeout, and reads three signals:
 * **A ready sentinel with no reply is a dead worker** (OOM kill,
   segfault, ``os._exit``): its task is charged an attempt and the slot
   respawned. A worker that dies between tasks charges no task.
-* **A passed deadline** (``task_timeout`` after the task was sent; a
-  slot runs one task at a time) SIGKILLs the worker, charges its task
-  an attempt and respawns the slot.
+* **A passed deadline** (``task_timeout`` after the task was sent, or
+  after the worker reported ready if it was still starting, so a
+  worker's start-up never counts against its first task; a slot runs
+  one task at a time) SIGKILLs the worker, charges its task an attempt
+  and respawns the slot. A worker that dies while starting is caught by
+  its sentinel like any other death.
 
 A lost execution is retried up to ``max_retries`` times with a
 deterministic exponential backoff. Past ``pool_failure_limit`` slot
@@ -97,6 +100,11 @@ _VALUE, _RAISED, _FAILED = "value", "raised", "failed"
 #: sibling inherits the parent's end of this pipe, so EOF never arrives.
 _STOP = b""
 
+#: A worker's first message: it has started (under ``spawn`` and
+#: ``forkserver``, imported this module) and is reading its pipe. No
+#: reply is empty, since every reply is a pickle.
+_READY = b""
+
 
 def _describe(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
@@ -129,6 +137,7 @@ def _serve(conn: Connection) -> None:
         os._exit(1)
 
     threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
+    conn.send_bytes(_READY)
     while (data := conn.recv_bytes()) != _STOP:
         try:
             reply = (_VALUE, _supervised_call(*pickle.loads(data)))
@@ -158,6 +167,7 @@ class _Slot:
     conn: Connection | None = None
     task: _TaskState | None = None
     deadline: float = math.inf  # ``task``'s deadline (monotonic)
+    ready: bool = False  # the worker has sent ``_READY``
 
     def take(self) -> _TaskState:
         """Free the slot and return the task it was running."""
@@ -169,7 +179,7 @@ class _Slot:
         proc = multiprocessing.Process(target=_serve, args=(child,))
         with child:
             proc.start()
-        self.proc, self.conn = proc, conn
+        self.proc, self.conn, self.ready = proc, conn, False
 
     def stop(self, kill: bool) -> None:
         """End the worker: SIGKILL it if *kill* (a busy or hung worker
@@ -267,7 +277,7 @@ class SupervisedPool:
             if on_outcome is not None:
                 on_outcome(outcome)
 
-        if self.jobs == 1 or len(tasks) == 1:
+        if self.jobs == 1:
             for i, task in enumerate(tasks):
                 finalize(self._run_serial(fn, task, i, keys[i], attempt=0))
         else:
@@ -356,8 +366,8 @@ class SupervisedPool:
                     self.degraded = True
                     break
 
-                # One task per worker, so every sent task starts
-                # immediately and its deadline clock is real.
+                # One task per worker, so a sent task starts as soon as
+                # its worker is ready and its deadline clock is real.
                 for slot in slots:
                     if slot.task is not None or not queue:
                         continue
@@ -381,7 +391,11 @@ class SupervisedPool:
                         respawn(slot)
                         continue
                     slot.task = p
-                    slot.deadline = time.monotonic() + (self.task_timeout or math.inf)
+                    # A starting worker's clock starts when it is ready.
+                    slot.deadline = (
+                        time.monotonic() + (self.task_timeout or math.inf)
+                        if slot.ready else math.inf
+                    )
 
                 busy = [s for s in slots if s.task is not None]
                 if not busy:
@@ -400,7 +414,11 @@ class SupervisedPool:
                         except (EOFError, OSError):
                             dead = True
                         else:
-                            settle(slot.take(), data)
+                            if data == _READY:
+                                slot.ready = True
+                                slot.deadline = now + (self.task_timeout or math.inf)
+                            else:
+                                settle(slot.take(), data)
                     if dead:
                         if slot.task is not None:
                             p = slot.take()

@@ -4,9 +4,10 @@ The paper models a single *permanent* cell, drawn uniformly at random;
 the FTI is the probability that such a fault is survivable (Section
 5.2). Every entry point — ``repro recover``, campaign grids (so
 ``batch`` and ``recover --sweep`` too) and the fault-model benchmark —
-realizes its faults through :func:`scenario_events`, which pins five
-variants of that model to one arrival instant and target cell so their
-outcomes stay comparable:
+realizes its faults through :func:`scenario_events`, by way of
+:func:`repro.recovery.engine.fault_timeline`, which picks the target
+cell first. It pins five variants of that model to one arrival instant
+and target cell so their outcomes stay comparable:
 
 =================  ==========================================================
 model              timeline (``t`` = arrival, ``M`` = nominal makespan)

@@ -273,7 +273,7 @@ def run_portfolio(
 
     t0 = time.perf_counter()
     pool = SupervisedPool(
-        jobs=min(jobs, n), task_timeout=task_timeout,
+        jobs=jobs, task_timeout=task_timeout,
         max_retries=max_retries, chaos=chaos,
     )
     task_outcomes = pool.map(

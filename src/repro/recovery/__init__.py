@@ -36,6 +36,7 @@ from repro.recovery.engine import (
     FaultAvoidanceCost,
     OnlineRecoveryEngine,
     RecoveryOutcome,
+    fault_timeline,
     pick_fault_cell,
 )
 from repro.sim.engine import SimCheckpoint
@@ -52,5 +53,6 @@ __all__ = [
     "OnlineRecoveryEngine",
     "RecoveryOutcome",
     "SimCheckpoint",
+    "fault_timeline",
     "pick_fault_cell",
 ]

@@ -47,6 +47,7 @@ import random
 import time
 from dataclasses import dataclass
 
+from repro.fault.models import FaultEvent, scenario_events
 from repro.fault.reconfigure import PartialReconfigurer
 from repro.geometry import Point
 from repro.placement.annealer import AnnealingParams, SimulatedAnnealing
@@ -290,23 +291,6 @@ class RecoveryOutcome:
             "sim": self.sim_report.to_dict() if self.sim_report is not None else None,
         }
 
-    def summary(self) -> str:
-        status = "RECOVERED" if self.recovered else f"NOT RECOVERED ({self.reason})"
-        return (
-            f"{status}: fault at t={self.fault_time_s:g}s on "
-            f"{', '.join(str(p) for p in self.fault_cells)}; "
-            f"{len(self.checkpoint.completed)} ops done, "
-            f"{len(self.checkpoint.in_flight)} frozen in flight, "
-            f"{len(self.movable_ops)} re-placed "
-            f"({len(self.moved_ops)} moved, {len(self.relocated_ops)} MER-rescued); "
-            f"{self.rerouted_nets} nets re-routed in {self.suffix_epochs} suffix "
-            f"epochs ({self.reused_epochs} prefix epochs reused); "
-            f"makespan {self.nominal_makespan_s:g}s -> {self.recovered_makespan_s:g}s "
-            f"(penalty {self.makespan_penalty_s:g}s); "
-            f"re-synthesis {self.recovery_s * 1000:.1f} ms "
-            f"(place {self.replace_s * 1000:.1f} + route {self.reroute_s * 1000:.1f})"
-        )
-
 
 def pick_fault_cell(
     result: SynthesisResult,
@@ -385,6 +369,38 @@ def pick_fault_cell(
         if streets:
             return streets[rng.randrange(len(streets))]
     return Point((width + 1) // 2, (height + 1) // 2)
+
+
+def fault_timeline(
+    engine: OnlineRecoveryEngine,
+    design: SynthesisResult,
+    fault_model: str,
+    fault_time_s: float,
+    site,
+    rng: random.Random,
+    known_faults=(),
+) -> tuple[FaultEvent, ...]:
+    """One fault's events: *fault_model*'s timeline (see
+    :func:`~repro.fault.models.scenario_events`) anchored at
+    *fault_time_s* on a cell of *design*.
+
+    *site* is either an explicit cell (placement coordinates) or a
+    :data:`FAULT_TARGETS` name; a name is resolved by
+    :func:`pick_fault_cell` on the nominal checkpoint at the fault
+    instant, with *known_faults* dead from time zero. *rng* is drawn
+    from in a fixed order, the site pick first and then the model's own
+    draws, so a seeded generator gives a deterministic scenario.
+    """
+    if isinstance(site, str):
+        checkpoint = engine.checkpoint_of(design, fault_time_s, known_faults)
+        cell = pick_fault_cell(design, checkpoint, site, rng=rng)
+    else:
+        cell = Point(*site)
+    width, height = design.placement_result.placement.array_dims()
+    return scenario_events(
+        fault_model, cell, fault_time_s, design.schedule.makespan,
+        width, height, rng,
+    )
 
 
 class OnlineRecoveryEngine:

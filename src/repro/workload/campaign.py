@@ -630,11 +630,14 @@ def _run_unit(unit: _UnitSpec) -> list[CampaignRecord]:
     """Synthesize once, route once per defect pattern, then run every
     fault suffix on its pattern's design."""
     from repro.assay.catalog import build_assay
-    from repro.fault.models import defect_cells, scenario_events
+    from repro.fault.models import defect_cells
     from repro.placement.annealer import AnnealingParams
     from repro.placement.sa_placer import SimulatedAnnealingPlacer
-    from repro.recovery import ClosedLoopController, OnlineRecoveryEngine
-    from repro.recovery.engine import pick_fault_cell
+    from repro.recovery import (
+        ClosedLoopController,
+        OnlineRecoveryEngine,
+        fault_timeline,
+    )
     from repro.synthesis.flow import SynthesisFlow
     from repro.testing.detector import CapacitiveSensor
     from repro.util.rng import ensure_rng
@@ -699,12 +702,9 @@ def _run_unit(unit: _UnitSpec) -> list[CampaignRecord]:
                     rng.uniform(0.3, 0.7) if sc.arrival is None
                     else sc.arrival
                 )
-                fault_time = arrival * makespan
-                checkpoint = engine.checkpoint_of(design, fault_time, cells)
-                cell = pick_fault_cell(design, checkpoint, sc.site, rng=rng)
-                events = scenario_events(
-                    sc.fault_model, cell, fault_time, makespan,
-                    width, height, rng,
+                events = fault_timeline(
+                    engine, design, sc.fault_model, arrival * makespan,
+                    sc.site, rng, known_faults=cells,
                 )
             outcome = controller.run(
                 design, events, seed=seed, mode="closed-loop",
@@ -942,7 +942,7 @@ class CampaignRunner:
 
             if units:
                 pool = SupervisedPool(
-                    jobs=min(jobs, len(units)),
+                    jobs=jobs,
                     task_timeout=task_timeout,
                     max_retries=max_retries,
                     chaos=chaos,

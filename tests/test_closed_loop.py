@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from functools import lru_cache
 
 import pytest
@@ -28,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.assay.catalog import BUNDLED_ASSAYS, build_assay
+from repro.cli import EXIT_OK, main
 from repro.fault.models import FAIL, FaultEvent, scenario_events
 from repro.geometry import Point
 from repro.placement.annealer import AnnealingParams, SimulatedAnnealing
@@ -36,6 +38,7 @@ from repro.recovery import (
     RECOVERY_RUNGS,
     ClosedLoopController,
     OnlineRecoveryEngine,
+    fault_timeline,
 )
 from repro.recovery import closedloop
 from repro.recovery.closedloop import LadderStep
@@ -135,6 +138,67 @@ class TestOracleEquivalence:
         controller = ClosedLoopController(engine=_engine())
         with pytest.raises(RecoveryError, match="detection mode"):
             controller.run(_routed("pcr"), (), mode="telepathy")
+
+
+class TestFaultTimeline:
+    """``fault_timeline`` is the site pick followed by the model's own
+    timeline, both drawing from one generator in that order."""
+
+    @pytest.mark.parametrize("model", ["permanent", "intermittent", "cluster"])
+    def test_named_site_is_pick_then_scenario_events(self, model):
+        result = _routed("pcr")
+        t = 0.5 * result.makespan
+        engine = _engine()
+        rng, expected_rng = random.Random(3), random.Random(3)
+        events = fault_timeline(engine, result, model, t, "pending-module", rng)
+        cell = pick_fault_cell(
+            result, engine.checkpoint_of(result, t), "pending-module",
+            rng=expected_rng,
+        )
+        width, height = result.placement_result.placement.array_dims()
+        assert events == scenario_events(
+            model, cell, t, result.makespan, width, height, expected_rng
+        )
+        assert rng.getstate() == expected_rng.getstate()
+
+    def test_explicit_cell_takes_no_checkpoint(self, monkeypatch):
+        calls = _count_checkpoints(monkeypatch)
+        events = fault_timeline(
+            _engine(), _routed("pcr"), "permanent", 4.0, (2, 3), random.Random(0)
+        )
+        assert events == (FaultEvent(4.0, Point(2, 3), FAIL),)
+        assert calls == []
+
+
+class TestRecoverCommand:
+    """Plain ``repro recover`` (no ``--closed-loop``) climbs the same
+    rung ladder as every other entry point, detecting from ground
+    truth."""
+
+    #: Recovered makespans at the default seed, pinned from the direct
+    #: ``replace`` recovery plain ``recover`` ran before it took the
+    #: ladder: the ``relocate`` rung reaches the same ones.
+    MAKESPANS = {
+        "dilution": 55.03248843004628,
+        "ivd": 23,
+        "pcr": 22.51624421502314,
+        "tree16": 67,
+        "tree8": 32.03248843004628,
+    }
+
+    def test_every_bundled_assay_completes_at_relocate(self, capsys):
+        code = main(["recover", "--fast", "--protocol", "all", "--json"])
+        runs = json.loads(capsys.readouterr().out)
+        assert code == EXIT_OK
+        assert sorted(runs) == sorted(self.MAKESPANS)
+        for name, run in runs.items():
+            assert run["detection_mode"] == "oracle"
+            assert run["completed"] and run["final_rung"] == "relocate"
+            (recovery,) = run["recoveries"]
+            assert [(s["rung"], s["succeeded"]) for s in recovery["ladder"]] == [
+                ("reroute", False), ("relocate", True),
+            ]
+            assert run["realized_makespan_s"] == self.MAKESPANS[name]
 
 
 class TestClosedLoopCompletion:

@@ -72,6 +72,10 @@ def slow_square(args):
     return x * x
 
 
+def worker_pid(_):
+    return os.getpid()
+
+
 def quiet_pool(**kw):
     kw.setdefault("chaos", ChaosPolicy.none())
     kw.setdefault("backoff_base", 0.0)
@@ -86,9 +90,12 @@ class TestSerialPath:
         assert all(o.status == STATUS_OK and o.attempts == 1 for o in outcomes)
         assert pool.rebuilds == 0 and not pool.degraded
 
-    def test_single_task_short_circuits_to_serial(self):
-        outcomes = quiet_pool(jobs=4).map(square, [5])
-        assert [o.value for o in outcomes] == [25]
+    def test_single_task_runs_in_a_worker(self):
+        # Only jobs=1 runs in-process: a lone task still gets a worker,
+        # and so its deadline and crash isolation.
+        outcomes = quiet_pool(jobs=4).map(worker_pid, [5])
+        assert outcomes[0].status == STATUS_OK
+        assert outcomes[0].value != os.getpid()
 
     def test_repro_error_is_infeasible_not_crash(self):
         outcomes = quiet_pool(jobs=1).map(square_or_infeasible, [2, 3])
@@ -231,6 +238,12 @@ class TestParallelSupervision:
         assert outcomes[1].ok and outcomes[1].value == 16
         assert pool.rebuilds >= 1
 
+    def test_single_task_keeps_its_deadline(self):
+        pool = quiet_pool(jobs=2, task_timeout=0.5, max_retries=0)
+        outcomes = pool.map(time.sleep, [1.5])
+        assert outcomes[0].status == STATUS_TIMEOUT
+        assert "deadline 0.5s exceeded" in outcomes[0].error
+
     def test_timeout_exhaustion_reports_timeout(self):
         chaos = ChaosPolicy.explicit_plan(
             {(0, a): "timeout" for a in range(2)}, sleep_s=30.0
@@ -319,10 +332,12 @@ class TestOutcomePlumbing:
 #: workers, each writing its pid and then holding its task far longer
 #: than the test waits. ``forks`` mode: print the live threads at every
 #: fork of a map whose first worker is chaos-killed and respawned while
-#: the other is busy, then its outcomes. ``square`` mode: print a small
-#: map's outcomes.
+#: the other is busy, then its outcomes. ``startup`` mode: print the
+#: outcomes and respawns of a map whose deadline is shorter than a cold
+#: worker start. ``square`` mode: print a small map's outcomes.
 _PARENT = """
 import multiprocessing
+import operator
 import os
 import sys
 import threading
@@ -362,6 +377,12 @@ if __name__ == "__main__":
         outcomes = pool.map(nap, [1, 2, 3, 4])
         print(forks)
         print([(o.status, o.attempts, o.value) for o in outcomes])
+    elif mode == "startup":
+        pool = SupervisedPool(
+            jobs=2, task_timeout=0.1, chaos=ChaosPolicy.none(), backoff_base=0.0
+        )
+        outcomes = pool.map(operator.neg, [1, 2, 3, 4])
+        print([(o.status, o.attempts, o.value) for o in outcomes], pool.rebuilds)
     else:
         print([(o.status, o.attempts, o.value) for o in pool.map(square, [1, 2, 3])])
 """
@@ -425,6 +446,19 @@ class TestStartMethods:
             for pid in pids:
                 if _running(pid):
                     os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.parametrize(
+    "method", [m for m in ("spawn", "forkserver") if m in START_METHODS]
+)
+def test_worker_start_up_is_not_charged_to_its_task(tmp_path, method):
+    # A spawned or fork-served worker imports the package before it
+    # reads its pipe, which takes longer than this map's 0.1 s deadline;
+    # each task's clock starts only once its worker is ready.
+    parent = _start_parent(tmp_path, "startup", method, stdout=subprocess.PIPE, text=True)
+    out, _ = parent.communicate(timeout=120)
+    assert parent.returncode == 0
+    assert out.strip() == str([(STATUS_OK, 1, -x) for x in (1, 2, 3, 4)]) + " 0"
 
 
 @pytest.mark.skipif("fork" not in START_METHODS, reason="needs the fork start method")
