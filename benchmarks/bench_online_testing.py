@@ -8,16 +8,19 @@ fault model assumes, on one SA placement of the PCR assay:
   ``makespan / 8`` grid, plus ``t = 0``), on the bounding array; every
   plan must equal the ``Point``-set reference planner's;
 * executing: the walks at ``t = 0`` on a chip with one dead cell,
-  pinpointing the faulty cell by bisection.
+  each localized by bisection under the ideal sensor, pinpointing the
+  faulty cell.
 
 CI runs this file under ``REPRO_BENCH_FAST=1``; the file has no
 separate fast mode.
 """
 
+import random
+
 import pytest
 from oracles import reference_free_cell_paths
 
-from repro.testing.online import OnlineTester
+from repro.testing import FaultLocalizer, free_cell_paths
 from repro.util.tables import format_table
 
 
@@ -40,21 +43,21 @@ def _probe_instants(placement) -> list[float]:
 
 
 def test_online_testing_plans(benchmark, report, placement):
-    tester = OnlineTester()
     width, height = placement.array_dims()
     instants = _probe_instants(placement)
 
     def plan_all():
         return [
-            tester.plan(placement, t, width=width, height=height) for t in instants
+            free_cell_paths(placement, t, width=width, height=height)
+            for t in instants
         ]
 
     plans = benchmark(plan_all)
 
-    for plan in plans:
-        assert [list(p) for p in plan.paths] == reference_free_cell_paths(
-            placement, plan.at_time, width=width, height=height
-        ), plan.at_time
+    for t, paths in zip(instants, plans):
+        assert paths == reference_free_cell_paths(
+            placement, t, width=width, height=height
+        ), t
     report(
         "On-line test planning (ref [14])",
         format_table(
@@ -62,34 +65,41 @@ def test_online_testing_plans(benchmark, report, placement):
             [
                 ("array", f"{width}x{height}"),
                 ("probe instants planned", len(plans)),
-                ("test walks", sum(len(plan.paths) for plan in plans)),
-                ("walk steps total", sum(plan.total_steps for plan in plans)),
+                ("test walks", sum(len(paths) for paths in plans)),
+                ("walk steps total",
+                 sum(len(path) for paths in plans for path in paths)),
             ],
         ),
     )
 
 
 def test_online_testing_campaign(benchmark, report, placement):
-    tester = OnlineTester()
-    plan = tester.plan(placement, at_time=0.0)
-    fault = max(plan.cells_covered)  # a free cell the campaign must find
+    localizer = FaultLocalizer()
+    paths = free_cell_paths(placement, at_time=0.0)
+    covered = {cell for path in paths for cell in path}
+    fault = max(covered)  # a free cell the campaign must find
 
     def campaign():
-        return tester.execute(frozenset({fault}), plan)
+        rng = random.Random(0)  # the ideal sensor never draws from it
+        return [
+            localizer.localize(frozenset({fault}), path, rng) for path in paths
+        ]
 
-    outcome = benchmark(campaign)
+    results = benchmark(campaign)
 
-    assert fault in outcome.faults_found
+    found = [r.faulty_cell for r in results if r.fault_found]
+    assert found == [fault]
     report(
         "On-line testing (refs [13]/[14])",
         format_table(
             ("metric", "value"),
             [
-                ("free cells covered at t=0", len(plan.cells_covered)),
-                ("test walks", len(plan.paths)),
-                ("walk steps total", plan.total_steps),
-                ("droplet dispenses incl. localization", outcome.runs),
-                ("fault localized", str(outcome.faults_found[0])),
+                ("free cells covered at t=0", len(covered)),
+                ("test walks", len(paths)),
+                ("walk steps total", sum(len(path) for path in paths)),
+                ("droplet dispenses incl. localization",
+                 sum(r.runs for r in results)),
+                ("fault localized", str(found[0])),
             ],
         ),
     )

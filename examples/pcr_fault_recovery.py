@@ -10,6 +10,8 @@ late but chemically intact.
 Run:  python examples/pcr_fault_recovery.py
 """
 
+import random
+
 from repro import AnnealingParams, SimulatedAnnealingPlacer
 from repro.experiments.pcr import pcr_case_study
 from repro.sim.engine import BiochipSimulator
@@ -30,7 +32,8 @@ def main() -> None:
 
     # --- how the controller would find the fault (refs [13]/[14]) -----
     localization = FaultLocalizer().localize(
-        frozenset({victim}), snake_path(sim.width, sim.height)
+        frozenset({victim}), snake_path(sim.width, sim.height),
+        random.Random(0),  # the ideal sensor never draws from it
     )
     print(f"test substrate: fault localized at {localization.faulty_cell} "
           f"in {localization.runs} test-droplet runs")

@@ -583,6 +583,10 @@ def cmd_recover(args: argparse.Namespace) -> int:
             "imperfect sensing channel and need --closed-loop "
             "(oracle detection never consults the sensor)"
         )
+    sensor = CapacitiveSensor.parse({
+        "fpr": args.sensor_fpr, "fnr": args.sensor_fnr,
+        "latency": args.sensor_latency,
+    })
 
     if args.sweep:
         from repro.workload.campaign import recovery_sweep_preset
@@ -601,10 +605,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
                 else ("pending-module", "street")
             ),
             fault_model=args.fault_model,
-            sensor=(
-                f"fpr={args.sensor_fpr},fnr={args.sensor_fnr},"
-                f"latency={args.sensor_latency}"
-            ),
+            sensor=sensor.key,
             seed=args.seed,
             fast=args.fast,
             max_concurrent=args.max_concurrent,
@@ -625,14 +626,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
             else AnnealingParams.low_temperature()
         ),
     )
-    controller = ClosedLoopController(
-        engine=engine,
-        sensor=CapacitiveSensor(
-            false_positive_rate=args.sensor_fpr,
-            false_negative_rate=args.sensor_fnr,
-            latency_s=args.sensor_latency,
-        ),
-    )
+    controller = ClosedLoopController(engine=engine, sensor=sensor)
     outcomes = {}
     exit_code = EXIT_OK
     for name in protocols:

@@ -2,7 +2,8 @@
 
 Each module reproduces one artifact of the evaluation (see DESIGN.md's
 experiment index); :mod:`repro.experiments.runner` runs them all and
-renders the paper-vs-measured report that EXPERIMENTS.md records.
+renders the paper-vs-measured report (``repro experiments --out FILE``
+writes it to a file).
 """
 
 from repro.experiments import paper_constants

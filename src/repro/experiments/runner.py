@@ -1,8 +1,9 @@
 """Run every experiment and render the paper-vs-measured report.
 
-``python -m repro.experiments.runner`` regenerates the content of
-EXPERIMENTS.md (to stdout, or to a file with ``--out``). Individual
-experiments stay importable for the benchmark harness.
+``repro experiments --out FILE`` writes the report to *FILE* and
+prints it without ``--out``; ``python -m repro.experiments.runner``
+takes the same flag. Individual experiments stay importable for the
+benchmark harness.
 """
 
 from __future__ import annotations

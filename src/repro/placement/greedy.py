@@ -14,7 +14,7 @@ from collections.abc import Iterable, Mapping
 from typing import TYPE_CHECKING
 
 from repro.modules.module import ModuleSpec
-from repro.placement.legalize import first_feasible_position
+from repro.placement.legalize import seat_bottom_left
 from repro.placement.model import PlacedModule, Placement
 from repro.util.errors import PlacementError
 
@@ -59,26 +59,20 @@ class GreedyPlacer:
 
     def place_modules(self, modules: Iterable[PlacedModule]) -> Placement:
         """Place pre-built modules largest-area-first at bottom-left."""
-        placement = Placement(self.core_width, self.core_height)
         ordered = sorted(
             modules, key=lambda pm: (-pm.footprint.area, pm.start, pm.op_id)
         )
-        for pm in ordered:
-            seated = first_feasible_position(
-                placement.modules(),
-                pm,
-                self.core_width,
-                self.core_height,
-                # The paper's baseline places footprints as bound.
-                allow_rotation=False,
-            )
-            if seated is None:
-                raise PlacementError(
-                    f"greedy placement failed for {pm.op_id} in "
-                    f"{self.core_width}x{self.core_height} core"
-                )
-            placement.add(seated)
-        return placement
+        return seat_bottom_left(
+            ordered,
+            self.core_width,
+            self.core_height,
+            # The paper's baseline places footprints as bound.
+            allow_rotation=False,
+            failure=lambda pm: (
+                f"greedy placement failed for {pm.op_id} in "
+                f"{self.core_width}x{self.core_height} core"
+            ),
+        )
 
     def place(self, schedule: Schedule, binding) -> "GreedyResult":
         """Place a scheduled, bound assay; returns placement + metrics."""

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.placement.legalize import first_feasible_position
+from repro.placement.legalize import seat_bottom_left
 from repro.placement.model import PlacedModule, Placement
-from repro.util.errors import PlacementError
 
 
 def constructive_initial_placement(
@@ -28,19 +27,17 @@ def constructive_initial_placement(
     the core area is too small for the schedule's concurrency, and the
     caller should enlarge it.
     """
-    placement = Placement(core_width, core_height)
     ordered = sorted(
         modules, key=lambda pm: (pm.start, -pm.footprint.area, pm.op_id)
     )
-    for pm in ordered:
-        seated = first_feasible_position(
-            placement.modules(), pm, core_width, core_height, allow_rotation
-        )
-        if seated is None:
-            raise PlacementError(
-                f"initial placement failed: {pm.op_id} "
-                f"({pm.spec.footprint_width}x{pm.spec.footprint_height}) does not "
-                f"fit the {core_width}x{core_height} core alongside earlier modules"
-            )
-        placement.add(seated)
-    return placement
+    return seat_bottom_left(
+        ordered,
+        core_width,
+        core_height,
+        allow_rotation=allow_rotation,
+        failure=lambda pm: (
+            f"initial placement failed: {pm.op_id} "
+            f"({pm.spec.footprint_width}x{pm.spec.footprint_height}) does not "
+            f"fit the {core_width}x{core_height} core alongside earlier modules"
+        ),
+    )

@@ -1,15 +1,17 @@
 """Bottom-left scanning and overlap repair.
 
 Shared machinery for the constructive initial placement (paper Figure
-4(a)), the greedy baseline (paper Section 6.1), and the final
-legalization safety net of the SA placers: the annealer *should* drive
-the overlap penalty to zero, but a stochastic run has no guarantee, so
-placers repair any residual overlap deterministically before reporting.
+4(a)) and the greedy baseline (paper Section 6.1), which both seat
+modules one at a time with :func:`seat_bottom_left`, each in its own
+order, and for the final legalization safety net of the SA placers:
+the annealer *should* drive the overlap penalty to zero, but a
+stochastic run has no guarantee, so placers repair any residual
+overlap deterministically before reporting.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from repro.grid.bitboard import Bitboard
 from repro.placement.model import PlacedModule, Placement
@@ -57,6 +59,31 @@ def first_feasible_position(
         return None
     x, y = board.cell(best[0])
     return pm.moved_to(x, y, rotated=best[1])
+
+
+def seat_bottom_left(
+    modules: Iterable[PlacedModule],
+    core_width: int,
+    core_height: int,
+    *,
+    allow_rotation: bool,
+    failure: Callable[[PlacedModule], str],
+) -> Placement:
+    """Seat *modules*, in the given order, each at its
+    :func:`first_feasible_position` among those seated before it.
+
+    Raises :class:`PlacementError` with ``failure(pm)`` as its message
+    for the first module that fits nowhere.
+    """
+    placement = Placement(core_width, core_height)
+    for pm in modules:
+        seated = first_feasible_position(
+            placement.modules(), pm, core_width, core_height, allow_rotation
+        )
+        if seated is None:
+            raise PlacementError(failure(pm))
+        placement.add(seated)
+    return placement
 
 
 #: Re-seating sweeps :func:`repair_overlaps` makes before giving up.

@@ -62,7 +62,7 @@ from repro.sim.engine import BiochipSimulator, SimulationReport, active_fault_ce
 from repro.synthesis.flow import SynthesisResult
 from repro.testing.detector import CapacitiveSensor
 from repro.testing.localize import FaultLocalizer
-from repro.testing.online import OnlineTester
+from repro.testing.test_droplet import free_cell_paths
 from repro.util.errors import RecoveryError
 from repro.util.rng import ensure_rng, spawn_seed
 
@@ -438,7 +438,6 @@ class ClosedLoopController:
         confirmed finding, recover and re-plan the remaining campaigns
         against the updated placement."""
         localizer = FaultLocalizer(sensor=self.sensor, votes=self.votes)
-        tester = OnlineTester(localizer)
         done = 0.0
         while True:
             ahead = self._probe_instants(state, done)
@@ -448,14 +447,14 @@ class ClosedLoopController:
             done = now
             placement = state.result.placement_result.placement
             width, height = placement.array_dims()
-            plan = tester.plan(placement, now, width=width, height=height)
+            paths = free_cell_paths(placement, now, width=width, height=height)
             # The chip's true state, which only the walks observe.
             dead = frozenset(active_fault_cells(
                 ((e.time_s, e.cell, e.kind) for e in events), now
             ))
             recovered_here = False
-            for path in plan.paths:
-                probe = localizer.localize(dead, list(path), rng)
+            for path in paths:
+                probe = localizer.localize(dead, path, rng)
                 state.probes_run += probe.runs
                 if not probe.fault_found or probe.faulty_cell in state.believed:
                     continue
@@ -463,7 +462,7 @@ class ClosedLoopController:
                 # the same walk. A clean re-read dismisses the alarm —
                 # dismissed alarms are recorded and never recovered
                 # around, so a false alarm cannot abort a healthy run.
-                confirm = localizer.localize(dead, list(path), rng)
+                confirm = localizer.localize(dead, path, rng)
                 state.probes_run += confirm.runs
                 campaign_runs = probe.runs + confirm.runs
                 detected_at = now + self.sensor.latency_s

@@ -9,16 +9,20 @@ some cell on the path is faulty. Reference [14] extends this to
 currently used by modules.
 
 We simulate that hardware: :mod:`repro.testing.test_droplet` plans
-coverage paths and simulates the walk over an array with injected
-faults; :mod:`repro.testing.detector` models the sink sensor;
-:mod:`repro.testing.localize` pinpoints the faulty cell by adaptive
-binary search over path prefixes; :mod:`repro.testing.online` schedules
-concurrent tests around a running placement.
+coverage walks over the cells free at an instant
+(:func:`~repro.testing.test_droplet.free_cell_paths`) and simulates a
+walk over an array with injected faults;
+:mod:`repro.testing.detector` models the sink sensor, whose reads may
+err and always draw from an explicit RNG; :mod:`repro.testing.localize`
+pinpoints the faulty cell by majority-voted binary search over path
+prefixes. The one campaign executor is the closed-loop controller's
+probe loop (:class:`repro.recovery.ClosedLoopController`), which plans
+the walks at every probe instant, localizes each, and confirms a
+finding with a second localization before recovering around it.
 """
 
-from repro.testing.detector import CapacitiveSensor, SinkObservation
+from repro.testing.detector import CapacitiveSensor
 from repro.testing.localize import FaultLocalizer, LocalizationResult
-from repro.testing.online import OnlineTestPlan, OnlineTester, OnlineTestReport
 from repro.testing.test_droplet import (
     TestDroplet,
     TestOutcome,
@@ -30,10 +34,6 @@ __all__ = [
     "CapacitiveSensor",
     "FaultLocalizer",
     "LocalizationResult",
-    "OnlineTestPlan",
-    "OnlineTestReport",
-    "OnlineTester",
-    "SinkObservation",
     "TestDroplet",
     "TestOutcome",
     "free_cell_paths",

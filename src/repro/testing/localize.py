@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from repro.geometry import Point
 from repro.testing.detector import CapacitiveSensor
-from repro.testing.test_droplet import TestDroplet, TestOutcome
+from repro.testing.test_droplet import TestDroplet
 
 
 @dataclass(frozen=True)
@@ -60,29 +60,28 @@ class FaultLocalizer:
         self,
         dead_cells: frozenset[Point],
         path: list[Point],
-        rng: random.Random | None = None,
+        rng: random.Random,
     ) -> LocalizationResult:
         """Find the first faulty cell on *path* (None if the path passes);
         *dead_cells* is the chip's true fault state, which only the
         walks observe.
 
         Runs a full-path test first; on failure, binary-searches prefix
-        lengths. Pass *rng* to realize the sensor's configured read
-        errors (omitted, the sensor reads ideally, as every historical
-        caller expects).
+        lengths. The sensor's read errors draw from *rng*; an ideal
+        sensor never draws.
         """
         # The physical walk is deterministic, so one walk of the full
         # path answers every prefix: a prefix of length m reaches the
         # sink iff m <= stall. Only the sensor readings vary.
         stall = self._droplet.walk(dead_cells, path).steps_taken
-        ok, runs = self._probe(path, len(path), stall, rng)
+        ok, runs = self._probe(len(path) <= stall, rng)
         if ok:
             return LocalizationResult(faulty_cell=None, runs=runs)
         # Invariant: prefix of length lo passes; prefix of length hi fails.
         lo, hi = 0, len(path)
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            ok, used = self._probe(path, mid, stall, rng)
+            ok, used = self._probe(mid <= stall, rng)
             runs += used
             if ok:
                 lo = mid
@@ -90,35 +89,21 @@ class FaultLocalizer:
                 hi = mid
         return LocalizationResult(faulty_cell=path[hi - 1], runs=runs)
 
-    def _probe(
-        self,
-        path: list[Point],
-        length: int,
-        stall: int,
-        rng: random.Random | None,
-    ) -> tuple[bool, int]:
-        """Majority-voted probe of the *length*-cell prefix of *path*,
-        whose full walk took *stall* steps: ``(reading, runs used)``.
+    def _probe(self, arrives: bool, rng: random.Random) -> tuple[bool, int]:
+        """Majority-voted probe of a prefix whose droplet *arrives* at
+        the sink or not: ``(reading, runs used)``.
 
         Each vote re-dispenses a fresh droplet, as the hardware
         procedure would; the physical walk is deterministic, so every
-        vote's walk has the outcome :meth:`TestDroplet.walk` gives the
-        prefix, and only the sensor reading varies. Votes stop
-        early once a majority is decided — with an ideal sensor (or no
-        *rng*) that is after the first walk, keeping the historical run
-        counts bit-identical.
+        vote's droplet arrives alike, and only the sensor reading
+        varies. Votes stop early once a majority is decided — with an
+        ideal sensor that is after the first walk, keeping the
+        historical run counts bit-identical.
         """
-        arrives = length <= stall
-        outcome = TestOutcome(
-            passed=arrives,
-            steps_taken=min(length, stall),
-            path_length=length,
-            stalled_before=None if arrives else path[stall],
-        )
         passed = failed = 0
         need = self.votes // 2 + 1
         while passed < need and failed < need:
-            if self.sensor.observe(outcome, rng).droplet_arrived:
+            if self.sensor.observe(arrives, rng):
                 passed += 1
             else:
                 failed += 1

@@ -50,6 +50,7 @@ from repro.exec import (
     SupervisedPool,
     load_journal,
 )
+from repro.testing.detector import CapacitiveSensor
 from repro.util.errors import ReproError, UsageError
 from repro.util.tables import format_table
 
@@ -87,67 +88,6 @@ def derive_seed(*parts: str) -> int:
 # -- config ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SensorSpec:
-    """One sensor-fidelity point of the grid."""
-
-    false_positive_rate: float = 0.0
-    false_negative_rate: float = 0.0
-    latency_s: float = 0.0
-
-    @property
-    def key(self) -> str:
-        """Canonical key fragment (``ideal`` for a perfect sensor)."""
-        if not (self.false_positive_rate or self.false_negative_rate
-                or self.latency_s):
-            return "ideal"
-        return (
-            f"fpr={self.false_positive_rate:g},"
-            f"fnr={self.false_negative_rate:g},"
-            f"latency={self.latency_s:g}"
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "fpr": self.false_positive_rate,
-            "fnr": self.false_negative_rate,
-            "latency_s": self.latency_s,
-        }
-
-    @classmethod
-    def parse(cls, raw: object) -> SensorSpec:
-        """Parse a config entry: ``"ideal"``, ``"fpr=0.05,fnr=0.1"``,
-        or a mapping with ``fpr``/``fnr``/``latency`` keys. ``latency_s``
-        is accepted for ``latency``, so :meth:`to_dict` round-trips."""
-        if isinstance(raw, Mapping):
-            raw = ",".join(f"{k}={v}" for k, v in raw.items())
-        if not isinstance(raw, str):
-            raise UsageError(f"sensor spec must be a string or table, got {raw!r}")
-        if raw.strip() in ("", "ideal"):
-            return cls()
-        fields = {"fpr": 0.0, "fnr": 0.0, "latency": 0.0}
-        for part in raw.split(","):
-            k, sep, v = part.partition("=")
-            k = "latency" if k.strip() == "latency_s" else k.strip()
-            if not sep or k not in fields:
-                raise UsageError(
-                    f"bad sensor spec {raw!r}: expected comma-joined "
-                    f"fpr=/fnr=/latency= assignments or 'ideal'"
-                )
-            try:
-                fields[k] = float(v)
-            except ValueError:
-                raise UsageError(
-                    f"bad sensor spec {raw!r}: {v!r} is not a number"
-                ) from None
-        for k in ("fpr", "fnr"):
-            if not 0.0 <= fields[k] <= 1.0:
-                raise UsageError(f"sensor {k} must lie in [0, 1], got {fields[k]:g}")
-        if fields["latency"] < 0:
-            raise UsageError(f"sensor latency must be >= 0, got {fields['latency']:g}")
-        return cls(fields["fpr"], fields["fnr"], fields["latency"])
-
-
 def array_key(array: tuple[int, int] | None) -> str:
     return "auto" if array is None else f"{array[0]}x{array[1]}"
 
@@ -181,7 +121,7 @@ class CampaignScenario:
     spec: str  # protocol name or canonical gen: spec
     array: tuple[int, int] | None
     fault_model: str  # "none" or a FAULT_MODELS name
-    sensor: SensorSpec
+    sensor: CapacitiveSensor
     index: int  # position in grid order (== log order)
     #: Design-time defect pattern (a DEFECT_PATTERNS name): dead from
     #: t=0, routed around by the design, known to the controller.
@@ -354,7 +294,7 @@ class CampaignConfig:
                         f"or one of {sorted(FAULT_MODELS)}"
                     )
             sensors = [
-                SensorSpec.parse(s)
+                CapacitiveSensor.parse(s)
                 for s in _str_list(grid, "sensors", where, ["ideal"])
             ]
             defects = _str_list(grid, "defects", where, ["none"])
@@ -443,8 +383,8 @@ def recovery_sweep_preset(
 ) -> CampaignConfig:
     """The ``repro recover --sweep`` grid: (assay x fault arrival x
     fault site) under one fault model and one sensor spec string (see
-    :meth:`SensorSpec.parse`). With the ideal sensor the closed loop
-    short-circuits to oracle detection."""
+    :meth:`CapacitiveSensor.parse`). With the ideal sensor the closed
+    loop short-circuits to oracle detection."""
     return _preset("recovery-sweep", {
         "generators": list(protocols), "fault_models": [fault_model],
         "arrivals": list(arrivals), "fault_sites": list(sites),
@@ -639,7 +579,6 @@ def _run_unit(unit: _UnitSpec) -> list[CampaignRecord]:
         fault_timeline,
     )
     from repro.synthesis.flow import SynthesisFlow
-    from repro.testing.detector import CapacitiveSensor
     from repro.util.rng import ensure_rng
 
     params = AnnealingParams.fast() if unit.fast else AnnealingParams.balanced()
@@ -674,14 +613,7 @@ def _run_unit(unit: _UnitSpec) -> list[CampaignRecord]:
     for sc, seed in unit.suffixes:
         rng = ensure_rng(seed)
         engine = OnlineRecoveryEngine(annealing=params if unit.fast else None)
-        controller = ClosedLoopController(
-            engine=engine,
-            sensor=CapacitiveSensor(
-                false_positive_rate=sc.sensor.false_positive_rate,
-                false_negative_rate=sc.sensor.false_negative_rate,
-                latency_s=sc.sensor.latency_s,
-            ),
-        )
+        controller = ClosedLoopController(engine=engine, sensor=sc.sensor)
         synthesis = designs["none"][2]
         try:
             if sc.defects not in designs:

@@ -88,7 +88,7 @@ class ReferenceLocalizer(FaultLocalizer):
         need = self.votes // 2 + 1
         while passed < need and failed < need:
             outcome = self._droplet.walk(dead_cells, path)
-            if self.sensor.observe(outcome, rng).droplet_arrived:
+            if self.sensor.observe(outcome.passed, rng):
                 passed += 1
             else:
                 failed += 1

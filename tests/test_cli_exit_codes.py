@@ -29,12 +29,14 @@ from repro.exec import (
     STATUS_RETRIED_OK,
     STATUS_TIMEOUT,
 )
+from repro.synthesis.flow import SynthesisFlow
 from repro.util.errors import (
     PipelineError,
     UsageError,
     WorkerCrashError,
     WorkerTimeoutError,
 )
+from repro.workload.campaign import CampaignRunner
 
 
 class TestExitConstants:
@@ -74,6 +76,10 @@ class TestWorstStatusWins:
         assert _exit_code(
             [STATUS_TIMEOUT, STATUS_CRASHED, STATUS_INFEASIBLE]
         ) == EXIT_CRASHED
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work started")
 
 
 def run_cli(argv) -> tuple[int, str]:
@@ -267,6 +273,39 @@ class TestCampaignUsageErrors:
         code, _ = run_cli(["recover", "--sensor-fpr", "0.1"])
         assert code == EXIT_USAGE
         assert "--closed-loop" in capsys.readouterr().err
+
+    def test_out_of_range_sensor_exits_2_before_any_scenario(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Regression: this config used to run, and log every scenario
+        # crashed in the sensor's constructor (exit 5).
+        monkeypatch.setattr(CampaignRunner, "run", _refuse)
+        p = tmp_path / "c.toml"
+        p.write_text(
+            '[campaign]\nname = "x"\n\n'
+            '[[grid]]\ngenerators = ["pcr"]\nfault_models = ["permanent"]\n'
+            'sensors = ["fpr=1.0"]\n'
+        )
+        log = tmp_path / "c.jsonl"
+        code, _ = run_cli(["campaign", str(p), "--log", str(log)])
+        assert code == EXIT_USAGE
+        assert "false_positive_rate must be in [0, 1)" in capsys.readouterr().err
+        assert not log.exists()
+
+    @pytest.mark.parametrize("sweep", [["--sweep"], []], ids=["sweep", "single"])
+    def test_out_of_range_sensor_flag_exits_2_before_synthesis(
+        self, monkeypatch, capsys, sweep
+    ):
+        # Regression: `--sweep` used to run the grid and report every
+        # scenario crashed (0/6 recovered, exit 5).
+        monkeypatch.setattr(CampaignRunner, "run", _refuse)
+        monkeypatch.setattr(SynthesisFlow, "run", _refuse)
+        code, _ = run_cli(
+            ["recover", "--protocol", "pcr", "--fast", *sweep,
+             "--closed-loop", "--sensor-fpr", "1.0"]
+        )
+        assert code == EXIT_USAGE
+        assert "false_positive_rate must be in [0, 1)" in capsys.readouterr().err
 
     def test_argparse_own_usage_error_is_also_2(self):
         code, _ = run_cli(["no-such-command"])

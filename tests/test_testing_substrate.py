@@ -1,5 +1,7 @@
 """Tests for the on-line testing substrate (refs [13]/[14])."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,13 +9,8 @@ from hypothesis import strategies as st
 from repro.geometry import Point
 from repro.modules.library import MIXER_2X2
 from repro.placement.model import PlacedModule, Placement
-from repro.testing.detector import (
-    DRY_CAPACITANCE_PF,
-    WET_CAPACITANCE_PF,
-    CapacitiveSensor,
-)
+from repro.testing.detector import CapacitiveSensor
 from repro.testing.localize import FaultLocalizer
-from repro.testing.online import OnlineTester
 from repro.testing.test_droplet import TestDroplet, free_cell_paths, snake_path
 
 
@@ -69,28 +66,44 @@ class TestTestDroplet:
 
 
 class TestCapacitiveSensor:
-    def test_threshold_must_separate_wet_dry(self):
-        with pytest.raises(ValueError):
-            CapacitiveSensor(threshold_pf=DRY_CAPACITANCE_PF / 2)
-        with pytest.raises(ValueError):
-            CapacitiveSensor(threshold_pf=WET_CAPACITANCE_PF * 2)
-
     def test_observation_matches_outcome(self):
         outcome = TestDroplet().walk(frozenset(), snake_path(3, 3))
-        obs = CapacitiveSensor().observe(outcome)
-        assert obs.droplet_arrived
-        assert obs.capacitance_pf == WET_CAPACITANCE_PF
+        assert CapacitiveSensor().observe(outcome.passed, random.Random(0))
 
     def test_failed_walk_reads_dry(self):
         outcome = TestDroplet().walk(frozenset({Point(3, 3)}), snake_path(3, 3))
-        obs = CapacitiveSensor().observe(outcome)
-        assert not obs.droplet_arrived
-        assert obs.capacitance_pf == DRY_CAPACITANCE_PF
+        assert not CapacitiveSensor().observe(outcome.passed, random.Random(0))
+
+    def test_ideal_sensor_never_draws(self):
+        rng = random.Random(0)
+        state = rng.getstate()
+        for arrived in (True, False):
+            CapacitiveSensor().observe(arrived, rng)
+        assert rng.getstate() == state
+
+    def test_misreads_draw_from_the_rng(self):
+        # One draw per read; a read errs when the draw falls under its
+        # rate, and only the rate matching the truth is consulted.
+        sensor = CapacitiveSensor(false_positive_rate=0.5, false_negative_rate=0.25)
+        draws = random.Random(3)
+        expected = [r >= 0.5 for r in (draws.random() for _ in range(50))]
+        rng = random.Random(3)
+        assert [sensor.observe(True, rng) for _ in range(50)] == expected
+        draws = random.Random(4)
+        expected = [r < 0.25 for r in (draws.random() for _ in range(50))]
+        rng = random.Random(4)
+        assert [sensor.observe(False, rng) for _ in range(50)] == expected
+
+    def test_observe_requires_an_rng(self):
+        with pytest.raises(TypeError):
+            CapacitiveSensor().observe(True)
 
 
 class TestFaultLocalizer:
     def test_clean_path_reports_none(self):
-        result = FaultLocalizer().localize(frozenset(), snake_path(4, 4))
+        result = FaultLocalizer().localize(
+            frozenset(), snake_path(4, 4), random.Random(0)
+        )
         assert not result.fault_found
         assert result.runs == 1
 
@@ -98,12 +111,16 @@ class TestFaultLocalizer:
     @settings(max_examples=25, deadline=None)
     def test_finds_exact_cell(self, idx):
         path = snake_path(5, 5)
-        result = FaultLocalizer().localize(frozenset({path[idx]}), path)
+        result = FaultLocalizer().localize(
+            frozenset({path[idx]}), path, random.Random(0)
+        )
         assert result.faulty_cell == path[idx]
 
     def test_logarithmic_run_count(self):
         path = snake_path(8, 8)  # 64 cells
-        result = FaultLocalizer().localize(frozenset({path[37]}), path)
+        result = FaultLocalizer().localize(
+            frozenset({path[37]}), path, random.Random(0)
+        )
         # 1 full run + ceil(log2(64)) = 6 probes, plus slack for rounding.
         assert result.runs <= 8
 
@@ -139,36 +156,3 @@ class TestFreeCellPaths:
         for path in free_cell_paths(p, at_time=5):
             for a, b in zip(path, path[1:]):
                 assert a.manhattan_distance(b) == 1
-
-
-class TestOnlineTester:
-    def test_plan_and_execute_clean(self):
-        p = Placement(6, 6)
-        p.add(PlacedModule("a", MIXER_2X2, x=1, y=1, start=0, stop=10))
-        tester = OnlineTester()
-        plan = tester.plan(p, at_time=5)
-        report = tester.execute(frozenset(), plan)
-        assert report.faults_found == ()
-
-    def test_finds_fault_on_free_cell(self):
-        p = Placement(6, 6)
-        p.add(PlacedModule("a", MIXER_2X2, x=1, y=1, start=0, stop=10))
-        tester = OnlineTester()
-        report = tester.execute(frozenset({Point(6, 6)}), tester.plan(p, at_time=5))
-        assert Point(6, 6) in report.faults_found
-
-    def test_plan_covers_free_cells(self):
-        p = Placement(6, 6)
-        p.add(PlacedModule("a", MIXER_2X2, x=1, y=1, start=0, stop=10))
-        plan = OnlineTester().plan(p, at_time=5)
-        assert Point(6, 6) in plan.cells_covered
-        assert Point(2, 2) not in plan.cells_covered
-
-    def test_coverage_over_schedule(self):
-        p = Placement(6, 6)
-        p.add(PlacedModule("a", MIXER_2X2, x=1, y=1, start=0, stop=10))
-        p.add(PlacedModule("b", MIXER_2X2, x=3, y=3, start=10, stop=20))
-        plans = OnlineTester().coverage_over_schedule(p)
-        assert set(plans) == {0, 10}
-        # Cells under module a are testable once a finishes (t=10 plan).
-        assert Point(1, 1) in plans[10].cells_covered

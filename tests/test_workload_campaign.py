@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro.testing.detector import CapacitiveSensor
 from repro.util.errors import ReproError, UsageError
 from repro.workload.campaign import (
     META_KIND,
@@ -16,7 +17,6 @@ from repro.workload.campaign import (
     CampaignConfig,
     CampaignRecord,
     CampaignRunner,
-    SensorSpec,
     derive_seed,
     parse_array,
     validate_log,
@@ -205,18 +205,41 @@ class TestHelpers:
             parse_array("0x8")
 
     def test_sensor_spec_parse(self):
-        assert SensorSpec.parse("ideal").key == "ideal"
-        s = SensorSpec.parse("fpr=0.05,fnr=0.1")
+        assert CapacitiveSensor.parse("ideal").key == "ideal"
+        s = CapacitiveSensor.parse("fpr=0.05,fnr=0.1")
         assert (s.false_positive_rate, s.false_negative_rate) == (0.05, 0.1)
-        assert SensorSpec.parse({"fpr": 0.2}).false_positive_rate == 0.2
+        assert CapacitiveSensor.parse({"fpr": 0.2}).false_positive_rate == 0.2
+        assert CapacitiveSensor.parse("latency_s=0.5").latency_s == 0.5
         with pytest.raises(UsageError):
-            SensorSpec.parse("fpr=2.0")
+            CapacitiveSensor.parse("fpr=2.0")
         with pytest.raises(UsageError):
-            SensorSpec.parse("warp=1")
+            CapacitiveSensor.parse("warp=1")
 
     def test_sensor_spec_round_trips_through_to_dict(self):
-        for spec in (SensorSpec(), SensorSpec(0.05, 0.1, 0.5)):
-            assert SensorSpec.parse(spec.to_dict()) == spec
+        for spec in (CapacitiveSensor(), CapacitiveSensor(0.05, 0.1, 0.5)):
+            assert CapacitiveSensor.parse(spec.to_dict()) == spec
+
+    @pytest.mark.parametrize(
+        "raw", ["fpr=1.0", "fnr=1", "fpr=-0.1", "fnr=nan", "latency=-1"]
+    )
+    def test_sensor_spec_range_is_the_constructors(self, raw):
+        # parse and the constructor share one check: a rate in [0, 1),
+        # a latency >= 0.
+        with pytest.raises(UsageError, match="bad sensor spec"):
+            CapacitiveSensor.parse(raw)
+        k, _, v = raw.partition("=")
+        field = {"fpr": "false_positive_rate", "fnr": "false_negative_rate",
+                 "latency": "latency_s"}[k]
+        with pytest.raises(ValueError, match=field):
+            CapacitiveSensor(**{field: float(v)})
+
+    def test_out_of_range_sensor_fails_the_config_at_load(self):
+        # Regression: a rate of 1.0 used to pass the config's own check
+        # ([0, 1]) and crash every scenario in the sensor's constructor
+        # ([0, 1)). It is now a usage error when the config loads.
+        data = {**TINY, "grid": [{**TINY["grid"][0], "sensors": ["fpr=1.0"]}]}
+        with pytest.raises(UsageError, match=r"false_positive_rate must be in \[0, 1\)"):
+            CampaignConfig.from_dict(data, source="inline")
 
 
 class TestRunnerEndToEnd:
