@@ -72,6 +72,11 @@ def _synthesize(assay: str, faulty_cells=(), params: AnnealingParams | None = No
     return flow.run(graph, explicit_binding=binding, faulty_cells=faulty_cells)
 
 
+def _seconds(value: float | None) -> str:
+    """A penalty cell: ``-`` for a recovery whose replay never finished."""
+    return "-" if value is None else f"{value:g}"
+
+
 def _nominal_result(assay: str):
     if assay not in _nominal:
         _nominal[assay] = _synthesize(assay)
@@ -135,7 +140,7 @@ def test_recovery_success_vs_offline_baseline(assay):
             "yes" if outcome.recovered else f"no ({outcome.reason})",
             "yes" if closed.completed else f"no ({closed.reason})",
             "yes" if offline else "no",
-            f"{outcome.makespan_penalty_s:g}",
+            _seconds(outcome.makespan_penalty_s),
             f"{outcome.recovery_s * 1000:.1f}",
         )
     )
@@ -320,8 +325,8 @@ def test_relocate_beats_replace(report, bench_json):
                 f"{relocate['recovery_ms']:.1f}",
                 f"{replace['recovery_ms']:.1f}",
                 f"{entry['speedup']:.1f}x",
-                f"{relocate['makespan_penalty_s']:g}",
-                f"{replace['makespan_penalty_s']:g}",
+                _seconds(relocate["makespan_penalty_s"]),
+                _seconds(replace["makespan_penalty_s"]),
             )
         )
     landed = {a: e for a, e in per.items() if e["relocate"]["recovered"]}

@@ -529,8 +529,8 @@ def _recovery_timeline(outcome) -> str:
     fault instant, and the recovered run with its re-synthesized tail."""
     width = 50
     nominal = outcome.nominal_makespan_s
-    recovered = max(outcome.recovered_makespan_s, nominal) or 1.0
-    scale = width / recovered
+    realized = outcome.recovered_makespan_s
+    scale = width / (max(realized or 0.0, nominal) or 1.0)
 
     def bar(upto: float, fill: str) -> str:
         return fill * max(0, round(upto * scale))
@@ -539,12 +539,13 @@ def _recovery_timeline(outcome) -> str:
     nominal_bar = bar(nominal, "=")
     before = nominal_bar[:fault_at] + "x" + nominal_bar[fault_at + 1 :]
     prefix = bar(outcome.fault_time_s, "=")
-    tail_len = max(0, round(outcome.recovered_makespan_s * scale) - len(prefix) - 1)
+    # A recovery whose replay never finished has no tail to draw.
+    tail_len = 0 if realized is None else max(0, round(realized * scale) - len(prefix) - 1)
     after = prefix + "x" + "~" * tail_len
     return "\n".join(
         [
             f"  nominal   |{before}| {nominal:g} s",
-            f"  recovered |{after}| {outcome.recovered_makespan_s:g} s  "
+            f"  recovered |{after}| {'-' if realized is None else f'{realized:g} s'}  "
             f"(x = fault at t={outcome.fault_time_s:g} s, ~ = re-synthesized tail)",
         ]
     )

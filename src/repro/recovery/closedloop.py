@@ -58,6 +58,7 @@ from repro.recovery.engine import (
     OnlineRecoveryEngine,
     RecoveryOutcome,
 )
+from repro.placement.model import Placement
 from repro.sim.engine import BiochipSimulator, SimulationReport, active_fault_cells
 from repro.synthesis.flow import SynthesisResult
 from repro.testing.detector import CapacitiveSensor
@@ -159,13 +160,19 @@ class ClosedLoopOutcome:
     #: The true fault events the run was subjected to.
     fault_events: tuple[FaultEvent, ...]
     nominal_makespan_s: float = 0.0
-    realized_makespan_s: float = 0.0
+    #: The verdict replay's finish time; ``None`` unless the run
+    #: completed (a failed replay's report times no finish).
+    realized_makespan_s: float | None = None
     #: Total test-droplet dispenses across all campaigns.
     probes_run: int = 0
     watchdog_rounds: int = 0
 
     @property
-    def makespan_penalty_s(self) -> float:
+    def makespan_penalty_s(self) -> float | None:
+        """Extra completion time the faults cost (``None`` unless the
+        run completed)."""
+        if self.realized_makespan_s is None:
+            return None
         return self.realized_makespan_s - self.nominal_makespan_s
 
     @property
@@ -219,6 +226,10 @@ class ClosedLoopOutcome:
         latency = (
             f"mean detection latency {sum(lat) / len(lat):.3g}s; " if lat else ""
         )
+        realized = (
+            "-" if self.realized_makespan_s is None
+            else f"{self.realized_makespan_s:g}s"
+        )
         return (
             f"{status} [{self.detection_mode}]: "
             f"{len(self.detections)} detection(s) "
@@ -226,7 +237,7 @@ class ClosedLoopOutcome:
             f"{len(self.false_alarms)} false alarm(s) dismissed, "
             f"{self.probes_run} probe droplets; {latency}"
             f"final rung {self.final_rung or 'n/a'}; makespan "
-            f"{self.nominal_makespan_s:g}s -> {self.realized_makespan_s:g}s"
+            f"{self.nominal_makespan_s:g}s -> {realized}"
         )
 
 
@@ -271,6 +282,9 @@ class ClosedLoopController:
             raise RecoveryError(
                 f"votes must be a positive odd count, got {self.votes}"
             )
+        #: :func:`free_cell_paths` results keyed by its exact inputs:
+        #: the array dims and the active footprints (see :meth:`_walks`).
+        self._walk_memo: dict[tuple, list[list[Point]]] = {}
 
     # -- the public entry point ---------------------------------------------
 
@@ -376,9 +390,7 @@ class ClosedLoopController:
             verdict=verdict,
             fault_events=events,
             nominal_makespan_s=result.makespan,
-            realized_makespan_s=(
-                verdict.realized_makespan if verdict is not None else result.makespan
-            ),
+            realized_makespan_s=None if verdict is None else verdict.realized_makespan,
             probes_run=state.probes_run,
             watchdog_rounds=rounds,
         )
@@ -428,6 +440,27 @@ class ClosedLoopController:
             k += 1
         return sorted(t for t in instants if t > after)
 
+    def _walks(
+        self, placement: Placement, now: float, width: int, height: int
+    ) -> list[list[Point]]:
+        """:func:`free_cell_paths` at *now*, memoized on the controller.
+
+        The walks depend only on the array dims and the footprints
+        active at *now*, which many probe instants share: those of one
+        placement, of the designs its recoveries leave, and of other
+        scenarios run on this controller. Callers must not mutate the
+        returned walks."""
+        key = (
+            width, height,
+            frozenset(pm.footprint for pm in placement.active_at(now)),
+        )
+        walks = self._walk_memo.get(key)
+        if walks is None:
+            walks = self._walk_memo[key] = free_cell_paths(
+                placement, now, width=width, height=height
+            )
+        return walks
+
     def _probe_loop(
         self,
         state: _RunState,
@@ -436,24 +469,27 @@ class ClosedLoopController:
     ) -> None:
         """Sensed detection: walk campaigns at each probe instant; on a
         confirmed finding, recover and re-plan the remaining campaigns
-        against the updated placement."""
+        against the updated placement.
+
+        The instants, the array dims and the probe period are planned
+        once per placement (a recovery is the only thing that changes
+        them), and the walks come from :meth:`_walks`."""
         localizer = FaultLocalizer(sensor=self.sensor, votes=self.votes)
-        done = 0.0
+        now, replan = 0.0, True
         while True:
-            ahead = self._probe_instants(state, done)
-            if not ahead:
+            if replan:
+                placement = state.result.placement_result.placement
+                width, height = placement.array_dims()
+                ahead = iter(self._probe_instants(state, now))
+                replan = False
+            now = next(ahead, None)
+            if now is None:
                 return
-            now = ahead[0]
-            done = now
-            placement = state.result.placement_result.placement
-            width, height = placement.array_dims()
-            paths = free_cell_paths(placement, now, width=width, height=height)
             # The chip's true state, which only the walks observe.
             dead = frozenset(active_fault_cells(
                 ((e.time_s, e.cell, e.kind) for e in events), now
             ))
-            recovered_here = False
-            for path in paths:
+            for path in self._walks(placement, now, width, height):
                 probe = localizer.localize(dead, path, rng)
                 state.probes_run += probe.runs
                 if not probe.fault_found or probe.faulty_cell in state.believed:
@@ -503,14 +539,12 @@ class ClosedLoopController:
                 )
                 if not self._handle_detection(state, det, rng):
                     return
-                recovered_here = True
-                break
-            if recovered_here:
                 # The placement (and its event times) changed; re-plan
                 # the remaining campaigns. Another fault active at this
                 # same instant is caught one probe later — or by the
                 # watchdog.
-                continue
+                replan = True
+                break
 
     # -- the ladder -----------------------------------------------------------
 

@@ -238,7 +238,9 @@ class RecoveryOutcome:
     #: Movable modules whose origin actually changed vs the nominal plan.
     moved_ops: tuple[str, ...] = ()
     nominal_makespan_s: float = 0.0
-    recovered_makespan_s: float = 0.0
+    #: The resumed replay's finish time; ``None`` when no replay
+    #: finished (a rung refused before replaying, or a failed replay).
+    recovered_makespan_s: float | None = None
     #: Wall-clock re-synthesis latencies (the online hot path).
     replace_s: float = 0.0
     reroute_s: float = 0.0
@@ -261,8 +263,11 @@ class RecoveryOutcome:
     ladder_trace: tuple = ()
 
     @property
-    def makespan_penalty_s(self) -> float:
-        """Extra completion time the online fault cost the assay."""
+    def makespan_penalty_s(self) -> float | None:
+        """Extra completion time the online fault cost the assay
+        (``None`` when no replay finished)."""
+        if self.recovered_makespan_s is None:
+            return None
         return self.recovered_makespan_s - self.nominal_makespan_s
 
     def to_dict(self) -> dict:
@@ -403,6 +408,17 @@ def fault_timeline(
     )
 
 
+def _nominal_simulator(result: SynthesisResult) -> BiochipSimulator:
+    """A simulator of *result*'s nominal design and routing plan."""
+    return BiochipSimulator(
+        result.graph,
+        result.schedule,
+        result.binding,
+        result.placement_result.placement,
+        routing_plan=result.routing_plan,
+    )
+
+
 class OnlineRecoveryEngine:
     """Recovers a running assay from a mid-execution cell failure."""
 
@@ -415,36 +431,42 @@ class OnlineRecoveryEngine:
         )
         self.reconfigurer = PartialReconfigurer()
         self.synthesizer = RoutingSynthesizer()
-        #: One-slot nominal-simulator cache, keyed by the synthesis
-        #: result's identity: checkpoints of one result share its
-        #: simulator, and so its report memo. In a scenario the fault-
-        #: site pick and the first detection checkpoint the same design;
-        #: each later detection checkpoints the design the previous
-        #: recovery left. A caller that keeps one engine across the
-        #: scenarios of a design shares the slot across them too; a
-        #: campaign builds one engine per scenario (``_run_unit``), so
-        #: there the slot never spans scenarios. Within one detection
-        #: the closed loop checkpoints once and hands that checkpoint to
-        #: every rung.
+        #: Nominal-simulator cache, keyed by the synthesis result's
+        #: identity: checkpoints of one result share its simulator, and
+        #: so its report memo. One slot holds the last design checkpointed
+        #: (in a scenario, the fault-site pick and the first detection
+        #: checkpoint the same design; each later detection checkpoints
+        #: the design the previous recovery left); the other holds the
+        #: design a caller pinned with :meth:`hold`, which those
+        #: recovered designs never evict. A campaign unit keeps one
+        #: engine across its scenarios and holds their design
+        #: (``_run_unit``), so it replays that design once. Within one
+        #: detection the closed loop checkpoints once and hands that
+        #: checkpoint to every rung.
         self._nominal_sim: tuple[SynthesisResult, BiochipSimulator] | None = None
+        self._held: SynthesisResult | None = None
+        self._held_sim: BiochipSimulator | None = None
 
     # -- checkpointing --------------------------------------------------------
 
     def simulator_for(self, result: SynthesisResult) -> BiochipSimulator:
         """The nominal simulator recovery checkpoints against (cached
         per synthesis result, by identity)."""
+        if result is self._held:
+            if self._held_sim is None:
+                self._held_sim = _nominal_simulator(result)
+            return self._held_sim
         cached = self._nominal_sim
-        if cached is not None and cached[0] is result:
-            return cached[1]
-        sim = BiochipSimulator(
-            result.graph,
-            result.schedule,
-            result.binding,
-            result.placement_result.placement,
-            routing_plan=result.routing_plan,
-        )
-        self._nominal_sim = (result, sim)
-        return sim
+        if cached is None or cached[0] is not result:
+            cached = self._nominal_sim = (result, _nominal_simulator(result))
+        return cached[1]
+
+    def hold(self, result: SynthesisResult) -> None:
+        """Pin *result* in the cache until another design is held, so
+        scenarios that all start from *result* replay it once, however
+        many recovered designs they checkpoint in between."""
+        if result is not self._held:
+            self._held, self._held_sim = result, None
 
     def checkpoint_of(
         self,
@@ -531,7 +553,6 @@ class OnlineRecoveryEngine:
                 movable_ops=movable,
                 relocated_ops=tuple(relocated),
                 nominal_makespan_s=checkpoint.nominal_makespan,
-                recovered_makespan_s=checkpoint.nominal_makespan,
                 replace_s=replace_s,
                 reroute_s=reroute_s,
                 recovery_s=time.perf_counter() - t0,

@@ -88,7 +88,9 @@ class SimulationReport:
     realized_finish: dict[str, float]
     relocations: list[Relocation]
     nominal_makespan: float
-    realized_makespan: float
+    #: Finish time of the last operation; ``None`` for a failed run,
+    #: which finished nothing.
+    realized_makespan: float | None
     total_transport_cells: int
     product: Droplet | None
     final_placement: Placement
@@ -105,8 +107,11 @@ class SimulationReport:
     position_log: tuple[tuple[float, str, Point | None], ...] = ()
 
     @property
-    def delay_s(self) -> float:
-        """Extra completion time caused by faults/recovery."""
+    def delay_s(self) -> float | None:
+        """Extra completion time caused by faults/recovery (``None``
+        for a failed run)."""
+        if self.realized_makespan is None:
+            return None
         return self.realized_makespan - self.nominal_makespan
 
     def to_dict(self) -> dict:
@@ -127,10 +132,14 @@ class SimulationReport:
     def summary(self) -> str:
         """Short human-readable account of the run."""
         status = "completed" if self.completed else f"FAILED ({self.failure_reason})"
+        realized = (
+            "realized -" if self.realized_makespan is None
+            else f"realized {self.realized_makespan:g} s "
+            f"(delay {self.delay_s:g} s)"
+        )
         lines = [
             f"simulation {status}",
-            f"nominal makespan {self.nominal_makespan:g} s, realized "
-            f"{self.realized_makespan:g} s (delay {self.delay_s:g} s)",
+            f"nominal makespan {self.nominal_makespan:g} s, {realized}",
             f"droplet transport: {self.total_transport_cells} cell-moves",
             f"relocations: {len(self.relocations)}",
         ]
@@ -558,7 +567,7 @@ class BiochipSimulator:
                 realized_finish={},
                 relocations=run.relocations,
                 nominal_makespan=self.schedule.makespan,
-                realized_makespan=self.schedule.makespan,
+                realized_makespan=None,
                 total_transport_cells=0,
                 product=None,
                 final_placement=run.placement,

@@ -134,10 +134,11 @@ class SynthesisResult:
         if self.routing_plan is not None:
             lines.append(f"routing: {self.routing_plan.summary()}")
         if self.sim_report is not None:
-            status = "completed" if self.sim_report.completed else "FAILED"
+            realized = self.sim_report.realized_makespan
             lines.append(
-                f"simulation: {status}, realized makespan "
-                f"{self.sim_report.realized_makespan:g} s"
+                f"simulation: completed, realized makespan {realized:g} s"
+                if realized is not None
+                else "simulation: FAILED"
             )
         return "\n".join(lines)
 

@@ -568,7 +568,15 @@ def _recovery_summary(outcome) -> dict:
 
 def _run_unit(unit: _UnitSpec) -> list[CampaignRecord]:
     """Synthesize once, route once per defect pattern, then run every
-    fault suffix on its pattern's design."""
+    fault suffix on its pattern's design.
+
+    One recovery engine serves every suffix and holds the design the
+    suffix runs on (:meth:`~repro.recovery.engine.OnlineRecoveryEngine.hold`),
+    so each design's nominal replay runs once for all its scenarios,
+    whatever their order; one controller per distinct sensor shares its
+    probe walks across them. Checkpoints and walks are pure functions
+    of their inputs, so each record is what a fresh engine and
+    controller would give."""
     from repro.assay.catalog import build_assay
     from repro.fault.models import defect_cells
     from repro.placement.annealer import AnnealingParams
@@ -609,11 +617,16 @@ def _run_unit(unit: _UnitSpec) -> list[CampaignRecord]:
     # fault-free design is the flow's own result.
     designs = {"none": (result, (), _synthesis_summary(result))}
 
+    engine = OnlineRecoveryEngine(annealing=params if unit.fast else None)
+    controllers: dict[CapacitiveSensor, ClosedLoopController] = {}
     records = []
     for sc, seed in unit.suffixes:
         rng = ensure_rng(seed)
-        engine = OnlineRecoveryEngine(annealing=params if unit.fast else None)
-        controller = ClosedLoopController(engine=engine, sensor=sc.sensor)
+        controller = controllers.get(sc.sensor)
+        if controller is None:
+            controller = controllers[sc.sensor] = ClosedLoopController(
+                engine=engine, sensor=sc.sensor
+            )
         synthesis = designs["none"][2]
         try:
             if sc.defects not in designs:
@@ -627,6 +640,7 @@ def _run_unit(unit: _UnitSpec) -> list[CampaignRecord]:
                     design, cells, _synthesis_summary(design)
                 )
             design, cells, synthesis = designs[sc.defects]
+            engine.hold(design)
             if sc.fault_model == "none":
                 events: tuple = ()
             else:
@@ -746,7 +760,8 @@ class CampaignReport:
             routability = synthesis.get("routability")
             rows.append((
                 r.key, outcome, rec.get("final_rung") or "-",
-                f"{rec['makespan_penalty_s']:g}" if rec else "-",
+                "-" if rec.get("makespan_penalty_s") is None
+                else f"{rec['makespan_penalty_s']:g}",
                 synthesis.get("area_cells", "-"),
                 "-" if routability is None else f"{routability:.0%}",
             ))

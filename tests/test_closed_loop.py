@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -46,6 +47,7 @@ from repro.recovery.engine import pick_fault_cell
 from repro.sim.engine import BiochipSimulator
 from repro.synthesis.flow import SynthesisFlow
 from repro.testing import CapacitiveSensor
+from repro.testing.test_droplet import free_cell_paths
 from repro.util.errors import RecoveryError, SimulationError, UsageError
 from repro.workload.campaign import CampaignRunner, recovery_sweep_preset
 
@@ -482,3 +484,121 @@ class TestSweepClosedLoop:
             recovery_sweep_preset(("pcr",), fault_model="meteor")
         with pytest.raises(UsageError, match="fault site"):
             recovery_sweep_preset(("pcr",), sites=("telepathy",))
+
+
+class TestFailedVerdictMakespan:
+    def test_failed_sweep_scenario_reports_no_makespan(self, capsys, monkeypatch):
+        """Regression: a closed-loop run whose verdict replay fails has
+        no realized makespan. pcr's ``at=0.25`` sweep scenario ends in
+        "no droplet path"; its verdict report, the outcome and the
+        record used to read the nominal 19 s and a 0 s delay/penalty,
+        as if the failed run were free."""
+        outcomes = []
+        run = ClosedLoopController.run
+
+        def spy(self, *args, **kwargs):
+            outcomes.append(run(self, *args, **kwargs))
+            return outcomes[-1]
+
+        monkeypatch.setattr(ClosedLoopController, "run", spy)
+        argv = [
+            "recover", "--protocol", "pcr", "--fast", "--sweep",
+            "--closed-loop", "--sensor-fpr", "0.05", "--sensor-fnr", "0.1",
+        ]
+        assert main([*argv, "--json"]) != EXIT_OK
+        records = json.loads(capsys.readouterr().out)["records"]
+        (failed,) = [r for r in records if r["key"].endswith("|at=0.25")]
+        recovery = failed["recovery"]
+        assert not recovery["completed"] and not recovery["aborted"]
+        assert recovery["reason"].startswith("no droplet path")
+        assert recovery["realized_makespan_s"] is None
+        assert recovery["makespan_penalty_s"] is None
+        # The source: the failed verdict replay itself times no finish.
+        (outcome,) = [o for o in outcomes if not o.completed]
+        verdict = outcome.verdict
+        assert verdict is not None and not verdict.completed
+        assert verdict.realized_makespan is None and verdict.delay_s is None
+        d = outcome.to_dict()
+        assert d["verdict"]["realized_makespan_s"] is None
+        assert d["verdict"]["delay_s"] is None
+        assert "realized -" in verdict.summary()
+        assert outcome.summary().endswith("makespan 19s -> -")
+        for record in records:
+            if record is not failed:
+                assert record["recovery"]["completed"]
+                assert record["recovery"]["makespan_penalty_s"] >= 0
+
+        main(argv)
+        (row,) = [
+            line for line in capsys.readouterr().out.splitlines()
+            if "|at=0.25 " in line
+        ]
+        cells = [c.strip() for c in row.strip(" |").split(" | ")]
+        assert cells[1].startswith("FAILED") and cells[3] == "-"
+
+    def test_outcome_without_a_finish_prints_a_dash(self):
+        outcome = closedloop.ClosedLoopOutcome(
+            detection_mode="closed-loop", completed=False, aborted=False,
+            reason="no droplet path", detections=(), false_alarms=(),
+            recoveries=(), verdict=None, fault_events=(),
+            nominal_makespan_s=19.0,
+        )
+        assert outcome.summary().endswith("makespan 19s -> -")
+        d = outcome.to_dict()
+        assert d["realized_makespan_s"] is None
+        assert d["makespan_penalty_s"] is None
+
+
+class TestProbeWalkMemo:
+    """The controller memoizes probe walks by the exact inputs of
+    :func:`free_cell_paths`: the array dims and the active footprints."""
+
+    @pytest.mark.parametrize("assay", sorted(BUNDLED_ASSAYS))
+    def test_memoized_walks_are_fresh_walks(self, assay):
+        """At every probe instant of the design and of the design a
+        relocate recovery leaves, on one controller: the first call (a
+        miss, or a hit on the other design's walks) and the second (a
+        hit) both equal a fresh plan."""
+        result = _routed(assay)
+        controller = ClosedLoopController(engine=_engine())
+        (fault,) = _single_fault(result, 0.5, "pending-module", seed=1)
+        out = controller.engine.recover(
+            result, [fault.cell], fault.time_s, rung="relocate"
+        )
+        assert out.recovered and out.relocated_ops, out.reason
+        recovered = replace(
+            result,
+            placement_result=replace(
+                result.placement_result, placement=out.placement
+            ),
+            routing_plan=out.routing_plan,
+        )
+        planned = 0
+        for design in (result, recovered):
+            placement = design.placement_result.placement
+            width, height = placement.array_dims()
+            instants = controller._probe_instants(
+                closedloop._RunState(result=design), 0.0
+            )
+            assert instants
+            for now in instants:
+                fresh = free_cell_paths(placement, now, width=width, height=height)
+                for _ in range(2):
+                    assert controller._walks(placement, now, width, height) == fresh
+                planned += 1
+        # The two designs share most configurations.
+        assert len(controller._walk_memo) < planned
+
+    def test_replaced_module_gets_fresh_walks(self):
+        result = _routed("pcr")
+        placement = result.placement_result.placement.copy()
+        width, height = placement.array_dims()
+        controller = ClosedLoopController()
+        pm = max(placement, key=lambda m: m.stop - m.start)
+        now = (pm.start + pm.stop) / 2
+        before = controller._walks(placement, now, width, height)
+        dx = 1 if pm.footprint.x2 < placement.core_width else -1
+        placement.replace(pm.moved_to(pm.x + dx, pm.y))
+        after = controller._walks(placement, now, width, height)
+        assert after == free_cell_paths(placement, now, width=width, height=height)
+        assert after != before

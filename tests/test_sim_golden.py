@@ -16,7 +16,9 @@ is replayed fault-free, with a permanent fault on a module cell at half
 the makespan, and with a transient fault that fails at 0.3 and clears
 at 0.6 of the makespan; a generated spec is replayed fault-free. One
 more design, ``gen:mix-tree:n=64:seed=1`` at placer seed 7, pins a
-failed replay's text (ROADMAP item 1: it finds no droplet path).
+failed replay's text (ROADMAP item 1: it finds no droplet path); a
+failed report times no finish, so its ``realized_makespan_s`` and
+``delay_s`` are ``None``.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ PINS = {
     ('gen:diamond:n=100:seed=250', 'nominal'): (True, 76, '2ea789e091fadd629c00fe3a605d04c4bad742c95317ad39e46c704c47b9450c'),
     ('gen:dilution-ladder:n=100:seed=250', 'nominal'): (True, 29, 'eea3f7d7d4a3ac9622bfae90562e31b68fa5e2f06beab63416f05240a22ebd62'),
     ('gen:panel:n=100:seed=250', 'nominal'): (True, 41, '753aefdbd72ab8ae69b8ce140167286c5296970fcb245e20cf09b178d0fa4ceb'),
-    ('gen:mix-tree:n=64:seed=1', 'nominal'): (False, 16, '23bfc8504679ff838d26063920f26c26fb2dc7200b49fa538fa680073cd209b0'),
+    ('gen:mix-tree:n=64:seed=1', 'nominal'): (False, 16, '666ca6b9e5943197d7659660a2c2da575db66a39e00d0793c1fc0147db73380e'),
 }
 
 

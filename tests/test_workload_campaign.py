@@ -452,3 +452,74 @@ class TestStructuredFailures:
         )
         assert report.resumed == 1
         assert resumed.read_bytes() == full.read_bytes()
+
+
+class TestUnitSharesItsNominalReplay:
+    """A unit keeps one recovery engine across its scenarios and holds
+    their design, so the design's fault-free nominal replay runs once
+    for the whole unit, whatever order its scenarios run in. pcr at
+    campaign seed 3 under a lossy sensor: the cluster scenario recovers
+    twice, so a recovered design is checkpointed between scenarios."""
+
+    MODELS = ("none", "permanent", "intermittent", "cluster")
+
+    @staticmethod
+    def _unit():
+        config = CampaignConfig.from_dict({
+            "campaign": {"name": "unit", "seed": 3, "max_parked": 2,
+                         "fast": True},
+            "grid": [{
+                "generators": ["pcr"],
+                "fault_models": list(TestUnitSharesItsNominalReplay.MODELS),
+                "sensors": ["fpr=0.02,fnr=0.05"],
+            }],
+        }, source="inline")
+        (unit,), _ = CampaignRunner(config)._units(config.expand(), {})
+        return unit
+
+    @staticmethod
+    def _run_counting(unit, monkeypatch):
+        """The unit's log lines in grid order, how many fault-free
+        replays ran on the engine's nominal simulators, and the
+        records."""
+        from repro.recovery.engine import OnlineRecoveryEngine
+        from repro.sim.engine import BiochipSimulator
+        from repro.workload.campaign import _run_unit
+
+        sims: list = []
+        nominal_runs = []
+        simulator_for = OnlineRecoveryEngine.simulator_for
+        run = BiochipSimulator.run
+
+        def spy_simulator_for(self, result):
+            sim = simulator_for(self, result)
+            sims.append(sim)
+            return sim
+
+        def spy_run(self, faults=()):
+            faults = list(faults)
+            if not faults and any(s is self for s in sims):
+                nominal_runs.append(self)
+            return run(self, faults=faults)
+
+        monkeypatch.setattr(OnlineRecoveryEngine, "simulator_for", spy_simulator_for)
+        monkeypatch.setattr(BiochipSimulator, "run", spy_run)
+        records = sorted(_run_unit(unit), key=lambda r: r.index)
+        monkeypatch.undo()
+        log = "".join(json.dumps(r.to_dict()) + "\n" for r in records)
+        return log, len(nominal_runs), records
+
+    def test_one_nominal_replay_in_either_order(self, monkeypatch):
+        from dataclasses import replace
+
+        unit = self._unit()
+        assert [sc.fault_model for sc, _ in unit.suffixes] == list(self.MODELS)
+        reordered = replace(unit, suffixes=unit.suffixes[::-1])
+        forward, forward_runs, records = self._run_counting(unit, monkeypatch)
+        backward, backward_runs, _ = self._run_counting(reordered, monkeypatch)
+        # A scenario that checkpoints a recovered design, which evicts
+        # the unit's design from a single-slot cache.
+        assert max(r.recovery["recoveries"] for r in records) >= 2
+        assert all(r.ok and r.completed for r in records)
+        assert (forward_runs, backward_runs) == (1, 1)
+        assert backward == forward
