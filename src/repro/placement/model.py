@@ -206,10 +206,13 @@ class Placement:
     # -- feasibility -------------------------------------------------------------------
 
     def conflicting_pairs(self) -> list[tuple[PlacedModule, PlacedModule]]:
-        """All module pairs that overlap in space and time.
+        """All module pairs that overlap in space and time, in insertion
+        order (by first module, then second).
 
         Same primitive-coordinate kernel as :meth:`overlap_volume` —
-        no per-pair Box/Rect combinator churn.
+        no per-pair Box/Rect combinator churn. The pairs are swept in
+        start order, so each module meets only the modules that start
+        before it stops.
         """
         mods = list(self._modules.values())
         data = [
@@ -217,19 +220,22 @@ class Placement:
              pm.start, pm.stop)
             for pm in mods
         ]
-        out = []
-        n = len(data)
-        for i in range(n):
+        order = sorted(range(len(data)), key=lambda i: data[i][4])
+        found = []
+        for k, i in enumerate(order):
             ax1, ay1, ax2, ay2, as_, ae = data[i]
-            for j in range(i + 1, n):
+            for j in order[k + 1:]:
                 bx1, by1, bx2, by2, bs, be = data[j]
+                if bs >= ae:
+                    break  # every later module starts after this one stops
                 if (
-                    min(ae, be) - max(as_, bs) > 0
+                    min(ae, be) - bs > 0
                     and min(ax2, bx2) - max(ax1, bx1) >= 0
                     and min(ay2, by2) - max(ay1, by1) >= 0
                 ):
-                    out.append((mods[i], mods[j]))
-        return out
+                    found.append((i, j) if i < j else (j, i))
+        found.sort()
+        return [(mods[i], mods[j]) for i, j in found]
 
     def overlap_volume(self) -> float:
         """Total pairwise conflict volume in cell-seconds (0 == feasible).

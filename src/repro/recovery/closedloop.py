@@ -59,7 +59,7 @@ from repro.recovery.engine import (
     RecoveryOutcome,
 )
 from repro.placement.model import Placement
-from repro.sim.engine import BiochipSimulator, SimulationReport, active_fault_cells
+from repro.sim.engine import SimulationReport, active_fault_cells
 from repro.synthesis.flow import SynthesisResult
 from repro.testing.detector import CapacitiveSensor
 from repro.testing.localize import FaultLocalizer
@@ -659,15 +659,12 @@ class ClosedLoopController:
         window shows up here, not in the controller's own bookkeeping.
         """
         result = state.result
-        sim = BiochipSimulator(
-            result.graph,
-            result.schedule,
-            result.binding,
+        sim = self.engine.simulator(
+            result,
             result.placement_result.placement,
-            routing_plan=result.routing_plan,
-            plan_covers_faults=state.believed,
+            result.routing_plan,
+            state.believed,
         )
-        timeline = [
-            (e.time_s, sim.sim_cell(e.cell), e.kind) for e in events
-        ]
-        return sim.run(faults=timeline)
+        return sim.report(
+            [(e.time_s, sim.sim_cell(e.cell), e.kind) for e in events]
+        )

@@ -408,15 +408,15 @@ def fault_timeline(
     )
 
 
-def _nominal_simulator(result: SynthesisResult) -> BiochipSimulator:
-    """A simulator of *result*'s nominal design and routing plan."""
-    return BiochipSimulator(
-        result.graph,
-        result.schedule,
-        result.binding,
-        result.placement_result.placement,
-        routing_plan=result.routing_plan,
-    )
+#: Simulators an :class:`OnlineRecoveryEngine` keeps, least recently
+#: used evicted first. Each detection's ladder adds a rung simulator or
+#: two, and a design must outlive them until a later scenario
+#: checkpoints it again. The cap only bounds memory (an n=50 simulator
+#: holding two reports takes about 300 KiB): e2ebench's recover-paper
+#: runs 40 scenarios over the five bundled designs on one engine and
+#: builds 53 simulators, so no design it checkpoints again is evicted,
+#: whatever order its scenarios run in.
+_SIMULATOR_CACHE_SIZE = 64
 
 
 class OnlineRecoveryEngine:
@@ -431,42 +431,46 @@ class OnlineRecoveryEngine:
         )
         self.reconfigurer = PartialReconfigurer()
         self.synthesizer = RoutingSynthesizer()
-        #: Nominal-simulator cache, keyed by the synthesis result's
-        #: identity: checkpoints of one result share its simulator, and
-        #: so its report memo. One slot holds the last design checkpointed
-        #: (in a scenario, the fault-site pick and the first detection
-        #: checkpoint the same design; each later detection checkpoints
-        #: the design the previous recovery left); the other holds the
-        #: design a caller pinned with :meth:`hold`, which those
-        #: recovered designs never evict. A campaign unit keeps one
-        #: engine across its scenarios and holds their design
-        #: (``_run_unit``), so it replays that design once. Within one
-        #: detection the closed loop checkpoints once and hands that
-        #: checkpoint to every rung.
-        self._nominal_sim: tuple[SynthesisResult, BiochipSimulator] | None = None
-        self._held: SynthesisResult | None = None
-        self._held_sim: BiochipSimulator | None = None
+        #: Simulator cache (see :meth:`simulator`): key -> (the inputs
+        #: the key names by identity, their simulator). Every replay the
+        #: engine and its closed loop run goes through one of these
+        #: simulators' report memos, so a replay runs once per distinct
+        #: input: a design's nominal checkpoints across the scenarios of
+        #: a campaign unit or a workload, and a verdict that repeats the
+        #: final rung's replay. Each scenario starts by checkpointing its
+        #: design, which keeps it recently used.
+        self._simulators: dict[tuple, tuple[tuple, BiochipSimulator]] = {}
 
     # -- checkpointing --------------------------------------------------------
 
-    def simulator_for(self, result: SynthesisResult) -> BiochipSimulator:
-        """The nominal simulator recovery checkpoints against (cached
-        per synthesis result, by identity)."""
-        if result is self._held:
-            if self._held_sim is None:
-                self._held_sim = _nominal_simulator(result)
-            return self._held_sim
-        cached = self._nominal_sim
-        if cached is None or cached[0] is not result:
-            cached = self._nominal_sim = (result, _nominal_simulator(result))
-        return cached[1]
+    def simulator(
+        self,
+        result: SynthesisResult,
+        placement: Placement,
+        routing_plan: RoutingPlan | None,
+        plan_covers_faults=(),
+    ) -> BiochipSimulator:
+        """The simulator of *result*'s assay on *placement* under
+        *routing_plan*, crediting the plan with *plan_covers_faults*
+        (placement coordinates).
 
-    def hold(self, result: SynthesisResult) -> None:
-        """Pin *result* in the cache until another design is held, so
-        scenarios that all start from *result* replay it once, however
-        many recovered designs they checkpoint in between."""
-        if result is not self._held:
-            self._held, self._held_sim = result, None
+        Cached by the identity of everything a replay reads (the graph,
+        schedule, binding, placement and plan) and the covered cells;
+        the cache holds references to the inputs, so an identity never
+        names a freed object. Nothing mutates a placement once a
+        simulator has it, so a cached simulator never goes stale.
+        """
+        inputs = (result.graph, result.schedule, result.binding, placement, routing_plan)
+        covers = frozenset(Point(*c) for c in plan_covers_faults)
+        key = (*map(id, inputs), covers)
+        cache = self._simulators
+        entry = cache.pop(key, None)
+        if entry is None:
+            entry = (inputs, BiochipSimulator(*inputs, plan_covers_faults=covers))
+        cache[key] = entry  # most recently used last
+        if len(cache) > _SIMULATOR_CACHE_SIZE:
+            del cache[next(iter(cache))]
+        return entry[1]
 
     def checkpoint_of(
         self,
@@ -485,7 +489,9 @@ class OnlineRecoveryEngine:
             raise RecoveryError(
                 f"fault time must be >= 0, got {fault_time_s:g}"
             )
-        sim = self.simulator_for(result)
+        sim = self.simulator(
+            result, result.placement_result.placement, result.routing_plan
+        )
         return sim.checkpoint(
             fault_time_s, faults=[(0.0, sim.sim_cell(Point(*f))) for f in known_faults]
         )
@@ -751,18 +757,11 @@ class OnlineRecoveryEngine:
                 plan_reason = f"recovered plan failed verification: {exc}"
 
         # -- phase 3: resume from the checkpoint ---------------------------
-        sim = BiochipSimulator(
-            result.graph,
-            result.schedule,
-            result.binding,
-            working,
-            routing_plan=merged,
-            plan_covers_faults=known + faults,
-        )
+        sim = self.simulator(result, working, merged, known + faults)
         sim_faults = [(0.0, sim.sim_cell(f)) for f in known] + [
             (fault_time_s, sim.sim_cell(f)) for f in faults
         ]
-        report = sim.run(faults=sim_faults)
+        report = sim.report(sim_faults)
 
         moved = tuple(
             op

@@ -27,7 +27,9 @@ mutates lives in a run record that :meth:`BiochipSimulator.run` creates
 and drops, so the simulator is unchanged once built. A completed report
 carries its realized intervals and durable droplet-position log, and a
 :class:`SimCheckpoint` is a cut of that report at one instant
-(:func:`checkpoint_at`). The test suite keeps the original
+(:func:`checkpoint_at`). :meth:`BiochipSimulator.report` memoizes
+reports by fault list; :meth:`BiochipSimulator.run` always replays.
+The test suite keeps the original
 fixed-timestep driver as an oracle (``tests/oracles/``) and asserts
 bit-identical reports against it.
 """
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 from repro.assay.graph import SequencingGraph
 from repro.assay.operations import OperationType
 from repro.fault.reconfigure import PartialReconfigurer, Relocation
-from repro.geometry import Point
+from repro.geometry import Point, Rect
 from repro.placement.model import PlacedModule, Placement
 from repro.routing.plan import RoutingPlan, chebyshev
 from repro.routing.synthesis import RoutingSynthesizer
@@ -257,10 +259,10 @@ def _nearest_safe_cell(
     return None
 
 
-#: Completed reports :meth:`BiochipSimulator.checkpoint` keeps, keyed
-#: by fault list: a replay is a pure function of its faults, so an entry
+#: Reports :meth:`BiochipSimulator.report` keeps, keyed by normalized
+#: fault list: a replay is a pure function of its faults, so an entry
 #: never goes stale; the cap only bounds memory.
-_CHECKPOINT_MEMO_SIZE = 8
+_REPORT_MEMO_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -460,6 +462,10 @@ class _Run:
     shares_taken: dict[str, int] = field(default_factory=dict)
     #: Metered reagent droplets still waiting in their reservoir.
     reservoir_queue: set[str] = field(default_factory=set)
+    #: The dispatch index: ``(op id, start, finish, footprint)`` of each
+    #: state that has a module, in states order, built once the fault
+    #: loop has fixed every realized interval and module.
+    spans: list[tuple[str, float, float, Rect]] = field(default_factory=list)
 
 
 class BiochipSimulator:
@@ -484,15 +490,16 @@ class BiochipSimulator:
         # Route lanes around the array: the router's own boundary pad,
         # so one constant frames both the plan and the replay.
         margin = RoutingSynthesizer.margin
-        normalized = placement.normalized()
-        w, h = normalized.array_dims()
-        # A routing plan was computed in the *input* placement's
-        # coordinates plus the plan's own boundary margin; the simulator
-        # normalizes and pads differently, so planned cells map onto
-        # simulator cells by this offset (minus plan.margin, applied in
-        # _planned_route once a plan is known to exist).
+        # The simulator normalizes the placement to its bounding box and
+        # pads it by the margin: one translation by this offset. A
+        # routing plan was computed in the *input* placement's
+        # coordinates plus the plan's own boundary margin, so planned
+        # cells map onto simulator cells by the same offset (minus
+        # plan.margin, applied in _planned_route once a plan is known to
+        # exist).
         bb = placement.bounding_box()
-        self._norm_offset = (1 - bb.x + margin, 1 - bb.y + margin)
+        dx, dy = 1 - bb.x + margin, 1 - bb.y + margin
+        self._norm_offset = (dx, dy)
         #: Faults the routing plan was computed against, given in
         #: placement coordinates and held in simulator coordinates.
         #: Planned transports normally stop replaying the moment any
@@ -500,16 +507,16 @@ class BiochipSimulator:
         #: plan re-synthesized against a known fault mask is declared
         #: here so its transports keep replaying.
         self.plan_covers_faults = frozenset(map(self.sim_cell, plan_covers_faults))
-        self.width = w + 2 * margin
-        self.height = h + 2 * margin
-        self.placement = Placement(self.width, self.height, pitch_mm=normalized.pitch_mm)
-        for pm in normalized:
-            self.placement.add(pm.moved_to(pm.x + margin, pm.y + margin))
+        self.width = bb.width + 2 * margin
+        self.height = bb.height + 2 * margin
+        self.placement = Placement(self.width, self.height, pitch_mm=placement.pitch_mm)
+        for pm in placement:
+            self.placement.add(pm.moved_to(pm.x + dx, pm.y + dy))
         self.placement.validate()
         #: Packed transport kernel every ad-hoc transport routes on.
         self.router = PackedDropletRouter(self.width, self.height)
-        #: Completed reports by fault list, for :meth:`checkpoint`.
-        self._checkpoint_memo: dict[tuple, SimulationReport] = {}
+        #: Reports by normalized fault list, for :meth:`report`.
+        self._report_memo: dict[tuple, SimulationReport] = {}
         #: Parking ring-search memo: obstacle signature -> nearest safe
         #: cell.
         self._park_memo: dict[tuple, Point] = {}
@@ -610,8 +617,8 @@ class BiochipSimulator:
         Raises :class:`SimulationError` when the underlying run does not
         complete (there is no consistent state to capture).
 
-        The last few completed reports are memoized by fault list, so
-        checkpointing one fault list at many instants replays it once.
+        The report comes from :meth:`report`, so checkpointing one fault
+        list at many instants replays it once.
         """
         fault_list = _normalize_faults(faults)
         late = [f for f in fault_list if f[0] > time_s]
@@ -619,14 +626,28 @@ class BiochipSimulator:
             raise ValueError(
                 f"checkpoint at t={time_s:g} cannot include future faults: {late}"
             )
-        key = tuple(fault_list)
-        memo = self._checkpoint_memo
-        report = memo.pop(key, None) or self.run(faults=fault_list)
-        cp = checkpoint_at(report, time_s, fault_list)
-        memo[key] = report  # most recently used last
-        if len(memo) > _CHECKPOINT_MEMO_SIZE:
+        return checkpoint_at(self.report(fault_list), time_s, fault_list)
+
+    def report(self, faults: Iterable[tuple] = ()) -> SimulationReport:
+        """:meth:`run`'s report under *faults*, memoized by normalized
+        fault list: the last :data:`_REPORT_MEMO_SIZE` reports, failed
+        ones included, most recently used last. A replay is a pure
+        function of its faults, so an entry never goes stale. The
+        report is shared with every later caller of the same fault
+        list, who must not mutate it.
+
+        :meth:`run` itself always replays: it is the replay, and what
+        times or counts replays (the bench, a tracer) wraps it.
+        """
+        key = tuple(_normalize_faults(faults))
+        memo = self._report_memo
+        report = memo.pop(key, None)
+        if report is None:
+            report = self.run(faults=key)
+        memo[key] = report
+        if len(memo) > _REPORT_MEMO_SIZE:
             del memo[next(iter(memo))]
-        return cp
+        return report
 
     # -- phase 1: realized timeline ----------------------------------------------------
 
@@ -837,6 +858,11 @@ class BiochipSimulator:
             else:
                 self._apply_clear(fault_time, cell, run)
         states = run.states
+        run.spans = [
+            (s.op_id, s.start, s.finish, s.module.footprint)
+            for s in states.values()
+            if s.module is not None
+        ]
         transport = 0
         product = None
         for op_id in sorted(states, key=lambda o: (states[o].start, o)):
@@ -871,19 +897,9 @@ class BiochipSimulator:
         # The claiming footprints depend only on the window, not the
         # candidate cell — hoist them out of the per-cell predicate (the
         # ring search below probes many cells).
-        window_end = max(hold_until, finish + 1e-9)
-        claiming = []
-        for s in states.values():
-            if s.module is None:
-                continue
-            # A sole consumer's site is a fine waiting spot — the
-            # droplet is routed into that module at its start. With
-            # fan-out, shares for the *other* consumers would be
-            # trapped inside, so a neutral cell is required.
-            if s.op_id == op_id or (len(consumers) == 1 and s.op_id in consumers):
-                continue
-            if s.start < window_end and s.finish > finish:
-                claiming.append(s.module.footprint)
+        claiming = self._claiming(
+            run, op_id, consumers, finish, max(hold_until, finish + 1e-9)
+        )
 
         def safe(cell: Point) -> bool:
             if cell in parked or cell in faulty:
@@ -920,6 +936,31 @@ class BiochipSimulator:
             op_id,
             obstacle_time=finish - 1e-9,
         )
+
+    def _claiming(
+        self, run: _Run, op_id: str, consumers: set, finish: float, window_end: float
+    ) -> list[Rect]:
+        """Footprints, in states order, of the modules running at some
+        point of ``(finish, window_end)``: the cells *op_id*'s product
+        must not park on. A sole consumer's site is a fine waiting spot
+        — the droplet is routed into that module at its start. With
+        fan-out, shares for the *other* consumers would be trapped
+        inside, so a neutral cell is required."""
+        skip = {op_id, *consumers} if len(consumers) == 1 else {op_id}
+        return [
+            fp
+            for op, start, stop, fp in run.spans
+            if start < window_end and stop > finish and op not in skip
+        ]
+
+    def _active_footprints(self, run: _Run, t: float, op_id: str) -> list[Rect]:
+        """Footprints, in states order, of the modules running at
+        instant *t* (realized intervals), other than *op_id*'s."""
+        return [
+            fp
+            for op, start, stop, fp in run.spans
+            if start <= t < stop and op != op_id
+        ]
 
     def _plan_parking_cell(self, op_id: str, consumers: set, safe) -> Point | None:
         """The parking spot the routing plan modeled for *op_id*'s
@@ -1075,13 +1116,7 @@ class BiochipSimulator:
         # shifts downstream ops, and a module whose nominal window
         # covers t may not actually be running.
         query_t = t if obstacle_time is None else obstacle_time
-        active = [
-            s.module.footprint
-            for s in run.states.values()
-            if s.module is not None
-            and s.op_id != op_id
-            and s.start <= query_t < s.finish
-        ]
+        active = self._active_footprints(run, query_t, op_id)
         router = self.router
         try:
             route = router.route(
@@ -1164,21 +1199,13 @@ class BiochipSimulator:
         """
         handovers = sorted(
             {
-                s.finish
-                for s in run.states.values()
-                if s.module is not None
-                and s.op_id != op_id
-                and s.start <= query_t < s.finish
+                stop
+                for op, start, stop, _ in run.spans
+                if start <= query_t < stop and op != op_id
             }
         )
         for release in handovers:
-            active = [
-                s.module.footprint
-                for s in run.states.values()
-                if s.module is not None
-                and s.op_id != op_id
-                and s.start <= release < s.finish
-            ]
+            active = self._active_footprints(run, release, op_id)
             try:
                 route = self.router.route(
                     droplet.position,

@@ -570,13 +570,13 @@ def _run_unit(unit: _UnitSpec) -> list[CampaignRecord]:
     """Synthesize once, route once per defect pattern, then run every
     fault suffix on its pattern's design.
 
-    One recovery engine serves every suffix and holds the design the
-    suffix runs on (:meth:`~repro.recovery.engine.OnlineRecoveryEngine.hold`),
-    so each design's nominal replay runs once for all its scenarios,
-    whatever their order; one controller per distinct sensor shares its
-    probe walks across them. Checkpoints and walks are pure functions
-    of their inputs, so each record is what a fresh engine and
-    controller would give."""
+    One recovery engine serves every suffix. Its simulator cache keeps
+    each design the unit's scenarios start from, so each design's
+    nominal replay runs once for all its scenarios, whatever their
+    order, and a `none` scenario's verdict reads that same report. One
+    controller per distinct sensor shares its probe walks across them.
+    Replays and walks are pure functions of their inputs, so each record
+    is what a fresh engine and controller would give."""
     from repro.assay.catalog import build_assay
     from repro.fault.models import defect_cells
     from repro.placement.annealer import AnnealingParams
@@ -640,7 +640,6 @@ def _run_unit(unit: _UnitSpec) -> list[CampaignRecord]:
                     design, cells, _synthesis_summary(design)
                 )
             design, cells, synthesis = designs[sc.defects]
-            engine.hold(design)
             if sc.fault_model == "none":
                 events: tuple = ()
             else:

@@ -3,14 +3,19 @@
 :class:`repro.sim.engine.BiochipSimulator` realizes the fault timeline,
 then replays every operation in ``(realized start, op id)`` order,
 routing transports on the bitboard BFS kernel and searching parking
-cells on a padded ``bytearray``, both with memoized queries, and
-cutting checkpoints from memoized reports. :class:`SteppedSimulator`
-is the sequential driver it replaced, kept bit-identical and kept as
-its own independent copy of the two loops (``_realize_timeline`` and
-``_replay_droplets``, both over the production run record): it routes
-on the per-``Point`` A* router, searches every parking cell afresh
-over ``Point`` cells (:func:`reference_nearest_safe_cell`) and re-runs
-the simulation for every checkpoint. For a fixed fault list
+cells on a padded ``bytearray``, both with memoized queries, listing a
+transport's obstacles and a parked product's claiming footprints from
+a per-run dispatch index, and reading checkpoints and verdicts from
+memoized reports.
+:class:`SteppedSimulator` is the sequential driver it replaced, kept
+bit-identical and kept as its own independent copy of the two loops
+(``_realize_timeline`` and ``_replay_droplets``, both over the
+production run record): it routes on the per-``Point`` A* router,
+searches every parking cell afresh over ``Point`` cells
+(:func:`reference_nearest_safe_cell`), lists the modules a transport
+avoids and a parked product must not sit on by scanning every op state
+rather than the run's dispatch index, and re-runs the simulation for
+every report, so for every checkpoint and verdict. For a fixed fault list
 both drivers must produce the identical
 :class:`~repro.sim.engine.SimulationReport` — events, timings,
 per-droplet position log, failure text. Because both run the same
@@ -18,8 +23,9 @@ dispatch order, parity does not check that order;
 ``tests/test_sim_eventengine.py::TestReplayOrder`` does.
 
 :func:`stepped_replays` swaps the oracle in wherever the library builds
-a simulator (the pipeline's verify stage, recovery and the closed
-loop), so a whole in-process campaign can run on it.
+a simulator (the pipeline's verify stage, and the recovery engine,
+which builds every simulator of recovery and the closed loop), so a
+whole in-process campaign can run on it.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ from repro.sim.engine import BiochipSimulator
 _SIMULATOR_USERS = (
     "repro.pipeline.stages",
     "repro.recovery.engine",
-    "repro.recovery.closedloop",
 )
 
 
@@ -47,9 +52,28 @@ class SteppedSimulator(BiochipSimulator):
         super().__init__(*args, **kwargs)
         self.router = DropletRouter(self.width, self.height)
 
-    def checkpoint(self, time_s, faults=()):
-        self._checkpoint_memo.clear()  # every checkpoint re-runs the simulation
-        return super().checkpoint(time_s, faults)
+    def report(self, faults=()):
+        return self.run(faults=faults)  # every checkpoint and verdict re-runs
+
+    def _active_footprints(self, run, t, op_id):
+        """Every op state scanned afresh, not the dispatch index."""
+        return [
+            s.module.footprint
+            for s in run.states.values()
+            if s.module is not None and s.op_id != op_id and s.start <= t < s.finish
+        ]
+
+    def _claiming(self, run, op_id, consumers, finish, window_end):
+        """Every op state scanned afresh, not the dispatch index."""
+        claiming = []
+        for s in run.states.values():
+            if s.module is None:
+                continue
+            if s.op_id == op_id or (len(consumers) == 1 and s.op_id in consumers):
+                continue
+            if s.start < window_end and s.finish > finish:
+                claiming.append(s.module.footprint)
+        return claiming
 
     def _park_goal(self, key: tuple):
         return reference_nearest_safe_cell(self.width, self.height, *key)
@@ -68,6 +92,11 @@ class SteppedSimulator(BiochipSimulator):
 
     def _replay_droplets(self, run):
         states = run.states
+        run.spans = [
+            (s.op_id, s.start, s.finish, s.module.footprint)
+            for s in states.values()
+            if s.module is not None
+        ]
         transport_cells = 0
         product = None
         for op_id in sorted(states, key=lambda o: (states[o].start, o)):

@@ -549,6 +549,146 @@ class TestFailedVerdictMakespan:
         assert d["makespan_penalty_s"] is None
 
 
+#: recover-paper's scenario grid: four fault models at two arrivals.
+_MODELS = ("permanent", "intermittent", "transient", "cluster")
+_ARRIVALS = (0.45, 0.65)
+_LOSSY = CapacitiveSensor(false_positive_rate=0.02, false_negative_rate=0.05)
+
+
+def _count_fault_free_replays(monkeypatch, designs) -> list[int]:
+    """Per design, from here on: fault-free replays of its own
+    placement and routing plan, on whatever simulator runs them."""
+    counts = [0] * len(designs)
+    built: list[tuple[BiochipSimulator, int]] = []
+    init, run = BiochipSimulator.__init__, BiochipSimulator.run
+
+    def spy_init(self, graph, schedule, binding, placement, routing_plan=None, **kw):
+        init(self, graph, schedule, binding, placement, routing_plan, **kw)
+        for i, design in enumerate(designs):
+            if (
+                placement is design.placement_result.placement
+                and routing_plan is design.routing_plan
+            ):
+                built.append((self, i))
+
+    def spy_run(self, faults=()):
+        faults = list(faults)
+        if not faults:
+            for sim, i in built:
+                if sim is self:
+                    counts[i] += 1
+        return run(self, faults=faults)
+
+    monkeypatch.setattr(BiochipSimulator, "__init__", spy_init)
+    monkeypatch.setattr(BiochipSimulator, "run", spy_run)
+    return counts
+
+
+class TestOneReplayPerInput:
+    """The engine keeps one simulator per design and each simulator a
+    report memo, so a replay runs once per distinct input; no outcome
+    changes."""
+
+    @staticmethod
+    def _scenarios():
+        """(design, fault events, run seed) for every bundled assay,
+        fault model and arrival."""
+        out = []
+        for assay in sorted(BUNDLED_ASSAYS):
+            result = _routed(assay)
+            for model in _MODELS:
+                for arrival in _ARRIVALS:
+                    rng = random.Random(f"{assay}|{model}|{arrival}")
+                    events = fault_timeline(
+                        _engine(), result, model, arrival * result.makespan,
+                        "pending-module", rng,
+                    )
+                    out.append((result, events, rng.randrange(2**32)))
+        return out
+
+    @pytest.mark.parametrize(
+        "mode, sensor", [("oracle", None), ("closed-loop", _LOSSY)],
+        ids=["oracle", "lossy"],
+    )
+    def test_shared_engine_equals_fresh_engines(self, mode, sensor, monkeypatch):
+        """One engine and controller over all 40 scenarios give the
+        outcomes a fresh engine and controller give each scenario. No
+        placement changes after a simulator was handed it, and every
+        report the shared engine memoized equals a fresh simulator's
+        run of the same inputs."""
+        handed = []
+        init = BiochipSimulator.__init__
+
+        def spy_init(self, graph, schedule, binding, placement, *args, **kw):
+            handed.append((placement, list(placement)))
+            init(self, graph, schedule, binding, placement, *args, **kw)
+
+        monkeypatch.setattr(BiochipSimulator, "__init__", spy_init)
+        shared = ClosedLoopController(engine=_engine(), sensor=sensor)
+        recoveries = 0
+        for result, events, seed in self._scenarios():
+            got = shared.run(result, events, seed=seed, mode=mode)
+            fresh = ClosedLoopController(engine=_engine(), sensor=sensor).run(
+                result, events, seed=seed, mode=mode
+            )
+            assert _strip_timing(got.to_dict()) == _strip_timing(fresh.to_dict())
+            recoveries += len(got.recoveries)
+        assert recoveries >= 30
+        assert all(list(placement) == modules for placement, modules in handed)
+        monkeypatch.undo()
+        memoized = 0
+        for key, (inputs, sim) in shared.engine._simulators.items():
+            cold = BiochipSimulator(*inputs, plan_covers_faults=key[-1])
+            for faults, report in sim._report_memo.items():
+                again = cold.run(faults=faults)
+                assert (again.to_dict(), again.events) == (report.to_dict(), report.events)
+                assert (again.realized, again.position_log) == (
+                    report.realized, report.position_log
+                )
+                memoized += 1
+        assert memoized >= 10
+
+    def test_alternating_designs_replay_each_nominal_once(self, monkeypatch):
+        """One engine shared, with nothing pinned, over designs A, B, A,
+        B (recover-paper's shape): each nominal design replays once,
+        though every scenario recovers and so caches new designs."""
+        designs = [_routed("pcr"), _routed("ivd")]
+        counts = _count_fault_free_replays(monkeypatch, designs)
+        controller = ClosedLoopController(engine=_engine())
+        for result in designs * 2:
+            events = fault_timeline(
+                controller.engine, result, "permanent", 0.45 * result.makespan,
+                "pending-module", random.Random(1),
+            )
+            outcome = controller.run(result, events, seed=1, mode="oracle")
+            assert outcome.completed and outcome.recoveries
+        assert counts == [1, 1]
+
+    def test_oracle_verdict_reads_the_final_rungs_report(self, monkeypatch):
+        """In oracle mode the verdict replays the final rung's design
+        under the final rung's coverage, on its simulator; under a
+        single permanent fault it also replays the rung's timeline, so
+        the verdict is the rung's memoized report."""
+        calls: list[BiochipSimulator] = []
+        report = BiochipSimulator.report
+
+        def spy(self, faults=()):
+            calls.append(self)
+            return report(self, faults)
+
+        monkeypatch.setattr(BiochipSimulator, "report", spy)
+        for assay in sorted(BUNDLED_ASSAYS):
+            result = _routed(assay)
+            events = _single_fault(result, 0.45, "pending-module", seed=2)
+            calls.clear()
+            outcome = ClosedLoopController(engine=_engine()).run(
+                result, events, seed=2, mode="oracle"
+            )
+            assert outcome.completed and len(outcome.recoveries) == 1
+            assert calls[-1] is calls[-2]
+            assert outcome.verdict is outcome.recoveries[-1].sim_report
+
+
 class TestProbeWalkMemo:
     """The controller memoizes probe walks by the exact inputs of
     :func:`free_cell_paths`: the array dims and the active footprints."""

@@ -1,6 +1,8 @@
 """Unit tests for PlacedModule and Placement (the modified 2-D model)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry import Interval, Rect
 from repro.modules.library import MIXER_2X2, MIXER_2X4, MIXER_LINEAR_1X4
@@ -149,6 +151,32 @@ class TestFeasibility:
         pairs = p.conflicting_pairs()
         assert len(pairs) == 1
         assert {pairs[0][0].op_id, pairs[0][1].op_id} == {"a", "b"}
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 12), st.integers(1, 12),
+                st.integers(0, 6), st.integers(1, 4), st.booleans(),
+            ),
+            max_size=14,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_conflicting_pairs_are_every_pair_in_insertion_order(self, specs):
+        """The start-order sweep finds exactly the pairs a check of
+        every pair finds, in the same order, shared starts and
+        back-to-back spans included."""
+        p = Placement(20, 20)
+        for k, (x, y, start, length, rotated) in enumerate(specs):
+            p.add(pm(f"m{k}", x=x, y=y, start=start, stop=start + length, rotated=rotated))
+        mods = p.modules()
+        every = [
+            (a, b)
+            for i, a in enumerate(mods)
+            for b in mods[i + 1:]
+            if a.conflicts(b)
+        ]
+        assert p.conflicting_pairs() == every
 
     def test_validate_raises_with_detail(self):
         p = Placement(20, 20)

@@ -210,15 +210,29 @@ class TestPureReplay:
 
     def test_run_and_checkpoint_touch_only_the_memos(self):
         """Every attribute is the same object after a run and a
-        checkpoint; only the checkpoint and parking memos grow."""
+        checkpoint; only the report and parking memos grow. ``run``
+        writes no report: only ``report`` (and ``checkpoint`` through
+        it) does, and a checkpoint's report is the one ``report``
+        returns for its fault list."""
         sim = _simulator("pcr", "event")
         before = dict(vars(sim))
         faults = _m1_mid_fault(sim)
         sim.run(faults=faults)
+        assert not sim._report_memo and sim._park_memo
         sim.checkpoint(0.8 * sim.schedule.makespan, faults=faults)
         assert vars(sim).keys() == before.keys()
         assert all(vars(sim)[k] is v for k, v in before.items())
-        assert len(sim._checkpoint_memo) == 1 and sim._park_memo
+        (memoized,) = sim._report_memo.values()
+        assert sim.report(faults) is memoized
+
+    def test_run_replays_on_every_call(self):
+        """``run`` is unmemoized: two calls give two report objects,
+        equal field for field."""
+        sim = _simulator("pcr", "event")
+        faults = _m1_mid_fault(sim)
+        first, second = sim.run(faults=faults), sim.run(faults=faults)
+        assert first is not second
+        assert _observed(first) == _observed(second)
 
     def test_fault_lists_in_either_order_match_fresh_simulators(self):
         probe = _simulator("pcr", "event")

@@ -455,11 +455,13 @@ class TestStructuredFailures:
 
 
 class TestUnitSharesItsNominalReplay:
-    """A unit keeps one recovery engine across its scenarios and holds
-    their design, so the design's fault-free nominal replay runs once
-    for the whole unit, whatever order its scenarios run in. pcr at
-    campaign seed 3 under a lossy sensor: the cluster scenario recovers
-    twice, so a recovered design is checkpointed between scenarios."""
+    """A unit keeps one recovery engine across its scenarios, whose
+    simulator cache keeps their design, so the design's fault-free
+    nominal replay runs once for the whole unit, whatever order its
+    scenarios run in: the `none` scenario's verdict reads the same
+    report. pcr at campaign seed 3 under a lossy sensor: the cluster
+    scenario recovers twice, so recovered designs are cached between
+    scenarios."""
 
     MODELS = ("none", "permanent", "intermittent", "cluster")
 
@@ -480,29 +482,39 @@ class TestUnitSharesItsNominalReplay:
     @staticmethod
     def _run_counting(unit, monkeypatch):
         """The unit's log lines in grid order, how many fault-free
-        replays ran on the engine's nominal simulators, and the
-        records."""
-        from repro.recovery.engine import OnlineRecoveryEngine
+        replays of the unit's design ran on any simulator (verdicts
+        included), and the records."""
         from repro.sim.engine import BiochipSimulator
+        from repro.synthesis.flow import SynthesisFlow
         from repro.workload.campaign import _run_unit
 
-        sims: list = []
+        designs: list = []
+        built: list = []
         nominal_runs = []
-        simulator_for = OnlineRecoveryEngine.simulator_for
-        run = BiochipSimulator.run
+        flow_run = SynthesisFlow.run
+        init, run = BiochipSimulator.__init__, BiochipSimulator.run
 
-        def spy_simulator_for(self, result):
-            sim = simulator_for(self, result)
-            sims.append(sim)
-            return sim
+        def spy_flow_run(self, *args, **kwargs):
+            designs.append(flow_run(self, *args, **kwargs))
+            return designs[-1]
+
+        def spy_init(self, graph, schedule, binding, placement, routing_plan=None, **kw):
+            init(self, graph, schedule, binding, placement, routing_plan, **kw)
+            (design,) = designs
+            if (
+                placement is design.placement_result.placement
+                and routing_plan is design.routing_plan
+            ):
+                built.append(self)
 
         def spy_run(self, faults=()):
             faults = list(faults)
-            if not faults and any(s is self for s in sims):
+            if not faults and any(s is self for s in built):
                 nominal_runs.append(self)
             return run(self, faults=faults)
 
-        monkeypatch.setattr(OnlineRecoveryEngine, "simulator_for", spy_simulator_for)
+        monkeypatch.setattr(SynthesisFlow, "run", spy_flow_run)
+        monkeypatch.setattr(BiochipSimulator, "__init__", spy_init)
         monkeypatch.setattr(BiochipSimulator, "run", spy_run)
         records = sorted(_run_unit(unit), key=lambda r: r.index)
         monkeypatch.undo()
@@ -517,8 +529,7 @@ class TestUnitSharesItsNominalReplay:
         reordered = replace(unit, suffixes=unit.suffixes[::-1])
         forward, forward_runs, records = self._run_counting(unit, monkeypatch)
         backward, backward_runs, _ = self._run_counting(reordered, monkeypatch)
-        # A scenario that checkpoints a recovered design, which evicts
-        # the unit's design from a single-slot cache.
+        # A scenario that caches recovered designs.
         assert max(r.recovery["recoveries"] for r in records) >= 2
         assert all(r.ok and r.completed for r in records)
         assert (forward_runs, backward_runs) == (1, 1)
