@@ -102,10 +102,11 @@ def _offline_baseline_recovers(assay: str, cell) -> bool:
         result.schedule,
         result.binding,
         result.placement_result.placement,
+        result.chip,
         routing_plan=plan,
         plan_covers_faults=[cell],
     )
-    report = sim.run(faults=[(0.0, sim.sim_cell(cell))])
+    report = sim.run(faults=[(0.0, result.chip.cell(cell))])
     return report.completed
 
 
@@ -227,13 +228,13 @@ def test_suffix_reroute_beats_full_reroute(report, bench_json):
         for _ in range(REPS):
             t0 = time.perf_counter()
             suffix = synthesizer.synthesize(
-                result.graph, result.schedule, placement, [cell],
+                result.graph, result.schedule, placement, result.chip, [cell],
                 after_time=fault_time,
             )
             best_suffix = min(best_suffix, time.perf_counter() - t0)
             t0 = time.perf_counter()
             full = synthesizer.synthesize(
-                result.graph, result.schedule, placement, [cell]
+                result.graph, result.schedule, placement, result.chip, [cell]
             )
             best_full = min(best_full, time.perf_counter() - t0)
         total_suffix += best_suffix

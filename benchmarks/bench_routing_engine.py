@@ -68,13 +68,13 @@ def _prepare(assay: str):
         BindStage().run(context)
         ScheduleStage(max_concurrent_ops=3).run(context)
         PlaceStage(seed=PLACEMENT_SEEDS[assay], compute_fti_report=False).run(context)
-        placement = context.placement_result.placement
-        faults = sample_street_faults(placement, FAULT_SEED, rate=FAULT_RATE)
-        _prepared[assay] = (graph, context.schedule, placement, faults)
+        placement, chip = context.placement_result.placement, context.chip
+        faults = sample_street_faults(placement, chip, FAULT_SEED, rate=FAULT_RATE)
+        _prepared[assay] = (graph, context.schedule, placement, chip, faults)
     return _prepared[assay]
 
 
-def _timed_synthesis(reference: bool, graph, schedule, placement, faults):
+def _timed_synthesis(reference: bool, graph, schedule, placement, chip, faults):
     """Best-of-REPS synthesis wall time plus the (deterministic) plan."""
     synthesizer = (
         ReferenceSynthesizer(reference=True) if reference else RoutingSynthesizer()
@@ -83,23 +83,23 @@ def _timed_synthesis(reference: bool, graph, schedule, placement, faults):
     plan = None
     for _ in range(REPS):
         t0 = time.perf_counter()
-        plan = synthesizer.synthesize(graph, schedule, placement, faults)
+        plan = synthesizer.synthesize(graph, schedule, placement, chip, faults)
         best = min(best, time.perf_counter() - t0)
     return plan, best
 
 
 @pytest.mark.parametrize("assay", sorted(BUNDLED_ASSAYS))
 def test_routing_engine_identity_and_speed(assay):
-    graph, schedule, placement, faults = _prepare(assay)
+    graph, schedule, placement, chip, faults = _prepare(assay)
 
     # Plan identity must hold with and without fault injection.
-    clean_packed, _ = _timed_synthesis(False, graph, schedule, placement, [])
-    clean_ref, _ = _timed_synthesis(True, graph, schedule, placement, [])
+    clean_packed, _ = _timed_synthesis(False, graph, schedule, placement, chip, [])
+    clean_ref, _ = _timed_synthesis(True, graph, schedule, placement, chip, [])
     assert clean_packed == clean_ref, f"{assay}: fault-free plans diverge"
     clean_packed.verify()
 
-    packed_plan, packed_s = _timed_synthesis(False, graph, schedule, placement, faults)
-    ref_plan, ref_s = _timed_synthesis(True, graph, schedule, placement, faults)
+    packed_plan, packed_s = _timed_synthesis(False, graph, schedule, placement, chip, faults)
+    ref_plan, ref_s = _timed_synthesis(True, graph, schedule, placement, chip, faults)
     assert packed_plan == ref_plan, f"{assay}: 10%-fault plans diverge"
     packed_plan.verify()
     assert packed_plan.routability == 1.0, f"{assay}: unrouted nets {packed_plan.failed}"

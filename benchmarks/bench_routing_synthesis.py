@@ -70,7 +70,7 @@ def test_routing_synthesis(benchmark, report, assay):
 
     def run():
         return synthesizer.synthesize(
-            placed.graph, placed.schedule, placed.placement_result.placement
+            placed.graph, placed.schedule, placed.placement_result.placement, placed.chip
         )
 
     t0 = time.perf_counter()

@@ -79,6 +79,7 @@ def _simulator(assay: str, engine: str) -> BiochipSimulator:
         result.schedule,
         result.binding,
         result.placement_result.placement,
+        result.chip,
     )
 
 

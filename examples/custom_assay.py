@@ -93,7 +93,8 @@ def main() -> None:
 
     # Execute on the simulated chip to prove the configuration works.
     sim = BiochipSimulator(
-        graph, result.schedule, result.binding, result.placement_result.placement
+        graph, result.schedule, result.binding, result.placement_result.placement,
+        result.chip,
     )
     report = sim.run()
     assert report.completed

@@ -12,7 +12,7 @@ Run:  python examples/pcr_fault_recovery.py
 
 import random
 
-from repro import AnnealingParams, SimulatedAnnealingPlacer
+from repro import AnnealingParams, Chip, SimulatedAnnealingPlacer
 from repro.experiments.pcr import pcr_case_study
 from repro.sim.engine import BiochipSimulator
 from repro.testing.localize import FaultLocalizer
@@ -26,13 +26,14 @@ def main() -> None:
     study = pcr_case_study()
     placer = SimulatedAnnealingPlacer(params=AnnealingParams.fast(), seed=2)
     placement = placer.place(study.schedule, study.binding).placement
+    chip = Chip.of(placement)  # the array this placement is fabricated on
 
-    sim = BiochipSimulator(study.graph, study.schedule, study.binding, placement)
+    sim = BiochipSimulator(study.graph, study.schedule, study.binding, placement, chip)
     victim = sim.module_cell("M6")
 
     # --- how the controller would find the fault (refs [13]/[14]) -----
     localization = FaultLocalizer().localize(
-        frozenset({victim}), snake_path(sim.width, sim.height),
+        frozenset({victim}), snake_path(chip.width, chip.height),
         random.Random(0),  # the ideal sensor never draws from it
     )
     print(f"test substrate: fault localized at {localization.faulty_cell} "
@@ -42,7 +43,7 @@ def main() -> None:
 
     # --- nominal run ---------------------------------------------------
     nominal = BiochipSimulator(
-        study.graph, study.schedule, study.binding, placement
+        study.graph, study.schedule, study.binding, placement, chip
     ).run()
     assert nominal.completed
     print("=== nominal run ===")

@@ -50,6 +50,7 @@ from repro.recovery import (
 from repro.placement.annealer import AnnealingParams, SimulatedAnnealing
 from repro.placement.cost import AreaCost, FaultAwareCost
 from repro.placement.greedy import GreedyPlacer
+from repro.placement.chip import Chip
 from repro.placement.model import PlacedModule, Placement
 from repro.placement.sa_placer import PlacementResult, SimulatedAnnealingPlacer
 from repro.placement.transport import TransportAwareCost
@@ -115,6 +116,7 @@ __all__ = [
     "PartialReconfigurer",
     "Pipeline",
     "PipelineError",
+    "Chip",
     "PlacedModule",
     "Placement",
     "PlacementError",

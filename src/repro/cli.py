@@ -132,20 +132,17 @@ def _max_parked(args: argparse.Namespace, *protocols: str) -> int | None:
     return 2 if any(is_generator_spec(n) for n in names) else None
 
 
-def _check_on_array(flag: str, cells, placement) -> None:
-    """Reject *flag* cells (placement coordinates) that miss the
-    simulated array: the placed array plus the routing boundary lane."""
-    from repro.routing.synthesis import RoutingSynthesizer
-
-    m = RoutingSynthesizer.margin
-    bb = placement.bounding_box()
-    x_lo, x_hi, y_lo, y_hi = bb.x - m, bb.x2 + m, bb.y - m, bb.y2 + m
+def _check_on_array(flag: str, cells, chip) -> None:
+    """Reject *flag* cells (placement coordinates) that miss *chip*:
+    the placed array plus the routing boundary lane."""
+    xs, ys = chip.extent
     for x, y in cells:
-        if not (x_lo <= x <= x_hi and y_lo <= y <= y_hi):
+        if x not in xs or y not in ys:
             raise UsageError(
                 f"{flag} {x} {y} is off the simulated array, which spans "
-                f"x {x_lo}..{x_hi} and y {y_lo}..{y_hi} (the {bb.width}x"
-                f"{bb.height} placed array plus its {m}-cell boundary lane)"
+                f"x {xs[0]}..{xs[-1]} and y {ys[0]}..{ys[-1]} (the "
+                f"{chip.width}x{chip.height} chip: the placed array plus "
+                f"its {chip.margin}-cell boundary lane)"
             )
 
 
@@ -254,7 +251,7 @@ def cmd_route(args: argparse.Namespace) -> int:
             faulty_cells=[tuple(f) for f in args.faulty or ()],
         ),
     )
-    _check_on_array("--faulty", args.faulty or (), result.placement_result.placement)
+    _check_on_array("--faulty", args.faulty or (), result.chip)
     plan = result.routing_plan
     print(plan.table_text())
     print()
@@ -331,14 +328,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     result = flow.run(graph, explicit_binding=binding)
     _check_on_array(
-        "--cell", [c for _, c in pairs if c is not None],
-        result.placement_result.placement,
+        "--cell", [c for _, c in pairs if c is not None], result.chip
     )
     sim = BiochipSimulator(
         result.graph,
         result.schedule,
         result.binding,
         result.placement_result.placement,
+        result.chip,
         routing_plan=result.routing_plan,
     )
 
@@ -346,7 +343,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for fraction, raw_cell in pairs:
         fault_t = fraction * result.schedule.makespan
         if raw_cell is not None:
-            cell = sim.sim_cell(raw_cell)
+            cell = result.chip.cell(raw_cell)
         else:
             # Aim at the first module still pending at the fault instant
             # (deterministic, and actually exercises reconfiguration).
@@ -641,8 +638,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
         try:
             result = flow.run(graph, explicit_binding=binding)
             _check_on_array(
-                "--cell", [c for _, c in pairs if c is not None],
-                result.placement_result.placement,
+                "--cell", [c for _, c in pairs if c is not None], result.chip
             )
             rng = ensure_rng(args.seed)
             events = []

@@ -26,8 +26,8 @@ cluster            the target plus up to two random Chebyshev-adjacent
 dead before the assay starts, which the nominal plan routes around.
 
 Cells are in **placement coordinates** (1-based, ``(1, 1)`` .. ``(width,
-height)``). Simulator callers translate to simulator coordinates via
-``BiochipSimulator.sim_cell``.
+height)``). Simulator callers translate them to chip cells with the
+design's :meth:`~repro.placement.chip.Chip.cell`.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from repro.util.errors import PipelineError
 
 if TYPE_CHECKING:
     from repro.fault.fti import FTIReport
+    from repro.placement.chip import Chip
     from repro.placement.sa_placer import PlacementResult
     from repro.routing.plan import RoutingPlan
     from repro.sim.engine import SimulationReport
@@ -50,6 +51,7 @@ class SynthesisContext:
     binding: Binding | None = None
     schedule: Schedule | None = None
     placement_result: PlacementResult | None = None
+    chip: Chip | None = None
     fti_report: FTIReport | None = None
     routing_plan: RoutingPlan | None = None
     sim_report: SimulationReport | None = None
@@ -90,8 +92,8 @@ class SynthesisContext:
         """
         from repro.synthesis.flow import SynthesisResult
 
-        self.require("binding", "schedule", "placement_result")
-        assert self.binding and self.schedule and self.placement_result
+        self.require("binding", "schedule", "placement_result", "chip")
+        assert self.binding and self.schedule and self.placement_result and self.chip
         return SynthesisResult(
             graph=self.graph,
             binding=self.binding,
@@ -99,6 +101,7 @@ class SynthesisContext:
             placement_result=self.placement_result,
             fti_report=self.fti_report,
             runtime_s=self.runtime_s,
+            chip=self.chip,
             routing_plan=self.routing_plan,
             sim_report=self.sim_report,
             stage_timings=dict(self.stage_timings),

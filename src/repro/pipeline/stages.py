@@ -18,6 +18,7 @@ from typing import Protocol, runtime_checkable
 
 from repro.fault.fti import compute_fti
 from repro.pipeline.context import SynthesisContext
+from repro.placement.chip import Chip
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.routing.synthesis import RoutingSynthesizer
 from repro.sim.engine import BiochipSimulator
@@ -111,6 +112,7 @@ class PlaceStage:
         # TwoStagePlacer returns a TwoStageResult; unwrap uniformly.
         placement_result = placed.stage2 if hasattr(placed, "stage2") else placed
         context.placement_result = placement_result
+        context.chip = Chip.of(placement_result.placement)
         if self.compute_fti_report:
             if hasattr(placed, "fti_stage2"):
                 context.fti_report = placed.fti_stage2
@@ -129,13 +131,11 @@ class RouteStage:
         )
 
     def run(self, context: SynthesisContext) -> None:
-        context.require("schedule", "placement_result")
+        context.require("schedule", "placement_result", "chip")
         assert context.placement_result is not None
         context.routing_plan = self.synthesizer.synthesize(
-            context.graph,
-            context.schedule,
-            context.placement_result.placement,
-            faulty_cells=context.faulty_cells,
+            context.graph, context.schedule, context.placement_result.placement,
+            context.chip, faulty_cells=context.faulty_cells,
         )
 
 
@@ -144,25 +144,22 @@ class SimVerifyStage:
 
     Runs the droplet-level simulator over the placed (and, when
     present, routed) assay. The context's ``faulty_cells`` are injected
-    as time-zero faults — translated from placement to simulator
-    coordinates — so a defect scenario is genuinely exercised (module
-    health checks, reconfiguration, fault-avoiding reroutes), not just
-    threaded through. An unroutable corner case surfaces as a failed
+    as time-zero faults — translated from placement to chip cells — so
+    a defect scenario is genuinely exercised (module health checks,
+    reconfiguration, fault-avoiding reroutes), not just threaded
+    through. An unroutable corner case surfaces as a failed
     report instead of raising.
     """
 
     name = "verify"
 
     def run(self, context: SynthesisContext) -> None:
-        context.require("binding", "schedule", "placement_result")
-        assert context.placement_result is not None
-        placement = context.placement_result.placement
+        context.require("binding", "schedule", "placement_result", "chip")
+        assert context.placement_result is not None and context.chip is not None
+        chip = context.chip
         simulator = BiochipSimulator(
-            context.graph,
-            context.schedule,
-            context.binding,
-            placement,
-            routing_plan=context.routing_plan,
+            context.graph, context.schedule, context.binding,
+            context.placement_result.placement, chip, routing_plan=context.routing_plan,
         )
-        faults = [(0.0, simulator.sim_cell(p)) for p in context.faulty_cells]
+        faults = [(0.0, chip.cell(p)) for p in context.faulty_cells]
         context.sim_report = simulator.run(faults=faults)

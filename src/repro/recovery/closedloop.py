@@ -666,5 +666,5 @@ class ClosedLoopController:
             state.believed,
         )
         return sim.report(
-            [(e.time_s, sim.sim_cell(e.cell), e.kind) for e in events]
+            [(e.time_s, result.chip.cell(e.cell), e.kind) for e in events]
         )

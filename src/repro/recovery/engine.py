@@ -20,12 +20,12 @@ an arbitrary instant mid-assay:
    the nominal placement is the initial state, only pending modules
    are movable (:class:`~repro.placement.moves.MoveGenerator`'s
    ``movable`` filter), and a fault-overlap penalty keeps them off the
-   dead cells. Frozen modules and the core-area dimensions never
-   change, which is what keeps the already-executed routing prefix
-   valid (see DESIGN.md, "checkpoint invariants"). The ``relocate``
-   rung stops after the relocation pass: no anneal runs.
+   dead cells and the chip's port cells. Frozen modules, the chip and
+   its frame never change, which is what keeps the already-executed
+   routing prefix valid (see DESIGN.md, "checkpoint invariants"). The
+   ``relocate`` rung stops after the relocation pass: no anneal runs.
 3. **Suffix re-route.** Only the routing epochs released *after* the
-   fault instant are re-synthesized, on the packed
+   fault instant are re-synthesized on the same chip, on the packed
    :class:`~repro.routing.timegrid.TimeGrid` against the updated fault
    mask, with their step counters continuing the kept prefix. Prefix
    epochs are reused verbatim — their obstacle context derives solely
@@ -87,9 +87,9 @@ FAULT_TARGETS = ("pending-module", "in-flight-module", "center", "street")
 #:   anchored warm-restart anneal, then suffix re-route.
 #: * ``resynth`` — escalated warm restart: a hotter annealing schedule,
 #:   the nominal-anchor term dropped (the layout may now diverge
-#:   freely), extra space-redundancy slack, and — uniquely — a
-#:   degraded-plan tolerance: a suffix net the router cannot close is
-#:   delegated to the replay's own partial reconfiguration, and the
+#:   freely), and — uniquely — a degraded-plan tolerance: a suffix
+#:   net the router cannot close is delegated to the replay's own
+#:   partial reconfiguration, and the
 #:   verified replay's completion is the arbiter (``plan_verified``
 #:   stays False on such outcomes).
 RECOVERY_RUNGS = ("reroute", "relocate", "replace", "resynth")
@@ -101,14 +101,6 @@ ANCHOR_WEIGHT = 0.5
 #: Penalty per dead cell under a module footprint in the warm restart —
 #: large enough that escaping a fault dominates every other term.
 FAULT_WEIGHT = 1000.0
-
-#: Extra core cells (per dimension) recovery may claim beyond the
-#: nominal bounding array — the paper's *space redundancy*: the
-#: fabricated chip has spare electrodes the nominal plan never used.
-#: Module coordinates are never shifted, so the kept routing prefix
-#: stays in the same frame. The ``resynth`` rung claims two more.
-CORE_SLACK = 2
-
 
 class FaultAvoidanceCost(AreaCost):
     """Warm-restart objective: area + fault penalty + anchor term.
@@ -455,12 +447,13 @@ class OnlineRecoveryEngine:
         (placement coordinates).
 
         Cached by the identity of everything a replay reads (the graph,
-        schedule, binding, placement and plan) and the covered cells;
-        the cache holds references to the inputs, so an identity never
-        names a freed object. Nothing mutates a placement once a
+        schedule, binding, placement, chip and plan) and the covered
+        cells; the cache holds references to the inputs, so an identity
+        never names a freed object. Nothing mutates a placement once a
         simulator has it, so a cached simulator never goes stale.
         """
-        inputs = (result.graph, result.schedule, result.binding, placement, routing_plan)
+        r = result
+        inputs = (r.graph, r.schedule, r.binding, placement, r.chip, routing_plan)
         covers = frozenset(Point(*c) for c in plan_covers_faults)
         key = (*map(id, inputs), covers)
         cache = self._simulators
@@ -493,7 +486,7 @@ class OnlineRecoveryEngine:
             result, result.placement_result.placement, result.routing_plan
         )
         return sim.checkpoint(
-            fault_time_s, faults=[(0.0, sim.sim_cell(Point(*f))) for f in known_faults]
+            fault_time_s, faults=[(0.0, result.chip.cell(f)) for f in known_faults]
         )
 
     def nominal_checkpoint(
@@ -601,20 +594,14 @@ class OnlineRecoveryEngine:
         # (single-module legality), then the warm-started anneal (can
         # shuffle several pending modules jointly when no single-module
         # site exists), then a final relocation retry on the annealed
-        # layout. The ``relocate`` rung stops after the first pass. The
-        # working core is the nominal bounding array plus the space-
-        # redundancy slack; coordinates are never shifted. The
-        # ``resynth`` rung claims extra slack — by the time the ladder
-        # reaches it, minimal perturbation has already failed.
-        slack = CORE_SLACK + (2 if rung == "resynth" else 0)
-        conservative = Placement(
-            nominal_placement.core_width + slack,
-            nominal_placement.core_height + slack,
-            modules=nominal_placement,
-            pitch_mm=nominal_placement.pitch_mm,
-        )
+        # layout. The ``relocate`` rung stops after the first pass. Every
+        # rung works on the chip's claimable core, in the same
+        # coordinates, and keeps modules off its port cells.
+        chip = result.chip
+        blocked = all_faults + tuple(p for p in chip.reserved if p not in all_faults)
+        conservative = chip.claimable(nominal_placement)
         relocated, unresolved = self._rescue_hit_modules(
-            conservative, movable, all_faults
+            conservative, movable, blocked
         )
         if rung == "relocate":
             replace_s = time.perf_counter() - t0
@@ -633,11 +620,12 @@ class OnlineRecoveryEngine:
                 conservative,
                 movable,
                 all_faults,
+                blocked,
                 nominal_placement,
                 seed,
                 resynth=rung == "resynth",
             )
-            still_hit, _ = self._rescue_hit_modules(annealed, movable, all_faults)
+            still_hit, _ = self._rescue_hit_modules(annealed, movable, blocked)
             relocated = sorted(set(relocated) | set(still_hit))
         replace_s = time.perf_counter() - t0
 
@@ -667,9 +655,9 @@ class OnlineRecoveryEngine:
                 if not attempt.recovered:
                     # A pending module the placement layer could not pull
                     # off the dead cell was delegated to the simulator's
-                    # own partial reconfiguration (it has the padded
-                    # boundary area to work with); if the replay still
-                    # failed, name the stuck module in the report.
+                    # own partial reconfiguration (it has the whole chip
+                    # to work with); if the replay still failed, name
+                    # the stuck module in the report.
                     offending = [
                         op
                         for op in movable
@@ -727,19 +715,21 @@ class OnlineRecoveryEngine:
             if e.time_s < fault_time_s
         )
         step_offset = sum(e.makespan_steps for e in prefix_epochs)
+        chip = result.chip
         suffix = self.synthesizer.synthesize(
             result.graph,
             result.schedule,
             working,
+            chip,
             faulty_cells=all_faults,
             after_time=fault_time_s,
             step_offset=step_offset,
         )
         merged = RoutingPlan(
-            width=suffix.width,
-            height=suffix.height,
+            width=chip.width,
+            height=chip.height,
             epochs=prefix_epochs + suffix.epochs,
-            margin=suffix.margin,
+            margin=chip.margin,
         )
         reroute_s = time.perf_counter() - t1
         plan_ok = True
@@ -758,8 +748,8 @@ class OnlineRecoveryEngine:
 
         # -- phase 3: resume from the checkpoint ---------------------------
         sim = self.simulator(result, working, merged, known + faults)
-        sim_faults = [(0.0, sim.sim_cell(f)) for f in known] + [
-            (fault_time_s, sim.sim_cell(f)) for f in faults
+        sim_faults = [(0.0, chip.cell(f)) for f in known] + [
+            (fault_time_s, chip.cell(f)) for f in faults
         ]
         report = sim.report(sim_faults)
 
@@ -829,14 +819,17 @@ class OnlineRecoveryEngine:
         working: Placement,
         movable: tuple[str, ...],
         faults: tuple[Point, ...],
+        blocked: tuple[Point, ...],
         nominal: Placement,
         seed: int | random.Random | None,
         resynth: bool,
     ) -> Placement:
         """Warm-started low-temperature anneal of the pending modules
-        around the frozen ones, anchored to the nominal layout. Falls
-        back to the pre-anneal placement when the anneal's best is
-        worse off (infeasible, or touching a fault the input avoided).
+        around the frozen ones, anchored to the nominal layout, keeping
+        them off the dead *faults*. Falls back to the pre-anneal
+        placement when the anneal's best is worse off: infeasible, or
+        covering more *blocked* cells (the dead cells and the chip's
+        port cells) than the input.
         The ``resynth`` rung anneals on the hotter balanced schedule, so
         the layout can escape the nominal basin, and drops the anchor
         (the nominal basin no longer binds).
@@ -863,7 +856,7 @@ class OnlineRecoveryEngine:
             return sum(
                 1
                 for op in movable
-                for f in faults
+                for f in blocked
                 if placement.get(op).footprint.contains_point(f)
             )
 

@@ -18,7 +18,7 @@ path route first and everyone else stalls or detours around them.
 What the epochs share is built once per :meth:`RoutingSynthesizer.
 synthesize` call, in a :class:`_SynthesisIndex`: each net's goal and
 plug cell, each product's last use, the parkable products, the module
-lifetimes and the padded array's packed tables. The epochs only read it,
+lifetimes and the chip's packed tables. The epochs only read it,
 and it dies with the call.
 """
 
@@ -29,6 +29,7 @@ from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 from repro.geometry import Point, Rect
+from repro.placement.chip import Chip
 from repro.placement.model import Placement
 from repro.placement.transport import dependency_edges
 from repro.routing.compact import compact_routes
@@ -53,7 +54,7 @@ class _SynthesisIndex:
     """The schedule context every epoch of one synthesis reads.
 
     Built at the start of :meth:`RoutingSynthesizer.synthesize` from
-    the padded placement and dropped at its end; epochs never write it.
+    the chip-cell placement and dropped at its end; epochs never write it.
     """
 
     def __init__(
@@ -126,12 +127,6 @@ class RoutingSynthesizer:
     #: shape)``, *shape* being the call's shared :class:`GridShape`.
     grid_factory = TimeGrid
 
-    #: Boundary-lane width around the core area — the chip's free
-    #: perimeter cells (the simulator pads its array the same way).
-    #: Without them, modules touching the core edge wall droplets into
-    #: unroutable pockets.
-    margin = 2
-
     def __init__(self, router: PrioritizedRouter | None = None) -> None:
         #: Non-strict by default: an unroutable net is reported through
         #: the plan's routability instead of aborting the whole flow.
@@ -142,11 +137,13 @@ class RoutingSynthesizer:
         graph: SequencingGraph,
         schedule: Schedule,
         placement: Placement,
+        chip: Chip,
         faulty_cells: Iterable[Point | tuple[int, int]] = (),
         after_time: float | None = None,
         step_offset: int = 0,
     ) -> RoutingPlan:
-        """Route every placed-to-placed dependency edge of *graph*.
+        """Route every placed-to-placed dependency edge of *graph* on
+        *chip*, the array *placement* sits on.
 
         *after_time* restricts synthesis to the **suffix**: only epochs
         released at or after that instant are routed (the online-
@@ -157,18 +154,11 @@ class RoutingSynthesizer:
         epochs). *step_offset* seeds the first routed epoch's global
         step counter so suffix epochs continue the prefix's numbering.
         """
-        m = self.margin
-        width = placement.core_width + 2 * m
-        height = placement.core_height + 2 * m
-        # Work in padded coordinates throughout; the plan records the
-        # margin so replay layers can map cells back.
-        shifted = Placement(width, height, pitch_mm=placement.pitch_mm)
-        for pm in placement:
-            shifted.add(pm.moved_to(pm.x + m, pm.y + m))
-        faulty = frozenset(Point(c[0] + m, c[1] + m) for c in faulty_cells)
+        # Work in chip cells, the replay's frame, throughout.
         index = _SynthesisIndex(
-            graph, schedule, shifted, self._criticality(graph, schedule)
+            graph, schedule, chip.embed(placement), self._criticality(graph, schedule)
         )
+        faulty = frozenset(map(chip.cell, faulty_cells))
 
         epochs: list[RoutingEpoch] = []
         for t in sorted(index.releases):
@@ -180,7 +170,8 @@ class RoutingSynthesizer:
             epochs.append(epoch)
             step_offset += epoch.makespan_steps
         return RoutingPlan(
-            width=width, height=height, epochs=tuple(epochs), margin=m
+            width=chip.width, height=chip.height, epochs=tuple(epochs),
+            margin=chip.margin,
         )
 
     # -- epoch construction --------------------------------------------------

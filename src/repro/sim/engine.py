@@ -45,9 +45,9 @@ from repro.assay.graph import SequencingGraph
 from repro.assay.operations import OperationType
 from repro.fault.reconfigure import PartialReconfigurer, Relocation
 from repro.geometry import Point, Rect
+from repro.placement.chip import Chip
 from repro.placement.model import PlacedModule, Placement
 from repro.routing.plan import RoutingPlan, chebyshev
-from repro.routing.synthesis import RoutingSynthesizer
 from repro.sim.droplet import Droplet
 from repro.sim.electrowetting import ElectrowettingModel
 from repro.sim.fastgrid import PackedDropletRouter
@@ -477,6 +477,7 @@ class BiochipSimulator:
         schedule,
         binding,
         placement: Placement,
+        chip: Chip,
         routing_plan: RoutingPlan | None = None,
         plan_covers_faults: Iterable[Point | tuple[int, int]] = (),
     ) -> None:
@@ -487,43 +488,29 @@ class BiochipSimulator:
         self.ew = ElectrowettingModel()
         self.reconfigurer = PartialReconfigurer()
 
-        # Route lanes around the array: the router's own boundary pad,
-        # so one constant frames both the plan and the replay.
-        margin = RoutingSynthesizer.margin
-        # The simulator normalizes the placement to its bounding box and
-        # pads it by the margin: one translation by this offset. A
-        # routing plan was computed in the *input* placement's
-        # coordinates plus the plan's own boundary margin, so planned
-        # cells map onto simulator cells by the same offset (minus
-        # plan.margin, applied in _planned_route once a plan is known to
-        # exist).
-        bb = placement.bounding_box()
-        dx, dy = 1 - bb.x + margin, 1 - bb.y + margin
-        self._norm_offset = (dx, dy)
+        #: The array the assay runs on; a plan cell is a replay cell.
+        self.chip = chip
+        if routing_plan is not None:
+            planned_on = Chip(routing_plan.width, routing_plan.height, routing_plan.margin)
+            if planned_on != chip:
+                raise SimulationError(f"routing plan is on {planned_on}, not {chip}")
         #: Faults the routing plan was computed against, given in
-        #: placement coordinates and held in simulator coordinates.
-        #: Planned transports normally stop replaying the moment any
-        #: fault fires (the plan knows nothing about it); a *recovery*
-        #: plan re-synthesized against a known fault mask is declared
-        #: here so its transports keep replaying.
-        self.plan_covers_faults = frozenset(map(self.sim_cell, plan_covers_faults))
-        self.width = bb.width + 2 * margin
-        self.height = bb.height + 2 * margin
-        self.placement = Placement(self.width, self.height, pitch_mm=placement.pitch_mm)
-        for pm in placement:
-            self.placement.add(pm.moved_to(pm.x + dx, pm.y + dy))
+        #: placement coordinates and held in chip cells. Planned
+        #: transports normally stop replaying the moment any fault fires
+        #: (the plan knows nothing about it); a *recovery* plan
+        #: re-synthesized against a known fault mask is declared here so
+        #: its transports keep replaying.
+        self.plan_covers_faults = frozenset(map(chip.cell, plan_covers_faults))
+        self.placement = chip.embed(placement)
         self.placement.validate()
         #: Packed transport kernel every ad-hoc transport routes on.
-        self.router = PackedDropletRouter(self.width, self.height)
+        self.router = PackedDropletRouter(chip.width, chip.height)
         #: Reports by normalized fault list, for :meth:`report`.
         self._report_memo: dict[tuple, SimulationReport] = {}
         #: Parking ring-search memo: obstacle signature -> nearest safe
         #: cell.
         self._park_memo: dict[tuple, Point] = {}
-        #: Reservoirs along the left edge, dispensed in rotation; the
-        #: assay product leaves through the output cell on the right.
-        self._dispense_cycle = [Point(1, y) for y in range(1, self.height + 1, 2)]
-        self._output_cell = Point(self.width, max(1, self.height // 2))
+        self._dispense_cycle = chip.dispense_ports  # used in rotation
 
     def _next_dispense_cell(self, run: _Run) -> Point:
         cell = self._dispense_cycle[run.next_port % len(self._dispense_cycle)]
@@ -532,28 +519,15 @@ class BiochipSimulator:
 
     # -- public API -------------------------------------------------------------------
 
-    def sim_cell(self, p: Point | tuple[int, int]) -> Point:
-        """Map a placement-coordinate cell to simulator coordinates.
-
-        The simulator normalizes the placement and pads it by the
-        router's boundary margin; callers aiming a fault at a placement
-        cell (e.g. the pipeline's verify stage) use this instead of
-        re-deriving the offset.
-        """
-        dx, dy = self._norm_offset
-        return Point(p[0] + dx, p[1] + dy)
-
     def run(self, faults: Iterable[tuple] = ()) -> SimulationReport:
         """Execute the assay, injecting each fault-timeline entry.
 
         Entries are ``(time, cell)`` pairs (permanent faults, the
         historical form) or ``(time, cell, kind)`` triples with kind
         ``"fail"`` or ``"clear"`` — the form fault models emit for
-        transient/intermittent faults. Fault cells are given in the
-        *simulator's* coordinates (the placement normalized and padded
-        by the router's boundary margin); use :meth:`module_cell` to aim
-        at a particular module, or :meth:`sim_cell` to map placement
-        coordinates.
+        transient/intermittent faults. Fault cells are chip cells; use
+        :meth:`module_cell` to aim at a particular module, or
+        ``chip.cell`` to map placement coordinates.
 
         A ``clear`` repairs the cell from its instant on (later
         transports may route through it again); it does **not** undo
@@ -791,7 +765,7 @@ class BiochipSimulator:
                 )
             droplet = inputs[0]
             others = [p for p in parked if p != droplet.position]
-            out = self._output_cell
+            out = self.chip.output_port
             transport_cells = self._transport(
                 droplet, out, t, faulty_now, others, run, op_id
             )
@@ -904,8 +878,6 @@ class BiochipSimulator:
         def safe(cell: Point) -> bool:
             if cell in parked or cell in faulty:
                 return False
-            if not (1 <= cell.x <= self.width and 1 <= cell.y <= self.height):
-                return False
             return not any(fp.contains_point(cell) for fp in claiming)
 
         assert droplet.position is not None
@@ -970,20 +942,11 @@ class BiochipSimulator:
         is usable."""
         if self.routing_plan is None:
             return None
-        dx = self._norm_offset[0] - self.routing_plan.margin
-        dy = self._norm_offset[1] - self.routing_plan.margin
         candidates = [self.routing_plan.net_for(op_id, s) for s in sorted(consumers)]
         candidates.append(self.routing_plan.net_for(op_id, None))  # hold net
         for net in candidates:
-            if net is None:
-                continue
-            cell = net.net.source.translated(dx, dy)
-            if (
-                1 <= cell.x <= self.width
-                and 1 <= cell.y <= self.height
-                and safe(cell)
-            ):
-                return cell
+            if net is not None and safe(net.net.source):
+                return net.net.source
         return None
 
     def _park_goal(self, key: tuple) -> Point | None:
@@ -993,7 +956,7 @@ class BiochipSimulator:
         checkpoint replays repeat the same searches run after run."""
         goal = self._park_memo.get(key)
         if goal is None:
-            goal = _nearest_safe_cell(self.width, self.height, *key)
+            goal = _nearest_safe_cell(self.chip.width, self.chip.height, *key)
             if goal is not None:
                 if len(self._park_memo) >= 65536:
                     self._park_memo.clear()
@@ -1242,9 +1205,9 @@ class BiochipSimulator:
         synthesis time against the *nominal* configuration; it is
         replayed only while that configuration holds — no faults have
         fired (a fault may have relocated modules or reparked products
-        the plan knows nothing about), the endpoints (mapped into
-        simulator coordinates) match the droplet's actual position and
-        goal, and the planned trajectory keeps the one-cell fluidic gap
+        the plan knows nothing about), the endpoints (chip cells, like
+        the replay's) match the droplet's actual position and goal, and
+        the planned trajectory keeps the one-cell fluidic gap
         from the droplets *actually* parked right now (the simulator's
         parking decisions can diverge from the plan's parking model).
         Everything else — dispense/output legs, evacuations, the whole
@@ -1263,12 +1226,7 @@ class BiochipSimulator:
         net = self.routing_plan.net_for(droplet.produced_by, op_id)
         if net is None:
             return None
-        dx = self._norm_offset[0] - self.routing_plan.margin
-        dy = self._norm_offset[1] - self.routing_plan.margin
-        if (
-            net.net.source.translated(dx, dy) != droplet.position
-            or net.net.goal.translated(dx, dy) != goal
-        ):
+        if net.net.source != droplet.position or net.net.goal != goal:
             return None
         if faulty_now:
             # A covered plan avoids its declared fault cells only from
@@ -1280,13 +1238,11 @@ class BiochipSimulator:
             # transports around their fault mask by construction, so
             # for those this check never fires.)
             fault_set = set(faulty_now)
-            if any(c.translated(dx, dy) in fault_set for c in net.cells):
+            if any(c in fault_set for c in net.cells):
                 return None
-        if other_droplets:
-            cells = [c.translated(dx, dy) for c in net.cells]
-            for q in other_droplets:
-                if q == goal:
-                    continue  # goal-adjacent merge is the point
-                if any(chebyshev(c, q) <= 1 for c in cells):
-                    return None
+        for q in other_droplets:
+            if q == goal:
+                continue  # goal-adjacent merge is the point
+            if any(chebyshev(c, q) <= 1 for c in net.cells):
+                return None
         return net

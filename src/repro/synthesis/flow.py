@@ -27,6 +27,7 @@ from repro.assay.graph import SequencingGraph
 from repro.fault.fti import FTIReport
 from repro.geometry import Point
 from repro.modules.library import ModuleLibrary
+from repro.placement.chip import Chip
 from repro.placement.sa_placer import PlacementResult, SimulatedAnnealingPlacer
 from repro.placement.two_stage import TwoStagePlacer
 from repro.routing.plan import RoutingPlan
@@ -49,6 +50,8 @@ class SynthesisResult:
     placement_result: PlacementResult
     fti_report: FTIReport | None
     runtime_s: float
+    #: The array every later layer runs on; derived designs keep it.
+    chip: Chip
     routing_plan: RoutingPlan | None = None
     #: Droplet-level replay report, when the pipeline's verify stage ran.
     sim_report: SimulationReport | None = None

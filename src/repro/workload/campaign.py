@@ -633,7 +633,7 @@ def _run_unit(unit: _UnitSpec) -> list[CampaignRecord]:
                 cells = defect_cells(sc.defects, width, height)
                 plan = flow.routing_synthesizer.synthesize(
                     graph, result.schedule, result.placement_result.placement,
-                    faulty_cells=cells,
+                    result.chip, faulty_cells=cells,
                 )
                 design = replace(result, routing_plan=plan)
                 designs[sc.defects] = (

@@ -50,7 +50,7 @@ class SteppedSimulator(BiochipSimulator):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.router = DropletRouter(self.width, self.height)
+        self.router = DropletRouter(self.chip.width, self.chip.height)
 
     def report(self, faults=()):
         return self.run(faults=faults)  # every checkpoint and verdict re-runs
@@ -76,7 +76,7 @@ class SteppedSimulator(BiochipSimulator):
         return claiming
 
     def _park_goal(self, key: tuple):
-        return reference_nearest_safe_cell(self.width, self.height, *key)
+        return reference_nearest_safe_cell(self.chip.width, self.chip.height, *key)
 
     def _execute(self, run):
         self._realize_timeline(run)

@@ -235,11 +235,11 @@ class TestClosedLoopCompletion:
             assert all(d.dismissed for d in outcome.false_alarms)
             assert outcome.makespan_penalty_s == 0.0
 
-    def test_watchdog_catches_a_fault_every_probe_missed(self):
-        """A near-blind sensor misses a 2x2 dead block; the verdict
-        replay fails, the stuck-droplet watchdog names the earliest
-        undetected fault, and the ladder still lands the assay."""
-        result = _routed("dilution")
+    @staticmethod
+    def _blind_block(assay: str):
+        """A near-blind sensor against a 2x2 dead block at 30% of the
+        makespan."""
+        result = _routed(assay)
         t = 0.3 * result.makespan
         engine = _engine()
         checkpoint = engine.checkpoint_of(result, t)
@@ -258,7 +258,13 @@ class TestClosedLoopCompletion:
             sensor=CapacitiveSensor(false_negative_rate=0.99),
             votes=3,
         )
-        outcome = blind.run(result, events, seed=42)
+        return blind.run(result, events, seed=42)
+
+    def test_watchdog_catches_a_fault_every_probe_missed(self):
+        """A near-blind sensor misses a 2x2 dead block; the verdict
+        replay fails, the stuck-droplet watchdog names the earliest
+        undetected fault, and the ladder still lands the assay."""
+        outcome = self._blind_block("ivd")
         assert outcome.completed, outcome.reason
         assert outcome.watchdog_rounds >= 1
         assert any(d.via == "watchdog" for d in outcome.detections)
@@ -267,6 +273,21 @@ class TestClosedLoopCompletion:
             if det.via == "watchdog":
                 assert det.true_cell == det.believed_cell
                 assert det.latency_s is not None and det.latency_s > 0
+
+    def test_watchdog_block_the_chip_cannot_hold_aborts(self):
+        """On dilution the watchdog catches the block too, but the
+        chip has no site left for the module running on it: the ladder
+        exhausts and the run aborts, naming the believed cell. (It
+        lands only on an array two rows taller than its chip, which no
+        recovery may grow.)"""
+        outcome = self._blind_block("dilution")
+        assert outcome.aborted and not outcome.completed
+        assert outcome.reason.startswith(
+            "recovery ladder exhausted for believed fault at Point(x=2, y=3)"
+        )
+        assert any(d.via == "watchdog" for d in outcome.detections)
+        ladder = [s.rung for s in outcome.recoveries[-1].ladder_trace]
+        assert ladder == ["reroute", "relocate", "replace", "resynth", "abort"]
 
 
 class TestLadder:
@@ -404,7 +425,7 @@ class TestLossySensorPin:
     DIGESTS = {
         ("pcr", "permanent"): "407b54b11f3305db",
         ("pcr", "intermittent"): "6eea21db4ed7db94",
-        ("dilution", "permanent"): "b887b5fdace54af9",
+        ("dilution", "permanent"): "aeaae1beba960749",
         ("dilution", "intermittent"): "a90eecf038981f6d",
         ("ivd", "permanent"): "05f9a2061e581c6c",
         ("ivd", "intermittent"): "e13f86069d651fd9",
@@ -562,8 +583,10 @@ def _count_fault_free_replays(monkeypatch, designs) -> list[int]:
     built: list[tuple[BiochipSimulator, int]] = []
     init, run = BiochipSimulator.__init__, BiochipSimulator.run
 
-    def spy_init(self, graph, schedule, binding, placement, routing_plan=None, **kw):
-        init(self, graph, schedule, binding, placement, routing_plan, **kw)
+    def spy_init(
+        self, graph, schedule, binding, placement, chip, routing_plan=None, **kw
+    ):
+        init(self, graph, schedule, binding, placement, chip, routing_plan, **kw)
         for i, design in enumerate(designs):
             if (
                 placement is design.placement_result.placement

@@ -249,6 +249,7 @@ def _simulator(assay: str, engine: str) -> BiochipSimulator:
         result.schedule,
         result.binding,
         result.placement_result.placement,
+        result.chip,
     )
 
 
@@ -277,7 +278,7 @@ class TestEngineInvariance:
             model, cell, rng.uniform(0.0, makespan), makespan, width, height, rng
         )
         timeline = [
-            (e.time_s, event_sim.sim_cell(e.cell), e.kind) for e in events
+            (e.time_s, event_sim.chip.cell(e.cell), e.kind) for e in events
         ]
         event_report = event_sim.run(faults=timeline)
         stepped_report = stepped_sim.run(faults=timeline)

@@ -15,6 +15,7 @@ from oracles import FullRecomputeMoves
 
 from repro.fault.fti import compute_fti
 from repro.placement.annealer import AnnealingParams
+from repro.placement.chip import Chip
 from repro.placement.initial import constructive_initial_placement
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.placement.window import ControllingWindow
@@ -84,7 +85,7 @@ class TestSimulatorContracts:
     def test_realized_never_beats_nominal(self, pcr):
         placer = SimulatedAnnealingPlacer(params=AnnealingParams.fast(), seed=2)
         placement = placer.place(pcr.schedule, pcr.binding).placement
-        sim = BiochipSimulator(pcr.graph, pcr.schedule, pcr.binding, placement)
+        sim = BiochipSimulator(pcr.graph, pcr.schedule, pcr.binding, placement, Chip.of(placement))
         report = sim.run()
         assert report.completed
         for op_id, finish in report.realized_finish.items():
@@ -96,7 +97,7 @@ class TestSimulatorContracts:
         times is survivable and the product is always complete."""
         placer = SimulatedAnnealingPlacer(params=AnnealingParams.fast(), seed=2)
         placement = placer.place(pcr.schedule, pcr.binding).placement
-        sim = BiochipSimulator(pcr.graph, pcr.schedule, pcr.binding, placement)
+        sim = BiochipSimulator(pcr.graph, pcr.schedule, pcr.binding, placement, Chip.of(placement))
         active = [
             pm for pm in sim.placement
             if pm.start <= fault_time < pm.stop

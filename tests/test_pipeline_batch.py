@@ -42,10 +42,10 @@ def spied():
         calls["flow"] += 1
         return flow_run(self, *args, **kwargs)
 
-    def spy_route(self, graph, schedule, placement, faulty_cells=(), **kw):
-        plan = synthesize(self, graph, schedule, placement,
+    def spy_route(self, graph, schedule, placement, chip, faulty_cells=(), **kw):
+        plan = synthesize(self, graph, schedule, placement, chip,
                           faulty_cells=faulty_cells, **kw)
-        calls["routes"].append((graph.name, tuple(faulty_cells), placement, plan))
+        calls["routes"].append((graph.name, tuple(faulty_cells), placement, plan, chip))
         return plan
 
     def spy_loop(self, result, events, *args, **kwargs):
@@ -118,9 +118,9 @@ class TestGridShape:
         _, calls = spied
         faulty = [c for c in calls["routes"] if c[1]]
         assert len(faulty) == 3
-        for name, cells, placement, plan in faulty:
+        for name, cells, placement, plan, chip in faulty:
             assert cells == defect_cells("center", *placement.array_dims())
-            shifted = {Point(p.x + plan.margin, p.y + plan.margin) for p in cells}
+            shifted = {chip.cell(p) for p in cells}
             for rn in plan.nets:
                 assert not shifted.intersection(rn.cells), (
                     f"{name}: net {rn.net.net_id} crosses a faulty cell"
@@ -139,6 +139,7 @@ class TestUpstreamReuse:
         routes = calls["routes"]
         for nominal, defect in zip(routes[::2], routes[1::2]):
             assert nominal[2] is defect[2]  # the same placement object
+            assert nominal[4] is defect[4]  # on the same chip
         for assay in ("pcr", "dilution", "tree8"):
             recs = [r for r in report.records if r.spec == assay]
             shared = ("modules", "makespan_s", "width", "height",

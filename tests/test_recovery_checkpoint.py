@@ -38,6 +38,7 @@ def synthesized(request):
         result.schedule,
         result.binding,
         result.placement_result.placement,
+        result.chip,
         routing_plan=result.routing_plan,
     )
     baseline = sim.run()
@@ -126,10 +127,13 @@ def test_checkpoint_of_failed_run_raises():
         result.schedule,
         result.binding,
         result.placement_result.placement,
+        result.chip,
     )
     # Kill every module of the whole array at t=0: unrecoverable.
     w, h = result.placement_result.array_dims
-    faults = [(0.0, (x + 2, y + 2)) for x in range(1, w + 1) for y in range(1, h + 1)]
+    faults = [
+        (0.0, result.chip.cell((x, y))) for x in range(1, w + 1) for y in range(1, h + 1)
+    ]
     with pytest.raises(SimulationError):
         sim.checkpoint(10.0, faults=faults)
 

@@ -5,12 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.assay.catalog import build_assay
-from repro.geometry import Point
+from repro.fault.reconfigure import PartialReconfigurer
+from repro.geometry import Point, Rect
 from repro.placement.annealer import AnnealingParams, SimulatedAnnealing
 from repro.placement.incremental import IncrementalCostEvaluator
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.recovery import OnlineRecoveryEngine
-from repro.recovery.engine import CORE_SLACK, FaultAvoidanceCost, pick_fault_cell
+from repro.recovery.engine import FaultAvoidanceCost, pick_fault_cell
 from repro.synthesis.flow import SynthesisFlow
 from repro.util.errors import RecoveryError
 
@@ -86,11 +87,11 @@ def test_unrecoverable_fault_yields_explicit_infeasibility(routed_pcr, engine):
     """Killing every core cell leaves no site for any pending module:
     the engine must report infeasibility, not raise or half-answer."""
     t = 0.5 * routed_pcr.schedule.makespan
-    w, h = routed_pcr.placement_result.array_dims
+    core = routed_pcr.chip.claimable(routed_pcr.placement_result.placement)
     everything = [
         (x, y)
-        for x in range(1, w + CORE_SLACK + 1)
-        for y in range(1, h + CORE_SLACK + 1)
+        for x in range(1, core.core_width + 1)
+        for y in range(1, core.core_height + 1)
     ]
     outcome = engine.recover(routed_pcr, everything, t, seed=3)
     assert not outcome.recovered
@@ -130,11 +131,11 @@ def test_relocate_fails_fast_without_a_mer_site(routed_pcr, engine):
     """With every core cell dead no hit module has a fault-free MER
     site: relocate names them and stops before routing or replay."""
     t = 0.5 * routed_pcr.schedule.makespan
-    w, h = routed_pcr.placement_result.array_dims
+    core = routed_pcr.chip.claimable(routed_pcr.placement_result.placement)
     everything = [
         (x, y)
-        for x in range(1, w + CORE_SLACK + 1)
-        for y in range(1, h + CORE_SLACK + 1)
+        for x in range(1, core.core_width + 1)
+        for y in range(1, core.core_height + 1)
     ]
     outcome = engine.recover(routed_pcr, everything, t, rung="relocate")
     assert not outcome.recovered
@@ -142,6 +143,53 @@ def test_relocate_fails_fast_without_a_mer_site(routed_pcr, engine):
     named = outcome.reason.rsplit(") ", 1)[1].split(", ")
     assert named == list(outcome.movable_ops)
     assert outcome.reroute_s == 0.0 and outcome.sim_report is None
+
+
+def _left_of_spare_strip(result, width):
+    """Every claimable cell left of the chip's last *width* columns."""
+    core = result.chip.claimable(result.placement_result.placement)
+    return core, [
+        Point(x, y)
+        for x in range(1, core.core_width - width + 1)
+        for y in range(1, core.core_height + 1)
+    ]
+
+
+def test_relocation_never_claims_a_port_cell(routed_pcr, engine):
+    """The output port sits on the chip's right edge, inside the spare
+    lanes recovery may claim. With every cell left of a 4-wide strip
+    dead, M7's nearest fault-free site covers it; relocation takes the
+    next one instead."""
+    chip = routed_pcr.chip
+    (port,) = chip.reserved
+    assert chip.cell(port) == chip.output_port
+    core, dead = _left_of_spare_strip(routed_pcr, 4)
+    nearest = PartialReconfigurer().find_target(core, core.get("M7"), dead)
+    assert nearest.footprint.contains_point(port)
+    outcome = engine.recover(routed_pcr, dead, 15.5, rung="relocate")
+    assert outcome.relocated_ops == ("M7",)
+    assert outcome.placement.get("M7").footprint == Rect(7, 5, 4, 6)
+
+
+def test_warm_anneal_never_claims_a_port_cell(routed_pcr, engine, monkeypatch):
+    """An anneal whose best layout parks a pending module on the output
+    port is discarded for the pre-anneal layout."""
+    (port,) = routed_pcr.chip.reserved
+    on_port = None
+
+    def anneal_onto_the_port(self, evaluator, *args, **kwargs):
+        nonlocal on_port
+        best = evaluator.placement.copy()
+        best.replace(best.get("M7").moved_to(7, 3, rotated=True))
+        assert best.is_feasible() and best.get("M7").footprint.contains_point(port)
+        on_port = best
+        return best, None
+
+    monkeypatch.setattr(SimulatedAnnealing, "optimize_incremental", anneal_onto_the_port)
+    outcome = engine.recover(routed_pcr, [Point(2, 4)], 15.5, seed=3, rung="replace")
+    assert on_port is not None
+    assert outcome.placement is not on_port
+    assert not outcome.placement.get("M7").footprint.contains_point(port)
 
 
 def test_recover_requires_a_fault_cell(routed_pcr, engine):

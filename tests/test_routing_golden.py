@@ -82,7 +82,7 @@ def _placed(spec: str):
         placer=SimulatedAnnealingPlacer(params=AnnealingParams.fast(), seed=2),
         compute_fti_report=False,
     ).run(context)
-    return graph, context.schedule, context.placement_result.placement
+    return graph, context.schedule, context.placement_result.placement, context.chip
 
 
 def _net(net) -> tuple:
@@ -121,15 +121,15 @@ DESIGNS = (*SYNTH_N100, "gen:mix-tree:n=120:seed=1", *sorted(BUNDLED_ASSAYS))
 
 
 def synthesize(design: str, mode: str):
-    graph, schedule, placement = _placed(design)
+    graph, schedule, placement, chip = _placed(design)
     if mode == "clean":
-        return RoutingSynthesizer().synthesize(graph, schedule, placement)
-    faults = sample_street_faults(placement, 1, rate=0.10)
+        return RoutingSynthesizer().synthesize(graph, schedule, placement, chip)
+    faults = sample_street_faults(placement, chip, 1, rate=0.10)
     if mode == "faulted":
-        return RoutingSynthesizer().synthesize(graph, schedule, placement, faults)
+        return RoutingSynthesizer().synthesize(graph, schedule, placement, chip, faults)
     starts = sorted({schedule.start(op) for op in schedule.op_ids()})
     return RoutingSynthesizer().synthesize(
-        graph, schedule, placement, faults,
+        graph, schedule, placement, chip, faults,
         after_time=starts[len(starts) // 2], step_offset=100,
     )
 

@@ -40,7 +40,7 @@ def _place(assay: str, seed: int):
     BindStage().run(context)
     ScheduleStage(max_concurrent_ops=3).run(context)
     PlaceStage(seed=seed, compute_fti_report=False).run(context)
-    return graph, context.schedule, context.placement_result.placement
+    return graph, context.schedule, context.placement_result.placement, context.chip
 
 
 #: (assay, placement seed, fault seed) triples that produced
@@ -55,9 +55,9 @@ PREVIOUSLY_REJECTED = [
 
 @pytest.mark.parametrize("assay,pseed,fseed", PREVIOUSLY_REJECTED)
 def test_previously_rejected_fault_patterns_now_verify(assay, pseed, fseed):
-    graph, schedule, placement = _place(assay, pseed)
-    faults = sample_street_faults(placement, fseed)
-    plan = RoutingSynthesizer().synthesize(graph, schedule, placement, faults)
+    graph, schedule, placement, chip = _place(assay, pseed)
+    faults = sample_street_faults(placement, chip, fseed)
+    plan = RoutingSynthesizer().synthesize(graph, schedule, placement, chip, faults)
     assert plan.routability == 1.0, f"unrouted nets: {plan.failed}"
     plan.verify()  # was RoutingError before the two-sided fix
 
@@ -67,11 +67,11 @@ def test_reference_engine_stays_bit_identical(assay, pseed, fseed):
     """The same two-sided fix lives in the reference grid oracle, so
     packed and reference plans stay bit-identical on the pinned
     scenarios."""
-    graph, schedule, placement = _place(assay, pseed)
-    faults = sample_street_faults(placement, fseed)
-    packed = RoutingSynthesizer().synthesize(graph, schedule, placement, faults)
+    graph, schedule, placement, chip = _place(assay, pseed)
+    faults = sample_street_faults(placement, chip, fseed)
+    packed = RoutingSynthesizer().synthesize(graph, schedule, placement, chip, faults)
     reference = ReferenceSynthesizer(reference=True).synthesize(
-        graph, schedule, placement, faults
+        graph, schedule, placement, chip, faults
     )
     assert packed == reference
     reference.verify()

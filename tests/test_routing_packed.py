@@ -23,6 +23,7 @@ from oracles import (
 from oracles.timegrid import blocked, reserved_blocked
 
 from repro.assay.catalog import BUNDLED_ASSAYS
+from repro.fault.injection import sample_street_faults
 from repro.geometry import Point, Rect
 from repro.pipeline.context import SynthesisContext
 from repro.pipeline.stages import BindStage, PlaceStage, ScheduleStage
@@ -254,43 +255,29 @@ def _synthesis_inputs(assay: str):
         placer=SimulatedAnnealingPlacer(params=AnnealingParams.fast(), seed=2),
         compute_fti_report=False,
     ).run(context)
-    return graph, context.schedule, context.placement_result.placement
-
-
-def _fault_sample(placement, rate=0.10, seed=1, margin=2):
-    covered = {
-        (c.x, c.y) for pm in placement for c in pm.footprint.cells()
-    }
-    streets = sorted(
-        (x, y)
-        for x in range(1 - margin, placement.core_width + margin + 1)
-        for y in range(1 - margin, placement.core_height + margin + 1)
-        if (x, y) not in covered
-    )
-    rng = random.Random(seed)
-    return rng.sample(streets, max(1, round(rate * len(streets))))
+    return graph, context.schedule, context.placement_result.placement, context.chip
 
 
 class TestPlanIdentity:
     @pytest.mark.parametrize("assay", sorted(BUNDLED_ASSAYS))
     def test_packed_and_reference_plans_identical(self, assay):
-        graph, schedule, placement = _synthesis_inputs(assay)
-        for faults in ([], _fault_sample(placement)):
+        graph, schedule, placement, chip = _synthesis_inputs(assay)
+        for faults in ([], sample_street_faults(placement, chip, 1)):
             packed_plan = RoutingSynthesizer().synthesize(
-                graph, schedule, placement, faults
+                graph, schedule, placement, chip, faults
             )
             ref_plan = ReferenceSynthesizer(reference=True).synthesize(
-                graph, schedule, placement, faults
+                graph, schedule, placement, chip, faults
             )
             assert packed_plan == ref_plan
         # The fault-free plan must also prove itself conflict-free.
-        RoutingSynthesizer().synthesize(graph, schedule, placement).verify()
+        RoutingSynthesizer().synthesize(graph, schedule, placement, chip).verify()
 
     def test_cross_check_mode_matches_default(self):
-        graph, schedule, placement = _synthesis_inputs("pcr")
-        default_plan = RoutingSynthesizer().synthesize(graph, schedule, placement)
+        graph, schedule, placement, chip = _synthesis_inputs("pcr")
+        default_plan = RoutingSynthesizer().synthesize(graph, schedule, placement, chip)
         checked_plan = ReferenceSynthesizer(cross_check=True).synthesize(
-            graph, schedule, placement
+            graph, schedule, placement, chip
         )
         assert checked_plan == default_plan
 

@@ -6,6 +6,7 @@ from repro.assay.catalog import BUNDLED_ASSAYS, build_assay, is_generator_spec
 from repro.assay.protocols.pcr import PCR_BINDING, build_pcr_mixing_graph
 from repro.geometry import Point
 from repro.placement.annealer import AnnealingParams
+from repro.placement.chip import Chip
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.routing import RoutingSynthesizer
 from repro.routing import synthesis as synthesis_module
@@ -74,8 +75,7 @@ class TestFlowIntegration:
         )
         plan = result.routing_plan
         plan.verify()
-        m = plan.margin
-        bad = Point(4 + m, 3 + m)
+        bad = result.chip.cell((4, 3))
         for rn in plan.nets:
             assert bad not in rn.cells
 
@@ -111,7 +111,7 @@ class TestFanOutHolds:
             list_schedule(g, binding.durations(), max_concurrent_ops=1)
         )
         placement = GreedyPlacer().place(schedule, binding).placement
-        plan = RoutingSynthesizer().synthesize(g, schedule, placement)
+        plan = RoutingSynthesizer().synthesize(g, schedule, placement, Chip.of(placement))
         plan.verify()
         assert plan.routability == 1.0
         ids = [rn.net.net_id for rn in plan.nets]
@@ -124,7 +124,7 @@ class TestSimulatorReplay:
     def test_replay_uses_planned_routes(self, routed_result):
         r = routed_result
         sim = BiochipSimulator(
-            r.graph, r.schedule, r.binding, r.placement_result.placement,
+            r.graph, r.schedule, r.binding, r.placement_result.placement, r.chip,
             routing_plan=r.routing_plan,
         )
         report = sim.run()
@@ -137,10 +137,10 @@ class TestSimulatorReplay:
     def test_replay_matches_serial_product(self, routed_result):
         r = routed_result
         baseline = BiochipSimulator(
-            r.graph, r.schedule, r.binding, r.placement_result.placement
+            r.graph, r.schedule, r.binding, r.placement_result.placement, r.chip
         ).run()
         replay = BiochipSimulator(
-            r.graph, r.schedule, r.binding, r.placement_result.placement,
+            r.graph, r.schedule, r.binding, r.placement_result.placement, r.chip,
             routing_plan=r.routing_plan,
         ).run()
         assert baseline.completed and replay.completed
@@ -151,7 +151,7 @@ class TestSimulatorReplay:
     def test_replay_degrades_to_router_under_faults(self, routed_result):
         r = routed_result
         sim = BiochipSimulator(
-            r.graph, r.schedule, r.binding, r.placement_result.placement,
+            r.graph, r.schedule, r.binding, r.placement_result.placement, r.chip,
             routing_plan=r.routing_plan,
         )
         report = sim.run(faults=[(8.0, sim.module_cell("M6"))])
@@ -207,7 +207,7 @@ def _placed_design(spec):
     graph, binding = build_assay(spec)
     flow = make_flow(route=False, max_parked=2 if is_generator_spec(spec) else None)
     result = flow.run(graph, explicit_binding=binding)
-    return graph, result.schedule, result.placement_result.placement
+    return graph, result.schedule, result.placement_result.placement, result.chip
 
 
 class CountingRouter(PrioritizedRouter):

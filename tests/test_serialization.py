@@ -106,6 +106,7 @@ class TestSimulationReportDict:
             routed_result.schedule,
             routed_result.binding,
             routed_result.placement_result.placement,
+            routed_result.chip,
             routing_plan=routed_result.routing_plan,
         )
         report = sim.run()

@@ -9,6 +9,7 @@ from repro.assay.catalog import build_assay
 from repro.assay.protocols.dilution import build_serial_dilution_graph
 from repro.cli import EXIT_OK, main
 from repro.placement.annealer import AnnealingParams
+from repro.placement.chip import Chip
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.sim.engine import BiochipSimulator
 from repro.synthesis.binder import ResourceBinder
@@ -34,7 +35,7 @@ def pcr_sim_setup(request):
 class TestNominalRun:
     def test_completes_on_schedule(self, pcr_sim_setup):
         pcr, placement = pcr_sim_setup
-        sim = BiochipSimulator(pcr.graph, pcr.schedule, pcr.binding, placement)
+        sim = BiochipSimulator(pcr.graph, pcr.schedule, pcr.binding, placement, Chip.of(placement))
         report = sim.run()
         assert report.completed
         assert report.realized_makespan == pcr.schedule.makespan
@@ -42,7 +43,7 @@ class TestNominalRun:
 
     def test_product_contains_all_reagents(self, pcr_sim_setup):
         pcr, placement = pcr_sim_setup
-        sim = BiochipSimulator(pcr.graph, pcr.schedule, pcr.binding, placement)
+        sim = BiochipSimulator(pcr.graph, pcr.schedule, pcr.binding, placement, Chip.of(placement))
         report = sim.run()
         assert report.completed
         assert report.product is not None
@@ -50,7 +51,7 @@ class TestNominalRun:
 
     def test_mass_conservation(self, pcr_sim_setup):
         pcr, placement = pcr_sim_setup
-        sim = BiochipSimulator(pcr.graph, pcr.schedule, pcr.binding, placement)
+        sim = BiochipSimulator(pcr.graph, pcr.schedule, pcr.binding, placement, Chip.of(placement))
         report = sim.run()
         assert report.completed
         # 8 unit droplets of 900 nl merge into one product.
@@ -58,7 +59,7 @@ class TestNominalRun:
 
     def test_event_log_structure(self, pcr_sim_setup):
         pcr, placement = pcr_sim_setup
-        sim = BiochipSimulator(pcr.graph, pcr.schedule, pcr.binding, placement)
+        sim = BiochipSimulator(pcr.graph, pcr.schedule, pcr.binding, placement, Chip.of(placement))
         report = sim.run()
         assert report.completed
         kinds = {e.kind for e in report.events}
@@ -69,7 +70,7 @@ class TestNominalRun:
 
     def test_transport_is_counted(self, pcr_sim_setup):
         pcr, placement = pcr_sim_setup
-        sim = BiochipSimulator(pcr.graph, pcr.schedule, pcr.binding, placement)
+        sim = BiochipSimulator(pcr.graph, pcr.schedule, pcr.binding, placement, Chip.of(placement))
         report = sim.run()
         assert report.completed
         assert report.total_transport_cells > 0
@@ -78,7 +79,7 @@ class TestNominalRun:
 class TestFaultyRun:
     def test_fault_triggers_relocation_and_delay(self, pcr_sim_setup):
         pcr, placement = pcr_sim_setup
-        sim = BiochipSimulator(pcr.graph, pcr.schedule, pcr.binding, placement)
+        sim = BiochipSimulator(pcr.graph, pcr.schedule, pcr.binding, placement, Chip.of(placement))
         cell = sim.module_cell("M6")  # long-running mid-assay module
         report = sim.run(faults=[(8.0, cell)])
         assert report.completed
@@ -90,7 +91,7 @@ class TestFaultyRun:
 
     def test_relocated_module_avoids_fault(self, pcr_sim_setup):
         pcr, placement = pcr_sim_setup
-        sim = BiochipSimulator(pcr.graph, pcr.schedule, pcr.binding, placement)
+        sim = BiochipSimulator(pcr.graph, pcr.schedule, pcr.binding, placement, Chip.of(placement))
         cell = sim.module_cell("M6")
         report = sim.run(faults=[(8.0, cell)])
         assert report.completed
@@ -98,7 +99,7 @@ class TestFaultyRun:
 
     def test_fault_on_unused_cell_is_harmless(self, pcr_sim_setup):
         pcr, placement = pcr_sim_setup
-        sim = BiochipSimulator(pcr.graph, pcr.schedule, pcr.binding, placement)
+        sim = BiochipSimulator(pcr.graph, pcr.schedule, pcr.binding, placement, Chip.of(placement))
         from repro.geometry import Point
         report = sim.run(faults=[(1.0, Point(1, 1))])  # margin cell
         assert report.completed
@@ -106,7 +107,7 @@ class TestFaultyRun:
 
     def test_fault_after_module_finished_no_relocation(self, pcr_sim_setup):
         pcr, placement = pcr_sim_setup
-        sim = BiochipSimulator(pcr.graph, pcr.schedule, pcr.binding, placement)
+        sim = BiochipSimulator(pcr.graph, pcr.schedule, pcr.binding, placement, Chip.of(placement))
         # M4 runs [0, 5); fault its cells at t=18 when only M7 runs.
         cell = sim.module_cell("M4")
         report = sim.run(faults=[(18.0, cell)])
@@ -118,7 +119,7 @@ class TestFaultyRun:
         """An unrecoverable fault yields a failed report, not an
         exception."""
         pcr, placement = pcr_sim_setup
-        sim = BiochipSimulator(pcr.graph, pcr.schedule, pcr.binding, placement)
+        sim = BiochipSimulator(pcr.graph, pcr.schedule, pcr.binding, placement, Chip.of(placement))
         # Fault many cells of M7's region to make relocation impossible.
         m7 = sim.placement.get("M7")
         faults = [(0.5, c) for c in list(m7.footprint.cells())]
@@ -145,7 +146,7 @@ class TestFullGraphRun:
         placement = SimulatedAnnealingPlacer(
             params=AnnealingParams.fast(), seed=3
         ).place(schedule, binding).placement
-        sim = BiochipSimulator(graph, schedule, binding, placement)
+        sim = BiochipSimulator(graph, schedule, binding, placement, Chip.of(placement))
         report = sim.run()
         assert report.completed
         assert report.product.reagents == PCR_REAGENTS
@@ -161,7 +162,8 @@ class TestFullGraphRun:
         )
         result = flow.run(graph)
         sim = BiochipSimulator(
-            graph, result.schedule, result.binding, result.placement_result.placement
+            graph, result.schedule, result.binding, result.placement_result.placement,
+            result.chip,
         )
         report = sim.run()
         assert report.completed
@@ -203,6 +205,7 @@ class TestPlannedReplayPins:
             result.schedule,
             result.binding,
             result.placement_result.placement,
+            result.chip,
             routing_plan=result.routing_plan,
         ).run()
         if not report.completed:

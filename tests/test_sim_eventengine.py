@@ -66,6 +66,7 @@ def _simulator(assay: str, engine: str) -> BiochipSimulator:
         result.schedule,
         result.binding,
         result.placement_result.placement,
+        result.chip,
     )
 
 

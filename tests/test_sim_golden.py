@@ -82,6 +82,7 @@ def simulator(design: str) -> BiochipSimulator:
         result.schedule,
         result.binding,
         result.placement_result.placement,
+        result.chip,
         routing_plan=result.routing_plan,
     )
 

@@ -498,8 +498,10 @@ class TestUnitSharesItsNominalReplay:
             designs.append(flow_run(self, *args, **kwargs))
             return designs[-1]
 
-        def spy_init(self, graph, schedule, binding, placement, routing_plan=None, **kw):
-            init(self, graph, schedule, binding, placement, routing_plan, **kw)
+        def spy_init(
+            self, graph, schedule, binding, placement, chip, routing_plan=None, **kw
+        ):
+            init(self, graph, schedule, binding, placement, chip, routing_plan, **kw)
             (design,) = designs
             if (
                 placement is design.placement_result.placement
