@@ -717,17 +717,22 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
 def _add_supervision_args(p: argparse.ArgumentParser) -> None:
     """Supervised-execution knobs shared by the parallel commands."""
+    scenarios = p.prog.endswith(("batch", "recover", "campaign"))
     p.add_argument(
         "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-task deadline; a hung worker is killed and the task "
-             "retried (exit 4 once retries are exhausted)",
+        help=(
+            "per-scenario deadline, which on a worker's first scenario "
+            "of a synthesis unit also covers that unit's synthesis"
+            if scenarios else "per-task deadline"
+        ) + "; a hung worker is killed and the task retried (exit 4 "
+            "once retries are exhausted)",
     )
     p.add_argument(
         "--max-retries", type=int, default=2,
         help="retry budget per task for crashed or deadline-killed "
              "workers (exit 5 once a crashed task exhausts it)",
     )
-    if p.prog.endswith(("batch", "recover", "campaign")):
+    if scenarios:
         p.add_argument(
             "--journal", type=str, default=None, metavar="FILE",
             help="append every completed scenario to this crash-safe "

@@ -29,6 +29,26 @@ A worker exits once the process that started it is gone, so a
 SIGKILLed campaign leaves no orphans. Every task yields a
 :class:`TaskOutcome` with its status, value or error text.
 
+Dispatch is FIFO unless a map labels its tasks with ``groups``: tasks
+of one group share a costly prefix that a worker keeps between tasks
+(a campaign unit's synthesis), so a free slot then takes the next
+queued task of its own group, else the first task of a group no slot
+has started, else it steals from the group with the most queued tasks,
+among those with more queued tasks than slots running them (the
+thief builds the prefix again, so it never races the group's own
+slots for its last tasks). A slot never leaves its group while that
+group has queued tasks, and every group is started by one slot before
+any is shared. A grouped task that is retried goes first in its group.
+
+A group's tasks share the prefix, so a worker loss is charged to the
+group: deaths and overruns of its tasks count toward
+``pool_failure_limit`` once per attempt depth (losing two workers to
+one slow prefix at attempt 0 is one failure, as when the group was one
+task), and once a task of the group exhausts its retries to them, the
+group's queued tasks get that outcome unrun and a running one gets it
+when it is lost too. A task that raises is retried and finalized on
+its own, as at ``jobs=1``.
+
 Determinism contract: task functions are pure functions of their
 (pre-seeded) task payload, outcomes are collected by task index, and a
 retry resubmits the identical payload — so results are bit-identical
@@ -106,6 +126,10 @@ _STOP = b""
 _READY = b""
 
 
+#: A slot's group before its first task: equal to no group label.
+_NO_GROUP = object()
+
+
 def _describe(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
@@ -168,6 +192,7 @@ class _Slot:
     task: _TaskState | None = None
     deadline: float = math.inf  # ``task``'s deadline (monotonic)
     ready: bool = False  # the worker has sent ``_READY``
+    group: object = _NO_GROUP  # the group of the last task sent here
 
     def take(self) -> _TaskState:
         """Free the slot and return the task it was running."""
@@ -197,6 +222,78 @@ class _Slot:
         self.proc = self.conn = None
 
 
+class _Fifo(deque):
+    """The queued tasks of an ungrouped map, in dispatch order."""
+
+    def take(self, own: object, slots: Sequence[_Slot]) -> _TaskState:
+        return self.popleft()
+
+    retry = deque.append
+    putback = deque.appendleft
+
+
+class _GroupQueue:
+    """The queued tasks of a grouped map: one deque per group, groups in
+    task order, and the groups no slot has started (the dispatch rule
+    of the module docstring, each step O(1) but the steal, which scans
+    only groups that still have queued tasks)."""
+
+    def __init__(self, groups: Sequence) -> None:
+        self.groups = groups
+        self.queues: dict[object, deque[_TaskState]] = {}
+        for i, group in enumerate(groups):
+            self.queues.setdefault(group, deque()).append(_TaskState(i))
+        # Groups start in task order, so this is a FIFO too.
+        self.unstarted = deque(self.queues)
+        self.size = len(groups)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        for queue in self.queues.values():
+            yield from queue
+
+    def take(self, own: object, slots: Sequence[_Slot]) -> _TaskState | None:
+        """Remove and return the task a free slot whose last task was of
+        group *own* runs next, or ``None`` to leave it idle."""
+        if not self.queues.get(own):
+            if self.unstarted:
+                own = self.unstarted.popleft()
+            else:
+                running: dict[object, int] = {}
+                for s in slots:
+                    if s.task is not None:
+                        running[s.group] = running.get(s.group, 0) + 1
+                backlog = {
+                    g: len(q) for g, q in self.queues.items()
+                    if len(q) > running.get(g, 0)
+                }
+                if not backlog:
+                    return None
+                own = max(backlog, key=backlog.__getitem__)
+        queue = self.queues[own]
+        p = queue.popleft()
+        if not queue:
+            del self.queues[own]
+        self.size -= 1
+        return p
+
+    def putback(self, p: _TaskState) -> None:
+        """Queue *p* first in its group (a retry, or a task its worker
+        died before receiving)."""
+        self.queues.setdefault(self.groups[p.index], deque()).appendleft(p)
+        self.size += 1
+
+    retry = putback
+
+    def drain(self, group: object) -> list[_TaskState]:
+        """Remove and return *group*'s queued tasks."""
+        queue = self.queues.pop(group, ())
+        self.size -= len(queue)
+        return list(queue)
+
+
 class SupervisedPool:
     """Deadline/retry/degradation supervision over a process pool.
 
@@ -208,6 +305,11 @@ class SupervisedPool:
     after a worker death, deadline overrun, or non-library exception.
     *chaos* injects deterministic worker faults (``None`` = consult
     ``REPRO_CHAOS``; pass ``ChaosPolicy.none()`` to force quiet).
+
+    A map's optional *groups* labels each task for the group dispatch
+    and group failure of the module docstring. A deadline bounds one
+    task, including whatever its worker builds for the group on its
+    first task of it.
     """
 
     #: Deterministic backoff before resubmitting attempt k (seconds):
@@ -247,6 +349,8 @@ class SupervisedPool:
         self.rebuilds = 0
         #: True once a map degraded to in-process serial execution.
         self.degraded = False
+        #: Worker losses charged toward ``pool_failure_limit``.
+        self._charged = 0
 
     # -- public API -----------------------------------------------------------
 
@@ -256,6 +360,7 @@ class SupervisedPool:
         tasks: Sequence,
         keys: Iterable[str] | None = None,
         on_outcome: Callable[[TaskOutcome], None] | None = None,
+        groups: Iterable | None = None,
     ) -> list[TaskOutcome]:
         """Run ``fn(task)`` for every task under supervision.
 
@@ -263,11 +368,17 @@ class SupervisedPool:
         *keys* names tasks for journals/error records (defaults to the
         stringified index). *on_outcome* is called in the parent, in
         completion order, as each task finalizes — the journaling hook.
+        *groups* labels each task for dispatch (``None``: FIFO); the
+        ``jobs=1`` path runs in task order either way.
         """
         tasks = list(tasks)
         keys = [str(i) for i in range(len(tasks))] if keys is None else list(keys)
         if len(keys) != len(tasks):
             raise ValueError(f"got {len(keys)} keys for {len(tasks)} tasks")
+        if groups is not None:
+            groups = list(groups)
+            if len(groups) != len(tasks):
+                raise ValueError(f"got {len(groups)} groups for {len(tasks)} tasks")
         if not tasks:
             return []
         outcomes: list[TaskOutcome | None] = [None] * len(tasks)
@@ -281,7 +392,7 @@ class SupervisedPool:
             for i, task in enumerate(tasks):
                 finalize(self._run_serial(fn, task, i, keys[i], attempt=0))
         else:
-            self._map_parallel(fn, tasks, keys, finalize)
+            self._map_parallel(fn, tasks, keys, groups, finalize)
         assert all(o is not None for o in outcomes)
         return outcomes  # type: ignore[return-value]
 
@@ -315,9 +426,20 @@ class SupervisedPool:
 
     # -- the supervisor loop --------------------------------------------------
 
-    def _map_parallel(self, fn, tasks, keys, finalize) -> None:
-        queue: deque[_TaskState] = deque(_TaskState(i) for i in range(len(tasks)))
+    def _map_parallel(self, fn, tasks, keys, groups, finalize) -> None:
+        if groups is None:
+            queue = _Fifo(_TaskState(i) for i in range(len(tasks)))
+        else:
+            queue = _GroupQueue(groups)
         slots = [_Slot() for _ in range(min(self.jobs, len(tasks)))]
+        #: Per group (per task if ungrouped), the deepest attempt a
+        #: worker was lost at; and the groups one of whose tasks
+        #: exhausted its retries to worker losses.
+        depth: dict = {}
+        gone: set = set()
+
+        def group_of(p: _TaskState) -> object:
+            return p.index if groups is None else groups[p.index]
 
         def outcome(p: _TaskState, status: str, **fields) -> None:
             finalize(
@@ -327,16 +449,30 @@ class SupervisedPool:
                 )
             )
 
-        def lost(p: _TaskState, status_if_exhausted: str, reason: str) -> None:
-            """A lost execution: retry with backoff or finalize."""
-            if p.attempt >= self.max_retries:
-                outcome(p, status_if_exhausted, error=reason)
+        def lost(
+            p: _TaskState, status_if_exhausted: str, reason: str,
+            worker: bool = False,
+        ) -> None:
+            """A lost execution (*worker*: its worker died or overran):
+            retry with backoff or finalize."""
+            group = group_of(p)
+            if p.attempt < self.max_retries and not (worker and group in gone):
+                delay = min(self.BACKOFF_CAP_S, self.backoff_base * 2**p.attempt)
+                if delay > 0:
+                    time.sleep(delay)
+                p.attempt += 1
+                queue.retry(p)
                 return
-            delay = min(self.BACKOFF_CAP_S, self.backoff_base * 2**p.attempt)
-            if delay > 0:
-                time.sleep(delay)
-            p.attempt += 1
-            queue.append(p)
+            outcome(p, status_if_exhausted, error=reason)
+            if worker and groups is not None and group not in gone:
+                gone.add(group)
+                error = f"not run: {keys[p.index]} of its group was lost: {reason}"
+                for q in queue.drain(group):
+                    finalize(TaskOutcome(
+                        q.index, keys[q.index], status_if_exhausted, q.attempt,
+                        error=error,
+                        wall_s=time.monotonic() - q.started if q.started else 0.0,
+                    ))
 
         def settle(p: _TaskState, data: bytes) -> None:
             """Finalize or retry one task from its worker's reply."""
@@ -355,14 +491,22 @@ class SupervisedPool:
                 reason = payload if kind == _FAILED else _describe(payload)
                 lost(p, STATUS_CRASHED, reason)
 
-        def respawn(slot: _Slot) -> None:
-            """Kill one slot's worker; its next task gets a new one."""
+        def respawn(slot: _Slot, p: _TaskState | None = None) -> None:
+            """Kill one slot's worker (its next task gets a new one) and
+            charge the loss: once per attempt depth of the group of *p*,
+            the task it was running, or once if it was running none."""
             slot.stop(kill=True)
             self.rebuilds += 1
+            if p is not None:
+                group = group_of(p)
+                if p.attempt < depth.get(group, 0):
+                    return
+                depth[group] = p.attempt + 1
+            self._charged += 1
 
         try:
             while queue or any(s.task is not None for s in slots):
-                if self.rebuilds > self.pool_failure_limit:
+                if self._charged > self.pool_failure_limit:
                     self.degraded = True
                     break
 
@@ -371,7 +515,11 @@ class SupervisedPool:
                 for slot in slots:
                     if slot.task is not None or not queue:
                         continue
-                    p = queue.popleft()
+                    p = queue.take(slot.group, slots)
+                    if p is None:
+                        continue
+                    if groups is not None:
+                        slot.group = groups[p.index]
                     if p.started == 0.0:
                         p.started = time.monotonic()
                     try:
@@ -387,7 +535,7 @@ class SupervisedPool:
                         slot.conn.send_bytes(data)
                     except OSError:
                         # The worker died between tasks: not p's doing.
-                        queue.appendleft(p)
+                        queue.putback(p)
                         respawn(slot)
                         continue
                     slot.task = p
@@ -420,21 +568,23 @@ class SupervisedPool:
                             else:
                                 settle(slot.take(), data)
                     if dead:
-                        if slot.task is not None:
-                            p = slot.take()
+                        p = slot.take()
+                        respawn(slot, p)
+                        if p is not None:
                             lost(
                                 p, STATUS_CRASHED,
                                 f"worker process died (attempt {p.attempt + 1})",
+                                worker=True,
                             )
-                        respawn(slot)
                     elif slot.task is not None and now > slot.deadline:
                         # A hung worker never reads its pipe again: SIGKILL it.
-                        respawn(slot)
                         p = slot.take()
+                        respawn(slot, p)
                         lost(
                             p, STATUS_TIMEOUT,
                             f"deadline {self.task_timeout:g}s exceeded "
                             f"(attempt {p.attempt + 1})",
+                            worker=True,
                         )
         finally:
             for slot in slots:

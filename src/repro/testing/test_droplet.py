@@ -32,22 +32,42 @@ class TestOutcome:
     stalled_before: Point | None
 
 
+def _require_adjacent(path: list[Point]) -> None:
+    """Raise unless every consecutive pair of *path*'s cells is adjacent
+    (a real droplet moves one electrode pitch per actuation)."""
+    for prev, nxt in zip(path, path[1:]):
+        if prev.manhattan_distance(nxt) != 1:
+            raise ValueError(
+                f"test path is not cell-adjacent between {prev} and {nxt}"
+            )
+
+
+class PlannedPath(list):
+    """A test path whose cells were checked adjacent once, when it was
+    planned (:func:`free_cell_paths` returns these).
+
+    :meth:`TestDroplet.walk` does not check one again: the probe loop
+    walks its memoized walks many times. Never mutate one."""
+
+    def __init__(self, cells: list[Point]) -> None:
+        super().__init__(cells)
+        _require_adjacent(self)
+
+
 class TestDroplet:
     """Simulates a test droplet walking a planned path."""
 
     def walk(self, dead_cells: frozenset[Point], path: list[Point]) -> TestOutcome:
         """Walk *path*; stall at the first of the *dead_cells* on it.
 
-        The path must start on a healthy cell and consist of adjacent
-        cells (a real droplet moves one electrode pitch per actuation).
+        The path must be non-empty and consist of adjacent cells; that
+        is checked here unless *path* is a :class:`PlannedPath`, which
+        was checked when it was planned.
         """
         if not path:
             raise ValueError("test path must contain at least one cell")
-        for prev, nxt in zip(path, path[1:]):
-            if prev.manhattan_distance(nxt) != 1:
-                raise ValueError(
-                    f"test path is not cell-adjacent between {prev} and {nxt}"
-                )
+        if type(path) is not PlannedPath:
+            _require_adjacent(path)
         if path[0] in dead_cells:
             return TestOutcome(
                 passed=False, steps_taken=0, path_length=len(path), stalled_before=path[0]
@@ -91,7 +111,7 @@ def free_cell_paths(
     at_time: float,
     width: int | None = None,
     height: int | None = None,
-) -> list[list[Point]]:
+) -> list[PlannedPath]:
     """Coverage walks over cells *not* used by modules active at *at_time*.
 
     This is the concurrent-testing pattern of the paper's reference
@@ -107,7 +127,8 @@ def free_cell_paths(
     ``(x, y)`` at ``x * (h + 2) + y``: index order is ``Point`` order,
     the neighbour steps ``-(h + 2), -1, +1, +(h + 2)`` are in ``Point``
     order too, and the one-cell border of zeros stops every walk at the
-    array edge. Footprints are clipped to the ``w x h`` array.
+    array edge. Footprints are clipped to the ``w x h`` array. Each
+    walk is a :class:`PlannedPath`, checked cell-adjacent here once.
     """
     w = width if width is not None else placement.core_width
     h = height if height is not None else placement.core_height
@@ -151,6 +172,6 @@ def free_cell_paths(
             else:
                 if stack:
                     walk.append(stack[-1][2])  # backtrack step
-        paths.append(walk)
+        paths.append(PlannedPath(walk))
         start = unwalked.find(1, start + 1)
     return paths

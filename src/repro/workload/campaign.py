@@ -5,10 +5,14 @@ A campaign config (TOML or JSON) declares a grid of
 models x fault arrivals x fault sites x sensor fidelities).
 :class:`CampaignConfig` expands it — purely
 deterministically — into seeded :class:`CampaignScenario`\\ s, and
-:class:`CampaignRunner` fans them out on the supervised pool with
-journal/resume crash-safety. This is the repo's one scenario engine:
-``repro batch`` and ``repro recover --sweep`` are preset grids
-(:func:`batch_preset`, :func:`recovery_sweep_preset`) over it.
+:class:`CampaignRunner` fans them out on the supervised pool, one task
+per scenario, with journal/resume crash-safety. A worker keeps the unit
+it synthesized for the unit's next scenarios, and the pool hands a free
+worker more of its own unit's scenarios before it starts or shares
+another unit (``SupervisedPool.map``'s ``groups``). This is the repo's
+one scenario engine: ``repro batch`` and ``repro recover --sweep`` are
+preset grids (:func:`batch_preset`, :func:`recovery_sweep_preset`) over
+it.
 
 The product is an append-only JSONL log with a versioned record
 schema: one ``campaign-meta`` line, then exactly one ``campaign-record``
@@ -23,7 +27,8 @@ Seed-derivation contract (the reason records are jobs-invariant):
 
 * synthesis seed   = ``sha256(campaign_seed | "synthesis" | unit key)``
   where the unit key is ``spec|array`` — shared by every scenario of
-  that unit, so one synthesized prefix serves all its fault suffixes;
+  that unit, so a worker's one synthesized prefix serves every fault
+  suffix of that unit it runs;
 * scenario seed    = ``sha256(campaign_seed | "scenario" | scenario key)``
   — drives fault placement, fault-process realization, and sensor
   noise, independent of expansion order, worker assignment, or which
@@ -55,6 +60,7 @@ from repro.util.errors import ReproError, UsageError
 from repro.util.tables import format_table
 
 if TYPE_CHECKING:
+    from repro.recovery import ClosedLoopController
     from repro.synthesis.flow import SynthesisResult
 
 #: Version of the per-scenario record schema. Consumers must ignore
@@ -493,13 +499,11 @@ _OPTIONAL_FIELD_TYPES: dict[str, tuple[type, ...]] = {
 
 @dataclass(frozen=True)
 class _UnitSpec:
-    """One (spec, array) synthesis plus its scenario suffixes."""
+    """One (spec, array) synthesis: the prefix its scenarios share."""
 
     spec: str
     array: tuple[int, int] | None
     synth_seed: int
-    #: (scenario, scenario seed) pairs: the fault-dependent suffixes.
-    suffixes: tuple[tuple[CampaignScenario, int], ...]
     max_concurrent: int
     max_parked: int | None
     fast: bool
@@ -519,6 +523,15 @@ class _UnitSpec:
             sensor=sc.sensor.to_dict(), engine=SIM_ENGINE, seed=seed,
             defects=sc.defects, arrival=sc.arrival, site=sc.site, **kwargs,
         )
+
+
+@dataclass(frozen=True)
+class _ScenarioTask:
+    """One pool task: a scenario of *unit* and its derived seed."""
+
+    unit: _UnitSpec
+    scenario: CampaignScenario
+    seed: int
 
 
 def _spec_meta(spec: str) -> tuple[str | None, int | None]:
@@ -566,80 +579,83 @@ def _recovery_summary(outcome) -> dict:
     }
 
 
-def _run_unit(unit: _UnitSpec) -> list[CampaignRecord]:
-    """Synthesize once, route once per defect pattern, then run every
-    fault suffix on its pattern's design.
+class _Unit:
+    """A unit synthesized in this process, and what its scenarios share.
 
-    One recovery engine serves every suffix. Its simulator cache keeps
-    each design the unit's scenarios start from, so each design's
-    nominal replay runs once for all its scenarios, whatever their
-    order, and a `none` scenario's verdict reads that same report. One
-    controller per distinct sensor shares its probe walks across them.
-    Replays and walks are pure functions of their inputs, so each record
-    is what a fresh engine and controller would give."""
-    from repro.assay.catalog import build_assay
-    from repro.fault.models import defect_cells
-    from repro.placement.annealer import AnnealingParams
-    from repro.placement.sa_placer import SimulatedAnnealingPlacer
-    from repro.recovery import (
-        ClosedLoopController,
-        OnlineRecoveryEngine,
-        fault_timeline,
-    )
-    from repro.synthesis.flow import SynthesisFlow
-    from repro.util.rng import ensure_rng
+    The unit is synthesized once; each defect pattern's design is routed
+    on first use (the fault-free design is the flow's own). One
+    recovery engine serves every scenario: its simulator cache keeps
+    each design the scenarios start from, so each design's nominal
+    replay runs once for all its scenarios, whatever their order, and a
+    `none` scenario's verdict reads that same report. One controller
+    per distinct sensor shares its probe walks across them. Replays and
+    walks are pure functions of their inputs, so each record is what a
+    fresh engine and controller would give."""
 
-    params = AnnealingParams.fast() if unit.fast else AnnealingParams.balanced()
-    core_w, core_h = unit.array if unit.array else (None, None)
-    try:
-        graph, binding = build_assay(unit.spec)
-        flow = SynthesisFlow(
-            placer=SimulatedAnnealingPlacer(
-                params=params, core_width=core_w, core_height=core_h,
-                seed=unit.synth_seed,
-            ),
-            max_concurrent_ops=unit.max_concurrent,
-            max_parked=unit.max_parked,
-            seed=unit.synth_seed,
-            route=True,
-        )
-        result = flow.run(graph, explicit_binding=binding)
-    except ReproError as exc:
-        error = f"{type(exc).__name__}: {exc}"
-        return [
-            unit.record(sc, seed, status="infeasible", error=error)
-            for sc, seed in unit.suffixes
-        ]
+    def __init__(self, spec: _UnitSpec) -> None:
+        from repro.assay.catalog import build_assay
+        from repro.placement.annealer import AnnealingParams
+        from repro.placement.sa_placer import SimulatedAnnealingPlacer
+        from repro.recovery import OnlineRecoveryEngine
+        from repro.synthesis.flow import SynthesisFlow
 
-    makespan = result.schedule.makespan
-    width, height = result.placement_result.placement.array_dims()
-    # defect pattern -> (its design, its dead cells, its summary); the
-    # fault-free design is the flow's own result.
-    designs = {"none": (result, (), _synthesis_summary(result))}
-
-    engine = OnlineRecoveryEngine(annealing=params if unit.fast else None)
-    controllers: dict[CapacitiveSensor, ClosedLoopController] = {}
-    records = []
-    for sc, seed in unit.suffixes:
-        rng = ensure_rng(seed)
-        controller = controllers.get(sc.sensor)
-        if controller is None:
-            controller = controllers[sc.sensor] = ClosedLoopController(
-                engine=engine, sensor=sc.sensor
-            )
-        synthesis = designs["none"][2]
+        self.spec = spec
+        #: The synthesis error every scenario reports, if synthesis failed.
+        self.error: str | None = None
+        params = AnnealingParams.fast() if spec.fast else AnnealingParams.balanced()
+        core_w, core_h = spec.array if spec.array else (None, None)
         try:
-            if sc.defects not in designs:
+            self.graph, binding = build_assay(spec.spec)
+            self.flow = SynthesisFlow(
+                placer=SimulatedAnnealingPlacer(
+                    params=params, core_width=core_w, core_height=core_h,
+                    seed=spec.synth_seed,
+                ),
+                max_concurrent_ops=spec.max_concurrent,
+                max_parked=spec.max_parked,
+                seed=spec.synth_seed,
+                route=True,
+            )
+            self.result = self.flow.run(self.graph, explicit_binding=binding)
+        except ReproError as exc:
+            self.error = f"{type(exc).__name__}: {exc}"
+            return
+        # defect pattern -> (its design, its dead cells, its summary)
+        self.designs = {
+            "none": (self.result, (), _synthesis_summary(self.result))
+        }
+        self.engine = OnlineRecoveryEngine(annealing=params if spec.fast else None)
+        self.controllers: dict[CapacitiveSensor, ClosedLoopController] = {}
+
+    def run(self, sc: CampaignScenario, seed: int) -> CampaignRecord:
+        """*sc*'s record, from its scenario *seed*."""
+        from repro.fault.models import defect_cells
+        from repro.recovery import ClosedLoopController, fault_timeline
+        from repro.util.rng import ensure_rng
+
+        if self.error is not None:
+            return self.spec.record(sc, seed, status="infeasible", error=self.error)
+        result = self.result
+        rng = ensure_rng(seed)
+        controller = self.controllers.get(sc.sensor)
+        if controller is None:
+            controller = self.controllers[sc.sensor] = ClosedLoopController(
+                engine=self.engine, sensor=sc.sensor
+            )
+        synthesis = self.designs["none"][2]
+        try:
+            if sc.defects not in self.designs:
+                width, height = result.placement_result.placement.array_dims()
                 cells = defect_cells(sc.defects, width, height)
-                plan = flow.routing_synthesizer.synthesize(
-                    graph, result.schedule, result.placement_result.placement,
+                plan = self.flow.routing_synthesizer.synthesize(
+                    self.graph, result.schedule, result.placement_result.placement,
                     result.chip, faulty_cells=cells,
                 )
                 design = replace(result, routing_plan=plan)
-                designs[sc.defects] = (
+                self.designs[sc.defects] = (
                     design, cells, _synthesis_summary(design)
                 )
-            design, cells, synthesis = designs[sc.defects]
+            design, cells, synthesis = self.designs[sc.defects]
             if sc.fault_model == "none":
                 events: tuple = ()
             else:
@@ -648,24 +664,49 @@ def _run_unit(unit: _UnitSpec) -> list[CampaignRecord]:
                     else sc.arrival
                 )
                 events = fault_timeline(
-                    engine, design, sc.fault_model, arrival * makespan,
-                    sc.site, rng, known_faults=cells,
+                    self.engine, design, sc.fault_model,
+                    arrival * result.schedule.makespan, sc.site, rng,
+                    known_faults=cells,
                 )
             outcome = controller.run(
                 design, events, seed=seed, mode="closed-loop",
                 known_faults=cells,
             )
         except ReproError as exc:
-            records.append(unit.record(
+            return self.spec.record(
                 sc, seed, status="infeasible",
                 error=f"{type(exc).__name__}: {exc}", synthesis=synthesis,
-            ))
-            continue
-        records.append(unit.record(
+            )
+        return self.spec.record(
             sc, seed, status="ok", synthesis=synthesis,
             recovery=_recovery_summary(outcome),
-        ))
-    return records
+        )
+
+
+#: The unit this process ran last. A pool worker keeps it between tasks,
+#: so it synthesizes a unit once however many of its scenarios it runs.
+#: It is module state because a worker receives only the task function
+#: and one task's payload; whatever outlives a task lives in the process.
+_held: _Unit | None = None
+
+
+def _run_scenario(task: _ScenarioTask) -> CampaignRecord:
+    """One scenario's record, on this process's held unit: the first
+    scenario of another unit drops the held one and synthesizes its
+    own. A record is a pure function of (unit, scenario seed), so which
+    process runs a scenario, and after which others, never shows."""
+    global _held
+    if _held is None or _held.spec != task.unit:
+        _held = None  # free the old unit before building the new one
+        _held = _Unit(task.unit)
+    return _held.run(task.scenario, task.seed)
+
+
+def _drop_unit() -> None:
+    """Release the held unit (the ``jobs=1`` and degraded paths hold it
+    in the caller's process)."""
+    global _held
+    _held = None
 
 
 # -- the runner --------------------------------------------------------------
@@ -790,33 +831,33 @@ class CampaignRunner:
     def __init__(self, config: CampaignConfig) -> None:
         self.config = config
 
-    def _units(
+    def _tasks(
         self, scenarios: list[CampaignScenario], done: Mapping[str, dict]
-    ) -> tuple[list[_UnitSpec], list[CampaignRecord]]:
-        """Group scenarios into synthesis units, splitting off resumed
-        records. Unit order follows first appearance in grid order."""
+    ) -> tuple[list[_ScenarioTask], list[CampaignRecord]]:
+        """One task per scenario not in *done*, grouped by synthesis
+        unit (units in order of first appearance in grid order, each
+        unit's scenarios in grid order), plus the resumed records."""
         seed = str(self.config.seed)
         resumed: list[CampaignRecord] = []
-        grouped: dict[str, list[tuple[CampaignScenario, int]]] = {}
+        grouped: dict[str, list[_ScenarioTask]] = {}
+        units: dict[str, _UnitSpec] = {}
         for sc in scenarios:
             if sc.key in done:
                 resumed.append(CampaignRecord.from_dict(done[sc.key]))
                 continue
-            grouped.setdefault(sc.unit_key, []).append(
-                (sc, derive_seed(seed, "scenario", sc.key))
-            )
-        units = [
-            _UnitSpec(
-                spec=suffixes[0][0].spec, array=suffixes[0][0].array,
-                synth_seed=derive_seed(seed, "synthesis", k),
-                suffixes=tuple(suffixes),
-                max_concurrent=self.config.max_concurrent,
-                max_parked=self.config.max_parked,
-                fast=self.config.fast,
-            )
-            for k, suffixes in grouped.items()
-        ]
-        return units, resumed
+            unit = units.get(sc.unit_key)
+            if unit is None:
+                unit = units[sc.unit_key] = _UnitSpec(
+                    spec=sc.spec, array=sc.array,
+                    synth_seed=derive_seed(seed, "synthesis", sc.unit_key),
+                    max_concurrent=self.config.max_concurrent,
+                    max_parked=self.config.max_parked,
+                    fast=self.config.fast,
+                )
+            grouped.setdefault(sc.unit_key, []).append(_ScenarioTask(
+                unit, sc, derive_seed(seed, "scenario", sc.key)
+            ))
+        return [t for tasks in grouped.values() for t in tasks], resumed
 
     def run(
         self,
@@ -832,9 +873,13 @@ class CampaignRunner:
         """Execute the campaign, streaming the log to *log_path* (``None``
         keeps the records in the returned report only).
 
+        Each scenario is one pool task, labelled with its unit's key
+        as its dispatch group, so a worker synthesizes a unit once for
+        all the unit's scenarios it runs (see :func:`_run_scenario`).
+
         *journal_path* / *resume_from* carry crash-safety: every
         **decided** scenario (terminal ok or infeasible) is journaled as
-        its unit finishes; a resume skips decided scenarios and re-runs
+        it finishes; a resume skips decided scenarios and re-runs
         crashed/timed-out ones. The log file itself is rewritten from
         scratch each run — it is the deterministic product, the journal
         is the incremental state.
@@ -845,7 +890,7 @@ class CampaignRunner:
         scenarios = self.config.expand()
         done = load_journal(resume_from, kind=CAMPAIGN_JOURNAL_KIND) \
             if resume_from else {}
-        units, resumed = self._units(scenarios, done)
+        tasks, resumed = self._tasks(scenarios, done)
 
         by_key: dict[str, CampaignRecord] = {r.key: r for r in resumed}
         meta = {
@@ -869,35 +914,35 @@ class CampaignRunner:
             )
 
             def on_outcome(out) -> None:
-                unit = units[out.index]
                 if out.ok:
-                    records = list(out.value)
-                    for rec in records:
-                        # Decided scenarios only: a crashed/timed-out
-                        # unit is retried on resume instead.
-                        journal.append(
-                            CAMPAIGN_JOURNAL_KIND, rec.key, rec.to_dict()
-                        )
+                    rec = out.value
+                    # Decided scenarios only: a crashed/timed-out
+                    # scenario is retried on resume instead.
+                    journal.append(CAMPAIGN_JOURNAL_KIND, rec.key, rec.to_dict())
                 else:
-                    records = [
-                        unit.record(sc, seed, status=out.status, error=out.error)
-                        for sc, seed in unit.suffixes
-                    ]
-                for rec in records:
-                    by_key[rec.key] = rec
+                    task = tasks[out.index]
+                    rec = task.unit.record(
+                        task.scenario, task.seed, status=out.status,
+                        error=out.error,
+                    )
+                by_key[rec.key] = rec
 
-            if units:
+            if tasks:
                 pool = SupervisedPool(
                     jobs=jobs,
                     task_timeout=task_timeout,
                     max_retries=max_retries,
                     chaos=chaos,
                 )
-                pool.map(
-                    _run_unit, units,
-                    keys=[u.key for u in units],
-                    on_outcome=on_outcome,
-                )
+                try:
+                    pool.map(
+                        _run_scenario, tasks,
+                        keys=[t.scenario.key for t in tasks],
+                        on_outcome=on_outcome,
+                        groups=[t.unit.key for t in tasks],
+                    )
+                finally:
+                    _drop_unit()
 
             # Assemble the final grid-order stream. Every declared
             # scenario must be present with a terminal status — the

@@ -16,9 +16,12 @@ import subprocess
 import sys
 import threading
 import time
+from collections import deque
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exec import (
     STATUS_CRASHED,
@@ -29,6 +32,7 @@ from repro.exec import (
     SupervisedPool,
     TaskOutcome,
 )
+from repro.exec.supervised import _NO_GROUP, _GroupQueue, _Slot, _TaskState
 from repro.testing.chaos import ChaosPolicy
 from repro.util.errors import PipelineError
 
@@ -74,6 +78,14 @@ def slow_square(args):
 
 def worker_pid(_):
     return os.getpid()
+
+
+def nap_in_group(args):
+    """Sleep *delay*; return (worker pid, start instant, group)."""
+    group, delay = args
+    start = time.monotonic()
+    time.sleep(delay)
+    return os.getpid(), start, group
 
 
 def quiet_pool(**kw):
@@ -133,6 +145,10 @@ class TestValidation:
     def test_rejects_key_count_mismatch(self):
         with pytest.raises(ValueError, match="keys"):
             quiet_pool(jobs=1).map(square, [1, 2], keys=["only-one"])
+
+    def test_rejects_group_count_mismatch(self):
+        with pytest.raises(ValueError, match="groups"):
+            quiet_pool(jobs=2).map(square, [1, 2], groups=["only-one"])
 
 
 class TestParallelSupervision:
@@ -303,6 +319,116 @@ class TestDeterminismContract:
         stormy = quiet_pool(jobs=2, max_retries=2, chaos=chaos).map(square, tasks)
         assert all(o.ok for o in stormy)
         assert [o.value for o in stormy] == clean
+
+
+class TestGroupDispatch:
+    """A free slot takes its own group's next queued task, else the
+    first task of a group no slot has started, else it steals from the
+    group with the most queued tasks, among those with more queued
+    tasks than slots running them. A group lost to its workers charges
+    the pool once per attempt depth and fails its queued tasks unrun."""
+
+    def test_take_rule(self):
+        queue = _GroupQueue(list("aaabcc"))
+        one, two = _Slot(), _Slot()
+
+        def take(slot, busy):
+            p = queue.take(slot.group, [one, two])
+            if p is not None:
+                slot.group = queue.groups[p.index]
+                slot.task = p if busy else None
+            return None if p is None else p.index
+
+        # New slots start the first groups nobody has, in task order.
+        assert take(one, busy=True) == 0
+        assert take(two, busy=False) == 3
+        # A slot's own group wins, then an unstarted group.
+        assert take(two, busy=False) == 4
+        assert take(two, busy=False) == 5
+        # Every group started: a's two queued tasks outnumber its one
+        # running slot, so the idle slot steals a's next task...
+        assert take(two, busy=True) == 1
+        one.task = None
+        # ...and a's own slot goes on with a's last one.
+        assert take(one, busy=False) == 2
+        assert len(queue) == 0 and take(one, busy=False) is None
+
+    def test_no_steal_of_a_running_groups_last_task(self):
+        queue = _GroupQueue(list("aab"))
+        one, two = _Slot(group="a"), _Slot(group="b")
+        one.task = queue.take(_NO_GROUP, [one, two])
+        assert one.task.index == 0
+        assert queue.take(_NO_GROUP, [one, two]).index == 2
+        # a has one queued task and one slot running it: b's slot idles.
+        assert queue.take(two.group, [one, two]) is None
+        # Once nobody runs a, its last task is free to take.
+        one.task = None
+        assert queue.take(two.group, [one, two]).index == 1
+
+    def test_putback_goes_first_in_its_group_and_drain_empties_it(self):
+        queue = _GroupQueue(list("aab"))
+        first = queue.take(_NO_GROUP, [])
+        queue.putback(first)
+        assert [p.index for p in queue] == [0, 1, 2] and len(queue) == 3
+        assert [p.index for p in queue.drain("a")] == [0, 1]
+        assert [p.index for p in queue] == [2] and len(queue) == 1
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.lists(st.sampled_from("abc"), min_size=1, max_size=7))
+    def test_outcomes_do_not_depend_on_groups(self, labels):
+        tasks = list(range(len(labels)))
+
+        def summary(outcomes):
+            return [(o.index, o.key, o.status, o.attempts, o.value) for o in outcomes]
+
+        serial = summary(quiet_pool(jobs=1).map(square, tasks, groups=labels))
+        fifo = summary(quiet_pool(jobs=2).map(square, tasks))
+        grouped = summary(quiet_pool(jobs=2).map(square, tasks, groups=labels))
+        assert grouped == fifo == serial
+
+    def test_slots_keep_their_group_then_start_one_then_steal(self):
+        # Group a is four long tasks, b and c one short task each. Slot
+        # 1 starts a, slot 2 starts b (not a's second task), then c,
+        # then steals from a; slot 1 never leaves a.
+        tasks = [("a", 0.3)] * 4 + [("b", 0.05), ("c", 0.05)]
+        outcomes = quiet_pool(jobs=2).map(
+            nap_in_group, tasks, groups=[g for g, _ in tasks]
+        )
+        assert all(o.ok for o in outcomes)
+        runs = sorted(o.value for o in outcomes)  # by (pid, start)
+        by_worker: dict[int, list] = {}
+        for pid, start, group in runs:
+            by_worker.setdefault(pid, []).append((start, group))
+        first_a = outcomes[0].value[0]
+        (other,) = set(by_worker) - {first_a}
+        assert [g for _, g in by_worker[first_a]] == ["a"] * len(by_worker[first_a])
+        assert [g for _, g in by_worker[other]][:3] == ["b", "c", "a"]
+        # A slot leaves a group only once no task of it is queued: none
+        # of its tasks starts after the switch.
+        for seq in by_worker.values():
+            for (_, left), (switched, took) in zip(seq, seq[1:]):
+                if took != left:
+                    assert all(
+                        start < switched
+                        for _, start, group in runs if group == left
+                    )
+
+
+    def test_a_hung_group_times_out_without_degrading_the_pool(self):
+        # Group a hangs on every attempt (a prefix that never finishes)
+        # and its tasks run on both slots at once. Its worker losses
+        # count once per attempt depth, three in all, which the default
+        # budget of 3 absorbs: the pool stays in worker processes, a's
+        # tasks end timed out (the queued one unrun) and b's finish.
+        tasks = [("a", 30.0)] * 3 + [("b", 0.0)] * 2
+        pool = quiet_pool(jobs=2, task_timeout=0.3)
+        outcomes = pool.map(nap_in_group, tasks, groups=[g for g, _ in tasks])
+        assert not pool.degraded
+        assert [o.status for o in outcomes] == [STATUS_TIMEOUT] * 3 + [STATUS_OK] * 2
+        assert all(o.value[0] != os.getpid() for o in outcomes[3:])
+        assert max(o.attempts for o in outcomes[:3]) == 3
+        assert any(o.error.startswith("not run: ") for o in outcomes[:3])
+        assert multiprocessing.active_children() == []
 
 
 class TestOutcomePlumbing:

@@ -238,12 +238,13 @@ class TestStructuredFailures:
         from repro.exec import STATUS_CRASHED
         from repro.testing.chaos import ChaosPolicy
 
-        # Unit 0 (pcr) fails on every attempt with an exception the
-        # result pipe cannot pickle (task-scoped, so unit 1 is
-        # unharmed); the lost scenarios must surface as keyed failure
-        # records instead of vanishing from the report.
+        # Unit 0's (pcr's) scenarios, tasks 0 and 1, fail on every
+        # attempt with an exception the result pipe cannot pickle
+        # (task-scoped, so unit 1 is unharmed); the lost scenarios must
+        # surface as keyed failure records instead of vanishing from
+        # the report.
         chaos = ChaosPolicy.explicit_plan(
-            {(0, a): "unpicklable" for a in range(2)}
+            {(i, a): "unpicklable" for i in range(2) for a in range(2)}
         )
         report = CampaignRunner(small_config()).run(
             None, jobs=2, max_retries=1, chaos=chaos
@@ -295,11 +296,12 @@ class TestJournalResume:
 
         clean = log_bytes(small_config(), tmp_path / "clean.jsonl", jobs=1)
         journal = tmp_path / "batch.journal"
-        # First attempt: the pcr unit is lost past the retry budget, so
-        # only dilution's scenarios reach the journal (crash/timeout
-        # records must never be journaled — a resume has to retry them).
+        # First attempt: the pcr unit's scenarios (tasks 0 and 1) are
+        # lost past the retry budget, so only dilution's scenarios
+        # reach the journal (crash/timeout records must never be
+        # journaled — a resume has to retry them).
         chaos = ChaosPolicy.explicit_plan(
-            {(0, a): "unpicklable" for a in range(2)}
+            {(i, a): "unpicklable" for i in range(2) for a in range(2)}
         )
         first = CampaignRunner(small_config()).run(
             None, jobs=2, max_retries=1, chaos=chaos, journal_path=journal

@@ -319,10 +319,10 @@ def test_sweep_crashed_block_yields_structured_failure_records():
     from repro.exec import STATUS_CRASHED
     from repro.testing.chaos import ChaosPolicy
 
-    # The pcr unit fails with a task-scoped unpicklable exception on
-    # its only attempt; its scenarios must appear as keyed failure
-    # records while the dilution unit is unharmed.
-    chaos = ChaosPolicy.explicit_plan({(0, 0): "unpicklable"})
+    # The pcr unit's scenarios (tasks 0 and 1) fail with a task-scoped
+    # unpicklable exception on their only attempt; they must appear as
+    # keyed failure records while the dilution unit is unharmed.
+    chaos = ChaosPolicy.explicit_plan({(i, 0): "unpicklable" for i in range(2)})
     report = CampaignRunner(sweep_config(("pcr", "dilution"))).run(
         None, jobs=2, max_retries=0, chaos=chaos
     )

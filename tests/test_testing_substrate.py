@@ -11,7 +11,12 @@ from repro.modules.library import MIXER_2X2
 from repro.placement.model import PlacedModule, Placement
 from repro.testing.detector import CapacitiveSensor
 from repro.testing.localize import FaultLocalizer
-from repro.testing.test_droplet import TestDroplet, free_cell_paths, snake_path
+from repro.testing.test_droplet import (
+    PlannedPath,
+    TestDroplet,
+    free_cell_paths,
+    snake_path,
+)
 
 
 class TestSnakePath:
@@ -63,6 +68,28 @@ class TestTestDroplet:
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError):
             TestDroplet().walk(frozenset(), [])
+
+    def test_planned_path_is_checked_once_where_planned(self, monkeypatch):
+        # A non-adjacent path cannot be planned; a planned one is walked
+        # without re-checking its steps, with the outcome of the same
+        # cells passed as a plain list (which is still checked).
+        with pytest.raises(ValueError, match="adjacent"):
+            PlannedPath([Point(1, 1), Point(3, 1)])
+        path = snake_path(4, 4)
+        planned = PlannedPath(path)
+        dead = frozenset({path[6]})
+        calls = []
+        distance = Point.manhattan_distance
+
+        def spy(self, other):
+            calls.append(self)
+            return distance(self, other)
+
+        monkeypatch.setattr(Point, "manhattan_distance", spy)
+        outcome = TestDroplet().walk(dead, planned)
+        assert calls == []
+        assert outcome == TestDroplet().walk(dead, list(path))
+        assert len(calls) == len(path) - 1
 
 
 class TestCapacitiveSensor:
@@ -138,6 +165,10 @@ class TestFreeCellPaths:
         occupied = {cell for cell in p.get("a").footprint.cells()}
         everything = {Point(x, y) for x in range(1, 9) for y in range(1, 9)}
         assert covered == everything - occupied
+
+    def test_paths_are_planned_paths(self):
+        paths = free_cell_paths(self.build_placement(), at_time=5)
+        assert paths and all(type(path) is PlannedPath for path in paths)
 
     def test_paths_avoid_active_modules(self):
         p = self.build_placement()

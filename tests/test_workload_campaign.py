@@ -6,6 +6,9 @@ equivalence, and schema validation of every record.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import time
 
 import pytest
 
@@ -408,11 +411,12 @@ class TestStructuredFailures:
     def test_unpicklable_unit_yields_keyed_crashed_records(self, tmp_path):
         from repro.testing.chaos import ChaosPolicy
 
-        # Unit 0 fails on every attempt with an exception the result
-        # pipe cannot pickle (task-scoped, so unit 1 is unharmed): its
-        # scenarios must be logged as keyed crashed records.
+        # Unit 0's scenarios (tasks 0 and 1) fail on every attempt with
+        # an exception the result pipe cannot pickle (task-scoped, so
+        # unit 1 is unharmed): they must be logged as keyed crashed
+        # records.
         chaos = ChaosPolicy.explicit_plan(
-            {(0, a): "unpicklable" for a in range(2)}
+            {(i, a): "unpicklable" for i in range(2) for a in range(2)}
         )
         log = tmp_path / "c.jsonl"
         report = CampaignRunner(tiny_config()).run(
@@ -454,19 +458,133 @@ class TestStructuredFailures:
         assert resumed.read_bytes() == full.read_bytes()
 
 
+class TestScenarioFanOut:
+    """Pool tasks are scenarios: a worker keeps the unit it built for
+    that unit's next scenarios, and an idle worker steals what is
+    left. Spies tag each call with the pid of the process making it;
+    under ``fork`` the workers inherit them."""
+
+    pytestmark = pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers inherit the spies only under fork",
+    )
+
+    @staticmethod
+    def _spy(monkeypatch, tmp_path, method: str, tag):
+        """Append ``pid tag(args)`` to a file on every ``_Unit.<method>``
+        call, in whichever process makes it; return the file."""
+        from repro.workload import campaign
+
+        calls = tmp_path / f"{method}.calls"
+        real = getattr(campaign._Unit, method)
+
+        def spy(self, *args):
+            with open(calls, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {tag(*args)}\n")
+            return real(self, *args)
+
+        monkeypatch.setattr(campaign._Unit, method, spy)
+        return calls
+
+    def test_one_unit_fans_out_over_two_workers(self, tmp_path, monkeypatch):
+        from repro.testing.chaos import ChaosPolicy
+
+        config = CampaignConfig.from_dict({
+            "campaign": {"name": "one-unit", "seed": 3},
+            "grid": [{
+                "generators": ["pcr"],
+                "fault_models": ["none", "permanent", "intermittent", "cluster"],
+            }],
+        }, source="inline")
+        serial, fanned = tmp_path / "serial.jsonl", tmp_path / "fanned.jsonl"
+        CampaignRunner(config).run(serial, jobs=1)
+        runs = self._spy(monkeypatch, tmp_path, "run", lambda sc, seed: sc.key)
+        CampaignRunner(config).run(fanned, jobs=2, chaos=ChaosPolicy.none())
+        pids = {line.split()[0] for line in runs.read_text().splitlines()}
+        assert len(pids) == 2 and str(os.getpid()) not in pids
+        assert fanned.read_bytes() == serial.read_bytes()
+
+    def test_no_worker_synthesizes_a_unit_twice(self, tmp_path, monkeypatch):
+        from repro.testing.chaos import ChaosPolicy
+
+        config = CampaignConfig.from_dict({
+            "campaign": {"name": "four-units", "seed": 11},
+            "grid": [{
+                "generators": ["gen:panel:n=8:seed=1", "gen:mix-tree:n=8:seed=2"],
+                "arrays": ["auto", "12x12"],
+                "fault_models": ["none", "permanent", "intermittent"],
+            }],
+        }, source="inline")
+        built = self._spy(monkeypatch, tmp_path, "__init__", lambda unit: unit.key)
+        report = CampaignRunner(config).run(None, jobs=2, chaos=ChaosPolicy.none())
+        assert report.ok_count == 12
+        syntheses = built.read_text().splitlines()
+        assert len(syntheses) == len(set(syntheses))
+        assert {line.split(" ", 1)[1] for line in syntheses} == {
+            sc.unit_key for sc in config.expand()
+        }
+
+
+    def test_a_hung_synthesis_times_out_its_unit_without_degrading(
+        self, monkeypatch
+    ):
+        # pcr's synthesis hangs past every deadline, in each of its three
+        # scenarios' workers. The unit's worker losses count once per
+        # attempt depth, so the pool never degrades into running the
+        # hang in this process: pcr's scenarios are timeout records
+        # after three deadlines, and dilution's run normally.
+        from repro.testing.chaos import ChaosPolicy
+        from repro.workload import campaign
+
+        config = CampaignConfig.from_dict({
+            "campaign": {"name": "hung", "seed": 3},
+            "grid": [{
+                "generators": ["pcr", "dilution"],
+                "fault_models": ["none", "permanent", "intermittent"],
+            }],
+        }, source="inline")
+        real_init = campaign._Unit.__init__
+
+        def hung_init(self, spec):
+            if spec.spec == "pcr":
+                time.sleep(30)
+            real_init(self, spec)
+
+        pools = []
+
+        class SpiedPool(campaign.SupervisedPool):
+            def __init__(self, **kwargs):
+                super().__init__(**kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(campaign._Unit, "__init__", hung_init)
+        monkeypatch.setattr(campaign, "SupervisedPool", SpiedPool)
+        t0 = time.monotonic()
+        report = CampaignRunner(config).run(
+            None, jobs=2, task_timeout=0.5, chaos=ChaosPolicy.none()
+        )
+        (pool,) = pools
+        assert not pool.degraded
+        assert [(r.spec, r.status) for r in report.records] == (
+            [("pcr", "timeout")] * 3 + [("dilution", "ok")] * 3
+        )
+        assert all("deadline 0.5s exceeded" in r.error for r in report.records[:3])
+        assert time.monotonic() - t0 < 10
+
+
 class TestUnitSharesItsNominalReplay:
-    """A unit keeps one recovery engine across its scenarios, whose
-    simulator cache keeps their design, so the design's fault-free
-    nominal replay runs once for the whole unit, whatever order its
-    scenarios run in: the `none` scenario's verdict reads the same
-    report. pcr at campaign seed 3 under a lossy sensor: the cluster
-    scenario recovers twice, so recovered designs are cached between
-    scenarios."""
+    """A process keeps the unit it synthesized, and with it one recovery
+    engine across the unit's scenarios, whose simulator cache keeps
+    their design, so the design's fault-free nominal replay runs once
+    for every scenario of the unit the process runs, whatever their
+    order: the `none` scenario's verdict reads the same report. pcr at
+    campaign seed 3 under a lossy sensor: the cluster scenario recovers
+    twice, so recovered designs are cached between scenarios."""
 
     MODELS = ("none", "permanent", "intermittent", "cluster")
 
     @staticmethod
-    def _unit():
+    def _tasks():
         config = CampaignConfig.from_dict({
             "campaign": {"name": "unit", "seed": 3, "max_parked": 2,
                          "fast": True},
@@ -476,17 +594,17 @@ class TestUnitSharesItsNominalReplay:
                 "sensors": ["fpr=0.02,fnr=0.05"],
             }],
         }, source="inline")
-        (unit,), _ = CampaignRunner(config)._units(config.expand(), {})
-        return unit
+        tasks, _ = CampaignRunner(config)._tasks(config.expand(), {})
+        return tasks
 
     @staticmethod
-    def _run_counting(unit, monkeypatch):
-        """The unit's log lines in grid order, how many fault-free
-        replays of the unit's design ran on any simulator (verdicts
-        included), and the records."""
+    def _run_counting(tasks, monkeypatch):
+        """The tasks' log lines in grid order, run one after another in
+        this process, how many fault-free replays of the unit's design
+        ran on any simulator (verdicts included), and the records."""
         from repro.sim.engine import BiochipSimulator
         from repro.synthesis.flow import SynthesisFlow
-        from repro.workload.campaign import _run_unit
+        from repro.workload.campaign import _drop_unit, _run_scenario
 
         designs: list = []
         built: list = []
@@ -518,19 +636,22 @@ class TestUnitSharesItsNominalReplay:
         monkeypatch.setattr(SynthesisFlow, "run", spy_flow_run)
         monkeypatch.setattr(BiochipSimulator, "__init__", spy_init)
         monkeypatch.setattr(BiochipSimulator, "run", spy_run)
-        records = sorted(_run_unit(unit), key=lambda r: r.index)
-        monkeypatch.undo()
+        _drop_unit()
+        try:
+            records = sorted(
+                (_run_scenario(t) for t in tasks), key=lambda r: r.index
+            )
+        finally:
+            _drop_unit()
+            monkeypatch.undo()
         log = "".join(json.dumps(r.to_dict()) + "\n" for r in records)
         return log, len(nominal_runs), records
 
     def test_one_nominal_replay_in_either_order(self, monkeypatch):
-        from dataclasses import replace
-
-        unit = self._unit()
-        assert [sc.fault_model for sc, _ in unit.suffixes] == list(self.MODELS)
-        reordered = replace(unit, suffixes=unit.suffixes[::-1])
-        forward, forward_runs, records = self._run_counting(unit, monkeypatch)
-        backward, backward_runs, _ = self._run_counting(reordered, monkeypatch)
+        tasks = self._tasks()
+        assert [t.scenario.fault_model for t in tasks] == list(self.MODELS)
+        forward, forward_runs, records = self._run_counting(tasks, monkeypatch)
+        backward, backward_runs, _ = self._run_counting(tasks[::-1], monkeypatch)
         # A scenario that caches recovered designs.
         assert max(r.recovery["recoveries"] for r in records) >= 2
         assert all(r.ok and r.completed for r in records)
