@@ -659,12 +659,21 @@ class ClosedLoopController:
         window shows up here, not in the controller's own bookkeeping.
         """
         result = state.result
+        chip = result.chip
         sim = self.engine.simulator(
             result,
             result.placement_result.placement,
             result.routing_plan,
             state.believed,
         )
+        # History up to the first true fault, or the first recovery (a
+        # false alarm can come first), is the final rung's replay, or
+        # with no recovery the nominal one, if this design ran it.
+        if state.recoveries:
+            source = state.recoveries[-1].sim_report
+        else:
+            source = sim.memoized([(0.0, chip.cell(c)) for c in state.believed])
         return sim.report(
-            [(e.time_s, result.chip.cell(e.cell), e.kind) for e in events]
+            [(e.time_s, chip.cell(e.cell), e.kind) for e in events],
+            resume=source,
         )

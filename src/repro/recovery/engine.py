@@ -31,10 +31,13 @@ an arbitrary instant mid-assay:
    epochs are reused verbatim — their obstacle context derives solely
    from frozen modules.
 4. **Resume.** A simulator carrying the recovered placement and the
-   merged plan replays the assay with the fault injected at its real
-   arrival time; ``plan_covers_faults`` tells the replay layer the
-   plan already knows the fault, so suffix transports keep replaying
-   instead of falling back to ad-hoc A*.
+   merged plan continues the checkpoint's report from the fault
+   instant, with the fault injected at its real arrival time: the
+   dispatches before it that the new layout leaves untouched are
+   history and are not run again, and the report equals a full replay.
+   ``plan_covers_faults`` tells the replay layer the plan already
+   knows the fault, so suffix transports keep replaying instead of
+   falling back to ad-hoc routing.
 
 An unrecoverable fault (no fault-free site for a hit module, an
 unroutable suffix net, a failed replay) produces an explicit
@@ -476,14 +479,16 @@ class OnlineRecoveryEngine:
         *known_faults* are design-time defects (placement coordinates)
         the nominal synthesis already routed around; they fire at time
         zero in the checkpointed run, exactly as the pipeline's verify
-        stage injects them.
+        stage injects them, and the plan is credited with covering them,
+        as the rung replays and the verdict credit it.
         """
         if fault_time_s < 0:
             raise RecoveryError(
                 f"fault time must be >= 0, got {fault_time_s:g}"
             )
         sim = self.simulator(
-            result, result.placement_result.placement, result.routing_plan
+            result, result.placement_result.placement, result.routing_plan,
+            known_faults,
         )
         return sim.checkpoint(
             fault_time_s, faults=[(0.0, result.chip.cell(f)) for f in known_faults]
@@ -747,11 +752,13 @@ class OnlineRecoveryEngine:
                 plan_reason = f"recovered plan failed verification: {exc}"
 
         # -- phase 3: resume from the checkpoint ---------------------------
+        # The replay continues the checkpoint's report from the fault
+        # instant on: what ran before it is history.
         sim = self.simulator(result, working, merged, known + faults)
         sim_faults = [(0.0, chip.cell(f)) for f in known] + [
             (fault_time_s, chip.cell(f)) for f in faults
         ]
-        report = sim.report(sim_faults)
+        report = sim.report(sim_faults, resume=checkpoint.report)
 
         moved = tuple(
             op

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from repro.assay.graph import SequencingGraph
@@ -51,6 +51,7 @@ from repro.routing.plan import RoutingPlan, chebyshev
 from repro.sim.droplet import Droplet
 from repro.sim.electrowetting import ElectrowettingModel
 from repro.sim.fastgrid import PackedDropletRouter
+from repro.sim.resume import ReplayTrace, mark_boundary, restore, resume_index
 from repro.util.errors import (
     ReconfigurationError,
     RecoveryError,
@@ -107,6 +108,15 @@ class SimulationReport:
     #: cell-or-None)``, in replay order (empty for a failed run). Not
     #: part of :meth:`to_dict`.
     position_log: tuple[tuple[float, str, Point | None], ...] = ()
+    #: Operations this run dispatched itself: all of them for a full
+    #: replay, the suffix after the resume point for a resumed one (see
+    #: :meth:`BiochipSimulator.run`). Not part of :meth:`to_dict` or of
+    #: equality: a resumed report equals the full replay's.
+    dispatched: int = field(default=0, compare=False)
+    #: What a later run needs to resume from this one: kept by
+    #: :meth:`BiochipSimulator.report` on the reports it memoizes (None
+    #: otherwise, and for a failed run). Internal to the engine.
+    trace: ReplayTrace | None = field(default=None, compare=False, repr=False)
 
     @property
     def delay_s(self) -> float | None:
@@ -273,12 +283,13 @@ class SimCheckpoint:
     reached through :meth:`BiochipSimulator.checkpoint`): the operation
     classification (completed / in-flight / pending), the realized
     intervals, and the parked-droplet map are the *live state* at
-    ``time_s``, while the recorded fault history makes resumption an
-    exact deterministic replay: ``run(faults=[*cp.faults, *new])``
-    with no new fault reproduces the original event trace
-    bit-identically (property-tested in
-    ``tests/test_recovery_checkpoint.py``). All cells are in simulator
-    coordinates.
+    ``time_s``. A run continues that history from the checkpoint's
+    report: ``run(faults=[*cp.faults, *new], resume=cp.report)`` keeps
+    every dispatch the report made before the first new fault that the
+    new faults and design leave untouched, dispatches only the rest,
+    and returns the report the full replay would return, bit for bit
+    (property-tested in ``tests/test_recovery_checkpoint.py``).
+    All cells are in simulator coordinates.
     """
 
     #: Instant the checkpoint was taken at (seconds).
@@ -304,6 +315,9 @@ class SimCheckpoint:
     events_prefix: tuple[SimEvent, ...] = ()
     #: The run's nominal makespan (for penalty accounting downstream).
     nominal_makespan: float = 0.0
+    #: The report this checkpoint cuts: the source a resumed run
+    #: continues (not part of :meth:`to_dict` or of equality).
+    report: SimulationReport | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         """JSON-safe summary (the event prefix condensed to a count)."""
@@ -433,6 +447,7 @@ def checkpoint_at(
         droplet_positions=positions,
         events_prefix=tuple(e for e in report.events if e.time <= time_s),
         nominal_makespan=report.nominal_makespan,
+        report=report,
     )
 
 
@@ -446,13 +461,16 @@ class _Run:
     #: The live configuration; a relocation replaces it.
     placement: Placement
     states: dict[str, _OpState]
+    #: The report to continue, or None (see :meth:`BiochipSimulator.run`).
+    resume: SimulationReport | None = None
     events: list[SimEvent] = field(default_factory=list)
     relocations: list[Relocation] = field(default_factory=list)
     #: Droplets produced so far, by producer op.
     droplet_of: dict[str, Droplet] = field(default_factory=dict)
     #: Reservoir rotation: the next port to dispense from.
     next_port: int = 0
-    droplet_ids: Iterator[int] = field(default_factory=lambda: itertools.count(1))
+    #: The last droplet id handed out (ids count from 1).
+    last_droplet_id: int = 0
     #: (time, producer op, cell-or-None) transitions of durable droplet
     #: positions, appended in replay order; a checkpoint derives "what
     #: sits where at time t" from this log.
@@ -466,6 +484,23 @@ class _Run:
     #: state that has a module, in states order, built once the fault
     #: loop has fixed every realized interval and module.
     spans: list[tuple[str, float, float, Rect]] = field(default_factory=list)
+    #: Operations dispatched by this run.
+    dispatched: int = 0
+    #: Per dispatch, the counters before it, then those after the last
+    #: (see :class:`ReplayTrace`).
+    boundaries: list[tuple[int, int, int, int, int, int]] = field(default_factory=list)
+    #: Per dispatch, its own droplet's ``produced_by`` just after it.
+    produced_by: list[str | None] = field(default_factory=list)
+    #: Operations whose transport waited for a module handover.
+    stalled: set[str] = field(default_factory=set)
+    #: Set by a resumable replay that completed its dispatch loop.
+    trace: ReplayTrace | None = None
+    #: Whether to keep :attr:`trace` (see :meth:`BiochipSimulator.run`).
+    resumable: bool = False
+
+    def new_droplet_id(self) -> int:
+        self.last_droplet_id += 1
+        return self.last_droplet_id
 
 
 class BiochipSimulator:
@@ -519,7 +554,12 @@ class BiochipSimulator:
 
     # -- public API -------------------------------------------------------------------
 
-    def run(self, faults: Iterable[tuple] = ()) -> SimulationReport:
+    def run(
+        self,
+        faults: Iterable[tuple] = (),
+        resume: SimulationReport | None = None,
+        resumable: bool = False,
+    ) -> SimulationReport:
         """Execute the assay, injecting each fault-timeline entry.
 
         Entries are ``(time, cell)`` pairs (permanent faults, the
@@ -537,8 +577,27 @@ class BiochipSimulator:
 
         A run that cannot finish — an unrecoverable fault, an unroutable
         transport — returns a failed report naming the cause.
+
+        *resume* continues history: a completed report of the same
+        assay on the same chip (another fault list, placement or plan
+        allowed). The cut is the first instant at which the two fault
+        timelines differ. The timeline is realized in full; then every
+        leading dispatch that repeats one of *resume*'s — same
+        operation, interval and module, finished before the cut, and its
+        consumers' starts, the plan's cover of its faults, the plan nets
+        it reads and every module it routes or parks around unchanged —
+        is taken from *resume*, and only the rest is dispatched
+        (:attr:`SimulationReport.dispatched`). The report equals the
+        full replay's. A source that shares nothing (or None) makes it
+        a full replay. Only a *resumable* report can be a source: it
+        keeps a few ints per dispatch and its droplet table
+        (:attr:`SimulationReport.trace`). :meth:`report` asks for that
+        on every report it memoizes; a plain run keeps nothing more.
         """
-        run = _Run(_normalize_faults(faults), self.placement, self._initial_states())
+        run = _Run(
+            _normalize_faults(faults), self.placement, self._initial_states(),
+            resume, resumable=resumable,
+        )
         try:
             product, transport = self._execute(run)
         except (RoutingError, ReconfigurationError, SimulationError) as exc:
@@ -554,6 +613,7 @@ class BiochipSimulator:
                 final_placement=run.placement,
                 failure_reason=str(exc),
                 planned_transports=run.planned_transports,
+                dispatched=run.dispatched,
             )
 
         states = run.states
@@ -571,6 +631,8 @@ class BiochipSimulator:
             planned_transports=run.planned_transports,
             realized={op: (states[op].start, states[op].finish) for op in sorted(states)},
             position_log=tuple(run.position_log),
+            dispatched=run.dispatched,
+            trace=run.trace,
         )
 
     def module_cell(self, op_id: str) -> Point:
@@ -602,13 +664,19 @@ class BiochipSimulator:
             )
         return checkpoint_at(self.report(fault_list), time_s, fault_list)
 
-    def report(self, faults: Iterable[tuple] = ()) -> SimulationReport:
+    def report(
+        self,
+        faults: Iterable[tuple] = (),
+        resume: SimulationReport | None = None,
+    ) -> SimulationReport:
         """:meth:`run`'s report under *faults*, memoized by normalized
         fault list: the last :data:`_REPORT_MEMO_SIZE` reports, failed
         ones included, most recently used last. A replay is a pure
         function of its faults, so an entry never goes stale. The
         report is shared with every later caller of the same fault
-        list, who must not mutate it.
+        list, who must not mutate it. A miss runs with *resume*, whose
+        report equals the full replay's, so the key stays the fault
+        list, and keeps the report resumable.
 
         :meth:`run` itself always replays: it is the replay, and what
         times or counts replays (the bench, a tracer) wraps it.
@@ -617,11 +685,16 @@ class BiochipSimulator:
         memo = self._report_memo
         report = memo.pop(key, None)
         if report is None:
-            report = self.run(faults=key)
+            report = self.run(faults=key, resume=resume, resumable=True)
         memo[key] = report
         if len(memo) > _REPORT_MEMO_SIZE:
             del memo[next(iter(memo))]
         return report
+
+    def memoized(self, faults: Iterable[tuple]) -> SimulationReport | None:
+        """:meth:`report`'s memoized report under *faults*, or None;
+        never replays and leaves the memo's order alone."""
+        return self._report_memo.get(tuple(_normalize_faults(faults)))
 
     # -- phase 1: realized timeline ----------------------------------------------------
 
@@ -661,6 +734,9 @@ class BiochipSimulator:
             and s.module.footprint.contains_point(cell)
         ]
         pending_ids = {s.op_id for s in pending}
+        # A relocated module keeps off the port cells, as recovery's own
+        # passes do.
+        ports = [self.chip.cell(p) for p in self.chip.reserved]
         for state in sorted(pending, key=lambda s: s.start):
             try:
                 run.placement, plan = self.reconfigurer.apply(
@@ -669,7 +745,7 @@ class BiochipSimulator:
                     extra_faults=[
                         f for f in active_fault_cells(run.faults, fault_time)
                         if f != cell
-                    ],
+                    ] + ports,
                     only_ops=pending_ids,
                 )
             except ReconfigurationError:
@@ -730,6 +806,7 @@ class BiochipSimulator:
         transport, merge, hold, park. Returns ``(transport cells, assay
         product or None)``. Every dispatch goes through here, in the
         total order ``(realized start, op id)`` (see DESIGN.md)."""
+        run.dispatched += 1
         op = self.graph.operation(op_id)
         state = run.states[op_id]
         events = run.events
@@ -750,7 +827,7 @@ class BiochipSimulator:
             droplet_of[op_id] = Droplet(
                 position=None,
                 contents={reagent: UNIT_DROPLET_NL},
-                droplet_id=next(run.droplet_ids),
+                droplet_id=run.new_droplet_id(),
                 produced_by=op_id,
             )
             run.reservoir_queue.add(op_id)
@@ -795,7 +872,7 @@ class BiochipSimulator:
         merged = inputs[0]
         for droplet in inputs[1:]:
             merged = merged.merged_with(
-                droplet, op_id, droplet_id=next(run.droplet_ids)
+                droplet, op_id, droplet_id=run.new_droplet_id()
             )
         for droplet in inputs:
             droplet.position = None  # absorbed into the merged product
@@ -824,7 +901,8 @@ class BiochipSimulator:
         order ``(realized start, op id)``. Two loops suffice: a fault
         only moves modules and delays starts, and a dispatch never
         changes the timeline (see DESIGN.md, "Realize-then-replay
-        simulation core").
+        simulation core"). A resumed run takes its leading dispatches
+        from its source (:mod:`repro.sim.resume`).
         """
         for fault_time, cell, kind in run.faults:
             if kind == "fail":
@@ -837,15 +915,34 @@ class BiochipSimulator:
             for s in states.values()
             if s.module is not None
         ]
-        transport = 0
-        product = None
-        for op_id in sorted(states, key=lambda o: (states[o].start, o)):
+        order = sorted(states, key=lambda o: (states[o].start, o))
+        realized_events = len(run.events)
+        k = resume_index(self, run, order) if run.resume is not None else 0
+        product, transport = restore(self, run, order, k) if k else (None, 0)
+        for op_id in order[k:]:
+            mark_boundary(run, realized_events, transport)
             cells, out = self._execute_op(op_id, run)
+            run.produced_by.append(run.droplet_of[op_id].produced_by)
             transport += cells
             if out is not None:
                 product = out
+        mark_boundary(run, realized_events, transport)
         if product is None:
             product = self._sink_product(run.droplet_of)
+        if run.resumable:
+            run.trace = ReplayTrace(
+                graph=self.graph,
+                schedule=self.schedule,
+                chip=self.chip,
+                routing_plan=self.routing_plan,
+                plan_covers_faults=self.plan_covers_faults,
+                faults=tuple(run.faults),
+                events=run.events[realized_events:],
+                droplet_of=run.droplet_of,
+                produced_by=tuple(run.produced_by),
+                boundaries=tuple(run.boundaries),
+                stalled=frozenset(run.stalled),
+            )
         return product, transport
 
     def _park_product(
@@ -999,7 +1096,7 @@ class BiochipSimulator:
             share = Droplet(
                 position=source.position,
                 contents={r: v / k for r, v in source.contents.items()},
-                droplet_id=next(run.droplet_ids),
+                droplet_id=run.new_droplet_id(),
                 produced_by=pred,
             )
             taken = run.shares_taken.get(pred, 0) + 1
@@ -1023,7 +1120,7 @@ class BiochipSimulator:
             droplet = Droplet(
                 position=cell,
                 contents={name: UNIT_DROPLET_NL},
-                droplet_id=next(run.droplet_ids),
+                droplet_id=run.new_droplet_id(),
             )
             run.events.append(SimEvent(t, "dispense", f"{name} at {cell}", op.id))
             out.append(droplet)
@@ -1178,6 +1275,7 @@ class BiochipSimulator:
                 )
             except RoutingError:
                 continue
+            run.stalled.add(op_id)
             run.events.append(
                 SimEvent(
                     query_t,

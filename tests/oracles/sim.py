@@ -15,7 +15,9 @@ searches every parking cell afresh over ``Point`` cells
 (:func:`reference_nearest_safe_cell`), lists the modules a transport
 avoids and a parked product must not sit on by scanning every op state
 rather than the run's dispatch index, and re-runs the simulation for
-every report, so for every checkpoint and verdict. For a fixed fault list
+every report, so for every checkpoint and verdict, always from t=0: it
+ignores a ``resume`` and records nothing to resume from, so it is the
+full replay a resumed report must equal. For a fixed fault list
 both drivers must produce the identical
 :class:`~repro.sim.engine.SimulationReport` — events, timings,
 per-droplet position log, failure text. Because both run the same
@@ -52,8 +54,9 @@ class SteppedSimulator(BiochipSimulator):
         super().__init__(*args, **kwargs)
         self.router = DropletRouter(self.chip.width, self.chip.height)
 
-    def report(self, faults=()):
-        return self.run(faults=faults)  # every checkpoint and verdict re-runs
+    def report(self, faults=(), resume=None):
+        # Every checkpoint, rung replay and verdict re-runs in full.
+        return self.run(faults=faults)
 
     def _active_footprints(self, run, t, op_id):
         """Every op state scanned afresh, not the dispatch index."""

@@ -97,6 +97,24 @@ class TestChipValue:
             Point(chip.output_port.x - chip.margin, chip.output_port.y - chip.margin),
         )
 
+    def test_an_in_replay_relocation_keeps_off_the_output_port(self):
+        """The simulator's own partial reconfiguration keeps a hit module
+        off the port cells, as recovery's passes do. On pcr, a fault
+        under M5 at t=12.5 s turned it onto 6x3@(7,4), over the output
+        port (12, 6); it now moves one row up, unturned."""
+        result = _routed("pcr")
+        sim = BiochipSimulator(
+            result.graph, result.schedule, result.binding,
+            result.placement_result.placement, result.chip,
+            routing_plan=result.routing_plan,
+        )
+        report = sim.run([(12.5, result.chip.cell((7, 1)))])
+        assert report.completed
+        (relocation,) = report.relocations
+        assert relocation.op_id == "M5"
+        assert str(relocation.new.footprint) == "3x6@(7,4)"
+        assert not relocation.new.footprint.contains_point(result.chip.output_port)
+
     def test_a_plan_from_another_chip_is_refused(self):
         result = _routed("pcr")
         other = Chip(result.chip.width + 2, result.chip.height, result.chip.margin)

@@ -290,6 +290,33 @@ class TestClosedLoopCompletion:
         assert ladder == ["reroute", "relocate", "replace", "resynth", "abort"]
 
 
+class TestCheckpointCoverage:
+    def test_a_second_detection_keeps_the_history_before_it(self):
+        """A later detection checkpoints the recovered design with the
+        earlier believed cells dead from t=0. The checkpoint credits the
+        plan with covering them, as the rung replays do, so the rung
+        replay's events before the detection are the checkpoint's. On
+        dilution's cluster fault at 45%, the checkpoint used to replay
+        ad hoc what the rungs replayed as planned."""
+        result = _routed("dilution")
+        engine = _engine()
+        events = fault_timeline(
+            engine, result, "cluster", 0.45 * result.makespan, "pending-module",
+            random.Random("dilution|cluster|0.45"),
+        )
+        outcome = ClosedLoopController(engine=engine).run(
+            result, events, seed=1, mode="oracle"
+        )
+        assert outcome.completed and len(outcome.recoveries) == 3
+        for recovery in outcome.recoveries[1:]:
+            t = recovery.checkpoint.time_s
+            replayed = tuple(e for e in recovery.sim_report.events if e.time < t)
+            checkpointed = tuple(
+                e for e in recovery.checkpoint.events_prefix if e.time < t
+            )
+            assert replayed == checkpointed
+
+
 class TestLadder:
     def test_trace_follows_rung_order(self):
         """Rung attempts appear in ladder order, the last one succeeds,
@@ -594,13 +621,13 @@ def _count_fault_free_replays(monkeypatch, designs) -> list[int]:
             ):
                 built.append((self, i))
 
-    def spy_run(self, faults=()):
+    def spy_run(self, faults=(), **kw):
         faults = list(faults)
         if not faults:
             for sim, i in built:
                 if sim is self:
                     counts[i] += 1
-        return run(self, faults=faults)
+        return run(self, faults=faults, **kw)
 
     monkeypatch.setattr(BiochipSimulator, "__init__", spy_init)
     monkeypatch.setattr(BiochipSimulator, "run", spy_run)
@@ -695,9 +722,9 @@ class TestOneReplayPerInput:
         calls: list[BiochipSimulator] = []
         report = BiochipSimulator.report
 
-        def spy(self, faults=()):
+        def spy(self, faults=(), **kw):
             calls.append(self)
-            return report(self, faults)
+            return report(self, faults, **kw)
 
         monkeypatch.setattr(BiochipSimulator, "report", spy)
         for assay in sorted(BUNDLED_ASSAYS):

@@ -1,10 +1,11 @@
 """Checkpoint/resume round-trips and sweep determinism.
 
 The core invariant of the online-recovery design: resumption is
-deterministic replay, so checkpointing at *any* instant and resuming
-with no new fault must reproduce the original simulation trace **bit
-for bit** — same events (droplet ids included), same realized finishes,
-same transport accounting. Property-tested over random checkpoint
+deterministic, so checkpointing at *any* instant and resuming with no
+new fault, by a replay from t=0 or by continuing the checkpoint's
+report, must reproduce the original simulation trace **bit for bit** —
+same events (droplet ids included), same realized finishes, same
+transport accounting. Property-tested over random checkpoint
 instants; plus the recovery sweep preset's jobs-invariance and resume
 equivalence (its log is byte-identical for any worker count).
 """
@@ -49,16 +50,23 @@ def synthesized(request):
 @settings(max_examples=25, deadline=None)
 @given(fraction=st.floats(min_value=0.0, max_value=1.1, allow_nan=False))
 def test_checkpoint_resume_reproduces_trace_bit_identically(synthesized, fraction):
-    """Checkpoint at any t, resume with no new fault -> original trace."""
+    """Checkpoint at any t, resume with no new fault -> original trace,
+    whether replayed from t=0 or continued from the checkpoint's report,
+    which then has nothing left to dispatch: with no new fault, the
+    whole run is history."""
     sim, baseline = synthesized
     t = fraction * baseline.nominal_makespan
     checkpoint = sim.checkpoint(t)
     checkpoint.validate(sim.schedule)
-    resumed = sim.run(faults=checkpoint.faults)
-    assert resumed.events == baseline.events
-    assert resumed.realized_finish == baseline.realized_finish
-    assert resumed.total_transport_cells == baseline.total_transport_cells
-    assert resumed.planned_transports == baseline.planned_transports
+    replayed = sim.run(faults=checkpoint.faults)
+    continued = sim.run(checkpoint.faults, resume=checkpoint.report)
+    for resumed in (replayed, continued):
+        assert resumed.events == baseline.events
+        assert resumed.realized_finish == baseline.realized_finish
+        assert resumed.total_transport_cells == baseline.total_transport_cells
+        assert resumed.planned_transports == baseline.planned_transports
+        assert resumed.position_log == baseline.position_log
+    assert (replayed.dispatched, continued.dispatched) == (len(baseline.realized), 0)
     # The checkpoint's event prefix is exactly the trace up to t.
     assert checkpoint.events_prefix == tuple(
         e for e in baseline.events if e.time <= t
@@ -92,13 +100,20 @@ def test_run_is_reentrant(synthesized):
 
 
 def test_resume_prefix_is_stable_under_new_faults(synthesized):
-    """A new fault strictly after the checkpoint cannot rewrite the past."""
+    """A new fault strictly after the checkpoint cannot rewrite the past,
+    and continuing the checkpoint's report gives the full replay."""
     sim, baseline = synthesized
     t = 0.6 * baseline.nominal_makespan
     ck = sim.checkpoint(t)
     # A boundary-lane cell: fault-tolerant enough to keep the run alive.
-    resumed = sim.run(faults=[*ck.faults, (t + 0.5, (1, 1))])
+    faults = [*ck.faults, (t + 0.5, (1, 1))]
+    resumed = sim.run(faults=faults)
     assert tuple(e for e in resumed.events if e.time <= t) == ck.events_prefix
+    continued = sim.run(faults, resume=ck.report)
+    assert (continued.to_dict(), continued.events, continued.position_log) == (
+        resumed.to_dict(), resumed.events, resumed.position_log
+    )
+    assert continued.dispatched < resumed.dispatched
 
 
 def test_checkpoint_rejects_future_faults_and_failed_runs(synthesized):
@@ -159,6 +174,7 @@ class TestCheckpointValidation:
         sim, checkpoint, _ = ck
         checkpoint.validate(sim.schedule)
         assert sim.run(faults=checkpoint.faults).completed
+        assert sim.run(checkpoint.faults, resume=checkpoint.report).completed
 
     def test_negative_time_rejected(self, ck):
         from repro.util.errors import RecoveryError

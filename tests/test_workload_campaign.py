@@ -627,11 +627,11 @@ class TestUnitSharesItsNominalReplay:
             ):
                 built.append(self)
 
-        def spy_run(self, faults=()):
+        def spy_run(self, faults=(), **kw):
             faults = list(faults)
             if not faults and any(s is self for s in built):
                 nominal_runs.append(self)
-            return run(self, faults=faults)
+            return run(self, faults=faults, **kw)
 
         monkeypatch.setattr(SynthesisFlow, "run", spy_flow_run)
         monkeypatch.setattr(BiochipSimulator, "__init__", spy_init)
