@@ -4,10 +4,9 @@ Sample preparation routinely needs a ladder of concentrations
 (C, C/2, C/4, ...). On a DMFB each rung is one dilute operation: mix a
 sample droplet 1:1 with buffer, split, keep one half. A serial dilution
 of depth ``n`` is therefore a chain of ``n`` dilute operations, each
-optionally followed by a store (the retained aliquot) and a detect
-(quality readout) — a workload with very different temporal structure
-from PCR's balanced tree, which makes it a good stress case for the
-scheduler and placer.
+followed by a store (the retained aliquot) — a workload with very
+different temporal structure from PCR's balanced tree, which makes it a
+good stress case for the scheduler and placer.
 """
 
 from __future__ import annotations
@@ -16,22 +15,11 @@ from repro.assay.graph import SequencingGraph
 from repro.assay.operations import Operation, OperationType
 
 
-def build_serial_dilution_graph(
-    depth: int = 4,
-    with_storage: bool = True,
-    with_detection: bool = False,
-) -> SequencingGraph:
-    """Build a serial-dilution sequencing graph.
+def build_serial_dilution_graph(depth: int = 4) -> SequencingGraph:
+    """Build a serial-dilution sequencing graph of *depth* rungs (>= 1).
 
-    Parameters
-    ----------
-    depth:
-        Number of dilution rungs (>= 1); rung *i* produces concentration
-        ``C / 2**i``.
-    with_storage:
-        Add a store operation holding each rung's retained aliquot.
-    with_detection:
-        Add a detect operation reading out each rung.
+    Rung *i* produces concentration ``C / 2**i``, and a store operation
+    holds its retained aliquot.
     """
     if depth < 1:
         raise ValueError(f"dilution depth must be >= 1, got {depth}")
@@ -61,23 +49,15 @@ def build_serial_dilution_graph(
         )
         g.add_dependency(prev, dil)
         g.add_dependency(buf, dil)
-        if with_storage:
-            st = g.add_operation(
-                Operation(
-                    f"ST{i}",
-                    OperationType.STORE,
-                    label=f"hold aliquot C/2^{i}",
-                    duration_s=4.0,
-                )
+        st = g.add_operation(
+            Operation(
+                f"ST{i}",
+                OperationType.STORE,
+                label=f"hold aliquot C/2^{i}",
+                duration_s=4.0,
             )
-            g.add_dependency(dil, st)
-        if with_detection:
-            det = g.add_operation(
-                Operation(
-                    f"DET{i}", OperationType.DETECT, label=f"read rung {i}"
-                )
-            )
-            g.add_dependency(dil, det)
+        )
+        g.add_dependency(dil, st)
         prev = dil.id
     out = g.add_operation(
         Operation("OUT", OperationType.OUTPUT, label="final dilution out", duration_s=1.0)

@@ -19,7 +19,6 @@ from repro.assay.operations import Operation, OperationType
 def build_multiplexed_diagnostics_graph(
     samples: int = 2,
     reagents: int = 2,
-    mixer: str | None = "mixer-2x3",
 ) -> SequencingGraph:
     """Build an ``samples x reagents`` multiplexed diagnostics assay.
 
@@ -31,9 +30,8 @@ def build_multiplexed_diagnostics_graph(
     samples, reagents:
         Grid dimensions; sample 1 might be plasma, reagent 1 glucose
         oxidase, etc.
-    mixer:
-        Module spec name requested for the mix steps (``None`` lets the
-        binder choose).
+
+    Every mix step requests the ``mixer-2x3`` module.
     """
     if samples < 1 or reagents < 1:
         raise ValueError(
@@ -66,7 +64,7 @@ def build_multiplexed_diagnostics_graph(
                     f"MIX-{pair}",
                     OperationType.MIX,
                     label=f"mix {s} with {r}",
-                    hardware=mixer,
+                    hardware="mixer-2x3",
                 )
             )
             g.add_dependency(ds, mix)

@@ -29,8 +29,9 @@ A worker exits once the process that started it is gone, so a
 SIGKILLed campaign leaves no orphans. Every task yields a
 :class:`TaskOutcome` with its status, value or error text.
 
-Dispatch is FIFO unless a map labels its tasks with ``groups``: tasks
-of one group share a costly prefix that a worker keeps between tasks
+A map may label its tasks with ``groups`` (unlabelled, every task is
+its own group, so tasks dispatch in task order). Tasks of one group
+share a costly prefix that a worker keeps between tasks
 (a campaign unit's synthesis), so a free slot then takes the next
 queued task of its own group, else the first task of a group no slot
 has started, else it steals from the group with the most queued tasks,
@@ -38,7 +39,8 @@ among those with more queued tasks than slots running them (the
 thief builds the prefix again, so it never races the group's own
 slots for its last tasks). A slot never leaves its group while that
 group has queued tasks, and every group is started by one slot before
-any is shared. A grouped task that is retried goes first in its group.
+any is shared. A retried task goes first in its group, so the slot
+that lost it runs it next.
 
 A group's tasks share the prefix, so a worker loss is charged to the
 group: deaths and overruns of its tasks count toward
@@ -222,18 +224,8 @@ class _Slot:
         self.proc = self.conn = None
 
 
-class _Fifo(deque):
-    """The queued tasks of an ungrouped map, in dispatch order."""
-
-    def take(self, own: object, slots: Sequence[_Slot]) -> _TaskState:
-        return self.popleft()
-
-    retry = deque.append
-    putback = deque.appendleft
-
-
 class _GroupQueue:
-    """The queued tasks of a grouped map: one deque per group, groups in
+    """The queued tasks of a map: one deque per group, groups in
     task order, and the groups no slot has started (the dispatch rule
     of the module docstring, each step O(1) but the steal, which scans
     only groups that still have queued tasks)."""
@@ -368,17 +360,16 @@ class SupervisedPool:
         *keys* names tasks for journals/error records (defaults to the
         stringified index). *on_outcome* is called in the parent, in
         completion order, as each task finalizes — the journaling hook.
-        *groups* labels each task for dispatch (``None``: FIFO); the
-        ``jobs=1`` path runs in task order either way.
+        *groups* labels each task for dispatch (``None``: each task its
+        own group); the ``jobs=1`` path runs in task order either way.
         """
         tasks = list(tasks)
         keys = [str(i) for i in range(len(tasks))] if keys is None else list(keys)
         if len(keys) != len(tasks):
             raise ValueError(f"got {len(keys)} keys for {len(tasks)} tasks")
-        if groups is not None:
-            groups = list(groups)
-            if len(groups) != len(tasks):
-                raise ValueError(f"got {len(groups)} groups for {len(tasks)} tasks")
+        groups = range(len(tasks)) if groups is None else list(groups)
+        if len(groups) != len(tasks):
+            raise ValueError(f"got {len(groups)} groups for {len(tasks)} tasks")
         if not tasks:
             return []
         outcomes: list[TaskOutcome | None] = [None] * len(tasks)
@@ -427,19 +418,13 @@ class SupervisedPool:
     # -- the supervisor loop --------------------------------------------------
 
     def _map_parallel(self, fn, tasks, keys, groups, finalize) -> None:
-        if groups is None:
-            queue = _Fifo(_TaskState(i) for i in range(len(tasks)))
-        else:
-            queue = _GroupQueue(groups)
+        queue = _GroupQueue(groups)
         slots = [_Slot() for _ in range(min(self.jobs, len(tasks)))]
-        #: Per group (per task if ungrouped), the deepest attempt a
-        #: worker was lost at; and the groups one of whose tasks
-        #: exhausted its retries to worker losses.
+        #: Per group, the deepest attempt a worker was lost at; and the
+        #: groups one of whose tasks exhausted its retries to worker
+        #: losses.
         depth: dict = {}
         gone: set = set()
-
-        def group_of(p: _TaskState) -> object:
-            return p.index if groups is None else groups[p.index]
 
         def outcome(p: _TaskState, status: str, **fields) -> None:
             finalize(
@@ -455,7 +440,7 @@ class SupervisedPool:
         ) -> None:
             """A lost execution (*worker*: its worker died or overran):
             retry with backoff or finalize."""
-            group = group_of(p)
+            group = groups[p.index]
             if p.attempt < self.max_retries and not (worker and group in gone):
                 delay = min(self.BACKOFF_CAP_S, self.backoff_base * 2**p.attempt)
                 if delay > 0:
@@ -464,7 +449,7 @@ class SupervisedPool:
                 queue.retry(p)
                 return
             outcome(p, status_if_exhausted, error=reason)
-            if worker and groups is not None and group not in gone:
+            if worker and group not in gone:
                 gone.add(group)
                 error = f"not run: {keys[p.index]} of its group was lost: {reason}"
                 for q in queue.drain(group):
@@ -498,7 +483,7 @@ class SupervisedPool:
             slot.stop(kill=True)
             self.rebuilds += 1
             if p is not None:
-                group = group_of(p)
+                group = groups[p.index]
                 if p.attempt < depth.get(group, 0):
                     return
                 depth[group] = p.attempt + 1
@@ -518,8 +503,7 @@ class SupervisedPool:
                     p = queue.take(slot.group, slots)
                     if p is None:
                         continue
-                    if groups is not None:
-                        slot.group = groups[p.index]
+                    slot.group = groups[p.index]
                     if p.started == 0.0:
                         p.started = time.monotonic()
                     try:

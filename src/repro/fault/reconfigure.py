@@ -77,23 +77,13 @@ class PartialReconfigurer:
         self,
         placement: Placement,
         faulty_cells: Iterable[Point],
-        at_time: float | None = None,
     ) -> list[PlacedModule]:
-        """Modules whose footprint contains a faulty cell.
-
-        With *at_time*, only modules operating at that instant are
-        considered (the on-line case); otherwise any module that would
-        ever touch the cell is affected (the design-time case the FTI
-        evaluates).
-        """
+        """Modules whose footprint contains a faulty cell, at any time."""
         faults = list(faulty_cells)
-        out = []
-        for pm in placement:
-            if at_time is not None and not pm.interval.contains_time(at_time):
-                continue
-            if any(pm.footprint.contains_point(f) for f in faults):
-                out.append(pm)
-        return out
+        return [
+            pm for pm in placement
+            if any(pm.footprint.contains_point(f) for f in faults)
+        ]
 
     def find_target(
         self,
@@ -145,7 +135,6 @@ class PartialReconfigurer:
         self,
         placement: Placement,
         faulty_cell: Point | tuple[int, int],
-        at_time: float | None = None,
         extra_faults: Iterable[Point] = (),
         only_ops: Iterable[str] | None = None,
     ) -> tuple[Placement, ReconfigurationPlan]:
@@ -166,7 +155,7 @@ class PartialReconfigurer:
         fault = Point(*faulty_cell)
         all_faults = [fault, *extra_faults]
         affected = sorted(
-            self.affected_modules(placement, [fault], at_time=at_time),
+            self.affected_modules(placement, [fault]),
             key=lambda pm: (pm.start, pm.op_id),
         )
         if only_ops is not None:

@@ -97,60 +97,21 @@ class ToleranceAnalyzer:
     def __init__(self) -> None:
         self.reconfigurer = PartialReconfigurer()
 
-    # -- array-dimension handling -------------------------------------------------
-
-    @staticmethod
-    def _on_array(
-        placement: "Placement", width: int | None, height: int | None
-    ) -> "Placement":
-        """The placement viewed on its analysis array.
-
-        Default (both None): the bounding array, matching the paper's
-        FTI denominator. Explicit dimensions model a manufactured array
-        larger than the placement — spare rows/columns then raise every
-        tolerance metric.
-        """
-        from repro.placement.model import Placement as _Placement
-
-        if (width is None) != (height is None):
-            raise ValueError("pass both width and height, or neither")
-        if width is None:
-            return placement.normalized()
-        bb = placement.bounding_box()
-        if bb.x < 1 or bb.y < 1 or bb.x2 > width or bb.y2 > height:
-            raise ValueError(
-                f"placement bounding box {bb} exceeds the {width}x{height} array"
-            )
-        out = _Placement(width, height, pitch_mm=placement.pitch_mm)
-        for pm in placement:
-            out.add(pm)
-        return out
-
     # -- single-fault views -----------------------------------------------------
 
-    def fti(
-        self,
-        placement: "Placement",
-        width: int | None = None,
-        height: int | None = None,
-    ) -> FTIReport:
-        """The paper's FTI (bounding-array denominator by default)."""
-        analyzed = self._on_array(placement, width, height)
+    def fti(self, placement: "Placement") -> FTIReport:
+        """The paper's FTI, on the placement's bounding array."""
+        analyzed = placement.normalized()
         return compute_fti(
             analyzed, width=analyzed.core_width, height=analyzed.core_height
         )
 
-    def criticality(
-        self,
-        placement: "Placement",
-        width: int | None = None,
-        height: int | None = None,
-    ) -> list[ModuleCriticality]:
-        """Per-module stuck-cell ranking, most critical first."""
-        analyzed = self._on_array(placement, width, height)
-        report = self.fti(analyzed, analyzed.core_width, analyzed.core_height)
+    def criticality(self, placement: "Placement") -> list[ModuleCriticality]:
+        """Per-module stuck-cell ranking on the bounding array, most
+        critical first."""
+        report = self.fti(placement)
         out = []
-        for pm in analyzed:
+        for pm in placement:
             analysis = report.per_module[pm.op_id]
             out.append(
                 ModuleCriticality(
@@ -181,10 +142,8 @@ class ToleranceAnalyzer:
         trials: int = 200,
         max_faults: int | None = None,
         seed: int | random.Random | None = None,
-        width: int | None = None,
-        height: int | None = None,
     ) -> MultiFaultResult:
-        """Sequential-fault Monte Carlo.
+        """Sequential-fault Monte Carlo on the bounding array.
 
         Each trial: draw distinct faulty cells uniformly, one at a time;
         after each, attempt partial reconfiguration of every affected
@@ -196,7 +155,7 @@ class ToleranceAnalyzer:
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
         rng = ensure_rng(seed)
-        base = self._on_array(placement, width, height)
+        base = placement.normalized()
         width, height = base.core_width, base.core_height
         cap = max_faults if max_faults is not None else width * height
         counts = []

@@ -10,7 +10,7 @@ doubles as a droplet transport path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.geometry import Rect
 from repro.modules.kinds import ModuleKind
@@ -40,10 +40,6 @@ class ModuleSpec:
     duration_s: float
     #: Free-text hardware description as it appears in the paper's Table 1.
     hardware: str = ""
-    #: Width of the segregation ring in cells.
-    segregation: int = SEGREGATION_MARGIN
-    #: Arbitrary extra attributes (calibration data, references, ...).
-    metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         if self.functional_width < 1 or self.functional_height < 1:
@@ -53,20 +49,18 @@ class ModuleSpec:
             )
         if self.duration_s <= 0:
             raise ValueError(f"duration must be positive, got {self.duration_s}")
-        if self.segregation < 0:
-            raise ValueError(f"segregation margin must be >= 0, got {self.segregation}")
 
     # -- footprint geometry ------------------------------------------------------
 
     @property
     def footprint_width(self) -> int:
         """Cells spanned horizontally, including the segregation ring."""
-        return self.functional_width + 2 * self.segregation
+        return self.functional_width + 2 * SEGREGATION_MARGIN
 
     @property
     def footprint_height(self) -> int:
         """Cells spanned vertically, including the segregation ring."""
-        return self.functional_height + 2 * self.segregation
+        return self.functional_height + 2 * SEGREGATION_MARGIN
 
     @property
     def footprint_area(self) -> int:
@@ -87,9 +81,7 @@ class ModuleSpec:
 
     def functional_at(self, x: int, y: int, rotated: bool = False) -> Rect:
         """The functional region inside :meth:`footprint_at`."""
-        if self.segregation == 0:
-            return self.footprint_at(x, y, rotated)
-        return self.footprint_at(x, y, rotated).inset(self.segregation)
+        return self.footprint_at(x, y, rotated).inset(SEGREGATION_MARGIN)
 
     def dims(self, rotated: bool = False) -> tuple[int, int]:
         """Footprint ``(width, height)``, swapped when rotated."""

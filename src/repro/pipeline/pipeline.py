@@ -70,8 +70,6 @@ def build_default_pipeline(
     max_concurrent_ops: int | None = 3,
     cell_capacity: int | None = None,
     max_parked: int | None = None,
-    binding_strategy: str = ResourceBinder.FASTEST,
-    compute_fti_report: bool = True,
     seed: int | random.Random | None = None,
     route: bool = False,
     routing_synthesizer: RoutingSynthesizer | None = None,
@@ -91,13 +89,13 @@ def build_default_pipeline(
     if binder is None:
         binder = ResourceBinder()
     stages: list[Stage] = [
-        BindStage(binder, strategy=binding_strategy),
+        BindStage(binder),
         ScheduleStage(
             max_concurrent_ops=max_concurrent_ops,
             cell_capacity=cell_capacity,
             max_parked=max_parked,
         ),
-        PlaceStage(placer, compute_fti_report=compute_fti_report),
+        PlaceStage(placer),
     ]
     if route:
         stages.append(RouteStage(routing_synthesizer))

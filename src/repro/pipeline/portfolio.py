@@ -28,9 +28,7 @@ from dataclasses import dataclass, field
 
 from repro.assay.graph import SequencingGraph
 from repro.exec import STATUS_INFEASIBLE, SupervisedPool
-from repro.geometry import Point
 from repro.placement.annealer import AnnealingParams
-from repro.synthesis.binder import ResourceBinder
 from repro.synthesis.flow import SynthesisFlow, SynthesisResult
 from repro.util.errors import PipelineError, WorkerCrashError, WorkerTimeoutError
 from repro.util.rng import ensure_rng, spawn_rng, spawn_seed
@@ -91,24 +89,20 @@ class PortfolioSpec:
     """A picklable recipe for one pipeline family.
 
     Everything a worker process needs to rebuild and run the pipeline:
-    the problem (graph, explicit binding, faulty cells) and the
-    algorithm knobs. ``build_flow(seed)`` turns it into a ready
-    :class:`SynthesisFlow`, deriving the placer stream from the instance
-    seed exactly the way the facade does.
+    the problem (graph, explicit binding) and the algorithm knobs.
+    ``build_flow(seed)`` turns it into a ready :class:`SynthesisFlow`,
+    deriving the placer stream from the instance seed exactly the way
+    the facade does.
     """
 
     graph: SequencingGraph
     explicit_binding: Mapping[str, str] | None = None
-    faulty_cells: tuple[Point, ...] = ()
     #: Annealing preset for the placer; ``None`` keeps the flow default.
     annealing: AnnealingParams | None = None
     #: Enable the fault-aware two-stage placer at this beta.
     beta: float | None = None
     max_concurrent_ops: int | None = 3
-    cell_capacity: int | None = None
     max_parked: int | None = None
-    binding_strategy: str = ResourceBinder.FASTEST
-    compute_fti_report: bool = True
     route: bool = False
 
     def build_flow(self, seed: int) -> SynthesisFlow:
@@ -136,10 +130,7 @@ class PortfolioSpec:
         return SynthesisFlow(
             placer=placer,
             max_concurrent_ops=self.max_concurrent_ops,
-            cell_capacity=self.cell_capacity,
             max_parked=self.max_parked,
-            binding_strategy=self.binding_strategy,
-            compute_fti_report=self.compute_fti_report,
             seed=rng,
             route=self.route,
         )
@@ -147,11 +138,7 @@ class PortfolioSpec:
     def run_instance(self, seed: int) -> SynthesisResult:
         """Run one seeded pipeline instance to completion."""
         flow = self.build_flow(seed)
-        return flow.run(
-            self.graph,
-            explicit_binding=self.explicit_binding,
-            faulty_cells=self.faulty_cells,
-        )
+        return flow.run(self.graph, explicit_binding=self.explicit_binding)
 
 
 def _run_instance(task: tuple[PortfolioSpec, int]) -> SynthesisResult:
@@ -260,11 +247,6 @@ def run_portfolio(
         raise PipelineError(
             "objective 'route-steps' needs the routing stage; "
             "build the PortfolioSpec with route=True"
-        )
-    if objective == "fti" and not spec.compute_fti_report:
-        raise PipelineError(
-            "objective 'fti' needs the FTI report; "
-            "build the PortfolioSpec with compute_fti_report=True"
         )
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")

@@ -43,17 +43,13 @@ class BindStage:
 
     name = "bind"
 
-    def __init__(
-        self,
-        binder: ResourceBinder | None = None,
-        strategy: str = ResourceBinder.FASTEST,
-    ) -> None:
+    def __init__(self, binder: ResourceBinder | None = None) -> None:
         self.binder = binder if binder is not None else ResourceBinder()
-        self.strategy = strategy
 
     def run(self, context: SynthesisContext) -> None:
+        """Bind by the fastest module each operation allows."""
         context.binding = self.binder.bind(
-            context.graph, explicit=context.explicit_binding, strategy=self.strategy
+            context.graph, explicit=context.explicit_binding
         )
 
 

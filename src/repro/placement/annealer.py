@@ -22,6 +22,10 @@ from repro.placement.window import ControllingWindow
 from repro.util.rng import ensure_rng
 
 
+#: Hard floor on temperature (safety stop below any useful scale).
+MIN_TEMP = 1e-4
+
+
 @dataclass(frozen=True)
 class AnnealingParams:
     """Annealing schedule knobs (paper Section 4(d) defaults)."""
@@ -33,8 +37,6 @@ class AnnealingParams:
     cooling: float = 0.9
     #: Inner-loop iterations per module per temperature, Na (paper: 400).
     iterations_per_module: int = 400
-    #: Hard floor on temperature (safety stop below any useful scale).
-    min_temp: float = 1e-4
     #: Stop after the controlling window has been frozen this many
     #: consecutive temperature rounds.
     freeze_rounds: int = 3
@@ -55,10 +57,6 @@ class AnnealingParams:
             raise ValueError(
                 f"iterations_per_module must be >= 1, got {self.iterations_per_module}"
             )
-        if self.min_temp <= 0:
-            # A zero floor lets the temperature underflow to 0.0, and the
-            # Metropolis test then divides by it.
-            raise ValueError(f"min_temp must be positive, got {self.min_temp}")
         if self.freeze_rounds < 1:
             raise ValueError(f"freeze_rounds must be >= 1, got {self.freeze_rounds}")
         if self.max_rounds is not None and self.max_rounds < 1:
@@ -159,9 +157,7 @@ def _bind_round(evaluator, cost, mover, rng):
     checker) is priced by its own ``delta``.
     """
     if getattr(type(cost), "delta", None) is AreaCost.delta:
-        run = evaluator.bind_round(
-            mover, cost.alpha, cost.overlap_weight, cost.pull_weight, rng
-        )
+        run = evaluator.bind_round(mover, cost.alpha, cost.pull_weight, rng)
         if run is not None:
             return run
     propose = mover.bind(evaluator)
@@ -301,7 +297,7 @@ class SimulatedAnnealing:
             stats.stop_reason = "max-rounds"
             return temperature, frozen_streak, False
         temperature *= p.cooling
-        if temperature < p.min_temp:
+        if temperature < MIN_TEMP:
             stats.stop_reason = "min-temp"
             return temperature, frozen_streak, False
         return temperature, frozen_streak, True

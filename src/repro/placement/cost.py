@@ -7,7 +7,7 @@ placements and relies on the penalty to drive overlaps to zero.
 Stage 2 (fault-aware, LTSA) adds the fault-tolerance term: the paper
 weighs area against the "fault-tolerance number" with designer knob
 beta, ``cost = alpha * area - beta * ft``. We use the *normalized* FTI
-for the ft term (scaled by a calibration constant GAMMA) so that
+for the ft term (scaled by a calibration constant, ``FT_GAMMA``) so that
 growing the array with idle-but-covered cells is not a free lunch; see
 DESIGN.md for the calibration argument that puts the paper's knob range
 beta in [10, 60] across the area/FTI knee.
@@ -45,11 +45,11 @@ if TYPE_CHECKING:
 
 #: Calibration constant mapping normalized FTI into mm^2-comparable
 #: units so that beta in [10, 60] spans the area/fault-tolerance knee.
-DEFAULT_FT_GAMMA = 2.0
+FT_GAMMA = 2.0
 
 #: Penalty weight per overlapping cell-second. Large enough that any
 #: overlap dominates plausible area savings once the annealer cools.
-DEFAULT_OVERLAP_WEIGHT = 25.0
+OVERLAP_WEIGHT = 25.0
 
 #: Weight of the corner-pull tiebreaker (see AreaCost). Small enough
 #: that it never trades against a whole array cell (2.25 mm^2).
@@ -78,7 +78,7 @@ def require_delta(cost) -> None:
 
 
 class AreaCost:
-    """``alpha * area_mm2 + overlap_weight * overlap_volume`` (+ pull).
+    """``alpha * area_mm2 + OVERLAP_WEIGHT * overlap_volume`` (+ pull).
 
     The bounding-box area is *flat* with respect to interior modules —
     moving a module strictly inside the bbox changes nothing — which
@@ -94,24 +94,17 @@ class AreaCost:
     def __init__(
         self,
         alpha: float = 1.0,
-        overlap_weight: float = DEFAULT_OVERLAP_WEIGHT,
         pull_weight: float = DEFAULT_PULL_WEIGHT,
     ) -> None:
-        if overlap_weight <= 0:
-            raise ValueError(
-                f"overlap_weight must be positive (it keeps the annealer "
-                f"honest), got {overlap_weight}"
-            )
         if pull_weight < 0:
             raise ValueError(f"pull_weight must be >= 0, got {pull_weight}")
         self.alpha = alpha
-        self.overlap_weight = overlap_weight
         self.pull_weight = pull_weight
 
     def __call__(self, placement: Placement) -> float:
         cost = (
             self.alpha * placement.area_mm2
-            + self.overlap_weight * placement.overlap_volume()
+            + OVERLAP_WEIGHT * placement.overlap_volume()
         )
         if self.pull_weight:
             cost += self.pull_weight * sum(
@@ -125,7 +118,7 @@ class AreaCost:
         """This cost over the evaluator's running components."""
         cost = (
             self.alpha * evaluator.area_mm2
-            + self.overlap_weight * evaluator.overlap_total
+            + OVERLAP_WEIGHT * evaluator.overlap_total
         )
         if self.pull_weight:
             cost += self.pull_weight * evaluator.pull_sum
@@ -137,14 +130,14 @@ class AreaCost:
         IncrementalCostEvaluator.bind_round`) repeats this arithmetic for
         every cost that keeps this ``delta``."""
         d_area_mm2, d_overlap, d_pull, _ = evaluator.components(move)
-        d = self.alpha * d_area_mm2 + self.overlap_weight * d_overlap
+        d = self.alpha * d_area_mm2 + OVERLAP_WEIGHT * d_overlap
         if self.pull_weight:
             d += self.pull_weight * d_pull
         return d
 
 
 class FaultAwareCost(AreaCost):
-    """Stage-2 metric: ``alpha * area - beta * GAMMA * FTI`` (+ penalty).
+    """Stage-2 metric: ``alpha * area - beta * FT_GAMMA * FTI`` (+ penalty).
 
     The FTI bonus is only granted to *feasible* placements — an
     overlapping configuration has no physical meaning, so rewarding its
@@ -155,17 +148,11 @@ class FaultAwareCost(AreaCost):
     revisits of recent configurations) never recompute the term.
     """
 
-    def __init__(
-        self,
-        beta: float,
-        ft_gamma: float = DEFAULT_FT_GAMMA,
-        pull_weight: float = DEFAULT_PULL_WEIGHT,
-    ) -> None:
-        super().__init__(pull_weight=pull_weight)
+    def __init__(self, beta: float) -> None:
+        super().__init__()
         if beta < 0:
             raise ValueError(f"beta must be >= 0, got {beta}")
         self.beta = beta
-        self.ft_gamma = ft_gamma
 
     def fti_report(self, placement: Placement) -> FTIReport:
         """The FTI analysis this cost sees for *placement*."""
@@ -177,7 +164,7 @@ class FaultAwareCost(AreaCost):
         if overlap > 0:
             return base
         report = self.fti_report(placement)
-        return base - self.beta * self.ft_gamma * report.fti
+        return base - self.beta * FT_GAMMA * report.fti
 
     # -- incremental protocol -----------------------------------------------------
 
@@ -200,14 +187,14 @@ class FaultAwareCost(AreaCost):
         fti = self._memoized_fti(
             evaluator, evaluator.signature(), lambda: evaluator.placement
         )
-        return base - self.beta * self.ft_gamma * fti
+        return base - self.beta * FT_GAMMA * fti
 
     def delta(self, evaluator: IncrementalCostEvaluator, move: tuple) -> float:
         # components() is cached on the evaluator, so the second call
         # (the first is inside super().delta()) is free.
         d = super().delta(evaluator, move)
         d_conflict_pairs = evaluator.components(move)[3]
-        scale = self.beta * self.ft_gamma
+        scale = self.beta * FT_GAMMA
         if scale:
             old_term = 0.0
             if evaluator.is_feasible:

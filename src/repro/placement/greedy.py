@@ -46,16 +46,13 @@ def build_placed_modules(
     return out
 
 
-class GreedyPlacer:
-    """Largest-first bottom-left placement — the paper's baseline."""
+#: Side of the square core the greedy baseline seats modules in.
+CORE_SIDE = 32
 
-    def __init__(
-        self,
-        core_width: int = 32,
-        core_height: int = 32,
-    ) -> None:
-        self.core_width = core_width
-        self.core_height = core_height
+
+class GreedyPlacer:
+    """Largest-first bottom-left placement — the paper's baseline, on a
+    ``CORE_SIDE`` x ``CORE_SIDE`` core."""
 
     def place_modules(self, modules: Iterable[PlacedModule]) -> Placement:
         """Place pre-built modules largest-area-first at bottom-left."""
@@ -64,13 +61,13 @@ class GreedyPlacer:
         )
         return seat_bottom_left(
             ordered,
-            self.core_width,
-            self.core_height,
+            CORE_SIDE,
+            CORE_SIDE,
             # The paper's baseline places footprints as bound.
             allow_rotation=False,
             failure=lambda pm: (
                 f"greedy placement failed for {pm.op_id} in "
-                f"{self.core_width}x{self.core_height} core"
+                f"{CORE_SIDE}x{CORE_SIDE} core"
             ),
         )
 

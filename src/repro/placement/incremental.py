@@ -54,7 +54,9 @@ from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 from repro.placement import compiled
+from repro.placement.cost import OVERLAP_WEIGHT
 from repro.placement.model import PlacedModule, Placement
+from repro.placement.moves import P_ROTATE
 from repro.util.errors import CrossCheckError, PlacementError
 
 if TYPE_CHECKING:
@@ -530,7 +532,6 @@ class IncrementalCostEvaluator:
         self,
         mover: MoveGenerator,
         alpha: float,
-        overlap_weight: float,
         pull_weight: float,
         accept_rng: random.Random,
     ) -> Callable[[int, float, int, float, float], tuple[int, int, float, bool]] | None:
@@ -540,7 +541,7 @@ class IncrementalCostEvaluator:
         ``run(span, temperature, count, current, best)`` runs up to
         *count* steps. Each draws a move as *mover*'s kernel would,
         displacing within ``span`` cells; prices it as ``alpha *
-        d_area_mm2 + overlap_weight * d_overlap`` (plus ``pull_weight *
+        d_area_mm2 + OVERLAP_WEIGHT * d_overlap`` (plus ``pull_weight *
         d_pull`` when that weight is set); accepts it when ``delta < 0
         or accept_rng.random() < exp(-delta / temperature)``; applies an
         accepted move in place and adds its delta to *current*. It
@@ -568,7 +569,7 @@ class IncrementalCostEvaluator:
         """
         (
             cands, kn, kn1, pool_branch, lim, fits,
-            move_rng, p_single, p_rotate, single_only,
+            move_rng, p_single, single_only,
         ) = mover.draws(self.ops, self.dims, self.core_width, self.core_height)
         if type(move_rng) is not random.Random or type(accept_rng) is not random.Random:
             return None
@@ -594,7 +595,7 @@ class IncrementalCostEvaluator:
         static = compiled.RoundStatic(
             len(cands), _address(arrays[0]), kn, kn1,
             pool_branch, single_only, len(self.ops) == 1, len(self.ops) > 2,
-            p_single, p_rotate, alpha, overlap_weight, pull_weight, self._pitch2,
+            p_single, P_ROTATE, alpha, OVERLAP_WEIGHT, pull_weight, self._pitch2,
             *map(_address, arrays[1:]), self.resync_every,
         )
         # The structure points into the arrays: it keeps them alive.

@@ -19,9 +19,9 @@ def constructive_initial_placement(
     modules: Iterable[PlacedModule],
     core_width: int,
     core_height: int,
-    allow_rotation: bool = True,
 ) -> Placement:
-    """Seat *modules* bottom-left-first inside the core area.
+    """Seat *modules* bottom-left-first inside the core area, in either
+    orientation.
 
     Raises :class:`PlacementError` when some module cannot be seated —
     the core area is too small for the schedule's concurrency, and the
@@ -34,7 +34,7 @@ def constructive_initial_placement(
         ordered,
         core_width,
         core_height,
-        allow_rotation=allow_rotation,
+        allow_rotation=True,
         failure=lambda pm: (
             f"initial placement failed: {pm.op_id} "
             f"({pm.spec.footprint_width}x{pm.spec.footprint_height}) does not "

@@ -90,13 +90,14 @@ def seat_bottom_left(
 _MAX_PASSES = 4
 
 
-def repair_overlaps(placement: Placement, allow_rotation: bool = True) -> Placement:
+def repair_overlaps(placement: Placement) -> Placement:
     """Legalize *placement* by re-seating conflicting modules bottom-left.
 
     Repeatedly picks a module involved in a conflict (smallest footprint
     first — cheapest to move) and re-seats it at the first feasible
-    bottom-left position. Raises :class:`PlacementError` if the core
-    area cannot host a feasible configuration within four sweeps.
+    bottom-left position, in either orientation. Raises
+    :class:`PlacementError` if the core area cannot host a feasible
+    configuration within four sweeps.
     """
     current = placement.copy()
     for _ in range(_MAX_PASSES):
@@ -113,7 +114,7 @@ def repair_overlaps(placement: Placement, allow_rotation: bool = True) -> Placem
                 pm,
                 current.core_width,
                 current.core_height,
-                allow_rotation=allow_rotation,
+                allow_rotation=True,
             )
             if seated is None:
                 raise PlacementError(

@@ -30,6 +30,10 @@ from repro.util.rng import ensure_rng
 #: The integer draw the kernel inlines (CPython 3.11 to 3.13 alike).
 _RANDBELOW = random.Random._randbelow_with_getrandbits
 
+#: Chance that a displacement re-orients its module (type ii), and that
+#: an interchange re-orients one of its pair (type iv).
+P_ROTATE = 0.5
+
 
 class MoveGenerator:
     """Proposes neighbor placements for the annealer."""
@@ -38,18 +42,14 @@ class MoveGenerator:
         self,
         window: ControllingWindow,
         p_single: float = 0.8,
-        p_rotate: float = 0.5,
         single_only: bool = False,
         seed: int | random.Random | None = None,
         movable: Collection[str] | None = None,
     ) -> None:
         if not 0.0 <= p_single <= 1.0:
             raise ValueError(f"p_single must be in [0, 1], got {p_single}")
-        if not 0.0 <= p_rotate <= 1.0:
-            raise ValueError(f"p_rotate must be in [0, 1], got {p_rotate}")
         self.window = window
         self.p_single = p_single
-        self.p_rotate = p_rotate
         #: LTSA mode (paper Section 6.1): pair interchanges disabled.
         self.single_only = single_only
         #: When set, only these op ids are ever touched by a move — the
@@ -100,8 +100,9 @@ class MoveGenerator:
         """
         (
             cands, kn, kn1, pool_branch, lim, fits,
-            rng, p_single, p_rotate, single_only,
+            rng, p_single, single_only,
         ) = self.draws(ops, dims, core_w, core_h)
+        p_rotate = P_ROTATE
         rand = rng.random
         getrandbits = rng.getrandbits
         n = len(cands)
@@ -198,7 +199,7 @@ class MoveGenerator:
         * ``fits`` — per index and orientation, the footprint fits in
           the core;
         * ``rng`` — the generator the draws come from;
-        * ``p_single`` and ``p_rotate``;
+        * ``p_single``;
         * ``single_only`` — pair interchanges are off (LTSA mode, or
           fewer than two candidates).
 
@@ -233,6 +234,5 @@ class MoveGenerator:
         ]
         return (
             cands, n.bit_length(), (n - 1).bit_length(), n <= 21, lim, fits,
-            rng, self.p_single, self.p_rotate,
-            self.single_only or n < 2,
+            rng, self.p_single, self.single_only or n < 2,
         )

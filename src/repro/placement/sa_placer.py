@@ -99,11 +99,16 @@ class PlacementResult:
         )
 
 
-def default_core_side(modules: Iterable[PlacedModule], slack: float = 2.0) -> int:
+#: How many times the peak concurrent cell demand the default core holds.
+CORE_DEMAND_SLACK = 2.0
+
+
+def default_core_side(modules: Iterable[PlacedModule]) -> int:
     """A core-area side large enough to leave the annealer room.
 
     At least the largest footprint dimension, and wide enough to hold
-    ``slack`` times the peak concurrent cell demand as a square.
+    ``CORE_DEMAND_SLACK`` times the peak concurrent cell demand as a
+    square.
     """
     modules = list(modules)
     if not modules:
@@ -124,7 +129,7 @@ def default_core_side(modules: Iterable[PlacedModule], slack: float = 2.0) -> in
         demand += delta
         if demand > peak:
             peak = demand
-    return max(max_dim, math.ceil(math.sqrt(slack * peak)))
+    return max(max_dim, math.ceil(math.sqrt(CORE_DEMAND_SLACK * peak)))
 
 
 class SimulatedAnnealingPlacer:
@@ -137,7 +142,6 @@ class SimulatedAnnealingPlacer:
         core_width: int | None = None,
         core_height: int | None = None,
         p_single: float = 0.8,
-        allow_rotation: bool = True,
         seed: int | random.Random | None = None,
     ) -> None:
         self.params = params if params is not None else AnnealingParams.balanced()
@@ -146,7 +150,6 @@ class SimulatedAnnealingPlacer:
         self.core_width = core_width
         self.core_height = core_height
         self.p_single = p_single
-        self.allow_rotation = allow_rotation
         self._rng = ensure_rng(seed)
 
     # -- entry points ---------------------------------------------------------------
@@ -165,14 +168,11 @@ class SimulatedAnnealingPlacer:
         core_w = self.core_width or side
         core_h = self.core_height or side
 
-        initial = constructive_initial_placement(
-            modules, core_w, core_h, allow_rotation=self.allow_rotation
-        )
+        initial = constructive_initial_placement(modules, core_w, core_h)
         window = self.params.make_window(max_span=max(core_w, core_h))
         mover = MoveGenerator(
             window=window,
             p_single=self.p_single,
-            p_rotate=0.5 if self.allow_rotation else 0.0,
             seed=self._rng,
         )
         engine = SimulatedAnnealing(self.params, window=window, seed=self._rng)
@@ -183,7 +183,7 @@ class SimulatedAnnealingPlacer:
 
         repaired = False
         if not best.is_feasible():
-            best = repair_overlaps(best, allow_rotation=self.allow_rotation)
+            best = repair_overlaps(best)
             repaired = True
         return PlacementResult(
             placement=best.normalized(),

@@ -3,7 +3,7 @@
 Stage 1 runs the fault-oblivious annealer to a minimum-area placement.
 Stage 2 re-centers that placement in an enlarged core and refines it
 with *low-temperature simulated annealing* (LTSA): single-module
-displacements only, cost ``alpha * area - beta * GAMMA * FTI``. Large
+displacements only, cost ``alpha * area - beta * FT_GAMMA * FTI``. Large
 beta buys coverage with area; small beta stays compact — reproducing
 the paper's Table 2 trade-off curve.
 """
@@ -29,6 +29,10 @@ from repro.util.rng import ensure_rng
 
 if TYPE_CHECKING:  # synthesis.flow imports the placers; avoid the cycle
     from repro.synthesis.schedule import Schedule
+
+#: The stage-2 core grows by this factor over the stage-1 array, so the
+#: placement can drift outward to buy coverage.
+EXPANSION = 1.8
 
 
 @dataclass
@@ -98,17 +102,11 @@ class TwoStagePlacer:
         beta: float = 30.0,
         stage1_params: AnnealingParams | None = None,
         stage2_params: AnnealingParams | None = None,
-        #: Stage-2 core grows by this factor over the stage-1 array so
-        #: the placement can drift outward to buy coverage.
-        expansion: float = 1.8,
         seed: int | random.Random | None = None,
     ) -> None:
-        if expansion < 1.0:
-            raise ValueError(f"expansion must be >= 1.0, got {expansion}")
         self.beta = beta
         self.stage1_params = stage1_params or AnnealingParams.balanced()
         self.stage2_params = stage2_params or AnnealingParams.low_temperature()
-        self.expansion = expansion
         self._rng = ensure_rng(seed)
 
     def place(self, schedule: Schedule, binding) -> TwoStageResult:
@@ -152,8 +150,8 @@ class TwoStagePlacer:
         drift modules outward in every direction."""
         normalized = placement.normalized()
         w, h = normalized.array_dims()
-        core_w = max(w + 2, math.ceil(w * self.expansion))
-        core_h = max(h + 2, math.ceil(h * self.expansion))
+        core_w = max(w + 2, math.ceil(w * EXPANSION))
+        core_h = max(h + 2, math.ceil(h * EXPANSION))
         dx = (core_w - w) // 2
         dy = (core_h - h) // 2
         out = Placement(core_w, core_h, pitch_mm=normalized.pitch_mm)

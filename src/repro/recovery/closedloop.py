@@ -258,8 +258,9 @@ class _RunState:
 class ClosedLoopController:
     """Runs an assay end to end under sensed (not known) faults.
 
-    *sensor* and *votes* configure the observation channel (defaults:
-    ideal sensor, single-vote probes — the oracle-equivalent setting).
+    *sensor* is the observation channel (default: the ideal sensor, the
+    oracle-equivalent setting); probes take a majority of
+    :attr:`votes` readings.
     Probe campaigns run at every configuration change plus a periodic
     grid of one eighth of the nominal makespan; the stuck-droplet
     watchdog hands back at most :data:`WATCHDOG_ROUNDS` missed faults.
@@ -269,19 +270,12 @@ class ClosedLoopController:
         self,
         engine: OnlineRecoveryEngine | None = None,
         sensor: CapacitiveSensor | None = None,
-        votes: int | None = None,
     ) -> None:
         self.engine = engine if engine is not None else OnlineRecoveryEngine()
         self.sensor = sensor if sensor is not None else CapacitiveSensor()
         #: Majority-vote width for noisy sensing; with a perfect sensor
-        #: extra votes are pure waste, so the default adapts.
-        self.votes = votes if votes is not None else (
-            1 if self.sensor.is_perfect else 3
-        )
-        if self.votes < 1 or self.votes % 2 == 0:
-            raise RecoveryError(
-                f"votes must be a positive odd count, got {self.votes}"
-            )
+        #: extra votes are pure waste.
+        self.votes = 1 if self.sensor.is_perfect else 3
         #: :func:`free_cell_paths` results keyed by its exact inputs:
         #: the array dims and the active footprints (see :meth:`_walks`).
         self._walk_memo: dict[tuple, list[list[Point]]] = {}

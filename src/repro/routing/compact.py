@@ -49,7 +49,7 @@ def compact_routes(
         )
         for rn in worst_first:
             net_id = rn.net.net_id
-            if rn.start_step == 0 and rn.latency == rn.net.manhattan and rn.waits == 0:
+            if rn.latency == rn.net.manhattan and rn.waits == 0:
                 # Already at the lower bound: arrival and moves both
                 # equal the Manhattan distance, so no candidate can be
                 # lexicographically smaller — skip the re-route (the
@@ -61,7 +61,7 @@ def compact_routes(
             except RoutingError:
                 # The old trajectory is always re-reservable, so keep it.
                 candidate = rn
-            if (candidate.arrival_step, candidate.moves) < (rn.arrival_step, rn.moves):
+            if (candidate.latency, candidate.moves) < (rn.latency, rn.moves):
                 current[net_id] = candidate
                 changed = True
             grid.reserve(current[net_id], horizon)

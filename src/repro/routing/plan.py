@@ -69,23 +69,19 @@ class Net:
 class RoutedNet:
     """A net with its time-annotated trajectory.
 
-    ``cells[i]`` is the droplet's position at epoch-local step
-    ``start_step + i``; consecutive entries are either equal (a
-    wait-in-place step) or 4-adjacent (one electrode actuation).
+    ``cells[i]`` is the droplet's position at epoch-local step ``i``
+    (every droplet of an epoch departs at its step 0); consecutive
+    entries are either equal (a wait-in-place step) or 4-adjacent (one
+    electrode actuation).
     """
 
     net: Net
     cells: tuple[Point, ...]
-    start_step: int = 0
-
-    @property
-    def arrival_step(self) -> int:
-        """Epoch-local step at which the droplet reaches its goal."""
-        return self.start_step + len(self.cells) - 1
 
     @property
     def latency(self) -> int:
-        """Steps from release to arrival (moves + waits)."""
+        """Steps from release to arrival (moves + waits): the epoch-local
+        step at which the droplet reaches its goal."""
         return len(self.cells) - 1
 
     @cached_property
@@ -102,7 +98,7 @@ class RoutedNet:
         """Droplet position at epoch-local *step* (clamped to lifetime:
         at the source before departure, parked at the goal after
         arrival)."""
-        i = min(max(step - self.start_step, 0), len(self.cells) - 1)
+        i = min(max(step, 0), len(self.cells) - 1)
         return self.cells[i]
 
     @cached_property
@@ -141,7 +137,7 @@ class RoutingEpoch:
     @property
     def makespan_steps(self) -> int:
         """Last arrival step (0 when the epoch routed nothing)."""
-        return max((rn.arrival_step for rn in self.nets), default=0)
+        return max((rn.latency for rn in self.nets), default=0)
 
     @cached_property
     def _region_map(self) -> dict[str, list[Rect]]:
@@ -282,16 +278,15 @@ class RoutingPlan:
                 f"do not match net {net.source}->{net.goal}"
             )
         exempt = net.exempt_ops
-        for i, p in enumerate(rn.cells):
-            step = rn.start_step + i
+        for step, p in enumerate(rn.cells):
             if not (1 <= p.x <= self.width and 1 <= p.y <= self.height):
                 raise RoutingError(
                     f"net {net.net_id}: {p} at step {step} is outside the "
                     f"{self.width}x{self.height} array"
                 )
-            if i > 0 and rn.cells[i - 1].manhattan_distance(p) > 1:
+            if step > 0 and rn.cells[step - 1].manhattan_distance(p) > 1:
                 raise RoutingError(
-                    f"net {net.net_id}: jump {rn.cells[i - 1]} -> {p} at step {step}"
+                    f"net {net.net_id}: jump {rn.cells[step - 1]} -> {p} at step {step}"
                 )
             if p in epoch.faulty:
                 raise RoutingError(
@@ -326,8 +321,8 @@ class RoutingPlan:
             bx1 - ax2 > 1 or ax1 - bx2 > 1 or by1 - ay2 > 1 or ay1 - by2 > 1
         ):
             return
-        last = max(a.arrival_step, b.arrival_step)
-        for t in range(min(a.start_step, b.start_step), last + 1):
+        last = max(a.latency, b.latency)
+        for t in range(last + 1):
             pa, pb = a.position_at(t), b.position_at(t)
             # Same-step static constraint plus the cross-step dynamic
             # constraint (droplet moving next to where the other just was).

@@ -329,8 +329,7 @@ class TimeGrid:
         net = routed.net
         if net.net_id in self._net_keys:
             raise ValueError(f"net {net.net_id!r} is already reserved")
-        start = routed.start_step
-        arrival = routed.arrival_step
+        arrival = routed.latency
         cells = routed.cells
         prod_cells = self.region_idxs(net.producer)
         cons_cells = self.region_idxs(net.consumer)
@@ -348,8 +347,8 @@ class TimeGrid:
         keys_by_flag: dict[int, set[int]] = {}
         #: packed position -> one past the last step the droplet is there.
         last_at: dict[int, int] = {}
-        for t in range(start, min(arrival - 1, horizon) + 1):
-            p = cells[t - start]
+        for t in range(min(arrival - 1, horizon) + 1):
+            p = cells[t]
             x, y = p
             if 1 <= x <= width and 1 <= y <= height:
                 pidx = (y - 1) * width + (x - 1)

@@ -10,14 +10,12 @@ loop when a fault is injected mid-assay.
 """
 
 from repro.sim.droplet import Droplet
-from repro.sim.electrowetting import ElectrowettingModel
 from repro.sim.engine import BiochipSimulator, SimEvent, SimulationReport
 from repro.sim.fastgrid import FastRoute, PackedDropletRouter
 
 __all__ = [
     "BiochipSimulator",
     "Droplet",
-    "ElectrowettingModel",
     "FastRoute",
     "PackedDropletRouter",
     "SimEvent",

@@ -49,7 +49,7 @@ from repro.placement.chip import Chip
 from repro.placement.model import PlacedModule, Placement
 from repro.routing.plan import RoutingPlan, chebyshev
 from repro.sim.droplet import Droplet
-from repro.sim.electrowetting import ElectrowettingModel
+from repro.sim.electrowetting import transport_time_s
 from repro.sim.fastgrid import PackedDropletRouter
 from repro.sim.resume import ReplayTrace, mark_boundary, restore, resume_index
 from repro.util.errors import (
@@ -520,7 +520,6 @@ class BiochipSimulator:
         self.schedule = schedule
         self.binding = binding
         self.routing_plan = routing_plan
-        self.ew = ElectrowettingModel()
         self.reconfigurer = PartialReconfigurer()
 
         #: The array the assay runs on; a plan cell is a replay cell.
@@ -758,9 +757,7 @@ class BiochipSimulator:
                 # Refresh every affected state's module reference.
                 if reloc.op_id in states:
                     states[reloc.op_id].module = reloc.new
-                migrate = self.ew.transport_time_s(
-                    reloc.distance, DRIVE_VOLTAGE
-                )
+                migrate = transport_time_s(reloc.distance, DRIVE_VOLTAGE)
                 run.events.append(
                     SimEvent(
                         fault_time,
@@ -1154,7 +1151,7 @@ class BiochipSimulator:
         events = run.events
         planned = self._planned_route(droplet, goal, faulty_now, other_droplets, op_id)
         if planned is not None:
-            seconds = self.ew.transport_time_s(planned.moves, DRIVE_VOLTAGE)
+            seconds = transport_time_s(planned.moves, DRIVE_VOLTAGE)
             events.append(
                 SimEvent(
                     t,
@@ -1222,7 +1219,7 @@ class BiochipSimulator:
                     route = self._route_after_handover(
                         droplet, goal, query_t, faulty_now, run, op_id, exc,
                     )
-        seconds = self.ew.transport_time_s(route.length, DRIVE_VOLTAGE)
+        seconds = transport_time_s(route.length, DRIVE_VOLTAGE)
         events.append(
             SimEvent(
                 t,

@@ -156,8 +156,6 @@ class SynthesisFlow:
         max_concurrent_ops: int | None = 3,
         cell_capacity: int | None = None,
         max_parked: int | None = None,
-        binding_strategy: str = ResourceBinder.FASTEST,
-        compute_fti_report: bool = True,
         seed: int | random.Random | None = None,
         route: bool = False,
     ) -> None:
@@ -171,8 +169,6 @@ class SynthesisFlow:
         self.max_concurrent_ops = max_concurrent_ops
         self.cell_capacity = cell_capacity
         self.max_parked = max_parked
-        self.binding_strategy = binding_strategy
-        self.compute_fti_report = compute_fti_report
         self.route = route
         self.routing_synthesizer = RoutingSynthesizer()
         self.pipeline = build_default_pipeline(
@@ -181,8 +177,6 @@ class SynthesisFlow:
             max_concurrent_ops=max_concurrent_ops,
             cell_capacity=cell_capacity,
             max_parked=max_parked,
-            binding_strategy=binding_strategy,
-            compute_fti_report=compute_fti_report,
             route=route,
             routing_synthesizer=self.routing_synthesizer,
         )

@@ -87,20 +87,17 @@ class TestDroplet:
         )
 
 
-def snake_path(
-    width: int, height: int, start_bottom_left: bool = True
-) -> list[Point]:
+def snake_path(width: int, height: int) -> list[Point]:
     """Boustrophedon walk covering every cell of a ``width x height`` array.
 
     This is the standard off-line test pattern: a single droplet snakes
-    across the whole array, visiting each cell exactly once, ending at
-    the sink corner.
+    from the bottom-left cell across the whole array, visiting each cell
+    exactly once, ending at the sink corner.
     """
     if width < 1 or height < 1:
         raise ValueError(f"array dimensions must be >= 1, got {width}x{height}")
     path = []
-    rows = range(1, height + 1) if start_bottom_left else range(height, 0, -1)
-    for i, y in enumerate(rows):
+    for i, y in enumerate(range(1, height + 1)):
         cols = range(1, width + 1) if i % 2 == 0 else range(width, 0, -1)
         path.extend(Point(x, y) for x in cols)
     return path

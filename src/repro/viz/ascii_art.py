@@ -70,8 +70,14 @@ def render_placement(
     return "\n".join(lines)
 
 
-def render_gantt(schedule: Schedule, width: int = 60) -> str:
-    """Render a schedule as an ASCII Gantt chart (paper Figure 6)."""
+#: Columns of a Gantt chart's time axis.
+GANTT_WIDTH = 60
+
+
+def render_gantt(schedule: Schedule) -> str:
+    """Render a schedule as an ASCII Gantt chart (paper Figure 6), its
+    time axis ``GANTT_WIDTH`` columns wide."""
+    width = GANTT_WIDTH
     makespan = schedule.makespan
     if makespan <= 0:
         return "(empty schedule)"

@@ -48,14 +48,12 @@ def save_svg(svg: str, path: str | Path) -> Path:
 
 def placement_to_svg(
     placement: Placement,
-    at_time: float | None = None,
     title: str | None = None,
 ) -> str:
     """Draw a placement map (paper Figures 7/8 style).
 
     Modules render as colored footprints with a darker functional
-    region and their op id centered; with *at_time*, only the modules
-    active then are drawn (one cut of Figure 2).
+    region and their op id centered.
     """
     draw = placement.normalized()
     width, height = draw.array_dims()
@@ -82,8 +80,7 @@ def placement_to_svg(
                 f'<rect x="{cx(x):g}" y="{cy(y):g}" width="{cell_px}" '
                 f'height="{cell_px}" fill="white" stroke="#cccccc"/>'
             )
-    modules = draw.active_at(at_time) if at_time is not None else list(draw)
-    for i, pm in enumerate(modules):
+    for i, pm in enumerate(draw):
         color = PALETTE[i % len(PALETTE)]
         fp = pm.footprint
         body.append(

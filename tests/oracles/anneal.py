@@ -242,7 +242,6 @@ class FullRecomputePlacer(SimulatedAnnealingPlacer):
         mover = FullRecomputeMoves(
             mover.window,
             p_single=mover.p_single,
-            p_rotate=mover.p_rotate,
             single_only=mover.single_only,
             seed=mover._rng,
             movable=mover.movable,

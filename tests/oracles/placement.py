@@ -45,9 +45,9 @@ def reference_first_feasible_position(
     return None
 
 
-def reference_default_core_side(modules, slack: float = 2.0) -> int:
+def reference_default_core_side(modules) -> int:
     """At least the largest footprint dimension, and wide enough to hold
-    *slack* times the peak concurrent cell demand as a square."""
+    twice the peak concurrent cell demand as a square."""
     modules = list(modules)
     if not modules:
         raise ValueError("cannot size a core area for zero modules")
@@ -60,4 +60,4 @@ def reference_default_core_side(modules, slack: float = 2.0) -> int:
             pm.footprint.area for pm in modules if pm.interval.contains_time(t)
         )
         peak = max(peak, demand)
-    return max(max_dim, math.ceil(math.sqrt(slack * peak)))
+    return max(max_dim, math.ceil(math.sqrt(2.0 * peak)))

@@ -191,7 +191,7 @@ class ReferenceTimeGrid:
         # flag pairs stay distinct entries — the two-sided exemption is
         # per origin position.
         cells_by_step: dict[int, dict[Point, int]] = {}
-        for t in range(routed.start_step, horizon + 1):
+        for t in range(horizon + 1):
             p = routed.position_at(t)
             flags = 1 << (
                 (1 if self.in_region(net.producer, p) else 0)

@@ -12,12 +12,12 @@ The cases cover every cost the incremental engine prices: the
 fault-oblivious placer (``AreaCost``) on four generated families, the
 two-stage placer's LTSA stage (``FaultAwareCost``), the transport-aware
 cost, and two consecutive replace-rung recovery anneals on one engine
-(``FaultAvoidanceCost`` over a ``movable`` subset, the second warm-
-started from the first's evaluator). Further ``AreaCost`` cases reach
-the branches the generated families do not: best-state snapshots
-(``improvements > 0`` under the balanced schedule), a placer that never
-rotates, and one- and two-module placements (a move that is the whole
-placement, and a pair interchange with no third module).
+(``FaultAvoidanceCost`` over a ``movable`` subset, each from its own
+checkpoint). Further ``AreaCost`` cases reach the branches the
+generated families do not: best-state snapshots (``improvements > 0``
+under the balanced schedule), and one- and two-module placements (a
+move that is the whole placement, and a pair interchange with no third
+module).
 """
 
 from __future__ import annotations
@@ -93,11 +93,6 @@ def run_case(name: str, monkeypatch) -> list[dict]:
         _, schedule, binding = _scheduled(name.removeprefix("balanced:"))
         SimulatedAnnealingPlacer(
             params=AnnealingParams.balanced(), seed=3
-        ).place(schedule, binding)
-    elif name == "no-rotation:pcr":
-        _, schedule, binding = _scheduled("pcr")
-        SimulatedAnnealingPlacer(
-            params=fast, allow_rotation=False, seed=3
         ).place(schedule, binding)
     elif name in ("one-module", "two-module"):
         # Two non-square modules that share four seconds of time.
@@ -178,12 +173,6 @@ PINS = {
          "evaluations": 167400, "acceptances": 90567,
          "improvements": 0, "stop_reason": "window-frozen",
          "best_cost": 235.55},
-    ],
-    "no-rotation:pcr": [
-        {"rows": "c50ea3c248a53ab4", "history": "0e8eb6e5e72b8095",
-         "evaluations": 7560, "acceptances": 3434,
-         "improvements": 9, "stop_reason": "window-frozen",
-         "best_cost": 145.95},
     ],
     "one-module": [
         {"rows": "ef93d530126ca596", "history": "fec9528c5d526274",

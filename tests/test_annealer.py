@@ -41,13 +41,6 @@ class TestAnnealingParams:
         with pytest.raises(ValueError):
             AnnealingParams(freeze_rounds=0)
 
-    @pytest.mark.parametrize("min_temp", [0.0, -1e-4])
-    def test_min_temp_must_be_positive(self, min_temp):
-        # A zero floor let the temperature underflow to 0.0 and the
-        # Metropolis test divide by it.
-        with pytest.raises(ValueError, match="min_temp"):
-            AnnealingParams(min_temp=min_temp)
-
     @pytest.mark.parametrize("max_rounds", [0, -3])
     def test_max_rounds_must_be_positive(self, max_rounds):
         # max_rounds=0 used to run one round and report "max-rounds".
@@ -76,7 +69,7 @@ class TestEngine:
         rng = random.Random(seed)
         params = params or AnnealingParams(
             initial_temp=10.0, cooling=0.8, iterations_per_module=1,
-            min_temp=1e-3, freeze_rounds=2,
+            freeze_rounds=2,
         )
         engine = FullRecomputeAnnealing(params, window=window, seed=seed)
         return engine.optimize(

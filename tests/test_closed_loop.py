@@ -46,7 +46,7 @@ from repro.recovery.closedloop import LadderStep
 from repro.recovery.engine import pick_fault_cell
 from repro.sim.engine import BiochipSimulator
 from repro.synthesis.flow import SynthesisFlow
-from repro.testing import CapacitiveSensor
+from repro.testing import CapacitiveSensor, FaultLocalizer
 from repro.testing.test_droplet import free_cell_paths
 from repro.util.errors import RecoveryError, SimulationError, UsageError
 from repro.workload.campaign import CampaignRunner, recovery_sweep_preset
@@ -133,8 +133,10 @@ class TestOracleEquivalence:
         assert controller.votes == 3
 
     def test_even_votes_rejected(self):
-        with pytest.raises(RecoveryError, match="odd"):
-            ClosedLoopController(engine=_engine(), votes=2)
+        # The controller's localizer takes its vote width as given; a
+        # tie cannot break a majority, so an even width is refused.
+        with pytest.raises(ValueError, match="odd"):
+            FaultLocalizer(CapacitiveSensor(false_positive_rate=0.1), votes=2)
 
     def test_unknown_mode_rejected(self):
         controller = ClosedLoopController(engine=_engine())
@@ -256,7 +258,6 @@ class TestClosedLoopCompletion:
         blind = ClosedLoopController(
             engine=engine,
             sensor=CapacitiveSensor(false_negative_rate=0.99),
-            votes=3,
         )
         return blind.run(result, events, seed=42)
 

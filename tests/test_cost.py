@@ -4,7 +4,7 @@ import pytest
 
 from repro.fault.fti import compute_fti
 from repro.modules.library import MIXER_2X2
-from repro.placement.cost import AreaCost, FaultAwareCost
+from repro.placement.cost import FT_GAMMA, OVERLAP_WEIGHT, AreaCost, FaultAwareCost
 from repro.placement.model import PlacedModule, Placement
 
 
@@ -49,9 +49,11 @@ class TestAreaCost:
 
     def test_overlap_weight_scales_penalty(self):
         p = overlapping_placement()
-        light = AreaCost(overlap_weight=1.0, pull_weight=0.0)(p)
-        heavy = AreaCost(overlap_weight=100.0, pull_weight=0.0)(p)
-        assert heavy > light
+        assert p.overlap_volume() > 0
+        cost = AreaCost(pull_weight=0.0)
+        assert cost(p) == pytest.approx(
+            p.area_mm2 + OVERLAP_WEIGHT * p.overlap_volume()
+        )
 
     def test_pull_term_prefers_corner(self):
         cost = AreaCost()
@@ -71,8 +73,6 @@ class TestAreaCost:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            AreaCost(overlap_weight=0.0)
-        with pytest.raises(ValueError):
             AreaCost(pull_weight=-1.0)
 
 
@@ -86,16 +86,15 @@ class TestFaultAwareCost:
 
     def test_bonus_matches_fti(self):
         p = feasible_placement()
-        beta, gamma = 30.0, 2.0
-        cost = FaultAwareCost(beta=beta, ft_gamma=gamma, pull_weight=0.0)
+        beta = 30.0
+        cost = FaultAwareCost(beta=beta)
         fti = compute_fti(p).fti
-        assert cost(p) == pytest.approx(p.area_mm2 - beta * gamma * fti)
+        assert cost(p) == pytest.approx(AreaCost()(p) - beta * FT_GAMMA * fti)
 
     def test_overlapping_placement_gets_no_bonus(self):
         p = overlapping_placement()
-        aware = FaultAwareCost(beta=1000.0, pull_weight=0.0)
-        base = AreaCost(pull_weight=0.0)
-        assert aware(p) == pytest.approx(base(p))
+        aware = FaultAwareCost(beta=1000.0)
+        assert aware(p) == pytest.approx(AreaCost()(p))
 
     def test_higher_fti_wins_at_equal_area(self):
         # Equal 8x4 bounding arrays, same module coordinates — only the

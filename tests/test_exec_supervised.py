@@ -16,7 +16,6 @@ import subprocess
 import sys
 import threading
 import time
-from collections import deque
 from pathlib import Path
 
 import pytest
@@ -32,7 +31,7 @@ from repro.exec import (
     SupervisedPool,
     TaskOutcome,
 )
-from repro.exec.supervised import _NO_GROUP, _GroupQueue, _Slot, _TaskState
+from repro.exec.supervised import _NO_GROUP, _GroupQueue, _Slot
 from repro.testing.chaos import ChaosPolicy
 from repro.util.errors import PipelineError
 
@@ -382,9 +381,9 @@ class TestGroupDispatch:
             return [(o.index, o.key, o.status, o.attempts, o.value) for o in outcomes]
 
         serial = summary(quiet_pool(jobs=1).map(square, tasks, groups=labels))
-        fifo = summary(quiet_pool(jobs=2).map(square, tasks))
+        ungrouped = summary(quiet_pool(jobs=2).map(square, tasks))
         grouped = summary(quiet_pool(jobs=2).map(square, tasks, groups=labels))
-        assert grouped == fifo == serial
+        assert grouped == ungrouped == serial
 
     def test_slots_keep_their_group_then_start_one_then_steal(self):
         # Group a is four long tasks, b and c one short task each. Slot

@@ -174,9 +174,7 @@ class TestMethodEquivalence:
     specs = st.one_of(
         st.sampled_from([MIXER_2X2, MIXER_LINEAR_1X4, STORAGE_1X1]),
         st.builds(
-            lambda w, h: ModuleSpec(
-                f"bare-{w}x{h}", ModuleKind.DETECTOR, w, h, 5.0, segregation=0
-            ),
+            lambda w, h: ModuleSpec(f"det-{w}x{h}", ModuleKind.DETECTOR, w, h, 5.0),
             st.integers(1, 5),
             st.integers(1, 5),
         ),
@@ -234,11 +232,3 @@ class TestMethodEquivalence:
         assert_matches_references(result.placement)
 
 
-class TestSegregationInteraction:
-    def test_zero_segregation_module(self):
-        bare = ModuleSpec("bare", ModuleKind.DETECTOR, 2, 2, 5.0, segregation=0)
-        p = Placement(4, 4)
-        p.add(pm("a", spec=bare, x=1, y=1))
-        report = compute_fti(p, width=4, height=4)
-        # 2x2 module on 4x4: relocation avoiding any faulty cell works.
-        assert report.fti == 1.0

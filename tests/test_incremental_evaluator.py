@@ -194,14 +194,14 @@ def is_compiled(run) -> bool:
     return run.__qualname__.startswith(IncrementalCostEvaluator.bind_round.__qualname__)
 
 
-def bound_rounds(layout, cost, p_rotate, seed, resync_every, kind="shared", movable=None):
+def bound_rounds(layout, cost, seed, resync_every, kind="shared", movable=None):
     """``(run, evaluator, rngs)``: the annealer's round for *cost* over
     a fresh evaluator, with the move generator and the Metropolis test
     drawing from the ``streams(kind, seed)`` generators."""
     mover_rng, accept_rng = streams(kind, seed)
     ev = IncrementalCostEvaluator(build_placement(layout, core=CORE), resync_every=resync_every)
     window = ControllingWindow(initial_temp=100.0, max_span=CORE)
-    mover = MoveGenerator(window=window, p_rotate=p_rotate, seed=mover_rng, movable=movable)
+    mover = MoveGenerator(window=window, seed=mover_rng, movable=movable)
     return _bind_round(ev, cost, mover, accept_rng), ev, (mover_rng, accept_rng)
 
 
@@ -438,7 +438,6 @@ class TestCostProtocols:
     @settings(max_examples=40, deadline=None)
     @given(
         layout=layouts(),
-        allow_rotation=st.booleans(),
         resync_every=st.sampled_from([1, 7, 2048]),
         seed=st.integers(0, 2**32),
         spans=STEP_SPANS,
@@ -447,7 +446,7 @@ class TestCostProtocols:
         mask=st.lists(st.booleans(), min_size=1, max_size=5),
     )
     def test_bound_price_equals_delta_bit_for_bit(
-        self, pull_weight, layout, allow_rotation, resync_every, seed, spans,
+        self, pull_weight, layout, resync_every, seed, spans,
         temperatures, kind, mask,
     ):
         """The compiled round prices exactly as ``delta``, for single
@@ -459,15 +458,14 @@ class TestCostProtocols:
         box, running sums and the resync counter. The generators may be
         one or two; a ``random.Random`` subclass takes the generic body,
         with the same result. Moves may touch a ``movable`` subset."""
-        p_rotate = 0.5 if allow_rotation else 0.0
         movable = movable_subset(layout, mask)
         run, ev, rngs = bound_rounds(
-            layout, AreaCost(pull_weight=pull_weight), p_rotate, seed, resync_every,
+            layout, AreaCost(pull_weight=pull_weight), seed, resync_every,
             kind, movable,
         )
         assert is_compiled(run) == (kind != "subclass")
         ref_run, ref, ref_rngs = bound_rounds(
-            layout, GenericAreaCost(pull_weight=pull_weight), p_rotate, seed,
+            layout, GenericAreaCost(pull_weight=pull_weight), seed,
             resync_every, "distinct" if kind == "distinct" else "shared", movable,
         )
         assert not is_compiled(ref_run)
@@ -770,11 +768,9 @@ def test_incremental_tracks_full_recompute(modules, moves, movable_mask, faults,
         ev.apply(move)
         running = cost.current(ev)
 
-    # Phase 2: kernel proposals (swaps with rotation forced on).
+    # Phase 2: kernel proposals (swaps half the time).
     window = ControllingWindow(initial_temp=100.0, max_span=16)
-    mover = MoveGenerator(
-        window=window, p_single=0.5, p_rotate=1.0, movable=movable, seed=seed
-    )
+    mover = MoveGenerator(window=window, p_single=0.5, movable=movable, seed=seed)
     propose = mover.bind(ev)
     indices = {ev.index[op] for op in movable}
     for _ in range(20):
@@ -795,13 +791,13 @@ def test_incremental_tracks_full_recompute(modules, moves, movable_mask, faults,
 # ---------------------------------------------------------------------------
 
 
-def anneal(layout, cost, params, p_rotate, seed, resync_every, kind="shared", movable=None):
+def anneal(layout, cost, params, seed, resync_every, kind="shared", movable=None):
     """One anneal as ``SimulatedAnnealingPlacer`` runs it, the engine
     and the move generator drawing from the ``streams(kind, seed)``
     generators (one shared stream by default, as the placer runs them)."""
     mover_rng, accept_rng = streams(kind, seed)
     window = params.make_window(max_span=CORE)
-    mover = MoveGenerator(window=window, p_rotate=p_rotate, seed=mover_rng, movable=movable)
+    mover = MoveGenerator(window=window, seed=mover_rng, movable=movable)
     engine = SimulatedAnnealing(params, window=window, seed=accept_rng)
     evaluator = IncrementalCostEvaluator(
         build_placement(layout, core=CORE), resync_every=resync_every
@@ -848,7 +844,6 @@ def pin_of(best, stats, rngs) -> tuple:
 @settings(max_examples=60, deadline=None)
 @given(
     layout=layouts(),
-    allow_rotation=st.booleans(),
     pull_weight=st.sampled_from([0.0, 0.05]),
     initial_temp=st.sampled_from([0.3, 20.0, 3000.0]),
     resync_every=st.sampled_from([1, 7, 2048]),
@@ -857,7 +852,7 @@ def pin_of(best, stats, rngs) -> tuple:
     mask=st.lists(st.booleans(), min_size=1, max_size=5),
 )
 def test_fused_anneal_matches_generic_body(
-    layout, allow_rotation, pull_weight, initial_temp, resync_every, seed, kind, mask
+    layout, pull_weight, initial_temp, resync_every, seed, kind, mask
 ):
     """The same anneal through the compiled round and the generic body:
     identical best rows, history, counters, stop reason and final
@@ -865,15 +860,14 @@ def test_fused_anneal_matches_generic_body(
     On a ``random.Random`` subclass the ``AreaCost`` anneal takes the
     generic body, with the same result."""
     params = short_schedule(initial_temp)
-    p_rotate = 0.5 if allow_rotation else 0.0
     movable = movable_subset(layout, mask)
     ref_kind = "distinct" if kind == "distinct" else "shared"
     subject = anneal(
-        layout, AreaCost(pull_weight=pull_weight), params, p_rotate, seed,
+        layout, AreaCost(pull_weight=pull_weight), params, seed,
         resync_every, kind, movable,
     )
     reference = anneal(
-        layout, GenericAreaCost(pull_weight=pull_weight), params, p_rotate, seed,
+        layout, GenericAreaCost(pull_weight=pull_weight), params, seed,
         resync_every, ref_kind, movable,
     )
     assert pin_of(*subject) == pin_of(*reference)

@@ -18,6 +18,9 @@ from repro.placement.annealer import AnnealingParams
 from repro.placement.chip import Chip
 from repro.placement.initial import constructive_initial_placement
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
+from repro.pipeline.context import SynthesisContext
+from repro.pipeline.pipeline import Pipeline
+from repro.pipeline.stages import BindStage, PlaceStage, ScheduleStage
 from repro.placement.window import ControllingWindow
 from repro.sim.engine import BiochipSimulator
 from repro.synthesis.flow import SynthesisFlow
@@ -71,14 +74,17 @@ class TestFlowOverRandomAssays:
         assert result.fti is not None and 0.0 <= result.fti <= 1.0
 
     def test_flow_without_fti(self):
+        # The place stage skips the FTI report on request, as the routing
+        # benchmark builds it; the placement and chip are still made.
         graph = random_assay(operations=6, seed=9)
-        flow = SynthesisFlow(
-            placer=SimulatedAnnealingPlacer(params=AnnealingParams.fast(), seed=1),
-            compute_fti_report=False,
+        placer = SimulatedAnnealingPlacer(params=AnnealingParams.fast(), seed=1)
+        pipeline = Pipeline(
+            [BindStage(), ScheduleStage(), PlaceStage(placer, compute_fti_report=False)]
         )
-        result = flow.run(graph)
-        assert result.fti is None
-        assert result.fti_report is None
+        context = pipeline.run(SynthesisContext(graph=graph))
+        assert context.fti_report is None
+        context.placement_result.placement.validate()
+        assert context.chip is not None
 
 
 class TestSimulatorContracts:

@@ -1,15 +1,23 @@
 """Tests for bottom-left placement, greedy baseline, SA and two-stage
 placers on the PCR case study."""
 
+import math
+from dataclasses import replace
+
 import pytest
 
 from repro.modules.library import MIXER_2X2, MIXER_2X4, MIXER_LINEAR_1X4
 from repro.placement.annealer import AnnealingParams
+from repro.placement import greedy
 from repro.placement.greedy import GreedyPlacer, build_placed_modules
 from repro.placement.initial import constructive_initial_placement
 from repro.placement.legalize import first_feasible_position, repair_overlaps
 from repro.placement.model import PlacedModule, Placement
-from repro.placement.sa_placer import SimulatedAnnealingPlacer, default_core_side
+from repro.placement.sa_placer import (
+    CORE_DEMAND_SLACK,
+    SimulatedAnnealingPlacer,
+    default_core_side,
+)
 from repro.util.errors import PlacementError
 
 
@@ -110,10 +118,10 @@ class TestGreedyPlacer:
         again = GreedyPlacer().place(pcr.schedule, pcr.binding)
         assert again.area_cells == greedy_result.area_cells
 
-    def test_core_too_small_raises(self, pcr):
-        tiny = GreedyPlacer(core_width=5, core_height=5)
-        with pytest.raises(PlacementError):
-            tiny.place(pcr.schedule, pcr.binding)
+    def test_core_too_small_raises(self, pcr, monkeypatch):
+        monkeypatch.setattr(greedy, "CORE_SIDE", 5)
+        with pytest.raises(PlacementError, match="5x5 core"):
+            GreedyPlacer().place(pcr.schedule, pcr.binding)
 
 
 class TestBuildPlacedModules:
@@ -146,9 +154,12 @@ class TestDefaultCoreSide:
         assert side >= max_dim
 
     def test_scales_with_peak_demand(self, pcr_modules):
-        loose = default_core_side(pcr_modules, slack=4.0)
-        tight = default_core_side(pcr_modules, slack=1.0)
-        assert loose > tight
+        # Every module live at once: the peak is the whole cell demand.
+        crowd = [replace(m, start=0.0, stop=1.0) for m in pcr_modules]
+        demand = sum(m.spec.footprint_area for m in crowd)
+        side = default_core_side(crowd)
+        assert side == math.ceil(math.sqrt(CORE_DEMAND_SLACK * demand))
+        assert side > default_core_side(pcr_modules)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -190,13 +201,6 @@ class TestSAPlacer:
         result = placer.place(pcr.schedule, pcr.binding)
         result.placement.validate()
 
-    def test_no_rotation_mode(self, pcr):
-        placer = SimulatedAnnealingPlacer(
-            params=AnnealingParams.fast(), allow_rotation=False, seed=4
-        )
-        result = placer.place(pcr.schedule, pcr.binding)
-        assert all(not m.rotated for m in result.placement)
-
 
 class TestTwoStagePlacer:
     def test_stage2_feasible(self, two_stage_result):
@@ -216,8 +220,3 @@ class TestTwoStagePlacer:
         assert r.area_increase_pct == pytest.approx(
             100 * (r.stage2.area_mm2 / r.stage1.area_mm2 - 1)
         )
-
-    def test_invalid_expansion(self):
-        from repro.placement.two_stage import TwoStagePlacer
-        with pytest.raises(ValueError):
-            TwoStagePlacer(expansion=0.5)

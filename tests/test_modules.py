@@ -56,18 +56,11 @@ class TestModuleSpecGeometry:
         w, h = MIXER_LINEAR_1X4.dims()
         assert MIXER_LINEAR_1X4.dims(rotated=True) == (h, w)
 
-    def test_zero_segregation(self):
-        spec = ModuleSpec("bare", ModuleKind.DETECTOR, 1, 1, 5.0, segregation=0)
-        assert spec.footprint_area == 1
-        assert spec.functional_at(3, 3) == spec.footprint_at(3, 3)
-
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
             ModuleSpec("bad", ModuleKind.MIXER, 0, 2, 5.0)
         with pytest.raises(ValueError):
             ModuleSpec("bad", ModuleKind.MIXER, 2, 2, 0.0)
-        with pytest.raises(ValueError):
-            ModuleSpec("bad", ModuleKind.MIXER, 2, 2, 5.0, segregation=-1)
 
 
 class TestMixingTimes:

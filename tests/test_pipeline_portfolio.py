@@ -150,9 +150,6 @@ class TestObjectives:
         with pytest.raises(PipelineError, match="route=True"):
             run_portfolio(fast_spec(route=False), n=8, seed=1,
                           objective="route-steps")
-        with pytest.raises(PipelineError, match="compute_fti_report"):
-            run_portfolio(fast_spec(compute_fti_report=False), n=8, seed=1,
-                          objective="fti")
 
     def test_fti_objective_maximizes(self):
         portfolio = run_portfolio(fast_spec(), n=3, seed=11, objective="fti", jobs=1)

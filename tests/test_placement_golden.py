@@ -32,7 +32,7 @@ import pytest
 from repro.assay.catalog import BUNDLED_ASSAYS, build_assay, is_generator_spec
 from repro.fault.fti import compute_fti
 from repro.pipeline.context import SynthesisContext
-from repro.pipeline.pipeline import build_default_pipeline
+from repro.pipeline.stages import BindStage, PlaceStage, ScheduleStage
 from repro.placement.annealer import AnnealingParams
 from repro.placement.greedy import build_placed_modules
 from repro.placement.initial import constructive_initial_placement
@@ -68,13 +68,13 @@ def placer_seeds(design: str) -> tuple[int, ...]:
 def synthesized(design: str, seed: int) -> SynthesisContext:
     """Bound, scheduled and (fast preset) placed, without routing."""
     graph, binding = build_assay(design)
-    pipeline = build_default_pipeline(
-        placer=SimulatedAnnealingPlacer(params=AnnealingParams.fast(), seed=seed),
-        max_parked=2 if is_generator_spec(design) else None,
-        compute_fti_report=False,
-    )
     context = SynthesisContext(graph=graph, explicit_binding=binding)
-    pipeline.run(context)
+    BindStage().run(context)
+    ScheduleStage(max_parked=2 if is_generator_spec(design) else None).run(context)
+    PlaceStage(
+        placer=SimulatedAnnealingPlacer(params=AnnealingParams.fast(), seed=seed),
+        compute_fti_report=False,
+    ).run(context)
     return context
 
 

@@ -17,7 +17,7 @@ from oracles import FullRecomputeMoves
 from repro.modules.library import MIXER_2X2, MIXER_2X4, MIXER_LINEAR_1X4
 from repro.placement.incremental import IncrementalCostEvaluator
 from repro.placement.model import PlacedModule, Placement
-from repro.placement.moves import MoveGenerator
+from repro.placement.moves import P_ROTATE, MoveGenerator
 from repro.placement.window import ControllingWindow
 
 
@@ -63,8 +63,6 @@ class TestControllingWindow:
             ControllingWindow(initial_temp=0, max_span=5)
         with pytest.raises(ValueError):
             ControllingWindow(initial_temp=10, max_span=0)
-        with pytest.raises(ValueError):
-            ControllingWindow(initial_temp=10, max_span=5, min_span=6)
         with pytest.raises(ValueError):
             ControllingWindow(initial_temp=10, max_span=5, gamma=0)
 
@@ -116,7 +114,7 @@ class TestMoveGenerator:
 
     def test_pair_interchange_occurs(self):
         p = three_module_placement()
-        mover = self.make_mover(p_single=0.0, p_rotate=0.0)
+        mover = self.make_mover(p_single=0.0)
         swapped = False
         for _ in range(50):
             q = mover.propose(p, 1000)
@@ -131,7 +129,7 @@ class TestMoveGenerator:
 
     def test_rotation_happens_for_rectangular_modules(self):
         p = three_module_placement()
-        mover = self.make_mover(p_single=1.0, p_rotate=1.0)
+        mover = self.make_mover(p_single=1.0)
         rotated_seen = False
         for _ in range(100):
             q = mover.propose(p, 500)
@@ -144,16 +142,20 @@ class TestMoveGenerator:
         p = Placement(10, 10)
         p.add(pm("a"))
         p.add(pm("b", x=6, y=6))
-        mover = self.make_mover(p_rotate=1.0)
+        mover = self.make_mover()
         for _ in range(100):
             q = mover.propose(p, 500)
             assert all(not m.rotated for m in q)
             p = q
 
     def test_displacement_bounded_by_window(self):
-        p = three_module_placement()
-        window = ControllingWindow(initial_temp=1000, max_span=2, min_span=1)
-        mover = FullRecomputeMoves(window=window, p_single=1.0, p_rotate=0.0, seed=3)
+        # Square modules: a re-orientation's clamp never adds to the jump.
+        p = Placement(14, 14)
+        p.add(pm("a", x=1, y=1))
+        p.add(pm("b", x=7, y=1, start=0, stop=5))
+        p.add(pm("c", x=1, y=8, start=10, stop=13))
+        window = ControllingWindow(initial_temp=1000, max_span=2)
+        mover = FullRecomputeMoves(window=window, p_single=1.0, seed=3)
         for _ in range(200):
             q = mover.propose(p, 1000)  # span = 2 at T0
             for m in q:
@@ -176,8 +178,6 @@ class TestMoveGenerator:
         window = ControllingWindow(initial_temp=100, max_span=4)
         with pytest.raises(ValueError):
             MoveGenerator(window=window, p_single=1.5)
-        with pytest.raises(ValueError):
-            MoveGenerator(window=window, p_rotate=-0.1)
 
     def test_deterministic_with_seed(self):
         p = three_module_placement()
@@ -257,7 +257,6 @@ def kernel_cases(draw):
         square=[w == h for w, h in shapes], spans=spans,
         seed=draw(st.integers(0, 2**32)),
         p_single=draw(st.sampled_from([0.0, 0.3, 0.8, 1.0])),
-        p_rotate=draw(st.sampled_from([0.0, 0.5, 1.0])),
         single_only=draw(st.booleans()),
     )
 
@@ -280,13 +279,13 @@ class TestKernelDraws:
         mine = {k: list(case[k]) for k in ("x1", "y1", "rot")}
         theirs = {k: list(case[k]) for k in ("x1", "y1", "rot")}
         static = (case["dims"], case["square"], case["core_w"], case["core_h"])
-        options = dict(p_single=case["p_single"], p_rotate=case["p_rotate"],
-                       single_only=case["single_only"])
+        options = dict(p_single=case["p_single"], single_only=case["single_only"])
         kernel = MoveGenerator(window=window, seed=rng, **options)._kernel(
             range(len(case["x1"])), mine["x1"], mine["y1"], mine["rot"], *static
         )
         reference = convenience_kernel(
-            twin, theirs["x1"], theirs["y1"], theirs["rot"], *static, **options
+            twin, theirs["x1"], theirs["y1"], theirs["rot"], *static,
+            p_rotate=P_ROTATE, **options
         )
         spans = case["spans"]
         for step in range(PROPOSALS):

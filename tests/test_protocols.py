@@ -87,22 +87,16 @@ class TestSerialDilution:
         assert g.operation("DIL1").params["ratio"] == pytest.approx(0.5)
         assert g.operation("DIL3").params["ratio"] == pytest.approx(0.125)
 
-    def test_storage_toggle(self):
-        with_storage = build_serial_dilution_graph(2, with_storage=True)
-        without = build_serial_dilution_graph(2, with_storage=False)
-        assert any(op.type is OperationType.STORE for op in with_storage)
-        assert not any(op.type is OperationType.STORE for op in without)
-
-    def test_detection_toggle(self):
-        g = build_serial_dilution_graph(2, with_detection=True)
-        assert sum(1 for op in g if op.type is OperationType.DETECT) == 2
+    def test_every_rung_stores_its_aliquot(self):
+        g = build_serial_dilution_graph(2)
+        assert sum(1 for op in g if op.type is OperationType.STORE) == 2
 
     def test_invalid_depth(self):
         with pytest.raises(ValueError):
             build_serial_dilution_graph(0)
 
     def test_graph_validates(self):
-        build_serial_dilution_graph(5, with_detection=True).validate()
+        build_serial_dilution_graph(5).validate()
 
 
 class TestMultiplexedDiagnostics:
@@ -118,8 +112,8 @@ class TestMultiplexedDiagnostics:
         assert g.predecessors("DET-sample1-reagent1") == ["MIX-sample1-reagent1"]
 
     def test_requested_mixer_hint(self):
-        g = build_multiplexed_diagnostics_graph(1, 1, mixer="mixer-2x4")
-        assert g.operation("MIX-sample1-reagent1").hardware == "mixer-2x4"
+        g = build_multiplexed_diagnostics_graph(1, 1)
+        assert g.operation("MIX-sample1-reagent1").hardware == "mixer-2x3"
 
     def test_invalid_grid(self):
         with pytest.raises(ValueError):

@@ -27,12 +27,11 @@ class TestAffectedModules:
         assert [m.op_id for m in r.affected_modules(p, [Point(2, 2)])] == ["a"]
         assert r.affected_modules(p, [Point(9, 9)]) == []
 
-    def test_at_time_filters(self):
+    def test_every_module_that_ever_touches_the_cell(self):
         p = Placement(10, 10)
         p.add(pm("a", x=1, y=1, start=0, stop=10))
         p.add(pm("b", x=1, y=1, start=10, stop=20))
         r = PartialReconfigurer()
-        assert [m.op_id for m in r.affected_modules(p, [Point(1, 1)], at_time=5)] == ["a"]
         both = r.affected_modules(p, [Point(1, 1)])
         assert {m.op_id for m in both} == {"a", "b"}
 
@@ -100,7 +99,7 @@ class TestRelocation:
             nearest = min(
                 Relocation("a", a, site).distance for site in feasible
             )
-            _, plan = PartialReconfigurer().apply(p, fault, at_time=6.0)
+            _, plan = PartialReconfigurer().apply(p, fault)
             assert plan.moved_ops == ("a",)
             assert plan.total_migration_distance == nearest
 
@@ -154,18 +153,20 @@ class TestAgreementWithFTI:
         assert survived == report.is_covered((x, y))
 
 
-def bare(w: int, h: int) -> ModuleSpec:
-    """A ring-free ``w x h`` footprint (small enough for thin arrays)."""
-    return ModuleSpec(f"bare-{w}x{h}", ModuleKind.DETECTOR, w, h, 5.0, segregation=0)
+def detector(w: int, h: int) -> ModuleSpec:
+    """A ``w x h`` footprint (w, h >= 3): a ``(w-2) x (h-2)`` functional
+    region in its one-cell segregation ring."""
+    return ModuleSpec(f"det-{w}x{h}", ModuleKind.DETECTOR, w - 2, h - 2, 5.0)
 
 
 specs = st.one_of(
     st.sampled_from([MIXER_2X2, MIXER_LINEAR_1X4, STORAGE_1X1]),
-    st.builds(bare, st.integers(1, 6), st.integers(1, 6)),
+    st.builds(detector, st.integers(3, 8), st.integers(3, 8)),
 )
+# Arrays as thin as the thinnest footprint, three cells.
 arrays = st.one_of(
-    st.tuples(st.just(1), st.integers(1, 40)),
-    st.tuples(st.integers(1, 40), st.just(1)),
+    st.tuples(st.just(3), st.integers(1, 40)),
+    st.tuples(st.integers(1, 40), st.just(3)),
     st.tuples(st.integers(1, 40), st.integers(1, 40)),
 )
 
@@ -241,29 +242,30 @@ class TestFindTargetParity:
         assert relocated(reference_find_target, p, p.get("a"), fault) == message
 
     def test_off_core_fault_blocks_nothing(self):
-        # Cell (5, 1) is off a 3-wide core; unclipped, its bit would be
-        # the next row's first cell, (1, 2), the site that wins here.
-        p = Placement(3, 3)
-        p.add(PlacedModule("o", bare(1, 1), x=2, y=1, start=0.0, stop=10.0))
-        p.add(PlacedModule("a", bare(1, 1), x=2, y=2, start=0.0, stop=10.0))
+        # Cell (12, 3) is off a 9-wide core; unclipped, its bit would be
+        # the next row's second cell, (2, 4), the origin of the site that
+        # wins here (with (2, 4) dead, (6, 4) would).
+        p = Placement(9, 9)
+        p.add(PlacedModule("o", detector(3, 3), x=4, y=1, start=0.0, stop=10.0))
+        p.add(PlacedModule("a", detector(3, 3), x=4, y=4, start=0.0, stop=10.0))
         for find in (PartialReconfigurer().find_target, reference_find_target):
-            new = find(p, p.get("a"), [Point(2, 2), Point(5, 1)])
-            assert (new.x, new.y) == (1, 2)
+            new = find(p, p.get("a"), [Point(5, 5), Point(12, 3)])
+            assert (new.x, new.y) == (2, 4)
 
     def test_native_orientation_wins_a_distance_tie(self):
-        # A vertical 1x3 on a 3x3 array, faulty at its foot: the native
+        # A vertical 3x5 on a 5x5 array, faulty at its foot: the native
         # site (2, 1) and the rotated site (1, 2) are both one step away.
-        p = Placement(3, 3)
-        p.add(PlacedModule("a", bare(1, 3), x=1, y=1, start=0.0, stop=10.0))
+        p = Placement(5, 5)
+        p.add(PlacedModule("a", detector(3, 5), x=1, y=1, start=0.0, stop=10.0))
         for find in (PartialReconfigurer().find_target, reference_find_target):
             new = find(p, p.get("a"), [Point(1, 1)])
             assert (new.x, new.y, new.rotated) == (2, 1, False)
 
     def test_rotation_wins_when_nearer(self):
-        # Faulty at its middle: every native site needs another column,
-        # while the rotated module keeps the old origin.
-        p = Placement(3, 3)
-        p.add(PlacedModule("a", bare(1, 3), x=1, y=1, start=0.0, stop=10.0))
+        # Faulty in its upper half: every native site needs another
+        # column, while the rotated module keeps the old origin.
+        p = Placement(5, 5)
+        p.add(PlacedModule("a", detector(3, 5), x=1, y=1, start=0.0, stop=10.0))
         for find in (PartialReconfigurer().find_target, reference_find_target):
-            new = find(p, p.get("a"), [Point(1, 2)])
+            new = find(p, p.get("a"), [Point(2, 4)])
             assert (new.x, new.y, new.rotated) == (1, 1, True)

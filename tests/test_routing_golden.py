@@ -103,7 +103,8 @@ def plan_digest(plan) -> str:
             epoch.time_s,
             epoch.step_offset,
             tuple(
-                (_net(rn.net), rn.start_step, tuple(tuple(c) for c in rn.cells))
+                # Every route departs at its epoch's step 0.
+                (_net(rn.net), 0, tuple(tuple(c) for c in rn.cells))
                 for rn in epoch.nets
             ),
             tuple(_net(n) for n in epoch.failed),

@@ -50,7 +50,6 @@ class TestRoutedNet:
         assert rn.latency == 3
         assert rn.moves == 2
         assert rn.waits == 1
-        assert rn.arrival_step == 3
 
     def test_position_clamps_to_lifetime(self):
         rn = straight("n", 1, 1, 3)

@@ -11,7 +11,13 @@ from oracles import DropletRouter, reference_nearest_safe_cell
 
 from repro.geometry import Point, Rect
 from repro.sim.droplet import Droplet
-from repro.sim.electrowetting import ElectrowettingModel
+from repro.sim.electrowetting import (
+    SATURATION_V,
+    THRESHOLD_V,
+    step_time_s,
+    transport_time_s,
+    velocity_cm_s,
+)
 from repro.sim.engine import _nearest_safe_cell
 from repro.sim.fastgrid import PackedDropletRouter
 from repro.util.errors import RoutingError
@@ -19,53 +25,40 @@ from repro.util.errors import RoutingError
 
 class TestElectrowettingModel:
     def test_below_threshold_no_motion(self):
-        m = ElectrowettingModel()
-        assert m.velocity_cm_s(0) == 0.0
-        assert m.velocity_cm_s(12.0) == 0.0
+        assert velocity_cm_s(0) == 0.0
+        assert velocity_cm_s(12.0) == 0.0
 
     def test_saturation_velocity(self):
-        m = ElectrowettingModel()
         # Paper Section 2: up to 20 cm/s at the top of the 0-90 V range.
-        assert m.velocity_cm_s(90.0) == pytest.approx(20.0)
-        assert m.velocity_cm_s(200.0) == pytest.approx(20.0)  # clamped
+        assert velocity_cm_s(90.0) == pytest.approx(20.0)
+        assert velocity_cm_s(200.0) == pytest.approx(20.0)  # clamped
 
     def test_velocity_monotone_in_voltage(self):
-        m = ElectrowettingModel()
-        vels = [m.velocity_cm_s(v) for v in range(0, 95, 5)]
+        vels = [velocity_cm_s(v) for v in range(0, 95, 5)]
         assert vels == sorted(vels)
 
     def test_quadratic_shape(self):
-        m = ElectrowettingModel()
-        mid = (m.threshold_v + m.saturation_v) / 2
+        mid = (THRESHOLD_V + SATURATION_V) / 2
         # Halfway up the drive range gives a quarter of max velocity.
-        assert m.velocity_cm_s(mid) == pytest.approx(5.0)
+        assert velocity_cm_s(mid) == pytest.approx(5.0)
 
     def test_step_time(self):
-        m = ElectrowettingModel()
         # 1.5 mm pitch at 20 cm/s -> 7.5 ms per cell.
-        assert m.step_time_s(90.0) == pytest.approx(0.0075)
+        assert step_time_s(90.0) == pytest.approx(0.0075)
 
     def test_step_time_below_threshold_raises(self):
         with pytest.raises(ValueError, match="threshold"):
-            ElectrowettingModel().step_time_s(5.0)
+            step_time_s(5.0)
 
     def test_transport_time_scales_linearly(self):
-        m = ElectrowettingModel()
-        assert m.transport_time_s(10) == pytest.approx(10 * m.step_time_s(65.0))
-        assert m.transport_time_s(0) == 0.0
+        assert transport_time_s(10) == pytest.approx(10 * step_time_s(65.0))
+        assert transport_time_s(0) == 0.0
 
     def test_negative_inputs_rejected(self):
-        m = ElectrowettingModel()
         with pytest.raises(ValueError):
-            m.velocity_cm_s(-1)
+            velocity_cm_s(-1)
         with pytest.raises(ValueError):
-            m.transport_time_s(-1)
-
-    def test_invalid_model_params(self):
-        with pytest.raises(ValueError):
-            ElectrowettingModel(threshold_v=100.0, saturation_v=90.0)
-        with pytest.raises(ValueError):
-            ElectrowettingModel(max_velocity_cm_s=0)
+            transport_time_s(-1)
 
 
 class TestDroplet:

@@ -67,8 +67,8 @@ class TestFlowWithTwoStage:
         assert result.fti is not None
 
     def test_flow_binding_strategy_without_explicit(self):
-        # A hint-free graph: strategy decides. (PCR's own operations
-        # carry Table 1 hardware hints, which outrank the strategy.)
+        # A hint-free graph: the binder's strategy decides. (PCR's own
+        # operations carry Table 1 hardware hints, which outrank it.)
         from repro.assay.graph import SequencingGraph
         from repro.assay.operations import Operation, OperationType
 
@@ -80,23 +80,24 @@ class TestFlowWithTwoStage:
 
         flow = SynthesisFlow(
             placer=SimulatedAnnealingPlacer(params=AnnealingParams.fast(), seed=1),
-            binding_strategy="smallest",
             max_concurrent_ops=3,
         )
         result = flow.run(g)
-        # "smallest" binds every mix to the 2x2 mixer (16 cells).
+        # The flow binds by the fastest module: every mix on the 2x4 mixer.
         for _, spec in result.binding.items():
-            assert spec.name == "mixer-2x2"
+            assert spec.name == "mixer-2x4"
 
     def test_flow_honors_hardware_hints_over_strategy(self):
         flow = SynthesisFlow(
             placer=SimulatedAnnealingPlacer(params=AnnealingParams.fast(), seed=1),
-            binding_strategy="smallest",
             max_concurrent_ops=3,
         )
         result = flow.run(build_pcr_mixing_graph())
-        # Operation hints (Table 1) outrank the strategy default.
-        assert result.binding.spec_for("M7").name == "mixer-2x4"
+        # Operation hints (Table 1) outrank the fastest-module default:
+        # every PCR mix binds to its table entry, not all to the 2x4 mixer.
+        for op_id, hardware in PCR_BINDING.items():
+            assert result.binding.spec_for(op_id).name == hardware
+        assert result.binding.spec_for("M1").name == "mixer-2x2"
 
 
 class TestFlowRngThreading:

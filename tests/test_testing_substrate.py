@@ -33,9 +33,6 @@ class TestSnakePath:
     def test_starts_bottom_left(self):
         assert snake_path(4, 4)[0] == Point(1, 1)
 
-    def test_top_start_variant(self):
-        assert snake_path(4, 4, start_bottom_left=False)[0] == Point(1, 4)
-
     def test_single_cell(self):
         assert snake_path(1, 1) == [Point(1, 1)]
 

@@ -27,18 +27,14 @@ class TestCriticality:
 
     def test_criticality_matches_mer_reference(self, analyzer, sa_result):
         """Per-module stuck cells agree with the paper's per-cell MER
-        procedure, on the bounding array and on one with spare rows and
-        columns."""
-        placement = sa_result.placement
-        w, h = placement.array_dims()
-        for dims in ((None, None), (w + 2, h + 2)):
-            analyzed = analyzer._on_array(placement, *dims)
-            reference = reference_fti(
-                analyzed, "mer", analyzed.core_width, analyzed.core_height
-            )
-            for crit in analyzer.criticality(placement, *dims):
-                stuck = reference.per_module[crit.op_id].stuck_cells
-                assert crit.stuck_cells == len(stuck)
+        procedure on the bounding array."""
+        analyzed = sa_result.placement.normalized()
+        reference = reference_fti(
+            analyzed, "mer", analyzed.core_width, analyzed.core_height
+        )
+        for crit in analyzer.criticality(sa_result.placement):
+            stuck = reference.per_module[crit.op_id].stuck_cells
+            assert crit.stuck_cells == len(stuck)
 
     def test_sorted_most_critical_first(self, analyzer, sa_result):
         crits = analyzer.criticality(sa_result.placement)
@@ -49,15 +45,11 @@ class TestCriticality:
         for crit in analyzer.criticality(sa_result.placement):
             assert 0.0 <= crit.stuck_fraction <= 1.0
 
-    def test_fully_relocatable_module_zero_criticality(self, analyzer):
-        # On the full 8x8 manufactured array the 4x4 mixer can always
-        # relocate; on its own 4x4 bounding array it never can.
+    def test_module_filling_its_array_is_all_stuck(self, analyzer):
+        # On its own 4x4 bounding array the 4x4 mixer can never relocate.
         p = Placement(8, 8)
         p.add(pm("a"))
-        on_chip = analyzer.criticality(p, width=8, height=8)
-        assert on_chip[0].stuck_cells == 0
-        on_bbox = analyzer.criticality(p)
-        assert on_bbox[0].stuck_cells == 16
+        assert analyzer.criticality(p)[0].stuck_cells == 16
 
 
 class TestSpareStatistics:
@@ -106,12 +98,14 @@ class TestMultiFault:
         assert result.survival_probability(1) == 0.0
 
     def test_storage_on_big_array_survives_many(self, analyzer):
+        # A later store in the far corner spans the bounding array to 8x8.
         p = Placement(8, 8)
         p.add(pm("a", spec=STORAGE_1X1))
+        p.add(pm("b", spec=STORAGE_1X1, x=6, y=6, start=10.0, stop=20.0))
         result = analyzer.multi_fault_survival(
-            p, trials=10, max_faults=5, seed=3, width=8, height=8
+            p, trials=10, max_faults=5, seed=3
         )
-        # A 3x3 store on an 8x8 array dodges several faults easily.
+        # Each 3x3 store on an 8x8 array dodges several faults easily.
         assert result.mean_faults_to_failure >= 2.0
 
     def test_survival_probability_monotone_in_k(self, analyzer, sa_result):
