@@ -118,9 +118,7 @@ def test_recovery_success_vs_offline_baseline(assay):
     checkpoint = engine.checkpoint_of(result, fault_time)
     cell = pick_fault_cell(result, checkpoint, "pending-module", rng=TARGET_SEED)
 
-    outcome = engine.recover(
-        result, [cell], fault_time, seed=TARGET_SEED, checkpoint=checkpoint
-    )
+    outcome = engine.recover(result, [cell], fault_time, seed=TARGET_SEED)
     offline = _offline_baseline_recovers(assay, cell)
     closed = ClosedLoopController(
         engine=OnlineRecoveryEngine(annealing=AnnealingParams.fast()),
@@ -219,9 +217,7 @@ def test_suffix_reroute_beats_full_reroute(report, bench_json):
         cell = pick_fault_cell(
             result, checkpoint, "pending-module", rng=TARGET_SEED
         )
-        outcome = engine.recover(
-            result, [cell], fault_time, seed=TARGET_SEED, checkpoint=checkpoint
-        )
+        outcome = engine.recover(result, [cell], fault_time, seed=TARGET_SEED)
         assert outcome.recovered, f"tree16 @{fraction:.0%}: {outcome.reason}"
         placement = outcome.placement
         best_suffix = best_full = float("inf")
@@ -302,8 +298,7 @@ def test_relocate_beats_replace(report, bench_json):
         for _ in range(REPS):
             for rung in ("relocate", "replace"):
                 outcome = engine.recover(
-                    result, [cell], fault_time, seed=TARGET_SEED,
-                    checkpoint=checkpoint, rung=rung,
+                    result, [cell], fault_time, seed=TARGET_SEED, rung=rung
                 )
                 if rung not in best or outcome.recovery_s < best[rung][0]:
                     best[rung] = (outcome.recovery_s, outcome)

@@ -190,11 +190,9 @@ class SimulatedAnnealing:
     def __init__(
         self,
         params: AnnealingParams | None = None,
-        window: ControllingWindow | None = None,
         seed: int | random.Random | None = None,
     ) -> None:
         self.params = params if params is not None else AnnealingParams()
-        self.window = window
         self._rng = ensure_rng(seed)
 
     def optimize_incremental(
@@ -229,7 +227,8 @@ class SimulatedAnnealing:
         stats.initial_cost = current_cost
 
         run = _bind_round(evaluator, cost, mover, self._rng)
-        span_at = mover.window.span
+        window = mover.window
+        span_at = window.span
         acceptances = improvements = 0
 
         temperature = p.initial_temp
@@ -265,7 +264,7 @@ class SimulatedAnnealing:
                 stats.history.append((temperature, current_cost, best_cost))
 
             temperature, frozen_streak, keep_going = self._advance(
-                stats, temperature, frozen_streak
+                stats, window, temperature, frozen_streak
             )
             if not keep_going:
                 break
@@ -277,20 +276,25 @@ class SimulatedAnnealing:
         return evaluator.placement_of(best), stats
 
     def _advance(
-        self, stats: AnnealingStats, temperature: float, frozen_streak: int
+        self,
+        stats: AnnealingStats,
+        window: ControllingWindow,
+        temperature: float,
+        frozen_streak: int,
     ) -> tuple[float, int, bool]:
-        """Shared cooling/stop logic: ``(temperature, streak, keep_going)``.
+        """Shared cooling/stop logic: ``(temperature, streak, keep_going)``,
+        the window-frozen stop read off the mover's *window*.
 
         A ``min-temp`` stop returns the *cooled* temperature (it is what
         tripped the floor); the other stop reasons return it uncooled —
         matching what ``stats.final_temp`` has always reported.
         """
         p = self.params
-        if self.window is not None and self.window.is_frozen(temperature):
+        if window.is_frozen(temperature):
             frozen_streak += 1
         else:
             frozen_streak = 0
-        if self.window is not None and frozen_streak >= p.freeze_rounds:
+        if frozen_streak >= p.freeze_rounds:
             stats.stop_reason = "window-frozen"
             return temperature, frozen_streak, False
         if p.max_rounds is not None and stats.rounds >= p.max_rounds:

@@ -175,7 +175,7 @@ class SimulatedAnnealingPlacer:
             p_single=self.p_single,
             seed=self._rng,
         )
-        engine = SimulatedAnnealing(self.params, window=window, seed=self._rng)
+        engine = SimulatedAnnealing(self.params, seed=self._rng)
         inner = self.params.iterations_per_module * len(modules)
         t_anneal = time.perf_counter()
         best, stats = self._anneal(engine, mover, initial, inner)

@@ -173,7 +173,7 @@ class TwoStagePlacer:
             single_only=True,  # paper: only single-module displacement in LTSA
             seed=self._rng,
         )
-        engine = SimulatedAnnealing(self.stage2_params, window=window, seed=self._rng)
+        engine = SimulatedAnnealing(self.stage2_params, seed=self._rng)
         inner = self.stage2_params.iterations_per_module * len(start)
         t_anneal = time.perf_counter()
         best, stats = engine.optimize_incremental(

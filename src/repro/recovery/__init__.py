@@ -4,7 +4,8 @@ re-synthesis of the not-yet-started suffix, and closed-loop detection.
 This package composes the prior subsystems into the paper's actual
 story — a chip that keeps executing after a cell dies mid-run:
 
-* :class:`OnlineRecoveryEngine` — checkpoint the live state, warm-start
+* :class:`OnlineRecoveryEngine` — cut the live state at the fault
+  instant from the nominal execution's memoized report, warm-start
   re-place the pending modules around the frozen in-flight ones,
   re-route only the suffix epochs against the new fault mask, and
   resume the simulator; :data:`RECOVERY_RUNGS` names its
@@ -20,7 +21,8 @@ story — a chip that keeps executing after a cell dies mid-run:
   on the campaign engine
   (:func:`repro.workload.campaign.recovery_sweep_preset`).
 * :class:`~repro.sim.engine.SimCheckpoint` — the simulator-level live
-  snapshot (re-exported from :mod:`repro.sim.engine`).
+  snapshot: an instant, the faults fired by then and the report it
+  reads everything else from (re-exported from :mod:`repro.sim.engine`).
 """
 
 from repro.recovery.closedloop import (

@@ -160,12 +160,17 @@ class ClosedLoopOutcome:
     #: The true fault events the run was subjected to.
     fault_events: tuple[FaultEvent, ...]
     nominal_makespan_s: float = 0.0
-    #: The verdict replay's finish time; ``None`` unless the run
-    #: completed (a failed replay's report times no finish).
-    realized_makespan_s: float | None = None
     #: Total test-droplet dispenses across all campaigns.
     probes_run: int = 0
     watchdog_rounds: int = 0
+
+    @property
+    def realized_makespan_s(self) -> float | None:
+        """The verdict replay's finish time; ``None`` unless the run
+        completed (a failed replay's report times no finish)."""
+        if self.verdict is None:
+            return None
+        return self.verdict.realized_makespan
 
     @property
     def makespan_penalty_s(self) -> float | None:
@@ -384,7 +389,6 @@ class ClosedLoopController:
             verdict=verdict,
             fault_events=events,
             nominal_makespan_s=result.makespan,
-            realized_makespan_s=None if verdict is None else verdict.realized_makespan,
             probes_run=state.probes_run,
             watchdog_rounds=rounds,
         )
@@ -558,28 +562,19 @@ class ClosedLoopController:
         trace: list[LadderStep] = []
         final: RecoveryOutcome | None = None
         last: RecoveryOutcome | None = None
-        # One checkpoint per detection, shared by every rung. When the
-        # nominal execution fails, every rung is refused with that error.
-        checkpoint = refused = None
-        try:
-            checkpoint = self.engine.nominal_checkpoint(
-                state.result, det.detected_at_s, known
-            )
-        except RecoveryError as exc:
-            refused = exc
+        # Every rung cuts the detection's nominal checkpoint from the
+        # one memoized nominal report; when the nominal execution fails,
+        # every rung is refused with that error.
         for rung in RECOVERY_RUNGS:
             # relocate is deterministic: drawing no seed for it keeps
             # every later rung's seed what it was without it.
             seed = None if rung == "relocate" else spawn_seed(rng)
             try:
-                if refused is not None:
-                    raise refused
                 out = self.engine.recover(
                     state.result,
                     [cell],
                     det.detected_at_s,
                     seed=seed,
-                    checkpoint=checkpoint,
                     known_faults=known,
                     rung=rung,
                 )

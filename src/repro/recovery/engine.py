@@ -232,10 +232,6 @@ class RecoveryOutcome:
     relocated_ops: tuple[str, ...]
     #: Movable modules whose origin actually changed vs the nominal plan.
     moved_ops: tuple[str, ...] = ()
-    nominal_makespan_s: float = 0.0
-    #: The resumed replay's finish time; ``None`` when no replay
-    #: finished (a rung refused before replaying, or a failed replay).
-    recovered_makespan_s: float | None = None
     #: Wall-clock re-synthesis latencies (the online hot path).
     replace_s: float = 0.0
     reroute_s: float = 0.0
@@ -256,6 +252,19 @@ class RecoveryOutcome:
     #: :class:`repro.recovery.closedloop.LadderStep`). Empty for direct
     #: single-rung ``recover()`` calls.
     ladder_trace: tuple = ()
+
+    @property
+    def nominal_makespan_s(self) -> float:
+        """The nominal run's makespan, read off the checkpoint."""
+        return self.checkpoint.nominal_makespan
+
+    @property
+    def recovered_makespan_s(self) -> float | None:
+        """The resumed replay's finish time; ``None`` when no replay
+        finished (a rung refused before replaying, or a failed replay)."""
+        if self.sim_report is None:
+            return None
+        return self.sim_report.realized_makespan
 
     @property
     def makespan_penalty_s(self) -> float | None:
@@ -515,17 +524,16 @@ class OnlineRecoveryEngine:
         fault_cells,
         fault_time_s: float,
         seed: int | random.Random | None = None,
-        checkpoint: SimCheckpoint | None = None,
         known_faults=(),
         rung: str = "replace",
     ) -> RecoveryOutcome:
         """Run the full checkpoint -> re-synthesize -> resume loop.
 
         *fault_cells* are in placement coordinates (the frame of
-        ``result.placement_result.placement``); *checkpoint* may be
-        passed in when the caller already computed it (the closed loop
-        checkpoints once per detection and hands that checkpoint to
-        every rung it tries).
+        ``result.placement_result.placement``). The checkpoint is the
+        nominal execution's at *fault_time_s* (:meth:`nominal_checkpoint`),
+        cut from the nominal simulator's memoized report, so every rung
+        after a detection's first replays nothing to get it.
         *known_faults* are design-time defects the nominal plan already
         avoids; the re-synthesized suffix keeps avoiding them too.
         *rung* picks the graceful-degradation level (see
@@ -540,12 +548,7 @@ class OnlineRecoveryEngine:
         known = tuple(Point(*c) for c in known_faults)
         if not faults:
             raise RecoveryError("recovery needs at least one fault cell")
-        if checkpoint is None:
-            checkpoint = self.nominal_checkpoint(result, fault_time_s, known)
-        else:
-            # The engine did not build a caller's checkpoint; reject a
-            # corrupted or truncated one up front.
-            checkpoint.validate(result.schedule)
+        checkpoint = self.nominal_checkpoint(result, fault_time_s, known)
 
         def failed(reason: str, **extra) -> RecoveryOutcome:
             return RecoveryOutcome(
@@ -556,7 +559,6 @@ class OnlineRecoveryEngine:
                 checkpoint=checkpoint,
                 movable_ops=movable,
                 relocated_ops=tuple(relocated),
-                nominal_makespan_s=checkpoint.nominal_makespan,
                 replace_s=replace_s,
                 reroute_s=reroute_s,
                 recovery_s=time.perf_counter() - t0,
@@ -785,8 +787,6 @@ class OnlineRecoveryEngine:
             movable_ops=movable,
             relocated_ops=tuple(relocated),
             moved_ops=moved,
-            nominal_makespan_s=checkpoint.nominal_makespan,
-            recovered_makespan_s=report.realized_makespan,
             replace_s=replace_s,
             reroute_s=reroute_s,
             recovery_s=time.perf_counter() - t0,
@@ -847,7 +847,7 @@ class OnlineRecoveryEngine:
             max_span=max(working.core_width, working.core_height)
         )
         mover = MoveGenerator(window=window, movable=movable, seed=spawn_rng(rng))
-        engine = SimulatedAnnealing(params, window=window, seed=rng)
+        engine = SimulatedAnnealing(params, seed=rng)
         cost = FaultAvoidanceCost(
             faults,
             anchors={op: (nominal.get(op).x, nominal.get(op).y) for op in movable},

@@ -20,6 +20,10 @@ THRESHOLD_V = 12.0
 SATURATION_V = 90.0
 #: Saturated droplet velocity, cm/s (paper: "up to 20 cm/s").
 MAX_VELOCITY_CM_S = 20.0
+#: Electrode drive voltage every transport runs at: a typical operating
+#: point on the reference chips, inside the paper's 0-90 V actuation
+#: range (comfortably above threshold, below saturation stress).
+DRIVE_VOLTAGE = 65.0
 
 
 def velocity_cm_s(voltage: float) -> float:
@@ -49,12 +53,9 @@ def step_time_s(voltage: float) -> float:
     return (DEFAULT_PITCH_MM / 10.0) / vel  # mm -> cm
 
 
-def transport_time_s(cells: int, voltage: float = 65.0) -> float:
-    """Seconds to traverse *cells* electrode pitches at *voltage*.
-
-    The 65 V default is a typical operating point on the reference
-    chips (comfortably above threshold, below saturation stress).
-    """
+def transport_time_s(cells: int) -> float:
+    """Seconds to traverse *cells* electrode pitches at
+    :data:`DRIVE_VOLTAGE`."""
     if cells < 0:
         raise ValueError(f"cells must be >= 0, got {cells}")
-    return cells * step_time_s(voltage) if cells else 0.0
+    return cells * step_time_s(DRIVE_VOLTAGE) if cells else 0.0

@@ -27,11 +27,12 @@ mutates lives in a run record that :meth:`BiochipSimulator.run` creates
 and drops, so the simulator is unchanged once built. A completed report
 carries its realized intervals and durable droplet-position log, and a
 :class:`SimCheckpoint` is a cut of that report at one instant
-(:func:`checkpoint_at`). :meth:`BiochipSimulator.report` memoizes
-reports by fault list; :meth:`BiochipSimulator.run` always replays.
-The test suite keeps the original
-fixed-timestep driver as an oracle (``tests/oracles/``) and asserts
-bit-identical reports against it.
+(:func:`checkpoint_at`): its instant, its faults and the report, from
+which it reads the live state when asked.
+:meth:`BiochipSimulator.report` memoizes reports by fault list;
+:meth:`BiochipSimulator.run` always replays. The test suite keeps the
+original fixed-timestep driver as an oracle (``tests/oracles/``) and
+asserts bit-identical reports against it.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import itertools
 from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.assay.graph import SequencingGraph
 from repro.assay.operations import OperationType
@@ -54,7 +56,6 @@ from repro.sim.fastgrid import PackedDropletRouter
 from repro.sim.resume import ReplayTrace, mark_boundary, restore, resume_index
 from repro.util.errors import (
     ReconfigurationError,
-    RecoveryError,
     RoutingError,
     SimulationError,
 )
@@ -62,10 +63,6 @@ from repro.util.errors import (
 #: Default dispensed droplet volume, nanoliters (order of the reference
 #: chips' unit droplet at 1.5 mm pitch / 600 um gap).
 UNIT_DROPLET_NL = 900.0
-
-#: Electrode drive voltage every transport runs at, volts (inside the
-#: paper's 0-90 V actuation range).
-DRIVE_VOLTAGE = 65.0
 
 
 @dataclass(frozen=True)
@@ -275,21 +272,26 @@ def _nearest_safe_cell(
 _REPORT_MEMO_SIZE = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimCheckpoint:
     """Live mid-assay state captured at one instant of a simulation.
 
     A cut of a completed report at one instant (:func:`checkpoint_at`,
-    reached through :meth:`BiochipSimulator.checkpoint`): the operation
+    reached through :meth:`BiochipSimulator.checkpoint`): the checkpoint
+    holds the instant, the faults fired by then and the report, and
+    reads everything else off the report on first use. The operation
     classification (completed / in-flight / pending), the realized
     intervals, and the parked-droplet map are the *live state* at
-    ``time_s``. A run continues that history from the checkpoint's
-    report: ``run(faults=[*cp.faults, *new], resume=cp.report)`` keeps
-    every dispatch the report made before the first new fault that the
-    new faults and design leave untouched, dispatches only the rest,
-    and returns the report the full replay would return, bit for bit
-    (property-tested in ``tests/test_recovery_checkpoint.py``).
-    All cells are in simulator coordinates.
+    ``time_s``; each view is a tuple or a fresh dict, so no reader can
+    mutate the (memoized, shared) report through it. A run continues
+    that history from the checkpoint's report: ``run(faults=[*cp.faults,
+    *new], resume=cp.report)`` keeps every dispatch the report made
+    before the first new fault that the new faults and design leave
+    untouched, dispatches only the rest, and returns the report the
+    full replay would return, bit for bit (property-tested in
+    ``tests/test_recovery_checkpoint.py``). All cells are in simulator
+    coordinates. Two checkpoints are equal when their instants, faults
+    and views are.
     """
 
     #: Instant the checkpoint was taken at (seconds).
@@ -297,116 +299,113 @@ class SimCheckpoint:
     #: Every fault event that had fired by ``time_s``, normalized to
     #: ``(time, cell, kind)`` (kind ``"fail"`` or ``"clear"``).
     faults: tuple[FaultEntry, ...]
-    #: Operations whose realized interval ended at or before ``time_s``.
-    completed: tuple[str, ...]
-    #: Operations running at ``time_s`` (their modules are frozen:
-    #: droplets are physically inside them).
-    in_flight: tuple[str, ...]
-    #: Operations that had not started — the re-synthesizable suffix.
-    pending: tuple[str, ...]
-    #: Realized ``op_id -> (start, finish)`` intervals under the
-    #: recorded faults.
-    realized: dict[str, tuple[float, float]] = field(default_factory=dict)
-    #: Products sitting parked on the array at ``time_s``
-    #: (``producer op -> cell``); droplets inside in-flight modules are
-    #: represented by the module, not listed here.
-    droplet_positions: dict[str, Point] = field(default_factory=dict)
-    #: Event-log prefix (``time <= time_s``), for trace comparison.
-    events_prefix: tuple[SimEvent, ...] = ()
-    #: The run's nominal makespan (for penalty accounting downstream).
-    nominal_makespan: float = 0.0
-    #: The report this checkpoint cuts: the source a resumed run
-    #: continues (not part of :meth:`to_dict` or of equality).
-    report: SimulationReport | None = field(default=None, compare=False, repr=False)
+    #: The completed report this checkpoint cuts: the source of every
+    #: view and the history a resumed run continues.
+    report: SimulationReport = field(repr=False)
+
+    def __post_init__(self) -> None:
+        if not self.report.completed:
+            raise SimulationError(
+                f"cannot checkpoint a failed run: {self.report.failure_reason}"
+            )
+
+    @cached_property
+    def _classes(self) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+        """``(completed, in_flight, pending)`` at ``time_s``."""
+        completed: list[str] = []
+        in_flight: list[str] = []
+        pending: list[str] = []
+        for op_id, (start, finish) in self.report.realized.items():
+            if finish <= self.time_s:
+                completed.append(op_id)
+            elif start <= self.time_s:
+                in_flight.append(op_id)
+            else:
+                pending.append(op_id)
+        return tuple(completed), tuple(in_flight), tuple(pending)
+
+    @property
+    def completed(self) -> tuple[str, ...]:
+        """Operations whose realized interval ended at or before ``time_s``."""
+        return self._classes[0]
+
+    @property
+    def in_flight(self) -> tuple[str, ...]:
+        """Operations running at ``time_s`` (their modules are frozen:
+        droplets are physically inside them)."""
+        return self._classes[1]
+
+    @property
+    def pending(self) -> tuple[str, ...]:
+        """Operations that had not started — the re-synthesizable suffix."""
+        return self._classes[2]
+
+    @property
+    def realized(self) -> dict[str, tuple[float, float]]:
+        """Realized ``op_id -> (start, finish)`` intervals under the
+        recorded faults (a fresh dict)."""
+        return dict(self.report.realized)
+
+    @cached_property
+    def _positions(self) -> dict[str, Point]:
+        positions: dict[str, Point] = {}
+        for t, op_id, p in self.report.position_log:
+            if t <= self.time_s:
+                if p is None:
+                    positions.pop(op_id, None)
+                else:
+                    positions[op_id] = p
+        return positions
+
+    @property
+    def droplet_positions(self) -> dict[str, Point]:
+        """Products sitting parked on the array at ``time_s``
+        (``producer op -> cell``, a fresh dict); droplets inside
+        in-flight modules are represented by the module, not listed
+        here."""
+        return dict(self._positions)
+
+    @cached_property
+    def events_prefix(self) -> tuple[SimEvent, ...]:
+        """Event-log prefix (``time <= time_s``), for trace comparison."""
+        return tuple(e for e in self.report.events if e.time <= self.time_s)
+
+    @property
+    def nominal_makespan(self) -> float:
+        """The run's nominal makespan (for penalty accounting downstream)."""
+        return self.report.nominal_makespan
+
+    def _views(self) -> tuple:
+        return (
+            self.time_s,
+            self.faults,
+            self._classes,
+            self.report.realized,
+            self._positions,
+            self.events_prefix,
+            self.nominal_makespan,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SimCheckpoint):
+            return NotImplemented
+        return self._views() == other._views()
 
     def to_dict(self) -> dict:
         """JSON-safe summary (the event prefix condensed to a count)."""
         return {
             "time_s": self.time_s,
-            "faults": [
-                [f[0], [f[1][0], f[1][1]], f[2] if len(f) > 2 else "fail"]
-                for f in self.faults
-            ],
+            "faults": [[t, [c[0], c[1]], kind] for t, c, kind in self.faults],
             "completed": list(self.completed),
             "in_flight": list(self.in_flight),
             "pending": list(self.pending),
-            "realized": {o: list(iv) for o, iv in self.realized.items()},
+            "realized": {o: list(iv) for o, iv in self.report.realized.items()},
             "droplet_positions": {
                 o: [p.x, p.y] for o, p in sorted(self.droplet_positions.items())
             },
             "events_prefix": len(self.events_prefix),
             "nominal_makespan_s": self.nominal_makespan,
         }
-
-    def validate(self, schedule) -> None:
-        """Reject a corrupted or truncated checkpoint with a clear error.
-
-        The check guards a checkpoint a caller passes to
-        ``OnlineRecoveryEngine.recover(checkpoint=...)``, which the
-        engine does not rebuild itself; consuming a mangled one must
-        raise :class:`~repro.util.errors.RecoveryError` naming the
-        inconsistency — never a bare ``KeyError``/``IndexError`` from
-        deep inside the replay. *schedule* is the nominal schedule the
-        checkpoint claims to classify.
-        """
-
-        def bad(detail: str) -> RecoveryError:
-            return RecoveryError(f"corrupt checkpoint (t={self.time_s:g}): {detail}")
-
-        if not isinstance(self.time_s, (int, float)) or self.time_s < 0:
-            raise bad(f"checkpoint instant must be >= 0, got {self.time_s!r}")
-        buckets = (*self.completed, *self.in_flight, *self.pending)
-        if len(set(buckets)) != len(buckets):
-            seen, dupes = set(), set()
-            for op in buckets:
-                (dupes if op in seen else seen).add(op)
-            raise bad(f"operations classified twice: {sorted(dupes)}")
-        scheduled = set(schedule.op_ids())
-        if set(buckets) != scheduled:
-            missing = sorted(scheduled - set(buckets))
-            extra = sorted(set(buckets) - scheduled)
-            raise bad(
-                "classification does not partition the schedule "
-                f"(missing {missing}, unknown {extra})"
-            )
-        unknown = sorted(set(self.realized) - scheduled)
-        if unknown:
-            raise bad(f"realized intervals for unscheduled operations: {unknown}")
-        for op in (*self.completed, *self.in_flight):
-            if op not in self.realized:
-                raise bad(f"started operation {op!r} has no realized interval")
-        eps = 1e-9
-        for op, (start, finish) in self.realized.items():
-            if finish < start:
-                raise bad(
-                    f"realized interval of {op!r} runs backwards "
-                    f"({start:g} -> {finish:g})"
-                )
-            if op in self.completed and finish > self.time_s + eps:
-                raise bad(
-                    f"completed operation {op!r} finishes at {finish:g}, "
-                    "after the checkpoint instant"
-                )
-            if op in self.in_flight and start > self.time_s + eps:
-                raise bad(
-                    f"in-flight operation {op!r} starts at {start:g}, "
-                    "after the checkpoint instant"
-                )
-        unknown = sorted(set(self.droplet_positions) - scheduled)
-        if unknown:
-            raise bad(f"parked droplets from unscheduled operations: {unknown}")
-        # Index (not unpack): entries may be legacy ``(t, cell)`` pairs,
-        # and this validator must reject mangled shapes with its own
-        # error, not trip over them.
-        late = [f"t={f[0]:g}" for f in self.faults if f[0] > self.time_s + eps]
-        if late:
-            raise bad(f"recorded faults after the checkpoint instant: {late}")
-        stale = [e for e in self.events_prefix if e.time > self.time_s + eps]
-        if stale:
-            raise bad(
-                f"event-log prefix contains {len(stale)} event(s) after "
-                "the checkpoint instant (stale or truncated prefix)"
-            )
 
 
 def checkpoint_at(
@@ -418,37 +417,7 @@ def checkpoint_at(
     Raises :class:`SimulationError` for a failed report (there is no
     consistent state to capture).
     """
-    if not report.completed:
-        raise SimulationError(f"cannot checkpoint a failed run: {report.failure_reason}")
-    completed: list[str] = []
-    in_flight: list[str] = []
-    pending: list[str] = []
-    for op_id, (start, finish) in report.realized.items():
-        if finish <= time_s:
-            completed.append(op_id)
-        elif start <= time_s:
-            in_flight.append(op_id)
-        else:
-            pending.append(op_id)
-    positions: dict[str, Point] = {}
-    for t, op_id, p in report.position_log:
-        if t <= time_s:
-            if p is None:
-                positions.pop(op_id, None)
-            else:
-                positions[op_id] = p
-    return SimCheckpoint(
-        time_s=time_s,
-        faults=tuple(_normalize_faults(faults)),
-        completed=tuple(completed),
-        in_flight=tuple(in_flight),
-        pending=tuple(pending),
-        realized=dict(report.realized),
-        droplet_positions=positions,
-        events_prefix=tuple(e for e in report.events if e.time <= time_s),
-        nominal_makespan=report.nominal_makespan,
-        report=report,
-    )
+    return SimCheckpoint(time_s, tuple(_normalize_faults(faults)), report)
 
 
 @dataclass
@@ -757,7 +726,7 @@ class BiochipSimulator:
                 # Refresh every affected state's module reference.
                 if reloc.op_id in states:
                     states[reloc.op_id].module = reloc.new
-                migrate = transport_time_s(reloc.distance, DRIVE_VOLTAGE)
+                migrate = transport_time_s(reloc.distance)
                 run.events.append(
                     SimEvent(
                         fault_time,
@@ -1151,7 +1120,7 @@ class BiochipSimulator:
         events = run.events
         planned = self._planned_route(droplet, goal, faulty_now, other_droplets, op_id)
         if planned is not None:
-            seconds = transport_time_s(planned.moves, DRIVE_VOLTAGE)
+            seconds = transport_time_s(planned.moves)
             events.append(
                 SimEvent(
                     t,
@@ -1174,52 +1143,34 @@ class BiochipSimulator:
         # covers t may not actually be running.
         query_t = t if obstacle_time is None else obstacle_time
         active = self._active_footprints(run, query_t, op_id)
-        router = self.router
-        try:
-            route = router.route(
-                droplet.position,
-                goal,
-                blocked_rects=active,
-                blocked_cells=faulty_now,
-                other_droplets=other_droplets,
-            )
-        except RoutingError:
-            # Tight arrays: let the controller shuffle parked droplets a
-            # half-pitch aside (waive the inflation ring, then the parked
-            # droplets themselves). Both degradations are logged.
+        # Tight arrays: let the controller shuffle parked droplets a
+        # half-pitch aside (waive the inflation ring, then the parked
+        # droplets themselves). Both degradations are logged.
+        for others, inflate, degradation in (
+            (other_droplets, True, None),
+            (other_droplets, False, "fluidic spacing waived (tight array)"),
+            ((), True, "parked droplets shuffled aside (tight array)"),
+        ):
             try:
-                route = router.route(
+                route = self.router.route(
                     droplet.position,
                     goal,
                     blocked_rects=active,
                     blocked_cells=faulty_now,
-                    other_droplets=other_droplets,
-                    inflate=False,
+                    other_droplets=others,
+                    inflate=inflate,
                 )
-                events.append(
-                    SimEvent(t, "transport", "fluidic spacing waived (tight array)", op_id)
-                )
-            except RoutingError:
-                try:
-                    route = router.route(
-                        droplet.position,
-                        goal,
-                        blocked_rects=active,
-                        blocked_cells=faulty_now,
-                    )
-                    events.append(
-                        SimEvent(
-                            t,
-                            "transport",
-                            "parked droplets shuffled aside (tight array)",
-                            op_id,
-                        )
-                    )
-                except RoutingError as exc:
-                    route = self._route_after_handover(
-                        droplet, goal, query_t, faulty_now, run, op_id, exc,
-                    )
-        seconds = transport_time_s(route.length, DRIVE_VOLTAGE)
+            except RoutingError as exc:
+                error = exc
+                continue
+            if degradation is not None:
+                events.append(SimEvent(t, "transport", degradation, op_id))
+            break
+        else:
+            route = self._route_after_handover(
+                droplet, goal, query_t, faulty_now, run, op_id, error,
+            )
+        seconds = transport_time_s(route.length)
         events.append(
             SimEvent(
                 t,

@@ -6,9 +6,11 @@ parity properties in ``tests/`` and the speed-up baselines in
 ``benchmarks/``:
 
 * :mod:`oracles.sim` — the fixed-timestep simulator driver
-  (:class:`SteppedSimulator`) beside the discrete-event replay, and the
+  (:class:`SteppedSimulator`) beside the discrete-event replay, the
   per-``Point`` parking search (:func:`reference_nearest_safe_cell`)
-  beside the padded-``bytearray`` one;
+  beside the padded-``bytearray`` one, and the eager checkpoint cut
+  (:func:`reference_checkpoint_at`) beside the lazy
+  :class:`~repro.sim.engine.SimCheckpoint`;
 * :mod:`oracles.droplet_router` — the per-``Point`` A* droplet router
   (:class:`DropletRouter`) beside the bitboard BFS transport kernel;
 * :mod:`oracles.timegrid` and :mod:`oracles.routing` — the Point-dict
@@ -72,7 +74,13 @@ from oracles.placement import (
 )
 from oracles.probing import ReferenceLocalizer, reference_free_cell_paths
 from oracles.routing import ReferenceRouter, ReferenceSynthesizer
-from oracles.sim import SteppedSimulator, reference_nearest_safe_cell, stepped_replays
+from oracles.sim import (
+    EagerCheckpoint,
+    SteppedSimulator,
+    reference_checkpoint_at,
+    reference_nearest_safe_cell,
+    stepped_replays,
+)
 from oracles.timegrid import CrossCheckTimeGrid, ReferenceTimeGrid
 
 __all__ = [
@@ -80,6 +88,7 @@ __all__ = [
     "CheckedTwoStagePlacer",
     "CrossCheckTimeGrid",
     "DropletRouter",
+    "EagerCheckpoint",
     "FullRecomputeAnnealing",
     "FullRecomputeMoves",
     "FullRecomputePlacer",
@@ -94,6 +103,7 @@ __all__ = [
     "check_consistency",
     "find_maximal_empty_rectangles",
     "fits_any_rectangle",
+    "reference_checkpoint_at",
     "reference_default_core_side",
     "reference_find_target",
     "reference_first_feasible_position",

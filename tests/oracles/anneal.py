@@ -27,13 +27,14 @@ import math
 from collections.abc import Callable
 from typing import Any, TypeVar
 
-from repro.placement.annealer import AnnealingStats, SimulatedAnnealing
+from repro.placement.annealer import AnnealingParams, AnnealingStats, SimulatedAnnealing
 from repro.placement.cost import require_delta
 from repro.placement.incremental import _counts
 from repro.placement.model import Placement
 from repro.placement.moves import MoveGenerator
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.placement.two_stage import TwoStagePlacer
+from repro.placement.window import ControllingWindow
 from repro.util.errors import CrossCheckError
 
 State = TypeVar("State")
@@ -142,8 +143,31 @@ class CheckedTwoStagePlacer(TwoStagePlacer):
         return CheckedCost(super().stage2_cost())
 
 
+class _NeverFrozen(ControllingWindow):
+    """A window that never reaches its minimum span: a windowless run
+    stops on the temperature floor or the round cap alone."""
+
+    def is_frozen(self, temperature: float) -> bool:
+        return False
+
+
 class FullRecomputeAnnealing(SimulatedAnnealing):
-    """The annealer with the generic full-recompute loop of Figure 3."""
+    """The annealer with the generic full-recompute loop of Figure 3.
+
+    It has no move generator, so it takes the controlling *window* its
+    stop criterion reads itself (None: no window stop)."""
+
+    def __init__(
+        self,
+        params: AnnealingParams | None = None,
+        window: ControllingWindow | None = None,
+        seed=None,
+    ) -> None:
+        super().__init__(params, seed=seed)
+        self.window = (
+            window if window is not None
+            else _NeverFrozen(initial_temp=1.0, max_span=1)
+        )
 
     def optimize(
         self,
@@ -193,7 +217,7 @@ class FullRecomputeAnnealing(SimulatedAnnealing):
                 stats.history.append((temperature, current_cost, best_cost))
 
             temperature, frozen_streak, keep_going = self._advance(
-                stats, temperature, frozen_streak
+                stats, self.window, temperature, frozen_streak
             )
             if not keep_going:
                 break
@@ -237,7 +261,7 @@ class FullRecomputePlacer(SimulatedAnnealingPlacer):
         # Same schedule, window and shared random stream as the
         # production engine and generator this placer built.
         engine = FullRecomputeAnnealing(
-            engine.params, window=engine.window, seed=engine._rng
+            engine.params, window=mover.window, seed=engine._rng
         )
         mover = FullRecomputeMoves(
             mover.window,

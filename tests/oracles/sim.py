@@ -28,17 +28,32 @@ dispatch order, parity does not check that order;
 a simulator (the pipeline's verify stage, and the recovery engine,
 which builds every simulator of recovery and the closed loop), so a
 whole in-process campaign can run on it.
+
+:func:`reference_checkpoint_at` is the eager cut a
+:class:`~repro.sim.engine.SimCheckpoint` replaced: every view of the
+live state computed and copied out of the report up front, into an
+:class:`EagerCheckpoint`, where the production checkpoint keeps only
+its instant, faults and report and reads the views on demand.
 """
 
 from __future__ import annotations
 
 import contextlib
 from collections import deque
+from dataclasses import dataclass
 from unittest import mock
 
 from oracles.droplet_router import DropletRouter
 
-from repro.sim.engine import BiochipSimulator
+from repro.geometry import Point
+from repro.sim.engine import (
+    BiochipSimulator,
+    FaultEntry,
+    SimEvent,
+    SimulationReport,
+    _normalize_faults,
+)
+from repro.util.errors import SimulationError
 
 #: Modules that construct simulators by name.
 _SIMULATOR_USERS = (
@@ -144,3 +159,75 @@ def stepped_replays():
                 mock.patch(f"{module}.BiochipSimulator", SteppedSimulator)
             )
         yield
+
+
+@dataclass(frozen=True)
+class EagerCheckpoint:
+    """The live state at ``time_s``, every view stored as a field."""
+
+    time_s: float
+    faults: tuple[FaultEntry, ...]
+    completed: tuple[str, ...]
+    in_flight: tuple[str, ...]
+    pending: tuple[str, ...]
+    realized: dict[str, tuple[float, float]]
+    droplet_positions: dict[str, Point]
+    events_prefix: tuple[SimEvent, ...]
+    nominal_makespan: float
+
+    def to_dict(self) -> dict:
+        """JSON-safe summary (the event prefix condensed to a count)."""
+        return {
+            "time_s": self.time_s,
+            "faults": [
+                [f[0], [f[1][0], f[1][1]], f[2] if len(f) > 2 else "fail"]
+                for f in self.faults
+            ],
+            "completed": list(self.completed),
+            "in_flight": list(self.in_flight),
+            "pending": list(self.pending),
+            "realized": {o: list(iv) for o, iv in self.realized.items()},
+            "droplet_positions": {
+                o: [p.x, p.y] for o, p in sorted(self.droplet_positions.items())
+            },
+            "events_prefix": len(self.events_prefix),
+            "nominal_makespan_s": self.nominal_makespan,
+        }
+
+
+def reference_checkpoint_at(
+    report: SimulationReport, time_s: float, faults=()
+) -> EagerCheckpoint:
+    """Cut a completed *report* at *time_s* eagerly, under *faults*, the
+    fault list the report was run with; a failed report raises
+    :class:`SimulationError`."""
+    if not report.completed:
+        raise SimulationError(f"cannot checkpoint a failed run: {report.failure_reason}")
+    completed: list[str] = []
+    in_flight: list[str] = []
+    pending: list[str] = []
+    for op_id, (start, finish) in report.realized.items():
+        if finish <= time_s:
+            completed.append(op_id)
+        elif start <= time_s:
+            in_flight.append(op_id)
+        else:
+            pending.append(op_id)
+    positions: dict[str, Point] = {}
+    for t, op_id, p in report.position_log:
+        if t <= time_s:
+            if p is None:
+                positions.pop(op_id, None)
+            else:
+                positions[op_id] = p
+    return EagerCheckpoint(
+        time_s=time_s,
+        faults=tuple(_normalize_faults(faults)),
+        completed=tuple(completed),
+        in_flight=tuple(in_flight),
+        pending=tuple(pending),
+        realized=dict(report.realized),
+        droplet_positions=positions,
+        events_prefix=tuple(e for e in report.events if e.time <= time_s),
+        nominal_makespan=report.nominal_makespan,
+    )

@@ -129,8 +129,7 @@ def run_case(name: str, monkeypatch) -> list[dict]:
             t = fraction * routed.schedule.makespan
             ck = engine.checkpoint_of(routed, t)
             cell = pick_fault_cell(routed, ck, "pending-module", rng=seed)
-            engine.recover(routed, [cell], t, seed=seed, checkpoint=ck,
-                           rung="replace")
+            engine.recover(routed, [cell], t, seed=seed, rung="replace")
     else:  # pragma: no cover - a typo in the table below
         raise KeyError(name)
     return pins

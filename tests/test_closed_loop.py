@@ -95,6 +95,22 @@ def _count_checkpoints(monkeypatch) -> list[float]:
     return calls
 
 
+def _count_nominal_replays(monkeypatch, result) -> list:
+    """From here on, record the run of every replay of *result*'s own
+    design (its routing plan) under no fault: the replay a detection's
+    checkpoints are cut from. Wraps whatever ``_execute`` is installed."""
+    replays: list = []
+    execute = BiochipSimulator._execute
+
+    def spy(self, run):
+        if self.routing_plan is result.routing_plan and not run.faults:
+            replays.append(run)
+        return execute(self, run)
+
+    monkeypatch.setattr(BiochipSimulator, "_execute", spy)
+    return replays
+
+
 def _single_fault(result, fraction: float, target: str, seed: int):
     engine = _engine()
     t = fraction * result.makespan
@@ -375,15 +391,16 @@ class TestLadder:
         relocate rung existed (ladder ``reroute -> replace``); it still
         matches only because relocate draws no seed from the run's
         stream, so replace anneals with the seed it always had. The
-        three rungs share the detection's one checkpoint."""
+        three rungs cut their checkpoints from the detection's one
+        nominal replay."""
         result = _routed("ivd")
         events = _single_fault(result, 0.3, "pending-module", seed=1)
-        checkpoints = _count_checkpoints(monkeypatch)
+        replays = _count_nominal_replays(monkeypatch, result)
         outcome = ClosedLoopController(engine=_engine()).run(
             result, events, seed=1, mode="oracle"
         )
         assert outcome.completed
-        assert len(checkpoints) == len(outcome.detections) == 1
+        assert len(replays) == len(outcome.detections) == 1
         (recovery,) = outcome.recoveries
         trace = recovery.ladder_trace
         assert [(s.rung, s.succeeded) for s in trace] == [
@@ -399,17 +416,17 @@ class TestLadder:
         assert digest == "69d8ca562d890939"
 
     def test_failed_nominal_replay_refuses_every_rung(self, monkeypatch):
-        """When the nominal execution cannot be checkpointed, the
-        detection's one checkpoint attempt refuses every rung with the
-        same reason, in ladder order, and the run aborts."""
+        """When the nominal execution cannot be checkpointed, its one
+        failed replay refuses every rung with the same reason, in ladder
+        order, and the run aborts."""
         result = _routed("pcr")
         events = _single_fault(result, 0.5, "pending-module", seed=3)
-        checkpoints = _count_checkpoints(monkeypatch)
 
         def broken(self, *args):
             raise SimulationError("no droplet path (injected)")
 
         monkeypatch.setattr(BiochipSimulator, "_execute", broken)
+        replays = _count_nominal_replays(monkeypatch, result)
         steps: list[LadderStep] = []
 
         class RecordedStep(LadderStep):
@@ -431,7 +448,7 @@ class TestLadder:
         ]
         assert outcome.aborted and outcome.final_rung == "abort"
         assert outcome.reason.startswith("recovery ladder exhausted")
-        assert len(checkpoints) == len(outcome.detections) == 1
+        assert len(replays) == len(outcome.detections) == 1
 
     def test_detection_latencies_only_for_real_faults(self):
         result = _routed("pcr")

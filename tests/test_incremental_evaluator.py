@@ -798,7 +798,7 @@ def anneal(layout, cost, params, seed, resync_every, kind="shared", movable=None
     mover_rng, accept_rng = streams(kind, seed)
     window = params.make_window(max_span=CORE)
     mover = MoveGenerator(window=window, seed=mover_rng, movable=movable)
-    engine = SimulatedAnnealing(params, window=window, seed=accept_rng)
+    engine = SimulatedAnnealing(params, seed=accept_rng)
     evaluator = IncrementalCostEvaluator(
         build_placement(layout, core=CORE), resync_every=resync_every
     )

@@ -12,14 +12,19 @@ equivalence (its log is byte-identical for any worker count).
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+import math
+from functools import lru_cache
 
-from repro.assay.catalog import build_assay
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import reference_checkpoint_at
+
+from repro.assay.catalog import BUNDLED_ASSAYS, build_assay
+from repro.geometry import Point
 from repro.placement.annealer import AnnealingParams
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
-from repro.sim.engine import BiochipSimulator
+from repro.sim.engine import BiochipSimulator, checkpoint_at
 from repro.synthesis.flow import SynthesisFlow
 from repro.util.errors import SimulationError
 from repro.workload.campaign import CampaignRunner, recovery_sweep_preset
@@ -49,6 +54,7 @@ def synthesized(request):
 
 @settings(max_examples=25, deadline=None)
 @given(fraction=st.floats(min_value=0.0, max_value=1.1, allow_nan=False))
+@example(fraction=0.5)
 def test_checkpoint_resume_reproduces_trace_bit_identically(synthesized, fraction):
     """Checkpoint at any t, resume with no new fault -> original trace,
     whether replayed from t=0 or continued from the checkpoint's report,
@@ -57,7 +63,6 @@ def test_checkpoint_resume_reproduces_trace_bit_identically(synthesized, fractio
     sim, baseline = synthesized
     t = fraction * baseline.nominal_makespan
     checkpoint = sim.checkpoint(t)
-    checkpoint.validate(sim.schedule)
     replayed = sim.run(faults=checkpoint.faults)
     continued = sim.run(checkpoint.faults, resume=checkpoint.report)
     for resumed in (replayed, continued):
@@ -153,131 +158,188 @@ def test_checkpoint_of_failed_run_raises():
         sim.checkpoint(10.0, faults=faults)
 
 
-# -- corrupted / truncated checkpoints ----------------------------------------
+# -- the lazy cut against the eager reference ---------------------------------
+
+#: Everything a checkpoint exposes about the live state.
+_VIEWS = (
+    "time_s", "faults", "completed", "in_flight", "pending", "realized",
+    "droplet_positions", "events_prefix", "nominal_makespan",
+)
 
 
-class TestCheckpointValidation:
-    """A mangled checkpoint must raise RecoveryError naming the
-    inconsistency — never a bare KeyError/IndexError from deep inside
-    the replay (checkpoints cross process and serialization
-    boundaries)."""
+@lru_cache(maxsize=None)
+def _bundled(assay: str) -> BiochipSimulator:
+    graph, binding = build_assay(assay)
+    flow = SynthesisFlow(
+        placer=SimulatedAnnealingPlacer(params=AnnealingParams.fast(), seed=7),
+        route=True,
+    )
+    result = flow.run(graph, explicit_binding=binding)
+    return BiochipSimulator(
+        graph,
+        result.schedule,
+        result.binding,
+        result.placement_result.placement,
+        result.chip,
+        routing_plan=result.routing_plan,
+    )
 
-    @pytest.fixture()
-    def ck(self, synthesized):
+
+def _mid_run_fault(sim: BiochipSimulator) -> list:
+    """The first module fault, at the middle of its module's interval,
+    whose run completes (the module is relocated mid-operation)."""
+    for op in sorted(pm.op_id for pm in sim.placement):
+        iv = sim.schedule.interval(op)
+        faults = [((iv.start + iv.stop) / 2, sim.module_cell(op))]
+        if sim.report(faults).completed:
+            return faults
+    raise AssertionError("no module fault leaves the run completed")
+
+
+def _boundary_instants(report) -> list[float]:
+    """Just before, at and just after every realized op boundary and
+    droplet move of *report*, plus t=0 and past the end."""
+    edges = {t for iv in report.realized.values() for t in iv}
+    edges |= {t for t, _, _ in report.position_log}
+    instants = {0.0, report.realized_makespan + 1.0}
+    for t in edges:
+        instants |= {math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)}
+    return sorted(instants)
+
+
+@pytest.mark.parametrize("assay", sorted(BUNDLED_ASSAYS))
+def test_lazy_checkpoint_equals_the_eager_cut(assay):
+    """On every bundled assay, nominal and with a mid-run fault, at
+    instants around every op boundary: each view the checkpoint reads
+    off its report equals the eager reference cut's, and so does
+    ``to_dict()``. Mutating a returned view changes neither the
+    memoized report nor a second checkpoint of the same instant."""
+    sim = _bundled(assay)
+    for faults in ([], _mid_run_fault(sim)):
+        report = sim.report(faults)
+        assert report.completed
+        before = (dict(report.realized), report.position_log, list(report.events))
+        for t in _boundary_instants(report):
+            checkpoint = checkpoint_at(report, t, faults)
+            reference = reference_checkpoint_at(report, t, faults)
+            for view in _VIEWS:
+                assert getattr(checkpoint, view) == getattr(reference, view), view
+            assert checkpoint.to_dict() == reference.to_dict()
+
+            checkpoint.realized.clear()
+            checkpoint.droplet_positions["phantom-op"] = Point(1, 1)
+            checkpoint.droplet_positions.clear()
+            assert checkpoint.realized == reference.realized
+            assert checkpoint.droplet_positions == reference.droplet_positions
+            again = checkpoint_at(sim.report(faults), t, faults)
+            assert again == checkpoint and again.to_dict() == reference.to_dict()
+        assert sim.report(faults) is report
+        assert (dict(report.realized), report.position_log, report.events) == before
+
+
+def test_checkpoints_differ_when_a_view_differs(synthesized):
+    """Equality compares the instant, the faults and every view, not
+    the report object: two cuts of one report at different instants
+    differ, and the same cut of an equal replay is equal."""
+    sim, baseline = synthesized
+    t = 0.5 * baseline.nominal_makespan
+    checkpoint = sim.checkpoint(t)
+    assert checkpoint == checkpoint_at(baseline, t)
+    assert checkpoint != sim.checkpoint(0.6 * baseline.nominal_makespan)
+    assert checkpoint != checkpoint_at(baseline, t, [(0.0, (1, 1), "clear")])
+
+
+# -- what a cut guarantees by construction ------------------------------------
+
+
+class TestCheckpointInvariants:
+    """Every consistency rule a checkpoint must satisfy holds of each
+    cut, at instants across the run: its views are read off one
+    completed report, and none of them can be replaced on its own."""
+
+    FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.1)
+
+    @staticmethod
+    def _cuts(sim, faults=()):
+        report = sim.report(faults)
+        for fraction in TestCheckpointInvariants.FRACTIONS:
+            yield sim.checkpoint(fraction * report.realized_makespan, faults=faults)
+
+    def test_classification_names_every_scheduled_operation_once(self, synthesized):
+        sim, _ = synthesized
+        scheduled = set(sim.schedule.op_ids())
+        for ck in self._cuts(sim):
+            buckets = (*ck.completed, *ck.in_flight, *ck.pending)
+            assert len(buckets) == len(set(buckets))
+            assert set(buckets) == scheduled
+            assert set(ck.realized) == scheduled
+
+    def test_realized_intervals_run_forwards(self, synthesized):
+        sim, _ = synthesized
+        for ck in self._cuts(sim):
+            for op, (start, finish) in ck.realized.items():
+                assert start <= finish, op
+
+    def test_started_operations_started_by_the_instant(self, synthesized):
+        sim, _ = synthesized
+        for ck in self._cuts(sim):
+            for op in ck.completed:
+                assert ck.realized[op][1] <= ck.time_s
+            for op in ck.in_flight:
+                assert ck.realized[op][0] <= ck.time_s
+            for op in ck.pending:
+                assert ck.realized[op][0] > ck.time_s
+
+    def test_past_the_end_everything_is_completed(self, synthesized):
+        sim, baseline = synthesized
+        ck = sim.checkpoint(baseline.realized_makespan + 1.0)
+        assert set(ck.completed) == set(sim.schedule.op_ids())
+        assert ck.in_flight == ck.pending == ()
+        assert ck.events_prefix == tuple(baseline.events)
+
+    def test_event_prefix_is_the_logs_prefix_up_to_the_instant(self, synthesized):
+        sim, baseline = synthesized
+        for ck in self._cuts(sim):
+            n = len(ck.events_prefix)
+            assert ck.events_prefix == tuple(baseline.events[:n])
+            assert all(e.time <= ck.time_s for e in ck.events_prefix)
+            assert all(e.time > ck.time_s for e in baseline.events[n:])
+
+    def test_parked_droplets_come_from_completed_producers(self, synthesized):
+        """A parked product's producer has finished; a droplet inside a
+        running module is represented by the module, not listed."""
+        sim, _ = synthesized
+        for ck in self._cuts(sim):
+            assert set(ck.droplet_positions) <= set(ck.completed)
+            assert not set(ck.droplet_positions) & set(ck.in_flight)
+
+    def test_recorded_faults_fired_by_the_instant(self, synthesized):
+        sim, _ = synthesized
+        faults = _mid_run_fault(sim)
+        (fault_t, _), = faults
+        report = sim.report(faults)
+        for t in (fault_t, 0.5 * (fault_t + report.realized_makespan)):
+            ck = sim.checkpoint(t, faults=faults)
+            assert ck.report is report
+            assert [(ft, tuple(cell)) for ft, cell, _ in ck.faults] == faults
+            assert all(ft <= ck.time_s for ft, _, _ in ck.faults)
+
+    def test_views_are_not_fields(self, synthesized):
+        """A view cannot be swapped out of step with the report: the
+        dataclass declares only the instant, the faults and the report,
+        and a frozen checkpoint refuses assignment to a view."""
         import dataclasses
 
         sim, baseline = synthesized
-        checkpoint = sim.checkpoint(0.5 * baseline.nominal_makespan)
-        return sim, checkpoint, dataclasses.replace
-
-    def test_intact_checkpoint_validates_and_resumes(self, ck):
-        sim, checkpoint, _ = ck
-        checkpoint.validate(sim.schedule)
-        assert sim.run(faults=checkpoint.faults).completed
-        assert sim.run(checkpoint.faults, resume=checkpoint.report).completed
-
-    def test_negative_time_rejected(self, ck):
-        from repro.util.errors import RecoveryError
-
-        sim, checkpoint, replace = ck
-        with pytest.raises(RecoveryError, match="must be >= 0"):
-            replace(checkpoint, time_s=-1.0).validate(sim.schedule)
-
-    def test_duplicate_classification_rejected(self, ck):
-        from repro.util.errors import RecoveryError
-
-        sim, checkpoint, replace = ck
-        dup = checkpoint.completed[0]
-        mangled = replace(checkpoint, pending=(*checkpoint.pending, dup))
-        with pytest.raises(RecoveryError, match="classified twice"):
-            mangled.validate(sim.schedule)
-
-    def test_missing_operation_rejected(self, ck):
-        from repro.util.errors import RecoveryError
-
-        sim, checkpoint, replace = ck
-        mangled = replace(checkpoint, pending=checkpoint.pending[1:])
-        with pytest.raises(RecoveryError, match="does not partition"):
-            mangled.validate(sim.schedule)
-
-    def test_unknown_operation_rejected(self, ck):
-        from repro.util.errors import RecoveryError
-
-        sim, checkpoint, replace = ck
-        mangled = replace(
-            checkpoint, pending=(*checkpoint.pending, "op-from-another-assay")
-        )
-        with pytest.raises(RecoveryError, match="does not partition"):
-            mangled.validate(sim.schedule)
-
-    def test_started_op_without_realized_interval_rejected(self, ck):
-        from repro.util.errors import RecoveryError
-
-        sim, checkpoint, replace = ck
-        realized = dict(checkpoint.realized)
-        realized.pop(checkpoint.completed[0])
-        mangled = replace(checkpoint, realized=realized)
-        with pytest.raises(RecoveryError, match="no realized interval"):
-            mangled.validate(sim.schedule)
-
-    def test_backwards_interval_rejected(self, ck):
-        from repro.util.errors import RecoveryError
-
-        sim, checkpoint, replace = ck
-        op = checkpoint.completed[0]
-        realized = dict(checkpoint.realized)
-        start, finish = realized[op]
-        realized[op] = (finish + 1.0, start)
-        with pytest.raises(RecoveryError, match="backwards"):
-            replace(checkpoint, realized=realized).validate(sim.schedule)
-
-    def test_completed_op_finishing_in_the_future_rejected(self, ck):
-        from repro.util.errors import RecoveryError
-
-        sim, checkpoint, replace = ck
-        op = checkpoint.completed[0]
-        realized = dict(checkpoint.realized)
-        start, _ = realized[op]
-        realized[op] = (start, checkpoint.time_s + 100.0)
-        with pytest.raises(RecoveryError, match="after the checkpoint instant"):
-            replace(checkpoint, realized=realized).validate(sim.schedule)
-
-    def test_fault_after_checkpoint_instant_rejected(self, ck):
-        from repro.util.errors import RecoveryError
-
-        sim, checkpoint, replace = ck
-        mangled = replace(
-            checkpoint,
-            faults=(*checkpoint.faults, (checkpoint.time_s + 5.0, (1, 1))),
-        )
-        with pytest.raises(RecoveryError, match="faults after"):
-            mangled.validate(sim.schedule)
-
-    def test_stale_event_prefix_rejected(self, ck):
-        import dataclasses as dc
-
-        from repro.util.errors import RecoveryError
-
-        sim, checkpoint, replace = ck
-        late = dc.replace(
-            checkpoint.events_prefix[-1], time=checkpoint.time_s + 9.0
-        )
-        mangled = replace(
-            checkpoint, events_prefix=(*checkpoint.events_prefix, late)
-        )
-        with pytest.raises(RecoveryError, match="stale or truncated"):
-            mangled.validate(sim.schedule)
-
-    def test_parked_droplet_from_unknown_op_rejected(self, ck):
-        from repro.geometry import Point
-        from repro.util.errors import RecoveryError
-
-        sim, checkpoint, replace = ck
-        positions = dict(checkpoint.droplet_positions)
-        positions["phantom-op"] = Point(3, 3)
-        mangled = replace(checkpoint, droplet_positions=positions)
-        with pytest.raises(RecoveryError, match="parked droplets"):
-            mangled.validate(sim.schedule)
+        ck = sim.checkpoint(0.5 * baseline.nominal_makespan)
+        assert [f.name for f in dataclasses.fields(ck)] == [
+            "time_s", "faults", "report",
+        ]
+        with pytest.raises(TypeError):
+            dataclasses.replace(ck, pending=ck.pending[1:])
+        with pytest.raises(AttributeError):
+            ck.completed = ()
+        assert dataclasses.replace(ck) == ck
 
 
 # -- sweep determinism across --jobs ------------------------------------------

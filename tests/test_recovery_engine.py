@@ -40,8 +40,9 @@ def _mid_fault(engine, result, fraction=0.5, target="pending-module", seed=3):
 
 def test_recover_midassay_fault_end_to_end(routed_pcr, engine):
     t, ck, cell = _mid_fault(engine, routed_pcr)
-    outcome = engine.recover(routed_pcr, [cell], t, seed=3, checkpoint=ck)
+    outcome = engine.recover(routed_pcr, [cell], t, seed=3)
     assert outcome.recovered, outcome.reason
+    assert outcome.checkpoint == ck  # the engine cuts the nominal checkpoint
     assert outcome.plan_verified
     assert outcome.sim_report is not None and outcome.sim_report.completed
     # The merged plan routes everything and passes the verifier.
@@ -54,7 +55,7 @@ def test_recover_midassay_fault_end_to_end(routed_pcr, engine):
 
 def test_frozen_modules_never_move(routed_pcr, engine):
     t, ck, cell = _mid_fault(engine, routed_pcr)
-    outcome = engine.recover(routed_pcr, [cell], t, seed=3, checkpoint=ck)
+    outcome = engine.recover(routed_pcr, [cell], t, seed=3)
     nominal = routed_pcr.placement_result.placement
     frozen = set(ck.completed) | set(ck.in_flight)
     for op in frozen:
@@ -69,7 +70,7 @@ def test_frozen_modules_never_move(routed_pcr, engine):
 
 def test_prefix_epochs_reused_verbatim(routed_pcr, engine):
     t, ck, cell = _mid_fault(engine, routed_pcr)
-    outcome = engine.recover(routed_pcr, [cell], t, seed=3, checkpoint=ck)
+    outcome = engine.recover(routed_pcr, [cell], t, seed=3)
     nominal_prefix = [
         e for e in routed_pcr.routing_plan.epochs if e.time_s < t
     ]
@@ -106,7 +107,7 @@ def test_relocate_moves_only_the_hit_modules(routed_pcr, engine, monkeypatch):
 
     monkeypatch.setattr(SimulatedAnnealing, "optimize_incremental", no_anneal)
     t, ck, cell = _mid_fault(engine, routed_pcr)
-    outcome = engine.recover(routed_pcr, [cell], t, checkpoint=ck, rung="relocate")
+    outcome = engine.recover(routed_pcr, [cell], t, rung="relocate")
     assert outcome.recovered and outcome.plan_verified, outcome.reason
     assert outcome.rung == "relocate"
     assert outcome.relocated_ops and outcome.moved_ops == outcome.relocated_ops
@@ -118,7 +119,7 @@ def test_relocate_fails_fast_without_a_pending_hit(routed_pcr, engine):
     """A street fault leaves relocate nothing to move: its layout would
     be the reroute rung's, so it fails before routing or replay."""
     t, ck, cell = _mid_fault(engine, routed_pcr, target="street")
-    outcome = engine.recover(routed_pcr, [cell], t, checkpoint=ck, rung="relocate")
+    outcome = engine.recover(routed_pcr, [cell], t, rung="relocate")
     assert not outcome.recovered
     assert outcome.reason == (
         "no pending module covers a dead cell; nothing to relocate"
@@ -256,7 +257,7 @@ def test_outcome_to_dict_is_json_safe(routed_pcr, engine):
     import json
 
     t, ck, cell = _mid_fault(engine, routed_pcr)
-    outcome = engine.recover(routed_pcr, [cell], t, seed=3, checkpoint=ck)
+    outcome = engine.recover(routed_pcr, [cell], t, seed=3)
     payload = json.loads(json.dumps(outcome.to_dict()))
     assert payload["recovered"] is True
     assert payload["checkpoint"]["pending"]

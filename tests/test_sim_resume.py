@@ -149,9 +149,7 @@ def test_a_rung_replay_resumes_to_the_full_replay(name, fraction, target, seed, 
     t = fraction * result.makespan
     checkpoint = engine.checkpoint_of(result, t)
     cell = pick_fault_cell(result, checkpoint, target, rng=seed)
-    outcome = engine.recover(
-        result, [cell], t, seed=seed, checkpoint=checkpoint, rung=rung
-    )
+    outcome = engine.recover(result, [cell], t, seed=seed, rung=rung)
     if outcome.sim_report is None:
         return  # the rung refused before replaying
     full = _full_replay(
