@@ -1,20 +1,30 @@
-"""Build and load the compiled area-cost round (``_anneal.c``).
+"""Build and load the compiled kernels (``_anneal.c`` and ``_route.c``).
 
-The annealer runs a cost whose ``delta`` is :meth:`~repro.placement.cost.
-AreaCost.delta` through ``anneal_round``, a C transcription of its
-Metropolis step (see :meth:`~repro.placement.incremental.
-IncrementalCostEvaluator.bind_round`). The source ships with the package
-and is compiled on the first anneal that needs it, never at import,
-with ``sysconfig``'s ``CC`` and :data:`FLAGS`. The shared library is
-cached under a name hashed from the source, the compile command and the
-platform: in this package's ``__pycache__/`` when that is writable, in
-a per-user directory under the system temp dir otherwise. A build
-writes a temp name and renames it into place, so processes that build
-at once (forked campaign workers) never load a half-written file.
+Two hot loops run in C, each bit for bit its Python form:
 
-When the build or the load fails, :func:`load` warns once with a
+* the annealer runs a cost whose ``delta`` is :meth:`~repro.placement.
+  cost.AreaCost.delta` through ``anneal_round``, a C transcription of
+  its Metropolis step (see :meth:`~repro.placement.incremental.
+  IncrementalCostEvaluator.bind_round`);
+* the router's searches: a :class:`~repro.routing.timegrid.TimeGrid`
+  keeps its reservations in a ``route_store``, and the time-expanded A*
+  and the parking search run over it (``repro.routing.timegrid``).
+
+Both sources ship with the package and are built into one shared
+library on the first anneal or routing grid that needs it, never at
+import: ``sysconfig``'s ``CC`` compiles each with :data:`FLAGS`, both at
+once, and links the two objects. The
+library is cached under a name hashed from both sources, the compile
+command and the platform: in this package's ``__pycache__/`` when that
+is writable, in a per-user directory under the system temp dir
+otherwise. A build holds a lock on that directory, so processes that
+miss the library at once (campaign workers) build it once, and writes
+a temp name that it renames into place, so no process loads a
+half-written file.
+
+When the build or the load fails, the first caller warns once with a
 :class:`RuntimeWarning` that names the compile command and its stderr,
-and the annealer runs the generic Python body instead.
+and the anneal and the router's searches run their Python forms.
 """
 
 from __future__ import annotations
@@ -28,14 +38,25 @@ import subprocess
 import sysconfig
 import tempfile
 import warnings
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
-SOURCE = Path(__file__).with_name("_anneal.c")
+try:
+    import fcntl
+except ImportError:  # no flock (Windows): concurrent builders each build
+    fcntl = None
+
+#: The kernels' sources, compiled into one library.
+SOURCES = (
+    Path(__file__).with_name("_anneal.c"),
+    Path(__file__).parents[1] / "routing" / "_route.c",
+)
 
 #: ``-ffp-contract=off`` keeps ``a * b + c * d`` two rounded products
 #: and a rounded sum, as CPython computes it (no fused multiply-add on
 #: aarch64 or under clang). No ``-ffast-math``, no ``-march=native``.
-FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+FLAGS = ("-O2", "-ffp-contract=off", "-fPIC")
 
 _i64 = ctypes.c_int64
 _f64 = ctypes.c_double
@@ -74,18 +95,54 @@ class _BuildError(Exception):
     pass
 
 
-def compile_command(source: str, target: str) -> list[str]:
-    """The argv that compiles *source* into the shared library *target*."""
+def _cc() -> list[str]:
     cc = sysconfig.get_config_var("CC")
     if not cc:
         raise _BuildError("sysconfig names no C compiler (CC is unset)")
-    return [*shlex.split(cc), *FLAGS, "-o", target, source, "-lm"]
+    return shlex.split(cc)
+
+
+def compile_command(source: str, target: str) -> list[str]:
+    """The argv that compiles *source* into the object file *target*."""
+    return [*_cc(), *FLAGS, "-c", "-o", target, source]
+
+
+def link_command(objects: list[str], target: str) -> list[str]:
+    """The argv that links *objects* into the shared library *target*."""
+    return [*_cc(), "-shared", "-o", target, *objects, "-lm"]
+
+
+def _run(commands: list[list[str]]) -> None:
+    """Run *commands* at once (one per source, so the compiles overlap)
+    and wait for all of them; the first that fails is the error."""
+    running = []
+    for command in commands:
+        try:
+            proc = subprocess.Popen(
+                command, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True
+            )
+        except OSError as exc:
+            for _, started in running:
+                started.kill()
+                started.communicate()
+            raise _BuildError(f"`{shlex.join(command)}` did not run: {exc}") from None
+        running.append((command, proc))
+    failures = []
+    for command, proc in running:
+        _, stderr = proc.communicate()
+        if proc.returncode != 0:
+            failures.append(
+                f"`{shlex.join(command)}` exited with status {proc.returncode}: "
+                f"{stderr.strip() or '(no stderr)'}"
+            )
+    if failures:
+        raise _BuildError(failures[0])
 
 
 def _cache_dir() -> Path:
     """This package's ``__pycache__/`` if writable, else a per-user
     directory in the system temp dir."""
-    local = SOURCE.parent / "__pycache__"
+    local = SOURCES[0].parent / "__pycache__"
     try:
         local.mkdir(exist_ok=True)
         if os.access(local, os.W_OK):
@@ -93,7 +150,7 @@ def _cache_dir() -> Path:
     except OSError:
         pass
     user = os.getuid() if hasattr(os, "getuid") else os.getlogin()
-    shared = Path(tempfile.gettempdir()) / f"repro-anneal-{user}"
+    shared = Path(tempfile.gettempdir()) / f"repro-kernels-{user}"
     shared.mkdir(mode=0o700, exist_ok=True)
     if hasattr(os, "getuid") and shared.stat().st_uid != os.getuid():
         raise _BuildError(f"{shared} belongs to another user")
@@ -102,61 +159,117 @@ def _cache_dir() -> Path:
 
 def _library() -> Path:
     """The cached shared library, compiled first if it is missing."""
-    source = SOURCE.read_bytes()
-    command = compile_command("SOURCE", "TARGET")
+    sources = [path.read_bytes() for path in SOURCES]
+    commands = [compile_command(path.name, "OBJECT") for path in SOURCES]
+    commands.append(link_command(["OBJECTS"], "TARGET"))
     key = hashlib.sha256(
-        b"\0".join([source, shlex.join(command).encode(),
+        b"\0".join([*sources, *(shlex.join(c).encode() for c in commands),
                     sysconfig.get_platform().encode(), platform.machine().encode()])
     ).hexdigest()[:16]
-    path = _cache_dir() / f"_anneal-{key}.so"
+    path = _cache_dir() / f"_kernels-{key}.so"
     if path.exists():
         return path
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    command = compile_command(str(SOURCE), str(tmp))
-    try:
-        done = subprocess.run(command, capture_output=True, text=True)
-    except OSError as exc:
-        raise _BuildError(f"`{shlex.join(command)}` did not run: {exc}") from None
-    if done.returncode != 0:
-        tmp.unlink(missing_ok=True)
-        raise _BuildError(
-            f"`{shlex.join(command)}` exited with status {done.returncode}: "
-            f"{done.stderr.strip() or '(no stderr)'}"
-        )
-    os.replace(tmp, path)
+    with _locked(path.parent):
+        if path.exists():  # another process built it while this one waited
+            return path
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        with tempfile.TemporaryDirectory(dir=path.parent) as work:
+            objects = [os.path.join(work, f"{source.stem}.o") for source in SOURCES]
+            _run([compile_command(str(s), o) for s, o in zip(SOURCES, objects)])
+            try:
+                _run([link_command(objects, str(tmp))])
+            except _BuildError:
+                tmp.unlink(missing_ok=True)
+                raise
+        os.replace(tmp, path)
     return path
 
 
-def _load_round():
+@contextmanager
+def _locked(directory: Path) -> Iterator[None]:
+    """Hold an exclusive lock on *directory* where the OS has ``flock``,
+    so processes that miss the library at once (campaign workers) build
+    it once; elsewhere each builds its own, renamed into place."""
+    if fcntl is None:
+        yield
+        return
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)  # releases the lock
+
+
+class _Kernels:
+    """The library's functions, typed: ``anneal_round`` and ``_route.c``'s
+    ``route_*``."""
+
+    def __init__(self, lib: ctypes.CDLL) -> None:
+        i32, u8, store = ctypes.c_int32, ctypes.c_char_p, _ptr
+        net = [i32, i32, i32, u8, u8]  # net, producer, consumer, their zone masks
+        signatures = {
+            "anneal_round": (_i64, [
+                ctypes.POINTER(RoundStatic), ctypes.POINTER(RoundState),
+                _i64, _f64, _i64, ctypes.POINTER(_f64), _f64, ctypes.POINTER(_i64),
+            ]),
+            "route_new": (store, [_i64, _i64, _ptr, _ptr]),
+            "route_free": (None, [store]),
+            "route_reserve": (_i64, [store, _ptr, _i64, _i64, *net]),
+            "route_remove": (None, [store, i32]),
+            "route_clear": (None, [store]),
+            "route_live": (_i64, [store]),
+            "route_reserved": (_i64, [store]),
+            "route_blocked": (_i64, [store, _i64, _i64, *net]),
+            "route_search": (_i64, [store, _i64, _i64, _i64, *net, _ptr]),
+            "route_parking": (_i64, [store, _i64, _i64, _ptr, _i64, _ptr, _i64]),
+        }
+        for name, (restype, argtypes) in signatures.items():
+            fn = getattr(lib, name)
+            fn.restype = restype
+            fn.argtypes = argtypes
+            setattr(self, name, fn)
+
+
+def _load_kernels() -> _Kernels:
     try:
         lib = ctypes.CDLL(str(_library()))
     except OSError as exc:
         raise _BuildError(f"the built library did not load: {exc}") from None
-    fn = lib.anneal_round
-    fn.restype = _i64
-    fn.argtypes = [
-        ctypes.POINTER(RoundStatic), ctypes.POINTER(RoundState),
-        _i64, _f64, _i64, ctypes.POINTER(_f64), _f64, ctypes.POINTER(_i64),
-    ]
-    return fn
+    return _Kernels(lib)
 
 
 _UNLOADED = object()
-_round = _UNLOADED
+_lib = _UNLOADED
+
+
+def _kernels() -> _Kernels | None:
+    """Both kernels, built on first use; ``None`` when they cannot be
+    built or loaded (warned once, with the reason)."""
+    global _lib
+    if _lib is _UNLOADED:
+        try:
+            _lib = _load_kernels()
+        except (_BuildError, OSError) as exc:
+            _lib = None
+            warnings.warn(
+                "cannot build the compiled kernels, so the anneal round and the "
+                "router's searches (the time-expanded A*, its reservation store "
+                f"and the parking search) run in Python: {exc}",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+    return _lib
 
 
 def load():
-    """The compiled ``anneal_round``, built on first use; ``None`` when
-    it cannot be built or loaded (warned once, with the reason)."""
-    global _round
-    if _round is _UNLOADED:
-        try:
-            _round = _load_round()
-        except (_BuildError, OSError) as exc:
-            _round = None
-            warnings.warn(
-                f"cannot build the compiled anneal round, annealing in Python: {exc}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return _round
+    """The compiled ``anneal_round``; ``None`` when the kernels cannot
+    be built or loaded."""
+    kernels = _kernels()
+    return None if kernels is None else kernels.anneal_round
+
+
+def route_kernel() -> _Kernels | None:
+    """The library's functions, for the router's ``route_*`` calls;
+    ``None`` when the kernels cannot be built or loaded."""
+    return _kernels()

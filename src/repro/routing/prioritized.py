@@ -39,7 +39,13 @@ from collections.abc import Iterable, Sequence
 
 from repro.geometry import Point
 from repro.routing.plan import Net, RoutedNet
-from repro.routing.timegrid import FAULTY, MODULE, PARKED_HALO
+from repro.routing.timegrid import (
+    FAULTY,
+    MODULE,
+    PARKED_HALO,
+    _entries_block,
+    _tails_block,
+)
 from repro.util.errors import RoutingError
 
 #: Priority boost added per failed round — large enough to outrank any
@@ -47,51 +53,6 @@ from repro.util.errors import RoutingError
 AGING = 1_000.0
 
 _STATIC_HARD = FAULTY | PARKED_HALO
-
-
-def _entries_block(
-    entries: list[tuple[str, str | None, str | None, bool, bool]],
-    net_id: str,
-    producer: str | None,
-    consumer: str | None,
-    prod_cells: frozenset[int],
-    cons_cells: frozenset[int],
-    idx: int,
-) -> bool:
-    """Foreign, non-exempt trajectory-halo entry present? Exemptions
-    are two-sided: the queried cell must be in-zone *and* the entry's
-    recorded origin flag must say the reserving position was too."""
-    for eid, ep, ec, pok, cok in entries:
-        if eid == net_id:
-            continue
-        if cok and ec is not None and ec == consumer and idx in cons_cells:
-            continue
-        if pok and ep is not None and ep == producer and idx in prod_cells:
-            continue
-        return True
-    return False
-
-
-def _tails_block(
-    entries: list[tuple[str, str | None, str | None, int, bool, bool]],
-    step: int,
-    net_id: str,
-    producer: str | None,
-    consumer: str | None,
-    prod_cells: frozenset[int],
-    cons_cells: frozenset[int],
-    idx: int,
-) -> bool:
-    """Foreign, non-exempt parked tail covering *step*?"""
-    for eid, ep, ec, from_step, pok, cok in entries:
-        if from_step > step or eid == net_id:
-            continue
-        if cok and ec is not None and ec == consumer and idx in cons_cells:
-            continue
-        if pok and ep is not None and ep == producer and idx in prod_cells:
-            continue
-        return True
-    return False
 
 
 class PrioritizedRouter:
@@ -343,8 +304,14 @@ class PrioritizedRouter:
         A state is ``step*area + idx`` — the same key the grid uses for
         its halo entries, so each reservation probe is one dict lookup.
         States expand in the canonical order (wait, +x, -x, +y, -y) and
-        equal-cost ties pop in push order.
+        equal-cost ties pop in push order. A grid on the compiled store
+        runs this search in C (``_route.c``), popping the same states.
         """
+        if grid._kernel is not None:
+            cells = grid._compiled_search(net, horizon)
+            if cells is None:
+                raise self._no_trajectory(net, grid, horizon)
+            return RoutedNet(net, cells)
         start, goal = net.source, net.goal
         width, area = grid.width, grid.area
         src = (start[1] - 1) * width + (start[0] - 1)
@@ -368,8 +335,7 @@ class PrioritizedRouter:
         while open_heap:
             _, step, _, idx = heappop(open_heap)
             if idx == dst and self._tail_free_packed(
-                grid, dst, step, horizon, net_id, producer, consumer,
-                prod_cells, cons_cells,
+                grid, net, dst, step, horizon, prod_cells, cons_cells
             ):
                 return RoutedNet(
                     net, self._reconstruct_packed(grid, came_from, step * area + idx)
@@ -413,27 +379,30 @@ class PrioritizedRouter:
                 came_from[state] = here
                 heappush(open_heap, (nstep + dist[nidx], nstep, pushes, nidx))
                 pushes += 1
-        raise RoutingError(
-            f"net {net.net_id}: no trajectory {start} -> {goal} within "
+        raise self._no_trajectory(net, grid, horizon)
+
+    @staticmethod
+    def _no_trajectory(net: Net, grid, horizon: int) -> RoutingError:
+        return RoutingError(
+            f"net {net.net_id}: no trajectory {net.source} -> {net.goal} within "
             f"{horizon} steps on {grid}"
         )
 
     @staticmethod
     def _tail_free_packed(
         grid,
+        net: Net,
         dst: int,
         step: int,
         horizon: int,
-        net_id: str,
-        producer: str | None,
-        consumer: str | None,
         prod_cells: frozenset[int],
         cons_cells: frozenset[int],
     ) -> bool:
         """After arrival the droplet parks at its goal; the cell must
         stay clear of other reservations through the horizon. Parked
-        tails answer in O(entries); trajectory halos are scanned only up
+        tails answer in O(entries); trajectory halos are asked only up
         to the cell's reserved-free-from bound, not the horizon."""
+        net_id, producer, consumer = net.net_id, net.producer, net.consumer
         tail_entries = grid._tail.get(dst)
         if tail_entries:
             for eid, ep, ec, from_step, pok, cok in tail_entries:
@@ -446,18 +415,13 @@ class PrioritizedRouter:
                 if pok and ep is not None and ep == producer and dst in prod_cells:
                     continue
                 return False
+        # No tail covers the cell by the horizon now, so the grid's
+        # answers below are its halos'.
         last = grid._cell_last.get(dst, -1)
-        if last <= step:
-            return True
-        halo = grid._halo
-        area = grid.area
-        for s in range(step + 1, min(last, horizon) + 1):
-            entries = halo.get(s * area + dst)
-            if entries is not None and _entries_block(
-                entries, net_id, producer, consumer, prod_cells, cons_cells, dst
-            ):
-                return False
-        return True
+        return not any(
+            grid.reserved_blocked(net.goal, s, net)
+            for s in range(step + 1, min(last, horizon) + 1)
+        )
 
     @staticmethod
     def _reconstruct_packed(

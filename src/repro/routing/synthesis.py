@@ -63,6 +63,7 @@ class _SynthesisIndex:
         schedule: Schedule,
         placement: Placement,
         criticality: dict[str, float],
+        after_time: float | None,
     ) -> None:
         self.shape = GridShape(placement.core_width, placement.core_height)
         #: op -> latest start among its scheduled consumers (ops with
@@ -91,10 +92,14 @@ class _SynthesisIndex:
         ]
         #: release instant -> its transports, sorted by (producer,
         #: consumer): (producer, consumer, goal, plug cell, producer
-        #: footprint, ops exempt at the plug, priority).
+        #: footprint, ops exempt at the plug, priority). Only instants
+        #: at or after *after_time*, when set: a suffix re-route routes
+        #: no earlier epoch.
         self.releases: dict[float, list[tuple]] = {}
         for u, v in dependency_edges(graph):  # sorted
             if not (u in placement and v in placement and v in schedule):
+                continue
+            if after_time is not None and schedule.start(v) < after_time:
                 continue
             # Input i of a consumer goes to the i-th cell of its
             # functional region, i being the droplet's index among the
@@ -156,14 +161,13 @@ class RoutingSynthesizer:
         """
         # Work in chip cells, the replay's frame, throughout.
         index = _SynthesisIndex(
-            graph, schedule, chip.embed(placement), self._criticality(graph, schedule)
+            graph, schedule, chip.embed(placement), self._criticality(graph, schedule),
+            after_time,
         )
         faulty = frozenset(map(chip.cell, faulty_cells))
 
         epochs: list[RoutingEpoch] = []
         for t in sorted(index.releases):
-            if after_time is not None and t < after_time:
-                continue
             epoch = self._route_epoch(
                 index, index.releases[t], t, step_offset, faulty
             )
@@ -362,8 +366,11 @@ class RoutingSynthesizer:
 
         The search runs on packed indices: one multi-source Chebyshev
         BFS for the spacing key, and flood fills over a byte mask of
-        the free cells built once per search.
+        the free cells built once per search. A grid on the compiled
+        store runs it in C (``_route.c``), picking the same cell.
         """
+        if grid._kernel is not None:
+            return grid._compiled_parking(start, parked, keep_clear)
         shape = grid.shape
         w, h, area = shape.width, shape.height, shape.area
         halos = shape.halos

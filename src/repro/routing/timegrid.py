@@ -47,9 +47,20 @@ search states, so one multiply-add answers an occupancy probe with no
   router's arrival check scans only ``(step, min(bound, horizon)]``
   instead of the whole horizon.
 
+**Compiled store.** When the compiled kernels load
+(:func:`repro.placement.compiled.route_kernel`), a grid keeps its
+reservations in a C ``route_store`` (``_route.c``) instead of the dicts
+above, with the same layout: halo lists keyed by ``step*area + idx``,
+parked tails per cell and the reserved-free-from bound. The grid interns
+net and op ids to small ints for it, and shares its static mask and
+per-cell module owners with it, uncopied. The router's A* and the
+synthesizer's parking search then run in C over that store; every answer
+is the dict store's. Otherwise the dicts and the Python searches run.
+
 The tables that depend only on the array's shape — the ``Point`` of
 each index, the expansion table, each cell's 3x3 halo and the packed
-cells of a rectangle — live in a :class:`GridShape`. A grid built
+cells of a rectangle — live in a :class:`GridShape` (the expansion and
+halo tables only the Python searches read are built on first use). A grid built
 alone makes its own; the routing synthesizer builds one per
 ``synthesize`` call and every epoch's grid borrows it.
 
@@ -63,15 +74,68 @@ reservation's horizon covers; the tail keeps a parked droplet blocking
 
 from __future__ import annotations
 
+import ctypes
+import weakref
+from array import array
 from collections.abc import Iterable
+from functools import cached_property
 
 from repro.geometry import Point, Rect
-from repro.routing.plan import RoutedNet
+from repro.placement import compiled
+from repro.routing.plan import Net, RoutedNet
 
 #: Static-obstacle byte-mask bits, preclassified per cell.
 FAULTY = 1
 PARKED_HALO = 2
 MODULE = 4
+#: Owner slot of a cell more than two modules cover: no net's exempt
+#: ops (its producer and consumer) can include every owner.
+_MANY_OWNERS = -3
+
+
+def _entries_block(
+    entries: list[tuple[str, str | None, str | None, bool, bool]],
+    net_id: str,
+    producer: str | None,
+    consumer: str | None,
+    prod_cells: frozenset[int],
+    cons_cells: frozenset[int],
+    idx: int,
+) -> bool:
+    """Foreign, non-exempt trajectory-halo entry present? Exemptions
+    are two-sided: the queried cell must be in-zone *and* the entry's
+    recorded origin flag must say the reserving position was too."""
+    for eid, ep, ec, pok, cok in entries:
+        if eid == net_id:
+            continue
+        if cok and ec is not None and ec == consumer and idx in cons_cells:
+            continue
+        if pok and ep is not None and ep == producer and idx in prod_cells:
+            continue
+        return True
+    return False
+
+
+def _tails_block(
+    entries: list[tuple[str, str | None, str | None, int, bool, bool]],
+    step: int,
+    net_id: str,
+    producer: str | None,
+    consumer: str | None,
+    prod_cells: frozenset[int],
+    cons_cells: frozenset[int],
+    idx: int,
+) -> bool:
+    """Foreign, non-exempt parked tail covering *step*?"""
+    for eid, ep, ec, from_step, pok, cok in entries:
+        if from_step > step or eid == net_id:
+            continue
+        if cok and ec is not None and ec == consumer and idx in cons_cells:
+            continue
+        if pok and ep is not None and ep == producer and idx in prod_cells:
+            continue
+        return True
+    return False
 
 
 class GridShape:
@@ -91,16 +155,28 @@ class GridShape:
         w, h = width, height
         #: packed idx -> Point, for O(1) unpacking.
         self.points = [Point(x, y) for y in range(1, h + 1) for x in range(1, w + 1)]
+        self._rect_cells: dict[Rect, frozenset[int]] = {}
+        self._rect_masks: dict[Rect, bytes] = {}
+        self._distances: dict[int, list[int]] = {}
+
+    @cached_property
+    def halos(self) -> list[tuple[int, ...]]:
+        """Per-cell in-bounds 3x3 halo, row by row (the Python searches'
+        table, built on first use)."""
+        w, h = self.width, self.height
         # The in-bounds columns / row offsets around each column / row.
         cols = [tuple(c for c in (x - 1, x, x + 1) if 0 <= c < w) for x in range(w)]
         rows = [tuple(r * w for r in (y - 1, y, y + 1) if 0 <= r < h) for y in range(h)]
-        #: Per-cell in-bounds 3x3 halo, row by row.
-        self.halos = [tuple([r + c for r in row for c in col]) for row in rows for col in cols]
-        #: Per-cell expansion table for the time-expanded search: the
-        #: cell itself (wait-in-place) followed by its in-bounds 4-
-        #: neighbors, in the router's canonical ``(wait, +x, -x, +y,
-        #: -y)`` order.
-        self.neighbors: list[tuple[int, ...]] = []
+        return [tuple([r + c for r in row for c in col]) for row in rows for col in cols]
+
+    @cached_property
+    def neighbors(self) -> list[tuple[int, ...]]:
+        """Per-cell expansion table for the time-expanded search: the
+        cell itself (wait-in-place) followed by its in-bounds 4-
+        neighbors, in the router's canonical ``(wait, +x, -x, +y, -y)``
+        order (the Python searches' table, built on first use)."""
+        w, h = self.width, self.height
+        table: list[tuple[int, ...]] = []
         for y in range(h):
             up, down = y + 1 < h, y > 0
             for x in range(w):
@@ -114,17 +190,14 @@ class GridShape:
                     row.append(i + w)
                 if down:
                     row.append(i - w)
-                self.neighbors.append(tuple(row))
-        self._rect_cells: dict[Rect, frozenset[int]] = {}
-        self._distances: dict[int, list[int]] = {}
+                table.append(tuple(row))
+        return table
 
     def halo(self, p: Point) -> tuple[int, ...]:
         """Packed indices of the in-bounds 3x3 halo around *p*, which
-        may itself lie off the array."""
+        may itself lie off the array, row by row."""
         px, py = p
         w, h = self.width, self.height
-        if 1 <= px <= w and 1 <= py <= h:
-            return self.halos[(py - 1) * w + (px - 1)]
         return tuple(
             (yy - 1) * w + (xx - 1)
             for yy in (py - 1, py, py + 1)
@@ -145,6 +218,16 @@ class GridShape:
                 d + abs(y - gy) for y in range(self.height) for d in row
             ]
         return dist
+
+    def rect_mask(self, rect: Rect) -> bytes:
+        """Packed in-bounds cells of *rect* as a per-cell byte mask."""
+        mask = self._rect_masks.get(rect)
+        if mask is None:
+            cells = bytearray(self.area)
+            for i in self.rect_idxs(rect):
+                cells[i] = 1
+            mask = self._rect_masks[rect] = bytes(cells)
+        return mask
 
     def rect_idxs(self, rect: Rect) -> frozenset[int]:
         """Packed in-bounds cells of *rect*."""
@@ -206,6 +289,73 @@ class TimeGrid:
         self._cell_last: dict[int, int] = {}
         #: net_id -> (halo keys, tail idxs) for O(path) removal.
         self._net_keys: dict[str, tuple[set[int], list[int]]] = {}
+        #: The compiled store's functions, or None: the dicts above hold
+        #: the reservations then.
+        self._kernel = compiled.route_kernel()
+        if self._kernel is not None:
+            self._bind_store()
+
+    def _bind_store(self) -> None:
+        """Open the compiled store over this grid's static mask and
+        owner slots, freed with the grid."""
+        area = self.area
+        #: Interned net and op ids; None is -1.
+        self._ids: dict[str | None, int] = {None: -1}
+        #: Two interned owner ids per module cell (one owner fills both;
+        #: more than two read _MANY_OWNERS).
+        self._owners = array("i", [_MANY_OWNERS]) * (2 * area)
+        #: op id -> its zone cells as a byte mask.
+        self._masks: dict[str, bytes] = {}
+        #: (net id, producer, consumer) -> the store's per-net arguments.
+        self._net_args: dict[tuple, tuple] = {}
+        self._path = array("i", bytes(4))
+        # The view pins the mask's buffer, so the store's pointer into
+        # it stays valid.
+        self._static_view = (ctypes.c_char * area).from_buffer(self._static)
+        self._store = self._kernel.route_new(
+            self.width, self.height,
+            ctypes.addressof(self._static_view), self._owners.buffer_info()[0],
+        )
+        if not self._store:
+            raise MemoryError("cannot allocate the compiled reservation store")
+        weakref.finalize(self, self._kernel.route_free, self._store)
+
+    def _intern(self, name: str | None) -> int:
+        ids = self._ids
+        i = ids.get(name)
+        if i is None:
+            i = ids[name] = len(ids) - 1
+        return i
+
+    def _args(self, net: Net) -> tuple:
+        """The store's ``(net, producer, consumer, producer zone mask,
+        consumer zone mask)`` arguments for *net*."""
+        key = (net.net_id, net.producer, net.consumer)
+        args = self._net_args.get(key)
+        if args is None:
+            args = self._net_args[key] = (
+                self._intern(net.net_id), self._intern(net.producer),
+                self._intern(net.consumer), self._mask(net.producer),
+                self._mask(net.consumer),
+            )
+        return args
+
+    def _mask(self, op_id: str | None) -> bytes | None:
+        """*op_id*'s zone cells as a byte mask; None for no op."""
+        if op_id is None:
+            return None
+        mask = self._masks.get(op_id)
+        if mask is None:
+            rects = self._regions.get(op_id, ())
+            if len(rects) == 1:
+                mask = self.shape.rect_mask(rects[0])
+            else:
+                cells = bytearray(self.area)
+                for i in self.region_idxs(op_id):
+                    cells[i] = 1
+                mask = bytes(cells)
+            self._masks[op_id] = mask
+        return mask
 
     # -- packing -------------------------------------------------------------
 
@@ -237,9 +387,20 @@ class TimeGrid:
     def add_module(self, footprint: Rect, owner: str) -> None:
         """Block *footprint* for every net not owned by *owner*; also
         registers the footprint as the owner's merge/split zone."""
+        compiled_owner = None if self._kernel is None else self._intern(owner)
         for idx in self.shape.rect_idxs(footprint):
-            self._module_cells.setdefault(idx, set()).add(owner)
+            owners = self._module_cells.setdefault(idx, set())
+            owners.add(owner)
             self._static[idx] |= MODULE
+            if compiled_owner is not None:
+                if len(owners) == 1:
+                    ids = [compiled_owner]
+                elif len(owners) == 2:
+                    ids = [self._intern(o) for o in owners]
+                else:
+                    ids = [_MANY_OWNERS]
+                self._owners[2 * idx] = ids[0]
+                self._owners[2 * idx + 1] = ids[-1]
         self.add_region(owner, footprint)
 
     def add_region(self, op_id: str, footprint: Rect) -> None:
@@ -250,6 +411,9 @@ class TimeGrid:
         if footprint not in rects:
             rects.append(footprint)
             self._region_cells.pop(op_id, None)
+            if self._kernel is not None:
+                self._masks.pop(op_id, None)
+                self._net_args.clear()
 
     def in_region(self, op_id: str | None, cell: Point) -> bool:
         if op_id is None:
@@ -327,6 +491,17 @@ class TimeGrid:
         the cost is proportional to the path, not the horizon.
         """
         net = routed.net
+        if self._kernel is not None:
+            xy = array("i", [c for p in routed.cells for c in p])
+            status = self._kernel.route_reserve(
+                self._store, xy.buffer_info()[0], len(routed.cells), horizon,
+                *self._args(net),
+            )
+            if status == -1:
+                raise ValueError(f"net {net.net_id!r} is already reserved")
+            if status:
+                raise MemoryError("cannot grow the compiled reservation store")
+            return
         if net.net_id in self._net_keys:
             raise ValueError(f"net {net.net_id!r} is already reserved")
         arrival = routed.latency
@@ -410,6 +585,11 @@ class TimeGrid:
         """Drop one net's reservation (re-routing during negotiation or
         compaction), pruning emptied entry lists so negotiation-heavy
         epochs do not accumulate dead keys."""
+        if self._kernel is not None:
+            net = self._ids.get(net_id)
+            if net is not None:
+                self._kernel.route_remove(self._store, net)
+            return
         halo_keys, tail_idxs = self._net_keys.pop(net_id, ((), ()))
         halo_map = self._halo
         for key in halo_keys:
@@ -431,14 +611,82 @@ class TimeGrid:
     def clear_reservations(self) -> None:
         """Drop all reservations (a fresh negotiation round); static
         obstacles stay."""
+        if self._kernel is not None:
+            self._kernel.route_clear(self._store)
+            return
         self._halo.clear()
         self._tail.clear()
         self._cell_last.clear()
         self._net_keys.clear()
 
+    def reserved_blocked(self, cell: Point, step: int, net: Net) -> bool:
+        """True if another droplet's halo or parked tail covers (*cell*,
+        *step*) for *net*, honoring the two-sided merge/split exemptions.
+        Off-array cells carry no reservation."""
+        if not self.in_bounds(cell):
+            return False
+        idx = self.pack(cell)
+        if self._kernel is not None:
+            return bool(self._kernel.route_blocked(self._store, idx, step, *self._args(net)))
+        zones = (
+            net.net_id, net.producer, net.consumer,
+            self.region_idxs(net.producer), self.region_idxs(net.consumer), idx,
+        )
+        entries = self._halo.get(step * self.area + idx)
+        if entries and _entries_block(entries, *zones):
+            return True
+        tails = self._tail.get(idx)
+        return bool(tails) and _tails_block(tails, step, *zones)
+
+    # -- the compiled searches -----------------------------------------------
+
+    def _compiled_search(self, net: Net, horizon: int) -> tuple[Point, ...] | None:
+        """The compiled store's time-expanded A* for *net* (see
+        ``PrioritizedRouter._search``): its trajectory, or None when
+        none arrives and stays parked within *horizon* steps."""
+        path = self._path
+        if len(path) <= horizon:
+            path = self._path = array("i", bytes(4 * (horizon + 1)))
+        (sx, sy), (gx, gy), width = net.source, net.goal, self.width
+        found = self._kernel.route_search(
+            self._store, (sy - 1) * width + sx - 1, (gy - 1) * width + gx - 1, horizon,
+            *self._args(net), path.buffer_info()[0],
+        )
+        if found < 0:
+            raise MemoryError("cannot grow the compiled search's tables")
+        if not found:
+            return None
+        return tuple(map(self.shape.points.__getitem__, path[:found]))
+
+    def _compiled_parking(
+        self, start: Point, parked: Iterable[Point], keep_clear: Iterable[Point]
+    ) -> Point | None:
+        """The compiled parking search (see
+        ``RoutingSynthesizer._nearest_parking``); every *parked* cell
+        must lie on the array."""
+        w, h = self.width, self.height
+        if not all(1 <= x <= w and 1 <= y <= h for x, y in parked):
+            raise ValueError(f"a parked droplet lies off the {w}x{h} array: {sorted(parked)}")
+        parked_idxs = array("i", [(y - 1) * w + (x - 1) for x, y in parked])
+        clear = array(
+            "i", [(y - 1) * w + (x - 1) for x, y in keep_clear if 1 <= x <= w and 1 <= y <= h]
+        )
+        cell = self._kernel.route_parking(
+            self._store, start[0], start[1],
+            parked_idxs.buffer_info()[0], len(parked_idxs),
+            clear.buffer_info()[0], len(clear),
+        )
+        if cell < -1:
+            raise MemoryError("cannot allocate the parking search's tables")
+        return None if cell < 0 else self.shape.points[cell]
+
     def __str__(self) -> str:
+        reservations = (
+            len(self._net_keys) if self._kernel is None
+            else self._kernel.route_reserved(self._store)
+        )
         return (
             f"TimeGrid({self.width}x{self.height}, "
             f"{len(self._faulty)} faulty, {len(self._parked)} parked, "
-            f"{len(self._net_keys)} reservations)"
+            f"{reservations} reservations)"
         )

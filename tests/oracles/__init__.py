@@ -16,9 +16,10 @@ parity properties in ``tests/`` and the speed-up baselines in
 * :mod:`oracles.timegrid` and :mod:`oracles.routing` — the Point-dict
   occupancy grid, its cross-checking shadow, full-round negotiation and
   the generic search (:class:`ReferenceSynthesizer`) beside the packed
-  routing engine, and the packed grid's occupancy queries
-  (:func:`oracles.timegrid.reserved_blocked`, :func:`oracles.timegrid.blocked`)
-  composed from the checks its search inlines;
+  routing engine, the packed grid's full occupancy query
+  (:func:`oracles.timegrid.blocked`) composed from the checks its search
+  inlines, and :func:`oracles.routing.route_engine`, which runs a block
+  on the router's compiled or Python searches;
 * :mod:`oracles.anneal` — per-move delta verification
   (:class:`CheckedCost`), the evaluator's from-scratch invariant check
   (:func:`check_consistency`) and the full-recompute anneal

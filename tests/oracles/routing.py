@@ -23,21 +23,57 @@ packed engine's perf baseline), ``cross_check=True`` on
 :class:`CrossCheckTimeGrid` with both negotiation shapes. On those
 grids the parking search also runs its generic ``Point``-based form,
 which picks the same cell as the packed one.
+
+:func:`route_engine` picks the path the packed grids built inside it
+take: the compiled store and searches (``_route.c``) or their packed
+Python forms. :data:`ENGINES` parametrizes a test over both; the
+compiled one is skipped on a host with no C compiler.
 """
 
 from __future__ import annotations
 
 import heapq
+import shlex
+import shutil
+import sysconfig
 from collections import deque
+from contextlib import contextmanager
+from unittest import mock
 
+import pytest
 from oracles.timegrid import CrossCheckTimeGrid, ReferenceTimeGrid
 
 from repro.geometry import Point
+from repro.placement import compiled
 from repro.routing.plan import Net, RoutedNet, chebyshev
 from repro.routing.prioritized import PrioritizedRouter
 from repro.routing.synthesis import RoutingSynthesizer
 from repro.routing.timegrid import TimeGrid
 from repro.util.errors import RoutingError
+
+
+def _compiler_on_path() -> bool:
+    cc = sysconfig.get_config_var("CC")
+    return bool(cc) and shutil.which(shlex.split(cc)[0]) is not None
+
+
+#: Skips a test that needs the compiled kernels on a host with no C compiler.
+needs_compiler = pytest.mark.skipif(not _compiler_on_path(), reason="no C compiler on PATH")
+
+#: The router's two paths, for ``pytest.mark.parametrize("engine", ENGINES)``.
+ENGINES = (pytest.param("compiled", marks=needs_compiler), "python")
+
+
+@contextmanager
+def route_engine(engine: str):
+    """Packed grids built inside the block run on *engine*'s path:
+    ``"compiled"`` (which must have loaded) or ``"python"``."""
+    if engine == "compiled":
+        assert compiled.route_kernel() is not None, "the compiled kernels did not load"
+        yield
+    else:
+        with mock.patch.object(compiled, "route_kernel", lambda: None):
+            yield
 
 
 class ReferenceRouter(PrioritizedRouter):

@@ -28,33 +28,8 @@ from collections.abc import Iterable
 
 from repro.geometry import Point, Rect
 from repro.routing.plan import Net, RoutedNet
-from repro.routing.prioritized import _entries_block, _tails_block
 from repro.routing.timegrid import GridShape, TimeGrid
 from repro.util.errors import RoutingError
-
-
-def reserved_blocked(grid, cell: Point, step: int, net: Net) -> bool:
-    """True if another droplet's halo covers (*cell*, *step*) for *net*
-    on *grid*, honoring the two-sided merge/split exemptions.
-
-    A packed :class:`TimeGrid` is answered by the halo and tail checks
-    its router's search runs (off-array cells carry no reservation);
-    any other grid answers itself.
-    """
-    if not isinstance(grid, TimeGrid):
-        return grid.reserved_blocked(cell, step, net)
-    if not grid.in_bounds(cell):
-        return False
-    idx = grid.pack(cell)
-    zones = (
-        net.net_id, net.producer, net.consumer,
-        grid.region_idxs(net.producer), grid.region_idxs(net.consumer), idx,
-    )
-    entries = grid._halo.get(step * grid.area + idx)
-    if entries and _entries_block(entries, *zones):
-        return True
-    tails = grid._tail.get(idx)
-    return bool(tails) and _tails_block(tails, step, *zones)
 
 
 def blocked(grid, cell: Point, step: int, net: Net) -> bool:
@@ -64,8 +39,8 @@ def blocked(grid, cell: Point, step: int, net: Net) -> bool:
     grandfathered against parked halos and reservations)."""
     if cell == net.source:
         return grid.static_blocked(cell, net.exempt_ops, ignore_parked_halo=True)
-    return grid.static_blocked(cell, net.exempt_ops) or reserved_blocked(
-        grid, cell, step, net
+    return grid.static_blocked(cell, net.exempt_ops) or grid.reserved_blocked(
+        cell, step, net
     )
 
 
@@ -375,7 +350,7 @@ class CrossCheckTimeGrid:
         return self._compare(
             f"reserved_blocked@{step}",
             cell,
-            reserved_blocked(self._packed, cell, step, net),
+            self._packed.reserved_blocked(cell, step, net),
             self._shadow.reserved_blocked(cell, step, net),
         )
 

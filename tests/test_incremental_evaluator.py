@@ -957,7 +957,7 @@ def test_failed_build_warns_and_keeps_the_trajectory(monkeypatch, tmp_path):
     command = [sys.executable, "-c", "import sys; sys.exit('cc: no such compiler')"]
     monkeypatch.setattr(compiled, "compile_command", lambda source, target: command)
     monkeypatch.setattr(compiled, "_cache_dir", lambda: tmp_path)
-    monkeypatch.setattr(compiled, "_round", compiled._UNLOADED)
+    monkeypatch.setattr(compiled, "_lib", compiled._UNLOADED)
     with pytest.warns(RuntimeWarning, match="no such compiler") as caught:
         assert run_case("two-module", monkeypatch) == PINS["two-module"]
     assert len(caught) == 1

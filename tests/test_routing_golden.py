@@ -17,18 +17,25 @@ product parking and plug evacuation through their relocation searches),
 and as the recovery engine's suffix re-route: the same faulty cells,
 only the epochs released at or after the median operation start,
 numbered from step 100.
+
+Every pin holds on both of the router's paths (``ENGINES``): the
+compiled store and searches, and their packed Python forms. A build
+that fails warns once and routes on the Python path to the same pins.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
 
 import pytest
+from oracles.routing import ENGINES, route_engine
 
 from repro.assay.catalog import BUNDLED_ASSAYS, build_assay
 from repro.fault.injection import sample_street_faults
 from repro.pipeline.context import SynthesisContext
 from repro.pipeline.stages import BindStage, PlaceStage, ScheduleStage
+from repro.placement import compiled
 from repro.placement.annealer import AnnealingParams
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.routing import RoutingSynthesizer
@@ -122,7 +129,11 @@ DESIGNS = (*SYNTH_N100, "gen:mix-tree:n=120:seed=1", *sorted(BUNDLED_ASSAYS))
 
 
 def synthesize(design: str, mode: str):
-    graph, schedule, placement, chip = _placed(design)
+    return route(_placed(design), mode)
+
+
+def route(placed, mode: str):
+    graph, schedule, placement, chip = placed
     if mode == "clean":
         return RoutingSynthesizer().synthesize(graph, schedule, placement, chip)
     faults = sample_street_faults(placement, chip, 1, rate=0.10)
@@ -135,9 +146,33 @@ def synthesize(design: str, mode: str):
     )
 
 
+def pin(plan) -> tuple:
+    return (plan.routed_count, plan.failed_count, len(plan.epochs), plan_digest(plan))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("mode", ["clean", "faulted", "suffix"])
 @pytest.mark.parametrize("design", DESIGNS)
-def test_plan_is_pinned(design, mode):
-    plan = synthesize(design, mode)
-    got = (plan.routed_count, plan.failed_count, len(plan.epochs), plan_digest(plan))
-    assert got == PINS[design, mode]
+def test_plan_is_pinned(design, mode, engine):
+    with route_engine(engine):
+        plan = synthesize(design, mode)
+    assert pin(plan) == PINS[design, mode]
+
+
+def test_failed_build_warns_once_and_routes_the_pins(monkeypatch, tmp_path):
+    """A compiler that fails is reported once, as a ``RuntimeWarning``
+    naming the command and its stderr; every grid then routes on the
+    Python path, to the same pins."""
+    placed = _placed("tree8")
+    command = [sys.executable, "-c", "import sys; sys.exit('cc: no such compiler')"]
+    monkeypatch.setattr(compiled, "compile_command", lambda source, target: command)
+    monkeypatch.setattr(compiled, "_cache_dir", lambda: tmp_path)
+    monkeypatch.setattr(compiled, "_lib", compiled._UNLOADED)
+    with pytest.warns(RuntimeWarning, match="no such compiler") as caught:
+        plans = {mode: route(placed, mode) for mode in ("clean", "faulted", "suffix")}
+    assert len(caught) == 1
+    assert "router's searches" in str(caught[0].message)
+    assert compiled.route_kernel() is None
+    assert not list(tmp_path.iterdir())
+    for mode, plan in plans.items():
+        assert pin(plan) == PINS["tree8", mode]

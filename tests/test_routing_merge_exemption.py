@@ -22,7 +22,6 @@ import random
 
 import pytest
 from oracles import ReferenceSynthesizer, ReferenceTimeGrid
-from oracles.timegrid import reserved_blocked
 
 from repro.assay.catalog import build_assay
 from repro.fault.injection import sample_street_faults
@@ -94,7 +93,7 @@ def test_exemption_requires_origin_in_zone_on_both_grids():
         probe = Net("b", Point(8, 8), Point(5, 5), consumer="M")
         # One-sided rule would exempt (4, 4) (queried cell in zone);
         # two-sided blocks it because A's origin is outside.
-        assert reserved_blocked(grid, Point(4, 4), 2, probe)
+        assert grid.reserved_blocked(Point(4, 4), 2, probe)
 
     for grid in _grids():
         grid.add_region("M", zone)
@@ -102,9 +101,9 @@ def test_exemption_requires_origin_in_zone_on_both_grids():
         grid.reserve(RoutedNet(inside, (Point(4, 4),)), horizon=6)
         probe = Net("b", Point(8, 8), Point(5, 5), consumer="M")
         # Both sides in-zone: the merge exemption applies.
-        assert not reserved_blocked(grid, Point(5, 5), 2, probe)
+        assert not grid.reserved_blocked(Point(5, 5), 2, probe)
         # Queried cell outside the zone still blocks.
-        assert reserved_blocked(grid, Point(4, 3), 2, probe)
+        assert grid.reserved_blocked(Point(4, 3), 2, probe)
 
 
 def test_mixed_origin_flags_keep_per_origin_granularity():
@@ -119,10 +118,10 @@ def test_mixed_origin_flags_keep_per_origin_granularity():
         probe = Net("b", Point(8, 8), Point(5, 5), consumer="M")
         # (4, 4) at step 1 is haloed both by the out-of-zone position
         # (3, 4) and the in-zone arrival (4, 4): blocked.
-        assert reserved_blocked(grid, Point(4, 4), 1, probe)
+        assert grid.reserved_blocked(Point(4, 4), 1, probe)
         # Deep in-zone cell (5, 5) at a late step is only covered by the
         # parked in-zone tail: exempt.
-        assert not reserved_blocked(grid, Point(5, 5), 7, probe)
+        assert not grid.reserved_blocked(Point(5, 5), 7, probe)
 
 
 def test_packed_reference_parity_on_random_soups():
@@ -159,6 +158,6 @@ def test_packed_reference_parity_on_random_soups():
             for x in range(1, w + 1):
                 for y in range(1, h + 1):
                     c = Point(x, y)
-                    assert reserved_blocked(packed, c, step, probe) == (
+                    assert packed.reserved_blocked(c, step, probe) == (
                         shadow.reserved_blocked(c, step, probe)
                     ), f"divergence at {c} step {step}"
