@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.geometry import Point
-from repro.placement.model import Placement
+from repro.placement.model import PlacedModule, Placement
 
 #: Routing lanes around the core, per side: without them, modules on the
 #: core edge wall droplets into unroutable pockets.
@@ -40,10 +40,19 @@ class Chip:
         return Point(p[0] + self.margin, p[1] + self.margin)
 
     def embed(self, placement: Placement) -> Placement:
-        """*placement*'s modules in chip cells, on the whole array."""
+        """*placement*'s modules in chip cells, on the whole array.
+
+        A module inside its core, shifted by the margin, lies on the
+        chip, so the modules are built in place, without
+        :meth:`Placement.add`'s core check."""
+        m = self.margin
         out = Placement(self.width, self.height, pitch_mm=placement.pitch_mm)
-        for pm in placement:
-            out.add(pm.moved_to(*self.cell((pm.x, pm.y))))
+        out._modules = {
+            pm.op_id: PlacedModule(
+                pm.op_id, pm.spec, pm.x + m, pm.y + m, pm.start, pm.stop, pm.rotated
+            )
+            for pm in placement
+        }
         return out
 
     @property

@@ -1,6 +1,6 @@
 """Build and load the compiled kernels (``_anneal.c`` and ``_route.c``).
 
-Two hot loops run in C, each bit for bit its Python form:
+Three hot loops run in C, each bit for bit its Python form:
 
 * the annealer runs a cost whose ``delta`` is :meth:`~repro.placement.
   cost.AreaCost.delta` through ``anneal_round``, a C transcription of
@@ -8,12 +8,16 @@ Two hot loops run in C, each bit for bit its Python form:
   IncrementalCostEvaluator.bind_round`);
 * the router's searches: a :class:`~repro.routing.timegrid.TimeGrid`
   keeps its reservations in a ``route_store``, and the time-expanded A*
-  and the parking search run over it (``repro.routing.timegrid``).
+  and the parking search run over it (``repro.routing.timegrid``);
+* the plan proof: :meth:`~repro.routing.plan.RoutingPlan.verify` asks
+  ``route_verify`` whether every epoch keeps the fluidic constraints,
+  and runs its Python proof only when the kernel reports a violation,
+  to write the error (``repro.routing.plan``).
 
 Both sources ship with the package and are built into one shared
-library on the first anneal or routing grid that needs it, never at
-import: ``sysconfig``'s ``CC`` compiles each with :data:`FLAGS`, both at
-once, and links the two objects. The
+library on the first anneal, routing grid or plan proof that needs it,
+never at import: ``sysconfig``'s ``CC`` compiles each with
+:data:`FLAGS`, both at once, and links the two objects. The
 library is cached under a name hashed from both sources, the compile
 command and the platform: in this package's ``__pycache__/`` when that
 is writable, in a per-user directory under the system temp dir
@@ -24,7 +28,8 @@ half-written file.
 
 When the build or the load fails, the first caller warns once with a
 :class:`RuntimeWarning` that names the compile command and its stderr,
-and the anneal and the router's searches run their Python forms.
+and the anneal, the router's searches and the plan proof run their
+Python forms.
 """
 
 from __future__ import annotations
@@ -223,6 +228,7 @@ class _Kernels:
             "route_blocked": (_i64, [store, _i64, _i64, *net]),
             "route_search": (_i64, [store, _i64, _i64, _i64, *net, _ptr]),
             "route_parking": (_i64, [store, _i64, _i64, _ptr, _i64, _ptr, _i64]),
+            "route_verify": (_i64, [_i64, _i64, _i64, _ptr]),
         }
         for name, (restype, argtypes) in signatures.items():
             fn = getattr(lib, name)
@@ -253,9 +259,10 @@ def _kernels() -> _Kernels | None:
         except (_BuildError, OSError) as exc:
             _lib = None
             warnings.warn(
-                "cannot build the compiled kernels, so the anneal round and the "
+                "cannot build the compiled kernels, so the anneal round, the "
                 "router's searches (the time-expanded A*, its reservation store "
-                f"and the parking search) run in Python: {exc}",
+                "and the parking search) and the routing plan proof run in "
+                f"Python: {exc}",
                 RuntimeWarning,
                 stacklevel=3,
             )
@@ -270,6 +277,7 @@ def load():
 
 
 def route_kernel() -> _Kernels | None:
-    """The library's functions, for the router's ``route_*`` calls;
-    ``None`` when the kernels cannot be built or loaded."""
+    """The library's functions, for the router's and the plan proof's
+    ``route_*`` calls; ``None`` when the kernels cannot be built or
+    loaded."""
     return _kernels()

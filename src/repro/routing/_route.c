@@ -716,3 +716,222 @@ done:
     free(legal);
     return result;
 }
+
+/* -- the plan proof ------------------------------------------------------- */
+
+/* route_verify() re-checks RoutingPlan.verify's constraints on its own:
+ * it shares nothing with the store or the searches above. One epoch
+ * reaches it as one int32 record (RoutingEpoch._record):
+ *
+ *   n_nets, n_failed, n_modules, n_regions, n_faulty, n_parked,
+ *   per net     source x, y, goal x, y, producer, consumer, first, n_cells,
+ *   per failed  source x, y, producer, consumer,
+ *   per module  x1, y1, x2, y2, owner,
+ *   per region  op, x1, y1, x2, y2,
+ *   the faulty and the parked cells as (x, y) pairs,
+ *   then every trajectory's (x, y) pairs, a net's from pair `first` on.
+ *
+ * Op ids are interned per epoch, -1 for None; rectangles are inclusive. */
+
+#define NET_FIELDS 8
+#define FAILED_FIELDS 4
+#define RECT_FIELDS 5
+
+/* A routed net's trajectory, or a failed net stranded at its source. */
+typedef struct {
+    const int32_t *cells; /* (x, y) pairs */
+    int64_t n;
+    int32_t sx, sy, prod, cons;
+    int32_t x1, y1, x2, y2; /* lifetime bounding box */
+} droplet;
+
+static int64_t chebyshev(int64_t ax, int64_t ay, int64_t bx, int64_t by)
+{
+    const int64_t dx = iabs(ax - bx), dy = iabs(ay - by);
+    return dx > dy ? dx : dy;
+}
+
+static int in_region(const int32_t *regions, int64_t n_regions, int32_t op, int64_t x,
+                     int64_t y)
+{
+    for (int64_t k = 0; k < n_regions; k++) {
+        const int32_t *r = regions + RECT_FIELDS * k;
+        if (r[0] == op && r[1] <= x && x <= r[3] && r[2] <= y && y <= r[4])
+            return 1;
+    }
+    return 0;
+}
+
+/* a at (ax, ay) and b at (bx, by) break the fluidic constraint: within
+ * one cell, both outside a shared merge/split zone, and not two products
+ * still leaving adjacent parking spots (_merge_exempt,
+ * _split_parking_exempt). */
+static int too_close(const droplet *a, const droplet *b, int64_t ax, int64_t ay,
+                     int64_t bx, int64_t by, const int32_t *regions, int64_t n_regions)
+{
+    const int64_t d = chebyshev(ax, ay, bx, by);
+    if (d > 1)
+        return 0;
+    if (a->cons >= 0 && a->cons == b->cons
+        && in_region(regions, n_regions, a->cons, ax, ay)
+        && in_region(regions, n_regions, a->cons, bx, by))
+        return 0;
+    if (a->prod >= 0 && a->prod == b->prod
+        && in_region(regions, n_regions, a->prod, ax, ay)
+        && in_region(regions, n_regions, a->prod, bx, by))
+        return 0;
+    if (d >= 1 && chebyshev(a->sx, a->sy, b->sx, b->sy) <= 1
+        && chebyshev(ax, ay, a->sx, a->sy) <= 1 && chebyshev(bx, by, b->sx, b->sy) <= 1)
+        return 0;
+    return 1;
+}
+
+/* _verify_pair: every step, and both cross-step pairs, of a and b. */
+static int pair_violates(const droplet *a, const droplet *b, const int32_t *regions,
+                         int64_t n_regions)
+{
+    if (b->x1 - a->x2 > 1 || a->x1 - b->x2 > 1 || b->y1 - a->y2 > 1 || a->y1 - b->y2 > 1)
+        return 0;
+    const int64_t last = (a->n > b->n ? a->n : b->n) - 1;
+    for (int64_t t = 0; t <= last; t++) {
+        const int32_t *pa = a->cells + 2 * (t < a->n ? t : a->n - 1);
+        const int32_t *pb = b->cells + 2 * (t < b->n ? t : b->n - 1);
+        const int32_t *na = a->cells + 2 * (t + 1 < a->n ? t + 1 : a->n - 1);
+        const int32_t *nb = b->cells + 2 * (t + 1 < b->n ? t + 1 : b->n - 1);
+        if (too_close(a, b, pa[0], pa[1], pb[0], pb[1], regions, n_regions)
+            || too_close(a, b, na[0], na[1], pb[0], pb[1], regions, n_regions)
+            || too_close(a, b, pa[0], pa[1], nb[0], nb[1], regions, n_regions))
+            return 1;
+    }
+    return 0;
+}
+
+/* _verify_trajectory: endpoints, bounds, 4-adjacent steps, no faulty
+ * cell, no foreign footprint, no parked halo except at the source. */
+static int trajectory_violates(const droplet *d, const int32_t *goal, int64_t w,
+                               int64_t h, const uint8_t *mask, const int32_t *owners)
+{
+    const int32_t *c = d->cells;
+    const int64_t n = d->n;
+    if (c[0] != d->sx || c[1] != d->sy || c[2 * n - 2] != goal[0] || c[2 * n - 1] != goal[1])
+        return 1;
+    for (int64_t k = 0; k < n; k++) {
+        const int64_t x = c[2 * k], y = c[2 * k + 1];
+        if (x < 1 || x > w || y < 1 || y > h)
+            return 1;
+        if (k && iabs(x - c[2 * k - 2]) + iabs(y - c[2 * k - 1]) > 1)
+            return 1;
+        const int64_t idx = (y - 1) * w + (x - 1);
+        if (mask[idx] & FAULTY)
+            return 1;
+        for (int j = 0; j < 2; j++) {
+            const int32_t o = owners[2 * idx + j];
+            if (o != -1 && o != d->prod && o != d->cons)
+                return 1;
+        }
+        if ((x != d->sx || y != d->sy) && (mask[idx] & PARKED_HALO))
+            return 1;
+    }
+    return 0;
+}
+
+/* One epoch record: 0 when it proves, 1 on a violation, NO_MEMORY. The
+ * scratch mask and owners hold w * h cells; *drops grows as needed. */
+static int64_t verify_epoch(const int32_t *e, int64_t w, int64_t h, uint8_t *mask,
+                            int32_t *owners, droplet **drops, int64_t *cap)
+{
+    const int64_t n_nets = e[0], n_failed = e[1], n_modules = e[2], n_regions = e[3];
+    const int64_t n_faulty = e[4], n_parked = e[5];
+    const int32_t *nets = e + 6;
+    const int32_t *failed = nets + NET_FIELDS * n_nets;
+    const int32_t *modules = failed + FAILED_FIELDS * n_failed;
+    const int32_t *regions = modules + RECT_FIELDS * n_modules;
+    const int32_t *faulty = regions + RECT_FIELDS * n_regions;
+    const int32_t *parked = faulty + 2 * n_faulty;
+    const int32_t *cells = parked + 2 * n_parked;
+    const int64_t area = w * h;
+
+    memset(mask, 0, (size_t)area);
+    memset(owners, 0xff, (size_t)(2 * area) * sizeof *owners);
+    for (int64_t k = 0; k < n_faulty; k++) {
+        const int64_t x = faulty[2 * k], y = faulty[2 * k + 1];
+        if (1 <= x && x <= w && 1 <= y && y <= h)
+            mask[(y - 1) * w + (x - 1)] |= FAULTY;
+    }
+    for (int64_t k = 0; k < n_parked; k++) {
+        const int64_t x = parked[2 * k], y = parked[2 * k + 1];
+        for (int64_t yy = y - 1; yy <= y + 1; yy++)
+            for (int64_t xx = x - 1; xx <= x + 1; xx++)
+                if (1 <= xx && xx <= w && 1 <= yy && yy <= h)
+                    mask[(yy - 1) * w + (xx - 1)] |= PARKED_HALO;
+    }
+    /* Up to two distinct owners per cell; a third makes it MANY_OWNERS,
+     * which no net's two exempt ops cover. */
+    for (int64_t k = 0; k < n_modules; k++) {
+        const int32_t *m = modules + RECT_FIELDS * k, owner = m[4];
+        for (int64_t y = m[1] > 1 ? m[1] : 1; y <= m[3] && y <= h; y++)
+            for (int64_t x = m[0] > 1 ? m[0] : 1; x <= m[2] && x <= w; x++) {
+                int32_t *slot = owners + 2 * ((y - 1) * w + (x - 1));
+                if (slot[0] == MANY_OWNERS || slot[0] == owner || slot[1] == owner)
+                    continue;
+                if (slot[0] == -1)
+                    slot[0] = owner;
+                else if (slot[1] == -1)
+                    slot[1] = owner;
+                else
+                    slot[0] = slot[1] = MANY_OWNERS;
+            }
+    }
+
+    if (grow((void **)drops, cap, n_nets + n_failed, sizeof(droplet)))
+        return NO_MEMORY;
+    droplet *d = *drops;
+    for (int64_t k = 0; k < n_nets; k++) {
+        const int32_t *r = nets + NET_FIELDS * k;
+        droplet *a = &d[k];
+        *a = (droplet){cells + 2 * (int64_t)r[6], r[7], r[0], r[1], r[4], r[5], 0, 0, 0, 0};
+        if (a->n < 1 || trajectory_violates(a, r + 2, w, h, mask, owners))
+            return 1;
+        a->x1 = a->x2 = a->cells[0];
+        a->y1 = a->y2 = a->cells[1];
+        for (int64_t i = 1; i < a->n; i++) {
+            const int32_t x = a->cells[2 * i], y = a->cells[2 * i + 1];
+            a->x1 = x < a->x1 ? x : a->x1;
+            a->x2 = x > a->x2 ? x : a->x2;
+            a->y1 = y < a->y1 ? y : a->y1;
+            a->y2 = y > a->y2 ? y : a->y2;
+        }
+    }
+    for (int64_t k = 0; k < n_failed; k++) {
+        const int32_t *r = failed + FAILED_FIELDS * k;
+        d[n_nets + k] = (droplet){r, 1, r[0], r[1], r[2], r[3], r[0], r[1], r[0], r[1]};
+    }
+    /* Every routed pair, and every routed net against every stranded
+     * source. */
+    for (int64_t i = 0; i < n_nets; i++)
+        for (int64_t j = i + 1; j < n_nets + n_failed; j++)
+            if (pair_violates(&d[i], &d[j], regions, n_regions))
+                return 1;
+    return 0;
+}
+
+/* RoutingPlan.verify over the plan's epoch records: 0 when every epoch
+ * proves, 1 when one breaks a constraint, NO_MEMORY. */
+int64_t route_verify(int64_t width, int64_t height, int64_t n_epochs,
+                     const int32_t *const *epochs)
+{
+    const int64_t area = width > 0 && height > 0 ? width * height : 0;
+    uint8_t *mask = malloc((size_t)area + 1);
+    int32_t *owners = malloc((size_t)(2 * area + 1) * sizeof *owners);
+    droplet *drops = NULL;
+    int64_t cap = 0, result = NO_MEMORY;
+    if (mask && owners) {
+        result = 0;
+        for (int64_t k = 0; k < n_epochs && !result; k++)
+            result = verify_epoch(epochs[k], width, height, mask, owners, &drops, &cap);
+    }
+    free(mask);
+    free(owners);
+    free(drops);
+    return result;
+}

@@ -8,7 +8,10 @@ wait-in-place steps — grouped into :class:`RoutingEpoch` batches (all
 nets released at one schedule instant, routed concurrently). The
 :class:`RoutingPlan` bundles the epochs and *proves* the result safe:
 :meth:`RoutingPlan.verify` re-checks every constraint from scratch,
-independent of the router that produced the plan.
+independent of the router that produced the plan. The proof runs in
+C (``route_verify`` in ``_route.c``) whenever the compiled kernels load;
+its Python form is the oracle, and runs on a reported violation to
+write the error.
 
 Fluidic-constraint conventions (Su/Chakrabarty/Pamula):
 
@@ -24,10 +27,13 @@ Fluidic-constraint conventions (Su/Chakrabarty/Pamula):
 
 from __future__ import annotations
 
+import ctypes
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
 from repro.geometry import Point, Rect
+from repro.placement import compiled
 from repro.util.errors import RoutingError
 from repro.util.tables import format_table
 
@@ -154,6 +160,37 @@ class RoutingEpoch:
             r.contains_point(cell) for r in self._region_map.get(op_id, ())
         )
 
+    @cached_property
+    def _record(self) -> array:
+        """This epoch as ``route_verify`` reads it (layout in ``_route.c``),
+        op ids interned per epoch. Packed once: a recovered plan re-proves
+        its kept prefix epochs from the same records."""
+        ids: dict[str | None, int] = {None: -1}
+
+        def op(name: str | None) -> int:
+            return ids.setdefault(name, len(ids) - 1)
+
+        head = [len(self.nets), len(self.failed), len(self.modules),
+                len(self.regions), len(self.faulty), len(self.parked)]
+        first = 0
+        for rn in self.nets:
+            net = rn.net
+            head += (*net.source, *net.goal, op(net.producer), op(net.consumer),
+                     first, len(rn.cells))
+            first += len(rn.cells)
+        for net in self.failed:
+            head += (*net.source, op(net.producer), op(net.consumer))
+        for rect, owner in self.modules:
+            head += (rect.x, rect.y, rect.x2, rect.y2, op(owner))
+        for op_id, rect in self.regions:
+            head += (op(op_id), rect.x, rect.y, rect.x2, rect.y2)
+        for p in (*self.faulty, *self.parked):
+            head += p
+        for rn in self.nets:
+            for p in rn.cells:
+                head += p
+        return array("i", head)
+
 
 @dataclass(frozen=True)
 class RoutingPlan:
@@ -244,7 +281,14 @@ class RoutingPlan:
         * failed nets' droplets are not forgotten — each strands at its
           source for the whole epoch and every routed trajectory must
           keep its distance from it.
+
+        The compiled kernel proves the plan in one pass when it loads; the
+        Python proof below runs when it does not, or when it reports a
+        violation, and so writes every error message.
         """
+        kernel = compiled.route_kernel()
+        if kernel is not None and self._proved_by(kernel):
+            return
         for epoch in self.epochs:
             module_cells: dict[Point, set[str]] = {}
             for rect, owner in epoch.modules:
@@ -262,6 +306,14 @@ class RoutingPlan:
                     self._verify_pair(epoch, a, b)
                 for s in stranded:
                     self._verify_pair(epoch, a, s)
+
+    def _proved_by(self, kernel) -> bool:
+        """Whether the compiled ``route_verify`` proves every epoch."""
+        records = [epoch._record for epoch in self.epochs]
+        table = (ctypes.c_void_p * len(records))(
+            *(record.buffer_info()[0] for record in records)
+        )
+        return kernel.route_verify(self.width, self.height, len(records), table) == 0
 
     def _verify_trajectory(
         self,

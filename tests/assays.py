@@ -3,17 +3,31 @@
 * :func:`random_assay` — random, valid assay DAGs mixing
   mix/store/detect operations, for the integration properties;
 * :func:`build_pcr_full_graph` — the PCR mixing stage with its eight
-  dispenses and a final output, for the simulator's end-to-end run.
+  dispenses and a final output, for the simulator's end-to-end run;
+* :func:`routed_assay` and :func:`ci_grid_designs` — routed designs of
+  the bundled assays and of ``examples/campaigns/ci-grid.toml``, built
+  once per session, and :func:`closed_loop_scenarios`, the bundled
+  assays under four fault models at two arrivals.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
+from pathlib import Path
 
+from repro.assay.catalog import BUNDLED_ASSAYS, build_assay
 from repro.assay.graph import SequencingGraph
 from repro.assay.operations import Operation, OperationType
 from repro.assay.protocols.pcr import PCR_REAGENTS, build_pcr_mixing_graph
+from repro.placement.annealer import AnnealingParams
+from repro.placement.sa_placer import SimulatedAnnealingPlacer
+from repro.recovery import OnlineRecoveryEngine, fault_timeline
+from repro.synthesis.flow import SynthesisFlow
 from repro.util.rng import ensure_rng
+from repro.workload.campaign import CampaignConfig, CampaignRunner, _Unit
+
+CI_GRID = Path(__file__).resolve().parents[1] / "examples/campaigns/ci-grid.toml"
 
 #: Mixer spec names cycled over the random mixes (all from the standard
 #: library, so random assays bind without custom libraries).
@@ -135,3 +149,40 @@ def build_pcr_full_graph() -> SequencingGraph:
     g.add_dependency("M7", out)
     g.validate()
     return g
+
+
+@lru_cache(maxsize=None)
+def routed_assay(name: str):
+    """Bundled assay *name*, synthesized and routed (fast anneal, seed 7)."""
+    graph, explicit = build_assay(name)
+    return SynthesisFlow(
+        placer=SimulatedAnnealingPlacer(params=AnnealingParams.fast(), seed=7),
+        route=True,
+    ).run(graph, explicit_binding=explicit)
+
+
+@lru_cache(maxsize=None)
+def ci_grid_designs() -> dict:
+    """The ci-grid campaign's synthesized units, by unit key."""
+    config = CampaignConfig.load(CI_GRID)
+    tasks, _ = CampaignRunner(config)._tasks(config.expand(), {})
+    units = {task.unit.key: task.unit for task in tasks}
+    return {key: _Unit(unit).result for key, unit in sorted(units.items())}
+
+
+def closed_loop_scenarios() -> list:
+    """(design, fault events, run seed): the five bundled assays x four
+    fault models x two arrivals."""
+    engine = OnlineRecoveryEngine(annealing=AnnealingParams.fast())
+    out = []
+    for assay in sorted(BUNDLED_ASSAYS):
+        result = routed_assay(assay)
+        for model in ("permanent", "intermittent", "transient", "cluster"):
+            for arrival in (0.45, 0.65):
+                rng = random.Random(f"{assay}|{model}|{arrival}")
+                events = fault_timeline(
+                    engine, result, model, arrival * result.makespan,
+                    "pending-module", rng,
+                )
+                out.append((result, events, rng.randrange(2**32)))
+    return out

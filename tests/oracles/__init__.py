@@ -18,8 +18,10 @@ parity properties in ``tests/`` and the speed-up baselines in
   the generic search (:class:`ReferenceSynthesizer`) beside the packed
   routing engine, the packed grid's full occupancy query
   (:func:`oracles.timegrid.blocked`) composed from the checks its search
-  inlines, and :func:`oracles.routing.route_engine`, which runs a block
-  on the router's compiled or Python searches;
+  inlines, :func:`oracles.routing.route_engine`, which runs a block
+  on the router's compiled or Python searches and plan proof, and the
+  two proofs' own verdicts (:func:`oracles.routing.kernel_proves`,
+  :func:`oracles.routing.python_proof`);
 * :mod:`oracles.anneal` — per-move delta verification
   (:class:`CheckedCost`), the evaluator's from-scratch invariant check
   (:func:`check_consistency`) and the full-recompute anneal
@@ -35,8 +37,10 @@ parity properties in ``tests/`` and the speed-up baselines in
   beside the bitboard FTI;
 * :mod:`oracles.placement` — the per-origin bottom-left scan
   (:func:`reference_first_feasible_position`) beside the bitboard
-  seating, and the per-instant core sizing
-  (:func:`reference_default_core_side`) beside the delta sweep;
+  seating, the per-instant core sizing
+  (:func:`reference_default_core_side`) beside the delta sweep, and
+  the checked module-by-module :func:`reference_embed` beside the
+  direct ``Chip.embed``;
 * :mod:`oracles.probing` — the ``Point``-set free-cell walk planner
   (:func:`reference_free_cell_paths`) beside the flat-index planner, the
   walk-per-vote localizer (:class:`ReferenceLocalizer`) beside the
@@ -71,6 +75,7 @@ from oracles.mer import (
 )
 from oracles.placement import (
     reference_default_core_side,
+    reference_embed,
     reference_first_feasible_position,
 )
 from oracles.probing import ReferenceLocalizer, reference_free_cell_paths
@@ -106,6 +111,7 @@ __all__ = [
     "fits_any_rectangle",
     "reference_checkpoint_at",
     "reference_default_core_side",
+    "reference_embed",
     "reference_find_target",
     "reference_first_feasible_position",
     "reference_free_cell_paths",

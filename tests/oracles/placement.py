@@ -7,12 +7,18 @@ core sizing.
   :func:`repro.placement.legalize.first_feasible_position`;
 * :func:`reference_default_core_side` — the peak concurrent demand
   summed afresh at every start instant, beside the delta sweep of
-  :func:`repro.placement.sa_placer.default_core_side`.
+  :func:`repro.placement.sa_placer.default_core_side`;
+* :func:`reference_embed` — a placement shifted onto its chip one
+  checked :meth:`~repro.placement.model.Placement.add` per module,
+  beside the direct build of :meth:`repro.placement.chip.Chip.embed`.
 """
 
 from __future__ import annotations
 
 import math
+
+from repro.placement.chip import Chip
+from repro.placement.model import Placement
 
 
 def reference_first_feasible_position(
@@ -61,3 +67,12 @@ def reference_default_core_side(modules) -> int:
         )
         peak = max(peak, demand)
     return max(max_dim, math.ceil(math.sqrt(2.0 * peak)))
+
+
+def reference_embed(chip: Chip, placement: Placement) -> Placement:
+    """:meth:`Chip.embed` as each module's ``moved_to`` into a
+    :meth:`Placement.add`, with its core check."""
+    out = Placement(chip.width, chip.height, pitch_mm=placement.pitch_mm)
+    for pm in placement:
+        out.add(pm.moved_to(*chip.cell((pm.x, pm.y))))
+    return out

@@ -26,8 +26,11 @@ which picks the same cell as the packed one.
 
 :func:`route_engine` picks the path the packed grids built inside it
 take: the compiled store and searches (``_route.c``) or their packed
-Python forms. :data:`ENGINES` parametrizes a test over both; the
+Python forms, and the path :meth:`~repro.routing.RoutingPlan.verify`
+proves a plan on. :data:`ENGINES` parametrizes a test over both; the
 compiled one is skipped on a host with no C compiler.
+:func:`kernel_proves` and :func:`python_proof` are the two proofs'
+own verdicts, each without the other.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from oracles.timegrid import CrossCheckTimeGrid, ReferenceTimeGrid
 
 from repro.geometry import Point
 from repro.placement import compiled
-from repro.routing.plan import Net, RoutedNet, chebyshev
+from repro.routing.plan import Net, RoutedNet, RoutingPlan, chebyshev
 from repro.routing.prioritized import PrioritizedRouter
 from repro.routing.synthesis import RoutingSynthesizer
 from repro.routing.timegrid import TimeGrid
@@ -60,20 +63,52 @@ def _compiler_on_path() -> bool:
 #: Skips a test that needs the compiled kernels on a host with no C compiler.
 needs_compiler = pytest.mark.skipif(not _compiler_on_path(), reason="no C compiler on PATH")
 
+#: The production proof, which :func:`route_engine` wraps.
+_verify = RoutingPlan.verify
+
 #: The router's two paths, for ``pytest.mark.parametrize("engine", ENGINES)``.
 ENGINES = (pytest.param("compiled", marks=needs_compiler), "python")
 
 
 @contextmanager
 def route_engine(engine: str):
-    """Packed grids built inside the block run on *engine*'s path:
-    ``"compiled"`` (which must have loaded) or ``"python"``."""
+    """Packed grids built and plans proven inside the block run on
+    *engine*'s path: ``"compiled"`` (which must have loaded) or
+    ``"python"``. On the compiled path every ``plan.verify()`` also
+    holds the kernel's verdict to the Python proof's, which its Python
+    fallback would otherwise hide when the kernel wrongly rejects."""
     if engine == "compiled":
         assert compiled.route_kernel() is not None, "the compiled kernels did not load"
-        yield
+
+        def cross_checked(plan: RoutingPlan) -> None:
+            _verify(plan)  # raises only when the kernel and the Python both reject
+            assert kernel_proves(plan), "the kernel rejects a plan the Python proof accepts"
+            error = python_proof(plan)
+            assert error is None, f"the kernel proves a plan the Python proof rejects: {error}"
+
+        with mock.patch.object(RoutingPlan, "verify", cross_checked):
+            yield
     else:
         with mock.patch.object(compiled, "route_kernel", lambda: None):
             yield
+
+
+def kernel_proves(plan: RoutingPlan) -> bool:
+    """The compiled ``route_verify``'s own verdict on *plan*."""
+    kernel = compiled.route_kernel()
+    assert kernel is not None, "the compiled kernels did not load"
+    return plan._proved_by(kernel)
+
+
+def python_proof(plan: RoutingPlan) -> str | None:
+    """The Python proof's verdict on *plan*: its error message, or
+    ``None`` when the plan proves."""
+    with mock.patch.object(compiled, "route_kernel", lambda: None):
+        try:
+            _verify(plan)
+        except RoutingError as exc:
+            return str(exc)
+    return None
 
 
 class ReferenceRouter(PrioritizedRouter):

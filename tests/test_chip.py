@@ -9,17 +9,15 @@ shifts its frame.
 
 from __future__ import annotations
 
-import random
-from functools import lru_cache
-
 import pytest
+from assays import ci_grid_designs, closed_loop_scenarios, routed_assay
+from oracles import reference_embed
 
-from repro.assay.catalog import BUNDLED_ASSAYS, build_assay
+from repro.assay.catalog import BUNDLED_ASSAYS
 from repro.geometry import Point
 from repro.placement.annealer import AnnealingParams
 from repro.placement.chip import Chip
-from repro.placement.sa_placer import SimulatedAnnealingPlacer
-from repro.recovery import ClosedLoopController, OnlineRecoveryEngine, fault_timeline
+from repro.recovery import ClosedLoopController, OnlineRecoveryEngine
 from repro.routing.synthesis import RoutingSynthesizer
 from repro.sim.engine import BiochipSimulator
 from repro.synthesis.flow import SynthesisFlow
@@ -30,22 +28,13 @@ from repro.workload.campaign import CampaignConfig, CampaignRunner
 _LOSSY = CapacitiveSensor(false_positive_rate=0.02, false_negative_rate=0.05)
 
 
-@lru_cache(maxsize=None)
-def _routed(assay: str):
-    graph, explicit = build_assay(assay)
-    return SynthesisFlow(
-        placer=SimulatedAnnealingPlacer(params=AnnealingParams.fast(), seed=7),
-        route=True,
-    ).run(graph, explicit_binding=explicit)
-
-
 def _engine() -> OnlineRecoveryEngine:
     return OnlineRecoveryEngine(annealing=AnnealingParams.fast())
 
 
 class TestChipValue:
     def test_of_pads_the_core_by_the_margin(self):
-        result = _routed("pcr")
+        result = routed_assay("pcr")
         placement = result.placement_result.placement
         chip = Chip.of(placement)
         assert chip == result.chip
@@ -59,7 +48,7 @@ class TestChipValue:
         assert chip.cell((xs[-1], ys[-1])) == Point(chip.width, chip.height)
 
     def test_embed_translates_every_module_by_the_margin(self):
-        result = _routed("ivd")
+        result = routed_assay("ivd")
         placement = result.placement_result.placement
         embedded = result.chip.embed(placement)
         assert (embedded.core_width, embedded.core_height) == (
@@ -71,13 +60,13 @@ class TestChipValue:
             assert moved.footprint.area == pm.footprint.area
 
     def test_ports_are_on_the_edges(self):
-        chip = _routed("tree8").chip
+        chip = routed_assay("tree8").chip
         assert all(p.x == 1 for p in chip.dispense_ports)
         assert [p.y for p in chip.dispense_ports] == list(range(1, chip.height + 1, 2))
         assert chip.output_port.x == chip.width
 
     def test_claimable_core_adds_the_right_and_top_lanes(self):
-        result = _routed("dilution")
+        result = routed_assay("dilution")
         placement = result.placement_result.placement
         core = result.chip.claimable(placement)
         assert (core.core_width, core.core_height) == (
@@ -90,7 +79,7 @@ class TestChipValue:
         assert core is not placement
 
     def test_the_output_port_is_the_reserved_claimable_cell(self):
-        chip = _routed("pcr").chip
+        chip = routed_assay("pcr").chip
         # The output port is on the right margin lane, which recovery may
         # claim; the reservoirs are on the left lane, which it may not.
         assert chip.reserved == (
@@ -102,7 +91,7 @@ class TestChipValue:
         off the port cells, as recovery's passes do. On pcr, a fault
         under M5 at t=12.5 s turned it onto 6x3@(7,4), over the output
         port (12, 6); it now moves one row up, unturned."""
-        result = _routed("pcr")
+        result = routed_assay("pcr")
         sim = BiochipSimulator(
             result.graph, result.schedule, result.binding,
             result.placement_result.placement, result.chip,
@@ -116,7 +105,7 @@ class TestChipValue:
         assert not relocation.new.footprint.contains_point(result.chip.output_port)
 
     def test_a_plan_from_another_chip_is_refused(self):
-        result = _routed("pcr")
+        result = routed_assay("pcr")
         other = Chip(result.chip.width + 2, result.chip.height, result.chip.margin)
         with pytest.raises(SimulationError, match="routing plan is"):
             BiochipSimulator(
@@ -124,23 +113,6 @@ class TestChipValue:
                 result.placement_result.placement, other,
                 routing_plan=result.routing_plan,
             )
-
-
-def _scenarios():
-    """(design, fault events, run seed): the five bundled assays x four
-    fault models x two arrivals."""
-    out = []
-    for assay in sorted(BUNDLED_ASSAYS):
-        result = _routed(assay)
-        for model in ("permanent", "intermittent", "transient", "cluster"):
-            for arrival in (0.45, 0.65):
-                rng = random.Random(f"{assay}|{model}|{arrival}")
-                events = fault_timeline(
-                    _engine(), result, model, arrival * result.makespan,
-                    "pending-module", rng,
-                )
-                out.append((result, events, rng.randrange(2**32)))
-    return out
 
 
 class TestEveryLayerOnTheDesignsChip:
@@ -153,7 +125,7 @@ class TestEveryLayerOnTheDesignsChip:
     ):
         """Every simulator and routing plan the engine builds for a
         design has that design's chip: the same dims, ports and frame."""
-        scenarios = _scenarios()
+        scenarios = closed_loop_scenarios()
         chips = {id(result.graph): result.chip for result, _, _ in scenarios}
         sims, plans = [], []
         init, synthesize = BiochipSimulator.__init__, RoutingSynthesizer.synthesize
@@ -267,3 +239,43 @@ def test_grid_a_runs_no_rung_replay_on_a_grown_chip(monkeypatch):
         grown += dims(sim) != array
         shifted += frame(sim, working) != offsets
     assert (len(rungs), grown, shifted) == (28, 0, 0)
+
+
+def _embedded(placement):
+    """Everything a replay or a router reads off an embedded placement."""
+    return (
+        placement.core_width, placement.core_height, placement.pitch_mm,
+        [
+            (pm, pm.x, pm.y, pm.rotated, pm.footprint, pm.functional_region, pm.dims)
+            for pm in placement
+        ],
+    )
+
+
+def test_embed_builds_the_checked_reference(monkeypatch):
+    """``Chip.embed`` builds its modules without ``Placement.add``'s
+    core check, and equals the checked reference module for module on
+    the bundled assays, the ci-grid designs and every placement the
+    closed loop embeds, recovered ones on the claimable lanes
+    included."""
+    designs = [routed_assay(name) for name in sorted(BUNDLED_ASSAYS)]
+    designs += ci_grid_designs().values()
+    embedded = [(d.chip, d.placement_result.placement) for d in designs]
+    embed = Chip.embed
+
+    def spy(chip, placement):
+        embedded.append((chip, placement))
+        return embed(chip, placement)
+
+    monkeypatch.setattr(Chip, "embed", spy)
+    controller = ClosedLoopController(engine=_engine())
+    for result, events, seed in closed_loop_scenarios():
+        controller.run(result, events, seed=seed, mode="oracle")
+    monkeypatch.undo()
+    claimable = [
+        placement for chip, placement in embedded
+        if placement.core_width == chip.width - chip.margin
+    ]
+    assert len(designs) == 9 and len(claimable) >= 30
+    for chip, placement in embedded:
+        assert _embedded(chip.embed(placement)) == _embedded(reference_embed(chip, placement))

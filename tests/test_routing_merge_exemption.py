@@ -13,7 +13,9 @@ The fault scenarios pinned here are the exact (placement seed, fault
 seed) pairs that produced verifier-rejected plans before the fix: pcr
 at placement seeds 0 and 7 under 10% street-fault grids. They must now
 route fully and verify, identically on the packed engine and the
-reference engine kept in ``tests/oracles/``.
+reference engine kept in ``tests/oracles/``. Every test runs on both
+of the router's paths (``ENGINES``), so each plan is proven by the
+compiled kernel and by the Python proof.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import random
 
 import pytest
 from oracles import ReferenceSynthesizer, ReferenceTimeGrid
+from oracles.routing import ENGINES, route_engine
 
 from repro.assay.catalog import build_assay
 from repro.fault.injection import sample_street_faults
@@ -50,6 +53,13 @@ PREVIOUSLY_REJECTED = [
     ("pcr", 7, 1),
     ("pcr", 7, 3),
 ]
+
+
+@pytest.fixture(params=ENGINES, autouse=True)
+def engine(request):
+    """Every test routes and proves on one path."""
+    with route_engine(request.param):
+        yield request.param
 
 
 @pytest.mark.parametrize("assay,pseed,fseed", PREVIOUSLY_REJECTED)

@@ -3,12 +3,18 @@
 The property-based section is the heart of the acceptance criterion:
 whatever batch the prioritized router accepts, the independently coded
 verifier must prove conflict-free — and hand-built violating plans must
-be rejected.
+be rejected. The verifier tests run on both proofs (``ENGINES``): the
+compiled ``route_verify`` and the Python one, and on random batches
+with one planted violation of each rejection class both give the same
+verdict and the same message.
 """
 
+from dataclasses import replace
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles.routing import ENGINES, kernel_proves, needs_compiler, python_proof, route_engine
 
 from repro.geometry import Point, Rect
 from repro.routing import (
@@ -22,13 +28,14 @@ from repro.routing import (
 from repro.util.errors import RoutingError
 
 
-def plan_of(routed, width=10, height=10, grid=None, modules=(), faulty=(), parked=()):
+def plan_of(routed, width=10, height=10, grid=None, modules=(), faulty=(), parked=(),
+            regions=()):
     epoch = RoutingEpoch(
         time_s=0.0,
         step_offset=0,
         nets=tuple(routed),
         modules=tuple(modules),
-        regions=grid.regions() if grid is not None else (),
+        regions=grid.regions() if grid is not None else tuple(regions),
         faulty=frozenset(faulty),
         parked=frozenset(parked),
     )
@@ -96,6 +103,14 @@ class TestPlanMetrics:
         assert plan.routability == 0.5
 
 
+@pytest.fixture(params=ENGINES)
+def engine(request):
+    """Run the test with plans proven on one path, and grids routed on it."""
+    with route_engine(request.param):
+        yield request.param
+
+
+@pytest.mark.usefixtures("engine")
 class TestVerifierRejects:
     def test_same_cell_same_step(self):
         a = straight("a", 2, 1, 4)
@@ -116,6 +131,15 @@ class TestVerifierRejects:
         b = RoutedNet(Net("b", Point(2, 1), Point(1, 1)), (Point(2, 1), Point(1, 1)))
         with pytest.raises(RoutingError, match="fluidic constraint"):
             plan_of([a, b]).verify()
+
+    def test_dynamic_follow_conflict(self):
+        # One droplet steps into the cell the other just left: never two
+        # cells apart at one step, but one apart across consecutive steps.
+        lead = straight("lead", 1, 3, 5)
+        tail = straight("tail", 1, 1, 3)
+        for nets in ([lead, tail], [tail, lead]):
+            with pytest.raises(RoutingError, match="fluidic constraint"):
+                plan_of(nets).verify()
 
     def test_trajectory_must_be_adjacent_steps(self):
         rn = RoutedNet(Net("jump", Point(1, 1), Point(3, 1)), (Point(1, 1), Point(3, 1)))
@@ -155,6 +179,7 @@ class TestVerifierRejects:
         plan_of([short], parked=[Point(1, 1)]).verify()
 
 
+@pytest.mark.usefixtures("engine")
 class TestVerifierMergeExemptions:
     def test_same_consumer_may_close_in_inside_footprint(self):
         rect = Rect(5, 1, 3, 3)
@@ -174,6 +199,31 @@ class TestVerifierMergeExemptions:
         b = RoutedNet(Net("b", Point(6, 4), Point(6, 2), consumer="OTHER"), b_cells)
         with pytest.raises(RoutingError):
             plan_of([a, b], grid=grid, modules=[(rect, "MIX"), (rect, "OTHER")]).verify()
+
+    def test_merge_zone_holding_only_one_cell_is_no_exemption(self):
+        # a reaches (4, 3), outside MIX's zone, one cell from b's (5, 4),
+        # inside it: the exemption needs both cells in the zone.
+        zone = Rect(5, 4, 3, 3)
+        a = straight("a", 3, 2, 4, consumer="MIX")
+        b = RoutedNet(Net("b", Point(5, 4), Point(5, 4), consumer="MIX"), (Point(5, 4),))
+        for nets in ([a, b], [b, a]):
+            with pytest.raises(RoutingError, match="fluidic constraint"):
+                plan_of(nets, regions=[("MIX", zone)]).verify()
+            plan_of(nets, regions=[("MIX", Rect(4, 3, 3, 3))]).verify()
+
+    def test_split_parking_exemption_needs_both_droplets_near_their_spots(self):
+        # Products parked adjacent at (2, 2) and (3, 2): a steps west and
+        # stays; b walks round to (1, 3), two cells from its own spot and
+        # one from a, which the departure transient no longer explains.
+        a = RoutedNet(Net("a", Point(2, 2), Point(1, 2)), (Point(2, 2), Point(1, 2)))
+        leaves = (Point(3, 2), Point(3, 3), Point(4, 3))
+        b = RoutedNet(Net("b", leaves[0], leaves[-1]), leaves)
+        plan_of([a, b]).verify()
+        comes_back = (Point(3, 2), Point(3, 3), Point(2, 3), Point(1, 3))
+        b = RoutedNet(Net("b", comes_back[0], comes_back[-1]), comes_back)
+        for nets in ([a, b], [b, a]):
+            with pytest.raises(RoutingError, match="fluidic constraint"):
+                plan_of(nets).verify()
 
 
 # -- property-based: router output always verifies --------------------------------
@@ -203,9 +253,8 @@ def batches(draw):
     return parked, faulty, nets
 
 
-@settings(max_examples=60, deadline=None)
-@given(batches())
-def test_property_routed_batches_always_verify(batch):
+def routed_plan(batch) -> RoutingPlan:
+    """*batch* routed on an 8x8 grid, as a one-epoch plan."""
     parked, faulty, nets = batch
     grid = TimeGrid(8, 8)
     grid.add_parked(parked)
@@ -222,5 +271,73 @@ def test_property_routed_batches_always_verify(batch):
         faulty=frozenset(Point(*c) for c in faulty),
         parked=frozenset(Point(*c) for c in parked),
     )
-    # Whatever subset the router accepted must prove conflict-free.
-    RoutingPlan(8, 8, (epoch,)).verify()
+    return RoutingPlan(8, 8, (epoch,))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@settings(max_examples=60, deadline=None)
+@given(batch=batches())
+def test_property_routed_batches_always_verify(engine, batch):
+    with route_engine(engine):
+        plan = routed_plan(batch)
+        # Whatever subset the router accepted must prove conflict-free.
+        plan.verify()
+
+
+def planted(plan: RoutingPlan) -> dict[str, RoutingPlan]:
+    """*plan* with one violation planted around its first routed net,
+    one plan per rejection class."""
+    (epoch,) = plan.epochs
+    first, *others = epoch.nets
+    net, cells = first.net, first.cells
+    goal = cells[-1]
+
+    def with_first(rn: RoutedNet, **fields) -> RoutingPlan:
+        changed = replace(epoch, nets=(rn, *others), **fields)
+        return replace(plan, epochs=(changed,))
+
+    def with_epoch(**fields) -> RoutingPlan:
+        return replace(plan, epochs=(replace(epoch, **fields),))
+
+    step = next((i for i in range(len(cells) - 1) if cells[i] != cells[i + 1]), 0)
+    dx, dy = cells[step + 1].x - cells[step].x, cells[step + 1].y - cells[step].y
+    ahead = Point(cells[step].x + 2 * dx, cells[step].y + 2 * dy)
+    return {
+        "empty trajectory": with_first(RoutedNet(net, ())),
+        "endpoints": with_first(RoutedNet(replace(net, goal=Point(goal.x + 1, goal.y)), cells)),
+        "outside the array": replace(plan, width=max(p.x for p in cells) - 1),
+        "jump": with_first(
+            RoutedNet(net, (cells[0], Point(cells[0].x + 2, cells[0].y), *cells[1:]))
+        ),
+        "faulty cell": with_epoch(faulty=epoch.faulty | {goal}),
+        "foreign footprint": with_epoch(
+            modules=(*epoch.modules, (Rect(goal.x, goal.y, 1, 1), "FOREIGN"))
+        ),
+        "parked halo": with_epoch(parked=epoch.parked | {goal}),
+        "same-step pair": with_epoch(
+            nets=(*epoch.nets, RoutedNet(Net("intruder", goal, goal), (goal,)))
+        ),
+        "cross-step pair": with_epoch(
+            nets=(*epoch.nets, RoutedNet(Net("intruder", ahead, ahead), (ahead,)))
+        ),
+        "stranded source": with_epoch(failed=(*epoch.failed, Net("stranded", goal, goal))),
+    }
+
+
+@needs_compiler
+@settings(max_examples=40, deadline=None)
+@given(batch=batches())
+def test_property_both_proofs_agree_on_planted_violations(batch):
+    """The kernel and the Python proof give every routed batch the same
+    verdict, with and without each planted violation; the compiled path
+    raises the Python proof's message."""
+    plan = routed_plan(batch)
+    assume(plan.epochs[0].nets)
+    assert kernel_proves(plan) and python_proof(plan) is None
+    for kind, bad in planted(plan).items():
+        message = python_proof(bad)
+        assert message is not None, kind
+        assert not kernel_proves(bad), kind
+        with pytest.raises(RoutingError) as caught:
+            bad.verify()
+        assert str(caught.value) == message, kind

@@ -16,46 +16,27 @@ and the closed loop's verdict.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
-from pathlib import Path
 
+from assays import ci_grid_designs, routed_assay
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import SteppedSimulator
 
-from repro.assay.catalog import BUNDLED_ASSAYS, build_assay
+from repro.assay.catalog import BUNDLED_ASSAYS
 from repro.fault.models import FAIL
 from repro.placement.annealer import AnnealingParams
-from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.recovery import ClosedLoopController, OnlineRecoveryEngine, fault_timeline
 from repro.recovery.engine import FAULT_TARGETS, pick_fault_cell
 from repro.sim.engine import BiochipSimulator
-from repro.synthesis.flow import SynthesisFlow
 from repro.testing import CapacitiveSensor
-from repro.workload.campaign import CampaignConfig, CampaignRunner, _Unit
 
-_CI_GRID = Path(__file__).resolve().parents[1] / "examples/campaigns/ci-grid.toml"
 _LOSSY = CapacitiveSensor(false_positive_rate=0.02, false_negative_rate=0.05)
 
 
-@lru_cache(maxsize=None)
-def _ci_grid_designs() -> dict:
-    """The ci-grid campaign's synthesized units, by unit key."""
-    config = CampaignConfig.load(_CI_GRID)
-    tasks, _ = CampaignRunner(config)._tasks(config.expand(), {})
-    units = {task.unit.key: task.unit for task in tasks}
-    return {key: _Unit(unit).result for key, unit in sorted(units.items())}
-
-
-@lru_cache(maxsize=None)
 def _design(name: str):
     if name in BUNDLED_ASSAYS:
-        graph, explicit = build_assay(name)
-        return SynthesisFlow(
-            placer=SimulatedAnnealingPlacer(params=AnnealingParams.fast(), seed=7),
-            route=True,
-        ).run(graph, explicit_binding=explicit)
-    return _ci_grid_designs()[name]
+        return routed_assay(name)
+    return ci_grid_designs()[name]
 
 
 _DESIGNS = (
