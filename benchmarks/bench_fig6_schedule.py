@@ -22,7 +22,7 @@ def test_fig6_schedule(benchmark, report):
     graph = build_pcr_mixing_graph()
     binding = ResourceBinder().bind(graph, explicit=PCR_BINDING)
     durations = binding.durations()
-    footprints = {op: spec.footprint_area for op, spec in binding.items()}
+    footprints = binding.footprints()
 
     schedule = benchmark(
         list_schedule,

@@ -16,7 +16,7 @@ from repro.assay.protocols.pcr import PCR_BINDING, build_pcr_mixing_graph
 from repro.experiments import paper_constants as paper
 from repro.synthesis.binder import Binding, ResourceBinder
 from repro.synthesis.schedule import Schedule
-from repro.synthesis.scheduler import integerized, list_schedule
+from repro.synthesis.scheduler import schedule_bound
 from repro.util.tables import format_table
 
 #: Concurrency cap used for the case-study schedule. The paper's own
@@ -42,7 +42,7 @@ class PCRCaseStudy:
     @property
     def footprints(self) -> dict[str, int]:
         """Op id -> footprint area in cells."""
-        return {op: spec.footprint_area for op, spec in self.binding.items()}
+        return self.binding.footprints()
 
     @property
     def makespan(self) -> float:
@@ -81,15 +81,12 @@ class PCRCaseStudy:
 def _cached_case_study() -> PCRCaseStudy:
     graph = build_pcr_mixing_graph()
     binding = ResourceBinder().bind(graph, explicit=PCR_BINDING)
-    footprints = {op: spec.footprint_area for op, spec in binding.items()}
-    schedule = integerized(
-        list_schedule(
-            graph,
-            binding.durations(),
-            max_concurrent_ops=MAX_CONCURRENT_MODULES,
-            cell_capacity=CELL_CAPACITY,
-            footprints=footprints,
-        )
+    schedule = schedule_bound(
+        graph,
+        binding,
+        max_concurrent_ops=MAX_CONCURRENT_MODULES,
+        cell_capacity=CELL_CAPACITY,
+        max_parked=None,
     )
     return PCRCaseStudy(graph=graph, binding=binding, schedule=schedule)
 

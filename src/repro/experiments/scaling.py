@@ -18,7 +18,7 @@ from repro.fault.fti import compute_fti
 from repro.placement.annealer import AnnealingParams
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.synthesis.binder import ResourceBinder
-from repro.synthesis.scheduler import integerized, list_schedule
+from repro.synthesis.scheduler import schedule_bound
 from repro.util.tables import format_table
 
 #: Concurrent-operation cap of the list scheduler for every tree size.
@@ -87,14 +87,12 @@ def run_scaling_study(
     for leaves in leaf_counts:
         graph = build_mix_tree(leaves)
         binding = binder.bind(graph)
-        footprints = {op: spec.footprint_area for op, spec in binding.items()}
-        schedule = integerized(
-            list_schedule(
-                graph,
-                binding.durations(),
-                max_concurrent_ops=_MAX_CONCURRENT_OPS,
-                footprints=footprints,
-            )
+        schedule = schedule_bound(
+            graph,
+            binding,
+            max_concurrent_ops=_MAX_CONCURRENT_OPS,
+            cell_capacity=None,
+            max_parked=None,
         )
         placer = SimulatedAnnealingPlacer(params=params, seed=seed)
         t0 = time.perf_counter()
@@ -106,7 +104,7 @@ def run_scaling_study(
                 leaves=leaves,
                 operations=len(graph),
                 makespan_s=schedule.makespan,
-                peak_demand_cells=schedule.peak_cell_demand(footprints),
+                peak_demand_cells=schedule.peak_cell_demand(binding.footprints()),
                 area_cells=result.area_cells,
                 fti=fti.fti,
                 placement_runtime_s=runtime,

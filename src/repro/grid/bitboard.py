@@ -1,4 +1,4 @@
-"""Row-major bitboards for placement-time geometry.
+"""Row-major bitboards for placement and replay geometry.
 
 Seating a module, relocating it off a faulty cell and scoring its
 relocatability all ask the same question of one time slice of the
@@ -13,6 +13,11 @@ row run times a comb with one bit per covered row. The origins of the
 column shifts and ``h`` row shifts. Seating takes the lowest set bit,
 the bottom-left origin; relocation takes the set bit nearest the
 module's old origin.
+
+The replay's ad-hoc droplet transports ask the other question a time
+slice answers: how many moves from one cell to another through the
+free cells? :meth:`Bitboard.steps` answers it with a breadth-first
+wave over the whole board at once.
 """
 
 from __future__ import annotations
@@ -119,3 +124,27 @@ class Bitboard:
             bits = (bits | (bits >> (half * s))) & ((1 << (half * s)) - 1)
             n = half
         return (bits & -bits).bit_length() - 1, bits.bit_length() - 1
+
+    def steps(self, source: int, target: int, free: int) -> int | None:
+        """Moves from the one-bit *source* to the one-bit *target*
+        through the cells of *free*, or None when no path exists.
+
+        Each wave shifts the frontier by one column (``+-1``) and one
+        row (``+-stride``) and masks it with the free cells not yet
+        reached. The padding is never free, so no shift wraps between
+        rows, and unit moves make the wave count the shortest path
+        length. *target* must lie in *free*; *source* need not.
+        """
+        if source == target:
+            return 0
+        s = self.stride
+        front = source
+        free &= ~source
+        depth = 0
+        while front:
+            depth += 1
+            front = ((front << 1) | (front >> 1) | (front << s) | (front >> s)) & free
+            if front & target:
+                return depth
+            free ^= front
+        return None

@@ -23,7 +23,7 @@ from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.routing.synthesis import RoutingSynthesizer
 from repro.sim.engine import BiochipSimulator
 from repro.synthesis.binder import ResourceBinder
-from repro.synthesis.scheduler import integerized, list_schedule
+from repro.synthesis.scheduler import schedule_bound
 
 
 @runtime_checkable
@@ -71,18 +71,12 @@ class ScheduleStage:
     def run(self, context: SynthesisContext) -> None:
         context.require("binding")
         assert context.binding is not None
-        footprints = {
-            op_id: spec.footprint_area for op_id, spec in context.binding.items()
-        }
-        context.schedule = integerized(
-            list_schedule(
-                context.graph,
-                context.binding.durations(),
-                max_concurrent_ops=self.max_concurrent_ops,
-                cell_capacity=self.cell_capacity,
-                footprints=footprints,
-                max_parked=self.max_parked,
-            )
+        context.schedule = schedule_bound(
+            context.graph,
+            context.binding,
+            max_concurrent_ops=self.max_concurrent_ops,
+            cell_capacity=self.cell_capacity,
+            max_parked=self.max_parked,
         )
 
 

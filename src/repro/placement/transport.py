@@ -33,16 +33,6 @@ if TYPE_CHECKING:
 DEFAULT_TRANSPORT_WEIGHT = 0.15
 
 
-def dependency_edges(graph: "SequencingGraph") -> tuple[tuple[str, str], ...]:
-    """All droplet-dependency edges of *graph*, sorted.
-
-    Shared by the transport-aware placement cost and routing-synthesis
-    net extraction (:mod:`repro.routing.synthesis`), so both layers see
-    the same producer->consumer pairs.
-    """
-    return tuple(graph.edges())
-
-
 class TransportAwareCost(AreaCost):
     """Area + overlap + droplet-transport distance."""
 
@@ -60,7 +50,7 @@ class TransportAwareCost(AreaCost):
         #: Dependency edges between *placed* operations only — dispense
         #: and output happen at boundary ports, which the placer does
         #: not position.
-        self._edges = dependency_edges(graph)
+        self._edges = graph.edges()
 
     def transport_distance(self, placement: "Placement") -> int:
         """Total Manhattan producer->consumer distance over the edges

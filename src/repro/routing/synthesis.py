@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING
 from repro.geometry import Point, Rect
 from repro.placement.chip import Chip
 from repro.placement.model import Placement
-from repro.placement.transport import dependency_edges
 from repro.routing.compact import compact_routes
 from repro.routing.plan import Net, RoutingEpoch, RoutingPlan
 from repro.routing.prioritized import PrioritizedRouter
@@ -96,7 +95,7 @@ class _SynthesisIndex:
         #: at or after *after_time*, when set: a suffix re-route routes
         #: no earlier epoch.
         self.releases: dict[float, list[tuple]] = {}
-        for u, v in dependency_edges(graph):  # sorted
+        for u, v in graph.edges():  # sorted
             if not (u in placement and v in placement and v in schedule):
                 continue
             if after_time is not None and schedule.start(v) < after_time:

@@ -18,8 +18,8 @@ No dispatch feeds back into the timeline, so the driver is exactly
 these two loops. The replay *verifies* the configuration: an
 infeasible placement, an unroutable transport, or a failed relocation
 all surface as a failed :class:`SimulationReport` naming the cause.
-Ad-hoc transports run on the bitboard BFS kernel
-:class:`~repro.sim.fastgrid.PackedDropletRouter`, and a product's
+Ad-hoc transports search the chip's
+:class:`~repro.grid.bitboard.Bitboard` breadth first, and a product's
 parking cell comes from a ring search over one padded ``bytearray``.
 
 A run is a pure function of ``(simulator, faults)``: everything it
@@ -47,12 +47,12 @@ from repro.assay.graph import SequencingGraph
 from repro.assay.operations import OperationType
 from repro.fault.reconfigure import PartialReconfigurer, Relocation
 from repro.geometry import Point, Rect
+from repro.grid.bitboard import Bitboard
 from repro.placement.chip import Chip
 from repro.placement.model import PlacedModule, Placement
 from repro.routing.plan import RoutingPlan, chebyshev
 from repro.sim.droplet import Droplet
 from repro.sim.electrowetting import transport_time_s
-from repro.sim.fastgrid import PackedDropletRouter
 from repro.sim.resume import ReplayTrace, mark_boundary, restore, resume_index
 from repro.util.errors import (
     ReconfigurationError,
@@ -96,7 +96,7 @@ class SimulationReport:
     final_placement: Placement
     failure_reason: str | None = None
     #: Transports replayed from a precomputed routing plan (vs routed
-    #: ad hoc on the bitboard BFS kernel).
+    #: ad hoc on the chip's bitboard).
     planned_transports: int = 0
     #: Realized ``op_id -> (start, finish)``, ordered by op id (empty
     #: for a failed run). Not part of :meth:`to_dict`.
@@ -264,6 +264,56 @@ def _nearest_safe_cell(
                 board[n] = 2
                 queue.append(n)
     return None
+
+
+def _droplet_path_length(
+    board: Bitboard, start: Point, goal: Point, footprints, faulty, parked, inflate
+) -> int:
+    """Moves on the shortest droplet path from *start* to *goal* on
+    *board*'s array.
+
+    The path enters no module footprint in *footprints* and no *faulty*
+    cell. Each *parked* droplet blocks its cell and, with *inflate*, its
+    8-neighbor ring (the static fluidic constraint), clipped to the
+    array; the droplet on *goal* is exempt, since merging is the point.
+    The endpoints are never blocked. Raises :class:`RoutingError` when
+    an endpoint is off the array or no path exists, naming the number
+    of blocked in-array cells.
+    """
+    width, height = board.width, board.height
+    if not (
+        1 <= start[0] <= width and 1 <= start[1] <= height
+        and 1 <= goal[0] <= width and 1 <= goal[1] <= height
+    ):
+        raise RoutingError(f"route endpoints {start}->{goal} outside the array")
+    s = board.stride
+    blocked = board.cover(footprints)
+    for x, y in faulty:
+        if 1 <= x <= width and 1 <= y <= height:
+            blocked |= 1 << (y * s + x)
+    # A parked droplet's 3x3 ring, its corner cell at bit 0: three row
+    # runs OR-ed, since on a 1-wide array (stride 2) the rows overlap
+    # and a product would carry. Bits past the array land in padding.
+    ring = (0b111 | (0b111 << s) | (0b111 << (2 * s))) if inflate else 1 << (s + 1)
+    for x, y in parked:
+        if x == goal[0] and y == goal[1]:
+            continue
+        if 1 <= x <= width and 1 <= y <= height:
+            blocked |= ring << ((y - 1) * s + x - 1)
+        elif inflate:
+            # An off-array droplet still shadows its on-array ring.
+            blocked |= board.rect(x - 1, y - 1, x + 1, y + 1)
+    source = 1 << (start[1] * s + start[0])
+    target = 1 << (goal[1] * s + goal[0])
+    inside = board.inside
+    blocked &= inside & ~(source | target)
+    length = board.steps(source, target, inside ^ blocked)
+    if length is None:
+        raise RoutingError(
+            f"no droplet path {start} -> {goal} on {width}x{height} "
+            f"array with {blocked.bit_count()} blocked cells"
+        )
+    return length
 
 
 #: Reports :meth:`BiochipSimulator.report` keeps, keyed by normalized
@@ -506,13 +556,16 @@ class BiochipSimulator:
         self.plan_covers_faults = frozenset(map(chip.cell, plan_covers_faults))
         self.placement = chip.embed(placement)
         self.placement.validate()
-        #: Packed transport kernel every ad-hoc transport routes on.
-        self.router = PackedDropletRouter(chip.width, chip.height)
+        #: The board every ad-hoc transport searches.
+        self.board = Bitboard(chip.width, chip.height)
         #: Reports by normalized fault list, for :meth:`report`.
         self._report_memo: dict[tuple, SimulationReport] = {}
         #: Parking ring-search memo: obstacle signature -> nearest safe
         #: cell.
         self._park_memo: dict[tuple, Point] = {}
+        #: Transport search memo: query -> path length, or the failure's
+        #: message.
+        self._path_memo: dict[tuple, int | str] = {}
         self._dispense_cycle = chip.dispense_ports  # used in rotation
 
     def _next_dispense_cell(self, run: _Run) -> Point:
@@ -1026,6 +1079,28 @@ class BiochipSimulator:
                 self._park_memo[key] = goal
         return goal
 
+    def _path_length(
+        self, start: Point, goal: Point, footprints, faulty, parked, inflate: bool
+    ) -> int:
+        """:func:`_droplet_path_length` on the chip's board. The search
+        is pure in its arguments, so it is memoized — Monte-Carlo sweeps
+        and checkpoint replays repeat the same transports, including
+        the same degradation-ladder failures, run after run. A failure
+        is kept as its message and re-raised verbatim."""
+        key = (start, goal, tuple(footprints), tuple(faulty), tuple(parked), inflate)
+        outcome = self._path_memo.get(key)
+        if outcome is None:
+            try:
+                outcome = _droplet_path_length(self.board, *key)
+            except RoutingError as exc:
+                outcome = str(exc)
+            if len(self._path_memo) >= 65536:  # bound memory on adversarial grids
+                self._path_memo.clear()
+            self._path_memo[key] = outcome
+        if isinstance(outcome, str):
+            raise RoutingError(outcome)
+        return outcome
+
     # -- helpers ------------------------------------------------------------------------------
 
     def _input_droplets(self, op_id: str, run: _Run) -> list[Droplet]:
@@ -1152,13 +1227,8 @@ class BiochipSimulator:
             ((), True, "parked droplets shuffled aside (tight array)"),
         ):
             try:
-                route = self.router.route(
-                    droplet.position,
-                    goal,
-                    blocked_rects=active,
-                    blocked_cells=faulty_now,
-                    other_droplets=others,
-                    inflate=inflate,
+                length = self._path_length(
+                    droplet.position, goal, active, faulty_now, others, inflate
                 )
             except RoutingError as exc:
                 error = exc
@@ -1167,21 +1237,21 @@ class BiochipSimulator:
                 events.append(SimEvent(t, "transport", degradation, op_id))
             break
         else:
-            route = self._route_after_handover(
+            length = self._route_after_handover(
                 droplet, goal, query_t, faulty_now, run, op_id, error,
             )
-        seconds = transport_time_s(route.length)
+        seconds = transport_time_s(length)
         events.append(
             SimEvent(
                 t,
                 "transport",
-                f"droplet {droplet.droplet_id}: {route.start} -> {route.end} "
-                f"({route.length} cells, {seconds:.3f} s)",
+                f"droplet {droplet.droplet_id}: {droplet.position} -> {goal} "
+                f"({length} cells, {seconds:.3f} s)",
                 op_id,
             )
         )
         droplet.position = goal
-        return route.length
+        return length
 
     def _route_after_handover(
         self,
@@ -1192,7 +1262,7 @@ class BiochipSimulator:
         run: _Run,
         op_id: str,
         original: RoutingError,
-    ):
+    ) -> int:
         """Last-resort degradation: stall until a module handover.
 
         Every cheaper fallback found the droplet walled in by module
@@ -1215,11 +1285,8 @@ class BiochipSimulator:
         for release in handovers:
             active = self._active_footprints(run, release, op_id)
             try:
-                route = self.router.route(
-                    droplet.position,
-                    goal,
-                    blocked_rects=active,
-                    blocked_cells=faulty_now,
+                length = self._path_length(
+                    droplet.position, goal, active, faulty_now, (), True
                 )
             except RoutingError:
                 continue
@@ -1233,7 +1300,7 @@ class BiochipSimulator:
                     op_id,
                 )
             )
-            return route
+            return length
         raise original
 
     def _planned_route(
@@ -1257,9 +1324,8 @@ class BiochipSimulator:
         from the droplets *actually* parked right now (the simulator's
         parking decisions can diverge from the plan's parking model).
         Everything else — dispense/output legs, evacuations, the whole
-        post-fault regime — falls back to the bitboard BFS kernel
-        (:class:`~repro.sim.fastgrid.PackedDropletRouter`), which sees
-        the live obstacle state.
+        post-fault regime — falls back to the bitboard search
+        (:meth:`_path_length`), which sees the live obstacle state.
         """
         if self.routing_plan is None or droplet.produced_by is None:
             return None

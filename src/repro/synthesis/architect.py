@@ -21,7 +21,7 @@ from repro.fault.fti import compute_fti
 from repro.placement.annealer import AnnealingParams
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.synthesis.binder import ResourceBinder
-from repro.synthesis.scheduler import integerized, list_schedule
+from repro.synthesis.scheduler import schedule_bound
 from repro.util.rng import ensure_rng
 from repro.util.tables import format_table
 
@@ -117,18 +117,13 @@ class ArchitecturalExplorer:
         points = []
         for strategy in self.STRATEGIES:
             binding = self.binder.bind(graph, strategy=strategy)
-            durations = binding.durations()
-            footprints = {
-                op: spec.footprint_area for op, spec in binding.items()
-            }
             for cap in concurrency_caps:
-                schedule = integerized(
-                    list_schedule(
-                        graph,
-                        durations,
-                        max_concurrent_ops=cap,
-                        footprints=footprints,
-                    )
+                schedule = schedule_bound(
+                    graph,
+                    binding,
+                    max_concurrent_ops=cap,
+                    cell_capacity=None,
+                    max_parked=None,
                 )
                 placer = SimulatedAnnealingPlacer(
                     params=self.params, seed=self._rng.getrandbits(32)

@@ -62,6 +62,10 @@ class Binding:
         """Durations for every operation in the graph."""
         return {op.id: self.duration_for(op.id) for op in self._graph}
 
+    def footprints(self) -> dict[str, int]:
+        """Footprint area in cells of every bound operation."""
+        return {op: spec.footprint_area for op, spec in self._assignments.items()}
+
     def __str__(self) -> str:
         return f"Binding({len(self._assignments)} ops)"
 

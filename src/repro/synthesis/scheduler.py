@@ -38,6 +38,7 @@ from collections.abc import Mapping
 
 from repro.assay.graph import SequencingGraph
 from repro.geometry import Interval
+from repro.synthesis.binder import Binding
 from repro.synthesis.schedule import Schedule
 from repro.util.errors import ScheduleError
 
@@ -253,6 +254,28 @@ def list_schedule(
     sched = Schedule(intervals)
     sched.validate_precedence(graph)
     return sched
+
+
+def schedule_bound(
+    graph: SequencingGraph,
+    binding: Binding,
+    *,
+    max_concurrent_ops: int | None,
+    cell_capacity: int | None,
+    max_parked: int | None,
+) -> Schedule:
+    """:func:`list_schedule` of *graph* under *binding*'s durations and
+    footprint areas, its endpoints snapped by :func:`integerized`."""
+    return integerized(
+        list_schedule(
+            graph,
+            binding.durations(),
+            max_concurrent_ops=max_concurrent_ops,
+            cell_capacity=cell_capacity,
+            footprints=binding.footprints(),
+            max_parked=max_parked,
+        )
+    )
 
 
 def integerized(schedule: Schedule) -> Schedule:

@@ -1,8 +1,11 @@
-"""Per-``Point`` A* droplet router: the oracle for the bitboard kernel.
+"""Per-``Point`` A* droplet router: the oracle for the bitboard search.
 
-The simulator's ad-hoc transports run on
-:class:`repro.sim.fastgrid.PackedDropletRouter`, a bit-parallel BFS
-over one int per query. This is the straightforward implementation it
+The simulator's ad-hoc transports search the chip's
+:class:`repro.grid.bitboard.Bitboard` breadth first
+(:func:`repro.sim.engine._droplet_path_length`, memoized by
+``BiochipSimulator._path_length``), one int per query; the tests of
+``tests/test_sim_components.py::TestBitboardTransport`` hold it to this
+router query for query. This is the straightforward implementation it
 replaced: shortest
 droplet paths that avoid faulty cells, stay off concurrently operating
 modules' footprints, and respect the static fluidic constraint (each

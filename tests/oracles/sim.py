@@ -2,15 +2,16 @@
 
 :class:`repro.sim.engine.BiochipSimulator` realizes the fault timeline,
 then replays every operation in ``(realized start, op id)`` order,
-routing transports on the bitboard BFS kernel and searching parking
-cells on a padded ``bytearray``, both with memoized queries, listing a
+searching transports on the chip's bitboard and parking cells on a
+padded ``bytearray``, both with memoized queries, listing a
 transport's obstacles and a parked product's claiming footprints from
 a per-run dispatch index, and reading checkpoints and verdicts from
 memoized reports.
 :class:`SteppedSimulator` is the sequential driver it replaced, kept
 bit-identical and kept as its own independent copy of the two loops
 (``_realize_timeline`` and ``_replay_droplets``, both over the
-production run record): it routes on the per-``Point`` A* router,
+production run record): it routes every transport afresh on the
+per-``Point`` A* router,
 searches every parking cell afresh over ``Point`` cells
 (:func:`reference_nearest_safe_cell`), lists the modules a transport
 avoids and a parked product must not sit on by scanning every op state
@@ -68,6 +69,18 @@ class SteppedSimulator(BiochipSimulator):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.router = DropletRouter(self.chip.width, self.chip.height)
+
+    def _path_length(self, start, goal, footprints, faulty, parked, inflate):
+        """Every transport searched afresh by the A* router."""
+        route = self.router.route(
+            start,
+            goal,
+            blocked_rects=footprints,
+            blocked_cells=faulty,
+            other_droplets=parked,
+            inflate=inflate,
+        )
+        return route.length
 
     def report(self, faults=(), resume=None):
         # Every checkpoint, rung replay and verdict re-runs in full.

@@ -133,6 +133,12 @@ ALLOWLIST: dict[str, tuple[str, str]] = {
 }
 
 
+#: Ceilings on the option count: defaulted public parameters, and
+#: defaulted fields of public frozen dataclasses. A change that adds an
+#: option raises the ceiling in the same diff and says why.
+MAX_DEFAULTED_PARAMETERS = 196
+MAX_DATACLASS_FIELDS = 50
+
 #: ``module:Qualname`` -> why it stays with no reference outside tests.
 FUNCTION_ALLOWLIST: dict[str, str] = {
     "repro.geometry.rect:Rect.expanded": (
@@ -270,6 +276,15 @@ def _options(
                         name, _defaulted(item, bound), False
                     )
     return defs
+
+
+def option_counts(files: dict[str, str] | None = None) -> tuple[int, int]:
+    """Defaulted public parameters and defaulted frozen-dataclass
+    fields in ``src/repro``, set or not."""
+    counts = [0, 0]
+    for _, options, is_dataclass in _options(_parsed(files)).values():
+        counts[is_dataclass] += len(options)
+    return counts[0], counts[1]
 
 
 def _public_functions(trees: dict[str, ast.Module]) -> dict[str, tuple[str, bool]]:
@@ -439,6 +454,20 @@ def test_every_option_has_a_production_setter():
     )
 
 
+def test_option_counts_stay_under_their_ceilings():
+    parameters, fields = option_counts()
+    assert parameters <= MAX_DEFAULTED_PARAMETERS, (
+        f"{parameters} defaulted public parameters, ceiling "
+        f"{MAX_DEFAULTED_PARAMETERS}: make the new ones constants, or raise "
+        "the ceiling and say why"
+    )
+    assert fields <= MAX_DATACLASS_FIELDS, (
+        f"{fields} defaulted frozen-dataclass fields, ceiling "
+        f"{MAX_DATACLASS_FIELDS}: make the new ones constants, or raise the "
+        "ceiling and say why"
+    )
+
+
 def test_allowlist_names_live_options():
     stale = sorted(set(ALLOWLIST) - set(never_set()))
     assert stale == [], f"allowlist entries that are set or gone: {stale}"
@@ -537,6 +566,11 @@ _ALL = {
 class TestSetterRules:
     def test_unset_options_are_reported(self):
         assert _never_set_in_library() == _ALL
+
+    def test_option_counts_split_parameters_from_fields(self):
+        # Widget's size counts though Widget.large sets it; the private
+        # _drain and _helper and the mutable RunState do not count.
+        assert option_counts({"src/repro/lib.py": _LIBRARY}) == (6, 2)
 
     def test_keyword(self):
         found = _never_set_in_library(examples__demo_py="scale(2, offset=1)\n")

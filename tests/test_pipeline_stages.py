@@ -141,10 +141,9 @@ class TestContext:
 
             def run(self, context):
                 context.require("binding", "schedule")
-                footprints = {
-                    op: spec.footprint_area for op, spec in context.binding.items()
-                }
-                self.peak = context.schedule.peak_cell_demand(footprints)
+                self.peak = context.schedule.peak_cell_demand(
+                    context.binding.footprints()
+                )
 
         custom = PeakDemandStage()
         assert isinstance(custom, Stage)

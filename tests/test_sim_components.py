@@ -1,5 +1,5 @@
 """Tests for the simulator substrate: electrowetting model, droplets,
-the bitboard transport kernel and the A* router oracle it must match,
+the bitboard transport search and the A* router oracle it must match,
 and the parking search and the per-``Point`` BFS it must match."""
 
 import random
@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from oracles import DropletRouter, reference_nearest_safe_cell
 
 from repro.geometry import Point, Rect
+from repro.grid.bitboard import Bitboard
+from repro.placement.chip import Chip
 from repro.sim.droplet import Droplet
 from repro.sim.electrowetting import (
     SATURATION_V,
@@ -18,8 +20,7 @@ from repro.sim.electrowetting import (
     transport_time_s,
     velocity_cm_s,
 )
-from repro.sim.engine import _nearest_safe_cell
-from repro.sim.fastgrid import PackedDropletRouter
+from repro.sim.engine import BiochipSimulator, _droplet_path_length, _nearest_safe_cell
 from repro.util.errors import RoutingError
 
 
@@ -169,50 +170,79 @@ class TestDropletRouter:
             DropletRouter(0, 4)
 
 
-def _route_outcome(router, *args, **kwargs):
-    """``(start, end, length)`` of a route, or the error text."""
+def _bitboard_outcome(width, height, start, goal, blocked_rects=(),
+                      blocked_cells=(), other_droplets=(), inflate=True):
+    """The bitboard search's path length, or its error text."""
     try:
-        route = router.route(*args, **kwargs)
+        return _droplet_path_length(
+            Bitboard(width, height), start, goal,
+            blocked_rects, blocked_cells, other_droplets, inflate,
+        )
     except RoutingError as exc:
         return str(exc)
-    return (route.start, route.end, route.length)
 
 
-class TestPackedDropletRouter:
+def _oracle_outcome(width, height, *args, **kwargs):
+    """The A* router's path length, or its error text; its path runs
+    between the query's own endpoints."""
+    try:
+        route = DropletRouter(width, height).route(*args, **kwargs)
+    except RoutingError as exc:
+        return str(exc)
+    assert (route.start, route.end) == args[:2]
+    return route.length
+
+
+class TestBitboardTransport:
+    """``engine._droplet_path_length``, the simulator's ad-hoc transport
+    search, against the per-``Point`` A* router."""
+
     def test_unroutable_text_counts_in_bounds_cells(self):
         # The parked droplet's ring spills off the 1-wide array: only
         # its 3 in-bounds cells count as blocked.
-        router = PackedDropletRouter(1, 5)
         with pytest.raises(RoutingError) as exc:
-            router.route(Point(1, 1), Point(1, 5), other_droplets=[Point(1, 3)])
+            _droplet_path_length(
+                Bitboard(1, 5), Point(1, 1), Point(1, 5), (), (), [Point(1, 3)], True
+            )
         assert str(exc.value) == (
             "no droplet path Point(x=1, y=1) -> Point(x=1, y=5) on 1x5 "
             "array with 3 blocked cells"
         )
-        assert str(exc.value) == _route_outcome(
-            DropletRouter(1, 5), Point(1, 1), Point(1, 5),
-            other_droplets=[Point(1, 3)],
+        assert str(exc.value) == _oracle_outcome(
+            1, 5, Point(1, 1), Point(1, 5), other_droplets=[Point(1, 3)],
         )
 
     def test_out_of_bounds_endpoint_text(self):
-        router = PackedDropletRouter(4, 4)
         with pytest.raises(RoutingError) as exc:
-            router.route(Point(0, 1), Point(2, 2))
+            _droplet_path_length(Bitboard(4, 4), Point(0, 1), Point(2, 2), (), (), (), True)
         assert str(exc.value) == (
             "route endpoints Point(x=0, y=1)->Point(x=2, y=2) outside the array"
         )
-        assert str(exc.value) == _route_outcome(
-            DropletRouter(4, 4), Point(0, 1), Point(2, 2)
-        )
+        assert str(exc.value) == _oracle_outcome(4, 4, Point(0, 1), Point(2, 2))
 
-    def test_memoized_failure_reraises_identical_text(self):
-        router = PackedDropletRouter(8, 8)
-        wall = [Rect(4, 1, 1, 8)]
-        first = _route_outcome(router, Point(1, 1), Point(8, 1), blocked_rects=wall)
-        assert isinstance(first, str) and len(router._memo) == 1
-        again = _route_outcome(router, Point(1, 1), Point(8, 1), blocked_rects=wall)
+    def test_memoized_failure_reraises_identical_text(self, pcr, sa_result):
+        placement = sa_result.placement
+        sim = BiochipSimulator(
+            pcr.graph, pcr.schedule, pcr.binding, placement, Chip.of(placement)
+        )
+        width, height = sim.chip.width, sim.chip.height
+        # A wall across the whole array, one column wide.
+        wall = [Rect(4, 1, 1, height)]
+
+        def outcome():
+            try:
+                return sim._path_length(Point(1, 1), Point(width, 1), wall, (), (), True)
+            except RoutingError as exc:
+                return str(exc)
+
+        first = outcome()
+        assert first == _bitboard_outcome(
+            width, height, Point(1, 1), Point(width, 1), blocked_rects=wall
+        )
+        assert isinstance(first, str) and len(sim._path_memo) == 1
+        again = outcome()
         assert again == first
-        assert len(router._memo) == 1  # answered from the memo
+        assert len(sim._path_memo) == 1  # answered from the memo
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_the_a_star_oracle(self, seed):
@@ -248,8 +278,8 @@ class TestPackedDropletRouter:
                 other_droplets=[cell(slack=2) for _ in range(rng.randint(0, 2 + area // 90))],
                 inflate=rng.random() < 0.7,
             )
-            assert _route_outcome(PackedDropletRouter(w, h), *args, **kwargs) == \
-                _route_outcome(DropletRouter(w, h), *args, **kwargs)
+            assert _bitboard_outcome(w, h, *args, **kwargs) == \
+                _oracle_outcome(w, h, *args, **kwargs)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -271,8 +301,8 @@ class TestPackedDropletRouter:
             other_droplets=data.draw(st.lists(cells(2), max_size=12), label="droplets"),
             inflate=data.draw(st.booleans(), label="inflate"),
         )
-        assert _route_outcome(PackedDropletRouter(w, h), *args, **kwargs) == \
-            _route_outcome(DropletRouter(w, h), *args, **kwargs)
+        assert _bitboard_outcome(w, h, *args, **kwargs) == \
+            _oracle_outcome(w, h, *args, **kwargs)
 
 
 class TestParkingSearch:
