@@ -73,6 +73,7 @@ from repro.util.errors import (
     BindingError,
     ExecutionError,
     JournalError,
+    KernelBuildError,
     PipelineError,
     PlacementError,
     ReconfigurationError,
@@ -105,6 +106,7 @@ __all__ = [
     "GreedyPlacer",
     "Interval",
     "JournalError",
+    "KernelBuildError",
     "ModuleKind",
     "ModuleLibrary",
     "ModuleSpec",

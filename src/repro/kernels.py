@@ -1,18 +1,18 @@
 """Build and load the compiled kernels (``_anneal.c`` and ``_route.c``).
 
-Three hot loops run in C, each bit for bit its Python form:
+Three hot loops run in C:
 
 * the annealer runs a cost whose ``delta`` is :meth:`~repro.placement.
   cost.AreaCost.delta` through ``anneal_round``, a C transcription of
-  its Metropolis step (see :meth:`~repro.placement.incremental.
-  IncrementalCostEvaluator.bind_round`);
+  its Metropolis step, bit for bit the generic Python body (see
+  :meth:`~repro.placement.incremental.IncrementalCostEvaluator.
+  bind_round`);
 * the router's searches: a :class:`~repro.routing.timegrid.TimeGrid`
   keeps its reservations in a ``route_store``, and the time-expanded A*
   and the parking search run over it (``repro.routing.timegrid``);
 * the plan proof: :meth:`~repro.routing.plan.RoutingPlan.verify` asks
   ``route_verify`` whether every epoch keeps the fluidic constraints,
-  and runs its Python proof only when the kernel reports a violation,
-  to write the error (``repro.routing.plan``).
+  and formats the first violation it reports (``repro.routing.plan``).
 
 Both sources ship with the package and are built into one shared
 library on the first anneal, routing grid or plan proof that needs it,
@@ -26,10 +26,10 @@ miss the library at once (campaign workers) build it once, and writes
 a temp name that it renames into place, so no process loads a
 half-written file.
 
-When the build or the load fails, the first caller warns once with a
-:class:`RuntimeWarning` that names the compile command and its stderr,
-and the anneal, the router's searches and the plan proof run their
-Python forms.
+A C compiler is required. When the build or the load fails, :func:`load`
+raises :class:`~repro.util.errors.KernelBuildError`, naming the compile
+command and its stderr, and raises that same error on every later call
+without running the compiler again.
 """
 
 from __future__ import annotations
@@ -42,10 +42,11 @@ import shlex
 import subprocess
 import sysconfig
 import tempfile
-import warnings
 from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
+
+from repro.util.errors import KernelBuildError
 
 try:
     import fcntl
@@ -54,8 +55,8 @@ except ImportError:  # no flock (Windows): concurrent builders each build
 
 #: The kernels' sources, compiled into one library.
 SOURCES = (
-    Path(__file__).with_name("_anneal.c"),
-    Path(__file__).parents[1] / "routing" / "_route.c",
+    Path(__file__).parent / "placement" / "_anneal.c",
+    Path(__file__).parent / "routing" / "_route.c",
 )
 
 #: ``-ffp-contract=off`` keeps ``a * b + c * d`` two rounded products
@@ -96,14 +97,10 @@ class RoundState(ctypes.Structure):
     ]
 
 
-class _BuildError(Exception):
-    pass
-
-
 def _cc() -> list[str]:
     cc = sysconfig.get_config_var("CC")
     if not cc:
-        raise _BuildError("sysconfig names no C compiler (CC is unset)")
+        raise KernelBuildError("sysconfig names no C compiler (CC is unset)")
     return shlex.split(cc)
 
 
@@ -130,7 +127,7 @@ def _run(commands: list[list[str]]) -> None:
             for _, started in running:
                 started.kill()
                 started.communicate()
-            raise _BuildError(f"`{shlex.join(command)}` did not run: {exc}") from None
+            raise KernelBuildError(f"`{shlex.join(command)}` did not run: {exc}") from None
         running.append((command, proc))
     failures = []
     for command, proc in running:
@@ -141,13 +138,13 @@ def _run(commands: list[list[str]]) -> None:
                 f"{stderr.strip() or '(no stderr)'}"
             )
     if failures:
-        raise _BuildError(failures[0])
+        raise KernelBuildError(failures[0])
 
 
 def _cache_dir() -> Path:
     """This package's ``__pycache__/`` if writable, else a per-user
     directory in the system temp dir."""
-    local = SOURCES[0].parent / "__pycache__"
+    local = Path(__file__).with_name("__pycache__")
     try:
         local.mkdir(exist_ok=True)
         if os.access(local, os.W_OK):
@@ -158,7 +155,7 @@ def _cache_dir() -> Path:
     shared = Path(tempfile.gettempdir()) / f"repro-kernels-{user}"
     shared.mkdir(mode=0o700, exist_ok=True)
     if hasattr(os, "getuid") and shared.stat().st_uid != os.getuid():
-        raise _BuildError(f"{shared} belongs to another user")
+        raise KernelBuildError(f"{shared} belongs to another user")
     return shared
 
 
@@ -183,7 +180,7 @@ def _library() -> Path:
             _run([compile_command(str(s), o) for s, o in zip(SOURCES, objects)])
             try:
                 _run([link_command(objects, str(tmp))])
-            except _BuildError:
+            except KernelBuildError:
                 tmp.unlink(missing_ok=True)
                 raise
         os.replace(tmp, path)
@@ -207,8 +204,8 @@ def _locked(directory: Path) -> Iterator[None]:
 
 
 class _Kernels:
-    """The library's functions, typed: ``anneal_round`` and ``_route.c``'s
-    ``route_*``."""
+    """The library's functions, typed: ``_anneal.c``'s ``anneal_*`` and
+    ``_route.c``'s ``route_*``."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         i32, u8, store = ctypes.c_int32, ctypes.c_char_p, _ptr
@@ -218,6 +215,7 @@ class _Kernels:
                 ctypes.POINTER(RoundStatic), ctypes.POINTER(RoundState),
                 _i64, _f64, _i64, ctypes.POINTER(_f64), _f64, ctypes.POINTER(_i64),
             ]),
+            "anneal_layout": (_i64, [_ptr, _i64, ctypes.POINTER(ctypes.c_char_p)]),
             "route_new": (store, [_i64, _i64, _ptr, _ptr]),
             "route_free": (None, [store]),
             "route_reserve": (_i64, [store, _ptr, _i64, _i64, *net]),
@@ -228,7 +226,7 @@ class _Kernels:
             "route_blocked": (_i64, [store, _i64, _i64, *net]),
             "route_search": (_i64, [store, _i64, _i64, _i64, *net, _ptr]),
             "route_parking": (_i64, [store, _i64, _i64, _ptr, _i64, _ptr, _i64]),
-            "route_verify": (_i64, [_i64, _i64, _i64, _ptr]),
+            "route_verify": (_i64, [_i64, _i64, _i64, _ptr, _ptr]),
         }
         for name, (restype, argtypes) in signatures.items():
             fn = getattr(lib, name)
@@ -237,47 +235,25 @@ class _Kernels:
             setattr(self, name, fn)
 
 
-def _load_kernels() -> _Kernels:
-    try:
-        lib = ctypes.CDLL(str(_library()))
-    except OSError as exc:
-        raise _BuildError(f"the built library did not load: {exc}") from None
-    return _Kernels(lib)
+#: The loaded kernels, or the error their build or load raised.
+_lib: _Kernels | KernelBuildError | None = None
 
 
-_UNLOADED = object()
-_lib = _UNLOADED
+def load() -> _Kernels:
+    """The compiled kernels, built and loaded on first use.
 
-
-def _kernels() -> _Kernels | None:
-    """Both kernels, built on first use; ``None`` when they cannot be
-    built or loaded (warned once, with the reason)."""
+    Raises :class:`~repro.util.errors.KernelBuildError` when they cannot
+    be built or loaded; every later call raises the same error without
+    trying again."""
     global _lib
-    if _lib is _UNLOADED:
+    if _lib is None:
         try:
-            _lib = _load_kernels()
-        except (_BuildError, OSError) as exc:
-            _lib = None
-            warnings.warn(
-                "cannot build the compiled kernels, so the anneal round, the "
-                "router's searches (the time-expanded A*, its reservation store "
-                "and the parking search) and the routing plan proof run in "
-                f"Python: {exc}",
-                RuntimeWarning,
-                stacklevel=3,
+            _lib = _Kernels(ctypes.CDLL(str(_library())))
+        except (KernelBuildError, OSError) as exc:
+            _lib = KernelBuildError(
+                "cannot build or load the compiled kernels, which the anneal "
+                f"round, the router and the routing plan proof run on: {exc}"
             )
+    if isinstance(_lib, KernelBuildError):
+        raise _lib.with_traceback(None)
     return _lib
-
-
-def load():
-    """The compiled ``anneal_round``; ``None`` when the kernels cannot
-    be built or loaded."""
-    kernels = _kernels()
-    return None if kernels is None else kernels.anneal_round
-
-
-def route_kernel() -> _Kernels | None:
-    """The library's functions, for the router's and the plan proof's
-    ``route_*`` calls; ``None`` when the kernels cannot be built or
-    loaded."""
-    return _kernels()

@@ -20,6 +20,7 @@
  */
 
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 
 #define MT_N 624
@@ -66,6 +67,36 @@ typedef struct {
     mt_state *move_rng, *accept_rng;
     int64_t improved;
 } anneal_state;
+
+/* The two structs' layouts, for the check of their ctypes mirrors
+ * (repro.kernels.RoundStatic and RoundState). anneal_layout() writes
+ * sizeof(anneal_static), the offsetof of each field STATIC_FIELDS names,
+ * then the same for anneal_state and STATE_FIELDS, at most cap values,
+ * and returns how many there are; *names gets the field names, comma
+ * separated, the two structs' lists joined by a semicolon. */
+#define STATIC_FIELDS(X) X(n_cands) X(cands) X(kn) X(kn1) X(pool_branch) \
+    X(single_only) X(alone) X(others) X(p_single) X(p_rotate) X(alpha) \
+    X(overlap_weight) X(pull_weight) X(pitch2) X(dims) X(lim) X(fits) X(square) \
+    X(nbr_start) X(nbr_idx) X(nbr_dt) X(resync_every)
+#define STATE_FIELDS(X) X(x1) X(y1) X(x2) X(y2) X(rot) X(cx1) X(cy1) X(cx2) X(cy2) \
+    X(bx1) X(by1) X(bx2) X(by2) X(overlap_total) X(conflict_pairs) X(pull_sum) \
+    X(applies_since_resync) X(move_rng) X(accept_rng) X(improved)
+#define NAME(field) #field ","
+#define STATIC_AT(field) (int64_t)offsetof(anneal_static, field),
+#define STATE_AT(field) (int64_t)offsetof(anneal_state, field),
+int64_t anneal_layout(int64_t *out, int64_t cap, const char **names)
+{
+    static const char field_names[] = STATIC_FIELDS(NAME) ";" STATE_FIELDS(NAME);
+    const int64_t layout[] = {
+        (int64_t)sizeof(anneal_static), STATIC_FIELDS(STATIC_AT)
+        (int64_t)sizeof(anneal_state), STATE_FIELDS(STATE_AT)
+    };
+    const int64_t n = (int64_t)(sizeof layout / sizeof *layout);
+    for (int64_t k = 0; k < n && k < cap; k++)
+        out[k] = layout[k];
+    *names = field_names;
+    return n;
+}
 
 static uint32_t genrand(mt_state *s)
 {

@@ -147,10 +147,10 @@ def _bind_round(evaluator, cost, mover, rng):
 
     For a cost whose ``delta`` is :meth:`AreaCost.delta` the round is
     the evaluator's compiled one (:meth:`~repro.placement.incremental.
-    IncrementalCostEvaluator.bind_round`) when it can run: both
-    generators exactly ``random.Random`` and the kernel built. Otherwise
-    it is the generic body: ``mover.bind``'s kernel, ``cost.delta`` and
-    ``evaluator.apply`` in turn. Both make the same draws and float
+    IncrementalCostEvaluator.bind_round`) when both generators are
+    exactly ``random.Random``. Otherwise it is the generic body:
+    ``mover.bind``'s kernel, ``cost.delta`` and ``evaluator.apply`` in
+    turn. Both make the same draws and float
     operations, in the same order. ``delta`` is looked up on the cost's
     type, as Python looks up special methods: a wrapper that forwards
     attribute reads to the cost it wraps (the test oracles' delta

@@ -53,7 +53,7 @@ from array import array
 from collections.abc import Callable
 from typing import TYPE_CHECKING
 
-from repro.placement import compiled
+from repro import kernels
 from repro.placement.cost import OVERLAP_WEIGHT
 from repro.placement.model import PlacedModule, Placement
 from repro.placement.moves import P_ROTATE
@@ -535,8 +535,8 @@ class IncrementalCostEvaluator:
         pull_weight: float,
         accept_rng: random.Random,
     ) -> Callable[[int, float, int, float, float], tuple[int, int, float, bool]] | None:
-        """The area cost's Metropolis round, compiled; ``None`` when it
-        cannot run here.
+        """The area cost's Metropolis round, compiled; ``None`` when a
+        generator is not exactly ``random.Random``.
 
         ``run(span, temperature, count, current, best)`` runs up to
         *count* steps. Each draws a move as *mover*'s kernel would,
@@ -559,7 +559,8 @@ class IncrementalCostEvaluator:
         copied back: the Python lists and generators stay canonical.
 
         ``None`` when either generator is not exactly ``random.Random``
-        (a subclass may draw differently) or the kernel cannot be built.
+        (a subclass may draw differently). A kernel that cannot be built
+        raises :class:`~repro.util.errors.KernelBuildError`.
 
         The kernel indexes the edge histograms by the drawn coordinates
         without a bounds check. They stay in ``[1, core]`` because every
@@ -573,9 +574,7 @@ class IncrementalCostEvaluator:
         ) = mover.draws(self.ops, self.dims, self.core_width, self.core_height)
         if type(move_rng) is not random.Random or type(accept_rng) is not random.Random:
             return None
-        kernel = compiled.load()
-        if kernel is None:
-            return None
+        kernel = kernels.load().anneal_round
         starts, nbr_idx, nbr_dt = [0], [], []
         for nbrs in self.nbrs:
             for j, dt in nbrs:
@@ -592,7 +591,7 @@ class IncrementalCostEvaluator:
             array("q", nbr_idx or [0]),
             array("d", nbr_dt or [0.0]),
         )
-        static = compiled.RoundStatic(
+        static = kernels.RoundStatic(
             len(cands), _address(arrays[0]), kn, kn1,
             pool_branch, single_only, len(self.ops) == 1, len(self.ops) > 2,
             p_single, P_ROTATE, alpha, OVERLAP_WEIGHT, pull_weight, self._pitch2,
@@ -604,7 +603,7 @@ class IncrementalCostEvaluator:
         hists = (self._cx1, self._cy1, self._cx2, self._cy2)
         R = self.rot
         streams = (move_rng,) if move_rng is accept_rng else (move_rng, accept_rng)
-        state = compiled.RoundState()
+        state = kernels.RoundState()
         current_c = ctypes.c_double()
         accepted_c = ctypes.c_int64()
         args = (ctypes.byref(static), ctypes.byref(state))

@@ -1,8 +1,7 @@
 /* The router's searches, compiled.
  *
- * One route_store holds one routing epoch's reservation store, the state
- * of repro/routing/timegrid.py's TimeGrid that its Python form keeps in
- * dicts:
+ * One route_store holds one routing epoch's reservation store, the
+ * state behind repro/routing/timegrid.py's TimeGrid:
  *
  *   - the halo entries, one list per key step * area + idx;
  *   - the parked tails, one list per cell;
@@ -14,11 +13,11 @@
  * to (-1 for None). The static mask and the per-cell module owners are
  * the grid's own buffers, shared, never copied.
  *
- * route_search() is PrioritizedRouter._search and its arrival tail check,
- * route_parking() RoutingSynthesizer._nearest_parking with its
- * _keeps_connected flood fills. Both answer exactly as their Python
- * forms: the A* pops (f, step, push#) in heapq's order, since the push
- * number makes that order total, and the parking sort is stable.
+ * route_search() is the router's time-expanded A* with its arrival
+ * check, route_parking() the synthesizer's parking search with its
+ * connectivity flood fills. The A* pops (f, step, push#) in order, the
+ * push number making that order total, and the parking sort is stable;
+ * tests/oracles/ keeps the Point-based forms they answer exactly as.
  */
 
 #include <stdint.h>
@@ -719,7 +718,7 @@ done:
 
 /* -- the plan proof ------------------------------------------------------- */
 
-/* route_verify() re-checks RoutingPlan.verify's constraints on its own:
+/* route_verify() checks RoutingPlan.verify's constraints on its own:
  * it shares nothing with the store or the searches above. One epoch
  * reaches it as one int32 record (RoutingEpoch._record):
  *
@@ -731,7 +730,16 @@ done:
  *   the faulty and the parked cells as (x, y) pairs,
  *   then every trajectory's (x, y) pairs, a net's from pair `first` on.
  *
- * Op ids are interned per epoch, -1 for None; rectangles are inclusive. */
+ * Op ids are interned per epoch, -1 for None; rectangles are inclusive.
+ *
+ * The first violation found is written to the caller's six int64s:
+ * epoch, kind, net a, net b (a failed net's index
+ * counts on from the routed ones), step, and which step pairing broke
+ * (0: both at step, 1: a one step on, 2: b one step on). Trajectories
+ * are checked before pairs, each in net order, as RoutingPlan.verify
+ * names them. */
+
+enum { EMPTY = 1, ENDPOINTS, OFF_ARRAY, JUMP, ON_FAULTY, ON_MODULE, ON_PARKED, PAIR };
 
 #define NET_FIELDS 8
 #define FAILED_FIELDS 4
@@ -763,9 +771,9 @@ static int in_region(const int32_t *regions, int64_t n_regions, int32_t op, int6
 }
 
 /* a at (ax, ay) and b at (bx, by) break the fluidic constraint: within
- * one cell, both outside a shared merge/split zone, and not two products
- * still leaving adjacent parking spots (_merge_exempt,
- * _split_parking_exempt). */
+ * one cell, not both inside a shared merge/split zone, and not two
+ * products still leaving adjacent parking spots (at distance >= 1, each
+ * within one cell of its own source, the sources within one cell). */
 static int too_close(const droplet *a, const droplet *b, int64_t ax, int64_t ay,
                      int64_t bx, int64_t by, const int32_t *regions, int64_t n_regions)
 {
@@ -786,59 +794,67 @@ static int too_close(const droplet *a, const droplet *b, int64_t ax, int64_t ay,
     return 1;
 }
 
-/* _verify_pair: every step, and both cross-step pairs, of a and b. */
+/* Every step, and both cross-step pairs, of a and b: the pairing that
+ * breaks first (0, 1 or 2) with its step in *step, or -1. */
 static int pair_violates(const droplet *a, const droplet *b, const int32_t *regions,
-                         int64_t n_regions)
+                         int64_t n_regions, int64_t *step)
 {
     if (b->x1 - a->x2 > 1 || a->x1 - b->x2 > 1 || b->y1 - a->y2 > 1 || a->y1 - b->y2 > 1)
-        return 0;
+        return -1;
     const int64_t last = (a->n > b->n ? a->n : b->n) - 1;
     for (int64_t t = 0; t <= last; t++) {
         const int32_t *pa = a->cells + 2 * (t < a->n ? t : a->n - 1);
         const int32_t *pb = b->cells + 2 * (t < b->n ? t : b->n - 1);
         const int32_t *na = a->cells + 2 * (t + 1 < a->n ? t + 1 : a->n - 1);
         const int32_t *nb = b->cells + 2 * (t + 1 < b->n ? t + 1 : b->n - 1);
-        if (too_close(a, b, pa[0], pa[1], pb[0], pb[1], regions, n_regions)
-            || too_close(a, b, na[0], na[1], pb[0], pb[1], regions, n_regions)
-            || too_close(a, b, pa[0], pa[1], nb[0], nb[1], regions, n_regions))
+        *step = t;
+        if (too_close(a, b, pa[0], pa[1], pb[0], pb[1], regions, n_regions))
+            return 0;
+        if (too_close(a, b, na[0], na[1], pb[0], pb[1], regions, n_regions))
             return 1;
+        if (too_close(a, b, pa[0], pa[1], nb[0], nb[1], regions, n_regions))
+            return 2;
     }
-    return 0;
+    return -1;
 }
 
-/* _verify_trajectory: endpoints, bounds, 4-adjacent steps, no faulty
- * cell, no foreign footprint, no parked halo except at the source. */
+/* Endpoints, then per step: bounds, 4-adjacent steps, no faulty cell,
+ * no foreign footprint, no parked halo except at the source. The kind
+ * of the first violation, its step in *step, or 0. */
 static int trajectory_violates(const droplet *d, const int32_t *goal, int64_t w,
-                               int64_t h, const uint8_t *mask, const int32_t *owners)
+                               int64_t h, const uint8_t *mask, const int32_t *owners,
+                               int64_t *step)
 {
     const int32_t *c = d->cells;
     const int64_t n = d->n;
     if (c[0] != d->sx || c[1] != d->sy || c[2 * n - 2] != goal[0] || c[2 * n - 1] != goal[1])
-        return 1;
+        return ENDPOINTS;
     for (int64_t k = 0; k < n; k++) {
         const int64_t x = c[2 * k], y = c[2 * k + 1];
+        *step = k;
         if (x < 1 || x > w || y < 1 || y > h)
-            return 1;
+            return OFF_ARRAY;
         if (k && iabs(x - c[2 * k - 2]) + iabs(y - c[2 * k - 1]) > 1)
-            return 1;
+            return JUMP;
         const int64_t idx = (y - 1) * w + (x - 1);
         if (mask[idx] & FAULTY)
-            return 1;
+            return ON_FAULTY;
         for (int j = 0; j < 2; j++) {
             const int32_t o = owners[2 * idx + j];
             if (o != -1 && o != d->prod && o != d->cons)
-                return 1;
+                return ON_MODULE;
         }
         if ((x != d->sx || y != d->sy) && (mask[idx] & PARKED_HALO))
-            return 1;
+            return ON_PARKED;
     }
     return 0;
 }
 
-/* One epoch record: 0 when it proves, 1 on a violation, NO_MEMORY. The
- * scratch mask and owners hold w * h cells; *drops grows as needed. */
+/* One epoch record: 0 when it proves, 1 on a violation (written to
+ * found[1..5]), NO_MEMORY. The scratch mask and owners hold w * h cells;
+ * *drops grows as needed. */
 static int64_t verify_epoch(const int32_t *e, int64_t w, int64_t h, uint8_t *mask,
-                            int32_t *owners, droplet **drops, int64_t *cap)
+                            int32_t *owners, droplet **drops, int64_t *cap, int64_t *found)
 {
     const int64_t n_nets = e[0], n_failed = e[1], n_modules = e[2], n_regions = e[3];
     const int64_t n_faulty = e[4], n_parked = e[5];
@@ -890,7 +906,9 @@ static int64_t verify_epoch(const int32_t *e, int64_t w, int64_t h, uint8_t *mas
         const int32_t *r = nets + NET_FIELDS * k;
         droplet *a = &d[k];
         *a = (droplet){cells + 2 * (int64_t)r[6], r[7], r[0], r[1], r[4], r[5], 0, 0, 0, 0};
-        if (a->n < 1 || trajectory_violates(a, r + 2, w, h, mask, owners))
+        found[2] = k;
+        found[1] = a->n < 1 ? EMPTY : trajectory_violates(a, r + 2, w, h, mask, owners, &found[4]);
+        if (found[1])
             return 1;
         a->x1 = a->x2 = a->cells[0];
         a->y1 = a->y2 = a->cells[1];
@@ -909,16 +927,24 @@ static int64_t verify_epoch(const int32_t *e, int64_t w, int64_t h, uint8_t *mas
     /* Every routed pair, and every routed net against every stranded
      * source. */
     for (int64_t i = 0; i < n_nets; i++)
-        for (int64_t j = i + 1; j < n_nets + n_failed; j++)
-            if (pair_violates(&d[i], &d[j], regions, n_regions))
+        for (int64_t j = i + 1; j < n_nets + n_failed; j++) {
+            const int pairing = pair_violates(&d[i], &d[j], regions, n_regions, &found[4]);
+            if (pairing >= 0) {
+                found[1] = PAIR;
+                found[2] = i;
+                found[3] = j;
+                found[5] = pairing;
                 return 1;
+            }
+        }
     return 0;
 }
 
 /* RoutingPlan.verify over the plan's epoch records: 0 when every epoch
- * proves, 1 when one breaks a constraint, NO_MEMORY. */
+ * proves, 1 when one breaks a constraint (its violation in found),
+ * NO_MEMORY. */
 int64_t route_verify(int64_t width, int64_t height, int64_t n_epochs,
-                     const int32_t *const *epochs)
+                     const int32_t *const *epochs, int64_t *found)
 {
     const int64_t area = width > 0 && height > 0 ? width * height : 0;
     uint8_t *mask = malloc((size_t)area + 1);
@@ -927,8 +953,10 @@ int64_t route_verify(int64_t width, int64_t height, int64_t n_epochs,
     int64_t cap = 0, result = NO_MEMORY;
     if (mask && owners) {
         result = 0;
-        for (int64_t k = 0; k < n_epochs && !result; k++)
-            result = verify_epoch(epochs[k], width, height, mask, owners, &drops, &cap);
+        for (int64_t k = 0; k < n_epochs && !result; k++) {
+            found[0] = k;
+            result = verify_epoch(epochs[k], width, height, mask, owners, &drops, &cap, found);
+        }
     }
     free(mask);
     free(owners);

@@ -9,9 +9,9 @@ nets released at one schedule instant, routed concurrently). The
 :class:`RoutingPlan` bundles the epochs and *proves* the result safe:
 :meth:`RoutingPlan.verify` re-checks every constraint from scratch,
 independent of the router that produced the plan. The proof runs in
-C (``route_verify`` in ``_route.c``) whenever the compiled kernels load;
-its Python form is the oracle, and runs on a reported violation to
-write the error.
+C (``route_verify`` in ``_route.c``), which reports the first violation
+it finds; Python only writes that violation's message. The test suite
+keeps the Python proof as its oracle (``tests/oracles/routing.py``).
 
 Fluidic-constraint conventions (Su/Chakrabarty/Pamula):
 
@@ -32,10 +32,15 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
+from repro import kernels
 from repro.geometry import Point, Rect
-from repro.placement import compiled
 from repro.util.errors import RoutingError
 from repro.util.tables import format_table
+
+
+#: ``route_verify``'s violation kinds (``_route.c``), in check order;
+#: the last is any step pairing of two droplets.
+_EMPTY, _ENDPOINTS, _OFF_ARRAY, _JUMP, _FAULTY, _MODULE, _PARKED, _PAIR = range(1, 9)
 
 
 def chebyshev(a: Point, b: Point) -> int:
@@ -107,14 +112,6 @@ class RoutedNet:
         i = min(max(step, 0), len(self.cells) - 1)
         return self.cells[i]
 
-    @cached_property
-    def bounds(self) -> tuple[int, int, int, int]:
-        """Bounding box ``(min_x, min_y, max_x, max_y)`` over every cell
-        the droplet ever occupies — the verifier's pair prefilter."""
-        xs = [p.x for p in self.cells]
-        ys = [p.y for p in self.cells]
-        return (min(xs), min(ys), max(xs), max(ys))
-
 
 @dataclass(frozen=True)
 class RoutingEpoch:
@@ -144,21 +141,6 @@ class RoutingEpoch:
     def makespan_steps(self) -> int:
         """Last arrival step (0 when the epoch routed nothing)."""
         return max((rn.latency for rn in self.nets), default=0)
-
-    @cached_property
-    def _region_map(self) -> dict[str, list[Rect]]:
-        out: dict[str, list[Rect]] = {}
-        for op_id, rect in self.regions:
-            out.setdefault(op_id, []).append(rect)
-        return out
-
-    def in_region(self, op_id: str | None, cell: Point) -> bool:
-        """True if *cell* lies inside any of op's registered zones."""
-        if op_id is None:
-            return False
-        return any(
-            r.contains_point(cell) for r in self._region_map.get(op_id, ())
-        )
 
     @cached_property
     def _record(self) -> array:
@@ -274,147 +256,83 @@ class RoutingPlan:
         * trajectory sanity — in bounds, endpoints match the net,
           consecutive positions equal or 4-adjacent;
         * no droplet on a faulty cell, within one cell of a parked
-          droplet, or on an active module footprint it does not own;
+          droplet (except at its own source), or on an active module
+          footprint it does not own;
         * no two droplets within one cell of each other at any step,
           nor across consecutive steps (dynamic constraint), except
-          inside a shared merge/split zone;
+          both inside a shared merge/split zone, or two products still
+          leaving adjacent parking spots;
         * failed nets' droplets are not forgotten — each strands at its
           source for the whole epoch and every routed trajectory must
           keep its distance from it.
 
-        The compiled kernel proves the plan in one pass when it loads; the
-        Python proof below runs when it does not, or when it reports a
-        violation, and so writes every error message.
+        ``route_verify`` checks every epoch in one pass and reports the
+        first violation: trajectories before pairs, each in net order,
+        each trajectory's steps in order, a pair's steps in order.
         """
-        kernel = compiled.route_kernel()
-        if kernel is not None and self._proved_by(kernel):
-            return
-        for epoch in self.epochs:
-            module_cells: dict[Point, set[str]] = {}
-            for rect, owner in epoch.modules:
-                for cell in rect.cells():
-                    module_cells.setdefault(cell, set()).add(owner)
-            for rn in epoch.nets:
-                self._verify_trajectory(epoch, rn, module_cells)
-            # A failed net's droplet sits at its source all epoch; its
-            # own position is not a routing decision (no trajectory
-            # checks), but routed traffic must still avoid it.
-            stranded = [RoutedNet(net, (net.source,)) for net in epoch.failed]
-            nets = list(epoch.nets)
-            for i, a in enumerate(nets):
-                for b in nets[i + 1 :]:
-                    self._verify_pair(epoch, a, b)
-                for s in stranded:
-                    self._verify_pair(epoch, a, s)
-
-    def _proved_by(self, kernel) -> bool:
-        """Whether the compiled ``route_verify`` proves every epoch."""
         records = [epoch._record for epoch in self.epochs]
         table = (ctypes.c_void_p * len(records))(
             *(record.buffer_info()[0] for record in records)
         )
-        return kernel.route_verify(self.width, self.height, len(records), table) == 0
+        found = array("q", bytes(8 * 6))
+        status = kernels.load().route_verify(
+            self.width, self.height, len(records), table, found.buffer_info()[0]
+        )
+        if status < 0:
+            raise MemoryError("cannot allocate the plan proof's tables")
+        if status:
+            raise RoutingError(self._violation(*found))
 
-    def _verify_trajectory(
-        self,
-        epoch: RoutingEpoch,
-        rn: RoutedNet,
-        module_cells: dict[Point, set[str]],
-    ) -> None:
+    def _violation(
+        self, epoch_k: int, kind: int, i: int, j: int, step: int, pairing: int
+    ) -> str:
+        """The message of ``route_verify``'s violation record."""
+        epoch = self.epochs[epoch_k]
+        rn = epoch.nets[i]
         net = rn.net
-        if not rn.cells:
-            raise RoutingError(f"net {net.net_id}: empty trajectory")
-        if rn.cells[0] != net.source or rn.cells[-1] != net.goal:
-            raise RoutingError(
+        if kind == _PAIR:
+            if j < len(epoch.nets):
+                other = epoch.nets[j]
+            else:  # a failed net, stranded at its source
+                stranded = epoch.failed[j - len(epoch.nets)]
+                other = RoutedNet(stranded, (stranded.source,))
+            qa = rn.position_at(step + (pairing == 1))
+            qb = other.position_at(step + (pairing == 2))
+            return (
+                f"nets {net.net_id} and {other.net.net_id} violate the "
+                f"fluidic constraint near step {step}: {qa} vs {qb}"
+            )
+        if kind == _EMPTY:
+            return f"net {net.net_id}: empty trajectory"
+        if kind == _ENDPOINTS:
+            return (
                 f"net {net.net_id}: trajectory endpoints {rn.cells[0]}->{rn.cells[-1]} "
                 f"do not match net {net.source}->{net.goal}"
             )
-        exempt = net.exempt_ops
-        for step, p in enumerate(rn.cells):
-            if not (1 <= p.x <= self.width and 1 <= p.y <= self.height):
-                raise RoutingError(
-                    f"net {net.net_id}: {p} at step {step} is outside the "
-                    f"{self.width}x{self.height} array"
-                )
-            if step > 0 and rn.cells[step - 1].manhattan_distance(p) > 1:
-                raise RoutingError(
-                    f"net {net.net_id}: jump {rn.cells[step - 1]} -> {p} at step {step}"
-                )
-            if p in epoch.faulty:
-                raise RoutingError(
-                    f"net {net.net_id}: crosses faulty cell {p} at step {step}"
-                )
-            owners = module_cells.get(p)
-            if owners and not owners <= exempt:
-                culprit = sorted(owners - exempt)[0]
-                raise RoutingError(
-                    f"net {net.net_id}: on active module {culprit!r} footprint "
-                    f"at {p}, step {step}"
-                )
-            if p == net.source:
-                # The droplet's own parking spot is grandfathered: it
-                # may pre-date a neighboring parked droplet, and routing
-                # can only move it away from there.
-                continue
-            for q in epoch.parked:
-                if chebyshev(p, q) <= 1:
-                    raise RoutingError(
-                        f"net {net.net_id}: within one cell of parked droplet "
-                        f"{q} at {p}, step {step}"
-                    )
-
-    def _verify_pair(self, epoch: RoutingEpoch, a: RoutedNet, b: RoutedNet) -> None:
-        # Lifetime bounding boxes further than one cell apart can never
-        # violate the fluidic constraint at any pair of steps — skip the
-        # per-step scan for the (common) far-apart pairs.
-        ax1, ay1, ax2, ay2 = a.bounds
-        bx1, by1, bx2, by2 = b.bounds
-        if (
-            bx1 - ax2 > 1 or ax1 - bx2 > 1 or by1 - ay2 > 1 or ay1 - by2 > 1
-        ):
-            return
-        last = max(a.latency, b.latency)
-        for t in range(last + 1):
-            pa, pb = a.position_at(t), b.position_at(t)
-            # Same-step static constraint plus the cross-step dynamic
-            # constraint (droplet moving next to where the other just was).
-            for qa, qb in ((pa, pb), (a.position_at(t + 1), pb), (pa, b.position_at(t + 1))):
-                if chebyshev(qa, qb) > 1:
-                    continue
-                if self._merge_exempt(epoch, a.net, b.net, qa, qb):
-                    continue
-                if self._split_parking_exempt(a.net, b.net, qa, qb):
-                    continue
-                raise RoutingError(
-                    f"nets {a.net.net_id} and {b.net.net_id} violate the "
-                    f"fluidic constraint near step {t}: {qa} vs {qb}"
-                )
-
-    @staticmethod
-    def _split_parking_exempt(a: Net, b: Net, pa: Point, pb: Point) -> bool:
-        """Grandfather the departure transient of two products that were
-        *parked adjacent* (a placement artifact: neighboring functional
-        centers). While both droplets are still within one cell of their
-        own parking spots, their mutual proximity pre-dates routing and
-        cannot be routed away — it ends the moment both have left.
-        Co-location (distance 0) is never excused: adjacent parking
-        explains closeness, not two droplets in one cell."""
+        p = rn.cells[step]
+        if kind == _OFF_ARRAY:
+            return (
+                f"net {net.net_id}: {p} at step {step} is outside the "
+                f"{self.width}x{self.height} array"
+            )
+        if kind == _JUMP:
+            return f"net {net.net_id}: jump {rn.cells[step - 1]} -> {p} at step {step}"
+        if kind == _FAULTY:
+            return f"net {net.net_id}: crosses faulty cell {p} at step {step}"
+        if kind == _MODULE:
+            culprit = min(
+                owner for rect, owner in epoch.modules
+                if rect.contains_point(p) and owner not in net.exempt_ops
+            )
+            return (
+                f"net {net.net_id}: on active module {culprit!r} footprint "
+                f"at {p}, step {step}"
+            )
+        q = next(q for q in epoch.parked if chebyshev(p, q) <= 1)
         return (
-            chebyshev(pa, pb) >= 1
-            and chebyshev(a.source, b.source) <= 1
-            and chebyshev(pa, a.source) <= 1
-            and chebyshev(pb, b.source) <= 1
+            f"net {net.net_id}: within one cell of parked droplet "
+            f"{q} at {p}, step {step}"
         )
-
-    @staticmethod
-    def _merge_exempt(epoch: RoutingEpoch, a: Net, b: Net, pa: Point, pb: Point) -> bool:
-        if a.consumer is not None and a.consumer == b.consumer:
-            if epoch.in_region(a.consumer, pa) and epoch.in_region(a.consumer, pb):
-                return True
-        if a.producer is not None and a.producer == b.producer:
-            if epoch.in_region(a.producer, pa) and epoch.in_region(a.producer, pb):
-                return True
-        return False
 
     # -- reporting -----------------------------------------------------------
 

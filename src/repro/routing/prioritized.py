@@ -25,34 +25,25 @@ against the surviving reservations; the final budgeted round falls back
 to a full re-route as a last resort. When the first round routes
 everything (the overwhelmingly common case) this is exactly one round.
 
-The search runs over the packed :class:`~repro.routing.timegrid.TimeGrid`
-with flat integer states. The test suite keeps the original
-full-round negotiation and a generic ``Point``-based search over the
-original grid as oracles (``tests/oracles/``); both expand states in
-the same canonical order and return identical trajectories.
+The search runs in C over the packed
+:class:`~repro.routing.timegrid.TimeGrid` with flat integer states
+(:meth:`~repro.routing.timegrid.TimeGrid.search`). The test suite keeps
+the original full-round negotiation and a generic ``Point``-based
+search over the original grid as oracles (``tests/oracles/``); both
+expand states in the same canonical order and return identical
+trajectories.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Iterable, Sequence
 
-from repro.geometry import Point
 from repro.routing.plan import Net, RoutedNet
-from repro.routing.timegrid import (
-    FAULTY,
-    MODULE,
-    PARKED_HALO,
-    _entries_block,
-    _tails_block,
-)
 from repro.util.errors import RoutingError
 
 #: Priority boost added per failed round — large enough to outrank any
 #: schedule-derived criticality, so starved nets jump the queue.
 AGING = 1_000.0
-
-_STATIC_HARD = FAULTY | PARKED_HALO
 
 
 class PrioritizedRouter:
@@ -299,138 +290,18 @@ class PrioritizedRouter:
         return self._search(net, grid, horizon)
 
     def _search(self, net: Net, grid, horizon: int) -> RoutedNet:
-        """The hot path: flat integer states over the packed grid.
+        """The hot path, in C over the grid's store.
 
-        A state is ``step*area + idx`` — the same key the grid uses for
-        its halo entries, so each reservation probe is one dict lookup.
-        States expand in the canonical order (wait, +x, -x, +y, -y) and
-        equal-cost ties pop in push order. A grid on the compiled store
-        runs this search in C (``_route.c``), popping the same states.
+        A state is ``step*area + idx``, the key the store files its halo
+        entries under. States expand in the canonical order (wait, +x,
+        -x, +y, -y), equal-cost ties pop in push order, and an arrival
+        counts only when the goal stays clear of other reservations
+        through the horizon.
         """
-        if grid._kernel is not None:
-            cells = grid._compiled_search(net, horizon)
-            if cells is None:
-                raise self._no_trajectory(net, grid, horizon)
-            return RoutedNet(net, cells)
-        start, goal = net.source, net.goal
-        width, area = grid.width, grid.area
-        src = (start[1] - 1) * width + (start[0] - 1)
-        dst = (goal[1] - 1) * width + (goal[0] - 1)
-        static = grid._static
-        module_cells = grid._module_cells
-        halo = grid._halo
-        tails = grid._tail
-        neighbor_table = grid.shape.neighbors
-        exempt = net.exempt_ops
-        net_id, producer, consumer = net.net_id, net.producer, net.consumer
-        prod_cells = grid.region_idxs(producer)
-        cons_cells = grid.region_idxs(consumer)
-
-        dist = grid.shape.distances(dst)
-        heappush, heappop = heapq.heappush, heapq.heappop
-        open_heap: list[tuple[int, int, int, int]] = [(dist[src], 0, 0, src)]
-        came_from: dict[int, int] = {}
-        seen: set[int] = {src}
-        pushes = 1
-        while open_heap:
-            _, step, _, idx = heappop(open_heap)
-            if idx == dst and self._tail_free_packed(
-                grid, net, dst, step, horizon, prod_cells, cons_cells
-            ):
-                return RoutedNet(
-                    net, self._reconstruct_packed(grid, came_from, step * area + idx)
-                )
-            if step >= horizon:
-                continue
-            nstep = step + 1
-            base = nstep * area
-            here = step * area + idx
-            for nidx in neighbor_table[idx]:
-                state = base + nidx
-                if state in seen:
-                    continue
-                m = static[nidx]
-                if nidx == src:
-                    # Source grandfather: reservations and parked halos
-                    # never evict a droplet from its own parking spot.
-                    if m & FAULTY:
-                        continue
-                    if m & MODULE and not module_cells[nidx] <= exempt:
-                        continue
-                else:
-                    if m:
-                        if m & _STATIC_HARD:
-                            continue
-                        if not module_cells[nidx] <= exempt:
-                            continue
-                    entries = halo.get(state)
-                    if entries is not None and _entries_block(
-                        entries, net_id, producer, consumer,
-                        prod_cells, cons_cells, nidx,
-                    ):
-                        continue
-                    tail_entries = tails.get(nidx)
-                    if tail_entries is not None and _tails_block(
-                        tail_entries, nstep, net_id, producer, consumer,
-                        prod_cells, cons_cells, nidx,
-                    ):
-                        continue
-                seen.add(state)
-                came_from[state] = here
-                heappush(open_heap, (nstep + dist[nidx], nstep, pushes, nidx))
-                pushes += 1
-        raise self._no_trajectory(net, grid, horizon)
-
-    @staticmethod
-    def _no_trajectory(net: Net, grid, horizon: int) -> RoutingError:
-        return RoutingError(
-            f"net {net.net_id}: no trajectory {net.source} -> {net.goal} within "
-            f"{horizon} steps on {grid}"
-        )
-
-    @staticmethod
-    def _tail_free_packed(
-        grid,
-        net: Net,
-        dst: int,
-        step: int,
-        horizon: int,
-        prod_cells: frozenset[int],
-        cons_cells: frozenset[int],
-    ) -> bool:
-        """After arrival the droplet parks at its goal; the cell must
-        stay clear of other reservations through the horizon. Parked
-        tails answer in O(entries); trajectory halos are asked only up
-        to the cell's reserved-free-from bound, not the horizon."""
-        net_id, producer, consumer = net.net_id, net.producer, net.consumer
-        tail_entries = grid._tail.get(dst)
-        if tail_entries:
-            for eid, ep, ec, from_step, pok, cok in tail_entries:
-                if eid == net_id:
-                    continue
-                if max(from_step, step + 1) > horizon:
-                    continue
-                if cok and ec is not None and ec == consumer and dst in cons_cells:
-                    continue
-                if pok and ep is not None and ep == producer and dst in prod_cells:
-                    continue
-                return False
-        # No tail covers the cell by the horizon now, so the grid's
-        # answers below are its halos'.
-        last = grid._cell_last.get(dst, -1)
-        return not any(
-            grid.reserved_blocked(net.goal, s, net)
-            for s in range(step + 1, min(last, horizon) + 1)
-        )
-
-    @staticmethod
-    def _reconstruct_packed(
-        grid, came_from: dict[int, int], state: int
-    ) -> tuple[Point, ...]:
-        area = grid.area
-        points = grid.shape.points
-        path = [points[state % area]]
-        while state in came_from:
-            state = came_from[state]
-            path.append(points[state % area])
-        return tuple(reversed(path))
+        cells = grid.search(net, horizon)
+        if cells is None:
+            raise RoutingError(
+                f"net {net.net_id}: no trajectory {net.source} -> {net.goal} within "
+                f"{horizon} steps on {grid}"
+            )
+        return RoutedNet(net, cells)

@@ -34,19 +34,12 @@ from repro.placement.model import Placement
 from repro.routing.compact import compact_routes
 from repro.routing.plan import Net, RoutingEpoch, RoutingPlan
 from repro.routing.prioritized import PrioritizedRouter
-from repro.routing.timegrid import FAULTY, MODULE, GridShape, TimeGrid
+from repro.routing.timegrid import GridShape, TimeGrid
 
 if TYPE_CHECKING:  # synthesis.flow imports this module; avoid the cycle
     from repro.assay.graph import SequencingGraph
     from repro.synthesis.schedule import Schedule
 
-
-#: Bits of the static mask that wall a cell off for good (parked
-#: halos are the parking search's own business).
-_HARD = FAULTY | MODULE
-#: static mask byte -> 1 if the cell is free of hard obstacles, for
-#: ``bytes.translate``.
-_FREE_OF_HARD = bytes(0 if m & _HARD else 1 for m in range(256))
 
 
 class _SynthesisIndex:
@@ -363,98 +356,12 @@ class RoutingSynthesizer:
         couple of flood fills instead of one per legal cell); when none
         does, the best-scored candidate.
 
-        The search runs on packed indices: one multi-source Chebyshev
-        BFS for the spacing key, and flood fills over a byte mask of
-        the free cells built once per search. A grid on the compiled
-        store runs it in C (``_route.c``), picking the same cell.
+        The search runs in C on the grid's packed tables
+        (:meth:`~repro.routing.timegrid.TimeGrid.nearest_parking`): one
+        multi-source Chebyshev BFS for the spacing key, and flood fills
+        over a byte mask of the free cells built once per search.
         """
-        if grid._kernel is not None:
-            return grid._compiled_parking(start, parked, keep_clear)
-        shape = grid.shape
-        w, h, area = shape.width, shape.height, shape.area
-        halos = shape.halos
-        static = grid._static
-        parked_idxs = [(q[1] - 1) * w + (q[0] - 1) for q in parked]
-        # Exact min Chebyshev distance to any parked droplet, saturated
-        # at 5: the preference key caps at 4 (halos no longer interact
-        # beyond it, so the shorter evacuation wins) and legality needs
-        # > 1.
-        spacing = [5] * area
-        if parked_idxs:
-            frontier = parked_idxs
-            for i in frontier:
-                spacing[i] = 0
-            d = 1
-            while frontier and d < 5:
-                nxt: list[int] = []
-                for i in frontier:
-                    for j in halos[i]:
-                        if spacing[j] > d:
-                            spacing[j] = d
-                            nxt.append(j)
-                frontier = nxt
-                d += 1
-        sx, sy = start
-        start_idx = (sy - 1) * w + (sx - 1) if 1 <= sx <= w and 1 <= sy <= h else -1
-        clear = {
-            (y - 1) * w + (x - 1) for x, y in keep_clear if 1 <= x <= w and 1 <= y <= h
-        }
-        # Key: spacing (capped at 4) first, then closeness to the start,
-        # as one int; column-major scan order breaks ties (the sort is
-        # stable).
-        span = w + h
-        legal: list[int] = []
-        keys: dict[int, int] = {}
-        for col in range(w):
-            dx = abs(col + 1 - sx)
-            for i in range(col, area, w):
-                if static[i] or i == start_idx or i in clear:
-                    continue
-                s = spacing[i]
-                if s > 1:
-                    legal.append(i)
-                    keys[i] = (s if s < 4 else 4) * span - dx - abs(i // w + 1 - sy)
-        if not legal:
-            return None
-        legal.sort(key=keys.__getitem__, reverse=True)
-        free = bytearray(static.translate(_FREE_OF_HARD))
-        for q in parked_idxs:
-            for i in halos[q]:
-                free[i] = 0
-        free_count = free.count(1)
-        for cell in legal:
-            if RoutingSynthesizer._keeps_connected(shape, free, free_count, cell):
-                return shape.points[cell]
-        return shape.points[legal[0]]
-
-    @staticmethod
-    def _keeps_connected(
-        shape: GridShape, free: bytearray, free_count: int, candidate: int
-    ) -> bool:
-        """True if parking at packed cell *candidate* leaves the *free*
-        cells (*free_count* of them: off modules, faults and the other
-        parked halos) minus its halo 4-connected: one flood fill over a
-        copy of the mask."""
-        mask = bytearray(free)
-        total = free_count
-        for i in shape.halos[candidate]:
-            if mask[i]:
-                mask[i] = 0
-                total -= 1
-        if not total:
-            return False
-        seed = mask.find(1)
-        mask[seed] = 0  # reuse the mask as the visited filter
-        seen_count = 1
-        stack = [seed]
-        neighbors = shape.neighbors
-        while stack:
-            for j in neighbors[stack.pop()]:
-                if mask[j]:
-                    mask[j] = 0
-                    seen_count += 1
-                    stack.append(j)
-        return seen_count == total
+        return grid.nearest_parking(start, parked, keep_clear)
 
     @staticmethod
     def _nearest_free(

@@ -27,49 +27,42 @@ queried cell and that recorded origin are in-zone. (Historically the
 grid only checked the queried cell, which let a merge approach straddle
 the zone boundary and emit plans the verifier rejected.)
 
-**Packed representation.** This implementation is built for the A* hot
-path: a cell is the flat integer index ``(y-1)*width + (x-1)``, static
-obstacles are preclassified into a per-cell byte mask (FAULTY /
-PARKED_HALO / MODULE bits), and in-flight halos live in one flat dict
-keyed by ``step*area + idx`` — the same packing the router uses for its
-search states, so one multiply-add answers an occupancy probe with no
-``Point`` allocation. Two structures make reservations cheap:
+**Compiled store.** A grid keeps its reservations in a C
+``route_store`` (``_route.c``, loaded by :func:`repro.kernels.load`): a
+cell is the flat integer index ``(y-1)*width + (x-1)``, halo entries
+are listed per key ``step*area + idx`` (the router's search states),
+and static obstacles are preclassified into a per-cell byte mask
+(FAULTY / PARKED_HALO / MODULE bits) that the store shares with the
+grid, uncopied, as it does the per-cell module owners. Two structures
+make reservations cheap:
 
 * the **parked tail** — after arrival a droplet blocks its goal halo
   for *every* remaining step, so instead of materializing
-  ``O(horizon)`` per-step entries the tail is stored once per cell as
-  ``(net, from_step)`` and compared against the queried step. A
-  reservation therefore costs ``O(path)``, not ``O(horizon)``.
-* the per-cell **reserved-free-from bound** — ``_cell_last[idx]`` is an
-  upper bound on the last step any trajectory halo touches the cell,
-  maintained by ``reserve()`` and left conservatively stale by
-  ``remove_reservation()`` (an upper bound stays an upper bound). The
-  router's arrival check scans only ``(step, min(bound, horizon)]``
-  instead of the whole horizon.
+  ``O(horizon)`` per-step entries the tail is stored once per cell with
+  its first step. A reservation therefore costs ``O(path)``, not
+  ``O(horizon)``.
+* the per-cell **reserved-free-from bound** — an upper bound on the
+  last step any trajectory halo touches the cell, raised by a
+  reservation and left conservatively stale by a removal. The router's
+  arrival check scans only ``(step, min(bound, horizon)]`` instead of
+  the whole horizon.
 
-**Compiled store.** When the compiled kernels load
-(:func:`repro.placement.compiled.route_kernel`), a grid keeps its
-reservations in a C ``route_store`` (``_route.c``) instead of the dicts
-above, with the same layout: halo lists keyed by ``step*area + idx``,
-parked tails per cell and the reserved-free-from bound. The grid interns
-net and op ids to small ints for it, and shares its static mask and
-per-cell module owners with it, uncopied. The router's A* and the
-synthesizer's parking search then run in C over that store; every answer
-is the dict store's. Otherwise the dicts and the Python searches run.
+The grid interns net and op ids to small ints for the store. The
+router's A* and the synthesizer's parking search run in C over it
+(:meth:`TimeGrid.search`, :meth:`TimeGrid.nearest_parking`).
 
 The tables that depend only on the array's shape — the ``Point`` of
-each index, the expansion table, each cell's 3x3 halo and the packed
-cells of a rectangle — live in a :class:`GridShape` (the expansion and
-halo tables only the Python searches read are built on first use). A grid built
-alone makes its own; the routing synthesizer builds one per
-``synthesize`` call and every epoch's grid borrows it.
+each index, each cell's 3x3 halo and the packed cells of a rectangle —
+live in a :class:`GridShape`. A grid built alone makes its own; the
+routing synthesizer builds one per ``synthesize`` call and every
+epoch's grid borrows it.
 
 Answers are defined on the array: off-array cells report statically
 blocked (a droplet can never leave the chip). On the array the
-semantics are bit-identical to the original Point-dict grid the test
-suite keeps as an oracle (``tests/oracles/``) for every step a
-reservation's horizon covers; the tail keeps a parked droplet blocking
-*beyond* the horizon too, which no search ever asks about.
+semantics are bit-identical to the Point-dict grid the test suite keeps
+as an oracle (``tests/oracles/``) for every step a reservation's
+horizon covers; the tail keeps a parked droplet blocking *beyond* the
+horizon too, which no search ever asks about.
 """
 
 from __future__ import annotations
@@ -78,10 +71,9 @@ import ctypes
 import weakref
 from array import array
 from collections.abc import Iterable
-from functools import cached_property
 
+from repro import kernels
 from repro.geometry import Point, Rect
-from repro.placement import compiled
 from repro.routing.plan import Net, RoutedNet
 
 #: Static-obstacle byte-mask bits, preclassified per cell.
@@ -91,51 +83,6 @@ MODULE = 4
 #: Owner slot of a cell more than two modules cover: no net's exempt
 #: ops (its producer and consumer) can include every owner.
 _MANY_OWNERS = -3
-
-
-def _entries_block(
-    entries: list[tuple[str, str | None, str | None, bool, bool]],
-    net_id: str,
-    producer: str | None,
-    consumer: str | None,
-    prod_cells: frozenset[int],
-    cons_cells: frozenset[int],
-    idx: int,
-) -> bool:
-    """Foreign, non-exempt trajectory-halo entry present? Exemptions
-    are two-sided: the queried cell must be in-zone *and* the entry's
-    recorded origin flag must say the reserving position was too."""
-    for eid, ep, ec, pok, cok in entries:
-        if eid == net_id:
-            continue
-        if cok and ec is not None and ec == consumer and idx in cons_cells:
-            continue
-        if pok and ep is not None and ep == producer and idx in prod_cells:
-            continue
-        return True
-    return False
-
-
-def _tails_block(
-    entries: list[tuple[str, str | None, str | None, int, bool, bool]],
-    step: int,
-    net_id: str,
-    producer: str | None,
-    consumer: str | None,
-    prod_cells: frozenset[int],
-    cons_cells: frozenset[int],
-    idx: int,
-) -> bool:
-    """Foreign, non-exempt parked tail covering *step*?"""
-    for eid, ep, ec, from_step, pok, cok in entries:
-        if from_step > step or eid == net_id:
-            continue
-        if cok and ec is not None and ec == consumer and idx in cons_cells:
-            continue
-        if pok and ep is not None and ep == producer and idx in prod_cells:
-            continue
-        return True
-    return False
 
 
 class GridShape:
@@ -157,41 +104,6 @@ class GridShape:
         self.points = [Point(x, y) for y in range(1, h + 1) for x in range(1, w + 1)]
         self._rect_cells: dict[Rect, frozenset[int]] = {}
         self._rect_masks: dict[Rect, bytes] = {}
-        self._distances: dict[int, list[int]] = {}
-
-    @cached_property
-    def halos(self) -> list[tuple[int, ...]]:
-        """Per-cell in-bounds 3x3 halo, row by row (the Python searches'
-        table, built on first use)."""
-        w, h = self.width, self.height
-        # The in-bounds columns / row offsets around each column / row.
-        cols = [tuple(c for c in (x - 1, x, x + 1) if 0 <= c < w) for x in range(w)]
-        rows = [tuple(r * w for r in (y - 1, y, y + 1) if 0 <= r < h) for y in range(h)]
-        return [tuple([r + c for r in row for c in col]) for row in rows for col in cols]
-
-    @cached_property
-    def neighbors(self) -> list[tuple[int, ...]]:
-        """Per-cell expansion table for the time-expanded search: the
-        cell itself (wait-in-place) followed by its in-bounds 4-
-        neighbors, in the router's canonical ``(wait, +x, -x, +y, -y)``
-        order (the Python searches' table, built on first use)."""
-        w, h = self.width, self.height
-        table: list[tuple[int, ...]] = []
-        for y in range(h):
-            up, down = y + 1 < h, y > 0
-            for x in range(w):
-                i = y * w + x
-                row = [i]
-                if x + 1 < w:
-                    row.append(i + 1)
-                if x:
-                    row.append(i - 1)
-                if up:
-                    row.append(i + w)
-                if down:
-                    row.append(i - w)
-                table.append(tuple(row))
-        return table
 
     def halo(self, p: Point) -> tuple[int, ...]:
         """Packed indices of the in-bounds 3x3 halo around *p*, which
@@ -205,19 +117,6 @@ class GridShape:
             for xx in (px - 1, px, px + 1)
             if 1 <= xx <= w
         )
-
-    def distances(self, goal: int) -> list[int]:
-        """Per-cell Manhattan distance to packed cell *goal*: the
-        search's heuristic, memoized per goal."""
-        dist = self._distances.get(goal)
-        if dist is None:
-            w = self.width
-            gx, gy = goal % w, goal // w
-            row = [abs(x - gx) for x in range(w)]
-            dist = self._distances[goal] = [
-                d + abs(y - gy) for y in range(self.height) for d in row
-            ]
-        return dist
 
     def rect_mask(self, rect: Rect) -> bytes:
         """Packed in-bounds cells of *rect* as a per-cell byte mask."""
@@ -246,7 +145,9 @@ class TimeGrid:
     """Packed per-timestep obstacle sets over a ``width x height`` array.
 
     *shape*, when given, supplies the shape tables (its dimensions must
-    be the grid's); otherwise the grid builds its own.
+    be the grid's); otherwise the grid builds its own. The reservations
+    live in a compiled store freed with the grid; a grid cannot be built
+    without the kernels (:class:`~repro.util.errors.KernelBuildError`).
     """
 
     def __init__(self, width: int, height: int, shape: GridShape | None = None) -> None:
@@ -259,9 +160,10 @@ class TimeGrid:
         self.shape = shape
         self.width = width
         self.height = height
-        self.area = shape.area
+        self.area = area = shape.area
+        self._kernel = kernels.load()
         #: Preclassified static-obstacle byte mask, one cell per index.
-        self._static = bytearray(self.area)
+        self._static = bytearray(area)
         #: As-added obstacle sets, kept for the public properties.
         self._faulty: set[Point] = set()
         self._parked: set[Point] = set()
@@ -270,35 +172,6 @@ class TimeGrid:
         #: op id -> exemption rects (merge/split zones accumulate: a
         #: relocated plug adds its spot without losing the footprint).
         self._regions: dict[str, list[Rect]] = {}
-        #: op id -> packed in-bounds region cells, cached for the router.
-        self._region_cells: dict[str, frozenset[int]] = {}
-        #: step*area + idx -> [(net_id, producer, consumer, prod_in,
-        #: cons_in), ...] halo entries of in-flight trajectory
-        #: positions; the two flags record whether the droplet position
-        #: that produced the entry lies inside the producer's/consumer's
-        #: registered zone (the verifier's two-sided exemption rule).
-        self._halo: dict[int, list[tuple[str, str | None, str | None, bool, bool]]] = {}
-        #: idx -> [(net_id, producer, consumer, from_step, prod_in,
-        #: cons_in), ...] parked tails: the goal halo a droplet holds
-        #: from arrival onward, flags computed from the goal cell.
-        self._tail: dict[
-            int, list[tuple[str, str | None, str | None, int, bool, bool]]
-        ] = {}
-        #: idx -> upper bound on the last step any _halo entry touches
-        #: the cell (the reserved-free-from bound, see module docs).
-        self._cell_last: dict[int, int] = {}
-        #: net_id -> (halo keys, tail idxs) for O(path) removal.
-        self._net_keys: dict[str, tuple[set[int], list[int]]] = {}
-        #: The compiled store's functions, or None: the dicts above hold
-        #: the reservations then.
-        self._kernel = compiled.route_kernel()
-        if self._kernel is not None:
-            self._bind_store()
-
-    def _bind_store(self) -> None:
-        """Open the compiled store over this grid's static mask and
-        owner slots, freed with the grid."""
-        area = self.area
         #: Interned net and op ids; None is -1.
         self._ids: dict[str | None, int] = {None: -1}
         #: Two interned owner ids per module cell (one owner fills both;
@@ -313,7 +186,7 @@ class TimeGrid:
         # it stays valid.
         self._static_view = (ctypes.c_char * area).from_buffer(self._static)
         self._store = self._kernel.route_new(
-            self.width, self.height,
+            width, height,
             ctypes.addressof(self._static_view), self._owners.buffer_info()[0],
         )
         if not self._store:
@@ -351,8 +224,9 @@ class TimeGrid:
                 mask = self.shape.rect_mask(rects[0])
             else:
                 cells = bytearray(self.area)
-                for i in self.region_idxs(op_id):
-                    cells[i] = 1
+                for rect in rects:
+                    for i in self.shape.rect_idxs(rect):
+                        cells[i] = 1
                 mask = bytes(cells)
             self._masks[op_id] = mask
         return mask
@@ -387,20 +261,19 @@ class TimeGrid:
     def add_module(self, footprint: Rect, owner: str) -> None:
         """Block *footprint* for every net not owned by *owner*; also
         registers the footprint as the owner's merge/split zone."""
-        compiled_owner = None if self._kernel is None else self._intern(owner)
+        interned = self._intern(owner)
         for idx in self.shape.rect_idxs(footprint):
             owners = self._module_cells.setdefault(idx, set())
             owners.add(owner)
             self._static[idx] |= MODULE
-            if compiled_owner is not None:
-                if len(owners) == 1:
-                    ids = [compiled_owner]
-                elif len(owners) == 2:
-                    ids = [self._intern(o) for o in owners]
-                else:
-                    ids = [_MANY_OWNERS]
-                self._owners[2 * idx] = ids[0]
-                self._owners[2 * idx + 1] = ids[-1]
+            if len(owners) == 1:
+                ids = [interned]
+            elif len(owners) == 2:
+                ids = [self._intern(o) for o in owners]
+            else:
+                ids = [_MANY_OWNERS]
+            self._owners[2 * idx] = ids[0]
+            self._owners[2 * idx + 1] = ids[-1]
         self.add_region(owner, footprint)
 
     def add_region(self, op_id: str, footprint: Rect) -> None:
@@ -410,31 +283,8 @@ class TimeGrid:
         rects = self._regions.setdefault(op_id, [])
         if footprint not in rects:
             rects.append(footprint)
-            self._region_cells.pop(op_id, None)
-            if self._kernel is not None:
-                self._masks.pop(op_id, None)
-                self._net_args.clear()
-
-    def in_region(self, op_id: str | None, cell: Point) -> bool:
-        if op_id is None:
-            return False
-        return any(r.contains_point(cell) for r in self._regions.get(op_id, ()))
-
-    def region_idxs(self, op_id: str | None) -> frozenset[int]:
-        """Packed in-bounds cells of all of op's registered zones —
-        precomputed once so the router's exemption checks are set
-        membership instead of per-query rect scans."""
-        if op_id is None:
-            return frozenset()
-        cached = self._region_cells.get(op_id)
-        if cached is None:
-            rects = self._regions.get(op_id, ())
-            if len(rects) == 1:
-                cached = self.shape.rect_idxs(rects[0])
-            else:
-                cached = frozenset().union(*map(self.shape.rect_idxs, rects))
-            self._region_cells[op_id] = cached
-        return cached
+            self._masks.pop(op_id, None)
+            self._net_args.clear()
 
     def regions(self) -> tuple[tuple[str, Rect], ...]:
         """Registered (op id, zone rect) pairs, for plan bookkeeping."""
@@ -487,163 +337,39 @@ class TimeGrid:
         the spatio-temporal fluidic halo.
 
         The in-flight prefix (steps before arrival) is materialized per
-        step; the parked tail is stored once with its ``from_step``, so
+        step; the parked tail is stored once with its first step, so
         the cost is proportional to the path, not the horizon.
         """
         net = routed.net
-        if self._kernel is not None:
-            xy = array("i", [c for p in routed.cells for c in p])
-            status = self._kernel.route_reserve(
-                self._store, xy.buffer_info()[0], len(routed.cells), horizon,
-                *self._args(net),
-            )
-            if status == -1:
-                raise ValueError(f"net {net.net_id!r} is already reserved")
-            if status:
-                raise MemoryError("cannot grow the compiled reservation store")
-            return
-        if net.net_id in self._net_keys:
+        xy = array("i", [c for p in routed.cells for c in p])
+        status = self._kernel.route_reserve(
+            self._store, xy.buffer_info()[0], len(routed.cells), horizon,
+            *self._args(net),
+        )
+        if status == -1:
             raise ValueError(f"net {net.net_id!r} is already reserved")
-        arrival = routed.latency
-        cells = routed.cells
-        prod_cells = self.region_idxs(net.producer)
-        cons_cells = self.region_idxs(net.consumer)
-        # Collect the (step, cell) keys of each origin in-zone flag pair
-        # first: the t-1/t/t+1 windows of consecutive steps overlap, and
-        # a waiting droplet would otherwise insert the same entry
-        # repeatedly. Distinct flag pairs stay distinct entries — the
-        # two-sided exemption is per origin position, so one in-zone and
-        # one out-of-zone origin covering the same (step, cell) must
-        # both be consulted.
-        shape = self.shape
-        halos = shape.halos
-        width, height, area = self.width, self.height, self.area
-        cell_last = self._cell_last
-        keys_by_flag: dict[int, set[int]] = {}
-        #: packed position -> one past the last step the droplet is there.
-        last_at: dict[int, int] = {}
-        for t in range(min(arrival - 1, horizon) + 1):
-            p = cells[t]
-            x, y = p
-            if 1 <= x <= width and 1 <= y <= height:
-                pidx = (y - 1) * width + (x - 1)
-                halo = halos[pidx]
-                last_at[pidx] = t + 1
-            else:
-                pidx = -1
-                halo = shape.halo(p)
-                for i in halo:
-                    if cell_last.get(i, -1) < t + 1:
-                        cell_last[i] = t + 1
-            flag = (1 if pidx in prod_cells else 0) | (2 if pidx in cons_cells else 0)
-            keys = keys_by_flag.get(flag)
-            if keys is None:
-                keys = keys_by_flag[flag] = set()
-            base = t * area
-            keys.update([
-                b + i
-                for b in ((base - area, base, base + area) if t else (0, area))
-                for i in halo
-            ])
-        for pidx, s in last_at.items():
-            for i in halos[pidx]:
-                if cell_last.get(i, -1) < s:
-                    cell_last[i] = s
-        halo_map = self._halo
-        tail_idxs: list[int] = []
-        net_id, producer, consumer = net.net_id, net.producer, net.consumer
-        # Ascending flag order, so a key's entries list its flag pairs
-        # in a fixed order.
-        for flag in sorted(keys_by_flag):
-            entry = (net_id, producer, consumer, bool(flag & 1), bool(flag & 2))
-            for key in keys_by_flag[flag]:
-                lst = halo_map.get(key)
-                if lst is None:
-                    halo_map[key] = [entry]
-                else:
-                    lst.append(entry)
-        if len(keys_by_flag) == 1:
-            (halo_keys,) = keys_by_flag.values()
-        else:
-            halo_keys = set().union(*keys_by_flag.values())
-        if horizon >= arrival:
-            gidx = (cells[-1][1] - 1) * width + (cells[-1][0] - 1)
-            tail_entry = (
-                net_id,
-                producer,
-                consumer,
-                max(arrival - 1, 0),
-                gidx in prod_cells,
-                gidx in cons_cells,
-            )
-            for i in shape.halo(cells[-1]):
-                self._tail.setdefault(i, []).append(tail_entry)
-                tail_idxs.append(i)
-        self._net_keys[net.net_id] = (halo_keys, tail_idxs)
+        if status:
+            raise MemoryError("cannot grow the compiled reservation store")
 
     def remove_reservation(self, net_id: str) -> None:
         """Drop one net's reservation (re-routing during negotiation or
-        compaction), pruning emptied entry lists so negotiation-heavy
-        epochs do not accumulate dead keys."""
-        if self._kernel is not None:
-            net = self._ids.get(net_id)
-            if net is not None:
-                self._kernel.route_remove(self._store, net)
-            return
-        halo_keys, tail_idxs = self._net_keys.pop(net_id, ((), ()))
-        halo_map = self._halo
-        for key in halo_keys:
-            entries = halo_map.get(key)
-            if not entries:
-                continue
-            entries[:] = [e for e in entries if e[0] != net_id]
-            if not entries:
-                del halo_map[key]
-        tail_map = self._tail
-        for i in tail_idxs:
-            entries = tail_map.get(i)
-            if not entries:
-                continue
-            entries[:] = [e for e in entries if e[0] != net_id]
-            if not entries:
-                del tail_map[i]
+        compaction), releasing every key it held."""
+        net = self._ids.get(net_id)
+        if net is not None:
+            self._kernel.route_remove(self._store, net)
 
     def clear_reservations(self) -> None:
         """Drop all reservations (a fresh negotiation round); static
         obstacles stay."""
-        if self._kernel is not None:
-            self._kernel.route_clear(self._store)
-            return
-        self._halo.clear()
-        self._tail.clear()
-        self._cell_last.clear()
-        self._net_keys.clear()
+        self._kernel.route_clear(self._store)
 
-    def reserved_blocked(self, cell: Point, step: int, net: Net) -> bool:
-        """True if another droplet's halo or parked tail covers (*cell*,
-        *step*) for *net*, honoring the two-sided merge/split exemptions.
-        Off-array cells carry no reservation."""
-        if not self.in_bounds(cell):
-            return False
-        idx = self.pack(cell)
-        if self._kernel is not None:
-            return bool(self._kernel.route_blocked(self._store, idx, step, *self._args(net)))
-        zones = (
-            net.net_id, net.producer, net.consumer,
-            self.region_idxs(net.producer), self.region_idxs(net.consumer), idx,
-        )
-        entries = self._halo.get(step * self.area + idx)
-        if entries and _entries_block(entries, *zones):
-            return True
-        tails = self._tail.get(idx)
-        return bool(tails) and _tails_block(tails, step, *zones)
+    # -- the searches --------------------------------------------------------
 
-    # -- the compiled searches -----------------------------------------------
-
-    def _compiled_search(self, net: Net, horizon: int) -> tuple[Point, ...] | None:
-        """The compiled store's time-expanded A* for *net* (see
-        ``PrioritizedRouter._search``): its trajectory, or None when
-        none arrives and stays parked within *horizon* steps."""
+    def search(self, net: Net, horizon: int) -> tuple[Point, ...] | None:
+        """The time-expanded A* for *net* against the current
+        reservations (see ``PrioritizedRouter._search``): its
+        trajectory, or None when none arrives and stays parked within
+        *horizon* steps."""
         path = self._path
         if len(path) <= horizon:
             path = self._path = array("i", bytes(4 * (horizon + 1)))
@@ -658,12 +384,11 @@ class TimeGrid:
             return None
         return tuple(map(self.shape.points.__getitem__, path[:found]))
 
-    def _compiled_parking(
+    def nearest_parking(
         self, start: Point, parked: Iterable[Point], keep_clear: Iterable[Point]
     ) -> Point | None:
-        """The compiled parking search (see
-        ``RoutingSynthesizer._nearest_parking``); every *parked* cell
-        must lie on the array."""
+        """The parking search (see ``RoutingSynthesizer._nearest_parking``);
+        every *parked* cell must lie on the array."""
         w, h = self.width, self.height
         if not all(1 <= x <= w and 1 <= y <= h for x, y in parked):
             raise ValueError(f"a parked droplet lies off the {w}x{h} array: {sorted(parked)}")
@@ -681,12 +406,8 @@ class TimeGrid:
         return None if cell < 0 else self.shape.points[cell]
 
     def __str__(self) -> str:
-        reservations = (
-            len(self._net_keys) if self._kernel is None
-            else self._kernel.route_reserved(self._store)
-        )
         return (
             f"TimeGrid({self.width}x{self.height}, "
             f"{len(self._faulty)} faulty, {len(self._parked)} parked, "
-            f"{reservations} reservations)"
+            f"{self._kernel.route_reserved(self._store)} reservations)"
         )

@@ -34,6 +34,13 @@ class RoutingError(ReproError):
     """Raised when the droplet router cannot find a constraint-satisfying path."""
 
 
+class KernelBuildError(ReproError):
+    """Raised when the compiled kernels (:mod:`repro.kernels`) cannot be
+    built or loaded: no C compiler, a failed compile or link, or a
+    library that does not load. The message names the command and its
+    stderr."""
+
+
 class SimulationError(ReproError):
     """Raised when the discrete-time biochip simulator reaches an invalid state."""
 

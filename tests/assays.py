@@ -7,7 +7,10 @@
 * :func:`routed_assay` and :func:`ci_grid_designs` — routed designs of
   the bundled assays and of ``examples/campaigns/ci-grid.toml``, built
   once per session, and :func:`closed_loop_scenarios`, the bundled
-  assays under four fault models at two arrivals.
+  assays under four fault models at two arrivals;
+* :func:`batches` and :func:`routed_plan` — random obstacle fields with
+  spaced nets, and one routed on an 8x8 grid as a one-epoch plan, for
+  the plan-proof properties.
 """
 
 from __future__ import annotations
@@ -16,13 +19,17 @@ import random
 from functools import lru_cache
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 from repro.assay.catalog import BUNDLED_ASSAYS, build_assay
 from repro.assay.graph import SequencingGraph
 from repro.assay.operations import Operation, OperationType
 from repro.assay.protocols.pcr import PCR_REAGENTS, build_pcr_mixing_graph
+from repro.geometry import Point
 from repro.placement.annealer import AnnealingParams
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.recovery import OnlineRecoveryEngine, fault_timeline
+from repro.routing import Net, PrioritizedRouter, RoutingEpoch, RoutingPlan, TimeGrid
 from repro.synthesis.flow import SynthesisFlow
 from repro.util.rng import ensure_rng
 from repro.workload.campaign import CampaignConfig, CampaignRunner, _Unit
@@ -186,3 +193,49 @@ def closed_loop_scenarios() -> list:
                 )
                 out.append((result, events, rng.randrange(2**32)))
     return out
+
+
+cells_st = st.tuples(st.integers(1, 8), st.integers(1, 8)).map(lambda t: Point(*t))
+
+
+@st.composite
+def batches(draw):
+    """A random obstacle field plus distinct, mutually spaced nets."""
+    n_parked = draw(st.integers(0, 2))
+    parked = draw(
+        st.lists(cells_st, min_size=n_parked, max_size=n_parked, unique=True)
+    )
+    n_faulty = draw(st.integers(0, 2))
+    faulty = draw(
+        st.lists(cells_st, min_size=n_faulty, max_size=n_faulty, unique=True)
+    )
+    endpoints = draw(
+        st.lists(cells_st, min_size=4, max_size=8, unique=True).filter(
+            lambda pts: len(pts) % 2 == 0
+        )
+    )
+    nets = []
+    for i in range(0, len(endpoints), 2):
+        nets.append(Net(f"n{i // 2}", endpoints[i], endpoints[i + 1]))
+    return parked, faulty, nets
+
+
+def routed_plan(batch) -> RoutingPlan:
+    """*batch* routed on an 8x8 grid, as a one-epoch plan."""
+    parked, faulty, nets = batch
+    grid = TimeGrid(8, 8)
+    grid.add_parked(parked)
+    grid.add_faulty(faulty)
+    router = PrioritizedRouter(strict=False)
+    routed, failed = router.route_all(nets, grid)
+    assert len(routed) + len(failed) == len(nets)
+    epoch = RoutingEpoch(
+        time_s=0.0,
+        step_offset=0,
+        nets=tuple(routed),
+        failed=tuple(failed),
+        regions=grid.regions(),
+        faulty=frozenset(Point(*c) for c in faulty),
+        parked=frozenset(Point(*c) for c in parked),
+    )
+    return RoutingPlan(8, 8, (epoch,))

@@ -1,4 +1,5 @@
-"""Shared fixtures: the PCR case study and pre-computed placements.
+"""Shared fixtures: the PCR case study, pre-computed placements, and a
+compiler that fails.
 
 Placement runs are the expensive part of the suite, so session-scoped
 fixtures run each placer once and share the result; tests must treat
@@ -7,8 +8,11 @@ them as read-only (copy before mutating).
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
+from repro import kernels
 from repro.experiments.pcr import pcr_case_study
 from repro.placement.annealer import AnnealingParams
 from repro.placement.greedy import GreedyPlacer, build_placed_modules
@@ -58,3 +62,50 @@ def two_stage_result(pcr):
         seed=7,
     )
     return placer.place(pcr.schedule, pcr.binding)
+
+
+class FailingCompiler:
+    """A C compiler that exits with an error on every run and logs each
+    run, building into an empty cache directory of its own."""
+
+    def __init__(self, root, monkeypatch) -> None:
+        self.cache = root / "cache"
+        self.cache.mkdir()
+        self._log = root / "runs"
+        self._monkeypatch = monkeypatch
+        self._seen = 0
+
+    def install(self) -> None:
+        """Unload the kernels: their next build runs this compiler."""
+        command = [
+            sys.executable, "-c",
+            f"import sys; open({str(self._log)!r}, 'a').write('run\\n'); "
+            "sys.exit('cc: no such compiler')",
+        ]
+        self._monkeypatch.setattr(kernels, "compile_command", lambda source, target: command)
+        self._monkeypatch.setattr(kernels, "_cache_dir", lambda: self.cache)
+        self._monkeypatch.setattr(kernels, "_lib", None)
+
+    def runs(self) -> int:
+        return len(self._log.read_text().splitlines()) if self._log.exists() else 0
+
+    def check(self, error: Exception) -> None:
+        """*error*, from the first use, names the command and its
+        stderr, and the build left the cache directory empty."""
+        assert sys.executable in str(error) and "cc: no such compiler" in str(error)
+        self._seen = self.runs()
+        assert self._seen >= 1
+        assert not list(self.cache.iterdir())
+
+    def check_again(self, first: Exception, second: Exception) -> None:
+        """A later use raised *first* again without running the compiler."""
+        assert second is first and str(second) == str(first)
+        assert self.runs() == self._seen
+        assert not list(self.cache.iterdir())
+
+
+@pytest.fixture
+def failing_compiler(monkeypatch, tmp_path) -> FailingCompiler:
+    """A :class:`FailingCompiler`; the kernels stay loaded until its
+    ``install()``, and are restored after the test."""
+    return FailingCompiler(tmp_path, monkeypatch)

@@ -15,13 +15,14 @@ parity properties in ``tests/`` and the speed-up baselines in
   (:class:`DropletRouter`) beside the bitboard BFS transport kernel;
 * :mod:`oracles.timegrid` and :mod:`oracles.routing` — the Point-dict
   occupancy grid, its cross-checking shadow, full-round negotiation and
-  the generic search (:class:`ReferenceSynthesizer`) beside the packed
-  routing engine, the packed grid's full occupancy query
-  (:func:`oracles.timegrid.blocked`) composed from the checks its search
-  inlines, :func:`oracles.routing.route_engine`, which runs a block
-  on the router's compiled or Python searches and plan proof, and the
-  two proofs' own verdicts (:func:`oracles.routing.kernel_proves`,
-  :func:`oracles.routing.python_proof`);
+  the generic search and parking search (:class:`ReferenceSynthesizer`)
+  beside the compiled routing engine, the packed grid's reservation and
+  full occupancy queries (:func:`oracles.timegrid.reserved_blocked`,
+  :func:`oracles.timegrid.blocked`) composed from the checks its search
+  inlines, and the Python plan proof (:func:`oracles.routing.python_proof`)
+  beside the compiled ``route_verify``, with
+  :func:`oracles.routing.checked_proofs`, which holds every
+  ``plan.verify()`` in a block to it;
 * :mod:`oracles.anneal` — per-move delta verification
   (:class:`CheckedCost`), the evaluator's from-scratch invariant check
   (:func:`check_consistency`) and the full-recompute anneal

@@ -1,4 +1,5 @@
-"""Reference routing engine: the oracle for the packed router.
+"""Reference routing engine and plan proof: the oracles for the
+compiled router and ``route_verify``.
 
 :class:`ReferenceRouter` is a :class:`~repro.routing.PrioritizedRouter`
 that keeps the two shapes the production router replaced:
@@ -15,100 +16,224 @@ On grids other than the packed :class:`~repro.routing.timegrid.TimeGrid`
 (the :mod:`oracles.timegrid` grids) every search runs on the generic
 ``Point``-based A*, whose every occupancy probe goes through the grid's
 public ``blocked()``; it expands states in the same canonical order as
-the packed search and so returns identical trajectories.
+the compiled search and so returns identical trajectories.
 
 :class:`ReferenceSynthesizer` wires one end to end: ``reference=True``
 routes on :class:`ReferenceTimeGrid` with full-round negotiation (the
 packed engine's perf baseline), ``cross_check=True`` on
 :class:`CrossCheckTimeGrid` with both negotiation shapes. On those
 grids the parking search also runs its generic ``Point``-based form,
-which picks the same cell as the packed one.
+which picks the same cell as the compiled one.
 
-:func:`route_engine` picks the path the packed grids built inside it
-take: the compiled store and searches (``_route.c``) or their packed
-Python forms, and the path :meth:`~repro.routing.RoutingPlan.verify`
-proves a plan on. :data:`ENGINES` parametrizes a test over both; the
-compiled one is skipped on a host with no C compiler.
-:func:`kernel_proves` and :func:`python_proof` are the two proofs'
-own verdicts, each without the other.
+:func:`python_proof` is the plan proof in Python, the form
+:meth:`~repro.routing.RoutingPlan.verify` ran before ``route_verify``
+(``_route.c``) took it over: the same checks in the same order, so it
+rejects a plan with the message ``verify()`` raises.
+:func:`kernel_proof` is ``verify()``'s verdict, and
+:func:`checked_proofs` holds every ``verify()`` in its block to the
+Python proof, verdict and message.
 """
 
 from __future__ import annotations
 
 import heapq
-import shlex
-import shutil
-import sysconfig
 from collections import deque
 from contextlib import contextmanager
 from unittest import mock
 
-import pytest
 from oracles.timegrid import CrossCheckTimeGrid, ReferenceTimeGrid
 
 from repro.geometry import Point
-from repro.placement import compiled
-from repro.routing.plan import Net, RoutedNet, RoutingPlan, chebyshev
+from repro.routing.plan import Net, RoutedNet, RoutingEpoch, RoutingPlan, chebyshev
 from repro.routing.prioritized import PrioritizedRouter
 from repro.routing.synthesis import RoutingSynthesizer
 from repro.routing.timegrid import TimeGrid
 from repro.util.errors import RoutingError
 
-
-def _compiler_on_path() -> bool:
-    cc = sysconfig.get_config_var("CC")
-    return bool(cc) and shutil.which(shlex.split(cc)[0]) is not None
-
-
-#: Skips a test that needs the compiled kernels on a host with no C compiler.
-needs_compiler = pytest.mark.skipif(not _compiler_on_path(), reason="no C compiler on PATH")
-
-#: The production proof, which :func:`route_engine` wraps.
+#: The production proof, which :func:`checked_proofs` wraps.
 _verify = RoutingPlan.verify
 
-#: The router's two paths, for ``pytest.mark.parametrize("engine", ENGINES)``.
-ENGINES = (pytest.param("compiled", marks=needs_compiler), "python")
+
+def kernel_proof(plan: RoutingPlan) -> str | None:
+    """``plan.verify()``'s verdict, the compiled ``route_verify``'s: the
+    message it raises, or ``None`` when the plan proves."""
+    try:
+        _verify(plan)
+    except RoutingError as exc:
+        return str(exc)
+    return None
 
 
 @contextmanager
-def route_engine(engine: str):
-    """Packed grids built and plans proven inside the block run on
-    *engine*'s path: ``"compiled"`` (which must have loaded) or
-    ``"python"``. On the compiled path every ``plan.verify()`` also
-    holds the kernel's verdict to the Python proof's, which its Python
-    fallback would otherwise hide when the kernel wrongly rejects."""
-    if engine == "compiled":
-        assert compiled.route_kernel() is not None, "the compiled kernels did not load"
+def checked_proofs():
+    """Every ``plan.verify()`` inside the block also runs the Python
+    proof, and fails the test unless both accept, or both reject with
+    the same message (then the production error propagates)."""
 
-        def cross_checked(plan: RoutingPlan) -> None:
-            _verify(plan)  # raises only when the kernel and the Python both reject
-            assert kernel_proves(plan), "the kernel rejects a plan the Python proof accepts"
-            error = python_proof(plan)
-            assert error is None, f"the kernel proves a plan the Python proof rejects: {error}"
+    def checked(plan: RoutingPlan) -> None:
+        want = python_proof(plan)
+        try:
+            _verify(plan)
+        except RoutingError as exc:
+            assert want is not None, f"the kernel rejects a plan the Python proof accepts: {exc}"
+            assert str(exc) == want, f"the kernel writes {exc!s}, the Python proof {want}"
+            raise
+        assert want is None, f"the kernel proves a plan the Python proof rejects: {want}"
 
-        with mock.patch.object(RoutingPlan, "verify", cross_checked):
-            yield
-    else:
-        with mock.patch.object(compiled, "route_kernel", lambda: None):
-            yield
-
-
-def kernel_proves(plan: RoutingPlan) -> bool:
-    """The compiled ``route_verify``'s own verdict on *plan*."""
-    kernel = compiled.route_kernel()
-    assert kernel is not None, "the compiled kernels did not load"
-    return plan._proved_by(kernel)
+    with mock.patch.object(RoutingPlan, "verify", checked):
+        yield
 
 
 def python_proof(plan: RoutingPlan) -> str | None:
     """The Python proof's verdict on *plan*: its error message, or
-    ``None`` when the plan proves."""
-    with mock.patch.object(compiled, "route_kernel", lambda: None):
-        try:
-            _verify(plan)
-        except RoutingError as exc:
-            return str(exc)
+    ``None`` when the plan proves (see :func:`_prove`)."""
+    try:
+        _prove(plan)
+    except RoutingError as exc:
+        return str(exc)
     return None
+
+
+def _prove(plan: RoutingPlan) -> None:
+    """Every epoch, from scratch: each routed trajectory in net order,
+    then every routed pair and every routed net against every failed
+    net's stranded source."""
+    for epoch in plan.epochs:
+        module_cells: dict[Point, set[str]] = {}
+        for rect, owner in epoch.modules:
+            for cell in rect.cells():
+                module_cells.setdefault(cell, set()).add(owner)
+        for rn in epoch.nets:
+            _verify_trajectory(plan, epoch, rn, module_cells)
+        # A failed net's droplet sits at its source all epoch; its
+        # own position is not a routing decision (no trajectory
+        # checks), but routed traffic must still avoid it.
+        stranded = [RoutedNet(net, (net.source,)) for net in epoch.failed]
+        nets = list(epoch.nets)
+        for i, a in enumerate(nets):
+            for b in nets[i + 1 :]:
+                _verify_pair(epoch, a, b)
+            for s in stranded:
+                _verify_pair(epoch, a, s)
+
+
+def _verify_trajectory(
+    plan: RoutingPlan,
+    epoch: RoutingEpoch,
+    rn: RoutedNet,
+    module_cells: dict[Point, set[str]],
+) -> None:
+    net = rn.net
+    if not rn.cells:
+        raise RoutingError(f"net {net.net_id}: empty trajectory")
+    if rn.cells[0] != net.source or rn.cells[-1] != net.goal:
+        raise RoutingError(
+            f"net {net.net_id}: trajectory endpoints {rn.cells[0]}->{rn.cells[-1]} "
+            f"do not match net {net.source}->{net.goal}"
+        )
+    exempt = net.exempt_ops
+    for step, p in enumerate(rn.cells):
+        if not (1 <= p.x <= plan.width and 1 <= p.y <= plan.height):
+            raise RoutingError(
+                f"net {net.net_id}: {p} at step {step} is outside the "
+                f"{plan.width}x{plan.height} array"
+            )
+        if step > 0 and rn.cells[step - 1].manhattan_distance(p) > 1:
+            raise RoutingError(
+                f"net {net.net_id}: jump {rn.cells[step - 1]} -> {p} at step {step}"
+            )
+        if p in epoch.faulty:
+            raise RoutingError(
+                f"net {net.net_id}: crosses faulty cell {p} at step {step}"
+            )
+        owners = module_cells.get(p)
+        if owners and not owners <= exempt:
+            culprit = sorted(owners - exempt)[0]
+            raise RoutingError(
+                f"net {net.net_id}: on active module {culprit!r} footprint "
+                f"at {p}, step {step}"
+            )
+        if p == net.source:
+            # The droplet's own parking spot is grandfathered: it
+            # may pre-date a neighboring parked droplet, and routing
+            # can only move it away from there.
+            continue
+        for q in epoch.parked:
+            if chebyshev(p, q) <= 1:
+                raise RoutingError(
+                    f"net {net.net_id}: within one cell of parked droplet "
+                    f"{q} at {p}, step {step}"
+                )
+
+
+def _bounds(rn: RoutedNet) -> tuple[int, int, int, int]:
+    """Bounding box ``(min_x, min_y, max_x, max_y)`` over every cell the
+    droplet ever occupies: the pair check's prefilter."""
+    xs = [p.x for p in rn.cells]
+    ys = [p.y for p in rn.cells]
+    return (min(xs), min(ys), max(xs), max(ys))
+
+
+def _verify_pair(epoch: RoutingEpoch, a: RoutedNet, b: RoutedNet) -> None:
+    # Lifetime bounding boxes further than one cell apart can never
+    # violate the fluidic constraint at any pair of steps — skip the
+    # per-step scan for the (common) far-apart pairs.
+    ax1, ay1, ax2, ay2 = _bounds(a)
+    bx1, by1, bx2, by2 = _bounds(b)
+    if bx1 - ax2 > 1 or ax1 - bx2 > 1 or by1 - ay2 > 1 or ay1 - by2 > 1:
+        return
+    last = max(a.latency, b.latency)
+    for t in range(last + 1):
+        pa, pb = a.position_at(t), b.position_at(t)
+        # Same-step static constraint plus the cross-step dynamic
+        # constraint (droplet moving next to where the other just was).
+        for qa, qb in ((pa, pb), (a.position_at(t + 1), pb), (pa, b.position_at(t + 1))):
+            if chebyshev(qa, qb) > 1:
+                continue
+            if _merge_exempt(epoch, a.net, b.net, qa, qb):
+                continue
+            if _split_parking_exempt(a.net, b.net, qa, qb):
+                continue
+            raise RoutingError(
+                f"nets {a.net.net_id} and {b.net.net_id} violate the "
+                f"fluidic constraint near step {t}: {qa} vs {qb}"
+            )
+
+
+def _split_parking_exempt(a: Net, b: Net, pa: Point, pb: Point) -> bool:
+    """Grandfather the departure transient of two products that were
+    *parked adjacent* (a placement artifact: neighboring functional
+    centers). While both droplets are still within one cell of their
+    own parking spots, their mutual proximity pre-dates routing and
+    cannot be routed away — it ends the moment both have left.
+    Co-location (distance 0) is never excused: adjacent parking
+    explains closeness, not two droplets in one cell."""
+    return (
+        chebyshev(pa, pb) >= 1
+        and chebyshev(a.source, b.source) <= 1
+        and chebyshev(pa, a.source) <= 1
+        and chebyshev(pb, b.source) <= 1
+    )
+
+
+def in_region(regions, op_id: str | None, cell: Point) -> bool:
+    """True if *cell* lies inside any of *op_id*'s zones among
+    *regions*, ``(op id, rect)`` pairs (an epoch's ``regions`` or a
+    grid's ``regions()``)."""
+    return op_id is not None and any(
+        op == op_id and rect.contains_point(cell) for op, rect in regions
+    )
+
+
+def _merge_exempt(epoch: RoutingEpoch, a: Net, b: Net, pa: Point, pb: Point) -> bool:
+    regions = epoch.regions
+    if a.consumer is not None and a.consumer == b.consumer:
+        if in_region(regions, a.consumer, pa) and in_region(regions, a.consumer, pb):
+            return True
+    if a.producer is not None and a.producer == b.producer:
+        if in_region(regions, a.producer, pa) and in_region(regions, a.producer, pb):
+            return True
+    return False
 
 
 class ReferenceRouter(PrioritizedRouter):

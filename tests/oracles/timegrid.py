@@ -9,8 +9,10 @@ bit semantics included — for three jobs:
 
 * the **equivalence oracle**: property tests drive both grids with the
   same obstacle/reservation soup and assert identical ``blocked()`` /
-  ``static_blocked()`` answers on every in-bounds cell (:func:`blocked`
-  composes the packed grid's answer the way its search does);
+  ``static_blocked()`` answers on every in-bounds cell
+  (:func:`reserved_blocked` asks the packed grid's compiled store one
+  reservation query, and :func:`blocked` composes the packed grid's
+  answer the way its search does);
 * the **benchmark baseline**: ``bench_routing_engine.py`` measures the
   packed engine's routed-nets/sec against this grid plus the full-round
   negotiation of :class:`oracles.routing.ReferenceRouter`;
@@ -32,15 +34,31 @@ from repro.routing.timegrid import GridShape, TimeGrid
 from repro.util.errors import RoutingError
 
 
-def blocked(grid, cell: Point, step: int, net: Net) -> bool:
-    """Full occupancy query for *net* at (*cell*, *step*) on *grid*: the
-    rule the packed search inlines, which :meth:`ReferenceTimeGrid.blocked`
-    states for the reference grid (a net's own source cell is
-    grandfathered against parked halos and reservations)."""
+def reserved_blocked(grid, cell: Point, step: int, net: Net) -> bool:
+    """True if another droplet's halo or parked tail covers (*cell*,
+    *step*) for *net*, honoring the two-sided merge/split exemptions:
+    a :class:`ReferenceTimeGrid`'s own answer, or the packed grid's
+    compiled store's, the query its search makes of every state it
+    expands. Off-array cells carry no reservation."""
+    if not isinstance(grid, TimeGrid):
+        return grid.reserved_blocked(cell, step, net)
+    if not grid.in_bounds(cell):
+        return False
+    return bool(grid._kernel.route_blocked(
+        grid._store, grid.pack(cell), step, *grid._args(net)
+    ))
+
+
+def blocked(grid: TimeGrid, cell: Point, step: int, net: Net) -> bool:
+    """Full occupancy query for *net* at (*cell*, *step*) on the packed
+    *grid*: the rule the compiled search inlines, which
+    :meth:`ReferenceTimeGrid.blocked` states for the reference grid (a
+    net's own source cell is grandfathered against parked halos and
+    reservations)."""
     if cell == net.source:
         return grid.static_blocked(cell, net.exempt_ops, ignore_parked_halo=True)
-    return grid.static_blocked(cell, net.exempt_ops) or grid.reserved_blocked(
-        cell, step, net
+    return grid.static_blocked(cell, net.exempt_ops) or reserved_blocked(
+        grid, cell, step, net
     )
 
 
@@ -350,7 +368,7 @@ class CrossCheckTimeGrid:
         return self._compare(
             f"reserved_blocked@{step}",
             cell,
-            self._packed.reserved_blocked(cell, step, net),
+            reserved_blocked(self._packed, cell, step, net),
             self._shadow.reserved_blocked(cell, step, net),
         )
 
@@ -366,9 +384,6 @@ class CrossCheckTimeGrid:
 
     def in_bounds(self, p: Point) -> bool:
         return self._packed.in_bounds(p)
-
-    def in_region(self, op_id: str | None, cell: Point) -> bool:
-        return self._packed.in_region(op_id, cell)
 
     def regions(self) -> tuple[tuple[str, Rect], ...]:
         return self._packed.regions()

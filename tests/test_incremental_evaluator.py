@@ -21,15 +21,13 @@ round's objective, so running one schedule under both costs compares
 the two bodies directly: step by step (rounds of one step) in
 ``TestCostProtocols.test_bound_price_equals_delta_bit_for_bit`` and per
 anneal in the compiled-round section, which also runs the golden
-``AreaCost`` pins with the kernel's loader patched away.
+``AreaCost`` pins on :class:`SubclassedRandom` generators, which the
+compiled round declines.
 """
 
 import math
 import random
-import shlex
-import shutil
-import sys
-import sysconfig
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -42,12 +40,13 @@ from oracles import (
     check_consistency,
 )
 
+from repro import kernels
 from repro.assay.catalog import BUNDLED_ASSAYS
 from repro.modules.kinds import ModuleKind
 from repro.modules.module import ModuleSpec
 from repro.pipeline.context import SynthesisContext
 from repro.pipeline.stages import BindStage, ScheduleStage
-from repro.placement import compiled
+from repro.placement import sa_placer, two_stage
 from repro.placement.annealer import AnnealingParams, SimulatedAnnealing, _bind_round
 from repro.placement.cost import AreaCost, FaultAwareCost, require_delta
 from repro.placement.greedy import build_placed_modules
@@ -58,7 +57,7 @@ from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.placement.transport import TransportAwareCost
 from repro.placement.window import ControllingWindow
 from repro.recovery.engine import FaultAvoidanceCost
-from repro.util.errors import CrossCheckError, PlacementError
+from repro.util.errors import CrossCheckError, KernelBuildError, PlacementError
 from test_anneal_golden import PINS, run_case
 
 TOL = 1e-6
@@ -911,18 +910,11 @@ def test_area_cost_anneal_takes_the_fused_body(monkeypatch):
     assert calls["apply"] == stats.acceptances
 
 
-def _compiler_on_path() -> bool:
-    cc = sysconfig.get_config_var("CC")
-    return bool(cc) and shutil.which(shlex.split(cc)[0]) is not None
-
-
-@pytest.mark.skipif(not _compiler_on_path(), reason="no C compiler on PATH")
 def test_area_cost_anneal_runs_the_compiled_round(monkeypatch):
-    """With a C compiler at hand an ``AreaCost`` anneal runs in the
-    kernel: every proposal goes through ``anneal_round``, so a host
-    with a compiler never quietly benchmarks the Python body."""
-    kernel = compiled.load()
-    assert kernel is not None
+    """An ``AreaCost`` anneal runs in the kernel: every proposal goes
+    through ``anneal_round``, so the suite never quietly benchmarks the
+    Python body."""
+    kernel = kernels.load().anneal_round
     steps = 0
 
     def counted(*args):
@@ -931,7 +923,7 @@ def test_area_cost_anneal_runs_the_compiled_round(monkeypatch):
         steps += ran
         return ran
 
-    monkeypatch.setattr(compiled, "load", lambda: counted)
+    monkeypatch.setattr(kernels, "load", lambda: SimpleNamespace(anneal_round=counted))
     _, stats, _ = anneal(fixed_layout(12, 5), AreaCost(), short_schedule(20.0), 0.5, 3, 7)
     assert steps == stats.evaluations > 0
 
@@ -944,23 +936,37 @@ AREA_COST_PINS = [
 
 @pytest.mark.parametrize("name", AREA_COST_PINS)
 def test_golden_area_cost_pins_hold_on_the_generic_body(name, monkeypatch):
-    """Every golden ``AreaCost`` pin, with the kernel's loader patched
-    away: the generic body walks the pinned trajectories too."""
-    monkeypatch.setattr(compiled, "load", lambda: None)
+    """Every golden ``AreaCost`` pin, with the placers seeded with
+    :class:`SubclassedRandom` generators, on which the compiled round
+    declines: the generic body walks the pinned trajectories too."""
+
+    def subclassed(seed):
+        return seed if isinstance(seed, random.Random) else SubclassedRandom(seed)
+
+    for placer in (sa_placer, two_stage):
+        monkeypatch.setattr(placer, "ensure_rng", subclassed)
+    bound = IncrementalCostEvaluator.bind_round
+    compiled_rounds = []
+
+    def spied(self, *args):
+        run = bound(self, *args)
+        compiled_rounds.append(run)
+        return run
+
+    monkeypatch.setattr(IncrementalCostEvaluator, "bind_round", spied)
     assert run_case(name, monkeypatch) == PINS[name]
+    assert compiled_rounds and not any(compiled_rounds)
 
 
-def test_failed_build_warns_and_keeps_the_trajectory(monkeypatch, tmp_path):
-    """A compiler that fails is reported once, as a ``RuntimeWarning``
-    naming the command and its stderr, and the anneal still walks its
-    pinned trajectory on the generic body."""
-    command = [sys.executable, "-c", "import sys; sys.exit('cc: no such compiler')"]
-    monkeypatch.setattr(compiled, "compile_command", lambda source, target: command)
-    monkeypatch.setattr(compiled, "_cache_dir", lambda: tmp_path)
-    monkeypatch.setattr(compiled, "_lib", compiled._UNLOADED)
-    with pytest.warns(RuntimeWarning, match="no such compiler") as caught:
-        assert run_case("two-module", monkeypatch) == PINS["two-module"]
-    assert len(caught) == 1
-    assert sys.executable in str(caught[0].message)
-    assert compiled.load() is None
-    assert not list(tmp_path.iterdir())
+def test_failed_build_is_a_typed_error_for_the_anneal(failing_compiler):
+    """A compiler that fails makes the first ``AreaCost`` anneal raise a
+    :class:`KernelBuildError` naming the command and its stderr; the
+    next anneal raises the same error without compiling again."""
+    failing_compiler.install()
+    layout = fixed_layout(12, 5)
+    with pytest.raises(KernelBuildError) as first:
+        anneal(layout, AreaCost(), short_schedule(20.0), 0.5, 3, 7)
+    failing_compiler.check(first.value)
+    with pytest.raises(KernelBuildError) as second:
+        anneal(layout, AreaCost(), short_schedule(20.0), 0.5, 3, 7)
+    failing_compiler.check_again(first.value, second.value)

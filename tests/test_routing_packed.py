@@ -1,17 +1,16 @@
-"""Equivalence tests for the packed routing engine.
+"""Equivalence tests for the compiled routing engine.
 
-The packed :class:`TimeGrid` and the original
-:class:`ReferenceTimeGrid` (kept in ``tests/oracles/``) must be
-observationally identical on the array: same ``static_blocked``/``reserved_blocked``/``blocked`` answers
+The packed :class:`TimeGrid`, whose reservations, A* and parking search
+run in C (``_route.c``), and the original :class:`ReferenceTimeGrid`
+(kept in ``tests/oracles/``) must be observationally identical on the
+array: same ``static_blocked``/``reserved_blocked``/``blocked`` answers
 over arbitrary obstacle/reservation soups, and — through the router —
 bit-identical routing plans at fixed seeds, with and without fault
 injection. The incremental negotiation must degrade gracefully to the
 reference shape's results on batches the first round cannot finish.
-
-Every packed-grid property runs on both of the router's paths
-(``ENGINES``): the compiled store and searches, and their packed Python
-forms. ``TestEnginesAgree`` also holds the two paths to each other
-directly: negotiated batches, and parking searches over random masks.
+``TestEnginesAgree`` also holds the compiled searches to the reference
+engine on negotiated random batches and on parking searches over random
+masks.
 """
 
 import random
@@ -25,8 +24,7 @@ from oracles import (
     ReferenceSynthesizer,
     ReferenceTimeGrid,
 )
-from oracles.routing import ENGINES, needs_compiler, route_engine
-from oracles.timegrid import blocked
+from oracles.timegrid import blocked, reserved_blocked
 
 from repro.assay.catalog import BUNDLED_ASSAYS
 from repro.fault.injection import sample_street_faults
@@ -120,12 +118,10 @@ def _build_soup(seed: int) -> tuple[TimeGrid, ReferenceTimeGrid, int, list[Net]]
 
 
 class TestGridParity:
-    @pytest.mark.parametrize("engine", ENGINES)
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**9))
-    def test_blocked_answers_identical_over_random_soups(self, engine, seed):
-        with route_engine(engine):
-            packed, reference, horizon, probes = _build_soup(seed)
+    def test_blocked_answers_identical_over_random_soups(self, seed):
+        packed, reference, horizon, probes = _build_soup(seed)
         cells = [
             Point(x, y)
             for x in range(1, packed.width + 1)
@@ -143,19 +139,17 @@ class TestGridParity:
                 # Reservations are defined through the reserve horizon
                 # (+1: the halo window of the last covered step).
                 for step in range(0, horizon + 2):
-                    assert packed.reserved_blocked(cell, step, net) == (
+                    assert reserved_blocked(packed, cell, step, net) == (
                         reference.reserved_blocked(cell, step, net)
                     ), (seed, cell, step)
                     assert blocked(packed, cell, step, net) == reference.blocked(
                         cell, step, net
                     ), (seed, cell, step)
 
-    @pytest.mark.parametrize("engine", ENGINES)
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**9))
-    def test_route_one_identical_over_random_soups(self, engine, seed):
-        with route_engine(engine):
-            packed, reference, horizon, probes = _build_soup(seed)
+    def test_route_one_identical_over_random_soups(self, seed):
+        packed, reference, horizon, probes = _build_soup(seed)
         router = ReferenceRouter()
         from repro.util.errors import RoutingError
 
@@ -202,27 +196,23 @@ def _parking_case(seed: int):
 
 
 class TestParkingSearchParity:
-    """The packed parking search picks the generic search's cell."""
+    """The compiled parking search picks the generic search's cell."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10**9))
-    def test_same_cell_over_random_grids(self, engine, seed):
-        with route_engine(engine):
-            packed, reference, start, parked, keep_clear = _parking_case(seed)
+    def test_same_cell_over_random_grids(self, seed):
+        packed, reference, start, parked, keep_clear = _parking_case(seed)
         got = RoutingSynthesizer._nearest_parking(packed, start, parked, keep_clear)
         want = ReferenceSynthesizer()._nearest_parking(
             reference, start, parked, keep_clear
         )
         assert got == want, seed
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_disconnected_free_space_returns_best_scored_cell(self, engine):
+    def test_disconnected_free_space_returns_best_scored_cell(self):
         # A module wall across the whole array splits the free cells in
         # two, so no candidate keeps them connected: both searches fall
         # back to the best-scored candidate.
-        with route_engine(engine):
-            packed = TimeGrid(9, 6)
+        packed = TimeGrid(9, 6)
         reference = ReferenceTimeGrid(9, 6)
         for grid in (packed, reference):
             grid.add_module(Rect(5, 1, 1, 6), "WALL")
@@ -252,10 +242,8 @@ class TestParkingSearchParity:
             ),
         )
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_no_legal_cell(self, engine):
-        with route_engine(engine):
-            packed = TimeGrid(3, 3)
+    def test_no_legal_cell(self):
+        packed = TimeGrid(3, 3)
         reference = ReferenceTimeGrid(3, 3)
         parked = {Point(2, 2)}  # its halo covers the whole array
         assert RoutingSynthesizer._nearest_parking(packed, Point(1, 1), parked, set()) is None
@@ -277,15 +265,13 @@ def _synthesis_inputs(assay: str):
 
 
 class TestPlanIdentity:
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("assay", sorted(BUNDLED_ASSAYS))
-    def test_packed_and_reference_plans_identical(self, assay, engine):
+    def test_packed_and_reference_plans_identical(self, assay):
         graph, schedule, placement, chip = _synthesis_inputs(assay)
         for faults in ([], sample_street_faults(placement, chip, 1)):
-            with route_engine(engine):
-                packed_plan = RoutingSynthesizer().synthesize(
-                    graph, schedule, placement, chip, faults
-                )
+            packed_plan = RoutingSynthesizer().synthesize(
+                graph, schedule, placement, chip, faults
+            )
             ref_plan = ReferenceSynthesizer(reference=True).synthesize(
                 graph, schedule, placement, chip, faults
             )
@@ -322,12 +308,11 @@ class TestCrossCheckGrid:
 
 
 class TestIncrementalNegotiation:
-    def _trapped_batch(self, engine="python"):
+    def _trapped_batch(self):
         # "inner" starts walled in by "outer"'s parked droplet next door
         # in a dead-end corridor; only routing "outer" first can free it
         # (mirrors the prioritized-router yield-negotiation test).
-        with route_engine(engine):
-            grid = TimeGrid(9, 5)
+        grid = TimeGrid(9, 5)
         grid.add_module(Rect(1, 1, 1, 5), "WALL")
         nets = [
             Net("inner", Point(2, 2), Point(9, 2), priority=5.0),
@@ -335,11 +320,10 @@ class TestIncrementalNegotiation:
         ]
         return grid, nets
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_incremental_router_frees_trapped_net(self, engine):
+    def test_incremental_router_frees_trapped_net(self):
         from repro.routing import RoutingEpoch, RoutingPlan
 
-        grid, nets = self._trapped_batch(engine)
+        grid, nets = self._trapped_batch()
         router = PrioritizedRouter()
         routed, failed = router.route_all(nets, grid)
         assert not failed
@@ -354,9 +338,8 @@ class TestIncrementalNegotiation:
         )
         RoutingPlan(grid.width, grid.height, (epoch,)).verify()
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_incremental_matches_reference_outcome(self, engine):
-        grid_a, nets = self._trapped_batch(engine)
+    def test_incremental_matches_reference_outcome(self):
+        grid_a, nets = self._trapped_batch()
         routed_inc, failed_inc = PrioritizedRouter().route_all(nets, grid_a)
         grid_b, nets = self._trapped_batch()
         routed_ref, failed_ref = ReferenceRouter(reference=True).route_all(
@@ -380,21 +363,17 @@ class TestIncrementalNegotiation:
 
 def _footprint(grid) -> int:
     """Live reservation keys a grid holds: the reference grid's
-    ``(step, cell)`` keys, or the packed grid's halo keys and tail
-    cells, in whichever store is live."""
+    ``(step, cell)`` keys, or the compiled store's halo keys and tail
+    cells."""
     if isinstance(grid, ReferenceTimeGrid):
         return grid.reservation_footprint()
-    if grid._kernel is not None:
-        return grid._kernel.route_live(grid._store)
-    return len(grid._halo) + len(grid._tail)
+    return grid._kernel.route_live(grid._store)
 
 
 class TestReservationPruning:
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("grid_cls", [TimeGrid, ReferenceTimeGrid])
-    def test_remove_reservation_releases_all_keys(self, grid_cls, engine):
-        with route_engine(engine):
-            grid = grid_cls(10, 10)
+    def test_remove_reservation_releases_all_keys(self, grid_cls):
+        grid = grid_cls(10, 10)
         rng = random.Random(3)
         for i in range(6):
             walk = _random_walk(rng, 10, 10)
@@ -404,15 +383,13 @@ class TestReservationPruning:
             grid.remove_reservation(f"n{i}")
         assert _footprint(grid) == 0
 
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("grid_cls", [TimeGrid, ReferenceTimeGrid])
-    def test_negotiation_churn_does_not_grow_footprint(self, grid_cls, engine):
+    def test_negotiation_churn_does_not_grow_footprint(self, grid_cls):
         # Reserve/remove/re-reserve the same trajectories across many
         # simulated negotiation rounds: the footprint must stay exactly
         # what a single round leaves behind (the pre-fix grids kept
         # empty entry lists and per-step dicts forever).
-        with route_engine(engine):
-            grid = grid_cls(12, 12)
+        grid = grid_cls(12, 12)
         rng = random.Random(5)
         walks = [_random_walk(rng, 12, 12) for _ in range(5)]
         nets = [Net(f"n{i}", w[0], w[-1]) for i, w in enumerate(walks)]
@@ -430,13 +407,13 @@ class TestReservationPruning:
         assert _footprint(grid) == baseline
 
 
-def _batch_case(seed: int, engine: str):
-    """A random static grid and a random batch of nets on it, dense
-    enough that some batches fail their first round and negotiate."""
+def _batch_case(seed: int, grid_cls):
+    """A random static grid (a *grid_cls*) and a random batch of nets on
+    it, dense enough that some batches fail their first round and
+    negotiate."""
     rng = random.Random(seed)
     width, height = rng.randint(5, 9), rng.randint(5, 9)
-    with route_engine(engine):
-        grid = TimeGrid(width, height)
+    grid = grid_cls(width, height)
     cells = [Point(x, y) for x in range(1, width + 1) for y in range(1, height + 1)]
     grid.add_faulty(rng.sample(cells, rng.randint(0, len(cells) // 10)))
     for op in OPS:
@@ -456,13 +433,13 @@ def _batch_case(seed: int, engine: str):
     return grid, nets
 
 
-def _grid_case(seed: int, engine: str):
-    """A random grid whose static mask mixes faulty, module and parked
-    cells at a random density, with a parking search posed on it."""
+def _grid_case(seed: int, grid_cls):
+    """A random grid (a *grid_cls*) whose static mask mixes faulty,
+    module and parked cells at a random density, with a parking search
+    posed on it."""
     rng = random.Random(seed)
     width, height = rng.randint(3, 14), rng.randint(3, 14)
-    with route_engine(engine):
-        grid = TimeGrid(width, height)
+    grid = grid_cls(width, height)
     cells = [Point(x, y) for x in range(1, width + 1) for y in range(1, height + 1)]
     density = rng.random() * 0.4
     for cell in cells:
@@ -480,19 +457,24 @@ def _grid_case(seed: int, engine: str):
     return grid, start, parked, keep_clear
 
 
-@needs_compiler
 class TestEnginesAgree:
-    """The compiled path against the packed Python one, directly."""
+    """The compiled searches against the reference engine, directly:
+    the same negotiation over the generic search and grid, and the
+    generic parking search."""
 
     def test_negotiated_batches_route_identically(self):
         negotiated = failed = 0
         for seed in range(120):
             outcomes = []
-            for engine in ("compiled", "python"):
-                grid, nets = _batch_case(seed, engine)
-                router = PrioritizedRouter(strict=False)
+            for router, grid_cls in (
+                (PrioritizedRouter(strict=False), TimeGrid),
+                (ReferenceRouter(strict=False), ReferenceTimeGrid),
+            ):
+                grid, nets = _batch_case(seed, grid_cls)
                 routed, lost = router.route_all(nets, grid)
-                outcomes.append((routed, lost, router.last_rounds, str(grid)))
+                outcomes.append(
+                    (routed, lost, router.last_rounds, str(grid).removeprefix("Reference"))
+                )
             assert outcomes[0] == outcomes[1], seed
             negotiated += outcomes[0][2] > 1
             failed += bool(outcomes[0][1])
@@ -502,8 +484,8 @@ class TestEnginesAgree:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10**9))
     def test_parking_search_agrees_over_random_masks(self, seed):
-        picks = []
-        for engine in ("compiled", "python"):
-            grid, start, parked, keep_clear = _grid_case(seed, engine)
-            picks.append(RoutingSynthesizer._nearest_parking(grid, start, parked, keep_clear))
-        assert picks[0] == picks[1], seed
+        grid, start, parked, keep_clear = _grid_case(seed, TimeGrid)
+        reference, *_ = _grid_case(seed, ReferenceTimeGrid)
+        got = RoutingSynthesizer._nearest_parking(grid, start, parked, keep_clear)
+        want = ReferenceSynthesizer()._nearest_parking(reference, start, parked, keep_clear)
+        assert got == want, seed

@@ -3,18 +3,16 @@
 The property-based section is the heart of the acceptance criterion:
 whatever batch the prioritized router accepts, the independently coded
 verifier must prove conflict-free — and hand-built violating plans must
-be rejected. The verifier tests run on both proofs (``ENGINES``): the
-compiled ``route_verify`` and the Python one, and on random batches
-with one planted violation of each rejection class both give the same
-verdict and the same message.
+be rejected. Every ``verify()`` of the verifier tests is held to the
+Python proof in ``tests/oracles/`` (``checked_proofs``): the same
+verdict and the same message. ``tests/test_plan_proof.py`` plants one
+violation of each rejection class in random batches.
 """
 
-from dataclasses import replace
-
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
-from oracles.routing import ENGINES, kernel_proves, needs_compiler, python_proof, route_engine
+from assays import batches, routed_plan
+from hypothesis import given, settings
+from oracles.routing import checked_proofs
 
 from repro.geometry import Point, Rect
 from repro.routing import (
@@ -103,14 +101,14 @@ class TestPlanMetrics:
         assert plan.routability == 0.5
 
 
-@pytest.fixture(params=ENGINES)
-def engine(request):
-    """Run the test with plans proven on one path, and grids routed on it."""
-    with route_engine(request.param):
-        yield request.param
+@pytest.fixture
+def checked():
+    """Hold every ``verify()`` of the test to the Python proof."""
+    with checked_proofs():
+        yield
 
 
-@pytest.mark.usefixtures("engine")
+@pytest.mark.usefixtures("checked")
 class TestVerifierRejects:
     def test_same_cell_same_step(self):
         a = straight("a", 2, 1, 4)
@@ -179,7 +177,7 @@ class TestVerifierRejects:
         plan_of([short], parked=[Point(1, 1)]).verify()
 
 
-@pytest.mark.usefixtures("engine")
+@pytest.mark.usefixtures("checked")
 class TestVerifierMergeExemptions:
     def test_same_consumer_may_close_in_inside_footprint(self):
         rect = Rect(5, 1, 3, 3)
@@ -228,116 +226,11 @@ class TestVerifierMergeExemptions:
 
 # -- property-based: router output always verifies --------------------------------
 
-cells_st = st.tuples(st.integers(1, 8), st.integers(1, 8)).map(lambda t: Point(*t))
 
-
-@st.composite
-def batches(draw):
-    """A random obstacle field plus distinct, mutually spaced nets."""
-    n_parked = draw(st.integers(0, 2))
-    parked = draw(
-        st.lists(cells_st, min_size=n_parked, max_size=n_parked, unique=True)
-    )
-    n_faulty = draw(st.integers(0, 2))
-    faulty = draw(
-        st.lists(cells_st, min_size=n_faulty, max_size=n_faulty, unique=True)
-    )
-    endpoints = draw(
-        st.lists(cells_st, min_size=4, max_size=8, unique=True).filter(
-            lambda pts: len(pts) % 2 == 0
-        )
-    )
-    nets = []
-    for i in range(0, len(endpoints), 2):
-        nets.append(Net(f"n{i // 2}", endpoints[i], endpoints[i + 1]))
-    return parked, faulty, nets
-
-
-def routed_plan(batch) -> RoutingPlan:
-    """*batch* routed on an 8x8 grid, as a one-epoch plan."""
-    parked, faulty, nets = batch
-    grid = TimeGrid(8, 8)
-    grid.add_parked(parked)
-    grid.add_faulty(faulty)
-    router = PrioritizedRouter(strict=False)
-    routed, failed = router.route_all(nets, grid)
-    assert len(routed) + len(failed) == len(nets)
-    epoch = RoutingEpoch(
-        time_s=0.0,
-        step_offset=0,
-        nets=tuple(routed),
-        failed=tuple(failed),
-        regions=grid.regions(),
-        faulty=frozenset(Point(*c) for c in faulty),
-        parked=frozenset(Point(*c) for c in parked),
-    )
-    return RoutingPlan(8, 8, (epoch,))
-
-
-@pytest.mark.parametrize("engine", ENGINES)
 @settings(max_examples=60, deadline=None)
 @given(batch=batches())
-def test_property_routed_batches_always_verify(engine, batch):
-    with route_engine(engine):
+def test_property_routed_batches_always_verify(batch):
+    with checked_proofs():
         plan = routed_plan(batch)
         # Whatever subset the router accepted must prove conflict-free.
         plan.verify()
-
-
-def planted(plan: RoutingPlan) -> dict[str, RoutingPlan]:
-    """*plan* with one violation planted around its first routed net,
-    one plan per rejection class."""
-    (epoch,) = plan.epochs
-    first, *others = epoch.nets
-    net, cells = first.net, first.cells
-    goal = cells[-1]
-
-    def with_first(rn: RoutedNet, **fields) -> RoutingPlan:
-        changed = replace(epoch, nets=(rn, *others), **fields)
-        return replace(plan, epochs=(changed,))
-
-    def with_epoch(**fields) -> RoutingPlan:
-        return replace(plan, epochs=(replace(epoch, **fields),))
-
-    step = next((i for i in range(len(cells) - 1) if cells[i] != cells[i + 1]), 0)
-    dx, dy = cells[step + 1].x - cells[step].x, cells[step + 1].y - cells[step].y
-    ahead = Point(cells[step].x + 2 * dx, cells[step].y + 2 * dy)
-    return {
-        "empty trajectory": with_first(RoutedNet(net, ())),
-        "endpoints": with_first(RoutedNet(replace(net, goal=Point(goal.x + 1, goal.y)), cells)),
-        "outside the array": replace(plan, width=max(p.x for p in cells) - 1),
-        "jump": with_first(
-            RoutedNet(net, (cells[0], Point(cells[0].x + 2, cells[0].y), *cells[1:]))
-        ),
-        "faulty cell": with_epoch(faulty=epoch.faulty | {goal}),
-        "foreign footprint": with_epoch(
-            modules=(*epoch.modules, (Rect(goal.x, goal.y, 1, 1), "FOREIGN"))
-        ),
-        "parked halo": with_epoch(parked=epoch.parked | {goal}),
-        "same-step pair": with_epoch(
-            nets=(*epoch.nets, RoutedNet(Net("intruder", goal, goal), (goal,)))
-        ),
-        "cross-step pair": with_epoch(
-            nets=(*epoch.nets, RoutedNet(Net("intruder", ahead, ahead), (ahead,)))
-        ),
-        "stranded source": with_epoch(failed=(*epoch.failed, Net("stranded", goal, goal))),
-    }
-
-
-@needs_compiler
-@settings(max_examples=40, deadline=None)
-@given(batch=batches())
-def test_property_both_proofs_agree_on_planted_violations(batch):
-    """The kernel and the Python proof give every routed batch the same
-    verdict, with and without each planted violation; the compiled path
-    raises the Python proof's message."""
-    plan = routed_plan(batch)
-    assume(plan.epochs[0].nets)
-    assert kernel_proves(plan) and python_proof(plan) is None
-    for kind, bad in planted(plan).items():
-        message = python_proof(bad)
-        assert message is not None, kind
-        assert not kernel_proves(bad), kind
-        with pytest.raises(RoutingError) as caught:
-            bad.verify()
-        assert str(caught.value) == message, kind

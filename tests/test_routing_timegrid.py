@@ -1,7 +1,8 @@
 """Tests for the time-expanded occupancy grid."""
 
 import pytest
-from oracles.timegrid import blocked
+from oracles.routing import in_region
+from oracles.timegrid import blocked, reserved_blocked
 
 from repro.geometry import Point, Rect
 from repro.routing import Net, RoutedNet, TimeGrid
@@ -54,9 +55,9 @@ class TestStaticObstacles:
 
     def test_module_registers_region(self, grid):
         grid.add_module(Rect(3, 3, 3, 3), "M1")
-        assert grid.in_region("M1", Point(5, 5))
-        assert not grid.in_region("M1", Point(6, 6))
-        assert not grid.in_region(None, Point(5, 5))
+        assert in_region(grid.regions(), "M1", Point(5, 5))
+        assert not in_region(grid.regions(), "M1", Point(6, 6))
+        assert not in_region(grid.regions(), None, Point(5, 5))
 
     def test_blocked_at_own_source_ignores_parked_halo(self, grid):
         # A droplet parked next to another droplet may still wait at home.
@@ -73,17 +74,17 @@ class TestReservations:
         other = net("b", (9, 9), (1, 1))
         # Occupied at (3,2) on step 1 -> its 3x3 halo blocks steps 0..2.
         for step in (0, 1, 2):
-            assert grid.reserved_blocked(Point(3, 2), step, other)
-            assert grid.reserved_blocked(Point(2, 3), step, other)
+            assert reserved_blocked(grid, Point(3, 2), step, other)
+            assert reserved_blocked(grid, Point(2, 3), step, other)
         # After arrival the droplet parks at the goal through the horizon.
-        assert grid.reserved_blocked(Point(4, 2), 9, other)
+        assert reserved_blocked(grid, Point(4, 2), 9, other)
         # Far cells are never blocked.
-        assert not grid.reserved_blocked(Point(8, 8), 1, other)
+        assert not reserved_blocked(grid, Point(8, 8), 1, other)
 
     def test_own_reservation_does_not_block(self, grid):
         rn = RoutedNet(net("a", (2, 2), (4, 2)), (Point(2, 2), Point(3, 2), Point(4, 2)))
         grid.reserve(rn, horizon=10)
-        assert not grid.reserved_blocked(Point(3, 2), 1, rn.net)
+        assert not reserved_blocked(grid, Point(3, 2), 1, rn.net)
 
     def test_duplicate_reservation_rejected(self, grid):
         rn = RoutedNet(net("a"), (Point(1, 1),))
@@ -96,16 +97,16 @@ class TestReservations:
         grid.reserve(rn, horizon=10)
         grid.remove_reservation("a")
         other = net("b", (9, 9), (1, 1))
-        assert not grid.reserved_blocked(Point(3, 2), 1, other)
+        assert not reserved_blocked(grid, Point(3, 2), 1, other)
         # Re-reserving after removal is allowed.
         grid.reserve(rn, horizon=10)
-        assert grid.reserved_blocked(Point(3, 2), 1, other)
+        assert reserved_blocked(grid, Point(3, 2), 1, other)
 
     def test_clear_reservations_keeps_static(self, grid):
         grid.add_faulty([Point(7, 7)])
         grid.reserve(RoutedNet(net("a"), (Point(1, 1),)), horizon=5)
         grid.clear_reservations()
-        assert not grid.reserved_blocked(Point(1, 1), 0, net("b", (9, 9), (1, 2)))
+        assert not reserved_blocked(grid, Point(1, 1), 0, net("b", (9, 9), (1, 2)))
         assert grid.static_blocked(Point(7, 7))
 
     def test_same_consumer_exempt_inside_merge_zone_only(self, grid):
@@ -117,17 +118,17 @@ class TestReservations:
         sibling = net("b", (2, 2), (7, 8), consumer="MIX")
         stranger = net("c", (2, 2), (9, 9), consumer="OTHER")
         # Inside the consumer footprint the sibling ignores the halo...
-        assert not grid.reserved_blocked(Point(7, 8), 5, sibling)
+        assert not reserved_blocked(grid, Point(7, 8), 5, sibling)
         # ...but a net for another consumer does not...
-        assert grid.reserved_blocked(Point(7, 8), 5, stranger)
+        assert reserved_blocked(grid, Point(7, 8), 5, stranger)
         # ...and outside the footprint even the sibling must keep spacing.
-        assert grid.reserved_blocked(Point(7, 4), 1, sibling)
+        assert reserved_blocked(grid, Point(7, 4), 1, sibling)
 
     def test_same_producer_exempt_inside_split_zone(self, grid):
         grid.add_region("SRC", Rect(1, 1, 3, 3))
         share = RoutedNet(net("a", (2, 2), (9, 2), producer="SRC"), (Point(2, 2), Point(3, 2)))
         grid.reserve(share, horizon=6)
         sibling = net("b", (2, 2), (2, 9), producer="SRC")
-        assert not grid.reserved_blocked(Point(2, 2), 0, sibling)
+        assert not reserved_blocked(grid, Point(2, 2), 0, sibling)
         stranger = net("c", (5, 5), (2, 9), producer="ELSE")
-        assert grid.reserved_blocked(Point(2, 2), 0, stranger)
+        assert reserved_blocked(grid, Point(2, 2), 0, stranger)
