@@ -34,7 +34,6 @@ from repro.modules.kinds import ModuleKind
 from repro.modules.library import ModuleLibrary, standard_library
 from repro.modules.module import ModuleSpec
 from repro.pipeline import (
-    Pipeline,
     PortfolioResult,
     PortfolioSpec,
     SynthesisContext,
@@ -116,7 +115,6 @@ __all__ = [
     "OperationType",
     "PCR_BINDING",
     "PartialReconfigurer",
-    "Pipeline",
     "PipelineError",
     "Chip",
     "PlacedModule",

@@ -35,11 +35,14 @@ BUNDLED_ASSAYS: dict[str, AssayBuilder] = {
 }
 
 
+#: Spec-string prefix marking a generated (vs bundled) assay; the
+#: generator parses and renders specs with it.
+SPEC_PREFIX = "gen:"
+
+
 def is_generator_spec(name: str) -> bool:
     """True when *name* addresses the workload generator, not a bundle."""
-    # Inline prefix check: the generator package imports the synthesis
-    # pipeline, so a module-level import here would be circular.
-    return name.startswith("gen:")
+    return name.startswith(SPEC_PREFIX)
 
 
 def build_assay(name: str) -> tuple[SequencingGraph, Mapping[str, str] | None]:

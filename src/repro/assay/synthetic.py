@@ -13,9 +13,10 @@ from __future__ import annotations
 from repro.assay.graph import SequencingGraph
 from repro.assay.operations import Operation, OperationType
 
-#: Mixer spec names cycled across tree levels (all from the standard
-#: library, so synthetic assays bind without custom libraries).
-_MIXER_CYCLE = ("mixer-2x2", "mixer-linear-1x4", "mixer-2x3", "mixer-2x4")
+#: Mixer spec names cycled across tree levels and generated mixes (all
+#: from the standard library, so synthetic and generated assays bind
+#: without custom libraries).
+MIXER_CYCLE = ("mixer-2x2", "mixer-linear-1x4", "mixer-2x3", "mixer-2x4")
 
 
 def build_mix_tree(leaves: int) -> SequencingGraph:
@@ -37,7 +38,7 @@ def build_mix_tree(leaves: int) -> SequencingGraph:
             f"M{counter}",
             OperationType.MIX,
             label=f"leaf mix {i + 1}",
-            hardware=_MIXER_CYCLE[i % len(_MIXER_CYCLE)],
+            hardware=MIXER_CYCLE[i % len(MIXER_CYCLE)],
         )
         g.add_operation(op)
         level_nodes.append(op.id)
@@ -51,7 +52,7 @@ def build_mix_tree(leaves: int) -> SequencingGraph:
                 f"M{counter}",
                 OperationType.MIX,
                 label=f"level-{level} mix",
-                hardware=_MIXER_CYCLE[(i + level) % len(_MIXER_CYCLE)],
+                hardware=MIXER_CYCLE[(i + level) % len(MIXER_CYCLE)],
             )
             g.add_operation(op)
             g.add_dependency(level_nodes[i], op)

@@ -15,10 +15,6 @@ from repro.experiments.fig8 import run_enhanced_experiment
 from repro.experiments.pcr import pcr_case_study
 from repro.experiments.table2 import run_beta_sweep
 
-# NOTE: repro.experiments.runner is intentionally not imported here so
-# that `python -m repro.experiments.runner` works without the runpy
-# double-import warning; import run_all_experiments from the module.
-
 __all__ = [
     "demonstrate_3d_reduction",
     "describe_pcr_graph",

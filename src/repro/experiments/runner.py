@@ -1,14 +1,12 @@
 """Run every experiment and render the paper-vs-measured report.
 
 ``repro experiments --out FILE`` writes the report to *FILE* and
-prints it without ``--out``; ``python -m repro.experiments.runner``
-takes the same flag. Individual experiments stay importable for the
-benchmark harness.
+prints it without ``--out``. Individual experiments stay importable
+for the benchmark harness.
 """
 
 from __future__ import annotations
 
-import argparse
 import time
 
 from repro.experiments import paper_constants as paper
@@ -24,19 +22,6 @@ from repro.placement.annealer import AnnealingParams
 from repro.util.tables import format_table
 from repro.viz.ascii_art import render_fti_map, render_gantt, render_placement
 from repro.workload.campaign import CampaignRunner, batch_preset
-
-
-def run_scenario_grid(seed: int = 7, fast: bool = True, jobs: int = 1):
-    """The standard fault-scenario grid over the bundled assays.
-
-    Three assays x (fault-free, center defect) as the ``batch`` campaign
-    preset: routed around the defect and replayed — the batch extension
-    the paper's Section 7 anticipates ("defect/fault scenarios layered
-    on the flow"). Kept as its own entry point so the benchmark harness
-    can time it.
-    """
-    config = batch_preset(("pcr", "dilution", "ivd"), seed=seed, fast=fast)
-    return CampaignRunner(config).run(None, jobs=jobs)
 
 
 def run_all_experiments(seed: int = 7, fast: bool = True, jobs: int = 1) -> str:
@@ -110,7 +95,12 @@ def run_all_experiments(seed: int = 7, fast: bool = True, jobs: int = 1) -> str:
     )
 
     sections.append("\n\n## Fault-scenario grid (pipeline extension)\n")
-    grid = run_scenario_grid(seed=seed, fast=fast, jobs=jobs)
+    # Three assays x (fault-free, center defect) as the ``batch``
+    # campaign preset: routed around the defect and replayed — the
+    # batch extension the paper's Section 7 anticipates ("defect/fault
+    # scenarios layered on the flow").
+    config = batch_preset(("pcr", "dilution", "ivd"), seed=seed, fast=fast)
+    grid = CampaignRunner(config).run(None, jobs=jobs)
     sections.append(grid.scenario_table())
     sections.append(
         f"\n{grid.completed_count}/{len(grid.records)} scenarios synthesized, "
@@ -127,26 +117,3 @@ def run_all_experiments(seed: int = 7, fast: bool = True, jobs: int = 1) -> str:
     )
     return "\n".join(sections)
 
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
-        "--full", action="store_true", help="use the larger annealing preset"
-    )
-    parser.add_argument("--out", type=str, default=None, help="write report here")
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the fault-scenario grid",
-    )
-    args = parser.parse_args()
-    report = run_all_experiments(seed=args.seed, fast=not args.full, jobs=args.jobs)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report + "\n")
-    else:
-        print(report)
-
-
-if __name__ == "__main__":
-    main()

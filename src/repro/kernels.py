@@ -227,6 +227,7 @@ class _Kernels:
             "route_search": (_i64, [store, _i64, _i64, _i64, *net, _ptr]),
             "route_parking": (_i64, [store, _i64, _i64, _ptr, _i64, _ptr, _i64]),
             "route_verify": (_i64, [_i64, _i64, _i64, _ptr, _ptr]),
+            "route_violation_fields": (_i64, []),
         }
         for name, (restype, argtypes) in signatures.items():
             fn = getattr(lib, name)

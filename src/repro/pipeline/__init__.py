@@ -2,15 +2,14 @@
 
 The paper's top-down flow — behavioral model, architectural-level
 synthesis, geometry-level synthesis, routing, verification — lives here
-as composable pieces:
+in pieces:
 
 * :mod:`repro.pipeline.context` — the shared, picklable
   :class:`SynthesisContext` every stage reads and writes.
-* :mod:`repro.pipeline.stages` — the :class:`Stage` protocol and the
-  built-in bind / schedule / place / route / verify-by-sim stages.
-* :mod:`repro.pipeline.pipeline` — :class:`Pipeline` (ordered stage
-  execution, fault-boundary splitting) and
-  :func:`build_default_pipeline`.
+* :mod:`repro.pipeline.stages` — the bind / schedule / place / route /
+  verify-by-sim stages.
+* :mod:`repro.pipeline.pipeline` — the fixed-order, timed stage run
+  and :func:`build_default_pipeline`, its one assembler.
 * :mod:`repro.pipeline.portfolio` — best-of-N seeded instances in
   parallel on the supervised pool (:class:`repro.exec.SupervisedPool`),
   deterministic winner selection.
@@ -20,7 +19,7 @@ facade; it assembles and runs exactly this pipeline.
 """
 
 from repro.pipeline.context import SynthesisContext, normalize_faulty_cells
-from repro.pipeline.pipeline import Pipeline, build_default_pipeline
+from repro.pipeline.pipeline import build_default_pipeline
 from repro.pipeline.portfolio import (
     OBJECTIVES,
     InstanceOutcome,
@@ -36,21 +35,18 @@ from repro.pipeline.stages import (
     RouteStage,
     ScheduleStage,
     SimVerifyStage,
-    Stage,
 )
 
 __all__ = [
     "BindStage",
     "InstanceOutcome",
     "OBJECTIVES",
-    "Pipeline",
     "PlaceStage",
     "PortfolioResult",
     "PortfolioSpec",
     "RouteStage",
     "ScheduleStage",
     "SimVerifyStage",
-    "Stage",
     "SynthesisContext",
     "build_default_pipeline",
     "instance_seeds",

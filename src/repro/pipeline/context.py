@@ -3,9 +3,8 @@
 A :class:`SynthesisContext` carries the problem description (sequencing
 graph, explicit binding, known-faulty cells) and accumulates stage
 products (binding, schedule, placement, FTI report, routing plan,
-simulation report) as the pipeline advances. It is deliberately a plain
-data holder — every field is picklable, so a context can cross a
-process boundary for portfolio search.
+simulation report) as the pipeline advances. It is a plain data holder
+whose every field is picklable.
 """
 
 from __future__ import annotations

@@ -1,19 +1,20 @@
-"""The staged synthesis pipeline: an ordered run of pluggable stages.
+"""The staged synthesis pipeline: the paper's top-down order, fixed.
 
-``Pipeline([...]).run(context)`` drives each stage over the shared
-:class:`~repro.pipeline.context.SynthesisContext` and times it.
+``Pipeline(bind, schedule, place, route, verify).run(context)`` drives
+each present stage over the shared
+:class:`~repro.pipeline.context.SynthesisContext` in that order and
+times it.
 
 :func:`build_default_pipeline` assembles the paper's top-down flow —
 bind -> schedule -> place (-> route -> verify-by-sim) — from the same
 knobs :class:`~repro.synthesis.flow.SynthesisFlow` exposes; the flow is
-now a thin facade over exactly this construction.
+a thin facade over exactly this construction.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from collections.abc import Sequence
 
 from repro.pipeline.context import SynthesisContext
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
@@ -23,46 +24,39 @@ from repro.pipeline.stages import (
     RouteStage,
     ScheduleStage,
     SimVerifyStage,
-    Stage,
 )
 from repro.routing.synthesis import RoutingSynthesizer
 from repro.synthesis.binder import ResourceBinder
-from repro.util.errors import PipelineError
 from repro.util.rng import ensure_rng, spawn_rng
 
 
 class Pipeline:
-    """An ordered, named sequence of synthesis stages."""
+    """The synthesis stages in the paper's order; *route* and *verify*
+    are ``None`` when the pipeline stops before them."""
 
-    def __init__(self, stages: Sequence[Stage]) -> None:
-        stages = list(stages)
-        if not stages:
-            raise PipelineError("a pipeline needs at least one stage")
-        names = [stage.name for stage in stages]
-        duplicates = {n for n in names if names.count(n) > 1}
-        if duplicates:
-            raise PipelineError(
-                f"duplicate stage names in pipeline: {sorted(duplicates)}"
-            )
-        self._stages = stages
-
-    @property
-    def stage_names(self) -> tuple[str, ...]:
-        return tuple(stage.name for stage in self._stages)
+    def __init__(
+        self,
+        bind: BindStage,
+        schedule: ScheduleStage,
+        place: PlaceStage,
+        route: RouteStage | None,
+        verify: SimVerifyStage | None,
+    ) -> None:
+        self.bind = bind
+        self.schedule = schedule
+        self.place = place
+        self.route = route
+        self.verify = verify
 
     def run(self, context: SynthesisContext) -> SynthesisContext:
-        """Execute every stage in order; returns the same *context*."""
-        for stage in self._stages:
+        """Execute every present stage in order; returns the same *context*."""
+        for stage in (self.bind, self.schedule, self.place, self.route, self.verify):
+            if stage is None:
+                continue
             t0 = time.perf_counter()
             stage.run(context)
             context.stage_timings[stage.name] = time.perf_counter() - t0
         return context
-
-    def __len__(self) -> int:
-        return len(self._stages)
-
-    def __str__(self) -> str:
-        return f"Pipeline({' -> '.join(self.stage_names)})"
 
 
 def build_default_pipeline(
@@ -88,7 +82,7 @@ def build_default_pipeline(
         placer = build_default_placer(rng)
     if binder is None:
         binder = ResourceBinder()
-    stages: list[Stage] = [
+    return Pipeline(
         BindStage(binder),
         ScheduleStage(
             max_concurrent_ops=max_concurrent_ops,
@@ -96,12 +90,9 @@ def build_default_pipeline(
             max_parked=max_parked,
         ),
         PlaceStage(placer),
-    ]
-    if route:
-        stages.append(RouteStage(routing_synthesizer))
-    if verify:
-        stages.append(SimVerifyStage())
-    return Pipeline(stages)
+        RouteStage(routing_synthesizer) if route else None,
+        SimVerifyStage() if verify else None,
+    )
 
 
 def build_default_placer(rng: random.Random):

@@ -1,20 +1,15 @@
-"""Pluggable pipeline stages: bind, schedule, place, route, and
+"""The synthesis pipeline's stages: bind, schedule, place, route, and
 verify-by-sim.
 
 Each stage is a small configured transform over a
 :class:`~repro.pipeline.context.SynthesisContext`: it reads the
 products of upstream stages, computes its own, and writes them back.
-The :class:`Stage` protocol is structural — anything with a ``name``
-and a ``run(context)`` method slots into a
-:class:`~repro.pipeline.pipeline.Pipeline`, so experiments can insert
-custom analyses (or replace a stage wholesale) without touching the
-flow.
+Its ``name`` keys its entry in the context's per-stage timings.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Protocol, runtime_checkable
 
 from repro.fault.fti import compute_fti
 from repro.pipeline.context import SynthesisContext
@@ -24,18 +19,6 @@ from repro.routing.synthesis import RoutingSynthesizer
 from repro.sim.engine import BiochipSimulator
 from repro.synthesis.binder import ResourceBinder
 from repro.synthesis.scheduler import schedule_bound
-
-
-@runtime_checkable
-class Stage(Protocol):
-    """Structural interface every pipeline stage satisfies."""
-
-    #: Unique name within a pipeline; keys the per-stage timings.
-    name: str
-
-    def run(self, context: SynthesisContext) -> None:
-        """Consume upstream products from *context* and write our own."""
-        ...
 
 
 class BindStage:

@@ -732,14 +732,22 @@ done:
  *
  * Op ids are interned per epoch, -1 for None; rectangles are inclusive.
  *
- * The first violation found is written to the caller's six int64s:
- * epoch, kind, net a, net b (a failed net's index
- * counts on from the routed ones), step, and which step pairing broke
- * (0: both at step, 1: a one step on, 2: b one step on). Trajectories
- * are checked before pairs, each in net order, as RoutingPlan.verify
- * names them. */
+ * The first violation found is written to the caller's
+ * VIOLATION_FIELDS int64s: epoch, kind, net a, net b (a failed net's
+ * index counts on from the routed ones), step, and which step pairing
+ * broke (0: both at step, 1: a one step on, 2: b one step on).
+ * Trajectories are checked before pairs, each in net order, as
+ * RoutingPlan.verify names them. route_violation_fields() exports the
+ * count, so a test can hold the caller's buffer to it. */
 
 enum { EMPTY = 1, ENDPOINTS, OFF_ARRAY, JUMP, ON_FAULTY, ON_MODULE, ON_PARKED, PAIR };
+
+#define VIOLATION_FIELDS 6
+
+int64_t route_violation_fields(void)
+{
+    return VIOLATION_FIELDS;
+}
 
 #define NET_FIELDS 8
 #define FAILED_FIELDS 4

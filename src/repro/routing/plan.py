@@ -42,6 +42,10 @@ from repro.util.tables import format_table
 #: the last is any step pairing of two droplets.
 _EMPTY, _ENDPOINTS, _OFF_ARRAY, _JUMP, _FAULTY, _MODULE, _PARKED, _PAIR = range(1, 9)
 
+#: int64 fields of ``route_verify``'s violation record: epoch, kind,
+#: net a, net b, step, step pairing (``_route.c`` exports its count).
+_VIOLATION_FIELDS = 6
+
 
 def chebyshev(a: Point, b: Point) -> int:
     """Chebyshev (L-infinity) distance; the fluidic constraint requires >= 2."""
@@ -274,7 +278,7 @@ class RoutingPlan:
         table = (ctypes.c_void_p * len(records))(
             *(record.buffer_info()[0] for record in records)
         )
-        found = array("q", bytes(8 * 6))
+        found = array("q", [0]) * _VIOLATION_FIELDS
         status = kernels.load().route_verify(
             self.width, self.height, len(records), table, found.buffer_info()[0]
         )

@@ -181,7 +181,10 @@ class TimeGrid:
         self._masks: dict[str, bytes] = {}
         #: (net id, producer, consumer) -> the store's per-net arguments.
         self._net_args: dict[tuple, tuple] = {}
-        self._path = array("i", bytes(4))
+        #: The search's trajectory buffer, sized exactly (``horizon + 1``
+        #: cells): a sanitized build guards only an allocation's end, and
+        #: ``array("i", bytes(n))`` over-allocates.
+        self._path = array("i", [0])
         # The view pins the mask's buffer, so the store's pointer into
         # it stays valid.
         self._static_view = (ctypes.c_char * area).from_buffer(self._static)
@@ -372,7 +375,7 @@ class TimeGrid:
         *horizon* steps."""
         path = self._path
         if len(path) <= horizon:
-            path = self._path = array("i", bytes(4 * (horizon + 1)))
+            path = self._path = array("i", [0]) * (horizon + 1)
         (sx, sy), (gx, gy), width = net.source, net.goal, self.width
         found = self._kernel.route_search(
             self._store, (sy - 1) * width + sx - 1, (gy - 1) * width + gx - 1, horizon,

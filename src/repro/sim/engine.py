@@ -1068,8 +1068,8 @@ class BiochipSimulator:
     def _park_goal(self, key: tuple) -> Point | None:
         """The nearest safe parking cell for the search keyed by
         ``(start, parked, faulty, claiming)``. The ring search is pure
-        in that key, so it is memoized — Monte-Carlo sweeps and
-        checkpoint replays repeat the same searches run after run."""
+        in that key, so it is memoized; repeated replays on one
+        simulator hit the memo (DESIGN.md, "Pure-query memoization")."""
         goal = self._park_memo.get(key)
         if goal is None:
             goal = _nearest_safe_cell(self.chip.width, self.chip.height, *key)
@@ -1083,10 +1083,10 @@ class BiochipSimulator:
         self, start: Point, goal: Point, footprints, faulty, parked, inflate: bool
     ) -> int:
         """:func:`_droplet_path_length` on the chip's board. The search
-        is pure in its arguments, so it is memoized — Monte-Carlo sweeps
-        and checkpoint replays repeat the same transports, including
-        the same degradation-ladder failures, run after run. A failure
-        is kept as its message and re-raised verbatim."""
+        is pure in its arguments, so it is memoized, failures included;
+        repeated replays on one simulator hit the memo (DESIGN.md,
+        "Pure-query memoization"). A failure is kept as its message and
+        re-raised verbatim."""
         key = (start, goal, tuple(footprints), tuple(faulty), tuple(parked), inflate)
         outcome = self._path_memo.get(key)
         if outcome is None:

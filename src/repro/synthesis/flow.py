@@ -7,13 +7,11 @@ routing synthesis (concurrent droplet-routing plan, ``route=True``).
 One call takes an assay from protocol description to a placed,
 FTI-scored — and, when requested, fully routed — configuration.
 
-``SynthesisFlow`` is a thin facade: it assembles the equivalent staged
-:class:`~repro.pipeline.pipeline.Pipeline` (bind -> schedule -> place
-[-> route]) and runs it over a
-:class:`~repro.pipeline.context.SynthesisContext`. Callers who need
-stage-level control — inserting custom stages, portfolio search,
-prefix reuse across fault patterns — use :mod:`repro.pipeline`
-directly; for a fixed seed both entry points produce identical results.
+``SynthesisFlow`` is a thin facade: it assembles the staged pipeline
+(bind -> schedule -> place [-> route]) with
+:func:`~repro.pipeline.pipeline.build_default_pipeline` and runs it
+over a :class:`~repro.pipeline.context.SynthesisContext`. For a fixed
+seed, driving that pipeline directly gives the identical result.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from repro.routing.plan import RoutingPlan
 from repro.routing.synthesis import RoutingSynthesizer
 from repro.synthesis.binder import Binding, ResourceBinder
 from repro.synthesis.schedule import Schedule
-from repro.util.rng import ensure_rng
 
 if TYPE_CHECKING:
     from repro.sim.engine import SimulationReport
@@ -159,21 +156,16 @@ class SynthesisFlow:
         seed: int | random.Random | None = None,
         route: bool = False,
     ) -> None:
-        from repro.pipeline.pipeline import build_default_placer, build_default_pipeline
+        from repro.pipeline.pipeline import build_default_pipeline
 
-        # One explicit generator per flow instance: concurrent flows
-        # must not share RNG state through the global random module.
-        self.rng = ensure_rng(seed)
-        self.binder = ResourceBinder(library)
-        self.placer = placer if placer is not None else build_default_placer(self.rng)
-        self.max_concurrent_ops = max_concurrent_ops
-        self.cell_capacity = cell_capacity
-        self.max_parked = max_parked
-        self.route = route
         self.routing_synthesizer = RoutingSynthesizer()
+        # The default placer draws its seed from a generator of this
+        # flow's own: concurrent flows must not share RNG state through
+        # the global random module.
         self.pipeline = build_default_pipeline(
-            binder=self.binder,
-            placer=self.placer,
+            binder=ResourceBinder(library),
+            placer=placer,
+            seed=seed,
             max_concurrent_ops=max_concurrent_ops,
             cell_capacity=cell_capacity,
             max_parked=max_parked,

@@ -42,12 +42,10 @@ import random
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
+from repro.assay.catalog import SPEC_PREFIX
 from repro.assay.graph import SequencingGraph
 from repro.assay.operations import Operation, OperationType
-
-#: Mixer spec names cycled across generated mixes (all from the
-#: standard library, so generated assays bind without custom libraries).
-_MIXER_CYCLE = ("mixer-2x2", "mixer-linear-1x4", "mixer-2x3", "mixer-2x4")
+from repro.assay.synthetic import MIXER_CYCLE
 
 #: Scale band the generators are designed (and property-tested) for.
 MIN_MODULES = 8
@@ -134,7 +132,7 @@ def _check_n(n: int) -> None:
 
 
 def _mixer(rng: random.Random) -> str:
-    return _MIXER_CYCLE[rng.randrange(len(_MIXER_CYCLE))]
+    return MIXER_CYCLE[rng.randrange(len(MIXER_CYCLE))]
 
 
 # -- mix-tree ----------------------------------------------------------------
@@ -373,9 +371,6 @@ GENERATOR_FAMILIES: dict[str, tuple[Callable, dict[str, tuple[type, object]]]] =
     "mixed": (build_mixed_assay, {}),
 }
 
-#: Spec-string prefix marking a generated (vs bundled) assay.
-SPEC_PREFIX = "gen:"
-
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -476,7 +471,3 @@ def generate(spec: str | GeneratorSpec) -> SequencingGraph:
         spec = GeneratorSpec.parse(spec)
     return spec.build()
 
-
-def is_generator_spec(name: str) -> bool:
-    """True when *name* addresses a generated (not bundled) assay."""
-    return name.startswith(SPEC_PREFIX)

@@ -16,7 +16,9 @@ referenced by production code. Two rules keep the count honest:
   variable of the same name (``move = propose(span)``) is not a use.
 
 Matching is by name, so a function the census reports is named nowhere
-in production code.
+in production code. For the same reason no two ``src/repro`` modules
+may define a public module-level function of the same name: a dead
+twin of a live function would pass as referenced.
 
 An option is a defaulted parameter of a public function, method or
 constructor in ``src/repro``, or a defaulted field of a public frozen
@@ -136,7 +138,7 @@ ALLOWLIST: dict[str, tuple[str, str]] = {
 #: Ceilings on the option count: defaulted public parameters, and
 #: defaulted fields of public frozen dataclasses. A change that adds an
 #: option raises the ceiling in the same diff and says why.
-MAX_DEFAULTED_PARAMETERS = 196
+MAX_DEFAULTED_PARAMETERS = 193
 MAX_DATACLASS_FIELDS = 50
 
 #: ``module:Qualname`` -> why it stays with no reference outside tests.
@@ -484,6 +486,18 @@ def test_every_public_function_is_referenced_outside_tests():
     assert unlisted == [], (
         "public functions only tests reference; move each into tests/, "
         f"delete it, or allowlist it with a reason: {unlisted}"
+    )
+
+
+def test_public_function_names_are_unique():
+    homes = defaultdict(list)
+    for key, (name, is_member) in _public_functions(_parsed(None)).items():
+        if not is_member:
+            homes[name].append(key)
+    twins = {name: keys for name, keys in homes.items() if len(keys) > 1}
+    assert twins == {}, (
+        "public module-level functions defined twice; the census cannot "
+        f"tell which one a caller references: {twins}"
     )
 
 

@@ -19,7 +19,6 @@ from repro.placement.chip import Chip
 from repro.placement.initial import constructive_initial_placement
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.pipeline.context import SynthesisContext
-from repro.pipeline.pipeline import Pipeline
 from repro.pipeline.stages import BindStage, PlaceStage, ScheduleStage
 from repro.placement.window import ControllingWindow
 from repro.sim.engine import BiochipSimulator
@@ -78,10 +77,10 @@ class TestFlowOverRandomAssays:
         # benchmark builds it; the placement and chip are still made.
         graph = random_assay(operations=6, seed=9)
         placer = SimulatedAnnealingPlacer(params=AnnealingParams.fast(), seed=1)
-        pipeline = Pipeline(
-            [BindStage(), ScheduleStage(), PlaceStage(placer, compute_fti_report=False)]
-        )
-        context = pipeline.run(SynthesisContext(graph=graph))
+        context = SynthesisContext(graph=graph)
+        BindStage().run(context)
+        ScheduleStage().run(context)
+        PlaceStage(placer, compute_fti_report=False).run(context)
         assert context.fti_report is None
         context.placement_result.placement.validate()
         assert context.chip is not None

@@ -7,6 +7,11 @@ raise: the kernel would read and write the wrong bytes. The C side
 exports each struct's ``sizeof`` and every field's ``offsetof`` with the
 field names (``anneal_layout``), and each must equal the mirror's, field
 by field.
+
+``RoutingPlan.verify`` hands ``route_verify`` an int64 buffer for the
+violation record, sized on the Python side; ``_route.c`` exports the
+record's field count (``route_violation_fields``), and the buffer must
+hold exactly that many.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import ctypes
 from array import array
 
 from repro import kernels
+from repro.routing import plan
 
 
 def test_anneal_structs_match_their_c_layouts():
@@ -34,3 +40,7 @@ def test_anneal_structs_match_their_c_layouts():
         for field in fields:
             assert getattr(mirror, field).offset == next(values), (mirror.__name__, field)
     assert next(values, None) is None
+
+
+def test_violation_buffer_matches_the_c_record():
+    assert plan._VIOLATION_FIELDS == kernels.load().route_violation_fields()

@@ -6,17 +6,16 @@ from dataclasses import replace
 import pytest
 
 from repro.assay.protocols.pcr import PCR_BINDING, build_pcr_mixing_graph
+from repro.modules.library import standard_library
 from repro.pipeline import (
     BindStage,
-    Pipeline,
     PlaceStage,
     RouteStage,
     ScheduleStage,
-    SimVerifyStage,
-    Stage,
     SynthesisContext,
     build_default_pipeline,
 )
+from repro.pipeline.pipeline import Pipeline
 from repro.placement.annealer import AnnealingParams
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.synthesis.flow import SynthesisFlow
@@ -33,21 +32,37 @@ def placement_map(result):
 
 
 class TestPipelineAssembly:
-    def test_empty_pipeline_rejected(self):
-        with pytest.raises(PipelineError, match="at least one stage"):
-            Pipeline([])
-
-    def test_duplicate_stage_names_rejected(self):
-        with pytest.raises(PipelineError, match="duplicate"):
-            Pipeline([BindStage(), BindStage()])
-
     def test_default_pipeline_stage_order(self):
-        p = build_default_pipeline(route=True, verify=True, seed=1)
-        assert p.stage_names == ("bind", "schedule", "place", "route", "verify")
+        p = build_default_pipeline(
+            placer=fast_placer(2), route=True, verify=True, seed=1
+        )
+        ctx = p.run(
+            SynthesisContext(
+                graph=build_pcr_mixing_graph(), explicit_binding=PCR_BINDING
+            )
+        )
+        assert list(ctx.stage_timings) == [
+            "bind", "schedule", "place", "route", "verify"
+        ]
 
-    def test_builtin_stages_satisfy_protocol(self):
-        for stage in build_default_pipeline(route=True, verify=True, seed=1)._stages:
-            assert isinstance(stage, Stage)
+    def test_pipeline_takes_its_stages_by_role(self):
+        graph = build_pcr_mixing_graph()
+        by_hand = Pipeline(
+            BindStage(),
+            ScheduleStage(max_concurrent_ops=3),
+            PlaceStage(fast_placer(2)),
+            None,
+            None,
+        ).run(SynthesisContext(graph=graph, explicit_binding=PCR_BINDING))
+        assembled = build_default_pipeline(
+            placer=fast_placer(2), max_concurrent_ops=3
+        ).run(SynthesisContext(graph=graph, explicit_binding=PCR_BINDING))
+
+        # Absent stages are skipped: neither run nor timed.
+        assert list(by_hand.stage_timings) == ["bind", "schedule", "place"]
+        assert by_hand.routing_plan is None and by_hand.sim_report is None
+        assert placement_map(by_hand.result()) == placement_map(assembled.result())
+        assert by_hand.result().makespan == assembled.result().makespan
 
 
 class TestStagePrerequisites:
@@ -93,19 +108,20 @@ class TestFacadeEquivalence:
         assert facade.fti == direct.fti
 
     def test_facade_exposes_its_pipeline(self):
-        flow = SynthesisFlow(placer=fast_placer(1), route=True)
-        assert flow.pipeline.stage_names == ("bind", "schedule", "place", "route")
+        library, placer = standard_library(), fast_placer(1)
+        flow = SynthesisFlow(library=library, placer=placer, route=True)
         # The pipeline's stages are the facade's own components.
-        stages = {stage.name: stage for stage in flow.pipeline._stages}
-        assert stages["place"].placer is flow.placer
-        assert stages["bind"].binder is flow.binder
+        assert flow.pipeline.bind.binder.library is library
+        assert flow.pipeline.place.placer is placer
+        assert flow.pipeline.route.synthesizer is flow.routing_synthesizer
+        assert flow.pipeline.verify is None
 
     def test_default_placer_seeding_matches_legacy_derivation(self):
         # The facade's default placer draws one spawn from the flow rng —
         # the exact derivation the pre-pipeline flow used.
         flow = SynthesisFlow(seed=3)
         expected = spawn_rng(ensure_rng(3)).random()
-        assert flow.placer._rng.random() == expected
+        assert flow.pipeline.place.placer._rng.random() == expected
 
     def test_stage_timings_recorded(self):
         result = SynthesisFlow(placer=fast_placer(1), route=True).run(
@@ -121,42 +137,30 @@ class TestContext:
         ctx = SynthesisContext(
             graph=build_pcr_mixing_graph(), explicit_binding=PCR_BINDING
         )
-        for stage in build_default_pipeline(
-            placer=fast_placer(1), route=True
-        )._stages:
+        pipeline = build_default_pipeline(placer=fast_placer(1), route=True)
+        for stage in (pipeline.bind, pipeline.schedule, pipeline.place, pipeline.route):
             stage.run(ctx)
             clone = pickle.loads(pickle.dumps(ctx))
             assert clone.graph.name == ctx.graph.name
         assert clone.routing_plan is not None
         assert clone.result().area_cells == ctx.result().area_cells
 
-    def test_custom_stage_slots_in(self):
-        class PeakDemandStage:
-            """A user analysis stage: annotate peak cell demand."""
+    def test_analysis_reads_off_the_result(self):
+        # An analysis needs no stage of its own: the result carries the
+        # binding and schedule a stage after scheduling would have seen.
+        graph = build_pcr_mixing_graph()
+        ctx = SynthesisContext(graph=graph, explicit_binding=PCR_BINDING)
+        pipeline = build_default_pipeline(placer=fast_placer(1))
+        pipeline.bind.run(ctx)
+        pipeline.schedule.run(ctx)
+        mid_flow = ctx.schedule.peak_cell_demand(ctx.binding.footprints())
 
-            name = "peak-demand"
-
-            def __init__(self):
-                self.peak = None
-
-            def run(self, context):
-                context.require("binding", "schedule")
-                self.peak = context.schedule.peak_cell_demand(
-                    context.binding.footprints()
-                )
-
-        custom = PeakDemandStage()
-        assert isinstance(custom, Stage)
-        pipeline = Pipeline(
-            [BindStage(), ScheduleStage(), custom, PlaceStage(fast_placer(1))]
+        result = SynthesisFlow(placer=fast_placer(1)).run(
+            graph, explicit_binding=PCR_BINDING
         )
-        ctx = pipeline.run(
-            SynthesisContext(
-                graph=build_pcr_mixing_graph(), explicit_binding=PCR_BINDING
-            )
-        )
-        assert custom.peak is not None and custom.peak > 0
-        assert "peak-demand" in ctx.stage_timings
+        peak = result.schedule.peak_cell_demand(result.binding.footprints())
+        assert peak > 0
+        assert peak == mid_flow
 
 
 class TestSimVerifyStage:
@@ -174,7 +178,6 @@ class TestSimVerifyStage:
         result = ctx.result()
         assert result.sim_report is ctx.sim_report
         assert "simulation: completed" in result.summary()
-        assert isinstance(SimVerifyStage(), Stage)
 
     def test_verify_stage_injects_the_context_faults(self):
         # The scenario's faulty cells must actually be exercised by the

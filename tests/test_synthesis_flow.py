@@ -100,27 +100,32 @@ class TestFlowWithTwoStage:
         assert result.binding.spec_for("M1").name == "mixer-2x2"
 
 
+def placer_rng(flow):
+    """The generator of the flow's default placer, seeded from the flow's."""
+    return flow.pipeline.place.placer._rng
+
+
 class TestFlowRngThreading:
     def test_flow_owns_an_explicit_generator(self):
         import random
 
         flow = SynthesisFlow(seed=11)
-        assert isinstance(flow.rng, random.Random)
+        assert isinstance(placer_rng(flow), random.Random)
         # Two flows with the same seed are independent yet reproducible.
-        a = SynthesisFlow(seed=5).rng.random()
-        b = SynthesisFlow(seed=5).rng.random()
+        a = placer_rng(SynthesisFlow(seed=5)).random()
+        b = placer_rng(SynthesisFlow(seed=5)).random()
         assert a == b
 
     def test_default_placer_seeded_from_flow_rng(self):
         # Same flow seed -> identically seeded default placer stream.
-        p1 = SynthesisFlow(seed=3).placer._rng.random()
-        p2 = SynthesisFlow(seed=3).placer._rng.random()
+        p1 = placer_rng(SynthesisFlow(seed=3)).random()
+        p2 = placer_rng(SynthesisFlow(seed=3)).random()
         assert p1 == p2
 
     def test_concurrent_flows_do_not_share_state(self):
         # Interleaving a second flow's construction must not perturb the
         # first flow's stream (would happen with the global random module).
         f1 = SynthesisFlow(seed=9)
-        expected = SynthesisFlow(seed=9).rng.random()
-        SynthesisFlow(seed=1234).rng.random()  # unrelated flow churns its own rng
-        assert f1.rng.random() == expected
+        expected = placer_rng(SynthesisFlow(seed=9)).random()
+        placer_rng(SynthesisFlow(seed=1234)).random()  # unrelated flow churns its own rng
+        assert placer_rng(f1).random() == expected

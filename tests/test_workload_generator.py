@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles.assay import check_invariants
 
+from repro.assay.catalog import build_assay, is_generator_spec
+
 from repro.synthesis.binder import ResourceBinder
 from repro.synthesis.scheduler import list_schedule
 from repro.workload.generator import (
@@ -63,6 +65,16 @@ class TestDeterminism:
         spec = GeneratorSpec.parse("gen:panel:seed=3:n=24")
         assert spec.canonical() == "gen:panel:n=24:seed=3"
         assert GeneratorSpec.parse(spec.canonical()) == spec
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_catalog_builds_the_rendered_spec(self, family):
+        # The generator renders specs with the catalog's prefix, so the
+        # catalog routes every rendered spec back to the generator.
+        spec = GeneratorSpec(family=family, n=MIN_MODULES, seed=5)
+        assert is_generator_spec(spec.canonical())
+        graph, binding = build_assay(spec.canonical())
+        assert binding is None
+        assert graph_fingerprint(graph) == graph_fingerprint(spec.build())
 
 
 class TestStructuralInvariants:
